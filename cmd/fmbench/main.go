@@ -32,6 +32,7 @@ import (
 	"repro/internal/mpifm"
 	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/xport"
 )
 
 func main() {
@@ -164,7 +165,7 @@ func main() {
 		if *all {
 			fmt.Fprintln(w)
 		}
-		bench.WriteMixedReport(w, bench.BindFM2, bench.DefaultMixedConfig())
+		bench.WriteMixedReport(w, xport.GenFM2, bench.DefaultMixedConfig())
 	}
 	if *perf {
 		cfg := bench.DefaultPerfConfig()

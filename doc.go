@@ -29,6 +29,7 @@
 //     back-pressure
 //   - internal/hostmodel  machine cost profiles (sparc, ppro200)
 //   - internal/lanai      NIC model
+//   - internal/flowctl    the credit plane both FM generations share
 //   - internal/fm1        Fast Messages 1.x (contiguous buffers, staged delivery)
 //   - internal/fm2        Fast Messages 2.x (the paper's contribution:
 //     streaming gather/scatter, handler multithreading, paced extraction,
@@ -70,6 +71,22 @@
 //	    (staging copies)   (zero-copy streaming)
 //	          |                  |
 //	      internal/fm1      internal/fm2
+//
+// There is one way to assemble that picture, and fmnet.New, svcload.Run and
+// every internal/bench driver use it: cluster.TryNew builds the platform,
+// xport.AttachEndpoints puts one endpoint on every node, xport.Spaces
+// registers a service on all of them, and the layer's single constructor
+// (mpifm.Attach, sockfm.New, shmem.Attach, garr.Attach, svcload.Attach)
+// binds to the spaces. The machine a generation runs on — FM 1.x on the
+// Sparc profile, FM 2.x on the PPro — is xport.Gen.Profile and
+// mpifm.OverheadsFor, nowhere else.
+//
+// Below the transport, credit flow control is one service both generations
+// keep (paper §3.1, §4) and one copy of code: flowctl.Plane owns the credit
+// ledger, the control-header pool, control-frame validation, the
+// multi-waiter credit wait, half-window return and the idle flush. fm1 and
+// fm2 endpoints hold a Plane by value and differ only in the header size
+// and count offset they construct it with.
 //
 // # Fault model and chaos campaigns
 //

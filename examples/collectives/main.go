@@ -19,12 +19,7 @@ import (
 	"log"
 	"math"
 
-	"repro/internal/cluster"
-	"repro/internal/fm1"
-	"repro/internal/fm2"
-	"repro/internal/hostmodel"
-	"repro/internal/mpifm"
-	"repro/internal/sim"
+	fmnet "repro"
 )
 
 const (
@@ -42,73 +37,58 @@ func localField(r int) []float64 {
 	return v
 }
 
-// dotLoop runs the solver skeleton on an attached world and returns the
+// dotLoop runs the solver skeleton over one FM generation and returns the
 // final global dot product and the virtual time the slowest rank took.
-func dotLoop(k *sim.Kernel, comms []*mpifm.Comm, algo mpifm.CollectiveAlgo) (float64, sim.Time) {
+func dotLoop(gen fmnet.Option, algo fmnet.CollectiveAlgo) (float64, fmnet.Time) {
+	s, err := fmnet.New(fmnet.Nodes(ranks), gen, fmnet.WithMPI())
+	if err != nil {
+		log.Fatal(err)
+	}
 	var final float64
-	var elapsed sim.Time
-	for r := 0; r < ranks; r++ {
-		c := comms[r]
+	var elapsed fmnet.Time
+	s.SpawnRanks("rank", func(r int, p *fmnet.Proc) {
+		c := s.MPI(r)
 		c.SetCollectiveAlgo(algo)
-		k.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
-			x := localField(c.Rank())
-			y := localField(c.Rank() + ranks)
-			if err := c.Barrier(p); err != nil {
+		x := localField(c.Rank())
+		y := localField(c.Rank() + ranks)
+		if err := c.Barrier(p); err != nil {
+			log.Fatal(err)
+		}
+		start := p.Now()
+		var global float64
+		buf := make([]byte, 8)
+		out := make([]byte, 8)
+		for it := 0; it < iterations; it++ {
+			// Local partial dot product; the arithmetic streams both
+			// operands through the cache, charged like a copy.
+			partial := 0.0
+			for i := range x {
+				partial += x[i] * y[i]
+			}
+			c.Host().Memcpy(p, 16*sitesPerRank)
+			binary.LittleEndian.PutUint64(buf, math.Float64bits(partial))
+			if err := c.Allreduce(p, buf, out, fmnet.OpSumF64); err != nil {
 				log.Fatal(err)
 			}
-			start := p.Now()
-			var global float64
-			buf := make([]byte, 8)
-			out := make([]byte, 8)
-			for it := 0; it < iterations; it++ {
-				// Local partial dot product; the arithmetic streams both
-				// operands through the cache, charged like a copy.
-				partial := 0.0
-				for i := range x {
-					partial += x[i] * y[i]
-				}
-				c.Host().Memcpy(p, 16*sitesPerRank)
-				binary.LittleEndian.PutUint64(buf, math.Float64bits(partial))
-				if err := c.Allreduce(p, buf, out, mpifm.OpSumF64); err != nil {
-					log.Fatal(err)
-				}
-				global = math.Float64frombits(binary.LittleEndian.Uint64(out))
-				// A real CG step would now scale and update the local slab
-				// with the global scalar; the communication is what we model.
-				for i := range x {
-					y[i] += 1e-6 * global * x[i]
-				}
-				c.Host().Memcpy(p, 24*sitesPerRank)
+			global = math.Float64frombits(binary.LittleEndian.Uint64(out))
+			// A real CG step would now scale and update the local slab
+			// with the global scalar; the communication is what we model.
+			for i := range x {
+				y[i] += 1e-6 * global * x[i]
 			}
-			if c.Rank() == 0 {
-				final = global
-			}
-			if d := p.Now() - start; d > elapsed {
-				elapsed = d
-			}
-		})
-	}
-	if err := k.Run(); err != nil {
+			c.Host().Memcpy(p, 24*sitesPerRank)
+		}
+		if c.Rank() == 0 {
+			final = global
+		}
+		if d := p.Now() - start; d > elapsed {
+			elapsed = d
+		}
+	})
+	if err := s.Run(); err != nil {
 		log.Fatal(err)
 	}
 	return final, elapsed
-}
-
-func fm1World() (*sim.Kernel, []*mpifm.Comm) {
-	k := sim.NewKernel()
-	cfg := cluster.DefaultConfig()
-	cfg.Nodes = ranks
-	cfg.Profile = hostmodel.Sparc()
-	pl := cluster.New(k, cfg)
-	return k, mpifm.AttachFM1(pl, fm1.Config{}, mpifm.SparcOverheads())
-}
-
-func fm2World() (*sim.Kernel, []*mpifm.Comm) {
-	k := sim.NewKernel()
-	cfg := cluster.DefaultConfig()
-	cfg.Nodes = ranks
-	pl := cluster.New(k, cfg)
-	return k, mpifm.AttachFM2(pl, fm2.Config{}, mpifm.PProOverheads(), true)
 }
 
 func main() {
@@ -118,17 +98,16 @@ func main() {
 	fmt.Printf("  %-22s  %14s  %12s\n", "configuration", "global dot", "time")
 	type config struct {
 		name string
-		mk   func() (*sim.Kernel, []*mpifm.Comm)
-		algo mpifm.CollectiveAlgo
+		gen  fmnet.Option
+		algo fmnet.CollectiveAlgo
 	}
 	for _, cfg := range []config{
-		{"MPI/FM1  recdbl", fm1World, mpifm.AlgoRecursiveDoubling},
-		{"MPI-FM2  recdbl", fm2World, mpifm.AlgoRecursiveDoubling},
-		{"MPI-FM2  ring", fm2World, mpifm.AlgoRing},
-		{"MPI-FM2  flat", fm2World, mpifm.AlgoFlat},
+		{"MPI/FM1  recdbl", fmnet.FM1(), fmnet.AlgoRecursiveDoubling},
+		{"MPI-FM2  recdbl", fmnet.FM2(), fmnet.AlgoRecursiveDoubling},
+		{"MPI-FM2  ring", fmnet.FM2(), fmnet.AlgoRing},
+		{"MPI-FM2  flat", fmnet.FM2(), fmnet.AlgoFlat},
 	} {
-		k, comms := cfg.mk()
-		dot, t := dotLoop(k, comms, cfg.algo)
+		dot, t := dotLoop(cfg.gen, cfg.algo)
 		fmt.Printf("  %-22s  %14.6f  %12s\n", cfg.name, dot, t)
 	}
 	fmt.Println("\n  (the FM1-vs-FM2 gap is the paper's layering-efficiency story,")

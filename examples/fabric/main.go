@@ -14,49 +14,53 @@ package main
 
 import (
 	"fmt"
+	"log"
 
-	"repro/internal/cluster"
-	"repro/internal/fm2"
-	"repro/internal/mpifm"
-	"repro/internal/sim"
-	"repro/internal/xport"
+	fmnet "repro"
 )
 
-// build assembles a 16-node platform on the given topology.
-func build(topo cluster.Topology) (*sim.Kernel, *cluster.Platform) {
-	k := sim.NewKernel()
-	cfg := cluster.DefaultConfig()
-	cfg.Nodes = 16
-	cfg.Topology = topo
-	pl := cluster.New(k, cfg)
-	return k, pl
+// zoo is the fabric zoo in report order.
+var zoo = []struct {
+	name string
+	topo fmnet.Topo
+}{
+	{"single", fmnet.SingleSwitch}, {"line", fmnet.Line},
+	{"fattree", fmnet.FatTree}, {"torus", fmnet.Torus},
+}
+
+// build assembles a 16-node MPI session on the given topology.
+func build(topo fmnet.Topo) *fmnet.Session {
+	s, err := fmnet.New(fmnet.Nodes(16), fmnet.Topology(topo), fmnet.WithMPI())
+	if err != nil {
+		log.Fatal(err)
+	}
+	return s
 }
 
 // cutAggregate runs 8 simultaneous MPI flows across the fabric's cut
 // (rank i -> rank i+8) and reports aggregate bandwidth.
-func cutAggregate(topo cluster.Topology) float64 {
-	k, pl := build(topo)
-	comms := mpifm.AttachOver(xport.AttachFM2(pl, fm2.Config{}), mpifm.PProOverheads(), mpifm.Options{})
+func cutAggregate(topo fmnet.Topo) float64 {
+	s := build(topo)
 	const size, msgs = 2048, 80
-	var first, last sim.Time
+	var first, last fmnet.Time
 	done := 0
 	for i := 0; i < 8; i++ {
 		src, dst := i, i+8
-		k.Spawn(fmt.Sprintf("send%d", i), func(p *sim.Proc) {
+		s.SpawnOn(src, fmt.Sprintf("send%d", i), func(p *fmnet.Proc) {
 			if first == 0 {
 				first = p.Now()
 			}
 			msg := make([]byte, size)
 			for m := 0; m < msgs; m++ {
-				if err := comms[src].Send(p, msg, dst, 1); err != nil {
+				if err := s.MPI(src).Send(p, msg, dst, 1); err != nil {
 					panic(err)
 				}
 			}
 		})
-		k.Spawn(fmt.Sprintf("recv%d", i), func(p *sim.Proc) {
+		s.SpawnOn(dst, fmt.Sprintf("recv%d", i), func(p *fmnet.Proc) {
 			buf := make([]byte, size)
 			for m := 0; m < msgs; m++ {
-				if _, err := comms[dst].Recv(p, buf, src, 1); err != nil {
+				if _, err := s.MPI(dst).Recv(p, buf, src, 1); err != nil {
 					panic(err)
 				}
 			}
@@ -66,44 +70,39 @@ func cutAggregate(topo cluster.Topology) float64 {
 			}
 		})
 	}
-	if err := k.Run(); err != nil {
+	if err := s.Run(); err != nil {
 		panic(err)
 	}
-	return sim.MBps(8*size*msgs, last-first)
+	return 8 * size * msgs / 1e6 / (last - first).Seconds()
 }
 
 func main() {
 	fmt.Println("== The fabric zoo ==")
-	topos := []cluster.Topology{
-		cluster.SingleSwitch, cluster.Line, cluster.FatTree, cluster.Torus2D,
-	}
-	for _, topo := range topos {
-		_, pl := build(topo)
-		fmt.Printf("%-8s  %s\n", topo, pl.Net.Describe())
+	for _, z := range zoo {
+		fmt.Printf("%-8s  %s\n", z.name, build(z.topo).Fabric().Describe())
 	}
 
 	fmt.Println("\n== Source routes ==")
 	fmt.Println("A route is the byte string the switches consume, one output")
 	fmt.Println("port per hop (Myrinet source routing: zero routing state in")
 	fmt.Println("the fabric). Node 0 -> node 15 on each topology:")
-	for _, topo := range topos {
-		_, pl := build(topo)
-		fmt.Printf("%-8s  route %v\n", topo, pl.Net.Route(0, 15))
+	for _, z := range zoo {
+		fmt.Printf("%-8s  route %v\n", z.name, build(z.topo).Fabric().Route(0, 15))
 	}
 	fmt.Println("\nOn the fat tree the first byte picks the uplink: the spine is")
 	fmt.Println("chosen deterministically per (src,dst) pair, so one edge's")
 	fmt.Println("traffic spreads over every uplink:")
-	_, pl := build(cluster.FatTree)
+	fab := build(fmnet.FatTree).Fabric()
 	for dst := 4; dst < 8; dst++ {
-		fmt.Printf("  0 -> %2d  route %v\n", dst, pl.Net.Route(0, dst))
+		fmt.Printf("  0 -> %2d  route %v\n", dst, fab.Route(0, dst))
 	}
 	fmt.Println("\nOn the torus, routes are dimension-order (X then Y) and a hop")
 	fmt.Println("that takes a wraparound link switches to the dateline virtual")
 	fmt.Println("channel (the +1 port of the pair) so back-pressure can never")
 	fmt.Println("cycle around a ring:")
-	_, pl = build(cluster.Torus2D)
+	fab = build(fmnet.Torus).Fabric()
 	for _, dst := range []int{4, 12, 15} {
-		fmt.Printf("  0 -> %2d  route %v\n", dst, pl.Net.Route(0, dst))
+		fmt.Printf("  0 -> %2d  route %v\n", dst, fab.Route(0, dst))
 	}
 
 	fmt.Println("\n== Trunk contention: the cut experiment ==")
@@ -112,8 +111,8 @@ func main() {
 	fmt.Println("flow a private path; the line funnels all 8 through one trunk;")
 	fmt.Println("the fat tree's two uplinks per edge and the torus rings sit in")
 	fmt.Println("between — switch-limited vs bisection-limited regimes:")
-	for _, topo := range topos {
-		fmt.Printf("%-8s  aggregate %7.2f MB/s\n", topo, cutAggregate(topo))
+	for _, z := range zoo {
+		fmt.Printf("%-8s  aggregate %7.2f MB/s\n", z.name, cutAggregate(z.topo))
 	}
 	fmt.Println("\n(fmbench -topo runs the full report: xport-level regimes, the")
 	fmt.Println("layering matrix under cut load, and collective scaling across")

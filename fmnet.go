@@ -31,7 +31,6 @@ import (
 	"repro/internal/fm1"
 	"repro/internal/fm2"
 	"repro/internal/garr"
-	"repro/internal/hostmodel"
 	"repro/internal/lanai"
 	"repro/internal/mpifm"
 	"repro/internal/netsim"
@@ -67,6 +66,9 @@ type (
 	Comm = mpifm.Comm
 	// ReduceOp is an MPI reduction operator.
 	ReduceOp = mpifm.ReduceOp
+	// CollectiveAlgo selects the algorithm family a Comm's collectives use
+	// (Comm.SetCollectiveAlgo).
+	CollectiveAlgo = mpifm.CollectiveAlgo
 	// Stack is one node's socket layer.
 	Stack = sockfm.Stack
 	// Conn is one end of an established socket stream.
@@ -112,6 +114,15 @@ type (
 const (
 	AnySource = mpifm.AnySource
 	AnyTag    = mpifm.AnyTag
+)
+
+// Collective algorithm families, re-exported.
+const (
+	AlgoAuto              = mpifm.AlgoAuto
+	AlgoFlat              = mpifm.AlgoFlat
+	AlgoBinomial          = mpifm.AlgoBinomial
+	AlgoRing              = mpifm.AlgoRing
+	AlgoRecursiveDoubling = mpifm.AlgoRecursiveDoubling
 )
 
 // RPC arrival modes, re-exported.
@@ -332,9 +343,7 @@ func New(opts ...Option) (*Session, error) {
 	ccfg.Nodes = cfg.nodes
 	ccfg.Topology = topo
 	ccfg.AutoShape()
-	if cfg.gen == xport.GenFM1 {
-		ccfg.Profile = hostmodel.Sparc()
-	}
+	ccfg.Profile = cfg.gen.Profile()
 	ccfg.Faults = cfg.faults
 	if cfg.slots > 0 {
 		ccfg.Profile.Link.Slots = cfg.slots
@@ -366,35 +375,24 @@ func New(opts ...Option) (*Session, error) {
 		custom: make(map[string][]*xport.HandlerSpace),
 	}
 
-	spaces := func(service string) []*xport.HandlerSpace {
-		sp := make([]*xport.HandlerSpace, len(s.eps))
-		for i, ep := range s.eps {
-			sp[i] = ep.Register(service)
-		}
-		return sp
-	}
 	if cfg.mpi {
-		ov := mpifm.PProOverheads()
-		if cfg.gen == xport.GenFM1 {
-			ov = mpifm.SparcOverheads()
-		}
-		s.mpi = mpifm.Attach(spaces(mpifm.Service), ov, cfg.mpiOpt)
+		s.mpi = mpifm.Attach(xport.Spaces(s.eps, mpifm.Service), mpifm.OverheadsFor(cfg.gen), cfg.mpiOpt)
 	}
 	if cfg.sockets {
 		s.socks = make([]*sockfm.Stack, cfg.nodes)
-		for i, sp := range spaces(sockfm.Service) {
+		for i, sp := range xport.Spaces(s.eps, sockfm.Service) {
 			s.socks[i] = sockfm.New(sp)
 		}
 	}
 	if cfg.shm {
 		s.shms = make([]*shmem.Node, cfg.nodes)
-		for i, sp := range spaces(shmem.Service) {
+		for i, sp := range xport.Spaces(s.eps, shmem.Service) {
 			s.shms[i] = shmem.Attach(sp)
 		}
 	}
 	if cfg.gaSize > 0 {
 		s.arrays = make([]*garr.Array, cfg.nodes)
-		for i, sp := range spaces(garr.Service) {
+		for i, sp := range xport.Spaces(s.eps, garr.Service) {
 			a, err := garr.Attach(sp, 1, cfg.gaSize, cfg.nodes)
 			if err != nil {
 				return nil, err
@@ -407,10 +405,10 @@ func New(opts ...Option) (*Session, error) {
 		if (rc == svcload.ServiceConfig{}) {
 			rc = svcload.DefaultServiceConfig()
 		}
-		s.rpc = svcload.Attach(spaces(svcload.Service), rc)
+		s.rpc = svcload.Attach(xport.Spaces(s.eps, svcload.Service), rc)
 	}
 	for _, name := range cfg.custom {
-		s.custom[name] = spaces(name)
+		s.custom[name] = xport.Spaces(s.eps, name)
 	}
 	return s, nil
 }

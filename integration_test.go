@@ -15,6 +15,13 @@ import (
 	"repro/internal/xport"
 )
 
+// mpiWorld attaches MPI-FM 2.0 to every node of pl through the one assembly
+// path: shared endpoints, the MPI service registered on each.
+func mpiWorld(pl *cluster.Platform) []*mpifm.Comm {
+	eps := xport.AttachEndpoints(pl, xport.EndpointConfig{Gen: xport.GenFM2})
+	return mpifm.Attach(xport.Spaces(eps, mpifm.Service), mpifm.PProOverheads(), mpifm.Options{})
+}
+
 // TestMPIOverMultiHopFabric runs MPI-FM 2.0 across a two-switch line
 // topology: messages traverse trunk links and multi-byte source routes.
 func TestMPIOverMultiHopFabric(t *testing.T) {
@@ -23,7 +30,7 @@ func TestMPIOverMultiHopFabric(t *testing.T) {
 	cfg.Nodes = 6
 	cfg.Topology = cluster.Line
 	pl := cluster.New(k, cfg)
-	comms := mpifm.AttachFM2(pl, fm2.Config{}, mpifm.PProOverheads(), true)
+	comms := mpiWorld(pl)
 	// Node 0 (switch 0) exchanges with node 5 (switch 2): 2 trunk hops.
 	msg := bytes.Repeat([]byte{0xE7}, 4096)
 	k.Spawn("rank0", func(p *sim.Proc) {
@@ -97,13 +104,12 @@ func TestFullStackMixedWorkload(t *testing.T) {
 	cfg := cluster.DefaultConfig()
 	cfg.Nodes = 4
 	pl := cluster.New(k, cfg)
-	// MPI on nodes 0,1 — sockets on nodes 2,3. Separate endpoints per node
-	// pair; all share the one fabric.
-	comms := mpifm.AttachFM2(pl, fm2.Config{}, mpifm.PProOverheads(), true)
-	sockEps := []*sockfm.Stack{
-		sockfm.NewStack(xport.OverFM2(fm2.NewEndpoint(pl, 2, fm2.Config{}))),
-		sockfm.NewStack(xport.OverFM2(fm2.NewEndpoint(pl, 3, fm2.Config{}))),
-	}
+	// MPI traffic on nodes 0,1 — socket traffic on nodes 2,3. Both services
+	// are registered on every node's one endpoint; all share the one fabric.
+	eps := xport.AttachEndpoints(pl, xport.EndpointConfig{Gen: xport.GenFM2})
+	comms := mpifm.Attach(xport.Spaces(eps, mpifm.Service), mpifm.PProOverheads(), mpifm.Options{})
+	sockSp := xport.Spaces(eps, sockfm.Service)
+	sockEps := []*sockfm.Stack{sockfm.New(sockSp[2]), sockfm.New(sockSp[3])}
 	sizes := trafficgen.SUNYCampus().NewSampler(7).Sizes(60)
 
 	k.Spawn("mpi-sender", func(p *sim.Proc) {
@@ -179,7 +185,7 @@ func TestDeterministicEndToEnd(t *testing.T) {
 		cfg := cluster.DefaultConfig()
 		cfg.Nodes = 3
 		pl := cluster.New(k, cfg)
-		comms := mpifm.AttachFM2(pl, fm2.Config{}, mpifm.PProOverheads(), true)
+		comms := mpiWorld(pl)
 		var end sim.Time
 		for r := 1; r < 3; r++ {
 			r := r

@@ -3,10 +3,9 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/cluster"
-	"repro/internal/fm2"
 	"repro/internal/mpifm"
 	"repro/internal/sim"
+	"repro/internal/xport"
 )
 
 // Ablation drivers: price each FM 2.x design choice (DESIGN.md §5) by
@@ -23,9 +22,7 @@ func MPI2AblationBandwidth(opt mpifm.Options, size, msgs int) float64 {
 // receiver's MPI-layer stats: Direct vs Unexpected is the copy-count story
 // the pacing ablation turns on and off.
 func MPI2AblationProfile(opt mpifm.Options, size, msgs int) (float64, mpifm.Stats) {
-	k := sim.NewKernel()
-	pl := cluster.New(k, cluster.DefaultConfig())
-	comms := mpifm.AttachFM2Opt(pl, fm2.Config{}, mpifm.PProOverheads(), opt)
+	k, comms := mpiWorld(xport.GenFM2, 2, FabSingle, opt)
 	mbps := runMPIStream(k, comms, size, msgs)
 	return mbps, comms[1].Stats()
 }
@@ -37,9 +34,7 @@ func MPI2AblationProfile(opt mpifm.Options, size, msgs int) (float64, mpifm.Stat
 // the backlog into the unexpected pool — a staging copy per message, the
 // host-side cost receiver flow control exists to avoid (paper §4.2).
 func MPI2AblationOverrun(opt mpifm.Options, size, msgs int, lag sim.Time) (float64, mpifm.Stats) {
-	k := sim.NewKernel()
-	pl := cluster.New(k, cluster.DefaultConfig())
-	comms := mpifm.AttachFM2Opt(pl, fm2.Config{}, mpifm.PProOverheads(), opt)
+	k, comms := mpiWorld(xport.GenFM2, 2, FabSingle, opt)
 	var start, end sim.Time
 	k.Spawn("rank0", func(p *sim.Proc) {
 		start = p.Now()
@@ -66,7 +61,9 @@ func MPI2AblationOverrun(opt mpifm.Options, size, msgs int, lag sim.Time) (float
 	return Elapsed(int64(size)*int64(msgs), end-start), comms[1].Stats()
 }
 
-// runMPIStream is the shared streaming-bandwidth body.
+// runMPIStream is the streaming-bandwidth body shared with MPIBandwidth:
+// the receiver posts each receive then waits, the standard MPI
+// bandwidth-test loop.
 func runMPIStream(k *sim.Kernel, comms []*mpifm.Comm, size, msgs int) float64 {
 	var start, end sim.Time
 	k.Spawn("rank0", func(p *sim.Proc) {
@@ -88,7 +85,7 @@ func runMPIStream(k *sim.Kernel, comms []*mpifm.Comm, size, msgs int) float64 {
 		end = p.Now()
 	})
 	if err := k.Run(); err != nil {
-		panic(fmt.Sprintf("bench: ablation stream: %v", err))
+		panic(fmt.Sprintf("bench: mpi stream size %d: %v", size, err))
 	}
 	return Elapsed(int64(size)*int64(msgs), end-start)
 }

@@ -89,20 +89,13 @@ func runOneCollective(p *sim.Proc, c *mpifm.Comm, op CollectiveOp, sendbuf, recv
 	return fmt.Errorf("bench: unknown collective %q", op)
 }
 
-// CollectiveTime measures the virtual time of one collective: ranks align
-// on a barrier, run iters rounds, and the reported time is from the
-// earliest post-barrier instant to the last rank's completion, divided by
-// iters. size is bytes contributed per rank (rounded down to a multiple of
-// the reduction element width, minimum 4).
-func CollectiveTime(g MPIGen, op CollectiveOp, algo mpifm.CollectiveAlgo, ranks, size, iters int) sim.Time {
-	return collectiveTime(func(k *sim.Kernel) []*mpifm.Comm { return g.attachN(k, ranks) },
-		op, algo, ranks, size, iters)
-}
-
-// collectiveTime is the shared measurement core behind CollectiveTime and
-// CollectiveTimeOn: attach builds the world on a fresh kernel.
-func collectiveTime(attach func(*sim.Kernel) []*mpifm.Comm, op CollectiveOp,
-	algo mpifm.CollectiveAlgo, ranks, size, iters int) sim.Time {
+// CollectiveTimeOn measures the virtual time of one collective on fabric f:
+// ranks align on a barrier, run iters rounds, and the reported time is from
+// the earliest post-barrier instant to the last rank's completion, divided
+// by iters. size is bytes contributed per rank (rounded down to a multiple
+// of the reduction element width, minimum 4).
+func CollectiveTimeOn(g MPIGen, f Fabric, op CollectiveOp, algo mpifm.CollectiveAlgo,
+	ranks, size, iters int) sim.Time {
 	if iters < 1 {
 		iters = 1
 	}
@@ -110,8 +103,7 @@ func collectiveTime(attach func(*sim.Kernel) []*mpifm.Comm, op CollectiveOp,
 	if size < 4 {
 		size = 4
 	}
-	k := sim.NewKernel()
-	comms := attach(k)
+	k, comms := g.world(ranks, f)
 	starts := make([]sim.Time, ranks)
 	ends := make([]sim.Time, ranks)
 	for r := 0; r < ranks; r++ {
@@ -146,6 +138,12 @@ func collectiveTime(attach func(*sim.Kernel) []*mpifm.Comm, op CollectiveOp,
 	return (end - start) / sim.Time(iters)
 }
 
+// CollectiveTime is CollectiveTimeOn one crossbar, as the paper's clusters
+// were wired.
+func CollectiveTime(g MPIGen, op CollectiveOp, algo mpifm.CollectiveAlgo, ranks, size, iters int) sim.Time {
+	return CollectiveTimeOn(g, FabSingle, op, algo, ranks, size, iters)
+}
+
 // CollectiveScalingConfig parameterizes the scaling figure.
 type CollectiveScalingConfig struct {
 	Ops   []CollectiveOp
@@ -174,18 +172,24 @@ type ScalingPoint struct {
 	FM2us float64 // MPI-FM 2.0 (ppro200)
 }
 
-// CollectiveScaling computes one op's scaling series over rank count on
-// both FM bindings.
-func CollectiveScaling(op CollectiveOp, cfg CollectiveScalingConfig) []ScalingPoint {
+// CollectiveScalingOn computes one op's rank-count scaling series on both
+// bindings over fabric f.
+func CollectiveScalingOn(f Fabric, op CollectiveOp, cfg CollectiveScalingConfig) []ScalingPoint {
 	pts := make([]ScalingPoint, 0, len(cfg.Ranks))
 	for _, n := range cfg.Ranks {
 		pts = append(pts, ScalingPoint{
 			Ranks: n,
-			FM1us: CollectiveTime(MPI1, op, cfg.Algo, n, cfg.Size, cfg.Iters).Micros(),
-			FM2us: CollectiveTime(MPI2, op, cfg.Algo, n, cfg.Size, cfg.Iters).Micros(),
+			FM1us: CollectiveTimeOn(MPI1, f, op, cfg.Algo, n, cfg.Size, cfg.Iters).Micros(),
+			FM2us: CollectiveTimeOn(MPI2, f, op, cfg.Algo, n, cfg.Size, cfg.Iters).Micros(),
 		})
 	}
 	return pts
+}
+
+// CollectiveScaling computes one op's scaling series over rank count on
+// both FM bindings (one crossbar).
+func CollectiveScaling(op CollectiveOp, cfg CollectiveScalingConfig) []ScalingPoint {
+	return CollectiveScalingOn(FabSingle, op, cfg)
 }
 
 // WriteCollectiveScaling renders the rank-count scaling table for every op

@@ -11,7 +11,7 @@ func TestCollectiveTimePositive(t *testing.T) {
 	for _, g := range []MPIGen{MPI1, MPI2} {
 		for _, op := range AllCollectives {
 			if d := CollectiveTime(g, op, mpifm.AlgoAuto, 4, 256, 1); d <= 0 {
-				t.Errorf("gen %d %s: non-positive time %v", g, op, d)
+				t.Errorf("%s %s: non-positive time %v", g.Gen, op, d)
 			}
 		}
 	}

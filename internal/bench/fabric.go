@@ -5,8 +5,6 @@ import (
 	"io"
 
 	"repro/internal/cluster"
-	"repro/internal/fm1"
-	"repro/internal/fm2"
 	"repro/internal/garr"
 	"repro/internal/mpifm"
 	"repro/internal/netsim"
@@ -77,56 +75,32 @@ func (f Fabric) apply(cfg *cluster.Config, n int) {
 	}
 }
 
-// attachFabric builds an n-rank MPI world for this generation on fabric f.
-func (g MPIGen) attachFabric(k *sim.Kernel, n int, f Fabric) []*mpifm.Comm {
+// endpoints assembles the n-node machine of generation g on fabric f — a
+// fresh kernel, the generation's platform, one shared endpoint per node.
+// Every bench driver above raw FM builds its stack through here and then
+// registers its services on the endpoints.
+func endpoints(g xport.Gen, n int, f Fabric) (*sim.Kernel, []*xport.Endpoint) {
 	cfg := cluster.DefaultConfig()
+	cfg.Profile = g.Profile()
 	f.apply(&cfg, n)
-	switch g {
-	case MPI1:
-		cfg.Profile = DefaultFM1Options().Profile
-		pl := cluster.New(k, cfg)
-		return mpifm.AttachFM1(pl, fm1.Config{}, mpifm.SparcOverheads())
-	case MPI2, MPI2Unpaced:
-		pl := cluster.New(k, cfg)
-		return mpifm.AttachFM2(pl, fm2.Config{}, mpifm.PProOverheads(), g == MPI2)
-	}
-	panic(fmt.Sprintf("bench: unknown MPI generation %d", g))
+	k := sim.NewKernel()
+	return k, xport.AttachEndpoints(cluster.New(k, cfg), xport.EndpointConfig{Gen: g})
 }
 
-// attachOn builds an n-node platform and its transports for this binding
-// on fabric f.
-func (b Binding) attachOn(k *sim.Kernel, n int, f Fabric) []xport.Transport {
-	cfg := cluster.DefaultConfig()
-	cfg.Profile = b.profile()
-	f.apply(&cfg, n)
-	pl := cluster.New(k, cfg)
-	if b == BindFM1 {
-		return xport.AttachFM1(pl, fm1.Config{})
-	}
-	return xport.AttachFM2(pl, fm2.Config{})
+// attachMPI registers the MPI service on every endpoint, with the
+// generation's overheads.
+func attachMPI(eps []*xport.Endpoint, g xport.Gen, opt mpifm.Options) []*mpifm.Comm {
+	return mpifm.Attach(xport.Spaces(eps, mpifm.Service), mpifm.OverheadsFor(g), opt)
 }
 
-// CollectiveTimeOn is CollectiveTime on an arbitrary fabric.
-func CollectiveTimeOn(g MPIGen, f Fabric, op CollectiveOp, algo mpifm.CollectiveAlgo,
-	ranks, size, iters int) sim.Time {
-	return collectiveTime(func(k *sim.Kernel) []*mpifm.Comm {
-		return g.attachFabric(k, ranks, f)
-	}, op, algo, ranks, size, iters)
+// mpiWorld is endpoints plus an n-rank MPI world on them.
+func mpiWorld(g xport.Gen, n int, f Fabric, opt mpifm.Options) (*sim.Kernel, []*mpifm.Comm) {
+	k, eps := endpoints(g, n, f)
+	return k, attachMPI(eps, g, opt)
 }
 
-// CollectiveScalingOn computes one op's rank-count scaling series on both
-// bindings over fabric f.
-func CollectiveScalingOn(f Fabric, op CollectiveOp, cfg CollectiveScalingConfig) []ScalingPoint {
-	pts := make([]ScalingPoint, 0, len(cfg.Ranks))
-	for _, n := range cfg.Ranks {
-		pts = append(pts, ScalingPoint{
-			Ranks: n,
-			FM1us: CollectiveTimeOn(MPI1, f, op, cfg.Algo, n, cfg.Size, cfg.Iters).Micros(),
-			FM2us: CollectiveTimeOn(MPI2, f, op, cfg.Algo, n, cfg.Size, cfg.Iters).Micros(),
-		})
-	}
-	return pts
-}
+// matrixHandlerID is the handler slot the bare-window baseline claims.
+const matrixHandlerID = 9
 
 // cutPairs is the fabric's natural bisection traffic pattern: rank i
 // streams to rank i+n/2. On one crossbar every flow has a private path; on
@@ -140,20 +114,20 @@ func cutPairs(n int) [][2]int {
 	return pairs
 }
 
-// xportFlows streams size*msgs bytes along each (src, dst) pair through
-// the bare transport simultaneously and reports aggregate bandwidth:
-// total bytes over the span from the first flow's start to the last
-// flow's completion.
-func xportFlows(b Binding, f Fabric, n int, pairs [][2]int, size, msgs int) float64 {
-	k := sim.NewKernel()
-	ts := b.attachOn(k, n, f)
+// xportFlows streams size*msgs bytes along each (src, dst) pair through a
+// bare service window (no upper layer) simultaneously and reports aggregate
+// bandwidth: total bytes over the span from the first flow's start to the
+// last flow's completion.
+func xportFlows(g xport.Gen, f Fabric, n int, pairs [][2]int, size, msgs int) float64 {
+	k, eps := endpoints(g, n, f)
+	sp := xport.Spaces(eps, "xport")
 	starts := make([]sim.Time, len(pairs))
 	ends := make([]sim.Time, len(pairs))
 	for fi, pr := range pairs {
 		fi, src, dst := fi, pr[0], pr[1]
 		recvd := 0
 		buf := make([]byte, size)
-		ts[dst].Register(matrixHandlerID, func(p *sim.Proc, s xport.RecvStream) {
+		sp[dst].Register(matrixHandlerID, func(p *sim.Proc, s xport.RecvStream) {
 			for s.Remaining() > 0 {
 				m := s.Remaining()
 				if m > len(buf) {
@@ -170,14 +144,14 @@ func xportFlows(b Binding, f Fabric, n int, pairs [][2]int, size, msgs int) floa
 			starts[fi] = p.Now()
 			msg := make([]byte, size)
 			for i := 0; i < msgs; i++ {
-				if err := xport.Send(p, ts[src], dst, matrixHandlerID, msg); err != nil {
+				if err := xport.Send(p, sp[src], dst, matrixHandlerID, msg); err != nil {
 					panic(err)
 				}
 			}
 		})
 		k.Spawn(fmt.Sprintf("flow%d.recv", fi), func(p *sim.Proc) {
 			for recvd < msgs {
-				ts[dst].Extract(p, 0)
+				sp[dst].Extract(p, 0)
 				if recvd < msgs {
 					p.Delay(500 * sim.Nanosecond)
 				}
@@ -193,39 +167,38 @@ func xportFlows(b Binding, f Fabric, n int, pairs [][2]int, size, msgs int) floa
 // XportFlowBandwidth measures one uncontended flow across the fabric's
 // cut (rank 0 to rank n/2): the switch-limited baseline every contended
 // number is compared against.
-func XportFlowBandwidth(b Binding, f Fabric, n, size, msgs int) float64 {
-	return xportFlows(b, f, n, [][2]int{{0, n / 2}}, size, msgs)
+func XportFlowBandwidth(g xport.Gen, f Fabric, n, size, msgs int) float64 {
+	return xportFlows(g, f, n, [][2]int{{0, n / 2}}, size, msgs)
 }
 
 // XportBisection drives all n/2 cut flows at once and reports aggregate
 // bandwidth. Aggregate ~= (n/2) x single-flow means the fabric is
 // switch-limited; aggregate pinned near the trunk capacity means it is
 // bisection-limited.
-func XportBisection(b Binding, f Fabric, n, size, msgs int) float64 {
-	return xportFlows(b, f, n, cutPairs(n), size, msgs)
+func XportBisection(g xport.Gen, f Fabric, n, size, msgs int) float64 {
+	return xportFlows(g, f, n, cutPairs(n), size, msgs)
 }
 
 // LayerBisection is XportBisection through one upper layer: all n/2 cut
 // flows stream size*msgs bytes each via the layer's own primitives, and
 // the result is aggregate MB/s. Run across fabrics it re-prices the
 // layering matrix under trunk contention.
-func LayerBisection(l Layer, b Binding, f Fabric, n, size, msgs int) float64 {
+func LayerBisection(l Layer, g xport.Gen, f Fabric, n, size, msgs int) float64 {
 	switch l {
 	case LayerMPI:
-		return mpiBisection(b, f, n, size, msgs)
+		return mpiBisection(g, f, n, size, msgs)
 	case LayerSock:
-		return sockBisection(b, f, n, size, msgs)
+		return sockBisection(g, f, n, size, msgs)
 	case LayerShmem:
-		return shmemBisection(b, f, n, size, msgs)
+		return shmemBisection(g, f, n, size, msgs)
 	case LayerGarr:
-		return garrBisection(b, f, n, size, msgs)
+		return garrBisection(g, f, n, size, msgs)
 	}
 	panic(fmt.Sprintf("bench: unknown layer %q", l))
 }
 
-func mpiBisection(b Binding, f Fabric, n, size, msgs int) float64 {
-	k := sim.NewKernel()
-	comms := mpifm.AttachOver(b.attachOn(k, n, f), b.overheads(), mpifm.Options{})
+func mpiBisection(g xport.Gen, f Fabric, n, size, msgs int) float64 {
+	k, comms := mpiWorld(g, n, f, mpifm.Options{})
 	pairs := cutPairs(n)
 	starts := make([]sim.Time, len(pairs))
 	ends := make([]sim.Time, len(pairs))
@@ -256,12 +229,11 @@ func mpiBisection(b Binding, f Fabric, n, size, msgs int) float64 {
 	return aggregate(size, msgs, starts, ends)
 }
 
-func sockBisection(b Binding, f Fabric, n, size, msgs int) float64 {
-	k := sim.NewKernel()
-	ts := b.attachOn(k, n, f)
+func sockBisection(g xport.Gen, f Fabric, n, size, msgs int) float64 {
+	k, eps := endpoints(g, n, f)
 	stacks := make([]*sockfm.Stack, n)
-	for i := range stacks {
-		stacks[i] = sockfm.NewStack(ts[i])
+	for i, sp := range xport.Spaces(eps, sockfm.Service) {
+		stacks[i] = sockfm.New(sp)
 	}
 	pairs := cutPairs(n)
 	starts := make([]sim.Time, len(pairs))
@@ -310,12 +282,11 @@ func sockBisection(b Binding, f Fabric, n, size, msgs int) float64 {
 	return aggregate(size, msgs, starts, ends)
 }
 
-func shmemBisection(b Binding, f Fabric, n, size, msgs int) float64 {
-	k := sim.NewKernel()
-	ts := b.attachOn(k, n, f)
+func shmemBisection(g xport.Gen, f Fabric, n, size, msgs int) float64 {
+	k, eps := endpoints(g, n, f)
 	nodes := make([]*shmem.Node, n)
-	for i := range nodes {
-		nodes[i] = shmem.New(ts[i])
+	for i, sp := range xport.Spaces(eps, shmem.Service) {
+		nodes[i] = shmem.Attach(sp)
 		nodes[i].Register(1, make([]byte, size))
 	}
 	pairs := cutPairs(n)
@@ -348,18 +319,15 @@ func shmemBisection(b Binding, f Fabric, n, size, msgs int) float64 {
 	return aggregate(size, msgs, starts, ends)
 }
 
-func garrBisection(b Binding, f Fabric, n, size, msgs int) float64 {
+func garrBisection(g xport.Gen, f Fabric, n, size, msgs int) float64 {
 	elems := size / 8
 	if elems < 1 {
 		elems = 1
 	}
-	k := sim.NewKernel()
-	ts := b.attachOn(k, n, f)
-	nodes := make([]*shmem.Node, n)
+	k, eps := endpoints(g, n, f)
 	arrays := make([]*garr.Array, n)
-	for i := range nodes {
-		nodes[i] = shmem.New(ts[i])
-		a, err := garr.New(nodes[i], 1, n*elems, n)
+	for i, sp := range xport.Spaces(eps, garr.Service) {
+		a, err := garr.Attach(sp, 1, n*elems, n)
 		if err != nil {
 			panic(err)
 		}
@@ -382,8 +350,9 @@ func garrBisection(b Binding, f Fabric, n, size, msgs int) float64 {
 			}
 		})
 		k.Spawn(fmt.Sprintf("flow%d.target", fi), func(p *sim.Proc) {
-			for nodes[dst].Stats().RemotePuts < int64(msgs) {
-				nodes[dst].Progress(p)
+			target := arrays[dst].Node()
+			for target.Stats().RemotePuts < int64(msgs) {
+				target.Progress(p)
 				p.Delay(500 * sim.Nanosecond)
 			}
 			ends[fi] = p.Now()
@@ -433,11 +402,11 @@ type BisectionPoint struct {
 // MeasureBisection runs the cut experiment on one fabric. The regime
 // threshold is half of ideal scaling: above it the fabric still behaves
 // like a crossbar for this load; below it the trunks are the bottleneck.
-func MeasureBisection(b Binding, f Fabric, n, size, msgs int) BisectionPoint {
+func MeasureBisection(g xport.Gen, f Fabric, n, size, msgs int) BisectionPoint {
 	pt := BisectionPoint{
 		Fabric:   f,
-		FlowMBps: XportFlowBandwidth(b, f, n, size, msgs),
-		AggMBps:  XportBisection(b, f, n, size, msgs),
+		FlowMBps: XportFlowBandwidth(g, f, n, size, msgs),
+		AggMBps:  XportBisection(g, f, n, size, msgs),
 	}
 	if pt.FlowMBps > 0 {
 		pt.Scaling = pt.AggMBps / pt.FlowMBps
@@ -488,7 +457,7 @@ func WriteFabricReport(w io.Writer, cfg FabricReportConfig) {
 	fmt.Fprintf(w, "  %-8s  %12s  %12s  %8s  %6s  %s\n",
 		"fabric", "1-flow MB/s", "agg MB/s", "scaling", "eff%", "regime")
 	for _, f := range cfg.Fabrics {
-		pt := MeasureBisection(BindFM2, f, cfg.BisectNodes, cfg.BisectSize, cfg.BisectMsgs)
+		pt := MeasureBisection(xport.GenFM2, f, cfg.BisectNodes, cfg.BisectSize, cfg.BisectMsgs)
 		fmt.Fprintf(w, "  %-8s  %12.2f  %12.2f  %7.1fx  %5.0f%%  %s\n",
 			pt.Fabric, pt.FlowMBps, pt.AggMBps, pt.Scaling, pt.Efficiency, pt.Regime)
 	}
@@ -501,7 +470,7 @@ func WriteFabricReport(w io.Writer, cfg FabricReportConfig) {
 	for _, l := range UpperLayers {
 		rows = append(rows, string(l))
 	}
-	measure := func(name string, b Binding, f Fabric) float64 {
+	measure := func(name string, b xport.Gen, f Fabric) float64 {
 		if name == "xport" {
 			return XportBisection(b, f, cfg.MatrixNodes, cfg.MatrixSize, cfg.MatrixMsgs)
 		}
@@ -511,11 +480,11 @@ func WriteFabricReport(w io.Writer, cfg FabricReportConfig) {
 	// retained-% column stays meaningful whatever cfg.Fabrics contains.
 	type key struct {
 		name string
-		b    Binding
+		b    xport.Gen
 	}
 	base := map[key]float64{}
 	for _, name := range rows {
-		for _, b := range AllBindings {
+		for _, b := range AllGens {
 			base[key{name, b}] = measure(name, b, FabSingle)
 		}
 	}
@@ -524,7 +493,7 @@ func WriteFabricReport(w io.Writer, cfg FabricReportConfig) {
 		fmt.Fprintf(w, "    %-8s  %12s  %6s  %12s  %6s\n", "layer", "fm1 MB/s", "%", "fm2 MB/s", "%")
 		for _, name := range rows {
 			fmt.Fprintf(w, "    %-8s", name)
-			for _, b := range AllBindings {
+			for _, b := range AllGens {
 				v := base[key{name, b}]
 				if f != FabSingle {
 					v = measure(name, b, f)

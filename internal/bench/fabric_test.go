@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/mpifm"
+	"repro/internal/xport"
 )
 
 // TestRegimeSeparation is the acceptance check for the contention suite:
@@ -14,12 +15,12 @@ import (
 // bisection is one trunk link — as bisection-limited.
 func TestRegimeSeparation(t *testing.T) {
 	const n, size, msgs = 8, 2048, 60
-	single := MeasureBisection(BindFM2, FabSingle, n, size, msgs)
+	single := MeasureBisection(xport.GenFM2, FabSingle, n, size, msgs)
 	if single.Regime != RegimeSwitchLimited {
 		t.Errorf("single crossbar classified %s (scaling %.2fx of %d flows)",
 			single.Regime, single.Scaling, n/2)
 	}
-	line := MeasureBisection(BindFM2, FabLine, n, size, msgs)
+	line := MeasureBisection(xport.GenFM2, FabLine, n, size, msgs)
 	if line.Regime != RegimeBisectionLimited {
 		t.Errorf("line fabric classified %s (scaling %.2fx of %d flows)",
 			line.Regime, line.Scaling, n/2)
@@ -40,8 +41,8 @@ func TestFatTreeUplinksWidenBisection(t *testing.T) {
 		t.Skip("contention sweep")
 	}
 	const n, size, msgs = 16, 2048, 60
-	line := XportBisection(BindFM2, FabLine, n, size, msgs)
-	tree := XportBisection(BindFM2, FabFatTree, n, size, msgs)
+	line := XportBisection(xport.GenFM2, FabLine, n, size, msgs)
+	tree := XportBisection(xport.GenFM2, FabFatTree, n, size, msgs)
 	if tree <= line {
 		t.Errorf("fat tree aggregate %.2f MB/s not above line %.2f MB/s", tree, line)
 	}
@@ -78,7 +79,7 @@ func TestLayerBisectionEveryLayer(t *testing.T) {
 		t.Skip("contention sweep")
 	}
 	for _, l := range UpperLayers {
-		if mbps := LayerBisection(l, BindFM2, FabFatTree, 8, 1024, 30); mbps <= 0 {
+		if mbps := LayerBisection(l, xport.GenFM2, FabFatTree, 8, 1024, 30); mbps <= 0 {
 			t.Errorf("%s cut aggregate %.2f MB/s", l, mbps)
 		}
 	}

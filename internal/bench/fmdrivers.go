@@ -9,6 +9,7 @@ import (
 	"repro/internal/hostmodel"
 	"repro/internal/lanai"
 	"repro/internal/sim"
+	"repro/internal/xport"
 )
 
 // FM1Options configures the staged FM 1.x engine for Figure 3.
@@ -22,7 +23,7 @@ type FM1Options struct {
 // DefaultFM1Options is the full FM 1.x engine on the Sparc-era machine.
 func DefaultFM1Options() FM1Options {
 	return FM1Options{
-		Profile:  hostmodel.Sparc(),
+		Profile:  xport.GenFM1.Profile(),
 		NIC:      lanai.DefaultConfig(),
 		Topology: cluster.SingleSwitch,
 	}
@@ -136,7 +137,7 @@ type FM2Options struct {
 // DefaultFM2Options is the full FM 2.x engine on the PPro-era machine.
 func DefaultFM2Options() FM2Options {
 	return FM2Options{
-		Profile:  hostmodel.PPro200(),
+		Profile:  xport.GenFM2.Profile(),
 		NIC:      lanai.DefaultConfig(),
 		Topology: cluster.SingleSwitch,
 	}

@@ -4,63 +4,20 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/garr"
-	"repro/internal/hostmodel"
-	"repro/internal/mpifm"
-	"repro/internal/shmem"
-	"repro/internal/sim"
-	"repro/internal/sockfm"
 	"repro/internal/xport"
 )
 
 // Cross-product layering-efficiency matrix: the Figure 6 measurement
 // generalized over every (upper layer × FM binding) pair. Because all four
-// upper layers bind only to xport.Transport, one driver per layer covers
-// both generations — the raw-transport baseline itself runs through the
-// same interface, so the whole 8-cell matrix plus its two baselines is one
-// code path per row.
+// upper layers bind only to a HandlerSpace, one driver per layer covers both
+// generations — the bare-window baseline itself runs through the same
+// interface, so the whole 8-cell matrix plus its two baselines is one code
+// path per row (the flow drivers in fabric.go, at two nodes and one flow).
 
-// Binding selects which FM generation carries the bytes.
-type Binding int
-
-const (
-	// BindFM1 is FM 1.x through the xport staging-copy adapter, on the
-	// Sparc-era machine (the Figure 4 configuration).
-	BindFM1 Binding = iota
-	// BindFM2 is native FM 2.x on the PPro-era machine (Figure 6).
-	BindFM2
-)
-
-// AllBindings lists the matrix columns in generation order.
-var AllBindings = []Binding{BindFM1, BindFM2}
-
-// String names the binding for tables.
-func (b Binding) String() string {
-	if b == BindFM1 {
-		return "fm1"
-	}
-	return "fm2"
-}
-
-func (b Binding) profile() hostmodel.Profile {
-	if b == BindFM1 {
-		return hostmodel.Sparc()
-	}
-	return hostmodel.PPro200()
-}
-
-func (b Binding) overheads() mpifm.Overheads {
-	if b == BindFM1 {
-		return mpifm.SparcOverheads()
-	}
-	return mpifm.PProOverheads()
-}
-
-// attach builds an n-node platform and its transports for this binding
-// (one switch; attachOn in fabric.go generalizes to the topology zoo).
-func (b Binding) attach(k *sim.Kernel, n int) []xport.Transport {
-	return b.attachOn(k, n, FabSingle)
-}
+// AllGens lists the matrix columns in generation order. FM 1.x runs through
+// the xport staging-copy adapter on the Sparc-era machine (the Figure 4
+// configuration), FM 2.x natively on the PPro-era one (Figure 6).
+var AllGens = []xport.Gen{xport.GenFM1, xport.GenFM2}
 
 // Layer names one upper layer of the matrix.
 type Layer string
@@ -76,213 +33,38 @@ const (
 // UpperLayers lists the matrix rows.
 var UpperLayers = []Layer{LayerMPI, LayerSock, LayerShmem, LayerGarr}
 
-// matrixHandlerID is the handler slot the xport baseline driver claims.
-const matrixHandlerID = 9
-
 // RawBandwidth measures native FM streaming bandwidth for one binding: the
 // matrix's denominator, exactly as Figures 4 and 6 divide each MPI curve by
 // the raw FM curve of the same generation.
-func RawBandwidth(b Binding, size, msgs int) float64 {
-	if b == BindFM1 {
+func RawBandwidth(g xport.Gen, size, msgs int) float64 {
+	if g == xport.GenFM1 {
 		return FM1Bandwidth(DefaultFM1Options(), size, msgs)
 	}
 	return FM2Bandwidth(DefaultFM2Options(), size, msgs)
 }
 
-// XportBandwidth measures streaming bandwidth node0 -> node1 through the
-// bare xport.Transport. Over FM 2.x the wrapper is free, so this matches
+// XportBandwidth measures streaming bandwidth node0 -> node1 through a bare
+// service window. Over FM 2.x the wrapper is free, so this matches
 // RawBandwidth; over FM 1.x the gap to RawBandwidth prices the staging
 // adapter itself — the assembly and delivery copies the 1.x interface
 // forces on any streaming client, isolated from every upper layer.
-func XportBandwidth(b Binding, size, msgs int) float64 {
-	k := sim.NewKernel()
-	ts := b.attach(k, 2)
-	var start, end sim.Time
-	recvd := 0
-	buf := make([]byte, size)
-	ts[1].Register(matrixHandlerID, func(p *sim.Proc, s xport.RecvStream) {
-		for s.Remaining() > 0 {
-			n := s.Remaining()
-			if n > len(buf) {
-				n = len(buf)
-			}
-			s.Receive(p, buf[:n])
-		}
-		recvd++
-		if recvd == msgs {
-			end = p.Now()
-		}
-	})
-	k.Spawn("sender", func(p *sim.Proc) {
-		start = p.Now()
-		msg := make([]byte, size)
-		for i := 0; i < msgs; i++ {
-			if err := xport.Send(p, ts[0], 1, matrixHandlerID, msg); err != nil {
-				panic(err)
-			}
-		}
-	})
-	k.Spawn("receiver", func(p *sim.Proc) {
-		for recvd < msgs {
-			ts[1].Extract(p, 0)
-			if recvd < msgs {
-				p.Delay(500 * sim.Nanosecond)
-			}
-		}
-	})
-	if err := k.Run(); err != nil {
-		panic(fmt.Sprintf("bench: xport %s bandwidth size %d: %v", b, size, err))
-	}
-	return Elapsed(int64(size)*int64(msgs), end-start)
+func XportBandwidth(g xport.Gen, size, msgs int) float64 {
+	return XportFlowBandwidth(g, FabSingle, 2, size, msgs)
 }
 
 // LayerBandwidth measures streaming bandwidth node0 -> node1 through one
-// upper layer over one binding. size is the per-message payload in bytes
-// (rounded to the element width for garr).
-func LayerBandwidth(l Layer, b Binding, size, msgs int) float64 {
-	switch l {
-	case LayerMPI:
-		return mpiMatrixBandwidth(b, size, msgs)
-	case LayerSock:
-		return sockMatrixBandwidth(b, size, msgs)
-	case LayerShmem:
-		return shmemMatrixBandwidth(b, size, msgs)
-	case LayerGarr:
-		return garrMatrixBandwidth(b, size, msgs)
-	}
-	panic(fmt.Sprintf("bench: unknown layer %q", l))
-}
-
-func mpiMatrixBandwidth(b Binding, size, msgs int) float64 {
-	k := sim.NewKernel()
-	comms := mpifm.AttachOver(b.attach(k, 2), b.overheads(), mpifm.Options{})
-	return runMPIStream(k, comms, size, msgs)
-}
-
-func sockMatrixBandwidth(b Binding, size, msgs int) float64 {
-	k := sim.NewKernel()
-	ts := b.attach(k, 2)
-	stacks := []*sockfm.Stack{sockfm.NewStack(ts[0]), sockfm.NewStack(ts[1])}
-	var start, end sim.Time
-	total := size * msgs
-	k.Spawn("server", func(p *sim.Proc) {
-		l, err := stacks[0].Listen(80)
-		if err != nil {
-			panic(err)
-		}
-		conn, err := l.Accept(p)
-		if err != nil {
-			panic(err)
-		}
-		buf := make([]byte, 64*1024)
-		got := 0
-		for got < total {
-			n, err := conn.Read(p, buf)
-			if err != nil {
-				panic(err)
-			}
-			got += n
-		}
-		end = p.Now()
-	})
-	k.Spawn("client", func(p *sim.Proc) {
-		conn, err := stacks[1].Dial(p, 0, 80)
-		if err != nil {
-			panic(err)
-		}
-		start = p.Now()
-		msg := make([]byte, size)
-		for i := 0; i < msgs; i++ {
-			if _, err := conn.Write(p, msg); err != nil {
-				panic(err)
-			}
-		}
-		conn.Close(p)
-	})
-	if err := k.Run(); err != nil {
-		panic(fmt.Sprintf("bench: sock/%s bandwidth size %d: %v", b, size, err))
-	}
-	return Elapsed(int64(total), end-start)
-}
-
-func shmemMatrixBandwidth(b Binding, size, msgs int) float64 {
-	k := sim.NewKernel()
-	ts := b.attach(k, 2)
-	n0, n1 := shmem.New(ts[0]), shmem.New(ts[1])
-	n0.Register(1, make([]byte, size))
-	n1.Register(1, make([]byte, size))
-	var start, end sim.Time
-	k.Spawn("origin", func(p *sim.Proc) {
-		start = p.Now()
-		data := make([]byte, size)
-		for i := 0; i < msgs; i++ {
-			if err := n0.Put(p, 1, 1, 0, data); err != nil {
-				panic(err)
-			}
-			// Drain put acks as they arrive: a SHMEM origin that never
-			// progresses would wedge both sides' credit windows.
-			n0.Progress(p)
-		}
-		n0.Quiet(p)
-	})
-	k.Spawn("target", func(p *sim.Proc) {
-		for n1.Stats().RemotePuts < int64(msgs) {
-			n1.Progress(p)
-			p.Delay(500 * sim.Nanosecond)
-		}
-		end = p.Now()
-	})
-	if err := k.Run(); err != nil {
-		panic(fmt.Sprintf("bench: shmem/%s bandwidth size %d: %v", b, size, err))
-	}
-	return Elapsed(int64(size)*int64(msgs), end-start)
-}
-
-func garrMatrixBandwidth(b Binding, size, msgs int) float64 {
-	elems := size / 8
-	if elems < 1 {
-		elems = 1
-	}
-	k := sim.NewKernel()
-	ts := b.attach(k, 2)
-	n0, n1 := shmem.New(ts[0]), shmem.New(ts[1])
-	// Two blocks of elems each: rank 1 owns the second, so every Put from
-	// rank 0 into [elems, 2*elems) is one remote one-sided transfer.
-	a0, err := garr.New(n0, 1, 2*elems, 2)
-	if err != nil {
-		panic(err)
-	}
-	if _, err := garr.New(n1, 1, 2*elems, 2); err != nil {
-		panic(err)
-	}
-	var start, end sim.Time
-	k.Spawn("origin", func(p *sim.Proc) {
-		start = p.Now()
-		vals := make([]float64, elems)
-		for i := 0; i < msgs; i++ {
-			if err := a0.Put(p, elems, vals); err != nil {
-				panic(err)
-			}
-		}
-	})
-	k.Spawn("target", func(p *sim.Proc) {
-		for n1.Stats().RemotePuts < int64(msgs) {
-			n1.Progress(p)
-			p.Delay(500 * sim.Nanosecond)
-		}
-		end = p.Now()
-	})
-	if err := k.Run(); err != nil {
-		panic(fmt.Sprintf("bench: garr/%s bandwidth elems %d: %v", b, elems, err))
-	}
-	return Elapsed(int64(elems)*8*int64(msgs), end-start)
+// upper layer over one binding: the two-node, one-flow case of
+// LayerBisection. size is the per-message payload in bytes (rounded to the
+// element width for garr).
+func LayerBandwidth(l Layer, g xport.Gen, size, msgs int) float64 {
+	return LayerBisection(l, g, FabSingle, 2, size, msgs)
 }
 
 // MatrixCell is one (layer, binding) measurement with its efficiency
 // relative to the raw transport on the same binding.
 type MatrixCell struct {
 	Layer   Layer
-	Binding Binding
+	Binding xport.Gen
 	MBps    float64
 	RawMBps float64
 	Pct     float64 // 100 * MBps / RawMBps
@@ -291,13 +73,13 @@ type MatrixCell struct {
 // LayeringMatrix measures all 8 (upper layer × binding) combinations at one
 // message size in a single sweep, sharing one raw baseline per binding.
 func LayeringMatrix(size, msgs int) []MatrixCell {
-	raw := map[Binding]float64{}
-	for _, b := range AllBindings {
+	raw := map[xport.Gen]float64{}
+	for _, b := range AllGens {
 		raw[b] = RawBandwidth(b, size, msgs)
 	}
 	var cells []MatrixCell
 	for _, l := range UpperLayers {
-		for _, b := range AllBindings {
+		for _, b := range AllGens {
 			mbps := LayerBandwidth(l, b, size, msgs)
 			cells = append(cells, MatrixCell{
 				Layer: l, Binding: b, MBps: mbps, RawMBps: raw[b],
@@ -319,7 +101,7 @@ func WriteLayeringMatrix(w io.Writer, sizes []int, msgs int) {
 		fmt.Fprintf(w, "  %d B messages: raw fm1 %.2f MB/s, raw fm2 %.2f MB/s\n",
 			size, cells[0].RawMBps, cells[1].RawMBps)
 		fmt.Fprintf(w, "    %-8s  %12s  %6s  %12s  %6s\n", "layer", "fm1 MB/s", "%", "fm2 MB/s", "%")
-		x1, x2 := XportBandwidth(BindFM1, size, msgs), XportBandwidth(BindFM2, size, msgs)
+		x1, x2 := XportBandwidth(xport.GenFM1, size, msgs), XportBandwidth(xport.GenFM2, size, msgs)
 		fmt.Fprintf(w, "    %-8s  %12.2f  %5.0f%%  %12.2f  %5.0f%%\n",
 			"xport", x1, 100*x1/cells[0].RawMBps, x2, 100*x2/cells[1].RawMBps)
 		for i := 0; i < len(cells); i += 2 {

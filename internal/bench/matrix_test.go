@@ -3,6 +3,8 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/xport"
 )
 
 // TestLayeringMatrixAllCells runs the full 8-cell cross product at one size
@@ -16,7 +18,7 @@ func TestLayeringMatrixAllCells(t *testing.T) {
 	if len(cells) != 8 {
 		t.Fatalf("matrix has %d cells, want 8", len(cells))
 	}
-	pct := map[Layer]map[Binding]float64{}
+	pct := map[Layer]map[xport.Gen]float64{}
 	for _, c := range cells {
 		if c.MBps <= 0 {
 			t.Errorf("%s/%s: no bandwidth measured", c.Layer, c.Binding)
@@ -28,18 +30,18 @@ func TestLayeringMatrixAllCells(t *testing.T) {
 			t.Errorf("%s/%s: %.0f%% of raw — layering cannot add bandwidth", c.Layer, c.Binding, c.Pct)
 		}
 		if pct[c.Layer] == nil {
-			pct[c.Layer] = map[Binding]float64{}
+			pct[c.Layer] = map[xport.Gen]float64{}
 		}
 		pct[c.Layer][c.Binding] = c.Pct
 	}
 	for _, l := range UpperLayers {
-		if pct[l][BindFM2] <= pct[l][BindFM1] {
+		if pct[l][xport.GenFM2] <= pct[l][xport.GenFM1] {
 			t.Errorf("%s: fm2 efficiency %.0f%% <= fm1 efficiency %.0f%%; the 2.x interface must win",
-				l, pct[l][BindFM2], pct[l][BindFM1])
+				l, pct[l][xport.GenFM2], pct[l][xport.GenFM1])
 		}
 	}
 	// MPI-FM 2.0 must sit in the paper's 70-90%+ band at 2 KiB.
-	if e := pct[LayerMPI][BindFM2]; e < 65 {
+	if e := pct[LayerMPI][xport.GenFM2]; e < 65 {
 		t.Errorf("mpi/fm2 efficiency %.0f%%, paper ~90%% at large sizes", e)
 	}
 }
@@ -62,7 +64,7 @@ func TestLayeringMatrixRendered(t *testing.T) {
 // (the wrapper only forwards calls).
 func TestRawXportMatchesNativeFM2(t *testing.T) {
 	const size, msgs = 1024, 200
-	raw := XportBandwidth(BindFM2, size, msgs)
+	raw := XportBandwidth(xport.GenFM2, size, msgs)
 	native := FM2Bandwidth(DefaultFM2Options(), size, msgs)
 	if diff := raw/native - 1; diff > 0.02 || diff < -0.02 {
 		t.Errorf("xport raw %.2f MB/s vs native fm2 %.2f MB/s: wrapper must be free", raw, native)

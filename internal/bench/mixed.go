@@ -56,17 +56,6 @@ type ServiceShare struct {
 	RetainedPct float64
 }
 
-// endpointsOn builds one shared endpoint per node for this binding on
-// fabric f.
-func (b Binding) endpointsOn(k *sim.Kernel, n int, f Fabric) []*xport.Endpoint {
-	ts := b.attachOn(k, n, f)
-	eps := make([]*xport.Endpoint, len(ts))
-	for i, t := range ts {
-		eps[i] = xport.NewEndpoint(t)
-	}
-	return eps
-}
-
 // mixedServices selects which workloads a run attaches.
 type mixedServices struct{ mpi, sock, ga bool }
 
@@ -81,20 +70,15 @@ type mixedResult struct {
 // workloads concurrently. Service registration order is canonical (mpi,
 // sockets, garr) and skipped services simply do not register, so solo runs
 // are the same code with two workloads absent.
-func runMixed(b Binding, f Fabric, cfg MixedConfig, sel mixedServices) mixedResult {
+func runMixed(b xport.Gen, f Fabric, cfg MixedConfig, sel mixedServices) mixedResult {
 	n := cfg.Nodes
-	k := sim.NewKernel()
-	eps := b.endpointsOn(k, n, f)
+	k, eps := endpoints(b, n, f)
 
 	var comms []*mpifm.Comm
 	var stacks []*sockfm.Stack
 	var arrays []*garr.Array
 	if sel.mpi {
-		spaces := make([]*xport.HandlerSpace, n)
-		for i, ep := range eps {
-			spaces[i] = ep.Register(mpifm.Service)
-		}
-		comms = mpifm.Attach(spaces, b.overheads(), mpifm.Options{})
+		comms = attachMPI(eps, b, mpifm.Options{})
 	}
 	if sel.sock {
 		stacks = make([]*sockfm.Stack, n)
@@ -234,7 +218,7 @@ func (cfg MixedConfig) workloadBytes() (mpi, sock, ga int64) {
 // MeasureMixed runs the full co-resident mix on (b, f), then each workload
 // alone on identical fabric and endpoints, and reports per-service shares
 // and retained bandwidth.
-func MeasureMixed(b Binding, f Fabric, cfg MixedConfig) []ServiceShare {
+func MeasureMixed(b xport.Gen, f Fabric, cfg MixedConfig) []ServiceShare {
 	mixed := runMixed(b, f, cfg, mixedServices{mpi: true, sock: true, ga: true})
 	soloMPI := runMixed(b, f, cfg, mixedServices{mpi: true})
 	soloSock := runMixed(b, f, cfg, mixedServices{sock: true})
@@ -270,7 +254,7 @@ func MeasureMixed(b Binding, f Fabric, cfg MixedConfig) []ServiceShare {
 // WriteMixedReport renders the co-residency suite across the configured
 // fabrics: per-service byte share of the shared endpoints and bandwidth
 // retained against the isolated baselines.
-func WriteMixedReport(w io.Writer, b Binding, cfg MixedConfig) {
+func WriteMixedReport(w io.Writer, b xport.Gen, cfg MixedConfig) {
 	mpiB, sockB, gaB := cfg.workloadBytes()
 	fmt.Fprintf(w, "Mixed co-residency suite: MPI allreduce + socket streams + GA puts on ONE\n")
 	fmt.Fprintf(w, "shared %s endpoint per node (%d nodes; mpi %d B x %d rounds, sock %d x %d B\n",

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/xport"
 )
 
 // smallMixed trims the suite for test time.
@@ -20,7 +22,7 @@ func smallMixed() MixedConfig {
 // TestMeasureMixedShares: every co-resident service moves bytes, shares
 // sum to ~100%, and both mixed and solo goodputs are positive.
 func TestMeasureMixedShares(t *testing.T) {
-	shares := MeasureMixed(BindFM2, FabSingle, smallMixed())
+	shares := MeasureMixed(xport.GenFM2, FabSingle, smallMixed())
 	if len(shares) != 3 {
 		t.Fatalf("want 3 services, got %d", len(shares))
 	}
@@ -45,8 +47,8 @@ func TestMeasureMixedShares(t *testing.T) {
 // TestMixedDeterminism: the co-resident run is virtual-time-deterministic.
 func TestMixedDeterminism(t *testing.T) {
 	cfg := smallMixed()
-	r1 := runMixed(BindFM2, FabSingle, cfg, mixedServices{mpi: true, sock: true, ga: true})
-	r2 := runMixed(BindFM2, FabSingle, cfg, mixedServices{mpi: true, sock: true, ga: true})
+	r1 := runMixed(xport.GenFM2, FabSingle, cfg, mixedServices{mpi: true, sock: true, ga: true})
+	r2 := runMixed(xport.GenFM2, FabSingle, cfg, mixedServices{mpi: true, sock: true, ga: true})
 	if r1.mpiEnd != r2.mpiEnd || r1.sockEnd != r2.sockEnd || r1.gaEnd != r2.gaEnd {
 		t.Errorf("nondeterministic spans: %+v vs %+v", r1, r2)
 	}
@@ -66,7 +68,7 @@ func TestWriteMixedReport(t *testing.T) {
 	cfg := smallMixed()
 	cfg.Fabrics = []Fabric{FabSingle, FabFatTree}
 	var buf bytes.Buffer
-	WriteMixedReport(&buf, BindFM2, cfg)
+	WriteMixedReport(&buf, xport.GenFM2, cfg)
 	out := buf.String()
 	for _, want := range []string{"single", "fattree", "mpi", "sockets", "garr", "retained"} {
 		if !strings.Contains(out, want) {

@@ -5,59 +5,38 @@ import (
 
 	"repro/internal/mpifm"
 	"repro/internal/sim"
+	"repro/internal/xport"
 )
 
-// MPIGen selects which MPI-FM binding a driver runs.
-type MPIGen int
+// MPIGen selects which MPI-FM binding a driver runs: an FM generation
+// (which fixes the machine and the MPI overheads) plus the one thing a
+// generation cannot say, the receiver-pacing ablation.
+type MPIGen struct {
+	Gen     xport.Gen
+	Unpaced bool
+}
 
-const (
+var (
 	// MPI1 is MPI over FM 1.x on the Sparc machine (Figure 4).
-	MPI1 MPIGen = iota
+	MPI1 = MPIGen{Gen: xport.GenFM1}
 	// MPI2 is MPI-FM 2.0 over FM 2.x on the PPro machine (Figure 6).
-	MPI2
+	MPI2 = MPIGen{Gen: xport.GenFM2}
 	// MPI2Unpaced is MPI over FM 2.x with receiver flow control unused
 	// (ablation: Extract drains everything, re-creating pool traffic).
-	MPI2Unpaced
+	MPI2Unpaced = MPIGen{Gen: xport.GenFM2, Unpaced: true}
 )
 
-func (g MPIGen) attach(k *sim.Kernel) []*mpifm.Comm { return g.attachN(k, 2) }
-
-// attachN builds an n-rank world for this generation (one switch, as the
-// paper's clusters were wired). attachFabric in fabric.go generalizes to
-// the whole topology zoo.
-func (g MPIGen) attachN(k *sim.Kernel, n int) []*mpifm.Comm {
-	return g.attachFabric(k, n, FabSingle)
+// world builds an n-rank MPI world for this binding on fabric f.
+func (g MPIGen) world(n int, f Fabric) (*sim.Kernel, []*mpifm.Comm) {
+	return mpiWorld(g.Gen, n, f, mpifm.Options{Unpaced: g.Unpaced})
 }
 
 // MPIBandwidth measures streaming MPI bandwidth rank0 -> rank1 at one
 // message size: the measurement behind Figures 4a and 6a. The receiver
 // posts each receive then waits, the standard MPI bandwidth-test loop.
 func MPIBandwidth(g MPIGen, size, msgs int) float64 {
-	k := sim.NewKernel()
-	comms := g.attach(k)
-	var start, end sim.Time
-	k.Spawn("rank0", func(p *sim.Proc) {
-		start = p.Now()
-		msg := make([]byte, size)
-		for i := 0; i < msgs; i++ {
-			if err := comms[0].Send(p, msg, 1, 1); err != nil {
-				panic(err)
-			}
-		}
-	})
-	k.Spawn("rank1", func(p *sim.Proc) {
-		buf := make([]byte, size)
-		for i := 0; i < msgs; i++ {
-			if _, err := comms[1].Recv(p, buf, 0, 1); err != nil {
-				panic(err)
-			}
-		}
-		end = p.Now()
-	})
-	if err := k.Run(); err != nil {
-		panic(fmt.Sprintf("bench: mpi bandwidth size %d: %v", size, err))
-	}
-	return Elapsed(int64(size)*int64(msgs), end-start)
+	k, comms := g.world(2, FabSingle)
+	return runMPIStream(k, comms, size, msgs)
 }
 
 // MPICurve sweeps MPIBandwidth over sizes.
@@ -71,8 +50,7 @@ func MPICurve(g MPIGen, sizes []int) Curve {
 
 // MPILatency measures one-way latency by MPI ping-pong.
 func MPILatency(g MPIGen, size, iters int) sim.Time {
-	k := sim.NewKernel()
-	comms := g.attach(k)
+	k, comms := g.world(2, FabSingle)
 	var rtt sim.Time
 	k.Spawn("rank0", func(p *sim.Proc) {
 		msg := make([]byte, size)

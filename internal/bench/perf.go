@@ -243,8 +243,7 @@ func PerfCollective(f Fabric, ranks, size int) PerfEntry {
 	if size < 4 {
 		size = 4
 	}
-	k := sim.NewKernel()
-	comms := MPI2.attachFabric(k, ranks, f)
+	k, comms := MPI2.world(ranks, f)
 	starts := make([]sim.Time, ranks)
 	ends := make([]sim.Time, ranks)
 	for r := 0; r < ranks; r++ {
@@ -307,7 +306,7 @@ func PerfCollectivePar(ranks, size, parts int) PerfEntry {
 	if err != nil {
 		panic(fmt.Sprintf("bench: perf parallel allreduce ranks=%d lps=%d: %v", ranks, parts, err))
 	}
-	comms := mpifm.AttachFM2(pl, fm2.Config{}, mpifm.PProOverheads(), true)
+	comms := attachMPI(xport.AttachEndpoints(pl, xport.EndpointConfig{Gen: xport.GenFM2}), xport.GenFM2, mpifm.Options{})
 	starts := make([]sim.Time, ranks)
 	ends := make([]sim.Time, ranks)
 	for r := 0; r < ranks; r++ {

@@ -1,9 +1,11 @@
-// Package flowctl implements the sender-side credit accounting shared by
-// FM 1.x and FM 2.x. Each sender holds a window of packet credits per
-// destination, sized so that the receiver's pinned ring can never overflow;
-// the receiver returns credits in batches as Extract frees ring slots.
-// This is the "flow control and buffer management are all Myrinet needs for
-// reliable, in-order delivery" design of paper §3.1.
+// Package flowctl implements the credit flow control shared by FM 1.x and
+// FM 2.x. Each sender holds a window of packet credits per destination,
+// sized so that the receiver's pinned ring can never overflow; the receiver
+// returns credits in batches as Extract frees ring slots. This is the "flow
+// control and buffer management are all Myrinet needs for reliable,
+// in-order delivery" design of paper §3.1. Manager is the ledger; Plane is
+// the protocol around it (control frames, blocking for credits, return and
+// idle flush) that both FM engines hold one copy of.
 package flowctl
 
 // Manager tracks credits for one endpoint in a cluster of n nodes.
@@ -116,18 +118,6 @@ func (m *Manager) NoteFreed(src int) (int, bool) {
 		m.dirty = append(m.dirty, src)
 	}
 	return 0, false
-}
-
-// FlushFreed forces a credit return for src regardless of threshold (used
-// at quiesce points so senders are never starved by a partial batch).
-func (m *Manager) FlushFreed(src int) (int, bool) {
-	if m.freed[src] == 0 {
-		return 0, false
-	}
-	n := m.freed[src]
-	m.freed[src] = 0
-	m.CreditsSent += int64(n)
-	return n, true
 }
 
 // TakeDirty pops the lowest-numbered source holding an unreturned partial

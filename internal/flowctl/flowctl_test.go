@@ -97,18 +97,6 @@ func TestNoteFreedBatchesAtHalfWindow(t *testing.T) {
 	}
 }
 
-func TestFlushFreed(t *testing.T) {
-	m := New(2, 1, 8, 64)
-	if _, due := m.FlushFreed(0); due {
-		t.Fatal("flush with nothing freed reported due")
-	}
-	m.NoteFreed(0)
-	n, due := m.FlushFreed(0)
-	if !due || n != 1 {
-		t.Fatalf("got (%d,%v), want (1,true)", n, due)
-	}
-}
-
 func TestTakeDirty(t *testing.T) {
 	m := New(8, 3, 8, 256)
 	if _, _, ok := m.TakeDirty(); ok {

@@ -1,0 +1,166 @@
+package flowctl
+
+import (
+	"encoding/binary"
+
+	"repro/internal/lanai"
+	"repro/internal/netsim"
+	"repro/internal/sim"
+)
+
+// typeCredit is byte 0 of a control frame in both FM generations' header
+// layouts (data frames carry 1); bytes [2:4] are the source node.
+const typeCredit = 2
+
+// Plane is the credit/control plane of one FM endpoint, the flow-control
+// service both generations keep unchanged (paper §3.1, §4): the credit
+// ledger, the control-header pool, the wait for refills while a send is
+// gated, control-frame validation, half-window credit return and the idle
+// flush. The generations differ only in their header layout, which they
+// pass to NewPlane; an endpoint holds its Plane by value.
+type Plane struct {
+	fc       *Manager
+	nic      *lanai.NIC
+	pool     *netsim.FramePool // control headers
+	node     int
+	hdrSize  int // control-frame length
+	countOff int // offset of the 32-bit credit count
+	disabled bool
+
+	// malformed counts control frames discarded instead of trusted.
+	malformed int64
+
+	// Multi-client credit wait: with several services sharing one endpoint,
+	// several Procs may block on credits for different destinations at once.
+	// Exactly one parks on the NIC control queue; the rest park on creditSig
+	// and re-check their window after every refill, so a refill consumed by
+	// the wrong waiter can never strand the right one.
+	ctrlWaiter bool
+	creditSig  sim.Signal
+}
+
+// NewPlane builds the control plane of the endpoint attached to nic in a
+// cluster of nodes nodes. Control frames are hdrSize bytes with the credit
+// count at countOff; poolCap bounds the control-header free list. disabled
+// is the flow-control ablation: Acquire, Return and Flush become no-ops.
+func NewPlane(nic *lanai.NIC, nodes, hdrSize, countOff, poolCap int, disabled bool) Plane {
+	h := nic.H
+	return Plane{
+		fc:       New(nodes, h.ID, h.P.CreditWindow, h.P.RingSlots),
+		nic:      nic,
+		pool:     netsim.NewFramePool(hdrSize, poolCap),
+		node:     h.ID,
+		hdrSize:  hdrSize,
+		countOff: countOff,
+		disabled: disabled,
+	}
+}
+
+// Manager exposes the credit ledger.
+func (c *Plane) Manager() *Manager { return c.fc }
+
+// Pool exposes the control-header pool, so the endpoint can put it in the
+// same poison and shared modes as its data-frame pool and report its stats.
+func (c *Plane) Pool() *netsim.FramePool { return c.pool }
+
+// Malformed reports how many control frames were discarded as invalid.
+func (c *Plane) Malformed() int64 { return c.malformed }
+
+// Acquire takes one packet credit toward dst, servicing control traffic
+// (and only control traffic — FM sends never process incoming data) while
+// blocked.
+func (c *Plane) Acquire(p *sim.Proc, dst int) {
+	if c.disabled {
+		return
+	}
+	c.DrainCtrl()
+	for !c.fc.Consume(dst) {
+		if c.ctrlWaiter {
+			// Another Proc already owns the control queue: wait for it to
+			// process a refill, then re-check our own window.
+			c.creditSig.Wait(p)
+			continue
+		}
+		c.ctrlWaiter = true
+		pkt := c.nic.WaitCtrl(p)
+		c.ctrlWaiter = false
+		c.handleCtrl(pkt)
+		c.DrainCtrl()
+		c.creditSig.Broadcast()
+	}
+}
+
+// DrainCtrl consumes every control packet already queued at the NIC.
+func (c *Plane) DrainCtrl() {
+	for {
+		pkt, ok := c.nic.PollCtrl()
+		if !ok {
+			return
+		}
+		c.handleCtrl(pkt)
+	}
+}
+
+// handleCtrl consumes one credit packet and releases its frame back to the
+// sending endpoint's header pool. Malformed control frames are counted and
+// discarded: trusting a bad source or count here would corrupt the credit
+// ledger far from the cause, and a forged source must not Refill an
+// innocent sender.
+func (c *Plane) handleCtrl(pkt *netsim.Packet) {
+	defer pkt.Release()
+	frame := pkt.Payload
+	if len(frame) < c.hdrSize || frame[0] != typeCredit {
+		c.malformed++
+		return
+	}
+	src := int(binary.LittleEndian.Uint16(frame[2:]))
+	n := int(binary.LittleEndian.Uint32(frame[c.countOff:]))
+	if src == c.node || src >= c.fc.Nodes() || n <= 0 || n > c.fc.Window() {
+		c.malformed++
+		return
+	}
+	c.fc.Refill(src, n)
+}
+
+// Return notes that one ring slot holding a packet from src was freed and
+// sends a credit packet back once a half-window of them has accumulated.
+func (c *Plane) Return(p *sim.Proc, src int) {
+	if c.disabled {
+		return
+	}
+	if n, due := c.fc.NoteFreed(src); due {
+		c.sendCreditPacket(p, src, n)
+	}
+}
+
+// Flush force-returns pending partial credit batches. Called on idle
+// polls: batching at half-window granularity amortizes credit traffic
+// under load, but a sender gated on a multi-packet message can be starved
+// forever by slots the threshold is still withholding once the receiver
+// goes quiet. At idle there is no return traffic to amortize, so the flush
+// costs at most one control packet per pending peer per quiesce, and
+// TakeDirty keeps the nothing-pending poll O(1) at any cluster size.
+func (c *Plane) Flush(p *sim.Proc) {
+	if c.disabled {
+		return
+	}
+	for {
+		src, n, ok := c.fc.TakeDirty()
+		if !ok {
+			return
+		}
+		c.sendCreditPacket(p, src, n)
+	}
+}
+
+func (c *Plane) sendCreditPacket(p *sim.Proc, dst, n int) {
+	pkt := c.pool.Get(c.hdrSize)
+	frame := pkt.Payload
+	for i := range frame {
+		frame[i] = 0
+	}
+	frame[0] = typeCredit
+	binary.LittleEndian.PutUint16(frame[2:], uint16(c.node))
+	binary.LittleEndian.PutUint32(frame[c.countOff:], uint32(n))
+	c.nic.HostSendPacket(p, pkt, dst, true)
+}

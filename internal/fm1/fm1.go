@@ -61,18 +61,18 @@ const DefaultMaxMessage = 1 << 20
 
 // Packet header layout (12 bytes):
 //
-//	[0]     type (1=data, 2=credit)
+//	[0]     type (1=data, 2=credit: built and parsed by flowctl.Plane)
 //	[1]     flags (bit0 first fragment, bit1 last fragment)
 //	[2:4]   source node
 //	[4:6]   handler ID
 //	[6:8]   fragment payload length
 //	[8:12]  total message length (first fragment) / credit count (credit)
 const (
-	headerSize = 12
-	typeData   = 1
-	typeCredit = 2
-	flagFirst  = 1
-	flagLast   = 2
+	headerSize     = 12
+	creditCountOff = 8
+	typeData       = 1
+	flagFirst      = 1
+	flagLast       = 2
 )
 
 // Stats counts endpoint activity.
@@ -98,21 +98,15 @@ type Endpoint struct {
 	nic      *lanai.NIC
 	cfg      Config
 	handlers map[HandlerID]Handler
-	fc       *flowctl.Manager
-	asm      []assembly // per-source reassembly state
+	credit   flowctl.Plane // credit ledger, control frames and their pool
+	asm      []assembly    // per-source reassembly state
 	stats    Stats
 
 	// Zero-allocation steady state: frames recirculate through bounded
 	// per-endpoint pools (released by the receiving endpoint once consumed),
 	// and multi-packet reassembly draws staging buffers from a free list.
-	frames   *netsim.FramePool // data frames (PacketMTU backing)
-	ctrlPool *netsim.FramePool // credit/control headers
-	asmPool  *bufpool.Pool     // reassembly staging buffers
-
-	// Multi-client credit wait (see fm2: one Proc owns the control queue,
-	// the rest re-check on creditSig after each refill).
-	ctrlWaiter bool
-	creditSig  sim.Signal
+	frames  *netsim.FramePool // data frames (PacketMTU backing)
+	asmPool *bufpool.Pool     // reassembly staging buffers
 }
 
 type assembly struct {
@@ -138,15 +132,15 @@ func NewEndpoint(pl *cluster.Platform, node int, cfg Config) *Endpoint {
 		nic:      pl.NICs[node],
 		cfg:      cfg,
 		handlers: make(map[HandlerID]Handler),
-		fc:       flowctl.New(pl.Nodes(), node, h.P.CreditWindow, h.P.RingSlots),
-		asm:      make([]assembly, pl.Nodes()),
-		frames:   netsim.NewFramePool(h.P.PacketMTU, poolCap),
-		ctrlPool: netsim.NewFramePool(headerSize, poolCap),
-		asmPool:  bufpool.New(poolCap),
+		credit: flowctl.NewPlane(pl.NICs[node], pl.Nodes(), headerSize, creditCountOff,
+			poolCap, cfg.DisableFlowControl),
+		asm:     make([]assembly, pl.Nodes()),
+		frames:  netsim.NewFramePool(h.P.PacketMTU, poolCap),
+		asmPool: bufpool.New(poolCap),
 	}
 	if cfg.PoisonFrames {
 		e.frames.SetPoison(true)
-		e.ctrlPool.SetPoison(true)
+		e.credit.Pool().SetPoison(true)
 		e.asmPool.SetPoison(true)
 	}
 	if pl.Parallel() {
@@ -155,7 +149,7 @@ func NewEndpoint(pl *cluster.Platform, node int, cfg Config) *Endpoint {
 		// reassembly pool stays lock-free: its buffers live and die on this
 		// node's own kernel.
 		e.frames.SetShared(true)
-		e.ctrlPool.SetShared(true)
+		e.credit.Pool().SetShared(true)
 	}
 	return e
 }
@@ -175,11 +169,16 @@ func (e *Endpoint) Node() int { return e.node }
 // Host returns the underlying host (for cost charging by upper layers).
 func (e *Endpoint) Host() *hostmodel.Host { return e.h }
 
-// Stats returns a copy of the endpoint counters.
-func (e *Endpoint) Stats() Stats { return e.stats }
+// Stats returns a copy of the endpoint counters; Malformed covers bad
+// control frames as well as bad data frames.
+func (e *Endpoint) Stats() Stats {
+	st := e.stats
+	st.Malformed += e.credit.Malformed()
+	return st
+}
 
 // FlowControl exposes the credit manager (tests assert its invariants).
-func (e *Endpoint) FlowControl() *flowctl.Manager { return e.fc }
+func (e *Endpoint) FlowControl() *flowctl.Manager { return e.credit.Manager() }
 
 // MTU reports the per-packet payload capacity.
 func (e *Endpoint) MTU() int { return e.h.P.PacketMTU - headerSize }
@@ -190,7 +189,7 @@ func (e *Endpoint) MaxMessage() int { return e.cfg.MaxMessage }
 // FramePoolStats reports the recycling counters of the data-frame and
 // control-header pools.
 func (e *Endpoint) FramePoolStats() (data, ctrl netsim.PoolStats) {
-	return e.frames.Stats(), e.ctrlPool.Stats()
+	return e.frames.Stats(), e.credit.Pool().Stats()
 }
 
 // AsmPoolStats reports the reassembly-buffer free list's counters.
@@ -247,7 +246,7 @@ func (e *Endpoint) Send(p *sim.Proc, dst int, h HandlerID, buf []byte) error {
 			n = mtu
 		}
 		p.Delay(e.h.P.PerPacketSend)
-		e.acquireCredit(p, dst)
+		e.credit.Acquire(p, dst)
 		// Header and payload are written into a pooled frame in place; the
 		// receiving endpoint releases the frame once it is consumed.
 		pkt := e.frames.Get(headerSize + n)
@@ -279,106 +278,12 @@ func (e *Endpoint) Send(p *sim.Proc, dst int, h HandlerID, buf []byte) error {
 	return nil
 }
 
-// acquireCredit takes one packet credit toward dst, servicing control
-// traffic (and only control traffic — FM sends never process incoming data)
-// while blocked.
-func (e *Endpoint) acquireCredit(p *sim.Proc, dst int) {
-	if e.cfg.DisableFlowControl {
-		return
-	}
-	e.drainCtrl()
-	for !e.fc.Consume(dst) {
-		if e.ctrlWaiter {
-			e.creditSig.Wait(p)
-			continue
-		}
-		e.ctrlWaiter = true
-		pkt := e.nic.WaitCtrl(p)
-		e.ctrlWaiter = false
-		e.handleCtrl(pkt)
-		e.drainCtrl()
-		e.creditSig.Broadcast()
-	}
-}
-
-func (e *Endpoint) drainCtrl() {
-	for {
-		pkt, ok := e.nic.PollCtrl()
-		if !ok {
-			return
-		}
-		e.handleCtrl(pkt)
-	}
-}
-
-// handleCtrl consumes one credit packet and releases its frame back to the
-// sending endpoint's header pool.
-func (e *Endpoint) handleCtrl(pkt *netsim.Packet) {
-	frame := pkt.Payload
-	if len(frame) < headerSize || frame[0] != typeCredit {
-		e.stats.Malformed++
-		pkt.Release()
-		return
-	}
-	src := int(binary.LittleEndian.Uint16(frame[2:]))
-	n := int(binary.LittleEndian.Uint32(frame[8:]))
-	if src == e.node || src >= e.fc.Nodes() || n <= 0 || n > e.fc.Window() {
-		e.stats.Malformed++
-		pkt.Release()
-		return
-	}
-	e.fc.Refill(src, n)
-	pkt.Release()
-}
-
-// returnCredits sends a credit packet back to src when a half-window of
-// ring slots has been freed.
-func (e *Endpoint) returnCredits(p *sim.Proc, src int) {
-	if e.cfg.DisableFlowControl {
-		return
-	}
-	if n, due := e.fc.NoteFreed(src); due {
-		e.sendCreditPacket(p, src, n)
-	}
-}
-
-// flushCredits force-returns pending partial credit batches. Called on
-// idle polls: half-window batching amortizes credit traffic under load,
-// but a sender gated on a multi-packet message can be starved forever by
-// slots the threshold is still withholding once the receiver goes quiet.
-// TakeDirty makes the no-pending case O(1), so polling stays cheap at any
-// cluster size.
-func (e *Endpoint) flushCredits(p *sim.Proc) {
-	if e.cfg.DisableFlowControl {
-		return
-	}
-	for {
-		src, n, ok := e.fc.TakeDirty()
-		if !ok {
-			return
-		}
-		e.sendCreditPacket(p, src, n)
-	}
-}
-
-func (e *Endpoint) sendCreditPacket(p *sim.Proc, dst, n int) {
-	pkt := e.ctrlPool.Get(headerSize)
-	frame := pkt.Payload
-	for i := range frame {
-		frame[i] = 0
-	}
-	frame[0] = typeCredit
-	binary.LittleEndian.PutUint16(frame[2:], uint16(e.node))
-	binary.LittleEndian.PutUint32(frame[8:], uint32(n))
-	e.nic.HostSendPacket(p, pkt, dst, true)
-}
-
 // Extract services the network: it processes all pending packets, invoking
 // handlers for completed messages, and returns the number of messages
 // handled. Unlike sends, Extract is the only place handlers run — the
 // decoupling FM 1.x guarantees (paper §3.1).
 func (e *Endpoint) Extract(p *sim.Proc) int {
-	e.drainCtrl()
+	e.credit.DrainCtrl()
 	handled := 0
 	polled := false
 	for {
@@ -386,8 +291,8 @@ func (e *Endpoint) Extract(p *sim.Proc) int {
 		if !ok {
 			if !polled {
 				// Idle poll: flush withheld partial credit batches so a
-				// gated multi-packet sender can't starve (see flushCredits).
-				e.flushCredits(p)
+				// gated multi-packet sender can't starve (see Plane.Flush).
+				e.credit.Flush(p)
 				p.Delay(e.h.P.PollEmpty)
 			}
 			break
@@ -423,13 +328,13 @@ func (e *Endpoint) processData(p *sim.Proc, pkt *netsim.Packet) bool {
 	h := HandlerID(binary.LittleEndian.Uint16(frame[4:]))
 	n := int(binary.LittleEndian.Uint16(frame[6:]))
 	total := int(binary.LittleEndian.Uint32(frame[8:]))
-	if src == e.node || src >= e.fc.Nodes() || headerSize+n > len(frame) {
+	if src == e.node || src >= len(e.asm) || headerSize+n > len(frame) {
 		e.stats.Malformed++
 		pkt.Release()
 		return false
 	}
 	payload := frame[headerSize : headerSize+n]
-	defer e.returnCredits(p, src)
+	defer e.credit.Return(p, src)
 
 	if flags&flagFirst != 0 && flags&flagLast != 0 {
 		// Single-packet message: the handler gets a pointer into the

@@ -2,9 +2,9 @@ package fm1
 
 import (
 	"bytes"
-	"runtime"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/cluster"
 	"repro/internal/hostmodel"
 	"repro/internal/netsim"
@@ -41,17 +41,12 @@ func TestSendSteadyStateZeroAlloc(t *testing.T) {
 			}
 		}
 		send(warm)
-		var m0, m1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&m0)
-		send(msgs)
-		runtime.ReadMemStats(&m1)
-		allocs = m1.Mallocs - m0.Mallocs
+		allocs = alloctest.MinMallocs(func() { send(msgs) })
 	})
 	k.Spawn("receiver", func(p *sim.Proc) {
-		for recvd < warm+msgs {
+		for recvd < warm+alloctest.Windows*msgs {
 			eps[1].Extract(p)
-			if recvd < warm+msgs {
+			if recvd < warm+alloctest.Windows*msgs {
 				p.Delay(sim.Microsecond)
 			}
 		}
@@ -61,7 +56,7 @@ func TestSendSteadyStateZeroAlloc(t *testing.T) {
 	}
 	// Stray runtime allocations (background timers, GC work) may land in
 	// the window; per-message allocations would appear msgs times over.
-	if allocs > 4 {
+	if allocs > alloctest.AllowStray {
 		t.Fatalf("fm1 steady-state send path allocated %d times over %d messages; must be 0/op",
 			allocs, msgs)
 	}

@@ -29,7 +29,6 @@
 package fm2
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/bufpool"
@@ -72,7 +71,7 @@ const DefaultMaxMessage = 4 << 20
 
 // Packet header layout (16 bytes):
 //
-//	[0]      type (1=data, 2=credit)
+//	[0]      type (1=data, 2=credit: built and parsed by flowctl.Plane)
 //	[1]      flags (bit0 first packet, bit1 last packet)
 //	[2:4]    source node
 //	[4:6]    message ID (per-sender sequence)
@@ -81,11 +80,11 @@ const DefaultMaxMessage = 4 << 20
 //	[10:14]  total message length / credit count
 //	[14:16]  reserved
 const (
-	headerSize = 16
-	typeData   = 1
-	typeCredit = 2
-	flagFirst  = 1
-	flagLast   = 2
+	headerSize     = 16
+	creditCountOff = 10
+	typeData       = 1
+	flagFirst      = 1
+	flagLast       = 2
 )
 
 // Stats counts endpoint activity.
@@ -117,7 +116,7 @@ type Endpoint struct {
 	nic      *lanai.NIC
 	cfg      Config
 	handlers map[HandlerID]Handler
-	fc       *flowctl.Manager
+	credit   flowctl.Plane // credit ledger, control frames and their pool
 	active   map[uint32]*RecvStream
 	msgSeq   uint16
 	stats    Stats
@@ -126,7 +125,6 @@ type Endpoint struct {
 	// through a bounded per-endpoint free list. Frames are drawn here, filled
 	// in place, and released back by the RECEIVING endpoint once consumed.
 	frames   *netsim.FramePool            // data frames (PacketMTU backing)
-	ctrlPool *netsim.FramePool            // credit/control headers
 	ssPool   bufpool.FreeList[SendStream] // recycled send-stream records
 	rsPool   bufpool.FreeList[RecvStream] // recycled receive-stream records
 	loopPool *bufpool.Pool                // loopback staging buffers
@@ -136,14 +134,6 @@ type Endpoint struct {
 	// receive traffic spawns no goroutines.
 	idleWorkers []*hworker
 	numWorkers  int
-
-	// Multi-client credit wait: with several services sharing one endpoint,
-	// several Procs may block on credits for different destinations at once.
-	// Exactly one parks on the NIC control queue; the rest park on creditSig
-	// and re-check their window after every refill, so a refill consumed by
-	// the wrong waiter can never strand the right one.
-	ctrlWaiter bool
-	creditSig  sim.Signal
 }
 
 // NewEndpoint attaches FM 2.x to node `node` of the platform.
@@ -162,17 +152,17 @@ func NewEndpoint(pl *cluster.Platform, node int, cfg Config) *Endpoint {
 		nic:      pl.NICs[node],
 		cfg:      cfg,
 		handlers: make(map[HandlerID]Handler),
-		fc:       flowctl.New(pl.Nodes(), node, h.P.CreditWindow, h.P.RingSlots),
+		credit: flowctl.NewPlane(pl.NICs[node], pl.Nodes(), headerSize, creditCountOff,
+			poolCap, cfg.DisableFlowControl),
 		active:   make(map[uint32]*RecvStream),
 		frames:   netsim.NewFramePool(h.P.PacketMTU, poolCap),
-		ctrlPool: netsim.NewFramePool(headerSize, poolCap),
 		ssPool:   bufpool.NewFreeList[SendStream](poolCap),
 		rsPool:   bufpool.NewFreeList[RecvStream](poolCap),
 		loopPool: bufpool.New(poolCap),
 	}
 	if cfg.PoisonFrames {
 		e.frames.SetPoison(true)
-		e.ctrlPool.SetPoison(true)
+		e.credit.Pool().SetPoison(true)
 		e.loopPool.SetPoison(true)
 	}
 	if pl.Parallel() {
@@ -181,7 +171,7 @@ func NewEndpoint(pl *cluster.Platform, node int, cfg Config) *Endpoint {
 		// stream and loopback pools stay lock-free: they never leave this
 		// node's own kernel.
 		e.frames.SetShared(true)
-		e.ctrlPool.SetShared(true)
+		e.credit.Pool().SetShared(true)
 	}
 	return e
 }
@@ -201,11 +191,16 @@ func (e *Endpoint) Node() int { return e.node }
 // Host returns the underlying host (for cost charging by upper layers).
 func (e *Endpoint) Host() *hostmodel.Host { return e.h }
 
-// Stats returns a copy of the endpoint counters.
-func (e *Endpoint) Stats() Stats { return e.stats }
+// Stats returns a copy of the endpoint counters; Malformed covers bad
+// control frames as well as bad data frames.
+func (e *Endpoint) Stats() Stats {
+	st := e.stats
+	st.Malformed += e.credit.Malformed()
+	return st
+}
 
 // FlowControl exposes the credit manager (tests assert its invariants).
-func (e *Endpoint) FlowControl() *flowctl.Manager { return e.fc }
+func (e *Endpoint) FlowControl() *flowctl.Manager { return e.credit.Manager() }
 
 // MTU reports the per-packet payload capacity.
 func (e *Endpoint) MTU() int { return e.h.P.PacketMTU - headerSize }
@@ -220,7 +215,7 @@ func (e *Endpoint) ActiveStreams() int { return len(e.active) }
 // FramePoolStats reports the recycling counters of the data-frame and
 // control-header pools (cap, high-water mark, steady-state alloc behavior).
 func (e *Endpoint) FramePoolStats() (data, ctrl netsim.PoolStats) {
-	return e.frames.Stats(), e.ctrlPool.Stats()
+	return e.frames.Stats(), e.credit.Pool().Stats()
 }
 
 // HandlerWorkers reports how many handler coroutines this endpoint has ever
@@ -237,100 +232,4 @@ func (e *Endpoint) Register(id HandlerID, fn Handler) {
 		panic(fmt.Sprintf("fm2: duplicate handler %d", id))
 	}
 	e.handlers[id] = fn
-}
-
-// --- control path (credits), shared shape with FM 1.x ---
-
-func (e *Endpoint) acquireCredit(p *sim.Proc, dst int) {
-	if e.cfg.DisableFlowControl {
-		return
-	}
-	e.drainCtrl()
-	for !e.fc.Consume(dst) {
-		if e.ctrlWaiter {
-			// Another Proc already owns the control queue: wait for it to
-			// process a refill, then re-check our own window.
-			e.creditSig.Wait(p)
-			continue
-		}
-		e.ctrlWaiter = true
-		pkt := e.nic.WaitCtrl(p)
-		e.ctrlWaiter = false
-		e.handleCtrl(pkt)
-		e.drainCtrl()
-		e.creditSig.Broadcast()
-	}
-}
-
-func (e *Endpoint) drainCtrl() {
-	for {
-		pkt, ok := e.nic.PollCtrl()
-		if !ok {
-			return
-		}
-		e.handleCtrl(pkt)
-	}
-}
-
-// handleCtrl consumes one credit packet and releases its frame back to the
-// sending endpoint's header pool. Malformed control frames are counted and
-// discarded: trusting a bad source or count here would corrupt the credit
-// ledger far from the cause.
-func (e *Endpoint) handleCtrl(pkt *netsim.Packet) {
-	frame := pkt.Payload
-	if len(frame) < headerSize || frame[0] != typeCredit {
-		e.stats.Malformed++
-		pkt.Release()
-		return
-	}
-	src := int(binary.LittleEndian.Uint16(frame[2:]))
-	n := int(binary.LittleEndian.Uint32(frame[10:]))
-	if src == e.node || src >= e.fc.Nodes() || n <= 0 || n > e.fc.Window() {
-		e.stats.Malformed++
-		pkt.Release()
-		return
-	}
-	e.fc.Refill(src, n)
-	pkt.Release()
-}
-
-func (e *Endpoint) returnCredits(p *sim.Proc, src int) {
-	if e.cfg.DisableFlowControl {
-		return
-	}
-	if n, due := e.fc.NoteFreed(src); due {
-		e.sendCreditPacket(p, src, n)
-	}
-}
-
-func (e *Endpoint) sendCreditPacket(p *sim.Proc, dst, n int) {
-	pkt := e.ctrlPool.Get(headerSize)
-	frame := pkt.Payload
-	for i := range frame {
-		frame[i] = 0
-	}
-	frame[0] = typeCredit
-	binary.LittleEndian.PutUint16(frame[2:], uint16(e.node))
-	binary.LittleEndian.PutUint32(frame[10:], uint32(n))
-	e.nic.HostSendPacket(p, pkt, dst, true)
-}
-
-// flushCredits force-returns pending partial credit batches. Called on
-// idle polls: batching at half-window granularity amortizes credit
-// traffic under load, but a sender gated on a multi-packet message can be
-// starved forever by slots the threshold is still withholding once the
-// receiver goes quiet. At idle there is no return traffic to amortize, so
-// the flush costs at most one control packet per pending peer per quiesce,
-// and TakeDirty keeps the nothing-pending poll O(1) at any cluster size.
-func (e *Endpoint) flushCredits(p *sim.Proc) {
-	if e.cfg.DisableFlowControl {
-		return
-	}
-	for {
-		src, n, ok := e.fc.TakeDirty()
-		if !ok {
-			return
-		}
-		e.sendCreditPacket(p, src, n)
-	}
 }

@@ -496,7 +496,7 @@ func TestFlowControlNeverOverrunsRing(t *testing.T) {
 	}
 	// After draining pending control packets, at most a partial batch below
 	// the half-window return threshold may remain outstanding.
-	eps[0].drainCtrl()
+	eps[0].credit.DrainCtrl()
 	if out := eps[0].FlowControl().Outstanding(1); out > eps[0].FlowControl().Window()/2 {
 		t.Fatalf("%d credits stranded, more than half a window", out)
 	}

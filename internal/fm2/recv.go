@@ -266,7 +266,7 @@ func (w *hworker) loop(hp *sim.Proc) {
 // interleaving of FM's and the application's threads of execution that the
 // paper calls interlayer scheduling.
 func (e *Endpoint) Extract(p *sim.Proc, maxBytes int) int {
-	e.drainCtrl()
+	e.credit.DrainCtrl()
 	completed := 0
 	budget := maxBytes
 	polled := false
@@ -279,7 +279,7 @@ func (e *Endpoint) Extract(p *sim.Proc, maxBytes int) int {
 			if !polled {
 				// Idle poll: nothing inbound, so no batch to amortize —
 				// return any withheld partial credit batches before parking.
-				e.flushCredits(p)
+				e.credit.Flush(p)
 				p.Delay(e.h.P.PollEmpty)
 			}
 			break
@@ -327,7 +327,7 @@ func (e *Endpoint) processData(p *sim.Proc, pkt *netsim.Packet) int {
 	h := HandlerID(binary.LittleEndian.Uint16(frame[6:]))
 	n := int(binary.LittleEndian.Uint16(frame[8:]))
 	total := int(binary.LittleEndian.Uint32(frame[10:]))
-	if src == e.node || src >= e.fc.Nodes() {
+	if src == e.node || src >= e.credit.Manager().Nodes() {
 		e.stats.Malformed++
 		pkt.Release()
 		return 0
@@ -338,7 +338,7 @@ func (e *Endpoint) processData(p *sim.Proc, pkt *netsim.Packet) int {
 		return 0
 	}
 	payload := frame[headerSize : headerSize+n]
-	defer e.returnCredits(p, src)
+	defer e.credit.Return(p, src)
 
 	k := key(src, msgid)
 	rs := e.active[k]
@@ -348,7 +348,7 @@ func (e *Endpoint) processData(p *sim.Proc, pkt *netsim.Packet) int {
 			// first frame was lost in flight (drop, CRC, outage). The
 			// message is unrecoverable — FM has no retransmit — so the
 			// frame is discarded; its ring credit still returns (the
-			// deferred returnCredits), keeping the sender's window honest.
+			// deferred credit.Return), keeping the sender's window honest.
 			e.stats.Orphaned++
 			pkt.Release()
 			return 0

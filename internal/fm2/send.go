@@ -153,7 +153,7 @@ func (s *SendStream) EndMessage(p *sim.Proc) error {
 func (s *SendStream) flush(p *sim.Proc, last bool) {
 	e := s.e
 	p.Delay(e.h.P.PerPacketSend)
-	e.acquireCredit(p, s.dst)
+	e.credit.Acquire(p, s.dst)
 	pkt := s.frame
 	frame := pkt.Payload[:headerSize+s.fill]
 	pkt.Payload = frame

@@ -33,13 +33,17 @@ type Array struct {
 	bufs     *bufpool.Pool // per-span marshalling buffers
 }
 
-// New creates rank-local state for a global array of size elements across
-// the given number of ranks, registering the local block as a shmem region.
-// Every rank must call New with identical parameters (symmetric creation).
-func New(node *shmem.Node, region uint32, size, ranks int) (*Array, error) {
+// Attach binds a global array of size elements across the given number of
+// ranks to its own service window on a shared endpoint. The Array owns a
+// private shmem.Node inside the space, so GA one-sided traffic rides the
+// shared transport as its own accounted service, and registers its local
+// block as a shmem region. Every rank must call Attach with identical
+// parameters (symmetric creation).
+func Attach(sp *xport.HandlerSpace, region uint32, size, ranks int) (*Array, error) {
 	if size <= 0 || ranks <= 0 {
 		return nil, fmt.Errorf("garr: bad dimensions size=%d ranks=%d", size, ranks)
 	}
+	node := shmem.Attach(sp)
 	blockLen := (size + ranks - 1) / ranks
 	lo, hi := bounds(node.Rank(), blockLen, size)
 	a := &Array{
@@ -56,15 +60,6 @@ func New(node *shmem.Node, region uint32, size, ranks int) (*Array, error) {
 	}
 	node.Register(region, a.local)
 	return a, nil
-}
-
-// Attach binds a global array to its own service window on a shared
-// endpoint: the primary binding surface. The Array owns a private
-// shmem.Node inside the space, so GA one-sided traffic rides the shared
-// transport as its own accounted service. Every rank must call Attach with
-// identical parameters (symmetric creation).
-func Attach(sp *xport.HandlerSpace, region uint32, size, ranks int) (*Array, error) {
-	return New(shmem.Attach(sp), region, size, ranks)
 }
 
 // Node exposes the underlying shmem attachment (passive ranks drive its

@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/fm2"
-	"repro/internal/shmem"
 	"repro/internal/sim"
 	"repro/internal/xport"
 )
@@ -16,10 +14,10 @@ func arrays(t *testing.T, ranks, size int) (*sim.Kernel, []*Array) {
 	cfg := cluster.DefaultConfig()
 	cfg.Nodes = ranks
 	pl := cluster.New(k, cfg)
-	ts := xport.AttachFM2(pl, fm2.Config{})
+	eps := xport.AttachEndpoints(pl, xport.EndpointConfig{Gen: xport.GenFM2})
 	out := make([]*Array, ranks)
-	for i := range out {
-		a, err := New(shmem.New(ts[i]), 1, size, ranks)
+	for i, sp := range xport.Spaces(eps, Service) {
+		a, err := Attach(sp, 1, size, ranks)
 		if err != nil {
 			t.Fatal(err)
 		}

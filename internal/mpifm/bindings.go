@@ -2,9 +2,6 @@ package mpifm
 
 import (
 	"repro/internal/bufpool"
-	"repro/internal/cluster"
-	"repro/internal/fm1"
-	"repro/internal/fm2"
 	"repro/internal/sim"
 	"repro/internal/xport"
 )
@@ -33,8 +30,7 @@ type Options struct {
 	UnexpectedCap int
 }
 
-// Attach builds the MPI layer over one HandlerSpace per rank: the primary
-// binding surface. Each space is a service window onto its node's shared
+// Attach builds the MPI layer over one HandlerSpace per rank. Each space is a service window onto its node's shared
 // endpoint, so MPI co-resides with sockets, shmem, and global arrays on one
 // transport, one handler table, and one set of credit windows per node.
 func Attach(spaces []*xport.HandlerSpace, ov Overheads, opt Options) []*Comm {
@@ -49,40 +45,6 @@ func Attach(spaces []*xport.HandlerSpace, ov Overheads, opt Options) []*Comm {
 		comms[i] = c
 	}
 	return comms
-}
-
-// AttachOver builds the MPI layer over an already-attached set of private
-// transports, one per rank, by wrapping each in a single-service endpoint.
-//
-// Deprecated: bind to a shared endpoint instead — register the Service on
-// each node's xport.Endpoint and pass the spaces to Attach. AttachOver
-// remains for one release as a shim for transport-per-layer callers.
-func AttachOver(ts []xport.Transport, ov Overheads, opt Options) []*Comm {
-	spaces := make([]*xport.HandlerSpace, len(ts))
-	for i, t := range ts {
-		spaces[i] = xport.Solo(t, Service)
-	}
-	return Attach(spaces, ov, opt)
-}
-
-// AttachFM1 builds MPI-FM over FM 1.x on every node of the platform: the
-// original MPI-FM of Figure 4. The assembly and staging copies that the
-// paper blames on the 1.x interface are charged by the xport staging
-// adapter, not by bespoke MPI glue.
-func AttachFM1(pl *cluster.Platform, fmCfg fm1.Config, ov Overheads) []*Comm {
-	return AttachOver(xport.AttachFM1(pl, fmCfg), ov, Options{})
-}
-
-// AttachFM2 builds MPI-FM 2.0 over FM 2.x on every node: the configuration
-// of Figure 6. paced enables the receiver-flow-control use of Extract's
-// byte budget; turning it off is an ablation configuration.
-func AttachFM2(pl *cluster.Platform, fmCfg fm2.Config, ov Overheads, paced bool) []*Comm {
-	return AttachFM2Opt(pl, fmCfg, ov, Options{Unpaced: !paced})
-}
-
-// AttachFM2Opt builds MPI-FM 2.0 with explicit service selection.
-func AttachFM2Opt(pl *cluster.Platform, fmCfg fm2.Config, ov Overheads, opt Options) []*Comm {
-	return AttachOver(xport.AttachFM2(pl, fmCfg), ov, opt)
 }
 
 // send transmits header and payload as one transport message. The default

@@ -6,10 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/fm1"
-	"repro/internal/fm2"
-	"repro/internal/hostmodel"
 	"repro/internal/sim"
+	"repro/internal/xport"
 )
 
 // Multi-stage fabric conformance: all seven collectives at 64 ranks on the
@@ -29,13 +27,12 @@ func fabricWorld(binding string, topo cluster.Topology) (*sim.Kernel, []*Comm) {
 	cfg := cluster.DefaultConfig()
 	cfg.Nodes = fabricRanks
 	cfg.Topology = topo
+	g := xport.GenFM2
 	if binding == "fm1" {
-		cfg.Profile = hostmodel.Sparc()
-		pl := cluster.New(k, cfg)
-		return k, AttachFM1(pl, fm1.Config{}, SparcOverheads())
+		g = xport.GenFM1
 	}
-	pl := cluster.New(k, cfg)
-	return k, AttachFM2(pl, fm2.Config{}, PProOverheads(), true)
+	cfg.Profile = g.Profile()
+	return k, attachWorld(cluster.New(k, cfg), g, Options{})
 }
 
 // expectedOutputs computes every rank's concatenated observable output for

@@ -4,14 +4,14 @@
 // over the unified streaming transport contract (internal/xport) with one
 // code path for every binding:
 //
-//   - Over FM 1.x (xport.AttachFM1): the original MPI-FM. The staging
+//   - Over FM 1.x (xport.GenFM1): the original MPI-FM. The staging
 //     adapter charges the assembly copy on send (header + payload into one
 //     buffer) and the delivery copy out of FM's staging on receive, and —
 //     because FM_extract cannot be paced — arrivals often take the
 //     unexpected-message pool, costing further copies. This is the
 //     configuration of Figure 4.
 //
-//   - Over FM 2.x (xport.AttachFM2): MPI-FM 2.0. Gather sends the 24-byte
+//   - Over FM 2.x (xport.GenFM2): MPI-FM 2.0. Gather sends the 24-byte
 //     MPI header (paper §5: "the minimum length of the header added by the
 //     MPI code is 24 bytes") and payload with no assembly copy; the receive
 //     handler reads the header, matches a posted receive, and scatters the
@@ -74,6 +74,15 @@ func PProOverheads() Overheads {
 		Recv:       1200 * sim.Nanosecond,
 		Unexpected: 500 * sim.Nanosecond,
 	}
+}
+
+// OverheadsFor is the MPI cost model of the machine a generation ran on
+// (xport.Gen.Profile is the host-side half of the same pairing).
+func OverheadsFor(g xport.Gen) Overheads {
+	if g == xport.GenFM1 {
+		return SparcOverheads()
+	}
+	return PProOverheads()
 }
 
 // Status reports the outcome of a completed receive.

@@ -7,29 +7,30 @@ import (
 	"testing/quick"
 
 	"repro/internal/cluster"
-	"repro/internal/fm1"
 	"repro/internal/fm2"
-	"repro/internal/hostmodel"
 	"repro/internal/sim"
+	"repro/internal/xport"
 )
 
-// worlds builds both bindings over a fresh platform for a test.
-func fm1World(nodes int) (*sim.Kernel, []*Comm) {
-	k := sim.NewKernel()
-	cfg := cluster.DefaultConfig()
-	cfg.Profile = hostmodel.Sparc()
-	cfg.Nodes = nodes
-	pl := cluster.New(k, cfg)
-	return k, AttachFM1(pl, fm1.Config{}, SparcOverheads())
+// attachWorld assembles the MPI layer the one way there is: one shared
+// endpoint per node of pl, the MPI service registered on each.
+func attachWorld(pl *cluster.Platform, g xport.Gen, opt Options) []*Comm {
+	eps := xport.AttachEndpoints(pl, xport.EndpointConfig{Gen: g})
+	return Attach(xport.Spaces(eps, Service), OverheadsFor(g), opt)
 }
 
-func fm2World(nodes int) (*sim.Kernel, []*Comm) {
+// genWorld builds an n-rank world of one generation on a fresh one-switch
+// platform of that generation's machine.
+func genWorld(g xport.Gen, nodes int) (*sim.Kernel, []*Comm) {
 	k := sim.NewKernel()
 	cfg := cluster.DefaultConfig()
+	cfg.Profile = g.Profile()
 	cfg.Nodes = nodes
-	pl := cluster.New(k, cfg)
-	return k, AttachFM2(pl, fm2.Config{}, PProOverheads(), true)
+	return k, attachWorld(cluster.New(k, cfg), g, Options{})
 }
+
+func fm1World(nodes int) (*sim.Kernel, []*Comm) { return genWorld(xport.GenFM1, nodes) }
+func fm2World(nodes int) (*sim.Kernel, []*Comm) { return genWorld(xport.GenFM2, nodes) }
 
 // bothWorlds runs the same test body against each binding.
 func bothWorlds(t *testing.T, nodes int, body func(t *testing.T, k *sim.Kernel, comms []*Comm)) {

@@ -7,9 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/fm2"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/xport"
 )
 
 // Parallel-engine conformance: the full seven-collective fabric workload,
@@ -52,7 +52,7 @@ func runParWorkload(t *testing.T, nodes, parts int) ([][]byte, sim.Time, *netsim
 	if err != nil {
 		t.Fatal(err)
 	}
-	comms := AttachFM2(pl, fm2.Config{}, PProOverheads(), true)
+	comms := attachWorld(pl, xport.GenFM2, Options{})
 	n, size := nodes, fabricSize
 	outs := make([][]byte, n)
 	for r := 0; r < n; r++ {

@@ -11,8 +11,8 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/fm2"
 	"repro/internal/sim"
+	"repro/internal/xport"
 )
 
 // TestWildcardPostedFIFO: several AnySource/AnyTag receives posted before
@@ -118,7 +118,7 @@ func TestWildcardPostedWhileStreaming(t *testing.T) {
 	k := sim.NewKernel()
 	cfg := cluster.DefaultConfig()
 	pl := cluster.New(k, cfg)
-	comms := AttachFM2(pl, fm2.Config{}, PProOverheads(), true)
+	comms := attachWorld(pl, xport.GenFM2, Options{})
 	payload := bytes.Repeat([]byte{0x7D}, 8192) // many packets
 	k.Spawn("rank0", func(p *sim.Proc) {
 		if err := comms[0].Send(p, payload, 1, 3); err != nil {
@@ -171,7 +171,7 @@ func TestUnexpectedCapAndHWM(t *testing.T) {
 	const cap, sent = 3, 8
 	k := sim.NewKernel()
 	pl := cluster.New(k, cluster.DefaultConfig())
-	comms := AttachFM2Opt(pl, fm2.Config{}, PProOverheads(), Options{UnexpectedCap: cap})
+	comms := attachWorld(pl, xport.GenFM2, Options{UnexpectedCap: cap})
 	k.Spawn("rank0", func(p *sim.Proc) {
 		for i := 0; i < sent; i++ {
 			if err := comms[0].Send(p, []byte{byte(i)}, 1, 100+i); err != nil {

@@ -62,8 +62,7 @@ type Node struct {
 	stats   Stats
 }
 
-// Attach binds shmem to its service window on a shared endpoint: the
-// primary binding surface.
+// Attach binds shmem to its service window on a shared endpoint.
 func Attach(sp *xport.HandlerSpace) *Node {
 	n := &Node{
 		t:       sp,
@@ -77,16 +76,6 @@ func Attach(sp *xport.HandlerSpace) *Node {
 	}
 	sp.Register(shmemHandlerID, n.handler)
 	return n
-}
-
-// New attaches shmem to a private transport by wrapping it in a
-// single-service endpoint.
-//
-// Deprecated: register Service on the node's shared xport.Endpoint and pass
-// the space to Attach. New remains for one release as a shim for
-// transport-per-layer callers.
-func New(t xport.Transport) *Node {
-	return Attach(xport.Solo(t, Service))
 }
 
 // Rank reports the node ID.

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/fm2"
 	"repro/internal/sim"
 	"repro/internal/xport"
 )
@@ -15,10 +14,10 @@ func nodes(n int) (*sim.Kernel, []*Node) {
 	cfg := cluster.DefaultConfig()
 	cfg.Nodes = n
 	pl := cluster.New(k, cfg)
-	ts := xport.AttachFM2(pl, fm2.Config{})
+	eps := xport.AttachEndpoints(pl, xport.EndpointConfig{Gen: xport.GenFM2})
 	out := make([]*Node, n)
-	for i := range out {
-		out[i] = New(ts[i])
+	for i, sp := range xport.Spaces(eps, Service) {
+		out[i] = Attach(sp)
 	}
 	return k, out
 }

@@ -1,28 +1,17 @@
 package sim
 
 import (
-	"runtime"
 	"testing"
+
+	"repro/internal/alloctest"
 )
 
-// allowStray is the per-measurement allowance for allocations the Go
-// runtime itself makes during the window (background timers, GC work).
-// The pin is on the PER-OP rate: real per-op allocations would show up
-// thousands of times over these op counts, stray runtime noise as 1-2.
-const allowStray = 4
-
-// steadyMallocs reports the malloc count of fn, executed inside a Proc
-// after warm() has populated every free list and grown every backing
-// array. At most one Proc runs at any instant under the kernel, so the
-// delta is attributable to fn.
-func steadyMallocs(fn func()) uint64 {
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	fn()
-	runtime.ReadMemStats(&m1)
-	return m1.Mallocs - m0.Mallocs
-}
+// The pins below measure inside a Proc, after a warm-up has populated every
+// free list and grown every backing array. At most one Proc runs at any
+// instant under the kernel, so what survives alloctest.MinMallocs's
+// min-of-windows is attributable to the measured loop, and the pin is on
+// the PER-OP rate: a real per-op allocation shows up thousands of times
+// over these op counts.
 
 // TestKernelEventLoopZeroAlloc is the alloc-regression gate on the event
 // loop: after warm-up, a Delay chain — push, pop, direct-handoff resume per
@@ -39,7 +28,7 @@ func TestKernelEventLoopZeroAlloc(t *testing.T) {
 		for i := 0; i < 1000; i++ { // warm-up: heap growth, handoff slots
 			p.Delay(Microsecond)
 		}
-		allocs = steadyMallocs(func() {
+		allocs = alloctest.MinMallocs(func() {
 			for i := 0; i < steps; i++ {
 				p.Delay(Microsecond)
 			}
@@ -48,7 +37,7 @@ func TestKernelEventLoopZeroAlloc(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if allocs > allowStray {
+	if allocs > alloctest.AllowStray {
 		t.Fatalf("kernel event loop allocated %d times over %d events; steady state must be 0/op",
 			allocs, steps)
 	}
@@ -70,7 +59,7 @@ func TestChanSteadyStateZeroAlloc(t *testing.T) {
 		for i := 0; i < 1000; i++ { // warm-up
 			ch.Send(p, i)
 		}
-		allocs = steadyMallocs(func() {
+		allocs = alloctest.MinMallocs(func() {
 			for i := 0; i < ops; i++ {
 				ch.Send(p, i)
 			}
@@ -89,7 +78,7 @@ func TestChanSteadyStateZeroAlloc(t *testing.T) {
 	if !done {
 		t.Fatal("producer did not finish")
 	}
-	if allocs > allowStray {
+	if allocs > alloctest.AllowStray {
 		t.Fatalf("chan steady state allocated %d times over %d ops; must be 0/op", allocs, ops)
 	}
 }
@@ -113,7 +102,7 @@ func TestSignalSteadyStateZeroAlloc(t *testing.T) {
 			sig.Signal()
 			p.Delay(Nanosecond)
 		}
-		allocs = steadyMallocs(func() {
+		allocs = alloctest.MinMallocs(func() {
 			for i := 0; i < ops; i++ {
 				sig.Signal()
 				p.Delay(Nanosecond)
@@ -123,7 +112,7 @@ func TestSignalSteadyStateZeroAlloc(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if allocs > allowStray {
+	if allocs > alloctest.AllowStray {
 		t.Fatalf("signal steady state allocated %d times over %d ops; must be 0/op", allocs, ops)
 	}
 }

@@ -67,8 +67,7 @@ type Stack struct {
 	segs      *bufpool.Pool // buffered-path segment bodies
 }
 
-// New attaches a socket stack to its service window on a shared endpoint:
-// the primary binding surface.
+// New attaches a socket stack to its service window on a shared endpoint.
 func New(sp *xport.HandlerSpace) *Stack {
 	s := &Stack{
 		t:         sp,
@@ -86,16 +85,6 @@ func New(sp *xport.HandlerSpace) *Stack {
 	}
 	sp.Register(sockHandlerID, s.handler)
 	return s
-}
-
-// NewStack attaches a socket stack to a private transport by wrapping it in
-// a single-service endpoint.
-//
-// Deprecated: register Service on the node's shared xport.Endpoint and pass
-// the space to New. NewStack remains for one release as a shim for
-// transport-per-layer callers.
-func NewStack(t xport.Transport) *Stack {
-	return New(xport.Solo(t, Service))
 }
 
 // Node reports the stack's node ID.

@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/cluster"
-	"repro/internal/fm2"
 	"repro/internal/sim"
 	"repro/internal/xport"
 )
@@ -18,10 +17,10 @@ func stacks(nodes int) (*sim.Kernel, []*Stack) {
 	cfg := cluster.DefaultConfig()
 	cfg.Nodes = nodes
 	pl := cluster.New(k, cfg)
-	ts := xport.AttachFM2(pl, fm2.Config{})
+	eps := xport.AttachEndpoints(pl, xport.EndpointConfig{Gen: xport.GenFM2})
 	sts := make([]*Stack, nodes)
-	for i := range sts {
-		sts[i] = NewStack(ts[i])
+	for i, sp := range xport.Spaces(eps, Service) {
+		sts[i] = New(sp)
 	}
 	return k, sts
 }

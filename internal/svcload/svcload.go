@@ -42,7 +42,6 @@ import (
 	"io"
 
 	"repro/internal/cluster"
-	"repro/internal/hostmodel"
 	"repro/internal/sim"
 	"repro/internal/trafficgen"
 	"repro/internal/xport"
@@ -710,20 +709,14 @@ func Run(rc RunConfig) (Result, error) {
 		cfg.Topology = cluster.FatTree
 	}
 	cfg.AutoShape()
-	if rc.Gen == xport.GenFM1 {
-		cfg.Profile = hostmodel.Sparc()
-	}
+	cfg.Profile = rc.Gen.Profile()
 	k := sim.NewKernel()
 	pl, err := cluster.TryNew(k, cfg)
 	if err != nil {
 		return Result{}, err
 	}
 	eps := xport.AttachEndpoints(pl, xport.EndpointConfig{Gen: rc.Gen})
-	spaces := make([]*xport.HandlerSpace, rc.Nodes)
-	for i, ep := range eps {
-		spaces[i] = ep.Register(Service)
-	}
-	f := Attach(spaces, rc.Service)
+	f := Attach(xport.Spaces(eps, Service), rc.Service)
 	if rc.Trace != nil {
 		if err := f.PlanTrace(rc.Trace); err != nil {
 			return Result{}, err

@@ -12,8 +12,6 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/fm1"
-	"repro/internal/fm2"
 	"repro/internal/garr"
 	"repro/internal/mpifm"
 	"repro/internal/shmem"
@@ -22,15 +20,16 @@ import (
 	"repro/internal/xport"
 )
 
-// bindingCase attaches one FM generation to a platform.
+// bindingCase names one FM generation to attach to a platform.
 type bindingCase struct {
-	name   string
-	attach func(pl *cluster.Platform) []xport.Transport
+	name string
+	gen  xport.Gen
 }
 
-var bindingCases = []bindingCase{
-	{"fm1", func(pl *cluster.Platform) []xport.Transport { return xport.AttachFM1(pl, fm1.Config{}) }},
-	{"fm2", func(pl *cluster.Platform) []xport.Transport { return xport.AttachFM2(pl, fm2.Config{}) }},
+var bindingCases = []bindingCase{{"fm1", xport.GenFM1}, {"fm2", xport.GenFM2}}
+
+func (bc bindingCase) attach(pl *cluster.Platform) []*xport.Endpoint {
+	return xport.AttachEndpoints(pl, xport.EndpointConfig{Gen: bc.gen})
 }
 
 // pattern fills n bytes with a deterministic sequence seeded by s.
@@ -48,7 +47,7 @@ func pattern(n int, s byte) []byte {
 type scenario struct {
 	name  string
 	nodes int
-	run   func(t *testing.T, k *sim.Kernel, ts []xport.Transport) func() []byte
+	run   func(t *testing.T, k *sim.Kernel, eps []*xport.Endpoint) func() []byte
 }
 
 var scenarios = []scenario{
@@ -58,8 +57,8 @@ var scenarios = []scenario{
 	{name: "garr", nodes: 3, run: garrScenario},
 }
 
-func mpiScenario(t *testing.T, k *sim.Kernel, ts []xport.Transport) func() []byte {
-	comms := mpifm.AttachOver(ts, mpifm.PProOverheads(), mpifm.Options{})
+func mpiScenario(t *testing.T, k *sim.Kernel, eps []*xport.Endpoint) func() []byte {
+	comms := mpifm.Attach(xport.Spaces(eps, mpifm.Service), mpifm.PProOverheads(), mpifm.Options{})
 	sizes := []int{1, 100, 613, 2048, 5000}
 	var rank0Got, rank1Got bytes.Buffer
 	k.Spawn("rank0", func(p *sim.Proc) {
@@ -94,8 +93,9 @@ func mpiScenario(t *testing.T, k *sim.Kernel, ts []xport.Transport) func() []byt
 	return func() []byte { return append(rank0Got.Bytes(), rank1Got.Bytes()...) }
 }
 
-func sockScenario(t *testing.T, k *sim.Kernel, ts []xport.Transport) func() []byte {
-	stacks := []*sockfm.Stack{sockfm.NewStack(ts[0]), sockfm.NewStack(ts[1])}
+func sockScenario(t *testing.T, k *sim.Kernel, eps []*xport.Endpoint) func() []byte {
+	sp := xport.Spaces(eps, sockfm.Service)
+	stacks := []*sockfm.Stack{sockfm.New(sp[0]), sockfm.New(sp[1])}
 	var got bytes.Buffer
 	k.Spawn("server", func(p *sim.Proc) {
 		l, err := stacks[0].Listen(80)
@@ -137,8 +137,9 @@ func sockScenario(t *testing.T, k *sim.Kernel, ts []xport.Transport) func() []by
 	return func() []byte { return got.Bytes() }
 }
 
-func shmemScenario(t *testing.T, k *sim.Kernel, ts []xport.Transport) func() []byte {
-	n0, n1 := shmem.New(ts[0]), shmem.New(ts[1])
+func shmemScenario(t *testing.T, k *sim.Kernel, eps []*xport.Endpoint) func() []byte {
+	sp := xport.Spaces(eps, shmem.Service)
+	n0, n1 := shmem.Attach(sp[0]), shmem.Attach(sp[1])
 	region := make([]byte, 4096)
 	n1.Register(9, region)
 	n0.Register(9, make([]byte, 4096))
@@ -166,13 +167,11 @@ func shmemScenario(t *testing.T, k *sim.Kernel, ts []xport.Transport) func() []b
 	return func() []byte { return append(append([]byte(nil), region...), fetched...) }
 }
 
-func garrScenario(t *testing.T, k *sim.Kernel, ts []xport.Transport) func() []byte {
+func garrScenario(t *testing.T, k *sim.Kernel, eps []*xport.Endpoint) func() []byte {
 	const elems = 500
-	nodes := make([]*shmem.Node, len(ts))
-	arrays := make([]*garr.Array, len(ts))
-	for i, tr := range ts {
-		nodes[i] = shmem.New(tr)
-		a, err := garr.New(nodes[i], 1, elems, len(ts))
+	arrays := make([]*garr.Array, len(eps))
+	for i, sp := range xport.Spaces(eps, garr.Service) {
+		a, err := garr.Attach(sp, 1, elems, len(eps))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +193,7 @@ func garrScenario(t *testing.T, k *sim.Kernel, ts []xport.Transport) func() []by
 		}
 		done = true
 	})
-	for r := 1; r < len(ts); r++ {
+	for r := 1; r < len(eps); r++ {
 		r := r
 		k.Spawn("serve", func(p *sim.Proc) {
 			for !done {
@@ -265,16 +264,16 @@ func TestLoopbackAcrossBindings(t *testing.T) {
 		t.Run(bc.name, func(t *testing.T) {
 			k := sim.NewKernel()
 			pl := cluster.New(k, cluster.DefaultConfig())
-			ts := bc.attach(pl)
+			self := bc.attach(pl)[0].Transport()
 			var got []byte
-			ts[0].Register(4, func(p *sim.Proc, s xport.RecvStream) {
+			self.Register(4, func(p *sim.Proc, s xport.RecvStream) {
 				buf := make([]byte, s.Length())
 				s.Receive(p, buf)
 				got = buf
 			})
 			want := pattern(3000, 9)
 			k.Spawn("self", func(p *sim.Proc) {
-				if err := xport.SendGather(p, ts[0], 0, 4, want[:11], want[11:]); err != nil {
+				if err := xport.SendGather(p, self, 0, 4, want[:11], want[11:]); err != nil {
 					t.Error(err)
 				}
 			})

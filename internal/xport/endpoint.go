@@ -307,14 +307,6 @@ func (c *countedStream) ReceiveDiscard(p *sim.Proc, n int) int {
 	return got
 }
 
-// Solo wraps a private transport as a single-service endpoint and returns
-// that service's space: the bridge the deprecated Transport-taking layer
-// constructors use. With one service the fair extractor is a passthrough,
-// so a Solo space is cost-identical to the bare transport.
-func Solo(t Transport, service string) *HandlerSpace {
-	return NewEndpoint(t).Register(service)
-}
-
 // EndpointConfig selects the FM generation (and its engine config) backing
 // a platform's shared endpoints.
 type EndpointConfig struct {
@@ -345,22 +337,42 @@ func (g Gen) String() string {
 	return fmt.Sprintf("gen(%d)", int(g))
 }
 
+// Profile is the machine a generation ran on: FM 1.x on the Sparc-era
+// hosts, FM 2.x on the 200 MHz PPro ones. Every assembler of a platform
+// reads the pairing here (mpifm.OverheadsFor is its MPI-cost counterpart).
+func (g Gen) Profile() hostmodel.Profile {
+	if g == GenFM1 {
+		return hostmodel.Sparc()
+	}
+	return hostmodel.PPro200()
+}
+
 // AttachEndpoints builds ONE shared endpoint per node of the platform: the
-// assembly step every multi-service node goes through. Callers then
-// Register the same services in the same order on every endpoint.
+// assembly step every node goes through. Callers then register the same
+// services in the same order on every endpoint (Spaces).
 func AttachEndpoints(pl *cluster.Platform, cfg EndpointConfig) []*Endpoint {
-	var ts []Transport
+	eps := make([]*Endpoint, pl.Nodes())
 	switch cfg.Gen {
 	case GenFM1:
-		ts = AttachFM1(pl, cfg.FM1)
+		for i, ep := range fm1.Attach(pl, cfg.FM1) {
+			eps[i] = NewEndpoint(OverFM1(ep))
+		}
 	case GenFM2:
-		ts = AttachFM2(pl, cfg.FM2)
+		for i, ep := range fm2.Attach(pl, cfg.FM2) {
+			eps[i] = NewEndpoint(OverFM2(ep))
+		}
 	default:
 		panic(fmt.Sprintf("xport: unknown FM generation %d", cfg.Gen))
 	}
-	eps := make([]*Endpoint, len(ts))
-	for i, t := range ts {
-		eps[i] = NewEndpoint(t)
-	}
 	return eps
+}
+
+// Spaces registers one service on every endpoint and returns its windows,
+// indexed by node.
+func Spaces(eps []*Endpoint, service string) []*HandlerSpace {
+	sp := make([]*HandlerSpace, len(eps))
+	for i, ep := range eps {
+		sp[i] = ep.Register(service)
+	}
+	return sp
 }

@@ -106,25 +106,23 @@ func TestHandlerSlabBounds(t *testing.T) {
 	}
 }
 
-// TestSoloPassthroughCost: a layer bound through a Solo space must be
-// virtual-time-identical to the same layer bound straight to the
-// transport — the shim's cost-free guarantee the deprecated constructors
-// rely on.
+// TestSoloPassthroughCost: a layer bound to the only service of an endpoint
+// wrapped by hand around a bare transport must be virtual-time-identical to
+// the same layer assembled through AttachEndpoints — with one service the
+// fair extractor is a passthrough, and the assembly path adds no cost.
 func TestSoloPassthroughCost(t *testing.T) {
 	run := func(solo bool) (sim.Time, []byte) {
 		k := sim.NewKernel()
 		pl := platform(k, 2)
-		ts := xport.AttachFM2(pl, fm2.Config{})
-		var comms []*mpifm.Comm
+		var spaces []*xport.HandlerSpace
 		if solo {
-			spaces := make([]*xport.HandlerSpace, len(ts))
-			for i, tr := range ts {
-				spaces[i] = xport.Solo(tr, mpifm.Service)
+			for _, ep := range fm2.Attach(pl, fm2.Config{}) {
+				spaces = append(spaces, xport.NewEndpoint(xport.OverFM2(ep)).Register(mpifm.Service))
 			}
-			comms = mpifm.Attach(spaces, mpifm.PProOverheads(), mpifm.Options{})
 		} else {
-			comms = mpifm.AttachOver(ts, mpifm.PProOverheads(), mpifm.Options{})
+			spaces = xport.Spaces(endpoints(pl), mpifm.Service)
 		}
+		comms := mpifm.Attach(spaces, mpifm.PProOverheads(), mpifm.Options{})
 		buf := make([]byte, 4096)
 		k.Spawn("rank0", func(p *sim.Proc) {
 			msg := bytes.Repeat([]byte{0xAB}, 4096)
@@ -436,15 +434,10 @@ func sharedMixed(t *testing.T) (mpiOut, sockOut, gaOut []byte, end sim.Time) {
 }
 
 // isolatedMixed runs the same three workloads, each alone on its own
-// platform with a private transport per node: the pre-endpoint world.
+// platform as the only service of its node's endpoint.
 func isolatedMixed(t *testing.T) (mpiOut, sockOut, gaOut []byte) {
 	solo := func(k *sim.Kernel, service string) []*xport.HandlerSpace {
-		ts := xport.AttachFM2(platform(k, mixedNodes), fm2.Config{})
-		sp := make([]*xport.HandlerSpace, mixedNodes)
-		for i, tr := range ts {
-			sp[i] = xport.Solo(tr, service)
-		}
-		return sp
+		return xport.Spaces(endpoints(platform(k, mixedNodes)), service)
 	}
 	{
 		k := sim.NewKernel()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/bufpool"
-	"repro/internal/cluster"
 	"repro/internal/flowctl"
 	"repro/internal/fm1"
 	"repro/internal/hostmodel"
@@ -37,16 +36,6 @@ func OverFM1(ep *fm1.Endpoint) Transport {
 		t.stage.SetPoison(true) // the staging copy is an aliasable recycled buffer too
 	}
 	return t
-}
-
-// AttachFM1 builds FM 1.x transports for every node of the platform.
-func AttachFM1(pl *cluster.Platform, cfg fm1.Config) []Transport {
-	eps := fm1.Attach(pl, cfg)
-	ts := make([]Transport, len(eps))
-	for i, ep := range eps {
-		ts[i] = OverFM1(ep)
-	}
-	return ts
 }
 
 func (t *fm1Transport) Node() int             { return t.ep.Node() }

@@ -1,7 +1,6 @@
 package xport
 
 import (
-	"repro/internal/cluster"
 	"repro/internal/flowctl"
 	"repro/internal/fm2"
 	"repro/internal/hostmodel"
@@ -16,16 +15,6 @@ type fm2Transport struct {
 
 // OverFM2 exposes an FM 2.x endpoint as a Transport.
 func OverFM2(ep *fm2.Endpoint) Transport { return &fm2Transport{ep: ep} }
-
-// AttachFM2 builds FM 2.x transports for every node of the platform.
-func AttachFM2(pl *cluster.Platform, cfg fm2.Config) []Transport {
-	eps := fm2.Attach(pl, cfg)
-	ts := make([]Transport, len(eps))
-	for i, ep := range eps {
-		ts[i] = OverFM2(ep)
-	}
-	return ts
-}
 
 func (t *fm2Transport) Node() int             { return t.ep.Node() }
 func (t *fm2Transport) Host() *hostmodel.Host { return t.ep.Host() }
