@@ -51,7 +51,7 @@ func main() {
 		perfRanks   = flag.Int("perfranks", 0, "cap the perf suite's rank counts (0 = full sweep incl. 1024)")
 		perfPar     = flag.Int("perfpar", 0, "perf suite: rerun fat-tree points on the parallel engine with this many LPs (0 = sequential only)")
 		perfBig     = flag.Int("perfbig", 0, "perf suite: add one fat-tree allreduce row at this rank count (e.g. 4096)")
-		jsonPath    = flag.String("json", "BENCH_PR9.json", "perf suite: machine-readable output path (empty = don't write)")
+		jsonPath    = flag.String("json", "BENCH_PR15.json", "perf suite: machine-readable output path (empty = don't write)")
 		svc         = flag.Bool("svc", false, "run the service-workload suite (RPC tail latency over both FM generations)")
 		svcJSON     = flag.String("svcjson", "", "svc suite: machine-readable output path (empty = don't write)")
 		svcRanks    = flag.Int("svcranks", 0, "cap the svc sweep's fleet sizes (0 = default sweep)")
@@ -65,7 +65,7 @@ func main() {
 		campOut     = flag.String("campaignout", "", "write the campaign report JSON here instead of stdout")
 		campWorkers = flag.Int("campaignpar", 1, "campaign: scenario replicas to run concurrently (0 = one per CPU); report bytes are identical at any worker count")
 		gateBase    = flag.String("gate", "", "trajectory gate: compare -gatenew against this baseline BENCH_*.json and exit nonzero on regression")
-		gateNew     = flag.String("gatenew", "BENCH_PR9.json", "trajectory gate: the new report to hold to the baseline")
+		gateNew     = flag.String("gatenew", "BENCH_PR15.json", "trajectory gate: the new report to hold to the baseline")
 		gateTol     = flag.Float64("gatetol", bench.GateTolerancePct, "trajectory gate: regression tolerance in percent")
 	)
 	flag.Parse()
@@ -175,7 +175,7 @@ func main() {
 		}
 		cfg.ParallelLPs = *perfPar
 		cfg.BigRanks = *perfBig
-		if err := bench.WritePerfReport(w, cfg, 9, *jsonPath); err != nil {
+		if err := bench.WritePerfReport(w, cfg, 15, *jsonPath); err != nil {
 			fmt.Fprintf(os.Stderr, "fmbench: perf report: %v\n", err)
 			os.Exit(1)
 		}

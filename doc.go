@@ -152,13 +152,37 @@
 // the same way, and the kernel schedules by direct handoff (one goroutine
 // switch per event, hole-sifting event heap, ring-buffer channels).
 //
+// The kernel's guarantee is that at most one Proc executes at any instant.
+// Waiting has one stated exception-that-isn't. FM's receive model is
+// polling: a rank blocked in MPI_Recv, a socket read or a SHMEM quiet
+// re-enters FM_extract every PollEmpty of virtual time, and every such
+// empty poll is a kernel event. Every blocking wait of every upper layer is
+// one call, xport.HandlerSpace.Wait(p, budget, cond), and while the wait
+// is idle — receive ring and control queue empty, no withheld credit batch
+// to flush, cond still false — its poll ticks are taken by the kernel's
+// dispatcher (sim.Proc.PollEvery, reached through flowctl.Plane.IdlePoll)
+// instead of by the polling Proc's goroutine. The idle test therefore runs
+// in dispatcher context, on whichever goroutine holds the control token;
+// it only reads, and only state of the Proc's own node, so nothing
+// observes the difference and it stays LP-local under the parallel engine.
+// No event is elided: each tick is still one event, re-armed at the moment
+// the Proc would have re-armed it, so it takes the same seq and FIFO order
+// among equal timestamps — the norm when 256 ranks enter a round together —
+// is untouched. Computing the next useful tick ahead of time would queue
+// the wake at a different moment and the schedule would no longer be
+// provably the same. Loops that pace themselves (Extract; Delay(gap), as
+// in svcload, scenario and the bench drivers) are a different schedule,
+// two events per turn, and keep calling Extract, which charges exactly one
+// empty poll through the same path.
+//
 // None of this changes virtual time: conformance and determinism results
 // are bit-identical to the copying engine's. The wall-clock consequences —
-// ~12M kernel events/sec, 0 allocs/op on the send path, 512- and
+// ~10M kernel events/sec, 0 allocs/op on the send path, 512- and
 // 1024-rank collectives on the multi-stage fabrics — are measured by
 // `fmbench -perf`, which writes the machine-readable trajectory to
-// BENCH_PR9.json; CI pins the zero-alloc invariants in an alloc-gate job
-// and holds each PR's report to the previous one (fmbench -gate).
+// BENCH_PR15.json; CI pins the zero-alloc invariants in an alloc-gate job
+// and holds each PR's report to the previous one (fmbench -gate): host
+// numbers within a tolerance, events and virtual_us exactly.
 //
 // # Parallel engine
 //

@@ -11,13 +11,16 @@ import (
 // files. The perf suite's value is the TRAJECTORY of numbers across PRs,
 // not any one snapshot — so CI holds each new report to the previous one:
 // the sequential engine may not lose events/sec or gain allocs/op beyond a
-// tolerance. Parallel entries are excluded: their wall-clock numbers
-// depend on host core count, and the sequential engine is the regression
-// surface this gate protects.
+// tolerance, and what the simulation computes — the event count and the
+// virtual time of every entry — may not move at all. Parallel entries are
+// excluded: their wall-clock numbers depend on host core count, and the
+// sequential engine is the regression surface this gate protects.
 
-// GateTolerancePct is the default regression allowance. Events/sec on a
-// shared CI runner is noisy; allocs/op is nearly exact, but the single
-// tolerance keeps the contract simple.
+// GateTolerancePct is the default regression allowance for the numbers
+// measured on the host. Events/sec on a shared CI runner is noisy;
+// allocs/op is nearly exact, but counts runtime allocations too, so it
+// shares the tolerance. events and virtual_us get none: they are outputs of
+// a deterministic simulation.
 const GateTolerancePct = 25
 
 // gateKey identifies comparable entries across reports.
@@ -42,11 +45,13 @@ func LoadPerfReport(path string) (*PerfReport, error) {
 }
 
 // GateTrajectory compares the sequential entries of newPath against
-// basePath: every base entry must have a counterpart, events/sec must not
-// fall below base*(1-tol%), and allocs/op must not rise above
-// base*(1+tol%) (+0.01 absolute, so a pinned 0.00 allocs/op tolerates
-// measurement jitter but not a real allocation). Returns nil when the
-// trajectory holds; an error naming every violation otherwise.
+// basePath: every base entry must have a counterpart, events and virtual_us
+// must equal the base's exactly (a field the base did not record, i.e. 0,
+// is skipped), events/sec must not fall below base*(1-tol%), and allocs/op
+// must not rise above base*(1+tol%) (+0.01 absolute, so a pinned 0.00
+// allocs/op tolerates measurement jitter but not a real allocation).
+// Returns nil when the trajectory holds; an error naming every violation
+// otherwise.
 func GateTrajectory(basePath, newPath string, tolPct float64) error {
 	base, err := LoadPerfReport(basePath)
 	if err != nil {
@@ -72,6 +77,14 @@ func GateTrajectory(basePath, newPath string, tolPct float64) error {
 			bad = append(bad, fmt.Sprintf("%s: present in %s but missing from %s (coverage may not shrink)",
 				gateKey(b), basePath, newPath))
 			continue
+		}
+		if b.Events != 0 && n.Events != b.Events {
+			bad = append(bad, fmt.Sprintf("%s: events %d != base %d (the schedule moved; deterministic, no tolerance)",
+				gateKey(b), n.Events, b.Events))
+		}
+		if b.VirtualUS != 0 && n.VirtualUS != b.VirtualUS {
+			bad = append(bad, fmt.Sprintf("%s: virtual_us %v != base %v (the model's answer moved; deterministic, no tolerance)",
+				gateKey(b), n.VirtualUS, b.VirtualUS))
 		}
 		if floor := b.EventsPerSec * (1 - tolPct/100); n.EventsPerSec < floor {
 			bad = append(bad, fmt.Sprintf("%s: events/sec %.0f < floor %.0f (base %.0f, tol %.0f%%)",

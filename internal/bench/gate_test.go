@@ -67,6 +67,31 @@ func TestGateTrajectory(t *testing.T) {
 			t.Fatalf("want allocs/op violation, got %v", err)
 		}
 	})
+	t.Run("deterministic fields are exact", func(t *testing.T) {
+		pinned := []PerfEntry{
+			{Name: "allreduce", Fabric: "fattree", Ranks: 64, SizeB: 1024, EventsPerSec: 2e6, Events: 277055, VirtualUS: 848.947},
+			// A base that recorded neither field pins neither.
+			{Name: "svcload-open", Fabric: "fattree", Ranks: 16, SizeB: 512},
+		}
+		pinnedBase := writeReport(t, dir, "pinned.json", pinned)
+		moved := func(name string, edit func(e *PerfEntry)) string {
+			next := append([]PerfEntry(nil), pinned...)
+			edit(&next[0])
+			next[1].Events, next[1].VirtualUS = 123456, 34685.597
+			return writeReport(t, dir, name, next)
+		}
+		if err := GateTrajectory(pinnedBase, moved("same.json", func(*PerfEntry) {}), GateTolerancePct); err != nil {
+			t.Fatal(err)
+		}
+		err := GateTrajectory(pinnedBase, moved("event.json", func(e *PerfEntry) { e.Events++ }), GateTolerancePct)
+		if err == nil || !strings.Contains(err.Error(), "events 277056 != base 277055") {
+			t.Fatalf("want a one-event difference to trip the gate, got %v", err)
+		}
+		err = GateTrajectory(pinnedBase, moved("virt.json", func(e *PerfEntry) { e.VirtualUS = 848.948 }), GateTolerancePct)
+		if err == nil || !strings.Contains(err.Error(), "virtual_us") {
+			t.Fatalf("want a one-nanosecond virtual-time difference to trip the gate, got %v", err)
+		}
+	})
 	t.Run("missing counterpart fails", func(t *testing.T) {
 		next := writeReport(t, dir, "shrunk.json", []PerfEntry{
 			{Name: "kernel-event-loop", EventsPerSec: 1e7, AllocsPerOp: 0.0},
@@ -87,13 +112,13 @@ func TestGateTrajectory(t *testing.T) {
 	})
 }
 
-// TestGateCommittedTrajectory holds the committed PR 9 report to the
-// committed PR 8 baseline — the exact comparison the CI gate step runs.
+// TestGateCommittedTrajectory holds the committed PR 15 report to the
+// committed PR 9 baseline — the exact comparison the CI gate step runs.
 func TestGateCommittedTrajectory(t *testing.T) {
-	base := filepath.Join("..", "..", "BENCH_PR8.json")
-	next := filepath.Join("..", "..", "BENCH_PR9.json")
+	base := filepath.Join("..", "..", "BENCH_PR9.json")
+	next := filepath.Join("..", "..", "BENCH_PR15.json")
 	if _, err := os.Stat(next); err != nil {
-		t.Skip("BENCH_PR9.json not generated yet")
+		t.Skip("BENCH_PR15.json not generated yet")
 	}
 	if err := GateTrajectory(base, next, GateTolerancePct); err != nil {
 		t.Fatal(err)

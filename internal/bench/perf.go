@@ -205,7 +205,7 @@ func PerfFM2Stream(msgs, size int) PerfEntry {
 // 16-node FM 2.x open-loop fleet, reported per completed REQUEST (each one
 // is fan-out sends, shard service, and a gathered response).
 func PerfSvcLoad(requests int) PerfEntry {
-	res, entry := svcload.Result{}, PerfEntry{}
+	var res svcload.Result
 	var err error
 	t0 := time.Now()
 	mallocs, bytes := memDelta(func() {
@@ -222,17 +222,16 @@ func PerfSvcLoad(requests int) PerfEntry {
 	if err != nil {
 		panic(fmt.Sprintf("bench: perf svcload: %v", err))
 	}
-	// Events aren't surfaced by svcload.Run (the kernel is internal to it);
-	// report the request rate instead — the suite's unit for this row.
-	entry = PerfEntry{
+	return PerfEntry{
 		Name: "svcload-open", Fabric: string(FabFatTree), Ranks: 16, SizeB: 512,
-		Ops:         res.Completed,
-		VirtualUS:   float64(res.LastNS) / 1e3,
-		WallMS:      wall.Seconds() * 1e3,
-		AllocsPerOp: float64(mallocs) / float64(res.Completed),
-		BytesPerOp:  float64(bytes) / float64(res.Completed),
+		Ops:          res.Completed,
+		VirtualUS:    float64(res.LastNS) / 1e3,
+		WallMS:       wall.Seconds() * 1e3,
+		Events:       int64(res.Events),
+		EventsPerSec: float64(res.Events) / wall.Seconds(),
+		AllocsPerOp:  float64(mallocs) / float64(res.Completed),
+		BytesPerOp:   float64(bytes) / float64(res.Completed),
 	}
-	return entry
 }
 
 // PerfCollective measures one allreduce round at scale: virtual time (the

@@ -148,6 +148,10 @@ func (m *Manager) TakeDirty() (src, n int, ok bool) {
 	return 0, 0, false
 }
 
+// Dirty reports whether TakeDirty has anything to look at — O(1), and true
+// for an entry it would skip, so "not Dirty" is a safe "nothing to flush".
+func (m *Manager) Dirty() bool { return len(m.dirty) > 0 }
+
 // Outstanding reports packets in flight toward dst (window minus credits) —
 // the invariant checked by flow-control tests.
 func (m *Manager) Outstanding(dst int) int { return m.window - m.avail[dst] }

@@ -133,6 +133,56 @@ func (c *Plane) Return(p *sim.Proc, src int) {
 	}
 }
 
+// Cond is the wait condition of a caller blocked on the network — a posted
+// receive, an outstanding put, a connection handshake. Done must be O(1) and
+// only read state of the caller's own node: IdlePoll evaluates it from the
+// kernel's dispatcher (see sim.Idler).
+type Cond interface {
+	Done() bool
+}
+
+// Waiter carries a blocked caller's condition down to IdlePoll. Several
+// Procs can idle on one endpoint at once (co-resident services), so it
+// belongs to the caller, kept wherever the caller is single-threaded —
+// xport.HandlerSpace holds one per service — and nothing is allocated per
+// wait. Until must be set.
+type Waiter struct {
+	Until Cond
+	plane *Plane
+}
+
+// Idle reports that a real poll at this instant would do nothing but charge
+// another empty poll: no data or control packet to take, no withheld credit
+// batch to flush — a co-resident service's extractor may have left one since
+// the last poll — and the caller still waiting, which another service's
+// extractor can also end. It is deliberately conservative (a dirty entry
+// TakeDirty would skip still counts): a needless wake only costs host time.
+func (w *Waiter) Idle() bool {
+	c := w.plane
+	return !w.Until.Done() && !c.nic.Pending() && !c.fc.Dirty()
+}
+
+// IdlePoll is what an Extract that found the receive ring empty does, less
+// the poll itself: it flushes withheld credit and reports how the engine is
+// to charge the empty poll — p.PollEvery(every, idle). On behalf of a caller
+// blocked on w.Until that goes on charging empty polls, one kernel event
+// each, until a poll would find work or the caller's condition holds: the
+// `for !done { Extract }` loop of a blocked upper layer, minus the trip up
+// and down the stack per tick. A nil w is a caller pacing its own loop, which
+// must see every tick: idle is nil, exactly one empty poll. (The engine
+// makes the PollEvery call itself so that a Proc resuming from an empty
+// poll — the hottest path of every self-paced poller — unwinds no deeper a
+// stack than it did when Extract called Delay directly.)
+func (c *Plane) IdlePoll(p *sim.Proc, w *Waiter) (every sim.Time, idle sim.Idler) {
+	c.Flush(p)
+	every = c.nic.H.P.PollEmpty
+	if w == nil {
+		return every, nil
+	}
+	w.plane = c
+	return every, w
+}
+
 // Flush force-returns pending partial credit batches. Called on idle
 // polls: batching at half-window granularity amortizes credit traffic
 // under load, but a sender gated on a multi-packet message can be starved

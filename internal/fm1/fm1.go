@@ -282,7 +282,14 @@ func (e *Endpoint) Send(p *sim.Proc, dst int, h HandlerID, buf []byte) error {
 // handlers for completed messages, and returns the number of messages
 // handled. Unlike sends, Extract is the only place handlers run — the
 // decoupling FM 1.x guarantees (paper §3.1).
-func (e *Endpoint) Extract(p *sim.Proc) int {
+func (e *Endpoint) Extract(p *sim.Proc) int { return e.ExtractWait(p, nil) }
+
+// ExtractWait is Extract on behalf of a caller blocked on w.Until: when it
+// finds nothing it keeps polling, one empty poll per poll period, until there
+// is something to extract or the caller's wait is over (flowctl.IdlePoll),
+// instead of returning after the first empty poll for the caller to check
+// and call straight back. A nil w is Extract.
+func (e *Endpoint) ExtractWait(p *sim.Proc, w *flowctl.Waiter) int {
 	e.credit.DrainCtrl()
 	handled := 0
 	polled := false
@@ -292,8 +299,7 @@ func (e *Endpoint) Extract(p *sim.Proc) int {
 			if !polled {
 				// Idle poll: flush withheld partial credit batches so a
 				// gated multi-packet sender can't starve (see Plane.Flush).
-				e.credit.Flush(p)
-				p.Delay(e.h.P.PollEmpty)
+				p.PollEvery(e.credit.IdlePoll(p, w))
 			}
 			break
 		}

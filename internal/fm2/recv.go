@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/bufpool"
+	"repro/internal/flowctl"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
@@ -265,7 +266,14 @@ func (w *hworker) loop(hp *sim.Proc) {
 // and run until it either needs more data or finishes: the controlled
 // interleaving of FM's and the application's threads of execution that the
 // paper calls interlayer scheduling.
-func (e *Endpoint) Extract(p *sim.Proc, maxBytes int) int {
+func (e *Endpoint) Extract(p *sim.Proc, maxBytes int) int { return e.ExtractWait(p, maxBytes, nil) }
+
+// ExtractWait is Extract on behalf of a caller blocked on w.Until: when it
+// finds nothing it keeps polling, one empty poll per poll period, until there
+// is something to extract or the caller's wait is over (flowctl.IdlePoll),
+// instead of returning after the first empty poll for the caller to check
+// and call straight back. A nil w is Extract.
+func (e *Endpoint) ExtractWait(p *sim.Proc, maxBytes int, w *flowctl.Waiter) int {
 	e.credit.DrainCtrl()
 	completed := 0
 	budget := maxBytes
@@ -279,8 +287,7 @@ func (e *Endpoint) Extract(p *sim.Proc, maxBytes int) int {
 			if !polled {
 				// Idle poll: nothing inbound, so no batch to amortize —
 				// return any withheld partial credit batches before parking.
-				e.credit.Flush(p)
-				p.Delay(e.h.P.PollEmpty)
+				p.PollEvery(e.credit.IdlePoll(p, w))
 			}
 			break
 		}

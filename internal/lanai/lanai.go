@@ -166,6 +166,9 @@ func (n *NIC) PollCtrl() (pkt *netsim.Packet, ok bool) { return n.ctrlq.TryRecv(
 // stalled on flow-control credits park here.
 func (n *NIC) WaitCtrl(p *sim.Proc) *netsim.Packet { return n.ctrlq.Recv(p) }
 
+// Pending reports whether Poll or PollCtrl would return a packet.
+func (n *NIC) Pending() bool { return n.ring.Ready() || n.ctrlq.Ready() }
+
 // RingLen reports packets waiting in the receive ring.
 func (n *NIC) RingLen() int { return n.ring.Len() }
 

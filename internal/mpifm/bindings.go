@@ -98,15 +98,5 @@ func (c *Comm) handler(p *sim.Proc, s xport.RecvStream) {
 	c.enqueueUnexpected(p, srcRank, tag, buf)
 }
 
-// progress services the network. limit is the payload byte budget while a
-// receive is pending — the receiver-flow-control discipline — which
-// transports without pacing (FM 1.x) ignore.
-func (c *Comm) progress(p *sim.Proc, limit int) {
-	if c.opt.Unpaced {
-		limit = 0
-	}
-	c.t.Extract(p, limit)
-}
-
 // maxPayload reports the largest payload a single message may carry.
 func (c *Comm) maxPayload() int { return c.t.MaxMessage() - HeaderSize }

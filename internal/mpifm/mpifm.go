@@ -102,7 +102,8 @@ type Request struct {
 	st   Status
 }
 
-// Done reports completion (progress is made by Wait/Recv loops).
+// Done reports completion (progress is made by Wait/Recv loops). It is the
+// condition Wait blocks on.
 func (r *Request) Done() bool { return r.done }
 
 // Status returns the completion status; valid once Done.
@@ -280,11 +281,11 @@ func (c *Comm) post(p *sim.Proc, req *Request, buf []byte, src, tag int) {
 	c.posted = append(c.posted, req)
 }
 
-// Wait blocks (in virtual time) until req completes, driving progress.
+// Wait blocks (in virtual time) until req completes, driving progress: the
+// rank polls FM_extract until the handler completes req. Every blocking
+// call of the layer — Recv, Sendrecv, Barrier, the collectives — waits here.
 func (c *Comm) Wait(p *sim.Proc, req *Request) Status {
-	for !req.done {
-		c.progress(p, c.progressLimit())
-	}
+	c.t.Wait(p, c.progressLimit(), req)
 	return req.st
 }
 
@@ -316,8 +317,14 @@ func (c *Comm) Recv(p *sim.Proc, buf []byte, src, tag int) (Status, error) {
 // Packet-at-a-time pacing stops extraction the moment the posted message
 // completes, so no data for a not-yet-posted receive is pulled out of FM
 // and forced through the buffer pool — the receiver-flow-control
-// discipline of paper §4.1.
-func (c *Comm) progressLimit() int { return 1 }
+// discipline of paper §4.1. Options.Unpaced turns it off (no limit), and
+// transports without pacing (FM 1.x) ignore it.
+func (c *Comm) progressLimit() int {
+	if c.opt.Unpaced {
+		return 0
+	}
+	return 1
+}
 
 // takePosted removes and returns the first posted receive matching
 // (src, tag), or nil. FIFO order among equal matches preserves MPI's

@@ -179,7 +179,7 @@ func TestUnexpectedThenPosted(t *testing.T) {
 		k.Spawn("rank1", func(p *sim.Proc) {
 			// Let the message arrive and get extracted as unexpected.
 			p.Delay(2 * sim.Millisecond)
-			comms[1].progress(p, 0)
+			comms[1].t.Extract(p, 0)
 			if comms[1].Stats().Unexpected != 1 {
 				t.Errorf("unexpected count %d, want 1", comms[1].Stats().Unexpected)
 			}

@@ -81,7 +81,7 @@ func TestWildcardUnexpectedFIFO(t *testing.T) {
 		k.Spawn("rank0", func(p *sim.Proc) {
 			// Buffer all three messages unexpectedly first.
 			for comms[0].Stats().Unexpected < 3 {
-				comms[0].progress(p, 0)
+				comms[0].t.Extract(p, 0)
 				p.Delay(10 * sim.Microsecond)
 			}
 			var b [1]byte
@@ -130,7 +130,7 @@ func TestWildcardPostedWhileStreaming(t *testing.T) {
 		// Extract one packet at a time until the handler has committed to
 		// the unexpected path (it is now parked mid-stream, buffering).
 		for c.stats.Unexpected == 0 {
-			c.progress(p, 1)
+			c.t.Extract(p, 1)
 			p.Delay(sim.Microsecond)
 		}
 		if c.stats.Recvd != 0 {
@@ -182,7 +182,7 @@ func TestUnexpectedCapAndHWM(t *testing.T) {
 	k.Spawn("rank1", func(p *sim.Proc) {
 		c := comms[1]
 		for c.stats.Unexpected < sent {
-			c.progress(p, 0)
+			c.t.Extract(p, 0)
 			p.Delay(10 * sim.Microsecond)
 		}
 		st := c.Stats()
@@ -240,7 +240,7 @@ func TestUnexpectedHWMUnbounded(t *testing.T) {
 		k.Spawn("rank1", func(p *sim.Proc) {
 			c := comms[1]
 			for c.Stats().Unexpected < sent {
-				c.progress(p, 0)
+				c.t.Extract(p, 0)
 				p.Delay(10 * sim.Microsecond)
 			}
 			if hwm := c.Stats().UnexpectedHWM; hwm != sent {

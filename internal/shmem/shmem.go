@@ -55,8 +55,11 @@ type Node struct {
 	t       *xport.HandlerSpace
 	regions map[uint32][]byte
 	pending int // outstanding put acks
-	getWait map[uint32][]byte
-	getDone map[uint32]bool
+	// The outstanding Get: a Node is single-threaded and Get blocks, so
+	// there is at most one.
+	getting bool
+	getBuf  []byte
+	getReq  uint32
 	nextReq uint32
 	hdrs    *bufpool.Pool // header scratch (returned after gather)
 	stats   Stats
@@ -67,8 +70,6 @@ func Attach(sp *xport.HandlerSpace) *Node {
 	n := &Node{
 		t:       sp,
 		regions: make(map[uint32][]byte),
-		getWait: make(map[uint32][]byte),
-		getDone: make(map[uint32]bool),
 		hdrs:    bufpool.New(0),
 	}
 	if sp.Poisoned() {
@@ -134,27 +135,30 @@ func (n *Node) Put(p *sim.Proc, target int, region uint32, offset int, data []by
 
 // Quiet blocks until every outstanding Put has been acknowledged by its
 // target — the SHMEM quiet/fence semantic.
-func (n *Node) Quiet(p *sim.Proc) {
-	for n.pending > 0 {
-		n.t.Extract(p, 0)
-	}
-}
+func (n *Node) Quiet(p *sim.Proc) { n.t.Wait(p, 0, (*quiet)(n)) }
+
+// quiet and got are the conditions Quiet and Get block on (xport.Cond).
+type (
+	quiet Node
+	got   Node
+)
+
+func (q *quiet) Done() bool { return q.pending <= 0 }
+func (g *got) Done() bool   { return !g.getting }
 
 // Get reads length bytes from (region, offset) on the target rank into buf.
 func (n *Node) Get(p *sim.Proc, target int, region uint32, offset int, buf []byte) error {
-	req := n.nextReq
+	n.getReq = n.nextReq
 	n.nextReq++
-	n.getWait[req] = buf
-	hdr := n.encode(kindGetReq, region, offset, len(buf), req)
+	n.getBuf, n.getting = buf, true
+	hdr := n.encode(kindGetReq, region, offset, len(buf), n.getReq)
 	err := xport.Send(p, n.t, target, shmemHandlerID, hdr)
 	n.hdrs.Put(hdr)
 	if err != nil {
+		n.getBuf, n.getting = nil, false
 		return err
 	}
-	for !n.getDone[req] {
-		n.t.Extract(p, 0)
-	}
-	delete(n.getDone, req)
+	n.t.Wait(p, 0, (*got)(n))
 	n.stats.Gets++
 	n.stats.GetBytes += int64(len(buf))
 	return nil
@@ -208,14 +212,12 @@ func (n *Node) handler(p *sim.Proc, s xport.RecvStream) {
 			panic(fmt.Sprintf("shmem: get response failed: %v", err))
 		}
 	case kindGetResp:
-		buf := n.getWait[req]
-		if buf == nil {
+		if !n.getting || req != n.getReq {
 			s.ReceiveDiscard(p, s.Remaining())
 			return
 		}
-		s.Receive(p, buf[:length])
-		delete(n.getWait, req)
-		n.getDone[req] = true
+		s.Receive(p, n.getBuf[:length])
+		n.getBuf, n.getting = nil, false
 	default:
 		panic(fmt.Sprintf("shmem: unknown kind %d", kind))
 	}

@@ -116,3 +116,26 @@ func TestSignalSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatalf("signal steady state allocated %d times over %d ops; must be 0/op", allocs, ops)
 	}
 }
+
+// TestPollEveryZeroAlloc pins the dispatcher-side poll tick: an idle stretch
+// of 10 000 ticks — condition call, wake re-armed in place on the heap —
+// allocates nothing, and neither does entering or leaving the wait.
+func TestPollEveryZeroAlloc(t *testing.T) {
+	if RaceEnabled {
+		t.Skip("alloc pins don't hold under the race detector's instrumentation")
+	}
+	const ticks = 10_000
+	k := NewKernel()
+	var allocs uint64
+	k.Spawn("poller", func(p *Proc) {
+		c := idleFor(ticks)
+		p.PollEvery(Microsecond, c) // warm-up
+		allocs = alloctest.MinMallocs(func() { p.PollEvery(Microsecond, c) })
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs > alloctest.AllowStray {
+		t.Fatalf("an idle stretch of %d poll ticks allocated %d times; must be 0", ticks, allocs)
+	}
+}

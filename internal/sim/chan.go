@@ -108,6 +108,9 @@ func (c *Chan[T]) Len() int { return c.n }
 // Cap reports the channel capacity.
 func (c *Chan[T]) Cap() int { return c.cap }
 
+// Ready reports whether TryRecv would succeed.
+func (c *Chan[T]) Ready() bool { return c.n > 0 || c.sendq.len() > 0 }
+
 // Senders reports the number of parked senders (back-pressure depth).
 func (c *Chan[T]) Senders() int { return c.sendq.len() }
 

@@ -124,9 +124,7 @@ func (l *Listener) Close(p *sim.Proc) {
 
 // Accept blocks until an inbound connection is established.
 func (l *Listener) Accept(p *sim.Proc) (*Conn, error) {
-	for len(l.backlog) == 0 {
-		l.s.progress(p, 0)
-	}
+	l.s.t.Wait(p, 0, (*accepting)(l))
 	c := l.backlog[0]
 	l.backlog = l.backlog[1:]
 	// Complete the handshake.
@@ -173,9 +171,7 @@ func (s *Stack) Dial(p *sim.Proc, node, port int) (*Conn, error) {
 	s.nextID++
 	s.conns[c.localID] = c
 	s.sendCtl(p, node, kindSYN, port, c.localID, 0)
-	for c.state == stateConnecting {
-		s.progress(p, 0)
-	}
+	s.t.Wait(p, 0, (*dialing)(c))
 	if c.state == stateRefused {
 		delete(s.conns, c.localID)
 		return nil, ErrRefused
@@ -229,9 +225,7 @@ func (c *Conn) Read(p *sim.Proc, buf []byte) (int, error) {
 	// Keep driving progress while a handler is mid-landing into buf:
 	// returning early would hand the caller a buffer a descheduled handler
 	// still writes to.
-	for c.landing || (c.postedN == 0 && !c.rxClosed && c.queued() == 0) {
-		c.s.progress(p, len(buf)+headerSize+16)
-	}
+	c.s.t.Wait(p, len(buf)+headerSize+16, (*reading)(c))
 	c.posted = nil
 	if c.postedN > 0 {
 		return c.postedN, nil
@@ -240,6 +234,23 @@ func (c *Conn) Read(p *sim.Proc, buf []byte) (int, error) {
 		return n, nil
 	}
 	return 0, io.EOF
+}
+
+// accepting, dialing and reading are the conditions Accept, Dial and Read
+// block on (xport.Cond).
+type (
+	accepting Listener
+	dialing   Conn
+	reading   Conn
+)
+
+func (a *accepting) Done() bool { return len(a.backlog) > 0 }
+
+func (d *dialing) Done() bool { return d.state != stateConnecting }
+
+func (r *reading) Done() bool {
+	c := (*Conn)(r)
+	return !c.landing && (c.postedN > 0 || c.rxClosed || c.queued() > 0)
 }
 
 // rxSeg is one buffered segment: a pooled body buffer plus a consumption
@@ -303,11 +314,6 @@ func (c *Conn) Buffered() int { return c.rxBytes }
 
 // PeerNode reports the remote node ID.
 func (c *Conn) PeerNode() int { return c.peerNode }
-
-// progress services the network once.
-func (s *Stack) progress(p *sim.Proc, limit int) {
-	s.t.Extract(p, limit)
-}
 
 // encode fills a pooled header-scratch buffer; the caller returns it to
 // s.hdrs once the transport has gathered it (SendGather/Send copy

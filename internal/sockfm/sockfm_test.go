@@ -81,7 +81,7 @@ func TestConnectionRefused(t *testing.T) {
 	k.Spawn("server-idle", func(p *sim.Proc) {
 		// The target node must service its network for the RST to go out.
 		for i := 0; i < 100; i++ {
-			sts[0].progress(p, 0)
+			sts[0].t.Extract(p, 0)
 			p.Delay(2 * sim.Microsecond)
 		}
 	})

@@ -632,6 +632,11 @@ type Result struct {
 	GoodputRPS float64 `json:"goodput_rps"`
 
 	Errors []string `json:"errors,omitempty"`
+
+	// Events is the kernel's event count for the run: what the simulation
+	// cost, not what it found, so it is set by Run only and kept out of the
+	// report JSON.
+	Events uint64 `json:"-"`
 }
 
 // Result summarizes the finished run.
@@ -736,7 +741,9 @@ func Run(rc RunConfig) (Result, error) {
 	if err := k.Run(); err != nil {
 		return Result{}, err
 	}
-	return f.Result(), nil
+	res := f.Result()
+	res.Events = k.Events()
+	return res, nil
 }
 
 // Little-endian wire helpers (the codebase convention).

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bufpool"
 	"repro/internal/cluster"
+	"repro/internal/flowctl"
 	"repro/internal/fm1"
 	"repro/internal/fm2"
 	"repro/internal/hostmodel"
@@ -49,6 +50,7 @@ type Endpoint struct {
 	t        Transport
 	services []*HandlerSpace
 	byName   map[string]*HandlerSpace
+	consumed int64 // sum of every service's stats.Bytes
 }
 
 // NewEndpoint wraps a Transport as a shared multi-service endpoint. The
@@ -92,6 +94,7 @@ func (e *Endpoint) Register(service string) *HandlerSpace {
 		name: service,
 		base: HandlerID(len(e.services)) * SpaceSize,
 	}
+	hs.wait.Until = (*waiting)(hs)
 	e.services = append(e.services, hs)
 	e.byName[service] = hs
 	return hs
@@ -160,12 +163,21 @@ func (e *Endpoint) overShare(snap []int64, caller *HandlerSpace, share int64) bo
 // so there pacing and the foreign-share bound are accounting-only: bytes
 // are still billed to the right services, but one call may run every
 // pending handler.
-func (e *Endpoint) extractFor(p *sim.Proc, caller *HandlerSpace, maxBytes int) int {
+//
+// w is the caller's wait when it is blocked in HandlerSpace.Wait, nil for a
+// plain Extract; it only tells the engine how long an empty poll may repeat.
+// A caller looping on Extract retakes the snapshot and the packet meter of
+// the fair-share loop below at every empty poll, so a repeated empty poll
+// must not outlive them: while the loop runs, caller.paced is set and
+// caller.seen and caller.meter tell the wait what they were taken against
+// (see waiting.Done).
+func (e *Endpoint) extractFor(p *sim.Proc, caller *HandlerSpace, maxBytes int, w *flowctl.Waiter) int {
 	if maxBytes <= 0 || len(e.services) == 1 {
 		// Unlimited drain, or no co-residents to be fair to: the transport's
 		// own budget semantics apply unchanged.
-		return e.t.Extract(p, maxBytes)
+		return e.t.ExtractWait(p, maxBytes, w)
 	}
+	caller.paced, caller.seen = true, e.consumed
 	ownStart := caller.stats.Bytes
 	snap := e.snapshotFor(caller)
 	completed := 0
@@ -177,12 +189,13 @@ func (e *Endpoint) extractFor(p *sim.Proc, caller *HandlerSpace, maxBytes int) i
 		// continuation packet absorbed by a handler parked mid-Receive moves
 		// no byte counter until the Receive completes, and must not be
 		// mistaken for an empty ring.
-		meter := e.t.Packets()
-		completed += e.t.Extract(p, 1) // one-packet quantum
-		if e.t.Packets() == meter {
+		caller.meter = e.t.Packets()
+		completed += e.t.ExtractWait(p, 1, w) // one-packet quantum
+		if e.t.Packets() == caller.meter {
 			break // ring empty: nothing was extracted
 		}
 	}
+	caller.paced = false
 	return completed
 }
 
@@ -197,6 +210,11 @@ type HandlerSpace struct {
 	base   HandlerID
 	stats  ServiceStats
 	snap   []int64                         // extractFor scratch (a service is single-threaded)
+	paced  bool                            // extractFor is in its fair-share loop; meter and seen are live
+	meter  int64                           // t.Packets() before extractFor's current transport call
+	seen   int64                           // ep.consumed when extractFor took its current snapshot
+	until  Cond                            // what the service is blocked on in Wait, else nil
+	wait   flowctl.Waiter                  // carries (*waiting)(hs) down to the engine's idle poll
 	csPool bufpool.FreeList[countedStream] // recycled per-message accounting wrappers
 }
 
@@ -276,7 +294,52 @@ func (hs *HandlerSpace) BeginMessage(p *sim.Proc, dst, size int, h HandlerID) (S
 // Extract services the shared attachment on behalf of this service; see
 // Endpoint.extractFor for the budget-fairness contract.
 func (hs *HandlerSpace) Extract(p *sim.Proc, maxBytes int) int {
-	return hs.ep.extractFor(p, hs, maxBytes)
+	return hs.ep.extractFor(p, hs, maxBytes, nil)
+}
+
+// ExtractWait is Extract with the wait of a caller blocked on w.Until.
+func (hs *HandlerSpace) ExtractWait(p *sim.Proc, maxBytes int, w *flowctl.Waiter) int {
+	return hs.ep.extractFor(p, hs, maxBytes, w)
+}
+
+// Wait blocks the service in virtual time until until.Done(), extracting
+// with budget maxBytes per call as Extract does. It is the wait loop of
+// every upper layer — an MPI receive, a SHMEM quiet, a socket read — and it
+// is exactly `for !until.Done() { hs.Extract(p, maxBytes) }`: same virtual
+// times, same kernel events. The difference is host time: while nothing
+// arrives, the empty polls of that loop are ticked off inside the kernel
+// (flowctl.IdlePoll, sim.PollEvery) rather than by this Proc climbing down
+// and up the stack every poll period. A loop that paces itself with its own
+// Delay between Extract calls is a different schedule and keeps calling
+// Extract.
+func (hs *HandlerSpace) Wait(p *sim.Proc, maxBytes int, until Cond) {
+	if hs.until != nil {
+		panic(fmt.Sprintf("xport: service %q on node %d entered Wait twice; a service is single-threaded",
+			hs.name, hs.Node()))
+	}
+	hs.until = until
+	for !until.Done() {
+		hs.ep.extractFor(p, hs, maxBytes, &hs.wait)
+	}
+	hs.until = nil
+}
+
+// waiting is the condition a service in Wait hands the engine: stop
+// repeating the empty poll once the caller's own condition holds — or, when
+// the poll sits inside extractFor's fair-share loop, once anything has been
+// extracted from, or consumed on, the endpoint since the loop last looked.
+// The loop Wait stands for re-enters extractFor at every empty poll, and
+// what the fair-share loop does next depends on the snapshot and meter it
+// takes on the way in; they stay valid only while those counters stand
+// still, so the first poll after they move must be a real one. Co-resident
+// extractors and handlers finishing a delayed Receive move them without
+// leaving anything in the ring. (The unbudgeted path keeps nothing across
+// a poll.)
+type waiting HandlerSpace
+
+func (w *waiting) Done() bool {
+	e := w.ep
+	return w.until.Done() || w.paced && (e.t.Packets() != w.meter || e.consumed != w.seen)
 }
 
 // Packets reports the shared endpoint's cumulative extracted-packet count.
@@ -284,6 +347,12 @@ func (hs *HandlerSpace) Packets() int64 { return hs.ep.t.Packets() }
 
 // Poisoned reports whether the engine's poison-on-recycle debug mode is on.
 func (hs *HandlerSpace) Poisoned() bool { return hs.ep.t.Poisoned() }
+
+// consume bills n consumed payload bytes to the service.
+func (hs *HandlerSpace) consume(n int) {
+	hs.stats.Bytes += int64(n)
+	hs.ep.consumed += int64(n)
+}
 
 // countedStream attributes a message's consumed bytes to its service.
 type countedStream struct {
@@ -297,13 +366,13 @@ func (c *countedStream) Remaining() int { return c.s.Remaining() }
 
 func (c *countedStream) Receive(p *sim.Proc, buf []byte) int {
 	n := c.s.Receive(p, buf)
-	c.hs.stats.Bytes += int64(n)
+	c.hs.consume(n)
 	return n
 }
 
 func (c *countedStream) ReceiveDiscard(p *sim.Proc, n int) int {
 	got := c.s.ReceiveDiscard(p, n)
-	c.hs.stats.Bytes += int64(got)
+	c.hs.consume(got)
 	return got
 }
 

@@ -50,6 +50,10 @@ func (t *fm1Transport) Extract(p *sim.Proc, maxBytes int) int {
 	return t.ep.Extract(p)
 }
 
+func (t *fm1Transport) ExtractWait(p *sim.Proc, maxBytes int, w *flowctl.Waiter) int {
+	return t.ep.ExtractWait(p, w)
+}
+
 func (t *fm1Transport) Packets() int64 { return t.ep.Stats().PacketsRecvd }
 
 func (t *fm1Transport) Poisoned() bool { return t.ep.Poisoned() }

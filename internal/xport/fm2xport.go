@@ -23,6 +23,9 @@ func (t *fm2Transport) MaxMessage() int       { return t.ep.MaxMessage() }
 func (t *fm2Transport) Extract(p *sim.Proc, maxBytes int) int {
 	return t.ep.Extract(p, maxBytes)
 }
+func (t *fm2Transport) ExtractWait(p *sim.Proc, maxBytes int, w *flowctl.Waiter) int {
+	return t.ep.ExtractWait(p, maxBytes, w)
+}
 func (t *fm2Transport) Packets() int64 { return t.ep.Stats().PacketsRecvd }
 
 func (t *fm2Transport) Poisoned() bool { return t.ep.Poisoned() }

@@ -84,6 +84,11 @@ type Transport interface {
 	// Transports without receiver flow control (FM 1.x) ignore the budget.
 	// Returns the number of messages completed during the call.
 	Extract(p *sim.Proc, maxBytes int) int
+	// ExtractWait is Extract on behalf of a caller blocked on w.Until: an
+	// empty poll repeats, one poll period apart, until there is something to
+	// extract or the wait is over. A nil w is Extract. Upper layers do not
+	// call it; they block in HandlerSpace.Wait.
+	ExtractWait(p *sim.Proc, maxBytes int, w *flowctl.Waiter) int
 	// Packets reports the cumulative count of data packets this endpoint
 	// has extracted from the network: the progress meter shared-endpoint
 	// extraction uses to distinguish an empty receive ring from a packet
@@ -96,6 +101,9 @@ type Transport interface {
 	// guarantee covers every recycled-aliasing surface, not just frames.
 	Poisoned() bool
 }
+
+// Cond is a blocked caller's wait condition (see HandlerSpace.Wait).
+type Cond = flowctl.Cond
 
 // CreditAccounting is the optional diagnostic surface of transports backed
 // by a credit-windowed engine: hang diagnostics read Outstanding(dst) to see
