@@ -14,13 +14,14 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/trafficgen"
+	"repro/internal/xport"
 )
 
 // BenchmarkTable1FM1API exercises every Table 1 primitive once per op.
 func BenchmarkTable1FM1API(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		o := bench.DefaultFM1Options()
-		if bw := bench.FM1Bandwidth(o, 16, 200); bw <= 0 {
+		o := bench.DefaultOptions(xport.GenFM1)
+		if bw := bench.FMBandwidth(o, 16, 200); bw <= 0 {
 			b.Fatal("no bandwidth")
 		}
 	}
@@ -29,8 +30,8 @@ func BenchmarkTable1FM1API(b *testing.B) {
 // BenchmarkTable2FM2API exercises every Table 2 primitive once per op.
 func BenchmarkTable2FM2API(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		o := bench.DefaultFM2Options()
-		if bw := bench.FM2Bandwidth(o, 16, 200); bw <= 0 {
+		o := bench.DefaultOptions(xport.GenFM2)
+		if bw := bench.FMBandwidth(o, 16, 200); bw <= 0 {
 			b.Fatal("no bandwidth")
 		}
 	}
@@ -77,7 +78,7 @@ func BenchmarkFig3bFM1Bandwidth(b *testing.B) {
 	}
 	b.ReportMetric(c.Peak(), "peak_MBps")
 	b.ReportMetric(float64(c.NHalf()), "nhalf_B")
-	b.ReportMetric(bench.FM1Latency(bench.DefaultFM1Options(), 16, 50).Micros(), "latency_us")
+	b.ReportMetric(bench.FMLatency(bench.DefaultOptions(xport.GenFM1), 16, 50).Micros(), "latency_us")
 }
 
 // BenchmarkFig4MPIoverFM1 regenerates Figure 4 (paper: <=35% efficiency).
@@ -100,7 +101,7 @@ func BenchmarkFig5FM2Bandwidth(b *testing.B) {
 	}
 	b.ReportMetric(c.Peak(), "peak_MBps")
 	b.ReportMetric(float64(c.NHalf()), "nhalf_B")
-	b.ReportMetric(bench.FM2Latency(bench.DefaultFM2Options(), 16, 50).Micros(), "latency_us")
+	b.ReportMetric(bench.FMLatency(bench.DefaultOptions(xport.GenFM2), 16, 50).Micros(), "latency_us")
 }
 
 // BenchmarkFig6MPIoverFM2 regenerates Figure 6 (paper: 70 MB/s peak,
@@ -212,13 +213,7 @@ func BenchmarkRealisticTraffic(b *testing.B) {
 
 // realisticBandwidth streams n messages with sizes drawn from d over FM 2.x.
 func realisticBandwidth(d trafficgen.Dist, n int) float64 {
-	sizes := d.NewSampler(1998).Sizes(n)
-	total := 0
-	for _, s := range sizes {
-		total += s
-	}
-	o := bench.DefaultFM2Options()
-	return bench.FM2MixedBandwidth(o, sizes, total)
+	return bench.FMStream(bench.DefaultOptions(xport.GenFM2), d.NewSampler(1998).Sizes(n))
 }
 
 // BenchmarkSimKernelEvents measures raw kernel event throughput: the cost

@@ -23,9 +23,10 @@
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/bench"
@@ -35,82 +36,88 @@ import (
 	"repro/internal/xport"
 )
 
-func main() {
-	var (
-		all         = flag.Bool("all", false, "run every figure, table, and summary")
-		fig         = flag.Int("fig", 0, "run one figure (1-6)")
-		tables      = flag.Bool("tables", false, "print Tables 1 and 2")
-		headline    = flag.Bool("headline", false, "print the headline paper-vs-measured summary")
-		ablation    = flag.Bool("ablation", false, "run the design-choice ablations")
-		collectives = flag.Bool("collectives", false, "run the MPI collective scaling sweeps")
-		matrix      = flag.Bool("matrix", false, "run the upper-layer x binding layering-efficiency matrix")
-		topo        = flag.Bool("topo", false, "run the fabric-zoo contention and scaling report")
-		topoRanks   = flag.Int("toporanks", 0, "cap the fabric sweep's rank counts (0 = default sweep)")
-		mixed       = flag.Bool("mixed", false, "run the mixed-workload co-residency suite (shared endpoints)")
-		perf        = flag.Bool("perf", false, "run the engine wall-clock suite (events/sec, allocs/op, 512/1024-rank scaling)")
-		perfRanks   = flag.Int("perfranks", 0, "cap the perf suite's rank counts (0 = full sweep incl. 1024)")
-		perfPar     = flag.Int("perfpar", 0, "perf suite: rerun fat-tree points on the parallel engine with this many LPs (0 = sequential only)")
-		perfBig     = flag.Int("perfbig", 0, "perf suite: add one fat-tree allreduce row at this rank count (e.g. 4096)")
-		jsonPath    = flag.String("json", "BENCH_PR15.json", "perf suite: machine-readable output path (empty = don't write)")
-		svc         = flag.Bool("svc", false, "run the service-workload suite (RPC tail latency over both FM generations)")
-		svcJSON     = flag.String("svcjson", "", "svc suite: machine-readable output path (empty = don't write)")
-		svcRanks    = flag.Int("svcranks", 0, "cap the svc sweep's fleet sizes (0 = default sweep)")
-		svcReq      = flag.Int("svcreq", 0, "svc suite: per-client request count (0 = default)")
-		svcSeed     = flag.Int64("svcseed", 0, "svc suite: workload seed (0 = default)")
-		svcCapture  = flag.String("svccapture", "", "run the canonical capture workload and write its request trace here")
-		svcReplay   = flag.String("svcreplay", "", "replay a captured request trace; report JSON to stdout")
-		scenPath    = flag.String("scenario", "", "run one chaos scenario file; report JSON to stdout")
-		campDir     = flag.String("campaign", "", "run every scenario in a directory under one campaign seed")
-		campSeed    = flag.Int64("campaignseed", scenario.DefaultSeed, "campaign seed (also scopes -scenario)")
-		campOut     = flag.String("campaignout", "", "write the campaign report JSON here instead of stdout")
-		campWorkers = flag.Int("campaignpar", 1, "campaign: scenario replicas to run concurrently (0 = one per CPU); report bytes are identical at any worker count")
-		gateBase    = flag.String("gate", "", "trajectory gate: compare -gatenew against this baseline BENCH_*.json and exit nonzero on regression")
-		gateNew     = flag.String("gatenew", "BENCH_PR15.json", "trajectory gate: the new report to hold to the baseline")
-		gateTol     = flag.Float64("gatetol", bench.GateTolerancePct, "trajectory gate: regression tolerance in percent")
-	)
-	flag.Parse()
-	w := os.Stdout
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// run is the whole CLI as a function of its arguments and streams, so the
+// golden tests drive the real flag path in-process. The return value is the
+// exit status: 1 for a failed report, gate or campaign, 2 for bad usage.
+func run(args []string, w, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fmbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		all         = fs.Bool("all", false, "run every figure, table, and summary")
+		fig         = fs.Int("fig", 0, "run one figure (1-6)")
+		tables      = fs.Bool("tables", false, "print Tables 1 and 2")
+		headline    = fs.Bool("headline", false, "print the headline paper-vs-measured summary")
+		ablation    = fs.Bool("ablation", false, "run the design-choice ablations")
+		collectives = fs.Bool("collectives", false, "run the MPI collective scaling sweeps")
+		matrix      = fs.Bool("matrix", false, "run the upper-layer x binding layering-efficiency matrix")
+		topo        = fs.Bool("topo", false, "run the fabric-zoo contention and scaling report")
+		topoRanks   = fs.Int("toporanks", 0, "cap the fabric sweep's rank counts (0 = default sweep)")
+		mixed       = fs.Bool("mixed", false, "run the mixed-workload co-residency suite (shared endpoints)")
+		perf        = fs.Bool("perf", false, "run the engine wall-clock suite (events/sec, allocs/op, 512/1024-rank scaling)")
+		perfRanks   = fs.Int("perfranks", 0, "cap the perf suite's rank counts (0 = full sweep incl. 1024)")
+		perfPar     = fs.Int("perfpar", 0, "perf suite: rerun fat-tree points on the parallel engine with this many LPs (0 = sequential only)")
+		perfBig     = fs.Int("perfbig", 0, "perf suite: add one fat-tree allreduce row at this rank count (e.g. 4096)")
+		jsonPath    = fs.String("json", "", "perf suite: machine-readable output path; BENCH_PR<n>.json records n as the report's pr (empty = don't write)")
+		svc         = fs.Bool("svc", false, "run the service-workload suite (RPC tail latency over both FM generations)")
+		svcJSON     = fs.String("svcjson", "", "svc suite: machine-readable output path (empty = don't write)")
+		svcRanks    = fs.Int("svcranks", 0, "cap the svc sweep's fleet sizes (0 = default sweep)")
+		svcReq      = fs.Int("svcreq", 0, "svc suite: per-client request count (0 = default)")
+		svcSeed     = fs.Int64("svcseed", 0, "svc suite: workload seed (0 = default)")
+		svcCapture  = fs.String("svccapture", "", "run the canonical capture workload and write its request trace here")
+		svcReplay   = fs.String("svcreplay", "", "replay a captured request trace; report JSON to stdout")
+		scenPath    = fs.String("scenario", "", "run one chaos scenario file; report JSON to stdout")
+		campDir     = fs.String("campaign", "", "run every scenario in a directory under one campaign seed")
+		campSeed    = fs.Int64("campaignseed", scenario.DefaultSeed, "campaign seed (also scopes -scenario)")
+		campOut     = fs.String("campaignout", "", "write the campaign report JSON here instead of stdout")
+		campWorkers = fs.Int("campaignpar", 1, "campaign: scenario replicas to run concurrently (0 = one per CPU); report bytes are identical at any worker count")
+		gateBase    = fs.String("gate", "", "trajectory gate: compare -gatenew against this baseline BENCH_*.json and exit nonzero on regression")
+		gateNew     = fs.String("gatenew", "", "trajectory gate: the new report to hold to the baseline")
+		gateTol     = fs.Float64("gatetol", bench.GateTolerancePct, "trajectory gate: regression tolerance in percent")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if *gateBase != "" {
+		if *gateNew == "" {
+			return failf(stderr, 2, "-gate needs -gatenew <report>")
+		}
 		if err := bench.GateTrajectory(*gateBase, *gateNew, *gateTol); err != nil {
-			fmt.Fprintf(os.Stderr, "fmbench: %v\n", err)
-			os.Exit(1)
+			return failf(stderr, 1, "%v", err)
 		}
 		fmt.Fprintf(w, "trajectory gate: %s holds against %s (tol %.0f%%)\n", *gateNew, *gateBase, *gateTol)
-		return
+		return 0
 	}
 
 	if *scenPath != "" || *campDir != "" {
-		runScenarios(*scenPath, *campDir, *campSeed, *campOut, *campWorkers)
-		return
+		return runScenarios(w, stderr, *scenPath, *campDir, *campSeed, *campOut, *campWorkers)
 	}
 
 	if *svcCapture != "" || *svcReplay != "" {
-		runSvcTrace(*svcCapture, *svcReplay, *svcReq, *svcSeed)
-		return
+		if err := runSvcTrace(w, *svcCapture, *svcReplay, *svcReq, *svcSeed); err != nil {
+			return failf(stderr, 1, "svc trace: %v", err)
+		}
+		return 0
 	}
 
 	if !*all && *fig == 0 && !*tables && !*headline && !*ablation && !*collectives && !*matrix && !*topo && !*mixed && !*perf && !*svc {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
 
-	figures := map[int]func(){
-		1: func() { bench.WriteFigure1(w) },
-		2: func() { bench.WriteFigure2(w) },
-		3: func() { bench.WriteFigure3(w) },
-		4: func() { bench.WriteFigure4(w) },
-		5: func() { bench.WriteFigure5(w) },
-		6: func() { bench.WriteFigure6(w) },
+	figures := []func(io.Writer){
+		bench.WriteFigure1, bench.WriteFigure2, bench.WriteFigure3,
+		bench.WriteFigure4, bench.WriteFigure5, bench.WriteFigure6,
 	}
-
 	if *fig != 0 {
-		f, ok := figures[*fig]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "fmbench: no figure %d\n", *fig)
-			os.Exit(2)
+		if *fig < 1 || *fig > len(figures) {
+			return failf(stderr, 2, "no figure %d", *fig)
 		}
-		f()
+		figures[*fig-1](w)
 	}
 	if *all || *tables {
 		bench.WriteTable1(w)
@@ -119,8 +126,8 @@ func main() {
 		fmt.Fprintln(w)
 	}
 	if *all {
-		for i := 1; i <= 6; i++ {
-			figures[i]()
+		for _, f := range figures {
+			f(w)
 			fmt.Fprintln(w)
 		}
 	}
@@ -175,9 +182,8 @@ func main() {
 		}
 		cfg.ParallelLPs = *perfPar
 		cfg.BigRanks = *perfBig
-		if err := bench.WritePerfReport(w, cfg, 15, *jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "fmbench: perf report: %v\n", err)
-			os.Exit(1)
+		if err := bench.WritePerfReport(w, cfg, *jsonPath); err != nil {
+			return failf(stderr, 1, "perf report: %v", err)
 		}
 	}
 	if *svc {
@@ -192,17 +198,23 @@ func main() {
 			cfg.Seed = *svcSeed
 		}
 		if err := bench.WriteSvcReport(w, cfg, *svcJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "fmbench: svc report: %v\n", err)
-			os.Exit(1)
+			return failf(stderr, 1, "svc report: %v", err)
 		}
 	}
+	return 0
+}
+
+// failf reports why the command is exiting nonzero and returns the status.
+func failf(stderr io.Writer, status int, format string, a ...any) int {
+	fmt.Fprintf(stderr, "fmbench: "+format+"\n", a...)
+	return status
 }
 
 // runSvcTrace is the capture/replay entry: -svccapture runs the canonical
 // workload and writes its request trace; -svcreplay rebuilds the run from a
-// trace file. Both print the run's report JSON to stdout, so
-// capture-then-replay lets cmp(1) prove the identity.
-func runSvcTrace(capturePath, replayPath string, requests int, seed int64) {
+// trace file. Both print the run's report JSON to w, so capture-then-replay
+// lets cmp(1) prove the identity.
+func runSvcTrace(w io.Writer, capturePath, replayPath string, requests int, seed int64) error {
 	var res bench.SvcResult
 	var err error
 	switch {
@@ -228,58 +240,49 @@ func runSvcTrace(capturePath, replayPath string, requests int, seed int64) {
 		}
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "fmbench: svc trace: %v\n", err)
-		os.Exit(1)
+		return err
 	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fmbench: svc trace: %v\n", err)
-		os.Exit(1)
-	}
-	os.Stdout.Write(append(data, '\n'))
+	return bench.WriteJSON(w, res)
 }
 
 // runScenarios drives the chaos layer: one scenario file or a whole
-// campaign directory. Exit status is the CI contract — nonzero on any
+// campaign directory. The exit status is the CI contract — nonzero on any
 // failed assertion, crash, or diagnosed hang that wasn't asserted for.
-func runScenarios(scenPath, campDir string, seed int64, outPath string, workers int) {
+func runScenarios(w, stderr io.Writer, scenPath, campDir string, seed int64, outPath string, workers int) int {
 	if scenPath != "" {
 		rep, err := scenario.RunFile(scenPath, seed)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fmbench: %v\n", err)
-			os.Exit(2)
+			return failf(stderr, 2, "%v", err)
 		}
-		os.Stdout.Write(rep.Marshal())
+		w.Write(rep.Marshal())
 		if !rep.Passed {
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 	c, err := scenario.RunCampaignN(campDir, seed, workers)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "fmbench: %v\n", err)
-		os.Exit(2)
+		return failf(stderr, 2, "%v", err)
 	}
 	out := c.Marshal()
 	if outPath != "" {
 		if err := os.WriteFile(outPath, out, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "fmbench: %v\n", err)
-			os.Exit(2)
+			return failf(stderr, 2, "%v", err)
 		}
 		for _, r := range c.Scenarios {
 			status := "pass"
 			if !r.Passed {
 				status = "FAIL"
 			}
-			fmt.Fprintf(os.Stderr, "  %-20s %-9s %s\n", r.Scenario, r.Outcome, status)
+			fmt.Fprintf(stderr, "  %-20s %-9s %s\n", r.Scenario, r.Outcome, status)
 		}
 	} else {
-		os.Stdout.Write(out)
+		w.Write(out)
 	}
 	if !c.Passed {
-		fmt.Fprintf(os.Stderr, "fmbench: campaign failed: %d of %d scenarios\n", c.Failed, c.Total)
-		os.Exit(1)
+		return failf(stderr, 1, "campaign failed: %d of %d scenarios", c.Failed, c.Total)
 	}
+	return 0
 }
 
 // capRanks trims a rank sweep to counts <= max, keeping at least one point.
@@ -296,7 +299,7 @@ func capRanks(ranks []int, max int) []int {
 	return out
 }
 
-func runCollectives(w *os.File) {
+func runCollectives(w io.Writer) {
 	bench.WriteCollectiveScaling(w, bench.DefaultCollectiveScalingConfig())
 	fmt.Fprintln(w)
 	bench.WriteCollectiveSizeSweep(w, 8, []int{64, 512, 2048, 8192})
@@ -304,7 +307,7 @@ func runCollectives(w *os.File) {
 	bench.WriteCollectiveAlgos(w, 16, 2048)
 }
 
-func runAblations(w *os.File) {
+func runAblations(w io.Writer) {
 	fmt.Fprintln(w, "Ablations (MPI-FM 2.0 streaming at 2048B unless noted):")
 	const size, msgs = 2048, 400
 	full := bench.MPI2AblationBandwidth(mpifm.Options{}, size, msgs)

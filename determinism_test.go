@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/mpifm"
+	"repro/internal/xport"
 )
 
 // TestDeterminismFM2Bench runs one FM 2.x bandwidth configuration twice and
@@ -18,10 +19,10 @@ import (
 func TestDeterminismFM2Bench(t *testing.T) {
 	sizes := []int{16, 256, 2048}
 	render := func() (bench.Curve, []byte) {
-		o := bench.DefaultFM2Options()
+		o := bench.DefaultOptions(xport.GenFM2)
 		c := bench.Curve{}
 		for _, s := range sizes {
-			c = append(c, bench.Point{Size: s, MBps: bench.FM2Bandwidth(o, s, 300)})
+			c = append(c, bench.Point{Size: s, MBps: bench.FMBandwidth(o, s, 300)})
 		}
 		var buf bytes.Buffer
 		bench.WriteCurve(&buf, "determinism probe", "MB/s", c)

@@ -44,9 +44,11 @@
 //   - internal/shmem      one-sided Put/Get, bound to a HandlerSpace
 //   - internal/garr       Global Arrays (its own service over a private shmem node)
 //   - internal/cluster    assembles hosts + NICs + fabric into a Platform
-//   - internal/bench      figure/table regeneration, collective scaling,
-//     the layering-efficiency matrix, the contention-aware fabric suite,
-//     and the mixed-workload co-residency suite (fmbench -mixed)
+//   - internal/bench      the measurement harness and the reports built
+//     on it: figure/table regeneration, collective scaling, the
+//     layering-efficiency matrix, the contention-aware fabric suite, the
+//     mixed-workload co-residency suite (fmbench -mixed) and the engine
+//     wall-clock suite (fmbench -perf)
 //   - internal/scenario   the declarative chaos layer: JSON scenario specs
 //     (cluster shape, traffic pattern, seeded fault schedule, assertions),
 //     a virtual-time watchdog that converts hangs into diagnosed reports,
@@ -73,13 +75,27 @@
 //	      internal/fm1      internal/fm2
 //
 // There is one way to assemble that picture, and fmnet.New, svcload.Run and
-// every internal/bench driver use it: cluster.TryNew builds the platform,
-// xport.AttachEndpoints puts one endpoint on every node, xport.Spaces
-// registers a service on all of them, and the layer's single constructor
-// (mpifm.Attach, sockfm.New, shmem.Attach, garr.Attach, svcload.Attach)
-// binds to the spaces. The machine a generation runs on — FM 1.x on the
-// Sparc profile, FM 2.x on the PPro — is xport.Gen.Profile and
-// mpifm.OverheadsFor, nowhere else.
+// every internal/bench driver use it: xport.Gen.ClusterConfig prepares the
+// generation's machine at a node count and topology (cluster.Config.AutoShape
+// is the only fabric-shape rule, cluster.Config.Validate bounds every
+// switch's ports), cluster.Assemble builds the platform on the sequential
+// kernel or the parallel engine, xport.AttachEndpoints puts one endpoint on
+// every node, xport.Spaces registers a service on all of them, and the
+// layer's single constructor (mpifm.Attach, sockfm.New, shmem.Attach,
+// garr.Attach, svcload.Attach) binds to the spaces. The machine a
+// generation runs on — FM 1.x on the Sparc profile, FM 2.x on the PPro —
+// is xport.Gen.Profile and mpifm.OverheadsFor, nowhere else.
+//
+// The harness that prices the layers is written the same way — a
+// measurement is a world, a traffic shape and a clock, each once. One
+// helper builds the world for either generation and either engine; one
+// raw-FM stream driver and one ping-pong run over a three-operation
+// adapter (send, extract, deliver — all that fm1 and fm2 spell
+// differently); one flow skeleton carries the bare-window baseline and all
+// four upper layers, each contributing only its two procs; one
+// barrier-aligned collective body serves the scaling figures and both
+// engines' perf rows. fmbench's stdout is held byte for byte to goldens
+// under cmd/fmbench/testdata (go test ./cmd/fmbench -update rewrites them).
 //
 // Below the transport, credit flow control is one service both generations
 // keep (paper §3.1, §4) and one copy of code: flowctl.Plane owns the credit
@@ -179,10 +195,10 @@
 // are bit-identical to the copying engine's. The wall-clock consequences —
 // ~10M kernel events/sec, 0 allocs/op on the send path, 512- and
 // 1024-rank collectives on the multi-stage fabrics — are measured by
-// `fmbench -perf`, which writes the machine-readable trajectory to
-// BENCH_PR15.json; CI pins the zero-alloc invariants in an alloc-gate job
-// and holds each PR's report to the previous one (fmbench -gate): host
-// numbers within a tolerance, events and virtual_us exactly.
+// `fmbench -perf -json BENCH_PR<n>.json`, which writes the machine-readable
+// trajectory; CI pins the zero-alloc invariants in an alloc-gate job and
+// holds the newest committed report to the one before it (fmbench -gate):
+// host numbers within a tolerance, events and virtual_us exactly.
 //
 // # Parallel engine
 //

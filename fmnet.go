@@ -200,7 +200,6 @@ type config struct {
 	topo     Topo
 	gen      xport.Gen
 	mpi      bool
-	mpiOpt   mpifm.Options
 	sockets  bool
 	shm      bool
 	gaSize   int
@@ -234,12 +233,6 @@ func FM2() Option { return func(c *config) { c.gen = xport.GenFM2 } }
 // WithMPI attaches the MPI service (point-to-point and collectives) to
 // every node's endpoint.
 func WithMPI() Option { return func(c *config) { c.mpi = true } }
-
-// WithMPIOptions is WithMPI with explicit device options (ablations,
-// unexpected-pool cap).
-func WithMPIOptions(opt mpifm.Options) Option {
-	return func(c *config) { c.mpi, c.mpiOpt = true, opt }
-}
 
 // WithSockets attaches the Berkeley-style stream socket service.
 func WithSockets() Option { return func(c *config) { c.sockets = true } }
@@ -339,11 +332,7 @@ func New(opts ...Option) (*Session, error) {
 		return nil, err
 	}
 
-	ccfg := cluster.DefaultConfig()
-	ccfg.Nodes = cfg.nodes
-	ccfg.Topology = topo
-	ccfg.AutoShape()
-	ccfg.Profile = cfg.gen.Profile()
+	ccfg := cfg.gen.ClusterConfig(cfg.nodes, topo)
 	ccfg.Faults = cfg.faults
 	if cfg.slots > 0 {
 		ccfg.Profile.Link.Slots = cfg.slots
@@ -351,18 +340,12 @@ func New(opts ...Option) (*Session, error) {
 	if cfg.fullBis {
 		ccfg.Uplinks = ccfg.HostsPerSwitch
 	}
-	var (
-		pl   *cluster.Platform
-		err2 error
-	)
 	if cfg.parallel > 1 {
 		ccfg.Parallelism = cfg.parallel
-		pl, err2 = cluster.TryNewPar(sim.NewEngine(), ccfg)
-	} else {
-		pl, err2 = cluster.TryNew(sim.NewKernel(), ccfg)
 	}
-	if err2 != nil {
-		return nil, err2
+	pl, err := cluster.Assemble(ccfg)
+	if err != nil {
+		return nil, err
 	}
 	s := &Session{
 		k:  pl.K,
@@ -376,7 +359,7 @@ func New(opts ...Option) (*Session, error) {
 	}
 
 	if cfg.mpi {
-		s.mpi = mpifm.Attach(xport.Spaces(s.eps, mpifm.Service), mpifm.OverheadsFor(cfg.gen), cfg.mpiOpt)
+		s.mpi = mpifm.Attach(xport.Spaces(s.eps, mpifm.Service), mpifm.OverheadsFor(cfg.gen), mpifm.Options{})
 	}
 	if cfg.sockets {
 		s.socks = make([]*sockfm.Stack, cfg.nodes)

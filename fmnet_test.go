@@ -219,6 +219,25 @@ func TestSessionErrors(t *testing.T) {
 	if _, err := fmnet.New(fmnet.Nodes(2), fmnet.WithService("a"), fmnet.WithService("a")); err == nil {
 		t.Error("duplicate service name accepted")
 	}
+	// 2050 = 2 x 1025: no hosts-per-edge count brings the edge switches
+	// under one spine's 256 ports.
+	if _, err := fmnet.New(fmnet.Nodes(2050), fmnet.Topology(fmnet.FatTree), fmnet.WithMPI()); err == nil {
+		t.Error("fat tree with 1025 edge switches accepted")
+	}
+}
+
+// TestSessionLargeFatTree: past 1024 nodes the fat tree grows hosts per edge
+// so the edge count fits a spine's port budget — the shape fmbench -perf
+// uses at 4096 ranks — instead of panicking in the switch constructor.
+func TestSessionLargeFatTree(t *testing.T) {
+	s, err := fmnet.New(fmnet.Nodes(2048), fmnet.Topology(fmnet.FatTree), fmnet.WithMPI())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Kernel().Shutdown()
+	if s.Nodes() != 2048 || s.MPI(2047) == nil {
+		t.Fatalf("session has %d nodes", s.Nodes())
+	}
 }
 
 // TestSessionDeterminism: a mixed session quiesces at an identical virtual

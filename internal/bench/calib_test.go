@@ -2,22 +2,24 @@ package bench
 
 import (
 	"testing"
+
+	"repro/internal/xport"
 )
 
 // TestCalibrationReport prints the headline numbers against the paper's
 // targets; run with -v. Assertions here are generous envelopes — exact
 // shape checks live in the figure tests.
 func TestCalibrationReport(t *testing.T) {
-	fm1c := FM1Curve(DefaultFM1Options(), StdSizes)
-	fm1lat := FM1Latency(DefaultFM1Options(), 16, 50)
+	fm1c := FMCurve(DefaultOptions(xport.GenFM1), StdSizes)
+	fm1lat := FMLatency(DefaultOptions(xport.GenFM1), 16, 50)
 	t.Logf("FM1: peak %.2f MB/s (paper 17.6), N1/2 %d B (paper 54), latency %.2f us (paper 14)",
 		fm1c.Peak(), fm1c.NHalf(), fm1lat.Micros())
 	for _, pt := range fm1c {
 		t.Logf("  fm1 %5d B  %6.2f MB/s", pt.Size, pt.MBps)
 	}
 
-	fm2c := FM2Curve(DefaultFM2Options(), StdSizes)
-	fm2lat := FM2Latency(DefaultFM2Options(), 16, 50)
+	fm2c := FMCurve(DefaultOptions(xport.GenFM2), StdSizes)
+	fm2lat := FMLatency(DefaultOptions(xport.GenFM2), 16, 50)
 	t.Logf("FM2: peak %.2f MB/s (paper 77), N1/2 %d B (paper <256), latency %.2f us (paper 11)",
 		fm2c.Peak(), fm2c.NHalf(), fm2lat.Micros())
 	for _, pt := range fm2c {

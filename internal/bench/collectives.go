@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/cluster"
 	"repro/internal/mpifm"
 	"repro/internal/sim"
 )
@@ -35,7 +36,7 @@ var AllCollectives = []CollectiveOp{
 
 // collBuffers allocates the operation's buffers for one rank. size is the
 // per-rank contribution in bytes (rounded to the reduction element size by
-// CollectiveTime); root-wide buffers are size*ranks.
+// collSize); root-wide buffers are size*ranks.
 func collBuffers(op CollectiveOp, ranks, rank, size int) (sendbuf, recvbuf []byte) {
 	fill := func(n int) []byte {
 		b := make([]byte, n)
@@ -89,53 +90,56 @@ func runOneCollective(p *sim.Proc, c *mpifm.Comm, op CollectiveOp, sendbuf, recv
 	return fmt.Errorf("bench: unknown collective %q", op)
 }
 
-// CollectiveTimeOn measures the virtual time of one collective on fabric f:
-// ranks align on a barrier, run iters rounds, and the reported time is from
-// the earliest post-barrier instant to the last rank's completion, divided
-// by iters. size is bytes contributed per rank (rounded down to a multiple
-// of the reduction element width, minimum 4).
-func CollectiveTimeOn(g MPIGen, f Fabric, op CollectiveOp, algo mpifm.CollectiveAlgo,
-	ranks, size, iters int) sim.Time {
-	if iters < 1 {
-		iters = 1
-	}
+// collSize rounds a per-rank contribution down to a multiple of the
+// reduction element width, minimum 4.
+func collSize(size int) int {
 	size -= size % 4
 	if size < 4 {
 		size = 4
 	}
-	k, comms := g.world(ranks, f)
-	starts := make([]sim.Time, ranks)
-	ends := make([]sim.Time, ranks)
-	for r := 0; r < ranks; r++ {
-		c := comms[r]
+	return size
+}
+
+// spawnCollective is the one timed-collective body, on whatever world it is
+// handed: every rank aligns on a barrier, stamps, runs iters rounds of op
+// (size bytes per rank, already collSize'd), and stamps again. The caller
+// runs the world and reads span(stamps).
+func spawnCollective(pl *cluster.Platform, comms []*mpifm.Comm, op CollectiveOp, algo mpifm.CollectiveAlgo,
+	size, iters int) []stamp {
+	stamps := make([]stamp, len(comms))
+	for r, c := range comms {
 		c.SetCollectiveAlgo(algo)
-		k.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
-			sendbuf, recvbuf := collBuffers(op, ranks, c.Rank(), size)
+		pl.KernelOf(r).Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
+			sendbuf, recvbuf := collBuffers(op, len(comms), c.Rank(), size)
 			if err := c.Barrier(p); err != nil {
 				panic(err)
 			}
-			starts[c.Rank()] = p.Now()
+			stamps[r].start = p.Now()
 			for it := 0; it < iters; it++ {
 				if err := runOneCollective(p, c, op, sendbuf, recvbuf); err != nil {
 					panic(err)
 				}
 			}
-			ends[c.Rank()] = p.Now()
+			stamps[r].end = p.Now()
 		})
 	}
-	if err := k.Run(); err != nil {
-		panic(fmt.Sprintf("bench: %s ranks=%d size=%d algo=%s: %v", op, ranks, size, algo, err))
+	return stamps
+}
+
+// CollectiveTimeOn measures the virtual time of one collective on fabric f:
+// ranks align on a barrier, run iters rounds, and the reported time is from
+// the earliest post-barrier instant to the last rank's completion, divided
+// by iters. size is bytes contributed per rank (see collSize).
+func CollectiveTimeOn(g MPIGen, f Fabric, op CollectiveOp, algo mpifm.CollectiveAlgo,
+	ranks, size, iters int) sim.Time {
+	if iters < 1 {
+		iters = 1
 	}
-	start, end := starts[0], ends[0]
-	for r := 1; r < ranks; r++ {
-		if starts[r] < start {
-			start = starts[r]
-		}
-		if ends[r] > end {
-			end = ends[r]
-		}
-	}
-	return (end - start) / sim.Time(iters)
+	size = collSize(size)
+	pl, comms := g.world(ranks, f)
+	stamps := spawnCollective(pl, comms, op, algo, size, iters)
+	run(pl, "%s ranks=%d size=%d algo=%s on %s", op, ranks, size, algo, f)
+	return span(stamps) / sim.Time(iters)
 }
 
 // CollectiveTime is CollectiveTimeOn one crossbar, as the paper's clusters

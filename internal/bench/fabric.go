@@ -7,7 +7,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/garr"
 	"repro/internal/mpifm"
-	"repro/internal/netsim"
 	"repro/internal/shmem"
 	"repro/internal/sim"
 	"repro/internal/sockfm"
@@ -38,65 +37,20 @@ const (
 // AllFabrics lists the zoo in report order.
 var AllFabrics = []Fabric{FabSingle, FabLine, FabFatTree, FabTorus}
 
-// apply shapes cfg for n nodes on this fabric. Hosts-per-switch adapts to
-// small n so every power-of-two rank count from 2 up assembles, and grows
-// on the fat tree for very large n: every spine connects to every edge
-// switch, so the edge count must fit one crossbar's port budget
-// (netsim.MaxSwitchPorts). At 4096 nodes that means 16 hosts per edge
-// (256 edges); the 64..1024-rank points keep their historical shape of 4.
-func (f Fabric) apply(cfg *cluster.Config, n int) {
-	cfg.Nodes = n
-	hosts := func(def int) int {
-		for h := def; h > 1; h /= 2 {
-			if n%h == 0 && n/h >= 2 {
-				return h
-			}
-		}
-		return 1
-	}
+// topology maps the fabric's name to the cluster wiring; the shape for a
+// node count (hosts per switch, spines) is cluster.Config.AutoShape's.
+func (f Fabric) topology() cluster.Topology {
 	switch f {
 	case FabSingle:
-		cfg.Topology = cluster.SingleSwitch
+		return cluster.SingleSwitch
 	case FabLine:
-		cfg.Topology = cluster.Line
-		cfg.HostsPerSwitch = hosts(2)
+		return cluster.Line
 	case FabFatTree:
-		cfg.Topology = cluster.FatTree
-		h := hosts(4)
-		for n%(h*2) == 0 && n/h > netsim.MaxSwitchPorts {
-			h *= 2
-		}
-		cfg.HostsPerSwitch = h
+		return cluster.FatTree
 	case FabTorus:
-		cfg.Topology = cluster.Torus2D
-		cfg.HostsPerSwitch = hosts(4)
-	default:
-		panic(fmt.Sprintf("bench: unknown fabric %q", f))
+		return cluster.Torus2D
 	}
-}
-
-// endpoints assembles the n-node machine of generation g on fabric f — a
-// fresh kernel, the generation's platform, one shared endpoint per node.
-// Every bench driver above raw FM builds its stack through here and then
-// registers its services on the endpoints.
-func endpoints(g xport.Gen, n int, f Fabric) (*sim.Kernel, []*xport.Endpoint) {
-	cfg := cluster.DefaultConfig()
-	cfg.Profile = g.Profile()
-	f.apply(&cfg, n)
-	k := sim.NewKernel()
-	return k, xport.AttachEndpoints(cluster.New(k, cfg), xport.EndpointConfig{Gen: g})
-}
-
-// attachMPI registers the MPI service on every endpoint, with the
-// generation's overheads.
-func attachMPI(eps []*xport.Endpoint, g xport.Gen, opt mpifm.Options) []*mpifm.Comm {
-	return mpifm.Attach(xport.Spaces(eps, mpifm.Service), mpifm.OverheadsFor(g), opt)
-}
-
-// mpiWorld is endpoints plus an n-rank MPI world on them.
-func mpiWorld(g xport.Gen, n int, f Fabric, opt mpifm.Options) (*sim.Kernel, []*mpifm.Comm) {
-	k, eps := endpoints(g, n, f)
-	return k, attachMPI(eps, g, opt)
+	panic(fmt.Sprintf("bench: unknown fabric %q", f))
 }
 
 // matrixHandlerID is the handler slot the bare-window baseline claims.
@@ -114,54 +68,73 @@ func cutPairs(n int) [][2]int {
 	return pairs
 }
 
-// xportFlows streams size*msgs bytes along each (src, dst) pair through a
-// bare service window (no upper layer) simultaneously and reports aggregate
-// bandwidth: total bytes over the span from the first flow's start to the
-// last flow's completion.
-func xportFlows(g xport.Gen, f Fabric, n int, pairs [][2]int, size, msgs int) float64 {
-	k, eps := endpoints(g, n, f)
-	sp := xport.Spaces(eps, "xport")
-	starts := make([]sim.Time, len(pairs))
-	ends := make([]sim.Time, len(pairs))
+// flow is one (src, dst) stream of the flow skeleton. Its two procs stamp
+// start when the flow's clock starts and end when its last byte has landed.
+type flow struct {
+	src, dst int
+	*stamp
+}
+
+// flowProc is one of a flow's two procs; role names it in diagnostics.
+type flowProc struct {
+	role string
+	body func(p *sim.Proc)
+}
+
+// flowBandwidth is the flow skeleton every bandwidth driver above raw FM
+// runs on: one flow per (src, dst) pair, all at once, each moving
+// size*msgs bytes through the two procs its layer contributes (spawned in
+// the order given); the result is aggregate MB/s, total bytes over the span
+// from the first flow's start to the last flow's completion.
+func flowBandwidth(pl *cluster.Platform, what string, pairs [][2]int, procs func(flow) [2]flowProc, size, msgs int) float64 {
+	stamps := make([]stamp, len(pairs))
 	for fi, pr := range pairs {
-		fi, src, dst := fi, pr[0], pr[1]
+		for _, pc := range procs(flow{pr[0], pr[1], &stamps[fi]}) {
+			pl.K.Spawn(fmt.Sprintf("flow%d.%s", fi, pc.role), pc.body)
+		}
+	}
+	run(pl, "%d %s flows", len(pairs), what)
+	return Elapsed(int64(size)*int64(msgs)*int64(len(pairs)), span(stamps))
+}
+
+// xportFlow streams through a bare service window (no upper layer).
+func xportFlow(eps []*xport.Endpoint, size, msgs int) func(flow) [2]flowProc {
+	sp := xport.Spaces(eps, "xport")
+	return func(fl flow) [2]flowProc {
 		recvd := 0
 		buf := make([]byte, size)
-		sp[dst].Register(matrixHandlerID, func(p *sim.Proc, s xport.RecvStream) {
+		sp[fl.dst].Register(matrixHandlerID, func(p *sim.Proc, s xport.RecvStream) {
 			for s.Remaining() > 0 {
-				m := s.Remaining()
-				if m > len(buf) {
-					m = len(buf)
-				}
-				s.Receive(p, buf[:m])
+				s.Receive(p, buf[:min(len(buf), s.Remaining())])
 			}
 			recvd++
 			if recvd == msgs {
-				ends[fi] = p.Now()
+				fl.end = p.Now()
 			}
 		})
-		k.Spawn(fmt.Sprintf("flow%d.send", fi), func(p *sim.Proc) {
-			starts[fi] = p.Now()
+		return [2]flowProc{{"send", func(p *sim.Proc) {
+			fl.start = p.Now()
 			msg := make([]byte, size)
 			for i := 0; i < msgs; i++ {
-				if err := xport.Send(p, sp[src], dst, matrixHandlerID, msg); err != nil {
+				if err := xport.Send(p, sp[fl.src], fl.dst, matrixHandlerID, msg); err != nil {
 					panic(err)
 				}
 			}
-		})
-		k.Spawn(fmt.Sprintf("flow%d.recv", fi), func(p *sim.Proc) {
+		}}, {"recv", func(p *sim.Proc) {
 			for recvd < msgs {
-				sp[dst].Extract(p, 0)
+				sp[fl.dst].Extract(p, 0)
 				if recvd < msgs {
 					p.Delay(500 * sim.Nanosecond)
 				}
 			}
-		})
+		}}}
 	}
-	if err := k.Run(); err != nil {
-		panic(fmt.Sprintf("bench: xport flows on %s: %v", f, err))
-	}
-	return aggregate(size, msgs, starts, ends)
+}
+
+// xportFlows runs the skeleton over bare service windows on fabric f.
+func xportFlows(g xport.Gen, f Fabric, n int, pairs [][2]int, size, msgs int) float64 {
+	pl, eps := endpoints(g, n, f, 0)
+	return flowBandwidth(pl, fmt.Sprintf("xport/%s on %s", g, f), pairs, xportFlow(eps, size, msgs), size, msgs)
 }
 
 // XportFlowBandwidth measures one uncontended flow across the fabric's
@@ -184,65 +157,64 @@ func XportBisection(g xport.Gen, f Fabric, n, size, msgs int) float64 {
 // the result is aggregate MB/s. Run across fabrics it re-prices the
 // layering matrix under trunk contention.
 func LayerBisection(l Layer, g xport.Gen, f Fabric, n, size, msgs int) float64 {
+	pl, eps := endpoints(g, n, f, 0)
+	var procs func(flow) [2]flowProc
 	switch l {
 	case LayerMPI:
-		return mpiBisection(g, f, n, size, msgs)
+		procs = mpiFlow(attachMPI(eps, g, mpifm.Options{}), size, msgs, 0)
 	case LayerSock:
-		return sockBisection(g, f, n, size, msgs)
+		procs = sockFlow(eps, size, msgs)
 	case LayerShmem:
-		return shmemBisection(g, f, n, size, msgs)
+		procs = shmemFlow(eps, size, msgs)
 	case LayerGarr:
-		return garrBisection(g, f, n, size, msgs)
+		// Global arrays move whole float64s: round the payload to elements.
+		size = 8 * max(size/8, 1)
+		procs = garrFlow(eps, size/8, msgs)
+	default:
+		panic(fmt.Sprintf("bench: unknown layer %q", l))
 	}
-	panic(fmt.Sprintf("bench: unknown layer %q", l))
+	return flowBandwidth(pl, fmt.Sprintf("%s/%s on %s", l, g, f), cutPairs(n), procs, size, msgs)
 }
 
-func mpiBisection(g xport.Gen, f Fabric, n, size, msgs int) float64 {
-	k, comms := mpiWorld(g, n, f, mpifm.Options{})
-	pairs := cutPairs(n)
-	starts := make([]sim.Time, len(pairs))
-	ends := make([]sim.Time, len(pairs))
-	for fi, pr := range pairs {
-		fi, src, dst := fi, pr[0], pr[1]
-		k.Spawn(fmt.Sprintf("flow%d.send", fi), func(p *sim.Proc) {
-			starts[fi] = p.Now()
+// mpiFlow streams by MPI_Send against the standard bandwidth-test receiver:
+// post each receive, then wait — after computing for lag first, when the
+// pacing ablation wants a busy receiver that is not progressing MPI.
+func mpiFlow(comms []*mpifm.Comm, size, msgs int, lag sim.Time) func(flow) [2]flowProc {
+	return func(fl flow) [2]flowProc {
+		return [2]flowProc{{"send", func(p *sim.Proc) {
+			fl.start = p.Now()
 			msg := make([]byte, size)
 			for i := 0; i < msgs; i++ {
-				if err := comms[src].Send(p, msg, dst, 1); err != nil {
+				if err := comms[fl.src].Send(p, msg, fl.dst, 1); err != nil {
 					panic(err)
 				}
 			}
-		})
-		k.Spawn(fmt.Sprintf("flow%d.recv", fi), func(p *sim.Proc) {
+		}}, {"recv", func(p *sim.Proc) {
 			buf := make([]byte, size)
 			for i := 0; i < msgs; i++ {
-				if _, err := comms[dst].Recv(p, buf, src, 1); err != nil {
+				if lag > 0 {
+					p.Delay(lag)
+				}
+				if _, err := comms[fl.dst].Recv(p, buf, fl.src, 1); err != nil {
 					panic(err)
 				}
 			}
-			ends[fi] = p.Now()
-		})
+			fl.end = p.Now()
+		}}}
 	}
-	if err := k.Run(); err != nil {
-		panic(fmt.Sprintf("bench: mpi bisection on %s: %v", f, err))
-	}
-	return aggregate(size, msgs, starts, ends)
 }
 
-func sockBisection(g xport.Gen, f Fabric, n, size, msgs int) float64 {
-	k, eps := endpoints(g, n, f)
-	stacks := make([]*sockfm.Stack, n)
+// sockFlow streams over one connection per flow; the clock starts once the
+// connection is up.
+func sockFlow(eps []*xport.Endpoint, size, msgs int) func(flow) [2]flowProc {
+	stacks := make([]*sockfm.Stack, len(eps))
 	for i, sp := range xport.Spaces(eps, sockfm.Service) {
 		stacks[i] = sockfm.New(sp)
 	}
-	pairs := cutPairs(n)
-	starts := make([]sim.Time, len(pairs))
-	ends := make([]sim.Time, len(pairs))
 	total := size * msgs
-	for fi, pr := range pairs {
-		fi, src, dst := fi, pr[0], pr[1]
-		k.Spawn(fmt.Sprintf("flow%d.server", fi), func(p *sim.Proc) {
-			l, err := stacks[dst].Listen(80)
+	return func(fl flow) [2]flowProc {
+		return [2]flowProc{{"server", func(p *sim.Proc) {
+			l, err := stacks[fl.dst].Listen(80)
 			if err != nil {
 				panic(err)
 			}
@@ -259,14 +231,13 @@ func sockBisection(g xport.Gen, f Fabric, n, size, msgs int) float64 {
 				}
 				got += m
 			}
-			ends[fi] = p.Now()
-		})
-		k.Spawn(fmt.Sprintf("flow%d.client", fi), func(p *sim.Proc) {
-			conn, err := stacks[src].Dial(p, dst, 80)
+			fl.end = p.Now()
+		}}, {"client", func(p *sim.Proc) {
+			conn, err := stacks[fl.src].Dial(p, fl.dst, 80)
 			if err != nil {
 				panic(err)
 			}
-			starts[fi] = p.Now()
+			fl.start = p.Now()
 			msg := make([]byte, size)
 			for i := 0; i < msgs; i++ {
 				if _, err := conn.Write(p, msg); err != nil {
@@ -274,57 +245,48 @@ func sockBisection(g xport.Gen, f Fabric, n, size, msgs int) float64 {
 				}
 			}
 			conn.Close(p)
-		})
+		}}}
 	}
-	if err := k.Run(); err != nil {
-		panic(fmt.Sprintf("bench: sock bisection on %s: %v", f, err))
-	}
-	return aggregate(size, msgs, starts, ends)
 }
 
-func shmemBisection(g xport.Gen, f Fabric, n, size, msgs int) float64 {
-	k, eps := endpoints(g, n, f)
-	nodes := make([]*shmem.Node, n)
+// putTarget is the receiving side of the one-sided layers: serve incoming
+// puts until msgs of them have landed.
+func putTarget(node *shmem.Node, msgs int, fl flow) flowProc {
+	return flowProc{"target", func(p *sim.Proc) {
+		for node.Stats().RemotePuts < int64(msgs) {
+			node.Progress(p)
+			p.Delay(500 * sim.Nanosecond)
+		}
+		fl.end = p.Now()
+	}}
+}
+
+// shmemFlow streams by one-sided Put into a symmetric region.
+func shmemFlow(eps []*xport.Endpoint, size, msgs int) func(flow) [2]flowProc {
+	nodes := make([]*shmem.Node, len(eps))
 	for i, sp := range xport.Spaces(eps, shmem.Service) {
 		nodes[i] = shmem.Attach(sp)
 		nodes[i].Register(1, make([]byte, size))
 	}
-	pairs := cutPairs(n)
-	starts := make([]sim.Time, len(pairs))
-	ends := make([]sim.Time, len(pairs))
-	for fi, pr := range pairs {
-		fi, src, dst := fi, pr[0], pr[1]
-		k.Spawn(fmt.Sprintf("flow%d.origin", fi), func(p *sim.Proc) {
-			starts[fi] = p.Now()
+	return func(fl flow) [2]flowProc {
+		return [2]flowProc{{"origin", func(p *sim.Proc) {
+			fl.start = p.Now()
 			data := make([]byte, size)
 			for i := 0; i < msgs; i++ {
-				if err := nodes[src].Put(p, dst, 1, 0, data); err != nil {
+				if err := nodes[fl.src].Put(p, fl.dst, 1, 0, data); err != nil {
 					panic(err)
 				}
-				nodes[src].Progress(p)
+				nodes[fl.src].Progress(p)
 			}
-			nodes[src].Quiet(p)
-		})
-		k.Spawn(fmt.Sprintf("flow%d.target", fi), func(p *sim.Proc) {
-			for nodes[dst].Stats().RemotePuts < int64(msgs) {
-				nodes[dst].Progress(p)
-				p.Delay(500 * sim.Nanosecond)
-			}
-			ends[fi] = p.Now()
-		})
+			nodes[fl.src].Quiet(p)
+		}}, putTarget(nodes[fl.dst], msgs, fl)}
 	}
-	if err := k.Run(); err != nil {
-		panic(fmt.Sprintf("bench: shmem bisection on %s: %v", f, err))
-	}
-	return aggregate(size, msgs, starts, ends)
 }
 
-func garrBisection(g xport.Gen, f Fabric, n, size, msgs int) float64 {
-	elems := size / 8
-	if elems < 1 {
-		elems = 1
-	}
-	k, eps := endpoints(g, n, f)
+// garrFlow streams by Global Arrays Put of elems float64s into the
+// destination rank's block.
+func garrFlow(eps []*xport.Endpoint, elems, msgs int) func(flow) [2]flowProc {
+	n := len(eps)
 	arrays := make([]*garr.Array, n)
 	for i, sp := range xport.Spaces(eps, garr.Service) {
 		a, err := garr.Attach(sp, 1, n*elems, n)
@@ -333,49 +295,19 @@ func garrBisection(g xport.Gen, f Fabric, n, size, msgs int) float64 {
 		}
 		arrays[i] = a
 	}
-	pairs := cutPairs(n)
-	starts := make([]sim.Time, len(pairs))
-	ends := make([]sim.Time, len(pairs))
-	for fi, pr := range pairs {
-		fi, src, dst := fi, pr[0], pr[1]
-		k.Spawn(fmt.Sprintf("flow%d.origin", fi), func(p *sim.Proc) {
-			starts[fi] = p.Now()
+	return func(fl flow) [2]flowProc {
+		return [2]flowProc{{"origin", func(p *sim.Proc) {
+			fl.start = p.Now()
 			vals := make([]float64, elems)
 			for i := 0; i < msgs; i++ {
 				// Global range [dst*elems, (dst+1)*elems) is dst's block:
 				// each Put is one remote one-sided transfer over the cut.
-				if err := arrays[src].Put(p, dst*elems, vals); err != nil {
+				if err := arrays[fl.src].Put(p, fl.dst*elems, vals); err != nil {
 					panic(err)
 				}
 			}
-		})
-		k.Spawn(fmt.Sprintf("flow%d.target", fi), func(p *sim.Proc) {
-			target := arrays[dst].Node()
-			for target.Stats().RemotePuts < int64(msgs) {
-				target.Progress(p)
-				p.Delay(500 * sim.Nanosecond)
-			}
-			ends[fi] = p.Now()
-		})
+		}}, putTarget(arrays[fl.dst].Node(), msgs, fl)}
 	}
-	if err := k.Run(); err != nil {
-		panic(fmt.Sprintf("bench: garr bisection on %s: %v", f, err))
-	}
-	return aggregate(elems*8, msgs, starts, ends)
-}
-
-// aggregate turns per-flow start/end stamps into aggregate MB/s.
-func aggregate(size, msgs int, starts, ends []sim.Time) float64 {
-	start, end := starts[0], ends[0]
-	for i := 1; i < len(starts); i++ {
-		if starts[i] < start {
-			start = starts[i]
-		}
-		if ends[i] > end {
-			end = ends[i]
-		}
-	}
-	return Elapsed(int64(size)*int64(msgs)*int64(len(starts)), end-start)
 }
 
 // FabricRegime classifies a fabric's behavior under the cut load.

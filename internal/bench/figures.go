@@ -8,6 +8,7 @@ import (
 	"repro/internal/fm1"
 	"repro/internal/lanai"
 	"repro/internal/legacy"
+	"repro/internal/xport"
 )
 
 // This file regenerates every table and figure of the paper's evaluation.
@@ -83,32 +84,32 @@ func WriteFigure2(w io.Writer) {
 
 // Fig3aStages are the staged FM 1.x engines of Figure 3a, in the paper's
 // legend order.
-func Fig3aStages() (names []string, opts []FM1Options) {
-	linkOnly := DefaultFM1Options()
+func Fig3aStages() (names []string, opts []Options) {
+	linkOnly := DefaultOptions(xport.GenFM1)
 	linkOnly.NIC = lanai.Config{OnRingFull: lanai.RingStall, ChargeBus: false}
-	linkOnly.FM = fm1.Config{DisableFlowControl: true, DisableBufferMgmt: true}
+	linkOnly.FM.FM1 = fm1.Config{DisableFlowControl: true, DisableBufferMgmt: true}
 
-	withBus := DefaultFM1Options()
-	withBus.FM = fm1.Config{DisableFlowControl: true, DisableBufferMgmt: true}
+	withBus := DefaultOptions(xport.GenFM1)
+	withBus.FM.FM1 = fm1.Config{DisableFlowControl: true, DisableBufferMgmt: true}
 
-	withFlow := DefaultFM1Options()
-	withFlow.FM = fm1.Config{DisableBufferMgmt: true}
+	withFlow := DefaultOptions(xport.GenFM1)
+	withFlow.FM.FM1 = fm1.Config{DisableBufferMgmt: true}
 
 	return []string{"Link Mgmt", "I/O bus Mgmt", "Flow Control"},
-		[]FM1Options{linkOnly, withBus, withFlow}
+		[]Options{linkOnly, withBus, withFlow}
 }
 
 // Figure3a computes the staged FM 1.x overhead breakdown curves.
 func Figure3a() (names []string, curves []Curve) {
 	names, opts := Fig3aStages()
 	for _, o := range opts {
-		curves = append(curves, FM1Curve(o, ShortSizes))
+		curves = append(curves, FMCurve(o, ShortSizes))
 	}
 	return names, curves
 }
 
 // Figure3b computes the final FM 1.x bandwidth curve.
-func Figure3b() Curve { return FM1Curve(DefaultFM1Options(), ShortSizes) }
+func Figure3b() Curve { return FMCurve(DefaultOptions(xport.GenFM1), ShortSizes) }
 
 // WriteFigure3 renders both panels of Figure 3.
 func WriteFigure3(w io.Writer) {
@@ -116,14 +117,14 @@ func WriteFigure3(w io.Writer) {
 	WriteSeries(w, "Figure 3a: FM 1.x overhead breakdown (MB/s)", names, curves)
 	full := Figure3b()
 	WriteCurve(w, "Figure 3b: FM 1.x overall performance (MB/s)", "MB/s", full)
-	lat := FM1Latency(DefaultFM1Options(), 16, 50)
+	lat := FMLatency(DefaultOptions(xport.GenFM1), 16, 50)
 	fmt.Fprintf(w, "  peak %.2f MB/s (paper 17.6)   N1/2 %d B (paper 54)   latency %.2f us (paper 14)\n",
 		full.Peak(), full.NHalf(), lat.Micros())
 }
 
 // Figure4 computes MPI-FM 1.x vs FM 1.x: absolute bandwidth and efficiency.
 func Figure4() (fm, mpi, eff Curve) {
-	fm = FM1Curve(DefaultFM1Options(), StdSizes)
+	fm = FMCurve(DefaultOptions(xport.GenFM1), StdSizes)
 	mpi = MPICurve(MPI1, StdSizes)
 	return fm, mpi, Efficiency(mpi, fm)
 }
@@ -138,20 +139,20 @@ func WriteFigure4(w io.Writer) {
 }
 
 // Figure5 computes the FM 2.x bandwidth curve on the PPro machine.
-func Figure5() Curve { return FM2Curve(DefaultFM2Options(), StdSizes) }
+func Figure5() Curve { return FMCurve(DefaultOptions(xport.GenFM2), StdSizes) }
 
 // WriteFigure5 renders Figure 5.
 func WriteFigure5(w io.Writer) {
 	c := Figure5()
 	WriteCurve(w, "Figure 5: FM 2.1 performance on a 200 MHz PPro (MB/s)", "MB/s", c)
-	lat := FM2Latency(DefaultFM2Options(), 16, 50)
+	lat := FMLatency(DefaultOptions(xport.GenFM2), 16, 50)
 	fmt.Fprintf(w, "  peak %.2f MB/s (paper 77)   N1/2 %d B (paper <256)   latency %.2f us (paper 11)\n",
 		c.Peak(), c.NHalf(), lat.Micros())
 }
 
 // Figure6 computes MPI-FM 2.0 vs FM 2.0: absolute bandwidth and efficiency.
 func Figure6() (fm, mpi, eff Curve) {
-	fm = FM2Curve(DefaultFM2Options(), StdSizes)
+	fm = FMCurve(DefaultOptions(xport.GenFM2), StdSizes)
 	mpi = MPICurve(MPI2, StdSizes)
 	return fm, mpi, Efficiency(mpi, fm)
 }
@@ -192,11 +193,11 @@ func Headline() []Result {
 	_, mpi2, _ := Figure6()
 	return []Result{
 		{Name: "FM 1.x (sparc)", PeakMBps: fm1c.Peak(), NHalf: fm1c.NHalf(),
-			LatencyUS: FM1Latency(DefaultFM1Options(), 16, 50).Micros()},
+			LatencyUS: FMLatency(DefaultOptions(xport.GenFM1), 16, 50).Micros()},
 		{Name: "MPI over FM 1.x", PeakMBps: mpi1.Peak(), NHalf: mpi1.NHalf(),
 			LatencyUS: MPILatency(MPI1, 16, 50).Micros()},
 		{Name: "FM 2.x (ppro200)", PeakMBps: fm2c.Peak(), NHalf: fm2c.NHalf(),
-			LatencyUS: FM2Latency(DefaultFM2Options(), 16, 50).Micros()},
+			LatencyUS: FMLatency(DefaultOptions(xport.GenFM2), 16, 50).Micros()},
 		{Name: "MPI-FM 2.0", PeakMBps: mpi2.Peak(), NHalf: mpi2.NHalf(),
 			LatencyUS: MPILatency(MPI2, 16, 50).Micros()},
 	}

@@ -3,6 +3,8 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/xport"
 )
 
 // These tests assert the reproduced shape of every figure: who wins, by
@@ -91,7 +93,7 @@ func TestFigure3bHeadline(t *testing.T) {
 	if n := c.NHalf(); n < 30 || n > 80 {
 		t.Errorf("FM1 N1/2 %d, paper 54", n)
 	}
-	lat := FM1Latency(DefaultFM1Options(), 16, 50)
+	lat := FMLatency(DefaultOptions(xport.GenFM1), 16, 50)
 	if us := lat.Micros(); us < 9 || us > 19 {
 		t.Errorf("FM1 latency %.2f us, paper 14", us)
 	}
@@ -130,7 +132,7 @@ func TestFigure5Headline(t *testing.T) {
 	if n := c.NHalf(); n <= 0 || n >= 256 {
 		t.Errorf("FM2 N1/2 %d, paper < 256", n)
 	}
-	lat := FM2Latency(DefaultFM2Options(), 16, 50)
+	lat := FMLatency(DefaultOptions(xport.GenFM2), 16, 50)
 	if us := lat.Micros(); us < 7 || us > 15 {
 		t.Errorf("FM2 latency %.2f us, paper 11", us)
 	}

@@ -2,8 +2,10 @@ package bench
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -112,14 +114,21 @@ func TestGateTrajectory(t *testing.T) {
 	})
 }
 
-// TestGateCommittedTrajectory holds the committed PR 15 report to the
-// committed PR 9 baseline — the exact comparison the CI gate step runs.
+// TestGateCommittedTrajectory holds the newest committed BENCH_PR<n>.json
+// to the one before it — the comparison the CI gate step runs — without
+// naming either, so a perf PR only has to commit its report.
 func TestGateCommittedTrajectory(t *testing.T) {
-	base := filepath.Join("..", "..", "BENCH_PR9.json")
-	next := filepath.Join("..", "..", "BENCH_PR15.json")
-	if _, err := os.Stat(next); err != nil {
-		t.Skip("BENCH_PR15.json not generated yet")
+	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_PR*.json"))
+	if err != nil || len(paths) < 2 {
+		t.Fatalf("want at least two committed BENCH_PR*.json, have %v (%v)", paths, err)
 	}
+	pr := func(path string) (n int) {
+		fmt.Sscanf(filepath.Base(path), "BENCH_PR%d.json", &n)
+		return n
+	}
+	sort.Slice(paths, func(i, j int) bool { return pr(paths[i]) < pr(paths[j]) })
+	base, next := paths[len(paths)-2], paths[len(paths)-1]
+	t.Logf("gating %s against %s", next, base)
 	if err := GateTrajectory(base, next, GateTolerancePct); err != nil {
 		t.Fatal(err)
 	}

@@ -37,10 +37,7 @@ var UpperLayers = []Layer{LayerMPI, LayerSock, LayerShmem, LayerGarr}
 // matrix's denominator, exactly as Figures 4 and 6 divide each MPI curve by
 // the raw FM curve of the same generation.
 func RawBandwidth(g xport.Gen, size, msgs int) float64 {
-	if g == xport.GenFM1 {
-		return FM1Bandwidth(DefaultFM1Options(), size, msgs)
-	}
-	return FM2Bandwidth(DefaultFM2Options(), size, msgs)
+	return FMBandwidth(DefaultOptions(g), size, msgs)
 }
 
 // XportBandwidth measures streaming bandwidth node0 -> node1 through a bare

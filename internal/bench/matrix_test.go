@@ -65,7 +65,7 @@ func TestLayeringMatrixRendered(t *testing.T) {
 func TestRawXportMatchesNativeFM2(t *testing.T) {
 	const size, msgs = 1024, 200
 	raw := XportBandwidth(xport.GenFM2, size, msgs)
-	native := FM2Bandwidth(DefaultFM2Options(), size, msgs)
+	native := FMBandwidth(DefaultOptions(xport.GenFM2), size, msgs)
 	if diff := raw/native - 1; diff > 0.02 || diff < -0.02 {
 		t.Errorf("xport raw %.2f MB/s vs native fm2 %.2f MB/s: wrapper must be free", raw, native)
 	}

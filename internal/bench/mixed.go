@@ -72,7 +72,8 @@ type mixedResult struct {
 // are the same code with two workloads absent.
 func runMixed(b xport.Gen, f Fabric, cfg MixedConfig, sel mixedServices) mixedResult {
 	n := cfg.Nodes
-	k, eps := endpoints(b, n, f)
+	pl, eps := endpoints(b, n, f, 0)
+	k := pl.K
 
 	var comms []*mpifm.Comm
 	var stacks []*sockfm.Stack
@@ -194,9 +195,7 @@ func runMixed(b xport.Gen, f Fabric, cfg MixedConfig, sel mixedServices) mixedRe
 		}
 	}
 
-	if err := k.Run(); err != nil {
-		panic(fmt.Sprintf("bench: mixed run on %s/%s: %v", b, f, err))
-	}
+	run(pl, "mixed run on %s/%s", b, f)
 	for _, svc := range []string{mpifm.Service, sockfm.Service, garr.Service} {
 		for _, ep := range eps {
 			res.bytes[svc] += ep.ServiceStats(svc).Bytes

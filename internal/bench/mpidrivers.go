@@ -1,8 +1,7 @@
 package bench
 
 import (
-	"fmt"
-
+	"repro/internal/cluster"
 	"repro/internal/mpifm"
 	"repro/internal/sim"
 	"repro/internal/xport"
@@ -27,32 +26,33 @@ var (
 )
 
 // world builds an n-rank MPI world for this binding on fabric f.
-func (g MPIGen) world(n int, f Fabric) (*sim.Kernel, []*mpifm.Comm) {
-	return mpiWorld(g.Gen, n, f, mpifm.Options{Unpaced: g.Unpaced})
+func (g MPIGen) world(n int, f Fabric) (*cluster.Platform, []*mpifm.Comm) {
+	return mpiWorld(g.Gen, n, f, 0, mpifm.Options{Unpaced: g.Unpaced})
+}
+
+// mpiStream is the two-rank, one-flow case of the flow skeleton over MPI:
+// rank 0 streams to rank 1.
+func mpiStream(pl *cluster.Platform, comms []*mpifm.Comm, size, msgs int, lag sim.Time) float64 {
+	return flowBandwidth(pl, "mpi stream", [][2]int{{0, 1}}, mpiFlow(comms, size, msgs, lag), size, msgs)
 }
 
 // MPIBandwidth measures streaming MPI bandwidth rank0 -> rank1 at one
-// message size: the measurement behind Figures 4a and 6a. The receiver
-// posts each receive then waits, the standard MPI bandwidth-test loop.
+// message size: the measurement behind Figures 4a and 6a.
 func MPIBandwidth(g MPIGen, size, msgs int) float64 {
-	k, comms := g.world(2, FabSingle)
-	return runMPIStream(k, comms, size, msgs)
+	pl, comms := g.world(2, FabSingle)
+	return mpiStream(pl, comms, size, msgs, 0)
 }
 
 // MPICurve sweeps MPIBandwidth over sizes.
 func MPICurve(g MPIGen, sizes []int) Curve {
-	c := Curve{}
-	for _, s := range sizes {
-		c = append(c, Point{s, MPIBandwidth(g, s, MsgsFor(s))})
-	}
-	return c
+	return sweep(sizes, func(s int) float64 { return MPIBandwidth(g, s, MsgsFor(s)) })
 }
 
 // MPILatency measures one-way latency by MPI ping-pong.
 func MPILatency(g MPIGen, size, iters int) sim.Time {
-	k, comms := g.world(2, FabSingle)
+	pl, comms := g.world(2, FabSingle)
 	var rtt sim.Time
-	k.Spawn("rank0", func(p *sim.Proc) {
+	pl.K.Spawn("rank0", func(p *sim.Proc) {
 		msg := make([]byte, size)
 		buf := make([]byte, size)
 		start := p.Now()
@@ -66,7 +66,7 @@ func MPILatency(g MPIGen, size, iters int) sim.Time {
 		}
 		rtt = (p.Now() - start) / sim.Time(iters)
 	})
-	k.Spawn("rank1", func(p *sim.Proc) {
+	pl.K.Spawn("rank1", func(p *sim.Proc) {
 		msg := make([]byte, size)
 		buf := make([]byte, size)
 		for i := 0; i < iters; i++ {
@@ -78,8 +78,6 @@ func MPILatency(g MPIGen, size, iters int) sim.Time {
 			}
 		}
 	})
-	if err := k.Run(); err != nil {
-		panic(fmt.Sprintf("bench: mpi latency: %v", err))
-	}
+	run(pl, "mpi latency")
 	return rtt / 2
 }

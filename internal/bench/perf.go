@@ -1,15 +1,16 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/fm2"
 	"repro/internal/mpifm"
 	"repro/internal/sim"
 	"repro/internal/svcload"
@@ -115,6 +116,26 @@ func memDelta(fn func()) (mallocs, bytes uint64) {
 	return m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
 }
 
+// hostCost is the host-side clock: fn's wall time and allocation deltas.
+func hostCost(fn func()) (wall time.Duration, mallocs, bytes uint64) {
+	t0 := time.Now()
+	mallocs, bytes = memDelta(fn)
+	return time.Since(t0), mallocs, bytes
+}
+
+// withCost fills the simulator-cost columns every row shares from one run's
+// wall time, event count and allocation deltas; ops is the unit the per-op
+// columns are quoted in.
+func (e PerfEntry) withCost(wall time.Duration, events, mallocs, bytes uint64, ops int64) PerfEntry {
+	e.Ops = ops
+	e.WallMS = wall.Seconds() * 1e3
+	e.Events = int64(events)
+	e.EventsPerSec = float64(events) / wall.Seconds()
+	e.AllocsPerOp = float64(mallocs) / float64(ops)
+	e.BytesPerOp = float64(bytes) / float64(ops)
+	return e
+}
+
 // PerfKernelEvents measures the raw event-loop floor: one Proc delaying n
 // times — push, pop, and direct-handoff resume per event, nothing else.
 func PerfKernelEvents(n int) PerfEntry {
@@ -125,80 +146,30 @@ func PerfKernelEvents(n int) PerfEntry {
 		}
 	})
 	var err error
-	t0 := time.Now()
-	mallocs, bytes := memDelta(func() { err = k.Run() })
-	wall := time.Since(t0)
+	wall, mallocs, bytes := hostCost(func() { err = k.Run() })
 	if err != nil {
 		panic(fmt.Sprintf("bench: perf kernel events: %v", err))
 	}
-	ev := int64(k.Events())
-	return PerfEntry{
-		Name: "kernel-event-loop", Ops: int64(n),
-		WallMS: wall.Seconds() * 1e3, Events: ev,
-		EventsPerSec: float64(ev) / wall.Seconds(),
-		AllocsPerOp:  float64(mallocs) / float64(n),
-		BytesPerOp:   float64(bytes) / float64(n),
-	}
+	return PerfEntry{Name: "kernel-event-loop"}.withCost(wall, k.Events(), mallocs, bytes, int64(n))
 }
 
 // PerfFM2Stream measures the FM 2.x point-to-point steady state: msgs
-// 1 KiB messages node0 -> node1 on the PPro pair, reporting simulator cost
-// per MESSAGE. Pool warm-up is excluded by a 10% warm-up prefix.
+// messages node0 -> node1 on the PPro pair, reporting simulator cost per
+// MESSAGE. Pool warm-up is excluded by a 10% warm-up prefix.
 func PerfFM2Stream(msgs, size int) PerfEntry {
 	warm := msgs / 10
 	if warm < 1 {
 		warm = 1
 	}
-	o := DefaultFM2Options()
-	k := sim.NewKernel()
-	pl := o.platform(k)
-	eps := fm2.Attach(pl, o.FM)
-	recvd := 0
-	buf := make([]byte, size)
-	eps[1].Register(1, func(p *sim.Proc, s *fm2.RecvStream) {
-		for s.Remaining() > 0 {
-			s.Receive(p, buf)
-		}
-		recvd++
-	})
 	var mallocs, bytes uint64
-	var steady int64
-	k.Spawn("sender", func(p *sim.Proc) {
-		msg := make([]byte, size)
-		send := func(n int) {
-			for i := 0; i < n; i++ {
-				if err := eps[0].Send(p, 1, 1, msg); err != nil {
-					panic(err)
-				}
-			}
-		}
+	pl, _ := fmStream(DefaultOptions(xport.GenFM2), uniform(size, msgs), func(send func(n int)) {
 		send(warm)
-		m, b := memDelta(func() { send(msgs - warm) })
-		mallocs, bytes = m, b
-		steady = int64(msgs - warm)
-	})
-	k.Spawn("receiver", func(p *sim.Proc) {
-		for recvd < msgs {
-			eps[1].Extract(p, 0)
-			if recvd < msgs {
-				p.Delay(500 * sim.Nanosecond)
-			}
-		}
+		mallocs, bytes = memDelta(func() { send(msgs - warm) })
 	})
 	t0 := time.Now()
-	err := k.Run()
+	run(pl, "perf fm2 stream")
 	wall := time.Since(t0)
-	if err != nil {
-		panic(fmt.Sprintf("bench: perf fm2 stream: %v", err))
-	}
-	ev := int64(k.Events())
-	return PerfEntry{
-		Name: "fm2-send-steady-state", SizeB: size, Ops: steady,
-		WallMS: wall.Seconds() * 1e3, Events: ev,
-		EventsPerSec: float64(ev) / wall.Seconds(),
-		AllocsPerOp:  float64(mallocs) / float64(steady),
-		BytesPerOp:   float64(bytes) / float64(steady),
-	}
+	return PerfEntry{Name: "fm2-send-steady-state", SizeB: size}.withCost(wall, pl.Events(), mallocs, bytes, int64(msgs-warm))
 }
 
 // PerfSvcLoad measures the service-workload layer's simulator cost: a
@@ -207,8 +178,7 @@ func PerfFM2Stream(msgs, size int) PerfEntry {
 func PerfSvcLoad(requests int) PerfEntry {
 	var res svcload.Result
 	var err error
-	t0 := time.Now()
-	mallocs, bytes := memDelta(func() {
+	wall, mallocs, bytes := hostCost(func() {
 		res, err = svcload.Run(svcload.RunConfig{
 			Gen: xport.GenFM2, Nodes: 16, FatTree: true,
 			Workload: svcload.Workload{
@@ -218,138 +188,43 @@ func PerfSvcLoad(requests int) PerfEntry {
 			},
 		})
 	})
-	wall := time.Since(t0)
 	if err != nil {
 		panic(fmt.Sprintf("bench: perf svcload: %v", err))
 	}
-	return PerfEntry{
-		Name: "svcload-open", Fabric: string(FabFatTree), Ranks: 16, SizeB: 512,
-		Ops:          res.Completed,
-		VirtualUS:    float64(res.LastNS) / 1e3,
-		WallMS:       wall.Seconds() * 1e3,
-		Events:       int64(res.Events),
-		EventsPerSec: float64(res.Events) / wall.Seconds(),
-		AllocsPerOp:  float64(mallocs) / float64(res.Completed),
-		BytesPerOp:   float64(bytes) / float64(res.Completed),
-	}
+	e := PerfEntry{Name: "svcload-open", Fabric: string(FabFatTree), Ranks: 16, SizeB: 512,
+		VirtualUS: float64(res.LastNS) / 1e3}
+	return e.withCost(wall, res.Events, mallocs, bytes, res.Completed)
 }
 
-// PerfCollective measures one allreduce round at scale: virtual time (the
-// model's answer, bit-stable across engine changes) alongside the
-// simulator's wall-clock cost to produce it.
+// perfAllreduce measures one allreduce round at scale on the MPI world it
+// is handed: virtual time (the model's answer, bit-stable across engine
+// changes) alongside the simulator's wall-clock cost to produce it, per
+// participating rank.
+func perfAllreduce(pl *cluster.Platform, comms []*mpifm.Comm, f Fabric, size int) PerfEntry {
+	size = collSize(size)
+	ranks := len(comms)
+	stamps := spawnCollective(pl, comms, CollAllreduce, mpifm.AlgoAuto, size, 1)
+	wall, mallocs, bytes := hostCost(func() { run(pl, "perf allreduce ranks=%d on %s", ranks, f) })
+	e := PerfEntry{Name: "allreduce", Fabric: string(f), Ranks: ranks, SizeB: size,
+		VirtualUS: span(stamps).Micros()}
+	return e.withCost(wall, pl.Events(), mallocs, bytes, int64(ranks))
+}
+
+// PerfCollective is perfAllreduce on the sequential engine.
 func PerfCollective(f Fabric, ranks, size int) PerfEntry {
-	size -= size % 4
-	if size < 4 {
-		size = 4
-	}
-	k, comms := MPI2.world(ranks, f)
-	starts := make([]sim.Time, ranks)
-	ends := make([]sim.Time, ranks)
-	for r := 0; r < ranks; r++ {
-		c := comms[r]
-		c.SetCollectiveAlgo(mpifm.AlgoAuto)
-		k.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
-			sendbuf, recvbuf := collBuffers(CollAllreduce, ranks, c.Rank(), size)
-			if err := c.Barrier(p); err != nil {
-				panic(err)
-			}
-			starts[c.Rank()] = p.Now()
-			if err := c.Allreduce(p, sendbuf, recvbuf, mpifm.OpSumU32); err != nil {
-				panic(err)
-			}
-			ends[c.Rank()] = p.Now()
-		})
-	}
-	var err error
-	t0 := time.Now()
-	mallocs, bytes := memDelta(func() { err = k.Run() })
-	wall := time.Since(t0)
-	if err != nil {
-		panic(fmt.Sprintf("bench: perf allreduce ranks=%d on %s: %v", ranks, f, err))
-	}
-	start, end := starts[0], ends[0]
-	for r := 1; r < ranks; r++ {
-		if starts[r] < start {
-			start = starts[r]
-		}
-		if ends[r] > end {
-			end = ends[r]
-		}
-	}
-	ev := int64(k.Events())
-	return PerfEntry{
-		Name: "allreduce", Fabric: string(f), Ranks: ranks, SizeB: size,
-		Ops:       int64(ranks), // per-rank participation
-		VirtualUS: (end - start).Micros(),
-		WallMS:    wall.Seconds() * 1e3, Events: ev,
-		EventsPerSec: float64(ev) / wall.Seconds(),
-		AllocsPerOp:  float64(mallocs) / float64(ranks),
-		BytesPerOp:   float64(bytes) / float64(ranks),
-	}
+	pl, comms := MPI2.world(ranks, f)
+	return perfAllreduce(pl, comms, f, size)
 }
 
-// PerfCollectivePar is PerfCollective on the partitioned engine: the same
-// allreduce round at scale, split across `parts` LPs on OS threads. The
-// fabric shape is identical to the sequential fat-tree entry, so VirtualUS
-// is directly comparable — and bit-equal whenever Certified is true.
+// PerfCollectivePar is perfAllreduce on the partitioned engine: the same
+// fat-tree world split across `parts` LPs on OS threads, so VirtualUS is
+// directly comparable — and bit-equal whenever Certified is true.
 func PerfCollectivePar(ranks, size, parts int) PerfEntry {
-	size -= size % 4
-	if size < 4 {
-		size = 4
-	}
-	cfg := cluster.DefaultConfig()
-	FabFatTree.apply(&cfg, ranks)
-	cfg.Parallelism = parts
-	e := sim.NewEngine()
-	pl, err := cluster.TryNewPar(e, cfg)
-	if err != nil {
-		panic(fmt.Sprintf("bench: perf parallel allreduce ranks=%d lps=%d: %v", ranks, parts, err))
-	}
-	comms := attachMPI(xport.AttachEndpoints(pl, xport.EndpointConfig{Gen: xport.GenFM2}), xport.GenFM2, mpifm.Options{})
-	starts := make([]sim.Time, ranks)
-	ends := make([]sim.Time, ranks)
-	for r := 0; r < ranks; r++ {
-		c := comms[r]
-		c.SetCollectiveAlgo(mpifm.AlgoAuto)
-		pl.KernelOf(r).Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
-			sendbuf, recvbuf := collBuffers(CollAllreduce, ranks, c.Rank(), size)
-			if err := c.Barrier(p); err != nil {
-				panic(err)
-			}
-			starts[c.Rank()] = p.Now()
-			if err := c.Allreduce(p, sendbuf, recvbuf, mpifm.OpSumU32); err != nil {
-				panic(err)
-			}
-			ends[c.Rank()] = p.Now()
-		})
-	}
-	t0 := time.Now()
-	mallocs, bytes := memDelta(func() { err = e.Run() })
-	wall := time.Since(t0)
-	if err != nil {
-		panic(fmt.Sprintf("bench: perf parallel allreduce ranks=%d lps=%d: %v", ranks, parts, err))
-	}
-	start, end := starts[0], ends[0]
-	for r := 1; r < ranks; r++ {
-		if starts[r] < start {
-			start = starts[r]
-		}
-		if ends[r] > end {
-			end = ends[r]
-		}
-	}
-	ev := int64(e.Events())
-	return PerfEntry{
-		Name: "allreduce", Fabric: string(FabFatTree), Ranks: ranks, SizeB: size,
-		Ops:    int64(ranks),
-		Engine: "parallel", Parallelism: parts,
-		Certified: pl.Net.Certified(), CutStalls: pl.Net.CutStalls(),
-		VirtualUS: (end - start).Micros(),
-		WallMS:    wall.Seconds() * 1e3, Events: ev,
-		EventsPerSec: float64(ev) / wall.Seconds(),
-		AllocsPerOp:  float64(mallocs) / float64(ranks),
-		BytesPerOp:   float64(bytes) / float64(ranks),
-	}
+	pl, comms := mpiWorld(xport.GenFM2, ranks, FabFatTree, parts, mpifm.Options{})
+	e := perfAllreduce(pl, comms, FabFatTree, size)
+	e.Engine, e.Parallelism = "parallel", parts
+	e.Certified, e.CutStalls = pl.Net.Certified(), pl.Net.CutStalls()
+	return e
 }
 
 // RunPerfSuite executes the whole suite.
@@ -387,8 +262,9 @@ func RunPerfSuite(cfg PerfConfig) []PerfEntry {
 }
 
 // WritePerfReport renders the suite as a table and, when jsonPath is
-// non-empty, writes the machine-readable trajectory file.
-func WritePerfReport(w io.Writer, cfg PerfConfig, pr int, jsonPath string) error {
+// non-empty, writes the machine-readable trajectory file; its pr field is
+// the <n> of a BENCH_PR<n>.json file name (0 for any other name).
+func WritePerfReport(w io.Writer, cfg PerfConfig, jsonPath string) error {
 	fmt.Fprintf(w, "Engine wall-clock suite (simulator cost, not modeled time):\n")
 	fmt.Fprintf(w, "  %-22s %-8s %-6s %6s  %12s  %10s  %12s  %10s  %10s  %8s\n",
 		"bench", "fabric", "engine", "ranks", "virtual_us", "wall_ms", "events/sec", "allocs/op", "bytes/op", "speedup")
@@ -425,7 +301,6 @@ func WritePerfReport(w io.Writer, cfg PerfConfig, pr int, jsonPath string) error
 	}
 	rep := PerfReport{
 		Schema:     PerfSchema,
-		PR:         pr,
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
@@ -433,14 +308,30 @@ func WritePerfReport(w io.Writer, cfg PerfConfig, pr int, jsonPath string) error
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Entries:    entries,
 	}
-	data, err := json.MarshalIndent(rep, "", "  ")
+	_, _ = fmt.Sscanf(filepath.Base(jsonPath), "BENCH_PR%d.json", &rep.PR) // any other name leaves pr 0
+	return writeJSONFile(w, jsonPath, rep)
+}
+
+// WriteJSON renders a report the way this repo commits them: two-space
+// indent, trailing newline.
+func WriteJSON(w io.Writer, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
+	_, err = w.Write(append(data, '\n'))
+	return err
+}
+
+// writeJSONFile writes v to path and notes it on the report stream.
+func writeJSONFile(w io.Writer, path string, v any) error {
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, v); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "  wrote %s\n", jsonPath)
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "  wrote %s\n", path)
 	return nil
 }

@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/svcload"
 	"repro/internal/xport"
@@ -155,17 +153,7 @@ func WriteSvcReport(w io.Writer, cfg SvcConfig, jsonPath string) error {
 	if jsonPath == "" {
 		return nil
 	}
-	rep := SvcReport{Schema: SvcSchema, Seed: cfg.Seed, Requests: cfg.Requests, Rows: rows}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "  wrote %s\n", jsonPath)
-	return nil
+	return writeJSONFile(w, jsonPath, SvcReport{Schema: SvcSchema, Seed: cfg.Seed, Requests: cfg.Requests, Rows: rows})
 }
 
 // SvcCapture runs the canonical capture workload (FM 2.x, open loop, 8

@@ -87,27 +87,31 @@ type Config struct {
 // AutoShape picks a HostsPerSwitch that divides Nodes while keeping at
 // least two switches on the multi-switch topologies, so small clusters
 // assemble without hand-tuned shapes (halving from the topology's default:
-// 2 on a Line, 4 on a FatTree or Torus2D). Explicit HostsPerSwitch wins.
+// 2 on a Line, 4 on a FatTree or Torus2D). On a very large FatTree it then
+// doubles hosts per edge until the edge count fits one spine's port budget
+// (every spine connects to every edge switch): 4096 nodes get 16 hosts on
+// each of 256 edges, while everything up to 1024 nodes keeps 4. Explicit
+// HostsPerSwitch wins.
 func (cfg *Config) AutoShape() {
 	if cfg.HostsPerSwitch > 0 {
 		return
 	}
-	var def int
+	var h int
 	switch cfg.Topology {
 	case Line:
-		def = 2
+		h = 2
 	case FatTree, Torus2D:
-		def = 4
+		h = 4
 	default:
 		return
 	}
-	for h := def; h > 1; h /= 2 {
-		if cfg.Nodes%h == 0 && cfg.Nodes/h >= 2 {
-			cfg.HostsPerSwitch = h
-			return
-		}
+	for h > 1 && (cfg.Nodes%h != 0 || cfg.Nodes/h < 2) {
+		h /= 2
 	}
-	cfg.HostsPerSwitch = 1
+	for cfg.Topology == FatTree && cfg.Nodes%(h*2) == 0 && cfg.Nodes/h > netsim.MaxSwitchPorts {
+		h *= 2
+	}
+	cfg.HostsPerSwitch = h
 }
 
 // DefaultConfig is a two-node PPro-era cluster on one switch.
@@ -156,14 +160,6 @@ func (pl *Platform) KernelOf(i int) *sim.Kernel {
 	return pl.LPs[pl.nodeLP[i]].K
 }
 
-// LPOf reports the LP index owning node i (0 on a sequential platform).
-func (pl *Platform) LPOf(i int) int {
-	if pl.Engine == nil {
-		return 0
-	}
-	return pl.nodeLP[i]
-}
-
 // Run drives the platform to completion: Engine.Run when partitioned,
 // Kernel.Run otherwise.
 func (pl *Platform) Run() error {
@@ -171,6 +167,15 @@ func (pl *Platform) Run() error {
 		return pl.Engine.Run()
 	}
 	return pl.K.Run()
+}
+
+// Events reports the events dispatched so far, summed over every LP when
+// partitioned.
+func (pl *Platform) Events() uint64 {
+	if pl.Engine != nil {
+		return pl.Engine.Events()
+	}
+	return pl.K.Events()
 }
 
 // hostsPerSwitch resolves the per-switch host count for cfg.
@@ -231,7 +236,8 @@ func intSqrt(n int) int {
 }
 
 // Validate checks cfg's structural constraints — node counts, topology
-// divisibility, torus shape — without building anything. TryNew and New
+// divisibility, torus shape, every switch's port count against the one-byte
+// source-route bound — without building anything. TryNew and New
 // enforce the same rules; public façades (fmnet) call Validate first so a
 // bad configuration surfaces as an error, not a panic.
 func (cfg Config) Validate() error {
@@ -239,6 +245,10 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("cluster: need at least 2 nodes, have %d", cfg.Nodes)
 	}
 	h := cfg.hostsPerSwitch()
+	// ports is the widest switch a multi-switch shape asks netsim for: host
+	// ports plus 2 line trunks, 8 torus ring ports, or a fat-tree edge's
+	// uplinks — and a spine's one port per edge.
+	ports := 0
 	switch cfg.Topology {
 	case DirectPair:
 		if cfg.Nodes != 2 {
@@ -253,9 +263,13 @@ func (cfg Config) Validate() error {
 		if cfg.Nodes%h != 0 {
 			return fmt.Errorf("cluster: Line requires Nodes divisible by %d hosts per switch", h)
 		}
+		ports = h + 2
 	case FatTree:
 		if cfg.Nodes%h != 0 || cfg.Nodes/h < 2 {
 			return fmt.Errorf("cluster: FatTree requires Nodes divisible by %d hosts per edge, >=2 edges", h)
+		}
+		if ports = h + cfg.fatTreeSpines(h); ports < cfg.Nodes/h {
+			ports = cfg.Nodes / h
 		}
 	case Torus2D:
 		if cfg.Nodes%h != 0 || cfg.Nodes/h < 2 {
@@ -264,8 +278,13 @@ func (cfg Config) Validate() error {
 		if _, _, err := tryTorusShape(cfg, cfg.Nodes/h); err != nil {
 			return err
 		}
+		ports = h + 8
 	default:
 		return fmt.Errorf("cluster: unknown topology %d", cfg.Topology)
+	}
+	if ports > netsim.MaxSwitchPorts {
+		return fmt.Errorf("cluster: %s of %d nodes at %d hosts per switch needs a %d-port switch; one-byte source routes address at most %d",
+			cfg.Topology, cfg.Nodes, h, ports, netsim.MaxSwitchPorts)
 	}
 	if cfg.Faults != nil {
 		if err := cfg.Faults.Validate(); err != nil {
@@ -317,6 +336,9 @@ func New(k *sim.Kernel, cfg Config) *Platform {
 // error for invalid configurations: the construction path public façades
 // thread endpoint assembly through.
 func TryNew(k *sim.Kernel, cfg Config) (*Platform, error) {
+	if cfg.Parallelism > 1 {
+		return nil, fmt.Errorf("cluster: TryNew builds a sequential platform; Parallelism %d needs TryNewPar (or Assemble)", cfg.Parallelism)
+	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -405,6 +427,15 @@ func TryNewPar(e *sim.Engine, cfg Config) (*Platform, error) {
 		pl.NICs = append(pl.NICs, nic)
 	}
 	return pl, nil
+}
+
+// Assemble builds cfg's platform on an engine of its own: a fresh sequential
+// kernel, or a parallel engine when cfg.Parallelism > 1.
+func Assemble(cfg Config) (*Platform, error) {
+	if cfg.Parallelism > 1 {
+		return TryNewPar(sim.NewEngine(), cfg)
+	}
+	return TryNew(sim.NewKernel(), cfg)
 }
 
 // Nodes reports the node count.

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/flowctl"
@@ -106,6 +107,63 @@ func TestBadConfigsPanic(t *testing.T) {
 			}()
 			New(sim.NewKernel(), cfg)
 		}()
+	}
+}
+
+// TestAutoShapeFitsSpinePorts: AutoShape is the one fabric-shape rule. Up
+// to 1024 nodes a fat tree keeps 4 hosts per edge; past that it doubles
+// them until the edge count fits one spine's ports.
+func TestAutoShapeFitsSpinePorts(t *testing.T) {
+	for _, c := range []struct{ nodes, hosts int }{
+		{2, 1}, {6, 2}, {16, 4}, {1024, 4}, {2048, 8}, {4096, 16}, {8192, 32},
+	} {
+		cfg := DefaultConfig()
+		cfg.Nodes, cfg.Topology = c.nodes, FatTree
+		cfg.AutoShape()
+		if cfg.HostsPerSwitch != c.hosts {
+			t.Errorf("%d nodes: %d hosts per edge, want %d", c.nodes, cfg.HostsPerSwitch, c.hosts)
+		}
+		if c.nodes >= 4 {
+			if err := cfg.Validate(); err != nil {
+				t.Errorf("%d nodes: auto-shaped config rejected: %v", c.nodes, err)
+			}
+		}
+	}
+}
+
+// TestOversizedSwitchIsAnError: a shape that asks for a switch wider than
+// netsim.MaxSwitchPorts is rejected by Validate, not by a panic in the
+// switch constructor.
+func TestOversizedSwitchIsAnError(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"fattree spine":   {Nodes: 2048, Topology: FatTree, HostsPerSwitch: 4},
+		"fattree edge":    {Nodes: 1024, Topology: FatTree, HostsPerSwitch: 128, Uplinks: 129},
+		"line":            {Nodes: 510, Topology: Line, HostsPerSwitch: 255},
+		"torus":           {Nodes: 498, Topology: Torus2D, HostsPerSwitch: 249},
+		"fattree no auto": {Nodes: 2050, Topology: FatTree, HostsPerSwitch: 2},
+	} {
+		cfg.Profile = hostmodel.PPro200()
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: oversized shape validated", name)
+		}
+		if _, err := TryNew(sim.NewKernel(), cfg); err == nil {
+			t.Errorf("%s: oversized shape assembled", name)
+		}
+	}
+}
+
+// TestTryNewRejectsParallelism: TryNew builds sequential platforms only; a
+// config asking for LPs must go through TryNewPar, not be silently run on
+// one kernel.
+func TestTryNewRejectsParallelism(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Nodes, cfg.Topology, cfg.Parallelism = 16, FatTree, 2
+	if _, err := TryNew(sim.NewKernel(), cfg); err == nil || !strings.Contains(err.Error(), "TryNewPar") {
+		t.Fatalf("TryNew with Parallelism 2: err = %v, want one naming TryNewPar", err)
+	}
+	pl, err := Assemble(cfg)
+	if err != nil || !pl.Parallel() {
+		t.Fatalf("Assemble with Parallelism 2: parallel=%v err=%v", pl != nil && pl.Parallel(), err)
 	}
 }
 

@@ -44,8 +44,6 @@ type Config struct {
 	// DisableBufferMgmt removes staging-copy charges for multi-packet
 	// reassembly (stages before the final engine in Figure 3).
 	DisableBufferMgmt bool
-	// MaxMessage bounds FM_send size; 0 means the 1 MiB default.
-	MaxMessage int
 	// PoolCap bounds the frame, control-header, and assembly-buffer free
 	// lists (0 means netsim.DefaultPoolCap); each reports a high-water mark.
 	PoolCap int
@@ -118,9 +116,6 @@ type assembly struct {
 
 // NewEndpoint attaches FM 1.x to node `node` of the platform.
 func NewEndpoint(pl *cluster.Platform, node int, cfg Config) *Endpoint {
-	if cfg.MaxMessage == 0 {
-		cfg.MaxMessage = DefaultMaxMessage
-	}
 	h := pl.Hosts[node]
 	poolCap := cfg.PoolCap
 	if poolCap <= 0 {
@@ -183,8 +178,8 @@ func (e *Endpoint) FlowControl() *flowctl.Manager { return e.credit.Manager() }
 // MTU reports the per-packet payload capacity.
 func (e *Endpoint) MTU() int { return e.h.P.PacketMTU - headerSize }
 
-// MaxMessage reports the configured message size limit.
-func (e *Endpoint) MaxMessage() int { return e.cfg.MaxMessage }
+// MaxMessage reports the message size limit.
+func (e *Endpoint) MaxMessage() int { return DefaultMaxMessage }
 
 // FramePoolStats reports the recycling counters of the data-frame and
 // control-header pools.
@@ -225,8 +220,8 @@ func (e *Endpoint) Send4(p *sim.Proc, dst int, h HandlerID, w0, w1, w2, w3 uint3
 // self-send: the handler is dispatched directly on the sending Proc as a
 // host memcpy path, with no NIC or flow-control involvement.
 func (e *Endpoint) Send(p *sim.Proc, dst int, h HandlerID, buf []byte) error {
-	if len(buf) > e.cfg.MaxMessage {
-		return fmt.Errorf("fm1: message of %d bytes exceeds limit %d", len(buf), e.cfg.MaxMessage)
+	if len(buf) > DefaultMaxMessage {
+		return fmt.Errorf("fm1: message of %d bytes exceeds limit %d", len(buf), DefaultMaxMessage)
 	}
 	if dst == e.node {
 		p.Delay(e.h.P.SendSetup)

@@ -52,8 +52,6 @@ type Handler func(p *sim.Proc, s *RecvStream)
 type Config struct {
 	// DisableFlowControl removes credit accounting (ablation).
 	DisableFlowControl bool
-	// MaxMessage bounds message size; 0 means the 4 MiB default.
-	MaxMessage int
 	// PoolCap bounds every per-endpoint free list — data frames, control
 	// headers, send/receive stream records, loopback staging — so bursty
 	// senders cannot pin unbounded recycled memory. 0 means
@@ -138,9 +136,6 @@ type Endpoint struct {
 
 // NewEndpoint attaches FM 2.x to node `node` of the platform.
 func NewEndpoint(pl *cluster.Platform, node int, cfg Config) *Endpoint {
-	if cfg.MaxMessage == 0 {
-		cfg.MaxMessage = DefaultMaxMessage
-	}
 	h := pl.Hosts[node]
 	poolCap := cfg.PoolCap
 	if poolCap <= 0 {
@@ -205,8 +200,8 @@ func (e *Endpoint) FlowControl() *flowctl.Manager { return e.credit.Manager() }
 // MTU reports the per-packet payload capacity.
 func (e *Endpoint) MTU() int { return e.h.P.PacketMTU - headerSize }
 
-// MaxMessage reports the configured message size limit.
-func (e *Endpoint) MaxMessage() int { return e.cfg.MaxMessage }
+// MaxMessage reports the message size limit.
+func (e *Endpoint) MaxMessage() int { return DefaultMaxMessage }
 
 // ActiveStreams reports messages currently in flight on the receive side —
 // zero at quiesce is the handler-lifecycle invariant tests check.

@@ -56,8 +56,8 @@ func (e *Endpoint) putSendStream(s *SendStream) {
 // The returned stream is owned by the endpoint and is recycled when
 // EndMessage returns: callers must not retain it past that point.
 func (e *Endpoint) BeginMessage(p *sim.Proc, dst, size int, h HandlerID) (*SendStream, error) {
-	if size < 0 || size > e.cfg.MaxMessage {
-		return nil, fmt.Errorf("fm2: message size %d out of range [0,%d]", size, e.cfg.MaxMessage)
+	if size < 0 || size > DefaultMaxMessage {
+		return nil, fmt.Errorf("fm2: message size %d out of range [0,%d]", size, DefaultMaxMessage)
 	}
 	p.Delay(e.h.P.SendSetup)
 	e.msgSeq++

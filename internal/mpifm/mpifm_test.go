@@ -233,9 +233,27 @@ func TestIrecvWaitall(t *testing.T) {
 	bothWorlds(t, 2, func(t *testing.T, k *sim.Kernel, comms []*Comm) {
 		const n = 8
 		k.Spawn("rank0", func(p *sim.Proc) {
+			// Odd messages go by Isend, so Waitall covers send requests too.
+			var sends []*Request
 			for i := 0; i < n; i++ {
-				if err := comms[0].Send(p, []byte{byte(i), 0, 0, 0}, 1, i+1); err != nil {
+				msg := []byte{byte(i), 0, 0, 0}
+				if i%2 == 0 {
+					if err := comms[0].Send(p, msg, 1, i+1); err != nil {
+						t.Error(err)
+					}
+					continue
+				}
+				r, err := comms[0].Isend(p, msg, 1, i+1)
+				if err != nil {
 					t.Error(err)
+					return
+				}
+				sends = append(sends, r)
+			}
+			comms[0].Waitall(p, sends)
+			for i, r := range sends {
+				if st := comms[0].Wait(p, r); st.Source != 0 || st.Tag != 2*i+2 || st.Len != 4 {
+					t.Errorf("isend %d completed with status %+v", i, st)
 				}
 			}
 		})

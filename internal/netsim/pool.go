@@ -155,6 +155,3 @@ func (p *Packet) Release() {
 		p.pool.put(p)
 	}
 }
-
-// Pooled reports whether the packet's frame belongs to a pool (diagnostics).
-func (p *Packet) Pooled() bool { return p.pool != nil }

@@ -263,6 +263,18 @@ func TestSpecValidateRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestUnbuildableShapeIsAnErrorOutcome: a valid spec whose fabric cannot be
+// built (1025 fat-tree edge switches against a spine's 256 ports) reports
+// OutcomeError; Run's "never panics" covers construction too.
+func TestUnbuildableShapeIsAnErrorOutcome(t *testing.T) {
+	spec := cleanRing(2)
+	spec.Nodes, spec.Topology = 2050, "fattree"
+	rep := Run(spec, DefaultSeed)
+	if rep.Outcome != OutcomeError || rep.Passed {
+		t.Fatalf("outcome %q passed=%v, want %q: %v", rep.Outcome, rep.Passed, OutcomeError, rep.Failures)
+	}
+}
+
 func TestCampaignRunsDirectoryDeterministically(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, body string) {

@@ -85,9 +85,6 @@ func (n *Node) Rank() int { return n.t.Node() }
 // Stats returns a copy of the counters.
 func (n *Node) Stats() Stats { return n.stats }
 
-// HdrPoolStats reports the header-scratch pool's recycling counters.
-func (n *Node) HdrPoolStats() bufpool.Stats { return n.hdrs.Stats() }
-
 // Poisoned reports whether the underlying engine's poison-on-recycle debug
 // mode is on (layers stacked on shmem align their own pools with it).
 func (n *Node) Poisoned() bool { return n.t.Poisoned() }

@@ -177,9 +177,6 @@ func (k *Kernel) Now() Time { return k.now }
 // with the exact byte strings it always has.
 func (k *Kernel) SetLabel(s string) { k.label = s }
 
-// Label reports the kernel's diagnostic label ("" for a sequential kernel).
-func (k *Kernel) Label() string { return k.label }
-
 // ctx is the diagnostic prefix: empty for an unlabeled kernel — sequential
 // failure and hang reports must stay byte-identical — and "[lp <name> @ <t>] "
 // for an LP kernel, so a report from a partitioned run names the owning LP
@@ -223,9 +220,6 @@ func (k *Kernel) Events() uint64 { return k.seq }
 // Stop halts the simulation: Run returns ErrStopped after unwinding all
 // Procs. Safe to call from inside a Proc.
 func (k *Kernel) Stop() { k.stopped = true }
-
-// Stopped reports whether Stop has been called or a failure occurred.
-func (k *Kernel) Stopped() bool { return k.stopped }
 
 func (k *Kernel) push(e event) {
 	e.seq = k.seq

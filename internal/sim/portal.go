@@ -25,7 +25,6 @@ type Portal[T any] struct {
 	la      Time
 	deliver func(t Time, v T)
 	staged  []portalItem[T]
-	posts   uint64
 }
 
 type portalItem[T any] struct {
@@ -51,9 +50,6 @@ func NewPortal[T any](name string, src, dst *LP, lookahead Time, deliver func(t 
 // Lookahead reports the portal's lookahead.
 func (pt *Portal[T]) Lookahead() Time { return pt.la }
 
-// Posts reports the number of messages ever posted (diagnostics).
-func (pt *Portal[T]) Posts() uint64 { return pt.posts }
-
 // PostAt stages v for delivery in the destination LP at absolute time t.
 // Must be called from within the source LP's window (its Procs or driver
 // events). t must carry the portal's lookahead past the source clock; the
@@ -65,7 +61,6 @@ func (pt *Portal[T]) PostAt(t Time, v T) {
 			pt.name, t, pt.la, pt.src.K.Now()))
 	}
 	pt.staged = append(pt.staged, portalItem[T]{t: t, v: v})
-	pt.posts++
 }
 
 // Post stages v for delivery exactly one lookahead past the calling Proc's

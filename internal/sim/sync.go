@@ -94,15 +94,6 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	p.park()
 }
 
-// TryAcquire obtains n units without blocking; it reports success.
-func (r *Resource) TryAcquire(n int) bool {
-	if r.q.len() == 0 && r.inUse+n <= r.cap {
-		r.grant(n)
-		return true
-	}
-	return false
-}
-
 func (r *Resource) grant(n int) {
 	if r.inUse == 0 {
 		r.lastStart = r.k.now
@@ -136,9 +127,6 @@ func (r *Resource) Use(p *Proc, d Time) {
 
 // InUse reports currently-held units.
 func (r *Resource) InUse() int { return r.inUse }
-
-// QueueLen reports the number of waiting acquisitions.
-func (r *Resource) QueueLen() int { return r.q.len() }
 
 // BusyTime reports cumulative time during which at least one unit was held.
 func (r *Resource) BusyTime() Time {

@@ -309,9 +309,6 @@ func (c *Conn) Close(p *sim.Proc) error {
 	return nil
 }
 
-// Buffered reports bytes waiting in the receive queue.
-func (c *Conn) Buffered() int { return c.rxBytes }
-
 // PeerNode reports the remote node ID.
 func (c *Conn) PeerNode() int { return c.peerNode }
 

@@ -215,7 +215,6 @@ type Fleet struct {
 	replyQ    [][]pendingReply
 	hists     []*Hist
 	served    []int64
-	nodeDone  []bool
 	clients   int // clients that finished issuing
 	planned   int64
 	issued    int64
@@ -235,13 +234,12 @@ type Fleet struct {
 func Attach(spaces []*xport.HandlerSpace, cfg ServiceConfig) *Fleet {
 	n := len(spaces)
 	f := &Fleet{
-		cfg:      cfg,
-		spaces:   spaces,
-		pending:  make([]map[uint64]*inflight, n),
-		replyQ:   make([][]pendingReply, n),
-		hists:    make([]*Hist, n),
-		served:   make([]int64, n),
-		nodeDone: make([]bool, n),
+		cfg:     cfg,
+		spaces:  spaces,
+		pending: make([]map[uint64]*inflight, n),
+		replyQ:  make([][]pendingReply, n),
+		hists:   make([]*Hist, n),
+		served:  make([]int64, n),
 	}
 	for node := 0; node < n; node++ {
 		node := node
@@ -584,12 +582,7 @@ func (f *Fleet) RunNode(p *sim.Proc, node int) {
 			p.Delay(pollGap)
 		}
 	}
-	f.nodeDone[node] = true
 }
-
-// NodeDone reports whether a node's proc has finished (the watchdog's
-// progress meter under the scenario runner).
-func (f *Fleet) NodeDone(node int) bool { return f.nodeDone[node] }
 
 // Hist returns the merged service-level latency histogram.
 func (f *Fleet) Hist() *Hist {
@@ -708,15 +701,11 @@ func Run(rc RunConfig) (Result, error) {
 	if (rc.Service == ServiceConfig{}) {
 		rc.Service = DefaultServiceConfig()
 	}
-	cfg := cluster.DefaultConfig()
-	cfg.Nodes = rc.Nodes
+	topo := cluster.SingleSwitch
 	if rc.FatTree {
-		cfg.Topology = cluster.FatTree
+		topo = cluster.FatTree
 	}
-	cfg.AutoShape()
-	cfg.Profile = rc.Gen.Profile()
-	k := sim.NewKernel()
-	pl, err := cluster.TryNew(k, cfg)
+	pl, err := cluster.Assemble(rc.Gen.ClusterConfig(rc.Nodes, topo))
 	if err != nil {
 		return Result{}, err
 	}
@@ -736,13 +725,13 @@ func Run(rc RunConfig) (Result, error) {
 	}
 	for node := 0; node < rc.Nodes; node++ {
 		node := node
-		k.Spawn(fmt.Sprintf("svc.%d", node), func(p *sim.Proc) { f.RunNode(p, node) })
+		pl.K.Spawn(fmt.Sprintf("svc.%d", node), func(p *sim.Proc) { f.RunNode(p, node) })
 	}
-	if err := k.Run(); err != nil {
+	if err := pl.Run(); err != nil {
 		return Result{}, err
 	}
 	res := f.Result()
-	res.Events = k.Events()
+	res.Events = pl.Events()
 	return res, nil
 }
 

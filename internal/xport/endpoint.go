@@ -416,6 +416,16 @@ func (g Gen) Profile() hostmodel.Profile {
 	return hostmodel.PPro200()
 }
 
+// ClusterConfig is the generation's machine at n nodes on topology t, with
+// the fabric auto-shaped: the one cluster.Config preparation every assembler
+// (fmnet.New, svcload.Run, internal/bench) starts from and then edits.
+func (g Gen) ClusterConfig(n int, t cluster.Topology) cluster.Config {
+	cfg := cluster.DefaultConfig()
+	cfg.Nodes, cfg.Topology, cfg.Profile = n, t, g.Profile()
+	cfg.AutoShape()
+	return cfg
+}
+
 // AttachEndpoints builds ONE shared endpoint per node of the platform: the
 // assembly step every node goes through. Callers then register the same
 // services in the same order on every endpoint (Spaces).
