@@ -271,7 +271,7 @@ func BenchmarkSimChanHandoff(b *testing.B) {
 // BenchmarkFabricPacketForwarding measures the netsim switch path.
 func BenchmarkFabricPacketForwarding(b *testing.B) {
 	k := sim.NewKernel()
-	net := netsim.NewSingleSwitch(k, 2, netsim.DefaultMyrinet(), 300*sim.Nanosecond)
+	net := netsim.Shape{Topology: netsim.SingleSwitch, Nodes: 2}.Build(k, netsim.DefaultMyrinet(), 300*sim.Nanosecond)
 	k.Spawn("sender", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
 			net.Iface(0).Send(p, &netsim.Packet{Dst: 1, Payload: make([]byte, 128)})

@@ -26,7 +26,11 @@
 //     and the topology zoo — direct pair, single crossbar, switch line,
 //     2-level fat tree (Clos), and 2D torus with dimension-order routing
 //     over dateline virtual channels, all deadlock-free under link-level
-//     back-pressure
+//     back-pressure. A topology is decided here and nowhere else: adding
+//     one is a wire function, a closed-form route function, a case in
+//     Shape.Resolve and a row of the topologies table. Routes are computed,
+//     not stored — Iface.Send writes each into an array the Packet owns
+//     (recycled with it; never copy a Packet by value)
 //   - internal/hostmodel  machine cost profiles (sparc, ppro200)
 //   - internal/lanai      NIC model
 //   - internal/flowctl    the credit plane both FM generations share
@@ -76,10 +80,11 @@
 //
 // There is one way to assemble that picture, and fmnet.New, svcload.Run and
 // every internal/bench driver use it: xport.Gen.ClusterConfig prepares the
-// generation's machine at a node count and topology (cluster.Config.AutoShape
-// is the only fabric-shape rule, cluster.Config.Validate bounds every
-// switch's ports), cluster.Assemble builds the platform on the sequential
-// kernel or the parallel engine, xport.AttachEndpoints puts one endpoint on
+// generation's machine at a node count and topology (cluster.Config maps onto
+// a netsim.Shape, which owns every fabric-shape rule; cluster.Config.Validate
+// adds the 65 536-node bound of the headers' 16-bit node field),
+// cluster.Assemble builds the platform on the sequential kernel or the
+// parallel engine, xport.AttachEndpoints puts one endpoint on
 // every node, xport.Spaces registers a service on all of them, and the
 // layer's single constructor (mpifm.Attach, sockfm.New, shmem.Attach,
 // garr.Attach, svcload.Attach) binds to the spaces. The machine a

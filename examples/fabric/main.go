@@ -20,13 +20,7 @@ import (
 )
 
 // zoo is the fabric zoo in report order.
-var zoo = []struct {
-	name string
-	topo fmnet.Topo
-}{
-	{"single", fmnet.SingleSwitch}, {"line", fmnet.Line},
-	{"fattree", fmnet.FatTree}, {"torus", fmnet.Torus},
-}
+var zoo = []fmnet.Topo{fmnet.SingleSwitch, fmnet.Line, fmnet.FatTree, fmnet.Torus}
 
 // build assembles a 16-node MPI session on the given topology.
 func build(topo fmnet.Topo) *fmnet.Session {
@@ -78,16 +72,16 @@ func cutAggregate(topo fmnet.Topo) float64 {
 
 func main() {
 	fmt.Println("== The fabric zoo ==")
-	for _, z := range zoo {
-		fmt.Printf("%-8s  %s\n", z.name, build(z.topo).Fabric().Describe())
+	for _, topo := range zoo {
+		fmt.Printf("%-8s  %s\n", topo, build(topo).Fabric().Describe())
 	}
 
 	fmt.Println("\n== Source routes ==")
 	fmt.Println("A route is the byte string the switches consume, one output")
 	fmt.Println("port per hop (Myrinet source routing: zero routing state in")
 	fmt.Println("the fabric). Node 0 -> node 15 on each topology:")
-	for _, z := range zoo {
-		fmt.Printf("%-8s  route %v\n", z.name, build(z.topo).Fabric().Route(0, 15))
+	for _, topo := range zoo {
+		fmt.Printf("%-8s  route %v\n", topo, build(topo).Fabric().Route(0, 15))
 	}
 	fmt.Println("\nOn the fat tree the first byte picks the uplink: the spine is")
 	fmt.Println("chosen deterministically per (src,dst) pair, so one edge's")
@@ -111,8 +105,8 @@ func main() {
 	fmt.Println("flow a private path; the line funnels all 8 through one trunk;")
 	fmt.Println("the fat tree's two uplinks per edge and the torus rings sit in")
 	fmt.Println("between — switch-limited vs bisection-limited regimes:")
-	for _, z := range zoo {
-		fmt.Printf("%-8s  aggregate %7.2f MB/s\n", z.name, cutAggregate(z.topo))
+	for _, topo := range zoo {
+		fmt.Printf("%-8s  aggregate %7.2f MB/s\n", topo, cutAggregate(topo))
 	}
 	fmt.Println("\n(fmbench -topo runs the full report: xport-level regimes, the")
 	fmt.Println("layering matrix under cut load, and collective scaling across")

@@ -96,6 +96,9 @@ type (
 	// RPCTrace is a captured request schedule, replayable bit-identically.
 	RPCTrace = svcload.Trace
 
+	// Topo selects how the simulated fabric wires nodes together; its String
+	// is the name scenario files and reports use.
+	Topo = cluster.Topology
 	// Fabric is the assembled network, exposed for fault and loss inspection.
 	Fabric = netsim.Network
 	// FaultPlan is a deterministic, seeded fault schedule for the fabric.
@@ -162,37 +165,19 @@ func SendGather(p *Proc, sp *HandlerSpace, dst int, h HandlerID, pieces ...[]byt
 	return xport.SendGather(p, sp, dst, h, pieces...)
 }
 
-// Topo selects how the simulated fabric wires nodes together.
-type Topo int
-
+// The fabric topologies (see Topo).
 const (
 	// SingleSwitch hangs all nodes off one crossbar (the paper's cluster).
-	SingleSwitch Topo = iota
+	SingleSwitch = cluster.SingleSwitch
 	// Pair wires exactly two nodes back to back.
-	Pair
+	Pair = cluster.DirectPair
 	// Line chains switches: the one-trunk worst-case bisection.
-	Line
+	Line = cluster.Line
 	// FatTree is a 2-level Clos with oversubscribed uplinks.
-	FatTree
+	FatTree = cluster.FatTree
 	// Torus is a 2D wraparound switch mesh with dateline virtual channels.
-	Torus
+	Torus = cluster.Torus2D
 )
-
-func (t Topo) cluster() (cluster.Topology, error) {
-	switch t {
-	case SingleSwitch:
-		return cluster.SingleSwitch, nil
-	case Pair:
-		return cluster.DirectPair, nil
-	case Line:
-		return cluster.Line, nil
-	case FatTree:
-		return cluster.FatTree, nil
-	case Torus:
-		return cluster.Torus2D, nil
-	}
-	return 0, fmt.Errorf("fmnet: unknown topology %d", int(t))
-}
 
 // config collects the functional options.
 type config struct {
@@ -327,12 +312,8 @@ func New(opts ...Option) (*Session, error) {
 		}
 		seen[name] = true
 	}
-	topo, err := cfg.topo.cluster()
-	if err != nil {
-		return nil, err
-	}
 
-	ccfg := cfg.gen.ClusterConfig(cfg.nodes, topo)
+	ccfg := cfg.gen.ClusterConfig(cfg.nodes, cfg.topo)
 	ccfg.Faults = cfg.faults
 	if cfg.slots > 0 {
 		ccfg.Profile.Link.Slots = cfg.slots

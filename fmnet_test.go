@@ -6,6 +6,7 @@ import (
 	"bytes"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	fmnet "repro"
@@ -223,6 +224,11 @@ func TestSessionErrors(t *testing.T) {
 	// under one spine's 256 ports.
 	if _, err := fmnet.New(fmnet.Nodes(2050), fmnet.Topology(fmnet.FatTree), fmnet.WithMPI()); err == nil {
 		t.Error("fat tree with 1025 edge switches accepted")
+	}
+	// A legal torus shape, but node IDs travel in 16-bit header fields: the
+	// error must come back before 70 000 hosts and NICs are built.
+	if _, err := fmnet.New(fmnet.Nodes(70000), fmnet.Topology(fmnet.Torus), fmnet.WithMPI()); err == nil || !strings.Contains(err.Error(), "16-bit") {
+		t.Errorf("70000-node torus: err = %v, want one naming the 16-bit node field", err)
 	}
 }
 

@@ -21,37 +21,23 @@ import (
 // resource, and prices the difference the way the single-switch matrix
 // prices the FM 1.x staging adapter.
 
-// Fabric names one topology of the fabric zoo for bench sweeps.
-type Fabric string
+// Fabric names one topology of the fabric zoo for bench sweeps; reports
+// print its String. The shape for a node count (hosts per switch, spines) is
+// cluster.Config.AutoShape's.
+type Fabric = cluster.Topology
 
 // The fabric zoo, in increasing bisection order of interest: one crossbar
 // (full bisection), a line of switches (one-trunk worst case), a 2-level
 // fat tree (oversubscribed uplinks), a 2D torus (wraparound rings).
 const (
-	FabSingle  Fabric = "single"
-	FabLine    Fabric = "line"
-	FabFatTree Fabric = "fattree"
-	FabTorus   Fabric = "torus"
+	FabSingle  = cluster.SingleSwitch
+	FabLine    = cluster.Line
+	FabFatTree = cluster.FatTree
+	FabTorus   = cluster.Torus2D
 )
 
 // AllFabrics lists the zoo in report order.
 var AllFabrics = []Fabric{FabSingle, FabLine, FabFatTree, FabTorus}
-
-// topology maps the fabric's name to the cluster wiring; the shape for a
-// node count (hosts per switch, spines) is cluster.Config.AutoShape's.
-func (f Fabric) topology() cluster.Topology {
-	switch f {
-	case FabSingle:
-		return cluster.SingleSwitch
-	case FabLine:
-		return cluster.Line
-	case FabFatTree:
-		return cluster.FatTree
-	case FabTorus:
-		return cluster.Torus2D
-	}
-	panic(fmt.Sprintf("bench: unknown fabric %q", f))
-}
 
 // matrixHandlerID is the handler slot the bare-window baseline claims.
 const matrixHandlerID = 9

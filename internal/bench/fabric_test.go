@@ -53,7 +53,7 @@ func TestFatTreeUplinksWidenBisection(t *testing.T) {
 func TestCollectivesRunOnEveryFabric(t *testing.T) {
 	for _, f := range AllFabrics {
 		f := f
-		t.Run(string(f), func(t *testing.T) {
+		t.Run(f.String(), func(t *testing.T) {
 			t1 := CollectiveTimeOn(MPI2, f, CollAllreduce, mpifm.AlgoAuto, 8, 256, 1)
 			if t1 <= 0 {
 				t.Fatalf("allreduce on %s took %v", f, t1)

@@ -191,7 +191,7 @@ func PerfSvcLoad(requests int) PerfEntry {
 	if err != nil {
 		panic(fmt.Sprintf("bench: perf svcload: %v", err))
 	}
-	e := PerfEntry{Name: "svcload-open", Fabric: string(FabFatTree), Ranks: 16, SizeB: 512,
+	e := PerfEntry{Name: "svcload-open", Fabric: FabFatTree.String(), Ranks: 16, SizeB: 512,
 		VirtualUS: float64(res.LastNS) / 1e3}
 	return e.withCost(wall, res.Events, mallocs, bytes, res.Completed)
 }
@@ -205,7 +205,7 @@ func perfAllreduce(pl *cluster.Platform, comms []*mpifm.Comm, f Fabric, size int
 	ranks := len(comms)
 	stamps := spawnCollective(pl, comms, CollAllreduce, mpifm.AlgoAuto, size, 1)
 	wall, mallocs, bytes := hostCost(func() { run(pl, "perf allreduce ranks=%d on %s", ranks, f) })
-	e := PerfEntry{Name: "allreduce", Fabric: string(f), Ranks: ranks, SizeB: size,
+	e := PerfEntry{Name: "allreduce", Fabric: f.String(), Ranks: ranks, SizeB: size,
 		VirtualUS: span(stamps).Micros()}
 	return e.withCost(wall, pl.Events(), mallocs, bytes, int64(ranks))
 }

@@ -22,7 +22,7 @@ import (
 // the sequential kernel, or split across lps logical processes when
 // lps > 1 — after edit (nil = none) has adjusted the prepared config.
 func platform(g xport.Gen, n int, f Fabric, lps int, edit func(*cluster.Config)) *cluster.Platform {
-	cfg := g.ClusterConfig(n, f.topology())
+	cfg := g.ClusterConfig(n, f)
 	cfg.Parallelism = lps
 	if edit != nil {
 		edit(&cfg)

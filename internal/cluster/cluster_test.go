@@ -152,6 +152,25 @@ func TestOversizedSwitchIsAnError(t *testing.T) {
 	}
 }
 
+// TestNodeIDsFitTheHeaderField: both FM headers and the credit frames carry
+// the source node in a uint16, so a cluster past 65 536 nodes — whatever its
+// (otherwise legal) fabric shape — is an error, not aliased sources.
+func TestNodeIDsFitTheHeaderField(t *testing.T) {
+	for _, c := range []struct {
+		nodes int
+		ok    bool
+	}{{65536, true}, {65540, false}, {70000, false}} {
+		cfg := Config{Nodes: c.nodes, Topology: Torus2D, Profile: hostmodel.PPro200()}
+		err := cfg.Validate()
+		if c.ok && err != nil {
+			t.Errorf("%d nodes: %v", c.nodes, err)
+		}
+		if !c.ok && (err == nil || !strings.Contains(err.Error(), "16-bit")) {
+			t.Errorf("%d nodes: err = %v, want one naming the 16-bit node field", c.nodes, err)
+		}
+	}
+}
+
 // TestTryNewRejectsParallelism: TryNew builds sequential platforms only; a
 // config asking for LPs must go through TryNewPar, not be silently run on
 // one kernel.
@@ -185,7 +204,8 @@ func TestRingGrowsWithNodes(t *testing.T) {
 		t.Fatalf("64-node ring is %d slots; windows will collapse below MinWindow",
 			pl.Cfg.Profile.RingSlots)
 	}
-	if w := pl.EffectiveWindow(); w < flowctl.MinWindow {
+	// The window an endpoint on this platform runs with after flowctl's clamp.
+	if w := flowctl.New(64, 0, pl.Cfg.Profile.CreditWindow, pl.Cfg.Profile.RingSlots).Window(); w < flowctl.MinWindow {
 		t.Fatalf("effective window %d below floor %d at 64 nodes", w, flowctl.MinWindow)
 	}
 	if pl.NICs[0].RingSlots() != pl.Cfg.Profile.RingSlots {

@@ -34,6 +34,13 @@ type Manager struct {
 // floor; see RingSlotsFor.
 const MinWindow = 4
 
+// MaxNodes is the largest cluster the wire format can address: the FM 1.x
+// and FM 2.x data headers and the credit frame all carry the source node in
+// a uint16 (bytes 2-3; fm2 also packs it into the high half of a 32-bit
+// reassembly key). One node more and sources alias: credit refills go to
+// peers that never spent them.
+const MaxNodes = 1 << 16
+
 // RingSlotsFor reports the receive-ring depth needed so that every one of
 // the n-1 peers of an n-node cluster can hold a window of at least
 // min(window, MinWindow) packets without the ring overflowing.

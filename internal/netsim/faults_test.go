@@ -236,7 +236,7 @@ func TestFaultPlanValidate(t *testing.T) {
 
 func TestApplyFaultsGlobTargeting(t *testing.T) {
 	k := sim.NewKernel()
-	net := NewSingleSwitch(k, 4, DefaultMyrinet(), 0)
+	net := Shape{Topology: SingleSwitch, Nodes: 4}.Build(k, DefaultMyrinet(), 0)
 	plan := FaultPlan{Seed: 3, Rules: []FaultRule{{Links: "n*->sw", DropProb: 0.5}}}
 	if err := net.ApplyFaults(plan); err != nil {
 		t.Fatal(err)

@@ -19,9 +19,17 @@ import (
 // Packet is the unit the fabric moves. Payload is opaque to the network;
 // Route is the Myrinet-style source route: one output-port byte consumed at
 // each switch along the path.
+//
+// Route storage belongs to the packet: Iface.Send computes the route into
+// the inline hops array (FramePool recycles it with the struct, so steady-
+// state injection allocates nothing) and switches consume it by reslicing.
+// A route longer than the array — a long line or torus — spills through
+// append's ordinary growth. Never copy a Packet by value: Route would go on
+// aliasing the original's array.
 type Packet struct {
 	Src, Dst int     // node IDs (endpoint bookkeeping, not used for routing)
 	Route    []uint8 // remaining hops
+	hops     [routeInline]uint8
 	Payload  []byte
 	Ctrl     bool     // control packet: receiving NICs demux it to a dedicated queue
 	Corrupt  bool     // failed the link CRC in flight; receiving NICs drop it
@@ -33,6 +41,10 @@ type Packet struct {
 	pool    *FramePool
 	backing []byte
 }
+
+// routeInline is the route length a Packet holds without spilling: every
+// fat-tree route (3), a 16-switch line, an 8x16 torus (13).
+const routeInline = 16
 
 // Size is the number of payload bytes; framing overhead is added per link
 // according to the link configuration.
@@ -78,7 +90,7 @@ type LinkStats struct {
 // A link whose endpoints live in different LPs of a parallel engine is a
 // PORTAL link: instead of delivering into dst directly, Send posts the
 // packet across the LP boundary with the link's propagation delay as the
-// engine's lookahead (see sendPortal for the exact timing argument).
+// engine's lookahead (see Send for the exact timing argument).
 type Link struct {
 	name   string
 	cfg    LinkConfig
@@ -118,6 +130,15 @@ func (l *Link) ensureFaults() *linkFaults {
 
 // Send transmits pkt. The calling Proc is charged serialization and
 // propagation time and stalls under back-pressure from downstream.
+//
+// A portal link reproduces that timing exactly across the LP boundary: it
+// charges all but the lookahead's worth of delay, evaluates faults at the
+// precise arrival instant tArr = now + la (the instant an ordinary link
+// evaluates them, and in the same per-link RNG draw order since xmit
+// serializes this link's frames), posts the packet for arrival at tArr, then
+// holds xmit through the remaining lookahead so the next frame's
+// serialization starts exactly when it would have sequentially (partition.go
+// has the one thing it cannot carry: reverse back-pressure).
 func (l *Link) Send(p *sim.Proc, pkt *Packet) {
 	l.xmit.Acquire(p, 1)
 	wire := pkt.Size() + l.cfg.FrameOverhead
@@ -126,59 +147,37 @@ func (l *Link) Send(p *sim.Proc, pkt *Packet) {
 		// Straggler link/NIC: serialization and propagation both degrade.
 		delay = sim.Time(float64(delay) * f.slow)
 	}
+	var la sim.Time // 0 on an ordinary link: the frame lands on this clock
 	if l.portal != nil {
-		l.sendPortal(p, pkt, wire, delay)
-		return
+		la = l.portal.Lookahead()
 	}
-	p.Delay(delay)
-	l.stats.Packets++
-	l.stats.Bytes += int64(pkt.Size())
-	l.stats.WireBytes += int64(wire)
-	if !l.applyFaults(pkt, p.Now()) {
-		l.xmit.Release(1)
-		pkt.Release() // a lost frame goes back to its sender's pool
-		return
-	}
-	// Holding xmit while the downstream queue is full propagates stalls
-	// upstream: Myrinet back-pressure.
-	l.dst.Send(p, pkt)
-	l.xmit.Release(1)
-}
-
-// sendPortal is the cross-LP egress path. The timing reproduces the
-// sequential link exactly: charge all but the lookahead's worth of delay,
-// evaluate faults at the precise arrival instant tArr = now + la (the same
-// instant the sequential path evaluates them, and in the same per-link RNG
-// draw order since xmit serializes this link's frames), post the packet for
-// arrival at tArr, then hold xmit through the remaining lookahead so the
-// next frame's serialization starts exactly when it would have
-// sequentially. The one sequential behavior this path cannot reproduce is
-// REVERSE back-pressure — a full queue on the far side stalling this
-// sender — which has zero lookahead by nature; the receiving side's
-// injector detects that case and the run records it (see CutStats).
-func (l *Link) sendPortal(p *sim.Proc, pkt *Packet, wire int, delay sim.Time) {
-	la := l.portal.Lookahead()
 	p.Delay(delay - la)
 	tArr := p.Now() + la
 	l.stats.Packets++
 	l.stats.Bytes += int64(pkt.Size())
 	l.stats.WireBytes += int64(wire)
-	if !l.applyFaults(pkt, tArr) {
-		p.Delay(la) // the wire stays busy until the frame would have landed
-		l.xmit.Release(1)
-		pkt.Release()
-		return
+	switch {
+	case !l.applyFaults(pkt, tArr):
+		pkt.Release() // a lost frame goes back to its sender's pool
+	case l.portal != nil:
+		l.portal.PostAt(tArr, pkt)
+	default:
+		// Holding xmit while the downstream queue is full propagates stalls
+		// upstream: Myrinet back-pressure.
+		l.dst.Send(p, pkt)
 	}
-	l.portal.PostAt(tArr, pkt)
-	p.Delay(la)
+	if la > 0 {
+		p.Delay(la) // the wire stays busy until the frame has (or would have) landed
+	}
 	l.xmit.Release(1)
 }
 
 // applyFaults evaluates the link's fault state for a frame arriving at
 // tArr. It reports false when the frame is lost on the wire (stats and the
 // loss registry updated); corruption mutates the frame in place and lets it
-// travel on. Both Send paths call this at the frame's arrival instant, so
-// outage windows and RNG draws line up regardless of partitioning.
+// travel on. Send evaluates it at the frame's arrival instant on an ordinary
+// and on a portal link alike, so outage windows and RNG draws line up
+// regardless of partitioning.
 func (l *Link) applyFaults(pkt *Packet, tArr sim.Time) bool {
 	f := l.faults
 	if f == nil {
@@ -229,6 +228,7 @@ func (l *Link) Name() string { return l.name }
 // input port moves packets; output contention is resolved by the output
 // link's FIFO transmit resource.
 type Switch struct {
+	k          *sim.Kernel
 	name       string
 	in         []*sim.Chan[*Packet]
 	out        []*Link
@@ -250,7 +250,7 @@ func NewSwitch(k *sim.Kernel, name string, ports int, routeDelay sim.Time, slots
 		panic(fmt.Sprintf("netsim: switch %s wants %d ports; route bytes address at most %d — use a multi-stage fabric",
 			name, ports, MaxSwitchPorts))
 	}
-	s := &Switch{name: name, out: make([]*Link, ports), routeDelay: routeDelay}
+	s := &Switch{k: k, name: name, out: make([]*Link, ports), routeDelay: routeDelay}
 	for i := 0; i < ports; i++ {
 		s.in = append(s.in, sim.NewChan[*Packet](k, slots))
 	}
@@ -264,18 +264,16 @@ func (s *Switch) In(i int) *sim.Chan[*Packet] { return s.in[i] }
 func (s *Switch) SetOut(i int, l *Link) { s.out[i] = l }
 
 // Start spawns the per-port forwarder daemons.
-func (s *Switch) Start(k *sim.Kernel) {
+func (s *Switch) Start() {
 	for i := range s.in {
 		in := s.in[i]
-		k.SpawnDaemon(fmt.Sprintf("%s.fwd%d", s.name, i), func(p *sim.Proc) {
+		s.k.SpawnDaemon(fmt.Sprintf("%s.fwd%d", s.name, i), func(p *sim.Proc) {
 			for {
 				pkt := in.Recv(p)
 				if len(pkt.Route) == 0 {
 					panic(fmt.Sprintf("netsim: packet from %d to %d exhausted its route at switch %s",
 						pkt.Src, pkt.Dst, s.name))
 				}
-				// Route slices are shared across packets (Network.Route);
-				// consume by reslicing only — never write into the array.
 				port := pkt.Route[0]
 				pkt.Route = pkt.Route[1:]
 				if int(port) >= len(s.out) || s.out[port] == nil {

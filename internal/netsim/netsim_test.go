@@ -116,7 +116,7 @@ func TestBackpressureStallsSender(t *testing.T) {
 func TestSingleSwitchAllPairs(t *testing.T) {
 	k := sim.NewKernel()
 	const n = 4
-	net := NewSingleSwitch(k, n, DefaultMyrinet(), 300*sim.Nanosecond)
+	net := Shape{Topology: SingleSwitch, Nodes: n}.Build(k, DefaultMyrinet(), 300*sim.Nanosecond)
 	type rx struct{ src, val int }
 	got := make([][]rx, n)
 	for i := 0; i < n; i++ {
@@ -153,7 +153,7 @@ func TestSingleSwitchAllPairs(t *testing.T) {
 
 func TestLineMultiHopRouting(t *testing.T) {
 	k := sim.NewKernel()
-	net := NewLine(k, 3, 2, DefaultMyrinet(), 300*sim.Nanosecond) // nodes 0..5
+	net := Shape{Topology: Line, Nodes: 6, Hosts: 2}.Build(k, DefaultMyrinet(), 300*sim.Nanosecond) // nodes 0..5
 	var got []*Packet
 	k.Spawn("sender", func(p *sim.Proc) {
 		net.Iface(0).Send(p, &Packet{Dst: 5, Payload: []byte("far")})
@@ -176,7 +176,7 @@ func TestLineMultiHopRouting(t *testing.T) {
 
 func TestLineRouteLengths(t *testing.T) {
 	k := sim.NewKernel()
-	net := NewLine(k, 4, 2, DefaultMyrinet(), 0)
+	net := Shape{Topology: Line, Nodes: 8, Hosts: 2}.Build(k, DefaultMyrinet(), 0)
 	// Route from node 0 (switch 0) to node 7 (switch 3): 3 trunk hops + host port.
 	r := net.Route(0, 7)
 	if len(r) != 4 {
@@ -293,7 +293,7 @@ func TestPropertyFabricFIFOPerPair(t *testing.T) {
 		}
 		k := sim.NewKernel()
 		const n = 3
-		net := NewSingleSwitch(k, n, DefaultMyrinet(), 100*sim.Nanosecond)
+		net := Shape{Topology: SingleSwitch, Nodes: n}.Build(k, DefaultMyrinet(), 100*sim.Nanosecond)
 		// Node 0 sends interleaved packets to 1 and 2 per plan bits.
 		counts := [n]int{}
 		for _, b := range plan {
@@ -338,7 +338,7 @@ func TestTrunkContentionSlowsPairs(t *testing.T) {
 	// Two flows crossing the same trunk must each get about half the trunk.
 	k := sim.NewKernel()
 	cfg := DefaultMyrinet()
-	net := NewLine(k, 2, 2, cfg, 0) // nodes 0,1 on sw0; 2,3 on sw1
+	net := Shape{Topology: Line, Nodes: 4, Hosts: 2}.Build(k, cfg, 0) // nodes 0,1 on sw0; 2,3 on sw1
 	const pkts, size = 50, 1000
 	var done [2]sim.Time
 	for i := 0; i < 2; i++ {

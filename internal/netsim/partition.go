@@ -7,7 +7,7 @@
 // the cut are edge<->spine trunks. Trunk propagation delay is physical,
 // positive, and known at build time — it IS the engine's lookahead.
 //
-// A cut trunk is a portal link (see Link.sendPortal): the transmitting side
+// A cut trunk is a portal link (see Link.Send): the transmitting side
 // charges serialization and propagation on its own clock, evaluates the
 // link's fault state at the exact arrival instant, and posts the frame
 // across the LP boundary; an injector daemon on the receiving side places
@@ -64,9 +64,6 @@ func (fp FatTreePartition) EdgeLP(e int) int { return e / (fp.Edges / fp.Parts) 
 // SpineLP reports the LP owning spine switch s.
 func (fp FatTreePartition) SpineLP(s int) int { return s % fp.Parts }
 
-// NodeLP reports the LP owning node id (follows its edge switch).
-func (fp FatTreePartition) NodeLP(id int) int { return fp.EdgeLP(id / fp.Hosts) }
-
 // CutMonitor counts cross-partition back-pressure events: arrivals at a cut
 // injector that found the downstream port queue full. Incremented from
 // multiple LP goroutines, hence atomic.
@@ -79,40 +76,28 @@ func (m *CutMonitor) Stalls() int64 { return m.stalls.Load() }
 
 // CutStalls reports cross-partition back-pressure events (0 for a
 // sequential fabric).
-func (n *Network) CutStalls() int64 {
-	if n.cut == nil {
-		return 0
-	}
-	return n.cut.Stalls()
-}
+func (n *Network) CutStalls() int64 { return n.cut.Stalls() }
 
 // Certified reports whether this run's virtual-time results are exactly the
 // sequential engine's: trivially true for a fused fabric, and true for a
 // partitioned one iff no cut arrival ever found its downstream queue full
 // (see the package comment on partitioning for why that is the one case
 // conservative parallel execution cannot reproduce exactly).
-func (n *Network) Certified() bool { return n.cut == nil || n.cut.Stalls() == 0 }
+func (n *Network) Certified() bool { return n.cut.Stalls() == 0 }
 
-// newPortalLink builds a cut trunk: the wire (xmit resource, fault state)
-// lives in srcLP; arrivals materialize in dstLP through a portal whose
-// lookahead is the link's propagation delay, and an injector daemon performs
-// the downstream delivery, preserving per-wire FIFO.
-func (n *Network) newPortalLink(name string, cfg LinkConfig, srcLP, dstLP *sim.LP, dst *sim.Chan[*Packet]) *Link {
-	if cfg.Slots < 1 {
-		cfg.Slots = 1
-	}
-	l := &Link{name: name, cfg: cfg, xmit: sim.NewResource(srcLP.K, "link:"+name, 1)}
-	if cfg.DropProb > 0 || cfg.CorruptProb > 0 {
-		f := l.ensureFaults()
-		f.drop, f.corrupt, f.seed = cfg.DropProb, cfg.CorruptProb, cfg.Seed
-	}
+// crossLPs turns l — built by NewLink in srcLP, where the wire (xmit
+// resource, fault state) stays — into a cut trunk: arrivals materialize in
+// dstLP through a portal whose lookahead is the link's propagation delay, and
+// an injector daemon performs the downstream delivery, preserving per-wire
+// FIFO.
+func (l *Link) crossLPs(mon *CutMonitor, srcLP, dstLP *sim.LP) {
+	name, dst := l.name, l.dst
 	stage := sim.NewChan[*Packet](dstLP.K, portalStageCap)
-	l.portal = sim.NewPortal(name, srcLP, dstLP, cfg.PropDelay, func(_ sim.Time, pkt *Packet) {
+	l.portal = sim.NewPortal(name, srcLP, dstLP, l.cfg.PropDelay, func(_ sim.Time, pkt *Packet) {
 		if !stage.TrySend(pkt) {
 			panic(fmt.Sprintf("netsim: portal %s staging overflow", name))
 		}
 	})
-	mon := n.cut
 	dstLP.K.SpawnDaemon("inject:"+name, func(p *sim.Proc) {
 		for {
 			pkt := stage.Recv(p)
@@ -125,19 +110,15 @@ func (n *Network) newPortalLink(name string, cfg LinkConfig, srcLP, dstLP *sim.L
 			}
 		}
 	})
-	return n.addLink(l)
 }
 
-// NewFatTreePar builds the partitioned twin of NewFatTree on the LPs of a
-// parallel engine (one LP per partition, len(lps) == fp.Parts). Link names,
-// switch names, routes, and per-link fault RNG streams are identical to the
-// fused fabric — fault schedules stay decorrelated per link and keyed only
-// by link name, regardless of partition shape.
+// NewFatTreePar builds NewFatTree's fabric on the LPs of a parallel engine
+// (one LP per partition, len(lps) == fp.Parts): the same wiring, with each
+// switch on the LP fp assigns it. Link names, switch names, routes, and
+// per-link fault RNG streams are identical to the fused fabric — fault
+// schedules stay decorrelated per link and keyed only by link name,
+// regardless of partition shape.
 func NewFatTreePar(lps []*sim.LP, fp FatTreePartition, cfg LinkConfig, routeDelay sim.Time) *Network {
-	edges, hosts, spines := fp.Edges, fp.Hosts, fp.Spines
-	if edges < 2 || hosts < 1 || spines < 1 {
-		panic(fmt.Sprintf("netsim: fat tree needs >=2 edges, >=1 host, >=1 spine (got %d/%d/%d)", edges, hosts, spines))
-	}
 	if err := fp.Validate(); err != nil {
 		panic(err.Error())
 	}
@@ -147,48 +128,11 @@ func NewFatTreePar(lps []*sim.LP, fp FatTreePartition, cfg LinkConfig, routeDela
 	if cfg.PropDelay < sim.Nanosecond {
 		panic("netsim: partitioned fabric needs PropDelay >= 1ns (the trunk delay is the engine lookahead)")
 	}
-	n := &Network{
-		K: lps[0].K,
-		desc: fmt.Sprintf("fat tree: %d edge switches x %d hosts, %d spines (%d nodes), %d partitions",
-			edges, hosts, spines, edges*hosts, fp.Parts),
-		cut: &CutMonitor{},
+	ks := make([]*sim.Kernel, len(lps))
+	for i, lp := range lps {
+		ks[i] = lp.K
 	}
-	edgeSw := make([]*Switch, edges)
-	spineSw := make([]*Switch, spines)
-	for e := range edgeSw {
-		edgeSw[e] = NewSwitch(lps[fp.EdgeLP(e)].K, fmt.Sprintf("edge%d", e), hosts+spines, routeDelay, cfg.Slots)
-	}
-	for s := range spineSw {
-		spineSw[s] = NewSwitch(lps[fp.SpineLP(s)].K, fmt.Sprintf("spine%d", s), edges, routeDelay, cfg.Slots)
-	}
-	trunk := func(name string, src, dst int, dstCh *sim.Chan[*Packet]) *Link {
-		if src == dst {
-			return n.addLink(NewLink(lps[src].K, name, cfg, dstCh))
-		}
-		return n.newPortalLink(name, cfg, lps[src], lps[dst], dstCh)
-	}
-	for e := 0; e < edges; e++ {
-		lpE := fp.EdgeLP(e)
-		kE := lps[lpE].K
-		for l := 0; l < hosts; l++ {
-			id := e*hosts + l
-			ifc := &Iface{ID: id, In: sim.NewChan[*Packet](kE, cfg.Slots), net: n}
-			ifc.out = n.addLink(NewLink(kE, fmt.Sprintf("n%d->edge%d", id, e), cfg, edgeSw[e].In(l)))
-			edgeSw[e].SetOut(l, n.addLink(NewLink(kE, fmt.Sprintf("edge%d->n%d", e, id), cfg, ifc.In)))
-			n.ifaces = append(n.ifaces, ifc)
-		}
-		for s := 0; s < spines; s++ {
-			lpS := fp.SpineLP(s)
-			edgeSw[e].SetOut(hosts+s, trunk(fmt.Sprintf("edge%d->spine%d", e, s), lpE, lpS, spineSw[s].In(e)))
-			spineSw[s].SetOut(e, trunk(fmt.Sprintf("spine%d->edge%d", s, e), lpS, lpE, edgeSw[e].In(hosts+s)))
-		}
-	}
-	for e, sw := range edgeSw {
-		sw.Start(lps[fp.EdgeLP(e)].K)
-	}
-	for s, sw := range spineSw {
-		sw.Start(lps[fp.SpineLP(s)].K)
-	}
-	n.routes = fatTreeRoutes(edges, hosts, spines)
+	n := Shape{Topology: FatTree, Nodes: fp.Edges * fp.Hosts, Hosts: fp.Hosts, Spines: fp.Spines}.build(ks, lps, cfg, routeDelay)
+	n.desc += fmt.Sprintf(", %d partitions", fp.Parts)
 	return n
 }

@@ -47,8 +47,13 @@ func TestFatTreeParLPOwnership(t *testing.T) {
 	if got := fp.SpineLP(5); got != 1 {
 		t.Fatalf("SpineLP(5) = %d", got)
 	}
-	if got := fp.NodeLP(9); got != fp.EdgeLP(2) {
-		t.Fatalf("NodeLP(9) = %d, want edge 2's LP %d", got, fp.EdgeLP(2))
+	// A node lives with its edge switch: node 9 hangs off edge 2.
+	e := sim.NewEngine()
+	defer e.Shutdown()
+	lps := []*sim.LP{e.AddLP("a"), e.AddLP("b"), e.AddLP("c"), e.AddLP("d")}
+	net := NewFatTreePar(lps, fp, DefaultMyrinet(), 0)
+	if got, want := net.Iface(9).K, lps[fp.EdgeLP(2)].K; got != want {
+		t.Fatalf("node 9 lives on kernel %p, want edge 2's %p", got, want)
 	}
 }
 
@@ -131,7 +136,7 @@ func runPartitionedFatTree(t *testing.T, cfg LinkConfig, faults *FaultPlan) ([][
 			t.Fatal(err)
 		}
 	}
-	log := fatTreeTrafficLog(t, net, func(i int) *sim.Kernel { return lps[parShape.NodeLP(i)].K }, e.Run)
+	log := fatTreeTrafficLog(t, net, func(i int) *sim.Kernel { return net.Iface(i).K }, e.Run)
 	return log, net
 }
 
@@ -187,6 +192,39 @@ func TestFatTreeParFaultDeterminism(t *testing.T) {
 	}
 	if got, want := parNet.LostFrames(), seqNet.LostFrames(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("loss registries diverged:\n fused: %v\n  part: %v", want, got)
+	}
+}
+
+// TestFatTreeTwinsCannotDrift: the sequential and the partitioned fat tree
+// are one wiring under two placements, so whatever the partition count they
+// describe themselves alike, name their links alike in the same order, and
+// route alike.
+func TestFatTreeTwinsCannotDrift(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Shutdown()
+	seq := NewFatTree(k, 8, 4, 4, DefaultMyrinet(), 0)
+	for _, parts := range []int{2, 4} {
+		e := sim.NewEngine()
+		lps := make([]*sim.LP, parts)
+		for i := range lps {
+			lps[i] = e.AddLP(fmt.Sprintf("part%d", i))
+		}
+		par := NewFatTreePar(lps, FatTreePartition{Edges: 8, Hosts: 4, Spines: 4, Parts: parts}, DefaultMyrinet(), 0)
+		if !strings.HasPrefix(par.Describe(), seq.Describe()) {
+			t.Errorf("%d parts: described as %q, sequential as %q", parts, par.Describe(), seq.Describe())
+		}
+		if len(par.Links()) != len(seq.Links()) {
+			t.Fatalf("%d parts: %d links, sequential has %d", parts, len(par.Links()), len(seq.Links()))
+		}
+		for i, l := range seq.Links() {
+			if got := par.Links()[i].Name(); got != l.Name() {
+				t.Fatalf("%d parts: link %d is %q, sequential has %q", parts, i, got, l.Name())
+			}
+		}
+		if got, want := routeDigest(par), routeDigest(seq); got != want {
+			t.Errorf("%d parts: route digest %#x, sequential %#x", parts, got, want)
+		}
+		e.Shutdown()
 	}
 }
 

@@ -92,12 +92,9 @@ func (fp *FramePool) Stats() PoolStats {
 	return s
 }
 
-// FrameCap reports the backing-array size of the pool's frames.
-func (fp *FramePool) FrameCap() int { return fp.frameCap }
-
-// Get returns a packet whose Payload has length n (n <= FrameCap), drawing
-// from the free list when possible. The caller owns the frame until it is
-// injected; the eventual consumer must Release it.
+// Get returns a packet whose Payload has length n (at most the pool's frame
+// capacity), drawing from the free list when possible. The caller owns the
+// frame until it is injected; the eventual consumer must Release it.
 func (fp *FramePool) Get(n int) *Packet {
 	if n > fp.frameCap {
 		panic("netsim: frame request exceeds pool frame capacity")

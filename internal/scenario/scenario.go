@@ -22,6 +22,7 @@ import (
 	"os"
 
 	fmnet "repro"
+	"repro/internal/netsim"
 )
 
 // Traffic describes the offered load of a scenario.
@@ -145,21 +146,16 @@ var knownPatterns = map[string]bool{
 	"rpc": true,
 }
 
-// topo maps the scenario-file topology names onto fmnet.
+// topo maps the scenario-file topology name onto fmnet ("" is single).
 func (s *Spec) topo() (fmnet.Topo, error) {
-	switch s.Topology {
-	case "", "single":
+	if s.Topology == "" {
 		return fmnet.SingleSwitch, nil
-	case "pair":
-		return fmnet.Pair, nil
-	case "line":
-		return fmnet.Line, nil
-	case "fattree":
-		return fmnet.FatTree, nil
-	case "torus":
-		return fmnet.Torus, nil
 	}
-	return 0, fmt.Errorf("scenario %s: unknown topology %q", s.Name, s.Topology)
+	t, err := netsim.ParseTopology(s.Topology)
+	if err != nil {
+		return 0, fmt.Errorf("scenario %s: unknown topology %q", s.Name, s.Topology)
+	}
+	return t, nil
 }
 
 // Validate checks the spec without building anything.

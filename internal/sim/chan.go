@@ -75,25 +75,6 @@ func (w *waitq[T]) pop() T {
 	return v
 }
 
-// removeFirst deletes the first live entry matching the predicate (timed-out
-// Signal waiters de-queueing themselves); it reports whether one was found.
-func (w *waitq[T]) removeFirst(match func(T) bool) bool {
-	for i := w.head; i < len(w.q); i++ {
-		if match(w.q[i]) {
-			copy(w.q[i:], w.q[i+1:])
-			var zero T
-			w.q[len(w.q)-1] = zero // drop the stale duplicate for the GC
-			w.q = w.q[:len(w.q)-1]
-			if w.head == len(w.q) {
-				w.q = w.q[:0]
-				w.head = 0
-			}
-			return true
-		}
-	}
-	return false
-}
-
 // NewChan creates a channel with the given buffer capacity (>= 0).
 func NewChan[T any](k *Kernel, capacity int) *Chan[T] {
 	if capacity < 0 {

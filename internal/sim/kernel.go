@@ -236,9 +236,6 @@ func (k *Kernel) At(t Time, fn func()) {
 	k.push(event{t: t, fn: fn})
 }
 
-// After schedules fn to run in driver context after delay d.
-func (k *Kernel) After(d Time, fn func()) { k.At(k.now+d, fn) }
-
 // wakeAt schedules p to resume at absolute time t with its current wake
 // generation. Internal: synchronization primitives use this.
 func (k *Kernel) wakeAt(t Time, p *Proc) {
@@ -577,11 +574,4 @@ func (p *Proc) PollEvery(d Time, c Idler) {
 	p.poll, p.pollEvery = c, d
 	p.Delay(d)
 	p.poll = nil
-}
-
-// Yield reschedules the Proc at the current instant behind all events
-// already queued for this time, giving equal-time events a chance to run.
-func (p *Proc) Yield() {
-	p.k.wakeNow(p)
-	p.park()
 }

@@ -166,7 +166,7 @@ func TestTimerCallback(t *testing.T) {
 	k := NewKernel()
 	var fired []Time
 	k.At(3*Microsecond, func() { fired = append(fired, k.Now()) })
-	k.After(7*Microsecond, func() { fired = append(fired, k.Now()) })
+	k.At(7*Microsecond, func() { fired = append(fired, k.Now()) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -197,70 +197,6 @@ func TestSignalWakesFIFO(t *testing.T) {
 		if v != i {
 			t.Fatalf("broadcast order %v, want FIFO", order)
 		}
-	}
-}
-
-func TestSignalTimeout(t *testing.T) {
-	k := NewKernel()
-	var sig Signal
-	var gotSignal, timedOut bool
-	k.Spawn("timeout", func(p *Proc) {
-		timedOut = !sig.WaitTimeout(p, 2*Microsecond)
-	})
-	k.Spawn("signaled", func(p *Proc) {
-		gotSignal = sig.WaitTimeout(p, 100*Microsecond)
-	})
-	k.Spawn("kicker", func(p *Proc) {
-		p.Delay(10 * Microsecond)
-		sig.Broadcast()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !timedOut {
-		t.Fatal("first waiter should have timed out")
-	}
-	if !gotSignal {
-		t.Fatal("second waiter should have been signaled")
-	}
-	if sig.Waiters() != 0 {
-		t.Fatalf("stale waiters: %d", sig.Waiters())
-	}
-}
-
-func TestSignalTimeoutNoDoubleWake(t *testing.T) {
-	// A proc signaled before its timeout must not be woken again by the
-	// stale timer while parked on something else.
-	k := NewKernel()
-	var sig Signal
-	var r *Resource
-	r = NewResource(k, "res", 1)
-	var done bool
-	k.Spawn("holder", func(p *Proc) {
-		r.Acquire(p, 1)
-		p.Delay(50 * Microsecond)
-		r.Release(1)
-	})
-	k.Spawn("waiter", func(p *Proc) {
-		if !sig.WaitTimeout(p, 20*Microsecond) {
-			t.Error("should have been signaled at 1us")
-		}
-		r.Acquire(p, 1) // parks until 50us; stale timer at 20us must not wake us
-		if p.Now() != 50*Microsecond {
-			t.Errorf("woken at %v, want 50us", p.Now())
-		}
-		r.Release(1)
-		done = true
-	})
-	k.Spawn("kicker", func(p *Proc) {
-		p.Delay(Microsecond)
-		sig.Broadcast()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !done {
-		t.Fatal("waiter did not finish")
 	}
 }
 
@@ -332,55 +268,7 @@ func TestResourceUtilization(t *testing.T) {
 	}
 }
 
-func TestMutex(t *testing.T) {
-	k := NewKernel()
-	m := NewMutex(k, "m")
-	counter := 0
-	for i := 0; i < 10; i++ {
-		k.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-			m.Lock(p)
-			c := counter
-			p.Delay(Microsecond) // would race without the mutex
-			counter = c + 1
-			m.Unlock()
-		})
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if counter != 10 {
-		t.Fatalf("counter = %d, want 10", counter)
-	}
-}
-
-func TestWaitGroup(t *testing.T) {
-	k := NewKernel()
-	var wg WaitGroup
-	var finished Time
-	for i := 1; i <= 3; i++ {
-		i := i
-		wg.Add(1)
-		k.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-			p.Delay(Time(i*10) * Microsecond)
-			wg.Done()
-		})
-	}
-	k.Spawn("waiter", func(p *Proc) {
-		wg.Wait(p)
-		finished = p.Now()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if finished != 30*Microsecond {
-		t.Fatalf("finished at %v, want 30us", finished)
-	}
-}
-
 func TestPerByteAndBytesTime(t *testing.T) {
-	if PerByte(1000) != Nanosecond {
-		t.Fatalf("PerByte(1000 MB/s) = %v, want 1ns", PerByte(1000))
-	}
 	if BytesTime(1000, 100) != 10*Microsecond {
 		t.Fatalf("BytesTime(1000B, 100MB/s) = %v, want 10us", BytesTime(1000, 100))
 	}
@@ -544,28 +432,6 @@ func TestResourcePropertyCapacity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestYield(t *testing.T) {
-	k := NewKernel()
-	var order []string
-	k.Spawn("a", func(p *Proc) {
-		order = append(order, "a1")
-		p.Yield()
-		order = append(order, "a2")
-	})
-	k.Spawn("b", func(p *Proc) {
-		order = append(order, "b1")
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"a1", "b1", "a2"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
 	}
 }
 

@@ -20,19 +20,6 @@ func (s *Signal) Wait(p *Proc) {
 	p.park()
 }
 
-// WaitTimeout parks p until signaled or until d elapses. It reports true if
-// the Proc was signaled and false on timeout.
-func (s *Signal) WaitTimeout(p *Proc, d Time) bool {
-	s.q.push(p)
-	p.k.wakeAt(p.k.now+d, p)
-	p.park()
-	// If we are still queued, the wakeup was the timer: remove ourselves.
-	if s.q.removeFirst(func(w *Proc) bool { return w == p }) {
-		return false
-	}
-	return true
-}
-
 // Signal wakes the longest-waiting Proc, if any.
 func (s *Signal) Signal() {
 	if s.q.len() == 0 {
@@ -135,45 +122,4 @@ func (r *Resource) BusyTime() Time {
 		b += r.k.now - r.lastStart
 	}
 	return b
-}
-
-// Mutex is a one-unit Resource.
-type Mutex struct{ r *Resource }
-
-// NewMutex creates a virtual-time mutex.
-func NewMutex(k *Kernel, name string) *Mutex {
-	return &Mutex{r: NewResource(k, name, 1)}
-}
-
-// Lock acquires the mutex, parking p until available.
-func (m *Mutex) Lock(p *Proc) { m.r.Acquire(p, 1) }
-
-// Unlock releases the mutex.
-func (m *Mutex) Unlock() { m.r.Release(1) }
-
-// WaitGroup counts outstanding activities in virtual time.
-type WaitGroup struct {
-	n   int
-	sig Signal
-}
-
-// Add adds delta to the counter.
-func (wg *WaitGroup) Add(delta int) {
-	wg.n += delta
-	if wg.n < 0 {
-		panic("sim: negative WaitGroup counter")
-	}
-	if wg.n == 0 {
-		wg.sig.Broadcast()
-	}
-}
-
-// Done decrements the counter by one.
-func (wg *WaitGroup) Done() { wg.Add(-1) }
-
-// Wait parks p until the counter reaches zero.
-func (wg *WaitGroup) Wait(p *Proc) {
-	for wg.n > 0 {
-		wg.sig.Wait(p)
-	}
 }

@@ -36,16 +36,6 @@ func (t Time) String() string {
 	}
 }
 
-// PerByte converts a bandwidth in MB/s into the virtual time needed to move
-// one byte. It is the standard way cost tables express per-byte charges.
-func PerByte(mbPerSec float64) Time {
-	if mbPerSec <= 0 {
-		return 0
-	}
-	// 1 MB/s == 1 byte/us == 1000 ns total; per byte: 1000/mbPerSec ns.
-	return Time(1000.0 / mbPerSec)
-}
-
 // BytesTime returns the time to move n bytes at the given bandwidth in MB/s,
 // computed in float to avoid per-byte rounding error on large transfers.
 func BytesTime(n int, mbPerSec float64) Time {
