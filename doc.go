@@ -33,7 +33,8 @@
 //     (recycled with it; never copy a Packet by value)
 //   - internal/hostmodel  machine cost profiles (sparc, ppro200)
 //   - internal/lanai      NIC model
-//   - internal/flowctl    the credit plane both FM generations share
+//   - internal/flowctl    what both FM generations share: the endpoint core
+//     they embed (EndpointCore), its credit plane (Plane), the ledger (Manager)
 //   - internal/fm1        Fast Messages 1.x (contiguous buffers, staged delivery)
 //   - internal/fm2        Fast Messages 2.x (the paper's contribution:
 //     streaming gather/scatter, handler multithreading, paced extraction,
@@ -102,12 +103,17 @@
 // engines' perf rows. fmbench's stdout is held byte for byte to goldens
 // under cmd/fmbench/testdata (go test ./cmd/fmbench -update rewrites them).
 //
-// Below the transport, credit flow control is one service both generations
-// keep (paper §3.1, §4) and one copy of code: flowctl.Plane owns the credit
-// ledger, the control-header pool, control-frame validation, the
-// multi-waiter credit wait, half-window return and the idle flush. fm1 and
-// fm2 endpoints hold a Plane by value and differ only in the header size
-// and count offset they construct it with.
+// Below the transport, what the paper's §4 says FM 2.x kept from FM 1.x —
+// reliable in-order delivery, sender flow control, extraction decoupled from
+// sending (§3.1) — is one copy of code, flowctl.EndpointCore, embedded by
+// value in fm1.Endpoint and fm2.Endpoint: host and NIC, the credit plane
+// (flowctl.Plane), the data-frame pool and its modes, one Stats type, the
+// header layout as data (flowctl.Wire) and the per-packet steps Emit, Next
+// and Open. The engines read as Table 1 and Table 2 — what changed — and an
+// engine-level change (a per-packet charge, a header field, a trace hook, a
+// pool mode) has one site, internal/flowctl/core.go. xport.Transport is
+// accordingly four methods: Core (everything both engines answer the same
+// way), Register, BeginMessage and ExtractWait (a nil waiter is FM_extract).
 //
 // # Fault model and chaos campaigns
 //
@@ -181,7 +187,7 @@
 // one call, xport.HandlerSpace.Wait(p, budget, cond), and while the wait
 // is idle — receive ring and control queue empty, no withheld credit batch
 // to flush, cond still false — its poll ticks are taken by the kernel's
-// dispatcher (sim.Proc.PollEvery, reached through flowctl.Plane.IdlePoll)
+// dispatcher (sim.Proc.PollEvery, called from flowctl.EndpointCore.Next)
 // instead of by the polling Proc's goroutine. The idle test therefore runs
 // in dispatcher context, on whichever goroutine holds the control token;
 // it only reads, and only state of the Proc's own node, so nothing

@@ -62,8 +62,7 @@ func TestMPIOverMultiHopFabric(t *testing.T) {
 func TestFMAssumesReliableWire(t *testing.T) {
 	k := sim.NewKernel()
 	cfg := cluster.DefaultConfig()
-	cfg.Profile.Link.DropProb = 0.2
-	cfg.Profile.Link.Seed = 99
+	cfg.Faults = &netsim.FaultPlan{Seed: 99, Rules: []netsim.FaultRule{{DropProb: 0.2}}}
 	pl := cluster.New(k, cfg)
 	eps := fm2.Attach(pl, fm2.Config{DisableFlowControl: true})
 	recvd := 0

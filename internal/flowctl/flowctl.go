@@ -1,11 +1,13 @@
-// Package flowctl implements the credit flow control shared by FM 1.x and
-// FM 2.x. Each sender holds a window of packet credits per destination,
-// sized so that the receiver's pinned ring can never overflow; the receiver
-// returns credits in batches as Extract frees ring slots. This is the "flow
-// control and buffer management are all Myrinet needs for reliable,
-// in-order delivery" design of paper §3.1. Manager is the ledger; Plane is
-// the protocol around it (control frames, blocking for credits, return and
-// idle flush) that both FM engines hold one copy of.
+// Package flowctl implements what FM 2.x kept from FM 1.x (paper §4), first
+// of all the credit flow control. Each sender holds a window of packet
+// credits per destination, sized so that the receiver's pinned ring can never
+// overflow; the receiver returns credits in batches as Extract frees ring
+// slots. This is the "flow control and buffer management are all Myrinet
+// needs for reliable, in-order delivery" design of paper §3.1. Manager is the
+// ledger; Plane is the protocol around it (control frames, blocking for
+// credits, return and idle flush); EndpointCore is the endpoint around that
+// (host and NIC, frame pool, counters, header layout, the per-packet send and
+// extract steps), which both FM engines embed one copy of.
 package flowctl
 
 // Manager tracks credits for one endpoint in a cluster of n nodes.

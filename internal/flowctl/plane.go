@@ -8,16 +8,13 @@ import (
 	"repro/internal/sim"
 )
 
-// typeCredit is byte 0 of a control frame in both FM generations' header
-// layouts (data frames carry 1); bytes [2:4] are the source node.
-const typeCredit = 2
-
 // Plane is the credit/control plane of one FM endpoint, the flow-control
 // service both generations keep unchanged (paper §3.1, §4): the credit
 // ledger, the control-header pool, the wait for refills while a send is
 // gated, control-frame validation, half-window credit return and the idle
-// flush. The generations differ only in their header layout, which they
-// pass to NewPlane; an endpoint holds its Plane by value.
+// flush. The generations differ only in their header layout (Wire), which
+// reaches NewPlane through NewEndpointCore; an EndpointCore holds its Plane
+// by value.
 type Plane struct {
 	fc       *Manager
 	nic      *lanai.NIC
@@ -59,8 +56,7 @@ func NewPlane(nic *lanai.NIC, nodes, hdrSize, countOff, poolCap int, disabled bo
 // Manager exposes the credit ledger.
 func (c *Plane) Manager() *Manager { return c.fc }
 
-// Pool exposes the control-header pool, so the endpoint can put it in the
-// same poison and shared modes as its data-frame pool and report its stats.
+// Pool exposes the control-header pool and its recycling counters.
 func (c *Plane) Pool() *netsim.FramePool { return c.pool }
 
 // Malformed reports how many control frames were discarded as invalid.
@@ -105,7 +101,9 @@ func (c *Plane) DrainCtrl() {
 // sending endpoint's header pool. Malformed control frames are counted and
 // discarded: trusting a bad source or count here would corrupt the credit
 // ledger far from the cause, and a forged source must not Refill an
-// innocent sender.
+// innocent sender. A count above what is in flight toward src is forged too:
+// Refill would take it past the window, which Refill treats as a broken
+// invariant, not as input.
 func (c *Plane) handleCtrl(pkt *netsim.Packet) {
 	defer pkt.Release()
 	frame := pkt.Payload
@@ -115,7 +113,7 @@ func (c *Plane) handleCtrl(pkt *netsim.Packet) {
 	}
 	src := int(binary.LittleEndian.Uint16(frame[2:]))
 	n := int(binary.LittleEndian.Uint32(frame[c.countOff:]))
-	if src == c.node || src >= c.fc.Nodes() || n <= 0 || n > c.fc.Window() {
+	if src == c.node || src >= c.fc.Nodes() || n <= 0 || n > c.fc.Outstanding(src) {
 		c.malformed++
 		return
 	}
@@ -163,16 +161,16 @@ func (w *Waiter) Idle() bool {
 }
 
 // IdlePoll is what an Extract that found the receive ring empty does, less
-// the poll itself: it flushes withheld credit and reports how the engine is
-// to charge the empty poll — p.PollEvery(every, idle). On behalf of a caller
-// blocked on w.Until that goes on charging empty polls, one kernel event
-// each, until a poll would find work or the caller's condition holds: the
-// `for !done { Extract }` loop of a blocked upper layer, minus the trip up
-// and down the stack per tick. A nil w is a caller pacing its own loop, which
-// must see every tick: idle is nil, exactly one empty poll. (The engine
-// makes the PollEvery call itself so that a Proc resuming from an empty
-// poll — the hottest path of every self-paced poller — unwinds no deeper a
-// stack than it did when Extract called Delay directly.)
+// the poll itself: it flushes withheld credit and reports how
+// EndpointCore.Next is to charge the empty poll — p.PollEvery(every, idle).
+// On behalf of a caller blocked on w.Until that goes on charging empty polls,
+// one kernel event each, until a poll would find work or the caller's
+// condition holds: the `for !done { Extract }` loop of a blocked upper layer,
+// minus the trip up and down the stack per tick. A nil w is a caller pacing
+// its own loop, which must see every tick: idle is nil, exactly one empty
+// poll. (Next makes the PollEvery call itself so that a Proc resuming from an
+// empty poll — the hottest path of every self-paced poller — unwinds one
+// frame less.)
 func (c *Plane) IdlePoll(p *sim.Proc, w *Waiter) (every sim.Time, idle sim.Idler) {
 	c.Flush(p)
 	every = c.nic.H.P.PollEmpty

@@ -66,6 +66,7 @@ func TestPlaneRejectsForgedControlFrames(t *testing.T) {
 			{"src out of range", credit(hdr, 2, 3, 1)},
 			{"zero count", credit(hdr, 2, 1, 0)},
 			{"count over window", credit(hdr, 2, 1, window+1)},
+			{"count over outstanding", credit(hdr, 2, 1, 3)},
 		}
 		forge := netsim.NewFramePool(hdr, 0)
 		inject := func(p *sim.Proc, frame []byte) {

@@ -172,7 +172,7 @@ func TestSenderDecoupledFromReceiver(t *testing.T) {
 }
 
 func TestFlowControlBlocksAtWindow(t *testing.T) {
-	k, _, eps := sparcPair()
+	k, pl, eps := sparcPair()
 	window := eps[0].FlowControl().Window()
 	sent := 0
 	k.Spawn("sender", func(p *sim.Proc) {
@@ -191,7 +191,7 @@ func TestFlowControlBlocksAtWindow(t *testing.T) {
 		t.Fatalf("sender exceeded window without extract: %d > %d", sent, window)
 	}
 	// NIC ring must never have been overrun.
-	if eps[1].nic.Stats().RingDropped != 0 {
+	if pl.NICs[1].Stats().RingDropped != 0 {
 		t.Fatal("ring dropped packets despite flow control")
 	}
 }

@@ -34,9 +34,6 @@ import (
 	"repro/internal/bufpool"
 	"repro/internal/cluster"
 	"repro/internal/flowctl"
-	"repro/internal/hostmodel"
-	"repro/internal/lanai"
-	"repro/internal/netsim"
 	"repro/internal/sim"
 )
 
@@ -67,62 +64,41 @@ type Config struct {
 // DefaultMaxMessage is the FM 2.x message size limit.
 const DefaultMaxMessage = 4 << 20
 
-// Packet header layout (16 bytes):
+// The FM 2.x packet header layout (16 bytes), built and parsed by
+// flowctl.EndpointCore (data) and flowctl.Plane (credit) — all but the
+// message ID, which is this package's own:
 //
-//	[0]      type (1=data, 2=credit: built and parsed by flowctl.Plane)
+//	[0]      type (1=data, 2=credit)
 //	[1]      flags (bit0 first packet, bit1 last packet)
 //	[2:4]    source node
 //	[4:6]    message ID (per-sender sequence)
 //	[6:8]    handler ID
 //	[8:10]   packet payload length
-//	[10:14]  total message length / credit count
+//	[10:14]  total message length (data) / credit count (credit)
 //	[14:16]  reserved
 const (
-	headerSize     = 16
-	creditCountOff = 10
-	typeData       = 1
-	flagFirst      = 1
-	flagLast       = 2
+	headerSize = 16
+	msgIDOff   = 4
 )
 
-// Stats counts endpoint activity.
-type Stats struct {
-	MsgsSent, MsgsRecvd       int64
-	PacketsSent, PacketsRecvd int64
-	BytesSent, BytesRecvd     int64
-	// DiscardedBytes counts payload dropped because a handler returned
-	// before consuming its whole message (FM semantics: the rest of the
-	// stream is discarded).
-	DiscardedBytes int64
-	UnknownHandler int64
-	// Malformed counts structurally invalid frames (bad type, truncated
-	// header, out-of-range source or length) discarded instead of trusted.
-	// The link CRC drops corrupted frames at the NIC, so a nonzero count
-	// here means injected garbage or a software bug — never wire noise.
-	Malformed int64
-	// Orphaned counts well-formed continuation frames whose stream context
-	// was lost because an earlier frame of the message vanished in flight
-	// (drop, CRC, outage). The frame is discarded and its ring credit
-	// returned; the message itself is gone — FM has no retransmit.
-	Orphaned int64
-}
+var wire = flowctl.Wire{Size: headerSize, Handler: 6, FragLen: 8, Total: 10, MaxMessage: DefaultMaxMessage}
 
-// Endpoint is one node's FM 2.x attachment.
+// Stats counts endpoint activity.
+type Stats = flowctl.Stats
+
+// Endpoint is one node's FM 2.x attachment: the endpoint core every FM
+// generation shares (flowctl.EndpointCore: host, NIC, credit plane, frame
+// pool, counters, the per-packet send and extract steps, the accessors) plus
+// what Table 2's API adds — streams, message IDs, handler threads and the
+// byte budget on Extract.
 type Endpoint struct {
-	node     int
-	h        *hostmodel.Host
-	nic      *lanai.NIC
-	cfg      Config
+	flowctl.EndpointCore
 	handlers map[HandlerID]Handler
-	credit   flowctl.Plane // credit ledger, control frames and their pool
 	active   map[uint32]*RecvStream
 	msgSeq   uint16
-	stats    Stats
 
 	// The zero-allocation steady state: every hot-path object recirculates
-	// through a bounded per-endpoint free list. Frames are drawn here, filled
-	// in place, and released back by the RECEIVING endpoint once consumed.
-	frames   *netsim.FramePool            // data frames (PacketMTU backing)
+	// through a bounded per-endpoint free list, like the core's frames.
 	ssPool   bufpool.FreeList[SendStream] // recycled send-stream records
 	rsPool   bufpool.FreeList[RecvStream] // recycled receive-stream records
 	loopPool *bufpool.Pool                // loopback staging buffers
@@ -134,92 +110,34 @@ type Endpoint struct {
 	numWorkers  int
 }
 
-// NewEndpoint attaches FM 2.x to node `node` of the platform.
-func NewEndpoint(pl *cluster.Platform, node int, cfg Config) *Endpoint {
-	h := pl.Hosts[node]
-	poolCap := cfg.PoolCap
-	if poolCap <= 0 {
-		poolCap = netsim.DefaultPoolCap
-	}
-	e := &Endpoint{
-		node:     node,
-		h:        h,
-		nic:      pl.NICs[node],
-		cfg:      cfg,
-		handlers: make(map[HandlerID]Handler),
-		credit: flowctl.NewPlane(pl.NICs[node], pl.Nodes(), headerSize, creditCountOff,
-			poolCap, cfg.DisableFlowControl),
-		active:   make(map[uint32]*RecvStream),
-		frames:   netsim.NewFramePool(h.P.PacketMTU, poolCap),
-		ssPool:   bufpool.NewFreeList[SendStream](poolCap),
-		rsPool:   bufpool.NewFreeList[RecvStream](poolCap),
-		loopPool: bufpool.New(poolCap),
-	}
-	if cfg.PoisonFrames {
-		e.frames.SetPoison(true)
-		e.credit.Pool().SetPoison(true)
-		e.loopPool.SetPoison(true)
-	}
-	if pl.Parallel() {
-		// Frames this endpoint allocates are released by receivers on other
-		// LPs' goroutines; the wire pools must take their mutex mode. The
-		// stream and loopback pools stay lock-free: they never leave this
-		// node's own kernel.
-		e.frames.SetShared(true)
-		e.credit.Pool().SetShared(true)
-	}
-	return e
-}
-
 // Attach creates endpoints for every node of the platform.
 func Attach(pl *cluster.Platform, cfg Config) []*Endpoint {
 	eps := make([]*Endpoint, pl.Nodes())
 	for i := range eps {
-		eps[i] = NewEndpoint(pl, i, cfg)
+		e := &Endpoint{
+			EndpointCore: flowctl.NewEndpointCore(pl.NICs[i], pl.Nodes(), wire, cfg.PoolCap,
+				cfg.PoisonFrames, cfg.DisableFlowControl, pl.Parallel()),
+			handlers: make(map[HandlerID]Handler),
+			active:   make(map[uint32]*RecvStream),
+		}
+		poolCap := e.PoolCap()
+		e.ssPool = bufpool.NewFreeList[SendStream](poolCap)
+		e.rsPool = bufpool.NewFreeList[RecvStream](poolCap)
+		e.loopPool = bufpool.New(poolCap)
+		e.loopPool.SetPoison(cfg.PoisonFrames)
+		eps[i] = e
 	}
 	return eps
 }
-
-// Node reports this endpoint's node ID.
-func (e *Endpoint) Node() int { return e.node }
-
-// Host returns the underlying host (for cost charging by upper layers).
-func (e *Endpoint) Host() *hostmodel.Host { return e.h }
-
-// Stats returns a copy of the endpoint counters; Malformed covers bad
-// control frames as well as bad data frames.
-func (e *Endpoint) Stats() Stats {
-	st := e.stats
-	st.Malformed += e.credit.Malformed()
-	return st
-}
-
-// FlowControl exposes the credit manager (tests assert its invariants).
-func (e *Endpoint) FlowControl() *flowctl.Manager { return e.credit.Manager() }
-
-// MTU reports the per-packet payload capacity.
-func (e *Endpoint) MTU() int { return e.h.P.PacketMTU - headerSize }
-
-// MaxMessage reports the message size limit.
-func (e *Endpoint) MaxMessage() int { return DefaultMaxMessage }
 
 // ActiveStreams reports messages currently in flight on the receive side —
 // zero at quiesce is the handler-lifecycle invariant tests check.
 func (e *Endpoint) ActiveStreams() int { return len(e.active) }
 
-// FramePoolStats reports the recycling counters of the data-frame and
-// control-header pools (cap, high-water mark, steady-state alloc behavior).
-func (e *Endpoint) FramePoolStats() (data, ctrl netsim.PoolStats) {
-	return e.frames.Stats(), e.credit.Pool().Stats()
-}
-
 // HandlerWorkers reports how many handler coroutines this endpoint has ever
 // spawned: bounded by the peak number of concurrently-open receive streams,
 // not by message count.
 func (e *Endpoint) HandlerWorkers() int { return e.numWorkers }
-
-// Poisoned reports whether poison-on-recycle debugging is on.
-func (e *Endpoint) Poisoned() bool { return e.cfg.PoisonFrames }
 
 // Register installs a handler under id.
 func (e *Endpoint) Register(id HandlerID, fn Handler) {

@@ -35,6 +35,25 @@ func extractUntil(p *sim.Proc, e *Endpoint, want int) {
 	}
 }
 
+// sendGather transmits the concatenation of pieces as one message, one
+// SendPiece per piece: the header+payload pattern of protocol layers over FM.
+func sendGather(p *sim.Proc, e *Endpoint, dst int, h HandlerID, pieces ...[]byte) error {
+	total := 0
+	for _, pc := range pieces {
+		total += len(pc)
+	}
+	s, err := e.BeginMessage(p, dst, total, h)
+	if err != nil {
+		return err
+	}
+	for _, pc := range pieces {
+		if err := s.SendPiece(p, pc); err != nil {
+			return err
+		}
+	}
+	return s.EndMessage(p)
+}
+
 // sinkHandler returns a handler that receives the whole message into a
 // scratch buffer and appends a copy to out.
 func sinkHandler(out *[][]byte) Handler {
@@ -85,7 +104,7 @@ func TestGatherArbitraryPieces(t *testing.T) {
 		want = append(want, pc...)
 	}
 	k.Spawn("sender", func(p *sim.Proc) {
-		if err := eps[0].SendGather(p, 1, 1, pieces...); err != nil {
+		if err := sendGather(p, eps[0], 1, 1, pieces...); err != nil {
 			t.Error(err)
 		}
 	})
@@ -120,7 +139,7 @@ func TestScatterArbitraryReceives(t *testing.T) {
 		}
 	})
 	k.Spawn("sender", func(p *sim.Proc) {
-		if err := eps[0].SendGather(p, 1, 1, msg[:13], msg[13:2048], msg[2048:]); err != nil {
+		if err := sendGather(p, eps[0], 1, 1, msg[:13], msg[13:2048], msg[2048:]); err != nil {
 			t.Error(err)
 		}
 	})
@@ -149,7 +168,7 @@ func TestHeaderThenPayloadPattern(t *testing.T) {
 		_ = hdr{little: h[0] == 1}
 	})
 	k.Spawn("sender", func(p *sim.Proc) {
-		if err := eps[0].SendGather(p, 1, 1, []byte{0}, payload); err != nil {
+		if err := sendGather(p, eps[0], 1, 1, []byte{0}, payload); err != nil {
 			t.Error(err)
 		}
 	})
@@ -496,7 +515,7 @@ func TestFlowControlNeverOverrunsRing(t *testing.T) {
 	}
 	// After draining pending control packets, at most a partial batch below
 	// the half-window return threshold may remain outstanding.
-	eps[0].credit.DrainCtrl()
+	eps[0].Credit.DrainCtrl()
 	if out := eps[0].FlowControl().Outstanding(1); out > eps[0].FlowControl().Window()/2 {
 		t.Fatalf("%d credits stranded, more than half a window", out)
 	}
@@ -603,7 +622,7 @@ func TestPropertyGatherScatterEquivalence(t *testing.T) {
 			}
 		})
 		k.Spawn("sender", func(p *sim.Proc) {
-			if err := eps[0].SendGather(p, 1, 1, pieces...); err != nil {
+			if err := sendGather(p, eps[0], 1, 1, pieces...); err != nil {
 				t.Error(err)
 			}
 		})
@@ -715,7 +734,7 @@ func TestLoopbackSelfSend(t *testing.T) {
 	eps[0].Register(1, sinkHandler(&got))
 	payload := bytes.Repeat([]byte{0xAB}, 3000) // > MTU: still one memcpy path
 	k.Spawn("node0", func(p *sim.Proc) {
-		if err := eps[0].SendGather(p, 0, 1, []byte("hdr:"), payload); err != nil {
+		if err := sendGather(p, eps[0], 0, 1, []byte("hdr:"), payload); err != nil {
 			t.Error(err)
 		}
 	})

@@ -131,7 +131,7 @@ func TestFramePoisonCatchesRetention(t *testing.T) {
 		// The frame that carried the message is back in eps[0]'s pool. Draw
 		// it, retain its payload alias (the contract violation), and release
 		// it: the poison write must be visible through the alias.
-		pkt := eps[0].frames.Get(50)
+		pkt := eps[0].Frame()
 		retained = pkt.Payload
 		pkt.Release()
 	})

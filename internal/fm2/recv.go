@@ -135,7 +135,7 @@ func (s *RecvStream) Receive(p *sim.Proc, buf []byte) int {
 			chunk.data = chunk.data[n:]
 		}
 		s.pendingBytes -= n
-		s.e.h.Memcpy(p, n)
+		s.e.Host().Memcpy(p, n)
 		got += n
 	}
 	s.consumed += got
@@ -183,7 +183,7 @@ func (s *RecvStream) deliver(pkt *netsim.Packet, payload []byte, last bool) {
 	}
 	if s.state == stateDone {
 		// Handler already returned: FM discards the rest of the message.
-		s.e.stats.DiscardedBytes += int64(len(payload))
+		s.e.Count.DiscardedBytes += int64(len(payload))
 		if pkt != nil {
 			pkt.Release()
 		}
@@ -203,7 +203,7 @@ func (s *RecvStream) deliver(pkt *netsim.Packet, payload []byte, last bool) {
 func (s *RecvStream) finish() {
 	s.state = stateDone
 	for s.pending.Len() > 0 {
-		s.e.stats.DiscardedBytes += int64(len(s.pending.Front().data))
+		s.e.Count.DiscardedBytes += int64(len(s.pending.Front().data))
 		s.popChunk()
 	}
 	s.pendingBytes = 0
@@ -243,7 +243,7 @@ func (e *Endpoint) startHandler(fn Handler, rs *RecvStream) {
 	}
 	w := &hworker{e: e, fn: fn, rs: rs}
 	e.numWorkers++
-	e.h.K.SpawnDaemon(fmt.Sprintf("fm2.n%d.hw%d", e.node, e.numWorkers), w.loop)
+	e.Host().K.SpawnDaemon(fmt.Sprintf("fm2.n%d.hw%d", e.Node(), e.numWorkers), w.loop)
 }
 
 func (w *hworker) loop(hp *sim.Proc) {
@@ -268,31 +268,17 @@ func (w *hworker) loop(hp *sim.Proc) {
 // paper calls interlayer scheduling.
 func (e *Endpoint) Extract(p *sim.Proc, maxBytes int) int { return e.ExtractWait(p, maxBytes, nil) }
 
-// ExtractWait is Extract on behalf of a caller blocked on w.Until: when it
-// finds nothing it keeps polling, one empty poll per poll period, until there
-// is something to extract or the caller's wait is over (flowctl.IdlePoll),
-// instead of returning after the first empty poll for the caller to check
-// and call straight back. A nil w is Extract.
+// ExtractWait is Extract on behalf of a caller blocked on w.Until, whose
+// empty poll repeats until there is something to extract or the wait is over
+// (see flowctl.EndpointCore.Next). A nil w is Extract.
 func (e *Endpoint) ExtractWait(p *sim.Proc, maxBytes int, w *flowctl.Waiter) int {
-	e.credit.DrainCtrl()
 	completed := 0
 	budget := maxBytes
-	polled := false
-	for {
-		if maxBytes > 0 && budget <= 0 {
+	for first := true; maxBytes <= 0 || budget > 0; first = false {
+		pkt := e.Next(p, w, first)
+		if pkt == nil {
 			break
 		}
-		pkt, ok := e.nic.Poll()
-		if !ok {
-			if !polled {
-				// Idle poll: nothing inbound, so no batch to amortize —
-				// return any withheld partial credit batches before parking.
-				p.PollEvery(e.credit.IdlePoll(p, w))
-			}
-			break
-		}
-		polled = true
-		p.Delay(e.h.P.PerPacketRecv)
 		// Budget accounting happens before processData: the frame may be
 		// consumed and recycled (its Payload rebound) inside the call.
 		pay := len(pkt.Payload) - headerSize
@@ -300,10 +286,8 @@ func (e *Endpoint) ExtractWait(p *sim.Proc, maxBytes int, w *flowctl.Waiter) int
 			pay = 0 // truncated garbage; processData discards it
 		}
 		completed += e.processData(p, pkt)
-		e.stats.PacketsRecvd++
-		if maxBytes > 0 {
-			budget -= pay
-		}
+		e.Count.PacketsRecvd++
+		budget -= pay
 	}
 	return completed
 }
@@ -316,47 +300,24 @@ func (e *Endpoint) ExtractAll(p *sim.Proc) int { return e.Extract(p, 0) }
 // Ownership of the frame passes to the stream's pending queue (released as
 // the handler consumes it) or is released here for frames nothing will read.
 func (e *Endpoint) processData(p *sim.Proc, pkt *netsim.Packet) int {
-	frame := pkt.Payload
-	// Structural validation before any field is trusted. The link CRC drops
-	// corrupted frames at the NIC, so nothing malformed arrives from the
-	// wire; this guards against injected garbage without giving it a crash
-	// lever. A frame whose source field cannot be validated returns no
-	// credit — better one leaked ring slot than a Refill to a peer that
-	// never spent it.
-	if len(frame) < headerSize || frame[0] != typeData {
-		e.stats.Malformed++
-		pkt.Release()
+	d, ok := e.Open(pkt)
+	if !ok {
 		return 0
 	}
-	flags := frame[1]
-	src := int(binary.LittleEndian.Uint16(frame[2:]))
-	msgid := binary.LittleEndian.Uint16(frame[4:])
-	h := HandlerID(binary.LittleEndian.Uint16(frame[6:]))
-	n := int(binary.LittleEndian.Uint16(frame[8:]))
-	total := int(binary.LittleEndian.Uint32(frame[10:]))
-	if src == e.node || src >= e.credit.Manager().Nodes() {
-		e.stats.Malformed++
-		pkt.Release()
-		return 0
-	}
-	if headerSize+n > len(frame) {
-		e.stats.Malformed++
-		pkt.Release()
-		return 0
-	}
-	payload := frame[headerSize : headerSize+n]
-	defer e.credit.Return(p, src)
+	src, h, total, payload, last := d.Src, HandlerID(d.Handler), d.Total, d.Payload, d.Last
+	msgid := binary.LittleEndian.Uint16(pkt.Payload[msgIDOff:])
+	defer e.Credit.Return(p, src)
 
 	k := key(src, msgid)
 	rs := e.active[k]
 	if rs == nil {
-		if flags&flagFirst == 0 {
+		if !d.First {
 			// Continuation of a stream we never saw open: the message's
 			// first frame was lost in flight (drop, CRC, outage). The
 			// message is unrecoverable — FM has no retransmit — so the
 			// frame is discarded; its ring credit still returns (the
 			// deferred credit.Return), keeping the sender's window honest.
-			e.stats.Orphaned++
+			e.Count.Orphaned++
 			pkt.Release()
 			return 0
 		}
@@ -364,11 +325,11 @@ func (e *Endpoint) processData(p *sim.Proc, pkt *netsim.Packet) int {
 		if !ok {
 			// Unknown handler: swallow the whole message via a pre-done
 			// stream so continuation packets have somewhere to drain.
-			e.stats.UnknownHandler++
+			e.Count.UnknownHandler++
 			rs = e.getRecvStream(src, msgid, h, total, stateDone)
 			rs.drop = true
 			e.active[k] = rs
-			rs.deliver(pkt, payload, flags&flagLast != 0)
+			rs.deliver(pkt, payload, last)
 			return e.retireIfComplete(rs, k)
 		}
 		// Deliver this packet's payload BEFORE the dispatch delay: with
@@ -380,15 +341,15 @@ func (e *Endpoint) processData(p *sim.Proc, pkt *netsim.Packet) int {
 		rs = e.getRecvStream(src, msgid, h, total, stateRunning)
 		e.active[k] = rs
 		rs.runners++
-		rs.deliver(pkt, payload, flags&flagLast != 0)
-		p.Delay(e.h.P.HandlerDispatch)
+		rs.deliver(pkt, payload, last)
+		p.Delay(e.Host().P.HandlerDispatch)
 		e.startHandler(fn, rs)
 		e.runStream(p, rs)
 		rs.runners--
 		return e.retireIfComplete(rs, k)
 	}
 	rs.runners++
-	rs.deliver(pkt, payload, flags&flagLast != 0)
+	rs.deliver(pkt, payload, last)
 	e.runStream(p, rs)
 	rs.runners--
 	return e.retireIfComplete(rs, k)
@@ -410,8 +371,8 @@ func (e *Endpoint) retireIfComplete(rs *RecvStream, k uint32) int {
 		rs.retired = true
 		delete(e.active, k)
 		if !rs.drop {
-			e.stats.MsgsRecvd++
-			e.stats.BytesRecvd += int64(rs.delivered)
+			e.Count.MsgsRecvd++
+			e.Count.BytesRecvd += int64(rs.delivered)
 			ret = 1
 		}
 	}
@@ -428,17 +389,17 @@ func (e *Endpoint) retireIfComplete(rs *RecvStream, k uint32) int {
 func (e *Endpoint) deliverLoopback(p *sim.Proc, h HandlerID, msgid uint16, data []byte) {
 	fn, ok := e.handlers[h]
 	if !ok {
-		e.stats.UnknownHandler++
-		e.stats.DiscardedBytes += int64(len(data))
+		e.Count.UnknownHandler++
+		e.Count.DiscardedBytes += int64(len(data))
 		return
 	}
-	rs := e.getRecvStream(e.node, msgid, h, len(data), stateRunning)
+	rs := e.getRecvStream(e.Node(), msgid, h, len(data), stateRunning)
 	rs.deliver(nil, data, true)
-	p.Delay(e.h.P.HandlerDispatch)
+	p.Delay(e.Host().P.HandlerDispatch)
 	e.startHandler(fn, rs)
 	e.runStream(p, rs)
-	e.stats.MsgsRecvd++
-	e.stats.BytesRecvd += int64(rs.delivered)
+	e.Count.MsgsRecvd++
+	e.Count.BytesRecvd += int64(rs.delivered)
 	e.putRecvStream(rs)
 }
 

@@ -1,6 +1,7 @@
 package fm2
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/netsim"
@@ -59,7 +60,7 @@ func (e *Endpoint) BeginMessage(p *sim.Proc, dst, size int, h HandlerID) (*SendS
 	if size < 0 || size > DefaultMaxMessage {
 		return nil, fmt.Errorf("fm2: message size %d out of range [0,%d]", size, DefaultMaxMessage)
 	}
-	p.Delay(e.h.P.SendSetup)
+	p.Delay(e.Host().P.SendSetup)
 	e.msgSeq++
 	s := e.getSendStream()
 	s.dst = dst
@@ -70,11 +71,11 @@ func (e *Endpoint) BeginMessage(p *sim.Proc, dst, size int, h HandlerID) (*SendS
 	s.fill = 0
 	s.first = true
 	s.closed = false
-	if dst == e.node {
+	if dst == e.Node() {
 		s.loop = e.loopPool.GetEmpty(size)
 		return s, nil
 	}
-	s.frame = e.frames.Get(e.h.P.PacketMTU)
+	s.frame = e.Frame()
 	return s, nil
 }
 
@@ -92,13 +93,13 @@ func (s *SendStream) SendPiece(p *sim.Proc, buf []byte) error {
 		return fmt.Errorf("fm2: piece overflows declared size %d (already %d, piece %d)",
 			s.total, s.sent, len(buf))
 	}
-	if s.dst == s.e.node {
+	if s.dst == s.e.Node() {
 		// Loopback: gather into the host staging buffer, charged as the
 		// memcpy it is.
 		s.loop = append(s.loop, buf...)
 		s.sent += len(buf)
 		if len(buf) > 0 {
-			s.e.h.Memcpy(p, len(buf))
+			s.e.Host().Memcpy(p, len(buf))
 		}
 		return nil
 	}
@@ -129,9 +130,9 @@ func (s *SendStream) EndMessage(p *sim.Proc) error {
 	}
 	s.closed = true
 	e := s.e
-	e.stats.MsgsSent++
-	e.stats.BytesSent += int64(s.total)
-	if s.dst == e.node {
+	e.Count.MsgsSent++
+	e.Count.BytesSent += int64(s.total)
+	if s.dst == e.Node() {
 		loop := s.loop
 		e.deliverLoopback(p, s.handler, s.msgid, loop)
 		// The local handler has run to completion (every byte was present),
@@ -146,48 +147,19 @@ func (s *SendStream) EndMessage(p *sim.Proc) error {
 }
 
 // flush transmits the current frame. Frames are flushed lazily so the final
-// one always carries the LAST flag without an extra empty packet. The
-// 16-byte header is written in place in front of the gathered payload;
-// ownership of the frame passes to the NIC, and the receiving endpoint
-// releases it back to this endpoint's pool after the handler consumes it.
+// one always carries the LAST flag without an extra empty packet. The header
+// goes in place in front of the gathered payload (Emit; the message ID is
+// ours), and unless this was the last packet the next frame is drawn.
 func (s *SendStream) flush(p *sim.Proc, last bool) {
 	e := s.e
-	p.Delay(e.h.P.PerPacketSend)
-	e.credit.Acquire(p, s.dst)
-	pkt := s.frame
-	frame := pkt.Payload[:headerSize+s.fill]
-	pkt.Payload = frame
-	frame[0] = typeData
-	var flags byte
-	if s.first {
-		flags |= flagFirst
-	}
-	if last {
-		flags |= flagLast
-	}
-	frame[1] = flags
-	putU16 := func(off int, v uint16) {
-		frame[off] = byte(v)
-		frame[off+1] = byte(v >> 8)
-	}
-	putU16(2, uint16(e.node))
-	putU16(4, s.msgid)
-	putU16(6, uint16(s.handler))
-	putU16(8, uint16(s.fill))
-	frame[10] = byte(s.total)
-	frame[11] = byte(s.total >> 8)
-	frame[12] = byte(s.total >> 16)
-	frame[13] = byte(s.total >> 24)
-	frame[14] = 0
-	frame[15] = 0
-	e.nic.HostSendPacket(p, pkt, s.dst, false)
-	e.stats.PacketsSent++
+	binary.LittleEndian.PutUint16(s.frame.Payload[msgIDOff:], s.msgid)
+	e.Emit(p, s.dst, s.frame, s.first, last, uint16(s.handler), s.fill, s.total)
 	s.first = false
 	s.fill = 0
 	if last {
 		s.frame = nil
 	} else {
-		s.frame = e.frames.Get(e.h.P.PacketMTU)
+		s.frame = e.Frame()
 	}
 }
 
@@ -200,25 +172,6 @@ func (e *Endpoint) Send(p *sim.Proc, dst int, h HandlerID, buf []byte) error {
 	}
 	if err := s.SendPiece(p, buf); err != nil {
 		return err
-	}
-	return s.EndMessage(p)
-}
-
-// SendGather transmits the concatenation of pieces as one message — the
-// common header+payload pattern of protocol layers over FM.
-func (e *Endpoint) SendGather(p *sim.Proc, dst int, h HandlerID, pieces ...[]byte) error {
-	total := 0
-	for _, pc := range pieces {
-		total += len(pc)
-	}
-	s, err := e.BeginMessage(p, dst, total, h)
-	if err != nil {
-		return err
-	}
-	for _, pc := range pieces {
-		if err := s.SendPiece(p, pc); err != nil {
-			return err
-		}
 	}
 	return s.EndMessage(p)
 }

@@ -107,10 +107,11 @@ func TestCRCCheckDropsCorruptedFrames(t *testing.T) {
 	// frame (a leaked credit, from the flow-control layer's point of view).
 	k := sim.NewKernel()
 	prof := hostmodel.PPro200()
-	link := prof.Link
-	link.CorruptProb = 1.0
-	link.Seed = 11
-	net := netsim.NewDirectPair(k, link)
+	net := netsim.NewDirectPair(k, prof.Link)
+	plan := netsim.FaultPlan{Seed: 11, Rules: []netsim.FaultRule{{CorruptProb: 1.0}}}
+	if err := net.ApplyFaults(plan); err != nil {
+		t.Fatal(err)
+	}
 	nics := make([]*NIC, 2)
 	for i := 0; i < 2; i++ {
 		h := hostmodel.NewHost(k, i, prof)

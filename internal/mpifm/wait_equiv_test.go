@@ -81,11 +81,9 @@ func ledger(k *sim.Kernel, pl *cluster.Platform, comms []*Comm) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "end %v events %d\n", k.Now(), k.Events())
 	for r, c := range comms {
-		tr := c.t.Endpoint().Transport()
-		fc := tr.(xport.CreditAccounting).FlowControl()
-		mal, orph := tr.(xport.FrameAnomalies).Anomalies()
+		fc, st := c.t.Core().FlowControl(), c.t.Core().Stats()
 		fmt.Fprintf(&b, "rank %d: mpi %+v svc %+v nic %+v pkts %d malformed %d orphaned %d credits sent %d recvd %d avail",
-			r, c.Stats(), c.t.Stats(), pl.NICs[r].Stats(), tr.Packets(), mal, orph, fc.CreditsSent, fc.CreditsRecvd)
+			r, c.Stats(), c.t.Stats(), pl.NICs[r].Stats(), c.t.Packets(), st.Malformed, st.Orphaned, fc.CreditsSent, fc.CreditsRecvd)
 		for dst := range comms {
 			fmt.Fprintf(&b, " %d", fc.Available(dst))
 		}

@@ -1,21 +1,19 @@
 // Scheduled fault injection: the chaos layer of the fabric model.
 //
-// The probabilistic DropProb/CorruptProb knobs on LinkConfig model Myrinet's
-// (very low) residual error rate. Real machines die in more structured ways —
-// a link flaps, a switch loses power, one NIC runs hot and slow, a partition
-// opens and heals — and a scenario engine needs those as *data*, not as
-// hand-written drivers. A FaultPlan is that data: a seed plus a list of
-// rules, each matching links by name glob and layering fault behavior onto
-// them.
+// Per-packet drop and corruption probabilities model Myrinet's (very low)
+// residual error rate. Real machines also die in more structured ways — a
+// link flaps, a switch loses power, one NIC runs hot and slow, a partition
+// opens and heals — and a scenario engine needs all of those as *data*, not
+// as hand-written drivers. A FaultPlan is that data, and the only way to
+// inject a fault: a seed plus a list of rules, each matching links by name
+// glob and layering fault behavior onto them.
 //
 // Determinism contract: every random decision on a link is drawn from a
 // stream seeded by (plan seed XOR fnv64a(link name)), so
 //
 //   - the same plan on the same topology replays bit-identically, and
-//   - two links under one rule produce UNCORRELATED schedules — unlike the
-//     original LinkConfig.Seed wiring, which handed every link built from one
-//     config the identical sequence (so "10% loss on every uplink" silently
-//     meant "the same packets lost on every uplink").
+//   - two links under one rule produce UNCORRELATED schedules: "10% loss on
+//     every uplink" must not mean "the same packets lost on every uplink".
 //
 // Corruption models the Myrinet link CRC (paper §3.1): a corrupted frame is
 // marked (Packet.Corrupt), carried to the receiving NIC, and dropped there
@@ -202,10 +200,7 @@ func mergeWindows(wins []downWindow) []downWindow {
 
 // ApplyFaults layers a fault plan onto the assembled fabric. Call once,
 // before the simulation runs; links the plan never matches keep their
-// zero-cost clean path. Probabilistic faults already configured through
-// LinkConfig stay in effect unless a rule overrides them, but their RNG
-// streams are re-seeded from the plan seed so the whole run keys off one
-// campaign seed.
+// zero-cost clean path (a nil fault state).
 func (n *Network) ApplyFaults(plan FaultPlan) error {
 	if err := plan.Validate(); err != nil {
 		return err
@@ -215,14 +210,15 @@ func (n *Network) ApplyFaults(plan FaultPlan) error {
 		horizon = DefaultFaultHorizon
 	}
 	for _, l := range n.links {
-		touched := false
 		for ri := range plan.Rules {
 			r := &plan.Rules[ri]
 			if !r.match(l.name) {
 				continue
 			}
-			touched = true
-			f := l.ensureFaults()
+			if l.faults == nil {
+				l.faults = &linkFaults{seed: plan.Seed}
+			}
+			f := l.faults
 			if r.DropProb > 0 {
 				f.drop = r.DropProb
 			}
@@ -243,9 +239,7 @@ func (n *Network) ApplyFaults(plan FaultPlan) error {
 				f.down = append(f.down, flapWindows(plan.Seed, l.name, r.FlapMeanUp, r.FlapMeanDown, horizon)...)
 			}
 		}
-		if touched || l.faults != nil {
-			f := l.ensureFaults()
-			f.seed = plan.Seed
+		if f := l.faults; f != nil {
 			f.down = mergeWindows(f.down)
 		}
 	}

@@ -7,15 +7,22 @@ import (
 	"repro/internal/sim"
 )
 
+// faultyPair is a DirectPair with one fault rule on both of its links.
+func faultyPair(t *testing.T, k *sim.Kernel, seed int64, rule FaultRule) *Network {
+	t.Helper()
+	net := NewDirectPair(k, DefaultMyrinet())
+	if err := net.ApplyFaults(FaultPlan{Seed: seed, Rules: []FaultRule{rule}}); err != nil {
+		t.Fatal(err)
+	}
+	return net
+}
+
 // dropPattern runs one DirectPair with per-packet loss on both directions and
 // returns which sequence numbers survived on each, plus final egress stats.
 func dropPattern(t *testing.T) (fwd, rev []int, st0, st1 LinkStats) {
 	t.Helper()
 	k := sim.NewKernel()
-	cfg := DefaultMyrinet()
-	cfg.DropProb = 0.3
-	cfg.Seed = 5
-	net := NewDirectPair(k, cfg)
+	net := faultyPair(t, k, 5, FaultRule{DropProb: 0.3})
 	const total = 300
 	for dir := 0; dir < 2; dir++ {
 		src, dst := dir, 1-dir
@@ -41,7 +48,7 @@ func dropPattern(t *testing.T) (fwd, rev []int, st0, st1 LinkStats) {
 	return fwd, rev, net.Iface(0).EgressStats(), net.Iface(1).EgressStats()
 }
 
-// The ISSUE-6 pin: two links built from one LinkConfig must draw uncorrelated
+// The ISSUE-6 pin: two links under one fault rule must draw uncorrelated
 // fault schedules (seed XOR hash(link name)), while the whole run stays
 // deterministic across repetitions.
 func TestPerLinkFaultStreamsDecorrelated(t *testing.T) {
@@ -50,7 +57,7 @@ func TestPerLinkFaultStreamsDecorrelated(t *testing.T) {
 		t.Fatalf("expected drops on both directions, got %d / %d", a1.Dropped, b1.Dropped)
 	}
 	if reflect.DeepEqual(fwd1, rev1) {
-		t.Fatal("links 0->1 and 1->0 share one LinkConfig but replayed identical drop schedules")
+		t.Fatal("links 0->1 and 1->0 share one fault rule but replayed identical drop schedules")
 	}
 	fwd2, rev2, a2, b2 := dropPattern(t)
 	if !reflect.DeepEqual(fwd1, fwd2) || !reflect.DeepEqual(rev1, rev2) {
@@ -63,10 +70,7 @@ func TestPerLinkFaultStreamsDecorrelated(t *testing.T) {
 
 func TestCorruptionMarksFrame(t *testing.T) {
 	k := sim.NewKernel()
-	cfg := DefaultMyrinet()
-	cfg.CorruptProb = 1.0
-	cfg.Seed = 7
-	net := NewDirectPair(k, cfg)
+	net := faultyPair(t, k, 7, FaultRule{CorruptProb: 1.0})
 	var got *Packet
 	k.Spawn("sender", func(p *sim.Proc) {
 		net.Iface(0).Send(p, &Packet{Dst: 1, Payload: []byte("abcd")})

@@ -56,9 +56,6 @@ type LinkConfig struct {
 	PropDelay     sim.Time // wire propagation delay
 	Slots         int      // downstream input-queue depth (>=1); small = hard back-pressure
 	FrameOverhead int      // framing bytes added to every packet on the wire
-	DropProb      float64  // per-packet loss probability (fault injection; default 0)
-	CorruptProb   float64  // per-packet corruption probability (fault injection; default 0)
-	Seed          int64    // fault-injection RNG seed (deterministic)
 }
 
 // DefaultMyrinet is the link configuration used by the machine profiles:
@@ -107,25 +104,12 @@ func NewLink(k *sim.Kernel, name string, cfg LinkConfig, dst *sim.Chan[*Packet])
 	if cfg.Slots < 1 {
 		cfg.Slots = 1
 	}
-	l := &Link{
+	return &Link{
 		name: name,
 		cfg:  cfg,
 		xmit: sim.NewResource(k, "link:"+name, 1),
 		dst:  dst,
 	}
-	if cfg.DropProb > 0 || cfg.CorruptProb > 0 {
-		f := l.ensureFaults()
-		f.drop, f.corrupt, f.seed = cfg.DropProb, cfg.CorruptProb, cfg.Seed
-	}
-	return l
-}
-
-// ensureFaults returns the link's fault state, creating it on demand.
-func (l *Link) ensureFaults() *linkFaults {
-	if l.faults == nil {
-		l.faults = &linkFaults{seed: l.cfg.Seed}
-	}
-	return l.faults
 }
 
 // Send transmits pkt. The calling Proc is charged serialization and

@@ -196,10 +196,7 @@ func TestLineRouteLengths(t *testing.T) {
 
 func TestDropInjection(t *testing.T) {
 	k := sim.NewKernel()
-	cfg := DefaultMyrinet()
-	cfg.DropProb = 0.5
-	cfg.Seed = 42
-	net := NewDirectPair(k, cfg)
+	net := faultyPair(t, k, 42, FaultRule{DropProb: 0.5})
 	const total = 200
 	var got int
 	k.Spawn("sender", func(p *sim.Proc) {
@@ -227,10 +224,7 @@ func TestDropInjection(t *testing.T) {
 
 func TestCorruptInjection(t *testing.T) {
 	k := sim.NewKernel()
-	cfg := DefaultMyrinet()
-	cfg.CorruptProb = 1.0
-	cfg.Seed = 7
-	net := NewDirectPair(k, cfg)
+	net := faultyPair(t, k, 7, FaultRule{CorruptProb: 1.0})
 	orig := []byte("payload-bytes")
 	var got *Packet
 	k.Spawn("sender", func(p *sim.Proc) {

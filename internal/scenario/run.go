@@ -304,11 +304,9 @@ func Run(spec Spec, campaignSeed int64) Report {
 		nst := s.NICStats(node)
 		rep.CRCDropped += nst.CRCDropped
 		rep.RingDropped += nst.RingDropped
-		if fa, ok := s.Endpoint(node).Transport().(xport.FrameAnomalies); ok {
-			m, o := fa.Anomalies()
-			rep.Malformed += m
-			rep.Orphaned += o
-		}
+		est := s.Endpoint(node).Transport().Core().Stats()
+		rep.Malformed += est.Malformed
+		rep.Orphaned += est.Orphaned
 	}
 	rep.LeakedCredits = fab.LeakedCredits(-1, -1)
 	for _, lf := range fab.LostFrames() {
@@ -351,12 +349,10 @@ func (r *runner) diagnoseHang() *HangDiagnostic {
 			LostCreditReturns: fab.LostCreditReturns(node),
 		}
 		t := r.s.Endpoint(node).Transport()
-		if ca, ok := t.(xport.CreditAccounting); ok {
-			fc := ca.FlowControl()
-			for dst := 0; dst < fc.Nodes(); dst++ {
-				if dst != node {
-					nd.OutstandingCredits += fc.Outstanding(dst)
-				}
+		fc := t.Core().FlowControl()
+		for dst := 0; dst < fc.Nodes(); dst++ {
+			if dst != node {
+				nd.OutstandingCredits += fc.Outstanding(dst)
 			}
 		}
 		if sa, ok := t.(xport.StreamAccounting); ok {

@@ -334,11 +334,9 @@ func (f *Fleet) install(wl Workload, sched [][]req) error {
 	if maxMsg > sp.MaxMessage() {
 		return fmt.Errorf("svcload: %d-byte message exceeds transport limit %d", maxMsg, sp.MaxMessage())
 	}
-	if ca, ok := sp.Endpoint().Transport().(xport.CreditAccounting); ok {
-		if need := (maxMsg + sp.MTU() - 1) / sp.MTU(); need > ca.FlowControl().Window() {
-			return fmt.Errorf("svcload: %d-byte message needs %d packets, credit window is %d",
-				maxMsg, need, ca.FlowControl().Window())
-		}
+	if need, window := (maxMsg+sp.MTU()-1)/sp.MTU(), sp.Core().FlowControl().Window(); need > window {
+		return fmt.Errorf("svcload: %d-byte message needs %d packets, credit window is %d",
+			maxMsg, need, window)
 	}
 	f.wl = wl
 	f.sched = sched
@@ -363,15 +361,11 @@ func (f *Fleet) creditReady(node, dst, size int) bool {
 		return true
 	}
 	sp := f.spaces[node]
-	ca, ok := sp.Endpoint().Transport().(xport.CreditAccounting)
-	if !ok {
-		return true
-	}
 	need := (size + sp.MTU() - 1) / sp.MTU()
 	if need < 1 {
 		need = 1
 	}
-	return ca.FlowControl().Available(dst) >= need
+	return sp.Core().FlowControl().Available(dst) >= need
 }
 
 // progress is one turn of a node's event loop: service the network (which
@@ -380,6 +374,20 @@ func (f *Fleet) creditReady(node, dst, size int) bool {
 func (f *Fleet) progress(p *sim.Proc, node int) {
 	f.spaces[node].Extract(p, 0)
 	f.flushReplies(p, node)
+}
+
+// await is the one bounded, paced wait of a node's event loop: until done()
+// holds it takes a progress turn every pollGap, and it gives up — reporting
+// false — once virtual time has reached giveup (0: never).
+func (f *Fleet) await(p *sim.Proc, node int, giveup sim.Time, done func() bool) bool {
+	for !done() {
+		if giveup > 0 && p.Now() >= giveup {
+			return false
+		}
+		f.progress(p, node)
+		p.Delay(pollGap)
+	}
+	return true
 }
 
 // flushReplies sends queued shard responses in FIFO order, charging each
@@ -437,19 +445,16 @@ func (f *Fleet) issue(p *sim.Proc, node, seq int, rq req) {
 				giveup = p.Now() + f.wl.Drain
 			}
 		}
-		for !f.creditReady(node, dst, reqHeaderSize+rq.ReqB) {
-			if giveup > 0 && p.Now() >= giveup {
-				// The window toward dst has leaked shut: frames destroyed
-				// by fault injection never return their credits. Abandon
-				// the request rather than wedge the client mid-schedule —
-				// sub-responses already in flight for it are dropped by
-				// gatherResponse when they find no pending entry.
-				delete(f.pending[node], id)
-				f.abandoned++
-				return
-			}
-			f.progress(p, node)
-			p.Delay(pollGap)
+		ready := func() bool { return f.creditReady(node, dst, reqHeaderSize+rq.ReqB) }
+		if !f.await(p, node, giveup, ready) {
+			// The window toward dst has leaked shut: frames destroyed
+			// by fault injection never return their credits. Abandon
+			// the request rather than wedge the client mid-schedule —
+			// sub-responses already in flight for it are dropped by
+			// gatherResponse when they find no pending entry.
+			delete(f.pending[node], id)
+			f.abandoned++
+			return
 		}
 		err := xport.SendGather(p, f.spaces[node], dst, reqHandler, hdr[:], f.body[:rq.ReqB])
 		if err != nil {
@@ -546,14 +551,9 @@ func (f *Fleet) RunNode(p *sim.Proc, node int) {
 			if f.wl.Drain > 0 {
 				giveup = p.Now() + f.wl.Drain
 			}
-			for f.pending[node][id] != nil {
-				if giveup > 0 && p.Now() >= giveup {
-					delete(f.pending[node], id)
-					f.abandoned++
-					break
-				}
-				f.progress(p, node)
-				p.Delay(pollGap)
+			if !f.await(p, node, giveup, func() bool { return f.pending[node][id] == nil }) {
+				delete(f.pending[node], id)
+				f.abandoned++
 			}
 		}
 	}
@@ -563,10 +563,7 @@ func (f *Fleet) RunNode(p *sim.Proc, node int) {
 		if deadline < p.Now() {
 			deadline = p.Now()
 		}
-		for p.Now() < deadline && !f.allDone() {
-			f.progress(p, node)
-			p.Delay(pollGap)
-		}
+		f.await(p, node, deadline, f.allDone)
 		// Abandon what the window didn't gather: under loss these are the
 		// requests whose sub-responses died with a dropped frame.
 		for seq := range f.sched[node] {
@@ -577,10 +574,7 @@ func (f *Fleet) RunNode(p *sim.Proc, node int) {
 			}
 		}
 	} else {
-		for !f.allDone() {
-			f.progress(p, node)
-			p.Delay(pollGap)
-		}
+		f.await(p, node, 0, f.allDone)
 	}
 }
 

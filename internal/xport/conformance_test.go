@@ -7,6 +7,7 @@ package xport_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/garr"
 	"repro/internal/mpifm"
+	"repro/internal/netsim"
 	"repro/internal/shmem"
 	"repro/internal/sim"
 	"repro/internal/sockfm"
@@ -282,6 +284,101 @@ func TestLoopbackAcrossBindings(t *testing.T) {
 			}
 			if !bytes.Equal(got, want) {
 				t.Fatal("loopback bytes corrupted")
+			}
+		})
+	}
+}
+
+// TestForgedDataFramesAcrossBindings: every structurally bad data frame, on
+// either generation's layout, counts one Malformed, goes back to its sender's
+// pool, runs no handler, returns no credit and leaves the ring empty — and
+// the endpoint still delivers a valid message afterwards. The frames come
+// from a peer's NIC out of a private pool, first-fragment flag set: the shape
+// that would open a reassembly (FM 1.x) or a stream (FM 2.x) if trusted.
+func TestForgedDataFramesAcrossBindings(t *testing.T) {
+	layouts := map[xport.Gen]struct{ hdr, handler, frag, total int }{
+		xport.GenFM1: {12, 4, 6, 8},
+		xport.GenFM2: {16, 6, 8, 10},
+	}
+	for _, bc := range bindingCases {
+		bc := bc
+		t.Run(bc.name, func(t *testing.T) {
+			k := sim.NewKernel()
+			cfg := cluster.DefaultConfig()
+			cfg.Nodes = 3
+			pl := cluster.New(k, cfg)
+			spaces := xport.Spaces(bc.attach(pl), "svc")
+			victim, core := spaces[0], spaces[0].Core()
+			var got [][]byte
+			ran := 0
+			victim.Register(1, func(p *sim.Proc, s xport.RecvStream) {
+				ran++
+				buf := make([]byte, s.Length())
+				s.Receive(p, buf)
+				got = append(got, buf)
+			})
+			l := layouts[bc.gen]
+			data := func(length int, typ byte, src, frag, total int) []byte {
+				f := make([]byte, length)
+				f[0], f[1] = typ, 1
+				binary.LittleEndian.PutUint16(f[2:], uint16(src))
+				if length >= l.hdr {
+					binary.LittleEndian.PutUint16(f[l.handler:], 1)
+					binary.LittleEndian.PutUint16(f[l.frag:], uint16(frag))
+					binary.LittleEndian.PutUint32(f[l.total:], uint32(total))
+				}
+				return f
+			}
+			forged := []struct {
+				name  string
+				frame []byte
+			}{
+				{"short", data(l.hdr-1, 1, 1, 0, 0)},
+				{"wrong type", data(l.hdr+8, 2, 1, 8, 16)},
+				{"src is self", data(l.hdr+8, 1, 0, 8, 16)},
+				{"src out of range", data(l.hdr+8, 1, 3, 8, 16)},
+				{"fragment past end of frame", data(l.hdr+8, 1, 1, 9, 16)},
+				{"total over MaxMessage", data(l.hdr+8, 1, 1, 8, core.MaxMessage()+1)},
+			}
+			forge := netsim.NewFramePool(l.hdr+8, 0)
+			k.Spawn("driver", func(p *sim.Proc) {
+				for i, f := range forged {
+					pkt := forge.Get(len(f.frame))
+					copy(pkt.Payload, f.frame)
+					pl.NICs[1].HostSendPacket(p, pkt, 0, false)
+					p.Delay(100 * sim.Microsecond)
+					victim.Extract(p, 0)
+					if m := core.Stats().Malformed; m != int64(i+1) {
+						t.Errorf("%s: Malformed = %d, want %d", f.name, m, i+1)
+					}
+					if r := forge.Stats().Releases; r != int64(i+1) {
+						t.Errorf("%s: frame not released to its sender's pool (%d releases)", f.name, r)
+					}
+					if ran != 0 {
+						t.Errorf("%s: a handler ran", f.name)
+					}
+					if c := core.FlowControl().CreditsSent; c != 0 {
+						t.Errorf("%s: returned %d credits for a frame whose source cannot be trusted", f.name, c)
+					}
+					if d := pl.NICs[0].RingLen(); d != 0 {
+						t.Errorf("%s: %d packets left in the ring", f.name, d)
+					}
+				}
+				want := pattern(300, 5)
+				if err := xport.Send(p, spaces[1], 0, 1, want); err != nil {
+					t.Error(err)
+				}
+				p.Delay(100 * sim.Microsecond)
+				victim.Extract(p, 0)
+				if len(got) != 1 || !bytes.Equal(got[0], want) {
+					t.Errorf("valid message after the forgeries: delivered %d messages", len(got))
+				}
+				if st := core.Stats(); st.MsgsRecvd != 1 || st.Malformed != int64(len(forged)) {
+					t.Errorf("valid message miscounted: %+v", st)
+				}
+			})
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

@@ -48,6 +48,7 @@ type ServiceStats struct {
 // construction.
 type Endpoint struct {
 	t        Transport
+	core     *flowctl.EndpointCore // t.Core(), held so the hot paths skip the interface call
 	services []*HandlerSpace
 	byName   map[string]*HandlerSpace
 	consumed int64 // sum of every service's stats.Bytes
@@ -57,14 +58,15 @@ type Endpoint struct {
 // transport's handler table must not be used directly once wrapped: all
 // registration goes through HandlerSpaces.
 func NewEndpoint(t Transport) *Endpoint {
-	return &Endpoint{t: t, byName: make(map[string]*HandlerSpace)}
+	return &Endpoint{t: t, core: t.Core(), byName: make(map[string]*HandlerSpace)}
 }
 
 // Node reports the endpoint's node ID.
-func (e *Endpoint) Node() int { return e.t.Node() }
+func (e *Endpoint) Node() int { return e.core.Node() }
 
-// Host exposes the host model for cost charging.
-func (e *Endpoint) Host() *hostmodel.Host { return e.t.Host() }
+// packets is the engine's cumulative count of data packets extracted from
+// the network: extractFor's progress meter.
+func (e *Endpoint) packets() int64 { return e.core.Count.PacketsRecvd }
 
 // Transport exposes the underlying transport (tests assert its invariants;
 // clients must bind through a HandlerSpace instead).
@@ -114,7 +116,7 @@ func (e *Endpoint) ServiceStats(service string) ServiceStats {
 // Extract services the shared attachment with no service attribution of the
 // budget: a plain pump for callers outside any service (session drivers).
 func (e *Endpoint) Extract(p *sim.Proc, maxBytes int) int {
-	return e.t.Extract(p, maxBytes)
+	return e.t.ExtractWait(p, maxBytes, nil)
 }
 
 // snapshotFor records every service's consumed-byte counter into the
@@ -189,9 +191,9 @@ func (e *Endpoint) extractFor(p *sim.Proc, caller *HandlerSpace, maxBytes int, w
 		// continuation packet absorbed by a handler parked mid-Receive moves
 		// no byte counter until the Receive completes, and must not be
 		// mistaken for an empty ring.
-		caller.meter = e.t.Packets()
+		caller.meter = e.packets()
 		completed += e.t.ExtractWait(p, 1, w) // one-packet quantum
-		if e.t.Packets() == caller.meter {
+		if e.packets() == caller.meter {
 			break // ring empty: nothing was extracted
 		}
 	}
@@ -211,33 +213,31 @@ type HandlerSpace struct {
 	stats  ServiceStats
 	snap   []int64                         // extractFor scratch (a service is single-threaded)
 	paced  bool                            // extractFor is in its fair-share loop; meter and seen are live
-	meter  int64                           // t.Packets() before extractFor's current transport call
+	meter  int64                           // ep.packets() before extractFor's current transport call
 	seen   int64                           // ep.consumed when extractFor took its current snapshot
 	until  Cond                            // what the service is blocked on in Wait, else nil
 	wait   flowctl.Waiter                  // carries (*waiting)(hs) down to the engine's idle poll
 	csPool bufpool.FreeList[countedStream] // recycled per-message accounting wrappers
 }
 
-// Service reports the service name this space was registered under.
-func (hs *HandlerSpace) Service() string { return hs.name }
-
-// Endpoint reports the shared endpoint this space belongs to.
-func (hs *HandlerSpace) Endpoint() *Endpoint { return hs.ep }
-
 // Stats returns a copy of this service's share counters.
 func (hs *HandlerSpace) Stats() ServiceStats { return hs.stats }
 
+// Core exposes the engine's endpoint core: counters (Stats: Malformed,
+// Orphaned, ...), credit ledger (FlowControl), frame-pool stats.
+func (hs *HandlerSpace) Core() *flowctl.EndpointCore { return hs.ep.core }
+
 // Node reports the endpoint's node ID.
-func (hs *HandlerSpace) Node() int { return hs.ep.t.Node() }
+func (hs *HandlerSpace) Node() int { return hs.ep.core.Node() }
 
 // Host exposes the host model for cost charging.
-func (hs *HandlerSpace) Host() *hostmodel.Host { return hs.ep.t.Host() }
+func (hs *HandlerSpace) Host() *hostmodel.Host { return hs.ep.core.Host() }
 
 // MTU reports the per-packet payload capacity.
-func (hs *HandlerSpace) MTU() int { return hs.ep.t.MTU() }
+func (hs *HandlerSpace) MTU() int { return hs.ep.core.MTU() }
 
 // MaxMessage reports the largest message the transport carries.
-func (hs *HandlerSpace) MaxMessage() int { return hs.ep.t.MaxMessage() }
+func (hs *HandlerSpace) MaxMessage() int { return hs.ep.core.MaxMessage() }
 
 // Register installs a handler under the service-local id. The wire ID is
 // base+id; ids at or above SpaceSize panic, as does a duplicate.
@@ -339,14 +339,17 @@ type waiting HandlerSpace
 
 func (w *waiting) Done() bool {
 	e := w.ep
-	return w.until.Done() || w.paced && (e.t.Packets() != w.meter || e.consumed != w.seen)
+	return w.until.Done() || w.paced && (e.packets() != w.meter || e.consumed != w.seen)
 }
 
 // Packets reports the shared endpoint's cumulative extracted-packet count.
-func (hs *HandlerSpace) Packets() int64 { return hs.ep.t.Packets() }
+func (hs *HandlerSpace) Packets() int64 { return hs.ep.packets() }
 
 // Poisoned reports whether the engine's poison-on-recycle debug mode is on.
-func (hs *HandlerSpace) Poisoned() bool { return hs.ep.t.Poisoned() }
+// Layers that keep their own recycled buffers (segment bodies, header
+// scratch, staging) align their pools with it, so the poison guarantee
+// covers every recycled-aliasing surface, not just frames.
+func (hs *HandlerSpace) Poisoned() bool { return hs.ep.core.Poisoned() }
 
 // consume bills n consumed payload bytes to the service.
 func (hs *HandlerSpace) consume(n int) {

@@ -6,7 +6,6 @@ import (
 	"repro/internal/bufpool"
 	"repro/internal/flowctl"
 	"repro/internal/fm1"
-	"repro/internal/hostmodel"
 	"repro/internal/sim"
 )
 
@@ -22,7 +21,8 @@ import (
 // footprint is pooled: staging buffers and stream records recycle through
 // bounded free lists, so steady-state traffic allocates nothing here.
 type fm1Transport struct {
-	ep        *fm1.Endpoint
+	*fm1.Endpoint // Core is the engine's own, promoted
+
 	stage     *bufpool.Pool // send-side assembly buffers
 	ssPool    bufpool.FreeList[fm1SendStream]
 	stagedRcv bufpool.FreeList[stagedStream]
@@ -31,44 +31,20 @@ type fm1Transport struct {
 // OverFM1 exposes an FM 1.x endpoint as a Transport through the
 // staging-copy adapter.
 func OverFM1(ep *fm1.Endpoint) Transport {
-	t := &fm1Transport{ep: ep, stage: bufpool.New(0)}
-	if ep.Poisoned() {
-		t.stage.SetPoison(true) // the staging copy is an aliasable recycled buffer too
-	}
+	t := &fm1Transport{Endpoint: ep, stage: bufpool.New(0)}
+	t.stage.SetPoison(ep.Poisoned()) // the staging copy is an aliasable recycled buffer too
 	return t
 }
 
-func (t *fm1Transport) Node() int             { return t.ep.Node() }
-func (t *fm1Transport) Host() *hostmodel.Host { return t.ep.Host() }
-func (t *fm1Transport) MTU() int              { return t.ep.MTU() }
-func (t *fm1Transport) MaxMessage() int       { return t.ep.MaxMessage() }
-
-// Extract services the network. FM 1.x has no receiver flow control:
+// ExtractWait services the network. FM 1.x has no receiver flow control:
 // FM_extract() processes everything pending, presenting data whether or not
 // the upper layer is ready, so the byte budget is ignored.
-func (t *fm1Transport) Extract(p *sim.Proc, maxBytes int) int {
-	return t.ep.Extract(p)
-}
-
 func (t *fm1Transport) ExtractWait(p *sim.Proc, maxBytes int, w *flowctl.Waiter) int {
-	return t.ep.ExtractWait(p, w)
-}
-
-func (t *fm1Transport) Packets() int64 { return t.ep.Stats().PacketsRecvd }
-
-func (t *fm1Transport) Poisoned() bool { return t.ep.Poisoned() }
-
-// FlowControl exposes the engine's credit ledger (CreditAccounting).
-func (t *fm1Transport) FlowControl() *flowctl.Manager { return t.ep.FlowControl() }
-
-// Anomalies reports the engine's frame hygiene counters (FrameAnomalies).
-func (t *fm1Transport) Anomalies() (malformed, orphaned int64) {
-	st := t.ep.Stats()
-	return st.Malformed, st.Orphaned
+	return t.Endpoint.ExtractWait(p, w)
 }
 
 func (t *fm1Transport) Register(id HandlerID, fn Handler) {
-	t.ep.Register(fm1.HandlerID(id), func(p *sim.Proc, src int, data []byte) {
+	t.Endpoint.Register(fm1.HandlerID(id), func(p *sim.Proc, src int, data []byte) {
 		// Stream records recycle: FM 1.x data (and therefore the stream
 		// view of it) is valid only for the duration of the handler call.
 		s := t.stagedRcv.Get()
@@ -83,8 +59,8 @@ func (t *fm1Transport) Register(id HandlerID, fn Handler) {
 }
 
 func (t *fm1Transport) BeginMessage(p *sim.Proc, dst, size int, h HandlerID) (SendStream, error) {
-	if size < 0 || size > t.ep.MaxMessage() {
-		return nil, fmt.Errorf("xport/fm1: message size %d out of range [0,%d]", size, t.ep.MaxMessage())
+	if size < 0 || size > t.MaxMessage() {
+		return nil, fmt.Errorf("xport/fm1: message size %d out of range [0,%d]", size, t.MaxMessage())
 	}
 	s := t.ssPool.Get()
 	if s == nil {
@@ -115,7 +91,7 @@ func (s *fm1SendStream) SendPiece(p *sim.Proc, buf []byte) error {
 			s.total, len(s.buf), len(buf))
 	}
 	s.buf = append(s.buf, buf...)
-	s.t.ep.Host().Memcpy(p, len(buf)) // assembly copy into the staging buffer
+	s.t.Host().Memcpy(p, len(buf)) // assembly copy into the staging buffer
 	return nil
 }
 
@@ -129,10 +105,10 @@ func (s *fm1SendStream) EndMessage(p *sim.Proc) error {
 	s.closed = true
 	// Encapsulation/checksum traversal: FM 1.x-era devices walk the
 	// assembled message once more before handing it to FM (paper §3.2).
-	s.t.ep.Host().Memcpy(p, len(s.buf))
+	s.t.Host().Memcpy(p, len(s.buf))
 	// fm1.Endpoint handles dst == self as a loopback dispatch, with the
 	// same stats and unknown-handler-discard semantics as remote delivery.
-	err := s.t.ep.Send(p, s.dst, fm1.HandlerID(s.handler), s.buf)
+	err := s.t.Send(p, s.dst, fm1.HandlerID(s.handler), s.buf)
 	// Send has copied every byte into NIC frames (or dispatched the
 	// loopback), so the staging buffer and stream record recycle here.
 	t := s.t
@@ -161,7 +137,7 @@ func (s *stagedStream) Receive(p *sim.Proc, buf []byte) int {
 	n := copy(buf, s.data)
 	s.data = s.data[n:]
 	if n > 0 {
-		s.t.ep.Host().Memcpy(p, n)
+		s.t.Host().Memcpy(p, n)
 	}
 	return n
 }

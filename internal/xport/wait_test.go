@@ -119,7 +119,7 @@ func coResidentRun(t *testing.T, bc bindingCase, seed int64, budget int, wait bo
 		}
 		fmt.Fprintf(&log, "a done at %v\n", p.Now())
 	})
-	fc := eps[1].Transport().(xport.CreditAccounting).FlowControl()
+	fc := eps[1].Transport().Core().FlowControl()
 	k.Spawn("b", func(p *sim.Proc) {
 		for i := 0; !cond.Done(); i++ {
 			aBefore, bBefore := a[1].Stats().Bytes, bGot
@@ -145,9 +145,9 @@ func coResidentRun(t *testing.T, bc bindingCase, seed int64, budget int, wait bo
 	}
 	fmt.Fprintf(&log, "events %d\n", k.Events())
 	for n, ep := range eps {
-		m := ep.Transport().(xport.CreditAccounting).FlowControl()
+		m := ep.Transport().Core().FlowControl()
 		fmt.Fprintf(&log, "node %d: a %+v b %+v nic %+v pkts %d credits sent %d recvd %d avail %d\n",
-			n, a[n].Stats(), b[n].Stats(), pl.NICs[n].Stats(), ep.Transport().Packets(),
+			n, a[n].Stats(), b[n].Stats(), pl.NICs[n].Stats(), a[n].Packets(),
 			m.CreditsSent, m.CreditsRecvd, m.Available(1-n))
 	}
 	return log.String()

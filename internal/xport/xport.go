@@ -9,7 +9,8 @@
 //	BeginMessage / SendPiece / EndMessage   on the send side
 //	handler-driven Receive pull + Extract   on the receive side
 //
-// FM 2.x satisfies the contract natively (OverFM2 is a thin wrapper).
+// FM 2.x satisfies the contract natively (OverFM2 bridges the handler
+// signature and nothing else).
 // FM 1.x satisfies it through a staging-copy adapter (OverFM1) whose
 // explicit assembly and delivery copies are the interface tax the paper's
 // Figure 4 measures — running any layer over both bindings prices the API
@@ -22,7 +23,6 @@ package xport
 
 import (
 	"repro/internal/flowctl"
-	"repro/internal/hostmodel"
 	"repro/internal/sim"
 )
 
@@ -62,64 +62,40 @@ type SendStream interface {
 	EndMessage(p *sim.Proc) error
 }
 
-// Transport is one node's attachment to the messaging substrate. It is the
-// only surface upper layers may bind to.
+// Transport is one node's attachment to the messaging substrate: an FM
+// engine seen through the streaming contract. It names only what the two
+// bindings do differently. What both answer the same way — node, host, MTU,
+// message limit, extracted-packet count, poison mode, credit ledger, frame
+// anomaly counters — is the endpoint core both engines embed, and Core is
+// the one accessor to it.
 type Transport interface {
-	// Node reports this endpoint's node ID.
-	Node() int
-	// Host exposes the host model for cost charging by upper layers.
-	Host() *hostmodel.Host
-	// MTU reports the per-packet payload capacity.
-	MTU() int
-	// MaxMessage reports the largest message the transport carries.
-	MaxMessage() int
+	// Core is the engine's endpoint core.
+	Core() *flowctl.EndpointCore
 	// Register installs a handler under id. Panics on duplicates.
 	Register(id HandlerID, fn Handler)
 	// BeginMessage opens a message of exactly size payload bytes toward
 	// dst. dst == Node() is a loopback self-send: a host memcpy that never
 	// touches the NIC.
 	BeginMessage(p *sim.Proc, dst, size int, h HandlerID) (SendStream, error)
-	// Extract services the network, processing at most maxBytes of payload
-	// (rounded up to a packet boundary); maxBytes <= 0 means no limit.
-	// Transports without receiver flow control (FM 1.x) ignore the budget.
-	// Returns the number of messages completed during the call.
-	Extract(p *sim.Proc, maxBytes int) int
-	// ExtractWait is Extract on behalf of a caller blocked on w.Until: an
-	// empty poll repeats, one poll period apart, until there is something to
-	// extract or the wait is over. A nil w is Extract. Upper layers do not
-	// call it; they block in HandlerSpace.Wait.
+	// ExtractWait services the network, processing at most maxBytes of
+	// payload (rounded up to a packet boundary); maxBytes <= 0 means no
+	// limit. Transports without receiver flow control (FM 1.x) ignore the
+	// budget. It returns the number of messages completed during the call.
+	// A nil w is FM_extract: one empty poll and back. Otherwise the call is
+	// on behalf of a caller blocked on w.Until, and an empty poll repeats,
+	// one poll period apart, until there is something to extract or the wait
+	// is over; upper layers get that through HandlerSpace.Wait.
 	ExtractWait(p *sim.Proc, maxBytes int, w *flowctl.Waiter) int
-	// Packets reports the cumulative count of data packets this endpoint
-	// has extracted from the network: the progress meter shared-endpoint
-	// extraction uses to distinguish an empty receive ring from a packet
-	// whose consumption is not yet visible (e.g. one absorbed mid-Receive
-	// by a parked handler).
-	Packets() int64
-	// Poisoned reports whether the engine's poison-on-recycle debug mode is
-	// on. Layers that keep their own recycled buffers (segment bodies,
-	// header scratch, staging) align their pools with it, so the poison
-	// guarantee covers every recycled-aliasing surface, not just frames.
-	Poisoned() bool
 }
 
 // Cond is a blocked caller's wait condition (see HandlerSpace.Wait).
 type Cond = flowctl.Cond
 
-// CreditAccounting is the optional diagnostic surface of transports backed
-// by a credit-windowed engine: hang diagnostics read Outstanding(dst) to see
-// how many credits a stalled sender has sunk into a peer that will never
-// return them. Both FM bindings implement it.
+// CreditAccounting names the endpoint core's credit-ledger accessor, which
+// both bindings promote, for callers that hold only a Transport value and
+// assert it. Code inside this module asks t.Core().FlowControl() directly.
 type CreditAccounting interface {
 	FlowControl() *flowctl.Manager
-}
-
-// FrameAnomalies is the optional diagnostic surface for the engine's frame
-// hygiene counters: Malformed (structurally invalid frames discarded instead
-// of trusted) and Orphaned (well-formed fragments discarded because an
-// earlier frame of their message was lost in flight). Both FM bindings
-// implement it.
-type FrameAnomalies interface {
-	Anomalies() (malformed, orphaned int64)
 }
 
 // StreamAccounting is the optional diagnostic surface of transports that
