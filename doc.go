@@ -187,7 +187,7 @@
 // one call, xport.HandlerSpace.Wait(p, budget, cond), and while the wait
 // is idle — receive ring and control queue empty, no withheld credit batch
 // to flush, cond still false — its poll ticks are taken by the kernel's
-// dispatcher (sim.Proc.PollEvery, called from flowctl.EndpointCore.Next)
+// dispatcher (sim.Proc.PollCycle, called from flowctl.EndpointCore.Next)
 // instead of by the polling Proc's goroutine. The idle test therefore runs
 // in dispatcher context, on whichever goroutine holds the control token;
 // it only reads, and only state of the Proc's own node, so nothing
@@ -197,10 +197,22 @@
 // among equal timestamps — the norm when 256 ranks enter a round together —
 // is untouched. Computing the next useful tick ahead of time would queue
 // the wake at a different moment and the schedule would no longer be
-// provably the same. Loops that pace themselves (Extract; Delay(gap), as
-// in svcload, scenario and the bench drivers) are a different schedule,
-// two events per turn, and keep calling Extract, which charges exactly one
-// empty poll through the same path.
+// provably the same.
+//
+// A service with other work between polls paces itself — Extract, its own
+// work, Delay(gap): two events per idle turn — and that loop is one call
+// too, xport.HandlerSpace.WaitPaced (svcload's node loop, scenario's rank
+// waits). The dispatcher takes both ticks of its idle turns, re-arming the
+// empty poll and the pause for one another, under the same idle test plus
+// what such a loop acts on besides the ring: work pending for the turn, a
+// deadline reached, a last pause that must be cut short. The Proc is woken
+// inside the extract and told which tick it was. At the end of a poll the
+// extract returns as ever and the turn goes on; at the end of a pause the
+// turn is already paid for and the loop goes to its head. Loops that test
+// their condition between the poll and the pause (Extract; if !done {
+// Delay }, as the benchmark drivers, internal/bench and examples/quickstart
+// write it) are a different schedule and keep calling Extract, which charges
+// exactly one empty poll through the same path.
 //
 // None of this changes virtual time: conformance and determinism results
 // are bit-identical to the copying engine's. The wall-clock consequences —

@@ -192,8 +192,9 @@ func (c *EndpointCore) Emit(p *sim.Proc, dst int, pkt *netsim.Packet, first, las
 // marks the call's first turn, which drains queued control frames before
 // polling and, if the ring is empty, flushes withheld credit and charges the
 // empty poll (IdlePoll) — on behalf of a caller blocked on w.Until, one empty
-// poll per poll period until there is something to extract or the wait is
-// over. A nil w is a plain extract: exactly one empty poll. The engine keeps
+// poll per poll period, w.Gap apart, until there is something to extract or
+// the wait is over; w.Paused then says whether it was a poll or a pause that
+// ended. A nil w is a plain extract: exactly one empty poll. The engine keeps
 // the loop (FM 2.x stops it on a byte budget) and counts a packet received
 // once it is done with it.
 func (c *EndpointCore) Next(p *sim.Proc, w *Waiter, first bool) *netsim.Packet {
@@ -202,8 +203,9 @@ func (c *EndpointCore) Next(p *sim.Proc, w *Waiter, first bool) *netsim.Packet {
 	}
 	pkt, ok := c.nic.Poll()
 	if !ok {
-		if first {
-			p.PollEvery(c.Credit.IdlePoll(p, w))
+		// Without a condition (nil w) the wait ends on its first tick, 0.
+		if first && p.PollCycle(c.Credit.IdlePoll(p, w)) == 1 && w.Gap > 0 {
+			w.Paused = true
 		}
 		return nil
 	}

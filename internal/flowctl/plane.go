@@ -146,15 +146,30 @@ type Cond interface {
 // wait. Until must be set.
 type Waiter struct {
 	Until Cond
-	plane *Plane
+	// Gap is the pause a self-paced caller takes after every extract before
+	// it looks at its condition and polls again; 0 for a caller that polls
+	// back to back. With a Gap, an idle stretch alternates two ticks — the
+	// empty poll ends, the pause ends — and the caller must know which one
+	// ended the stretch to resume where its loop would be.
+	Gap sim.Time
+	// Paused is set by EndpointCore.Next when the stretch ended on a pause
+	// tick: the extract is returning empty-handed with the caller's pause
+	// already charged, so the caller skips its own Delay(Gap) and whatever it
+	// does between an extract and the pause, goes straight to its loop
+	// condition, and clears the flag. Unset, the stretch ended as a plain
+	// Extract does, on the empty poll.
+	Paused bool
+	plane  *Plane
 }
 
-// Idle reports that a real poll at this instant would do nothing but charge
-// another empty poll: no data or control packet to take, no withheld credit
+// Idle reports that the caller, resumed at this instant, would do nothing but
+// charge the next tick: no data or control packet to take, no withheld credit
 // batch to flush — a co-resident service's extractor may have left one since
 // the last poll — and the caller still waiting, which another service's
-// extractor can also end. It is deliberately conservative (a dirty entry
-// TakeDirty would skip still counts): a needless wake only costs host time.
+// extractor can also end. The same test serves both ticks of a paced wait,
+// where it asks more than the caller would at the end of a poll (it pauses
+// without looking), and it counts a dirty entry TakeDirty would skip: it is
+// deliberately conservative, a needless wake only costs host time.
 func (w *Waiter) Idle() bool {
 	c := w.plane
 	return !w.Until.Done() && !c.nic.Pending() && !c.fc.Dirty()
@@ -162,23 +177,27 @@ func (w *Waiter) Idle() bool {
 
 // IdlePoll is what an Extract that found the receive ring empty does, less
 // the poll itself: it flushes withheld credit and reports how
-// EndpointCore.Next is to charge the empty poll — p.PollEvery(every, idle).
-// On behalf of a caller blocked on w.Until that goes on charging empty polls,
-// one kernel event each, until a poll would find work or the caller's
-// condition holds: the `for !done { Extract }` loop of a blocked upper layer,
-// minus the trip up and down the stack per tick. A nil w is a caller pacing
-// its own loop, which must see every tick: idle is nil, exactly one empty
-// poll. (Next makes the PollEvery call itself so that a Proc resuming from an
-// empty poll — the hottest path of every self-paced poller — unwinds one
-// frame less.)
-func (c *Plane) IdlePoll(p *sim.Proc, w *Waiter) (every sim.Time, idle sim.Idler) {
+// EndpointCore.Next is to charge the empty poll — p.PollCycle(poll, pause,
+// idle). On behalf of a caller blocked on w.Until that goes on charging empty
+// polls, one kernel event each and w.Gap apart if the caller paces itself,
+// until a poll would find work or the caller's condition holds: the `for
+// !done { Extract }` loop of a blocked upper layer, or the `for !done {
+// Extract; Delay(gap) }` loop of a service with other work, minus the trip up
+// and down the stack per tick. A nil w is a caller running its own loop,
+// which must see every tick: idle is nil, exactly one empty poll. (Next makes
+// the PollCycle call itself so that a Proc resuming from an empty poll — the
+// hottest path of every such caller — unwinds one frame less.)
+func (c *Plane) IdlePoll(p *sim.Proc, w *Waiter) (poll, pause sim.Time, idle sim.Idler) {
 	c.Flush(p)
-	every = c.nic.H.P.PollEmpty
+	poll = c.nic.H.P.PollEmpty
 	if w == nil {
-		return every, nil
+		return poll, poll, nil
 	}
 	w.plane = c
-	return every, w
+	if w.Gap > 0 {
+		return poll, w.Gap, w
+	}
+	return poll, poll, w
 }
 
 // Flush force-returns pending partial credit batches. Called on idle

@@ -31,6 +31,7 @@ type runner struct {
 	expect  []int64 // per-rank expected receive count
 	recv    []int64 // per-rank received count (handler increments)
 	done    []bool  // per-rank completion flag (the watchdog's progress meter)
+	waits   []rankWait
 	sent    int64
 	errs    []string // send/collective errors, in event order
 }
@@ -111,6 +112,22 @@ func (r *runner) registerHandlers() {
 	}
 }
 
+// rankWait is the condition of a rank's closed-loop receive wait: every
+// expected message counted. One per rank for the run — the wait evaluates it
+// from the kernel's dispatcher, so it is a value that outlives the call.
+type rankWait struct {
+	r    *runner
+	rank int
+}
+
+func (w *rankWait) Done() bool { return w.r.recv[w.rank] >= w.r.expect[w.rank] }
+
+// drained is the condition of the open-loop drain: nothing but its deadline
+// ends it.
+type drained struct{}
+
+func (drained) Done() bool { return false }
+
 // runRank is one rank's traffic proc.
 func (r *runner) runRank(rank int, p *fmnet.Proc) {
 	if r.spec.Traffic.Pattern == "allreduce" {
@@ -142,19 +159,12 @@ func (r *runner) runRank(rank int, p *fmnet.Proc) {
 		if drainMS == 0 {
 			drainMS = defaultDrainMS
 		}
-		deadline := p.Now() + msTime(drainMS)
-		for p.Now() < deadline {
-			sp.Extract(p, 0)
-			p.Delay(pollGap)
-		}
+		sp.WaitPaced(p, 0, drained{}, xport.Pace{Gap: pollGap, Deadline: p.Now() + msTime(drainMS)})
 	} else {
 		// Closed loop: wait for every expected message. Under loss this
 		// never terminates — the watchdog converts the spin into a
 		// diagnosed hang at the virtual-time budget.
-		for r.recv[rank] < r.expect[rank] {
-			sp.Extract(p, 0)
-			p.Delay(pollGap)
-		}
+		sp.WaitPaced(p, 0, &r.waits[rank], xport.Pace{Gap: pollGap})
 	}
 	r.done[rank] = true
 }
@@ -219,10 +229,14 @@ func Run(spec Spec, campaignSeed int64) Report {
 	defer s.Kernel().Shutdown()
 
 	r := &runner{
-		spec: spec,
-		s:    s,
-		recv: make([]int64, spec.Nodes),
-		done: make([]bool, spec.Nodes),
+		spec:  spec,
+		s:     s,
+		recv:  make([]int64, spec.Nodes),
+		done:  make([]bool, spec.Nodes),
+		waits: make([]rankWait, spec.Nodes),
+	}
+	for rank := range r.waits {
+		r.waits[rank] = rankWait{r: r, rank: rank}
 	}
 	if err := r.planTraffic(); err != nil {
 		rep.Outcome = OutcomeError

@@ -139,3 +139,25 @@ func TestPollEveryZeroAlloc(t *testing.T) {
 		t.Fatalf("an idle stretch of %d poll ticks allocated %d times; must be 0", ticks, allocs)
 	}
 }
+
+// TestPollCycleZeroAlloc is the same pin for the two-period wait: 10 000
+// ticks alternating an empty poll and a pause, none of them a malloc.
+func TestPollCycleZeroAlloc(t *testing.T) {
+	if RaceEnabled {
+		t.Skip("alloc pins don't hold under the race detector's instrumentation")
+	}
+	const ticks = 10_000
+	k := NewKernel()
+	var allocs uint64
+	k.Spawn("poller", func(p *Proc) {
+		c := idleFor(ticks)
+		p.PollCycle(Microsecond, 5*Microsecond, c) // warm-up
+		allocs = alloctest.MinMallocs(func() { p.PollCycle(Microsecond, 5*Microsecond, c) })
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs > alloctest.AllowStray {
+		t.Fatalf("an idle stretch of %d two-period ticks allocated %d times; must be 0", ticks, allocs)
+	}
+}

@@ -7,10 +7,12 @@
 // needs no locking, and every run is bit-for-bit reproducible.
 //
 // One thing runs outside a Proc's own goroutine on its behalf: the Idler of
-// a Proc blocked in PollEvery is evaluated by the dispatcher, on whichever
-// goroutine holds the control token. It is no exception to the guarantee —
-// the token is still held by exactly one goroutine, and an Idler only reads
-// state — it just spares an empty poll tick the goroutine switch.
+// a Proc blocked in PollCycle (PollEvery is its one-period case) is evaluated
+// by the dispatcher, on whichever goroutine holds the control token. It is no
+// exception to the guarantee — the token is still held by exactly one
+// goroutine, and an Idler only reads state — it just spares an idle tick,
+// an empty poll or the pause a self-paced poller takes after one, the
+// goroutine switch.
 //
 // The kernel is the substitute for real hardware concurrency in this
 // reproduction: host CPUs, NIC firmware, DMA engines, and wires are all Procs
@@ -336,12 +338,14 @@ func (k *Kernel) dispatch() {
 		}
 		k.now = top.t
 		if p := top.proc; p != nil && p.poll != nil && !p.done && top.gen == p.wakeGen && k.idle(p) {
-			// An empty poll tick of a Proc in PollEvery: re-arm its wake
-			// exactly as the Proc's own Delay would have — same time, the
-			// seq consumed at this same moment, wakeGen stepped as park
-			// does on resume — without switching to its goroutine.
+			// An idle tick of a Proc in PollCycle: re-arm its wake with the
+			// cycle's other period exactly as the Proc's own Delay would
+			// have — same time, the seq consumed at this same moment,
+			// wakeGen stepped as park does on resume — without switching
+			// to its goroutine.
 			p.wakeGen++
-			k.eq.replaceTop(event{t: k.now + p.pollEvery, seq: k.seq, proc: p, gen: p.wakeGen})
+			p.pollTick ^= 1
+			k.eq.replaceTop(event{t: k.now + p.pollEvery[p.pollTick], seq: k.seq, proc: p, gen: p.wakeGen})
 			k.seq++
 			continue
 		}
@@ -377,13 +381,14 @@ func (k *Kernel) runFn(fn func()) {
 	fn()
 }
 
-// Idler is the wait condition of a Proc blocked in PollEvery. Idle reports
-// whether a poll at the current instant would find nothing to do. It is
-// called in dispatcher context — on whichever goroutine holds the control
-// token, with the clock at the tick — so it must only read, and only state
-// the polling Proc itself could read at that instant (under the parallel
-// engine: state of its own LP). Answering false when there was in fact
-// nothing to do is always safe; it costs one goroutine switch.
+// Idler is the wait condition of a Proc blocked in PollCycle. Idle reports
+// whether the Proc, resumed at the current instant, would find nothing to do
+// but start the cycle's next period. It is called in dispatcher context — on
+// whichever goroutine holds the control token, with the clock at the tick —
+// so it must only read, and only state the polling Proc itself could read at
+// that instant (under the parallel engine: state of its own LP). Answering
+// false when there was in fact nothing to do is always safe; it costs one
+// goroutine switch.
 type Idler interface {
 	Idle() bool
 }
@@ -453,10 +458,13 @@ type Proc struct {
 	daemon  bool
 	started bool
 
-	// Set while the Proc is blocked in PollEvery: the dispatcher takes its
-	// idle ticks (see dispatch).
+	// Set while the Proc is blocked in PollCycle: the dispatcher takes its
+	// idle ticks (see dispatch). pollTick indexes the period whose tick is
+	// pending; it sits with the flags so the second period is all Proc grows
+	// by.
+	pollTick  uint8
 	poll      Idler
-	pollEvery Time
+	pollEvery [2]Time
 }
 
 // Name reports the Proc's debug name.
@@ -559,19 +567,31 @@ func (p *Proc) Delay(d Time) {
 	p.park()
 }
 
-// PollEvery blocks the Proc in a polling wait of period d: it behaves exactly
-// like
+// PollCycle blocks the Proc in a polling wait that alternates two periods —
+// an empty poll of d0, then the pause of d1 a self-paced poller takes before
+// polling again. It behaves exactly like
 //
-//	for { p.Delay(d); if !c.Idle() { return } }
+//	for {
+//		p.Delay(d0); if !c.Idle() { return 0 }
+//		p.Delay(d1); if !c.Idle() { return 1 }
+//	}
 //
 // — one event per tick, at the same time with the same seq, so every other
 // Proc sees the identical schedule and Events() counts the same — but while
 // c.Idle() holds the dispatcher re-arms the tick itself instead of resuming
-// this goroutine only for it to Delay again. Ticks are never skipped or
-// computed ahead: FIFO order among equal timestamps depends on the moment
-// each wake is queued. A nil c is never idle: PollEvery(d, nil) is Delay(d).
-func (p *Proc) PollEvery(d Time, c Idler) {
-	p.poll, p.pollEvery = c, d
-	p.Delay(d)
+// this goroutine only for it to Delay again. The result says which period's
+// tick ended the wait, so the caller can resume where the loop above would
+// be. Ticks are never skipped or computed ahead: FIFO order among equal
+// timestamps depends on the moment each wake is queued. A nil c is never
+// idle: PollCycle(d0, d1, nil) is Delay(d0).
+func (p *Proc) PollCycle(d0, d1 Time, c Idler) int {
+	p.poll, p.pollEvery, p.pollTick = c, [2]Time{d0, d1}, 0
+	p.Delay(d0)
 	p.poll = nil
+	return int(p.pollTick)
 }
+
+// PollEvery is the one-period polling wait, PollCycle(d, d, c):
+//
+//	for { p.Delay(d); if !c.Idle() { return } }
+func (p *Proc) PollEvery(d Time, c Idler) { p.PollCycle(d, d, c) }

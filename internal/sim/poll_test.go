@@ -8,9 +8,14 @@ import (
 	"testing"
 )
 
-// The tests below hold PollEvery to its definition: a Proc in
-// PollEvery(d, c) and one running `for { Delay(d); if !c.Idle() { break } }`
-// must be indistinguishable to everything else in the simulation.
+// The tests below hold PollEvery and PollCycle to their definitions: a Proc
+// in PollEvery(d, c) and one running `for { Delay(d); if !c.Idle() { break } }`
+// must be indistinguishable to everything else in the simulation, and so must
+// one in PollCycle(d0, d1, c) and one running
+//
+//	for { Delay(d0); if !c.Idle() { kind = 0; break }; Delay(d1); if !c.Idle() { kind = 1; break } }
+//
+// — which also must come out with the same kind.
 
 const pollD = 200 * Nanosecond
 
@@ -24,6 +29,20 @@ type pollRun struct {
 	log     []string // every resumption of every Proc, the poller's only at the end of a wait
 	evals   int      // condition evaluations
 	panicAt int      // evaluation that panics (0 = never)
+
+	// Two-period runs: the second period (0 = the one-period wait), which
+	// tick kind the condition is being asked at, and what the run covered.
+	gap      Time
+	kind     func() int
+	lastEval struct {
+		at   Time
+		kind int
+		idle bool
+	}
+	lastSend Time
+	exits    [2]int // waits ended, by the kind of tick that ended them
+	ahead    [2]int // condition flipped at a tick's instant by a Proc queued ahead of the tick ...
+	behind   [2]int // ... and behind it: the tick passed as idle, the next one ends the wait
 }
 
 func (r *pollRun) Idle() bool {
@@ -31,20 +50,44 @@ func (r *pollRun) Idle() bool {
 	if r.evals == r.panicAt {
 		panic("cond boom")
 	}
-	return !r.ch.Ready()
+	idle := !r.ch.Ready()
+	if r.gap > 0 {
+		kind := r.kind()
+		if !idle && r.lastSend == r.k.Now() {
+			r.ahead[kind]++
+		}
+		r.lastEval.at, r.lastEval.kind, r.lastEval.idle = r.k.Now(), kind, idle
+	}
+	return idle
 }
 
 func (r *pollRun) note(p *Proc) { r.log = append(r.log, fmt.Sprintf("%v %s", p.Now(), p.Name())) }
+
+// sending is a producer's note: where its send falls against the poller's
+// ticks.
+func (r *pollRun) sending(p *Proc) {
+	r.note(p)
+	r.lastSend = p.Now()
+	if r.gap > 0 && r.lastEval.at == p.Now() && r.lastEval.idle {
+		r.behind[r.lastEval.kind]++
+	}
+}
 
 // newPollRun builds the scenario; fused selects PollEvery over the reference
 // loop for the poller. Everything random is drawn here, before the run, so
 // the two variants are handed identical inputs.
 func newPollRun(seed int64, fused bool, panicAt int) *pollRun {
+	return newCycleRun(seed, fused, panicAt, 0)
+}
+
+// newCycleRun is newPollRun with the poller pausing gap after every empty
+// poll of pollD — PollCycle against the two-Delay loop — unless gap is 0.
+func newCycleRun(seed int64, fused bool, panicAt int, gap Time) *pollRun {
 	rng := rand.New(rand.NewSource(seed))
 	k := NewKernel()
 	// Odd seeds use a rendezvous channel: the condition flips on a parked
 	// sender rather than a buffered item.
-	r := &pollRun{k: k, ch: NewChan[int](k, int(seed%2)*3), panicAt: panicAt}
+	r := &pollRun{k: k, ch: NewChan[int](k, int(seed%2)*3), panicAt: panicAt, gap: gap}
 
 	periods := []Time{pollD, pollD / 2, 3 * pollD, 70, 130, Time(50 + rng.Intn(400))}
 	for i, period := range periods {
@@ -81,7 +124,7 @@ func newPollRun(seed int64, fused bool, panicAt int) *pollRun {
 					p.Delay(d)
 					g -= d
 				}
-				r.note(p)
+				r.sending(p)
 				r.ch.Send(p, i)
 			}
 		})
@@ -93,17 +136,39 @@ func newPollRun(seed int64, fused bool, panicAt int) *pollRun {
 	}
 	k.Spawn("poller", func(p *Proc) {
 		for got, w := 0, 0; got < 3*sends; w++ {
-			if fused {
+			switch {
+			case gap == 0 && fused:
 				p.PollEvery(pollD, r)
-			} else {
+				r.note(p)
+			case gap == 0:
 				for {
 					p.Delay(pollD)
 					if !r.Idle() {
 						break
 					}
 				}
+				r.note(p)
+			default:
+				kind := 0
+				if fused {
+					r.kind = func() int { return int(p.pollTick) }
+					kind = p.PollCycle(pollD, gap, r)
+				} else {
+					r.kind = func() int { return kind }
+					for {
+						p.Delay(pollD)
+						if kind = 0; !r.Idle() {
+							break
+						}
+						p.Delay(gap)
+						if kind = 1; !r.Idle() {
+							break
+						}
+					}
+				}
+				r.exits[kind]++
+				r.log = append(r.log, fmt.Sprintf("%v %s tick kind %d", p.Now(), p.Name(), kind))
 			}
-			r.note(p)
 			for {
 				if _, ok := r.ch.TryRecv(); !ok {
 					break
@@ -136,7 +201,13 @@ func firstLine(err error) string {
 // same script and requires identical logs.
 func samePollRuns(t *testing.T, seed int64, panicAt int, script func(r *pollRun)) *pollRun {
 	t.Helper()
-	ref, got := newPollRun(seed, false, panicAt), newPollRun(seed, true, panicAt)
+	return sameCycleRuns(t, seed, panicAt, 0, script)
+}
+
+// sameCycleRuns is samePollRuns for a poller pausing gap between polls.
+func sameCycleRuns(t *testing.T, seed int64, panicAt int, gap Time, script func(r *pollRun)) *pollRun {
+	t.Helper()
+	ref, got := newCycleRun(seed, false, panicAt, gap), newCycleRun(seed, true, panicAt, gap)
 	script(ref)
 	script(got)
 	for i := 0; i < len(ref.log) || i < len(got.log); i++ {
@@ -148,11 +219,15 @@ func samePollRuns(t *testing.T, seed int64, panicAt int, script func(r *pollRun)
 			b = got.log[i]
 		}
 		if a != b {
-			t.Fatalf("seed %d: entry %d differs\n  Delay loop: %s\n  PollEvery:  %s", seed, i, a, b)
+			t.Fatalf("seed %d gap %v: entry %d differs\n  Delay loop: %s\n  fused:      %s", seed, gap, i, a, b)
 		}
 	}
 	if ref.evals != got.evals {
-		t.Fatalf("seed %d: condition evaluated %d times by the loop, %d by PollEvery", seed, ref.evals, got.evals)
+		t.Fatalf("seed %d gap %v: condition evaluated %d times by the loop, %d by the fused wait", seed, gap, ref.evals, got.evals)
+	}
+	if ref.exits != got.exits || ref.ahead != got.ahead || ref.behind != got.behind {
+		t.Fatalf("seed %d gap %v: the loop covered exits %v ahead %v behind %v, the fused wait %v %v %v",
+			seed, gap, ref.exits, ref.ahead, ref.behind, got.exits, got.ahead, got.behind)
 	}
 	return got
 }
@@ -255,4 +330,127 @@ func idleFor(ticks int) *idleCount { return &idleCount{every: ticks} }
 func (c *idleCount) Idle() bool {
 	c.n++
 	return c.n%c.every != 0
+}
+
+// cycleGaps are the pauses the two-period tests run with: three poll periods
+// (every tick of either kind on the producers' grid), half of one, and one
+// that walks the poller's grid off everybody else's.
+var cycleGaps = []Time{3 * pollD, pollD / 2, 130}
+
+// The poller's k-th poll tick and k-th pause tick (from 0) of an idle stretch
+// begun at time zero.
+func pollTickAt(gap Time, k int) Time  { return Time(k)*(pollD+gap) + pollD }
+func pauseTickAt(gap Time, k int) Time { return Time(k+1) * (pollD + gap) }
+
+func TestPollCycleMatchesTwoDelayLoop(t *testing.T) {
+	for _, gap := range cycleGaps {
+		var exits, ahead, behind [2]int
+		for seed := int64(1); seed <= 20; seed++ {
+			r := sameCycleRuns(t, seed, 0, gap, func(r *pollRun) { r.state("run", r.k.Run()) })
+			if r.evals < 50 {
+				t.Fatalf("seed %d gap %v: only %d ticks; the scenario no longer idles", seed, gap, r.evals)
+			}
+			if !strings.HasPrefix(r.log[len(r.log)-1], "run: err=<nil>") {
+				t.Fatalf("seed %d gap %v: %s", seed, gap, r.log[len(r.log)-1])
+			}
+			for kind := range exits {
+				exits[kind] += r.exits[kind]
+				ahead[kind] += r.ahead[kind]
+				behind[kind] += r.behind[kind]
+			}
+		}
+		// Between-tick flips are whatever is left of the exits; the exact
+		// hits are what a two-period wait can get wrong by one tick.
+		t.Logf("gap %v: exits %v, flips at a tick's instant: ahead %v behind %v", gap, exits, ahead, behind)
+		for kind := range exits {
+			if exits[kind] == 0 || gap%(pollD/2) == 0 && (ahead[kind] == 0 || behind[kind] == 0) {
+				t.Fatalf("gap %v: scenario lost its point for tick kind %d: %d waits ended on it; the condition flipped at its instant %d times ahead of the tick, %d behind",
+					gap, kind, exits[kind], ahead[kind], behind[kind])
+			}
+		}
+	}
+}
+
+// Bounded runs that end on a tick of either kind — RunUntil executes it,
+// RunBefore leaves it queued with its seq — and between two, resumed each
+// time.
+func TestPollCyclePauseAndResume(t *testing.T) {
+	for _, gap := range cycleGaps {
+		for seed := int64(1); seed <= 6; seed++ {
+			sameCycleRuns(t, seed, 0, gap, func(r *pollRun) {
+				r.state("until mid-pause", r.k.RunUntil(pollTickAt(gap, 1)+50))
+				r.state("until poll tick", r.k.RunUntil(pollTickAt(gap, 2)))
+				r.state("until pause tick", r.k.RunUntil(pauseTickAt(gap, 3)))
+				r.state("before poll tick", r.k.RunBefore(pollTickAt(gap, 5)))
+				r.state("before pause tick", r.k.RunBefore(pauseTickAt(gap, 6)))
+				r.state("before mid-poll", r.k.RunBefore(pauseTickAt(gap, 7)+1))
+				r.state("until late", r.k.RunUntil(150*pollD+3))
+				r.state("run", r.k.Run())
+			})
+		}
+	}
+}
+
+// Stop and Shutdown reach a Proc parked mid-stretch on either kind of tick.
+func TestPollCycleStopAndShutdownMidStretch(t *testing.T) {
+	const gap = 3 * pollD
+	for name, at := range map[string]Time{
+		"in poll":  pauseTickAt(gap, 2) + 50,
+		"in pause": pollTickAt(gap, 2) + 50,
+	} {
+		r := sameCycleRuns(t, 3, 0, gap, func(r *pollRun) {
+			r.k.At(at, r.k.Stop)
+			r.state("stopped "+name, r.k.Run())
+		})
+		if !strings.Contains(r.log[len(r.log)-1], ErrStopped.Error()) {
+			t.Fatalf("%s: want ErrStopped, got %s", name, r.log[len(r.log)-1])
+		}
+		sameCycleRuns(t, 4, 0, gap, func(r *pollRun) {
+			r.state("paused "+name, r.k.RunUntil(at))
+			r.k.Shutdown()
+			r.state("shut down", nil)
+		})
+	}
+}
+
+// A panic in the condition is the polling Proc's failure whichever kind of
+// tick it was asked at.
+func TestPollCycleConditionPanicNamesProc(t *testing.T) {
+	for _, panicAt := range []int{9, 10} { // a poll tick, a pause tick
+		r := sameCycleRuns(t, 5, panicAt, 3*pollD, func(r *pollRun) { r.state("run", r.k.Run()) })
+		last := r.log[len(r.log)-1]
+		if !strings.Contains(last, `proc "poller" panicked: cond boom`) {
+			t.Fatalf("failure does not name the polling Proc: %s", last)
+		}
+	}
+}
+
+// The two periods alternate from the first: an idle stretch costs one event
+// per tick, and the result is the kind of the tick that ended it.
+func TestPollCycleAlternatesPeriods(t *testing.T) {
+	const d0, d1 = 200 * Nanosecond, 700 * Nanosecond
+	for ticks, want := range map[int]struct {
+		at   Time
+		kind int
+	}{
+		1: {d0, 0},
+		2: {d0 + d1, 1},
+		5: {3*d0 + 2*d1, 0},
+		6: {3 * (d0 + d1), 1},
+	} {
+		k := NewKernel()
+		var at Time
+		kind := -1
+		k.Spawn("p", func(p *Proc) {
+			kind = p.PollCycle(d0, d1, idleFor(ticks))
+			at = p.Now()
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if at != want.at || kind != want.kind || k.Events() != uint64(ticks)+1 {
+			t.Fatalf("%d ticks: woke at %v on kind %d after %d events, want %v on kind %d after %d",
+				ticks, at, kind, k.Events(), want.at, want.kind, ticks+1)
+		}
+	}
 }

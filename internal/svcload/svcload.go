@@ -63,9 +63,10 @@ const (
 	respHeaderSize = 8
 )
 
-// pollGap paces the client progress loop between arrivals: small enough
-// that server extraction latency stays in the noise of the modeled service
-// time, large enough to bound event volume over a millisecond-scale run.
+// pollGap paces a node's event loop (Fleet.await) between arrivals: small
+// enough that server extraction latency stays in the noise of the modeled
+// service time, large enough to bound event volume over a millisecond-scale
+// run.
 const pollGap = 1 * sim.Microsecond
 
 // Mode selects the arrival model.
@@ -200,6 +201,54 @@ type pendingReply struct {
 	respB int
 }
 
+// waitFor says what a node's event loop is waiting for (Fleet.await). It is
+// a tagged value rather than a closure because the wait's condition is kept
+// where the kernel's dispatcher can evaluate it, and a closure kept anywhere
+// is a malloc per wait.
+type waitFor struct {
+	kind waitKind
+	dst  int    // forCredit: the destination whose window must open ...
+	size int    // ... for a message of this many bytes
+	id   uint64 // forGather: the request whose last sub-response is awaited
+}
+
+type waitKind uint8
+
+const (
+	forArrival waitKind = iota // nothing: the deadline is the next arrival, and only it ends the wait
+	forCredit
+	forGather
+	forAll // every client done and nothing outstanding anywhere
+)
+
+// nodeWait is one node's side of xport.HandlerSpace.WaitPaced: the condition
+// of the wait the node is in, and the reply flush as the work of every turn.
+// The fleet holds one per node for its lifetime.
+type nodeWait struct {
+	f    *Fleet
+	node int
+	waitFor
+}
+
+// Done is the wait's condition. O(1) and read-only: the dispatcher asks.
+func (w *nodeWait) Done() bool {
+	f := w.f
+	switch w.kind {
+	case forCredit:
+		return f.creditReady(w.node, w.dst, w.size)
+	case forGather:
+		return f.pending[w.node][w.id] == nil
+	case forAll:
+		return f.allDone()
+	}
+	return false
+}
+
+// Pending and Do are the turn's work. A queued reply counts as pending even
+// while its client's window is shut: the flush must retry it every turn.
+func (w *nodeWait) Pending() bool  { return len(w.f.replyQ[w.node]) > 0 }
+func (w *nodeWait) Do(p *sim.Proc) { w.f.flushReplies(p, w.node) }
+
 // Fleet is the assembled RPC service across a cluster: one shard server and
 // one client per node, bound to the nodes' shared endpoints.
 type Fleet struct {
@@ -213,6 +262,7 @@ type Fleet struct {
 	// deterministic schedule.
 	pending   []map[uint64]*inflight
 	replyQ    [][]pendingReply
+	waits     []nodeWait
 	hists     []*Hist
 	served    []int64
 	clients   int // clients that finished issuing
@@ -238,12 +288,14 @@ func Attach(spaces []*xport.HandlerSpace, cfg ServiceConfig) *Fleet {
 		spaces:  spaces,
 		pending: make([]map[uint64]*inflight, n),
 		replyQ:  make([][]pendingReply, n),
+		waits:   make([]nodeWait, n),
 		hists:   make([]*Hist, n),
 		served:  make([]int64, n),
 	}
 	for node := 0; node < n; node++ {
 		node := node
 		f.pending[node] = make(map[uint64]*inflight)
+		f.waits[node] = nodeWait{f: f, node: node}
 		f.hists[node] = NewHist()
 		spaces[node].Register(reqHandler, func(p *sim.Proc, s xport.RecvStream) {
 			f.serveRequest(p, node, s)
@@ -368,40 +420,38 @@ func (f *Fleet) creditReady(node, dst, size int) bool {
 	return sp.Core().FlowControl().Available(dst) >= need
 }
 
-// progress is one turn of a node's event loop: service the network (which
-// both runs this node's shard handlers and drains credit refills into the
-// flow-control ledger) and flush any replies the handlers computed.
-func (f *Fleet) progress(p *sim.Proc, node int) {
-	f.spaces[node].Extract(p, 0)
-	f.flushReplies(p, node)
-}
-
-// await is the one bounded, paced wait of a node's event loop: until done()
-// holds it takes a progress turn every pollGap, and it gives up — reporting
-// false — once virtual time has reached giveup (0: never).
-func (f *Fleet) await(p *sim.Proc, node int, giveup sim.Time, done func() bool) bool {
-	for !done() {
-		if giveup > 0 && p.Now() >= giveup {
-			return false
-		}
-		f.progress(p, node)
-		p.Delay(pollGap)
-	}
-	return true
+// await is the one wait of a node's event loop, bounded and paced: until the
+// node has what it waits for, a turn every pollGap services the network —
+// which both runs this node's shard handlers and drains credit refills into
+// the flow-control ledger — and flushes any replies the handlers computed.
+// It gives up, reporting false, once virtual time has reached deadline (0:
+// never); a wait for an arrival cuts its last pause short so that it ends
+// there exactly. The loop itself is xport's (WaitPaced), where an idle turn
+// costs this node's Proc nothing.
+func (f *Fleet) await(p *sim.Proc, node int, deadline sim.Time, what waitFor) bool {
+	w := &f.waits[node]
+	w.waitFor = what
+	return f.spaces[node].WaitPaced(p, 0, w, xport.Pace{
+		Gap: pollGap, Deadline: deadline, Clamp: what.kind == forArrival, Work: w,
+	})
 }
 
 // flushReplies sends queued shard responses in FIFO order, charging each
 // one's service time as it leaves — the single-CPU server model: queued
 // requests serialize behind the one being computed. A reply whose client
-// window is full stays queued; the next progress turn retries after
-// extraction has had a chance to return credits.
+// window is full stays queued; the next turn retries after extraction has had
+// a chance to return credits.
 func (f *Fleet) flushReplies(p *sim.Proc, node int) {
 	for len(f.replyQ[node]) > 0 {
-		r := f.replyQ[node][0]
+		q := f.replyQ[node]
+		r := q[0]
 		if !f.creditReady(node, r.dst, respHeaderSize+r.respB) {
 			return
 		}
-		f.replyQ[node] = f.replyQ[node][1:]
+		// Pop by copying down — the queue is a few entries — so the backing
+		// array keeps its capacity; reslicing from the front would give it
+		// away and make serveRequest's append reallocate about once per reply.
+		f.replyQ[node] = q[:copy(q, q[1:])]
 		if d := f.cfg.ServiceTime + f.cfg.PerByte*sim.Time(r.respB); d > 0 {
 			p.Delay(d)
 		}
@@ -445,8 +495,7 @@ func (f *Fleet) issue(p *sim.Proc, node, seq int, rq req) {
 				giveup = p.Now() + f.wl.Drain
 			}
 		}
-		ready := func() bool { return f.creditReady(node, dst, reqHeaderSize+rq.ReqB) }
-		if !f.await(p, node, giveup, ready) {
+		if !f.await(p, node, giveup, waitFor{kind: forCredit, dst: dst, size: reqHeaderSize + rq.ReqB}) {
 			// The window toward dst has leaked shut: frames destroyed
 			// by fault injection never return their credits. Abandon
 			// the request rather than wedge the client mid-schedule —
@@ -528,17 +577,9 @@ func (f *Fleet) RunNode(p *sim.Proc, node int) {
 	var lastArrival sim.Time
 	for seq, rq := range f.sched[node] {
 		if rq.T > 0 {
-			// Open-loop: serve the shard until the scheduled arrival.
-			for p.Now() < rq.T {
-				f.progress(p, node)
-				if now := p.Now(); now < rq.T {
-					d := rq.T - now
-					if d > pollGap {
-						d = pollGap
-					}
-					p.Delay(d)
-				}
-			}
+			// Open-loop: serve the shard until the scheduled arrival, and
+			// not a nanosecond longer.
+			f.await(p, node, rq.T, waitFor{kind: forArrival})
 			lastArrival = rq.T
 		}
 		f.issue(p, node, seq, rq)
@@ -551,7 +592,7 @@ func (f *Fleet) RunNode(p *sim.Proc, node int) {
 			if f.wl.Drain > 0 {
 				giveup = p.Now() + f.wl.Drain
 			}
-			if !f.await(p, node, giveup, func() bool { return f.pending[node][id] == nil }) {
+			if !f.await(p, node, giveup, waitFor{kind: forGather, id: id}) {
 				delete(f.pending[node], id)
 				f.abandoned++
 			}
@@ -563,7 +604,7 @@ func (f *Fleet) RunNode(p *sim.Proc, node int) {
 		if deadline < p.Now() {
 			deadline = p.Now()
 		}
-		f.await(p, node, deadline, f.allDone)
+		f.await(p, node, deadline, waitFor{kind: forAll})
 		// Abandon what the window didn't gather: under loss these are the
 		// requests whose sub-responses died with a dropped frame.
 		for seq := range f.sched[node] {
@@ -574,7 +615,7 @@ func (f *Fleet) RunNode(p *sim.Proc, node int) {
 			}
 		}
 	} else {
-		f.await(p, node, 0, f.allDone)
+		f.await(p, node, 0, waitFor{kind: forAll})
 	}
 }
 

@@ -166,20 +166,20 @@ func (e *Endpoint) overShare(snap []int64, caller *HandlerSpace, share int64) bo
 // are still billed to the right services, but one call may run every
 // pending handler.
 //
-// w is the caller's wait when it is blocked in HandlerSpace.Wait, nil for a
-// plain Extract; it only tells the engine how long an empty poll may repeat.
-// A caller looping on Extract retakes the snapshot and the packet meter of
-// the fair-share loop below at every empty poll, so a repeated empty poll
-// must not outlive them: while the loop runs, caller.paced is set and
-// caller.seen and caller.meter tell the wait what they were taken against
-// (see waiting.Done).
+// w is the caller's wait when it is blocked in HandlerSpace.Wait or
+// WaitPaced, nil for a plain Extract; it only tells the engine how long an
+// empty poll may repeat. A caller looping on Extract retakes the snapshot and
+// the packet meter of the fair-share loop below at every empty poll, so a
+// repeated empty poll must not outlive them: while the loop runs,
+// caller.sharing is set and caller.seen and caller.meter tell the wait what
+// they were taken against (see waiting.Done).
 func (e *Endpoint) extractFor(p *sim.Proc, caller *HandlerSpace, maxBytes int, w *flowctl.Waiter) int {
 	if maxBytes <= 0 || len(e.services) == 1 {
 		// Unlimited drain, or no co-residents to be fair to: the transport's
 		// own budget semantics apply unchanged.
 		return e.t.ExtractWait(p, maxBytes, w)
 	}
-	caller.paced, caller.seen = true, e.consumed
+	caller.sharing, caller.seen = true, e.consumed
 	ownStart := caller.stats.Bytes
 	snap := e.snapshotFor(caller)
 	completed := 0
@@ -196,8 +196,14 @@ func (e *Endpoint) extractFor(p *sim.Proc, caller *HandlerSpace, maxBytes int, w
 		if e.packets() == caller.meter {
 			break // ring empty: nothing was extracted
 		}
+		if w != nil && w.Paused {
+			// A paced caller woken at the end of its pause, with the meter
+			// moved by a co-resident extractor meanwhile: the loop it runs
+			// would be on its way into this function, not in the middle of it.
+			break
+		}
 	}
-	caller.paced = false
+	caller.sharing = false
 	return completed
 }
 
@@ -207,17 +213,18 @@ func (e *Endpoint) extractFor(p *sim.Proc, caller *HandlerSpace, maxBytes int, w
 // slab, sends share the node's credit windows, and Extract is budget-fair
 // across co-resident services.
 type HandlerSpace struct {
-	ep     *Endpoint
-	name   string
-	base   HandlerID
-	stats  ServiceStats
-	snap   []int64                         // extractFor scratch (a service is single-threaded)
-	paced  bool                            // extractFor is in its fair-share loop; meter and seen are live
-	meter  int64                           // ep.packets() before extractFor's current transport call
-	seen   int64                           // ep.consumed when extractFor took its current snapshot
-	until  Cond                            // what the service is blocked on in Wait, else nil
-	wait   flowctl.Waiter                  // carries (*waiting)(hs) down to the engine's idle poll
-	csPool bufpool.FreeList[countedStream] // recycled per-message accounting wrappers
+	ep      *Endpoint
+	name    string
+	base    HandlerID
+	stats   ServiceStats
+	snap    []int64                         // extractFor scratch (a service is single-threaded)
+	sharing bool                            // extractFor is in its fair-share loop; meter and seen are live
+	meter   int64                           // ep.packets() before extractFor's current transport call
+	seen    int64                           // ep.consumed when extractFor took its current snapshot
+	until   Cond                            // what the service is blocked on in Wait or WaitPaced, else nil
+	pace    Pace                            // how that wait paces itself (zero in Wait)
+	wait    flowctl.Waiter                  // carries (*waiting)(hs) down to the engine's idle poll
+	csPool  bufpool.FreeList[countedStream] // recycled per-message accounting wrappers
 }
 
 // Stats returns a copy of this service's share counters.
@@ -308,20 +315,114 @@ func (hs *HandlerSpace) ExtractWait(p *sim.Proc, maxBytes int, w *flowctl.Waiter
 // is exactly `for !until.Done() { hs.Extract(p, maxBytes) }`: same virtual
 // times, same kernel events. The difference is host time: while nothing
 // arrives, the empty polls of that loop are ticked off inside the kernel
-// (flowctl.IdlePoll, sim.PollEvery) rather than by this Proc climbing down
-// and up the stack every poll period. A loop that paces itself with its own
-// Delay between Extract calls is a different schedule and keeps calling
-// Extract.
+// (flowctl.IdlePoll, sim.PollCycle) rather than by this Proc climbing down
+// and up the stack every poll period. A caller with work of its own between
+// polls wants WaitPaced.
 func (hs *HandlerSpace) Wait(p *sim.Proc, maxBytes int, until Cond) {
+	hs.await(p, maxBytes, until, Pace{})
+}
+
+// Pace is how a service with other work to do paces a wait (WaitPaced).
+type Pace struct {
+	// Gap is the pause after every extract; it must be positive.
+	Gap sim.Time
+	// Deadline, when nonzero, ends the wait unmet once the clock has reached
+	// it: a give-up time, a drain window, the next scheduled arrival.
+	Deadline sim.Time
+	// Clamp, which needs a Deadline, shortens the last pause so the wait ends
+	// at Deadline exactly — an arrival the caller must not oversleep — and
+	// drops it altogether if the turn itself ran past. Unset, every pause is
+	// a whole Gap and the wait ends on the first turn boundary at or after
+	// Deadline.
+	Clamp bool
+	// Work, if not nil, is what the caller does each turn between the
+	// extract and the pause.
+	Work TurnWork
+}
+
+// TurnWork is a paced waiter's own work, done once per turn between the
+// extract and the pause: a server flushing the replies its handlers queued.
+type TurnWork interface {
+	// Pending reports whether Do would do, or try, anything. Like Cond.Done
+	// it is evaluated from the kernel's dispatcher: O(1), read-only, own
+	// node's state. True when unsure.
+	Pending() bool
+	Do(p *sim.Proc)
+}
+
+// WaitPaced is the wait of a service that polls the network every so often
+// rather than back to back. It is exactly
+//
+//	for !until.Done() && !(pace.Deadline > 0 && p.Now() >= pace.Deadline) {
+//		hs.Extract(p, maxBytes)
+//		pace.Work.Do(p)
+//		p.Delay(pace.Gap) // cut to end at Deadline, if pace.Clamp
+//	}
+//	return until.Done()
+//
+// — same virtual times, same kernel events — but a turn that finds nothing
+// to extract and nothing to do costs this Proc no goroutine switch: both its
+// ticks, the end of the empty poll and the end of the pause, are taken by the
+// kernel's dispatcher (sim.PollCycle), which re-arms one for the other for as
+// long as nothing changes. The Proc is woken inside the extract and lands
+// where that loop would be. Woken at the end of a poll, the extract returns
+// as a plain Extract does and the turn goes on: work, pause. Woken at the
+// end of a pause (Waiter.Paused), the turn is over and already paid for, and
+// the loop goes to its head to test the condition and extract again.
+//
+// A loop that tests its condition between the poll and the pause (`Extract;
+// if !done { Delay }`, as the benchmark drivers, internal/bench and
+// examples/quickstart do) is a different schedule, not this wait, and keeps
+// calling Extract.
+func (hs *HandlerSpace) WaitPaced(p *sim.Proc, maxBytes int, until Cond, pace Pace) bool {
+	if pace.Gap <= 0 {
+		panic(fmt.Sprintf("xport: service %q on node %d: WaitPaced needs a positive gap", hs.name, hs.Node()))
+	}
+	return hs.await(p, maxBytes, until, pace)
+}
+
+// await is the one wait loop; Wait is its pace.Gap == 0 case, every tick of
+// which is a poll.
+func (hs *HandlerSpace) await(p *sim.Proc, maxBytes int, until Cond, pace Pace) bool {
 	if hs.until != nil {
 		panic(fmt.Sprintf("xport: service %q on node %d entered Wait twice; a service is single-threaded",
 			hs.name, hs.Node()))
 	}
-	hs.until = until
-	for !until.Done() {
+	hs.until, hs.pace, hs.wait.Gap = until, pace, pace.Gap
+	met := until.Done()
+	for ; !met && !pace.expired(p.Now()); met = until.Done() {
 		hs.ep.extractFor(p, hs, maxBytes, &hs.wait)
+		if pace.Gap == 0 {
+			continue
+		}
+		if hs.wait.Paused {
+			hs.wait.Paused = false
+			continue
+		}
+		if pace.Work != nil {
+			pace.Work.Do(p)
+		}
+		if d := pace.pause(p.Now()); d > 0 {
+			p.Delay(d)
+		}
 	}
 	hs.until = nil
+	return met
+}
+
+// expired reports that the wait's deadline has been reached.
+func (pc *Pace) expired(now sim.Time) bool { return pc.Deadline > 0 && now >= pc.Deadline }
+
+// pause is the pause to take at now, a turn's extract and work done: Gap, or
+// under Clamp what is left to Deadline if that is less — 0 for none.
+func (pc *Pace) pause(now sim.Time) sim.Time {
+	if pc.Clamp && now+pc.Gap > pc.Deadline {
+		if now >= pc.Deadline {
+			return 0
+		}
+		return pc.Deadline - now
+	}
+	return pc.Gap
 }
 
 // waiting is the condition a service in Wait hands the engine: stop
@@ -335,11 +436,32 @@ func (hs *HandlerSpace) Wait(p *sim.Proc, maxBytes int, until Cond) {
 // extractors and handlers finishing a delayed Receive move them without
 // leaving anything in the ring. (The unbudgeted path keeps nothing across
 // a poll.)
+//
+// A paced wait adds what its loop would act on at a tick besides the ring:
+// work pending for the turn (a reply held back by a shut credit window is
+// retried on exactly the ticks the loop would retry it), the deadline
+// reached, and under Clamp a pause that would have to be cut short — the
+// kernel only ever re-arms whole periods, the shortened one is the Proc's own
+// Delay. All of it is asked at both ticks, though the loop looks at less at
+// the end of a poll: a needless wake lands in the right place and costs one
+// switch, a tick wrongly taken as idle is a bug.
 type waiting HandlerSpace
 
 func (w *waiting) Done() bool {
 	e := w.ep
-	return w.until.Done() || w.paced && (e.packets() != w.meter || e.consumed != w.seen)
+	if w.until.Done() || w.sharing && (e.packets() != w.meter || e.consumed != w.seen) {
+		return true
+	}
+	pc := &w.pace
+	if pc.Work != nil && pc.Work.Pending() {
+		return true
+	}
+	if pc.Deadline == 0 {
+		return false
+	}
+	// Dispatcher context: the clock is read off the node's own kernel.
+	now := e.core.Host().K.Now()
+	return pc.expired(now) || pc.pause(now) != pc.Gap
 }
 
 // Packets reports the shared endpoint's cumulative extracted-packet count.
