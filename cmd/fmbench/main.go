@@ -16,10 +16,17 @@
 //	fmbench -topo -toporanks 16  # trim the fabric sweep's largest rank count
 //	fmbench -mixed          # co-residency: MPI + sockets + GA sharing each node's endpoint
 //	fmbench -scenario f.json            # run one chaos scenario, report to stdout
-//	fmbench -campaign campaigns/smoke   # run a scenario directory under one seed
+//	fmbench -campaign campaigns/smoke   # run a scenario directory under one seed, report to stdout
 //	fmbench -svc                        # RPC service-workload tail-latency sweep
 //	fmbench -svccapture t.jsonl         # capture a request trace (report to stdout)
 //	fmbench -svcreplay t.jsonl          # replay it bit-identically
+//	fmbench -perf                       # wall clock: the allreduce scale ladder (-perfranks, -perfbig, -perfpar, -json)
+//	fmbench -gate a.json -gatenew b.json  # hold perf report b to report a
+//
+// Everything but -perf prints virtual time, a pure function of the model,
+// and is held byte for byte to a committed golden (main_test.go). -perf is
+// the one wall-clock report, and it asks one question — how far the rank
+// axis goes; what a run costs on the host otherwise is ./benchmark's.
 package main
 
 import (
@@ -33,6 +40,7 @@ import (
 	"repro/internal/mpifm"
 	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/svcload"
 	"repro/internal/xport"
 )
 
@@ -55,26 +63,19 @@ func run(args []string, w, stderr io.Writer) int {
 		topo        = fs.Bool("topo", false, "run the fabric-zoo contention and scaling report")
 		topoRanks   = fs.Int("toporanks", 0, "cap the fabric sweep's rank counts (0 = default sweep)")
 		mixed       = fs.Bool("mixed", false, "run the mixed-workload co-residency suite (shared endpoints)")
-		perf        = fs.Bool("perf", false, "run the engine wall-clock suite (events/sec, allocs/op, 512/1024-rank scaling)")
+		perf        = fs.Bool("perf", false, "run the engine wall-clock suite (allreduce scale ladder: events/sec, allocs/rank at 64-1024 ranks)")
 		perfRanks   = fs.Int("perfranks", 0, "cap the perf suite's rank counts (0 = full sweep incl. 1024)")
 		perfPar     = fs.Int("perfpar", 0, "perf suite: rerun fat-tree points on the parallel engine with this many LPs (0 = sequential only)")
 		perfBig     = fs.Int("perfbig", 0, "perf suite: add one fat-tree allreduce row at this rank count (e.g. 4096)")
 		jsonPath    = fs.String("json", "", "perf suite: machine-readable output path; BENCH_PR<n>.json records n as the report's pr (empty = don't write)")
 		svc         = fs.Bool("svc", false, "run the service-workload suite (RPC tail latency over both FM generations)")
-		svcJSON     = fs.String("svcjson", "", "svc suite: machine-readable output path (empty = don't write)")
-		svcRanks    = fs.Int("svcranks", 0, "cap the svc sweep's fleet sizes (0 = default sweep)")
-		svcReq      = fs.Int("svcreq", 0, "svc suite: per-client request count (0 = default)")
-		svcSeed     = fs.Int64("svcseed", 0, "svc suite: workload seed (0 = default)")
 		svcCapture  = fs.String("svccapture", "", "run the canonical capture workload and write its request trace here")
 		svcReplay   = fs.String("svcreplay", "", "replay a captured request trace; report JSON to stdout")
 		scenPath    = fs.String("scenario", "", "run one chaos scenario file; report JSON to stdout")
 		campDir     = fs.String("campaign", "", "run every scenario in a directory under one campaign seed")
 		campSeed    = fs.Int64("campaignseed", scenario.DefaultSeed, "campaign seed (also scopes -scenario)")
-		campOut     = fs.String("campaignout", "", "write the campaign report JSON here instead of stdout")
-		campWorkers = fs.Int("campaignpar", 1, "campaign: scenario replicas to run concurrently (0 = one per CPU); report bytes are identical at any worker count")
 		gateBase    = fs.String("gate", "", "trajectory gate: compare -gatenew against this baseline BENCH_*.json and exit nonzero on regression")
 		gateNew     = fs.String("gatenew", "", "trajectory gate: the new report to hold to the baseline")
-		gateTol     = fs.Float64("gatetol", bench.GateTolerancePct, "trajectory gate: regression tolerance in percent")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -86,19 +87,25 @@ func run(args []string, w, stderr io.Writer) int {
 		if *gateNew == "" {
 			return failf(stderr, 2, "-gate needs -gatenew <report>")
 		}
-		if err := bench.GateTrajectory(*gateBase, *gateNew, *gateTol); err != nil {
+		if err := bench.GateTrajectory(*gateBase, *gateNew); err != nil {
 			return failf(stderr, 1, "%v", err)
 		}
-		fmt.Fprintf(w, "trajectory gate: %s holds against %s (tol %.0f%%)\n", *gateNew, *gateBase, *gateTol)
+		fmt.Fprintf(w, "trajectory gate: %s holds against %s (tol %.0f%%)\n", *gateNew, *gateBase, bench.GateTolerancePct)
 		return 0
 	}
 
 	if *scenPath != "" || *campDir != "" {
-		return runScenarios(w, stderr, *scenPath, *campDir, *campSeed, *campOut, *campWorkers)
+		if *scenPath != "" && *campDir != "" {
+			return failf(stderr, 2, "-scenario and -campaign are separate runs: give one")
+		}
+		return runScenarios(w, stderr, *scenPath, *campDir, *campSeed)
 	}
 
 	if *svcCapture != "" || *svcReplay != "" {
-		if err := runSvcTrace(w, *svcCapture, *svcReplay, *svcReq, *svcSeed); err != nil {
+		if *svcCapture != "" && *svcReplay != "" {
+			return failf(stderr, 2, "-svccapture and -svcreplay are separate runs: give one")
+		}
+		if err := runSvcTrace(w, *svcCapture, *svcReplay); err != nil {
 			return failf(stderr, 1, "svc trace: %v", err)
 		}
 		return 0
@@ -187,17 +194,7 @@ func run(args []string, w, stderr io.Writer) int {
 		}
 	}
 	if *svc {
-		cfg := bench.DefaultSvcConfig()
-		if *svcRanks > 0 {
-			cfg.Ranks = capRanks(cfg.Ranks, *svcRanks)
-		}
-		if *svcReq > 0 {
-			cfg.Requests = *svcReq
-		}
-		if *svcSeed != 0 {
-			cfg.Seed = *svcSeed
-		}
-		if err := bench.WriteSvcReport(w, cfg, *svcJSON); err != nil {
+		if err := bench.WriteSvcReport(w); err != nil {
 			return failf(stderr, 1, "svc report: %v", err)
 		}
 	}
@@ -214,30 +211,20 @@ func failf(stderr io.Writer, status int, format string, a ...any) int {
 // workload and writes its request trace; -svcreplay rebuilds the run from a
 // trace file. Both print the run's report JSON to w, so capture-then-replay
 // lets cmp(1) prove the identity.
-func runSvcTrace(w io.Writer, capturePath, replayPath string, requests int, seed int64) error {
-	var res bench.SvcResult
+func runSvcTrace(w io.Writer, capturePath, replayPath string) error {
+	var res svcload.Result
+	var f *os.File
 	var err error
-	switch {
-	case capturePath != "":
-		if requests == 0 {
-			requests = 40
-		}
-		if seed == 0 {
-			seed = 1998
-		}
-		var f *os.File
+	if capturePath != "" {
 		if f, err = os.Create(capturePath); err == nil {
-			res, err = bench.SvcCapture(requests, seed, f)
+			res, err = bench.SvcCapture(f)
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}
 		}
-	default:
-		var f *os.File
-		if f, err = os.Open(replayPath); err == nil {
-			res, err = bench.SvcReplay(f)
-			f.Close()
-		}
+	} else if f, err = os.Open(replayPath); err == nil {
+		res, err = bench.SvcReplay(f)
+		f.Close()
 	}
 	if err != nil {
 		return err
@@ -245,10 +232,11 @@ func runSvcTrace(w io.Writer, capturePath, replayPath string, requests int, seed
 	return bench.WriteJSON(w, res)
 }
 
-// runScenarios drives the chaos layer: one scenario file or a whole
-// campaign directory. The exit status is the CI contract — nonzero on any
-// failed assertion, crash, or diagnosed hang that wasn't asserted for.
-func runScenarios(w, stderr io.Writer, scenPath, campDir string, seed int64, outPath string, workers int) int {
+// runScenarios drives the chaos layer: one scenario file, or a whole
+// campaign directory sharded one replica per CPU (the report's bytes are the
+// same at any worker count). The exit status is the CI contract — nonzero on
+// any failed assertion, crash, or diagnosed hang that wasn't asserted for.
+func runScenarios(w, stderr io.Writer, scenPath, campDir string, seed int64) int {
 	if scenPath != "" {
 		rep, err := scenario.RunFile(scenPath, seed)
 		if err != nil {
@@ -260,25 +248,11 @@ func runScenarios(w, stderr io.Writer, scenPath, campDir string, seed int64, out
 		}
 		return 0
 	}
-	c, err := scenario.RunCampaignN(campDir, seed, workers)
+	c, err := scenario.RunCampaignN(campDir, seed, 0)
 	if err != nil {
 		return failf(stderr, 2, "%v", err)
 	}
-	out := c.Marshal()
-	if outPath != "" {
-		if err := os.WriteFile(outPath, out, 0o644); err != nil {
-			return failf(stderr, 2, "%v", err)
-		}
-		for _, r := range c.Scenarios {
-			status := "pass"
-			if !r.Passed {
-				status = "FAIL"
-			}
-			fmt.Fprintf(stderr, "  %-20s %-9s %s\n", r.Scenario, r.Outcome, status)
-		}
-	} else {
-		w.Write(out)
-	}
+	w.Write(c.Marshal())
 	if !c.Passed {
 		return failf(stderr, 1, "campaign failed: %d of %d scenarios", c.Failed, c.Total)
 	}

@@ -11,12 +11,14 @@ import (
 	"repro/internal/bench"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/*.golden from this build's output (runs the slow reports too)")
+var update = flag.Bool("update", false, "rewrite every golden from this build's output (runs the slow reports too)")
 
-// goldens are the reports that may not move silently: every one is a pure
-// function of the model, so stdout is compared byte for byte. The slow ones
-// are cmp'd by CI's bench-smoke job against the same files; here they only
-// run under -update, so one command regenerates them all:
+// goldens are the CLI's contract: every report here is a pure function of
+// the model, so stdout is compared byte for byte with a committed file — one
+// under testdata/, or, named from the repository root, the golden committed
+// beside the campaign it pins. The slow ones are cmp'd by CI's bench-smoke
+// job against the same files; here they only run under -update, so one
+// command regenerates them all:
 //
 //	go test ./cmd/fmbench -run TestGoldenReports -update
 var goldens = []struct {
@@ -25,6 +27,9 @@ var goldens = []struct {
 	args []string
 }{
 	{file: "summary.golden", args: []string{"-tables", "-headline", "-ablation", "-mixed"}},
+	{file: "svc.golden", args: []string{"-svc"}},
+	{file: "campaigns/smoke/golden.json", args: []string{"-campaign", "../../campaigns/smoke"}},
+	{file: "campaigns/svc/golden.json", args: []string{"-campaign", "../../campaigns/svc"}},
 	{file: "all.golden", slow: true, args: []string{"-all"}},
 	{file: "topo16.golden", slow: true, args: []string{"-topo", "-toporanks", "16"}},
 }
@@ -40,6 +45,9 @@ func TestGoldenReports(t *testing.T) {
 				t.Fatalf("fmbench %s: exit %d: %s", strings.Join(g.args, " "), status, errs.String())
 			}
 			path := filepath.Join("testdata", g.file)
+			if strings.Contains(g.file, "/") {
+				path = filepath.Join("..", "..", g.file)
+			}
 			if *update {
 				if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
 					t.Fatal(err)
@@ -77,7 +85,39 @@ func TestPerfReportNamesItsPR(t *testing.T) {
 	if status := run([]string{"-gate", path, "-gatenew", path}, &out, &errs); status != 0 {
 		t.Errorf("report does not gate against itself: exit %d: %s", status, errs.String())
 	}
-	if status := run([]string{"-gate", path}, &out, &errs); status != 2 {
-		t.Errorf("-gate without -gatenew: exit %d, want usage error 2", status)
+}
+
+// TestSvcCaptureReplaysIdentically: a trace captured through the real flag
+// path replays, through the real flag path, to the report its live run
+// printed.
+func TestSvcCaptureReplaysIdentically(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "trace.jsonl")
+	var live, replayed, errs bytes.Buffer
+	if status := run([]string{"-svccapture", trace}, &live, &errs); status != 0 {
+		t.Fatalf("capture: exit %d: %s", status, errs.String())
+	}
+	if status := run([]string{"-svcreplay", trace}, &replayed, &errs); status != 0 {
+		t.Fatalf("replay: exit %d: %s", status, errs.String())
+	}
+	if live.Len() == 0 || !bytes.Equal(live.Bytes(), replayed.Bytes()) {
+		t.Errorf("replayed report differs from the live run's\nlive:\n%s\nreplayed:\n%s", live.String(), replayed.String())
+	}
+}
+
+// TestUsageErrors: a command line that asks for two runs, or half of one,
+// is refused before anything runs — exit 2, the reason on stderr, nothing on
+// stdout.
+func TestUsageErrors(t *testing.T) {
+	tmp := t.TempDir()
+	for _, args := range [][]string{
+		{"-gate", "base.json"},
+		{"-scenario", "../../campaigns/smoke/05-baseline-clean.json", "-campaign", "../../campaigns/smoke"},
+		{"-svccapture", filepath.Join(tmp, "a.jsonl"), "-svcreplay", filepath.Join(tmp, "b.jsonl")},
+	} {
+		var out, errs bytes.Buffer
+		if status := run(args, &out, &errs); status != 2 || out.Len() != 0 || !strings.Contains(errs.String(), "fmbench: ") {
+			t.Errorf("fmbench %s: exit %d, stdout %q, stderr %q; want usage error 2",
+				strings.Join(args, " "), status, out.String(), errs.String())
+		}
 	}
 }

@@ -60,8 +60,8 @@ func TestDeterminismCollectives(t *testing.T) {
 	if !bytes.Equal(out1, out2) {
 		t.Errorf("collective scaling output differs between runs:\n%s\n--- vs ---\n%s", out1, out2)
 	}
-	t1 := bench.CollectiveTime(bench.MPI2, bench.CollAllreduce, mpifm.AlgoRing, 8, 1024, 1)
-	t2 := bench.CollectiveTime(bench.MPI2, bench.CollAllreduce, mpifm.AlgoRing, 8, 1024, 1)
+	t1 := bench.CollectiveTime(xport.GenFM2, bench.CollAllreduce, mpifm.AlgoRing, 8, 1024, 1)
+	t2 := bench.CollectiveTime(xport.GenFM2, bench.CollAllreduce, mpifm.AlgoRing, 8, 1024, 1)
 	if t1 != t2 {
 		t.Errorf("ring allreduce time differs between runs: %v vs %v", t1, t2)
 	}

@@ -52,8 +52,10 @@
 //   - internal/bench      the measurement harness and the reports built
 //     on it: figure/table regeneration, collective scaling, the
 //     layering-efficiency matrix, the contention-aware fabric suite, the
-//     mixed-workload co-residency suite (fmbench -mixed) and the engine
-//     wall-clock suite (fmbench -perf)
+//     mixed-workload co-residency suite (fmbench -mixed), the RPC tail
+//     sweep (fmbench -svc) — all virtual time, all under byte-exact goldens
+//     — and the one wall-clock suite, the allreduce scale ladder
+//     (fmbench -perf); host cost of everything else is benchmark/'s question
 //   - internal/scenario   the declarative chaos layer: JSON scenario specs
 //     (cluster shape, traffic pattern, seeded fault schedule, assertions),
 //     a virtual-time watchdog that converts hangs into diagnosed reports,
@@ -151,10 +153,10 @@
 // mesh does rather than the way a collective does. Latencies are recorded
 // in VIRTUAL nanoseconds into mergeable log-bucketed histograms, so
 // p50/p99/p999 are bit-deterministic functions of (workload, seed) and
-// two runs of `fmbench -svc` render byte-identical tables. Workloads can
+// the `fmbench -svc` table is held to a golden. Workloads can
 // be captured to a JSONL trace (header + per-request arrival rows) and
 // replayed onto a fresh cluster: a replay must reproduce the original
-// run's report exactly, which is the capture-fidelity contract CI pins
+// run's report exactly, which is the capture-fidelity contract tier-1 pins
 // (`fmbench -svccapture` / `-svcreplay`). Under fault injection the
 // workload degrades honestly instead of wedging: a Drain window bounds
 // every credit-gate and completion wait, lost requests are counted
@@ -215,13 +217,15 @@
 // exactly one empty poll through the same path.
 //
 // None of this changes virtual time: conformance and determinism results
-// are bit-identical to the copying engine's. The wall-clock consequences —
-// ~10M kernel events/sec, 0 allocs/op on the send path, 512- and
-// 1024-rank collectives on the multi-stage fabrics — are measured by
-// `fmbench -perf -json BENCH_PR<n>.json`, which writes the machine-readable
-// trajectory; CI pins the zero-alloc invariants in an alloc-gate job and
-// holds the newest committed report to the one before it (fmbench -gate):
-// host numbers within a tolerance, events and virtual_us exactly.
+// are bit-identical to the copying engine's. The wall-clock consequences
+// each have one instrument: ~10M kernel events/sec, the two-node steady
+// state, the RPC rate ladder and the campaigns are `go run ./benchmark`
+// (BENCHMARK.json; repetitions and quartiles); 0 allocs/op on the send path
+// is the ZeroAlloc pins (CI's alloc-gate job); 64- to 4096-rank allreduce
+// on the multi-stage fabrics is `fmbench -perf -json BENCH_PR<n>.json`,
+// which writes the machine-readable trajectory, and tier-1 holds the newest
+// committed report to the one before it (fmbench -gate): host numbers
+// within a tolerance, events and virtual_us exactly.
 //
 // # Parallel engine
 //

@@ -26,18 +26,18 @@ func TestCalibrationReport(t *testing.T) {
 		t.Logf("  fm2 %5d B  %6.2f MB/s", pt.Size, pt.MBps)
 	}
 
-	mpi1 := MPICurve(MPI1, StdSizes)
+	mpi1 := MPICurve(xport.GenFM1, StdSizes)
 	eff1 := Efficiency(mpi1, fm1c)
-	mpi1lat := MPILatency(MPI1, 16, 50)
+	mpi1lat := MPILatency(xport.GenFM1, 16, 50)
 	t.Logf("MPI-FM1: peak %.2f MB/s (paper ~3.5-6), max eff %.0f%% (paper <=35%%), latency %.2f us",
 		mpi1.Peak(), eff1.Peak(), mpi1lat.Micros())
 	for i, pt := range mpi1 {
 		t.Logf("  mpi1 %5d B  %6.2f MB/s  %5.1f%%", pt.Size, pt.MBps, eff1[i].MBps)
 	}
 
-	mpi2 := MPICurve(MPI2, StdSizes)
+	mpi2 := MPICurve(xport.GenFM2, StdSizes)
 	eff2 := Efficiency(mpi2, fm2c)
-	mpi2lat := MPILatency(MPI2, 16, 50)
+	mpi2lat := MPILatency(xport.GenFM2, 16, 50)
 	t.Logf("MPI-FM2: peak %.2f MB/s (paper 70), eff@16B %.0f%% (paper >70%%), max eff %.0f%% (paper ~90%%), latency %.2f us (paper 17)",
 		mpi2.Peak(), eff2.At(16), eff2.Peak(), mpi2lat.Micros())
 	for i, pt := range mpi2 {

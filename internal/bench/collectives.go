@@ -7,6 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/mpifm"
 	"repro/internal/sim"
+	"repro/internal/xport"
 )
 
 // Collective scaling drivers: the paper's layering-efficiency argument,
@@ -130,13 +131,13 @@ func spawnCollective(pl *cluster.Platform, comms []*mpifm.Comm, op CollectiveOp,
 // ranks align on a barrier, run iters rounds, and the reported time is from
 // the earliest post-barrier instant to the last rank's completion, divided
 // by iters. size is bytes contributed per rank (see collSize).
-func CollectiveTimeOn(g MPIGen, f Fabric, op CollectiveOp, algo mpifm.CollectiveAlgo,
+func CollectiveTimeOn(g xport.Gen, f Fabric, op CollectiveOp, algo mpifm.CollectiveAlgo,
 	ranks, size, iters int) sim.Time {
 	if iters < 1 {
 		iters = 1
 	}
 	size = collSize(size)
-	pl, comms := g.world(ranks, f)
+	pl, comms := mpiWorld(g, ranks, f, 0, mpifm.Options{})
 	stamps := spawnCollective(pl, comms, op, algo, size, iters)
 	run(pl, "%s ranks=%d size=%d algo=%s on %s", op, ranks, size, algo, f)
 	return span(stamps) / sim.Time(iters)
@@ -144,7 +145,7 @@ func CollectiveTimeOn(g MPIGen, f Fabric, op CollectiveOp, algo mpifm.Collective
 
 // CollectiveTime is CollectiveTimeOn one crossbar, as the paper's clusters
 // were wired.
-func CollectiveTime(g MPIGen, op CollectiveOp, algo mpifm.CollectiveAlgo, ranks, size, iters int) sim.Time {
+func CollectiveTime(g xport.Gen, op CollectiveOp, algo mpifm.CollectiveAlgo, ranks, size, iters int) sim.Time {
 	return CollectiveTimeOn(g, FabSingle, op, algo, ranks, size, iters)
 }
 
@@ -183,8 +184,8 @@ func CollectiveScalingOn(f Fabric, op CollectiveOp, cfg CollectiveScalingConfig)
 	for _, n := range cfg.Ranks {
 		pts = append(pts, ScalingPoint{
 			Ranks: n,
-			FM1us: CollectiveTimeOn(MPI1, f, op, cfg.Algo, n, cfg.Size, cfg.Iters).Micros(),
-			FM2us: CollectiveTimeOn(MPI2, f, op, cfg.Algo, n, cfg.Size, cfg.Iters).Micros(),
+			FM1us: CollectiveTimeOn(xport.GenFM1, f, op, cfg.Algo, n, cfg.Size, cfg.Iters).Micros(),
+			FM2us: CollectiveTimeOn(xport.GenFM2, f, op, cfg.Algo, n, cfg.Size, cfg.Iters).Micros(),
 		})
 	}
 	return pts
@@ -229,8 +230,8 @@ func WriteCollectiveSizeSweep(w io.Writer, ranks int, sizes []int) {
 	for _, s := range sizes {
 		fmt.Fprintf(w, "  %8d", s)
 		for _, op := range ops {
-			t1 := CollectiveTime(MPI1, op, mpifm.AlgoAuto, ranks, s, 1)
-			t2 := CollectiveTime(MPI2, op, mpifm.AlgoAuto, ranks, s, 1)
+			t1 := CollectiveTime(xport.GenFM1, op, mpifm.AlgoAuto, ranks, s, 1)
+			t2 := CollectiveTime(xport.GenFM2, op, mpifm.AlgoAuto, ranks, s, 1)
 			fmt.Fprintf(w, "  %12.2f  %12.2f", t1.Micros(), t2.Micros())
 		}
 		fmt.Fprintln(w)
@@ -262,8 +263,8 @@ func WriteCollectiveAlgos(w io.Writer, ranks, size int) {
 			if v.op == CollAllgather && a == mpifm.AlgoRecursiveDoubling && !pow2 {
 				continue // would silently fall back to ring; don't mislabel it
 			}
-			t1 := CollectiveTime(MPI1, v.op, a, ranks, size, 1)
-			t2 := CollectiveTime(MPI2, v.op, a, ranks, size, 1)
+			t1 := CollectiveTime(xport.GenFM1, v.op, a, ranks, size, 1)
+			t2 := CollectiveTime(xport.GenFM2, v.op, a, ranks, size, 1)
 			fmt.Fprintf(w, "  %-10s  %-10s  %12.2f  %12.2f\n", v.op, a, t1.Micros(), t2.Micros())
 		}
 	}

@@ -125,7 +125,7 @@ func WriteFigure3(w io.Writer) {
 // Figure4 computes MPI-FM 1.x vs FM 1.x: absolute bandwidth and efficiency.
 func Figure4() (fm, mpi, eff Curve) {
 	fm = FMCurve(DefaultOptions(xport.GenFM1), StdSizes)
-	mpi = MPICurve(MPI1, StdSizes)
+	mpi = MPICurve(xport.GenFM1, StdSizes)
 	return fm, mpi, Efficiency(mpi, fm)
 }
 
@@ -153,7 +153,7 @@ func WriteFigure5(w io.Writer) {
 // Figure6 computes MPI-FM 2.0 vs FM 2.0: absolute bandwidth and efficiency.
 func Figure6() (fm, mpi, eff Curve) {
 	fm = FMCurve(DefaultOptions(xport.GenFM2), StdSizes)
-	mpi = MPICurve(MPI2, StdSizes)
+	mpi = MPICurve(xport.GenFM2, StdSizes)
 	return fm, mpi, Efficiency(mpi, fm)
 }
 
@@ -162,7 +162,7 @@ func WriteFigure6(w io.Writer) {
 	fm, mpi, eff := Figure6()
 	WriteSeries(w, "Figure 6a: MPI-FM 2.0 vs FM 2.0 (MB/s)", []string{"FM", "MPI-FM"}, []Curve{fm, mpi})
 	WriteCurve(w, "Figure 6b: MPI-FM 2.0 efficiency", "% of FM", eff)
-	lat := MPILatency(MPI2, 16, 50)
+	lat := MPILatency(xport.GenFM2, 16, 50)
 	fmt.Fprintf(w, "  MPI-FM peak %.2f MB/s (paper 70)   eff@16B %.0f%% (paper >70%%)   max eff %.0f%% (paper ~90%%)   latency %.2f us (paper 17)\n",
 		mpi.Peak(), eff.At(16), eff.Peak(), lat.Micros())
 }
@@ -195,10 +195,10 @@ func Headline() []Result {
 		{Name: "FM 1.x (sparc)", PeakMBps: fm1c.Peak(), NHalf: fm1c.NHalf(),
 			LatencyUS: FMLatency(DefaultOptions(xport.GenFM1), 16, 50).Micros()},
 		{Name: "MPI over FM 1.x", PeakMBps: mpi1.Peak(), NHalf: mpi1.NHalf(),
-			LatencyUS: MPILatency(MPI1, 16, 50).Micros()},
+			LatencyUS: MPILatency(xport.GenFM1, 16, 50).Micros()},
 		{Name: "FM 2.x (ppro200)", PeakMBps: fm2c.Peak(), NHalf: fm2c.NHalf(),
 			LatencyUS: FMLatency(DefaultOptions(xport.GenFM2), 16, 50).Micros()},
 		{Name: "MPI-FM 2.0", PeakMBps: mpi2.Peak(), NHalf: mpi2.NHalf(),
-			LatencyUS: MPILatency(MPI2, 16, 50).Micros()},
+			LatencyUS: MPILatency(xport.GenFM2, 16, 50).Micros()},
 	}
 }

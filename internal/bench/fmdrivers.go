@@ -54,54 +54,6 @@ func fmPair(o Options) (*cluster.Platform, []fmNode) {
 	return pl, nodes
 }
 
-// fmStream wires the raw-FM streaming measurement and returns its world,
-// not yet run: node 0 sends one message per entry of sizes, node 1 polls
-// every 500 ns until the last one is delivered, and the stamp spans first
-// send to last delivery. pace, when non-nil, drives node 0's sends itself
-// (the perf suite splits warm-up from steady state); nil sends everything.
-func fmStream(o Options, sizes []int, pace func(send func(n int))) (*cluster.Platform, *stamp) {
-	pl, nodes := fmPair(o)
-	largest := 0
-	for _, s := range sizes {
-		largest = max(largest, s)
-	}
-	st := new(stamp)
-	recvd := 0
-	nodes[1].deliver(make([]byte, largest), func(p *sim.Proc) {
-		recvd++
-		if recvd == len(sizes) {
-			st.end = p.Now()
-		}
-	})
-	pl.K.Spawn("sender", func(p *sim.Proc) {
-		st.start = p.Now()
-		msg := make([]byte, largest)
-		next := 0
-		send := func(n int) {
-			for ; n > 0; n-- {
-				if err := nodes[0].send(p, 1, msg[:sizes[next]]); err != nil {
-					panic(err)
-				}
-				next++
-			}
-		}
-		if pace == nil {
-			send(len(sizes))
-		} else {
-			pace(send)
-		}
-	})
-	pl.K.Spawn("receiver", func(p *sim.Proc) {
-		for recvd < len(sizes) {
-			nodes[1].extract(p)
-			if recvd < len(sizes) {
-				p.Delay(500 * sim.Nanosecond)
-			}
-		}
-	})
-	return pl, st
-}
-
 // uniform is the size schedule of msgs messages of one size.
 func uniform(size, msgs int) []int {
 	sizes := make([]int, msgs)
@@ -113,14 +65,43 @@ func uniform(size, msgs int) []int {
 
 // FMStream measures raw FM streaming bandwidth node0 -> node1 over an
 // arbitrary size schedule (the realistic-traffic benches) and reports
-// delivered MB/s.
+// delivered MB/s: node 0 sends one message per entry of sizes, node 1 polls
+// every 500 ns until the last one is delivered, and the clock runs from the
+// first send to the last delivery.
 func FMStream(o Options, sizes []int) float64 {
-	pl, st := fmStream(o, sizes, nil)
-	run(pl, "%s stream of %d messages", o.FM.Gen, len(sizes))
+	pl, nodes := fmPair(o)
+	largest := 0
 	var total int64
 	for _, s := range sizes {
+		largest = max(largest, s)
 		total += int64(s)
 	}
+	var st stamp
+	recvd := 0
+	nodes[1].deliver(make([]byte, largest), func(p *sim.Proc) {
+		recvd++
+		if recvd == len(sizes) {
+			st.end = p.Now()
+		}
+	})
+	pl.K.Spawn("sender", func(p *sim.Proc) {
+		st.start = p.Now()
+		msg := make([]byte, largest)
+		for _, size := range sizes {
+			if err := nodes[0].send(p, 1, msg[:size]); err != nil {
+				panic(err)
+			}
+		}
+	})
+	pl.K.Spawn("receiver", func(p *sim.Proc) {
+		for recvd < len(sizes) {
+			nodes[1].extract(p)
+			if recvd < len(sizes) {
+				p.Delay(500 * sim.Nanosecond)
+			}
+		}
+	})
+	run(pl, "%s stream of %d messages", o.FM.Gen, len(sizes))
 	return Elapsed(total, st.end-st.start)
 }
 

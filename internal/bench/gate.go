@@ -9,23 +9,34 @@ import (
 
 // Trajectory gate: a static comparator over two committed BENCH_*.json
 // files. The perf suite's value is the TRAJECTORY of numbers across PRs,
-// not any one snapshot — so CI holds each new report to the previous one:
+// not any one snapshot — so tier-1 holds each new report to the previous one:
 // the sequential engine may not lose events/sec or gain allocs/op beyond a
 // tolerance, and what the simulation computes — the event count and the
 // virtual time of every entry — may not move at all. Parallel entries are
 // excluded: their wall-clock numbers depend on host core count, and the
 // sequential engine is the regression surface this gate protects.
 
-// GateTolerancePct is the default regression allowance for the numbers
-// measured on the host. Events/sec on a shared CI runner is noisy;
-// allocs/op is nearly exact, but counts runtime allocations too, so it
-// shares the tolerance. events and virtual_us get none: they are outputs of
-// a deterministic simulation.
-const GateTolerancePct = 25
+// GateTolerancePct is the regression allowance for the numbers measured on
+// the host. Events/sec on a shared CI runner is noisy; allocs/op is nearly
+// exact, but counts runtime allocations too, so it shares the tolerance.
+// events and virtual_us get none: they are outputs of a deterministic
+// simulation.
+const GateTolerancePct = 25.0
 
 // gateKey identifies comparable entries across reports.
 func gateKey(e PerfEntry) string {
 	return fmt.Sprintf("%s|%s|%d|%d", e.Name, e.Fabric, e.Ranks, e.SizeB)
+}
+
+// retiredRows are the measurements the suite no longer takes, each with the
+// benchmark/ metric (BENCHMARK.json, taken with repetitions) that answers
+// its question now. A base that carries one — every BENCH_PR*.json up to
+// PR 19 does — loses no coverage when the new report lacks it; any other
+// missing row still fails.
+var retiredRows = map[string]string{
+	"kernel-event-loop":     "kernel-churn: sim.ns_per_event.p1",
+	"fm2-send-steady-state": "pt2pt-sweep: host_ops_per_s, host_allocs_per_op, fm2.allocs_per_msg",
+	"svcload-open":          "rpc-open: svcload.host_us_per_req.r*, svcload.events_per_req.r*",
 }
 
 // LoadPerfReport reads a committed BENCH_*.json file.
@@ -45,14 +56,14 @@ func LoadPerfReport(path string) (*PerfReport, error) {
 }
 
 // GateTrajectory compares the sequential entries of newPath against
-// basePath: every base entry must have a counterpart, events and virtual_us
-// must equal the base's exactly (a field the base did not record, i.e. 0,
-// is skipped), events/sec must not fall below base*(1-tol%), and allocs/op
-// must not rise above base*(1+tol%) (+0.01 absolute, so a pinned 0.00
-// allocs/op tolerates measurement jitter but not a real allocation).
+// basePath: every base entry not retired must have a counterpart, events
+// and virtual_us must equal the base's exactly (a field the base did not
+// record, i.e. 0, is skipped), events/sec must not fall below
+// base*(1-tol%), and allocs/op must not rise above base*(1+tol%).
 // Returns nil when the trajectory holds; an error naming every violation
 // otherwise.
-func GateTrajectory(basePath, newPath string, tolPct float64) error {
+func GateTrajectory(basePath, newPath string) error {
+	const tolPct = GateTolerancePct
 	base, err := LoadPerfReport(basePath)
 	if err != nil {
 		return err
@@ -69,7 +80,7 @@ func GateTrajectory(basePath, newPath string, tolPct float64) error {
 	}
 	var bad []string
 	for _, b := range base.Entries {
-		if b.Engine != "" {
+		if _, gone := retiredRows[b.Name]; gone || b.Engine != "" {
 			continue
 		}
 		n, ok := fresh[gateKey(b)]
@@ -90,7 +101,7 @@ func GateTrajectory(basePath, newPath string, tolPct float64) error {
 			bad = append(bad, fmt.Sprintf("%s: events/sec %.0f < floor %.0f (base %.0f, tol %.0f%%)",
 				gateKey(b), n.EventsPerSec, floor, b.EventsPerSec, tolPct))
 		}
-		if ceil := b.AllocsPerOp*(1+tolPct/100) + 0.01; n.AllocsPerOp > ceil {
+		if ceil := b.AllocsPerOp * (1 + tolPct/100); n.AllocsPerOp > ceil {
 			bad = append(bad, fmt.Sprintf("%s: allocs/op %.2f > ceiling %.2f (base %.2f, tol %.0f%%)",
 				gateKey(b), n.AllocsPerOp, ceil, b.AllocsPerOp, tolPct))
 		}

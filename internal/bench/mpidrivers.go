@@ -7,29 +7,6 @@ import (
 	"repro/internal/xport"
 )
 
-// MPIGen selects which MPI-FM binding a driver runs: an FM generation
-// (which fixes the machine and the MPI overheads) plus the one thing a
-// generation cannot say, the receiver-pacing ablation.
-type MPIGen struct {
-	Gen     xport.Gen
-	Unpaced bool
-}
-
-var (
-	// MPI1 is MPI over FM 1.x on the Sparc machine (Figure 4).
-	MPI1 = MPIGen{Gen: xport.GenFM1}
-	// MPI2 is MPI-FM 2.0 over FM 2.x on the PPro machine (Figure 6).
-	MPI2 = MPIGen{Gen: xport.GenFM2}
-	// MPI2Unpaced is MPI over FM 2.x with receiver flow control unused
-	// (ablation: Extract drains everything, re-creating pool traffic).
-	MPI2Unpaced = MPIGen{Gen: xport.GenFM2, Unpaced: true}
-)
-
-// world builds an n-rank MPI world for this binding on fabric f.
-func (g MPIGen) world(n int, f Fabric) (*cluster.Platform, []*mpifm.Comm) {
-	return mpiWorld(g.Gen, n, f, 0, mpifm.Options{Unpaced: g.Unpaced})
-}
-
 // mpiStream is the two-rank, one-flow case of the flow skeleton over MPI:
 // rank 0 streams to rank 1.
 func mpiStream(pl *cluster.Platform, comms []*mpifm.Comm, size, msgs int, lag sim.Time) float64 {
@@ -38,19 +15,19 @@ func mpiStream(pl *cluster.Platform, comms []*mpifm.Comm, size, msgs int, lag si
 
 // MPIBandwidth measures streaming MPI bandwidth rank0 -> rank1 at one
 // message size: the measurement behind Figures 4a and 6a.
-func MPIBandwidth(g MPIGen, size, msgs int) float64 {
-	pl, comms := g.world(2, FabSingle)
+func MPIBandwidth(g xport.Gen, size, msgs int) float64 {
+	pl, comms := mpiWorld(g, 2, FabSingle, 0, mpifm.Options{})
 	return mpiStream(pl, comms, size, msgs, 0)
 }
 
 // MPICurve sweeps MPIBandwidth over sizes.
-func MPICurve(g MPIGen, sizes []int) Curve {
+func MPICurve(g xport.Gen, sizes []int) Curve {
 	return sweep(sizes, func(s int) float64 { return MPIBandwidth(g, s, MsgsFor(s)) })
 }
 
 // MPILatency measures one-way latency by MPI ping-pong.
-func MPILatency(g MPIGen, size, iters int) sim.Time {
-	pl, comms := g.world(2, FabSingle)
+func MPILatency(g xport.Gen, size, iters int) sim.Time {
+	pl, comms := mpiWorld(g, 2, FabSingle, 0, mpifm.Options{})
 	var rtt sim.Time
 	pl.K.Spawn("rank0", func(p *sim.Proc) {
 		msg := make([]byte, size)

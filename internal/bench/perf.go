@@ -12,19 +12,19 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/mpifm"
-	"repro/internal/sim"
-	"repro/internal/svcload"
 	"repro/internal/xport"
 )
 
 // The wall-clock engine suite: where every other bench in this package
 // measures VIRTUAL time (the model's answer), this one measures the
-// SIMULATOR — events per wall-clock second, allocations per operation, and
-// how far the rank axis can be pushed before wall-clock cost explodes. It
-// exists to keep the engine honest: the paper's CP-PACS-class machines ran
-// O(1000) nodes, so the fabric suites must be runnable at 512-1024 ranks,
-// and the zero-allocation message path is pinned here as a trajectory of
-// numbers (BENCH_*.json), not a one-off claim.
+// SIMULATOR — events per wall-clock second, allocations per rank, and how
+// far the rank axis can be pushed before wall-clock cost explodes. It is the
+// allreduce scale ladder and nothing else: the paper's CP-PACS-class
+// machines ran O(1000) nodes, so the fabric suites must be runnable at
+// 512-1024 ranks, and that cost is a trajectory of numbers (BENCH_*.json),
+// not a one-off claim. The kernel floor, the two-node steady state and the
+// RPC fleet are measured by benchmark/ (kernel-churn, pt2pt-sweep,
+// rpc-open), with repetitions.
 
 // PerfEntry is one measurement of the engine itself.
 type PerfEntry struct {
@@ -32,7 +32,7 @@ type PerfEntry struct {
 	Fabric string `json:"fabric,omitempty"`
 	Ranks  int    `json:"ranks,omitempty"`
 	SizeB  int    `json:"size_b,omitempty"`
-	Ops    int64  `json:"ops,omitempty"` // unit of AllocsPerOp (messages, events...)
+	Ops    int64  `json:"ops,omitempty"` // unit of AllocsPerOp: ranks
 
 	// Parallel-engine fields (zero on the default sequential entries).
 	Engine      string  `json:"engine,omitempty"`      // "parallel" for partitioned runs
@@ -77,9 +77,6 @@ type PerfConfig struct {
 	CollectiveRanks []int
 	TorusRanks      []int
 	Size            int // bytes per rank contribution
-	KernelEvents    int // event count for the raw kernel measurement
-	StreamMsgs      int // messages for the fm2 steady-state measurement
-	SvcRequests     int // per-client requests for the svcload measurement
 
 	// ParallelLPs > 1 reruns every fat-tree allreduce point on the
 	// partitioned engine with that many LPs and reports speedup vs the
@@ -97,30 +94,21 @@ func DefaultPerfConfig() PerfConfig {
 		CollectiveRanks: []int{64, 256, 512, 1024},
 		TorusRanks:      []int{256, 512},
 		Size:            1024,
-		KernelEvents:    2_000_000,
-		StreamMsgs:      5_000,
-		SvcRequests:     400,
 	}
 }
 
-// memDelta samples mallocs/bytes around fn. The simulation kernel runs all
-// Procs on the measuring goroutine's schedule, so the delta is attributable
-// to the run (modulo runtime background noise, which the large op counts
-// drown out).
-func memDelta(fn func()) (mallocs, bytes uint64) {
+// hostCost is the host-side clock: fn's wall time and allocation deltas.
+// The simulation kernel runs all Procs on the measuring goroutine's
+// schedule, so the deltas are attributable to the run (modulo runtime
+// background noise, which the large op counts drown out).
+func hostCost(fn func()) (wall time.Duration, mallocs, bytes uint64) {
 	var m0, m1 runtime.MemStats
+	t0 := time.Now()
 	runtime.GC()
 	runtime.ReadMemStats(&m0)
 	fn()
 	runtime.ReadMemStats(&m1)
-	return m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
-}
-
-// hostCost is the host-side clock: fn's wall time and allocation deltas.
-func hostCost(fn func()) (wall time.Duration, mallocs, bytes uint64) {
-	t0 := time.Now()
-	mallocs, bytes = memDelta(fn)
-	return time.Since(t0), mallocs, bytes
+	return time.Since(t0), m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
 }
 
 // withCost fills the simulator-cost columns every row shares from one run's
@@ -134,66 +122,6 @@ func (e PerfEntry) withCost(wall time.Duration, events, mallocs, bytes uint64, o
 	e.AllocsPerOp = float64(mallocs) / float64(ops)
 	e.BytesPerOp = float64(bytes) / float64(ops)
 	return e
-}
-
-// PerfKernelEvents measures the raw event-loop floor: one Proc delaying n
-// times — push, pop, and direct-handoff resume per event, nothing else.
-func PerfKernelEvents(n int) PerfEntry {
-	k := sim.NewKernel()
-	k.Spawn("ticker", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			p.Delay(sim.Nanosecond)
-		}
-	})
-	var err error
-	wall, mallocs, bytes := hostCost(func() { err = k.Run() })
-	if err != nil {
-		panic(fmt.Sprintf("bench: perf kernel events: %v", err))
-	}
-	return PerfEntry{Name: "kernel-event-loop"}.withCost(wall, k.Events(), mallocs, bytes, int64(n))
-}
-
-// PerfFM2Stream measures the FM 2.x point-to-point steady state: msgs
-// messages node0 -> node1 on the PPro pair, reporting simulator cost per
-// MESSAGE. Pool warm-up is excluded by a 10% warm-up prefix.
-func PerfFM2Stream(msgs, size int) PerfEntry {
-	warm := msgs / 10
-	if warm < 1 {
-		warm = 1
-	}
-	var mallocs, bytes uint64
-	pl, _ := fmStream(DefaultOptions(xport.GenFM2), uniform(size, msgs), func(send func(n int)) {
-		send(warm)
-		mallocs, bytes = memDelta(func() { send(msgs - warm) })
-	})
-	t0 := time.Now()
-	run(pl, "perf fm2 stream")
-	wall := time.Since(t0)
-	return PerfEntry{Name: "fm2-send-steady-state", SizeB: size}.withCost(wall, pl.Events(), mallocs, bytes, int64(msgs-warm))
-}
-
-// PerfSvcLoad measures the service-workload layer's simulator cost: a
-// 16-node FM 2.x open-loop fleet, reported per completed REQUEST (each one
-// is fan-out sends, shard service, and a gathered response).
-func PerfSvcLoad(requests int) PerfEntry {
-	var res svcload.Result
-	var err error
-	wall, mallocs, bytes := hostCost(func() {
-		res, err = svcload.Run(svcload.RunConfig{
-			Gen: xport.GenFM2, Nodes: 16, FatTree: true,
-			Workload: svcload.Workload{
-				Mode: svcload.ModeOpen, Requests: requests, RateRPS: 20_000,
-				Fanout: 2, Keyspace: 256, ZipfS: 1.1,
-				ReqBytes: 64, RespBytes: 512, Seed: 1998,
-			},
-		})
-	})
-	if err != nil {
-		panic(fmt.Sprintf("bench: perf svcload: %v", err))
-	}
-	e := PerfEntry{Name: "svcload-open", Fabric: FabFatTree.String(), Ranks: 16, SizeB: 512,
-		VirtualUS: float64(res.LastNS) / 1e3}
-	return e.withCost(wall, res.Events, mallocs, bytes, res.Completed)
 }
 
 // perfAllreduce measures one allreduce round at scale on the MPI world it
@@ -212,7 +140,7 @@ func perfAllreduce(pl *cluster.Platform, comms []*mpifm.Comm, f Fabric, size int
 
 // PerfCollective is perfAllreduce on the sequential engine.
 func PerfCollective(f Fabric, ranks, size int) PerfEntry {
-	pl, comms := MPI2.world(ranks, f)
+	pl, comms := mpiWorld(xport.GenFM2, ranks, f, 0, mpifm.Options{})
 	return perfAllreduce(pl, comms, f, size)
 }
 
@@ -229,13 +157,7 @@ func PerfCollectivePar(ranks, size, parts int) PerfEntry {
 
 // RunPerfSuite executes the whole suite.
 func RunPerfSuite(cfg PerfConfig) []PerfEntry {
-	entries := []PerfEntry{
-		PerfKernelEvents(cfg.KernelEvents),
-		PerfFM2Stream(cfg.StreamMsgs, 1024),
-	}
-	if cfg.SvcRequests > 0 {
-		entries = append(entries, PerfSvcLoad(cfg.SvcRequests))
-	}
+	var entries []PerfEntry
 	ftRanks := cfg.CollectiveRanks
 	if cfg.BigRanks > 0 {
 		ftRanks = append(append([]int(nil), ftRanks...), cfg.BigRanks)
@@ -270,10 +192,6 @@ func WritePerfReport(w io.Writer, cfg PerfConfig, jsonPath string) error {
 		"bench", "fabric", "engine", "ranks", "virtual_us", "wall_ms", "events/sec", "allocs/op", "bytes/op", "speedup")
 	entries := RunPerfSuite(cfg)
 	for _, e := range entries {
-		fab := e.Fabric
-		if fab == "" {
-			fab = "-"
-		}
 		eng := "seq"
 		if e.Engine != "" {
 			eng = fmt.Sprintf("par%d", e.Parallelism)
@@ -281,20 +199,12 @@ func WritePerfReport(w io.Writer, cfg PerfConfig, jsonPath string) error {
 				eng += "*" // uncertified: cut back-pressure occurred
 			}
 		}
-		ranks := "-"
-		if e.Ranks > 0 {
-			ranks = fmt.Sprintf("%d", e.Ranks)
-		}
-		virt := "-"
-		if e.VirtualUS > 0 {
-			virt = fmt.Sprintf("%.1f", e.VirtualUS)
-		}
 		speed := "-"
 		if e.SpeedupX > 0 {
 			speed = fmt.Sprintf("%.2fx", e.SpeedupX)
 		}
-		fmt.Fprintf(w, "  %-22s %-8s %-6s %6s  %12s  %10.1f  %12.0f  %10.2f  %10.1f  %8s\n",
-			e.Name, fab, eng, ranks, virt, e.WallMS, e.EventsPerSec, e.AllocsPerOp, e.BytesPerOp, speed)
+		fmt.Fprintf(w, "  %-22s %-8s %-6s %6d  %12.1f  %10.1f  %12.0f  %10.2f  %10.1f  %8s\n",
+			e.Name, e.Fabric, eng, e.Ranks, e.VirtualUS, e.WallMS, e.EventsPerSec, e.AllocsPerOp, e.BytesPerOp, speed)
 	}
 	if jsonPath == "" {
 		return nil
@@ -309,7 +219,15 @@ func WritePerfReport(w io.Writer, cfg PerfConfig, jsonPath string) error {
 		Entries:    entries,
 	}
 	_, _ = fmt.Sscanf(filepath.Base(jsonPath), "BENCH_PR%d.json", &rep.PR) // any other name leaves pr 0
-	return writeJSONFile(w, jsonPath, rep)
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, rep); err != nil {
+		return err
+	}
+	if err := os.WriteFile(jsonPath, buf.Bytes(), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "  wrote %s\n", jsonPath)
+	return nil
 }
 
 // WriteJSON renders a report the way this repo commits them: two-space
@@ -321,17 +239,4 @@ func WriteJSON(w io.Writer, v any) error {
 	}
 	_, err = w.Write(append(data, '\n'))
 	return err
-}
-
-// writeJSONFile writes v to path and notes it on the report stream.
-func writeJSONFile(w io.Writer, path string, v any) error {
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, v); err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "  wrote %s\n", path)
-	return nil
 }

@@ -15,7 +15,7 @@ import (
 const DefaultSeed = 1998 // the paper's year
 
 // GoldenName is the campaign report file committed next to the scenarios;
-// the runner skips it when collecting specs and CI diffs fresh output
+// the runner skips it when collecting specs and tier-1 diffs fresh output
 // against it.
 const GoldenName = "golden.json"
 

@@ -316,10 +316,11 @@ func TestCampaignRunsDirectoryDeterministically(t *testing.T) {
 }
 
 // TestSmokeCampaignMatchesGolden replays the committed campaign under the
-// default seed and diffs the bytes against the committed golden report —
-// the same contract the CI scenario-smoke job enforces. Regenerate with:
+// default seed and diffs the bytes against the committed golden report
+// (cmd/fmbench's golden table holds the CLI's stdout to the same file).
+// Regenerate with:
 //
-//	go run ./cmd/fmbench -campaign campaigns/smoke -campaignout campaigns/smoke/golden.json
+//	go run ./cmd/fmbench -campaign campaigns/smoke > campaigns/smoke/golden.json
 func TestSmokeCampaignMatchesGolden(t *testing.T) {
 	dir := filepath.Join("..", "..", "campaigns", "smoke")
 	golden, err := os.ReadFile(filepath.Join(dir, GoldenName))
@@ -342,7 +343,7 @@ func TestSmokeCampaignMatchesGolden(t *testing.T) {
 // service-workload campaign: baseline tail budget, incast under trunk flaps
 // with honest abandonment, and a closed-loop FM 1.x chain. Regenerate with:
 //
-//	go run ./cmd/fmbench -campaign campaigns/svc -campaignout campaigns/svc/golden.json
+//	go run ./cmd/fmbench -campaign campaigns/svc > campaigns/svc/golden.json
 func TestSvcCampaignMatchesGolden(t *testing.T) {
 	dir := filepath.Join("..", "..", "campaigns", "svc")
 	golden, err := os.ReadFile(filepath.Join(dir, GoldenName))

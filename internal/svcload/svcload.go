@@ -37,6 +37,7 @@
 package svcload
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -115,9 +116,6 @@ type Workload struct {
 	RespBytes int
 	// Seed derives every per-client arrival and key stream.
 	Seed int64
-	// Start offsets the first arrival (default: pure inter-arrival gaps
-	// from virtual time zero).
-	Start sim.Time
 	// Drain, when nonzero, bounds how long each client keeps serving after
 	// its last arrival: outstanding requests past the window are abandoned
 	// (counted, excluded from the histogram) instead of hanging the run.
@@ -167,7 +165,7 @@ func (wl Workload) validate(n int) error {
 	if wl.ReqBytes < 0 || wl.RespBytes < 0 {
 		return fmt.Errorf("svcload: negative payload size")
 	}
-	if wl.Drain < 0 || wl.Start < 0 {
+	if wl.Drain < 0 {
 		return fmt.Errorf("svcload: negative time field")
 	}
 	return nil
@@ -334,7 +332,7 @@ func (f *Fleet) Plan(wl Workload) error {
 		case ModeOpen:
 			arr := trafficgen.NewExp(seedFor(wl.Seed, "arrival", c), 1e9/wl.RateRPS)
 			keys := trafficgen.NewZipf(seedFor(wl.Seed, "key", c), wl.Keyspace, wl.ZipfS)
-			t := float64(wl.Start)
+			t := 0.0
 			for i := range rs {
 				t += arr.Next()
 				rs[i] = base
@@ -355,7 +353,7 @@ func (f *Fleet) Plan(wl Workload) error {
 			}
 			for i := range rs {
 				rs[i] = base
-				rs[i].T = wl.Start + sim.Time(i+1)*gap
+				rs[i].T = sim.Time(i+1) * gap
 			}
 		}
 		sched[c] = rs
@@ -456,7 +454,7 @@ func (f *Fleet) flushReplies(p *sim.Proc, node int) {
 			p.Delay(d)
 		}
 		var rh [respHeaderSize]byte
-		putU64(rh[0:], r.id)
+		binary.LittleEndian.PutUint64(rh[0:], r.id)
 		err := xport.SendGather(p, f.spaces[node], r.dst, respHandler, rh[:], f.body[:r.respB])
 		if err != nil {
 			f.errs = append(f.errs, fmt.Sprintf("server %d resp to %d: %v", node, r.dst, err))
@@ -479,9 +477,9 @@ func (f *Fleet) issue(p *sim.Proc, node, seq int, rq req) {
 	f.issued++
 	n := len(f.spaces)
 	var hdr [reqHeaderSize]byte
-	putU64(hdr[0:], id)
-	putU32(hdr[8:], uint32(node))
-	putU32(hdr[12:], uint32(rq.RespB))
+	binary.LittleEndian.PutUint64(hdr[0:], id)
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(node))
+	binary.LittleEndian.PutUint32(hdr[12:], uint32(rq.RespB))
 	for j := 0; j < rq.Fan; j++ {
 		dst := (rq.Key + j) % n
 		// A scheduled request's patience is anchored to its arrival, not to
@@ -525,9 +523,9 @@ func (f *Fleet) serveRequest(p *sim.Proc, node int, s xport.RecvStream) {
 	var hdr [reqHeaderSize]byte
 	s.Receive(p, hdr[:])
 	s.ReceiveDiscard(p, s.Remaining())
-	id := getU64(hdr[0:])
-	client := int(getU32(hdr[8:]))
-	respB := int(getU32(hdr[12:]))
+	id := binary.LittleEndian.Uint64(hdr[0:])
+	client := int(binary.LittleEndian.Uint32(hdr[8:]))
+	respB := int(binary.LittleEndian.Uint32(hdr[12:]))
 	if client < 0 || client >= len(f.spaces) || respB > len(f.body) {
 		return // malformed by construction we never send; drop
 	}
@@ -542,7 +540,7 @@ func (f *Fleet) gatherResponse(p *sim.Proc, node int, s xport.RecvStream) {
 	var hdr [respHeaderSize]byte
 	s.Receive(p, hdr[:])
 	s.ReceiveDiscard(p, s.Remaining())
-	id := getU64(hdr[0:])
+	id := binary.LittleEndian.Uint64(hdr[0:])
 	st := f.pending[node][id]
 	if st == nil {
 		return
@@ -660,11 +658,6 @@ type Result struct {
 	GoodputRPS float64 `json:"goodput_rps"`
 
 	Errors []string `json:"errors,omitempty"`
-
-	// Events is the kernel's event count for the run: what the simulation
-	// cost, not what it found, so it is set by Run only and kept out of the
-	// report JSON.
-	Events uint64 `json:"-"`
 }
 
 // Result summarizes the finished run.
@@ -765,22 +758,5 @@ func Run(rc RunConfig) (Result, error) {
 	if err := pl.Run(); err != nil {
 		return Result{}, err
 	}
-	res := f.Result()
-	res.Events = pl.Events()
-	return res, nil
-}
-
-// Little-endian wire helpers (the codebase convention).
-func putU32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-}
-func putU64(b []byte, v uint64) {
-	putU32(b, uint32(v))
-	putU32(b[4:], uint32(v>>32))
-}
-func getU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-func getU64(b []byte) uint64 {
-	return uint64(getU32(b)) | uint64(getU32(b[4:]))<<32
+	return f.Result(), nil
 }
