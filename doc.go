@@ -178,14 +178,32 @@
 // PoisonFrames debug mode overwrites recycled buffers so any violation
 // reads poison rather than stale data. Stream records, handler worker
 // coroutines, accounting wrappers, staging and header buffers all recycle
-// the same way, and the kernel schedules by direct handoff (one goroutine
-// switch per event, hole-sifting event heap, ring-buffer channels).
+// the same way, and the kernel schedules by direct handoff (at most one
+// goroutine switch per event, hole-sifting event heap, ring-buffer channels).
 //
 // The kernel's guarantee is that at most one Proc executes at any instant.
-// Waiting has one stated exception-that-isn't. FM's receive model is
-// polling: a rank blocked in MPI_Recv, a socket read or a SHMEM quiet
-// re-enters FM_extract every PollEmpty of virtual time, and every such
-// empty poll is a kernel event. Every blocking wait of every upper layer is
+// Two kinds of event cost no goroutine switch at all, because the dispatcher
+// — whichever goroutine holds the control token — runs them itself. The
+// hardware is the first: NIC send and receive firmware (internal/lanai) and
+// the per-port switch forwarders and the links they transmit on
+// (internal/netsim) are sim.Machines, Procs without a goroutine whose
+// run-to-completion Step does what the loop `Recv; Delay; Send` does between
+// two parks and arms the next wake with the half of Delay, Chan.Recv,
+// Chan.Send or Resource.Acquire that comes before its park (StartDelay,
+// StartRecv, StartSend, StartAcquire). They wait in the same queues and are
+// woken by the same events as the goroutine daemons they replaced, so every
+// wake is queued at the same instant in the same order and the (t, seq)
+// schedule is the same one; a link's send logic exists once, as the
+// resumable netsim.Tx the Machines embed and the blocking Link.Send and
+// Iface.Send drive with a park between steps. What still runs on goroutines
+// is what the paper says blocks: application Procs, and FM 2.x handler
+// workers, which run a user handler that stops mid-Receive by design — and
+// those are given their goroutine at their first wake, so building a
+// simulation starts none.
+//
+// Waiting is the second. FM's receive model is polling: a rank blocked in
+// MPI_Recv, a socket read or a SHMEM quiet re-enters FM_extract every
+// PollEmpty of virtual time, and every such empty poll is a kernel event. Every blocking wait of every upper layer is
 // one call, xport.HandlerSpace.Wait(p, budget, cond), and while the wait
 // is idle — receive ring and control queue empty, no withheld credit batch
 // to flush, cond still false — its poll ticks are taken by the kernel's

@@ -6,6 +6,7 @@ import (
 	"bytes"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -243,6 +244,34 @@ func TestSessionLargeFatTree(t *testing.T) {
 	defer s.Kernel().Shutdown()
 	if s.Nodes() != 2048 || s.MPI(2047) == nil {
 		t.Fatalf("session has %d nodes", s.Nodes())
+	}
+}
+
+// TestSessionGoroutineCensus: the hardware of a session — NIC firmware, switch
+// forwarders — runs on the kernel's dispatcher, not on goroutines of its own,
+// so a 256-rank fat tree costs a goroutine per rank the program spawns and a
+// small constant, not three per rank and one per switch port besides.
+func TestSessionGoroutineCensus(t *testing.T) {
+	const ranks, slack = 256, 16
+	before := runtime.NumGoroutine()
+	s, err := fmnet.New(fmnet.Nodes(ranks), fmnet.Topology(fmnet.FatTree), fmnet.WithMPI())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Kernel().Shutdown()
+	if grew := runtime.NumGoroutine() - before; grew > slack {
+		t.Fatalf("building the session started %d goroutines; the hardware should need none", grew)
+	}
+	s.SpawnRanks("rank", func(rank int, p *fmnet.Proc) { p.Delay(fmnet.Microsecond) })
+	if grew := runtime.NumGoroutine() - before; grew > slack {
+		t.Fatalf("spawning %d ranks started %d goroutines; a Proc gets its own at its first wake", ranks, grew)
+	}
+	if err := s.Kernel().RunUntil(fmnet.Microsecond / 2); err != nil { // every rank started, none finished
+		t.Fatal(err)
+	}
+	// Upper bounds only: goroutines of earlier tests may still be exiting.
+	if grew := runtime.NumGoroutine() - before; grew > ranks+slack {
+		t.Fatalf("session with its %d ranks running holds %d goroutines more than before it", ranks, grew)
 	}
 }
 

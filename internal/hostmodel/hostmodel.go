@@ -165,9 +165,16 @@ func (h *Host) Memcpy(p *sim.Proc, n int) {
 // BusTransfer moves n bytes across the I/O bus (either direction),
 // serializing with all other bus users on this host.
 func (h *Host) BusTransfer(p *sim.Proc, n int) {
+	h.Bus.Use(p, h.BusHold(n))
+}
+
+// BusHold counts an n-byte bus transfer and reports how long it holds Bus:
+// BusTransfer for a caller that cannot block (the NIC's receive firmware, a
+// sim Machine) and takes the hold in steps, Bus.StartUse(BusHold(n)).
+func (h *Host) BusHold(n int) sim.Time {
 	h.stats.BusXfers++
 	h.stats.BusBytes += int64(n)
-	h.Bus.Use(p, h.P.BusSetup+sim.BytesTime(n, h.P.BusMBps))
+	return h.P.BusSetup + sim.BytesTime(n, h.P.BusMBps)
 }
 
 // Stats returns a copy of the host activity counters.

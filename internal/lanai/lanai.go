@@ -51,6 +51,8 @@ type NIC struct {
 	Ifc *netsim.Iface
 	cfg Config
 
+	send  sendFirmware
+	recv  recvFirmware
 	sendq *sim.Chan[*netsim.Packet] // NIC SRAM send queue (host -> firmware)
 	ring  *sim.Chan[*netsim.Packet] // pinned-host-memory receive ring (firmware -> host)
 	ctrlq *sim.Chan[*netsim.Packet] // demuxed control packets (credits)
@@ -61,8 +63,11 @@ type NIC struct {
 // New creates a NIC bound to a host and a fabric interface. Call Start to
 // launch the firmware.
 func New(h *hostmodel.Host, ifc *netsim.Iface, cfg Config) *NIC {
+	if cfg.OnRingFull != RingStall && cfg.OnRingFull != RingDrop {
+		panic(fmt.Sprintf("lanai: unknown ring policy %d", cfg.OnRingFull))
+	}
 	p := h.P
-	return &NIC{
+	n := &NIC{
 		H:     h,
 		Ifc:   ifc,
 		cfg:   cfg,
@@ -70,65 +75,154 @@ func New(h *hostmodel.Host, ifc *netsim.Iface, cfg Config) *NIC {
 		ring:  sim.NewChan[*netsim.Packet](h.K, p.RingSlots),
 		ctrlq: sim.NewChan[*netsim.Packet](h.K, p.RingSlots),
 	}
+	n.send.n, n.recv.n = n, n
+	return n
 }
 
-// Start spawns the send and receive firmware daemons.
+// Start spawns the send and receive firmware.
 func (n *NIC) Start() {
 	k := n.H.K
-	k.SpawnDaemon(fmt.Sprintf("nic%d.send", n.H.ID), n.sendFirmware)
-	k.SpawnDaemon(fmt.Sprintf("nic%d.recv", n.H.ID), n.recvFirmware)
+	k.SpawnMachine(fmt.Sprintf("nic%d.send", n.H.ID), &n.send)
+	k.SpawnMachine(fmt.Sprintf("nic%d.recv", n.H.ID), &n.recv)
 }
 
-// sendFirmware drains the SRAM send queue onto the wire.
-func (n *NIC) sendFirmware(p *sim.Proc) {
+// The firmware loops are sim Machines: the LANai runs each to its next wait
+// and returns, so a packet costs the simulation no goroutine switch here. A
+// loop reads top to bottom as the blocking code it stands for; `next` is
+// where it resumes.
+
+// sendFirmware drains the SRAM send queue onto the wire:
+//
+//	for { pkt := sendq.Recv(); Delay(NICSendPacket); Ifc.Send(pkt); Sent++ }
+type sendFirmware struct {
+	n    *NIC
+	pkt  *netsim.Packet // the slot sendq.StartRecv fills
+	tx   netsim.Tx
+	next uint8
+}
+
+const (
+	sendRecv = iota
+	sendLaunch
+	sendInject
+	sendWire
+)
+
+func (f *sendFirmware) Step(p *sim.Proc) {
+	n := f.n
 	for {
-		pkt := n.sendq.Recv(p)
-		p.Delay(n.H.P.NICSendPacket)
-		n.Ifc.Send(p, pkt) // serialization + fabric back-pressure
-		n.stats.Sent++
+		switch f.next {
+		case sendRecv:
+			f.next = sendLaunch
+			if !n.sendq.StartRecv(p, &f.pkt) {
+				return
+			}
+		case sendLaunch:
+			f.next = sendInject
+			p.StartDelay(n.H.P.NICSendPacket)
+			return
+		case sendInject:
+			f.tx = n.Ifc.StartSend(p.Now(), f.pkt)
+			f.next = sendWire
+		case sendWire:
+			if !f.tx.Step(p) { // serialization + fabric back-pressure
+				return
+			}
+			n.stats.Sent++
+			f.next = sendRecv
+		}
 	}
 }
 
-// recvFirmware lands packets from the wire into host memory by DMA.
-func (n *NIC) recvFirmware(p *sim.Proc) {
+// recvFirmware lands packets from the wire into host memory by DMA:
+//
+//	for {
+//		pkt := Ifc.In.Recv(); Delay(NICRecvPacket)
+//		if pkt.Corrupt { drop; continue }
+//		H.BusTransfer(len(pkt.Payload))
+//		if pkt.Ctrl { ctrlq.Send(pkt); CtrlRecv++ } else { ring.Send(pkt) or drop; Received++ }
+//	}
+type recvFirmware struct {
+	n     *NIC
+	pkt   *netsim.Packet // the slot Ifc.In.StartRecv fills
+	dma   sim.Hold       // the bus hold of the DMA under way
+	count *int64         // the counter the delivery under way bumps
+	next  uint8
+}
+
+const (
+	recvRecv = iota
+	recvLand
+	recvCheck
+	recvDMA
+	recvDeliver
+	recvCount
+)
+
+func (f *recvFirmware) Step(p *sim.Proc) {
+	n := f.n
 	for {
-		pkt := n.Ifc.In.Recv(p)
-		p.Delay(n.H.P.NICRecvPacket)
-		if pkt.Corrupt {
-			// Link-level CRC check (paper §3.1): Myrinet computes a CRC per
-			// link, so a frame corrupted in flight is discarded here, before
-			// any DMA — FM never sees it, and its reliability argument holds
-			// without per-message checksums. A lost DATA frame still leaks the
-			// flow-control credit its sender spent; the fabric's loss registry
-			// records that for hang diagnostics.
-			n.stats.CRCDropped++
-			n.Ifc.NoteLost(pkt, netsim.LossCRC)
-			pkt.Release()
-			continue
-		}
-		if n.cfg.ChargeBus {
-			n.H.BusTransfer(p, len(pkt.Payload)) // DMA into the ring
-		}
-		if pkt.Ctrl {
-			// Control packets go to a dedicated queue so credit updates are
-			// never stuck behind undrained data (the firmware demux FM
-			// relies on for deadlock-freedom).
-			n.ctrlq.Send(p, pkt)
-			n.stats.CtrlRecv++
-			continue
-		}
-		switch n.cfg.OnRingFull {
-		case RingStall:
-			n.ring.Send(p, pkt) // blocks when full: wire back-pressure
-			n.stats.Received++
-		case RingDrop:
-			if n.ring.TrySend(pkt) {
-				n.stats.Received++
-			} else {
+		switch f.next {
+		case recvRecv:
+			f.next = recvLand
+			if !n.Ifc.In.StartRecv(p, &f.pkt) {
+				return
+			}
+		case recvLand:
+			f.next = recvCheck
+			p.StartDelay(n.H.P.NICRecvPacket)
+			return
+		case recvCheck:
+			switch {
+			case f.pkt.Corrupt:
+				// Link-level CRC check (paper §3.1): Myrinet computes a CRC per
+				// link, so a frame corrupted in flight is discarded here, before
+				// any DMA — FM never sees it, and its reliability argument holds
+				// without per-message checksums. A lost DATA frame still leaks the
+				// flow-control credit its sender spent; the fabric's loss registry
+				// records that for hang diagnostics.
+				n.stats.CRCDropped++
+				n.Ifc.NoteLost(f.pkt, netsim.LossCRC)
+				f.pkt.Release()
+				f.next = recvRecv
+			case n.cfg.ChargeBus: // DMA into the ring: H.BusTransfer, in its steps
+				f.dma = n.H.Bus.StartUse(n.H.BusHold(len(f.pkt.Payload)))
+				f.next = recvDMA
+			default:
+				f.next = recvDeliver
+			}
+		case recvDMA:
+			if !f.dma.Step(p) {
+				return
+			}
+			f.next = recvDeliver
+		case recvDeliver:
+			f.next = recvCount
+			switch pkt := f.pkt; {
+			case pkt.Ctrl:
+				// Control packets go to a dedicated queue so credit updates are
+				// never stuck behind undrained data (the firmware demux FM
+				// relies on for deadlock-freedom).
+				f.count = &n.stats.CtrlRecv
+				if !n.ctrlq.StartSend(p, pkt) {
+					return
+				}
+			case n.cfg.OnRingFull == RingStall:
+				f.count = &n.stats.Received
+				if !n.ring.StartSend(p, pkt) { // waits while full: wire back-pressure
+					return
+				}
+			case n.ring.TrySend(pkt): // RingDrop (New admits no third policy), and there was room
+				f.count = &n.stats.Received
+			default:
 				n.stats.RingDropped++
 				n.Ifc.NoteLost(pkt, netsim.LossRingFull)
 				pkt.Release() // dropped frame goes straight back to its pool
+				f.next = recvRecv
 			}
+		case recvCount:
+			*f.count++
+			f.next = recvRecv
 		}
 	}
 }

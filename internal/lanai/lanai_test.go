@@ -3,6 +3,7 @@ package lanai
 import (
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/hostmodel"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -194,5 +195,59 @@ func TestChargeBusOffSkipsBusTime(t *testing.T) {
 	}
 	if ef, es := elapsed(fast), elapsed(slow); ef >= es {
 		t.Fatalf("bus-free engine (%v) should beat bus-charged (%v)", ef, es)
+	}
+}
+
+// TestFramePathZeroAlloc pins the whole hardware path of one frame in steady
+// state — host PIO, send firmware, injection link, two switch forwarders and
+// their links, receive firmware, DMA, ring — at zero mallocs: the firmware
+// and the forwarders are sim Machines that keep their place in their own
+// fields, so a packet costs them neither a goroutine switch nor a heap slot.
+func TestFramePathZeroAlloc(t *testing.T) {
+	if sim.RaceEnabled {
+		t.Skip("alloc pins don't hold under the race detector's instrumentation")
+	}
+	const warm, frames = 200, 1000
+	k := sim.NewKernel()
+	prof := hostmodel.PPro200()
+	net := netsim.Shape{Topology: netsim.Line, Nodes: 2, Hosts: 1}.Build(k, prof.Link, 100*sim.Nanosecond)
+	if hops := len(net.Route(0, 1)); hops != 2 {
+		t.Fatalf("route crosses %d switches, want 2", hops)
+	}
+	nics := make([]*NIC, 2)
+	for i := range nics {
+		nics[i] = New(hostmodel.NewHost(k, i, prof), net.Iface(i), DefaultConfig())
+		nics[i].Start()
+	}
+	pool := netsim.NewFramePool(prof.PacketMTU, 0)
+	var allocs uint64
+	k.Spawn("host", func(p *sim.Proc) {
+		roundTrips := func(n int) {
+			for i := 0; i < n; i++ {
+				nics[0].HostSendPacket(p, pool.Get(256), 1, i%8 == 0)
+				for {
+					pkt, ok := nics[1].Poll()
+					if !ok {
+						pkt, ok = nics[1].PollCtrl()
+					}
+					if ok {
+						pkt.Release()
+						break
+					}
+					p.Delay(sim.Microsecond)
+				}
+			}
+		}
+		roundTrips(warm)
+		allocs = alloctest.MinMallocs(func() { roundTrips(frames) })
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs > alloctest.AllowStray {
+		t.Fatalf("%d frames host to ring allocated %d times; must be 0/frame", frames, allocs)
+	}
+	if st := nics[1].Stats(); st.Received+st.CtrlRecv != warm+alloctest.Windows*frames || st.CtrlRecv == 0 {
+		t.Fatalf("receiving NIC landed %+v", st)
 	}
 }

@@ -1,0 +1,196 @@
+package lanai
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/hostmodel"
+	"repro/internal/netsim"
+	"repro/internal/sim"
+)
+
+// The firmware loops and the switch forwarders are sim Machines; the schedule
+// they produce is pinned here to the one the goroutine daemons they replaced
+// produced. Each digest below was taken from the commit before the port
+// (189b62c) by running this same file there, and covers, packet for packet,
+// every arrival a host saw — (time, src, seq, ctrl) per node — every NIC's
+// counters, every link's counters and the event count.
+
+// pinnedShape is 8 edge switches x 2 hosts under 4 spines: three-hop routes,
+// and four LPs when partitioned.
+var pinnedShape = netsim.FatTreePartition{Edges: 8, Hosts: 2, Spines: 4, Parts: 4}
+
+// pinnedFaults: a corrupting uplink and a dropping one, a downlink that is
+// down for a window, a straggler host link.
+var pinnedFaults = netsim.FaultPlan{Seed: 23, Rules: []netsim.FaultRule{
+	{Links: "edge1->spine*", CorruptProb: 0.15},
+	{Links: "edge6->spine1", DropProb: 0.2},
+	{Links: "spine2->edge3", DownFrom: 150 * sim.Microsecond, DownUntil: 400 * sim.Microsecond},
+	{Links: "n12->*", SlowFactor: 3},
+}}
+
+// pinnedRun drives seeded bursty all-to-all traffic, data and control, over a
+// fat tree with one-slot ports and four-slot rings. Hosts poll every 100 ns,
+// except nodes 5 and 9, whose rings stay undrained for the first 300 us — the
+// stall (or, under RingDrop, the overrun) the back-pressure path needs.
+func pinnedRun(t *testing.T, policy RingPolicy, partitioned bool) string {
+	t.Helper()
+	prof := hostmodel.PPro200()
+	prof.Link.Slots = 1
+	prof.RingSlots = 4
+	prof.SendQSlots = 2
+
+	var (
+		net      *netsim.Network
+		runUntil func(sim.Time) error
+		events   func() uint64
+		live     func() (n int)
+	)
+	if partitioned {
+		e := sim.NewEngine()
+		defer e.Shutdown()
+		lps := make([]*sim.LP, pinnedShape.Parts)
+		for i := range lps {
+			lps[i] = e.AddLP(fmt.Sprintf("part%d", i))
+		}
+		net = netsim.NewFatTreePar(lps, pinnedShape, prof.Link, 100*sim.Nanosecond)
+		runUntil, events = e.RunUntil, e.Events
+		live = func() (n int) {
+			for _, lp := range lps {
+				n += lp.K.Live()
+			}
+			return n
+		}
+	} else {
+		k := sim.NewKernel()
+		defer k.Shutdown()
+		net = netsim.NewFatTree(k, pinnedShape.Edges, pinnedShape.Hosts, pinnedShape.Spines, prof.Link, 100*sim.Nanosecond)
+		runUntil, events, live = k.RunUntil, k.Events, k.Live
+	}
+	if err := net.ApplyFaults(pinnedFaults); err != nil {
+		t.Fatal(err)
+	}
+
+	n := net.Nodes()
+	nics := make([]*NIC, n)
+	logs := make([][]string, n)
+	for i := range nics {
+		i := i
+		k := net.Iface(i).K
+		cfg := DefaultConfig()
+		cfg.OnRingFull = policy
+		nics[i] = New(hostmodel.NewHost(k, i, prof), net.Iface(i), cfg)
+		nics[i].Start()
+
+		// Everything random is drawn before the run.
+		rng := rand.New(rand.NewSource(int64(1000 + i)))
+		type frame struct {
+			dst, size int
+			ctrl      bool
+			gap       sim.Time
+		}
+		frames := make([]frame, 60)
+		for j := range frames {
+			dst := rng.Intn(n - 1)
+			if dst >= i {
+				dst++
+			}
+			if j%5 == 0 {
+				dst = 5 + 4*(j/5%2) // keep the undrained rings overrun
+			}
+			f := frame{dst: dst, size: 1 + rng.Intn(500), ctrl: rng.Intn(4) == 0}
+			if rng.Intn(3) == 0 { // two frames in three go back to back
+				f.gap = sim.Time(rng.Intn(20)) * sim.Microsecond
+			}
+			if f.dst == i {
+				f.dst = (i + 1) % n
+			}
+			frames[j] = f
+		}
+		k.Spawn(fmt.Sprintf("host%d.send", i), func(p *sim.Proc) {
+			p.Delay(sim.Time(i) * 700 * sim.Nanosecond)
+			for _, f := range frames {
+				nics[i].HostSend(p, f.dst, make([]byte, f.size), f.ctrl)
+				if f.gap > 0 {
+					p.Delay(f.gap)
+				}
+			}
+		})
+		k.SpawnDaemon(fmt.Sprintf("host%d.poll", i), func(p *sim.Proc) {
+			if i == 5 || i == 9 {
+				p.Delay(300 * sim.Microsecond)
+			}
+			for {
+				for _, poll := range []func() (*netsim.Packet, bool){nics[i].PollCtrl, nics[i].Poll} {
+					if pkt, ok := poll(); ok {
+						logs[i] = append(logs[i], fmt.Sprintf("%d %d %d %v", p.Now(), pkt.Src, pkt.Seq, pkt.Ctrl))
+					}
+				}
+				p.Delay(100 * sim.Nanosecond)
+			}
+		})
+	}
+	// The pollers never finish, so the run is bounded: long enough for every
+	// sender to, the stalled rings included.
+	if err := runUntil(2 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if live() != 0 {
+		t.Fatalf("%d senders still blocked at the horizon", live())
+	}
+
+	h := sha256.New()
+	var arrivals int
+	var all Stats
+	for i, nic := range nics {
+		st := nic.Stats()
+		fmt.Fprintf(h, "node %d %+v %v\n", i, st, logs[i])
+		arrivals += len(logs[i])
+		all.Sent += st.Sent
+		all.Received += st.Received
+		all.CtrlRecv += st.CtrlRecv
+		all.RingDropped += st.RingDropped
+		all.CRCDropped += st.CRCDropped
+	}
+	var wire netsim.LinkStats
+	for _, l := range net.Links() {
+		st := l.Stats()
+		fmt.Fprintf(h, "%s %+v\n", l.Name(), st)
+		wire.Dropped += st.Dropped
+		wire.DownDropped += st.DownDropped
+	}
+	fmt.Fprintf(h, "events %d lost %v cut stalls %d\n", events(), net.LostFrames(), net.CutStalls())
+	// The scenario has to have been on the paths it is here for.
+	if all.Sent != int64(n*60) || all.CRCDropped == 0 || wire.Dropped == 0 || wire.DownDropped == 0 {
+		t.Fatalf("scenario lost its coverage: NICs %+v, links %+v", all, wire)
+	}
+	if (policy == RingDrop) != (all.RingDropped > 0) {
+		t.Fatalf("policy %v with %d ring drops", policy, all.RingDropped)
+	}
+	if partitioned && net.CutStalls() == 0 {
+		t.Fatal("no cut trunk ever found its port full")
+	}
+	t.Logf("%d arrivals, %d events; NICs %+v", arrivals, events(), all)
+	return fmt.Sprintf("%x", h.Sum(nil)[:8])
+}
+
+func TestFirmwareAndForwardersKeepThePinnedSchedule(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		policy      RingPolicy
+		partitioned bool
+		want        string
+	}{
+		{"stall", RingStall, false, "fdb4f02d0ac92e69"},
+		{"drop", RingDrop, false, "22d9f704ffe9d757"},
+		{"stall/cut-trunks", RingStall, true, "6e00e1c42584e700"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if got := pinnedRun(t, c.policy, c.partitioned); got != c.want {
+				t.Fatalf("schedule digest %s, pinned %s", got, c.want)
+			}
+		})
+	}
+}

@@ -274,7 +274,7 @@ func (c *Comm) Irecv(p *sim.Proc, buf []byte, src, tag int) (*Request, error) {
 func (c *Comm) post(p *sim.Proc, req *Request, buf []byte, src, tag int) {
 	req.buf, req.src, req.tag = buf, src, tag
 	// An already-buffered unexpected message wins first.
-	if m := c.takeUnexpected(src, tag); m != nil {
+	if m, ok := c.takeUnexpected(src, tag); ok {
 		c.completeFromPool(p, req, m)
 		return
 	}
@@ -340,17 +340,17 @@ func (c *Comm) takePosted(src, tag int) *Request {
 }
 
 // takeUnexpected removes and returns the first buffered message matching
-// (src, tag), or nil.
-func (c *Comm) takeUnexpected(src, tag int) *inMsg {
+// (src, tag); ok is false when there is none.
+func (c *Comm) takeUnexpected(src, tag int) (m inMsg, ok bool) {
 	for i := range c.unexpected {
-		m := &c.unexpected[i]
-		if (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag) {
-			out := *m
+		u := &c.unexpected[i]
+		if (src == AnySource || u.src == src) && (tag == AnyTag || u.tag == tag) {
+			m = *u // before the append below slides the tail over it
 			c.unexpected = append(c.unexpected[:i], c.unexpected[i+1:]...)
-			return &out
+			return m, true
 		}
 	}
-	return nil
+	return inMsg{}, false
 }
 
 // enqueueUnexpected files a fully-buffered unexpected message. A matching
@@ -365,7 +365,7 @@ func (c *Comm) takeUnexpected(src, tag int) *inMsg {
 // production pool must choose when senders run ahead of matching receives.
 func (c *Comm) enqueueUnexpected(p *sim.Proc, src, tag int, data []byte) {
 	if req := c.takePosted(src, tag); req != nil {
-		c.completeFromPool(p, req, &inMsg{src: src, tag: tag, data: data})
+		c.completeFromPool(p, req, inMsg{src: src, tag: tag, data: data})
 		return
 	}
 	if c.opt.UnexpectedCap > 0 && len(c.unexpected) >= c.opt.UnexpectedCap {
@@ -380,7 +380,7 @@ func (c *Comm) enqueueUnexpected(p *sim.Proc, src, tag int, data []byte) {
 
 // completeFromPool finishes a receive from the unexpected queue: the extra
 // pool-to-user copy of the unexpected path.
-func (c *Comm) completeFromPool(p *sim.Proc, req *Request, m *inMsg) {
+func (c *Comm) completeFromPool(p *sim.Proc, req *Request, m inMsg) {
 	n := copy(req.buf, m.data)
 	c.host.Memcpy(p, n)
 	p.Delay(c.ov.Recv)

@@ -36,6 +36,38 @@ func TestOutOfRangeDstRejected(t *testing.T) {
 	}
 }
 
+// TestForwarderRouteFaultsFailTheRun: a packet whose source route runs out at
+// a switch, or names a port the switch has no link on, is a routing bug; the
+// forwarder's panic must come out of Run in the forwarder's name — port
+// included — not vanish with, or wedge, the dispatcher it runs on.
+func TestForwarderRouteFaultsFailTheRun(t *testing.T) {
+	for _, c := range []struct {
+		port  int
+		route []uint8
+		want  string
+	}{
+		{0, nil, `sim: proc "sw9.fwd0" panicked: netsim: packet from 3 to 4 exhausted its route at switch sw9`},
+		{2, []uint8{1}, `sim: proc "sw9.fwd2" panicked: netsim: bad route byte 1 at switch sw9`},
+		{1, []uint8{7}, `sim: proc "sw9.fwd1" panicked: netsim: bad route byte 7 at switch sw9`},
+	} {
+		k := sim.NewKernel()
+		sw := NewSwitch(k, "sw9", 3, 100*sim.Nanosecond, 1)
+		sw.SetOut(0, NewLink(k, "sw9->sink", DefaultMyrinet(), sim.NewChan[*Packet](k, 1)))
+		sw.Start()
+		k.Spawn("upstream", func(p *sim.Proc) {
+			p.Delay(sim.Microsecond)
+			sw.In(c.port).Send(p, &Packet{Src: 3, Dst: 4, Route: c.route, Payload: []byte{1}})
+		})
+		err := k.Run()
+		if err == nil || strings.SplitN(err.Error(), "\n", 2)[0] != c.want {
+			t.Errorf("route %v into port %d: run ended with %v, want %s", c.route, c.port, err, c.want)
+		}
+		if k.Now() != sim.Microsecond {
+			t.Errorf("route %v: run failed at %v, want at the packet's arrival", c.route, k.Now())
+		}
+	}
+}
+
 // --- generic all-pairs delivery check -----------------------------------
 
 // allPairs drives every (src, dst) pair once and checks payload identity

@@ -114,46 +114,100 @@ func NewLink(k *sim.Kernel, name string, cfg LinkConfig, dst *sim.Chan[*Packet])
 
 // Send transmits pkt. The calling Proc is charged serialization and
 // propagation time and stalls under back-pressure from downstream.
+func (l *Link) Send(p *sim.Proc, pkt *Packet) {
+	tx := Tx{l: l, pkt: pkt}
+	tx.drive(p)
+}
+
+// Tx is one frame's passage over one link as a resumable step sequence: the
+// one body of the link's send logic. Step takes the frame as far as it can
+// go at this instant and reports whether it is across; when it is not, Step
+// has armed exactly one wake for p and is to be called again at that wake —
+// by Link.Send after a park on a goroutine Proc, by the Step of the sim
+// Machine (NIC firmware, switch forwarder) that embeds the Tx.
 //
-// A portal link reproduces that timing exactly across the LP boundary: it
-// charges all but the lookahead's worth of delay, evaluates faults at the
-// precise arrival instant tArr = now + la (the instant an ordinary link
-// evaluates them, and in the same per-link RNG draw order since xmit
-// serializes this link's frames), posts the packet for arrival at tArr, then
-// holds xmit through the remaining lookahead so the next frame's
+// A portal link reproduces an ordinary link's timing exactly across the LP
+// boundary: it charges all but the lookahead's worth of delay, evaluates
+// faults at the precise arrival instant tArr = now + la (the instant an
+// ordinary link evaluates them, and in the same per-link RNG draw order since
+// xmit serializes this link's frames), posts the packet for arrival at tArr,
+// then holds xmit through the remaining lookahead so the next frame's
 // serialization starts exactly when it would have sequentially (partition.go
 // has the one thing it cannot carry: reverse back-pressure).
-func (l *Link) Send(p *sim.Proc, pkt *Packet) {
-	l.xmit.Acquire(p, 1)
-	wire := pkt.Size() + l.cfg.FrameOverhead
-	delay := sim.BytesTime(wire, l.cfg.BandwidthMBps) + l.cfg.PropDelay
-	if f := l.faults; f != nil && f.slow > 1 {
-		// Straggler link/NIC: serialization and propagation both degrade.
-		delay = sim.Time(float64(delay) * f.slow)
+type Tx struct {
+	l    *Link
+	pkt  *Packet
+	la   sim.Time // 0 on an ordinary link: the frame lands on this clock
+	next uint8    // the tx* step to run at the next wake
+}
+
+const (
+	txAcquire   = iota // wait for the wire
+	txSerialize        // charge serialization and propagation
+	txDeliver          // at the far end: faults, then the downstream queue
+	txHold             // a portal's wire stays busy through the lookahead
+	txRelease
+)
+
+// drive is how a goroutine Proc sends: Step, with a park wherever it waits.
+func (tx *Tx) drive(p *sim.Proc) {
+	for !tx.Step(p) {
+		p.Park()
 	}
-	var la sim.Time // 0 on an ordinary link: the frame lands on this clock
-	if l.portal != nil {
-		la = l.portal.Lookahead()
+}
+
+// Step advances the frame; see Tx.
+func (tx *Tx) Step(p *sim.Proc) (done bool) {
+	l, pkt := tx.l, tx.pkt
+	switch tx.next {
+	case txAcquire:
+		tx.next = txSerialize
+		if !l.xmit.StartAcquire(p, 1) {
+			return false
+		}
+		fallthrough
+	case txSerialize:
+		delay := sim.BytesTime(pkt.Size()+l.cfg.FrameOverhead, l.cfg.BandwidthMBps) + l.cfg.PropDelay
+		if f := l.faults; f != nil && f.slow > 1 {
+			// Straggler link/NIC: serialization and propagation both degrade.
+			delay = sim.Time(float64(delay) * f.slow)
+		}
+		if l.portal != nil {
+			tx.la = l.portal.Lookahead()
+		}
+		tx.next = txDeliver
+		p.StartDelay(delay - tx.la)
+		return false
+	case txDeliver:
+		tArr := p.Now() + tx.la
+		l.stats.Packets++
+		l.stats.Bytes += int64(pkt.Size())
+		l.stats.WireBytes += int64(pkt.Size() + l.cfg.FrameOverhead)
+		tx.next = txHold
+		switch {
+		case !l.applyFaults(pkt, tArr):
+			pkt.Release() // a lost frame goes back to its sender's pool
+		case l.portal != nil:
+			l.portal.PostAt(tArr, pkt)
+		default:
+			// Holding xmit while the downstream queue is full propagates stalls
+			// upstream: Myrinet back-pressure.
+			if !l.dst.StartSend(p, pkt) {
+				return false
+			}
+		}
+		fallthrough
+	case txHold:
+		tx.next = txRelease
+		if tx.la > 0 {
+			p.StartDelay(tx.la) // the wire stays busy until the frame has (or would have) landed
+			return false
+		}
+		fallthrough
+	default: // txRelease
+		l.xmit.Release(1)
+		return true
 	}
-	p.Delay(delay - la)
-	tArr := p.Now() + la
-	l.stats.Packets++
-	l.stats.Bytes += int64(pkt.Size())
-	l.stats.WireBytes += int64(wire)
-	switch {
-	case !l.applyFaults(pkt, tArr):
-		pkt.Release() // a lost frame goes back to its sender's pool
-	case l.portal != nil:
-		l.portal.PostAt(tArr, pkt)
-	default:
-		// Holding xmit while the downstream queue is full propagates stalls
-		// upstream: Myrinet back-pressure.
-		l.dst.Send(p, pkt)
-	}
-	if la > 0 {
-		p.Delay(la) // the wire stays busy until the frame has (or would have) landed
-	}
-	l.xmit.Release(1)
 }
 
 // applyFaults evaluates the link's fault state for a frame arriving at
@@ -208,8 +262,8 @@ func (l *Link) Stats() LinkStats { return l.stats }
 func (l *Link) Name() string { return l.name }
 
 // Switch is a crossbar with source routing: the head byte of each packet's
-// route selects the output port and is consumed. One forwarder daemon per
-// input port moves packets; output contention is resolved by the output
+// route selects the output port and is consumed. One forwarder per input
+// port moves packets; output contention is resolved by the output
 // link's FIFO transmit resource.
 type Switch struct {
 	k          *sim.Kernel
@@ -247,25 +301,60 @@ func (s *Switch) In(i int) *sim.Chan[*Packet] { return s.in[i] }
 // SetOut attaches the output link for port i.
 func (s *Switch) SetOut(i int, l *Link) { s.out[i] = l }
 
-// Start spawns the per-port forwarder daemons.
+// Start spawns the per-port forwarders.
 func (s *Switch) Start() {
-	for i := range s.in {
-		in := s.in[i]
-		s.k.SpawnDaemon(fmt.Sprintf("%s.fwd%d", s.name, i), func(p *sim.Proc) {
-			for {
-				pkt := in.Recv(p)
-				if len(pkt.Route) == 0 {
-					panic(fmt.Sprintf("netsim: packet from %d to %d exhausted its route at switch %s",
-						pkt.Src, pkt.Dst, s.name))
-				}
-				port := pkt.Route[0]
-				pkt.Route = pkt.Route[1:]
-				if int(port) >= len(s.out) || s.out[port] == nil {
-					panic(fmt.Sprintf("netsim: bad route byte %d at switch %s", port, s.name))
-				}
-				p.Delay(s.routeDelay)
-				s.out[port].Send(p, pkt)
+	fwd := make([]forwarder, len(s.in))
+	for i := range fwd {
+		fwd[i] = forwarder{s: s, in: s.in[i]}
+		s.k.SpawnMachine(fmt.Sprintf("%s.fwd%d", s.name, i), &fwd[i])
+	}
+}
+
+// forwarder moves one input port's packets: `Recv; route; Delay(routeDelay);
+// out[port].Send`, forever, as a sim Machine — no goroutine per port, and
+// none switched to per packet.
+type forwarder struct {
+	s    *Switch
+	in   *sim.Chan[*Packet]
+	pkt  *Packet // the slot in.StartRecv fills
+	tx   Tx
+	next uint8 // the fwd* step to run at the next wake
+}
+
+const (
+	fwdRecv = iota
+	fwdRoute
+	fwdSend
+)
+
+func (f *forwarder) Step(p *sim.Proc) {
+	for {
+		switch f.next {
+		case fwdRecv:
+			f.next = fwdRoute
+			if !f.in.StartRecv(p, &f.pkt) {
+				return
 			}
-		})
+		case fwdRoute:
+			s, pkt := f.s, f.pkt
+			if len(pkt.Route) == 0 {
+				panic(fmt.Sprintf("netsim: packet from %d to %d exhausted its route at switch %s",
+					pkt.Src, pkt.Dst, s.name))
+			}
+			port := pkt.Route[0]
+			pkt.Route = pkt.Route[1:]
+			if int(port) >= len(s.out) || s.out[port] == nil {
+				panic(fmt.Sprintf("netsim: bad route byte %d at switch %s", port, s.name))
+			}
+			f.tx = Tx{l: s.out[port], pkt: pkt}
+			f.next = fwdSend
+			p.StartDelay(s.routeDelay)
+			return
+		case fwdSend:
+			if !f.tx.Step(p) {
+				return
+			}
+			f.next = fwdRecv
+		}
 	}
 }

@@ -28,6 +28,15 @@ type Iface struct {
 // (the transports model self-sends as host memcpys that never touch the
 // NIC); a self-addressed packet reaching the wire is a protocol-layer bug.
 func (ifc *Iface) Send(p *sim.Proc, pkt *Packet) {
+	tx := ifc.StartSend(p.Now(), pkt)
+	tx.drive(p)
+}
+
+// StartSend is Send's first half, for a caller that cannot block (the NIC's
+// send firmware): it stamps pkt with its source route, injection time and
+// sequence number and returns its passage over the egress link, not yet
+// begun, for the caller to Step.
+func (ifc *Iface) StartSend(now sim.Time, pkt *Packet) Tx {
 	if pkt.Dst == ifc.ID {
 		panic(fmt.Sprintf("netsim: node %d injected a self-addressed packet: loopback must stay in the host, never enter the fabric", ifc.ID))
 	}
@@ -36,10 +45,10 @@ func (ifc *Iface) Send(p *sim.Proc, pkt *Packet) {
 	}
 	pkt.Src = ifc.ID
 	pkt.Route = ifc.net.appendRoute(pkt.hops[:0], ifc.ID, pkt.Dst)
-	pkt.Inject = p.Now()
+	pkt.Inject = now
 	pkt.Seq = ifc.seq
 	ifc.seq++
-	ifc.out.Send(p, pkt)
+	return Tx{l: ifc.out, pkt: pkt}
 }
 
 // EgressStats reports this node's injection-link counters.
@@ -262,7 +271,7 @@ func (s Shape) Resolve() (Shape, error) {
 
 // builder is a Network under construction. A topology's wire function
 // creates its switches, interfaces and links through it, in model order —
-// daemon spawn order is the kernel's tie-break order, and fault plans and
+// forwarder spawn order is the kernel's tie-break order, and fault plans and
 // campaign goldens key on link names in Links() order — while placement
 // (which kernel an element lives on, which links cross LPs) is decided here,
 // from the LP index the wire function hands each element (0 throughout an

@@ -130,23 +130,25 @@ func (c *Chan[T]) bufPop() T {
 
 // Send delivers v, parking p while the channel is full.
 func (c *Chan[T]) Send(p *Proc, v T) {
-	// Direct handoff to a waiting receiver (buffer must be empty then).
-	if c.recvq.len() > 0 {
-		r := c.recvq.pop()
-		*r.slot = v
-		c.k.wakeNow(r.p)
-		return
+	if !c.StartSend(p, v) {
+		p.park() // woken by a Recv that consumed our value
 	}
-	if c.n < c.cap {
-		c.bufPush(v)
-		return
+}
+
+// StartSend is Send without the park: it delivers v and reports true, or —
+// the channel full — queues v behind the senders already waiting and reports
+// false; p is woken once a Recv has taken v into the buffer or away.
+func (c *Chan[T]) StartSend(p *Proc, v T) bool {
+	if c.TrySend(v) {
+		return true
 	}
 	c.sendq.push(chanSend[T]{p, v})
-	p.park() // woken by a Recv that consumed our value
+	return false
 }
 
 // TrySend delivers v without blocking; it reports success.
 func (c *Chan[T]) TrySend(v T) bool {
+	// Direct handoff to a waiting receiver (buffer must be empty then).
 	if c.recvq.len() > 0 {
 		r := c.recvq.pop()
 		*r.slot = v
@@ -180,22 +182,29 @@ func (c *Chan[T]) putSlot(s *T) {
 
 // Recv takes the next item, parking p while the channel is empty.
 func (c *Chan[T]) Recv(p *Proc) T {
-	if c.n > 0 {
-		v := c.bufPop()
-		c.admitSender()
-		return v
-	}
-	if c.sendq.len() > 0 { // unbuffered rendezvous
-		s := c.sendq.pop()
-		c.k.wakeNow(s.p)
-		return s.v
+	if v, ok := c.TryRecv(); ok {
+		return v // a channel that never runs dry never draws a slot
 	}
 	slot := c.getSlot()
-	c.recvq.push(chanRecv[T]{p, slot})
-	p.park() // woken by a Send that filled slot
+	if !c.StartRecv(p, slot) {
+		p.park() // woken by a Send that filled slot
+	}
 	v := *slot
 	c.putSlot(slot)
 	return v
+}
+
+// StartRecv is Recv without the park: it stores the next item in *slot and
+// reports true, or — the channel empty — registers p and reports false; the
+// Send that wakes p fills *slot first. The slot is the caller's and must stay
+// put until then (a Machine passes a field of itself).
+func (c *Chan[T]) StartRecv(p *Proc, slot *T) bool {
+	var ok bool
+	if *slot, ok = c.TryRecv(); ok {
+		return true
+	}
+	c.recvq.push(chanRecv[T]{p, slot})
+	return false
 }
 
 // TryRecv takes the next item without blocking; ok reports success.
@@ -205,7 +214,7 @@ func (c *Chan[T]) TryRecv() (v T, ok bool) {
 		c.admitSender()
 		return v, true
 	}
-	if c.sendq.len() > 0 {
+	if c.sendq.len() > 0 { // unbuffered rendezvous
 		s := c.sendq.pop()
 		c.k.wakeNow(s.p)
 		return s.v, true

@@ -1,18 +1,29 @@
 // Package sim is a deterministic discrete-event simulation kernel.
 //
 // Simulated activities are written as ordinary sequential Go code running in
-// Procs (one goroutine each), but the kernel guarantees that at most one Proc
-// executes at any instant and that Procs are scheduled strictly in virtual
-// time order (FIFO among equal timestamps). Shared simulation state therefore
-// needs no locking, and every run is bit-for-bit reproducible.
+// Procs (one goroutine each, created at the Proc's first wake), but the
+// kernel guarantees that at most one Proc executes at any instant and that
+// Procs are scheduled strictly in virtual time order (FIFO among equal
+// timestamps). Shared simulation state therefore needs no locking, and every
+// run is bit-for-bit reproducible.
 //
-// One thing runs outside a Proc's own goroutine on its behalf: the Idler of
-// a Proc blocked in PollCycle (PollEvery is its one-period case) is evaluated
-// by the dispatcher, on whichever goroutine holds the control token. It is no
+// Two things run outside a Proc's own goroutine, on whichever goroutine holds
+// the control token, because the dispatcher runs them itself. Neither is an
 // exception to the guarantee — the token is still held by exactly one
-// goroutine, and an Idler only reads state — it just spares an idle tick,
-// an empty poll or the pause a self-paced poller takes after one, the
-// goroutine switch.
+// goroutine — they just spare an event its goroutine switch:
+//
+//   - The Idler of a Proc blocked in PollCycle (PollEvery is its one-period
+//     case): an idle tick, an empty poll or the pause a self-paced poller
+//     takes after one, is re-armed by the dispatcher. An Idler only reads.
+//
+//   - A Machine (SpawnMachine): a Proc with no goroutine at all, written as
+//     a run-to-completion Step that arms one wake — StartDelay, StartRecv,
+//     StartSend, StartAcquire, the halves of Delay, Chan.Recv, Chan.Send and
+//     Resource.Acquire that come before their park — and returns where a
+//     goroutine Proc would park. It waits in the same queues and is woken by
+//     the same events, so a loop rewritten as a Machine leaves the (t, seq)
+//     schedule and Events() exactly as they were. The per-packet service
+//     loops (NIC firmware, switch forwarders) are Machines.
 //
 // The kernel is the substitute for real hardware concurrency in this
 // reproduction: host CPUs, NIC firmware, DMA engines, and wires are all Procs
@@ -151,7 +162,6 @@ type Kernel struct {
 	seq       uint64
 	driverCh  chan struct{} // unwind handshake: dying Proc -> unwindAll
 	doneCh    chan struct{} // terminal handoff: dispatcher -> Run
-	running   *Proc
 	procs     map[*Proc]struct{}
 	live      int
 	stopped   bool
@@ -259,6 +269,12 @@ func (k *Kernel) fail(err error) {
 	k.stopped = true
 }
 
+// failProc records a panic raised by p's code — its body, its Machine's Step,
+// its Idler — as p's failure, whichever goroutine it surfaced on.
+func (k *Kernel) failProc(p *Proc, r any) {
+	k.fail(fmt.Errorf("sim: %sproc %q panicked: %v\n%s", k.ctx(), p.name, r, debug.Stack()))
+}
+
 // Run drives the simulation until the event queue is empty, Stop is called,
 // or a Proc panics. It returns nil on a clean drain with no live Procs,
 // ErrDeadlock if live Procs remain unwakeable, ErrStopped after Stop, or the
@@ -358,6 +374,19 @@ func (k *Kernel) dispatch() {
 		if p.done || ev.gen != p.wakeGen {
 			continue // stale wakeup (proc already woken another way)
 		}
+		if p.mach != nil {
+			if fn, ok := p.mach.(procFunc); ok {
+				// A goroutine Proc's first wake: it is given its goroutine
+				// here, and the token with it.
+				k.launch(p, fn)
+				return
+			}
+			// A Machine has no goroutine to switch to: its wake is one call,
+			// with wakeGen stepped as park does on resume.
+			p.wakeGen++
+			k.step(p)
+			continue
+		}
 		// resume is buffered: when a Proc's own wake is the next event, the
 		// token parks in its channel and park() consumes it without any
 		// goroutine switch at all.
@@ -400,11 +429,34 @@ type Idler interface {
 func (k *Kernel) idle(p *Proc) (idle bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			k.fail(fmt.Errorf("sim: %sproc %q panicked: %v\n%s", k.ctx(), p.name, r, debug.Stack()))
+			k.failProc(p, r)
 			idle = false
 		}
 	}()
 	return p.poll.Idle()
+}
+
+// Machine is the body of a goroutine-less Proc. Step runs in dispatcher
+// context each time the Proc is woken — first at its spawn instant — and must
+// return, never block: it does what a goroutine Proc would do between two
+// parks, ends by arming exactly one wake (a Start* call that reported it
+// queued, or StartDelay), and keeps its place in its own fields. It may touch
+// whatever a Proc of its kernel may (under the parallel engine: its own LP).
+type Machine interface {
+	Step(p *Proc)
+}
+
+// step runs one wake of a Machine. A panic in it fails the run in the Proc's
+// name, exactly as the goroutine it replaces would have.
+func (k *Kernel) step(p *Proc) {
+	defer func() {
+		if r := recover(); r != nil {
+			p.done = true
+			delete(k.procs, p)
+			k.failProc(p, r)
+		}
+	}()
+	p.mach.Step(p)
 }
 
 func (k *Kernel) liveNames() string {
@@ -442,13 +494,25 @@ func (k *Kernel) unwindAll() {
 			continue
 		}
 		p.wakeGen++ // invalidate pending events
+		if p.mach != nil {
+			// No goroutine to answer the handshake — a Machine never has one,
+			// a Proc that was never started has none yet: retiring it is
+			// bookkeeping.
+			p.done = true
+			if !p.daemon {
+				k.live--
+			}
+			delete(k.procs, p)
+			continue
+		}
 		p.resume <- struct{}{}
 		<-k.driverCh
 	}
 }
 
 // Proc is a simulated sequential process. All blocking methods must be
-// called only from the Proc's own goroutine.
+// called only from the Proc's own goroutine; a Machine's Proc has none and
+// may only use the Start* halves.
 type Proc struct {
 	k       *Kernel
 	name    string
@@ -456,7 +520,6 @@ type Proc struct {
 	wakeGen uint64
 	done    bool
 	daemon  bool
-	started bool
 
 	// Set while the Proc is blocked in PollCycle: the dispatcher takes its
 	// idle ticks (see dispatch). pollTick indexes the period whose tick is
@@ -465,6 +528,11 @@ type Proc struct {
 	pollTick  uint8
 	poll      Idler
 	pollEvery [2]Time
+
+	// Non-nil while the Proc has no goroutine: a Machine, whose Step the
+	// dispatcher calls at every wake (SpawnMachine), or — until its first wake
+	// — the procFunc a goroutine Proc will run (SpawnAt, launch).
+	mach Machine
 }
 
 // Name reports the Proc's debug name.
@@ -482,7 +550,7 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	return k.SpawnAt(k.now, name, fn)
 }
 
-// SpawnDaemon creates a service Proc (NIC firmware, switch forwarder) that
+// SpawnDaemon creates a service Proc (an FM 2.x handler worker) that
 // is expected to block forever; daemons do not count toward deadlock
 // detection and are unwound silently when the simulation drains.
 func (k *Kernel) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
@@ -492,25 +560,40 @@ func (k *Kernel) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// SpawnAt creates a Proc that begins executing fn at absolute time t.
+// SpawnMachine creates a daemon Proc without a goroutine: the dispatcher
+// calls m.Step(p) at each of its wakes, the first queued here exactly where
+// SpawnDaemon queues its Proc's start.
+func (k *Kernel) SpawnMachine(name string, m Machine) *Proc {
+	p := &Proc{k: k, name: name, daemon: true, mach: m}
+	k.procs[p] = struct{}{}
+	k.wakeAt(k.now, p)
+	return p
+}
+
+// SpawnAt creates a Proc that begins executing fn at absolute time t. Its
+// goroutine (and the channel that resumes it) is created at that first wake,
+// not here: spawning costs an allocation and an event, and a Proc unwound
+// before it ever starts costs no goroutine at all.
 func (k *Kernel) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, resume: make(chan struct{}, 1)}
+	p := &Proc{k: k, name: name, mach: procFunc(fn)}
 	k.procs[p] = struct{}{}
 	k.live++
+	k.wakeAt(t, p)
+	return p
+}
+
+// procFunc is a goroutine Proc's function on its way to its goroutine: it
+// waits in the mach field until the first wake, where dispatch launches it
+// (and never steps it).
+type procFunc func(p *Proc)
+
+func (procFunc) Step(p *Proc) { panic("sim: a Proc not yet started has no Step") }
+
+// launch gives p its goroutine, running the function SpawnAt left in p.mach,
+// and with it the control token: the caller (dispatch) returns at once.
+func (k *Kernel) launch(p *Proc, fn procFunc) {
+	p.mach, p.resume = nil, make(chan struct{}, 1)
 	go func() {
-		<-p.resume
-		if k.stopped {
-			// Unwound before ever starting: hand control back to unwindAll.
-			p.done = true
-			if !p.daemon {
-				k.live--
-			}
-			delete(k.procs, p)
-			k.driverCh <- struct{}{}
-			return
-		}
-		k.running = p
-		p.started = true
 		defer func() {
 			p.done = true
 			if !p.daemon {
@@ -521,10 +604,9 @@ func (k *Kernel) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 			// every dead one would grow the map (and unwind cost) without
 			// bound.
 			delete(k.procs, p)
-			k.running = nil
 			if r := recover(); r != nil {
 				if _, ok := r.(procKilled); !ok {
-					k.fail(fmt.Errorf("sim: %sproc %q panicked: %v\n%s", k.ctx(), p.name, r, debug.Stack()))
+					k.failProc(p, r)
 				}
 			}
 			if k.unwinding {
@@ -535,8 +617,6 @@ func (k *Kernel) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 		}()
 		fn(p)
 	}()
-	k.wakeAt(t, p)
-	return p
 }
 
 // park blocks the Proc until something wakes it. The caller must have
@@ -546,25 +626,39 @@ func (k *Kernel) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 // its own wakeup is the very next event, the token round-trips through its
 // buffered resume channel without a goroutine switch.
 func (p *Proc) park() {
+	if p.mach != nil {
+		// Blocking here would block the dispatcher's borrowed goroutine, and
+		// with it the run, forever.
+		panic(fmt.Sprintf("sim: proc %q is a Machine: it has no goroutine to park (use the Start* halves and return)", p.name))
+	}
 	k := p.k
-	k.running = nil
 	k.dispatch()
 	<-p.resume
 	p.wakeGen++ // any other pending wakeups for the old park are now stale
 	if k.stopped {
 		panic(procKilled{})
 	}
-	k.running = p
 }
+
+// Park blocks the Proc until the wake its last Start* call armed arrives:
+// StartDelay + Park is Delay, a StartRecv, StartSend or StartAcquire that
+// reported it queued + Park is Recv, Send or Acquire. It is how a blocking
+// call drives a resumable step sequence on a goroutine Proc.
+func (p *Proc) Park() { p.park() }
 
 // Delay advances the Proc's virtual time by d, letting other Procs run.
 // This is how simulated code charges CPU, bus, or wire time.
 func (p *Proc) Delay(d Time) {
+	p.StartDelay(d)
+	p.park()
+}
+
+// StartDelay is Delay without the park: it arms the Proc's wake at now+d.
+func (p *Proc) StartDelay(d Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d in proc %q", d, p.name))
 	}
 	p.k.wakeAt(p.k.now+d, p)
-	p.park()
 }
 
 // PollCycle blocks the Proc in a polling wait that alternates two periods —

@@ -70,15 +70,24 @@ func NewResource(k *Kernel, name string, capacity int) *Resource {
 
 // Acquire obtains n units, parking p until they are available.
 func (r *Resource) Acquire(p *Proc, n int) {
+	if !r.StartAcquire(p, n) {
+		p.park()
+	}
+}
+
+// StartAcquire is Acquire without the park: it grants n units and reports
+// true, or queues p behind the earlier requests and reports false; p holds
+// the units when it is woken.
+func (r *Resource) StartAcquire(p *Proc, n int) bool {
 	if n <= 0 || n > r.cap {
 		panic(fmt.Sprintf("sim: resource %q: bad acquire %d of %d", r.name, n, r.cap))
 	}
 	if r.q.len() == 0 && r.inUse+n <= r.cap {
 		r.grant(n)
-		return
+		return true
 	}
 	r.q.push(resWait{p, n})
-	p.park()
+	return false
 }
 
 func (r *Resource) grant(n int) {
@@ -107,9 +116,41 @@ func (r *Resource) Release(n int) {
 // Use acquires one unit, holds it for d, and releases it: the standard way
 // to model FIFO service time at a device.
 func (r *Resource) Use(p *Proc, d Time) {
-	r.Acquire(p, 1)
-	p.Delay(d)
-	r.Release(1)
+	for u := r.StartUse(d); !u.Step(p); {
+		p.park()
+	}
+}
+
+// Hold is Use as a resumable step sequence — acquire one unit, hold it for
+// d, release — for a caller that cannot block (a Machine embeds one and
+// returns between steps; Use parks between them).
+type Hold struct {
+	r    *Resource
+	d    Time
+	next uint8
+}
+
+// StartUse begins a Use of r for d; nothing happens until the first Step.
+func (r *Resource) StartUse(d Time) Hold { return Hold{r: r, d: d} }
+
+// Step advances the hold as far as it can without waiting. It reports true
+// once the unit is released; on false it has armed p's one wake (the grant,
+// or the end of the hold) and is to be called again when p is woken.
+func (h *Hold) Step(p *Proc) bool {
+	switch h.next {
+	case 0:
+		h.next = 1
+		if !h.r.StartAcquire(p, 1) {
+			return false
+		}
+		fallthrough
+	case 1:
+		h.next = 2
+		p.StartDelay(h.d)
+		return false
+	}
+	h.r.Release(1)
+	return true
 }
 
 // InUse reports currently-held units.
