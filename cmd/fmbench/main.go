@@ -3,25 +3,8 @@
 // (Lauria, Pakin, Chien — HPDC 1998), plus the ablation sweeps this
 // reproduction adds.
 //
-// Usage:
-//
-//	fmbench -all            # everything
-//	fmbench -fig 5          # one figure (1..6)
-//	fmbench -tables         # Tables 1 and 2 (API mapping)
-//	fmbench -headline       # the summary numbers for EXPERIMENTS.md
-//	fmbench -ablation       # design-choice ablations
-//	fmbench -collectives    # MPI collective scaling over ranks, sizes, algorithms
-//	fmbench -matrix         # layering efficiency for every upper layer x FM binding
-//	fmbench -topo           # fabric zoo: bisection regimes, contention matrix, scaling
-//	fmbench -topo -toporanks 16  # trim the fabric sweep's largest rank count
-//	fmbench -mixed          # co-residency: MPI + sockets + GA sharing each node's endpoint
-//	fmbench -scenario f.json            # run one chaos scenario, report to stdout
-//	fmbench -campaign campaigns/smoke   # run a scenario directory under one seed, report to stdout
-//	fmbench -svc                        # RPC service-workload tail-latency sweep
-//	fmbench -svccapture t.jsonl         # capture a request trace (report to stdout)
-//	fmbench -svcreplay t.jsonl          # replay it bit-identically
-//	fmbench -perf                       # wall clock: the allreduce scale ladder (-perfranks, -perfbig, -perfpar, -json)
-//	fmbench -gate a.json -gatenew b.json  # hold perf report b to report a
+// `fmbench -h` lists the flags (the registry below is where they come from)
+// and README's "Running things" the usual command lines.
 //
 // Everything but -perf prints virtual time, a pure function of the model,
 // and is held byte for byte to a committed golden (main_test.go). -perf is
@@ -35,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/mpifm"
@@ -46,159 +30,232 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// report is one row of the CLI. The flags are registered from the table and
+// run loops over it, so a new report is a new row — and a row of
+// main_test.go's golden table, which TestEveryReportIsPinned insists on.
+type report struct {
+	sel   *flag.Flag      // the flag that selects it; nil for a section only -all prints
+	mods  []*flag.Flag    // flags that do nothing without the report: a usage error alone
+	inAll bool            // part of -all, in table order
+	alone bool            // a run of its own (one JSON document, one verdict): a usage error with any other
+	write func(c cli) int // prints it; returns the exit status
+}
+
+// cli is what a report writes to, and whether -all asked for it.
+type cli struct {
+	w, stderr io.Writer
+	all       bool
+}
+
+var figures = []func(io.Writer){
+	bench.WriteFigure1, bench.WriteFigure2, bench.WriteFigure3,
+	bench.WriteFigure4, bench.WriteFigure5, bench.WriteFigure6,
+}
+
+// registry registers every flag but -all on fs and returns the table for one
+// command line: each value flag lands in a variable its row's writer closes
+// over. Table order is output order, and -all is the inAll rows: tables, six
+// figures, headline, ablation, collectives, matrix, topo, mixed.
+func registry(fs *flag.FlagSet) []report {
+	var (
+		fig, topoRanks, perfRanks, perfPar, perfBig int
+		gateBase, gateNew, scenPath, campDir        string
+		svcCapture, svcReplay, jsonPath             string
+		campSeed                                    int64
+	)
+	on := func(name, usage string) *flag.Flag { fs.Bool(name, false, usage); return fs.Lookup(name) }
+	num := func(p *int, name, usage string) *flag.Flag { fs.IntVar(p, name, 0, usage); return fs.Lookup(name) }
+	str := func(p *string, name, usage string) *flag.Flag {
+		fs.StringVar(p, name, "", usage)
+		return fs.Lookup(name)
+	}
+	const seedName = "campaignseed"
+	fs.Int64Var(&campSeed, seedName, scenario.DefaultSeed, "campaign seed (also scopes -scenario)")
+	seed := []*flag.Flag{fs.Lookup(seedName)} // one flag, two rows
+	return []report{
+		{sel: str(&gateBase, "gate", "trajectory gate: compare -gatenew against this baseline BENCH_*.json and exit nonzero on regression"),
+			mods:  []*flag.Flag{str(&gateNew, "gatenew", "trajectory gate: the new report to hold to the baseline")},
+			alone: true, write: func(c cli) int { return runGate(c, gateBase, gateNew) }},
+		{sel: str(&scenPath, "scenario", "run one chaos scenario file; report JSON to stdout"),
+			mods: seed, alone: true,
+			write: func(c cli) int { return runScenario(c, scenPath, campSeed) }},
+		{sel: str(&campDir, "campaign", "run every scenario in a directory under one campaign seed"),
+			mods: seed, alone: true,
+			write: func(c cli) int { return runCampaign(c, campDir, campSeed) }},
+		{sel: str(&svcCapture, "svccapture", "run the canonical capture workload and write its request trace here"),
+			alone: true, write: func(c cli) int { return runSvcTrace(c, svcCapture, "") }},
+		{sel: str(&svcReplay, "svcreplay", "replay a captured request trace; report JSON to stdout"),
+			alone: true, write: func(c cli) int { return runSvcTrace(c, "", svcReplay) }},
+
+		{sel: num(&fig, "fig", "run one figure (1-6)"),
+			write: func(c cli) int {
+				if fig < 1 || fig > len(figures) {
+					return failf(c.stderr, 2, "no figure %d", fig)
+				}
+				figures[fig-1](c.w)
+				return 0
+			}},
+		{sel: on("tables", "print Tables 1 and 2"), inAll: true, write: writeTables},
+		{inAll: true, write: writeFigures},
+		{sel: on("headline", "print the headline paper-vs-measured summary"), inAll: true, write: writeHeadline},
+		{sel: on("ablation", "run the design-choice ablations"), inAll: true,
+			write: func(c cli) int { runAblations(c.w); return 0 }},
+		{sel: on("collectives", "run the MPI collective scaling sweeps"), inAll: true,
+			write: func(c cli) int { runCollectives(c.w); return 0 }},
+		{sel: on("matrix", "run the upper-layer x binding layering-efficiency matrix"), inAll: true,
+			write: func(c cli) int { bench.WriteLayeringMatrix(c.w, []int{256, 2048, 16384}, 300); return 0 }},
+		{sel: on("topo", "run the fabric-zoo contention and scaling report"), inAll: true,
+			mods:  []*flag.Flag{num(&topoRanks, "toporanks", "cap the fabric sweep's rank counts (0 = default sweep)")},
+			write: func(c cli) int { bench.WriteFabricReport(c.w, fabricConfig(topoRanks)); return 0 }},
+		{sel: on("mixed", "run the mixed-workload co-residency suite (shared endpoints)"), inAll: true,
+			write: func(c cli) int {
+				if c.all {
+					fmt.Fprintln(c.w)
+				}
+				bench.WriteMixedReport(c.w, xport.GenFM2, bench.DefaultMixedConfig())
+				return 0
+			}},
+		{sel: on("perf", "run the engine wall-clock suite (allreduce scale ladder: events/sec, allocs/rank at 64-1024 ranks)"),
+			mods: []*flag.Flag{
+				num(&perfRanks, "perfranks", "cap the perf suite's rank counts (0 = full sweep incl. 1024)"),
+				num(&perfPar, "perfpar", "perf suite: rerun fat-tree points on the parallel engine with this many LPs (0 = sequential only)"),
+				num(&perfBig, "perfbig", "perf suite: add one fat-tree allreduce row at this rank count (e.g. 4096)"),
+				str(&jsonPath, "json", "perf suite: machine-readable output path; BENCH_PR<n>.json records n as the report's pr (empty = don't write)"),
+			},
+			write: func(c cli) int { return writePerf(c, perfRanks, perfPar, perfBig, jsonPath) }},
+		{sel: on("svc", "run the service-workload suite (RPC tail latency over both FM generations)"),
+			write: func(c cli) int {
+				if err := bench.WriteSvcReport(c.w); err != nil {
+					return failf(c.stderr, 1, "svc report: %v", err)
+				}
+				return 0
+			}},
+	}
+}
+
+func runGate(c cli, base, next string) int {
+	if next == "" {
+		return failf(c.stderr, 2, "-gate needs -gatenew <report>")
+	}
+	if err := bench.GateTrajectory(base, next); err != nil {
+		return failf(c.stderr, 1, "%v", err)
+	}
+	fmt.Fprintf(c.w, "trajectory gate: %s holds against %s (tol %.0f%%)\n", next, base, bench.GateTolerancePct)
+	return 0
+}
+
+func writeTables(c cli) int {
+	bench.WriteTable1(c.w)
+	fmt.Fprintln(c.w)
+	bench.WriteTable2(c.w)
+	fmt.Fprintln(c.w)
+	return 0
+}
+
+// writeFigures is the section only -all prints: all six, where -fig is one.
+func writeFigures(c cli) int {
+	for _, f := range figures {
+		f(c.w)
+		fmt.Fprintln(c.w)
+	}
+	return 0
+}
+
+func writeHeadline(c cli) int {
+	fmt.Fprintln(c.w, "Headline reproduction summary (paper targets in parentheses):")
+	fmt.Fprintln(c.w, "  paper: FM1 17.6 MB/s, N1/2 54B, 14us | MPI-FM1 <=35% | FM2 77 MB/s, <256B, 11us | MPI-FM2 70 MB/s, 70->90%, 17us")
+	for _, r := range bench.Headline() {
+		bench.WriteResult(c.w, r)
+	}
+	fmt.Fprintln(c.w)
+	return 0
+}
+
+func writePerf(c cli, ranks, par, big int, jsonPath string) int {
+	cfg := bench.DefaultPerfConfig()
+	if ranks > 0 {
+		cfg.CollectiveRanks = capRanks(cfg.CollectiveRanks, ranks)
+		cfg.TorusRanks = capRanks(cfg.TorusRanks, ranks)
+	}
+	cfg.ParallelLPs = par
+	cfg.BigRanks = big
+	if err := bench.WritePerfReport(c.w, cfg, jsonPath); err != nil {
+		return failf(c.stderr, 1, "perf report: %v", err)
+	}
+	return 0
+}
+
 // run is the whole CLI as a function of its arguments and streams, so the
 // golden tests drive the real flag path in-process. The return value is the
 // exit status: 1 for a failed report, gate or campaign, 2 for bad usage.
 func run(args []string, w, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fmbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		all         = fs.Bool("all", false, "run every figure, table, and summary")
-		fig         = fs.Int("fig", 0, "run one figure (1-6)")
-		tables      = fs.Bool("tables", false, "print Tables 1 and 2")
-		headline    = fs.Bool("headline", false, "print the headline paper-vs-measured summary")
-		ablation    = fs.Bool("ablation", false, "run the design-choice ablations")
-		collectives = fs.Bool("collectives", false, "run the MPI collective scaling sweeps")
-		matrix      = fs.Bool("matrix", false, "run the upper-layer x binding layering-efficiency matrix")
-		topo        = fs.Bool("topo", false, "run the fabric-zoo contention and scaling report")
-		topoRanks   = fs.Int("toporanks", 0, "cap the fabric sweep's rank counts (0 = default sweep)")
-		mixed       = fs.Bool("mixed", false, "run the mixed-workload co-residency suite (shared endpoints)")
-		perf        = fs.Bool("perf", false, "run the engine wall-clock suite (allreduce scale ladder: events/sec, allocs/rank at 64-1024 ranks)")
-		perfRanks   = fs.Int("perfranks", 0, "cap the perf suite's rank counts (0 = full sweep incl. 1024)")
-		perfPar     = fs.Int("perfpar", 0, "perf suite: rerun fat-tree points on the parallel engine with this many LPs (0 = sequential only)")
-		perfBig     = fs.Int("perfbig", 0, "perf suite: add one fat-tree allreduce row at this rank count (e.g. 4096)")
-		jsonPath    = fs.String("json", "", "perf suite: machine-readable output path; BENCH_PR<n>.json records n as the report's pr (empty = don't write)")
-		svc         = fs.Bool("svc", false, "run the service-workload suite (RPC tail latency over both FM generations)")
-		svcCapture  = fs.String("svccapture", "", "run the canonical capture workload and write its request trace here")
-		svcReplay   = fs.String("svcreplay", "", "replay a captured request trace; report JSON to stdout")
-		scenPath    = fs.String("scenario", "", "run one chaos scenario file; report JSON to stdout")
-		campDir     = fs.String("campaign", "", "run every scenario in a directory under one campaign seed")
-		campSeed    = fs.Int64("campaignseed", scenario.DefaultSeed, "campaign seed (also scopes -scenario)")
-		gateBase    = fs.String("gate", "", "trajectory gate: compare -gatenew against this baseline BENCH_*.json and exit nonzero on regression")
-		gateNew     = fs.String("gatenew", "", "trajectory gate: the new report to hold to the baseline")
-	)
+	all := fs.Bool("all", false, "run every figure, table, and summary")
+	reports := registry(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
 		return 2
 	}
-	if *gateBase != "" {
-		if *gateNew == "" {
-			return failf(stderr, 2, "-gate needs -gatenew <report>")
-		}
-		if err := bench.GateTrajectory(*gateBase, *gateNew); err != nil {
-			return failf(stderr, 1, "%v", err)
-		}
-		fmt.Fprintf(w, "trajectory gate: %s holds against %s (tol %.0f%%)\n", *gateNew, *gateBase, bench.GateTolerancePct)
-		return 0
-	}
+	given := func(f *flag.Flag) bool { return f.Value.String() != f.DefValue }
 
-	if *scenPath != "" || *campDir != "" {
-		if *scenPath != "" && *campDir != "" {
-			return failf(stderr, 2, "-scenario and -campaign are separate runs: give one")
-		}
-		return runScenarios(w, stderr, *scenPath, *campDir, *campSeed)
+	// What the command line selects, and the flags that did the selecting.
+	var selected []report
+	var asked []string
+	lone, modified := false, map[*flag.Flag]bool{}
+	if *all {
+		asked = append(asked, "-all")
 	}
-
-	if *svcCapture != "" || *svcReplay != "" {
-		if *svcCapture != "" && *svcReplay != "" {
-			return failf(stderr, 2, "-svccapture and -svcreplay are separate runs: give one")
+	for _, r := range reports {
+		picked := r.sel != nil && given(r.sel)
+		if picked {
+			asked, lone = append(asked, "-"+r.sel.Name), lone || r.alone
 		}
-		if err := runSvcTrace(w, *svcCapture, *svcReplay); err != nil {
-			return failf(stderr, 1, "svc trace: %v", err)
+		if picked || *all && r.inAll {
+			selected = append(selected, r)
+			for _, m := range r.mods {
+				modified[m] = true
+			}
 		}
-		return 0
 	}
-
-	if !*all && *fig == 0 && !*tables && !*headline && !*ablation && !*collectives && !*matrix && !*topo && !*mixed && !*perf && !*svc {
+	if lone && len(asked) > 1 {
+		return failf(stderr, 2, "%s are separate runs: give one", strings.Join(asked, " and "))
+	}
+	for _, r := range reports {
+		for _, m := range r.mods {
+			if given(m) && !modified[m] {
+				return failf(stderr, 2, "-%s modifies -%s: it does nothing alone", m.Name, r.sel.Name)
+			}
+		}
+	}
+	if len(selected) == 0 {
 		fs.Usage()
 		return 2
 	}
-
-	figures := []func(io.Writer){
-		bench.WriteFigure1, bench.WriteFigure2, bench.WriteFigure3,
-		bench.WriteFigure4, bench.WriteFigure5, bench.WriteFigure6,
-	}
-	if *fig != 0 {
-		if *fig < 1 || *fig > len(figures) {
-			return failf(stderr, 2, "no figure %d", *fig)
-		}
-		figures[*fig-1](w)
-	}
-	if *all || *tables {
-		bench.WriteTable1(w)
-		fmt.Fprintln(w)
-		bench.WriteTable2(w)
-		fmt.Fprintln(w)
-	}
-	if *all {
-		for _, f := range figures {
-			f(w)
-			fmt.Fprintln(w)
-		}
-	}
-	if *all || *headline {
-		fmt.Fprintln(w, "Headline reproduction summary (paper targets in parentheses):")
-		fmt.Fprintln(w, "  paper: FM1 17.6 MB/s, N1/2 54B, 14us | MPI-FM1 <=35% | FM2 77 MB/s, <256B, 11us | MPI-FM2 70 MB/s, 70->90%, 17us")
-		for _, r := range bench.Headline() {
-			bench.WriteResult(w, r)
-		}
-		fmt.Fprintln(w)
-	}
-	if *all || *ablation {
-		runAblations(w)
-	}
-	if *all || *collectives {
-		runCollectives(w)
-	}
-	if *all || *matrix {
-		bench.WriteLayeringMatrix(w, []int{256, 2048, 16384}, 300)
-	}
-	if *all || *topo {
-		cfg := bench.DefaultFabricReportConfig()
-		if *topoRanks > 0 {
-			cfg.Ranks = capRanks(cfg.Ranks, *topoRanks)
-			// Cap the bisection and matrix platforms too — they dominate
-			// the report's cost. Node counts must stay even for the cut
-			// pattern; floor at 8 so every fabric still multi-stages.
-			cap := *topoRanks &^ 1
-			if cap < 8 {
-				cap = 8
-			}
-			if cfg.BisectNodes > cap {
-				cfg.BisectNodes = cap
-			}
-			if cfg.MatrixNodes > cap {
-				cfg.MatrixNodes = cap
-			}
-		}
-		bench.WriteFabricReport(w, cfg)
-	}
-	if *all || *mixed {
-		if *all {
-			fmt.Fprintln(w)
-		}
-		bench.WriteMixedReport(w, xport.GenFM2, bench.DefaultMixedConfig())
-	}
-	if *perf {
-		cfg := bench.DefaultPerfConfig()
-		if *perfRanks > 0 {
-			cfg.CollectiveRanks = capRanks(cfg.CollectiveRanks, *perfRanks)
-			cfg.TorusRanks = capRanks(cfg.TorusRanks, *perfRanks)
-		}
-		cfg.ParallelLPs = *perfPar
-		cfg.BigRanks = *perfBig
-		if err := bench.WritePerfReport(w, cfg, *jsonPath); err != nil {
-			return failf(stderr, 1, "perf report: %v", err)
-		}
-	}
-	if *svc {
-		if err := bench.WriteSvcReport(w); err != nil {
-			return failf(stderr, 1, "svc report: %v", err)
+	for _, r := range selected {
+		if status := r.write(cli{w, stderr, *all}); status != 0 {
+			return status
 		}
 	}
 	return 0
+}
+
+// fabricConfig is the -topo configuration with its rank counts capped
+// (0 = the default sweep).
+func fabricConfig(topoRanks int) bench.FabricReportConfig {
+	cfg := bench.DefaultFabricReportConfig()
+	if topoRanks > 0 {
+		cfg.Ranks = capRanks(cfg.Ranks, topoRanks)
+		// Cap the bisection and matrix platforms too — they dominate
+		// the report's cost. Node counts must stay even for the cut
+		// pattern; floor at 8 so every fabric still multi-stages.
+		cap := max(topoRanks&^1, 8)
+		cfg.BisectNodes = min(cfg.BisectNodes, cap)
+		cfg.MatrixNodes = min(cfg.MatrixNodes, cap)
+	}
+	return cfg
 }
 
 // failf reports why the command is exiting nonzero and returns the status.
@@ -209,9 +266,9 @@ func failf(stderr io.Writer, status int, format string, a ...any) int {
 
 // runSvcTrace is the capture/replay entry: -svccapture runs the canonical
 // workload and writes its request trace; -svcreplay rebuilds the run from a
-// trace file. Both print the run's report JSON to w, so capture-then-replay
-// lets cmp(1) prove the identity.
-func runSvcTrace(w io.Writer, capturePath, replayPath string) error {
+// trace file. Both print the run's report JSON to stdout, so
+// capture-then-replay lets cmp(1) prove the identity.
+func runSvcTrace(c cli, capturePath, replayPath string) int {
 	var res svcload.Result
 	var f *os.File
 	var err error
@@ -226,35 +283,40 @@ func runSvcTrace(w io.Writer, capturePath, replayPath string) error {
 		res, err = bench.SvcReplay(f)
 		f.Close()
 	}
-	if err != nil {
-		return err
+	if err == nil {
+		err = bench.WriteJSON(c.w, res)
 	}
-	return bench.WriteJSON(w, res)
+	if err != nil {
+		return failf(c.stderr, 1, "svc trace: %v", err)
+	}
+	return 0
 }
 
-// runScenarios drives the chaos layer: one scenario file, or a whole
-// campaign directory sharded one replica per CPU (the report's bytes are the
-// same at any worker count). The exit status is the CI contract — nonzero on
-// any failed assertion, crash, or diagnosed hang that wasn't asserted for.
-func runScenarios(w, stderr io.Writer, scenPath, campDir string, seed int64) int {
-	if scenPath != "" {
-		rep, err := scenario.RunFile(scenPath, seed)
-		if err != nil {
-			return failf(stderr, 2, "%v", err)
-		}
-		w.Write(rep.Marshal())
-		if !rep.Passed {
-			return 1
-		}
-		return 0
-	}
-	c, err := scenario.RunCampaignN(campDir, seed, 0)
+// runScenario and runCampaign drive the chaos layer: one scenario file, or
+// a whole campaign directory sharded one replica per CPU (the report's bytes
+// are the same at any worker count). The exit status is the CI contract —
+// nonzero on any failed assertion, crash, or diagnosed hang that wasn't
+// asserted for.
+func runScenario(c cli, path string, seed int64) int {
+	rep, err := scenario.RunFile(path, seed)
 	if err != nil {
-		return failf(stderr, 2, "%v", err)
+		return failf(c.stderr, 2, "%v", err)
 	}
-	w.Write(c.Marshal())
-	if !c.Passed {
-		return failf(stderr, 1, "campaign failed: %d of %d scenarios", c.Failed, c.Total)
+	c.w.Write(rep.Marshal())
+	if !rep.Passed {
+		return 1
+	}
+	return 0
+}
+
+func runCampaign(c cli, dir string, seed int64) int {
+	res, err := scenario.RunCampaignN(dir, seed, 0)
+	if err != nil {
+		return failf(c.stderr, 2, "%v", err)
+	}
+	c.w.Write(res.Marshal())
+	if !res.Passed {
+		return failf(c.stderr, 1, "campaign failed: %d of %d scenarios", res.Failed, res.Total)
 	}
 	return 0
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/scenario"
 )
 
 var update = flag.Bool("update", false, "rewrite every golden from this build's output (runs the slow reports too)")
@@ -66,6 +68,73 @@ func TestGoldenReports(t *testing.T) {
 	}
 }
 
+// heldElsewhere is the explicit list of reports no quick golden row selects:
+// each names the slow golden (cmp'd by CI's bench-smoke) or the test that
+// holds its output instead.
+var heldElsewhere = map[string]string{
+	"fig":         "all.golden", // the same six writers, in order
+	"collectives": "all.golden",
+	"matrix":      "all.golden",
+	"topo":        "topo16.golden",
+	"perf":        "TestPerfReportNamesItsPR", // wall clock: no golden can hold it
+	"gate":        "TestPerfReportNamesItsPR",
+	"svccapture":  "TestSvcCaptureReplaysIdentically",
+	"svcreplay":   "TestSvcCaptureReplaysIdentically",
+	"scenario":    "TestScenarioFlagPrintsTheCampaignEntry",
+}
+
+// TestEveryReportIsPinned ranges over the CLI's registry, so a report cannot
+// be added unpinned: every row is selected by a quick row of the goldens
+// table, or is on heldElsewhere — and a slow golden named there is a row of
+// the table too.
+func TestEveryReportIsPinned(t *testing.T) {
+	quick, slow := map[string]bool{}, map[string]bool{}
+	for _, g := range goldens {
+		slow[g.file] = g.slow
+		for _, a := range g.args {
+			if !g.slow {
+				quick[strings.TrimPrefix(a, "-")] = true
+			}
+		}
+	}
+	for _, r := range registry(flag.NewFlagSet("fmbench", flag.ContinueOnError)) {
+		if r.sel == nil {
+			continue // a section of -all, which all.golden holds
+		}
+		held, listed := heldElsewhere[r.sel.Name]
+		switch {
+		case quick[r.sel.Name] == listed:
+			t.Errorf("-%s: quick golden row %v, heldElsewhere %v; want exactly one", r.sel.Name, quick[r.sel.Name], listed)
+		case strings.HasSuffix(held, ".golden") && !slow[held]:
+			t.Errorf("-%s: %s is not a slow row of the goldens table", r.sel.Name, held)
+		}
+	}
+}
+
+// TestScenarioFlagPrintsTheCampaignEntry: -scenario on one file of a
+// committed campaign prints the report the campaign's golden holds for it.
+func TestScenarioFlagPrintsTheCampaignEntry(t *testing.T) {
+	dir := filepath.Join("..", "..", "campaigns", "smoke")
+	golden, err := os.ReadFile(filepath.Join(dir, scenario.GoldenName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c scenario.Campaign
+	if err := json.Unmarshal(golden, &c); err != nil {
+		t.Fatal(err)
+	}
+	var out, errs bytes.Buffer
+	if status := run([]string{"-scenario", filepath.Join(dir, "05-baseline-clean.json")}, &out, &errs); status != 0 {
+		t.Fatalf("exit %d: %s", status, errs.String())
+	}
+	for _, rep := range c.Scenarios {
+		if bytes.Equal(rep.Marshal(), out.Bytes()) {
+			return
+		}
+	}
+	t.Errorf("no entry of %s/%s matches:\n%s", dir, scenario.GoldenName, out.String())
+}
+
 // TestPerfReportNamesItsPR: the trajectory file's name is the only place a
 // PR number lives — the report reads it from BENCH_PR<n>.json — and a report
 // gates cleanly against itself through the real flag path.
@@ -104,8 +173,8 @@ func TestSvcCaptureReplaysIdentically(t *testing.T) {
 	}
 }
 
-// TestUsageErrors: a command line that asks for two runs, or half of one,
-// is refused before anything runs — exit 2, the reason on stderr, nothing on
+// TestUsageErrors: a command line that asks for two runs, half of one, or a
+// modifier of a report it does not ask for, is refused before anything runs — exit 2, the reason on stderr, nothing on
 // stdout.
 func TestUsageErrors(t *testing.T) {
 	tmp := t.TempDir()
@@ -113,6 +182,13 @@ func TestUsageErrors(t *testing.T) {
 		{"-gate", "base.json"},
 		{"-scenario", "../../campaigns/smoke/05-baseline-clean.json", "-campaign", "../../campaigns/smoke"},
 		{"-svccapture", filepath.Join(tmp, "a.jsonl"), "-svcreplay", filepath.Join(tmp, "b.jsonl")},
+		// A modifier without the report it modifies used to be ignored.
+		{"-tables", "-toporanks", "16"},
+		{"-tables", "-perfranks", "64"},
+		{"-tables", "-perfbig", "4096"},
+		{"-tables", "-perfpar", "2"},
+		{"-tables", "-json", filepath.Join(tmp, "BENCH_PR1.json")},
+		{"-tables", "-campaignseed", "7"},
 	} {
 		var out, errs bytes.Buffer
 		if status := run(args, &out, &errs); status != 2 || out.Len() != 0 || !strings.Contains(errs.String(), "fmbench: ") {

@@ -55,9 +55,12 @@
 //     mixed-workload co-residency suite (fmbench -mixed), the RPC tail
 //     sweep (fmbench -svc) — all virtual time, all under byte-exact goldens
 //     — and the one wall-clock suite, the allreduce scale ladder
-//     (fmbench -perf); host cost of everything else is benchmark/'s question
+//     (fmbench -perf); host cost of everything else is benchmark/'s question.
+//     A variant is a table row: AllCollectives, AllLayers (the bare xport
+//     window is the first), mixedWorkloads; fmbench's reports likewise
 //   - internal/scenario   the declarative chaos layer: JSON scenario specs
-//     (cluster shape, traffic pattern, seeded fault schedule, assertions),
+//     (cluster shape, traffic pattern — one row of the patterns table in
+//     pattern.go — seeded fault schedule, assertions),
 //     a virtual-time watchdog that converts hangs into diagnosed reports,
 //     and the campaign runner (fmbench -scenario / -campaign)
 //

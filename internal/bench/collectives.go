@@ -16,18 +16,52 @@ import (
 // by collectives across many ranks, and the per-message copy tax of the
 // FM 1.x interface compounds with every message a collective sends.
 
-// CollectiveOp names one MPI-FM collective operation.
-type CollectiveOp string
+// CollectiveOp is one MPI-FM collective operation: a row of AllCollectives.
+type CollectiveOp = *collective
+
+type collective struct {
+	name string
+	// buffers sizes the operation's buffers for one rank (0 = none). size is
+	// the per-rank contribution in bytes (rounded to the reduction element
+	// size by collSize); root-wide buffers are size*ranks.
+	buffers func(ranks, rank, size int) (send, recv int)
+	// run executes one round on rank c (root 0 for rooted operations).
+	run func(p *sim.Proc, c *mpifm.Comm, sendbuf, recvbuf []byte) error
+}
+
+func (op *collective) String() string { return op.name }
+
+// atRoot is a root-wide buffer's size: n at rank 0, none anywhere else.
+func atRoot(rank, n int) int {
+	if rank == 0 {
+		return n
+	}
+	return 0
+}
 
 // The seven collectives, in figure order.
-const (
-	CollBcast     CollectiveOp = "bcast"
-	CollReduce    CollectiveOp = "reduce"
-	CollAllreduce CollectiveOp = "allreduce"
-	CollScatter   CollectiveOp = "scatter"
-	CollGather    CollectiveOp = "gather"
-	CollAllgather CollectiveOp = "allgather"
-	CollAlltoall  CollectiveOp = "alltoall"
+var (
+	CollBcast = &collective{"bcast",
+		func(ranks, rank, size int) (int, int) { return size, 0 },
+		func(p *sim.Proc, c *mpifm.Comm, s, r []byte) error { return c.Bcast(p, s, 0) }}
+	CollReduce = &collective{"reduce",
+		func(ranks, rank, size int) (int, int) { return size, size },
+		func(p *sim.Proc, c *mpifm.Comm, s, r []byte) error { return c.Reduce(p, s, r, mpifm.OpSumU32, 0) }}
+	CollAllreduce = &collective{"allreduce",
+		func(ranks, rank, size int) (int, int) { return size, size },
+		func(p *sim.Proc, c *mpifm.Comm, s, r []byte) error { return c.Allreduce(p, s, r, mpifm.OpSumU32) }}
+	CollScatter = &collective{"scatter",
+		func(ranks, rank, size int) (int, int) { return atRoot(rank, size*ranks), size },
+		func(p *sim.Proc, c *mpifm.Comm, s, r []byte) error { return c.Scatter(p, s, r, 0) }}
+	CollGather = &collective{"gather",
+		func(ranks, rank, size int) (int, int) { return size, atRoot(rank, size*ranks) },
+		func(p *sim.Proc, c *mpifm.Comm, s, r []byte) error { return c.Gather(p, s, r, 0) }}
+	CollAllgather = &collective{"allgather",
+		func(ranks, rank, size int) (int, int) { return size, size * ranks },
+		func(p *sim.Proc, c *mpifm.Comm, s, r []byte) error { return c.Allgather(p, s, r) }}
+	CollAlltoall = &collective{"alltoall",
+		func(ranks, rank, size int) (int, int) { return size * ranks, size * ranks },
+		func(p *sim.Proc, c *mpifm.Comm, s, r []byte) error { return c.Alltoall(p, s, r) }}
 )
 
 // AllCollectives lists every op in figure order.
@@ -35,60 +69,20 @@ var AllCollectives = []CollectiveOp{
 	CollBcast, CollReduce, CollAllreduce, CollScatter, CollGather, CollAllgather, CollAlltoall,
 }
 
-// collBuffers allocates the operation's buffers for one rank. size is the
-// per-rank contribution in bytes (rounded to the reduction element size by
-// collSize); root-wide buffers are size*ranks.
+// collBuffers allocates the operation's buffers for one rank: the send
+// buffer filled with a rank-dependent pattern, the receive buffer zeroed.
 func collBuffers(op CollectiveOp, ranks, rank, size int) (sendbuf, recvbuf []byte) {
-	fill := func(n int) []byte {
-		b := make([]byte, n)
-		for i := range b {
-			b[i] = byte(rank*31 + i*7 + 11)
+	send, recv := op.buffers(ranks, rank, size)
+	if send > 0 {
+		sendbuf = make([]byte, send)
+		for i := range sendbuf {
+			sendbuf[i] = byte(rank*31 + i*7 + 11)
 		}
-		return b
 	}
-	switch op {
-	case CollBcast:
-		return fill(size), nil
-	case CollReduce, CollAllreduce:
-		return fill(size), make([]byte, size)
-	case CollScatter:
-		if rank == 0 {
-			return fill(size * ranks), make([]byte, size)
-		}
-		return nil, make([]byte, size)
-	case CollGather:
-		if rank == 0 {
-			return fill(size), make([]byte, size*ranks)
-		}
-		return fill(size), nil
-	case CollAllgather:
-		return fill(size), make([]byte, size*ranks)
-	case CollAlltoall:
-		return fill(size * ranks), make([]byte, size*ranks)
+	if recv > 0 {
+		recvbuf = make([]byte, recv)
 	}
-	panic(fmt.Sprintf("bench: unknown collective %q", op))
-}
-
-// runOneCollective executes one round of op on rank c (root 0 for rooted
-// operations).
-func runOneCollective(p *sim.Proc, c *mpifm.Comm, op CollectiveOp, sendbuf, recvbuf []byte) error {
-	switch op {
-	case CollBcast:
-		return c.Bcast(p, sendbuf, 0)
-	case CollReduce:
-		return c.Reduce(p, sendbuf, recvbuf, mpifm.OpSumU32, 0)
-	case CollAllreduce:
-		return c.Allreduce(p, sendbuf, recvbuf, mpifm.OpSumU32)
-	case CollScatter:
-		return c.Scatter(p, sendbuf, recvbuf, 0)
-	case CollGather:
-		return c.Gather(p, sendbuf, recvbuf, 0)
-	case CollAllgather:
-		return c.Allgather(p, sendbuf, recvbuf)
-	case CollAlltoall:
-		return c.Alltoall(p, sendbuf, recvbuf)
-	}
-	return fmt.Errorf("bench: unknown collective %q", op)
+	return sendbuf, recvbuf
 }
 
 // collSize rounds a per-rank contribution down to a multiple of the
@@ -117,7 +111,7 @@ func spawnCollective(pl *cluster.Platform, comms []*mpifm.Comm, op CollectiveOp,
 			}
 			stamps[r].start = p.Now()
 			for it := 0; it < iters; it++ {
-				if err := runOneCollective(p, c, op, sendbuf, recvbuf); err != nil {
+				if err := op.run(p, c, sendbuf, recvbuf); err != nil {
 					panic(err)
 				}
 			}

@@ -84,7 +84,7 @@ func flowBandwidth(pl *cluster.Platform, what string, pairs [][2]int, procs func
 }
 
 // xportFlow streams through a bare service window (no upper layer).
-func xportFlow(eps []*xport.Endpoint, size, msgs int) func(flow) [2]flowProc {
+func xportFlow(eps []*xport.Endpoint, _ xport.Gen, size, msgs int) func(flow) [2]flowProc {
 	sp := xport.Spaces(eps, "xport")
 	return func(fl flow) [2]flowProc {
 		recvd := 0
@@ -117,49 +117,22 @@ func xportFlow(eps []*xport.Endpoint, size, msgs int) func(flow) [2]flowProc {
 	}
 }
 
-// xportFlows runs the skeleton over bare service windows on fabric f.
-func xportFlows(g xport.Gen, f Fabric, n int, pairs [][2]int, size, msgs int) float64 {
+// layerFlows runs the skeleton through layer l on fabric f: every pair
+// streams msgs messages of size bytes (whole elements of the layer) at once.
+func layerFlows(l Layer, g xport.Gen, f Fabric, n int, pairs [][2]int, size, msgs int) float64 {
+	size = l.elem * max(size/l.elem, 1)
 	pl, eps := endpoints(g, n, f, 0)
-	return flowBandwidth(pl, fmt.Sprintf("xport/%s on %s", g, f), pairs, xportFlow(eps, size, msgs), size, msgs)
+	return flowBandwidth(pl, fmt.Sprintf("%s/%s on %s", l, g, f), pairs, l.flows(eps, g, size, msgs), size, msgs)
 }
 
-// XportFlowBandwidth measures one uncontended flow across the fabric's
-// cut (rank 0 to rank n/2): the switch-limited baseline every contended
-// number is compared against.
-func XportFlowBandwidth(g xport.Gen, f Fabric, n, size, msgs int) float64 {
-	return xportFlows(g, f, n, [][2]int{{0, n / 2}}, size, msgs)
-}
-
-// XportBisection drives all n/2 cut flows at once and reports aggregate
-// bandwidth. Aggregate ~= (n/2) x single-flow means the fabric is
-// switch-limited; aggregate pinned near the trunk capacity means it is
-// bisection-limited.
-func XportBisection(g xport.Gen, f Fabric, n, size, msgs int) float64 {
-	return xportFlows(g, f, n, cutPairs(n), size, msgs)
-}
-
-// LayerBisection is XportBisection through one upper layer: all n/2 cut
+// LayerBisection is the cut experiment through one layer: all n/2 cut
 // flows stream size*msgs bytes each via the layer's own primitives, and
-// the result is aggregate MB/s. Run across fabrics it re-prices the
-// layering matrix under trunk contention.
+// the result is aggregate MB/s. Aggregate ~= (n/2) x single-flow means the
+// fabric is switch-limited; aggregate pinned near the trunk capacity means
+// it is bisection-limited. Run across fabrics it re-prices the layering
+// matrix under trunk contention.
 func LayerBisection(l Layer, g xport.Gen, f Fabric, n, size, msgs int) float64 {
-	pl, eps := endpoints(g, n, f, 0)
-	var procs func(flow) [2]flowProc
-	switch l {
-	case LayerMPI:
-		procs = mpiFlow(attachMPI(eps, g, mpifm.Options{}), size, msgs, 0)
-	case LayerSock:
-		procs = sockFlow(eps, size, msgs)
-	case LayerShmem:
-		procs = shmemFlow(eps, size, msgs)
-	case LayerGarr:
-		// Global arrays move whole float64s: round the payload to elements.
-		size = 8 * max(size/8, 1)
-		procs = garrFlow(eps, size/8, msgs)
-	default:
-		panic(fmt.Sprintf("bench: unknown layer %q", l))
-	}
-	return flowBandwidth(pl, fmt.Sprintf("%s/%s on %s", l, g, f), cutPairs(n), procs, size, msgs)
+	return layerFlows(l, g, f, n, cutPairs(n), size, msgs)
 }
 
 // mpiFlow streams by MPI_Send against the standard bandwidth-test receiver:
@@ -192,7 +165,7 @@ func mpiFlow(comms []*mpifm.Comm, size, msgs int, lag sim.Time) func(flow) [2]fl
 
 // sockFlow streams over one connection per flow; the clock starts once the
 // connection is up.
-func sockFlow(eps []*xport.Endpoint, size, msgs int) func(flow) [2]flowProc {
+func sockFlow(eps []*xport.Endpoint, _ xport.Gen, size, msgs int) func(flow) [2]flowProc {
 	stacks := make([]*sockfm.Stack, len(eps))
 	for i, sp := range xport.Spaces(eps, sockfm.Service) {
 		stacks[i] = sockfm.New(sp)
@@ -248,7 +221,7 @@ func putTarget(node *shmem.Node, msgs int, fl flow) flowProc {
 }
 
 // shmemFlow streams by one-sided Put into a symmetric region.
-func shmemFlow(eps []*xport.Endpoint, size, msgs int) func(flow) [2]flowProc {
+func shmemFlow(eps []*xport.Endpoint, _ xport.Gen, size, msgs int) func(flow) [2]flowProc {
 	nodes := make([]*shmem.Node, len(eps))
 	for i, sp := range xport.Spaces(eps, shmem.Service) {
 		nodes[i] = shmem.Attach(sp)
@@ -269,10 +242,10 @@ func shmemFlow(eps []*xport.Endpoint, size, msgs int) func(flow) [2]flowProc {
 	}
 }
 
-// garrFlow streams by Global Arrays Put of elems float64s into the
+// garrFlow streams by Global Arrays Put of size bytes of float64s into the
 // destination rank's block.
-func garrFlow(eps []*xport.Endpoint, elems, msgs int) func(flow) [2]flowProc {
-	n := len(eps)
+func garrFlow(eps []*xport.Endpoint, _ xport.Gen, size, msgs int) func(flow) [2]flowProc {
+	n, elems := len(eps), size/8
 	arrays := make([]*garr.Array, n)
 	for i, sp := range xport.Spaces(eps, garr.Service) {
 		a, err := garr.Attach(sp, 1, n*elems, n)
@@ -322,9 +295,11 @@ type BisectionPoint struct {
 // like a crossbar for this load; below it the trunks are the bottleneck.
 func MeasureBisection(g xport.Gen, f Fabric, n, size, msgs int) BisectionPoint {
 	pt := BisectionPoint{
-		Fabric:   f,
-		FlowMBps: XportFlowBandwidth(g, f, n, size, msgs),
-		AggMBps:  XportBisection(g, f, n, size, msgs),
+		Fabric: f,
+		// One uncontended flow across the cut is the switch-limited
+		// baseline the contended number is compared against.
+		FlowMBps: layerFlows(LayerXport, g, f, n, [][2]int{{0, n / 2}}, size, msgs),
+		AggMBps:  LayerBisection(LayerXport, g, f, n, size, msgs),
 	}
 	if pt.FlowMBps > 0 {
 		pt.Scaling = pt.AggMBps / pt.FlowMBps
@@ -384,40 +359,33 @@ func WriteFabricReport(w io.Writer, cfg FabricReportConfig) {
 	fmt.Fprintf(w, "Layering matrix under cut load (aggregate MB/s over %d flows, %d nodes;\n",
 		cfg.MatrixNodes/2, cfg.MatrixNodes)
 	fmt.Fprintln(w, "% = retained vs the same layer/binding on the single crossbar — the trunk-contention tax):")
-	rows := []string{"xport"}
-	for _, l := range UpperLayers {
-		rows = append(rows, string(l))
-	}
-	measure := func(name string, b xport.Gen, f Fabric) float64 {
-		if name == "xport" {
-			return XportBisection(b, f, cfg.MatrixNodes, cfg.MatrixSize, cfg.MatrixMsgs)
-		}
-		return LayerBisection(Layer(name), b, f, cfg.MatrixNodes, cfg.MatrixSize, cfg.MatrixMsgs)
+	measure := func(l Layer, b xport.Gen, f Fabric) float64 {
+		return LayerBisection(l, b, f, cfg.MatrixNodes, cfg.MatrixSize, cfg.MatrixMsgs)
 	}
 	// The single-crossbar baseline is measured unconditionally so the
 	// retained-% column stays meaningful whatever cfg.Fabrics contains.
 	type key struct {
-		name string
-		b    xport.Gen
+		l Layer
+		b xport.Gen
 	}
 	base := map[key]float64{}
-	for _, name := range rows {
+	for _, l := range AllLayers {
 		for _, b := range AllGens {
-			base[key{name, b}] = measure(name, b, FabSingle)
+			base[key{l, b}] = measure(l, b, FabSingle)
 		}
 	}
 	for _, f := range cfg.Fabrics {
 		fmt.Fprintf(w, "  %s\n", f)
 		fmt.Fprintf(w, "    %-8s  %12s  %6s  %12s  %6s\n", "layer", "fm1 MB/s", "%", "fm2 MB/s", "%")
-		for _, name := range rows {
-			fmt.Fprintf(w, "    %-8s", name)
+		for _, l := range AllLayers {
+			fmt.Fprintf(w, "    %-8s", l)
 			for _, b := range AllGens {
-				v := base[key{name, b}]
+				v := base[key{l, b}]
 				if f != FabSingle {
-					v = measure(name, b, f)
+					v = measure(l, b, f)
 				}
 				pct := 0.0
-				if bv := base[key{name, b}]; bv > 0 {
+				if bv := base[key{l, b}]; bv > 0 {
 					pct = 100 * v / bv
 				}
 				fmt.Fprintf(w, "  %12.2f  %5.0f%%", v, pct)

@@ -41,8 +41,8 @@ func TestFatTreeUplinksWidenBisection(t *testing.T) {
 		t.Skip("contention sweep")
 	}
 	const n, size, msgs = 16, 2048, 60
-	line := XportBisection(xport.GenFM2, FabLine, n, size, msgs)
-	tree := XportBisection(xport.GenFM2, FabFatTree, n, size, msgs)
+	line := LayerBisection(LayerXport, xport.GenFM2, FabLine, n, size, msgs)
+	tree := LayerBisection(LayerXport, xport.GenFM2, FabFatTree, n, size, msgs)
 	if tree <= line {
 		t.Errorf("fat tree aggregate %.2f MB/s not above line %.2f MB/s", tree, line)
 	}
@@ -71,14 +71,14 @@ func TestCollectivesRunOnEveryFabric(t *testing.T) {
 	}
 }
 
-// TestLayerBisectionEveryLayer runs each upper layer's cut driver once on
-// the fat tree (the layering matrix cell most likely to wedge: many flows,
+// TestLayerBisectionEveryLayer runs every row of the layer table — the bare
+// window and each upper layer — through the cut driver once on the fat tree (the layering matrix cell most likely to wedge: many flows,
 // shared uplinks, both bindings' flow control active).
 func TestLayerBisectionEveryLayer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("contention sweep")
 	}
-	for _, l := range UpperLayers {
+	for _, l := range AllLayers {
 		if mbps := LayerBisection(l, xport.GenFM2, FabFatTree, 8, 1024, 30); mbps <= 0 {
 			t.Errorf("%s cut aggregate %.2f MB/s", l, mbps)
 		}

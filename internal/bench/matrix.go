@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/mpifm"
 	"repro/internal/xport"
 )
 
@@ -19,19 +20,40 @@ import (
 // configuration), FM 2.x natively on the PPro-era one (Figure 6).
 var AllGens = []xport.Gen{xport.GenFM1, xport.GenFM2}
 
-// Layer names one upper layer of the matrix.
-type Layer string
+// Layer is one client of the endpoints the flow skeleton can stream through:
+// an upper layer, or the bare service window under them all.
+type Layer = *layer
 
-// The four upper layers, in the paper's §4.2 order.
-const (
-	LayerMPI   Layer = "mpi"
-	LayerSock  Layer = "sock"
-	LayerShmem Layer = "shmem"
-	LayerGarr  Layer = "garr"
+type layer struct {
+	name string
+	// elem is the payload granularity in bytes: a message is rounded down to
+	// whole elements (global arrays move float64s; everything else bytes).
+	elem int
+	// flows attaches the layer to the endpoints and returns what it
+	// contributes to the skeleton: the two procs of one flow moving msgs
+	// messages of size bytes by the layer's own primitives.
+	flows func(eps []*xport.Endpoint, g xport.Gen, size, msgs int) func(flow) [2]flowProc
+}
+
+func (l *layer) String() string { return l.name }
+
+// The bare window, then the four upper layers in the paper's §4.2 order.
+var (
+	LayerXport = &layer{"xport", 1, xportFlow}
+	LayerMPI   = &layer{"mpi", 1, func(eps []*xport.Endpoint, g xport.Gen, size, msgs int) func(flow) [2]flowProc {
+		return mpiFlow(attachMPI(eps, g, mpifm.Options{}), size, msgs, 0)
+	}}
+	LayerSock  = &layer{"sock", 1, sockFlow}
+	LayerShmem = &layer{"shmem", 1, shmemFlow}
+	LayerGarr  = &layer{"garr", 8, garrFlow}
 )
 
-// UpperLayers lists the matrix rows.
-var UpperLayers = []Layer{LayerMPI, LayerSock, LayerShmem, LayerGarr}
+// AllLayers is the table; UpperLayers, the matrix rows, is all of it above
+// the bare window.
+var (
+	AllLayers   = []Layer{LayerXport, LayerMPI, LayerSock, LayerShmem, LayerGarr}
+	UpperLayers = AllLayers[1:]
+)
 
 // RawBandwidth measures native FM streaming bandwidth for one binding: the
 // matrix's denominator, exactly as Figures 4 and 6 divide each MPI curve by
@@ -40,19 +62,13 @@ func RawBandwidth(g xport.Gen, size, msgs int) float64 {
 	return FMBandwidth(DefaultOptions(g), size, msgs)
 }
 
-// XportBandwidth measures streaming bandwidth node0 -> node1 through a bare
-// service window. Over FM 2.x the wrapper is free, so this matches
-// RawBandwidth; over FM 1.x the gap to RawBandwidth prices the staging
-// adapter itself — the assembly and delivery copies the 1.x interface
-// forces on any streaming client, isolated from every upper layer.
-func XportBandwidth(g xport.Gen, size, msgs int) float64 {
-	return XportFlowBandwidth(g, FabSingle, 2, size, msgs)
-}
-
 // LayerBandwidth measures streaming bandwidth node0 -> node1 through one
-// upper layer over one binding: the two-node, one-flow case of
-// LayerBisection. size is the per-message payload in bytes (rounded to the
-// element width for garr).
+// layer over one binding: the two-node, one-flow case of LayerBisection.
+// size is the per-message payload in bytes (rounded to the element width for
+// garr). Through the bare window over FM 2.x the wrapper is free, so it
+// matches RawBandwidth; over FM 1.x the gap to RawBandwidth prices the
+// staging adapter itself — the assembly and delivery copies the 1.x
+// interface forces on any streaming client, isolated from every upper layer.
 func LayerBandwidth(l Layer, g xport.Gen, size, msgs int) float64 {
 	return LayerBisection(l, g, FabSingle, 2, size, msgs)
 }
@@ -67,15 +83,16 @@ type MatrixCell struct {
 	Pct     float64 // 100 * MBps / RawMBps
 }
 
-// LayeringMatrix measures all 8 (upper layer × binding) combinations at one
-// message size in a single sweep, sharing one raw baseline per binding.
+// LayeringMatrix measures every (layer × binding) combination at one message
+// size in a single sweep, the bare window's row first, sharing one raw
+// baseline per binding.
 func LayeringMatrix(size, msgs int) []MatrixCell {
 	raw := map[xport.Gen]float64{}
 	for _, b := range AllGens {
 		raw[b] = RawBandwidth(b, size, msgs)
 	}
 	var cells []MatrixCell
-	for _, l := range UpperLayers {
+	for _, l := range AllLayers {
 		for _, b := range AllGens {
 			mbps := LayerBandwidth(l, b, size, msgs)
 			cells = append(cells, MatrixCell{
@@ -98,9 +115,6 @@ func WriteLayeringMatrix(w io.Writer, sizes []int, msgs int) {
 		fmt.Fprintf(w, "  %d B messages: raw fm1 %.2f MB/s, raw fm2 %.2f MB/s\n",
 			size, cells[0].RawMBps, cells[1].RawMBps)
 		fmt.Fprintf(w, "    %-8s  %12s  %6s  %12s  %6s\n", "layer", "fm1 MB/s", "%", "fm2 MB/s", "%")
-		x1, x2 := XportBandwidth(xport.GenFM1, size, msgs), XportBandwidth(xport.GenFM2, size, msgs)
-		fmt.Fprintf(w, "    %-8s  %12.2f  %5.0f%%  %12.2f  %5.0f%%\n",
-			"xport", x1, 100*x1/cells[0].RawMBps, x2, 100*x2/cells[1].RawMBps)
 		for i := 0; i < len(cells); i += 2 {
 			c1, c2 := cells[i], cells[i+1]
 			fmt.Fprintf(w, "    %-8s  %12.2f  %5.0f%%  %12.2f  %5.0f%%\n",

@@ -7,16 +7,16 @@ import (
 	"repro/internal/xport"
 )
 
-// TestLayeringMatrixAllCells runs the full 8-cell cross product at one size
-// and asserts the paper's generalized layering story: every layer moves
+// TestLayeringMatrixAllCells runs the full cross product (the bare window's
+// row and the 8 upper-layer cells) at one size and asserts the paper's generalized layering story: every layer moves
 // data over both bindings, no layer beats its raw transport, and the FM 2.x
 // interface delivers a higher fraction of raw bandwidth than FM 1.x for
 // every single upper layer.
 func TestLayeringMatrixAllCells(t *testing.T) {
 	const size, msgs = 2048, 150
 	cells := LayeringMatrix(size, msgs)
-	if len(cells) != 8 {
-		t.Fatalf("matrix has %d cells, want 8", len(cells))
+	if len(cells) != 2*len(AllLayers) {
+		t.Fatalf("matrix has %d cells, want %d", len(cells), 2*len(AllLayers))
 	}
 	pct := map[Layer]map[xport.Gen]float64{}
 	for _, c := range cells {
@@ -64,7 +64,7 @@ func TestLayeringMatrixRendered(t *testing.T) {
 // (the wrapper only forwards calls).
 func TestRawXportMatchesNativeFM2(t *testing.T) {
 	const size, msgs = 1024, 200
-	raw := XportBandwidth(xport.GenFM2, size, msgs)
+	raw := LayerBandwidth(LayerXport, xport.GenFM2, size, msgs)
 	native := FMBandwidth(DefaultOptions(xport.GenFM2), size, msgs)
 	if diff := raw/native - 1; diff > 0.02 || diff < -0.02 {
 		t.Errorf("xport raw %.2f MB/s vs native fm2 %.2f MB/s: wrapper must be free", raw, native)

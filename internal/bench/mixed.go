@@ -3,6 +3,8 @@ package bench
 import (
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
 
 	"repro/internal/garr"
 	"repro/internal/mpifm"
@@ -56,184 +58,180 @@ type ServiceShare struct {
 	RetainedPct float64
 }
 
-// mixedServices selects which workloads a run attaches.
-type mixedServices struct{ mpi, sock, ga bool }
+// mixedWorkload is one co-resident client of the shared endpoints: a row
+// of mixedWorkloads.
+type mixedWorkload struct {
+	service string
+	// bytes is the workload's logical payload volume, the numerator of its
+	// goodput.
+	bytes func(cfg MixedConfig) int64
+	// start registers the service on every endpoint and spawns the
+	// workload's procs; those t counts call t.done as they finish.
+	start func(k *sim.Kernel, eps []*xport.Endpoint, b xport.Gen, cfg MixedConfig, t *tally)
+}
 
-// mixedResult carries one run's per-workload completion spans and the
-// per-service byte totals.
-type mixedResult struct {
-	mpiEnd, sockEnd, gaEnd sim.Time
-	bytes                  map[string]int64
+// mixedWorkloads is the co-residency suite. Table order is the canonical
+// service registration order and the spawn order.
+var mixedWorkloads = []mixedWorkload{
+	{mpifm.Service, func(cfg MixedConfig) int64 {
+		return int64(cfg.Nodes) * int64(cfg.MPIIters) * int64(cfg.MPISize)
+	}, startMixedMPI},
+	{sockfm.Service, func(cfg MixedConfig) int64 {
+		return int64(cfg.Nodes/2) * int64(cfg.SockMsgs) * int64(cfg.SockSize)
+	}, startMixedSock},
+	{garr.Service, func(cfg MixedConfig) int64 {
+		return int64(cfg.Nodes) * int64(cfg.GAPuts) * int64(cfg.GAElems) * 8
+	}, startMixedGA},
+}
+
+// tally is one workload's result in a run: its participants counted down,
+// the instant the last one finished, and the payload bytes its service
+// consumed across all nodes.
+type tally struct {
+	left  int
+	end   sim.Time
+	bytes int64
+}
+
+func (t *tally) done(p *sim.Proc) {
+	if t.left--; t.left == 0 {
+		t.end = p.Now()
+	}
+}
+
+func startMixedMPI(k *sim.Kernel, eps []*xport.Endpoint, b xport.Gen, cfg MixedConfig, t *tally) {
+	comms := attachMPI(eps, b, mpifm.Options{})
+	t.left = len(comms)
+	for r, c := range comms {
+		k.Spawn(fmt.Sprintf("mixed.mpi%d", r), func(p *sim.Proc) {
+			in := make([]byte, cfg.MPISize)
+			out := make([]byte, cfg.MPISize)
+			for i := 0; i < cfg.MPIIters; i++ {
+				if err := c.Allreduce(p, in, out, mpifm.OpSumU32); err != nil {
+					panic(fmt.Sprintf("bench: mixed allreduce: %v", err))
+				}
+			}
+			t.done(p)
+		})
+	}
+}
+
+func startMixedSock(k *sim.Kernel, eps []*xport.Endpoint, _ xport.Gen, cfg MixedConfig, t *tally) {
+	stacks := make([]*sockfm.Stack, len(eps))
+	for i, ep := range eps {
+		stacks[i] = sockfm.New(ep.Register(sockfm.Service))
+	}
+	pairs := cutPairs(len(eps))
+	total := cfg.SockSize * cfg.SockMsgs
+	t.left = len(pairs)
+	for _, pr := range pairs {
+		src, dst := pr[0], pr[1]
+		k.Spawn(fmt.Sprintf("mixed.sockServer%d", dst), func(p *sim.Proc) {
+			l, err := stacks[dst].Listen(80)
+			if err != nil {
+				panic(err)
+			}
+			conn, err := l.Accept(p)
+			if err != nil {
+				panic(err)
+			}
+			buf := make([]byte, 32*1024)
+			got := 0
+			for got < total {
+				m, err := conn.Read(p, buf)
+				if err != nil {
+					panic(err)
+				}
+				got += m
+			}
+			t.done(p)
+		})
+		k.Spawn(fmt.Sprintf("mixed.sockClient%d", src), func(p *sim.Proc) {
+			conn, err := stacks[src].Dial(p, dst, 80)
+			if err != nil {
+				panic(err)
+			}
+			msg := make([]byte, cfg.SockSize)
+			for i := 0; i < cfg.SockMsgs; i++ {
+				if _, err := conn.Write(p, msg); err != nil {
+					panic(err)
+				}
+			}
+			conn.Close(p)
+		})
+	}
+}
+
+func startMixedGA(k *sim.Kernel, eps []*xport.Endpoint, _ xport.Gen, cfg MixedConfig, t *tally) {
+	n := len(eps)
+	arrays := make([]*garr.Array, n)
+	for i, ep := range eps {
+		a, err := garr.Attach(ep.Register(garr.Service), 1, n*cfg.GAElems, n)
+		if err != nil {
+			panic(fmt.Sprintf("bench: mixed ga attach: %v", err))
+		}
+		arrays[i] = a
+	}
+	t.left = n
+	for r, a := range arrays {
+		k.Spawn(fmt.Sprintf("mixed.ga%d", r), func(p *sim.Proc) {
+			vals := make([]float64, cfg.GAElems)
+			for i := range vals {
+				vals[i] = float64(r*31 + i)
+			}
+			dst := (r + 1) % n
+			for i := 0; i < cfg.GAPuts; i++ {
+				if err := a.Put(p, dst*cfg.GAElems, vals); err != nil {
+					panic(fmt.Sprintf("bench: mixed ga put: %v", err))
+				}
+			}
+			t.done(p)
+			// Keep serving incoming puts until every origin has been
+			// acknowledged: a node whose procs all exited would strand
+			// its peers' Quiet.
+			for t.left > 0 {
+				a.Progress(p)
+				p.Delay(2 * sim.Microsecond)
+			}
+		})
+	}
 }
 
 // runMixed assembles shared endpoints on (b, f) and drives the selected
-// workloads concurrently. Service registration order is canonical (mpi,
-// sockets, garr) and skipped services simply do not register, so solo runs
-// are the same code with two workloads absent.
-func runMixed(b xport.Gen, f Fabric, cfg MixedConfig, sel mixedServices) mixedResult {
-	n := cfg.Nodes
-	pl, eps := endpoints(b, n, f, 0)
-	k := pl.K
-
-	var comms []*mpifm.Comm
-	var stacks []*sockfm.Stack
-	var arrays []*garr.Array
-	if sel.mpi {
-		comms = attachMPI(eps, b, mpifm.Options{})
+// workloads concurrently, started in table order, so a solo run is the same
+// code with two rows absent.
+func runMixed(b xport.Gen, f Fabric, cfg MixedConfig, sel []mixedWorkload) []tally {
+	pl, eps := endpoints(b, cfg.Nodes, f, 0)
+	tallies := make([]tally, len(sel))
+	for i, wl := range sel {
+		wl.start(pl.K, eps, b, cfg, &tallies[i])
 	}
-	if sel.sock {
-		stacks = make([]*sockfm.Stack, n)
-		for i, ep := range eps {
-			stacks[i] = sockfm.New(ep.Register(sockfm.Service))
-		}
-	}
-	if sel.ga {
-		arrays = make([]*garr.Array, n)
-		for i, ep := range eps {
-			a, err := garr.Attach(ep.Register(garr.Service), 1, n*cfg.GAElems, n)
-			if err != nil {
-				panic(fmt.Sprintf("bench: mixed ga attach: %v", err))
-			}
-			arrays[i] = a
-		}
-	}
-
-	res := mixedResult{bytes: make(map[string]int64)}
-
-	if sel.mpi {
-		mpiDone := 0
-		for r := 0; r < n; r++ {
-			r := r
-			k.Spawn(fmt.Sprintf("mixed.mpi%d", r), func(p *sim.Proc) {
-				in := make([]byte, cfg.MPISize)
-				out := make([]byte, cfg.MPISize)
-				for i := 0; i < cfg.MPIIters; i++ {
-					if err := comms[r].Allreduce(p, in, out, mpifm.OpSumU32); err != nil {
-						panic(fmt.Sprintf("bench: mixed allreduce: %v", err))
-					}
-				}
-				mpiDone++
-				if mpiDone == n && p.Now() > res.mpiEnd {
-					res.mpiEnd = p.Now()
-				}
-			})
-		}
-	}
-
-	if sel.sock {
-		pairs := cutPairs(n)
-		total := cfg.SockSize * cfg.SockMsgs
-		sockDone := 0
-		for _, pr := range pairs {
-			src, dst := pr[0], pr[1]
-			k.Spawn(fmt.Sprintf("mixed.sockServer%d", dst), func(p *sim.Proc) {
-				l, err := stacks[dst].Listen(80)
-				if err != nil {
-					panic(err)
-				}
-				conn, err := l.Accept(p)
-				if err != nil {
-					panic(err)
-				}
-				buf := make([]byte, 32*1024)
-				got := 0
-				for got < total {
-					m, err := conn.Read(p, buf)
-					if err != nil {
-						panic(err)
-					}
-					got += m
-				}
-				sockDone++
-				if sockDone == len(pairs) && p.Now() > res.sockEnd {
-					res.sockEnd = p.Now()
-				}
-			})
-			k.Spawn(fmt.Sprintf("mixed.sockClient%d", src), func(p *sim.Proc) {
-				conn, err := stacks[src].Dial(p, dst, 80)
-				if err != nil {
-					panic(err)
-				}
-				msg := make([]byte, cfg.SockSize)
-				for i := 0; i < cfg.SockMsgs; i++ {
-					if _, err := conn.Write(p, msg); err != nil {
-						panic(err)
-					}
-				}
-				conn.Close(p)
-			})
-		}
-	}
-
-	if sel.ga {
-		gaDone := 0
-		for r := 0; r < n; r++ {
-			r := r
-			k.Spawn(fmt.Sprintf("mixed.ga%d", r), func(p *sim.Proc) {
-				vals := make([]float64, cfg.GAElems)
-				for i := range vals {
-					vals[i] = float64(r*31 + i)
-				}
-				dst := (r + 1) % n
-				for i := 0; i < cfg.GAPuts; i++ {
-					if err := arrays[r].Put(p, dst*cfg.GAElems, vals); err != nil {
-						panic(fmt.Sprintf("bench: mixed ga put: %v", err))
-					}
-				}
-				gaDone++
-				if gaDone == n && p.Now() > res.gaEnd {
-					res.gaEnd = p.Now()
-				}
-				// Keep serving incoming puts until every origin has been
-				// acknowledged: a node whose procs all exited would strand
-				// its peers' Quiet.
-				for gaDone < n {
-					arrays[r].Progress(p)
-					p.Delay(2 * sim.Microsecond)
-				}
-			})
-		}
-	}
-
 	run(pl, "mixed run on %s/%s", b, f)
-	for _, svc := range []string{mpifm.Service, sockfm.Service, garr.Service} {
+	for i, wl := range sel {
 		for _, ep := range eps {
-			res.bytes[svc] += ep.ServiceStats(svc).Bytes
+			tallies[i].bytes += ep.ServiceStats(wl.service).Bytes
 		}
 	}
-	return res
-}
-
-// workloadBytes reports each workload's logical payload volume, the
-// numerator of its goodput.
-func (cfg MixedConfig) workloadBytes() (mpi, sock, ga int64) {
-	n := int64(cfg.Nodes)
-	mpi = n * int64(cfg.MPIIters) * int64(cfg.MPISize)
-	sock = (n / 2) * int64(cfg.SockMsgs) * int64(cfg.SockSize)
-	ga = n * int64(cfg.GAPuts) * int64(cfg.GAElems) * 8
-	return
+	return tallies
 }
 
 // MeasureMixed runs the full co-resident mix on (b, f), then each workload
 // alone on identical fabric and endpoints, and reports per-service shares
 // and retained bandwidth.
 func MeasureMixed(b xport.Gen, f Fabric, cfg MixedConfig) []ServiceShare {
-	mixed := runMixed(b, f, cfg, mixedServices{mpi: true, sock: true, ga: true})
-	soloMPI := runMixed(b, f, cfg, mixedServices{mpi: true})
-	soloSock := runMixed(b, f, cfg, mixedServices{sock: true})
-	soloGA := runMixed(b, f, cfg, mixedServices{ga: true})
-
-	mpiB, sockB, gaB := cfg.workloadBytes()
+	mixed := runMixed(b, f, cfg, mixedWorkloads)
 	var total int64
-	for _, v := range mixed.bytes {
-		total += v
+	for _, t := range mixed {
+		total += t.bytes
 	}
-	mk := func(svc string, payload int64, mixedEnd, soloEnd sim.Time) ServiceShare {
+	shares := make([]ServiceShare, len(mixedWorkloads))
+	for i, wl := range mixedWorkloads {
+		solo := runMixed(b, f, cfg, mixedWorkloads[i:i+1])
 		s := ServiceShare{
-			Service:  svc,
-			Bytes:    mixed.bytes[svc],
-			MBps:     Elapsed(payload, mixedEnd),
-			SoloMBps: Elapsed(payload, soloEnd),
+			Service:  wl.service,
+			Bytes:    mixed[i].bytes,
+			MBps:     Elapsed(wl.bytes(cfg), mixed[i].end),
+			SoloMBps: Elapsed(wl.bytes(cfg), solo[0].end),
 		}
 		if total > 0 {
 			s.SharePct = 100 * float64(s.Bytes) / float64(total)
@@ -241,25 +239,24 @@ func MeasureMixed(b xport.Gen, f Fabric, cfg MixedConfig) []ServiceShare {
 		if s.SoloMBps > 0 {
 			s.RetainedPct = 100 * s.MBps / s.SoloMBps
 		}
-		return s
+		shares[i] = s
 	}
-	return []ServiceShare{
-		mk(mpifm.Service, mpiB, mixed.mpiEnd, soloMPI.mpiEnd),
-		mk(sockfm.Service, sockB, mixed.sockEnd, soloSock.sockEnd),
-		mk(garr.Service, gaB, mixed.gaEnd, soloGA.gaEnd),
-	}
+	return shares
 }
 
 // WriteMixedReport renders the co-residency suite across the configured
 // fabrics: per-service byte share of the shared endpoints and bandwidth
 // retained against the isolated baselines.
 func WriteMixedReport(w io.Writer, b xport.Gen, cfg MixedConfig) {
-	mpiB, sockB, gaB := cfg.workloadBytes()
+	kb := make([]string, len(mixedWorkloads))
+	for i, wl := range mixedWorkloads {
+		kb[i] = strconv.FormatInt(wl.bytes(cfg)/1024, 10)
+	}
 	fmt.Fprintf(w, "Mixed co-residency suite: MPI allreduce + socket streams + GA puts on ONE\n")
 	fmt.Fprintf(w, "shared %s endpoint per node (%d nodes; mpi %d B x %d rounds, sock %d x %d B\n",
 		b, cfg.Nodes, cfg.MPISize, cfg.MPIIters, cfg.SockMsgs, cfg.SockSize)
-	fmt.Fprintf(w, "per cut pair, ga %d puts x %d elems per rank; workload volumes %d/%d/%d KB)\n",
-		cfg.GAPuts, cfg.GAElems, mpiB/1024, sockB/1024, gaB/1024)
+	fmt.Fprintf(w, "per cut pair, ga %d puts x %d elems per rank; workload volumes %s KB)\n",
+		cfg.GAPuts, cfg.GAElems, strings.Join(kb, "/"))
 	fmt.Fprintln(w, "retained% = goodput while sharing / goodput alone on the same fabric")
 	for _, f := range cfg.Fabrics {
 		fmt.Fprintf(w, "  %s\n", f)

@@ -47,14 +47,11 @@ func TestMeasureMixedShares(t *testing.T) {
 // TestMixedDeterminism: the co-resident run is virtual-time-deterministic.
 func TestMixedDeterminism(t *testing.T) {
 	cfg := smallMixed()
-	r1 := runMixed(xport.GenFM2, FabSingle, cfg, mixedServices{mpi: true, sock: true, ga: true})
-	r2 := runMixed(xport.GenFM2, FabSingle, cfg, mixedServices{mpi: true, sock: true, ga: true})
-	if r1.mpiEnd != r2.mpiEnd || r1.sockEnd != r2.sockEnd || r1.gaEnd != r2.gaEnd {
-		t.Errorf("nondeterministic spans: %+v vs %+v", r1, r2)
-	}
-	for svc, b := range r1.bytes {
-		if r2.bytes[svc] != b {
-			t.Errorf("nondeterministic bytes for %s: %d vs %d", svc, b, r2.bytes[svc])
+	r1 := runMixed(xport.GenFM2, FabSingle, cfg, mixedWorkloads)
+	r2 := runMixed(xport.GenFM2, FabSingle, cfg, mixedWorkloads)
+	for i, wl := range mixedWorkloads {
+		if r1[i].end <= 0 || r1[i] != r2[i] {
+			t.Errorf("%s: %+v, then %+v", wl.service, r1[i], r2[i])
 		}
 	}
 }

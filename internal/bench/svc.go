@@ -20,34 +20,22 @@ const (
 	svcSeed     = 1998
 )
 
-// svcWorkload builds the canonical workload for one arrival mode. Rates are
-// set below saturation for the slower FM1 fabric so open-loop queues drain
-// and the sweep's tail numbers measure the fabric, not an unbounded backlog.
-// Response sizes respect the tightest point of the grid: at 16 nodes the
-// ring clamp cuts FM1's credit window to 4 packets, so no reply may need
-// more than 4 Sparc-MTU packets.
-func svcWorkload(mode svcload.Mode) svcload.Workload {
-	wl := svcload.Workload{
-		Mode:     mode,
-		Requests: svcRequests,
-		Seed:     svcSeed,
-		ReqBytes: 64,
-	}
-	switch mode {
-	case svcload.ModeOpen:
-		wl.RateRPS = 20_000
-		wl.Fanout = 2
-		wl.Keyspace = 256
-		wl.ZipfS = 1.1
-		wl.RespBytes = 256
-	case svcload.ModeClosed:
-		wl.Keyspace = 256
-		wl.ZipfS = 1.1
-		wl.RespBytes = 256
-	case svcload.ModeIncast:
-		wl.RateRPS = 10_000 // epoch gap, not per-client pressure
-		wl.RespBytes = 384
-	}
+// svcWorkloads is the canonical workload of each arrival mode, in report
+// order. Rates are set below saturation for the slower FM1 fabric so
+// open-loop queues drain and the sweep's tail numbers measure the fabric,
+// not an unbounded backlog (incast's is the epoch gap, not per-client
+// pressure). Response sizes respect the tightest point of the grid: at 16
+// nodes the ring clamp cuts FM1's credit window to 4 packets, so no reply may
+// need more than 4 Sparc-MTU packets.
+var svcWorkloads = []svcload.Workload{
+	svcWorkload(svcload.Workload{Mode: svcload.ModeOpen, RateRPS: 20_000, Fanout: 2, Keyspace: 256, ZipfS: 1.1, RespBytes: 256}),
+	svcWorkload(svcload.Workload{Mode: svcload.ModeClosed, Keyspace: 256, ZipfS: 1.1, RespBytes: 256}),
+	svcWorkload(svcload.Workload{Mode: svcload.ModeIncast, RateRPS: 10_000, RespBytes: 384}),
+}
+
+// svcWorkload fills in what every mode's workload shares.
+func svcWorkload(wl svcload.Workload) svcload.Workload {
+	wl.Requests, wl.Seed, wl.ReqBytes = svcRequests, svcSeed, 64
 	return wl
 }
 
@@ -60,22 +48,22 @@ func WriteSvcReport(w io.Writer) error {
 	fmt.Fprintf(w, "  %-4s %-7s %6s  %9s  %9s  %9s  %9s  %12s\n",
 		"fm", "mode", "nodes", "p50_us", "p99_us", "p999_us", "max_us", "goodput_rps")
 	for _, gen := range []xport.Gen{xport.GenFM1, xport.GenFM2} {
-		for _, mode := range []svcload.Mode{svcload.ModeOpen, svcload.ModeClosed, svcload.ModeIncast} {
+		for _, wl := range svcWorkloads {
 			for _, n := range []int{4, 8, 16} {
 				res, err := svcload.Run(svcload.RunConfig{
 					Gen:      gen,
 					Nodes:    n,
 					FatTree:  n > 4,
-					Workload: svcWorkload(mode),
+					Workload: wl,
 				})
 				if err != nil {
-					return fmt.Errorf("bench: svc %s/%s/%d: %w", gen, mode, n, err)
+					return fmt.Errorf("bench: svc %s/%s/%d: %w", gen, wl.Mode, n, err)
 				}
 				if len(res.Errors) > 0 {
-					return fmt.Errorf("bench: svc %s/%s/%d: %s", gen, mode, n, res.Errors[0])
+					return fmt.Errorf("bench: svc %s/%s/%d: %s", gen, wl.Mode, n, res.Errors[0])
 				}
 				fmt.Fprintf(w, "  %-4s %-7s %6d  %9.1f  %9.1f  %9.1f  %9.1f  %12.0f\n",
-					gen, mode, n,
+					gen, wl.Mode, n,
 					float64(res.P50NS)/1e3, float64(res.P99NS)/1e3,
 					float64(res.P999NS)/1e3, float64(res.MaxNS)/1e3, res.GoodputRPS)
 			}
@@ -92,7 +80,7 @@ func SvcCapture(w io.Writer) (svcload.Result, error) {
 		Gen:       xport.GenFM2,
 		Nodes:     8,
 		FatTree:   true,
-		Workload:  svcWorkload(svcload.ModeOpen),
+		Workload:  svcWorkloads[0],
 		CaptureTo: w,
 	})
 }

@@ -72,7 +72,13 @@ func (c *Comm) send(p *sim.Proc, dst int, hdr, payload []byte) error {
 func (c *Comm) handler(p *sim.Proc, s xport.RecvStream) {
 	var hdr [HeaderSize]byte
 	s.Receive(p, hdr[:])
-	srcRank, tag, n, _ := decodeHeader(hdr[:])
+	srcRank, tag, n := decodeHeader(hdr[:])
+	if n < 0 || n > s.Remaining() {
+		// The header promises a payload the message does not carry: nothing
+		// in it can be trusted to size a buffer or a slice.
+		s.ReceiveDiscard(p, s.Remaining())
+		return
+	}
 	if req := c.takePosted(srcRank, tag); req != nil {
 		m := n
 		if m > len(req.buf) {

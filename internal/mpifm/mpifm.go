@@ -44,11 +44,8 @@ const (
 // HeaderSize is the MPI-FM message header: 6 words.
 const HeaderSize = 24
 
-// Header layout: srcRank(4) tag(4) context(4) payloadLen(4) seq(4) kind(4).
-const (
-	kindPt2Pt = iota
-	kindBarrier
-)
+// Header layout: srcRank(4) tag(4) context(4) payloadLen(4) seq(4)
+// reserved(4, zero).
 
 // Overheads is the per-message cost of the MPI layer itself, distinct from
 // data movement: argument checking, matching, request bookkeeping.
@@ -204,7 +201,7 @@ func (c *Comm) Host() *hostmodel.Host { return c.host }
 
 // encodeHeader fills the Comm's header scratch; the slice is valid until
 // the next encodeHeader call (the transport gathers it synchronously).
-func (c *Comm) encodeHeader(tag int, n int, kind int32) []byte {
+func (c *Comm) encodeHeader(tag int, n int) []byte {
 	h := c.hdrScratch[:]
 	binary.LittleEndian.PutUint32(h[0:], uint32(int32(c.rank)))
 	binary.LittleEndian.PutUint32(h[4:], uint32(int32(tag)))
@@ -212,15 +209,13 @@ func (c *Comm) encodeHeader(tag int, n int, kind int32) []byte {
 	binary.LittleEndian.PutUint32(h[12:], uint32(int32(n)))
 	c.seq++
 	binary.LittleEndian.PutUint32(h[16:], uint32(c.seq))
-	binary.LittleEndian.PutUint32(h[20:], uint32(kind))
 	return h
 }
 
-func decodeHeader(h []byte) (src, tag, n int, kind int32) {
+func decodeHeader(h []byte) (src, tag, n int) {
 	src = int(int32(binary.LittleEndian.Uint32(h[0:])))
 	tag = int(int32(binary.LittleEndian.Uint32(h[4:])))
 	n = int(int32(binary.LittleEndian.Uint32(h[12:])))
-	kind = int32(binary.LittleEndian.Uint32(h[20:]))
 	return
 }
 
@@ -241,7 +236,7 @@ func (c *Comm) Send(p *sim.Proc, buf []byte, dst, tag int) error {
 		return fmt.Errorf("mpifm: negative tag %d", tag)
 	}
 	p.Delay(c.ov.Send)
-	hdr := c.encodeHeader(tag, len(buf), kindPt2Pt)
+	hdr := c.encodeHeader(tag, len(buf))
 	if err := c.send(p, dst, hdr, buf); err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package mpifm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -492,4 +493,63 @@ func TestSelfSend(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestForgedHeaderLengths: the payload length in an MPI header is a claim
+// from the wire. A message whose header promises a payload it does not carry
+// (negative, or longer than what follows) is discarded before the length
+// sizes a slice or a buffer — on the posted path and on the unexpected one —
+// and the genuine message behind it is the one the receive gets. The forged
+// messages go through xport.Send on the MPI layer's own HandlerSpace.
+func TestForgedHeaderLengths(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		n      int32
+		posted bool
+	}{
+		{"negative, posted", -1, true},
+		{"negative, unexpected", -1, false},
+		{"longer than the message, posted", 1 << 20, true},
+		{"longer than the message, unexpected", 1 << 20, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bothWorlds(t, 2, func(t *testing.T, k *sim.Kernel, comms []*Comm) {
+				k.Spawn("rank0", func(p *sim.Proc) {
+					forged := append(comms[0].encodeHeader(7, 0), "evil"...)
+					binary.LittleEndian.PutUint32(forged[12:], uint32(tc.n))
+					if err := xport.Send(p, comms[0].t, 1, mpiHandlerID, forged); err != nil {
+						t.Error(err)
+					}
+					for _, tag := range []int{7, 9} {
+						if err := comms[0].Send(p, []byte("real"), 1, tag); err != nil {
+							t.Error(err)
+						}
+					}
+				})
+				k.Spawn("rank1", func(p *sim.Proc) {
+					buf := make([]byte, 64)
+					if !tc.posted {
+						// Waiting on tag 9 first lets both tag-7 messages
+						// arrive with no receive posted for them.
+						if _, err := comms[1].Recv(p, buf, 0, 9); err != nil {
+							t.Error(err)
+						}
+					}
+					st, err := comms[1].Recv(p, buf, 0, 7)
+					if err != nil || st.Len != 4 || string(buf[:4]) != "real" {
+						t.Errorf("receive got %+v %q (err %v), want the genuine 4-byte message", st, buf[:4], err)
+					}
+					if tc.posted {
+						comms[1].Recv(p, buf, 0, 9)
+					}
+				})
+				if err := k.RunUntil(sim.Second); err != nil {
+					t.Fatal(err)
+				}
+				if k.Live() != 0 {
+					t.Fatalf("%d procs never finished", k.Live())
+				}
+			})
+		})
+	}
 }

@@ -1,8 +1,6 @@
 package scenario
 
 import (
-	"fmt"
-
 	fmnet "repro"
 	"repro/internal/xport"
 )
@@ -25,162 +23,24 @@ const defaultDrainMS = 5
 // fixed by the deterministic event schedule.
 type runner struct {
 	spec Spec
+	pat  *pattern
+	seed int64
 	s    *fmnet.Session
 
 	targets [][]int // per-rank destination list, one message per entry per round
 	expect  []int64 // per-rank expected receive count
-	recv    []int64 // per-rank received count (handler increments)
+	recv    []int64 // per-rank received count
 	done    []bool  // per-rank completion flag (the watchdog's progress meter)
 	waits   []rankWait
 	sent    int64
 	errs    []string // send/collective errors, in event order
 }
 
-// planTraffic fills targets/expect from the pattern. Patterns are closed
-// formulas, not RNG draws, so the offered load is identical across seeds —
-// only the fault schedule varies.
-func (r *runner) planTraffic() error {
-	n := r.spec.Nodes
-	t := r.spec.Traffic
-	r.targets = make([][]int, n)
-	r.expect = make([]int64, n)
-	switch t.Pattern {
-	case "ring":
-		for rank := 0; rank < n; rank++ {
-			r.targets[rank] = []int{(rank + 1) % n}
-			r.expect[rank] = int64(t.Messages)
-		}
-	case "pairs":
-		for rank := 0; rank < n; rank++ {
-			partner := rank ^ 1
-			if partner < n {
-				r.targets[rank] = []int{partner}
-				r.expect[rank] = int64(t.Messages)
-			}
-		}
-	case "alltoall":
-		for rank := 0; rank < n; rank++ {
-			for dst := 0; dst < n; dst++ {
-				if dst != rank {
-					r.targets[rank] = append(r.targets[rank], dst)
-				}
-			}
-			r.expect[rank] = int64(t.Messages) * int64(n-1)
-		}
-	case "incast":
-		for rank := 1; rank < n; rank++ {
-			r.targets[rank] = []int{0}
-		}
-		r.expect[0] = int64(t.Messages) * int64(n-1)
-	case "allreduce":
-		// Collective rounds; expect counts completed rounds per rank.
-		for rank := 0; rank < n; rank++ {
-			r.expect[rank] = int64(t.Messages)
-		}
-	case "rpc":
-		// Placeholder until the fleet reports: the real planned/issued/
-		// completed ledger is copied from the RPC result after the run.
-		for rank := 0; rank < n; rank++ {
-			r.expect[rank] = int64(t.Messages)
-		}
-	default:
-		return fmt.Errorf("scenario %s: unknown traffic pattern %q", r.spec.Name, t.Pattern)
-	}
-	return nil
-}
-
-// payload builds a rank's deterministic message body.
-func payload(rank, size int) []byte {
-	b := make([]byte, size)
-	for i := range b {
-		b[i] = byte(rank*31 + i)
-	}
-	return b
-}
-
-// registerHandlers installs the consuming handler on every node: pull the
-// whole message (parking mid-stream if its frames were lost — exactly the
-// hang the watchdog diagnoses), then count it.
-func (r *runner) registerHandlers() {
-	for node := 0; node < r.spec.Nodes; node++ {
-		node := node
-		sp := r.s.Space(node, svcName)
-		sp.Register(trafficHandler, func(p *fmnet.Proc, st fmnet.RecvStream) {
-			st.ReceiveDiscard(p, st.Length())
-			r.recv[node]++
-		})
-	}
-}
-
-// rankWait is the condition of a rank's closed-loop receive wait: every
-// expected message counted. One per rank for the run — the wait evaluates it
-// from the kernel's dispatcher, so it is a value that outlives the call.
-type rankWait struct {
-	r    *runner
-	rank int
-}
-
-func (w *rankWait) Done() bool { return w.r.recv[w.rank] >= w.r.expect[w.rank] }
-
-// drained is the condition of the open-loop drain: nothing but its deadline
-// ends it.
-type drained struct{}
-
-func (drained) Done() bool { return false }
-
 // runRank is one rank's traffic proc.
 func (r *runner) runRank(rank int, p *fmnet.Proc) {
-	if r.spec.Traffic.Pattern == "allreduce" {
-		r.runAllreduce(rank, p)
+	if err := r.pat.rank(r, rank, p); err != nil {
+		r.errs = append(r.errs, err.Error())
 		return
-	}
-	if r.spec.Traffic.Pattern == "rpc" {
-		// The fleet's driver is the whole rank: client schedule, shard
-		// server, and drain window all run inside RunNode.
-		r.s.RPC().RunNode(p, rank)
-		r.done[rank] = true
-		return
-	}
-	t := r.spec.Traffic
-	sp := r.s.Space(rank, svcName)
-	body := payload(rank, t.Size)
-	for m := 0; m < t.Messages; m++ {
-		for _, dst := range r.targets[rank] {
-			if err := fmnet.Send(p, sp, dst, trafficHandler, body); err != nil {
-				r.errs = append(r.errs, fmt.Sprintf("rank %d send to %d: %v", rank, dst, err))
-				return
-			}
-			r.sent++
-			sp.Extract(p, 0)
-		}
-	}
-	if t.OpenLoop {
-		drainMS := t.DrainMS
-		if drainMS == 0 {
-			drainMS = defaultDrainMS
-		}
-		sp.WaitPaced(p, 0, drained{}, xport.Pace{Gap: pollGap, Deadline: p.Now() + msTime(drainMS)})
-	} else {
-		// Closed loop: wait for every expected message. Under loss this
-		// never terminates — the watchdog converts the spin into a
-		// diagnosed hang at the virtual-time budget.
-		sp.WaitPaced(p, 0, &r.waits[rank], xport.Pace{Gap: pollGap})
-	}
-	r.done[rank] = true
-}
-
-// runAllreduce drives collective rounds over the MPI service.
-func (r *runner) runAllreduce(rank int, p *fmnet.Proc) {
-	c := r.s.MPI(rank)
-	size := (r.spec.Traffic.Size + 3) &^ 3 // OpSumU32 wants whole words
-	in, out := payload(rank, size), make([]byte, size)
-	for m := 0; m < r.spec.Traffic.Messages; m++ {
-		if err := c.Allreduce(p, in, out, fmnet.OpSumU32); err != nil {
-			r.errs = append(r.errs, fmt.Sprintf("rank %d allreduce round %d: %v", rank, m, err))
-			return
-		}
-		r.sent++
-		r.recv[rank]++
 	}
 	r.done[rank] = true
 }
@@ -191,7 +51,8 @@ func (r *runner) runAllreduce(rank int, p *fmnet.Proc) {
 func Run(spec Spec, campaignSeed int64) Report {
 	seed := ScenarioSeed(campaignSeed, spec.Name)
 	rep := Report{Scenario: spec.Name, Seed: seed, Ranks: spec.Nodes}
-	if err := spec.Validate(); err != nil {
+	pat, err := spec.check()
+	if err != nil {
 		rep.Outcome = OutcomeError
 		rep.fail("%v", err)
 		return rep
@@ -204,16 +65,7 @@ func Run(spec Spec, campaignSeed int64) Report {
 	} else {
 		opts = append(opts, fmnet.FM2())
 	}
-	switch spec.Traffic.Pattern {
-	case "allreduce":
-		opts = append(opts, fmnet.WithMPI())
-	case "rpc":
-		opts = append(opts, fmnet.WithRPC(fmnet.RPCConfig{
-			ServiceTime: fmnet.Time(spec.Traffic.ServiceUS * float64(fmnet.Microsecond)),
-		}))
-	default:
-		opts = append(opts, fmnet.WithService(svcName))
-	}
+	opts = append(opts, pat.service(spec.Traffic))
 	if plan := spec.faultPlan(seed); plan != nil {
 		opts = append(opts, fmnet.WithFaults(*plan))
 	}
@@ -229,46 +81,14 @@ func Run(spec Spec, campaignSeed int64) Report {
 	defer s.Kernel().Shutdown()
 
 	r := &runner{
-		spec:  spec,
-		s:     s,
-		recv:  make([]int64, spec.Nodes),
-		done:  make([]bool, spec.Nodes),
-		waits: make([]rankWait, spec.Nodes),
+		spec: spec, pat: pat, seed: seed, s: s,
+		recv: make([]int64, spec.Nodes),
+		done: make([]bool, spec.Nodes),
 	}
-	for rank := range r.waits {
-		r.waits[rank] = rankWait{r: r, rank: rank}
-	}
-	if err := r.planTraffic(); err != nil {
+	if err := pat.prepare(r); err != nil {
 		rep.Outcome = OutcomeError
 		rep.fail("%v", err)
 		return rep
-	}
-	switch spec.Traffic.Pattern {
-	case "allreduce":
-		// MPI installs its own handlers.
-	case "rpc":
-		// The workload seed is the scenario seed: the same derivation that
-		// decorrelates fault schedules decorrelates request schedules.
-		t := spec.Traffic
-		mode := fmnet.RPCOpen
-		switch t.RPCMode {
-		case "closed":
-			mode = fmnet.RPCClosed
-		case "incast":
-			mode = fmnet.RPCIncast
-		}
-		if err := s.RPC().Plan(fmnet.RPCWorkload{
-			Mode: mode, Requests: t.Messages, RateRPS: t.RateRPS,
-			Fanout: t.Fanout, Keyspace: t.Keyspace, ZipfS: t.ZipfS,
-			ReqBytes: t.Size, RespBytes: t.RespSize,
-			Seed: seed, Drain: msTime(t.DrainMS),
-		}); err != nil {
-			rep.Outcome = OutcomeError
-			rep.fail("plan rpc workload: %v", err)
-			return rep
-		}
-	default:
-		r.registerHandlers()
 	}
 	s.SpawnRanks("scen", r.runRank)
 
@@ -278,6 +98,26 @@ func Run(spec Spec, campaignSeed int64) Report {
 	// detection is by rank completion, not by how the run stopped.
 	runErr := s.Kernel().RunUntil(spec.watchdog())
 
+	r.collect(&rep)
+	switch {
+	case runErr != nil:
+		rep.Outcome = OutcomePanic
+		rep.fail("crash: %v", runErr)
+	case rep.RanksDone == rep.Ranks:
+		rep.Outcome = OutcomeComplete
+	default:
+		rep.Outcome = OutcomeWatchdog
+		rep.Hang = r.diagnoseHang()
+	}
+
+	rep.evaluate(spec.Assert)
+	return rep
+}
+
+// collect fills the report's run shape, delivery ledger and fault
+// accounting from the stopped session.
+func (r *runner) collect(rep *Report) {
+	s := r.s
 	rep.VirtualNS = int64(s.Now())
 	rep.Events = s.Kernel().Events()
 	for _, d := range r.done {
@@ -293,18 +133,8 @@ func Run(spec Spec, campaignSeed int64) Report {
 		rep.MsgsExpected += e
 	}
 	rep.Failures = append(rep.Failures, r.errs...)
-	if spec.Traffic.Pattern == "rpc" {
-		res := s.RPC().Result()
-		rep.MsgsSent = res.Issued
-		rep.MsgsRecvd = res.Completed
-		rep.MsgsExpected = res.Planned
-		rep.Failures = append(rep.Failures, res.Errors...)
-		rep.RPC = &RPCStats{
-			Planned: res.Planned, Issued: res.Issued,
-			Completed: res.Completed, Abandoned: res.Abandoned,
-			P50NS: res.P50NS, P99NS: res.P99NS, P999NS: res.P999NS,
-			MaxNS: res.MaxNS, GoodputRPS: res.GoodputRPS,
-		}
+	if r.pat.report != nil {
+		*rep = r.pat.report(r, *rep)
 	}
 
 	fab := s.Fabric()
@@ -314,7 +144,7 @@ func Run(spec Spec, campaignSeed int64) Report {
 		rep.Corrupted += st.Corrupted
 		rep.DownDropped += st.DownDropped
 	}
-	for node := 0; node < spec.Nodes; node++ {
+	for node := 0; node < r.spec.Nodes; node++ {
 		nst := s.NICStats(node)
 		rep.CRCDropped += nst.CRCDropped
 		rep.RingDropped += nst.RingDropped
@@ -328,20 +158,6 @@ func Run(spec Spec, campaignSeed int64) Report {
 			Src: lf.Src, Dst: lf.Dst, Ctrl: lf.Ctrl, Cause: lf.Cause, Count: lf.Count,
 		})
 	}
-
-	switch {
-	case runErr != nil:
-		rep.Outcome = OutcomePanic
-		rep.fail("crash: %v", runErr)
-	case rep.RanksDone == rep.Ranks:
-		rep.Outcome = OutcomeComplete
-	default:
-		rep.Outcome = OutcomeWatchdog
-		rep.Hang = r.diagnoseHang()
-	}
-
-	rep.evaluate(spec.Assert)
-	return rep
 }
 
 // diagnoseHang snapshots the stalled run: the post-mortem a hung test never

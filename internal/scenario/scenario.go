@@ -46,16 +46,17 @@ type Traffic struct {
 	// OpenLoop sends without waiting for receive completion, then drains
 	// until the drain window closes. Closed-loop (the default) waits for
 	// every expected message — under loss it hangs by design, and the
-	// watchdog turns the hang into a diagnostic. (Raw patterns only; rpc
-	// arrival behavior is RPCMode's.)
+	// watchdog turns the hang into a diagnostic. (Raw patterns only, an
+	// error on the others; rpc arrival behavior is RPCMode's.)
 	OpenLoop bool `json:"open_loop,omitempty"`
 	// DrainMS is the open-loop drain window in virtual milliseconds after a
 	// rank's last send (default 5). For rpc it bounds how long clients wait
 	// on outstanding requests after their last arrival before abandoning
-	// them — required for rpc scenarios that inject loss.
+	// them — required for rpc scenarios that inject loss. A pattern with no
+	// drain (allreduce) rejects it.
 	DrainMS float64 `json:"drain_ms,omitempty"`
 
-	// RPC-only fields (pattern "rpc").
+	// Fields only the rpc pattern reads.
 
 	// RPCMode is the arrival model: open (default), closed, or incast.
 	RPCMode string `json:"rpc_mode,omitempty"`
@@ -108,7 +109,7 @@ type Assert struct {
 	// ZeroLoss requires a clean fabric: no drops, corruption, or leaks.
 	ZeroLoss bool `json:"zero_loss,omitempty"`
 
-	// Tail-latency assertions (pattern "rpc" only), in virtual milliseconds
+	// Tail-latency assertions (rpc pattern only), in virtual milliseconds
 	// over completed requests.
 	MaxP99MS  float64 `json:"max_p99_ms,omitempty"`
 	MaxP999MS float64 `json:"max_p999_ms,omitempty"`
@@ -140,12 +141,6 @@ type Spec struct {
 // DefaultWatchdogMS is the virtual-time budget when the spec sets none.
 const DefaultWatchdogMS = 50
 
-// knownPatterns names the traffic drivers.
-var knownPatterns = map[string]bool{
-	"ring": true, "pairs": true, "alltoall": true, "incast": true, "allreduce": true,
-	"rpc": true,
-}
-
 // topo maps the scenario-file topology name onto fmnet ("" is single).
 func (s *Spec) topo() (fmnet.Topo, error) {
 	if s.Topology == "" {
@@ -160,69 +155,62 @@ func (s *Spec) topo() (fmnet.Topo, error) {
 
 // Validate checks the spec without building anything.
 func (s *Spec) Validate() error {
+	_, err := s.check()
+	return err
+}
+
+// check is Validate, handing back the traffic pattern's row so a run looks
+// it up once.
+func (s *Spec) check() (*pattern, error) {
 	if s.Name == "" {
-		return fmt.Errorf("scenario: missing name")
+		return nil, fmt.Errorf("scenario: missing name")
 	}
 	if s.Nodes < 2 {
-		return fmt.Errorf("scenario %s: need at least 2 nodes", s.Name)
+		return nil, fmt.Errorf("scenario %s: need at least 2 nodes", s.Name)
 	}
 	if _, err := s.topo(); err != nil {
-		return err
+		return nil, err
 	}
 	if s.FM != 0 && s.FM != 1 && s.FM != 2 {
-		return fmt.Errorf("scenario %s: fm must be 1 or 2, not %d", s.Name, s.FM)
+		return nil, fmt.Errorf("scenario %s: fm must be 1 or 2, not %d", s.Name, s.FM)
 	}
-	if !knownPatterns[s.Traffic.Pattern] {
-		return fmt.Errorf("scenario %s: unknown traffic pattern %q", s.Name, s.Traffic.Pattern)
+	pat, ok := patterns[s.Traffic.Pattern]
+	if !ok {
+		return nil, fmt.Errorf("scenario %s: unknown traffic pattern %q", s.Name, s.Traffic.Pattern)
 	}
 	if s.Traffic.Messages <= 0 {
-		return fmt.Errorf("scenario %s: traffic needs messages > 0", s.Name)
+		return nil, fmt.Errorf("scenario %s: traffic needs messages > 0", s.Name)
 	}
 	if s.Traffic.Size <= 0 {
-		return fmt.Errorf("scenario %s: traffic needs size > 0", s.Name)
+		return nil, fmt.Errorf("scenario %s: traffic needs size > 0", s.Name)
 	}
 	if s.WatchdogMS < 0 || s.Traffic.DrainMS < 0 {
-		return fmt.Errorf("scenario %s: negative time budget", s.Name)
-	}
-	t := s.Traffic
-	if t.Pattern == "rpc" {
-		switch t.RPCMode {
-		case "", "open", "closed", "incast":
-		default:
-			return fmt.Errorf("scenario %s: rpc_mode must be open, closed, or incast, not %q", s.Name, t.RPCMode)
-		}
-		if t.RPCMode != "closed" && t.RateRPS <= 0 {
-			return fmt.Errorf("scenario %s: rpc pattern needs rate_rps > 0 (or rpc_mode \"closed\")", s.Name)
-		}
-		if t.Fanout < 0 || t.Fanout > s.Nodes {
-			return fmt.Errorf("scenario %s: fanout %d outside [0, %d]", s.Name, t.Fanout, s.Nodes)
-		}
-		if t.Keyspace < 0 || t.ZipfS < 0 || t.RespSize < 0 || t.ServiceUS < 0 {
-			return fmt.Errorf("scenario %s: negative rpc field", s.Name)
-		}
-	} else {
-		if t.RPCMode != "" || t.RateRPS != 0 || t.Fanout != 0 || t.Keyspace != 0 ||
-			t.ZipfS != 0 || t.RespSize != 0 || t.ServiceUS != 0 {
-			return fmt.Errorf("scenario %s: rpc_* traffic fields need pattern \"rpc\"", s.Name)
-		}
-		if s.Assert.MaxP99MS != 0 || s.Assert.MaxP999MS != 0 || s.Assert.MinCompleted != 0 {
-			return fmt.Errorf("scenario %s: tail-latency assertions need pattern \"rpc\"", s.Name)
-		}
+		return nil, fmt.Errorf("scenario %s: negative time budget", s.Name)
 	}
 	if s.Assert.MaxP99MS < 0 || s.Assert.MaxP999MS < 0 || s.Assert.MinCompleted < 0 {
-		return fmt.Errorf("scenario %s: negative assertion bound", s.Name)
+		return nil, fmt.Errorf("scenario %s: negative assertion bound", s.Name)
+	}
+	// A field the pattern never reads is a typoed assertion silently not
+	// checked, or a knob silently not turned: worse than an error.
+	if f := s.unread(pat.reads); f != "" {
+		return nil, fmt.Errorf("scenario %s: pattern %q does not read %s", s.Name, s.Traffic.Pattern, f)
+	}
+	if pat.check != nil {
+		if err := pat.check(*s); err != nil {
+			return nil, err
+		}
 	}
 	switch s.Assert.Outcome {
 	case "", OutcomeComplete, OutcomeWatchdog:
 	default:
-		return fmt.Errorf("scenario %s: assert.outcome must be %q or %q", s.Name, OutcomeComplete, OutcomeWatchdog)
+		return nil, fmt.Errorf("scenario %s: assert.outcome must be %q or %q", s.Name, OutcomeComplete, OutcomeWatchdog)
 	}
 	if fp := s.faultPlan(0); fp != nil {
 		if err := fp.Validate(); err != nil {
-			return fmt.Errorf("scenario %s: %v", s.Name, err)
+			return nil, fmt.Errorf("scenario %s: %v", s.Name, err)
 		}
 	}
-	return nil
+	return pat, nil
 }
 
 // msTime converts scenario-file milliseconds to virtual time.

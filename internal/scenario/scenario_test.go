@@ -167,6 +167,30 @@ func TestAllreducePatternRuns(t *testing.T) {
 // fabric: tail-latency assertions evaluate against the RPC section, the
 // delivery ledger maps to the fleet's planned/issued/completed counters,
 // and same-seed reports are bit-identical on both FM bindings.
+// TestEveryPatternRunsClean ranges over the pattern table, so a new row is
+// run on both FM generations without anyone adding it to a list: the
+// smallest spec the row accepts (one-packet messages) completes, delivers
+// everything it expected and leaves the fabric clean.
+func TestEveryPatternRunsClean(t *testing.T) {
+	for name, pat := range patterns {
+		for _, fm := range []int{1, 2} {
+			spec := Spec{
+				Name: "clean-" + name, Nodes: 5, FM: fm,
+				Traffic: Traffic{Pattern: name, Messages: 3, Size: 64},
+				Assert:  Assert{Outcome: OutcomeComplete, AllDelivered: true, ZeroLoss: true},
+			}
+			if pat.reads&fRPC != 0 {
+				spec.Traffic.RateRPS = 20_000
+			}
+			rep := Run(spec, DefaultSeed)
+			if !rep.Passed || rep.MsgsExpected == 0 {
+				t.Errorf("%s on fm%d: outcome %s, delivered %d of %d: %v",
+					name, fm, rep.Outcome, rep.MsgsRecvd, rep.MsgsExpected, rep.Failures)
+			}
+		}
+	}
+}
+
 func TestRPCScenarioCleanTailLatency(t *testing.T) {
 	for _, fm := range []int{1, 2} {
 		spec := Spec{
@@ -251,6 +275,10 @@ func TestSpecValidateRejectsGarbage(t *testing.T) {
 		{Name: "x", Nodes: 4, Traffic: Traffic{Pattern: "ring", Messages: 1, Size: 1, RateRPS: 1000}},
 		{Name: "x", Nodes: 4, Traffic: Traffic{Pattern: "ring", Messages: 1, Size: 1}, Assert: Assert{MaxP99MS: 1}},
 		{Name: "x", Nodes: 4, Traffic: Traffic{Pattern: "rpc", Messages: 1, Size: 1, RateRPS: 1}, Assert: Assert{MaxP99MS: -1}},
+		// A field the pattern's row does not read is an error, not a no-op.
+		{Name: "x", Nodes: 4, Traffic: Traffic{Pattern: "rpc", Messages: 1, Size: 1, RateRPS: 1, OpenLoop: true}},
+		{Name: "x", Nodes: 4, Traffic: Traffic{Pattern: "allreduce", Messages: 1, Size: 4, OpenLoop: true}},
+		{Name: "x", Nodes: 4, Traffic: Traffic{Pattern: "allreduce", Messages: 1, Size: 4, DrainMS: 2}},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {

@@ -145,6 +145,9 @@ func (g *got) Done() bool   { return !g.getting }
 
 // Get reads length bytes from (region, offset) on the target rank into buf.
 func (n *Node) Get(p *sim.Proc, target int, region uint32, offset int, buf []byte) error {
+	if limit := n.t.MaxMessage() - headerSize; len(buf) > limit {
+		return fmt.Errorf("shmem: get of %d bytes exceeds what one response carries (%d)", len(buf), limit)
+	}
 	n.getReq = n.nextReq
 	n.nextReq++
 	n.getBuf, n.getting = buf, true
@@ -177,7 +180,7 @@ func (n *Node) handler(p *sim.Proc, s xport.RecvStream) {
 	switch kind {
 	case kindPut:
 		mem, ok := n.regions[region]
-		if !ok || off < 0 || off+length > len(mem) {
+		if !ok || length > s.Remaining() || off+length > len(mem) {
 			s.ReceiveDiscard(p, s.Remaining())
 			return
 		}
@@ -194,6 +197,9 @@ func (n *Node) handler(p *sim.Proc, s xport.RecvStream) {
 	case kindPutAck:
 		n.pending--
 	case kindGetReq:
+		if length > n.t.MaxMessage()-headerSize {
+			return // no response can carry it, so no Get asked for it
+		}
 		mem, ok := n.regions[region]
 		n.stats.RemoteGetReqs++
 		resp := n.encode(kindGetResp, region, off, length, req)
@@ -209,7 +215,7 @@ func (n *Node) handler(p *sim.Proc, s xport.RecvStream) {
 			panic(fmt.Sprintf("shmem: get response failed: %v", err))
 		}
 	case kindGetResp:
-		if !n.getting || req != n.getReq {
+		if !n.getting || req != n.getReq || length > len(n.getBuf) || length > s.Remaining() {
 			s.ReceiveDiscard(p, s.Remaining())
 			return
 		}

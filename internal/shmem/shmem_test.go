@@ -191,3 +191,76 @@ func TestBidirectionalPuts(t *testing.T) {
 		t.Fatal("bidirectional puts did not land")
 	}
 }
+
+// TestForgedHeaderLengths: every length in a shmem header is a claim from
+// the wire. A put or a get response that promises more payload than the
+// message carries, a get response longer than the buffer waiting for it, and
+// a get request no response could answer are discarded before the length
+// sizes a slice or an allocation; the genuine Get running meanwhile still
+// completes. The forged messages go through xport.Send on the shmem layer's
+// own HandlerSpace.
+func TestForgedHeaderLengths(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		kind   int
+		length func(n *Node) int
+	}{
+		{"put longer than the message", kindPut, func(*Node) int { return 64 }},
+		{"get response longer than the message", kindGetResp, func(*Node) int { return 8 }},
+		{"get response longer than the buffer", kindGetResp, func(*Node) int { return 1 << 20 }},
+		{"get request no response can carry", kindGetReq, func(n *Node) int { return n.t.MaxMessage() - headerSize + 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k, ns := nodes(2)
+			want := bytes.Repeat([]byte{0xAB}, 64)
+			ns[0].Register(1, want)
+			ns[1].Register(1, make([]byte, 64))
+			done := false
+			k.Spawn("forger", func(p *sim.Proc) {
+				// Request ID 0 is the one the victim's first Get waits on.
+				forged := append(ns[0].encode(tc.kind, 1, 0, tc.length(ns[0]), 0), "evil"...)
+				if err := xport.Send(p, ns[0].t, 1, shmemHandlerID, forged); err != nil {
+					t.Error(err)
+				}
+				serve(p, ns[0], func() bool { return done })
+			})
+			k.Spawn("victim", func(p *sim.Proc) {
+				buf := make([]byte, 8)
+				if err := ns[1].Get(p, 0, 1, 0, buf); err != nil {
+					t.Error(err)
+				}
+				if !bytes.Equal(buf, want[:8]) {
+					t.Errorf("get returned %x, want the region's bytes", buf)
+				}
+				for i := 0; i < 50; i++ {
+					ns[1].Progress(p)
+					p.Delay(sim.Microsecond)
+				}
+				done = true
+			})
+			if err := k.RunUntil(sim.Second); err != nil {
+				t.Fatal(err)
+			}
+			if k.Live() != 0 {
+				t.Fatalf("%d procs never finished", k.Live())
+			}
+			if st := ns[1].Stats(); st.RemotePuts != 0 || st.RemoteGetReqs != 0 {
+				t.Errorf("forged message was served: %+v", st)
+			}
+		})
+	}
+}
+
+// TestGetLargerThanAResponse: a Get no single response can carry is refused
+// at the origin instead of wedging on a request the target must drop.
+func TestGetLargerThanAResponse(t *testing.T) {
+	k, ns := nodes(2)
+	k.Spawn("origin", func(p *sim.Proc) {
+		if err := ns[0].Get(p, 1, 1, 0, make([]byte, ns[0].t.MaxMessage())); err == nil {
+			t.Error("oversize get accepted")
+		}
+	})
+	if err := k.RunUntil(sim.Second); err != nil || k.Live() != 0 {
+		t.Fatalf("run: %v, %d procs never finished", err, k.Live())
+	}
+}

@@ -37,9 +37,6 @@ func (s *Signal) Broadcast() {
 	}
 }
 
-// Waiters reports how many Procs are parked on the Signal.
-func (s *Signal) Waiters() int { return s.q.len() }
-
 // Resource is a counted resource (CPU, bus, DMA engine, buffer slots) with
 // strictly FIFO granting: a small request queued behind a large one does not
 // jump the queue, matching the in-order service of the buses being modeled.
