@@ -182,7 +182,8 @@
 // reads poison rather than stale data. Stream records, handler worker
 // coroutines, accounting wrappers, staging and header buffers all recycle
 // the same way, and the kernel schedules by direct handoff (at most one
-// goroutine switch per event, hole-sifting event heap, ring-buffer channels).
+// goroutine switch per event, hole-sifting event heap, poll ticks in
+// per-period FIFO lanes beside it, ring-buffer channels).
 //
 // The kernel's guarantee is that at most one Proc executes at any instant.
 // Two kinds of event cost no goroutine switch at all, because the dispatcher
@@ -220,7 +221,11 @@
 // among equal timestamps — the norm when 256 ranks enter a round together —
 // is untouched. Computing the next useful tick ahead of time would queue
 // the wake at a different moment and the schedule would no longer be
-// provably the same.
+// provably the same. What a tick does not do is enter the event heap: ticks
+// wait in one FIFO lane per poll period, each already in (t, seq) order
+// because it is filled at now+period with ever-growing seq, and the
+// dispatcher takes the least of the heap top and the lane heads — the order
+// one heap would pop, without sifting a tick per blocked rank through it.
 //
 // A service with other work between polls paces itself — Extract, its own
 // work, Delay(gap): two events per idle turn — and that loop is one call

@@ -118,7 +118,7 @@ func TestSignalSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestPollEveryZeroAlloc pins the dispatcher-side poll tick: an idle stretch
-// of 10 000 ticks — condition call, wake re-armed in place on the heap —
+// of 10 000 ticks — condition call, wake re-armed in its period's lane —
 // allocates nothing, and neither does entering or leaving the wait.
 func TestPollEveryZeroAlloc(t *testing.T) {
 	if RaceEnabled {
@@ -159,5 +159,46 @@ func TestPollCycleZeroAlloc(t *testing.T) {
 	}
 	if allocs > alloctest.AllowStray {
 		t.Fatalf("an idle stretch of %d two-period ticks allocated %d times; must be 0", ticks, allocs)
+	}
+}
+
+// pollUntil is idle until *done.
+type pollUntil struct{ done *bool }
+
+func (c pollUntil) Idle() bool { return !*c.done }
+
+// TestPollLanesZeroAlloc pins the lanes themselves: two pollers on two
+// periods, one entering and leaving 1 000 short waits that alternate both
+// lanes, the other idle on the slower one throughout. Each lane's ring wraps
+// hundreds of times over; a lane that grew, or was re-opened, per wait would
+// show here.
+func TestPollLanesZeroAlloc(t *testing.T) {
+	if RaceEnabled {
+		t.Skip("alloc pins don't hold under the race detector's instrumentation")
+	}
+	const waits = 1000
+	k := NewKernel()
+	var allocs uint64
+	done := false
+	k.Spawn("background", func(p *Proc) { p.PollEvery(3*Microsecond, pollUntil{&done}) })
+	k.Spawn("poller", func(p *Proc) {
+		c := idleFor(10)
+		stretches := func() {
+			for i := 0; i < waits; i++ {
+				p.PollCycle(Microsecond, 3*Microsecond, c)
+			}
+		}
+		stretches() // warm-up: both lanes opened, rings sized
+		allocs = alloctest.MinMallocs(stretches)
+		done = true
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(k.lanes) != 2 {
+		t.Fatalf("%d lanes, want 2", len(k.lanes))
+	}
+	if allocs > alloctest.AllowStray {
+		t.Fatalf("%d waits over two poll lanes allocated %d times; must be 0", waits, allocs)
 	}
 }

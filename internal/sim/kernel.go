@@ -7,8 +7,9 @@
 // timestamps). Shared simulation state therefore needs no locking, and every
 // run is bit-for-bit reproducible.
 //
-// Two things run outside a Proc's own goroutine, on whichever goroutine holds
-// the control token, because the dispatcher runs them itself. Neither is an
+// The dispatcher owns three things beyond popping the next event. The first
+// two run outside a Proc's own goroutine, on whichever goroutine holds the
+// control token, because the dispatcher runs them itself. Neither is an
 // exception to the guarantee — the token is still held by exactly one
 // goroutine — they just spare an event its goroutine switch:
 //
@@ -24,6 +25,13 @@
 //     the same events, so a loop rewritten as a Machine leaves the (t, seq)
 //     schedule and Events() exactly as they were. The per-packet service
 //     loops (NIC firmware, switch forwarders) are Machines.
+//
+// The third is where poll ticks wait: not in the event heap but in one FIFO
+// lane per period beside it. A tick of period d is queued at now+d with the
+// next seq, and since now never goes back and seq only grows, each lane is
+// already in (t, seq) order; the dispatcher takes the least of the heap top
+// and the lane heads, so events run in exactly the order one heap would pop
+// them, without sifting hundreds of re-armed ticks through it.
 //
 // The kernel is the substitute for real hardware concurrency in this
 // reproduction: host CPUs, NIC firmware, DMA engines, and wires are all Procs
@@ -118,30 +126,40 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// replaceTop overwrites the minimum with e and restores heap order: the
-// fused pop+push of a re-armed poll tick, one sift-down instead of a
-// sift-down and a sift-up. (t, seq) is a total order, so what pops next is
-// what pop followed by push would have popped. The sift is pop's, repeated
-// rather than shared: routed through a call here, pop measured about 1 %
-// of host time slower on the RPC workload.
-func (h eventHeap) replaceTop(e event) {
-	n := len(h)
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
+// lane is the FIFO of poll ticks armed with one period d (Kernel.tick). Each
+// is queued at now+d with the next seq; now never goes back and seq only
+// grows, so the lane is already in (t, seq) order and its head is its least
+// event. It is a ring, a power of two long, grown by doubling and never
+// shrunk: a drained lane keeps its backing array for the next idle stretch.
+type lane struct {
+	d    Time
+	ring []event
+	head int
+	n    int
+}
+
+// push appends a slot and returns it for the caller to fill in place: on the
+// 1024-rank allreduce, copying in an event built on the stack cost 28 % of
+// host time in that one store, against ~6 % for the whole re-arm in place.
+func (l *lane) push() *event {
+	if l.n == len(l.ring) {
+		grown := make([]event, max(2*len(l.ring), 16))
+		for i := 0; i < l.n; i++ {
+			grown[i] = l.ring[(l.head+i)&(len(l.ring)-1)]
 		}
-		if r := c + 1; r < n && evLess(&h[r], &h[c]) {
-			c = r
-		}
-		if !evLess(&h[c], &e) {
-			break
-		}
-		h[i] = h[c]
-		i = c
+		l.ring, l.head = grown, 0
 	}
-	h[i] = e
+	e := &l.ring[(l.head+l.n)&(len(l.ring)-1)]
+	l.n++
+	return e
+}
+
+func (l *lane) pop() event {
+	e := l.ring[l.head]
+	l.ring[l.head].proc = nil // a tick holds no fn: the Proc is its only reference
+	l.head = (l.head + 1) & (len(l.ring) - 1)
+	l.n--
+	return e
 }
 
 // Kernel owns the virtual clock and the event queue.
@@ -159,6 +177,7 @@ func (h eventHeap) replaceTop(e event) {
 type Kernel struct {
 	now       Time
 	eq        eventHeap
+	lanes     []lane // poll ticks, one FIFO per period, beside the heap
 	seq       uint64
 	driverCh  chan struct{} // unwind handshake: dying Proc -> unwindAll
 	doneCh    chan struct{} // terminal handoff: dispatcher -> Run
@@ -204,10 +223,24 @@ func (k *Kernel) ctx() string {
 // false when the queue is empty. The parallel engine reads this to compute
 // the lower bound on any future cross-LP message.
 func (k *Kernel) NextEventTime() (t Time, ok bool) {
-	if len(k.eq) == 0 {
-		return 0, false
+	if e, _ := k.next(); e != nil {
+		return e.t, true
 	}
-	return k.eq[0].t, true
+	return 0, false
+}
+
+// next finds the least pending event across the heap top and the lane heads,
+// and the lane holding it (nil: the heap). It is nil when nothing is queued.
+func (k *Kernel) next() (top *event, from *lane) {
+	if len(k.eq) > 0 {
+		top = &k.eq[0]
+	}
+	for i := range k.lanes {
+		if l := &k.lanes[i]; l.n > 0 && (top == nil || evLess(&l.ring[l.head], top)) {
+			top, from = &l.ring[l.head], l
+		}
+	}
+	return top, from
 }
 
 // Live reports the number of live non-daemon Procs.
@@ -237,6 +270,27 @@ func (k *Kernel) push(e event) {
 	e.seq = k.seq
 	k.seq++
 	k.eq.push(e)
+}
+
+// tick arms p's next poll tick, d from now, in the lane for d — the one place
+// a tick is queued, so none ever enters the heap. It takes its seq at this
+// moment, exactly as the Delay it stands for would have.
+func (k *Kernel) tick(p *Proc, d Time) {
+	e := k.lane(d).push()
+	e.t, e.seq, e.proc, e.gen = k.now+d, k.seq, p, p.wakeGen // fn is nil in every slot
+	k.seq++
+}
+
+// lane finds the lane for period d, or opens one. Real runs have a handful
+// of periods, so a scan is all the index they need.
+func (k *Kernel) lane(d Time) *lane {
+	for i := range k.lanes {
+		if k.lanes[i].d == d {
+			return &k.lanes[i]
+		}
+	}
+	k.lanes = append(k.lanes, lane{d: d})
+	return &k.lanes[len(k.lanes)-1]
 }
 
 // At schedules fn to run in driver context at absolute virtual time t
@@ -336,11 +390,15 @@ func (k *Kernel) run(horizon Time) error {
 // then each parking or finishing Proc's in turn.
 func (k *Kernel) dispatch() {
 	for {
-		if k.stopped || len(k.eq) == 0 {
+		var top *event
+		var l *lane
+		if !k.stopped {
+			top, l = k.next()
+		}
+		if top == nil {
 			k.doneCh <- struct{}{}
 			return
 		}
-		top := &k.eq[0]
 		if t := top.t; k.horizon != 0 && (t > k.horizon || (k.strict && t >= k.horizon)) {
 			// Past the horizon: the event stays queued (seq preserved) and
 			// the clock stops here. A strict horizon (RunBefore window)
@@ -353,19 +411,12 @@ func (k *Kernel) dispatch() {
 			return
 		}
 		k.now = top.t
-		if p := top.proc; p != nil && p.poll != nil && !p.done && top.gen == p.wakeGen && k.idle(p) {
-			// An idle tick of a Proc in PollCycle: re-arm its wake with the
-			// cycle's other period exactly as the Proc's own Delay would
-			// have — same time, the seq consumed at this same moment,
-			// wakeGen stepped as park does on resume — without switching
-			// to its goroutine.
-			p.wakeGen++
-			p.pollTick ^= 1
-			k.eq.replaceTop(event{t: k.now + p.pollEvery[p.pollTick], seq: k.seq, proc: p, gen: p.wakeGen})
-			k.seq++
-			continue
+		var ev event
+		if l != nil {
+			ev = l.pop()
+		} else {
+			ev = k.eq.pop()
 		}
-		ev := k.eq.pop()
 		if ev.fn != nil {
 			k.runFn(ev.fn)
 			continue
@@ -373,6 +424,17 @@ func (k *Kernel) dispatch() {
 		p := ev.proc
 		if p.done || ev.gen != p.wakeGen {
 			continue // stale wakeup (proc already woken another way)
+		}
+		if p.poll != nil && k.idle(p) {
+			// An idle tick of a Proc in PollCycle: re-arm its wake with the
+			// cycle's other period exactly as the Proc's own Delay would
+			// have — same time, the seq consumed at this same moment,
+			// wakeGen stepped as park does on resume — without switching
+			// to its goroutine.
+			p.wakeGen++
+			p.pollTick ^= 1
+			k.tick(p, p.pollEvery[p.pollTick])
+			continue
 		}
 		if p.mach != nil {
 			if fn, ok := p.mach.(procFunc); ok {
@@ -679,8 +741,12 @@ func (p *Proc) StartDelay(d Time) {
 // timestamps depends on the moment each wake is queued. A nil c is never
 // idle: PollCycle(d0, d1, nil) is Delay(d0).
 func (p *Proc) PollCycle(d0, d1 Time, c Idler) int {
+	if d0 < 0 || d1 < 0 { // a tick queued before now would turn the clock back
+		panic(fmt.Sprintf("sim: negative poll period (%d, %d) in proc %q", d0, d1, p.name))
+	}
 	p.poll, p.pollEvery, p.pollTick = c, [2]Time{d0, d1}, 0
-	p.Delay(d0)
+	p.k.tick(p, d0)
+	p.park()
 	p.poll = nil
 	return int(p.pollTick)
 }

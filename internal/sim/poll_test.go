@@ -204,24 +204,31 @@ func samePollRuns(t *testing.T, seed int64, panicAt int, script func(r *pollRun)
 	return sameCycleRuns(t, seed, panicAt, 0, script)
 }
 
+// sameLogs requires the Delay-loop reference's log and the fused variant's
+// to be identical, entry by entry.
+func sameLogs(t *testing.T, what string, ref, got []string) {
+	t.Helper()
+	for i := 0; i < len(ref) || i < len(got); i++ {
+		var a, b string
+		if i < len(ref) {
+			a = ref[i]
+		}
+		if i < len(got) {
+			b = got[i]
+		}
+		if a != b {
+			t.Fatalf("%s: entry %d differs\n  Delay loop: %s\n  fused:      %s", what, i, a, b)
+		}
+	}
+}
+
 // sameCycleRuns is samePollRuns for a poller pausing gap between polls.
 func sameCycleRuns(t *testing.T, seed int64, panicAt int, gap Time, script func(r *pollRun)) *pollRun {
 	t.Helper()
 	ref, got := newCycleRun(seed, false, panicAt, gap), newCycleRun(seed, true, panicAt, gap)
 	script(ref)
 	script(got)
-	for i := 0; i < len(ref.log) || i < len(got.log); i++ {
-		var a, b string
-		if i < len(ref.log) {
-			a = ref.log[i]
-		}
-		if i < len(got.log) {
-			b = got.log[i]
-		}
-		if a != b {
-			t.Fatalf("seed %d gap %v: entry %d differs\n  Delay loop: %s\n  fused:      %s", seed, gap, i, a, b)
-		}
-	}
+	sameLogs(t, fmt.Sprintf("seed %d gap %v", seed, gap), ref.log, got.log)
 	if ref.evals != got.evals {
 		t.Fatalf("seed %d gap %v: condition evaluated %d times by the loop, %d by the fused wait", seed, gap, ref.evals, got.evals)
 	}
@@ -425,6 +432,16 @@ func TestPollCycleConditionPanicNamesProc(t *testing.T) {
 	}
 }
 
+// A negative period is refused before any tick is queued: the second one
+// would otherwise be queued before now and turn the clock back.
+func TestPollCycleRejectsNegativePeriod(t *testing.T) {
+	k := NewKernel()
+	k.Spawn("p", func(p *Proc) { p.PollCycle(pollD, -1, idleFor(2)) })
+	if err := k.Run(); err == nil || !strings.Contains(err.Error(), `negative poll period (200, -1) in proc "p"`) {
+		t.Fatalf("want the negative period refused, got %s", firstLine(err))
+	}
+}
+
 // The two periods alternate from the first: an idle stretch costs one event
 // per tick, and the result is the kind of the tick that ended it.
 func TestPollCycleAlternatesPeriods(t *testing.T) {
@@ -453,4 +470,304 @@ func TestPollCycleAlternatesPeriods(t *testing.T) {
 				ticks, at, kind, k.Events(), want.at, want.kind, ticks+1)
 		}
 	}
+}
+
+// Poll ticks wait in one FIFO lane per period beside the event heap
+// (Kernel.tick). The tests below put many periods on one kernel at once —
+// lane heads interleaving with each other and with At events and Machines at
+// the same instants, and ticks left stale in their lanes by pollers woken
+// early — and hold it all to the same pollers written as Delay loops.
+
+// laneSpec is one poller of a laneRun: PollEvery(d0) when every, else
+// PollCycle(d0, d1).
+type laneSpec struct {
+	d0, d1 Time
+	every  bool
+}
+
+// lanePoller's condition is its own inbox. Kicks wake it early — through a
+// Signal when its index is even, a rendezvous Chan when odd — which leaves
+// the tick it was waiting for stale in its lane.
+type lanePoller struct {
+	laneSpec
+	r    *laneRun
+	p    *Proc
+	name string
+	in   *Chan[int]
+	sig  Signal
+	kick *Chan[int]
+	slot int
+}
+
+func (c *lanePoller) Idle() bool {
+	idle := !c.in.Ready()
+	c.r.note("%s idle=%v", c.name, idle)
+	return idle
+}
+
+// wait is the poller's wait: the fused one, or the Delay loop it stands for.
+func (c *lanePoller) wait(p *Proc, fused bool) {
+	switch {
+	case fused && c.every:
+		p.PollEvery(c.d0, c)
+		c.r.note("%s woke", c.name)
+	case fused:
+		c.r.note("%s woke on kind %d", c.name, p.PollCycle(c.d0, c.d1, c))
+	case c.every:
+		for {
+			p.Delay(c.d0)
+			if !c.Idle() {
+				break
+			}
+		}
+		c.r.note("%s woke", c.name)
+	default:
+		kind := 0
+		for {
+			p.Delay(c.d0)
+			if kind = 0; !c.Idle() {
+				break
+			}
+			p.Delay(c.d1)
+			if kind = 1; !c.Idle() {
+				break
+			}
+		}
+		c.r.note("%s woke on kind %d", c.name, kind)
+	}
+}
+
+// laneRun is one seeded simulation of pollers on many periods.
+type laneRun struct {
+	k       *Kernel
+	log     []string // every resumption and every condition evaluation, with (t, seq)
+	pollers []*lanePoller
+	early   int // kicks that found their poller inside its wait (fused runs only)
+}
+
+func (r *laneRun) note(format string, args ...any) {
+	r.log = append(r.log, fmt.Sprintf("%v #%d ", r.k.now, r.k.seq)+fmt.Sprintf(format, args...))
+}
+
+// gridMachine logs each wake and re-arms on its period, steps times.
+type gridMachine struct {
+	r     *laneRun
+	name  string
+	every Time
+	steps int
+}
+
+func (m *gridMachine) Step(p *Proc) {
+	m.r.note("%s", m.name)
+	if m.steps > 0 {
+		m.steps--
+		p.StartDelay(m.every)
+	}
+}
+
+// newLaneRun builds the scenario; every random draw is made here, before the
+// run, so both variants are handed identical inputs.
+func newLaneRun(seed int64, fused bool, specs []laneSpec) *laneRun {
+	rng := rand.New(rand.NewSource(seed))
+	k := NewKernel()
+	r := &laneRun{k: k}
+	const sends, span = 6, 40 * Microsecond
+	// onGrid lands on the 200 ns grid most pollers tick on, offGrid anywhere.
+	onGrid := func() Time { return Time(1+rng.Intn(2*int(span/pollD))) * pollD / 2 }
+	offGrid := func() Time { return Time(1 + rng.Intn(int(span))) }
+	for i, s := range specs {
+		c := &lanePoller{laneSpec: s, r: r, name: fmt.Sprintf("poller%d", i),
+			in: NewChan[int](k, sends), kick: NewChan[int](k, 0)}
+		r.pollers = append(r.pollers, c)
+		feed := make([]Time, sends)
+		for j := range feed {
+			if feed[j] = offGrid() / sends; rng.Intn(2) == 0 {
+				feed[j] = onGrid() / sends / pollD * pollD
+			}
+		}
+		k.Spawn(fmt.Sprintf("feed%d", i), func(p *Proc) {
+			for j, g := range feed {
+				p.Delay(g)
+				r.note("feed%d", i)
+				c.in.Send(p, j)
+			}
+		})
+		work := Time(rng.Intn(3)) * pollD / 2
+		c.p = k.Spawn(c.name, func(p *Proc) {
+			for got := 0; got < sends; {
+				if i%2 == 0 && c.sig.q.len() == 0 {
+					c.sig.q.push(p)
+				} else if i%2 == 1 && c.kick.recvq.len() == 0 {
+					c.kick.StartRecv(p, &c.slot)
+				}
+				c.wait(p, fused)
+				for {
+					if _, ok := c.in.TryRecv(); !ok {
+						break
+					}
+					got++
+				}
+				p.Delay(work)
+			}
+		})
+	}
+	kicks := make([]struct {
+		at Time
+		i  int
+	}, 4*len(specs))
+	for j := range kicks {
+		kicks[j].at, kicks[j].i = offGrid(), rng.Intn(len(specs))
+		if j%2 == 0 {
+			kicks[j].at = onGrid()
+		}
+	}
+	k.Spawn("kicker", func(p *Proc) {
+		for _, kk := range kicks {
+			p.Delay(kk.at / Time(len(kicks)))
+			c := r.pollers[kk.i]
+			if c.p.poll != nil {
+				r.early++
+			}
+			r.note("kick %s", c.name)
+			if kk.i%2 == 0 {
+				c.sig.Signal()
+			} else {
+				c.kick.TrySend(1)
+			}
+		}
+	})
+	for j := 0; j < 16; j++ {
+		at := onGrid()
+		k.At(at, func() { r.note("at") })
+	}
+	k.SpawnMachine("machine200ns", &gridMachine{r: r, name: "machine200ns", every: pollD, steps: int(span / pollD)})
+	k.SpawnMachine("machine1us", &gridMachine{r: r, name: "machine1us", every: Microsecond, steps: int(span / Microsecond)})
+	return r
+}
+
+func (r *laneRun) state(what string, err error) {
+	t, ok := r.k.NextEventTime()
+	r.log = append(r.log, fmt.Sprintf("%s: err=%v now=%v events=%d live=%d next=%v,%v",
+		what, firstLine(err), r.k.Now(), r.k.Events(), r.k.Live(), t, ok))
+}
+
+// sameLaneRuns drives the Delay-loop reference and the fused variant through
+// the same script and requires identical logs.
+func sameLaneRuns(t *testing.T, seed int64, specs []laneSpec, script func(r *laneRun)) *laneRun {
+	t.Helper()
+	ref, got := newLaneRun(seed, false, specs), newLaneRun(seed, true, specs)
+	script(ref)
+	script(got)
+	sameLogs(t, fmt.Sprintf("seed %d", seed), ref.log, got.log)
+	return got
+}
+
+// laneCases are the period mixes: three periods (200 ns shared by all three
+// pollers, 1 µs, 3 µs), and 64 — 48 pollers, 16 lanes shared by two of them.
+var laneCases = map[string][]laneSpec{
+	"three": {{d0: pollD, every: true}, {d0: pollD, d1: Microsecond}, {d0: pollD, d1: 3 * Microsecond}},
+	"64":    sixtyFourPeriods(),
+}
+
+func sixtyFourPeriods() []laneSpec {
+	var specs []laneSpec
+	for i := 0; i < 32; i++ {
+		specs = append(specs, laneSpec{d0: 100 + 10*Time(i), d1: 1000 + 70*Time(i)})
+	}
+	for i := 0; i < 16; i++ {
+		specs = append(specs, laneSpec{d0: 100 + 20*Time(i), every: true})
+	}
+	return specs
+}
+
+func distinctPeriods(specs []laneSpec) int {
+	seen := map[Time]bool{}
+	for _, s := range specs {
+		seen[s.d0] = true
+		if !s.every {
+			seen[s.d1] = true
+		}
+	}
+	return len(seen)
+}
+
+func TestPollLanesMatchDelayLoops(t *testing.T) {
+	for name, specs := range laneCases {
+		early := 0
+		for seed := int64(1); seed <= 12; seed++ {
+			r := sameLaneRuns(t, seed, specs, func(r *laneRun) { r.state("run", r.k.Run()) })
+			if !strings.HasPrefix(r.log[len(r.log)-1], "run: err=<nil>") {
+				t.Fatalf("%s seed %d: %s", name, seed, r.log[len(r.log)-1])
+			}
+			if len(r.k.lanes) != distinctPeriods(specs) {
+				t.Fatalf("%s seed %d: %d lanes for %d periods", name, seed, len(r.k.lanes), distinctPeriods(specs))
+			}
+			early += r.early
+		}
+		if early == 0 {
+			t.Fatalf("%s: no kick found its poller waiting; no tick was left stale", name)
+		}
+		t.Logf("%s: %d periods, %d kicks left a stale tick", name, distinctPeriods(specs), early)
+	}
+}
+
+// Bounded runs, resumed, must pause where the Delay loops do and report the
+// same earliest pending event — most often a lane's head.
+func TestPollLanesPauseAndResume(t *testing.T) {
+	for name, specs := range laneCases {
+		laneFirst := 0
+		for seed := int64(1); seed <= 12; seed++ {
+			sameLaneRuns(t, seed, specs, func(r *laneRun) {
+				rng := rand.New(rand.NewSource(seed))
+				for at := Time(0); at < 45*Microsecond; {
+					at += Time(1 + rng.Intn(int(2*Microsecond)))
+					if rng.Intn(2) == 0 {
+						at = at / pollD * pollD // on a tick instant
+					}
+					if rng.Intn(2) == 0 {
+						r.state(fmt.Sprintf("until %v", at), r.k.RunUntil(at))
+					} else {
+						r.state(fmt.Sprintf("before %v", at+1), r.k.RunBefore(at+1))
+					}
+					if _, l := r.k.next(); l != nil {
+						laneFirst++
+					}
+				}
+				r.state("run", r.k.Run())
+			})
+		}
+		if laneFirst == 0 {
+			t.Fatalf("%s: no pause had a lane tick as its earliest event", name)
+		}
+	}
+}
+
+// With a lane tick the earliest event, NextEventTime reports it, RunBefore
+// leaves it queued and RunUntil runs it.
+func TestNextEventTimeSeesLaneTicks(t *testing.T) {
+	k := NewKernel()
+	k.Spawn("spinner", func(p *Proc) { p.PollEvery(pollD, idleFor(1<<62)) })
+	k.At(10*pollD+50, func() {})
+	steps := []struct {
+		run       func() error
+		now, next Time
+	}{
+		{func() error { return k.RunUntil(50) }, 50, pollD},
+		{func() error { return k.RunBefore(2 * pollD) }, pollD, 2 * pollD},
+		{func() error { return k.RunUntil(2 * pollD) }, 2 * pollD, 3 * pollD},
+		{func() error { return k.RunBefore(10*pollD + 51) }, 10*pollD + 50, 11 * pollD},
+		{func() error { return k.RunUntil(11*pollD + 1) }, 11*pollD + 1, 12 * pollD},
+	}
+	for _, s := range steps {
+		if err := s.run(); err != nil {
+			t.Fatal(err)
+		}
+		if k.Now() != s.now {
+			t.Fatalf("clock at %v, want %v", k.Now(), s.now)
+		}
+		if got, ok := k.NextEventTime(); !ok || got != s.next {
+			t.Fatalf("at %v: next event at %v (%v), want %v", k.Now(), got, ok, s.next)
+		}
+	}
+	k.Shutdown()
 }
