@@ -237,35 +237,43 @@ func (e *Endpoint) processData(p *sim.Proc, pkt *netsim.Packet) bool {
 		pkt.Release()
 		return false
 	}
-	if !e.cfg.DisableBufferMgmt {
-		e.Host().Memcpy(p, len(payload)) // staging copy, charged
-	}
-	if len(a.buf)+len(payload) > a.want {
+	// Every change to the assembly is made before the staging copy is
+	// charged: a second extractor on this endpoint runs during the charge,
+	// and must find the fragment already appended — or the message already
+	// detached — not append its own fragment ahead of this one.
+	var buf []byte // the whole message, once this fragment closes it
+	handler, want := a.handler, a.want
+	poisoned := len(a.buf)+len(payload) > a.want
+	if poisoned {
 		// More bytes than the message declared: a middle fragment of the
 		// PREVIOUS attempt survived into this assembly, or lengths lie.
 		// Either way the reassembly is poisoned; drop it whole.
 		e.Count.Orphaned++
 		e.asmPool.Put(a.buf)
 		e.asm[src] = assembly{}
-		pkt.Release()
+	} else {
+		a.buf = append(a.buf, payload...)
+		if d.Last {
+			buf = a.buf
+			e.asm[src] = assembly{}
+		}
+	}
+	if !e.cfg.DisableBufferMgmt {
+		e.Host().Memcpy(p, len(payload)) // staging copy, charged
+	}
+	pkt.Release() // payload is staged; the frame can recycle
+	if poisoned || !d.Last {
 		return false
 	}
-	a.buf = append(a.buf, payload...)
-	pkt.Release() // payload is staged; the frame can recycle
-	if d.Last {
-		buf, handler, want := a.buf, a.handler, a.want
-		e.asm[src] = assembly{}
-		if len(buf) != want {
-			// Short reassembly: a middle fragment was lost in flight.
-			e.Count.Orphaned++
-			e.asmPool.Put(buf)
-			return false
-		}
-		done := e.dispatch(p, src, handler, buf)
+	if len(buf) != want {
+		// Short reassembly: a middle fragment was lost in flight.
+		e.Count.Orphaned++
 		e.asmPool.Put(buf)
-		return done
+		return false
 	}
-	return false
+	done := e.dispatch(p, src, handler, buf)
+	e.asmPool.Put(buf)
+	return done
 }
 
 func (e *Endpoint) dispatch(p *sim.Proc, src int, h HandlerID, data []byte) bool {

@@ -475,3 +475,35 @@ func BenchmarkKernelChurn(b *testing.B) {
 		}
 	}
 }
+
+// A lane that fills while its ring is wrapped grows without losing its
+// order: every tick still pops in (t, seq) order.
+func TestPollLaneGrowsWhileWrapped(t *testing.T) {
+	var l lane
+	seq := uint64(0)
+	push := func() {
+		e := l.push()
+		e.t, e.seq = Time(seq), seq
+		seq++
+	}
+	want := uint64(0)
+	pop := func() {
+		if e := l.pop(); e.seq != want || e.t != Time(want) {
+			t.Fatalf("popped (%v, %d), want (%v, %d)", e.t, e.seq, Time(want), want)
+		}
+		want++
+	}
+	for i := 0; i < 5; i++ { // a fresh ring, its head moved off 0
+		push()
+		pop()
+	}
+	for l.n <= 16 {
+		push()
+	}
+	if len(l.ring) != 32 {
+		t.Fatalf("ring of %d after %d pushes; the lane did not grow", len(l.ring), l.n)
+	}
+	for l.n > 0 {
+		pop()
+	}
+}

@@ -506,3 +506,41 @@ func TestCoResidencyConformance(t *testing.T) {
 		t.Fatal("a workload delivered no bytes")
 	}
 }
+
+// Two extractors on one node — services A and B, each polling its own
+// HandlerSpace — must between them deliver every multi-packet message whole:
+// while one is charged for a fragment's staging copy, a closing fragment the
+// other takes must not overtake it in FM 1.x's reassembly.
+func TestTwoExtractorsReassemble(t *testing.T) {
+	for _, bc := range bindingCases {
+		k := sim.NewKernel()
+		eps := bc.attach(platform(k, 2))
+		a, b := xport.Spaces(eps, "a"), xport.Spaces(eps, "b")
+		const msgs = 20
+		got := 0
+		a[1].Register(coRecvID, func(p *sim.Proc, s xport.RecvStream) {
+			s.ReceiveDiscard(p, s.Remaining())
+			got++
+		})
+		k.Spawn("sender", func(p *sim.Proc) {
+			msg := make([]byte, a[0].MTU()+16)
+			for i := 0; i < msgs; i++ {
+				if err := xport.Send(p, a[0], 1, coRecvID, msg); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+		for _, sp := range []*xport.HandlerSpace{a[1], b[1]} {
+			k.SpawnAt(100*sim.Microsecond, "extract", func(p *sim.Proc) {
+				for got < msgs {
+					sp.Extract(p, 0)
+				}
+			})
+		}
+		err := k.RunUntil(sim.Millisecond)
+		k.Shutdown()
+		if orphaned := eps[1].Transport().Core().Stats().Orphaned; err != nil || got != msgs || orphaned != 0 {
+			t.Errorf("%s: %d of %d delivered, %d fragments orphaned (err %v)", bc.name, got, msgs, orphaned, err)
+		}
+	}
+}

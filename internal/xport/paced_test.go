@@ -12,38 +12,41 @@ import (
 	"repro/internal/xport"
 )
 
-// HandlerSpace.WaitPaced against the loop it stands for, written out here as
-// a service would write it: Extract, the turn's work, Delay. Service A on
-// node 1 is a small echo server. It runs a script of paced waits of every
-// shape the callers have — a count of messages handled; the same with a
-// give-up deadline drawn off the tick grid, so that it falls inside a pause or
-// a poll; a clamped wait for an arrival instant, also off the grid — and every
-// turn's work is flushing the replies its handler queued, each held back
-// while the window toward node 0 is shut. Node 0 sends at its own pace and
-// extracts rarely, so that window (cut to a few packets) shuts for many turns
-// at a time and reopens in steps. Service B's extractor shares node 1, as in
-// wait_test.go: it pulls A's packets out of the ring between A's turns and
-// leaves partial credit batches withheld for A's next poll to flush. The run
-// must be the same simulation — every send instant, every wait's outcome and
-// end time, B's view at each of its polls, the event count, the counters and
-// the credit ledger — whichever way A waits.
+// HandlerSpace.Wait and WaitPaced against the loops they stand for, written
+// out as a service writes them: Extract until done; Extract, turn work, Delay.
+// Service A on node 1 is an echo server. Its handler pulls each message in
+// two pieces and finishes a while after the last (matching, completion cost),
+// so A's condition turns true between polls with the ring empty, then queues
+// a reply. A waits in four ways: Wait for a count; WaitPaced for a count with
+// the replies out; the same with a give-up deadline off the tick grid; a
+// clamped wait for an arrival instant. Each paced turn flushes the replies the
+// window toward node 0 lets out. Node 0 sends one- to three-packet messages
+// and extracts rarely. Service B's extractor shares node 1: it advances and
+// completes A's messages between A's turns, moves the meters the fair-share
+// extractor snapshots, and leaves credit batches withheld for A's next poll to
+// flush. Whichever way A waits, the run must be the same simulation. The two
+// tests are its two rows: the profile's credit window, and one of 6 packets.
 
 const (
-	pacedMsgs    = 60
-	pacedReplyID = 6
-	pacedWindow  = 6
+	coMsgs    = 60
+	coRecvID  = 5
+	coReplyID = 6
 )
 
-// echo is A's turn work: the reply queue and its flush.
+// echo is A: its handler's count, the replies the handler queued and the turn
+// work that flushes them. As a Cond it is a paced wait's: want messages
+// handled and every reply to them out.
 type echo struct {
-	sp      *xport.HandlerSpace
-	fc      *flowctl.Manager
-	msg     []byte
-	q       []int // queued reply sizes
-	sent    int
-	blocked int // turns that found a reply queued and the window shut
+	sp            *xport.HandlerSpace
+	fc            *flowctl.Manager
+	msg           []byte
+	handled, want int
+	q             []int // queued reply sizes
+	sent          int
+	blocked       int // turns that found a reply queued and the window shut
 }
 
+func (e *echo) Done() bool    { return e.handled >= e.want && len(e.q) == 0 }
 func (e *echo) Pending() bool { return len(e.q) > 0 }
 
 func (e *echo) Do(p *sim.Proc) {
@@ -54,61 +57,66 @@ func (e *echo) Do(p *sim.Proc) {
 			return
 		}
 		e.q = e.q[:copy(e.q, e.q[1:])]
-		if err := xport.Send(p, e.sp, 0, pacedReplyID, e.msg[:n]); err != nil {
+		if err := xport.Send(p, e.sp, 0, coReplyID, e.msg[:n]); err != nil {
 			panic(err)
 		}
 		e.sent++
 	}
 }
 
-// echoed is A's condition: want messages handled and every reply to them out.
-type echoed struct {
-	handled, want int
-	e             *echo
-}
+// handled is a Wait's condition: want messages handled, replies or not.
+type handled echo
 
-func (c *echoed) Done() bool { return c.handled >= c.want && len(c.e.q) == 0 }
+func (c *handled) Done() bool { return c.handled >= c.want }
+
+// atLeast is node 0's condition: want replies in.
+type atLeast struct{ got, want int }
+
+func (c *atLeast) Done() bool { return c.got >= c.want }
 
 // never is the condition of a wait only its deadline ends.
 type never struct{}
 
 func (never) Done() bool { return false }
 
-// loopPaced is the reference: the paced wait as the loop a service writes.
-func loopPaced(p *sim.Proc, sp *xport.HandlerSpace, budget int, until xport.Cond, pace xport.Pace) bool {
+// loopWait is the reference for both waits: the loop a service writes.
+func loopWait(p *sim.Proc, sp *xport.HandlerSpace, budget int, until xport.Cond, pace xport.Pace) bool {
 	for !until.Done() {
 		if pace.Deadline > 0 && p.Now() >= pace.Deadline {
 			return false
 		}
 		sp.Extract(p, budget)
+		if pace.Gap == 0 {
+			continue
+		}
 		pace.Work.Do(p)
 		d := pace.Gap
 		if pace.Clamp {
 			if p.Now() >= pace.Deadline {
 				continue
 			}
-			if left := pace.Deadline - p.Now(); left < d {
-				d = left
-			}
+			d = min(d, pace.Deadline-p.Now())
 		}
 		p.Delay(d)
 	}
 	return true
 }
 
-// pacedStats counts what a run exercised.
-type pacedStats struct {
+// coStats counts what a run exercised.
+type coStats struct {
 	pulled, withheld int // B's extractor moved A's messages along; left a credit batch withheld
 	blocked          int // A's turns with a reply held back by the shut window
 	gaveUp           int // waits ended by a give-up deadline that fell inside a turn
 	onTime           int // clamped waits that ended at their instant exactly
 }
 
-func pacedRun(t *testing.T, bc bindingCase, seed int64, budget int, fused bool, st *pacedStats) string {
+func coResidentRun(t *testing.T, bc bindingCase, seed int64, budget, window int, fused bool, st *coStats) string {
 	k := sim.NewKernel()
 	cfg := cluster.DefaultConfig()
 	cfg.Profile = bc.gen.Profile()
-	cfg.Profile.CreditWindow = pacedWindow
+	if window > 0 {
+		cfg.Profile.CreditWindow = window
+	}
 	cfg.Nodes = 2
 	pl := cluster.New(k, cfg)
 	eps := bc.attach(pl)
@@ -117,20 +125,16 @@ func pacedRun(t *testing.T, bc bindingCase, seed int64, budget int, fused bool, 
 	// Everything random is drawn here, so both variants get the same script.
 	rng := rand.New(rand.NewSource(seed))
 	mtu := a[0].MTU()
-	maxPkts := 3
-	if bc.gen == xport.GenFM1 {
-		maxPkts = 1 // see coResidentRun
-	}
 	type step struct {
 		aSize, bSize int // bSize 0: no message for B this step
 		extract      bool
 		gap          sim.Time
 	}
-	script := make([]step, pacedMsgs)
+	script := make([]step, coMsgs)
 	for i := range script {
-		script[i].aSize = 16 + rng.Intn(maxPkts*mtu-16)
+		script[i].aSize = 16 + rng.Intn(3*mtu-16)
 		if rng.Intn(3) == 0 {
-			script[i].bSize = 1 + rng.Intn(maxPkts*mtu)
+			script[i].bSize = 1 + rng.Intn(3*mtu)
 		}
 		script[i].extract = rng.Intn(8) == 0
 		if rng.Intn(4) == 0 {
@@ -143,26 +147,28 @@ func pacedRun(t *testing.T, bc bindingCase, seed int64, budget int, fused bool, 
 	}
 	gap := []sim.Time{700 * sim.Nanosecond, sim.Microsecond, 5 * sim.Microsecond}[rng.Intn(3)]
 	type wait struct {
-		kind  int      // 0: count; 1: count with a give-up deadline; 2: clamped arrival
+		kind  int      // 0: Wait for a count; 1: paced count; 2: paced count with a give-up deadline; 3: clamped arrival
 		more  int      // messages to wait for beyond those handled
 		after sim.Time // deadline, from the wait's start
 	}
 	waits := make([]wait, 40)
 	for i := range waits {
-		waits[i] = wait{kind: rng.Intn(3), more: 1 + rng.Intn(4), after: sim.Time(300 + rng.Intn(9000))}
+		waits[i] = wait{kind: rng.Intn(4), more: 1 + rng.Intn(4), after: sim.Time(300 + rng.Intn(9000))}
 	}
 
 	var log strings.Builder
-	srv := &echo{sp: a[1], fc: eps[1].Transport().Core().FlowControl(), msg: make([]byte, maxPkts*mtu)}
-	cond := &echoed{e: srv}
+	srv := &echo{sp: a[1], fc: eps[1].Transport().Core().FlowControl(), msg: make([]byte, 3*mtu)}
 	a[1].Register(coRecvID, func(p *sim.Proc, s xport.RecvStream) {
 		n := s.Length()
-		s.ReceiveDiscard(p, n)
-		cond.handled++
+		s.ReceiveDiscard(p, 8)
+		p.Delay(300 * sim.Nanosecond)
+		s.ReceiveDiscard(p, s.Remaining())
+		p.Delay(1200 * sim.Nanosecond)
+		srv.handled++
 		srv.q = append(srv.q, n)
 	})
-	replies := &atLeast{want: pacedMsgs}
-	a[0].Register(pacedReplyID, func(p *sim.Proc, s xport.RecvStream) {
+	replies := &atLeast{want: coMsgs}
+	a[0].Register(coReplyID, func(p *sim.Proc, s xport.RecvStream) {
 		s.ReceiveDiscard(p, s.Remaining())
 		replies.got++
 	})
@@ -173,7 +179,7 @@ func pacedRun(t *testing.T, bc bindingCase, seed int64, budget int, fused bool, 
 	})
 
 	k.Spawn("sender", func(p *sim.Proc) {
-		msg := make([]byte, maxPkts*mtu)
+		msg := make([]byte, 3*mtu)
 		for i, sc := range script {
 			if err := xport.Send(p, a[0], 1, coRecvID, msg[:sc.aSize]); err != nil {
 				t.Error(err)
@@ -194,42 +200,37 @@ func pacedRun(t *testing.T, bc bindingCase, seed int64, budget int, fused bool, 
 	})
 	allDone := false
 	k.Spawn("a", func(p *sim.Proc) {
-		paced := func(until xport.Cond, pace xport.Pace) bool {
-			pace.Gap, pace.Work = gap, srv
-			if fused {
-				return a[1].WaitPaced(p, budget, until, pace)
+		wait := func(until xport.Cond, pace xport.Pace) bool {
+			if pace.Gap > 0 {
+				pace.Work = srv
 			}
-			return loopPaced(p, a[1], budget, until, pace)
+			switch {
+			case !fused:
+				return loopWait(p, a[1], budget, until, pace)
+			case pace.Gap == 0:
+				a[1].Wait(p, budget, until)
+				return true
+			}
+			return a[1].WaitPaced(p, budget, until, pace)
 		}
 		for i, w := range waits {
-			cond.want = cond.handled + w.more
-			if cond.want > pacedMsgs {
-				cond.want = pacedMsgs
-			}
-			var met bool
+			srv.want = min(srv.handled+w.more, coMsgs)
 			deadline := p.Now() + w.after
-			switch w.kind {
-			case 0:
-				met = paced(cond, xport.Pace{})
-			case 1:
-				met = paced(cond, xport.Pace{Deadline: deadline})
-				if !met && p.Now() > deadline {
-					st.gaveUp++
-				}
-			case 2:
-				met = paced(never{}, xport.Pace{Deadline: deadline, Clamp: true})
-				if p.Now() == deadline {
-					st.onTime++
-				}
+			met := wait([]xport.Cond{(*handled)(srv), srv, srv, never{}}[w.kind],
+				[]xport.Pace{{}, {Gap: gap}, {Gap: gap, Deadline: deadline}, {Gap: gap, Deadline: deadline, Clamp: true}}[w.kind])
+			if w.kind == 2 && !met && p.Now() > deadline {
+				st.gaveUp++
 			}
-			fmt.Fprintf(&log, "wait %d kind %d: %v at %v, %d handled, %d replies out\n", i, w.kind, met, p.Now(), cond.handled, srv.sent)
+			if w.kind == 3 && p.Now() == deadline {
+				st.onTime++
+			}
+			fmt.Fprintf(&log, "wait %d kind %d: %v at %v, %d handled, %d replies out\n", i, w.kind, met, p.Now(), srv.handled, srv.sent)
 		}
-		cond.want = pacedMsgs
-		paced(cond, xport.Pace{})
+		srv.want = coMsgs
+		wait(srv, xport.Pace{Gap: gap})
 		fmt.Fprintf(&log, "a done at %v\n", p.Now())
 		allDone = true
 	})
-	fc := srv.fc
 	k.Spawn("b", func(p *sim.Proc) {
 		for i := 0; !allDone; i++ {
 			aBefore, bBefore := a[1].Stats().Bytes, bGot
@@ -237,10 +238,10 @@ func pacedRun(t *testing.T, bc bindingCase, seed int64, budget int, fused bool, 
 			if a[1].Stats().Bytes != aBefore {
 				st.pulled++
 			}
-			if n > 0 && fc.Dirty() {
+			if n > 0 && srv.fc.Dirty() {
 				st.withheld++
 			}
-			fmt.Fprintf(&log, "b extracted %d at %v (a has %d, b %d->%d)\n", n, p.Now(), cond.handled, bBefore, bGot)
+			fmt.Fprintf(&log, "b extracted %d at %v (a has %d, b %d->%d)\n", n, p.Now(), srv.handled, bBefore, bGot)
 			p.Delay(bGaps[i%len(bGaps)])
 		}
 	})
@@ -252,7 +253,7 @@ func pacedRun(t *testing.T, bc bindingCase, seed int64, budget int, fused bool, 
 	defer k.Shutdown()
 	if k.Live() > 0 {
 		t.Fatalf("seed %d: still running at %v: %s (a handled %d of %d, %d replies out, %d in)",
-			seed, k.Now(), k.LiveNames(), cond.handled, pacedMsgs, srv.sent, replies.got)
+			seed, k.Now(), k.LiveNames(), srv.handled, coMsgs, srv.sent, replies.got)
 	}
 	st.blocked += srv.blocked
 	fmt.Fprintf(&log, "events %d, blocked turns %d\n", k.Events(), srv.blocked)
@@ -265,17 +266,23 @@ func pacedRun(t *testing.T, bc bindingCase, seed int64, budget int, fused bool, 
 	return log.String()
 }
 
-func TestWaitPacedMatchesPacedLoop(t *testing.T) {
+// coResidentMatrix runs {fm1, fm2} × budget {0, 1} × 12 seeds at one credit
+// window (0: the profile's), each seed both ways, and requires that B got in
+// A's way and that every wait kind met its edge case.
+func coResidentMatrix(t *testing.T, window int) {
 	for _, bc := range bindingCases {
 		for _, budget := range []int{0, 1} { // unlimited drain, as every caller asks; the one-packet fair-share path
 			t.Run(fmt.Sprintf("%s/budget%d", bc.name, budget), func(t *testing.T) {
-				var st pacedStats
+				var st coStats
 				for seed := int64(1); seed <= 12; seed++ {
-					var ref pacedStats
-					loop := pacedRun(t, bc, seed, budget, false, &ref)
-					wait := pacedRun(t, bc, seed, budget, true, &st)
-					if loop != wait {
-						t.Fatalf("seed %d: WaitPaced is not the loop it replaces\n%s", seed, firstDiff(loop, wait))
+					loop := coResidentRun(t, bc, seed, budget, window, false, &coStats{})
+					wait := coResidentRun(t, bc, seed, budget, window, true, &st)
+					if loop != wait { // both end in a newline: they part before either ends
+						a, b, i := strings.Split(loop, "\n"), strings.Split(wait, "\n"), 0
+						for a[i] == b[i] {
+							i++
+						}
+						t.Fatalf("seed %d: the waits part from their loops at line %d\n  loop: %s\n  wait: %s", seed, i, a[i], b[i])
 					}
 				}
 				t.Logf("%+v", st)
@@ -287,21 +294,9 @@ func TestWaitPacedMatchesPacedLoop(t *testing.T) {
 	}
 }
 
-// firstDiff shows where two run logs part.
-func firstDiff(loop, wait string) string {
-	a, b := strings.Split(loop, "\n"), strings.Split(wait, "\n")
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			from := i - 3
-			if from < 0 {
-				from = 0
-			}
-			return fmt.Sprintf("line %d, after\n  %s\n--- paced loop\n  %s\n--- WaitPaced\n  %s",
-				i, strings.Join(a[from:i], "\n  "), a[i], b[i])
-		}
-	}
-	return fmt.Sprintf("one log is a prefix of the other (%d and %d lines)", len(a), len(b))
-}
+func TestCoResidentWaitMatchesExtractLoop(t *testing.T) { coResidentMatrix(t, 0) }
+
+func TestWaitPacedMatchesPacedLoop(t *testing.T) { coResidentMatrix(t, 6) }
 
 // A paced wait must pause.
 func TestWaitPacedRejectsZeroGap(t *testing.T) {
@@ -310,5 +305,19 @@ func TestWaitPacedRejectsZeroGap(t *testing.T) {
 	k.Spawn("w", func(p *sim.Proc) { sp.WaitPaced(p, 0, never{}, xport.Pace{Deadline: sim.Microsecond}) })
 	if err := k.Run(); err == nil || !strings.Contains(err.Error(), "positive gap") {
 		t.Fatalf("want the zero-gap panic, got %v", err)
+	}
+}
+
+// A service that re-enters Wait has broken the single-threaded contract the
+// wait's bookkeeping relies on; it is told so instead of waiting wrongly.
+func TestWaitRejectsReentry(t *testing.T) {
+	k := sim.NewKernel()
+	sp := xport.Spaces(endpoints(platform(k, 2)), "svc")[0]
+	never := &atLeast{want: 1}
+	k.Spawn("first", func(p *sim.Proc) { sp.Wait(p, 0, never) })
+	k.SpawnAt(sim.Microsecond, "second", func(p *sim.Proc) { sp.Wait(p, 0, never) })
+	err := k.Run()
+	if err == nil || !strings.Contains(err.Error(), "entered Wait twice") {
+		t.Fatalf("want the re-entry panic, got %v", err)
 	}
 }
