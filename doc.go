@@ -181,16 +181,21 @@
 // PoisonFrames debug mode overwrites recycled buffers so any violation
 // reads poison rather than stale data. Stream records, handler worker
 // coroutines, accounting wrappers, staging and header buffers all recycle
-// the same way, and the kernel schedules by direct handoff (at most one
-// goroutine switch per event, hole-sifting event heap, poll ticks in
-// per-period FIFO lanes beside it, ring-buffer channels).
+// the same way, and so do the kernel's own coroutines. The kernel passes
+// its control token by coroutine switch, never through the Go scheduler:
+// each goroutine Proc runs on a coroutine (iter.Pull) taken from a
+// process-wide free list at its first wake and given back when it ends, and
+// Run's goroutine is the one driver that resumes them (a yield to it and a
+// resume from it per wake of another Proc, none when a parking Proc's own
+// wake is next; hole-sifting event heap, poll ticks in per-period FIFO
+// lanes beside it, ring-buffer channels).
 //
 // The kernel's guarantee is that at most one Proc executes at any instant.
-// Two kinds of event cost no goroutine switch at all, because the dispatcher
-// — whichever goroutine holds the control token — runs them itself. The
+// Two kinds of event cost no coroutine switch at all, because the dispatcher
+// — on whichever goroutine holds the control token — runs them itself. The
 // hardware is the first: NIC send and receive firmware (internal/lanai) and
 // the per-port switch forwarders and the links they transmit on
-// (internal/netsim) are sim.Machines, Procs without a goroutine whose
+// (internal/netsim) are sim.Machines, Procs without a coroutine whose
 // run-to-completion Step does what the loop `Recv; Delay; Send` does between
 // two parks and arms the next wake with the half of Delay, Chan.Recv,
 // Chan.Send or Resource.Acquire that comes before its park (StartDelay,
@@ -199,11 +204,11 @@
 // wake is queued at the same instant in the same order and the (t, seq)
 // schedule is the same one; a link's send logic exists once, as the
 // resumable netsim.Tx the Machines embed and the blocking Link.Send and
-// Iface.Send drive with a park between steps. What still runs on goroutines
+// Iface.Send drive with a park between steps. What still runs on coroutines
 // is what the paper says blocks: application Procs, and FM 2.x handler
 // workers, which run a user handler that stops mid-Receive by design — and
-// those are given their goroutine at their first wake, so building a
-// simulation starts none.
+// those are given their coroutine at their first wake, so building a
+// simulation starts none, and a second simulation reuses the first one's.
 //
 // Waiting is the second. FM's receive model is polling: a rank blocked in
 // MPI_Recv, a socket read or a SHMEM quiet re-enters FM_extract every
@@ -212,7 +217,7 @@
 // is idle — receive ring and control queue empty, no withheld credit batch
 // to flush, cond still false — its poll ticks are taken by the kernel's
 // dispatcher (sim.Proc.PollCycle, called from flowctl.EndpointCore.Next)
-// instead of by the polling Proc's goroutine. The idle test therefore runs
+// instead of by the polling Proc's coroutine. The idle test therefore runs
 // in dispatcher context, on whichever goroutine holds the control token;
 // it only reads, and only state of the Proc's own node, so nothing
 // observes the difference and it stays LP-local under the parallel engine.

@@ -249,29 +249,33 @@ func TestSessionLargeFatTree(t *testing.T) {
 
 // TestSessionGoroutineCensus: the hardware of a session — NIC firmware, switch
 // forwarders — runs on the kernel's dispatcher, not on goroutines of its own,
-// so a 256-rank fat tree costs a goroutine per rank the program spawns and a
-// small constant, not three per rank and one per switch port besides.
+// so a 256-rank fat tree costs at most a goroutine (a coroutine) per rank the
+// program spawns and a small constant, not three per rank and one per switch
+// port besides. A second identical session runs its ranks on the coroutines
+// the first one's Shutdown gave back, and starts none.
 func TestSessionGoroutineCensus(t *testing.T) {
 	const ranks, slack = 256, 16
-	before := runtime.NumGoroutine()
-	s, err := fmnet.New(fmnet.Nodes(ranks), fmnet.Topology(fmnet.FatTree), fmnet.WithMPI())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Kernel().Shutdown()
-	if grew := runtime.NumGoroutine() - before; grew > slack {
-		t.Fatalf("building the session started %d goroutines; the hardware should need none", grew)
-	}
-	s.SpawnRanks("rank", func(rank int, p *fmnet.Proc) { p.Delay(fmnet.Microsecond) })
-	if grew := runtime.NumGoroutine() - before; grew > slack {
-		t.Fatalf("spawning %d ranks started %d goroutines; a Proc gets its own at its first wake", ranks, grew)
-	}
-	if err := s.Kernel().RunUntil(fmnet.Microsecond / 2); err != nil { // every rank started, none finished
-		t.Fatal(err)
-	}
-	// Upper bounds only: goroutines of earlier tests may still be exiting.
-	if grew := runtime.NumGoroutine() - before; grew > ranks+slack {
-		t.Fatalf("session with its %d ranks running holds %d goroutines more than before it", ranks, grew)
+	for session, running := range []int{ranks + slack, slack} {
+		before := runtime.NumGoroutine()
+		s, err := fmnet.New(fmnet.Nodes(ranks), fmnet.Topology(fmnet.FatTree), fmnet.WithMPI())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if grew := runtime.NumGoroutine() - before; grew > slack {
+			t.Fatalf("session %d: building it started %d goroutines; the hardware should need none", session, grew)
+		}
+		s.SpawnRanks("rank", func(rank int, p *fmnet.Proc) { p.Delay(fmnet.Microsecond) })
+		if grew := runtime.NumGoroutine() - before; grew > slack {
+			t.Fatalf("session %d: spawning %d ranks started %d goroutines; a Proc gets its coroutine at its first wake", session, ranks, grew)
+		}
+		if err := s.Kernel().RunUntil(fmnet.Microsecond / 2); err != nil { // every rank started, none finished
+			t.Fatal(err)
+		}
+		// Upper bounds only: goroutines of earlier tests may still be exiting.
+		if grew := runtime.NumGoroutine() - before; grew > running {
+			t.Fatalf("session %d: with its %d ranks running it holds %d goroutines more than before it", session, ranks, grew)
+		}
+		s.Kernel().Shutdown()
 	}
 }
 

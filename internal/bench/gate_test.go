@@ -146,6 +146,36 @@ func TestGateTrajectory(t *testing.T) {
 	})
 }
 
+// TestBestOfSessions: a perf row's host fields are the best over its fresh
+// sessions, and sessions that computed a different event count or virtual
+// time fail the row.
+func TestBestOfSessions(t *testing.T) {
+	sessions := func(es ...PerfEntry) func() PerfEntry {
+		return func() PerfEntry {
+			e := es[0]
+			es = es[1:]
+			return e
+		}
+	}
+	cold := PerfEntry{Name: "allreduce", Fabric: "fattree", Ranks: 64, SizeB: 1024, Events: 277055, VirtualUS: 848.947,
+		WallMS: 10, EventsPerSec: 2.77e7, AllocsPerOp: 99.6, BytesPerOp: 300}
+	warm := cold
+	warm.WallMS, warm.EventsPerSec, warm.AllocsPerOp, warm.BytesPerOp = 8, 3.46e7, 78.2, 310
+	want := warm
+	want.BytesPerOp = cold.BytesPerOp
+	if got := bestOf(sessions(cold, warm)); got != want {
+		t.Fatalf("best of a cold and a warm session = %+v; want %+v", got, want)
+	}
+	moved := warm
+	moved.Events++
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "session 2 ran 277056 events") {
+			t.Fatalf("want sessions one event apart to fail the row, got %v", r)
+		}
+	}()
+	bestOf(sessions(cold, moved))
+}
+
 // TestGateCommittedTrajectory holds the newest committed BENCH_PR<n>.json
 // to the one before it — the comparison the CI gate step runs — without
 // naming either, so a perf PR only has to commit its report.

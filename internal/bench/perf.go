@@ -155,6 +155,34 @@ func PerfCollectivePar(ranks, size, parts int) PerfEntry {
 	return e
 }
 
+// perfSessions is how many fresh sessions each row is measured in. A row's
+// host fields are the best of them — least wall_ms (events/sec is that
+// session's), least allocs/op and bytes/op — so a cost only a process's
+// first session pays, such as creating the coroutines later sessions reuse,
+// is not charged to whichever row runs first.
+const perfSessions = 2
+
+// bestOf measures one row in perfSessions fresh sessions. What the
+// simulation computed, events and virtual_us, must be equal in all of them:
+// a deterministic simulation that ran differently twice fails the row as a
+// failed run does (run).
+func bestOf(measure func() PerfEntry) PerfEntry {
+	best := measure()
+	for i := 1; i < perfSessions; i++ {
+		e := measure()
+		if e.Events != best.Events || e.VirtualUS != best.VirtualUS {
+			panic(fmt.Sprintf("bench: perf %s: session %d ran %d events to %v us, session 1 ran %d to %v us",
+				gateKey(e), i+1, e.Events, e.VirtualUS, best.Events, best.VirtualUS))
+		}
+		if e.WallMS < best.WallMS {
+			best.WallMS, best.EventsPerSec = e.WallMS, e.EventsPerSec
+		}
+		best.AllocsPerOp = min(best.AllocsPerOp, e.AllocsPerOp)
+		best.BytesPerOp = min(best.BytesPerOp, e.BytesPerOp)
+	}
+	return best
+}
+
 // RunPerfSuite executes the whole suite.
 func RunPerfSuite(cfg PerfConfig) []PerfEntry {
 	var entries []PerfEntry
@@ -164,16 +192,16 @@ func RunPerfSuite(cfg PerfConfig) []PerfEntry {
 	}
 	seqWall := make(map[int]float64, len(ftRanks))
 	for _, n := range ftRanks {
-		e := PerfCollective(FabFatTree, n, cfg.Size)
+		e := bestOf(func() PerfEntry { return PerfCollective(FabFatTree, n, cfg.Size) })
 		seqWall[n] = e.WallMS
 		entries = append(entries, e)
 	}
 	for _, n := range cfg.TorusRanks {
-		entries = append(entries, PerfCollective(FabTorus, n, cfg.Size))
+		entries = append(entries, bestOf(func() PerfEntry { return PerfCollective(FabTorus, n, cfg.Size) }))
 	}
 	if cfg.ParallelLPs > 1 {
 		for _, n := range ftRanks {
-			e := PerfCollectivePar(n, cfg.Size, cfg.ParallelLPs)
+			e := bestOf(func() PerfEntry { return PerfCollectivePar(n, cfg.Size, cfg.ParallelLPs) })
 			if e.WallMS > 0 {
 				e.SpeedupX = seqWall[n] / e.WallMS
 			}

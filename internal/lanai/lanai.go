@@ -87,7 +87,7 @@ func (n *NIC) Start() {
 }
 
 // The firmware loops are sim Machines: the LANai runs each to its next wait
-// and returns, so a packet costs the simulation no goroutine switch here. A
+// and returns, so a packet costs the simulation no coroutine switch here. A
 // loop reads top to bottom as the blocking code it stands for; `next` is
 // where it resumes.
 

@@ -202,7 +202,7 @@ func TestChargeBusOffSkipsBusTime(t *testing.T) {
 // state — host PIO, send firmware, injection link, two switch forwarders and
 // their links, receive firmware, DMA, ring — at zero mallocs: the firmware
 // and the forwarders are sim Machines that keep their place in their own
-// fields, so a packet costs them neither a goroutine switch nor a heap slot.
+// fields, so a packet costs them neither a coroutine switch nor a heap slot.
 func TestFramePathZeroAlloc(t *testing.T) {
 	if sim.RaceEnabled {
 		t.Skip("alloc pins don't hold under the race detector's instrumentation")

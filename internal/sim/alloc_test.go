@@ -14,8 +14,8 @@ import (
 // over these op counts.
 
 // TestKernelEventLoopZeroAlloc is the alloc-regression gate on the event
-// loop: after warm-up, a Delay chain — push, pop, direct-handoff resume per
-// event — must allocate nothing. This extends the BenchmarkKernelChurn pin
+// loop: after warm-up, a Delay chain — push, pop, the parking Proc finding
+// its own wake next — must allocate nothing. This extends the BenchmarkKernelChurn pin
 // (which includes setup) to an exact steady-state zero.
 func TestKernelEventLoopZeroAlloc(t *testing.T) {
 	if RaceEnabled {
@@ -40,6 +40,36 @@ func TestKernelEventLoopZeroAlloc(t *testing.T) {
 	if allocs > alloctest.AllowStray {
 		t.Fatalf("kernel event loop allocated %d times over %d events; steady state must be 0/op",
 			allocs, steps)
+	}
+}
+
+// TestProcLifecycleZeroAlloc pins the coroutine free list: after warm-up, a
+// goroutine Proc that is spawned, started, parked behind another Proc,
+// resumed and ended allocates its Proc and nothing else — it runs on the
+// coroutine the Proc before it gave back.
+func TestProcLifecycleZeroAlloc(t *testing.T) {
+	if RaceEnabled {
+		t.Skip("alloc pins don't hold under the race detector's instrumentation")
+	}
+	const procs = 5000
+	k := NewKernel()
+	var allocs uint64
+	child := func(c *Proc) { c.Delay(Nanosecond) }
+	k.Spawn("spawner", func(p *Proc) {
+		lifetimes := func() {
+			for i := 0; i < procs; i++ {
+				k.Spawn("child", child)
+				p.Delay(Nanosecond) // the child starts and parks; both resume at +1ns
+			}
+		}
+		lifetimes() // warm-up: free list, heap and registry grown
+		allocs = alloctest.MinMallocs(lifetimes)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs > procs+alloctest.AllowStray {
+		t.Fatalf("%d Proc lifetimes allocated %d times; must be 1 each (the Proc)", procs, allocs)
 	}
 }
 

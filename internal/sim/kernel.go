@@ -1,23 +1,24 @@
 // Package sim is a deterministic discrete-event simulation kernel.
 //
 // Simulated activities are written as ordinary sequential Go code running in
-// Procs (one goroutine each, created at the Proc's first wake), but the
-// kernel guarantees that at most one Proc executes at any instant and that
-// Procs are scheduled strictly in virtual time order (FIFO among equal
-// timestamps). Shared simulation state therefore needs no locking, and every
-// run is bit-for-bit reproducible.
+// Procs (one coroutine each, taken from a process-wide free list at the
+// Proc's first wake and returned when it ends), but the kernel guarantees
+// that at most one Proc executes at any instant and that Procs are scheduled
+// strictly in virtual time order (FIFO among equal timestamps). Shared
+// simulation state therefore needs no locking, and every run is bit-for-bit
+// reproducible.
 //
 // The dispatcher owns three things beyond popping the next event. The first
-// two run outside a Proc's own goroutine, on whichever goroutine holds the
-// control token, because the dispatcher runs them itself. Neither is an
-// exception to the guarantee — the token is still held by exactly one
-// goroutine — they just spare an event its goroutine switch:
+// two run outside a Proc's own coroutine, on whichever one holds the control
+// token, because the dispatcher runs them itself. Neither is an exception to
+// the guarantee — the token is still held by exactly one goroutine — they
+// just spare an event its coroutine switch:
 //
 //   - The Idler of a Proc blocked in PollCycle (PollEvery is its one-period
 //     case): an idle tick, an empty poll or the pause a self-paced poller
 //     takes after one, is re-armed by the dispatcher. An Idler only reads.
 //
-//   - A Machine (SpawnMachine): a Proc with no goroutine at all, written as
+//   - A Machine (SpawnMachine): a Proc with no coroutine at all, written as
 //     a run-to-completion Step that arms one wake — StartDelay, StartRecv,
 //     StartSend, StartAcquire, the halves of Delay, Chan.Recv, Chan.Send and
 //     Resource.Acquire that come before their park — and returns where a
@@ -42,8 +43,10 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"runtime/debug"
 	"sort"
+	"sync"
 )
 
 // procKilled is the sentinel panic used to unwind Procs during shutdown.
@@ -165,39 +168,34 @@ func (l *lane) pop() event {
 // Kernel owns the virtual clock and the event queue.
 // The zero value is not usable; call NewKernel.
 //
-// Control transfer is DIRECT HANDOFF: a parking (or finishing) Proc runs
-// the dispatch loop itself and passes control straight to the next event's
-// Proc — one goroutine switch per event instead of the bounce through a
-// dedicated driver goroutine that a classic driver loop costs. Event order
-// is untouched; only which goroutine executes the dispatcher changes, so
-// results stay bit-for-bit identical while the wall-clock cost per event
-// roughly halves. Exactly one control token exists at any time (a resume
-// send or the terminal doneCh send), so kernel state never sees concurrent
-// access; the token-passing channels provide the happens-before edges.
+// Control transfer is by COROUTINE SWITCH: every goroutine Proc runs on a
+// coroutine (iter.Pull) that Run's goroutine resumes, one driver loop that
+// never passes the token through the Go scheduler. A parking (or finishing)
+// Proc runs the dispatch loop itself; when the next event is its own wake it
+// carries on without a switch, otherwise it names the next event's Proc in
+// handoff and yields to the driver, which resumes that one. Event order is
+// untouched; only how the token travels changes, so results stay bit-for-bit
+// identical. Exactly one coroutine or the driver holds the token at any
+// time, so kernel state never sees concurrent access; the coroutine switches
+// provide the happens-before edges.
 type Kernel struct {
-	now       Time
-	eq        eventHeap
-	lanes     []lane // poll ticks, one FIFO per period, beside the heap
-	seq       uint64
-	driverCh  chan struct{} // unwind handshake: dying Proc -> unwindAll
-	doneCh    chan struct{} // terminal handoff: dispatcher -> Run
-	procs     map[*Proc]struct{}
-	live      int
-	stopped   bool
-	unwinding bool
-	failure   error
-	horizon   Time // 0 = unbounded
-	strict    bool // horizon is exclusive (RunBefore window bound)
-	label     string
+	now     Time
+	eq      eventHeap
+	lanes   []lane // poll ticks, one FIFO per period, beside the heap
+	seq     uint64
+	handoff *Proc // set by a yielding coroutine: the Proc run resumes next, nil to end the run
+	procs   map[*Proc]struct{}
+	live    int
+	stopped bool
+	failure error
+	horizon Time // 0 = unbounded
+	strict  bool // horizon is exclusive (RunBefore window bound)
+	label   string
 }
 
 // NewKernel returns an empty simulation at virtual time zero.
 func NewKernel() *Kernel {
-	return &Kernel{
-		driverCh: make(chan struct{}),
-		doneCh:   make(chan struct{}, 1),
-		procs:    make(map[*Proc]struct{}),
-	}
+	return &Kernel{procs: make(map[*Proc]struct{})}
 }
 
 // Now reports the current virtual time.
@@ -333,6 +331,11 @@ func (k *Kernel) failProc(p *Proc, r any) {
 // or a Proc panics. It returns nil on a clean drain with no live Procs,
 // ErrDeadlock if live Procs remain unwakeable, ErrStopped after Stop, or the
 // wrapped panic of a failed Proc.
+//
+// A Proc's function that calls runtime.Goexit (as t.FailNow does) takes the
+// goroutine that called Run with it: that goroutine exits, running its
+// deferred calls, and Run does not return. The kernel is left stopped with
+// its other Procs parked; Shutdown, from any goroutine, unwinds them.
 func (k *Kernel) Run() error { return k.run(0) }
 
 // RunUntil drives the simulation but stops advancing the clock past t;
@@ -358,12 +361,9 @@ func (k *Kernel) RunBefore(limit Time) error {
 
 func (k *Kernel) run(horizon Time) error {
 	k.horizon = horizon
-	// Prime the handoff chain on this goroutine; dispatch either terminates
-	// inline (token already buffered) or transfers control to a Proc, in
-	// which case we wait here until some dispatcher reaches a terminal
-	// state and hands control back.
-	k.dispatch()
-	<-k.doneCh
+	for p := k.dispatch(); p != nil; p = k.handoff {
+		k.resume(p)
+	}
 	if horizon != 0 && k.failure == nil && !k.stopped {
 		// Bounded run that hit the horizon or drained its queue early: a
 		// resumable pause, not a deadlock. Procs stay parked; the caller may
@@ -383,12 +383,12 @@ func (k *Kernel) run(horizon Time) error {
 	return nil
 }
 
-// dispatch advances the simulation until it can hand control to exactly one
-// Proc (direct handoff) or reaches a terminal state (stop, drained queue,
-// horizon), in which case it signals Run through doneCh. It runs on
-// whichever goroutine currently holds the control token: Run's at priming,
-// then each parking or finishing Proc's in turn.
-func (k *Kernel) dispatch() {
+// dispatch advances the simulation until the next event wakes a goroutine
+// Proc, and returns that Proc, or until it reaches a terminal state (stop,
+// drained queue, horizon), and returns nil. It runs on whichever goroutine
+// holds the control token: Run's, or the coroutine of a Proc that is parking
+// or finishing.
+func (k *Kernel) dispatch() *Proc {
 	for {
 		var top *event
 		var l *lane
@@ -396,8 +396,7 @@ func (k *Kernel) dispatch() {
 			top, l = k.next()
 		}
 		if top == nil {
-			k.doneCh <- struct{}{}
-			return
+			return nil
 		}
 		if t := top.t; k.horizon != 0 && (t > k.horizon || (k.strict && t >= k.horizon)) {
 			// Past the horizon: the event stays queued (seq preserved) and
@@ -407,8 +406,7 @@ func (k *Kernel) dispatch() {
 			if !k.strict {
 				k.now = k.horizon
 			}
-			k.doneCh <- struct{}{}
-			return
+			return nil
 		}
 		k.now = top.t
 		var ev event
@@ -430,39 +428,46 @@ func (k *Kernel) dispatch() {
 			// cycle's other period exactly as the Proc's own Delay would
 			// have — same time, the seq consumed at this same moment,
 			// wakeGen stepped as park does on resume — without switching
-			// to its goroutine.
+			// to its coroutine.
 			p.wakeGen++
 			p.pollTick ^= 1
 			k.tick(p, p.pollEvery[p.pollTick])
 			continue
 		}
 		if p.mach != nil {
-			if fn, ok := p.mach.(procFunc); ok {
-				// A goroutine Proc's first wake: it is given its goroutine
-				// here, and the token with it.
-				k.launch(p, fn)
-				return
+			if _, first := p.mach.(procFunc); !first {
+				// A Machine has no coroutine to switch to: its wake is one
+				// call, with wakeGen stepped as park does on resume.
+				p.wakeGen++
+				k.step(p)
+				continue
 			}
-			// A Machine has no goroutine to switch to: its wake is one call,
-			// with wakeGen stepped as park does on resume.
-			p.wakeGen++
-			k.step(p)
-			continue
 		}
-		// resume is buffered: when a Proc's own wake is the next event, the
-		// token parks in its channel and park() consumes it without any
-		// goroutine switch at all.
-		p.resume <- struct{}{}
-		return
+		return p // a goroutine Proc; at its first wake, resume gives it its coroutine
+	}
+}
+
+// resume runs p on its coroutine until p passes the token on: it parks, with
+// handoff set to the next Proc, or it ends. A Proc at its first wake takes a
+// coroutine from the free list; one that ended gives its coroutine back.
+func (k *Kernel) resume(p *Proc) {
+	c := p.co
+	if c == nil {
+		c = takeCoroutine()
+		c.p, p.co = p, c
+	}
+	c.next()
+	if c.p == nil {
+		freeCoroutine(c)
 	}
 }
 
 // runFn executes a driver-context event (At/After) with its own recovery:
-// under direct handoff the dispatcher runs on whichever goroutine holds the
-// control token, so without this a panicking timer/monitor fn would either
-// escape Run or be misattributed to the unrelated Proc that happened to be
-// parking — depending on event timing. Recovering here keeps the failure
-// deterministic and correctly labeled.
+// the dispatcher runs on whichever goroutine holds the control token, so
+// without this a panicking timer/monitor fn would either escape Run or be
+// misattributed to the unrelated Proc that happened to be parking —
+// depending on event timing. Recovering here keeps the failure deterministic
+// and correctly labeled.
 func (k *Kernel) runFn(fn func()) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -479,7 +484,7 @@ func (k *Kernel) runFn(fn func()) {
 // so it must only read, and only state the polling Proc itself could read at
 // that instant (under the parallel engine: state of its own LP). Answering
 // false when there was in fact nothing to do is always safe; it costs one
-// goroutine switch.
+// coroutine switch.
 type Idler interface {
 	Idle() bool
 }
@@ -539,27 +544,26 @@ func (k *Kernel) liveNames() string {
 	return s
 }
 
-// Shutdown terminates every still-parked Proc so its goroutine exits. Call
-// after a bounded run (RunUntil) that will not be resumed; the kernel is
-// unusable afterwards.
+// Shutdown terminates every still-parked Proc so its coroutine returns to the
+// free list. Call after a bounded run (RunUntil) that will not be resumed;
+// the kernel is unusable afterwards.
 func (k *Kernel) Shutdown() { k.unwindAll() }
 
-// unwindAll terminates every still-blocked Proc so their goroutines exit.
-// It runs with the control token held (after doneCh, or from Shutdown), so
-// no dispatcher is active; dying Procs hand control back through driverCh
-// rather than dispatching onward.
+// unwindAll terminates every still-blocked Proc. It runs with the control
+// token held (at the end of run, or from Shutdown), so no dispatcher is
+// active. Each parked Proc is resumed into the stopped kernel, where park
+// panics procKilled; its cleanup dispatches into the stopped kernel, which
+// ends at once, and it yields back here.
 func (k *Kernel) unwindAll() {
 	k.stopped = true
-	k.unwinding = true
 	for p := range k.procs {
 		if p.done {
 			continue
 		}
 		p.wakeGen++ // invalidate pending events
 		if p.mach != nil {
-			// No goroutine to answer the handshake — a Machine never has one,
-			// a Proc that was never started has none yet: retiring it is
-			// bookkeeping.
+			// No coroutine to resume — a Machine never has one, a Proc that
+			// was never started has none yet: retiring it is bookkeeping.
 			p.done = true
 			if !p.daemon {
 				k.live--
@@ -567,18 +571,17 @@ func (k *Kernel) unwindAll() {
 			delete(k.procs, p)
 			continue
 		}
-		p.resume <- struct{}{}
-		<-k.driverCh
+		k.resume(p)
 	}
 }
 
 // Proc is a simulated sequential process. All blocking methods must be
-// called only from the Proc's own goroutine; a Machine's Proc has none and
+// called only from the Proc's own function; a Machine's Proc has none and
 // may only use the Start* halves.
 type Proc struct {
 	k       *Kernel
 	name    string
-	resume  chan struct{}
+	co      *coroutine // from the first wake until the Proc ends
 	wakeGen uint64
 	done    bool
 	daemon  bool
@@ -591,9 +594,9 @@ type Proc struct {
 	poll      Idler
 	pollEvery [2]Time
 
-	// Non-nil while the Proc has no goroutine: a Machine, whose Step the
+	// Non-nil while the Proc has no coroutine: a Machine, whose Step the
 	// dispatcher calls at every wake (SpawnMachine), or — until its first wake
-	// — the procFunc a goroutine Proc will run (SpawnAt, launch).
+	// — the procFunc a goroutine Proc will run (SpawnAt, coroutine.loop).
 	mach Machine
 }
 
@@ -632,10 +635,10 @@ func (k *Kernel) SpawnMachine(name string, m Machine) *Proc {
 	return p
 }
 
-// SpawnAt creates a Proc that begins executing fn at absolute time t. Its
-// goroutine (and the channel that resumes it) is created at that first wake,
-// not here: spawning costs an allocation and an event, and a Proc unwound
-// before it ever starts costs no goroutine at all.
+// SpawnAt creates a Proc that begins executing fn at absolute time t. It
+// takes its coroutine at that first wake, not here: spawning costs an
+// allocation and an event, and a Proc unwound before it ever starts costs no
+// coroutine at all.
 func (k *Kernel) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 	p := &Proc{k: k, name: name, mach: procFunc(fn)}
 	k.procs[p] = struct{}{}
@@ -644,58 +647,113 @@ func (k *Kernel) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// procFunc is a goroutine Proc's function on its way to its goroutine: it
-// waits in the mach field until the first wake, where dispatch launches it
-// (and never steps it).
+// procFunc is a goroutine Proc's function on its way to its coroutine: it
+// waits in the mach field until the first wake, where the coroutine resume
+// hands the Proc takes it out (coroutine.loop); dispatch never steps it.
 type procFunc func(p *Proc)
 
 func (procFunc) Step(p *Proc) { panic("sim: a Proc not yet started has no Step") }
 
-// launch gives p its goroutine, running the function SpawnAt left in p.mach,
-// and with it the control token: the caller (dispatch) returns at once.
-func (k *Kernel) launch(p *Proc, fn procFunc) {
-	p.mach, p.resume = nil, make(chan struct{}, 1)
-	go func() {
-		defer func() {
-			p.done = true
-			if !p.daemon {
-				k.live--
+// A coroutine runs goroutine Procs, one after another, each from its first
+// wake to its end. Creating one (iter.Pull and its closures) costs 14
+// mallocs against the 2 of a goroutine and a channel, so an ended Proc's
+// coroutine goes back to coroutines, the free list every kernel of the
+// process takes from. The list holds at most the peak number of goroutine
+// Procs that were live at once; a coroutine is never stopped.
+type coroutine struct {
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	p     *Proc // the Proc it runs; nil once that Proc has ended
+}
+
+var coroutines struct {
+	sync.Mutex
+	free []*coroutine
+}
+
+// takeCoroutine pops the free list, or makes a coroutine when it is empty.
+func takeCoroutine() *coroutine {
+	coroutines.Lock()
+	if n := len(coroutines.free); n > 0 {
+		c := coroutines.free[n-1]
+		coroutines.free[n-1] = nil
+		coroutines.free = coroutines.free[:n-1]
+		coroutines.Unlock()
+		return c
+	}
+	coroutines.Unlock()
+	c := new(coroutine)
+	c.next, _ = iter.Pull(c.loop)
+	return c
+}
+
+// freeCoroutine returns c to the free list. Only the goroutine that resumed
+// it calls this, after c has yielded: a coroutine on the list is suspended.
+func freeCoroutine(c *coroutine) {
+	coroutines.Lock()
+	coroutines.free = append(coroutines.free, c)
+	coroutines.Unlock()
+}
+
+// loop is the coroutine's body: each pass runs the Proc resume gave it, then
+// yields to that resume with p cleared, which frees the coroutine.
+func (c *coroutine) loop(yield func(struct{}) bool) {
+	c.yield = yield
+	for {
+		p := c.p
+		fn := p.mach.(procFunc)
+		p.mach = nil
+		p.k.body(p, fn)
+		p.co, c.p = nil, nil
+		yield(struct{}{})
+	}
+}
+
+// body runs p's function to its end; its deferred cleanup passes the token
+// onward.
+func (k *Kernel) body(p *Proc, fn procFunc) {
+	returned := false
+	defer func() {
+		p.done = true
+		if !p.daemon {
+			k.live--
+		}
+		// Completed Procs leave the registry immediately: long-running
+		// simulations spawn and retire Procs continuously, and holding every
+		// dead one would grow the map (and unwind cost) without bound.
+		delete(k.procs, p)
+		if r := recover(); r != nil {
+			if _, ok := r.(procKilled); !ok {
+				k.failProc(p, r)
 			}
-			// Completed Procs leave the registry immediately: long-running
-			// simulations spawn and retire Procs continuously, and holding
-			// every dead one would grow the map (and unwind cost) without
-			// bound.
-			delete(k.procs, p)
-			if r := recover(); r != nil {
-				if _, ok := r.(procKilled); !ok {
-					k.failProc(p, r)
-				}
-			}
-			if k.unwinding {
-				k.driverCh <- struct{}{} // dying during unwind: hand back
-			} else {
-				k.dispatch() // finished normally: pass control onward
-			}
-		}()
-		fn(p)
+		} else if !returned {
+			// runtime.Goexit: iter.Pull passes it on to the goroutine that
+			// called Run (see Run). Nothing more runs.
+			k.stopped = true
+		}
+		k.handoff = k.dispatch() // nil when stopped: unwinding, or at the end of the run
 	}()
+	fn(p)
+	returned = true
 }
 
 // park blocks the Proc until something wakes it. The caller must have
 // arranged a wakeup (a scheduled event or registration in a wait queue)
 // before calling park, or the kernel will detect a deadlock. The parking
-// Proc passes the control token onward itself (direct handoff) — and when
-// its own wakeup is the very next event, the token round-trips through its
-// buffered resume channel without a goroutine switch.
+// Proc runs the dispatcher itself: when its own wakeup is the very next
+// event it carries on without a switch, otherwise it names the Proc to run
+// next in handoff and yields to the driver (run, or unwindAll).
 func (p *Proc) park() {
 	if p.mach != nil {
-		// Blocking here would block the dispatcher's borrowed goroutine, and
-		// with it the run, forever.
+		// A Machine's Step runs on whichever goroutine is dispatching; it
+		// has no coroutine of its own to yield.
 		panic(fmt.Sprintf("sim: proc %q is a Machine: it has no goroutine to park (use the Start* halves and return)", p.name))
 	}
 	k := p.k
-	k.dispatch()
-	<-p.resume
+	if q := k.dispatch(); q != p {
+		k.handoff = q
+		p.co.yield(struct{}{})
+	}
 	p.wakeGen++ // any other pending wakeups for the old park are now stale
 	if k.stopped {
 		panic(procKilled{})

@@ -456,9 +456,9 @@ func TestTimeString(t *testing.T) {
 // hot path: a long Delay chain pushes and pops one event per step. The
 // hand-rolled hole-sifting heap keeps this free of the per-event interface
 // boxing that container/heap would charge, the backing array is reused
-// throughout, and direct handoff resumes each Proc without bouncing through
-// a driver goroutine. The exact steady-state pin — 0 allocs per event —
-// lives in TestKernelEventLoopZeroAlloc.
+// throughout, and a parking Proc hands the token on by coroutine switch,
+// never through a channel and the Go scheduler. The exact steady-state pin —
+// 0 allocs per event — lives in TestKernelEventLoopZeroAlloc.
 func BenchmarkKernelChurn(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -5,10 +5,11 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
-// Pins of the Machine and lazy-launch contracts beside the differential
-// matrix (differential_test.go).
+// Pins of the Machine, lazy-launch and coroutine contracts beside the
+// differential matrix (differential_test.go).
 
 // failing is a Machine that ticks every 100 ns and misbehaves at its third
 // wake.
@@ -43,9 +44,9 @@ func TestMachinePanicFailsRunNamingProc(t *testing.T) {
 	}
 }
 
-// Machines have no goroutine to answer the unwind handshake: a drained run,
-// a stopped run and Shutdown after a bounded run must all retire them —
-// mid-delay, queued on a Chan, queued on a Resource — without it.
+// Machines have no coroutine to resume into the unwind: a drained run, a
+// stopped run and Shutdown after a bounded run must all retire them —
+// mid-delay, queued on a Chan, queued on a Resource — without one.
 func TestMachineRetiredWithoutHandshake(t *testing.T) {
 	build := func() *Kernel {
 		k := NewKernel()
@@ -80,7 +81,7 @@ func TestMachineRetiredWithoutHandshake(t *testing.T) {
 	}
 }
 
-// A goroutine Proc is given its goroutine at its first wake, so spawning
+// A goroutine Proc is given its coroutine at its first wake, so spawning
 // costs none, and a Proc unwound before it ever starts — a run stopped first,
 // a bounded run shut down — is retired by bookkeeping, as a Machine is.
 func TestProcGetsItsGoroutineAtFirstWake(t *testing.T) {
@@ -114,5 +115,82 @@ func TestProcGetsItsGoroutineAtFirstWake(t *testing.T) {
 	k.Stop()
 	if err := k.Run(); !errors.Is(err, ErrStopped) || *started != 0 || k.Live() != 0 || len(k.procs) != 0 {
 		t.Fatalf("stopped before it ran: err=%v, %d Procs started, %d live, %d registered", err, *started, k.Live(), len(k.procs))
+	}
+}
+
+func freeCoroutines() int {
+	coroutines.Lock()
+	defer coroutines.Unlock()
+	return len(coroutines.free)
+}
+
+// An ended Proc's coroutine goes back to the free list both ways a Proc
+// ends — its function returns, or Shutdown unwinds it — and the next
+// kernel's Procs take it from there: a second kernel of n Procs starts no
+// goroutine.
+func TestCoroutinesAreRecycled(t *testing.T) {
+	const slack = 16
+	for _, end := range []struct {
+		how string
+		end func(k *Kernel) error
+	}{
+		{"returned", (*Kernel).Run},
+		{"unwound", func(k *Kernel) error { k.Shutdown(); return nil }},
+	} {
+		n := freeCoroutines() + 200 // more than the list holds: the first kernel makes 200
+		parked := func() *Kernel {
+			k := NewKernel()
+			for i := 0; i < n; i++ {
+				k.Spawn("p", func(p *Proc) { p.Delay(Millisecond) })
+			}
+			if err := k.RunUntil(Microsecond); err != nil || k.Live() != n {
+				t.Fatalf("bounded run: err=%v, %d live", err, k.Live())
+			}
+			return k
+		}
+		if err := end.end(parked()); err != nil {
+			t.Fatal(err)
+		}
+		if free := freeCoroutines(); free < n {
+			t.Fatalf("%s: %d coroutines free after %d Procs ended", end.how, free, n)
+		}
+		before := runtime.NumGoroutine()
+		k := parked()
+		grew := runtime.NumGoroutine() - before
+		if err := end.end(k); err != nil {
+			t.Fatal(err)
+		}
+		if grew > slack {
+			t.Fatalf("%s: a second kernel of %d parked Procs started %d goroutines", end.how, n, grew)
+		}
+	}
+}
+
+// A Proc that calls runtime.Goexit, as t.FailNow does, takes the goroutine
+// that called Run with it: that goroutine runs its defers and exits, Run
+// does not return, nothing hangs, and nothing more runs. Shutdown from
+// another goroutine unwinds the Procs left parked.
+func TestProcGoexitEndsRunsCaller(t *testing.T) {
+	k := NewKernel()
+	ran := false
+	k.Spawn("bystander", func(p *Proc) { p.Delay(Second); ran = true })
+	k.Spawn("quitter", func(p *Proc) { p.Delay(Microsecond); runtime.Goexit() })
+	returned, exited := false, make(chan struct{})
+	go func() {
+		defer close(exited)
+		k.Run()
+		returned = true
+	}()
+	select {
+	case <-exited:
+	case <-time.After(time.Minute):
+		t.Fatal("Run's caller hung after a Proc called runtime.Goexit")
+	}
+	if returned || ran || k.Now() != Microsecond {
+		t.Fatalf("Run returned: %v, bystander resumed: %v, clock %v (want false, false, 1us)", returned, ran, k.Now())
+	}
+	k.Shutdown()
+	if ran || k.Live() != 0 || len(k.procs) != 0 {
+		t.Fatalf("after Shutdown: bystander resumed: %v, %d live, %d registered", ran, k.Live(), len(k.procs))
 	}
 }

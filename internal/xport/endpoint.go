@@ -361,7 +361,7 @@ type TurnWork interface {
 //	return until.Done()
 //
 // — same virtual times, same kernel events — but a turn that finds nothing
-// to extract and nothing to do costs this Proc no goroutine switch: both its
+// to extract and nothing to do costs this Proc no coroutine switch: both its
 // ticks, the end of the empty poll and the end of the pause, are taken by the
 // kernel's dispatcher (sim.PollCycle), which re-arms one for the other for as
 // long as nothing changes. The Proc is woken inside the extract and lands
