@@ -58,10 +58,10 @@ var figures = []func(io.Writer){
 // figures, headline, ablation, collectives, matrix, topo, mixed.
 func registry(fs *flag.FlagSet) []report {
 	var (
-		fig, topoRanks, perfRanks, perfPar, perfBig int
-		gateBase, gateNew, scenPath, campDir        string
-		svcCapture, svcReplay, jsonPath             string
-		campSeed                                    int64
+		fig, topoRanks, perfRanks, perfBig int
+		scenPath, campDir                  string
+		svcCapture, svcReplay, jsonPath    string
+		campSeed                           int64
 	)
 	on := func(name, usage string) *flag.Flag { fs.Bool(name, false, usage); return fs.Lookup(name) }
 	num := func(p *int, name, usage string) *flag.Flag { fs.IntVar(p, name, 0, usage); return fs.Lookup(name) }
@@ -73,9 +73,6 @@ func registry(fs *flag.FlagSet) []report {
 	fs.Int64Var(&campSeed, seedName, scenario.DefaultSeed, "campaign seed (also scopes -scenario)")
 	seed := []*flag.Flag{fs.Lookup(seedName)} // one flag, two rows
 	return []report{
-		{sel: str(&gateBase, "gate", "trajectory gate: compare -gatenew against this baseline BENCH_*.json and exit nonzero on regression"),
-			mods:  []*flag.Flag{str(&gateNew, "gatenew", "trajectory gate: the new report to hold to the baseline")},
-			alone: true, write: func(c cli) int { return runGate(c, gateBase, gateNew) }},
 		{sel: str(&scenPath, "scenario", "run one chaos scenario file; report JSON to stdout"),
 			mods: seed, alone: true,
 			write: func(c cli) int { return runScenario(c, scenPath, campSeed) }},
@@ -118,11 +115,10 @@ func registry(fs *flag.FlagSet) []report {
 		{sel: on("perf", "run the engine wall-clock suite (allreduce scale ladder: events/sec, allocs/rank at 64-1024 ranks)"),
 			mods: []*flag.Flag{
 				num(&perfRanks, "perfranks", "cap the perf suite's rank counts (0 = full sweep incl. 1024)"),
-				num(&perfPar, "perfpar", "perf suite: rerun fat-tree points on the parallel engine with this many LPs (0 = sequential only)"),
 				num(&perfBig, "perfbig", "perf suite: add one fat-tree allreduce row at this rank count (e.g. 4096)"),
 				str(&jsonPath, "json", "perf suite: machine-readable output path; BENCH_PR<n>.json records n as the report's pr (empty = don't write)"),
 			},
-			write: func(c cli) int { return writePerf(c, perfRanks, perfPar, perfBig, jsonPath) }},
+			write: func(c cli) int { return writePerf(c, perfRanks, perfBig, jsonPath) }},
 		{sel: on("svc", "run the service-workload suite (RPC tail latency over both FM generations)"),
 			write: func(c cli) int {
 				if err := bench.WriteSvcReport(c.w); err != nil {
@@ -131,17 +127,6 @@ func registry(fs *flag.FlagSet) []report {
 				return 0
 			}},
 	}
-}
-
-func runGate(c cli, base, next string) int {
-	if next == "" {
-		return failf(c.stderr, 2, "-gate needs -gatenew <report>")
-	}
-	if err := bench.GateTrajectory(base, next); err != nil {
-		return failf(c.stderr, 1, "%v", err)
-	}
-	fmt.Fprintf(c.w, "trajectory gate: %s holds against %s (tol %.0f%%)\n", next, base, bench.GateTolerancePct)
-	return 0
 }
 
 func writeTables(c cli) int {
@@ -171,13 +156,12 @@ func writeHeadline(c cli) int {
 	return 0
 }
 
-func writePerf(c cli, ranks, par, big int, jsonPath string) int {
+func writePerf(c cli, ranks, big int, jsonPath string) int {
 	cfg := bench.DefaultPerfConfig()
 	if ranks > 0 {
 		cfg.CollectiveRanks = capRanks(cfg.CollectiveRanks, ranks)
 		cfg.TorusRanks = capRanks(cfg.TorusRanks, ranks)
 	}
-	cfg.ParallelLPs = par
 	cfg.BigRanks = big
 	if err := bench.WritePerfReport(c.w, cfg, jsonPath); err != nil {
 		return failf(c.stderr, 1, "perf report: %v", err)
@@ -187,7 +171,7 @@ func writePerf(c cli, ranks, par, big int, jsonPath string) int {
 
 // run is the whole CLI as a function of its arguments and streams, so the
 // golden tests drive the real flag path in-process. The return value is the
-// exit status: 1 for a failed report, gate or campaign, 2 for bad usage.
+// exit status: 1 for a failed report or campaign, 2 for bad usage.
 func run(args []string, w, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fmbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)

@@ -77,7 +77,6 @@ var heldElsewhere = map[string]string{
 	"matrix":      "all.golden",
 	"topo":        "topo16.golden",
 	"perf":        "TestPerfReportNamesItsPR", // wall clock: no golden can hold it
-	"gate":        "TestPerfReportNamesItsPR",
 	"svccapture":  "TestSvcCaptureReplaysIdentically",
 	"svcreplay":   "TestSvcCaptureReplaysIdentically",
 	"scenario":    "TestScenarioFlagPrintsTheCampaignEntry",
@@ -137,7 +136,7 @@ func TestScenarioFlagPrintsTheCampaignEntry(t *testing.T) {
 
 // TestPerfReportNamesItsPR: the trajectory file's name is the only place a
 // PR number lives — the report reads it from BENCH_PR<n>.json — and a report
-// gates cleanly against itself through the real flag path.
+// written through the real flag path gates cleanly against itself.
 func TestPerfReportNamesItsPR(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_PR42.json")
 	var out, errs bytes.Buffer
@@ -151,8 +150,8 @@ func TestPerfReportNamesItsPR(t *testing.T) {
 	if rep.PR != 42 {
 		t.Errorf("report pr = %d, want 42 from the file name", rep.PR)
 	}
-	if status := run([]string{"-gate", path, "-gatenew", path}, &out, &errs); status != 0 {
-		t.Errorf("report does not gate against itself: exit %d: %s", status, errs.String())
+	if err := bench.GateTrajectory(path, path); err != nil {
+		t.Errorf("report does not gate against itself: %v", err)
 	}
 }
 
@@ -173,20 +172,18 @@ func TestSvcCaptureReplaysIdentically(t *testing.T) {
 	}
 }
 
-// TestUsageErrors: a command line that asks for two runs, half of one, or a
-// modifier of a report it does not ask for, is refused before anything runs — exit 2, the reason on stderr, nothing on
-// stdout.
+// TestUsageErrors: a command line that asks for two runs, or a modifier of a
+// report it does not ask for, is refused before anything runs — exit 2, the
+// reason on stderr, nothing on stdout.
 func TestUsageErrors(t *testing.T) {
 	tmp := t.TempDir()
 	for _, args := range [][]string{
-		{"-gate", "base.json"},
 		{"-scenario", "../../campaigns/smoke/05-baseline-clean.json", "-campaign", "../../campaigns/smoke"},
 		{"-svccapture", filepath.Join(tmp, "a.jsonl"), "-svcreplay", filepath.Join(tmp, "b.jsonl")},
 		// A modifier without the report it modifies used to be ignored.
 		{"-tables", "-toporanks", "16"},
 		{"-tables", "-perfranks", "64"},
 		{"-tables", "-perfbig", "4096"},
-		{"-tables", "-perfpar", "2"},
 		{"-tables", "-json", filepath.Join(tmp, "BENCH_PR1.json")},
 		{"-tables", "-campaignseed", "7"},
 	} {

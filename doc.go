@@ -255,8 +255,8 @@
 // is the ZeroAlloc pins (CI's alloc-gate job); 64- to 4096-rank allreduce
 // on the multi-stage fabrics is `fmbench -perf -json BENCH_PR<n>.json`,
 // which writes the machine-readable trajectory, and tier-1 holds the newest
-// committed report to the one before it (fmbench -gate): host numbers
-// within a tolerance, events and virtual_us exactly.
+// committed report to the one before it (TestGateCommittedTrajectory): host
+// numbers within a tolerance, events and virtual_us exactly.
 //
 // # Parallel engine
 //
@@ -288,9 +288,9 @@
 // Congestion-free shapes (WithFullBisection, deeper WithLinkSlots) stay
 // certified; the conformance suites pin those shapes and require
 // byte-equal results, while oversubscribed default shapes report their
-// stalls honestly. `fmbench -perf -perfpar N` reruns the fat-tree points
-// on N LPs and reports speedup and certification next to the sequential
-// rows.
+// stalls honestly. `go run ./benchmark -workload allreduce-fattree -trace 1`
+// is the one measurement of the engine: it reports sim.engine.speedup_x,
+// .certified and .cut_stalls against the same run on one kernel.
 //
 // See README.md.
 package fmnet

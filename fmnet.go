@@ -381,9 +381,6 @@ func New(opts ...Option) (*Session, error) {
 // kernel under WithParallel; prefer SpawnOn/SpawnRanks for node work).
 func (s *Session) Kernel() *sim.Kernel { return s.k }
 
-// Parallel reports whether the session runs on the partitioned engine.
-func (s *Session) Parallel() bool { return s.pl.Parallel() }
-
 // Nodes reports the cluster size.
 func (s *Session) Nodes() int { return len(s.eps) }
 

@@ -24,7 +24,7 @@ func MPI2AblationBandwidth(opt mpifm.Options, size, msgs int) float64 {
 // the backlog into the unexpected pool — a staging copy per message, the
 // host-side cost receiver flow control exists to avoid (paper §4.2).
 func MPI2AblationOverrun(opt mpifm.Options, size, msgs int, lag sim.Time) (float64, mpifm.Stats) {
-	pl, comms := mpiWorld(xport.GenFM2, 2, FabSingle, 0, opt)
+	pl, comms := mpiWorld(xport.GenFM2, 2, FabSingle, opt)
 	mbps := mpiStream(pl, comms, size, msgs, lag)
 	return mbps, comms[1].Stats()
 }

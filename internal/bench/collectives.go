@@ -131,7 +131,7 @@ func CollectiveTimeOn(g xport.Gen, f Fabric, op CollectiveOp, algo mpifm.Collect
 		iters = 1
 	}
 	size = collSize(size)
-	pl, comms := mpiWorld(g, ranks, f, 0, mpifm.Options{})
+	pl, comms := mpiWorld(g, ranks, f, mpifm.Options{})
 	stamps := spawnCollective(pl, comms, op, algo, size, iters)
 	run(pl, "%s ranks=%d size=%d algo=%s on %s", op, ranks, size, algo, f)
 	return span(stamps) / sim.Time(iters)

@@ -121,7 +121,7 @@ func xportFlow(eps []*xport.Endpoint, _ xport.Gen, size, msgs int) func(flow) [2
 // streams msgs messages of size bytes (whole elements of the layer) at once.
 func layerFlows(l Layer, g xport.Gen, f Fabric, n int, pairs [][2]int, size, msgs int) float64 {
 	size = l.elem * max(size/l.elem, 1)
-	pl, eps := endpoints(g, n, f, 0)
+	pl, eps := endpoints(g, n, f)
 	return flowBandwidth(pl, fmt.Sprintf("%s/%s on %s", l, g, f), pairs, l.flows(eps, g, size, msgs), size, msgs)
 }
 

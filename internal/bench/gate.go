@@ -10,11 +10,9 @@ import (
 // Trajectory gate: a static comparator over two committed BENCH_*.json
 // files. The perf suite's value is the TRAJECTORY of numbers across PRs,
 // not any one snapshot — so tier-1 holds each new report to the previous one:
-// the sequential engine may not lose events/sec or gain allocs/op beyond a
-// tolerance, and what the simulation computes — the event count and the
-// virtual time of every entry — may not move at all. Parallel entries are
-// excluded: their wall-clock numbers depend on host core count, and the
-// sequential engine is the regression surface this gate protects.
+// the engine may not lose events/sec or gain allocs/op beyond a tolerance,
+// and what the simulation computes — the event count and the virtual time of
+// every entry — may not move at all.
 
 // GateTolerancePct is the regression allowance for the numbers measured on
 // the host. Events/sec on a shared CI runner is noisy; allocs/op is nearly
@@ -55,11 +53,11 @@ func LoadPerfReport(path string) (*PerfReport, error) {
 	return &rep, nil
 }
 
-// GateTrajectory compares the sequential entries of newPath against
-// basePath: every base entry not retired must have a counterpart, events
-// and virtual_us must equal the base's exactly (a field the base did not
-// record, i.e. 0, is skipped), events/sec must not fall below
-// base*(1-tol%), and allocs/op must not rise above base*(1+tol%).
+// GateTrajectory compares the entries of newPath against basePath: every
+// base entry not retired must have a counterpart, events and virtual_us must
+// equal the base's exactly (a field the base did not record, i.e. 0, is
+// skipped), events/sec must not fall below base*(1-tol%), and allocs/op must
+// not rise above base*(1+tol%).
 // Returns nil when the trajectory holds; an error naming every violation
 // otherwise.
 func GateTrajectory(basePath, newPath string) error {
@@ -74,13 +72,11 @@ func GateTrajectory(basePath, newPath string) error {
 	}
 	fresh := make(map[string]PerfEntry)
 	for _, e := range next.Entries {
-		if e.Engine == "" {
-			fresh[gateKey(e)] = e
-		}
+		fresh[gateKey(e)] = e
 	}
 	var bad []string
 	for _, b := range base.Entries {
-		if _, gone := retiredRows[b.Name]; gone || b.Engine != "" {
+		if _, gone := retiredRows[b.Name]; gone {
 			continue
 		}
 		n, ok := fresh[gateKey(b)]

@@ -36,8 +36,6 @@ func TestGateTrajectory(t *testing.T) {
 		// A retired row in the base asks nothing of the new report.
 		{Name: "kernel-event-loop", EventsPerSec: 1e7, AllocsPerOp: 0.0},
 		allreduce64,
-		// Parallel entries must be ignored by the gate entirely.
-		{Name: "allreduce", Fabric: "fattree", Ranks: 64, SizeB: 1024, Engine: "parallel", Parallelism: 4, EventsPerSec: 1, AllocsPerOp: 1e9},
 	}
 	base := writeReport(t, dir, "base.json", baseEntries)
 

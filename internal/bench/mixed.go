@@ -201,7 +201,7 @@ func startMixedGA(k *sim.Kernel, eps []*xport.Endpoint, _ xport.Gen, cfg MixedCo
 // workloads concurrently, started in table order, so a solo run is the same
 // code with two rows absent.
 func runMixed(b xport.Gen, f Fabric, cfg MixedConfig, sel []mixedWorkload) []tally {
-	pl, eps := endpoints(b, cfg.Nodes, f, 0)
+	pl, eps := endpoints(b, cfg.Nodes, f)
 	tallies := make([]tally, len(sel))
 	for i, wl := range sel {
 		wl.start(pl.K, eps, b, cfg, &tallies[i])

@@ -16,7 +16,7 @@ func mpiStream(pl *cluster.Platform, comms []*mpifm.Comm, size, msgs int, lag si
 // MPIBandwidth measures streaming MPI bandwidth rank0 -> rank1 at one
 // message size: the measurement behind Figures 4a and 6a.
 func MPIBandwidth(g xport.Gen, size, msgs int) float64 {
-	pl, comms := mpiWorld(g, 2, FabSingle, 0, mpifm.Options{})
+	pl, comms := mpiWorld(g, 2, FabSingle, mpifm.Options{})
 	return mpiStream(pl, comms, size, msgs, 0)
 }
 
@@ -27,7 +27,7 @@ func MPICurve(g xport.Gen, sizes []int) Curve {
 
 // MPILatency measures one-way latency by MPI ping-pong.
 func MPILatency(g xport.Gen, size, iters int) sim.Time {
-	pl, comms := mpiWorld(g, 2, FabSingle, 0, mpifm.Options{})
+	pl, comms := mpiWorld(g, 2, FabSingle, mpifm.Options{})
 	var rtt sim.Time
 	pl.K.Spawn("rank0", func(p *sim.Proc) {
 		msg := make([]byte, size)

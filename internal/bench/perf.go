@@ -10,7 +10,6 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/mpifm"
 	"repro/internal/xport"
 )
@@ -34,13 +33,6 @@ type PerfEntry struct {
 	SizeB  int    `json:"size_b,omitempty"`
 	Ops    int64  `json:"ops,omitempty"` // unit of AllocsPerOp: ranks
 
-	// Parallel-engine fields (zero on the default sequential entries).
-	Engine      string  `json:"engine,omitempty"`      // "parallel" for partitioned runs
-	Parallelism int     `json:"parallelism,omitempty"` // LP count
-	SpeedupX    float64 `json:"speedup_x,omitempty"`   // seq wall / par wall, same workload
-	Certified   bool    `json:"certified,omitempty"`   // run provably bit-identical to sequential
-	CutStalls   int64   `json:"cut_stalls,omitempty"`  // cross-partition back-pressure events
-
 	VirtualUS    float64 `json:"virtual_us,omitempty"` // modeled result, determinism-pinned
 	WallMS       float64 `json:"wall_ms"`
 	Events       int64   `json:"events"`
@@ -58,9 +50,8 @@ type PerfReport struct {
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
 	NumCPU    int    `json:"num_cpu"`
-	// GOMAXPROCS at report time: the honest parallelism bound the wall-clock
-	// numbers were measured under (the parallel-engine rows are meaningless
-	// without it).
+	// GOMAXPROCS at report time: the parallelism bound the wall-clock
+	// numbers were measured under.
 	GOMAXPROCS int         `json:"gomaxprocs"`
 	Entries    []PerfEntry `json:"entries"`
 }
@@ -78,13 +69,8 @@ type PerfConfig struct {
 	TorusRanks      []int
 	Size            int // bytes per rank contribution
 
-	// ParallelLPs > 1 reruns every fat-tree allreduce point on the
-	// partitioned engine with that many LPs and reports speedup vs the
-	// sequential entry for the same rank count (0 = sequential only).
-	ParallelLPs int
 	// BigRanks adds one extra fat-tree allreduce row at this rank count
-	// (the CP-PACS-scale point; 0 = none). With ParallelLPs set the row
-	// is measured on both engines.
+	// (the CP-PACS-scale point; 0 = none).
 	BigRanks int
 }
 
@@ -124,35 +110,17 @@ func (e PerfEntry) withCost(wall time.Duration, events, mallocs, bytes uint64, o
 	return e
 }
 
-// perfAllreduce measures one allreduce round at scale on the MPI world it
-// is handed: virtual time (the model's answer, bit-stable across engine
-// changes) alongside the simulator's wall-clock cost to produce it, per
-// participating rank.
-func perfAllreduce(pl *cluster.Platform, comms []*mpifm.Comm, f Fabric, size int) PerfEntry {
+// PerfCollective measures one allreduce round at scale on fabric f: virtual
+// time (the model's answer, bit-stable across engine changes) alongside the
+// simulator's wall-clock cost to produce it, per participating rank.
+func PerfCollective(f Fabric, ranks, size int) PerfEntry {
+	pl, comms := mpiWorld(xport.GenFM2, ranks, f, mpifm.Options{})
 	size = collSize(size)
-	ranks := len(comms)
 	stamps := spawnCollective(pl, comms, CollAllreduce, mpifm.AlgoAuto, size, 1)
 	wall, mallocs, bytes := hostCost(func() { run(pl, "perf allreduce ranks=%d on %s", ranks, f) })
 	e := PerfEntry{Name: "allreduce", Fabric: f.String(), Ranks: ranks, SizeB: size,
 		VirtualUS: span(stamps).Micros()}
 	return e.withCost(wall, pl.Events(), mallocs, bytes, int64(ranks))
-}
-
-// PerfCollective is perfAllreduce on the sequential engine.
-func PerfCollective(f Fabric, ranks, size int) PerfEntry {
-	pl, comms := mpiWorld(xport.GenFM2, ranks, f, 0, mpifm.Options{})
-	return perfAllreduce(pl, comms, f, size)
-}
-
-// PerfCollectivePar is perfAllreduce on the partitioned engine: the same
-// fat-tree world split across `parts` LPs on OS threads, so VirtualUS is
-// directly comparable — and bit-equal whenever Certified is true.
-func PerfCollectivePar(ranks, size, parts int) PerfEntry {
-	pl, comms := mpiWorld(xport.GenFM2, ranks, FabFatTree, parts, mpifm.Options{})
-	e := perfAllreduce(pl, comms, FabFatTree, size)
-	e.Engine, e.Parallelism = "parallel", parts
-	e.Certified, e.CutStalls = pl.Net.Certified(), pl.Net.CutStalls()
-	return e
 }
 
 // perfSessions is how many fresh sessions each row is measured in. A row's
@@ -190,23 +158,11 @@ func RunPerfSuite(cfg PerfConfig) []PerfEntry {
 	if cfg.BigRanks > 0 {
 		ftRanks = append(append([]int(nil), ftRanks...), cfg.BigRanks)
 	}
-	seqWall := make(map[int]float64, len(ftRanks))
 	for _, n := range ftRanks {
-		e := bestOf(func() PerfEntry { return PerfCollective(FabFatTree, n, cfg.Size) })
-		seqWall[n] = e.WallMS
-		entries = append(entries, e)
+		entries = append(entries, bestOf(func() PerfEntry { return PerfCollective(FabFatTree, n, cfg.Size) }))
 	}
 	for _, n := range cfg.TorusRanks {
 		entries = append(entries, bestOf(func() PerfEntry { return PerfCollective(FabTorus, n, cfg.Size) }))
-	}
-	if cfg.ParallelLPs > 1 {
-		for _, n := range ftRanks {
-			e := bestOf(func() PerfEntry { return PerfCollectivePar(n, cfg.Size, cfg.ParallelLPs) })
-			if e.WallMS > 0 {
-				e.SpeedupX = seqWall[n] / e.WallMS
-			}
-			entries = append(entries, e)
-		}
 	}
 	return entries
 }
@@ -216,23 +172,12 @@ func RunPerfSuite(cfg PerfConfig) []PerfEntry {
 // the <n> of a BENCH_PR<n>.json file name (0 for any other name).
 func WritePerfReport(w io.Writer, cfg PerfConfig, jsonPath string) error {
 	fmt.Fprintf(w, "Engine wall-clock suite (simulator cost, not modeled time):\n")
-	fmt.Fprintf(w, "  %-22s %-8s %-6s %6s  %12s  %10s  %12s  %10s  %10s  %8s\n",
-		"bench", "fabric", "engine", "ranks", "virtual_us", "wall_ms", "events/sec", "allocs/op", "bytes/op", "speedup")
+	fmt.Fprintf(w, "  %-22s %-8s %6s  %12s  %10s  %12s  %10s  %10s\n",
+		"bench", "fabric", "ranks", "virtual_us", "wall_ms", "events/sec", "allocs/op", "bytes/op")
 	entries := RunPerfSuite(cfg)
 	for _, e := range entries {
-		eng := "seq"
-		if e.Engine != "" {
-			eng = fmt.Sprintf("par%d", e.Parallelism)
-			if !e.Certified {
-				eng += "*" // uncertified: cut back-pressure occurred
-			}
-		}
-		speed := "-"
-		if e.SpeedupX > 0 {
-			speed = fmt.Sprintf("%.2fx", e.SpeedupX)
-		}
-		fmt.Fprintf(w, "  %-22s %-8s %-6s %6d  %12.1f  %10.1f  %12.0f  %10.2f  %10.1f  %8s\n",
-			e.Name, e.Fabric, eng, e.Ranks, e.VirtualUS, e.WallMS, e.EventsPerSec, e.AllocsPerOp, e.BytesPerOp, speed)
+		fmt.Fprintf(w, "  %-22s %-8s %6d  %12.1f  %10.1f  %12.0f  %10.2f  %10.1f\n",
+			e.Name, e.Fabric, e.Ranks, e.VirtualUS, e.WallMS, e.EventsPerSec, e.AllocsPerOp, e.BytesPerOp)
 	}
 	if jsonPath == "" {
 		return nil

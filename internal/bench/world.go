@@ -12,24 +12,22 @@ import (
 )
 
 // A measurement is a world, a traffic shape and a clock. This file is the
-// world — the one way a driver of this package gets an assembled machine,
-// on either engine — and the virtual clock every driver reads its result
+// world — the one way a driver of this package gets an assembled machine —
+// and the virtual clock every driver reads its result
 // from. The traffic shapes are the raw-FM stream and ping-pong
 // (fmdrivers.go), the flow skeleton (fabric.go) and the timed collective
 // (collectives.go); the host-side clock is in perf.go.
 
-// platform assembles the n-node machine of generation g on fabric f — on
-// the sequential kernel, or split across lps logical processes when
-// lps > 1 — after edit (nil = none) has adjusted the prepared config.
-func platform(g xport.Gen, n int, f Fabric, lps int, edit func(*cluster.Config)) *cluster.Platform {
+// platform assembles the n-node machine of generation g on fabric f after
+// edit (nil = none) has adjusted the prepared config.
+func platform(g xport.Gen, n int, f Fabric, edit func(*cluster.Config)) *cluster.Platform {
 	cfg := g.ClusterConfig(n, f)
-	cfg.Parallelism = lps
 	if edit != nil {
 		edit(&cfg)
 	}
 	pl, err := cluster.Assemble(cfg)
 	if err != nil {
-		panic(fmt.Sprintf("bench: %s, %d nodes on %s, %d LPs: %v", g, n, f, lps, err))
+		panic(fmt.Sprintf("bench: %s, %d nodes on %s: %v", g, n, f, err))
 	}
 	return pl
 }
@@ -37,8 +35,8 @@ func platform(g xport.Gen, n int, f Fabric, lps int, edit func(*cluster.Config))
 // endpoints is platform plus one shared endpoint per node. Every driver
 // above raw FM builds its stack through here and then registers its
 // services on the endpoints.
-func endpoints(g xport.Gen, n int, f Fabric, lps int) (*cluster.Platform, []*xport.Endpoint) {
-	pl := platform(g, n, f, lps, nil)
+func endpoints(g xport.Gen, n int, f Fabric) (*cluster.Platform, []*xport.Endpoint) {
+	pl := platform(g, n, f, nil)
 	return pl, xport.AttachEndpoints(pl, xport.EndpointConfig{Gen: g})
 }
 
@@ -49,8 +47,8 @@ func attachMPI(eps []*xport.Endpoint, g xport.Gen, opt mpifm.Options) []*mpifm.C
 }
 
 // mpiWorld is endpoints plus an n-rank MPI world on them.
-func mpiWorld(g xport.Gen, n int, f Fabric, lps int, opt mpifm.Options) (*cluster.Platform, []*mpifm.Comm) {
-	pl, eps := endpoints(g, n, f, lps)
+func mpiWorld(g xport.Gen, n int, f Fabric, opt mpifm.Options) (*cluster.Platform, []*mpifm.Comm) {
+	pl, eps := endpoints(g, n, f)
 	return pl, attachMPI(eps, g, opt)
 }
 
@@ -70,7 +68,7 @@ func DefaultOptions(g xport.Gen) Options {
 }
 
 func (o Options) platform() *cluster.Platform {
-	return platform(o.FM.Gen, 2, FabSingle, 0, func(cfg *cluster.Config) {
+	return platform(o.FM.Gen, 2, FabSingle, func(cfg *cluster.Config) {
 		cfg.Profile, cfg.NIC = o.Profile, o.NIC
 	})
 }

@@ -48,7 +48,7 @@ type Config struct {
 	Faults *netsim.FaultPlan
 
 	// Parallelism partitions the cluster across that many logical processes
-	// of a parallel engine (TryNewPar): each LP owns a block of fat-tree
+	// of a parallel engine (Assemble): each LP owns a block of fat-tree
 	// edge subtrees and runs on its own goroutine. 0 or 1 means sequential.
 	// Requires a FatTree topology with Parallelism dividing the edge-switch
 	// count and a positive link propagation delay (the trunk delay is the
@@ -90,7 +90,7 @@ func DefaultConfig() Config {
 }
 
 // Platform is an assembled cluster ready for a messaging layer. On a
-// partitioned platform (TryNewPar), K is LP 0's kernel — use KernelOf to
+// partitioned platform (Assemble with Parallelism > 1), K is LP 0's kernel — use KernelOf to
 // place per-node activity on the node's owning partition.
 type Platform struct {
 	K     *sim.Kernel
@@ -184,21 +184,9 @@ func New(k *sim.Kernel, cfg Config) *Platform {
 // thread endpoint assembly through.
 func TryNew(k *sim.Kernel, cfg Config) (*Platform, error) {
 	if cfg.Parallelism > 1 {
-		return nil, fmt.Errorf("cluster: TryNew builds a sequential platform; Parallelism %d needs TryNewPar (or Assemble)", cfg.Parallelism)
+		return nil, fmt.Errorf("cluster: TryNew builds a sequential platform; Parallelism %d needs Assemble", cfg.Parallelism)
 	}
 	return assemble(k, nil, cfg)
-}
-
-// TryNewPar builds a partitioned Platform on a parallel engine: one LP per
-// partition (cfg.Parallelism of them), hosts and NICs constructed on their
-// owning partition's kernel, trunk links crossing partitions as
-// lookahead-bearing portals. Drive it with Platform.Run (or Engine.Run);
-// per-node Procs must spawn on KernelOf(node).
-func TryNewPar(e *sim.Engine, cfg Config) (*Platform, error) {
-	if cfg.Parallelism < 2 {
-		return nil, fmt.Errorf("cluster: TryNewPar needs Parallelism >= 2, have %d", cfg.Parallelism)
-	}
-	return assemble(nil, e, cfg)
 }
 
 // assemble is the one platform assembly: validate, grow the ring, build the
@@ -244,10 +232,13 @@ func assemble(k *sim.Kernel, e *sim.Engine, cfg Config) (*Platform, error) {
 }
 
 // Assemble builds cfg's platform on an engine of its own: a fresh sequential
-// kernel, or a parallel engine when cfg.Parallelism > 1.
+// kernel, or, when cfg.Parallelism > 1, a parallel engine with one LP per
+// partition — hosts and NICs constructed on their owning partition's kernel,
+// trunk links crossing partitions as lookahead-bearing portals. Drive it
+// with Platform.Run; per-node Procs must spawn on KernelOf(node).
 func Assemble(cfg Config) (*Platform, error) {
 	if cfg.Parallelism > 1 {
-		return TryNewPar(sim.NewEngine(), cfg)
+		return assemble(nil, sim.NewEngine(), cfg)
 	}
 	return TryNew(sim.NewKernel(), cfg)
 }

@@ -172,13 +172,13 @@ func TestNodeIDsFitTheHeaderField(t *testing.T) {
 }
 
 // TestTryNewRejectsParallelism: TryNew builds sequential platforms only; a
-// config asking for LPs must go through TryNewPar, not be silently run on
-// one kernel.
+// config asking for LPs must go through Assemble, not be silently run on one
+// kernel.
 func TestTryNewRejectsParallelism(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Nodes, cfg.Topology, cfg.Parallelism = 16, FatTree, 2
-	if _, err := TryNew(sim.NewKernel(), cfg); err == nil || !strings.Contains(err.Error(), "TryNewPar") {
-		t.Fatalf("TryNew with Parallelism 2: err = %v, want one naming TryNewPar", err)
+	if _, err := TryNew(sim.NewKernel(), cfg); err == nil || !strings.Contains(err.Error(), "Assemble") {
+		t.Fatalf("TryNew with Parallelism 2: err = %v, want one naming Assemble", err)
 	}
 	pl, err := Assemble(cfg)
 	if err != nil || !pl.Parallel() {

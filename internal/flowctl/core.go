@@ -74,35 +74,30 @@ type EndpointCore struct {
 	// and the idle flush happen inside Emit and Next.
 	Credit Plane
 
-	h       *hostmodel.Host
-	nic     *lanai.NIC
-	wire    Wire
-	frames  *netsim.FramePool // data frames (PacketMTU backing)
-	poolCap int
-	poison  bool
+	h      *hostmodel.Host
+	nic    *lanai.NIC
+	wire   Wire
+	frames *netsim.FramePool // data frames (PacketMTU backing)
+	poison bool
 }
 
 // NewEndpointCore builds the core of the endpoint attached to nic in a cluster
-// of nodes nodes, speaking layout w. poolCap bounds the data-frame and
-// control-header free lists (0 means netsim.DefaultPoolCap; PoolCap reports
-// the resolved bound for the engine's own pools); poison overwrites recycled
-// frames with a poison pattern; noFlowControl is the flow-control ablation.
+// of nodes nodes, speaking layout w. The data-frame and control-header free
+// lists hold at most netsim.DefaultPoolCap frames each; poison overwrites
+// recycled frames with a poison pattern; noFlowControl is the flow-control
+// ablation.
 // shared says the platform is partitioned across the LPs of a parallel
 // engine: frames this endpoint allocates are then released by receivers on
 // other LPs' goroutines, so both wire pools take their mutex mode. Pools an
 // engine adds stay lock-free — their buffers never leave the node's kernel.
-func NewEndpointCore(nic *lanai.NIC, nodes int, w Wire, poolCap int, poison, noFlowControl, shared bool) EndpointCore {
-	if poolCap <= 0 {
-		poolCap = netsim.DefaultPoolCap
-	}
+func NewEndpointCore(nic *lanai.NIC, nodes int, w Wire, poison, noFlowControl, shared bool) EndpointCore {
 	c := EndpointCore{
-		Credit:  NewPlane(nic, nodes, w.Size, w.Total, poolCap, noFlowControl),
-		h:       nic.H,
-		nic:     nic,
-		wire:    w,
-		frames:  netsim.NewFramePool(nic.H.P.PacketMTU, poolCap),
-		poolCap: poolCap,
-		poison:  poison,
+		Credit: NewPlane(nic, nodes, w.Size, w.Total, noFlowControl),
+		h:      nic.H,
+		nic:    nic,
+		wire:   w,
+		frames: netsim.NewFramePool(nic.H.P.PacketMTU, netsim.DefaultPoolCap),
+		poison: poison,
 	}
 	for _, fp := range [...]*netsim.FramePool{c.frames, c.Credit.pool} {
 		fp.SetPoison(poison)
@@ -148,9 +143,6 @@ func (c *EndpointCore) FramePoolStats() (data, ctrl netsim.PoolStats) {
 
 // Poisoned reports whether poison-on-recycle debugging is on.
 func (c *EndpointCore) Poisoned() bool { return c.poison }
-
-// PoolCap reports the resolved free-list bound.
-func (c *EndpointCore) PoolCap() int { return c.poolCap }
 
 // Frame draws an empty data frame of full packet size. The engine writes
 // payload from byte Wire.Size on and hands the frame to Emit.

@@ -38,14 +38,15 @@ type Plane struct {
 
 // NewPlane builds the control plane of the endpoint attached to nic in a
 // cluster of nodes nodes. Control frames are hdrSize bytes with the credit
-// count at countOff; poolCap bounds the control-header free list. disabled
-// is the flow-control ablation: Acquire, Return and Flush become no-ops.
-func NewPlane(nic *lanai.NIC, nodes, hdrSize, countOff, poolCap int, disabled bool) Plane {
+// count at countOff; the control-header free list holds at most
+// netsim.DefaultPoolCap of them. disabled is the flow-control ablation:
+// Acquire, Return and Flush become no-ops.
+func NewPlane(nic *lanai.NIC, nodes, hdrSize, countOff int, disabled bool) Plane {
 	h := nic.H
 	return Plane{
 		fc:       New(nodes, h.ID, h.P.CreditWindow, h.P.RingSlots),
 		nic:      nic,
-		pool:     netsim.NewFramePool(hdrSize, poolCap),
+		pool:     netsim.NewFramePool(hdrSize, netsim.DefaultPoolCap),
 		node:     h.ID,
 		hdrSize:  hdrSize,
 		countOff: countOff,

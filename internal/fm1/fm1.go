@@ -42,9 +42,6 @@ type Config struct {
 	// DisableBufferMgmt removes staging-copy charges for multi-packet
 	// reassembly (stages before the final engine in Figure 3).
 	DisableBufferMgmt bool
-	// PoolCap bounds the frame, control-header, and assembly-buffer free
-	// lists (0 means netsim.DefaultPoolCap); each reports a high-water mark.
-	PoolCap int
 	// PoisonFrames overwrites recycled frames and assembly buffers with a
 	// poison pattern, catching handlers that retain data past their call —
 	// the contract the real FM 1.x API imposes. Debug mode: wall-clock cost
@@ -96,13 +93,13 @@ func Attach(pl *cluster.Platform, cfg Config) []*Endpoint {
 	eps := make([]*Endpoint, pl.Nodes())
 	for i := range eps {
 		e := &Endpoint{
-			EndpointCore: flowctl.NewEndpointCore(pl.NICs[i], pl.Nodes(), wire, cfg.PoolCap,
+			EndpointCore: flowctl.NewEndpointCore(pl.NICs[i], pl.Nodes(), wire,
 				cfg.PoisonFrames, cfg.DisableFlowControl, pl.Parallel()),
 			cfg:      cfg,
 			handlers: make(map[HandlerID]Handler),
 			asm:      make([]assembly, pl.Nodes()),
 		}
-		e.asmPool = bufpool.New(e.PoolCap()) // one resolved bound for all three pools
+		e.asmPool = bufpool.New(netsim.DefaultPoolCap) // the same bound as the core's frame pools
 		e.asmPool.SetPoison(cfg.PoisonFrames)
 		eps[i] = e
 	}

@@ -34,6 +34,7 @@ import (
 	"repro/internal/bufpool"
 	"repro/internal/cluster"
 	"repro/internal/flowctl"
+	"repro/internal/netsim"
 	"repro/internal/sim"
 )
 
@@ -49,11 +50,6 @@ type Handler func(p *sim.Proc, s *RecvStream)
 type Config struct {
 	// DisableFlowControl removes credit accounting (ablation).
 	DisableFlowControl bool
-	// PoolCap bounds every per-endpoint free list — data frames, control
-	// headers, send/receive stream records, loopback staging — so bursty
-	// senders cannot pin unbounded recycled memory. 0 means
-	// netsim.DefaultPoolCap; each pool reports a high-water mark.
-	PoolCap int
 	// PoisonFrames overwrites every recycled buffer with a poison pattern,
 	// catching handlers (or engine paths) that illegally read payload after
 	// the frame returned to its pool. Debug mode: wall-clock cost only,
@@ -115,15 +111,14 @@ func Attach(pl *cluster.Platform, cfg Config) []*Endpoint {
 	eps := make([]*Endpoint, pl.Nodes())
 	for i := range eps {
 		e := &Endpoint{
-			EndpointCore: flowctl.NewEndpointCore(pl.NICs[i], pl.Nodes(), wire, cfg.PoolCap,
+			EndpointCore: flowctl.NewEndpointCore(pl.NICs[i], pl.Nodes(), wire,
 				cfg.PoisonFrames, cfg.DisableFlowControl, pl.Parallel()),
 			handlers: make(map[HandlerID]Handler),
 			active:   make(map[uint32]*RecvStream),
 		}
-		poolCap := e.PoolCap()
-		e.ssPool = bufpool.NewFreeList[SendStream](poolCap)
-		e.rsPool = bufpool.NewFreeList[RecvStream](poolCap)
-		e.loopPool = bufpool.New(poolCap)
+		e.ssPool = bufpool.NewFreeList[SendStream](netsim.DefaultPoolCap)
+		e.rsPool = bufpool.NewFreeList[RecvStream](netsim.DefaultPoolCap)
+		e.loopPool = bufpool.New(netsim.DefaultPoolCap)
 		e.loopPool.SetPoison(cfg.PoisonFrames)
 		eps[i] = e
 	}

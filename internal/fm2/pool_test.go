@@ -231,52 +231,6 @@ func TestPoisonConformance(t *testing.T) {
 	}
 }
 
-// TestPoolCapBounds pins the free-list bound and its high-water mark: a
-// bursty sender cannot grow the retained pool past PoolCap, and overflow
-// releases are counted (dropped for the GC), not retained.
-func TestPoolCapBounds(t *testing.T) {
-	const poolCap = 4
-	k, eps := pproPairCfg(Config{PoolCap: poolCap})
-	const msgs = 60
-	recvd := 0
-	sink := make([]byte, 4096)
-	eps[1].Register(1, func(p *sim.Proc, s *RecvStream) {
-		for s.Remaining() > 0 {
-			s.Receive(p, sink)
-		}
-		recvd++
-	})
-	k.Spawn("sender", func(p *sim.Proc) {
-		msg := make([]byte, 4096) // 8 packets per message at the 552B MTU
-		for i := 0; i < msgs; i++ {
-			if err := eps[0].Send(p, 1, 1, msg); err != nil {
-				panic(err)
-			}
-		}
-	})
-	k.Spawn("receiver", func(p *sim.Proc) {
-		// Let the sender fill its whole credit window first, then drain in
-		// one burst: a window's worth of frames releases while the sender is
-		// parked on credits — the bursty-release shape the cap exists for.
-		p.Delay(5 * sim.Millisecond)
-		extractUntil(p, eps[1], msgs)
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	data, _ := eps[0].FramePoolStats()
-	if data.Free > poolCap || data.HWM > poolCap {
-		t.Fatalf("frame pool exceeded its cap: free=%d hwm=%d cap=%d", data.Free, data.HWM, poolCap)
-	}
-	if data.HWM == 0 {
-		t.Fatal("pool high-water mark never moved; recycling is not happening")
-	}
-	if data.Dropped == 0 {
-		t.Fatal("expected overflow drops with a tiny cap and deep traffic")
-	}
-	t.Logf("pool stats under cap=%d: %+v", poolCap, data)
-}
-
 // TestFrameLeakFreeQuiesce checks conservation: after a workload fully
 // quiesces, every frame ever drawn has been released (gets == releases), so
 // nothing in the engine squirrels frames away.

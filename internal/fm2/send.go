@@ -41,8 +41,8 @@ func (e *Endpoint) getSendStream() *SendStream {
 	return &SendStream{e: e}
 }
 
-// putSendStream recycles a closed stream record. The free list shares the
-// endpoint's PoolCap bound.
+// putSendStream recycles a closed stream record. The free list holds at most
+// netsim.DefaultPoolCap of them, like the endpoint's other pools.
 func (e *Endpoint) putSendStream(s *SendStream) {
 	s.frame = nil
 	s.loop = nil

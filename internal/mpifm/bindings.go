@@ -22,12 +22,6 @@ type Options struct {
 	Unpaced bool
 	// NoGather forces FM 1.x-style contiguous assembly before sending.
 	NoGather bool
-	// UnexpectedCap bounds the unexpected-message queue. Zero means
-	// unbounded (the historical MPICH pool behavior). With a cap, an
-	// arrival that would overflow the pool is dropped and counted in
-	// Stats.UnexpectedDropped — the early-MPI "truncation on pool
-	// exhaustion" failure mode made explicit and observable.
-	UnexpectedCap int
 }
 
 // Attach builds the MPI layer over one HandlerSpace per rank. Each space is a service window onto its node's shared

@@ -119,19 +119,15 @@ type Stats struct {
 	Direct int64 // payload landed straight in the user buffer
 	// Unexpected counts arrivals that committed to the unexpected path —
 	// their header matched no posted receive. It includes messages later
-	// handed to a receive posted while they were still streaming in, and
-	// messages shed by Options.UnexpectedCap; only those actually queued
-	// appear in UnexpectedHWM.
+	// handed to a receive posted while they were still streaming in; only
+	// those actually queued appear in UnexpectedHWM.
 	Unexpected int64
 
 	// UnexpectedHWM is the unexpected queue's high-water mark: the deepest
 	// the pool ever got. Unmatched traffic grows the pool without bound
-	// unless Options.UnexpectedCap bounds it; the HWM makes that pressure
-	// observable either way.
+	// (the historical MPICH pool behavior); the HWM makes that pressure
+	// observable.
 	UnexpectedHWM int
-	// UnexpectedDropped counts arrivals discarded because the pool was at
-	// Options.UnexpectedCap.
-	UnexpectedDropped int64
 }
 
 // Comm is one rank's communicator (MPI_COMM_WORLD). It binds to a
@@ -354,17 +350,9 @@ func (c *Comm) takeUnexpected(src, tag int) (m inMsg, ok bool) {
 // completed now, or it would wait forever for a message that has already
 // arrived. Per-sender FIFO delivery guarantees the earliest matching posted
 // receive gets the earliest message, preserving MPI non-overtaking.
-//
-// With Options.UnexpectedCap set, a message that would overflow the pool is
-// dropped (and counted) instead of queued: the bounded-buffer discipline a
-// production pool must choose when senders run ahead of matching receives.
 func (c *Comm) enqueueUnexpected(p *sim.Proc, src, tag int, data []byte) {
 	if req := c.takePosted(src, tag); req != nil {
 		c.completeFromPool(p, req, inMsg{src: src, tag: tag, data: data})
-		return
-	}
-	if c.opt.UnexpectedCap > 0 && len(c.unexpected) >= c.opt.UnexpectedCap {
-		c.stats.UnexpectedDropped++
 		return
 	}
 	c.unexpected = append(c.unexpected, inMsg{src: src, tag: tag, data: data})

@@ -39,16 +39,8 @@ func parFabricConfig(nodes int) cluster.Config {
 func runParWorkload(t *testing.T, nodes, parts int) ([][]byte, sim.Time, *netsim.Network) {
 	t.Helper()
 	cfg := parFabricConfig(nodes)
-	var (
-		pl  *cluster.Platform
-		err error
-	)
-	if parts > 1 {
-		cfg.Parallelism = parts
-		pl, err = cluster.TryNewPar(sim.NewEngine(), cfg)
-	} else {
-		pl, err = cluster.TryNew(sim.NewKernel(), cfg)
-	}
+	cfg.Parallelism = parts
+	pl, err := cluster.Assemble(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

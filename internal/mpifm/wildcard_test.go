@@ -164,14 +164,13 @@ func TestWildcardPostedWhileStreaming(t *testing.T) {
 	}
 }
 
-// TestUnexpectedCapAndHWM: the unexpected pool records its high-water mark
-// and, with UnexpectedCap set, drops (and counts) overflow arrivals
-// instead of growing without bound.
-func TestUnexpectedCapAndHWM(t *testing.T) {
-	const cap, sent = 3, 8
+// TestUnexpectedHWM: the unexpected pool records its high-water mark, keeps
+// every arrival in order, and matched traffic flows normally behind it.
+func TestUnexpectedHWM(t *testing.T) {
+	const sent = 8
 	k := sim.NewKernel()
 	pl := cluster.New(k, cluster.DefaultConfig())
-	comms := attachWorld(pl, xport.GenFM2, Options{UnexpectedCap: cap})
+	comms := attachWorld(pl, xport.GenFM2, Options{})
 	k.Spawn("rank0", func(p *sim.Proc) {
 		for i := 0; i < sent; i++ {
 			if err := comms[0].Send(p, []byte{byte(i)}, 1, 100+i); err != nil {
@@ -185,22 +184,18 @@ func TestUnexpectedCapAndHWM(t *testing.T) {
 			c.t.Extract(p, 0)
 			p.Delay(10 * sim.Microsecond)
 		}
-		st := c.Stats()
-		if st.UnexpectedHWM != cap {
-			t.Errorf("high-water mark %d, want %d", st.UnexpectedHWM, cap)
+		if hwm := c.Stats().UnexpectedHWM; hwm != sent {
+			t.Errorf("high-water mark %d, want %d", hwm, sent)
 		}
-		if st.UnexpectedDropped != sent-cap {
-			t.Errorf("dropped %d, want %d", st.UnexpectedDropped, sent-cap)
-		}
-		// The first cap messages survived, in order; later ones were shed.
+		// Every message waited in the pool, in order.
 		var b [1]byte
-		for i := 0; i < cap; i++ {
+		for i := 0; i < sent; i++ {
 			stt, err := c.Recv(p, b[:], AnySource, AnyTag)
 			if err != nil || stt.Tag != 100+i || b[0] != byte(i) {
-				t.Errorf("surviving message %d: tag %d payload %d (err %v)", i, stt.Tag, b[0], err)
+				t.Errorf("pooled message %d: tag %d payload %d (err %v)", i, stt.Tag, b[0], err)
 			}
 		}
-		// Matched traffic still flows normally after the overflow.
+		// Matched traffic still flows normally after the backlog.
 		done := make([]byte, 4)
 		req, err := c.Irecv(p, done, 0, 999)
 		if err != nil {
@@ -225,8 +220,8 @@ func TestUnexpectedCapAndHWM(t *testing.T) {
 	}
 }
 
-// TestUnexpectedHWMUnbounded: without a cap the pool grows and the HWM
-// tracks its deepest point.
+// TestUnexpectedHWMUnbounded: the pool grows with unmatched traffic and the
+// HWM tracks its deepest point, on both transports.
 func TestUnexpectedHWMUnbounded(t *testing.T) {
 	bothWorlds(t, 2, func(t *testing.T, k *sim.Kernel, comms []*Comm) {
 		const sent = 6
@@ -245,9 +240,6 @@ func TestUnexpectedHWMUnbounded(t *testing.T) {
 			}
 			if hwm := c.Stats().UnexpectedHWM; hwm != sent {
 				t.Errorf("high-water mark %d, want %d", hwm, sent)
-			}
-			if c.Stats().UnexpectedDropped != 0 {
-				t.Error("dropped without a cap")
 			}
 			var b [1]byte
 			for i := 0; i < sent; i++ {

@@ -38,10 +38,9 @@
 // and counts the (rare, congestion-only) cases where timing could diverge;
 // see netsim's cut monitor for the per-run certificate.
 //
-// An Engine with no portals degenerates to an ensemble of fully independent
-// replicas: no barriers at all, each LP runs to completion concurrently.
-// That mode is trivially bit-identical and is what the campaign and perf
-// sharding use.
+// An Engine needs at least one portal: LPs that never exchange a message
+// are independent simulations, and running those side by side is
+// internal/par's job, not this engine's.
 package sim
 
 import (
@@ -56,7 +55,7 @@ type LP struct {
 	K    *Kernel
 
 	eng *Engine
-	cmd chan Time // window bound; 0 = run to completion
+	cmd chan Time // the bound of the next window
 	err error
 }
 
@@ -95,13 +94,6 @@ func (e *Engine) AddLP(name string) *LP {
 	return lp
 }
 
-// LPs returns the engine's logical processes in ID order.
-func (e *Engine) LPs() []*LP { return e.lps }
-
-// Lookahead reports the engine's window increment: the minimum lookahead
-// over all registered portals (0 with no portals — replica mode).
-func (e *Engine) Lookahead() Time { return e.la }
-
 // Events reports the total events scheduled across all LPs.
 func (e *Engine) Events() uint64 {
 	var n uint64
@@ -109,18 +101,6 @@ func (e *Engine) Events() uint64 {
 		n += lp.K.Events()
 	}
 	return n
-}
-
-// Now reports the maximum LP clock — how far the furthest partition has
-// progressed. Individual LP clocks are on lp.K.Now().
-func (e *Engine) Now() Time {
-	var t Time
-	for _, lp := range e.lps {
-		if n := lp.K.Now(); n > t {
-			t = n
-		}
-	}
-	return t
 }
 
 func (e *Engine) addPortal(p portal) {
@@ -148,11 +128,7 @@ func (e *Engine) startWorkers() {
 		lp := lp
 		go func() {
 			for w := range lp.cmd {
-				if w == 0 {
-					lp.err = lp.K.Run()
-				} else {
-					lp.err = lp.K.RunBefore(w)
-				}
+				lp.err = lp.K.RunBefore(w)
 				e.wg.Done()
 			}
 		}()
@@ -162,46 +138,23 @@ func (e *Engine) startWorkers() {
 // Run drives all LPs to completion: the parallel analogue of Kernel.Run.
 // It returns nil on a clean drain, the first LP's failure (in LP ID order)
 // after a panic or Stop, or a composite deadlock report naming every LP
-// that still holds live Procs along with its local virtual time.
-func (e *Engine) Run() error { return e.run(0) }
-
-// RunUntil is the parallel analogue of Kernel.RunUntil: no LP clock
-// advances past t, events at exactly t still execute, and a horizon pause
-// returns nil with all Procs parked resumably. Call Shutdown to unwind a
-// paused engine that will not be resumed.
-func (e *Engine) RunUntil(t Time) error { return e.run(t) }
-
-func (e *Engine) run(horizon Time) error {
+// that still holds live Procs along with its local virtual time. An engine
+// with no portal panics: its LPs are independent replicas, which
+// internal/par runs.
+func (e *Engine) Run() error {
 	if e.done {
 		panic("sim: Engine reused after completion")
 	}
-	if !e.started {
-		e.startWorkers()
-	}
 	if len(e.portals) == 0 {
-		return e.runReplicas(horizon)
+		panic("sim: Engine.Run with no portal: independent replicas are internal/par's job")
 	}
+	e.startWorkers()
 	for {
 		next, ok := e.nextEventTime()
 		if !ok {
 			break // every heap drained
 		}
-		if horizon != 0 && next > horizon {
-			// Horizon pause: align clocks so diagnostics (watchdogs) see
-			// every LP at the barrier time, exactly as RunUntil leaves the
-			// sequential clock at its horizon.
-			for _, lp := range e.lps {
-				lp.K.advanceTo(horizon)
-			}
-			return nil
-		}
-		w := next + e.la
-		if horizon != 0 && w > horizon+1 {
-			// Clamp so events at exactly the horizon still run (inclusive
-			// bound), but nothing beyond.
-			w = horizon + 1
-		}
-		if err := e.window(w); err != nil {
+		if err := e.window(next + e.la); err != nil {
 			e.Shutdown()
 			return err
 		}
@@ -209,7 +162,7 @@ func (e *Engine) run(horizon Time) error {
 			p.flushStaged()
 		}
 	}
-	return e.finish(horizon)
+	return e.finish()
 }
 
 // window runs every LP with work below w through one concurrent round.
@@ -233,34 +186,9 @@ func (e *Engine) window(w Time) error {
 	return nil
 }
 
-// runReplicas is the no-portal fast path: every LP is an independent closed
-// simulation, so run each to completion with no barriers at all.
-func (e *Engine) runReplicas(horizon Time) error {
-	for _, lp := range e.lps {
-		e.wg.Add(1)
-		if horizon != 0 {
-			lp.cmd <- horizon + 1 // RunBefore(h+1): events at h inclusive
-		} else {
-			lp.cmd <- 0
-		}
-	}
-	e.wg.Wait()
-	if horizon != 0 {
-		for _, lp := range e.lps {
-			if lp.err != nil {
-				e.Shutdown()
-				return lp.err
-			}
-			lp.K.advanceTo(horizon)
-		}
-		return nil
-	}
-	return e.finish(horizon)
-}
-
 // finish classifies a fully-drained engine exactly as Kernel.run does a
 // drained kernel: failure first, then deadlock, then clean.
-func (e *Engine) finish(horizon Time) error {
+func (e *Engine) finish() error {
 	var firstErr error
 	live := 0
 	for _, lp := range e.lps {
@@ -272,9 +200,6 @@ func (e *Engine) finish(horizon Time) error {
 	if firstErr != nil {
 		e.Shutdown()
 		return firstErr
-	}
-	if horizon != 0 {
-		return nil // resumable pause (queues drained early)
 	}
 	if live > 0 {
 		err := fmt.Errorf("%w: %s", ErrDeadlock, e.hangReport())

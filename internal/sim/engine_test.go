@@ -95,35 +95,24 @@ func TestEngineSplitMatchesFused(t *testing.T) {
 			t.Fatalf("side B receive %d: split %v, fused %v", i, sb[i], fb[i])
 		}
 	}
-	if e.Lookahead() != lat {
-		t.Fatalf("engine lookahead %v, want %v", e.Lookahead(), lat)
+	if e.la != lat {
+		t.Fatalf("engine lookahead %v, want %v", e.la, lat)
 	}
 }
 
-// TestEngineReplicaMode: an engine with no portals runs every LP as an
-// independent replica, each producing its sequential result.
-func TestEngineReplicaMode(t *testing.T) {
+// TestEngineNeedsAPortal: LPs that exchange nothing are independent
+// replicas, which internal/par runs; the engine refuses them rather than
+// keep a second mode for them.
+func TestEngineNeedsAPortal(t *testing.T) {
 	e := NewEngine()
-	const n = 4
-	ends := make([]Time, n)
-	for i := 0; i < n; i++ {
-		i := i
-		lp := e.AddLP(fmt.Sprintf("rep%d", i))
-		lp.K.Spawn("work", func(p *Proc) {
-			for j := 0; j <= i; j++ {
-				p.Delay(Microsecond)
-			}
-			ends[i] = p.Now()
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if want := Time(i+1) * Microsecond; ends[i] != want {
-			t.Fatalf("replica %d ended at %v, want %v", i, ends[i], want)
+	e.AddLP("rep0").K.Spawn("work", func(p *Proc) { p.Delay(Microsecond) })
+	e.AddLP("rep1").K.Spawn("work", func(p *Proc) { p.Delay(Microsecond) })
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "internal/par") {
+			t.Fatalf("want a panic pointing at internal/par, got %v", r)
 		}
-	}
+	}()
+	e.Run()
 }
 
 // TestEngineDeadlockNamesLPs: a cross-LP hang must name every stuck LP and
@@ -132,7 +121,6 @@ func TestEngineDeadlockNamesLPs(t *testing.T) {
 	e := NewEngine()
 	lpA := e.AddLP("part0")
 	lpB := e.AddLP("part1")
-	// A portal so the engine runs in window mode, not replica mode.
 	NewPortal[int]("x", lpA, lpB, 100*Nanosecond, func(Time, int) {})
 	var sigA, sigB Signal
 	lpA.K.Spawn("stuckA", func(p *Proc) {
@@ -170,41 +158,6 @@ func TestEngineFailureNamesLP(t *testing.T) {
 	err := e.Run()
 	if err == nil || !strings.Contains(err.Error(), `[lp part1 @ 500ns] proc "bomb" panicked: boom`) {
 		t.Fatalf("want LP-labeled panic, got %v", err)
-	}
-}
-
-// TestEngineRunUntil: horizon pauses are resumable and align every LP clock
-// to the horizon, exactly as the sequential RunUntil leaves its clock.
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	lpA := e.AddLP("part0")
-	lpB := e.AddLP("part1")
-	NewPortal[int]("x", lpA, lpB, 100*Nanosecond, func(Time, int) {})
-	var doneA, doneB Time
-	lpA.K.Spawn("a", func(p *Proc) {
-		p.Delay(10 * Microsecond)
-		doneA = p.Now()
-	})
-	lpB.K.Spawn("b", func(p *Proc) {
-		p.Delay(4 * Microsecond)
-		doneB = p.Now()
-	})
-	if err := e.RunUntil(2 * Microsecond); err != nil {
-		t.Fatal(err)
-	}
-	if doneA != 0 || doneB != 0 {
-		t.Fatal("work completed before its time")
-	}
-	for _, lp := range e.LPs() {
-		if lp.K.Now() != 2*Microsecond {
-			t.Fatalf("lp %s clock %v at horizon 2us", lp.Name, lp.K.Now())
-		}
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if doneA != 10*Microsecond || doneB != 4*Microsecond {
-		t.Fatalf("resume incomplete: a=%v b=%v", doneA, doneB)
 	}
 }
 

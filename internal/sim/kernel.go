@@ -247,15 +247,6 @@ func (k *Kernel) Live() int { return k.live }
 // LiveNames reports the sorted names of live non-daemon Procs (diagnostics).
 func (k *Kernel) LiveNames() string { return k.liveNames() }
 
-// advanceTo moves the clock forward to t without executing anything: the
-// engine aligns idle LP clocks to a window barrier so hang reports show
-// where each LP had provably progressed to, never backwards.
-func (k *Kernel) advanceTo(t Time) {
-	if t > k.now {
-		k.now = t
-	}
-}
-
 // Events reports the cumulative count of events scheduled since creation —
 // the denominator of the wall-clock events/sec metric the perf suite tracks.
 func (k *Kernel) Events() uint64 { return k.seq }
@@ -348,8 +339,7 @@ func (k *Kernel) RunUntil(t Time) error { return k.run(t) }
 // integer nanosecond count, a conservative window [W0, W) must exclude its
 // upper bound or two LPs could both execute events at exactly W that
 // cross-influence each other. Unlike RunUntil, the clock is left at the last
-// executed event, not pulled up to the bound — the engine aligns idle clocks
-// itself.
+// executed event, not pulled up to the bound.
 func (k *Kernel) RunBefore(limit Time) error {
 	if limit <= 0 {
 		panic("sim: RunBefore needs a positive bound")

@@ -252,22 +252,6 @@ func TestResourceNoQueueJumping(t *testing.T) {
 	}
 }
 
-func TestResourceUtilization(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, "dev", 1)
-	k.Spawn("u", func(p *Proc) {
-		r.Use(p, 10*Microsecond)
-		p.Delay(10 * Microsecond)
-		r.Use(p, 10*Microsecond)
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if r.BusyTime() != 20*Microsecond {
-		t.Fatalf("busy %v, want 20us", r.BusyTime())
-	}
-}
-
 func TestPerByteAndBytesTime(t *testing.T) {
 	if BytesTime(1000, 100) != 10*Microsecond {
 		t.Fatalf("BytesTime(1000B, 100MB/s) = %v, want 10us", BytesTime(1000, 100))

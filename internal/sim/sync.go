@@ -45,11 +45,7 @@ type Resource struct {
 	cap   int
 	inUse int
 	q     waitq[resWait]
-
-	// Busy accounting for utilization reports.
-	busy      Time
-	lastStart Time
-	k         *Kernel
+	k     *Kernel
 }
 
 type resWait struct {
@@ -80,18 +76,11 @@ func (r *Resource) StartAcquire(p *Proc, n int) bool {
 		panic(fmt.Sprintf("sim: resource %q: bad acquire %d of %d", r.name, n, r.cap))
 	}
 	if r.q.len() == 0 && r.inUse+n <= r.cap {
-		r.grant(n)
+		r.inUse += n
 		return true
 	}
 	r.q.push(resWait{p, n})
 	return false
-}
-
-func (r *Resource) grant(n int) {
-	if r.inUse == 0 {
-		r.lastStart = r.k.now
-	}
-	r.inUse += n
 }
 
 // Release returns n units and grants queued waiters in FIFO order.
@@ -100,12 +89,9 @@ func (r *Resource) Release(n int) {
 	if r.inUse < 0 {
 		panic(fmt.Sprintf("sim: resource %q: over-release", r.name))
 	}
-	if r.inUse == 0 {
-		r.busy += r.k.now - r.lastStart
-	}
 	for r.q.len() > 0 && r.inUse+r.q.peek().n <= r.cap {
 		w := r.q.pop()
-		r.grant(w.n)
+		r.inUse += w.n
 		r.k.wakeNow(w.p)
 	}
 }
@@ -152,12 +138,3 @@ func (h *Hold) Step(p *Proc) bool {
 
 // InUse reports currently-held units.
 func (r *Resource) InUse() int { return r.inUse }
-
-// BusyTime reports cumulative time during which at least one unit was held.
-func (r *Resource) BusyTime() Time {
-	b := r.busy
-	if r.inUse > 0 {
-		b += r.k.now - r.lastStart
-	}
-	return b
-}
