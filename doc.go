@@ -181,7 +181,13 @@
 // PoisonFrames debug mode overwrites recycled buffers so any violation
 // reads poison rather than stale data. Stream records, handler worker
 // coroutines, accounting wrappers, staging and header buffers all recycle
-// the same way, and so do the kernel's own coroutines. The kernel passes
+// the same way, and so do the kernel's own coroutines. The upper layers hold
+// to it too: a handler pulls its wire header with xport.ReceiveHeader into
+// scratch carried by its run's recycled stream wrapper (poisoned on return),
+// MPI collective legs run on recycled Request records and unexpected
+// messages on pooled buffers, and the socket, SHMEM, Global Arrays and RPC
+// layers keep their send headers and per-call records in scratch they own —
+// one ZeroAlloc pin per layer, over both FM generations. The kernel passes
 // its control token by coroutine switch, never through the Go scheduler:
 // each goroutine Proc runs on a coroutine (iter.Pull) taken from a
 // process-wide free list at its first wake and given back when it ends, and
@@ -251,8 +257,9 @@
 // are bit-identical to the copying engine's. The wall-clock consequences
 // each have one instrument: ~10M kernel events/sec, the two-node steady
 // state, the RPC rate ladder and the campaigns are `go run ./benchmark`
-// (BENCHMARK.json; repetitions and quartiles); 0 allocs/op on the send path
-// is the ZeroAlloc pins (CI's alloc-gate job); 64- to 4096-rank allreduce
+// (BENCHMARK.json; repetitions and quartiles); 0 allocs/op on the message
+// path, engines and upper layers alike, is the ZeroAlloc pins (CI's
+// alloc-gate job); 64- to 4096-rank allreduce
 // on the multi-stage fabrics is `fmbench -perf -json BENCH_PR<n>.json`,
 // which writes the machine-readable trajectory, and tier-1 holds the newest
 // committed report to the one before it (TestGateCommittedTrajectory): host

@@ -31,6 +31,11 @@ type Array struct {
 	blockLen int // elements per rank (last block may be short)
 	local    []byte
 	bufs     *bufpool.Pool // per-span marshalling buffers
+	// Per-call scratch, kept for its backing array. An Array is driven by
+	// one Proc; Put and Get are done with their spans before they return,
+	// and Acc's staging is touched by neither.
+	spanBuf []span
+	accBuf  []float64
 }
 
 // Attach binds a global array of size elements across the given number of
@@ -108,16 +113,18 @@ func (a *Array) SetLocal(vals []float64) {
 	}
 }
 
-// rangePieces splits [lo, hi) into per-owner (rank, localOff, count) spans.
+// span is one owner's piece of a global range: (rank, localOff, count).
 type span struct {
 	rank, off, n int
 }
 
+// spans splits [lo, hi) into per-owner spans. The result lives in the
+// Array's scratch and is valid until the next spans call.
 func (a *Array) spans(lo, hi int) ([]span, error) {
 	if lo < 0 || hi > a.size || lo > hi {
 		return nil, fmt.Errorf("garr: bad range [%d,%d) of %d", lo, hi, a.size)
 	}
-	var out []span
+	out := a.spanBuf[:0]
 	for lo < hi {
 		r := a.OwnerOf(lo)
 		rLo, rHi := bounds(r, a.blockLen, a.size)
@@ -128,6 +135,7 @@ func (a *Array) spans(lo, hi int) ([]span, error) {
 		out = append(out, span{r, lo - rLo, n})
 		lo += n
 	}
+	a.spanBuf = out
 	return out, nil
 }
 
@@ -186,7 +194,10 @@ func (a *Array) Get(p *sim.Proc, lo int, out []float64) error {
 // atomic across concurrent updaters, as in early GA implementations the
 // caller serializes access per region).
 func (a *Array) Acc(p *sim.Proc, lo int, vals []float64) error {
-	cur := make([]float64, len(vals))
+	if cap(a.accBuf) < len(vals) {
+		a.accBuf = make([]float64, len(vals))
+	}
+	cur := a.accBuf[:len(vals)]
 	if err := a.Get(p, lo, cur); err != nil {
 		return err
 	}

@@ -10,11 +10,17 @@ import (
 )
 
 func arrays(t *testing.T, ranks, size int) (*sim.Kernel, []*Array) {
+	return genArrays(t, xport.GenFM2, ranks, size)
+}
+
+// genArrays attaches one global array across a one-switch platform of
+// generation g's machine.
+func genArrays(t *testing.T, g xport.Gen, ranks, size int) (*sim.Kernel, []*Array) {
 	k := sim.NewKernel()
 	cfg := cluster.DefaultConfig()
-	cfg.Nodes = ranks
+	cfg.Nodes, cfg.Profile = ranks, g.Profile()
 	pl := cluster.New(k, cfg)
-	eps := xport.AttachEndpoints(pl, xport.EndpointConfig{Gen: xport.GenFM2})
+	eps := xport.AttachEndpoints(pl, xport.EndpointConfig{Gen: g})
 	out := make([]*Array, ranks)
 	for i, sp := range xport.Spaces(eps, Service) {
 		a, err := Attach(sp, 1, size, ranks)

@@ -64,9 +64,7 @@ func (c *Comm) send(p *sim.Proc, dst int, hdr, payload []byte) error {
 // interleaving; over FM 1.x the same code runs against the staged message,
 // paying the delivery copy the 1.x interface forces.
 func (c *Comm) handler(p *sim.Proc, s xport.RecvStream) {
-	var hdr [HeaderSize]byte
-	s.Receive(p, hdr[:])
-	srcRank, tag, n := decodeHeader(hdr[:])
+	srcRank, tag, n := decodeHeader(xport.ReceiveHeader(p, s, HeaderSize))
 	if n < 0 || n > s.Remaining() {
 		// The header promises a payload the message does not carry: nothing
 		// in it can be trusted to size a buffer or a slice.
@@ -93,7 +91,7 @@ func (c *Comm) handler(p *sim.Proc, s xport.RecvStream) {
 	// posted while the rest of the message arrives is completed by
 	// enqueueUnexpected below.
 	c.stats.Unexpected++
-	buf := make([]byte, n)
+	buf := c.tmpPool.Get(n) // back to the pool once completeFromPool copies it out
 	s.Receive(p, buf)
 	c.enqueueUnexpected(p, srcRank, tag, buf)
 }

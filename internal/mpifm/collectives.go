@@ -200,12 +200,12 @@ func (c *Comm) combine(p *sim.Proc, op ReduceOp, inout, in []byte) {
 // sendFirst chooses which blocking half runs first. Algorithms pick
 // sendFirst so that every cycle of communicating ranks contains at least one
 // rank that receives (extracts) first, which keeps large transfers
-// deadlock-free under finite credit windows.
+// deadlock-free under finite credit windows. The receive runs on a recycled
+// record, as Recv's does; a failed send withdraws it (putReq).
 func (c *Comm) sendrecv(p *sim.Proc, sendBuf []byte, dst int, recvBuf []byte, src, tag int, sendFirst bool) error {
-	req, err := c.Irecv(p, recvBuf, src, tag)
-	if err != nil {
-		return err
-	}
+	req := c.getReq()
+	c.post(p, req, recvBuf, src, tag)
+	defer c.putReq(req)
 	if sendFirst {
 		if err := c.Send(p, sendBuf, dst, tag); err != nil {
 			return err
@@ -329,19 +329,21 @@ func (c *Comm) Gather(p *sim.Proc, sendbuf, recvbuf []byte, root int) error {
 		return c.Send(p, sendbuf, root, tag)
 	}
 	// Pre-post every receive so arrivals take the direct path, then drain.
-	reqs := make([]*Request, 0, c.size-1)
+	reqs := c.gatherReqs[:0]
 	for src := 0; src < c.size; src++ {
 		if src == root {
 			c.localCopy(p, recvbuf[src*chunk:(src+1)*chunk], sendbuf)
 			continue
 		}
-		req, err := c.Irecv(p, recvbuf[src*chunk:(src+1)*chunk], src, tag)
-		if err != nil {
-			return err
-		}
+		req := c.getReq()
+		c.post(p, req, recvbuf[src*chunk:(src+1)*chunk], src, tag)
 		reqs = append(reqs, req)
 	}
 	c.Waitall(p, reqs)
+	for _, req := range reqs {
+		c.putReq(req)
+	}
+	c.gatherReqs = reqs
 	return nil
 }
 

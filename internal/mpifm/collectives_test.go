@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -468,6 +469,30 @@ func TestCollectiveArgErrors(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestFailedLegWithdrawsItsReceive: a collective leg posts its receive
+// before it sends, so a send that fails — here over the transport limit —
+// must withdraw the receive, or a later message with the leg's tag would
+// land in a buffer the caller has given up (and a recycled record would be
+// reused while still posted). Rank 0 calls Allreduce alone.
+func TestFailedLegWithdrawsItsReceive(t *testing.T) {
+	bothWorlds(t, 2, func(t *testing.T, k *sim.Kernel, comms []*Comm) {
+		c := comms[0]
+		k.Spawn("rank0", func(p *sim.Proc) {
+			n := c.maxPayload() + 8
+			err := c.Allreduce(p, make([]byte, n), make([]byte, n), OpXor)
+			if err == nil || !strings.Contains(err.Error(), "exceeds transport limit") {
+				t.Errorf("over-limit Allreduce returned %v, want the transport-limit error", err)
+			}
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if len(c.posted) != 0 {
+			t.Errorf("%d receive(s) left posted after the failed leg", len(c.posted))
+		}
+	})
 }
 
 // TestCollectivesDontDisturbPt2pt interleaves a collective with ordinary

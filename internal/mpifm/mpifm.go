@@ -156,11 +156,15 @@ type Comm struct {
 	barrierOne   [1]byte
 	barrierToken [1]byte
 
-	// reqPool recycles Request records for the blocking Recv path, where the
-	// request provably dies when Recv returns. Irecv requests are caller-held
-	// and stay heap-allocated.
+	// reqPool recycles Request records for the blocking Recv path and the
+	// collective legs, where the request provably dies before the call
+	// returns. Irecv requests are caller-held and stay heap-allocated.
 	reqPool bufpool.FreeList[Request]
-	// tmpPool recycles the collective algorithms' combine/staging scratch.
+	// gatherReqs is Gather's list of pre-posted receives, kept for its
+	// backing array.
+	gatherReqs []*Request
+	// tmpPool recycles the collective algorithms' combine/staging scratch and
+	// the unexpected path's message buffers.
 	tmpPool *bufpool.Pool
 
 	stats Stats
@@ -175,8 +179,19 @@ func (c *Comm) getReq() *Request {
 	return &Request{c: c}
 }
 
-// putReq recycles a completed internally-owned Request.
+// putReq recycles an internally-owned Request. One that never completed —
+// its operation failed after posting it — is withdrawn from the posted list
+// first, so no later message lands in a buffer its caller has given up, and
+// the record is not reused while still posted.
 func (c *Comm) putReq(r *Request) {
+	if !r.done {
+		for i, q := range c.posted {
+			if q == r {
+				c.posted = append(c.posted[:i], c.posted[i+1:]...)
+				break
+			}
+		}
+	}
 	r.buf = nil
 	r.done = false
 	r.st = Status{}
@@ -362,9 +377,11 @@ func (c *Comm) enqueueUnexpected(p *sim.Proc, src, tag int, data []byte) {
 }
 
 // completeFromPool finishes a receive from the unexpected queue: the extra
-// pool-to-user copy of the unexpected path.
+// pool-to-user copy of the unexpected path. The buffer the handler drew from
+// tmpPool goes back once copied out.
 func (c *Comm) completeFromPool(p *sim.Proc, req *Request, m inMsg) {
 	n := copy(req.buf, m.data)
+	c.tmpPool.Put(m.data)
 	c.host.Memcpy(p, n)
 	p.Delay(c.ov.Recv)
 	req.done = true

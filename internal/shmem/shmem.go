@@ -62,6 +62,7 @@ type Node struct {
 	getReq  uint32
 	nextReq uint32
 	hdrs    *bufpool.Pool // header scratch (returned after gather)
+	zeros   []byte        // what an invalid Get reads (zeroes)
 	stats   Stats
 }
 
@@ -168,10 +169,19 @@ func (n *Node) Get(p *sim.Proc, target int, region uint32, offset int, buf []byt
 // call it (or any blocking op) periodically.
 func (n *Node) Progress(p *sim.Proc) { n.t.Extract(p, 0) }
 
+// zeroes returns length zero bytes from the node's one zero slab, allocated
+// at the size of the largest response on first use: a stream of forged Get
+// requests costs the target no memory per request. Senders only read it.
+func (n *Node) zeroes(length int) []byte {
+	if n.zeros == nil {
+		n.zeros = make([]byte, n.t.MaxMessage()-headerSize)
+	}
+	return n.zeros[:length]
+}
+
 // handler serves one-sided traffic on transport handler threads.
 func (n *Node) handler(p *sim.Proc, s xport.RecvStream) {
-	var hdr [headerSize]byte
-	s.Receive(p, hdr[:])
+	hdr := xport.ReceiveHeader(p, s, headerSize)
 	kind := int(hdr[0])
 	region := binary.LittleEndian.Uint32(hdr[4:])
 	off := int(binary.LittleEndian.Uint32(hdr[8:]))
@@ -207,7 +217,7 @@ func (n *Node) handler(p *sim.Proc, s xport.RecvStream) {
 		if ok && off >= 0 && off+length <= len(mem) {
 			payload = mem[off : off+length]
 		} else {
-			payload = make([]byte, length) // zeros for an invalid request
+			payload = n.zeroes(length) // an invalid request reads zeros
 		}
 		err := xport.SendGather(p, n.t, s.Src(), shmemHandlerID, resp, payload)
 		n.hdrs.Put(resp)

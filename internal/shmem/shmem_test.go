@@ -9,12 +9,16 @@ import (
 	"repro/internal/xport"
 )
 
-func nodes(n int) (*sim.Kernel, []*Node) {
+func nodes(n int) (*sim.Kernel, []*Node) { return genNodes(xport.GenFM2, n) }
+
+// genNodes attaches shmem on every node of a one-switch platform of
+// generation g's machine.
+func genNodes(g xport.Gen, n int) (*sim.Kernel, []*Node) {
 	k := sim.NewKernel()
 	cfg := cluster.DefaultConfig()
-	cfg.Nodes = n
+	cfg.Nodes, cfg.Profile = n, g.Profile()
 	pl := cluster.New(k, cfg)
-	eps := xport.AttachEndpoints(pl, xport.EndpointConfig{Gen: xport.GenFM2})
+	eps := xport.AttachEndpoints(pl, xport.EndpointConfig{Gen: g})
 	out := make([]*Node, n)
 	for i, sp := range xport.Spaces(eps, Service) {
 		out[i] = Attach(sp)

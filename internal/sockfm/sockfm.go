@@ -338,8 +338,7 @@ func (s *Stack) sendCtl(p *sim.Proc, node, kind, port int, srcConn, dstConn uint
 // thread; for DATA it lands payload directly into a posted Read buffer when
 // one is outstanding (zero staging copy over FM 2.x) and buffers otherwise.
 func (s *Stack) handler(p *sim.Proc, str xport.RecvStream) {
-	var hdr [headerSize]byte
-	str.Receive(p, hdr[:])
+	hdr := xport.ReceiveHeader(p, str, headerSize)
 	kind := int(hdr[0])
 	port := int(binary.LittleEndian.Uint16(hdr[2:]))
 	srcConn := binary.LittleEndian.Uint32(hdr[4:])

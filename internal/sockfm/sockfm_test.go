@@ -12,12 +12,16 @@ import (
 	"repro/internal/xport"
 )
 
-func stacks(nodes int) (*sim.Kernel, []*Stack) {
+func stacks(nodes int) (*sim.Kernel, []*Stack) { return genStacks(xport.GenFM2, nodes) }
+
+// genStacks attaches one socket stack per node of a one-switch platform of
+// generation g's machine.
+func genStacks(g xport.Gen, nodes int) (*sim.Kernel, []*Stack) {
 	k := sim.NewKernel()
 	cfg := cluster.DefaultConfig()
-	cfg.Nodes = nodes
+	cfg.Nodes, cfg.Profile = nodes, g.Profile()
 	pl := cluster.New(k, cfg)
-	eps := xport.AttachEndpoints(pl, xport.EndpointConfig{Gen: xport.GenFM2})
+	eps := xport.AttachEndpoints(pl, xport.EndpointConfig{Gen: g})
 	sts := make([]*Stack, nodes)
 	for i, sp := range xport.Spaces(eps, Service) {
 		sts[i] = New(sp)

@@ -235,7 +235,8 @@ func (w *nodeWait) Done() bool {
 	case forCredit:
 		return f.creditReady(w.node, w.dst, w.size)
 	case forGather:
-		return f.pending[w.node][w.id] == nil
+		_, waiting := f.pending[w.node][w.id]
+		return !waiting
 	case forAll:
 		return f.allDone()
 	}
@@ -246,6 +247,17 @@ func (w *nodeWait) Done() bool {
 // while its client's window is shut: the flush must retry it every turn.
 func (w *nodeWait) Pending() bool  { return len(w.f.replyQ[w.node]) > 0 }
 func (w *nodeWait) Do(p *sim.Proc) { w.f.flushReplies(p, w.node) }
+
+// nodeHdrs is one node's send-header scratch: a header built on the stack
+// escapes through the Transport interface it is gathered into, a malloc per
+// message. Nothing re-enters either array while it is live. A node's one Proc
+// builds req in issue and sends it once per sub-request; the awaits between
+// those sends run flushReplies, which builds and sends resp, and handlers,
+// which never send. The transport copies a header before the send returns.
+type nodeHdrs struct {
+	req  [reqHeaderSize]byte
+	resp [respHeaderSize]byte
+}
 
 // Fleet is the assembled RPC service across a cluster: one shard server and
 // one client per node, bound to the nodes' shared endpoints.
@@ -258,9 +270,10 @@ type Fleet struct {
 
 	// Runtime state, shared by all node procs under the sequential kernel's
 	// deterministic schedule.
-	pending   []map[uint64]*inflight
+	pending   []map[uint64]inflight
 	replyQ    [][]pendingReply
 	waits     []nodeWait
+	hdrs      []nodeHdrs
 	hists     []*Hist
 	served    []int64
 	clients   int // clients that finished issuing
@@ -284,15 +297,16 @@ func Attach(spaces []*xport.HandlerSpace, cfg ServiceConfig) *Fleet {
 	f := &Fleet{
 		cfg:     cfg,
 		spaces:  spaces,
-		pending: make([]map[uint64]*inflight, n),
+		pending: make([]map[uint64]inflight, n),
 		replyQ:  make([][]pendingReply, n),
 		waits:   make([]nodeWait, n),
+		hdrs:    make([]nodeHdrs, n),
 		hists:   make([]*Hist, n),
 		served:  make([]int64, n),
 	}
 	for node := 0; node < n; node++ {
 		node := node
-		f.pending[node] = make(map[uint64]*inflight)
+		f.pending[node] = make(map[uint64]inflight)
 		f.waits[node] = nodeWait{f: f, node: node}
 		f.hists[node] = NewHist()
 		spaces[node].Register(reqHandler, func(p *sim.Proc, s xport.RecvStream) {
@@ -453,9 +467,9 @@ func (f *Fleet) flushReplies(p *sim.Proc, node int) {
 		if d := f.cfg.ServiceTime + f.cfg.PerByte*sim.Time(r.respB); d > 0 {
 			p.Delay(d)
 		}
-		var rh [respHeaderSize]byte
+		rh := f.hdrs[node].resp[:]
 		binary.LittleEndian.PutUint64(rh[0:], r.id)
-		err := xport.SendGather(p, f.spaces[node], r.dst, respHandler, rh[:], f.body[:r.respB])
+		err := xport.SendGather(p, f.spaces[node], r.dst, respHandler, rh, f.body[:r.respB])
 		if err != nil {
 			f.errs = append(f.errs, fmt.Sprintf("server %d resp to %d: %v", node, r.dst, err))
 		}
@@ -472,11 +486,10 @@ func (f *Fleet) issue(p *sim.Proc, node, seq int, rq req) {
 	if t0 == 0 {
 		t0 = p.Now() // closed-loop: latency from the actual issue
 	}
-	st := &inflight{t0: t0, remaining: rq.Fan}
-	f.pending[node][id] = st
+	f.pending[node][id] = inflight{t0: t0, remaining: rq.Fan}
 	f.issued++
 	n := len(f.spaces)
-	var hdr [reqHeaderSize]byte
+	hdr := f.hdrs[node].req[:]
 	binary.LittleEndian.PutUint64(hdr[0:], id)
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(node))
 	binary.LittleEndian.PutUint32(hdr[12:], uint32(rq.RespB))
@@ -503,7 +516,7 @@ func (f *Fleet) issue(p *sim.Proc, node, seq int, rq req) {
 			f.abandoned++
 			return
 		}
-		err := xport.SendGather(p, f.spaces[node], dst, reqHandler, hdr[:], f.body[:rq.ReqB])
+		err := xport.SendGather(p, f.spaces[node], dst, reqHandler, hdr, f.body[:rq.ReqB])
 		if err != nil {
 			f.errs = append(f.errs, fmt.Sprintf("client %d req %d -> %d: %v", node, seq, dst, err))
 			delete(f.pending[node], id)
@@ -520,8 +533,7 @@ func (f *Fleet) issue(p *sim.Proc, node, seq int, rq req) {
 // shard is the local host). The compute and the send happen later, in
 // flushReplies, so a handler never stalls the extraction loop on credits.
 func (f *Fleet) serveRequest(p *sim.Proc, node int, s xport.RecvStream) {
-	var hdr [reqHeaderSize]byte
-	s.Receive(p, hdr[:])
+	hdr := xport.ReceiveHeader(p, s, reqHeaderSize)
 	s.ReceiveDiscard(p, s.Remaining())
 	id := binary.LittleEndian.Uint64(hdr[0:])
 	client := int(binary.LittleEndian.Uint32(hdr[8:]))
@@ -537,16 +549,16 @@ func (f *Fleet) serveRequest(p *sim.Proc, node int, s xport.RecvStream) {
 // response for an abandoned request (drained under faults) is consumed and
 // dropped.
 func (f *Fleet) gatherResponse(p *sim.Proc, node int, s xport.RecvStream) {
-	var hdr [respHeaderSize]byte
-	s.Receive(p, hdr[:])
+	hdr := xport.ReceiveHeader(p, s, respHeaderSize)
 	s.ReceiveDiscard(p, s.Remaining())
 	id := binary.LittleEndian.Uint64(hdr[0:])
-	st := f.pending[node][id]
-	if st == nil {
+	st, ok := f.pending[node][id]
+	if !ok {
 		return
 	}
 	st.remaining--
 	if st.remaining > 0 {
+		f.pending[node][id] = st
 		return
 	}
 	delete(f.pending[node], id)
@@ -607,7 +619,7 @@ func (f *Fleet) RunNode(p *sim.Proc, node int) {
 		// requests whose sub-responses died with a dropped frame.
 		for seq := range f.sched[node] {
 			id := reqID(node, seq)
-			if f.pending[node][id] != nil {
+			if _, waiting := f.pending[node][id]; waiting {
 				delete(f.pending[node], id)
 				f.abandoned++
 			}

@@ -128,12 +128,13 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	}
 	sched := make([][]req, meta.Nodes)
 	line := 1
+	var rec traceRec // one record for every row: Unmarshal's target escapes
 	for sc.Scan() {
 		line++
 		if len(sc.Bytes()) == 0 {
 			continue
 		}
-		var rec traceRec
+		rec = traceRec{}
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
 			return nil, fmt.Errorf("svcload: trace line %d: %w", line, err)
 		}

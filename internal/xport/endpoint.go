@@ -277,9 +277,16 @@ func (hs *HandlerSpace) getCounted(s RecvStream) *countedStream {
 	return cs
 }
 
-// putCounted recycles a wrapper once its handler has returned.
+// putCounted recycles a wrapper once its handler has returned. Under the
+// engine's poison mode the header scratch is overwritten, so a handler that
+// kept its ReceiveHeader slice reads garbage, not a plausible header.
 func (hs *HandlerSpace) putCounted(cs *countedStream) {
 	cs.s = nil
+	if hs.Poisoned() {
+		for i := range cs.hdr {
+			cs.hdr[i] = bufpool.PoisonByte
+		}
+	}
 	hs.csPool.Put(cs)
 }
 
@@ -479,10 +486,33 @@ func (hs *HandlerSpace) consume(n int) {
 	hs.ep.consumed += int64(n)
 }
 
-// countedStream attributes a message's consumed bytes to its service.
+// MaxHeader is the most a handler may pull with ReceiveHeader: the largest
+// wire header of any layer, MPI-FM's 24 bytes.
+const MaxHeader = 24
+
+// countedStream attributes a message's consumed bytes to its service. It is
+// recycled per handler run, and so is the header scratch it carries: two
+// handlers of one service parked mid-message at once hold two wrappers.
 type countedStream struct {
-	s  RecvStream
-	hs *HandlerSpace
+	s   RecvStream
+	hs  *HandlerSpace
+	hdr [MaxHeader]byte
+}
+
+// ReceiveHeader receives the first n bytes of s — a layer's wire header —
+// into scratch owned by this handler run and returns them; bytes the message
+// does not carry read as zero. The slice is valid until the handler returns.
+// It is how a handler pulls its header without a per-message allocation (an
+// array of its own would escape through the RecvStream interface). s must be
+// the stream a HandlerSpace handed the handler, and n at most MaxHeader.
+func ReceiveHeader(p *sim.Proc, s RecvStream, n int) []byte {
+	cs := s.(*countedStream)
+	if n > len(cs.hdr) {
+		panic(fmt.Sprintf("xport: header of %d bytes exceeds the %d-byte handler scratch", n, len(cs.hdr)))
+	}
+	h := cs.hdr[:n]
+	clear(h[cs.Receive(p, h):])
+	return h
 }
 
 func (c *countedStream) Src() int       { return c.s.Src() }
