@@ -94,7 +94,8 @@ func registry(fs *flag.FlagSet) []report {
 			}},
 		{sel: on("tables", "print Tables 1 and 2"), inAll: true, write: writeTables},
 		{inAll: true, write: writeFigures},
-		{sel: on("headline", "print the headline paper-vs-measured summary"), inAll: true, write: writeHeadline},
+		{sel: on("headline", "print the headline paper-vs-measured summary"), inAll: true,
+			write: func(c cli) int { bench.WriteHeadline(c.w); return 0 }},
 		{sel: on("ablation", "run the design-choice ablations"), inAll: true,
 			write: func(c cli) int { runAblations(c.w); return 0 }},
 		{sel: on("collectives", "run the MPI collective scaling sweeps"), inAll: true,
@@ -143,16 +144,6 @@ func writeFigures(c cli) int {
 		f(c.w)
 		fmt.Fprintln(c.w)
 	}
-	return 0
-}
-
-func writeHeadline(c cli) int {
-	fmt.Fprintln(c.w, "Headline reproduction summary (paper targets in parentheses):")
-	fmt.Fprintln(c.w, "  paper: FM1 17.6 MB/s, N1/2 54B, 14us | MPI-FM1 <=35% | FM2 77 MB/s, <256B, 11us | MPI-FM2 70 MB/s, 70->90%, 17us")
-	for _, r := range bench.Headline() {
-		bench.WriteResult(c.w, r)
-	}
-	fmt.Fprintln(c.w)
 	return 0
 }
 

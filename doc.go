@@ -107,6 +107,10 @@
 // barrier-aligned collective body serves the scaling figures and both
 // engines' perf rows. fmbench's stdout is held byte for byte to goldens
 // under cmd/fmbench/testdata (go test ./cmd/fmbench -update rewrites them).
+// The paper's numbers are one table, bench.Claims (internal/bench/paper.go):
+// the figures and fmbench -headline print their paper values from it, and
+// go test ./internal/bench -run TestPaperClaims -v sets paper against
+// simulation row by row.
 //
 // Below the transport, what the paper's §4 says FM 2.x kept from FM 1.x —
 // reliable in-order delivery, sender flow control, extraction decoupled from

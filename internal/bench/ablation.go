@@ -22,7 +22,7 @@ func MPI2AblationBandwidth(opt mpifm.Options, size, msgs int) float64 {
 // Direct vs Unexpected is the copy-count story pacing turns on and off. Paced extraction pulls only what the posted receive
 // asked for and leaves the backlog on the NIC; unpaced extraction drains
 // the backlog into the unexpected pool — a staging copy per message, the
-// host-side cost receiver flow control exists to avoid (paper §4.2).
+// host-side cost receiver flow control exists to avoid (§4.2).
 func MPI2AblationOverrun(opt mpifm.Options, size, msgs int, lag sim.Time) (float64, mpifm.Stats) {
 	pl, comms := mpiWorld(xport.GenFM2, 2, FabSingle, opt)
 	mbps := mpiStream(pl, comms, size, msgs, lag)

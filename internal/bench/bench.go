@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"repro/internal/sim"
 )
 
 // Point is one (message size, bandwidth) sample.
@@ -82,8 +80,9 @@ func Efficiency(num, den Curve) Curve {
 // StdSizes is the message-size sweep used by the paper's bandwidth figures.
 var StdSizes = []int{16, 32, 64, 128, 256, 512, 1024, 2048}
 
-// ShortSizes is the sweep of Figure 3 (FM 1.x, 16-512 bytes).
-var ShortSizes = []int{16, 32, 64, 128, 256, 512}
+// ShortSizes is the sweep of Figure 3 (FM 1.x, 16-512 bytes): a prefix of
+// StdSizes, so Figure 3b is a prefix of the measured FM 1.x curve.
+var ShortSizes = StdSizes[:6:6]
 
 // MsgsFor picks a message count for a streaming test: enough bytes to
 // amortize pipeline fill, bounded to keep simulations fast.
@@ -131,23 +130,3 @@ func WriteSeries(w io.Writer, title string, names []string, curves []Curve) {
 		fmt.Fprintln(w)
 	}
 }
-
-// Result bundles one experiment's headline numbers for EXPERIMENTS.md.
-type Result struct {
-	Name      string
-	PeakMBps  float64
-	NHalf     int
-	LatencyUS float64
-}
-
-// WriteResult renders a Result.
-func WriteResult(w io.Writer, r Result) {
-	fmt.Fprintf(w, "%-24s peak %7.2f MB/s   N1/2 %5d B", r.Name, r.PeakMBps, r.NHalf)
-	if r.LatencyUS > 0 {
-		fmt.Fprintf(w, "   latency %6.2f us", r.LatencyUS)
-	}
-	fmt.Fprintln(w)
-}
-
-// Elapsed converts a byte count and virtual duration into MB/s.
-func Elapsed(bytes int64, d sim.Time) float64 { return sim.MBps(bytes, d) }

@@ -80,7 +80,7 @@ func flowBandwidth(pl *cluster.Platform, what string, pairs [][2]int, procs func
 		}
 	}
 	run(pl, "%d %s flows", len(pairs), what)
-	return Elapsed(int64(size)*int64(msgs)*int64(len(pairs)), span(stamps))
+	return sim.MBps(int64(size)*int64(msgs)*int64(len(pairs)), span(stamps))
 }
 
 // xportFlow streams through a bare service window (no upper layer).

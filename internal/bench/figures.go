@@ -12,8 +12,10 @@ import (
 )
 
 // This file regenerates every table and figure of the paper's evaluation.
-// Each FigureN function computes the data; each WriteFigureN renders it in
-// the shape the paper reports (same series, same size sweeps).
+// Figures 1 and 3a compute their own data; Figures 2, 3b and 4-6 render the
+// one measured pass (Measure) and end with their rows of the paper table
+// (paper.go). Each WriteFigureN renders its figure in the shape the paper
+// reports (same series, same size sweeps).
 
 // Fig1Sizes is Figure 1's sweep (8-1024 bytes).
 var Fig1Sizes = []int{8, 16, 32, 64, 128, 256, 512, 1024}
@@ -39,17 +41,11 @@ func WriteFigure1(w io.Writer) {
 		names, curves)
 }
 
-// Figure2 computes the CMAM overhead breakdown for finite and indefinite
-// sequences (16-word messages, 4-word packets).
-func Figure2() (fin, ind cmam.Breakdown) {
-	fin = cmam.Model(cmam.Config{MsgWords: 16, PacketWords: 4, Seq: cmam.Finite})
-	ind = cmam.Model(cmam.Config{MsgWords: 16, PacketWords: 4, Seq: cmam.Indefinite})
-	return fin, ind
-}
-
-// WriteFigure2 renders Figure 2 as the paper's stacked-bar data.
+// WriteFigure2 renders Figure 2, the CMAM overhead breakdown for finite and
+// indefinite sequences, as the paper's stacked-bar data.
 func WriteFigure2(w io.Writer) {
-	fin, ind := Figure2()
+	m := Measure()
+	fin, ind := m.Fin, m.Ind
 	fmt.Fprintln(w, "Figure 2: Breakdown of overhead for Active Messages on the CM-5 (cycles)")
 	fmt.Fprintf(w, "  %-14s", "")
 	for _, s := range []cmam.Side{cmam.Src, cmam.Dest, cmam.Total} {
@@ -78,8 +74,7 @@ func WriteFigure2(w io.Writer) {
 		fmt.Fprintf(w, "  %8d", ind.TotalCycles(s))
 	}
 	fmt.Fprintln(w)
-	fmt.Fprintf(w, "  guarantees share of total: finite %.0f%%, indefinite %.0f%% (paper: 50-70%%)\n",
-		100*fin.GuaranteeShare(cmam.Total), 100*ind.GuaranteeShare(cmam.Total))
+	writeClaims(w, m, "CM-5 AM")
 }
 
 // Fig3aStages are the staged FM 1.x engines of Figure 3a, in the paper's
@@ -108,63 +103,38 @@ func Figure3a() (names []string, curves []Curve) {
 	return names, curves
 }
 
-// Figure3b computes the final FM 1.x bandwidth curve.
-func Figure3b() Curve { return FMCurve(DefaultOptions(xport.GenFM1), ShortSizes) }
-
 // WriteFigure3 renders both panels of Figure 3.
 func WriteFigure3(w io.Writer) {
 	names, curves := Figure3a()
 	WriteSeries(w, "Figure 3a: FM 1.x overhead breakdown (MB/s)", names, curves)
-	full := Figure3b()
-	WriteCurve(w, "Figure 3b: FM 1.x overall performance (MB/s)", "MB/s", full)
-	lat := FMLatency(DefaultOptions(xport.GenFM1), 16, 50)
-	fmt.Fprintf(w, "  peak %.2f MB/s (paper 17.6)   N1/2 %d B (paper 54)   latency %.2f us (paper 14)\n",
-		full.Peak(), full.NHalf(), lat.Micros())
+	m := Measure()
+	WriteCurve(w, "Figure 3b: FM 1.x overall performance (MB/s)", "MB/s", m.Fig3b())
+	writeClaims(w, m, "FM 1.x")
 }
 
-// Figure4 computes MPI-FM 1.x vs FM 1.x: absolute bandwidth and efficiency.
-func Figure4() (fm, mpi, eff Curve) {
-	fm = FMCurve(DefaultOptions(xport.GenFM1), StdSizes)
-	mpi = MPICurve(xport.GenFM1, StdSizes)
-	return fm, mpi, Efficiency(mpi, fm)
-}
-
-// WriteFigure4 renders Figure 4.
+// WriteFigure4 renders Figure 4: MPI-FM 1.x against FM 1.x, in MB/s and as
+// efficiency.
 func WriteFigure4(w io.Writer) {
-	fm, mpi, eff := Figure4()
-	WriteSeries(w, "Figure 4a: MPI-FM 1.x vs FM 1.x (MB/s)", []string{"FM", "MPI-FM"}, []Curve{fm, mpi})
-	WriteCurve(w, "Figure 4b: MPI-FM 1.x efficiency", "% of FM", eff)
-	fmt.Fprintf(w, "  MPI-FM peak %.2f MB/s; max efficiency %.0f%% (paper: <=35%%, ~20%% at peak)\n",
-		mpi.Peak(), eff.Peak())
+	m := Measure()
+	WriteSeries(w, "Figure 4a: MPI-FM 1.x vs FM 1.x (MB/s)", []string{"FM", "MPI-FM"}, []Curve{m.FM1, m.MPI1})
+	WriteCurve(w, "Figure 4b: MPI-FM 1.x efficiency", "% of FM", m.MPI1Eff())
+	writeClaims(w, m, "MPI-FM 1.x")
 }
 
-// Figure5 computes the FM 2.x bandwidth curve on the PPro machine.
-func Figure5() Curve { return FMCurve(DefaultOptions(xport.GenFM2), StdSizes) }
-
-// WriteFigure5 renders Figure 5.
+// WriteFigure5 renders Figure 5: FM 2.x on the PPro machine.
 func WriteFigure5(w io.Writer) {
-	c := Figure5()
-	WriteCurve(w, "Figure 5: FM 2.1 performance on a 200 MHz PPro (MB/s)", "MB/s", c)
-	lat := FMLatency(DefaultOptions(xport.GenFM2), 16, 50)
-	fmt.Fprintf(w, "  peak %.2f MB/s (paper 77)   N1/2 %d B (paper <256)   latency %.2f us (paper 11)\n",
-		c.Peak(), c.NHalf(), lat.Micros())
+	m := Measure()
+	WriteCurve(w, "Figure 5: FM 2.1 performance on a 200 MHz PPro (MB/s)", "MB/s", m.FM2)
+	writeClaims(w, m, "FM 2.x")
 }
 
-// Figure6 computes MPI-FM 2.0 vs FM 2.0: absolute bandwidth and efficiency.
-func Figure6() (fm, mpi, eff Curve) {
-	fm = FMCurve(DefaultOptions(xport.GenFM2), StdSizes)
-	mpi = MPICurve(xport.GenFM2, StdSizes)
-	return fm, mpi, Efficiency(mpi, fm)
-}
-
-// WriteFigure6 renders Figure 6.
+// WriteFigure6 renders Figure 6: MPI-FM 2.0 against FM 2.0, in MB/s and as
+// efficiency.
 func WriteFigure6(w io.Writer) {
-	fm, mpi, eff := Figure6()
-	WriteSeries(w, "Figure 6a: MPI-FM 2.0 vs FM 2.0 (MB/s)", []string{"FM", "MPI-FM"}, []Curve{fm, mpi})
-	WriteCurve(w, "Figure 6b: MPI-FM 2.0 efficiency", "% of FM", eff)
-	lat := MPILatency(xport.GenFM2, 16, 50)
-	fmt.Fprintf(w, "  MPI-FM peak %.2f MB/s (paper 70)   eff@16B %.0f%% (paper >70%%)   max eff %.0f%% (paper ~90%%)   latency %.2f us (paper 17)\n",
-		mpi.Peak(), eff.At(16), eff.Peak(), lat.Micros())
+	m := Measure()
+	WriteSeries(w, "Figure 6a: MPI-FM 2.0 vs FM 2.0 (MB/s)", []string{"FM", "MPI-FM"}, []Curve{m.FM2, m.MPI2})
+	WriteCurve(w, "Figure 6b: MPI-FM 2.0 efficiency", "% of FM", m.MPI2Eff())
+	writeClaims(w, m, "MPI-FM 2.x")
 }
 
 // WriteTable1 documents the FM 1.1 API (Table 1) against this library.
@@ -183,22 +153,4 @@ func WriteTable2(w io.Writer) {
 	fmt.Fprintf(w, "  %-42s %s\n", "FM_end_message(stream)", "fm2.SendStream.EndMessage")
 	fmt.Fprintf(w, "  %-42s %s\n", "FM_receive(stream,buf,bytes)", "fm2.RecvStream.Receive")
 	fmt.Fprintf(w, "  %-42s %s\n", "FM_extract(bytes)", "fm2.Endpoint.Extract")
-}
-
-// Headline computes the summary Result values used by EXPERIMENTS.md.
-func Headline() []Result {
-	fm1c := Figure3b()
-	fm2c := Figure5()
-	_, mpi1, _ := Figure4()
-	_, mpi2, _ := Figure6()
-	return []Result{
-		{Name: "FM 1.x (sparc)", PeakMBps: fm1c.Peak(), NHalf: fm1c.NHalf(),
-			LatencyUS: FMLatency(DefaultOptions(xport.GenFM1), 16, 50).Micros()},
-		{Name: "MPI over FM 1.x", PeakMBps: mpi1.Peak(), NHalf: mpi1.NHalf(),
-			LatencyUS: MPILatency(xport.GenFM1, 16, 50).Micros()},
-		{Name: "FM 2.x (ppro200)", PeakMBps: fm2c.Peak(), NHalf: fm2c.NHalf(),
-			LatencyUS: FMLatency(DefaultOptions(xport.GenFM2), 16, 50).Micros()},
-		{Name: "MPI-FM 2.0", PeakMBps: mpi2.Peak(), NHalf: mpi2.NHalf(),
-			LatencyUS: MPILatency(xport.GenFM2, 16, 50).Micros()},
-	}
 }

@@ -102,7 +102,7 @@ func FMStream(o Options, sizes []int) float64 {
 		}
 	})
 	run(pl, "%s stream of %d messages", o.FM.Gen, len(sizes))
-	return Elapsed(total, st.end-st.start)
+	return sim.MBps(total, st.end-st.start)
 }
 
 // FMBandwidth is FMStream at one message size: the Figure 3 (FM 1.x) and

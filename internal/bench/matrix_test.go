@@ -40,9 +40,10 @@ func TestLayeringMatrixAllCells(t *testing.T) {
 				l, pct[l][xport.GenFM2], pct[l][xport.GenFM1])
 		}
 	}
-	// MPI-FM 2.0 must sit in the paper's 70-90%+ band at 2 KiB.
+	// MPI-FM 2.0 keeps most of FM 2.x's bandwidth at 2 KiB (the paper's own
+	// figures are TestPaperClaims').
 	if e := pct[LayerMPI][xport.GenFM2]; e < 65 {
-		t.Errorf("mpi/fm2 efficiency %.0f%%, paper ~90%% at large sizes", e)
+		t.Errorf("mpi/fm2 efficiency %.0f%% at 2 KiB, want most of raw FM 2.x", e)
 	}
 }
 

@@ -230,8 +230,8 @@ func MeasureMixed(b xport.Gen, f Fabric, cfg MixedConfig) []ServiceShare {
 		s := ServiceShare{
 			Service:  wl.service,
 			Bytes:    mixed[i].bytes,
-			MBps:     Elapsed(wl.bytes(cfg), mixed[i].end),
-			SoloMBps: Elapsed(wl.bytes(cfg), solo[0].end),
+			MBps:     sim.MBps(wl.bytes(cfg), mixed[i].end),
+			SoloMBps: sim.MBps(wl.bytes(cfg), solo[0].end),
 		}
 		if total > 0 {
 			s.SharePct = 100 * float64(s.Bytes) / float64(total)

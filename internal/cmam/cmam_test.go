@@ -25,19 +25,6 @@ func TestPaperCaseReproducesQuotedCycles(t *testing.T) {
 	}
 }
 
-func TestGuaranteeShareInPaperRange(t *testing.T) {
-	// "up to 50%-70% of the software messaging costs are a direct
-	// consequence of the gap between user requirements ... and actual
-	// network features".
-	for _, seq := range []Sequence{Finite, Indefinite} {
-		b := Model(Config{MsgWords: 16, PacketWords: 4, Seq: seq})
-		share := b.GuaranteeShare(Total)
-		if share < 0.45 || share > 0.75 {
-			t.Errorf("%v: guarantee share %.2f outside the paper's 50-70%% band", seq, share)
-		}
-	}
-}
-
 func TestSidesSumToTotal(t *testing.T) {
 	for _, cfg := range []Config{
 		PaperCase(),

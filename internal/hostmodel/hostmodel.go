@@ -53,8 +53,8 @@ type Profile struct {
 }
 
 // Sparc is the FM 1.x era machine: SPARCstation on Sbus with the first
-// Myrinet generation. Calibrated against: 17.6 MB/s peak bandwidth, ~14 us
-// one-way latency, N1/2 ~= 54 bytes (paper §3, Figure 3).
+// Myrinet generation. Calibrated against the FM 1.x rows of the paper table
+// (peak, N1/2 and latency; internal/bench/paper.go).
 func Sparc() Profile {
 	return Profile{
 		Name:                 "sparc",
@@ -89,8 +89,8 @@ func Sparc() Profile {
 }
 
 // PPro200 is the FM 2.x era machine: 200 MHz Pentium Pro on PCI with
-// 1.28 Gb/s Myrinet. Calibrated against: 77 MB/s peak bandwidth, ~11 us
-// one-way latency, N1/2 < 256 bytes (paper §4.2, Figure 5).
+// 1.28 Gb/s Myrinet. Calibrated against the FM 2.x rows of the paper table
+// (peak, N1/2 and latency; internal/bench/paper.go).
 func PPro200() Profile {
 	return Profile{
 		Name:                 "ppro200",

@@ -23,7 +23,9 @@ const (
 	// wire does physically.
 	RingStall RingPolicy = iota
 	// RingDrop discards the packet, as a NIC must when it may not stall the
-	// wire. Used by the flow-control ablation to show why FM needs credits.
+	// wire, and counts it in NICStats.RingDropped. No figure or ablation
+	// runs it (the flow-control ablation is fm1's DisableFlowControl under
+	// RingStall); lanai's own tests and its pinned schedule digests do.
 	RingDrop
 )
 

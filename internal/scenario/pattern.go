@@ -191,36 +191,35 @@ func (r *runner) allreduceRank(rank int, p *fmnet.Proc) error {
 	return nil
 }
 
+// checkRPC is svcload's own check of the workload the spec plans, plus the
+// one rule svcload cannot make: service_us configures the service, not the
+// workload.
 func checkRPC(s Spec) error {
-	t := s.Traffic
-	switch fmnet.RPCArrival(t.RPCMode) {
-	case "", fmnet.RPCOpen, fmnet.RPCClosed, fmnet.RPCIncast:
-	default:
-		return fmt.Errorf("scenario %s: rpc_mode must be open, closed, or incast, not %q", s.Name, t.RPCMode)
+	if s.Traffic.ServiceUS < 0 {
+		return fmt.Errorf("scenario %s: negative service_us", s.Name)
 	}
-	if fmnet.RPCArrival(t.RPCMode) != fmnet.RPCClosed && t.RateRPS <= 0 {
-		return fmt.Errorf("scenario %s: rpc pattern needs rate_rps > 0 (or rpc_mode \"closed\")", s.Name)
-	}
-	if t.Fanout < 0 || t.Fanout > s.Nodes {
-		return fmt.Errorf("scenario %s: fanout %d outside [0, %d]", s.Name, t.Fanout, s.Nodes)
-	}
-	if t.Keyspace < 0 || t.ZipfS < 0 || t.RespSize < 0 || t.ServiceUS < 0 {
-		return fmt.Errorf("scenario %s: negative rpc field", s.Name)
+	if err := rpcWorkload(s, 0).Validate(s.Nodes); err != nil {
+		return fmt.Errorf("scenario %s: %v", s.Name, err)
 	}
 	return nil
 }
 
-// planRPC hands the fleet its workload. The workload seed is the scenario
+// rpcWorkload is the workload an rpc spec plans. The seed is the scenario
 // seed: the same derivation that decorrelates fault schedules decorrelates
 // request schedules.
-func planRPC(r *runner) error {
-	t := r.spec.Traffic
-	if err := r.s.RPC().Plan(fmnet.RPCWorkload{
+func rpcWorkload(s Spec, seed int64) fmnet.RPCWorkload {
+	t := s.Traffic
+	return fmnet.RPCWorkload{
 		Mode: fmnet.RPCArrival(t.RPCMode), Requests: t.Messages, RateRPS: t.RateRPS,
 		Fanout: t.Fanout, Keyspace: t.Keyspace, ZipfS: t.ZipfS,
 		ReqBytes: t.Size, RespBytes: t.RespSize,
-		Seed: r.seed, Drain: msTime(t.DrainMS),
-	}); err != nil {
+		Seed: seed, Drain: msTime(t.DrainMS),
+	}
+}
+
+// planRPC hands the fleet its workload.
+func planRPC(r *runner) error {
+	if err := r.s.RPC().Plan(rpcWorkload(r.spec, r.seed)); err != nil {
 		return fmt.Errorf("plan rpc workload: %v", err)
 	}
 	return nil

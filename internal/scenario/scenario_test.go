@@ -272,6 +272,9 @@ func TestSpecValidateRejectsGarbage(t *testing.T) {
 		{Name: "x", Nodes: 4, Traffic: Traffic{Pattern: "rpc", Messages: 1, Size: 1, RPCMode: "bursty", RateRPS: 1}},
 		{Name: "x", Nodes: 4, Traffic: Traffic{Pattern: "rpc", Messages: 1, Size: 1}},
 		{Name: "x", Nodes: 4, Traffic: Traffic{Pattern: "rpc", Messages: 1, Size: 1, RateRPS: 1, Fanout: 5}},
+		{Name: "x", Nodes: 4, Traffic: Traffic{Pattern: "rpc", Messages: 1, Size: 1, RateRPS: 1, Keyspace: -1}},
+		{Name: "x", Nodes: 4, Traffic: Traffic{Pattern: "rpc", Messages: 1, Size: 1, RateRPS: 1, ZipfS: -0.5}},
+		{Name: "x", Nodes: 4, Traffic: Traffic{Pattern: "rpc", Messages: 1, Size: 1, RateRPS: 1, ServiceUS: -1}},
 		{Name: "x", Nodes: 4, Traffic: Traffic{Pattern: "ring", Messages: 1, Size: 1, RateRPS: 1000}},
 		{Name: "x", Nodes: 4, Traffic: Traffic{Pattern: "ring", Messages: 1, Size: 1}, Assert: Assert{MaxP99MS: 1}},
 		{Name: "x", Nodes: 4, Traffic: Traffic{Pattern: "rpc", Messages: 1, Size: 1, RateRPS: 1}, Assert: Assert{MaxP99MS: -1}},

@@ -140,6 +140,10 @@ func (wl Workload) withDefaults() Workload {
 	return wl
 }
 
+// Validate applies the defaults and checks the workload against a fleet of
+// n nodes, as Plan does, for callers that validate before building one.
+func (wl Workload) Validate(n int) error { return wl.withDefaults().validate(n) }
+
 // validate checks the workload against a fleet of n nodes.
 func (wl Workload) validate(n int) error {
 	switch wl.Mode {

@@ -184,9 +184,15 @@ func TestWorkloadValidation(t *testing.T) {
 		{Requests: 1, RateRPS: 1, Fanout: 1, Drain: -sim.Microsecond},
 	}
 	for i, wl := range bad {
+		if wl.Validate(4) == nil {
+			t.Errorf("workload %d validated, want error", i)
+		}
 		if _, err := Run(RunConfig{Nodes: 4, Workload: wl}); err == nil {
 			t.Errorf("workload %d accepted, want error", i)
 		}
+	}
+	if err := openWorkload(1).Validate(4); err != nil {
+		t.Errorf("good workload rejected: %v", err)
 	}
 	if _, err := Run(RunConfig{Nodes: 1, Workload: openWorkload(1)}); err == nil {
 		t.Error("single-node cluster accepted")
