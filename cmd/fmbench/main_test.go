@@ -172,6 +172,28 @@ func TestSvcCaptureReplaysIdentically(t *testing.T) {
 	}
 }
 
+// TestSvcReplayRefusesBadTrace: a trace is outside input. One that could
+// crash its replay, or names a machine that cannot be built, ends the run
+// with exit 1 and the reason on stderr, nothing on stdout.
+func TestSvcReplayRefusesBadTrace(t *testing.T) {
+	const header = `{"format":"fmnet-svctrace/1","fm":"fm2","mode":"open","service_ns":2000,"nodes":`
+	const rec = `{"t_ns":5,"client":0,"seq":0,"key":0,"fanout":1}` + "\n"
+	for name, trace := range map[string]string{
+		"300 nodes on one crossbar": header + `300}` + "\n" + rec,
+		"payload size near MaxInt":  header + `2}` + "\n" + `{"t_ns":5,"client":0,"seq":0,"key":0,"fanout":1,"req_b":9223372036854775800}` + "\n",
+	} {
+		path := filepath.Join(t.TempDir(), "trace.jsonl")
+		if err := os.WriteFile(path, []byte(trace), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out, errs bytes.Buffer
+		if status := run([]string{"-svcreplay", path}, &out, &errs); status != 1 || out.Len() != 0 ||
+			!strings.Contains(errs.String(), "svc trace: ") {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 1 naming the trace", name, status, out.String(), errs.String())
+		}
+	}
+}
+
 // TestUsageErrors: a command line that asks for two runs, or a modifier of a
 // report it does not ask for, is refused before anything runs — exit 2, the
 // reason on stderr, nothing on stdout.

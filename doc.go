@@ -84,8 +84,9 @@
 //	          |                  |
 //	      internal/fm1      internal/fm2
 //
-// There is one way to assemble that picture, and fmnet.New, svcload.Run and
-// every internal/bench driver use it: xport.Gen.ClusterConfig prepares the
+// There is one way to assemble that picture, and fmnet.New and
+// internal/bench's world builder are the only two places that use it (no
+// upper layer builds a machine): xport.Gen.ClusterConfig prepares the
 // generation's machine at a node count and topology (cluster.Config maps onto
 // a netsim.Shape, which owns every fabric-shape rule; cluster.Config.Validate
 // adds the 65 536-node bound of the headers' 16-bit node field),

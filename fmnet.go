@@ -365,11 +365,7 @@ func New(opts ...Option) (*Session, error) {
 		}
 	}
 	if cfg.rpc {
-		rc := cfg.rpcCfg
-		if (rc == svcload.ServiceConfig{}) {
-			rc = svcload.DefaultServiceConfig()
-		}
-		s.rpc = svcload.Attach(xport.Spaces(s.eps, svcload.Service), rc)
+		s.rpc = svcload.Attach(xport.Spaces(s.eps, svcload.Service), cfg.rpcCfg)
 	}
 	for _, name := range cfg.custom {
 		s.custom[name] = xport.Spaces(s.eps, name)

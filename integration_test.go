@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/fm1"
 	"repro/internal/fm2"
 	"repro/internal/mpifm"
 	"repro/internal/netsim"
@@ -64,12 +65,9 @@ func TestFMAssumesReliableWire(t *testing.T) {
 	cfg := cluster.DefaultConfig()
 	cfg.Faults = &netsim.FaultPlan{Seed: 99, Rules: []netsim.FaultRule{{DropProb: 0.2}}}
 	pl := cluster.New(k, cfg)
-	eps := fm2.Attach(pl, fm2.Config{DisableFlowControl: true})
+	eps := fm1.Attach(pl, fm1.Config{DisableFlowControl: true})
 	recvd := 0
-	eps[1].Register(1, func(p *sim.Proc, s *fm2.RecvStream) {
-		s.ReceiveDiscard(p, s.Remaining())
-		recvd++
-	})
+	eps[1].Register(1, func(p *sim.Proc, src int, data []byte) { recvd++ })
 	const sent = 100
 	k.Spawn("sender", func(p *sim.Proc) {
 		for i := 0; i < sent; i++ {
@@ -80,7 +78,7 @@ func TestFMAssumesReliableWire(t *testing.T) {
 	})
 	k.Spawn("receiver", func(p *sim.Proc) {
 		for i := 0; i < 2000; i++ {
-			eps[1].ExtractAll(p)
+			eps[1].Extract(p)
 			p.Delay(5 * sim.Microsecond)
 		}
 	})

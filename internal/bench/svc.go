@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/sim"
 	"repro/internal/svcload"
 	"repro/internal/xport"
 )
@@ -50,12 +51,8 @@ func WriteSvcReport(w io.Writer) error {
 	for _, gen := range []xport.Gen{xport.GenFM1, xport.GenFM2} {
 		for _, wl := range svcWorkloads {
 			for _, n := range []int{4, 8, 16} {
-				res, err := svcload.Run(svcload.RunConfig{
-					Gen:      gen,
-					Nodes:    n,
-					FatTree:  n > 4,
-					Workload: wl,
-				})
+				res, err := svcRun(gen, n, svcFabric(n > 4), svcload.ServiceConfig{},
+					func(f *svcload.Fleet) error { return f.Plan(wl) })
 				if err != nil {
 					return fmt.Errorf("bench: svc %s/%s/%d: %w", gen, wl.Mode, n, err)
 				}
@@ -76,21 +73,54 @@ func WriteSvcReport(w io.Writer) error {
 // nodes) and writes its trace to w. The returned result is the report the
 // replayed trace must reproduce exactly.
 func SvcCapture(w io.Writer) (svcload.Result, error) {
-	return svcload.Run(svcload.RunConfig{
-		Gen:       xport.GenFM2,
-		Nodes:     8,
-		FatTree:   true,
-		Workload:  svcWorkloads[0],
-		CaptureTo: w,
+	return svcRun(xport.GenFM2, 8, FabFatTree, svcload.ServiceConfig{}, func(f *svcload.Fleet) error {
+		if err := f.Plan(svcWorkloads[0]); err != nil {
+			return err
+		}
+		return f.Capture(xport.GenFM2, true).Write(w)
 	})
 }
 
-// SvcReplay reads a trace and replays it on a fresh cluster built from the
-// trace header.
+// SvcReplay reads a trace and replays it on a fresh machine built from the
+// trace header: its generation, fleet size, fabric and service time.
 func SvcReplay(r io.Reader) (svcload.Result, error) {
 	t, err := svcload.ReadTrace(r)
 	if err != nil {
 		return svcload.Result{}, err
 	}
-	return svcload.RunTrace(t)
+	return svcRun(t.Gen(), t.Meta.Nodes, svcFabric(t.Meta.FatTree),
+		svcload.ServiceConfig{ServiceTime: sim.Time(t.Meta.ServiceNS)}, func(f *svcload.Fleet) error {
+			return f.PlanTrace(t)
+		})
+}
+
+// svcFabric is the suite's fabric: the fat tree, or one crossbar.
+func svcFabric(fatTree bool) Fabric {
+	if fatTree {
+		return FabFatTree
+	}
+	return FabSingle
+}
+
+// svcRun builds an n-node RPC fleet of generation g on fabric f, lets plan
+// arm it, and runs it: one RunNode Proc per node, in node order. A trace
+// names its own machine, so one that cannot be built is an error here, not
+// the panic of a harness bug; so is a failed run.
+func svcRun(g xport.Gen, n int, f Fabric, cfg svcload.ServiceConfig,
+	plan func(*svcload.Fleet) error) (svcload.Result, error) {
+	if err := g.ClusterConfig(n, f).Validate(); err != nil {
+		return svcload.Result{}, err
+	}
+	pl, eps := endpoints(g, n, f)
+	fl := svcload.Attach(xport.Spaces(eps, svcload.Service), cfg)
+	if err := plan(fl); err != nil {
+		return svcload.Result{}, err
+	}
+	for node := 0; node < n; node++ {
+		pl.K.Spawn(fmt.Sprintf("svc.%d", node), func(p *sim.Proc) { fl.RunNode(p, node) })
+	}
+	if err := pl.Run(); err != nil {
+		return svcload.Result{}, err
+	}
+	return fl.Result(), nil
 }

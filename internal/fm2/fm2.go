@@ -48,8 +48,6 @@ type Handler func(p *sim.Proc, s *RecvStream)
 
 // Config adjusts the FM 2.x engine. The zero value is the full protocol.
 type Config struct {
-	// DisableFlowControl removes credit accounting (ablation).
-	DisableFlowControl bool
 	// PoisonFrames overwrites every recycled buffer with a poison pattern,
 	// catching handlers (or engine paths) that illegally read payload after
 	// the frame returned to its pool. Debug mode: wall-clock cost only,
@@ -112,7 +110,7 @@ func Attach(pl *cluster.Platform, cfg Config) []*Endpoint {
 	for i := range eps {
 		e := &Endpoint{
 			EndpointCore: flowctl.NewEndpointCore(pl.NICs[i], pl.Nodes(), wire,
-				cfg.PoisonFrames, cfg.DisableFlowControl, pl.Parallel()),
+				cfg.PoisonFrames, false, pl.Parallel()), // credits always on: the ablation is fm1's
 			handlers: make(map[HandlerID]Handler),
 			active:   make(map[uint32]*RecvStream),
 		}

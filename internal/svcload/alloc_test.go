@@ -16,7 +16,7 @@ func mallocsPerRequest(t *testing.T, nodes int, wl Workload) float64 {
 	run := func(requests int) uint64 {
 		wl.Requests = requests
 		return alloctest.MinMallocs(func() {
-			if res := mustRun(t, RunConfig{Nodes: nodes, Workload: wl}); res.Completed != res.Planned {
+			if res := mustRun(t, machine{nodes: nodes}, wl); res.Completed != res.Planned {
 				t.Fatalf("completed %d of %d", res.Completed, res.Planned)
 			}
 		})
@@ -40,8 +40,8 @@ func TestWarmWindowZeroAlloc(t *testing.T) {
 		ZipfS: 1.1, ReqBytes: 64, RespBytes: 256, Seed: 7}
 	for _, g := range []xport.Gen{xport.GenFM2, xport.GenFM1} {
 		t.Run(g.String(), func(t *testing.T) {
-			k := sim.NewKernel()
-			_, _, f := buildFleet(t, k, RunConfig{Gen: g, Nodes: nodes})
+			pl, _, f := buildFleet(t, machine{gen: g, nodes: nodes})
+			k := pl.K
 			if err := f.Plan(wl); err != nil {
 				t.Fatal(err)
 			}

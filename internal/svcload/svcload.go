@@ -31,18 +31,19 @@
 //
 // Like every other service in this codebase, the RPC layer binds to a
 // HandlerSpace on the node's shared endpoint — it co-resides with MPI,
-// sockets, and shmem rather than owning the NIC. The fleet drives the
-// sequential kernel only: clients, servers, and histograms share state
-// under the single-threaded event schedule.
+// sockets, and shmem rather than owning the NIC. The package builds no
+// machine: whoever assembled the endpoints (a session's fmnet.WithRPC, the
+// bench harness) attaches a Fleet to their spaces, plans it, and spawns one
+// RunNode Proc per node. The fleet drives the sequential kernel only:
+// clients, servers, and histograms share state under the single-threaded
+// event schedule.
 package svcload
 
 import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"io"
 
-	"repro/internal/cluster"
 	"repro/internal/sim"
 	"repro/internal/trafficgen"
 	"repro/internal/xport"
@@ -87,8 +88,6 @@ const (
 type ServiceConfig struct {
 	// ServiceTime is the fixed per-request compute.
 	ServiceTime sim.Time
-	// PerByte is additional compute per response byte.
-	PerByte sim.Time
 }
 
 // DefaultServiceConfig models a light in-memory lookup service: 2us fixed.
@@ -295,8 +294,11 @@ type Fleet struct {
 
 // Attach installs the RPC service on every node's handler space. Spaces
 // must come from the same symmetric registration order on every node, as
-// with every endpoint service.
+// with every endpoint service. A zero cfg is DefaultServiceConfig.
 func Attach(spaces []*xport.HandlerSpace, cfg ServiceConfig) *Fleet {
+	if (cfg == ServiceConfig{}) {
+		cfg = DefaultServiceConfig()
+	}
 	n := len(spaces)
 	f := &Fleet{
 		cfg:     cfg,
@@ -398,10 +400,12 @@ func (f *Fleet) install(wl Workload, sched [][]req) error {
 		}
 	}
 	sp := f.spaces[0]
-	maxMsg := reqHeaderSize + maxBody
-	if maxMsg > sp.MaxMessage() {
-		return fmt.Errorf("svcload: %d-byte message exceeds transport limit %d", maxMsg, sp.MaxMessage())
+	// Compared before the header is added: a replayed size near MaxInt
+	// would wrap the sum negative and slip past.
+	if maxBody > sp.MaxMessage()-reqHeaderSize {
+		return fmt.Errorf("svcload: %d-byte payload plus header exceeds transport limit %d", maxBody, sp.MaxMessage())
 	}
+	maxMsg := reqHeaderSize + maxBody
 	if need, window := (maxMsg+sp.MTU()-1)/sp.MTU(), sp.Core().FlowControl().Window(); need > window {
 		return fmt.Errorf("svcload: %d-byte message needs %d packets, credit window is %d",
 			maxMsg, need, window)
@@ -468,7 +472,7 @@ func (f *Fleet) flushReplies(p *sim.Proc, node int) {
 		// array keeps its capacity; reslicing from the front would give it
 		// away and make serveRequest's append reallocate about once per reply.
 		f.replyQ[node] = q[:copy(q, q[1:])]
-		if d := f.cfg.ServiceTime + f.cfg.PerByte*sim.Time(r.respB); d > 0 {
+		if d := f.cfg.ServiceTime; d > 0 {
 			p.Delay(d)
 		}
 		rh := f.hdrs[node].resp[:]
@@ -709,70 +713,4 @@ func (f *Fleet) Result() Result {
 		r.GoodputRPS = float64(f.completed) / f.lastNS.Seconds()
 	}
 	return r
-}
-
-// RunConfig assembles a standalone cluster for one workload run: the
-// harness the bench suite, the trace CLI, and the tests share. Sessions
-// that already exist (fmnet.WithRPC) attach a Fleet directly instead.
-type RunConfig struct {
-	// Gen is the FM generation (default GenFM2; GenFM1 runs on the
-	// Sparc-era profile through the staging adapter, as everywhere else).
-	Gen xport.Gen
-	// Nodes is the cluster size (>= 2).
-	Nodes int
-	// FatTree selects the 2-level Clos fabric; default is one crossbar.
-	FatTree bool
-	// Service is the server cost model (zero value = DefaultServiceConfig).
-	Service ServiceConfig
-	// Workload is the generated request stream. Ignored when Trace is set.
-	Workload Workload
-	// Trace, when non-nil, replays a captured schedule instead of
-	// generating one; its meta supplies mode and sizes.
-	Trace *Trace
-	// CaptureTo, when non-nil, receives the run's schedule as a JSONL
-	// trace before the simulation starts.
-	CaptureTo io.Writer
-}
-
-// Run executes one standalone workload and returns its result.
-func Run(rc RunConfig) (Result, error) {
-	if rc.Gen == 0 {
-		rc.Gen = xport.GenFM2
-	}
-	if rc.Nodes < 2 {
-		return Result{}, fmt.Errorf("svcload: need at least 2 nodes")
-	}
-	if (rc.Service == ServiceConfig{}) {
-		rc.Service = DefaultServiceConfig()
-	}
-	topo := cluster.SingleSwitch
-	if rc.FatTree {
-		topo = cluster.FatTree
-	}
-	pl, err := cluster.Assemble(rc.Gen.ClusterConfig(rc.Nodes, topo))
-	if err != nil {
-		return Result{}, err
-	}
-	eps := xport.AttachEndpoints(pl, xport.EndpointConfig{Gen: rc.Gen})
-	f := Attach(xport.Spaces(eps, Service), rc.Service)
-	if rc.Trace != nil {
-		if err := f.PlanTrace(rc.Trace); err != nil {
-			return Result{}, err
-		}
-	} else if err := f.Plan(rc.Workload); err != nil {
-		return Result{}, err
-	}
-	if rc.CaptureTo != nil {
-		if err := f.Capture(rc.Gen, rc.FatTree).Write(rc.CaptureTo); err != nil {
-			return Result{}, err
-		}
-	}
-	for node := 0; node < rc.Nodes; node++ {
-		node := node
-		pl.K.Spawn(fmt.Sprintf("svc.%d", node), func(p *sim.Proc) { f.RunNode(p, node) })
-	}
-	if err := pl.Run(); err != nil {
-		return Result{}, err
-	}
-	return f.Result(), nil
 }

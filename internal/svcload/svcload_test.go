@@ -1,56 +1,68 @@
 package svcload
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/hostmodel"
 	"repro/internal/sim"
 	"repro/internal/xport"
 )
 
-// buildFleet assembles the same cluster Run would, but hands back the
-// handler spaces for inspection.
-func buildFleet(t *testing.T, k *sim.Kernel, rc RunConfig) (*cluster.Platform, []*xport.HandlerSpace, *Fleet) {
+// machine is the cluster a test fleet runs on.
+type machine struct {
+	gen     xport.Gen // zero: FM 2.x
+	nodes   int
+	fatTree bool
+}
+
+// buildFleet assembles the machine the way every assembler does — the
+// generation's cluster config, cluster.Assemble, one shared endpoint per
+// node — and attaches a default-cost fleet, handing back the platform and
+// the handler spaces for inspection.
+func buildFleet(t *testing.T, m machine) (*cluster.Platform, []*xport.HandlerSpace, *Fleet) {
 	t.Helper()
-	if rc.Gen == 0 {
-		rc.Gen = xport.GenFM2
+	if m.gen == 0 {
+		m.gen = xport.GenFM2
 	}
-	if (rc.Service == ServiceConfig{}) {
-		rc.Service = DefaultServiceConfig()
+	topo := cluster.SingleSwitch
+	if m.fatTree {
+		topo = cluster.FatTree
 	}
-	cfg := cluster.DefaultConfig()
-	cfg.Nodes = rc.Nodes
-	if rc.FatTree {
-		cfg.Topology = cluster.FatTree
-	}
-	cfg.AutoShape()
-	if rc.Gen == xport.GenFM1 {
-		cfg.Profile = hostmodel.Sparc()
-	}
-	pl, err := cluster.TryNew(k, cfg)
+	pl, err := cluster.Assemble(m.gen.ClusterConfig(m.nodes, topo))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eps := xport.AttachEndpoints(pl, xport.EndpointConfig{Gen: rc.Gen})
-	spaces := make([]*xport.HandlerSpace, rc.Nodes)
-	for i, ep := range eps {
-		spaces[i] = ep.Register(Service)
-	}
-	return pl, spaces, Attach(spaces, rc.Service)
+	spaces := xport.Spaces(xport.AttachEndpoints(pl, xport.EndpointConfig{Gen: m.gen}), Service)
+	return pl, spaces, Attach(spaces, ServiceConfig{})
 }
 
-func mustRun(t *testing.T, rc RunConfig) Result {
+// runFleet runs a planned fleet to completion — one RunNode Proc per node —
+// and returns its error-free result.
+func runFleet(t *testing.T, pl *cluster.Platform, f *Fleet) Result {
 	t.Helper()
-	res, err := Run(rc)
-	if err != nil {
-		t.Fatalf("svcload.Run: %v", err)
+	for node := 0; node < f.Nodes(); node++ {
+		pl.K.Spawn(fmt.Sprintf("svc.%d", node), func(p *sim.Proc) { f.RunNode(p, node) })
 	}
+	if err := pl.Run(); err != nil {
+		t.Fatalf("fleet run: %v", err)
+	}
+	res := f.Result()
 	if len(res.Errors) > 0 {
 		t.Fatalf("run reported errors: %v", res.Errors)
 	}
 	return res
+}
+
+// mustRun plans wl on a fresh fleet of m and runs it.
+func mustRun(t *testing.T, m machine, wl Workload) Result {
+	t.Helper()
+	pl, _, f := buildFleet(t, m)
+	if err := f.Plan(wl); err != nil {
+		t.Fatalf("plan: %v", err)
+	}
+	return runFleet(t, pl, f)
 }
 
 func openWorkload(seed int64) Workload {
@@ -68,7 +80,7 @@ func openWorkload(seed int64) Workload {
 }
 
 func TestOpenLoopCompletesAndReports(t *testing.T) {
-	res := mustRun(t, RunConfig{Nodes: 8, FatTree: true, Workload: openWorkload(1998)})
+	res := mustRun(t, machine{nodes: 8, fatTree: true}, openWorkload(1998))
 	want := int64(8 * 40)
 	if res.Planned != want || res.Issued != want || res.Completed != want {
 		t.Fatalf("planned/issued/completed = %d/%d/%d, want all %d",
@@ -95,14 +107,13 @@ func TestOpenLoopCompletesAndReports(t *testing.T) {
 // every bench row and scenario report builds on.
 func TestRunDeterministicBothGenerations(t *testing.T) {
 	for _, gen := range []xport.Gen{xport.GenFM2, xport.GenFM1} {
-		rc := RunConfig{Gen: gen, Nodes: 6, Workload: openWorkload(7)}
-		a, b := mustRun(t, rc), mustRun(t, rc)
+		m, wl := machine{gen: gen, nodes: 6}, openWorkload(7)
+		a, b := mustRun(t, m, wl), mustRun(t, m, wl)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("%v: repeated run diverged:\n%+v\n%+v", gen, a, b)
 		}
-		c := rc
-		c.Workload.Seed = 8
-		if reflect.DeepEqual(a, mustRun(t, c)) {
+		wl.Seed = 8
+		if reflect.DeepEqual(a, mustRun(t, m, wl)) {
 			t.Fatalf("%v: different seeds produced identical results", gen)
 		}
 	}
@@ -112,8 +123,8 @@ func TestRunDeterministicBothGenerations(t *testing.T) {
 // are a real latency cost the tail sees.
 func TestGenerationsDiffer(t *testing.T) {
 	wl := openWorkload(3)
-	fm2 := mustRun(t, RunConfig{Gen: xport.GenFM2, Nodes: 6, Workload: wl})
-	fm1 := mustRun(t, RunConfig{Gen: xport.GenFM1, Nodes: 6, Workload: wl})
+	fm2 := mustRun(t, machine{gen: xport.GenFM2, nodes: 6}, wl)
+	fm1 := mustRun(t, machine{gen: xport.GenFM1, nodes: 6}, wl)
 	if fm2.P99NS == fm1.P99NS && fm2.MeanUS == fm1.MeanUS {
 		t.Fatal("fm1 and fm2 report identical latency; the generations should price differently")
 	}
@@ -123,10 +134,10 @@ func TestGenerationsDiffer(t *testing.T) {
 }
 
 func TestClosedLoopKeepsOneOutstanding(t *testing.T) {
-	res := mustRun(t, RunConfig{Nodes: 4, Workload: Workload{
+	res := mustRun(t, machine{nodes: 4}, Workload{
 		Mode: ModeClosed, Requests: 25, Fanout: 1, Keyspace: 16, ZipfS: 0.9,
 		RespBytes: 128, Seed: 11,
-	}})
+	})
 	if res.Completed != 100 {
 		t.Fatalf("completed %d, want 100", res.Completed)
 	}
@@ -141,10 +152,10 @@ func TestClosedLoopKeepsOneOutstanding(t *testing.T) {
 }
 
 func TestIncastConcentratesOnOneShard(t *testing.T) {
-	res := mustRun(t, RunConfig{Nodes: 8, FatTree: true, Workload: Workload{
+	res := mustRun(t, machine{nodes: 8, fatTree: true}, Workload{
 		Mode: ModeIncast, Requests: 12, RateRPS: 20_000, Fanout: 1,
 		RespBytes: 1024, Seed: 5,
-	}})
+	})
 	if res.Completed != 8*12 {
 		t.Fatalf("completed %d, want %d", res.Completed, 8*12)
 	}
@@ -165,7 +176,7 @@ func TestSkewShowsInShardCounters(t *testing.T) {
 		wl.Fanout = 1
 		wl.ZipfS = s
 		wl.Requests = 100
-		return mustRun(t, RunConfig{Nodes: 8, Workload: wl})
+		return mustRun(t, machine{nodes: 8}, wl)
 	}
 	uniform, skewed := run(0), run(1.3)
 	if skewed.HotServed <= uniform.HotServed {
@@ -187,35 +198,23 @@ func TestWorkloadValidation(t *testing.T) {
 		if wl.Validate(4) == nil {
 			t.Errorf("workload %d validated, want error", i)
 		}
-		if _, err := Run(RunConfig{Nodes: 4, Workload: wl}); err == nil {
+		if _, _, f := buildFleet(t, machine{nodes: 4}); f.Plan(wl) == nil {
 			t.Errorf("workload %d accepted, want error", i)
 		}
 	}
 	if err := openWorkload(1).Validate(4); err != nil {
 		t.Errorf("good workload rejected: %v", err)
 	}
-	if _, err := Run(RunConfig{Nodes: 1, Workload: openWorkload(1)}); err == nil {
-		t.Error("single-node cluster accepted")
-	}
 }
 
 // Per-service endpoint accounting must see the RPC traffic on both sides.
 func TestEndpointAccountingSeesRPC(t *testing.T) {
-	// Run manually (not via Run) to keep the spaces for inspection.
-	rc := RunConfig{Nodes: 4, Workload: openWorkload(21)}
-	k := sim.NewKernel()
-	pl, spaces, f := buildFleet(t, k, rc)
-	_ = pl
-	if err := f.Plan(rc.Workload); err != nil {
+	wl := openWorkload(21)
+	pl, spaces, f := buildFleet(t, machine{nodes: 4})
+	if err := f.Plan(wl); err != nil {
 		t.Fatal(err)
 	}
-	for node := 0; node < rc.Nodes; node++ {
-		node := node
-		k.Spawn("svc", func(p *sim.Proc) { f.RunNode(p, node) })
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	res := runFleet(t, pl, f)
 	var sentMsgs, recvMsgs, sentBytes int64
 	for _, sp := range spaces {
 		st := sp.Stats()
@@ -223,7 +222,6 @@ func TestEndpointAccountingSeesRPC(t *testing.T) {
 		sentBytes += st.SentBytes
 		recvMsgs += st.Msgs
 	}
-	res := f.Result()
 	// Every sub-request and sub-response is one RPC-service message.
 	wantMsgs := res.SubRequests + res.Served
 	if sentMsgs != wantMsgs {
@@ -232,8 +230,8 @@ func TestEndpointAccountingSeesRPC(t *testing.T) {
 	if recvMsgs != wantMsgs {
 		t.Fatalf("service recv-msg accounting %d, want %d", recvMsgs, wantMsgs)
 	}
-	wantBytes := res.SubRequests*int64(reqHeaderSize+rc.Workload.ReqBytes) +
-		res.Served*int64(respHeaderSize+rc.Workload.RespBytes)
+	wantBytes := res.SubRequests*int64(reqHeaderSize+wl.ReqBytes) +
+		res.Served*int64(respHeaderSize+wl.RespBytes)
 	if sentBytes != wantBytes {
 		t.Fatalf("service sent-byte accounting %d, want %d", sentBytes, wantBytes)
 	}

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
+	"repro/internal/flowctl"
 	"repro/internal/sim"
 	"repro/internal/xport"
 )
@@ -31,7 +33,6 @@ type TraceMeta struct {
 	Requests int `json:"requests"`
 	// Server cost model, so the replayed service behaves identically.
 	ServiceNS int64 `json:"service_ns"`
-	PerByteNS int64 `json:"per_byte_ns,omitempty"`
 	// Drain window for fault-tolerant runs.
 	DrainNS int64 `json:"drain_ns,omitempty"`
 }
@@ -52,7 +53,21 @@ type traceRec struct {
 // it came from.
 type Trace struct {
 	Meta  TraceMeta
+	gen   xport.Gen // Meta.Gen, parsed
 	sched [][]req
+}
+
+// Gen is the FM generation the trace was captured on.
+func (t *Trace) Gen() xport.Gen { return t.gen }
+
+// parseGen reads a trace header's generation name.
+func parseGen(name string) (xport.Gen, error) {
+	for _, g := range []xport.Gen{xport.GenFM1, xport.GenFM2} {
+		if name == g.String() {
+			return g, nil
+		}
+	}
+	return 0, fmt.Errorf("svcload: trace header: unknown FM generation %q", name)
 }
 
 // Capture snapshots the fleet's planned schedule as a trace. The returned
@@ -75,9 +90,9 @@ func (f *Fleet) Capture(gen xport.Gen, fatTree bool) *Trace {
 			Seed:      f.wl.Seed,
 			Requests:  f.wl.Requests,
 			ServiceNS: int64(f.cfg.ServiceTime),
-			PerByteNS: int64(f.cfg.PerByte),
 			DrainNS:   int64(f.wl.Drain),
 		},
+		gen:   gen,
 		sched: sched,
 	}
 }
@@ -106,7 +121,9 @@ func (t *Trace) Write(w io.Writer) error {
 }
 
 // ReadTrace parses a JSONL trace, validating structure as it goes: header
-// first, every record's client in range, sequences dense and in order.
+// first, every record's client in range, sequences dense and in order. A
+// trace comes from outside the program, so every header field is checked
+// before it sizes anything, and every record before replay would index by it.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -123,8 +140,15 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	if meta.Format != TraceFormat {
 		return nil, fmt.Errorf("svcload: trace format %q, want %q", meta.Format, TraceFormat)
 	}
-	if meta.Nodes < 2 {
-		return nil, fmt.Errorf("svcload: trace header: %d nodes", meta.Nodes)
+	if meta.Nodes < 2 || meta.Nodes > flowctl.MaxNodes {
+		return nil, fmt.Errorf("svcload: trace header: %d nodes outside [2, %d]", meta.Nodes, flowctl.MaxNodes)
+	}
+	gen, err := parseGen(meta.Gen)
+	if err != nil {
+		return nil, err
+	}
+	if meta.ServiceNS < 0 || meta.DrainNS < 0 {
+		return nil, fmt.Errorf("svcload: trace header: negative time field")
 	}
 	sched := make([][]req, meta.Nodes)
 	line := 1
@@ -145,7 +169,10 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 			return nil, fmt.Errorf("svcload: trace line %d: client %d seq %d out of order (want %d)",
 				line, rec.Client, rec.Seq, len(sched[rec.Client]))
 		}
-		if rec.Fan < 1 || rec.Key < 0 || rec.ReqB < 0 || rec.RespB < 0 || rec.TNS < 0 {
+		// Replica j of the key is node (key+j) mod n: the last replica's
+		// index must not overflow.
+		if rec.Fan < 1 || rec.Key < 0 || rec.Key > math.MaxInt-(rec.Fan-1) ||
+			rec.ReqB < 0 || rec.RespB < 0 || rec.TNS < 0 {
 			return nil, fmt.Errorf("svcload: trace line %d: invalid record", line)
 		}
 		sched[rec.Client] = append(sched[rec.Client], req{
@@ -156,7 +183,7 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	return &Trace{Meta: meta, sched: sched}, nil
+	return &Trace{Meta: meta, gen: gen, sched: sched}, nil
 }
 
 // PlanTrace installs a captured schedule on the fleet, replacing generation.
@@ -190,24 +217,3 @@ func (f *Fleet) PlanTrace(t *Trace) error {
 	}
 	return f.install(wl, t.sched)
 }
-
-// RunConfig rebuilds the standalone run a trace describes.
-func (t *Trace) RunConfig() RunConfig {
-	gen := xport.GenFM2
-	if t.Meta.Gen == xport.GenFM1.String() {
-		gen = xport.GenFM1
-	}
-	return RunConfig{
-		Gen:     gen,
-		Nodes:   t.Meta.Nodes,
-		FatTree: t.Meta.FatTree,
-		Service: ServiceConfig{
-			ServiceTime: sim.Time(t.Meta.ServiceNS),
-			PerByte:     sim.Time(t.Meta.PerByteNS),
-		},
-		Trace: t,
-	}
-}
-
-// RunTrace replays a captured trace on a fresh cluster built from its meta.
-func RunTrace(t *Trace) (Result, error) { return Run(t.RunConfig()) }

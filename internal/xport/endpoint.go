@@ -572,8 +572,8 @@ func (g Gen) Profile() hostmodel.Profile {
 }
 
 // ClusterConfig is the generation's machine at n nodes on topology t, with
-// the fabric auto-shaped: the one cluster.Config preparation every assembler
-// (fmnet.New, svcload.Run, internal/bench) starts from and then edits.
+// the fabric auto-shaped: the one cluster.Config preparation both assemblers
+// (fmnet.New, internal/bench's world builder) start from and then edit.
 func (g Gen) ClusterConfig(n int, t cluster.Topology) cluster.Config {
 	cfg := cluster.DefaultConfig()
 	cfg.Nodes, cfg.Topology, cfg.Profile = n, t, g.Profile()
