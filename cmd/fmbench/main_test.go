@@ -135,8 +135,9 @@ func TestScenarioFlagPrintsTheCampaignEntry(t *testing.T) {
 }
 
 // TestPerfReportNamesItsPR: the trajectory file's name is the only place a
-// PR number lives — the report reads it from BENCH_PR<n>.json — and a report
-// written through the real flag path gates cleanly against itself.
+// PR number lives — the report reads it from BENCH_PR<n>.json — a report
+// written through the real flag path gates cleanly against itself, and its
+// 64-rank fat-tree row computes what the newest committed report says.
 func TestPerfReportNamesItsPR(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_PR42.json")
 	var out, errs bytes.Buffer
@@ -153,6 +154,26 @@ func TestPerfReportNamesItsPR(t *testing.T) {
 	if err := bench.GateTrajectory(path, path); err != nil {
 		t.Errorf("report does not gate against itself: %v", err)
 	}
+	committed, err := bench.CommittedReports(filepath.Join("..", ".."))
+	if err != nil || len(committed) == 0 {
+		t.Fatalf("no committed BENCH_PR*.json (%v)", err)
+	}
+	newest, err := bench.LoadPerfReport(committed[len(committed)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := rep.Entries[0]
+	for _, e := range newest.Entries {
+		if e.Name == live.Name && e.Fabric == live.Fabric && e.Ranks == live.Ranks && e.SizeB == live.SizeB {
+			if e.VirtualUS != live.VirtualUS || e.Digest != "" && e.Digest != live.Digest {
+				t.Errorf("%s %s %d ranks: live run computed %v us, digest %s; %s holds %v us, digest %q",
+					live.Name, live.Fabric, live.Ranks, live.VirtualUS, live.Digest,
+					committed[len(committed)-1], e.VirtualUS, e.Digest)
+			}
+			return
+		}
+	}
+	t.Errorf("%s has no %s %s %d-rank row", committed[len(committed)-1], live.Name, live.Fabric, live.Ranks)
 }
 
 // TestSvcCaptureReplaysIdentically: a trace captured through the real flag

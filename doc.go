@@ -267,8 +267,8 @@
 // alloc-gate job); 64- to 4096-rank allreduce
 // on the multi-stage fabrics is `fmbench -perf -json BENCH_PR<n>.json`,
 // which writes the machine-readable trajectory, and tier-1 holds the newest
-// committed report to the one before it (TestGateCommittedTrajectory): host
-// numbers within a tolerance, events and virtual_us exactly.
+// committed report to the one before it (TestGateCommittedTrajectory, by the
+// rules at the top of internal/bench/gate.go).
 //
 // # Parallel engine
 //

@@ -2,8 +2,10 @@ package bench
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
@@ -34,6 +36,7 @@ type PerfEntry struct {
 	Ops    int64  `json:"ops,omitempty"` // unit of AllocsPerOp: ranks
 
 	VirtualUS    float64 `json:"virtual_us,omitempty"` // modeled result, determinism-pinned
+	Digest       string  `json:"digest,omitempty"`     // FNV-1a of every rank's (start, end), determinism-pinned
 	WallMS       float64 `json:"wall_ms"`
 	Events       int64   `json:"events"`
 	EventsPerSec float64 `json:"events_per_sec"`
@@ -54,6 +57,9 @@ type PerfReport struct {
 	// numbers were measured under.
 	GOMAXPROCS int         `json:"gomaxprocs"`
 	Entries    []PerfEntry `json:"entries"`
+	// Rebaseline, written by hand, lets the rows it names move what the
+	// model computes (see GateTrajectory).
+	Rebaseline *Rebaseline `json:"rebaseline,omitempty"`
 }
 
 // PerfSchema identifies the report layout for downstream tooling.
@@ -119,8 +125,22 @@ func PerfCollective(f Fabric, ranks, size int) PerfEntry {
 	stamps := spawnCollective(pl, comms, CollAllreduce, mpifm.AlgoAuto, size, 1)
 	wall, mallocs, bytes := hostCost(func() { run(pl, "perf allreduce ranks=%d on %s", ranks, f) })
 	e := PerfEntry{Name: "allreduce", Fabric: f.String(), Ranks: ranks, SizeB: size,
-		VirtualUS: span(stamps).Micros()}
+		VirtualUS: span(stamps).Micros(), Digest: digest(stamps)}
 	return e.withCost(wall, pl.Events(), mallocs, bytes, int64(ranks))
+}
+
+// digest is FNV-1a over every rank's raw (start, end) stamps in rank order:
+// where span keeps two of them, this holds all, so a rank that finishes
+// later without moving the slowest one still changes the row.
+func digest(stamps []stamp) string {
+	h := fnv.New64a()
+	var b [16]byte
+	for _, s := range stamps {
+		binary.LittleEndian.PutUint64(b[:8], uint64(s.start))
+		binary.LittleEndian.PutUint64(b[8:], uint64(s.end))
+		h.Write(b[:])
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // perfSessions is how many fresh sessions each row is measured in. A row's
@@ -131,16 +151,16 @@ func PerfCollective(f Fabric, ranks, size int) PerfEntry {
 const perfSessions = 2
 
 // bestOf measures one row in perfSessions fresh sessions. What the
-// simulation computed, events and virtual_us, must be equal in all of them:
-// a deterministic simulation that ran differently twice fails the row as a
-// failed run does (run).
+// simulation computed — events, virtual_us and digest — must be equal in all
+// of them: a deterministic simulation that ran differently twice fails the
+// row as a failed run does (run).
 func bestOf(measure func() PerfEntry) PerfEntry {
 	best := measure()
 	for i := 1; i < perfSessions; i++ {
 		e := measure()
-		if e.Events != best.Events || e.VirtualUS != best.VirtualUS {
-			panic(fmt.Sprintf("bench: perf %s: session %d ran %d events to %v us, session 1 ran %d to %v us",
-				gateKey(e), i+1, e.Events, e.VirtualUS, best.Events, best.VirtualUS))
+		if e.Events != best.Events || e.VirtualUS != best.VirtualUS || e.Digest != best.Digest {
+			panic(fmt.Sprintf("bench: perf %s: session %d ran %d events to %v us (digest %s), session 1 ran %d to %v us (digest %s)",
+				gateKey(e), i+1, e.Events, e.VirtualUS, e.Digest, best.Events, best.VirtualUS, best.Digest))
 		}
 		if e.WallMS < best.WallMS {
 			best.WallMS, best.EventsPerSec = e.WallMS, e.EventsPerSec

@@ -37,6 +37,15 @@ type TraceMeta struct {
 	DrainNS int64 `json:"drain_ns,omitempty"`
 }
 
+// replayHorizon bounds every instant a trace may name: an arrival (t_ns)
+// and the drain window (drain_ns). A replaying node polls every pollGap until
+// its next arrival, about a million turns per node per virtual second, so a
+// far-future instant is a replay that runs for hours of host time; and
+// RunNode adds the drain window to the last arrival, which must not
+// overflow. One virtual second is over ten times the longest schedule
+// anything here generates (the lowest rpc-open rung spans under 60 ms).
+const replayHorizon = sim.Second
+
 // traceRec is one scheduled request. t_ns == 0 marks a closed-loop entry
 // (issued on the previous completion rather than at an absolute instant).
 type traceRec struct {
@@ -150,6 +159,9 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	if meta.ServiceNS < 0 || meta.DrainNS < 0 {
 		return nil, fmt.Errorf("svcload: trace header: negative time field")
 	}
+	if meta.DrainNS > int64(replayHorizon) {
+		return nil, fmt.Errorf("svcload: trace header: drain_ns %d past the replay horizon %d", meta.DrainNS, int64(replayHorizon))
+	}
 	sched := make([][]req, meta.Nodes)
 	line := 1
 	var rec traceRec // one record for every row: Unmarshal's target escapes
@@ -174,6 +186,9 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		if rec.Fan < 1 || rec.Key < 0 || rec.Key > math.MaxInt-(rec.Fan-1) ||
 			rec.ReqB < 0 || rec.RespB < 0 || rec.TNS < 0 {
 			return nil, fmt.Errorf("svcload: trace line %d: invalid record", line)
+		}
+		if rec.TNS > int64(replayHorizon) {
+			return nil, fmt.Errorf("svcload: trace line %d: t_ns %d past the replay horizon %d", line, rec.TNS, int64(replayHorizon))
 		}
 		sched[rec.Client] = append(sched[rec.Client], req{
 			T: sim.Time(rec.TNS), Key: rec.Key, Fan: rec.Fan,

@@ -98,6 +98,11 @@ func TestReadTraceRejectsMalformed(t *testing.T) {
 		// Replica j of key k is node (k+j) mod n: k+1 must not wrap negative.
 		"key overflow": `{"format":"fmnet-svctrace/1","fm":"fm2","nodes":3,"mode":"open","service_ns":2000}` + "\n" +
 			`{"t_ns":5,"client":0,"seq":0,"key":9223372036854775807,"fanout":2}` + "\n",
+		// Instants past the replay horizon: a replay that polls for
+		// centuries, and a last arrival plus drain window that overflows.
+		"far-future arrival":   meta + "\n" + `{"t_ns":9223372036854775807,"client":0,"seq":0,"key":0,"fanout":1}` + "\n",
+		"arrival past horizon": meta + "\n" + `{"t_ns":1000000001,"client":0,"seq":0,"key":0,"fanout":1}` + "\n",
+		"far-future drain":     `{"format":"fmnet-svctrace/1","fm":"fm2","nodes":4,"mode":"open","service_ns":2000,"drain_ns":9223372036854775807}` + "\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadTrace(strings.NewReader(in)); err == nil {
