@@ -7,9 +7,16 @@
 // and README's "Running things" the usual command lines.
 //
 // Everything but -perf prints virtual time, a pure function of the model,
-// and is held byte for byte to a committed golden (main_test.go). -perf is
-// the one wall-clock report, and it asks one question — how far the rank
-// axis goes; what a run costs on the host otherwise is ./benchmark's.
+// and is held byte for byte to a committed golden (main_test.go's goldens;
+// -update rewrites them when the model moves on purpose). -perf is the one
+// wall-clock report, and it asks one question — how far the rank axis goes;
+// what a run costs on the host otherwise is ./benchmark's.
+//
+// A report is one row of registry, the table the flags are registered from,
+// and one row of the goldens table or of heldElsewhere. A command line that
+// gives a modifier without its report, a run of its own with anything else,
+// or a rank count no cluster has is refused before anything runs: exit 2,
+// the reason on stderr, nothing on stdout.
 package main
 
 import (
@@ -18,9 +25,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 
 	"repro/internal/bench"
+	"repro/internal/flowctl"
 	"repro/internal/mpifm"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -65,6 +74,10 @@ func registry(fs *flag.FlagSet) []report {
 	)
 	on := func(name, usage string) *flag.Flag { fs.Bool(name, false, usage); return fs.Lookup(name) }
 	num := func(p *int, name, usage string) *flag.Flag { fs.IntVar(p, name, 0, usage); return fs.Lookup(name) }
+	ranks := func(p *int, name, usage string) *flag.Flag {
+		fs.Var((*rankCount)(p), name, usage)
+		return fs.Lookup(name)
+	}
 	str := func(p *string, name, usage string) *flag.Flag {
 		fs.StringVar(p, name, "", usage)
 		return fs.Lookup(name)
@@ -103,7 +116,7 @@ func registry(fs *flag.FlagSet) []report {
 		{sel: on("matrix", "run the upper-layer x binding layering-efficiency matrix"), inAll: true,
 			write: func(c cli) int { bench.WriteLayeringMatrix(c.w, []int{256, 2048, 16384}, 300); return 0 }},
 		{sel: on("topo", "run the fabric-zoo contention and scaling report"), inAll: true,
-			mods:  []*flag.Flag{num(&topoRanks, "toporanks", "cap the fabric sweep's rank counts (0 = default sweep)")},
+			mods:  []*flag.Flag{ranks(&topoRanks, "toporanks", "cap the fabric sweep's rank counts (0 = default sweep)")},
 			write: func(c cli) int { bench.WriteFabricReport(c.w, fabricConfig(topoRanks)); return 0 }},
 		{sel: on("mixed", "run the mixed-workload co-residency suite (shared endpoints)"), inAll: true,
 			write: func(c cli) int {
@@ -115,8 +128,8 @@ func registry(fs *flag.FlagSet) []report {
 			}},
 		{sel: on("perf", "run the engine wall-clock suite (allreduce scale ladder: events/sec, allocs/rank at 64-1024 ranks)"),
 			mods: []*flag.Flag{
-				num(&perfRanks, "perfranks", "cap the perf suite's rank counts (0 = full sweep incl. 1024)"),
-				num(&perfBig, "perfbig", "perf suite: add one fat-tree allreduce row at this rank count (e.g. 4096)"),
+				ranks(&perfRanks, "perfranks", "cap the perf suite's rank counts (0 = full sweep incl. 1024)"),
+				ranks(&perfBig, "perfbig", "perf suite: add one fat-tree allreduce row at this rank count (e.g. 4096)"),
 				str(&jsonPath, "json", "perf suite: machine-readable output path; BENCH_PR<n>.json records n as the report's pr (empty = don't write)"),
 			},
 			write: func(c cli) int { return writePerf(c, perfRanks, perfBig, jsonPath) }},
@@ -203,6 +216,9 @@ func run(args []string, w, stderr io.Writer) int {
 			if given(m) && !modified[m] {
 				return failf(stderr, 2, "-%s modifies -%s: it does nothing alone", m.Name, r.sel.Name)
 			}
+			if n, ok := m.Value.(*rankCount); ok && !n.valid() {
+				return failf(stderr, 2, "-%s %d: a rank count is 0 (the default) or 2..%d", m.Name, *n, flowctl.MaxNodes)
+			}
 		}
 	}
 	if len(selected) == 0 {
@@ -216,6 +232,14 @@ func run(args []string, w, stderr io.Writer) int {
 	}
 	return 0
 }
+
+// rankCount is a rank-count flag. A cluster has at least two nodes and at
+// most what the wire format's node field addresses; 0 keeps the default.
+type rankCount int
+
+func (n *rankCount) String() string     { return strconv.Itoa(int(*n)) }
+func (n *rankCount) Set(s string) error { v, err := strconv.Atoi(s); *n = rankCount(v); return err }
+func (n rankCount) valid() bool         { return n == 0 || n >= 2 && n <= flowctl.MaxNodes }
 
 // fabricConfig is the -topo configuration with its rank counts capped
 // (0 = the default sweep).

@@ -215,9 +215,9 @@ func TestSvcReplayRefusesBadTrace(t *testing.T) {
 	}
 }
 
-// TestUsageErrors: a command line that asks for two runs, or a modifier of a
-// report it does not ask for, is refused before anything runs — exit 2, the
-// reason on stderr, nothing on stdout.
+// TestUsageErrors: a command line that asks for two runs, a modifier of a
+// report it does not ask for, or a rank count no cluster has, is refused
+// before anything runs — exit 2, the reason on stderr, nothing on stdout.
 func TestUsageErrors(t *testing.T) {
 	tmp := t.TempDir()
 	for _, args := range [][]string{
@@ -229,6 +229,15 @@ func TestUsageErrors(t *testing.T) {
 		{"-tables", "-perfbig", "4096"},
 		{"-tables", "-json", filepath.Join(tmp, "BENCH_PR1.json")},
 		{"-tables", "-campaignseed", "7"},
+		// A rank count a cluster cannot have used to panic mid-report or run
+		// the whole default sweep.
+		{"-topo", "-toporanks", "1"},
+		{"-topo", "-toporanks", "-5"},
+		{"-perf", "-perfranks", "1"},
+		{"-perf", "-perfranks", "-3"},
+		{"-perf", "-perfbig", "1"},
+		{"-perf", "-perfbig", "70000"},
+		{"-all", "-toporanks", "1"},
 	} {
 		var out, errs bytes.Buffer
 		if status := run(args, &out, &errs); status != 2 || out.Len() != 0 || !strings.Contains(errs.String(), "fmbench: ") {

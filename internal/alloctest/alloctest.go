@@ -1,5 +1,8 @@
 // Package alloctest is the one measurement behind the steady-state
-// zero-allocation pins of sim, fm1 and fm2.
+// zero-allocation pins (the tests named *ZeroAlloc, in every layer from sim
+// to svcload). It reads process-wide MemStats.Mallocs and keeps the least of
+// Windows windows, so a pin holds at any GOMAXPROCS; a new pin uses it, not a
+// single window.
 package alloctest
 
 import "runtime"

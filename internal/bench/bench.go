@@ -2,6 +2,18 @@
 // paper's evaluation: streaming bandwidth drivers, ping-pong latency
 // drivers, N1/2 (half-power message size) computation, and table rendering
 // in the shape of the paper's figures.
+//
+// A measurement is a world, a traffic shape and a clock, each written once.
+// world.go builds the machine for either generation and either engine
+// (platform, endpoints, mpiWorld). Raw FM runs through FMStream, FMBandwidth
+// and FMLatency over the fmNode adapter (send, extract, deliver), configured
+// by one Options. Above raw FM, flowBandwidth is the one flow skeleton: the
+// bare window and every upper layer (xportFlow, mpiFlow, sockFlow, shmemFlow,
+// garrFlow) supply two procs each. spawnCollective is the one timed
+// collective, under CollectiveTimeOn and PerfCollective. span is the virtual
+// clock, hostCost the host one. A new measurement is a caller of one of
+// these, not a copy, and a variant is a table row: AllCollectives,
+// AllLayers (the bare xport window first), mixedWorkloads, svcWorkloads.
 package bench
 
 import (

@@ -1,14 +1,3 @@
-package bench
-
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
-)
-
 // Trajectory gate: a static comparator over two BENCH_PR<n>.json reports,
 // the one place its rules are written down. The perf suite's value is the
 // trajectory of its numbers across PRs, so tier-1
@@ -34,6 +23,16 @@ import (
 // an unchanged tree has measured past a 25 % events/sec floor on a slower
 // one — so host speed is left to benchmark/'s paired runs of parent and
 // change on one box. allocs/op does not depend on box speed.
+package bench
+
+import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+)
 
 // GateTolerancePct is how far allocs/op may rise against the base: it counts
 // runtime allocations too, so it is nearly but not exactly reproducible.

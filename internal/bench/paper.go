@@ -1,3 +1,8 @@
+// The paper's evaluation comes down to the numbers in Claims. A row says
+// where the paper states its number, how that number bounds the simulation,
+// and which field of the one measured pass it reads. The figure
+// annotations, the headline and TestPaperClaims all render from the table,
+// so a paper number is written here and nowhere else.
 package bench
 
 import (
@@ -10,12 +15,6 @@ import (
 	"repro/internal/cmam"
 	"repro/internal/xport"
 )
-
-// The paper's evaluation comes down to the numbers in Claims. A row says
-// where the paper states its number, how that number bounds the simulation,
-// and which field of the one measured pass it reads. The figure
-// annotations, the headline and TestPaperClaims all render from the table,
-// so a paper number is written here and nowhere else.
 
 // Bound is how a claim's paper value bounds the simulated one.
 type Bound int

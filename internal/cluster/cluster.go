@@ -1,6 +1,20 @@
 // Package cluster assembles complete simulated machines: hosts, NICs, and
 // the Myrinet fabric wiring them together. Both FM generations and every
 // benchmark build on a Platform.
+//
+// There is one way to build a stack, and two places build a machine:
+// fmnet.New (sessions, examples, the repo benchmark) and internal/bench's
+// world.go (every harness driver). The way is xport.Gen.ClusterConfig (the
+// generation's machine at a node count and topology), then Assemble (the
+// only entry to a partitioned platform; TryNew is its sequential-only form
+// and both share one private assemble), then xport.AttachEndpoints (one
+// endpoint per node), xport.Spaces (a service registered on every node),
+// and the layer's one constructor: mpifm.Attach, sockfm.New, shmem.Attach,
+// garr.Attach or svcload.Attach. No upper layer imports this package, and no
+// third file calls Assemble.
+//
+// Config maps onto a netsim.Shape, which owns every fabric-shape rule;
+// Validate adds the 65 536-node bound of the headers' 16-bit node field.
 package cluster
 
 import (

@@ -62,8 +62,7 @@ type Stats struct {
 // Emit, Next and Open. fm1.Endpoint and fm2.Endpoint embed one by value and
 // add what their API generation is about (Table 1: contiguous buffers,
 // reassembly into staging; Table 2: streams, handler threads, a byte budget
-// on extract). A per-packet charge, a header field, a pool mode or a trace
-// hook has one site, here.
+// on extract).
 type EndpointCore struct {
 	// Count is the endpoint's counters; the embedding engine bumps the
 	// message-level ones. Readers want Stats, which adds the control plane's

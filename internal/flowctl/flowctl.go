@@ -8,6 +8,13 @@
 // credits, return and idle flush); EndpointCore is the endpoint around that
 // (host and NIC, frame pool, counters, header layout, the per-packet send and
 // extract steps), which both FM engines embed one copy of.
+//
+// An engine-level change — a per-packet charge, a header field, a trace
+// hook, a pool mode, a validation rule — goes into EndpointCore, once. The
+// engines keep their extract loops and call the core per packet; neither
+// polls the kernel, builds a frame pool or sets its mode itself. They bump
+// Count.PacketsRecvd only after they are done with a packet, because
+// co-resident extractors read it as a progress meter.
 package flowctl
 
 // Manager tracks credits for one endpoint in a cluster of n nodes.

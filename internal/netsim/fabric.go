@@ -1,6 +1,12 @@
 // The five topologies: each is one wire function (switches, nodes and links
 // in model order, see builder) and one closed-form route function over the
-// port map it lays down, entered in the topologies table. The multi-stage
+// port map it lays down, entered in the topologies table. A topology is
+// decided in this package and nowhere else: adding one is those two
+// functions, a row of the table and, for rules no other topology shares, a
+// case in Shape.Resolve. Routes are computed per packet, never stored. A
+// change here keeps link names, Links() order and switch creation order
+// exact, since the kernel's tie-breaks and every fault plan key on them;
+// route_test.go holds them to digests of the old route tables. The multi-stage
 // fabrics — the topologies that carried FM-class machines past a single
 // crossbar — produce deadlock-free source routes under the back-pressure
 // Switch/Link model:

@@ -1,14 +1,20 @@
+// A traffic pattern is one row of the patterns table: the fmnet service it
+// sends over, the optional spec fields it reads (setting any other is a
+// validation error, like an unknown JSON field), and its check, plan, rank
+// body and report hook. Validate and Run look the row up once and name no
+// pattern, so adding a pattern is adding a row; the four raw patterns differ
+// only in a sends(n, rank, dst) formula.
 package scenario
 
 import (
 	"fmt"
 
 	fmnet "repro"
+	"repro/internal/mpifm"
 	"repro/internal/xport"
 )
 
 // pattern is one traffic pattern: everything Validate and Run know about it.
-// Adding a pattern is adding a row to patterns; nothing else names one.
 // Spec, Traffic and Report cross these calls by value: a pointer handed to a
 // func value escapes, which would be a heap copy of each per run.
 type pattern struct {
@@ -65,6 +71,9 @@ var patterns = map[string]*pattern{
 	"allreduce": { // MPI installs its own handlers
 		service: func(Traffic) fmnet.Option { return fmnet.WithMPI() },
 		prepare: func(r *runner) error {
+			if err := r.fits(wordBytes(r.spec.Traffic.Size), mpifm.HeaderSize); err != nil {
+				return err
+			}
 			r.expect = make([]int64, r.spec.Nodes)
 			for rank := range r.expect {
 				r.expect[rank] = int64(r.spec.Traffic.Messages) // completed rounds
@@ -93,9 +102,25 @@ func rawPattern(sends func(n, rank, dst int) bool) *pattern {
 	return &pattern{
 		reads:   fOpenLoop | fDrainMS,
 		service: func(Traffic) fmnet.Option { return fmnet.WithService(svcName) },
-		prepare: func(r *runner) error { r.planRaw(sends); return nil },
-		rank:    (*runner).rawRank,
+		prepare: func(r *runner) error {
+			if err := r.fits(r.spec.Traffic.Size, 0); err != nil {
+				return err
+			}
+			r.planRaw(sends)
+			return nil
+		},
+		rank: (*runner).rawRank,
 	}
+}
+
+// fits refuses a message of size bytes, behind its layer's header, that is
+// larger than one message of the session's FM generation carries: every send
+// would fail, and the report would call the stalled ranks a hang.
+func (r *runner) fits(size, header int) error {
+	if limit := r.s.Endpoint(0).Transport().Core().MaxMessage() - header; size > limit {
+		return fmt.Errorf("scenario %s: traffic size %d exceeds the %d bytes one message can carry", r.spec.Name, size, limit)
+	}
+	return nil
 }
 
 // planRaw fills each rank's targets and, from them, what full delivery means
@@ -179,7 +204,7 @@ func (r *runner) rawRank(rank int, p *fmnet.Proc) error {
 // allreduceRank drives collective rounds over the MPI service.
 func (r *runner) allreduceRank(rank int, p *fmnet.Proc) error {
 	c := r.s.MPI(rank)
-	size := (r.spec.Traffic.Size + 3) &^ 3 // OpSumU32 wants whole words
+	size := wordBytes(r.spec.Traffic.Size)
 	in, out := payload(rank, size), make([]byte, size)
 	for m := 0; m < r.spec.Traffic.Messages; m++ {
 		if err := c.Allreduce(p, in, out, fmnet.OpSumU32); err != nil {
@@ -191,13 +216,11 @@ func (r *runner) allreduceRank(rank int, p *fmnet.Proc) error {
 	return nil
 }
 
-// checkRPC is svcload's own check of the workload the spec plans, plus the
-// one rule svcload cannot make: service_us configures the service, not the
-// workload.
+// wordBytes is an allreduce buffer's length: OpSumU32 wants whole words.
+func wordBytes(size int) int { return (size + 3) &^ 3 }
+
+// checkRPC is svcload's own check of the workload the spec plans.
 func checkRPC(s Spec) error {
-	if s.Traffic.ServiceUS < 0 {
-		return fmt.Errorf("scenario %s: negative service_us", s.Name)
-	}
 	if err := rpcWorkload(s, 0).Validate(s.Nodes); err != nil {
 		return fmt.Errorf("scenario %s: %v", s.Name, err)
 	}

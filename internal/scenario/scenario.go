@@ -184,10 +184,10 @@ func (s *Spec) check() (*pattern, error) {
 	if s.Traffic.Size <= 0 {
 		return nil, fmt.Errorf("scenario %s: traffic needs size > 0", s.Name)
 	}
-	if s.WatchdogMS < 0 || s.Traffic.DrainMS < 0 {
-		return nil, fmt.Errorf("scenario %s: negative time budget", s.Name)
+	if f := s.badTime(); f != "" {
+		return nil, fmt.Errorf("scenario %s: %s is negative or longer than %d ms", s.Name, f, maxMS)
 	}
-	if s.Assert.MaxP99MS < 0 || s.Assert.MaxP999MS < 0 || s.Assert.MinCompleted < 0 {
+	if s.Assert.MinCompleted < 0 {
 		return nil, fmt.Errorf("scenario %s: negative assertion bound", s.Name)
 	}
 	// A field the pattern never reads is a typoed assertion silently not
@@ -211,6 +211,38 @@ func (s *Spec) check() (*pattern, error) {
 		}
 	}
 	return pat, nil
+}
+
+// maxMS bounds every time field of a spec: the ms fields, and service_us at
+// 1000 µs a millisecond. msTime turns each into int64 virtual nanoseconds,
+// which the runner adds to the clock and to one another; an hour keeps every
+// such sum far inside int64's 292 years, where an unchecked 1e13 ms wrapped
+// the clock negative. No scenario runs that long: the default watchdog is
+// 50 ms.
+const maxMS = 3_600_000
+
+// badTime names the first time field outside [0, maxMS] ("" = none).
+func (s *Spec) badTime() string {
+	ok := func(ms float64) bool { return ms >= 0 && ms <= maxMS }
+	t, a := s.Traffic, s.Assert
+	switch {
+	case !ok(s.WatchdogMS):
+		return "watchdog_ms"
+	case !ok(t.DrainMS):
+		return "drain_ms"
+	case !ok(t.ServiceUS / 1000):
+		return "service_us"
+	case !ok(a.MaxP99MS):
+		return "max_p99_ms"
+	case !ok(a.MaxP999MS):
+		return "max_p999_ms"
+	}
+	for i, f := range s.Faults {
+		if !ok(f.FlapUpMS) || !ok(f.FlapDownMS) || !ok(f.DownFromMS) || !ok(f.DownUntilMS) {
+			return fmt.Sprintf("a *_ms field of fault %d", i)
+		}
+	}
+	return ""
 }
 
 // msTime converts scenario-file milliseconds to virtual time.

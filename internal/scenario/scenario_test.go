@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -282,6 +283,16 @@ func TestSpecValidateRejectsGarbage(t *testing.T) {
 		{Name: "x", Nodes: 4, Traffic: Traffic{Pattern: "rpc", Messages: 1, Size: 1, RateRPS: 1, OpenLoop: true}},
 		{Name: "x", Nodes: 4, Traffic: Traffic{Pattern: "allreduce", Messages: 1, Size: 4, OpenLoop: true}},
 		{Name: "x", Nodes: 4, Traffic: Traffic{Pattern: "allreduce", Messages: 1, Size: 4, DrainMS: 2}},
+		// A time past maxMS used to wrap int64 virtual nanoseconds.
+		{Name: "x", Nodes: 4, Traffic: Traffic{Pattern: "ring", Messages: 1, Size: 1}, WatchdogMS: 1e13},
+		{Name: "x", Nodes: 4, Traffic: Traffic{Pattern: "ring", Messages: 1, Size: 1, OpenLoop: true, DrainMS: 1e13}},
+		{Name: "x", Nodes: 4, Traffic: Traffic{Pattern: "ring", Messages: 1, Size: 1}, Faults: []Fault{{Links: "*", FlapUpMS: 1e13, FlapDownMS: 1}}},
+		{Name: "x", Nodes: 4, Traffic: Traffic{Pattern: "ring", Messages: 1, Size: 1}, Faults: []Fault{{Links: "*", FlapUpMS: 1, FlapDownMS: 1e13}}},
+		{Name: "x", Nodes: 4, Traffic: Traffic{Pattern: "ring", Messages: 1, Size: 1}, Faults: []Fault{{Links: "*", DownFromMS: 1e13}}},
+		{Name: "x", Nodes: 4, Traffic: Traffic{Pattern: "ring", Messages: 1, Size: 1}, Faults: []Fault{{Links: "*", DownFromMS: 1, DownUntilMS: 1e13}}},
+		{Name: "x", Nodes: 4, Traffic: Traffic{Pattern: "rpc", Messages: 1, Size: 1, RateRPS: 1}, Assert: Assert{MaxP99MS: 1e13}},
+		{Name: "x", Nodes: 4, Traffic: Traffic{Pattern: "rpc", Messages: 1, Size: 1, RateRPS: 1}, Assert: Assert{MaxP999MS: 1e13}},
+		{Name: "x", Nodes: 4, Traffic: Traffic{Pattern: "rpc", Messages: 1, Size: 1, RateRPS: 1, ServiceUS: 1e16}},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -303,6 +314,37 @@ func TestUnbuildableShapeIsAnErrorOutcome(t *testing.T) {
 	rep := Run(spec, DefaultSeed)
 	if rep.Outcome != OutcomeError || rep.Passed {
 		t.Fatalf("outcome %q passed=%v, want %q: %v", rep.Outcome, rep.Passed, OutcomeError, rep.Failures)
+	}
+}
+
+// TestOversizeMessageIsAnErrorOutcome: a message larger than the session's
+// FM generation carries is the spec's error, named with the limit, not a
+// hang diagnosed at the watchdog after every send failed.
+func TestOversizeMessageIsAnErrorOutcome(t *testing.T) {
+	for _, c := range []struct {
+		pattern string
+		fm      int
+		size    int
+		limit   string
+	}{
+		{"ring", 2, 5_000_000, "4194304"},
+		{"pairs", 1, 2_000_000, "1048576"},
+		{"allreduce", 2, 5_000_000, "4194280"}, // after the 24-byte MPI header
+		{"allreduce", 2, 4_194_281, "4194280"}, // rounded up to whole words
+	} {
+		spec := cleanRing(c.fm)
+		spec.Traffic.Pattern, spec.Traffic.Messages, spec.Traffic.Size = c.pattern, 1, c.size
+		rep := Run(spec, DefaultSeed)
+		if rep.Outcome != OutcomeError || len(rep.Failures) == 0 || !strings.Contains(rep.Failures[0], c.limit) {
+			t.Errorf("%s fm%d size %d: outcome %q, failures %v; want %q naming the limit %s",
+				c.pattern, c.fm, c.size, rep.Outcome, rep.Failures, OutcomeError, c.limit)
+		}
+	}
+	spec := cleanRing(2)
+	spec.Traffic.Pattern, spec.Traffic.Messages, spec.Traffic.Size = "allreduce", 1, 4_194_280
+	spec.Assert, spec.WatchdogMS = Assert{Outcome: OutcomeComplete}, 1000
+	if rep := Run(spec, DefaultSeed); !rep.Passed {
+		t.Errorf("allreduce at the limit: %v", rep.Failures)
 	}
 }
 

@@ -25,7 +25,10 @@
 //     goroutine Proc would park. It waits in the same queues and is woken by
 //     the same events, so a loop rewritten as a Machine leaves the (t, seq)
 //     schedule and Events() exactly as they were. The per-packet service
-//     loops (NIC firmware, switch forwarders) are Machines.
+//     loops (NIC firmware, switch forwarders, the link they transmit on) are
+//     Machines, and a new one should be too: SpawnDaemon is for loops that
+//     run user code that blocks (fm2's handler workers), and lanai.go and
+//     netsim.go call it nowhere.
 //
 // The third is where poll ticks wait: not in the event heap but in one FIFO
 // lane per period beside it. A tick of period d is queued at now+d with the
@@ -33,6 +36,17 @@
 // already in (t, seq) order; the dispatcher takes the least of the heap top
 // and the lane heads, so events run in exactly the order one heap would pop
 // them, without sifting hundreds of re-armed ticks through it.
+//
+// The control token moves by coroutine switch (see Kernel). No channel
+// carries it and kernel.go starts no goroutine; building a simulation starts
+// none either, because a Proc gets its coroutine at its first wake.
+//
+// Every dispatcher shortcut — idle ticks, paced ticks, lanes, Machines, lazy
+// launch — is defined as the code it stands for, and differential_test.go
+// holds it to that code: one generator draws seeded programs, one
+// interpreter runs each fused and written out, and every resumption must
+// match at (t, seq). A new shortcut is a new spelling in that interpreter
+// plus a coverage floor, not a new harness.
 //
 // The kernel is the substitute for real hardware concurrency in this
 // reproduction: host CPUs, NIC firmware, DMA engines, and wires are all Procs

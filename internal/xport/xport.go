@@ -19,6 +19,18 @@
 // Like the FM libraries themselves, a Transport is single-threaded: exactly
 // one Proc per node drives BeginMessage/Extract; handlers run only inside
 // Extract (or inline for loopback sends).
+//
+// Rules for the layers above. Each binds only to a HandlerSpace. Every
+// blocking wait is HandlerSpace.Wait, every self-paced one WaitPaced. The
+// kernel's dispatcher evaluates a wait's condition and turn work, so each
+// must be O(1), read-only, about its own node, and a pointer into state
+// allocated once: a closure there is a malloc per wait. Whatever an idle
+// pass of those loops would read, refresh or act on belongs in the idle test
+// (flowctl.Waiter.Idle and waiting.Done), or virtual times move. A receive
+// handler pulls its wire header with ReceiveHeader, and bounds every wire
+// length by the stream's Remaining() before the length sizes anything. The
+// machine a generation runs on is Gen.Profile (with mpifm.OverheadsFor), and
+// nowhere else.
 package xport
 
 import (
