@@ -315,6 +315,17 @@ func runCampaign(c cli, dir string, seed int64) int {
 	}
 	c.w.Write(res.Marshal())
 	if !res.Passed {
+		// One line per failure, so a CI log explains itself: the first
+		// failure, and for a hang the report's first line (its cycle).
+		for _, rep := range res.Scenarios {
+			if !rep.Passed {
+				why := rep.Failures[0]
+				if rep.Hang != nil && len(rep.Hang.Lines) > 0 {
+					why += "; hang: " + rep.Hang.Lines[0]
+				}
+				failf(c.stderr, 1, "%s: %s: %s", rep.Scenario, rep.Outcome, why)
+			}
+		}
 		return failf(c.stderr, 1, "campaign failed: %d of %d scenarios", res.Failed, res.Total)
 	}
 	return 0

@@ -134,6 +134,32 @@ func TestScenarioFlagPrintsTheCampaignEntry(t *testing.T) {
 	t.Errorf("no entry of %s/%s matches:\n%s", dir, scenario.GoldenName, out.String())
 }
 
+// TestFailedCampaignSaysWhy: a failed campaign names each failed scenario on
+// stderr with its outcome and first failure, and for a hang the first line
+// of its report: here the FM 1.x credit cycle of a 16-node ring.
+func TestFailedCampaignSaysWhy(t *testing.T) {
+	dir := t.TempDir()
+	specs := map[string]string{
+		"05-clean.json": `{"name": "clean", "nodes": 4, "traffic": {"pattern": "ring", "messages": 2, "size": 64}}`,
+		"10-ring.json":  `{"name": "fm1-ring16", "nodes": 16, "fm": 1, "traffic": {"pattern": "ring", "messages": 20, "size": 4096}}`,
+	}
+	for name, spec := range specs {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(spec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out, errs bytes.Buffer
+	if status := run([]string{"-campaign", dir}, &out, &errs); status != 1 {
+		t.Fatalf("exit %d, want 1", status)
+	}
+	want := `fmbench: fm1-ring16: watchdog: outcome "watchdog", want "complete"; hang: cycle n0 → n1 → n2 → n3 → n4 → n5 → n6 → n7 → n8 → n9 → n10 → n11 → n12 → n13 → n14 → n15 → n0
+fmbench: campaign failed: 1 of 2 scenarios
+`
+	if errs.String() != want {
+		t.Errorf("stderr:\n%s\nwant:\n%s", errs.String(), want)
+	}
+}
+
 // TestPerfReportNamesItsPR: the trajectory file's name is the only place a
 // PR number lives — the report reads it from BENCH_PR<n>.json — a report
 // written through the real flag path gates cleanly against itself, and its

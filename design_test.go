@@ -59,6 +59,11 @@ var designRules = []struct {
 		bad: regexp.MustCompile(`cluster\.Assemble\(`),
 	},
 	{
+		rule: "one hang report", home: "./internal/sim",
+		paths: []string{"."}, except: []string{"design_test.go"}, tests: true,
+		bad: regexp.MustCompile(`LiveNames|liveNames|hangReport|diagnoseHang|NodeDiag|StreamAccounting|LostCreditReturns`),
+	},
+	{
 		rule: "the public surface", home: ".",
 		paths: []string{"examples"}, tests: true,
 		bad: regexp.MustCompile(`repro/internal`),

@@ -412,8 +412,8 @@ func (s *Session) Run() error { return s.pl.Run() }
 func (s *Session) Endpoint(node int) *Endpoint { return s.eps[node] }
 
 // Fabric exposes the assembled network: per-link stats, the lost-frame
-// registry, and credit-leak accounting — the surfaces a chaos scenario's
-// watchdog reads to turn a hang into a diagnostic.
+// registry, and credit-leak accounting — the loss accounting of a chaos
+// scenario's report. What a hung run waits on is Kernel().HangReport().
 func (s *Session) Fabric() *Fabric { return s.pl.Net }
 
 // NICStats reports a node's NIC counters (CRC drops, ring drops).

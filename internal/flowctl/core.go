@@ -124,8 +124,8 @@ func (c *EndpointCore) Stats() Stats {
 	return st
 }
 
-// FlowControl exposes the credit ledger (tests and hang diagnostics assert
-// its invariants).
+// FlowControl exposes the credit ledger (tests and the benchmark assert its
+// invariants).
 func (c *EndpointCore) FlowControl() *Manager { return c.Credit.fc }
 
 // MTU reports the per-packet payload capacity.

@@ -2,6 +2,7 @@ package flowctl
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"repro/internal/lanai"
 	"repro/internal/netsim"
@@ -72,6 +73,7 @@ func (c *Plane) Acquire(p *sim.Proc, dst int) {
 	}
 	c.DrainCtrl()
 	for !c.fc.Consume(dst) {
+		p.WaitOn(c)
 		if c.ctrlWaiter {
 			// Another Proc already owns the control queue: wait for it to
 			// process a refill, then re-check our own window.
@@ -80,11 +82,25 @@ func (c *Plane) Acquire(p *sim.Proc, dst int) {
 		}
 		c.ctrlWaiter = true
 		pkt := c.nic.WaitCtrl(p)
+		p.WaitOn(nil) // a refill already queued is taken without a park
 		c.ctrlWaiter = false
 		c.handleCtrl(pkt)
 		c.DrainCtrl()
 		c.creditSig.Broadcast()
 	}
+}
+
+// Describe names a credit wait for the hang report: the peers whose window
+// this node has spent, and the frames in its own ring that a sender gated on
+// credit leaves unextracted (FM sends never process incoming data).
+func (c *Plane) Describe() (string, int, []int) {
+	var shut []int
+	for dst := 0; dst < c.fc.Nodes(); dst++ {
+		if dst != c.node && c.fc.Available(dst) == 0 {
+			shut = append(shut, dst)
+		}
+	}
+	return fmt.Sprintf("credit (window of %d spent, %d frames unextracted here)", c.fc.Window(), c.nic.RingLen()), c.node, shut
 }
 
 // DrainCtrl consumes every control packet already queued at the NIC.
@@ -175,6 +191,9 @@ func (w *Waiter) Idle() bool {
 	c := w.plane
 	return !w.Until.Done() && !c.nic.Pending() && !c.fc.Dirty()
 }
+
+// Describe names a polling wait for the hang report.
+func (w *Waiter) Describe() (string, int, []int) { return "poll", w.plane.node, nil }
 
 // IdlePoll is what an Extract that found the receive ring empty does, less
 // the poll itself: it flushes withheld credit and reports how

@@ -122,9 +122,7 @@ func (s *RecvStream) Receive(p *sim.Proc, buf []byte) int {
 	got := 0
 	for got < want {
 		if s.pendingBytes == 0 {
-			s.state = stateWaiting
-			s.idleSig.Broadcast() // hand the CPU back to Extract
-			s.dataSig.Wait(p)     // descheduled until the next packet
+			s.await(p)
 			continue
 		}
 		chunk := s.pending.Front()
@@ -152,9 +150,7 @@ func (s *RecvStream) ReceiveDiscard(p *sim.Proc, n int) int {
 	skipped := 0
 	for skipped < n {
 		if s.pendingBytes == 0 {
-			s.state = stateWaiting
-			s.idleSig.Broadcast()
-			s.dataSig.Wait(p)
+			s.await(p)
 			continue
 		}
 		chunk := s.pending.Front()
@@ -170,6 +166,24 @@ func (s *RecvStream) ReceiveDiscard(p *sim.Proc, n int) int {
 	}
 	s.consumed += skipped
 	return skipped
+}
+
+// await deschedules the handler until the next packet, handing the CPU back
+// to Extract.
+func (s *RecvStream) await(p *sim.Proc) {
+	s.state = stateWaiting
+	s.idleSig.Broadcast()
+	p.WaitOn(s)
+	s.dataSig.Wait(p)
+}
+
+// Describe names a stream wait for the hang report: the handler's wait for
+// the rest of its message, or an extractor's for the handler to yield.
+func (s *RecvStream) Describe() (string, int, []int) {
+	if s.state == stateWaiting {
+		return fmt.Sprintf("payload (%d of %d B delivered)", s.delivered, s.msglen), s.e.Node(), []int{s.src}
+	}
+	return fmt.Sprintf("handler of a message from n%d", s.src), s.e.Node(), nil
 }
 
 // deliver appends one packet's payload to the stream, taking ownership of
@@ -310,6 +324,7 @@ func (e *Endpoint) processData(p *sim.Proc, pkt *netsim.Packet) int {
 
 	k := key(src, msgid)
 	rs := e.active[k]
+	var fn Handler // set when this frame opens the message
 	if rs == nil {
 		if !d.First {
 			// Continuation of a stream we never saw open: the message's
@@ -321,8 +336,7 @@ func (e *Endpoint) processData(p *sim.Proc, pkt *netsim.Packet) int {
 			pkt.Release()
 			return 0
 		}
-		fn, ok := e.handlers[h]
-		if !ok {
+		if fn, ok = e.handlers[h]; !ok {
 			// Unknown handler: swallow the whole message via a pre-done
 			// stream so continuation packets have somewhere to drain.
 			e.Count.UnknownHandler++
@@ -332,24 +346,21 @@ func (e *Endpoint) processData(p *sim.Proc, pkt *netsim.Packet) int {
 			rs.deliver(pkt, payload, last)
 			return e.retireIfComplete(rs, k)
 		}
-		// Deliver this packet's payload BEFORE the dispatch delay: with
-		// co-resident services, another extractor can process the message's
-		// next packet while this Proc is parked in the HandlerDispatch
-		// charge, and enqueueing ours afterwards would reorder the payload.
-		// deliver emits no events and charges no time, so moving it ahead
-		// of the delay leaves the virtual-time schedule untouched.
 		rs = e.getRecvStream(src, msgid, h, total, stateRunning)
 		e.active[k] = rs
-		rs.runners++
-		rs.deliver(pkt, payload, last)
-		p.Delay(e.Host().P.HandlerDispatch)
-		e.startHandler(fn, rs)
-		e.runStream(p, rs)
-		rs.runners--
-		return e.retireIfComplete(rs, k)
 	}
+	// A first frame delivers its payload BEFORE the dispatch delay: with
+	// co-resident services, another extractor can process the message's next
+	// packet while this Proc is parked in the HandlerDispatch charge, and
+	// enqueueing ours afterwards would reorder the payload. deliver emits no
+	// events and charges no time, so moving it ahead of the delay leaves the
+	// virtual-time schedule untouched.
 	rs.runners++
 	rs.deliver(pkt, payload, last)
+	if fn != nil {
+		p.Delay(e.Host().P.HandlerDispatch)
+		e.startHandler(fn, rs)
+	}
 	e.runStream(p, rs)
 	rs.runners--
 	return e.retireIfComplete(rs, k)
@@ -418,6 +429,7 @@ func (e *Endpoint) runStream(p *sim.Proc, rs *RecvStream) {
 		rs.dataSig.Signal()
 	}
 	for rs.state == stateRunning {
+		p.WaitOn(rs)
 		rs.idleSig.Wait(p)
 	}
 }

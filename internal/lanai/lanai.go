@@ -182,7 +182,7 @@ func (f *recvFirmware) Step(p *sim.Proc) {
 				// any DMA — FM never sees it, and its reliability argument holds
 				// without per-message checksums. A lost DATA frame still leaks the
 				// flow-control credit its sender spent; the fabric's loss registry
-				// records that for hang diagnostics.
+				// records that for a scenario report's loss accounting.
 				n.stats.CRCDropped++
 				n.Ifc.NoteLost(f.pkt, netsim.LossCRC)
 				f.pkt.Release()

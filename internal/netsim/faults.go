@@ -110,6 +110,13 @@ func (r *FaultRule) match(name string) bool {
 // set one: one virtual second, far past any scenario deadline in use.
 const DefaultFaultHorizon = sim.Second
 
+// MaxFlapWindows bounds the outage windows one flap rule may schedule per
+// link: ApplyFaults precomputes them up to the plan horizon, 16 bytes each,
+// so a mean cycle of a few nanoseconds ran a campaign out of memory before it
+// modelled anything. At the bound a link's schedule is 1 MiB, over five
+// hundred times the flappiest committed scenario's (~120 windows per link).
+const MaxFlapWindows = 1 << 16
+
 // FaultPlan is a deterministic, seeded fault schedule for a whole fabric.
 type FaultPlan struct {
 	// Seed is the campaign seed every per-link stream is derived from.
@@ -144,6 +151,10 @@ func (fp *FaultPlan) Validate() error {
 		if r.FlapMeanUp < 0 || r.FlapMeanDown < 0 {
 			return fmt.Errorf("netsim: fault rule %d: negative flap interval", i)
 		}
+		if cyc := r.FlapMeanUp + r.FlapMeanDown; cyc > 0 && fp.horizon()/cyc > MaxFlapWindows {
+			return fmt.Errorf("netsim: fault rule %d: a flap every %v up to %v is ~%d outage windows per link, over the %d bound",
+				i, cyc, fp.horizon(), fp.horizon()/cyc, MaxFlapWindows)
+		}
 		if r.DownFrom < 0 || r.DownUntil < 0 {
 			return fmt.Errorf("netsim: fault rule %d: negative outage bound", i)
 		}
@@ -158,6 +169,14 @@ func (fp *FaultPlan) Validate() error {
 		}
 	}
 	return nil
+}
+
+// horizon is the time flap schedules run to.
+func (fp *FaultPlan) horizon() sim.Time {
+	if fp.Horizon == 0 {
+		return DefaultFaultHorizon
+	}
+	return fp.Horizon
 }
 
 // flapWindows generates a link's outage windows from its own RNG stream:
@@ -205,10 +224,7 @@ func (n *Network) ApplyFaults(plan FaultPlan) error {
 	if err := plan.Validate(); err != nil {
 		return err
 	}
-	horizon := plan.Horizon
-	if horizon == 0 {
-		horizon = DefaultFaultHorizon
-	}
+	horizon := plan.horizon()
 	for _, l := range n.links {
 		for ri := range plan.Rules {
 			r := &plan.Rules[ri]
@@ -353,24 +369,6 @@ func (n *Network) LeakedCredits(src, dst int) int64 {
 			continue
 		}
 		if src >= 0 && k.src != src {
-			continue
-		}
-		if dst >= 0 && k.dst != dst {
-			continue
-		}
-		total += c
-	}
-	return total
-}
-
-// LostCreditReturns reports lost CTRL frames toward dst (-1 wildcards):
-// credit refills the destination endpoint will never receive.
-func (n *Network) LostCreditReturns(dst int) int64 {
-	n.lostMu.Lock()
-	defer n.lostMu.Unlock()
-	var total int64
-	for k, c := range n.lost {
-		if !k.ctrl {
 			continue
 		}
 		if dst >= 0 && k.dst != dst {

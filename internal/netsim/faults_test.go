@@ -222,6 +222,8 @@ func TestFaultPlanValidate(t *testing.T) {
 		{Rules: []FaultRule{{DownFrom: 20, DownUntil: 10}}},
 		{Rules: []FaultRule{{SlowFactor: 0.5}}},
 		{Horizon: -1},
+		// A flap every 2 ns up to 1 ms: half a million windows per link.
+		{Horizon: sim.Millisecond, Rules: []FaultRule{{FlapMeanUp: 1, FlapMeanDown: 1}}},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

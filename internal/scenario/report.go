@@ -3,6 +3,8 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+
+	"repro/internal/sim"
 )
 
 // Run outcomes.
@@ -28,28 +30,6 @@ type LossRecord struct {
 	Count int64  `json:"count"`
 }
 
-// NodeDiag is one node's state at the moment a hang was declared.
-type NodeDiag struct {
-	Node int `json:"node"`
-	// Done reports whether this node's rank finished its traffic.
-	Done bool `json:"done"`
-	// RingDepth is the number of frames sitting unextracted in the NIC
-	// receive ring.
-	RingDepth int `json:"ring_depth"`
-	// ActiveStreams counts messages stuck mid-delivery (FM 2.x only):
-	// nonzero means a handler is parked waiting for payload lost in flight.
-	ActiveStreams int `json:"active_streams,omitempty"`
-	// OutstandingCredits is the total flow-control credit this node has sunk
-	// into its peers and not gotten back.
-	OutstandingCredits int `json:"outstanding_credits"`
-	// LeakedAsSender counts this node's data frames the fabric destroyed —
-	// credits the node spent on messages nobody will ever extract.
-	LeakedAsSender int64 `json:"leaked_as_sender"`
-	// LostCreditReturns counts credit-carrying control frames toward this
-	// node that the fabric destroyed.
-	LostCreditReturns int64 `json:"lost_credit_returns"`
-}
-
 // RPCStats is the service-workload section of an rpc-pattern report:
 // virtual-time tail latency over completed requests, plus the completion
 // ledger the drain window leaves behind under faults.
@@ -64,19 +44,6 @@ type RPCStats struct {
 	MaxNS     int64 `json:"max_ns"`
 	// GoodputRPS is completed requests over the span to the last completion.
 	GoodputRPS float64 `json:"goodput_rps"`
-}
-
-// HangDiagnostic is the watchdog's post-mortem: why the run stopped making
-// progress. This is the payload that replaces the old failure mode (a test
-// binary hung until its wall-clock timeout, with nothing to read).
-type HangDiagnostic struct {
-	// LastEventNS is the virtual time of the last executed event: how far
-	// the run got before progress stopped.
-	LastEventNS int64 `json:"last_event_ns"`
-	// WaitingRanks lists the ranks that never finished.
-	WaitingRanks []int `json:"waiting_ranks"`
-	// PerNode snapshots queue depths and credit ledgers node by node.
-	PerNode []NodeDiag `json:"per_node"`
 }
 
 // Report is the machine-readable result of one scenario run. Every field is
@@ -120,8 +87,9 @@ type Report struct {
 	// Lost is the fabric's aggregated loss registry, sorted.
 	Lost []LossRecord `json:"lost,omitempty"`
 
-	// Hang carries the watchdog post-mortem for OutcomeWatchdog runs.
-	Hang *HangDiagnostic `json:"hang,omitempty"`
+	// Hang is the kernel's hang report for OutcomeWatchdog runs: what each
+	// rank waits on, and the wait-for cycle first.
+	Hang *sim.HangReport `json:"hang,omitempty"`
 }
 
 // fail records an assertion violation.

@@ -1,8 +1,9 @@
 package scenario
 
 import (
+	"fmt"
+
 	fmnet "repro"
-	"repro/internal/xport"
 )
 
 // svcName is the custom fmnet service the raw traffic drivers send over.
@@ -47,50 +48,18 @@ func (r *runner) runRank(rank int, p *fmnet.Proc) {
 
 // Run executes one scenario under the given campaign seed and returns its
 // report. It never panics and never hangs: crashes surface as
-// OutcomePanic, stalls as OutcomeWatchdog with a hang diagnostic.
+// OutcomePanic, stalls as OutcomeWatchdog with the kernel's hang report.
 func Run(spec Spec, campaignSeed int64) Report {
 	seed := ScenarioSeed(campaignSeed, spec.Name)
 	rep := Report{Scenario: spec.Name, Seed: seed, Ranks: spec.Nodes}
-	pat, err := spec.check()
+	r, err := start(spec, seed)
 	if err != nil {
 		rep.Outcome = OutcomeError
 		rep.fail("%v", err)
 		return rep
 	}
-
-	topo, _ := spec.topo() // validated above
-	opts := []fmnet.Option{fmnet.Nodes(spec.Nodes), fmnet.Topology(topo)}
-	if spec.FM == 1 {
-		opts = append(opts, fmnet.FM1())
-	} else {
-		opts = append(opts, fmnet.FM2())
-	}
-	opts = append(opts, pat.service(spec.Traffic))
-	if plan := spec.faultPlan(seed); plan != nil {
-		opts = append(opts, fmnet.WithFaults(*plan))
-	}
-	if spec.Poison {
-		opts = append(opts, fmnet.WithPoison())
-	}
-	s, err := fmnet.New(opts...)
-	if err != nil {
-		rep.Outcome = OutcomeError
-		rep.fail("build: %v", err)
-		return rep
-	}
+	s := r.s
 	defer s.Kernel().Shutdown()
-
-	r := &runner{
-		spec: spec, pat: pat, seed: seed, s: s,
-		recv: make([]int64, spec.Nodes),
-		done: make([]bool, spec.Nodes),
-	}
-	if err := pat.prepare(r); err != nil {
-		rep.Outcome = OutcomeError
-		rep.fail("%v", err)
-		return rep
-	}
-	s.SpawnRanks("scen", r.runRank)
 
 	// The watchdog: ONE bounded run to the virtual-time budget. RunUntil
 	// returns nil both at the horizon and on early queue drain (every proc
@@ -107,11 +76,49 @@ func Run(spec Spec, campaignSeed int64) Report {
 		rep.Outcome = OutcomeComplete
 	default:
 		rep.Outcome = OutcomeWatchdog
-		rep.Hang = r.diagnoseHang()
+		rep.Hang = s.Kernel().HangReport()
 	}
 
 	rep.evaluate(spec.Assert)
 	return rep
+}
+
+// start builds the scenario's session, plans its traffic and spawns its
+// ranks.
+func start(spec Spec, seed int64) (*runner, error) {
+	pat, err := spec.check()
+	if err != nil {
+		return nil, err
+	}
+	topo, _ := spec.topo() // validated above
+	opts := []fmnet.Option{fmnet.Nodes(spec.Nodes), fmnet.Topology(topo)}
+	if spec.FM == 1 {
+		opts = append(opts, fmnet.FM1())
+	} else {
+		opts = append(opts, fmnet.FM2())
+	}
+	opts = append(opts, pat.service(spec.Traffic))
+	if plan := spec.faultPlan(seed); plan != nil {
+		opts = append(opts, fmnet.WithFaults(*plan))
+	}
+	if spec.Poison {
+		opts = append(opts, fmnet.WithPoison())
+	}
+	s, err := fmnet.New(opts...)
+	if err != nil {
+		return nil, fmt.Errorf("build: %v", err)
+	}
+	r := &runner{
+		spec: spec, pat: pat, seed: seed, s: s,
+		recv: make([]int64, spec.Nodes),
+		done: make([]bool, spec.Nodes),
+	}
+	if err := pat.prepare(r); err != nil {
+		s.Kernel().Shutdown()
+		return nil, err
+	}
+	s.SpawnRanks("scen", r.runRank)
+	return r, nil
 }
 
 // collect fills the report's run shape, delivery ledger and fault
@@ -158,37 +165,4 @@ func (r *runner) collect(rep *Report) {
 			Src: lf.Src, Dst: lf.Dst, Ctrl: lf.Ctrl, Cause: lf.Cause, Count: lf.Count,
 		})
 	}
-}
-
-// diagnoseHang snapshots the stalled run: the post-mortem a hung test never
-// used to leave behind.
-func (r *runner) diagnoseHang() *HangDiagnostic {
-	d := &HangDiagnostic{LastEventNS: int64(r.s.Now())}
-	fab := r.s.Fabric()
-	for rank, done := range r.done {
-		if !done {
-			d.WaitingRanks = append(d.WaitingRanks, rank)
-		}
-	}
-	for node := 0; node < r.spec.Nodes; node++ {
-		nd := NodeDiag{
-			Node:              node,
-			Done:              r.done[node],
-			RingDepth:         r.s.RingDepth(node),
-			LeakedAsSender:    fab.LeakedCredits(node, -1),
-			LostCreditReturns: fab.LostCreditReturns(node),
-		}
-		t := r.s.Endpoint(node).Transport()
-		fc := t.Core().FlowControl()
-		for dst := 0; dst < fc.Nodes(); dst++ {
-			if dst != node {
-				nd.OutstandingCredits += fc.Outstanding(dst)
-			}
-		}
-		if sa, ok := t.(xport.StreamAccounting); ok {
-			nd.ActiveStreams = sa.ActiveStreams()
-		}
-		d.PerNode = append(d.PerNode, nd)
-	}
-	return d
 }

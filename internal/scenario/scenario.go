@@ -9,10 +9,14 @@
 // The runner's virtual-time watchdog converts what used to be the worst
 // failure mode — a silent hang when a dropped data frame leaks a
 // flow-control credit — into a failed-with-diagnostic result carrying the
-// last event time, per-link loss and credit-leak accounting, and per-node
-// queue depths. FM assumes a reliable fabric and has no retransmit (paper
-// §3.1), so under injected loss a hang is the EXPECTED protocol behavior;
-// scenarios assert on it with `"outcome": "watchdog"`.
+// per-link loss and credit-leak accounting and a `hang` object: the kernel's
+// hang report (sim.HangReport) as `lines`, one per rank and per handler
+// parked mid-message, each naming what it waits on — a credit toward a
+// peer, the rest of a message from one, a poll for messages — and the nodes
+// it waits for, after the wait-for cycle among nodes when there is one. FM
+// assumes a reliable fabric and has no retransmit (paper §3.1), so under
+// injected loss a hang is the EXPECTED protocol behavior; scenarios assert on
+// it with `"outcome": "watchdog"`.
 package scenario
 
 import (

@@ -2,10 +2,15 @@ package scenario
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // cleanRing is a no-fault baseline: closed-loop ring traffic that must
@@ -33,7 +38,7 @@ func TestCleanScenarioCompletes(t *testing.T) {
 			t.Fatalf("fm%d: delivered %d of %d", fm, rep.MsgsRecvd, rep.MsgsExpected)
 		}
 		if rep.Hang != nil {
-			t.Fatalf("fm%d: hang diagnostic on a completed run", fm)
+			t.Fatalf("fm%d: hang report on a completed run", fm)
 		}
 	}
 }
@@ -41,7 +46,7 @@ func TestCleanScenarioCompletes(t *testing.T) {
 // TestDropScenarioWatchdogs pins the ISSUE's headline bugfix: a lossy
 // fabric under closed-loop traffic used to hang the harness forever; now
 // the watchdog converts it into a failed-with-diagnostic report carrying
-// the credit-leak accounting.
+// the credit-leak accounting and the hang report.
 func TestDropScenarioWatchdogs(t *testing.T) {
 	spec := Spec{
 		Name:       "drop-hang",
@@ -61,25 +66,58 @@ func TestDropScenarioWatchdogs(t *testing.T) {
 	if rep.LeakedCredits == 0 {
 		t.Fatal("expected leaked credits under drops")
 	}
-	d := rep.Hang
-	if d == nil {
-		t.Fatal("watchdog outcome must carry a hang diagnostic")
-	}
-	if len(d.WaitingRanks) == 0 {
-		t.Fatal("hang diagnostic lists no waiting ranks")
-	}
-	if d.LastEventNS <= 0 {
-		t.Fatal("hang diagnostic has no last event time")
+	if rep.Hang == nil || len(rep.Hang.Lines) == 0 {
+		t.Fatal("watchdog outcome must carry a hang report")
 	}
 	leaked := int64(0)
-	for _, nd := range d.PerNode {
-		leaked += nd.LeakedAsSender
+	for _, lf := range rep.Lost {
+		if !lf.Ctrl {
+			leaked += lf.Count
+		}
 	}
 	if leaked != rep.LeakedCredits {
-		t.Fatalf("per-node leak accounting %d != fabric total %d", leaked, rep.LeakedCredits)
+		t.Fatalf("lost data frames %d != leaked credits %d", leaked, rep.LeakedCredits)
 	}
 	if len(rep.Lost) == 0 {
 		t.Fatal("loss registry empty despite drops")
+	}
+}
+
+// TestFM1RingDeadlockNamesTheCreditCycle: on 16 nodes the FM 1.x receive
+// ring clamps every credit window to four packets, so a ring of 4096 B
+// messages spends every window mid-message, and a sender gated on credit
+// never extracts (paper §3.1): each rank waits for its successor to free
+// ring slots. Session.Run returns ErrDeadlock, whose report names that
+// cycle first, and the watchdog's hang carries the very same lines.
+func TestFM1RingDeadlockNamesTheCreditCycle(t *testing.T) {
+	spec := Spec{
+		Name:    "fm1-ring16",
+		Nodes:   16,
+		FM:      1,
+		Traffic: Traffic{Pattern: "ring", Messages: 20, Size: 4096},
+		Assert:  Assert{Outcome: OutcomeWatchdog},
+	}
+	rep := Run(spec, DefaultSeed)
+	if !rep.Passed || rep.Hang == nil || rep.MsgsSent != 0 {
+		t.Fatalf("outcome %s, %d sent, failures %v, hang %v", rep.Outcome, rep.MsgsSent, rep.Failures, rep.Hang)
+	}
+	cycle := "cycle n0"
+	for n := 1; n <= 16; n++ {
+		cycle += fmt.Sprintf(" → n%d", n%16)
+	}
+	if got := rep.Hang.Lines[0]; got != cycle {
+		t.Fatalf("first line %q, want %q", got, cycle)
+	}
+	if want := "scen.3@n3: credit (window of 4 spent, 4 frames unextracted here) → n4"; !slices.Contains(rep.Hang.Lines, want) {
+		t.Fatalf("hang lacks %q:\n%v", want, rep.Hang)
+	}
+	r, err := start(spec, rep.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = r.s.Run()
+	if want := sim.ErrDeadlock.Error() + ":\n" + rep.Hang.String(); !errors.Is(err, sim.ErrDeadlock) || err.Error() != want {
+		t.Fatalf("Session.Run: %v\nwant the watchdog's report:\n%s", err, want)
 	}
 }
 
@@ -293,6 +331,10 @@ func TestSpecValidateRejectsGarbage(t *testing.T) {
 		{Name: "x", Nodes: 4, Traffic: Traffic{Pattern: "rpc", Messages: 1, Size: 1, RateRPS: 1}, Assert: Assert{MaxP99MS: 1e13}},
 		{Name: "x", Nodes: 4, Traffic: Traffic{Pattern: "rpc", Messages: 1, Size: 1, RateRPS: 1}, Assert: Assert{MaxP999MS: 1e13}},
 		{Name: "x", Nodes: 4, Traffic: Traffic{Pattern: "rpc", Messages: 1, Size: 1, RateRPS: 1, ServiceUS: 1e16}},
+		// 2e10 keys used to ask for 160 GB of key tables.
+		{Name: "x", Nodes: 4, Traffic: Traffic{Pattern: "rpc", Messages: 1, Size: 1, RateRPS: 1, Keyspace: 20_000_000_000}},
+		// A flap every 2 ns used to precompute 25 million windows per link.
+		{Name: "x", Nodes: 4, Traffic: Traffic{Pattern: "ring", Messages: 1, Size: 1}, Faults: []Fault{{Links: "*", FlapUpMS: 0.000001, FlapDownMS: 0.000001}}},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {

@@ -197,6 +197,8 @@ type pollUntil struct{ done *bool }
 
 func (c pollUntil) Idle() bool { return !*c.done }
 
+func (pollUntil) Describe() (string, int, []int) { return "poll", -1, nil }
+
 // TestPollLanesZeroAlloc pins the lanes themselves: two pollers on two
 // periods, one entering and leaving 1 000 short waits that alternate both
 // lanes, the other idle on the slower one throughout. Each lane's ring wraps

@@ -143,6 +143,7 @@ func (c *Chan[T]) StartSend(p *Proc, v T) bool {
 		return true
 	}
 	c.sendq.push(chanSend[T]{p, v})
+	p.waitsOn(c)
 	return false
 }
 
@@ -204,7 +205,18 @@ func (c *Chan[T]) StartRecv(p *Proc, slot *T) bool {
 		return true
 	}
 	c.recvq.push(chanRecv[T]{p, slot})
+	p.waitsOn(c)
 	return false
+}
+
+// Describe names a wait on c for the hang report: a send while senders are
+// parked (a channel never holds parked senders and receivers at once), else
+// a receive.
+func (c *Chan[T]) Describe() (string, int, []int) {
+	if c.sendq.len() > 0 {
+		return "chan send (full)", -1, nil
+	}
+	return "chan recv (empty)", -1, nil
 }
 
 // TryRecv takes the next item without blocking; ok reports success.

@@ -186,6 +186,8 @@ func (c *poller) Idle() bool {
 	return idle
 }
 
+func (c *poller) Describe() (string, int, []int) { return "poll", -1, nil }
+
 // wait is the fused wait or the loop it stands for; it reports the kind of
 // the tick that ended it.
 func (c *poller) wait(p *Proc) (kind int) {

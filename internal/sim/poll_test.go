@@ -33,8 +33,8 @@ func TestPollEveryForeverIdleHitsHorizon(t *testing.T) {
 	if err := k.RunUntil(Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if k.Live() != 1 || k.LiveNames() != "spinner" {
-		t.Fatalf("live = %d (%s), want the spinner", k.Live(), k.LiveNames())
+	if k.Live() != 1 || k.HangReport().String() != "spinner: poll" {
+		t.Fatalf("live = %d (%v), want the spinner", k.Live(), k.HangReport())
 	}
 	if want := uint64(Millisecond/gridD) + 2; k.Events() != want {
 		t.Fatalf("%d events, want %d: one per tick", k.Events(), want)
@@ -54,6 +54,8 @@ func (c *idleCount) Idle() bool {
 	c.n++
 	return c.n%c.every != 0
 }
+
+func (*idleCount) Describe() (string, int, []int) { return "poll", -1, nil }
 
 // A negative period is refused before any tick is queued: the second one
 // would otherwise be queued before now and turn the clock back.

@@ -17,8 +17,12 @@ type Signal struct {
 // sync.Cond, callers typically re-check their predicate in a loop.
 func (s *Signal) Wait(p *Proc) {
 	s.q.push(p)
+	p.waitsOn(s)
 	p.park()
 }
+
+// Describe names a wait on s for the hang report.
+func (s *Signal) Describe() (string, int, []int) { return "signal", -1, nil }
 
 // Signal wakes the longest-waiting Proc, if any.
 func (s *Signal) Signal() {
@@ -80,7 +84,13 @@ func (r *Resource) StartAcquire(p *Proc, n int) bool {
 		return true
 	}
 	r.q.push(resWait{p, n})
+	p.waitsOn(r)
 	return false
+}
+
+// Describe names a wait on r for the hang report.
+func (r *Resource) Describe() (string, int, []int) {
+	return fmt.Sprintf("resource %q (%d of %d in use)", r.name, r.inUse, r.cap), -1, nil
 }
 
 // Release returns n units and grants queued waiters in FIFO order.

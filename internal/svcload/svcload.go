@@ -143,6 +143,12 @@ func (wl Workload) withDefaults() Workload {
 // n nodes, as Plan does, for callers that validate before building one.
 func (wl Workload) Validate(n int) error { return wl.withDefaults().validate(n) }
 
+// maxKeyspace bounds Keyspace: every client's key sampler holds a cumulative
+// weight of 8 bytes per key, so at the bound a client's table is 512 KiB,
+// where 2e10 keys asked for 160 GB. Every committed workload uses 256 keys
+// or fewer.
+const maxKeyspace = 1 << 16
+
 // validate checks the workload against a fleet of n nodes.
 func (wl Workload) validate(n int) error {
 	switch wl.Mode {
@@ -159,8 +165,8 @@ func (wl Workload) validate(n int) error {
 	if wl.Fanout < 1 || wl.Fanout > n {
 		return fmt.Errorf("svcload: fanout %d outside [1, %d]", wl.Fanout, n)
 	}
-	if wl.Keyspace < 1 {
-		return fmt.Errorf("svcload: keyspace must be >= 1")
+	if wl.Keyspace < 1 || wl.Keyspace > maxKeyspace {
+		return fmt.Errorf("svcload: keyspace %d outside [1, %d]", wl.Keyspace, maxKeyspace)
 	}
 	if wl.ZipfS < 0 {
 		return fmt.Errorf("svcload: zipf exponent must be >= 0")
@@ -359,6 +365,9 @@ func (f *Fleet) Plan(wl Workload) error {
 				rs[i].T = sim.Time(int64(t)) + 1 // floor at >= 1ns: T=0 means closed-loop
 				rs[i].Key = keys.Next()
 			}
+			if err := pastHorizon(t + 1); err != nil { // the last arrival, with its floor
+				return err
+			}
 		case ModeClosed:
 			keys := trafficgen.NewZipf(seedFor(wl.Seed, "key", c), wl.Keyspace, wl.ZipfS)
 			for i := range rs {
@@ -367,6 +376,9 @@ func (f *Fleet) Plan(wl Workload) error {
 			}
 		case ModeIncast:
 			// Every client, same key, same epoch instants: the storm.
+			if err := pastHorizon(float64(wl.Requests) * 1e9 / wl.RateRPS); err != nil {
+				return err
+			}
 			gap := sim.Time(int64(1e9 / wl.RateRPS))
 			if gap < 1 {
 				gap = 1
@@ -379,6 +391,17 @@ func (f *Fleet) Plan(wl Workload) error {
 		sched[c] = rs
 	}
 	return f.install(wl, sched)
+}
+
+// pastHorizon refuses a generated schedule whose last arrival, at t ns, lies
+// past replayHorizon: its capture would not replay, and a rate that slow is a
+// typo (at 1e-300 rps the conversion of t to int64 overflowed and put every
+// arrival near zero). NaN is refused too.
+func pastHorizon(t float64) error {
+	if t <= float64(replayHorizon) {
+		return nil
+	}
+	return fmt.Errorf("svcload: the schedule's last arrival, at %.3g ns, is past the %v a trace can replay", t, replayHorizon)
 }
 
 // install arms the fleet with a schedule (generated or replayed). It

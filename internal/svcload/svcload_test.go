@@ -193,6 +193,7 @@ func TestWorkloadValidation(t *testing.T) {
 		{Requests: 1, RateRPS: 1, Fanout: 1, ZipfS: -1},
 		{Requests: 1, RateRPS: 1, Fanout: 1, ReqBytes: -4},
 		{Requests: 1, RateRPS: 1, Fanout: 1, Drain: -sim.Microsecond},
+		{Requests: 1, RateRPS: 1, Fanout: 1, Keyspace: 20_000_000_000}, // used to ask for 160 GB
 	}
 	for i, wl := range bad {
 		if wl.Validate(4) == nil {
@@ -200,6 +201,17 @@ func TestWorkloadValidation(t *testing.T) {
 		}
 		if _, _, f := buildFleet(t, machine{nodes: 4}); f.Plan(wl) == nil {
 			t.Errorf("workload %d accepted, want error", i)
+		}
+	}
+	// Schedules past the replay horizon, which only Plan generates: one
+	// request per 1e300 s used to complete, its arrival converted to near 0.
+	for i, wl := range []Workload{
+		{Requests: 1, RateRPS: 1e-300, Fanout: 1},
+		{Mode: ModeIncast, Requests: 1, RateRPS: 1e-300, Fanout: 1},
+		{Mode: ModeIncast, Requests: 2, RateRPS: 1, Fanout: 1},
+	} {
+		if _, _, f := buildFleet(t, machine{nodes: 4}); f.Plan(wl) == nil {
+			t.Errorf("schedule %d past the horizon accepted, want error", i)
 		}
 	}
 	if err := openWorkload(1).Validate(4); err != nil {

@@ -6,8 +6,7 @@ import (
 )
 
 // fm2Transport is the native binding: FM 2.x already has the contract's
-// shape — Core, ExtractWait and ActiveStreams are the engine's own, promoted
-// — so only the handler and stream types need bridging.
+// shape — Core and ExtractWait are the engine's own, promoted — so only the handler and stream types need bridging.
 type fm2Transport struct {
 	*fm2.Endpoint
 }

@@ -252,8 +252,8 @@ func coResidentRun(t *testing.T, bc bindingCase, seed int64, budget, window int,
 	}
 	defer k.Shutdown()
 	if k.Live() > 0 {
-		t.Fatalf("seed %d: still running at %v: %s (a handled %d of %d, %d replies out, %d in)",
-			seed, k.Now(), k.LiveNames(), srv.handled, coMsgs, srv.sent, replies.got)
+		t.Fatalf("seed %d: still running at %v:\n%v\n(a handled %d of %d, %d replies out, %d in)",
+			seed, k.Now(), k.HangReport(), srv.handled, coMsgs, srv.sent, replies.got)
 	}
 	st.blocked += srv.blocked
 	fmt.Fprintf(&log, "events %d, blocked turns %d\n", k.Events(), srv.blocked)

@@ -110,14 +110,6 @@ type CreditAccounting interface {
 	FlowControl() *flowctl.Manager
 }
 
-// StreamAccounting is the optional diagnostic surface of transports that
-// stream messages (FM 2.x): ActiveStreams counts messages stuck mid-delivery
-// — nonzero at a hang means a handler is parked waiting for payload that was
-// lost in flight.
-type StreamAccounting interface {
-	ActiveStreams() int
-}
-
 // Send transmits buf as a single-piece message over t: the convenience path
 // for callers that do not need gather.
 func Send(p *sim.Proc, t Transport, dst int, h HandlerID, buf []byte) error {
