@@ -33,7 +33,7 @@ func BenchmarkRealisticTraffic(b *testing.B) {
 
 // realisticBandwidth streams n messages with sizes drawn from d over FM 2.x.
 func realisticBandwidth(d trafficgen.Dist, n int) float64 {
-	return bench.FMStream(bench.DefaultOptions(xport.GenFM2), d.NewSampler(1998).Sizes(n))
+	return bench.FMStream(xport.GenFM2.Machine(), d.NewSampler(1998).Sizes(n))
 }
 
 // BenchmarkSimKernelEvents measures raw kernel event throughput: the cost

@@ -123,7 +123,7 @@ func registry(fs *flag.FlagSet) []report {
 				if c.all {
 					fmt.Fprintln(c.w)
 				}
-				bench.WriteMixedReport(c.w, xport.GenFM2, bench.DefaultMixedConfig())
+				bench.WriteMixedReport(c.w, xport.GenFM2.Machine(), bench.DefaultMixedConfig())
 				return 0
 			}},
 		{sel: on("perf", "run the engine wall-clock suite (allreduce scale ladder: events/sec, allocs/rank at 64-1024 ranks)"),

@@ -19,7 +19,7 @@ var designRules = []struct {
 	rule   string
 	home   string   // the package whose doc states the rule, as go doc takes it
 	paths  []string // files, or directories searched recursively, from the module root
-	except []string // files the rule leaves out
+	except []string // files, or directories, the rule leaves out
 	tests  bool     // whether _test.go files count
 	bad    *regexp.Regexp
 }{
@@ -64,6 +64,13 @@ var designRules = []struct {
 		bad: regexp.MustCompile(`LiveNames|liveNames|hangReport|diagnoseHang|NodeDiag|StreamAccounting|LostCreditReturns`),
 	},
 	{
+		rule: "one machine per generation", home: "./internal/xport",
+		paths: []string{"."}, tests: true,
+		except: []string{"benchmark", "internal/cluster", "internal/lanai", "internal/fm1", "internal/fm2", "internal/flowctl",
+			"internal/xport/machine.go", "internal/mpifm/overheads.go"},
+		bad: regexp.MustCompile(`hostmodel\.(Sparc|PPro200)\(|(Sparc|PPro)Overheads\(|OverheadsFor\(`),
+	},
+	{
 		rule: "the public surface", home: ".",
 		paths: []string{"examples"}, tests: true,
 		bad: regexp.MustCompile(`repro/internal`),
@@ -75,7 +82,7 @@ var designRules = []struct {
 func TestDesignRules(t *testing.T) {
 	for _, r := range designRules {
 		for _, file := range goFiles(t, r.paths) {
-			if slices.Contains(r.except, file) || !r.tests && strings.HasSuffix(file, "_test.go") {
+			if excepted(r.except, file) || !r.tests && strings.HasSuffix(file, "_test.go") {
 				continue
 			}
 			f, err := os.Open(file)
@@ -94,6 +101,12 @@ func TestDesignRules(t *testing.T) {
 			}
 		}
 	}
+}
+
+// excepted reports whether file is one of except or lies in a directory
+// of it.
+func excepted(except []string, file string) bool {
+	return slices.ContainsFunc(except, func(e string) bool { return file == e || strings.HasPrefix(file, e+"/") })
 }
 
 // goFiles lists the Go files at paths: a file itself, a directory's

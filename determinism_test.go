@@ -19,10 +19,10 @@ import (
 func TestDeterminismFM2Bench(t *testing.T) {
 	sizes := []int{16, 256, 2048}
 	render := func() (bench.Curve, []byte) {
-		o := bench.DefaultOptions(xport.GenFM2)
+		m := xport.GenFM2.Machine()
 		c := bench.Curve{}
 		for _, s := range sizes {
-			c = append(c, bench.Point{Size: s, MBps: bench.FMBandwidth(o, s, 300)})
+			c = append(c, bench.Point{Size: s, MBps: bench.FMBandwidth(m, s, 300)})
 		}
 		var buf bytes.Buffer
 		bench.WriteCurve(&buf, "determinism probe", "MB/s", c)
@@ -60,8 +60,8 @@ func TestDeterminismCollectives(t *testing.T) {
 	if !bytes.Equal(out1, out2) {
 		t.Errorf("collective scaling output differs between runs:\n%s\n--- vs ---\n%s", out1, out2)
 	}
-	t1 := bench.CollectiveTime(xport.GenFM2, bench.CollAllreduce, mpifm.AlgoRing, 8, 1024, 1)
-	t2 := bench.CollectiveTime(xport.GenFM2, bench.CollAllreduce, mpifm.AlgoRing, 8, 1024, 1)
+	t1 := bench.CollectiveTime(xport.GenFM2.Machine(), bench.CollAllreduce, mpifm.AlgoRing, 8, 1024, 1)
+	t2 := bench.CollectiveTime(xport.GenFM2.Machine(), bench.CollAllreduce, mpifm.AlgoRing, 8, 1024, 1)
 	if t1 != t2 {
 		t.Errorf("ring allreduce time differs between runs: %v vs %v", t1, t2)
 	}

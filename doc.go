@@ -54,14 +54,15 @@
 //     parallel engine.
 //   - internal/netsim: the Myrinet fabric, the topology zoo, the fault model,
 //     frame pools and buffer ownership.
-//   - internal/hostmodel: machine cost profiles (sparc, ppro200).
+//   - internal/hostmodel: machine cost profiles (sparc, ppro200), MPI's
+//     per-message costs included.
 //   - internal/lanai: the NIC, its firmware and the receive ring.
 //   - internal/flowctl: what FM 2.x kept from FM 1.x, the endpoint core both
 //     engines embed.
 //   - internal/fm1: Fast Messages 1.x (Table 1).
 //   - internal/fm2: Fast Messages 2.x (Table 2).
-//   - internal/xport: the streaming transport contract, the shared endpoint
-//     and the rules for the layers above it.
+//   - internal/xport: the streaming transport contract, the shared endpoint,
+//     the one Machine per generation and the rules for the layers above it.
 //   - internal/mpifm: MPI point-to-point and collectives.
 //   - internal/sockfm: Sockets-FM.
 //   - internal/shmem: one-sided Put/Get.

@@ -28,8 +28,6 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/fm1"
-	"repro/internal/fm2"
 	"repro/internal/garr"
 	"repro/internal/lanai"
 	"repro/internal/mpifm"
@@ -227,7 +225,8 @@ func WithSockets() Option { return func(c *config) { c.sockets = true } }
 func WithShmem() Option { return func(c *config) { c.shm = true } }
 
 // WithGlobalArray attaches the Global Arrays service with one
-// block-distributed float64 array of the given global element count.
+// block-distributed float64 array of the given global element count (0
+// attaches none; a negative count is an error).
 func WithGlobalArray(size int) Option { return func(c *config) { c.gaSize = size } }
 
 // WithRPC attaches the datacenter RPC service-workload layer: a shard
@@ -255,17 +254,17 @@ func WithFaults(plan FaultPlan) Option {
 // WithParallel splits the simulation across n logical processes, each on
 // its own OS thread, synchronized conservatively on trunk-link lookahead
 // (see the sim package's "Parallel engine" notes). Requires the FatTree
-// topology with n dividing the edge-switch count; n <= 1 keeps the default
-// sequential kernel. Virtual-time results are bit-identical to sequential
-// whenever Fabric().Certified() reports true — which congestion-free runs
-// always are.
+// topology with n dividing the edge-switch count; n of 0 or 1 keeps the
+// default sequential kernel, and a negative n is an error. Virtual-time
+// results are bit-identical to sequential whenever Fabric().Certified()
+// reports true — which congestion-free runs always are.
 func WithParallel(n int) Option { return func(c *config) { c.parallel = n } }
 
 // WithLinkSlots sets every port queue's depth (default 2 — the paper's
-// shallow hard-back-pressure wires). Deeper queues absorb collective
-// fan-in bursts; under WithParallel that is what keeps runs certified
-// exact, since a full queue at a partition cut is the one effect the
-// conservative engine cannot mirror.
+// shallow hard-back-pressure wires; 0 keeps it, a negative depth is an
+// error). Deeper queues absorb collective fan-in bursts; under WithParallel
+// that is what keeps runs certified exact, since a full queue at a
+// partition cut is the one effect the conservative engine cannot mirror.
 func WithLinkSlots(n int) Option { return func(c *config) { c.slots = n } }
 
 // WithFullBisection wires as many fat-tree spines as hosts per edge
@@ -301,6 +300,12 @@ func New(opts ...Option) (*Session, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
+	if cfg.gaSize < 0 {
+		return nil, fmt.Errorf("fmnet: WithGlobalArray(%d): negative element count", cfg.gaSize)
+	}
+	if cfg.slots < 0 {
+		return nil, fmt.Errorf("fmnet: WithLinkSlots(%d): negative queue depth", cfg.slots)
+	}
 	if !cfg.mpi && !cfg.sockets && !cfg.shm && cfg.gaSize == 0 && !cfg.rpc && len(cfg.custom) == 0 {
 		return nil, errors.New("fmnet: no services requested; add WithMPI/WithSockets/WithShmem/WithGlobalArray/WithRPC/WithService")
 	}
@@ -313,34 +318,29 @@ func New(opts ...Option) (*Session, error) {
 		seen[name] = true
 	}
 
-	ccfg := cfg.gen.ClusterConfig(cfg.nodes, cfg.topo)
-	ccfg.Faults = cfg.faults
+	m := cfg.gen.Machine()
+	m.FM1.PoisonFrames, m.FM2.PoisonFrames = cfg.poison, cfg.poison
 	if cfg.slots > 0 {
-		ccfg.Profile.Link.Slots = cfg.slots
+		m.Profile.Link.Slots = cfg.slots
 	}
+	ccfg := m.Config(cfg.nodes, cfg.topo)
+	ccfg.Faults, ccfg.Parallelism = cfg.faults, cfg.parallel
 	if cfg.fullBis {
 		ccfg.Uplinks = ccfg.HostsPerSwitch
-	}
-	if cfg.parallel > 1 {
-		ccfg.Parallelism = cfg.parallel
 	}
 	pl, err := cluster.Assemble(ccfg)
 	if err != nil {
 		return nil, err
 	}
 	s := &Session{
-		k:  pl.K,
-		pl: pl,
-		eps: xport.AttachEndpoints(pl, xport.EndpointConfig{
-			Gen: cfg.gen,
-			FM1: fm1.Config{PoisonFrames: cfg.poison},
-			FM2: fm2.Config{PoisonFrames: cfg.poison},
-		}),
+		k:      pl.K,
+		pl:     pl,
+		eps:    xport.AttachEndpoints(pl, m),
 		custom: make(map[string][]*xport.HandlerSpace),
 	}
 
 	if cfg.mpi {
-		s.mpi = mpifm.Attach(xport.Spaces(s.eps, mpifm.Service), mpifm.OverheadsFor(cfg.gen), mpifm.Options{})
+		s.mpi = mpifm.Attach(xport.Spaces(s.eps, mpifm.Service), m.Profile.MPI, mpifm.Options{})
 	}
 	if cfg.sockets {
 		s.socks = make([]*sockfm.Stack, cfg.nodes)

@@ -231,6 +231,16 @@ func TestSessionErrors(t *testing.T) {
 	if _, err := fmnet.New(fmnet.Nodes(70000), fmnet.Topology(fmnet.Torus), fmnet.WithMPI()); err == nil || !strings.Contains(err.Error(), "16-bit") {
 		t.Errorf("70000-node torus: err = %v, want one naming the 16-bit node field", err)
 	}
+	// Options out of range are errors, not silently dropped.
+	if _, err := fmnet.New(fmnet.WithGlobalArray(-5)); err == nil {
+		t.Error("negative global-array size accepted")
+	}
+	if _, err := fmnet.New(fmnet.WithMPI(), fmnet.WithLinkSlots(-3)); err == nil {
+		t.Error("negative link slots accepted")
+	}
+	if _, err := fmnet.New(fmnet.WithMPI(), fmnet.WithParallel(-1)); err == nil {
+		t.Error("negative parallelism accepted")
+	}
 }
 
 // TestSessionLargeFatTree: past 1024 nodes the fat tree grows hosts per edge

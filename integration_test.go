@@ -19,8 +19,9 @@ import (
 // mpiWorld attaches MPI-FM 2.0 to every node of pl through the one assembly
 // path: shared endpoints, the MPI service registered on each.
 func mpiWorld(pl *cluster.Platform) []*mpifm.Comm {
-	eps := xport.AttachEndpoints(pl, xport.EndpointConfig{Gen: xport.GenFM2})
-	return mpifm.Attach(xport.Spaces(eps, mpifm.Service), mpifm.PProOverheads(), mpifm.Options{})
+	m := xport.GenFM2.Machine()
+	eps := xport.AttachEndpoints(pl, m)
+	return mpifm.Attach(xport.Spaces(eps, mpifm.Service), m.Profile.MPI, mpifm.Options{})
 }
 
 // TestMPIOverMultiHopFabric runs MPI-FM 2.0 across a two-switch line
@@ -103,8 +104,9 @@ func TestFullStackMixedWorkload(t *testing.T) {
 	pl := cluster.New(k, cfg)
 	// MPI traffic on nodes 0,1 — socket traffic on nodes 2,3. Both services
 	// are registered on every node's one endpoint; all share the one fabric.
-	eps := xport.AttachEndpoints(pl, xport.EndpointConfig{Gen: xport.GenFM2})
-	comms := mpifm.Attach(xport.Spaces(eps, mpifm.Service), mpifm.PProOverheads(), mpifm.Options{})
+	m := xport.GenFM2.Machine()
+	eps := xport.AttachEndpoints(pl, m)
+	comms := mpifm.Attach(xport.Spaces(eps, mpifm.Service), m.Profile.MPI, mpifm.Options{})
 	sockSp := xport.Spaces(eps, sockfm.Service)
 	sockEps := []*sockfm.Stack{sockfm.New(sockSp[2]), sockfm.New(sockSp[3])}
 	sizes := trafficgen.SUNYCampus().NewSampler(7).Sizes(60)

@@ -24,7 +24,7 @@ func MPI2AblationBandwidth(opt mpifm.Options, size, msgs int) float64 {
 // the backlog into the unexpected pool — a staging copy per message, the
 // host-side cost receiver flow control exists to avoid (§4.2).
 func MPI2AblationOverrun(opt mpifm.Options, size, msgs int, lag sim.Time) (float64, mpifm.Stats) {
-	pl, comms := mpiWorld(xport.GenFM2, 2, FabSingle, opt)
+	pl, comms := mpiWorld(xport.GenFM2.Machine(), 2, FabSingle, opt)
 	mbps := mpiStream(pl, comms, size, msgs, lag)
 	return mbps, comms[1].Stats()
 }
@@ -34,9 +34,9 @@ func MPI2AblationOverrun(opt mpifm.Options, size, msgs int, lag sim.Time) (float
 func PacketSizeSweep(mtus []int, sizes []int) map[int]Curve {
 	out := make(map[int]Curve)
 	for _, mtu := range mtus {
-		o := DefaultOptions(xport.GenFM2)
-		o.Profile.PacketMTU = mtu
-		out[mtu] = FMCurve(o, sizes)
+		m := xport.GenFM2.Machine()
+		m.Profile.PacketMTU = mtu
+		out[mtu] = FMCurve(m, sizes)
 	}
 	return out
 }
@@ -45,8 +45,8 @@ func PacketSizeSweep(mtus []int, sizes []int) map[int]Curve {
 // window sizes: too small a window throttles the pipeline.
 func CreditWindowSweep(windows []int, size int) Curve {
 	return sweep(windows, func(w int) float64 {
-		o := DefaultOptions(xport.GenFM2)
-		o.Profile.CreditWindow = w
-		return FMBandwidth(o, size, MsgsFor(size))
+		m := xport.GenFM2.Machine()
+		m.Profile.CreditWindow = w
+		return FMBandwidth(m, size, MsgsFor(size))
 	})
 }

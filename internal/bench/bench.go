@@ -4,10 +4,11 @@
 // in the shape of the paper's figures.
 //
 // A measurement is a world, a traffic shape and a clock, each written once.
-// world.go builds the machine for either generation and either engine
-// (platform, endpoints, mpiWorld). Raw FM runs through FMStream, FMBandwidth
-// and FMLatency over the fmNode adapter (send, extract, deliver), configured
-// by one Options. Above raw FM, flowBandwidth is the one flow skeleton: the
+// world.go builds the world from an xport.Machine (platform, endpoints,
+// mpiWorld): every driver takes the Machine it measures, a generation's
+// Gen.Machine() or one with fields varied, as the staged engines of Figure
+// 3a and the ablation sweeps do. Raw FM runs through FMStream, FMBandwidth
+// and FMLatency over the fmNode adapter (send, extract, deliver). Above raw FM, flowBandwidth is the one flow skeleton: the
 // bare window and every upper layer (xportFlow, mpiFlow, sockFlow, shmemFlow,
 // garrFlow) supply two procs each. spawnCollective is the one timed
 // collective, under CollectiveTimeOn and PerfCollective. span is the virtual

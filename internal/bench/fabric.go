@@ -84,7 +84,7 @@ func flowBandwidth(pl *cluster.Platform, what string, pairs [][2]int, procs func
 }
 
 // xportFlow streams through a bare service window (no upper layer).
-func xportFlow(eps []*xport.Endpoint, _ xport.Gen, size, msgs int) func(flow) [2]flowProc {
+func xportFlow(eps []*xport.Endpoint, size, msgs int) func(flow) [2]flowProc {
 	sp := xport.Spaces(eps, "xport")
 	return func(fl flow) [2]flowProc {
 		recvd := 0
@@ -119,10 +119,10 @@ func xportFlow(eps []*xport.Endpoint, _ xport.Gen, size, msgs int) func(flow) [2
 
 // layerFlows runs the skeleton through layer l on fabric f: every pair
 // streams msgs messages of size bytes (whole elements of the layer) at once.
-func layerFlows(l Layer, g xport.Gen, f Fabric, n int, pairs [][2]int, size, msgs int) float64 {
+func layerFlows(l Layer, m xport.Machine, f Fabric, n int, pairs [][2]int, size, msgs int) float64 {
 	size = l.elem * max(size/l.elem, 1)
-	pl, eps := endpoints(g, n, f)
-	return flowBandwidth(pl, fmt.Sprintf("%s/%s on %s", l, g, f), pairs, l.flows(eps, g, size, msgs), size, msgs)
+	pl, eps := endpoints(m, n, f)
+	return flowBandwidth(pl, fmt.Sprintf("%s/%s on %s", l, m.Gen, f), pairs, l.flows(eps, size, msgs), size, msgs)
 }
 
 // LayerBisection is the cut experiment through one layer: all n/2 cut
@@ -131,8 +131,8 @@ func layerFlows(l Layer, g xport.Gen, f Fabric, n int, pairs [][2]int, size, msg
 // fabric is switch-limited; aggregate pinned near the trunk capacity means
 // it is bisection-limited. Run across fabrics it re-prices the layering
 // matrix under trunk contention.
-func LayerBisection(l Layer, g xport.Gen, f Fabric, n, size, msgs int) float64 {
-	return layerFlows(l, g, f, n, cutPairs(n), size, msgs)
+func LayerBisection(l Layer, m xport.Machine, f Fabric, n, size, msgs int) float64 {
+	return layerFlows(l, m, f, n, cutPairs(n), size, msgs)
 }
 
 // mpiFlow streams by MPI_Send against the standard bandwidth-test receiver:
@@ -165,7 +165,7 @@ func mpiFlow(comms []*mpifm.Comm, size, msgs int, lag sim.Time) func(flow) [2]fl
 
 // sockFlow streams over one connection per flow; the clock starts once the
 // connection is up.
-func sockFlow(eps []*xport.Endpoint, _ xport.Gen, size, msgs int) func(flow) [2]flowProc {
+func sockFlow(eps []*xport.Endpoint, size, msgs int) func(flow) [2]flowProc {
 	stacks := make([]*sockfm.Stack, len(eps))
 	for i, sp := range xport.Spaces(eps, sockfm.Service) {
 		stacks[i] = sockfm.New(sp)
@@ -221,7 +221,7 @@ func putTarget(node *shmem.Node, msgs int, fl flow) flowProc {
 }
 
 // shmemFlow streams by one-sided Put into a symmetric region.
-func shmemFlow(eps []*xport.Endpoint, _ xport.Gen, size, msgs int) func(flow) [2]flowProc {
+func shmemFlow(eps []*xport.Endpoint, size, msgs int) func(flow) [2]flowProc {
 	nodes := make([]*shmem.Node, len(eps))
 	for i, sp := range xport.Spaces(eps, shmem.Service) {
 		nodes[i] = shmem.Attach(sp)
@@ -244,7 +244,7 @@ func shmemFlow(eps []*xport.Endpoint, _ xport.Gen, size, msgs int) func(flow) [2
 
 // garrFlow streams by Global Arrays Put of size bytes of float64s into the
 // destination rank's block.
-func garrFlow(eps []*xport.Endpoint, _ xport.Gen, size, msgs int) func(flow) [2]flowProc {
+func garrFlow(eps []*xport.Endpoint, size, msgs int) func(flow) [2]flowProc {
 	n, elems := len(eps), size/8
 	arrays := make([]*garr.Array, n)
 	for i, sp := range xport.Spaces(eps, garr.Service) {
@@ -293,13 +293,13 @@ type BisectionPoint struct {
 // MeasureBisection runs the cut experiment on one fabric. The regime
 // threshold is half of ideal scaling: above it the fabric still behaves
 // like a crossbar for this load; below it the trunks are the bottleneck.
-func MeasureBisection(g xport.Gen, f Fabric, n, size, msgs int) BisectionPoint {
+func MeasureBisection(m xport.Machine, f Fabric, n, size, msgs int) BisectionPoint {
 	pt := BisectionPoint{
 		Fabric: f,
 		// One uncontended flow across the cut is the switch-limited
 		// baseline the contended number is compared against.
-		FlowMBps: layerFlows(LayerXport, g, f, n, [][2]int{{0, n / 2}}, size, msgs),
-		AggMBps:  LayerBisection(LayerXport, g, f, n, size, msgs),
+		FlowMBps: layerFlows(LayerXport, m, f, n, [][2]int{{0, n / 2}}, size, msgs),
+		AggMBps:  LayerBisection(LayerXport, m, f, n, size, msgs),
 	}
 	if pt.FlowMBps > 0 {
 		pt.Scaling = pt.AggMBps / pt.FlowMBps
@@ -350,7 +350,7 @@ func WriteFabricReport(w io.Writer, cfg FabricReportConfig) {
 	fmt.Fprintf(w, "  %-8s  %12s  %12s  %8s  %6s  %s\n",
 		"fabric", "1-flow MB/s", "agg MB/s", "scaling", "eff%", "regime")
 	for _, f := range cfg.Fabrics {
-		pt := MeasureBisection(xport.GenFM2, f, cfg.BisectNodes, cfg.BisectSize, cfg.BisectMsgs)
+		pt := MeasureBisection(xport.GenFM2.Machine(), f, cfg.BisectNodes, cfg.BisectSize, cfg.BisectMsgs)
 		fmt.Fprintf(w, "  %-8s  %12.2f  %12.2f  %7.1fx  %5.0f%%  %s\n",
 			pt.Fabric, pt.FlowMBps, pt.AggMBps, pt.Scaling, pt.Efficiency, pt.Regime)
 	}
@@ -360,7 +360,7 @@ func WriteFabricReport(w io.Writer, cfg FabricReportConfig) {
 		cfg.MatrixNodes/2, cfg.MatrixNodes)
 	fmt.Fprintln(w, "% = retained vs the same layer/binding on the single crossbar — the trunk-contention tax):")
 	measure := func(l Layer, b xport.Gen, f Fabric) float64 {
-		return LayerBisection(l, b, f, cfg.MatrixNodes, cfg.MatrixSize, cfg.MatrixMsgs)
+		return LayerBisection(l, b.Machine(), f, cfg.MatrixNodes, cfg.MatrixSize, cfg.MatrixMsgs)
 	}
 	// The single-crossbar baseline is measured unconditionally so the
 	// retained-% column stays meaningful whatever cfg.Fabrics contains.

@@ -15,12 +15,12 @@ import (
 // bisection is one trunk link — as bisection-limited.
 func TestRegimeSeparation(t *testing.T) {
 	const n, size, msgs = 8, 2048, 60
-	single := MeasureBisection(xport.GenFM2, FabSingle, n, size, msgs)
+	single := MeasureBisection(xport.GenFM2.Machine(), FabSingle, n, size, msgs)
 	if single.Regime != RegimeSwitchLimited {
 		t.Errorf("single crossbar classified %s (scaling %.2fx of %d flows)",
 			single.Regime, single.Scaling, n/2)
 	}
-	line := MeasureBisection(xport.GenFM2, FabLine, n, size, msgs)
+	line := MeasureBisection(xport.GenFM2.Machine(), FabLine, n, size, msgs)
 	if line.Regime != RegimeBisectionLimited {
 		t.Errorf("line fabric classified %s (scaling %.2fx of %d flows)",
 			line.Regime, line.Scaling, n/2)
@@ -41,8 +41,8 @@ func TestFatTreeUplinksWidenBisection(t *testing.T) {
 		t.Skip("contention sweep")
 	}
 	const n, size, msgs = 16, 2048, 60
-	line := LayerBisection(LayerXport, xport.GenFM2, FabLine, n, size, msgs)
-	tree := LayerBisection(LayerXport, xport.GenFM2, FabFatTree, n, size, msgs)
+	line := LayerBisection(LayerXport, xport.GenFM2.Machine(), FabLine, n, size, msgs)
+	tree := LayerBisection(LayerXport, xport.GenFM2.Machine(), FabFatTree, n, size, msgs)
 	if tree <= line {
 		t.Errorf("fat tree aggregate %.2f MB/s not above line %.2f MB/s", tree, line)
 	}
@@ -54,17 +54,17 @@ func TestCollectivesRunOnEveryFabric(t *testing.T) {
 	for _, f := range AllFabrics {
 		f := f
 		t.Run(f.String(), func(t *testing.T) {
-			t1 := CollectiveTimeOn(xport.GenFM2, f, CollAllreduce, mpifm.AlgoAuto, 8, 256, 1)
+			t1 := CollectiveTimeOn(xport.GenFM2.Machine(), f, CollAllreduce, mpifm.AlgoAuto, 8, 256, 1)
 			if t1 <= 0 {
 				t.Fatalf("allreduce on %s took %v", f, t1)
 			}
-			if t2 := CollectiveTimeOn(xport.GenFM2, f, CollAllreduce, mpifm.AlgoAuto, 8, 256, 1); t2 != t1 {
+			if t2 := CollectiveTimeOn(xport.GenFM2.Machine(), f, CollAllreduce, mpifm.AlgoAuto, 8, 256, 1); t2 != t1 {
 				t.Fatalf("nondeterministic on %s: %v vs %v", f, t1, t2)
 			}
 			if testing.Short() {
 				return
 			}
-			if t1 := CollectiveTimeOn(xport.GenFM1, f, CollAlltoall, mpifm.AlgoAuto, 8, 256, 1); t1 <= 0 {
+			if t1 := CollectiveTimeOn(xport.GenFM1.Machine(), f, CollAlltoall, mpifm.AlgoAuto, 8, 256, 1); t1 <= 0 {
 				t.Fatalf("fm1 alltoall on %s took %v", f, t1)
 			}
 		})
@@ -79,7 +79,7 @@ func TestLayerBisectionEveryLayer(t *testing.T) {
 		t.Skip("contention sweep")
 	}
 	for _, l := range AllLayers {
-		if mbps := LayerBisection(l, xport.GenFM2, FabFatTree, 8, 1024, 30); mbps <= 0 {
+		if mbps := LayerBisection(l, xport.GenFM2.Machine(), FabFatTree, 8, 1024, 30); mbps <= 0 {
 			t.Errorf("%s cut aggregate %.2f MB/s", l, mbps)
 		}
 	}

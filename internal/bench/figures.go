@@ -77,30 +77,23 @@ func WriteFigure2(w io.Writer) {
 	writeClaims(w, m, "CM-5 AM")
 }
 
-// Fig3aStages are the staged FM 1.x engines of Figure 3a, in the paper's
-// legend order.
-func Fig3aStages() (names []string, opts []Options) {
-	linkOnly := DefaultOptions(xport.GenFM1)
-	linkOnly.NIC = lanai.Config{OnRingFull: lanai.RingStall, ChargeBus: false}
-	linkOnly.FM.FM1 = fm1.Config{DisableFlowControl: true, DisableBufferMgmt: true}
-
-	withBus := DefaultOptions(xport.GenFM1)
-	withBus.FM.FM1 = fm1.Config{DisableFlowControl: true, DisableBufferMgmt: true}
-
-	withFlow := DefaultOptions(xport.GenFM1)
-	withFlow.FM.FM1 = fm1.Config{DisableBufferMgmt: true}
-
-	return []string{"Link Mgmt", "I/O bus Mgmt", "Flow Control"},
-		[]Options{linkOnly, withBus, withFlow}
-}
-
-// Figure3a computes the staged FM 1.x overhead breakdown curves.
+// Figure3a computes the staged FM 1.x overhead breakdown curves, one per
+// engine stage, in the paper's legend order.
 func Figure3a() (names []string, curves []Curve) {
-	names, opts := Fig3aStages()
-	for _, o := range opts {
-		curves = append(curves, FMCurve(o, ShortSizes))
+	linkOnly := xport.GenFM1.Machine()
+	linkOnly.NIC = lanai.Config{OnRingFull: lanai.RingStall, ChargeBus: false}
+	linkOnly.FM1 = fm1.Config{DisableFlowControl: true, DisableBufferMgmt: true}
+
+	withBus := xport.GenFM1.Machine()
+	withBus.FM1 = fm1.Config{DisableFlowControl: true, DisableBufferMgmt: true}
+
+	withFlow := xport.GenFM1.Machine()
+	withFlow.FM1 = fm1.Config{DisableBufferMgmt: true}
+
+	for _, m := range []xport.Machine{linkOnly, withBus, withFlow} {
+		curves = append(curves, FMCurve(m, ShortSizes))
 	}
-	return names, curves
+	return []string{"Link Mgmt", "I/O bus Mgmt", "Flow Control"}, curves
 }
 
 // WriteFigure3 renders both panels of Figure 3.

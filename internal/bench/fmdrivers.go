@@ -20,13 +20,13 @@ type fmNode struct {
 	deliver func(buf []byte, done func(p *sim.Proc))
 }
 
-// fmPair builds the two-node machine o describes and attaches its
+// fmPair builds two nodes of machine m on one switch and attaches its
 // generation's engine natively (no xport wrapper).
-func fmPair(o Options) (*cluster.Platform, []fmNode) {
-	pl := o.platform()
+func fmPair(m xport.Machine) (*cluster.Platform, []fmNode) {
+	pl := platform(m, 2, FabSingle)
 	nodes := make([]fmNode, pl.Nodes())
-	if o.FM.Gen == xport.GenFM1 {
-		for i, ep := range fm1.Attach(pl, o.FM.FM1) {
+	if m.Gen == xport.GenFM1 {
+		for i, ep := range fm1.Attach(pl, m.FM1) {
 			nodes[i] = fmNode{
 				send:    func(p *sim.Proc, dst int, msg []byte) error { return ep.Send(p, dst, 1, msg) },
 				extract: func(p *sim.Proc) { ep.Extract(p) },
@@ -37,7 +37,7 @@ func fmPair(o Options) (*cluster.Platform, []fmNode) {
 		}
 		return pl, nodes
 	}
-	for i, ep := range fm2.Attach(pl, o.FM.FM2) {
+	for i, ep := range fm2.Attach(pl, m.FM2) {
 		nodes[i] = fmNode{
 			send:    func(p *sim.Proc, dst int, msg []byte) error { return ep.Send(p, dst, 1, msg) },
 			extract: func(p *sim.Proc) { ep.Extract(p, 0) },
@@ -68,8 +68,8 @@ func uniform(size, msgs int) []int {
 // delivered MB/s: node 0 sends one message per entry of sizes, node 1 polls
 // every 500 ns until the last one is delivered, and the clock runs from the
 // first send to the last delivery.
-func FMStream(o Options, sizes []int) float64 {
-	pl, nodes := fmPair(o)
+func FMStream(m xport.Machine, sizes []int) float64 {
+	pl, nodes := fmPair(m)
 	largest := 0
 	var total int64
 	for _, s := range sizes {
@@ -101,13 +101,13 @@ func FMStream(o Options, sizes []int) float64 {
 			}
 		}
 	})
-	run(pl, "%s stream of %d messages", o.FM.Gen, len(sizes))
+	run(pl, "%s stream of %d messages", m.Gen, len(sizes))
 	return sim.MBps(total, st.end-st.start)
 }
 
 // FMBandwidth is FMStream at one message size: the Figure 3 (FM 1.x) and
 // Figure 5 (FM 2.x) measurement.
-func FMBandwidth(o Options, size, msgs int) float64 { return FMStream(o, uniform(size, msgs)) }
+func FMBandwidth(m xport.Machine, size, msgs int) float64 { return FMStream(m, uniform(size, msgs)) }
 
 // sweep samples bw at each size.
 func sweep(sizes []int, bw func(size int) float64) Curve {
@@ -119,13 +119,13 @@ func sweep(sizes []int, bw func(size int) float64) Curve {
 }
 
 // FMCurve sweeps FMBandwidth over sizes.
-func FMCurve(o Options, sizes []int) Curve {
-	return sweep(sizes, func(s int) float64 { return FMBandwidth(o, s, MsgsFor(s)) })
+func FMCurve(m xport.Machine, sizes []int) Curve {
+	return sweep(sizes, func(s int) float64 { return FMBandwidth(m, s, MsgsFor(s)) })
 }
 
 // FMLatency measures raw FM one-way short-message latency by ping-pong.
-func FMLatency(o Options, size, iters int) sim.Time {
-	pl, nodes := fmPair(o)
+func FMLatency(m xport.Machine, size, iters int) sim.Time {
+	pl, nodes := fmPair(m)
 	var got [2]int // messages delivered to node 0 (pongs) and node 1 (pings)
 	scratch := make([]byte, size)
 	for i, n := range nodes {
@@ -156,6 +156,6 @@ func FMLatency(o Options, size, iters int) sim.Time {
 			}
 		}
 	})
-	run(pl, "%s latency", o.FM.Gen)
+	run(pl, "%s latency", m.Gen)
 	return rtt / 2
 }

@@ -32,7 +32,7 @@ type layer struct {
 	// flows attaches the layer to the endpoints and returns what it
 	// contributes to the skeleton: the two procs of one flow moving msgs
 	// messages of size bytes by the layer's own primitives.
-	flows func(eps []*xport.Endpoint, g xport.Gen, size, msgs int) func(flow) [2]flowProc
+	flows func(eps []*xport.Endpoint, size, msgs int) func(flow) [2]flowProc
 }
 
 func (l *layer) String() string { return l.name }
@@ -40,8 +40,8 @@ func (l *layer) String() string { return l.name }
 // The bare window, then the four upper layers in the paper's §4.2 order.
 var (
 	LayerXport = &layer{"xport", 1, xportFlow}
-	LayerMPI   = &layer{"mpi", 1, func(eps []*xport.Endpoint, g xport.Gen, size, msgs int) func(flow) [2]flowProc {
-		return mpiFlow(attachMPI(eps, g, mpifm.Options{}), size, msgs, 0)
+	LayerMPI   = &layer{"mpi", 1, func(eps []*xport.Endpoint, size, msgs int) func(flow) [2]flowProc {
+		return mpiFlow(attachMPI(eps, mpifm.Options{}), size, msgs, 0)
 	}}
 	LayerSock  = &layer{"sock", 1, sockFlow}
 	LayerShmem = &layer{"shmem", 1, shmemFlow}
@@ -55,22 +55,15 @@ var (
 	UpperLayers = AllLayers[1:]
 )
 
-// RawBandwidth measures native FM streaming bandwidth for one binding: the
-// matrix's denominator, exactly as Figures 4 and 6 divide each MPI curve by
-// the raw FM curve of the same generation.
-func RawBandwidth(g xport.Gen, size, msgs int) float64 {
-	return FMBandwidth(DefaultOptions(g), size, msgs)
-}
-
 // LayerBandwidth measures streaming bandwidth node0 -> node1 through one
 // layer over one binding: the two-node, one-flow case of LayerBisection.
 // size is the per-message payload in bytes (rounded to the element width for
 // garr). Through the bare window over FM 2.x the wrapper is free, so it
-// matches RawBandwidth; over FM 1.x the gap to RawBandwidth prices the
+// matches FMBandwidth; over FM 1.x the gap to FMBandwidth prices the
 // staging adapter itself — the assembly and delivery copies the 1.x
 // interface forces on any streaming client, isolated from every upper layer.
-func LayerBandwidth(l Layer, g xport.Gen, size, msgs int) float64 {
-	return LayerBisection(l, g, FabSingle, 2, size, msgs)
+func LayerBandwidth(l Layer, m xport.Machine, size, msgs int) float64 {
+	return LayerBisection(l, m, FabSingle, 2, size, msgs)
 }
 
 // MatrixCell is one (layer, binding) measurement with its efficiency
@@ -85,16 +78,17 @@ type MatrixCell struct {
 
 // LayeringMatrix measures every (layer × binding) combination at one message
 // size in a single sweep, the bare window's row first, sharing one raw
-// baseline per binding.
+// baseline per binding: native FM's FMBandwidth, exactly as Figures 4 and 6
+// divide each MPI curve by the raw FM curve of the same generation.
 func LayeringMatrix(size, msgs int) []MatrixCell {
 	raw := map[xport.Gen]float64{}
 	for _, b := range AllGens {
-		raw[b] = RawBandwidth(b, size, msgs)
+		raw[b] = FMBandwidth(b.Machine(), size, msgs)
 	}
 	var cells []MatrixCell
 	for _, l := range AllLayers {
 		for _, b := range AllGens {
-			mbps := LayerBandwidth(l, b, size, msgs)
+			mbps := LayerBandwidth(l, b.Machine(), size, msgs)
 			cells = append(cells, MatrixCell{
 				Layer: l, Binding: b, MBps: mbps, RawMBps: raw[b],
 				Pct: 100 * mbps / raw[b],

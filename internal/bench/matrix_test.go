@@ -65,8 +65,8 @@ func TestLayeringMatrixRendered(t *testing.T) {
 // (the wrapper only forwards calls).
 func TestRawXportMatchesNativeFM2(t *testing.T) {
 	const size, msgs = 1024, 200
-	raw := LayerBandwidth(LayerXport, xport.GenFM2, size, msgs)
-	native := FMBandwidth(DefaultOptions(xport.GenFM2), size, msgs)
+	raw := LayerBandwidth(LayerXport, xport.GenFM2.Machine(), size, msgs)
+	native := FMBandwidth(xport.GenFM2.Machine(), size, msgs)
 	if diff := raw/native - 1; diff > 0.02 || diff < -0.02 {
 		t.Errorf("xport raw %.2f MB/s vs native fm2 %.2f MB/s: wrapper must be free", raw, native)
 	}

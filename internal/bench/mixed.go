@@ -67,7 +67,7 @@ type mixedWorkload struct {
 	bytes func(cfg MixedConfig) int64
 	// start registers the service on every endpoint and spawns the
 	// workload's procs; those t counts call t.done as they finish.
-	start func(k *sim.Kernel, eps []*xport.Endpoint, b xport.Gen, cfg MixedConfig, t *tally)
+	start func(k *sim.Kernel, eps []*xport.Endpoint, cfg MixedConfig, t *tally)
 }
 
 // mixedWorkloads is the co-residency suite. Table order is the canonical
@@ -99,8 +99,8 @@ func (t *tally) done(p *sim.Proc) {
 	}
 }
 
-func startMixedMPI(k *sim.Kernel, eps []*xport.Endpoint, b xport.Gen, cfg MixedConfig, t *tally) {
-	comms := attachMPI(eps, b, mpifm.Options{})
+func startMixedMPI(k *sim.Kernel, eps []*xport.Endpoint, cfg MixedConfig, t *tally) {
+	comms := attachMPI(eps, mpifm.Options{})
 	t.left = len(comms)
 	for r, c := range comms {
 		k.Spawn(fmt.Sprintf("mixed.mpi%d", r), func(p *sim.Proc) {
@@ -116,7 +116,7 @@ func startMixedMPI(k *sim.Kernel, eps []*xport.Endpoint, b xport.Gen, cfg MixedC
 	}
 }
 
-func startMixedSock(k *sim.Kernel, eps []*xport.Endpoint, _ xport.Gen, cfg MixedConfig, t *tally) {
+func startMixedSock(k *sim.Kernel, eps []*xport.Endpoint, cfg MixedConfig, t *tally) {
 	stacks := make([]*sockfm.Stack, len(eps))
 	for i, ep := range eps {
 		stacks[i] = sockfm.New(ep.Register(sockfm.Service))
@@ -162,7 +162,7 @@ func startMixedSock(k *sim.Kernel, eps []*xport.Endpoint, _ xport.Gen, cfg Mixed
 	}
 }
 
-func startMixedGA(k *sim.Kernel, eps []*xport.Endpoint, _ xport.Gen, cfg MixedConfig, t *tally) {
+func startMixedGA(k *sim.Kernel, eps []*xport.Endpoint, cfg MixedConfig, t *tally) {
 	n := len(eps)
 	arrays := make([]*garr.Array, n)
 	for i, ep := range eps {
@@ -197,16 +197,16 @@ func startMixedGA(k *sim.Kernel, eps []*xport.Endpoint, _ xport.Gen, cfg MixedCo
 	}
 }
 
-// runMixed assembles shared endpoints on (b, f) and drives the selected
-// workloads concurrently, started in table order, so a solo run is the same
-// code with two rows absent.
-func runMixed(b xport.Gen, f Fabric, cfg MixedConfig, sel []mixedWorkload) []tally {
-	pl, eps := endpoints(b, cfg.Nodes, f)
+// runMixed assembles shared endpoints of machine m on fabric f and drives
+// the selected workloads concurrently, started in table order, so a solo
+// run is the same code with two rows absent.
+func runMixed(m xport.Machine, f Fabric, cfg MixedConfig, sel []mixedWorkload) []tally {
+	pl, eps := endpoints(m, cfg.Nodes, f)
 	tallies := make([]tally, len(sel))
 	for i, wl := range sel {
-		wl.start(pl.K, eps, b, cfg, &tallies[i])
+		wl.start(pl.K, eps, cfg, &tallies[i])
 	}
-	run(pl, "mixed run on %s/%s", b, f)
+	run(pl, "mixed run on %s/%s", m.Gen, f)
 	for i, wl := range sel {
 		for _, ep := range eps {
 			tallies[i].bytes += ep.ServiceStats(wl.service).Bytes
@@ -215,18 +215,18 @@ func runMixed(b xport.Gen, f Fabric, cfg MixedConfig, sel []mixedWorkload) []tal
 	return tallies
 }
 
-// MeasureMixed runs the full co-resident mix on (b, f), then each workload
-// alone on identical fabric and endpoints, and reports per-service shares
-// and retained bandwidth.
-func MeasureMixed(b xport.Gen, f Fabric, cfg MixedConfig) []ServiceShare {
-	mixed := runMixed(b, f, cfg, mixedWorkloads)
+// MeasureMixed runs the full co-resident mix on machine m and fabric f, then
+// each workload alone on identical fabric and endpoints, and reports
+// per-service shares and retained bandwidth.
+func MeasureMixed(m xport.Machine, f Fabric, cfg MixedConfig) []ServiceShare {
+	mixed := runMixed(m, f, cfg, mixedWorkloads)
 	var total int64
 	for _, t := range mixed {
 		total += t.bytes
 	}
 	shares := make([]ServiceShare, len(mixedWorkloads))
 	for i, wl := range mixedWorkloads {
-		solo := runMixed(b, f, cfg, mixedWorkloads[i:i+1])
+		solo := runMixed(m, f, cfg, mixedWorkloads[i:i+1])
 		s := ServiceShare{
 			Service:  wl.service,
 			Bytes:    mixed[i].bytes,
@@ -247,14 +247,14 @@ func MeasureMixed(b xport.Gen, f Fabric, cfg MixedConfig) []ServiceShare {
 // WriteMixedReport renders the co-residency suite across the configured
 // fabrics: per-service byte share of the shared endpoints and bandwidth
 // retained against the isolated baselines.
-func WriteMixedReport(w io.Writer, b xport.Gen, cfg MixedConfig) {
+func WriteMixedReport(w io.Writer, m xport.Machine, cfg MixedConfig) {
 	kb := make([]string, len(mixedWorkloads))
 	for i, wl := range mixedWorkloads {
 		kb[i] = strconv.FormatInt(wl.bytes(cfg)/1024, 10)
 	}
 	fmt.Fprintf(w, "Mixed co-residency suite: MPI allreduce + socket streams + GA puts on ONE\n")
 	fmt.Fprintf(w, "shared %s endpoint per node (%d nodes; mpi %d B x %d rounds, sock %d x %d B\n",
-		b, cfg.Nodes, cfg.MPISize, cfg.MPIIters, cfg.SockMsgs, cfg.SockSize)
+		m.Gen, cfg.Nodes, cfg.MPISize, cfg.MPIIters, cfg.SockMsgs, cfg.SockSize)
 	fmt.Fprintf(w, "per cut pair, ga %d puts x %d elems per rank; workload volumes %s KB)\n",
 		cfg.GAPuts, cfg.GAElems, strings.Join(kb, "/"))
 	fmt.Fprintln(w, "retained% = goodput while sharing / goodput alone on the same fabric")
@@ -262,7 +262,7 @@ func WriteMixedReport(w io.Writer, b xport.Gen, cfg MixedConfig) {
 		fmt.Fprintf(w, "  %s\n", f)
 		fmt.Fprintf(w, "    %-8s  %10s  %6s  %12s  %12s  %9s\n",
 			"service", "bytes", "share", "mixed MB/s", "solo MB/s", "retained")
-		for _, s := range MeasureMixed(b, f, cfg) {
+		for _, s := range MeasureMixed(m, f, cfg) {
 			fmt.Fprintf(w, "    %-8s  %10d  %5.1f%%  %12.2f  %12.2f  %8.0f%%\n",
 				s.Service, s.Bytes, s.SharePct, s.MBps, s.SoloMBps, s.RetainedPct)
 		}

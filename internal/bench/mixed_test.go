@@ -22,7 +22,7 @@ func smallMixed() MixedConfig {
 // TestMeasureMixedShares: every co-resident service moves bytes, shares
 // sum to ~100%, and both mixed and solo goodputs are positive.
 func TestMeasureMixedShares(t *testing.T) {
-	shares := MeasureMixed(xport.GenFM2, FabSingle, smallMixed())
+	shares := MeasureMixed(xport.GenFM2.Machine(), FabSingle, smallMixed())
 	if len(shares) != 3 {
 		t.Fatalf("want 3 services, got %d", len(shares))
 	}
@@ -47,8 +47,8 @@ func TestMeasureMixedShares(t *testing.T) {
 // TestMixedDeterminism: the co-resident run is virtual-time-deterministic.
 func TestMixedDeterminism(t *testing.T) {
 	cfg := smallMixed()
-	r1 := runMixed(xport.GenFM2, FabSingle, cfg, mixedWorkloads)
-	r2 := runMixed(xport.GenFM2, FabSingle, cfg, mixedWorkloads)
+	r1 := runMixed(xport.GenFM2.Machine(), FabSingle, cfg, mixedWorkloads)
+	r2 := runMixed(xport.GenFM2.Machine(), FabSingle, cfg, mixedWorkloads)
 	for i, wl := range mixedWorkloads {
 		if r1[i].end <= 0 || r1[i] != r2[i] {
 			t.Errorf("%s: %+v, then %+v", wl.service, r1[i], r2[i])
@@ -65,7 +65,7 @@ func TestWriteMixedReport(t *testing.T) {
 	cfg := smallMixed()
 	cfg.Fabrics = []Fabric{FabSingle, FabFatTree}
 	var buf bytes.Buffer
-	WriteMixedReport(&buf, xport.GenFM2, cfg)
+	WriteMixedReport(&buf, xport.GenFM2.Machine(), cfg)
 	out := buf.String()
 	for _, want := range []string{"single", "fattree", "mpi", "sockets", "garr", "retained"} {
 		if !strings.Contains(out, want) {

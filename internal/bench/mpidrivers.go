@@ -15,19 +15,19 @@ func mpiStream(pl *cluster.Platform, comms []*mpifm.Comm, size, msgs int, lag si
 
 // MPIBandwidth measures streaming MPI bandwidth rank0 -> rank1 at one
 // message size: the measurement behind Figures 4a and 6a.
-func MPIBandwidth(g xport.Gen, size, msgs int) float64 {
-	pl, comms := mpiWorld(g, 2, FabSingle, mpifm.Options{})
+func MPIBandwidth(m xport.Machine, size, msgs int) float64 {
+	pl, comms := mpiWorld(m, 2, FabSingle, mpifm.Options{})
 	return mpiStream(pl, comms, size, msgs, 0)
 }
 
 // MPICurve sweeps MPIBandwidth over sizes.
-func MPICurve(g xport.Gen, sizes []int) Curve {
-	return sweep(sizes, func(s int) float64 { return MPIBandwidth(g, s, MsgsFor(s)) })
+func MPICurve(m xport.Machine, sizes []int) Curve {
+	return sweep(sizes, func(s int) float64 { return MPIBandwidth(m, s, MsgsFor(s)) })
 }
 
 // MPILatency measures one-way latency by MPI ping-pong.
-func MPILatency(g xport.Gen, size, iters int) sim.Time {
-	pl, comms := mpiWorld(g, 2, FabSingle, mpifm.Options{})
+func MPILatency(m xport.Machine, size, iters int) sim.Time {
+	pl, comms := mpiWorld(m, 2, FabSingle, mpifm.Options{})
 	var rtt sim.Time
 	pl.K.Spawn("rank0", func(p *sim.Proc) {
 		msg := make([]byte, size)

@@ -59,12 +59,12 @@ var Claims = []Claim{
 
 	{System: "MPI-FM 1.x", Label: "peak", Source: "§3.2, Figure 4a, 16-2048 B",
 		Bound: Between, Low: 3.5, Value: 6, Unit: " MB/s", Read: func(m *Measured) float64 { return m.MPI1.Peak() },
-		Deviation: "the sender bounds it at 2048 B: mpifm.SparcOverheads().Send (8 us), the FM 1.x adapter's two " +
-			"whole-message copies at hostmodel.Sparc().MemcpyLargeMBps (21 MB/s; assembly and encapsulation walk, " +
+		Deviation: "the sender bounds it at 2048 B: Profile.MPI.Send on the Sparc profile (8 us), the FM 1.x adapter's two " +
+			"whole-message copies at its Profile.MemcpyLargeMBps (21 MB/s; assembly and encapsulation walk, " +
 			"xport/fm1xport.go) and FM 1.x's own send take ~324 us a message; 6 MB/s needs ~341 (Send at 25 us reads 6.00)"},
 	{System: "MPI-FM 1.x", Label: "max eff", Source: "§3.2, Figure 4b, 16-2048 B",
 		Bound: AtMost, Value: 35, Unit: "%", Read: func(m *Measured) float64 { return m.MPI1Eff().Peak() },
-		Deviation: "the maximum sits at 256 B, below hostmodel.Sparc().MemcpyCacheThreshold (512): MPI-FM's " +
+		Deviation: "the maximum sits at 256 B, below the Sparc Profile.MemcpyCacheThreshold (512): MPI-FM's " +
 			"280 B copies run at the in-cache 38 MB/s, its 536 B copies at 21 MB/s (a threshold of 256 reads 35.49 %)"},
 	{System: "MPI-FM 1.x", Label: "eff@2048B", Source: "§3.2, Figure 4b, at 2048 B, where MPI-FM peaks",
 		Bound: Near, Value: 20, Unit: "%", Read: func(m *Measured) float64 { return m.MPI1Eff().At(2048) },
@@ -87,7 +87,7 @@ var Claims = []Claim{
 		Bound: Near, Value: 90, Unit: "%", Read: func(m *Measured) float64 { return m.MPI2Eff().Peak() }},
 	{System: "MPI-FM 2.x", Label: "latency", Source: "§5, one-way, 16 B ping-pong",
 		Bound: Near, Value: 17, Unit: " us", Read: func(m *Measured) float64 { return m.MPI2Lat },
-		Deviation: "mpifm.PProOverheads (1 us send, 1.2 us receive) and the 24 B header add 3.1 us to FM 2.x's " +
+		Deviation: "Profile.MPI.Send and .Recv on the PPro200 profile (1 us, 1.2 us) and the 24 B header add 3.1 us to FM 2.x's " +
 			"one-way time, where the paper's MPI-FM 2.x adds 6 us to its 11; 3 us more of them reads 16.1 us but " +
 			"eff@16B 56 %, so raising this per-message term alone cannot meet both rows"},
 }
@@ -139,14 +139,14 @@ func Measure() *Measured { return measured() }
 
 var measured = sync.OnceValue(func() *Measured {
 	return &Measured{
-		FM1:     FMCurve(DefaultOptions(xport.GenFM1), StdSizes),
-		FM2:     FMCurve(DefaultOptions(xport.GenFM2), StdSizes),
-		MPI1:    MPICurve(xport.GenFM1, StdSizes),
-		MPI2:    MPICurve(xport.GenFM2, StdSizes),
-		FM1Lat:  FMLatency(DefaultOptions(xport.GenFM1), 16, 50).Micros(),
-		FM2Lat:  FMLatency(DefaultOptions(xport.GenFM2), 16, 50).Micros(),
-		MPI1Lat: MPILatency(xport.GenFM1, 16, 50).Micros(),
-		MPI2Lat: MPILatency(xport.GenFM2, 16, 50).Micros(),
+		FM1:     FMCurve(xport.GenFM1.Machine(), StdSizes),
+		FM2:     FMCurve(xport.GenFM2.Machine(), StdSizes),
+		MPI1:    MPICurve(xport.GenFM1.Machine(), StdSizes),
+		MPI2:    MPICurve(xport.GenFM2.Machine(), StdSizes),
+		FM1Lat:  FMLatency(xport.GenFM1.Machine(), 16, 50).Micros(),
+		FM2Lat:  FMLatency(xport.GenFM2.Machine(), 16, 50).Micros(),
+		MPI1Lat: MPILatency(xport.GenFM1.Machine(), 16, 50).Micros(),
+		MPI2Lat: MPILatency(xport.GenFM2.Machine(), 16, 50).Micros(),
 		Fin:     cmam.Model(cmam.PaperCase()),
 		Ind:     cmam.Model(cmam.Config{MsgWords: 16, PacketWords: 4, Seq: cmam.Indefinite}),
 	}

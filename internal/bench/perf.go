@@ -120,7 +120,7 @@ func (e PerfEntry) withCost(wall time.Duration, events, mallocs, bytes uint64, o
 // time (the model's answer, bit-stable across engine changes) alongside the
 // simulator's wall-clock cost to produce it, per participating rank.
 func PerfCollective(f Fabric, ranks, size int) PerfEntry {
-	pl, comms := mpiWorld(xport.GenFM2, ranks, f, mpifm.Options{})
+	pl, comms := mpiWorld(xport.GenFM2.Machine(), ranks, f, mpifm.Options{})
 	size = collSize(size)
 	stamps := spawnCollective(pl, comms, CollAllreduce, mpifm.AlgoAuto, size, 1)
 	wall, mallocs, bytes := hostCost(func() { run(pl, "perf allreduce ranks=%d on %s", ranks, f) })

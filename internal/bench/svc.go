@@ -51,7 +51,7 @@ func WriteSvcReport(w io.Writer) error {
 	for _, gen := range []xport.Gen{xport.GenFM1, xport.GenFM2} {
 		for _, wl := range svcWorkloads {
 			for _, n := range []int{4, 8, 16} {
-				res, err := svcRun(gen, n, svcFabric(n > 4), svcload.ServiceConfig{},
+				res, err := svcRun(gen.Machine(), n, svcFabric(n > 4), svcload.ServiceConfig{},
 					func(f *svcload.Fleet) error { return f.Plan(wl) })
 				if err != nil {
 					return fmt.Errorf("bench: svc %s/%s/%d: %w", gen, wl.Mode, n, err)
@@ -73,7 +73,7 @@ func WriteSvcReport(w io.Writer) error {
 // nodes) and writes its trace to w. The returned result is the report the
 // replayed trace must reproduce exactly.
 func SvcCapture(w io.Writer) (svcload.Result, error) {
-	return svcRun(xport.GenFM2, 8, FabFatTree, svcload.ServiceConfig{}, func(f *svcload.Fleet) error {
+	return svcRun(xport.GenFM2.Machine(), 8, FabFatTree, svcload.ServiceConfig{}, func(f *svcload.Fleet) error {
 		if err := f.Plan(svcWorkloads[0]); err != nil {
 			return err
 		}
@@ -88,7 +88,7 @@ func SvcReplay(r io.Reader) (svcload.Result, error) {
 	if err != nil {
 		return svcload.Result{}, err
 	}
-	return svcRun(t.Gen(), t.Meta.Nodes, svcFabric(t.Meta.FatTree),
+	return svcRun(t.Gen().Machine(), t.Meta.Nodes, svcFabric(t.Meta.FatTree),
 		svcload.ServiceConfig{ServiceTime: sim.Time(t.Meta.ServiceNS)}, func(f *svcload.Fleet) error {
 			return f.PlanTrace(t)
 		})
@@ -102,16 +102,16 @@ func svcFabric(fatTree bool) Fabric {
 	return FabSingle
 }
 
-// svcRun builds an n-node RPC fleet of generation g on fabric f, lets plan
-// arm it, and runs it: one RunNode Proc per node, in node order. A trace
-// names its own machine, so one that cannot be built is an error here, not
-// the panic of a harness bug; so is a failed run.
-func svcRun(g xport.Gen, n int, f Fabric, cfg svcload.ServiceConfig,
+// svcRun builds an n-node RPC fleet of machine m on fabric f, lets plan arm
+// it, and runs it: one RunNode Proc per node, in node order. A trace names
+// its own machine, so one that cannot be built is an error here, not the
+// panic of a harness bug; so is a failed run.
+func svcRun(m xport.Machine, n int, f Fabric, cfg svcload.ServiceConfig,
 	plan func(*svcload.Fleet) error) (svcload.Result, error) {
-	if err := g.ClusterConfig(n, f).Validate(); err != nil {
+	if err := m.Config(n, f).Validate(); err != nil {
 		return svcload.Result{}, err
 	}
-	pl, eps := endpoints(g, n, f)
+	pl, eps := endpoints(m, n, f)
 	fl := svcload.Attach(xport.Spaces(eps, svcload.Service), cfg)
 	if err := plan(fl); err != nil {
 		return svcload.Result{}, err

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/hostmodel"
-	"repro/internal/lanai"
 	"repro/internal/mpifm"
 	"repro/internal/sim"
 	"repro/internal/xport"
@@ -18,16 +16,11 @@ import (
 // (fmdrivers.go), the flow skeleton (fabric.go) and the timed collective
 // (collectives.go); the host-side clock is in perf.go.
 
-// platform assembles the n-node machine of generation g on fabric f after
-// edit (nil = none) has adjusted the prepared config.
-func platform(g xport.Gen, n int, f Fabric, edit func(*cluster.Config)) *cluster.Platform {
-	cfg := g.ClusterConfig(n, f)
-	if edit != nil {
-		edit(&cfg)
-	}
-	pl, err := cluster.Assemble(cfg)
+// platform assembles machine m at n nodes on fabric f.
+func platform(m xport.Machine, n int, f Fabric) *cluster.Platform {
+	pl, err := cluster.Assemble(m.Config(n, f))
 	if err != nil {
-		panic(fmt.Sprintf("bench: %s, %d nodes on %s: %v", g, n, f, err))
+		panic(fmt.Sprintf("bench: %s, %d nodes on %s: %v", m.Gen, n, f, err))
 	}
 	return pl
 }
@@ -35,42 +28,23 @@ func platform(g xport.Gen, n int, f Fabric, edit func(*cluster.Config)) *cluster
 // endpoints is platform plus one shared endpoint per node. Every driver
 // above raw FM builds its stack through here and then registers its
 // services on the endpoints.
-func endpoints(g xport.Gen, n int, f Fabric) (*cluster.Platform, []*xport.Endpoint) {
-	pl := platform(g, n, f, nil)
-	return pl, xport.AttachEndpoints(pl, xport.EndpointConfig{Gen: g})
+func endpoints(m xport.Machine, n int, f Fabric) (*cluster.Platform, []*xport.Endpoint) {
+	pl := platform(m, n, f)
+	return pl, xport.AttachEndpoints(pl, m)
 }
 
-// attachMPI registers the MPI service on every endpoint, with the
-// generation's overheads.
-func attachMPI(eps []*xport.Endpoint, g xport.Gen, opt mpifm.Options) []*mpifm.Comm {
-	return mpifm.Attach(xport.Spaces(eps, mpifm.Service), mpifm.OverheadsFor(g), opt)
+// attachMPI registers the MPI service on every endpoint, at the MPI costs
+// of the machine the endpoints were built on (every host carries its
+// machine's profile).
+func attachMPI(eps []*xport.Endpoint, opt mpifm.Options) []*mpifm.Comm {
+	sp := xport.Spaces(eps, mpifm.Service)
+	return mpifm.Attach(sp, sp[0].Host().P.MPI, opt)
 }
 
 // mpiWorld is endpoints plus an n-rank MPI world on them.
-func mpiWorld(g xport.Gen, n int, f Fabric, opt mpifm.Options) (*cluster.Platform, []*mpifm.Comm) {
-	pl, eps := endpoints(g, n, f)
-	return pl, attachMPI(eps, g, opt)
-}
-
-// Options configures the two-node machine under the raw-FM drivers: the
-// generation with its engine config, and the host and NIC models the
-// staged-engine figure and the ablation sweeps turn knobs on.
-type Options struct {
-	Profile hostmodel.Profile
-	FM      xport.EndpointConfig
-	NIC     lanai.Config
-}
-
-// DefaultOptions is generation g's full engine on the machine it ran on:
-// FM 1.x on the Sparc-era hosts, FM 2.x on the PPro-era ones.
-func DefaultOptions(g xport.Gen) Options {
-	return Options{Profile: g.Profile(), FM: xport.EndpointConfig{Gen: g}, NIC: lanai.DefaultConfig()}
-}
-
-func (o Options) platform() *cluster.Platform {
-	return platform(o.FM.Gen, 2, FabSingle, func(cfg *cluster.Config) {
-		cfg.Profile, cfg.NIC = o.Profile, o.NIC
-	})
+func mpiWorld(m xport.Machine, n int, f Fabric, opt mpifm.Options) (*cluster.Platform, []*mpifm.Comm) {
+	pl, eps := endpoints(m, n, f)
+	return pl, attachMPI(eps, opt)
 }
 
 // run drives the world to completion. A failed run (deadlock, handler

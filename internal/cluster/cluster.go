@@ -4,14 +4,15 @@
 //
 // There is one way to build a stack, and two places build a machine:
 // fmnet.New (sessions, examples, the repo benchmark) and internal/bench's
-// world.go (every harness driver). The way is xport.Gen.ClusterConfig (the
-// generation's machine at a node count and topology), then Assemble (the
-// only entry to a partitioned platform; TryNew is its sequential-only form
-// and both share one private assemble), then xport.AttachEndpoints (one
-// endpoint per node), xport.Spaces (a service registered on every node),
-// and the layer's one constructor: mpifm.Attach, sockfm.New, shmem.Attach,
-// garr.Attach or svcload.Attach. No upper layer imports this package, and no
-// third file calls Assemble.
+// world.go (every harness driver). The way is an xport.Machine (a
+// generation's Gen.Machine, fields varied as the caller needs), its
+// Config at a node count and topology, then Assemble (the only entry to a
+// partitioned platform; TryNew is its sequential-only form and both share
+// one private assemble), then xport.AttachEndpoints with the same Machine
+// (one endpoint per node), xport.Spaces (a service registered on every
+// node), and the layer's one constructor: mpifm.Attach (at the Machine's
+// Profile.MPI), sockfm.New, shmem.Attach, garr.Attach or svcload.Attach. No
+// upper layer imports this package, and no third file calls Assemble.
 //
 // Config maps onto a netsim.Shape, which owns every fabric-shape rule;
 // Validate adds the 65 536-node bound of the headers' 16-bit node field.

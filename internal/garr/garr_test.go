@@ -16,11 +16,9 @@ func arrays(t *testing.T, ranks, size int) (*sim.Kernel, []*Array) {
 // genArrays attaches one global array across a one-switch platform of
 // generation g's machine.
 func genArrays(t *testing.T, g xport.Gen, ranks, size int) (*sim.Kernel, []*Array) {
+	m := g.Machine()
 	k := sim.NewKernel()
-	cfg := cluster.DefaultConfig()
-	cfg.Nodes, cfg.Profile = ranks, g.Profile()
-	pl := cluster.New(k, cfg)
-	eps := xport.AttachEndpoints(pl, xport.EndpointConfig{Gen: g})
+	eps := xport.AttachEndpoints(cluster.New(k, m.Config(ranks, cluster.SingleSwitch)), m)
 	out := make([]*Array, ranks)
 	for i, sp := range xport.Spaces(eps, Service) {
 		a, err := Attach(sp, 1, size, ranks)

@@ -5,7 +5,9 @@
 //
 // All constants live in Profile values so the benches can run the same
 // protocol code on "sparc" (FM 1.x era) and "ppro200" (FM 2.x era) machines
-// and reproduce the paper's near-fourfold jump in absolute bandwidth.
+// and reproduce the paper's near-fourfold jump in absolute bandwidth. A
+// Profile also carries the MPI layer's own three per-message costs (MPI), so
+// Sparc and PPro200 are the one table of every timing constant of a machine.
 package hostmodel
 
 import (
@@ -50,6 +52,17 @@ type Profile struct {
 	RingSlots    int // host receive-ring depth, in packets
 	SendQSlots   int // NIC send-queue depth, in packets
 	CreditWindow int // per-sender flow-control window, in packets
+
+	// The MPI layer's own costs on this machine's MPI build.
+	MPI MPICosts
+}
+
+// MPICosts is the per-message cost of the MPI layer itself, distinct from
+// data movement: argument checking, matching, request bookkeeping.
+type MPICosts struct {
+	Send       sim.Time // send-path protocol cost
+	Recv       sim.Time // matching + completion cost
+	Unexpected sim.Time // extra bookkeeping on the unexpected path
 }
 
 // Sparc is the FM 1.x era machine: SPARCstation on Sbus with the first
@@ -85,6 +98,13 @@ func Sparc() Profile {
 		RingSlots:    64,
 		SendQSlots:   8,
 		CreditWindow: 16,
+
+		// MPICH-era per-message costs.
+		MPI: MPICosts{
+			Send:       8 * sim.Microsecond,
+			Recv:       10 * sim.Microsecond,
+			Unexpected: 2 * sim.Microsecond,
+		},
 	}
 }
 
@@ -125,6 +145,13 @@ func PPro200() Profile {
 		RingSlots:    128,
 		SendQSlots:   8,
 		CreditWindow: 32,
+
+		// The leaner MPI-FM 2.0 costs.
+		MPI: MPICosts{
+			Send:       1 * sim.Microsecond,
+			Recv:       1200 * sim.Nanosecond,
+			Unexpected: 500 * sim.Nanosecond,
+		},
 	}
 }
 

@@ -23,16 +23,12 @@ const fabricSize = 16 // bytes per rank contribution (multiple of 4)
 
 // fabricWorld builds a 64-rank world on the given multi-switch topology.
 func fabricWorld(binding string, topo cluster.Topology) (*sim.Kernel, []*Comm) {
-	k := sim.NewKernel()
-	cfg := cluster.DefaultConfig()
-	cfg.Nodes = fabricRanks
-	cfg.Topology = topo
 	g := xport.GenFM2
 	if binding == "fm1" {
 		g = xport.GenFM1
 	}
-	cfg.Profile = g.Profile()
-	return k, attachWorld(cluster.New(k, cfg), g, Options{})
+	k, _, comms := topoWorld(g, fabricRanks, topo)
+	return k, comms
 }
 
 // expectedOutputs computes every rank's concatenated observable output for

@@ -47,41 +47,6 @@ const HeaderSize = 24
 // Header layout: srcRank(4) tag(4) context(4) payloadLen(4) seq(4)
 // reserved(4, zero).
 
-// Overheads is the per-message cost of the MPI layer itself, distinct from
-// data movement: argument checking, matching, request bookkeeping.
-type Overheads struct {
-	Send       sim.Time // send-path protocol cost
-	Recv       sim.Time // matching + completion cost
-	Unexpected sim.Time // extra bookkeeping on the unexpected path
-}
-
-// SparcOverheads models MPICH-era per-message costs on the FM 1.x machines.
-func SparcOverheads() Overheads {
-	return Overheads{
-		Send:       8 * sim.Microsecond,
-		Recv:       10 * sim.Microsecond,
-		Unexpected: 2 * sim.Microsecond,
-	}
-}
-
-// PProOverheads models the leaner MPI-FM 2.0 costs on a 200 MHz PPro.
-func PProOverheads() Overheads {
-	return Overheads{
-		Send:       1 * sim.Microsecond,
-		Recv:       1200 * sim.Nanosecond,
-		Unexpected: 500 * sim.Nanosecond,
-	}
-}
-
-// OverheadsFor is the MPI cost model of the machine a generation ran on
-// (xport.Gen.Profile is the host-side half of the same pairing).
-func OverheadsFor(g xport.Gen) Overheads {
-	if g == xport.GenFM1 {
-		return SparcOverheads()
-	}
-	return PProOverheads()
-}
-
 // Status reports the outcome of a completed receive.
 type Status struct {
 	Source int

@@ -14,20 +14,26 @@ import (
 )
 
 // attachWorld assembles the MPI layer the one way there is: one shared
-// endpoint per node of pl, the MPI service registered on each.
-func attachWorld(pl *cluster.Platform, g xport.Gen, opt Options) []*Comm {
-	eps := xport.AttachEndpoints(pl, xport.EndpointConfig{Gen: g})
-	return Attach(xport.Spaces(eps, Service), OverheadsFor(g), opt)
+// endpoint per node of pl on machine m's engine, the MPI service registered
+// on each at m's MPI costs.
+func attachWorld(pl *cluster.Platform, m xport.Machine, opt Options) []*Comm {
+	eps := xport.AttachEndpoints(pl, m)
+	return Attach(xport.Spaces(eps, Service), m.Profile.MPI, opt)
 }
 
-// genWorld builds an n-rank world of one generation on a fresh one-switch
-// platform of that generation's machine.
-func genWorld(g xport.Gen, nodes int) (*sim.Kernel, []*Comm) {
+// topoWorld builds an n-rank world of generation g's machine on a fresh
+// platform of topology topo.
+func topoWorld(g xport.Gen, nodes int, topo cluster.Topology) (*sim.Kernel, *cluster.Platform, []*Comm) {
+	m := g.Machine()
 	k := sim.NewKernel()
-	cfg := cluster.DefaultConfig()
-	cfg.Profile = g.Profile()
-	cfg.Nodes = nodes
-	return k, attachWorld(cluster.New(k, cfg), g, Options{})
+	pl := cluster.New(k, m.Config(nodes, topo))
+	return k, pl, attachWorld(pl, m, Options{})
+}
+
+// genWorld is topoWorld on one switch.
+func genWorld(g xport.Gen, nodes int) (*sim.Kernel, []*Comm) {
+	k, _, comms := topoWorld(g, nodes, cluster.SingleSwitch)
+	return k, comms
 }
 
 func fm1World(nodes int) (*sim.Kernel, []*Comm) { return genWorld(xport.GenFM1, nodes) }

@@ -44,7 +44,7 @@ func runParWorkload(t *testing.T, nodes, parts int) ([][]byte, sim.Time, *netsim
 	if err != nil {
 		t.Fatal(err)
 	}
-	comms := attachWorld(pl, xport.GenFM2, Options{})
+	comms := attachWorld(pl, xport.GenFM2.Machine(), Options{})
 	n, size := nodes, fabricSize
 	outs := make([][]byte, n)
 	for r := 0; r < n; r++ {

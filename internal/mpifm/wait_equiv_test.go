@@ -93,13 +93,7 @@ func ledger(k *sim.Kernel, pl *cluster.Platform, comms []*Comm) string {
 }
 
 func runExchange(t *testing.T, g xport.Gen, nodes int, topo cluster.Topology, recv recvFn) string {
-	k := sim.NewKernel()
-	cfg := cluster.DefaultConfig()
-	cfg.Profile = g.Profile()
-	cfg.Nodes = nodes
-	cfg.Topology = topo
-	pl := cluster.New(k, cfg)
-	comms := attachWorld(pl, g, Options{})
+	k, pl, comms := topoWorld(g, nodes, topo)
 	for _, c := range comms {
 		c := c
 		k.Spawn(fmt.Sprintf("rank%d", c.Rank()), func(p *sim.Proc) { exchange(t, c, p, recv) })

@@ -10,9 +10,7 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/sim"
-	"repro/internal/xport"
 )
 
 // TestWildcardPostedFIFO: several AnySource/AnyTag receives posted before
@@ -115,10 +113,7 @@ func TestWildcardUnexpectedFIFO(t *testing.T) {
 // must hand the finished message to that receive — otherwise it would wait
 // forever for a message that has already arrived.
 func TestWildcardPostedWhileStreaming(t *testing.T) {
-	k := sim.NewKernel()
-	cfg := cluster.DefaultConfig()
-	pl := cluster.New(k, cfg)
-	comms := attachWorld(pl, xport.GenFM2, Options{})
+	k, comms := fm2World(2)
 	payload := bytes.Repeat([]byte{0x7D}, 8192) // many packets
 	k.Spawn("rank0", func(p *sim.Proc) {
 		if err := comms[0].Send(p, payload, 1, 3); err != nil {
@@ -168,9 +163,7 @@ func TestWildcardPostedWhileStreaming(t *testing.T) {
 // every arrival in order, and matched traffic flows normally behind it.
 func TestUnexpectedHWM(t *testing.T) {
 	const sent = 8
-	k := sim.NewKernel()
-	pl := cluster.New(k, cluster.DefaultConfig())
-	comms := attachWorld(pl, xport.GenFM2, Options{})
+	k, comms := fm2World(2)
 	k.Spawn("rank0", func(p *sim.Proc) {
 		for i := 0; i < sent; i++ {
 			if err := comms[0].Send(p, []byte{byte(i)}, 1, 100+i); err != nil {

@@ -14,11 +14,9 @@ func nodes(n int) (*sim.Kernel, []*Node) { return genNodes(xport.GenFM2, n) }
 // genNodes attaches shmem on every node of a one-switch platform of
 // generation g's machine.
 func genNodes(g xport.Gen, n int) (*sim.Kernel, []*Node) {
+	m := g.Machine()
 	k := sim.NewKernel()
-	cfg := cluster.DefaultConfig()
-	cfg.Nodes, cfg.Profile = n, g.Profile()
-	pl := cluster.New(k, cfg)
-	eps := xport.AttachEndpoints(pl, xport.EndpointConfig{Gen: g})
+	eps := xport.AttachEndpoints(cluster.New(k, m.Config(n, cluster.SingleSwitch)), m)
 	out := make([]*Node, n)
 	for i, sp := range xport.Spaces(eps, Service) {
 		out[i] = Attach(sp)

@@ -17,11 +17,9 @@ func stacks(nodes int) (*sim.Kernel, []*Stack) { return genStacks(xport.GenFM2, 
 // genStacks attaches one socket stack per node of a one-switch platform of
 // generation g's machine.
 func genStacks(g xport.Gen, nodes int) (*sim.Kernel, []*Stack) {
+	m := g.Machine()
 	k := sim.NewKernel()
-	cfg := cluster.DefaultConfig()
-	cfg.Nodes, cfg.Profile = nodes, g.Profile()
-	pl := cluster.New(k, cfg)
-	eps := xport.AttachEndpoints(pl, xport.EndpointConfig{Gen: g})
+	eps := xport.AttachEndpoints(cluster.New(k, m.Config(nodes, cluster.SingleSwitch)), m)
 	sts := make([]*Stack, nodes)
 	for i, sp := range xport.Spaces(eps, Service) {
 		sts[i] = New(sp)

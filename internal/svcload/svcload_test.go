@@ -18,8 +18,8 @@ type machine struct {
 }
 
 // buildFleet assembles the machine the way every assembler does — the
-// generation's cluster config, cluster.Assemble, one shared endpoint per
-// node — and attaches a default-cost fleet, handing back the platform and
+// generation's Machine at m's size and fabric, cluster.Assemble, one shared
+// endpoint per node — and attaches a default-cost fleet, handing back the platform and
 // the handler spaces for inspection.
 func buildFleet(t *testing.T, m machine) (*cluster.Platform, []*xport.HandlerSpace, *Fleet) {
 	t.Helper()
@@ -30,11 +30,12 @@ func buildFleet(t *testing.T, m machine) (*cluster.Platform, []*xport.HandlerSpa
 	if m.fatTree {
 		topo = cluster.FatTree
 	}
-	pl, err := cluster.Assemble(m.gen.ClusterConfig(m.nodes, topo))
+	mach := m.gen.Machine()
+	pl, err := cluster.Assemble(mach.Config(m.nodes, topo))
 	if err != nil {
 		t.Fatal(err)
 	}
-	spaces := xport.Spaces(xport.AttachEndpoints(pl, xport.EndpointConfig{Gen: m.gen}), Service)
+	spaces := xport.Spaces(xport.AttachEndpoints(pl, mach), Service)
 	return pl, spaces, Attach(spaces, ServiceConfig{})
 }
 

@@ -31,7 +31,7 @@ type bindingCase struct {
 var bindingCases = []bindingCase{{"fm1", xport.GenFM1}, {"fm2", xport.GenFM2}}
 
 func (bc bindingCase) attach(pl *cluster.Platform) []*xport.Endpoint {
-	return xport.AttachEndpoints(pl, xport.EndpointConfig{Gen: bc.gen})
+	return xport.AttachEndpoints(pl, bc.gen.Machine())
 }
 
 // pattern fills n bytes with a deterministic sequence seeded by s.
@@ -60,7 +60,8 @@ var scenarios = []scenario{
 }
 
 func mpiScenario(t *testing.T, k *sim.Kernel, eps []*xport.Endpoint) func() []byte {
-	comms := mpifm.Attach(xport.Spaces(eps, mpifm.Service), mpifm.PProOverheads(), mpifm.Options{})
+	sp := xport.Spaces(eps, mpifm.Service)
+	comms := mpifm.Attach(sp, sp[0].Host().P.MPI, mpifm.Options{})
 	sizes := []int{1, 100, 613, 2048, 5000}
 	var rank0Got, rank1Got bytes.Buffer
 	k.Spawn("rank0", func(p *sim.Proc) {

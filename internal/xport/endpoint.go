@@ -4,10 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/bufpool"
-	"repro/internal/cluster"
 	"repro/internal/flowctl"
-	"repro/internal/fm1"
-	"repro/internal/fm2"
 	"repro/internal/hostmodel"
 	"repro/internal/sim"
 )
@@ -529,76 +526,6 @@ func (c *countedStream) ReceiveDiscard(p *sim.Proc, n int) int {
 	got := c.s.ReceiveDiscard(p, n)
 	c.hs.consume(got)
 	return got
-}
-
-// EndpointConfig selects the FM generation (and its engine config) backing
-// a platform's shared endpoints.
-type EndpointConfig struct {
-	Gen Gen
-	FM1 fm1.Config
-	FM2 fm2.Config
-}
-
-// Gen names a Fast Messages generation.
-type Gen int
-
-const (
-	// GenFM2 is native FM 2.x (the default zero-value choice is invalid so
-	// misconfiguration fails loudly).
-	GenFM2 Gen = iota + 1
-	// GenFM1 is FM 1.x through the staging-copy adapter.
-	GenFM1
-)
-
-// String names the generation for reports.
-func (g Gen) String() string {
-	switch g {
-	case GenFM1:
-		return "fm1"
-	case GenFM2:
-		return "fm2"
-	}
-	return fmt.Sprintf("gen(%d)", int(g))
-}
-
-// Profile is the machine a generation ran on: FM 1.x on the Sparc-era
-// hosts, FM 2.x on the 200 MHz PPro ones. Every assembler of a platform
-// reads the pairing here (mpifm.OverheadsFor is its MPI-cost counterpart).
-func (g Gen) Profile() hostmodel.Profile {
-	if g == GenFM1 {
-		return hostmodel.Sparc()
-	}
-	return hostmodel.PPro200()
-}
-
-// ClusterConfig is the generation's machine at n nodes on topology t, with
-// the fabric auto-shaped: the one cluster.Config preparation both assemblers
-// (fmnet.New, internal/bench's world builder) start from and then edit.
-func (g Gen) ClusterConfig(n int, t cluster.Topology) cluster.Config {
-	cfg := cluster.DefaultConfig()
-	cfg.Nodes, cfg.Topology, cfg.Profile = n, t, g.Profile()
-	cfg.AutoShape()
-	return cfg
-}
-
-// AttachEndpoints builds ONE shared endpoint per node of the platform: the
-// assembly step every node goes through. Callers then register the same
-// services in the same order on every endpoint (Spaces).
-func AttachEndpoints(pl *cluster.Platform, cfg EndpointConfig) []*Endpoint {
-	eps := make([]*Endpoint, pl.Nodes())
-	switch cfg.Gen {
-	case GenFM1:
-		for i, ep := range fm1.Attach(pl, cfg.FM1) {
-			eps[i] = NewEndpoint(OverFM1(ep))
-		}
-	case GenFM2:
-		for i, ep := range fm2.Attach(pl, cfg.FM2) {
-			eps[i] = NewEndpoint(OverFM2(ep))
-		}
-	default:
-		panic(fmt.Sprintf("xport: unknown FM generation %d", cfg.Gen))
-	}
-	return eps
 }
 
 // Spaces registers one service on every endpoint and returns its windows,

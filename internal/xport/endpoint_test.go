@@ -20,16 +20,17 @@ import (
 	"repro/internal/xport"
 )
 
-// platform builds an n-node single-switch PPro cluster.
+// fm2Machine is the machine the single-binding tests run on.
+var fm2Machine = xport.GenFM2.Machine()
+
+// platform builds an n-node single-switch cluster of the FM 2.x machine.
 func platform(k *sim.Kernel, n int) *cluster.Platform {
-	cfg := cluster.DefaultConfig()
-	cfg.Nodes = n
-	return cluster.New(k, cfg)
+	return cluster.New(k, fm2Machine.Config(n, cluster.SingleSwitch))
 }
 
 // endpoints attaches one shared FM 2.x endpoint per node.
 func endpoints(pl *cluster.Platform) []*xport.Endpoint {
-	return xport.AttachEndpoints(pl, xport.EndpointConfig{Gen: xport.GenFM2})
+	return xport.AttachEndpoints(pl, fm2Machine)
 }
 
 // TestServiceNamespacing: two services register the SAME local handler id
@@ -122,7 +123,7 @@ func TestSoloPassthroughCost(t *testing.T) {
 		} else {
 			spaces = xport.Spaces(endpoints(pl), mpifm.Service)
 		}
-		comms := mpifm.Attach(spaces, mpifm.PProOverheads(), mpifm.Options{})
+		comms := mpifm.Attach(spaces, fm2Machine.Profile.MPI, mpifm.Options{})
 		buf := make([]byte, 4096)
 		k.Spawn("rank0", func(p *sim.Proc) {
 			msg := bytes.Repeat([]byte{0xAB}, 4096)
@@ -413,7 +414,7 @@ func sharedMixed(t *testing.T) (mpiOut, sockOut, gaOut []byte, end sim.Time) {
 		sockSp[i] = ep.Register(sockfm.Service)
 		gaSp[i] = ep.Register(garr.Service)
 	}
-	comms := mpifm.Attach(mpiSp, mpifm.PProOverheads(), mpifm.Options{})
+	comms := mpifm.Attach(mpiSp, fm2Machine.Profile.MPI, mpifm.Options{})
 	stacks := make([]*sockfm.Stack, mixedNodes)
 	arrays := make([]*garr.Array, mixedNodes)
 	for i := 0; i < mixedNodes; i++ {
@@ -441,7 +442,7 @@ func isolatedMixed(t *testing.T) (mpiOut, sockOut, gaOut []byte) {
 	}
 	{
 		k := sim.NewKernel()
-		comms := mpifm.Attach(solo(k, mpifm.Service), mpifm.PProOverheads(), mpifm.Options{})
+		comms := mpifm.Attach(solo(k, mpifm.Service), fm2Machine.Profile.MPI, mpifm.Options{})
 		fin := spawnMPIWorkload(t, k, comms)
 		if err := k.Run(); err != nil {
 			t.Fatal(err)

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/alloctest"
 	"repro/internal/bufpool"
-	"repro/internal/fm2"
 	"repro/internal/sim"
 	"repro/internal/xport"
 )
@@ -22,7 +21,9 @@ import (
 func TestHeaderScratchBelongsToOneHandlerRun(t *testing.T) {
 	k := sim.NewKernel()
 	pl := platform(k, 3)
-	eps := xport.AttachEndpoints(pl, xport.EndpointConfig{Gen: xport.GenFM2, FM2: fm2.Config{PoisonFrames: true}})
+	m := fm2Machine
+	m.FM2.PoisonFrames = true
+	eps := xport.AttachEndpoints(pl, m)
 	sp := xport.Spaces(eps, "svc")
 	const hdrLen, payload = xport.MaxHeader, 3000 // several packets at the 552 B MTU
 	var retained [][]byte
@@ -80,7 +81,7 @@ func TestHandlerDispatchZeroAlloc(t *testing.T) {
 		t.Run(g.String(), func(t *testing.T) {
 			k := sim.NewKernel()
 			pl := platform(k, 2)
-			sp := xport.Spaces(xport.AttachEndpoints(pl, xport.EndpointConfig{Gen: g}), "svc")
+			sp := xport.Spaces(xport.AttachEndpoints(pl, g.Machine()), "svc")
 			recvd := 0
 			sink := make([]byte, 1024)
 			sp[1].Register(1, func(p *sim.Proc, s xport.RecvStream) {

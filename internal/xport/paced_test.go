@@ -111,15 +111,13 @@ type coStats struct {
 }
 
 func coResidentRun(t *testing.T, bc bindingCase, seed int64, budget, window int, fused bool, st *coStats) string {
-	k := sim.NewKernel()
-	cfg := cluster.DefaultConfig()
-	cfg.Profile = bc.gen.Profile()
+	m := bc.gen.Machine()
 	if window > 0 {
-		cfg.Profile.CreditWindow = window
+		m.Profile.CreditWindow = window
 	}
-	cfg.Nodes = 2
-	pl := cluster.New(k, cfg)
-	eps := bc.attach(pl)
+	k := sim.NewKernel()
+	pl := cluster.New(k, m.Config(2, cluster.SingleSwitch))
+	eps := xport.AttachEndpoints(pl, m)
 	a, b := xport.Spaces(eps, "a"), xport.Spaces(eps, "b")
 
 	// Everything random is drawn here, so both variants get the same script.

@@ -28,9 +28,16 @@
 // pass of those loops would read, refresh or act on belongs in the idle test
 // (flowctl.Waiter.Idle and waiting.Done), or virtual times move. A receive
 // handler pulls its wire header with ReceiveHeader, and bounds every wire
-// length by the stream's Remaining() before the length sizes anything. The
-// machine a generation runs on is Gen.Profile (with mpifm.OverheadsFor), and
-// nowhere else.
+// length by the stream's Remaining() before the length sizes anything.
+//
+// One machine per generation: a generation's host profile, MPI costs, NIC
+// and engine configs are chosen in Gen.Machine and nowhere else. Every
+// builder, harness driver and test helper at or above this package starts
+// from a Machine and varies its fields; none names hostmodel's Sparc or
+// PPro200 profiles or mpifm's overhead constructors (those two serve the
+// repo benchmark, which assembles its stacks by hand). The layers below
+// (cluster, lanai, fm1, fm2, flowctl) name profiles directly: they cannot
+// import this package.
 package xport
 
 import (
