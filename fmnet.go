@@ -387,19 +387,20 @@ func (s *Session) Now() Time { return s.k.Now() }
 // under WithParallel — use SpawnOn for processes that drive a node).
 func (s *Session) Spawn(name string, fn func(p *Proc)) { s.k.Spawn(name, fn) }
 
-// SpawnOn starts a simulated process on the kernel that owns a node — the
-// shared kernel on a sequential session, the owning LP's under WithParallel.
-// A process that calls a node's services must live on that node's kernel.
+// SpawnOn starts a simulated process that acts for a node, on the kernel
+// that owns it — the shared kernel on a sequential session, the owning LP's
+// under WithParallel. It may call that node's services and no other's, and
+// may change nothing another node's wait conditions read: those waits take
+// their verdicts to stand until their own node acts (sim.Proc.ActsFor).
 func (s *Session) SpawnOn(node int, name string, fn func(p *Proc)) {
-	s.pl.KernelOf(node).Spawn(name, fn)
+	s.pl.KernelOf(node).Spawn(name, fn).ActsFor(node)
 }
 
-// SpawnRanks starts one process per node, each told its rank, each on its
-// node's owning kernel.
+// SpawnRanks starts one process per node, each told its rank, each acting
+// for its node as SpawnOn's do.
 func (s *Session) SpawnRanks(name string, fn func(rank int, p *Proc)) {
 	for r := 0; r < s.Nodes(); r++ {
-		r := r
-		s.pl.KernelOf(r).Spawn(fmt.Sprintf("%s.%d", name, r), func(p *Proc) { fn(r, p) })
+		s.SpawnOn(r, fmt.Sprintf("%s.%d", name, r), func(p *Proc) { fn(r, p) })
 	}
 }
 
@@ -464,10 +465,7 @@ func (s *Session) RPC() *RPCFleet { return s.rpc }
 // to run a planned RPC workload on a session.
 func (s *Session) SpawnRPC() {
 	for node := 0; node < s.Nodes(); node++ {
-		node := node
-		s.pl.KernelOf(node).Spawn(fmt.Sprintf("rpc.%d", node), func(p *Proc) {
-			s.rpc.RunNode(p, node)
-		})
+		s.SpawnOn(node, fmt.Sprintf("rpc.%d", node), func(p *Proc) { s.rpc.RunNode(p, node) })
 	}
 }
 

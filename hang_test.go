@@ -13,7 +13,7 @@ import (
 // never is a poll condition that never ends its wait, at either layer.
 type never struct{}
 
-func (never) Idle() bool                     { return true }
+func (never) Idle() sim.Time                 { return sim.Quiet }
 func (never) Done() bool                     { return false }
 func (never) Describe() (string, int, []int) { return "poll forever", -1, nil }
 

@@ -116,7 +116,7 @@ func spawnCollective(pl *cluster.Platform, comms []*mpifm.Comm, op CollectiveOp,
 				}
 			}
 			stamps[r].end = p.Now()
-		})
+		}).ActsFor(r)
 	}
 	return stamps
 }

@@ -61,9 +61,11 @@ type flow struct {
 	*stamp
 }
 
-// flowProc is one of a flow's two procs; role names it in diagnostics.
+// flowProc is one of a flow's two procs; role names it in diagnostics, and
+// it acts for node.
 type flowProc struct {
 	role string
+	node int
 	body func(p *sim.Proc)
 }
 
@@ -76,7 +78,7 @@ func flowBandwidth(pl *cluster.Platform, what string, pairs [][2]int, procs func
 	stamps := make([]stamp, len(pairs))
 	for fi, pr := range pairs {
 		for _, pc := range procs(flow{pr[0], pr[1], &stamps[fi]}) {
-			pl.K.Spawn(fmt.Sprintf("flow%d.%s", fi, pc.role), pc.body)
+			pl.K.Spawn(fmt.Sprintf("flow%d.%s", fi, pc.role), pc.body).ActsFor(pc.node)
 		}
 	}
 	run(pl, "%d %s flows", len(pairs), what)
@@ -98,7 +100,7 @@ func xportFlow(eps []*xport.Endpoint, size, msgs int) func(flow) [2]flowProc {
 				fl.end = p.Now()
 			}
 		})
-		return [2]flowProc{{"send", func(p *sim.Proc) {
+		return [2]flowProc{{"send", fl.src, func(p *sim.Proc) {
 			fl.start = p.Now()
 			msg := make([]byte, size)
 			for i := 0; i < msgs; i++ {
@@ -106,7 +108,7 @@ func xportFlow(eps []*xport.Endpoint, size, msgs int) func(flow) [2]flowProc {
 					panic(err)
 				}
 			}
-		}}, {"recv", func(p *sim.Proc) {
+		}}, {"recv", fl.dst, func(p *sim.Proc) {
 			for recvd < msgs {
 				sp[fl.dst].Extract(p, 0)
 				if recvd < msgs {
@@ -140,7 +142,7 @@ func LayerBisection(l Layer, m xport.Machine, f Fabric, n, size, msgs int) float
 // pacing ablation wants a busy receiver that is not progressing MPI.
 func mpiFlow(comms []*mpifm.Comm, size, msgs int, lag sim.Time) func(flow) [2]flowProc {
 	return func(fl flow) [2]flowProc {
-		return [2]flowProc{{"send", func(p *sim.Proc) {
+		return [2]flowProc{{"send", fl.src, func(p *sim.Proc) {
 			fl.start = p.Now()
 			msg := make([]byte, size)
 			for i := 0; i < msgs; i++ {
@@ -148,7 +150,7 @@ func mpiFlow(comms []*mpifm.Comm, size, msgs int, lag sim.Time) func(flow) [2]fl
 					panic(err)
 				}
 			}
-		}}, {"recv", func(p *sim.Proc) {
+		}}, {"recv", fl.dst, func(p *sim.Proc) {
 			buf := make([]byte, size)
 			for i := 0; i < msgs; i++ {
 				if lag > 0 {
@@ -172,7 +174,7 @@ func sockFlow(eps []*xport.Endpoint, size, msgs int) func(flow) [2]flowProc {
 	}
 	total := size * msgs
 	return func(fl flow) [2]flowProc {
-		return [2]flowProc{{"server", func(p *sim.Proc) {
+		return [2]flowProc{{"server", fl.dst, func(p *sim.Proc) {
 			l, err := stacks[fl.dst].Listen(80)
 			if err != nil {
 				panic(err)
@@ -191,7 +193,7 @@ func sockFlow(eps []*xport.Endpoint, size, msgs int) func(flow) [2]flowProc {
 				got += m
 			}
 			fl.end = p.Now()
-		}}, {"client", func(p *sim.Proc) {
+		}}, {"client", fl.src, func(p *sim.Proc) {
 			conn, err := stacks[fl.src].Dial(p, fl.dst, 80)
 			if err != nil {
 				panic(err)
@@ -211,7 +213,7 @@ func sockFlow(eps []*xport.Endpoint, size, msgs int) func(flow) [2]flowProc {
 // putTarget is the receiving side of the one-sided layers: serve incoming
 // puts until msgs of them have landed.
 func putTarget(node *shmem.Node, msgs int, fl flow) flowProc {
-	return flowProc{"target", func(p *sim.Proc) {
+	return flowProc{"target", fl.dst, func(p *sim.Proc) {
 		for node.Stats().RemotePuts < int64(msgs) {
 			node.Progress(p)
 			p.Delay(500 * sim.Nanosecond)
@@ -228,7 +230,7 @@ func shmemFlow(eps []*xport.Endpoint, size, msgs int) func(flow) [2]flowProc {
 		nodes[i].Register(1, make([]byte, size))
 	}
 	return func(fl flow) [2]flowProc {
-		return [2]flowProc{{"origin", func(p *sim.Proc) {
+		return [2]flowProc{{"origin", fl.src, func(p *sim.Proc) {
 			fl.start = p.Now()
 			data := make([]byte, size)
 			for i := 0; i < msgs; i++ {
@@ -255,7 +257,7 @@ func garrFlow(eps []*xport.Endpoint, size, msgs int) func(flow) [2]flowProc {
 		arrays[i] = a
 	}
 	return func(fl flow) [2]flowProc {
-		return [2]flowProc{{"origin", func(p *sim.Proc) {
+		return [2]flowProc{{"origin", fl.src, func(p *sim.Proc) {
 			fl.start = p.Now()
 			vals := make([]float64, elems)
 			for i := 0; i < msgs; i++ {

@@ -92,7 +92,7 @@ func FMStream(m xport.Machine, sizes []int) float64 {
 				panic(err)
 			}
 		}
-	})
+	}).ActsFor(0)
 	pl.K.Spawn("receiver", func(p *sim.Proc) {
 		for recvd < len(sizes) {
 			nodes[1].extract(p)
@@ -100,7 +100,7 @@ func FMStream(m xport.Machine, sizes []int) float64 {
 				p.Delay(500 * sim.Nanosecond)
 			}
 		}
-	})
+	}).ActsFor(1)
 	run(pl, "%s stream of %d messages", m.Gen, len(sizes))
 	return sim.MBps(total, st.end-st.start)
 }
@@ -144,7 +144,7 @@ func FMLatency(m xport.Machine, size, iters int) sim.Time {
 			}
 		}
 		rtt = (p.Now() - start) / sim.Time(iters)
-	})
+	}).ActsFor(0)
 	pl.K.Spawn("node1", func(p *sim.Proc) {
 		msg := make([]byte, size)
 		for i := 0; i < iters; i++ {
@@ -155,7 +155,7 @@ func FMLatency(m xport.Machine, size, iters int) sim.Time {
 				panic(err)
 			}
 		}
-	})
+	}).ActsFor(1)
 	run(pl, "%s latency", m.Gen)
 	return rtt / 2
 }

@@ -112,7 +112,7 @@ func startMixedMPI(k *sim.Kernel, eps []*xport.Endpoint, cfg MixedConfig, t *tal
 				}
 			}
 			t.done(p)
-		})
+		}).ActsFor(r)
 	}
 }
 
@@ -145,7 +145,7 @@ func startMixedSock(k *sim.Kernel, eps []*xport.Endpoint, cfg MixedConfig, t *ta
 				got += m
 			}
 			t.done(p)
-		})
+		}).ActsFor(dst)
 		k.Spawn(fmt.Sprintf("mixed.sockClient%d", src), func(p *sim.Proc) {
 			conn, err := stacks[src].Dial(p, dst, 80)
 			if err != nil {
@@ -158,7 +158,7 @@ func startMixedSock(k *sim.Kernel, eps []*xport.Endpoint, cfg MixedConfig, t *ta
 				}
 			}
 			conn.Close(p)
-		})
+		}).ActsFor(src)
 	}
 }
 
@@ -193,7 +193,7 @@ func startMixedGA(k *sim.Kernel, eps []*xport.Endpoint, cfg MixedConfig, t *tall
 				a.Progress(p)
 				p.Delay(2 * sim.Microsecond)
 			}
-		})
+		}).ActsFor(r)
 	}
 }
 

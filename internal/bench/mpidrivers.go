@@ -42,7 +42,7 @@ func MPILatency(m xport.Machine, size, iters int) sim.Time {
 			}
 		}
 		rtt = (p.Now() - start) / sim.Time(iters)
-	})
+	}).ActsFor(0)
 	pl.K.Spawn("rank1", func(p *sim.Proc) {
 		msg := make([]byte, size)
 		buf := make([]byte, size)
@@ -54,7 +54,7 @@ func MPILatency(m xport.Machine, size, iters int) sim.Time {
 				panic(err)
 			}
 		}
-	})
+	}).ActsFor(1)
 	run(pl, "mpi latency")
 	return rtt / 2
 }

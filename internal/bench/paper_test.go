@@ -34,10 +34,10 @@ func TestPaperClaims(t *testing.T) {
 }
 
 // TestREADMENumbersHoldToTheirSources: README's numbers table prints the four
-// headline rows from Measure and the allreduce rows from the newest committed
-// trajectory report, which its introduction names. Each row is checked at the
-// precision README prints, so a number that moves fails here instead of
-// leaving README stale.
+// headline rows from Measure, their paper column from Claims, and the
+// allreduce rows from the newest committed trajectory report, which its
+// introduction names. Each row is checked at the precision README prints, so
+// a number that moves fails here instead of leaving README stale.
 func TestREADMENumbersHoldToTheirSources(t *testing.T) {
 	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
 	if err != nil {
@@ -61,13 +61,41 @@ func TestREADMENumbersHoldToTheirSources(t *testing.T) {
 		return PerfEntry{}
 	}
 	f64, f256, f1024, f4096 := row("fattree", 64), row("fattree", 256), row("fattree", 1024), row("fattree", 4096)
+	// paper renders the paper column: each label's claim as README prints
+	// it, — where the paper states none.
+	paper := func(system string, labels ...string) string {
+		cells := make([]string, len(labels))
+		for i, label := range labels {
+			cells[i] = "—"
+			for _, c := range Claims {
+				if c.System != system || c.Label != label {
+					continue
+				}
+				v, unit := num(c.Value), strings.ReplaceAll(c.Unit, "us", "µs")
+				switch c.Bound {
+				case AtMost:
+					v = "≤ " + v
+				case AtLeast:
+					v = "≥ " + v
+				case Between:
+					v = num(c.Low) + "–" + v
+				}
+				cells[i] = v + unit
+			}
+		}
+		return strings.Join(cells, ", ")
+	}
 	m := Measure()
 	want := []string{
 		"`" + filepath.Base(paths[len(paths)-1]) + "`",
-		fmt.Sprintf("| FM 1.x peak bandwidth, N1/2, latency | %.2f MB/s, %d B, %.2f µs |", m.Fig3b().Peak(), m.Fig3b().NHalf(), m.FM1Lat),
-		fmt.Sprintf("| MPI over FM 1.x peak, latency | %.2f MB/s, %.2f µs |", m.MPI1.Peak(), m.MPI1Lat),
-		fmt.Sprintf("| FM 2.x peak bandwidth, N1/2, latency | %.2f MB/s, %d B, %.2f µs |", m.FM2.Peak(), m.FM2.NHalf(), m.FM2Lat),
-		fmt.Sprintf("| MPI-FM 2.0 peak, N1/2, latency | %.2f MB/s, %d B, %.2f µs |", m.MPI2.Peak(), m.MPI2.NHalf(), m.MPI2Lat),
+		fmt.Sprintf("| FM 1.x peak bandwidth, N1/2, latency | %.2f MB/s, %d B, %.2f µs | %s |",
+			m.Fig3b().Peak(), m.Fig3b().NHalf(), m.FM1Lat, paper("FM 1.x", "peak", "N1/2", "latency")),
+		fmt.Sprintf("| MPI over FM 1.x peak, latency | %.2f MB/s, %.2f µs | %s |",
+			m.MPI1.Peak(), m.MPI1Lat, paper("MPI-FM 1.x", "peak", "latency")),
+		fmt.Sprintf("| FM 2.x peak bandwidth, N1/2, latency | %.2f MB/s, %d B, %.2f µs | %s |",
+			m.FM2.Peak(), m.FM2.NHalf(), m.FM2Lat, paper("FM 2.x", "peak", "N1/2", "latency")),
+		fmt.Sprintf("| MPI-FM 2.0 peak, N1/2, latency | %.2f MB/s, %d B, %.2f µs | %s |",
+			m.MPI2.Peak(), m.MPI2.NHalf(), m.MPI2Lat, paper("MPI-FM 2.x", "peak", "N1/2", "latency")),
 		fmt.Sprintf("| allreduce, fat tree, 64 / 256 / 1024 / 4096 ranks: virtual µs | %.1f / %.1f / %.1f / %.1f |",
 			f64.VirtualUS, f256.VirtualUS, f1024.VirtualUS, f4096.VirtualUS),
 		fmt.Sprintf("| the same rows: wall ms, events/s | %.1f / %.1f / %.1f / %.1f ms; %.1f M events/s at 1024 |",

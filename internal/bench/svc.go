@@ -117,7 +117,7 @@ func svcRun(m xport.Machine, n int, f Fabric, cfg svcload.ServiceConfig,
 		return svcload.Result{}, err
 	}
 	for node := 0; node < n; node++ {
-		pl.K.Spawn(fmt.Sprintf("svc.%d", node), func(p *sim.Proc) { fl.RunNode(p, node) })
+		pl.K.Spawn(fmt.Sprintf("svc.%d", node), func(p *sim.Proc) { fl.RunNode(p, node) }).ActsFor(node)
 	}
 	if err := pl.Run(); err != nil {
 		return svcload.Result{}, err

@@ -1,7 +1,10 @@
 package bench
 
 import (
+	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 	"repro/internal/xport"
@@ -26,6 +29,30 @@ func TestMachineIsTheWholeMachine(t *testing.T) {
 	} {
 		if got := MPILatency(c.m, size, iters); got != c.want {
 			t.Errorf("%s: MPI latency %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// An edited Machine whose empty poll is not positive fails at build, in the
+// validation's words, instead of spinning a waiting rank at one instant
+// (zero) or panicking inside it mid-run (negative). Each driver runs on its
+// own goroutine, so a spin fails the row instead of hanging the test.
+func TestMachineWithBadPollFailsAtBuild(t *testing.T) {
+	for _, poll := range []sim.Time{0, -1} {
+		m := xport.GenFM2.Machine()
+		m.Profile.PollEmpty = poll
+		got := make(chan string, 1)
+		go func() {
+			defer func() { got <- fmt.Sprint(recover()) }()
+			MPILatency(m, 16, 2)
+		}()
+		select {
+		case msg := <-got:
+			if want := fmt.Sprintf("PollEmpty %v must be positive", poll); !strings.Contains(msg, want) {
+				t.Errorf("PollEmpty %v: driver ended with %q, want %q", poll, msg, want)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("PollEmpty %v: the driver is still running", poll)
 		}
 	}
 }

@@ -242,3 +242,28 @@ func TestProfileLinkUsedByFabric(t *testing.T) {
 		t.Fatalf("arrived at %v; custom link bandwidth not honored", arrived)
 	}
 }
+
+// A profile whose PollEmpty is not positive, or with a negative time
+// constant, is an error from Validate and TryNew: a zero empty poll would
+// spin a waiting rank at one instant forever, a negative one panic mid-run.
+func TestBadProfileIsAnError(t *testing.T) {
+	for name, c := range map[string]struct {
+		edit func(p *hostmodel.Profile)
+		want string
+	}{
+		"zero poll":      {func(p *hostmodel.Profile) { p.PollEmpty = 0 }, "PollEmpty 0ns must be positive"},
+		"negative poll":  {func(p *hostmodel.Profile) { p.PollEmpty = -1 }, "PollEmpty -1ns must be positive"},
+		"negative bus":   {func(p *hostmodel.Profile) { p.BusSetup = -1 }, "negative BusSetup"},
+		"negative link":  {func(p *hostmodel.Profile) { p.Link.PropDelay = -1 }, "negative Link.PropDelay"},
+		"negative match": {func(p *hostmodel.Profile) { p.MPI.Recv = -1 }, "negative MPI.Recv"},
+	} {
+		cfg := DefaultConfig()
+		c.edit(&cfg.Profile)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate = %v, want %q", name, err, c.want)
+		}
+		if _, err := TryNew(sim.NewKernel(), cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: TryNew = %v, want %q", name, err, c.want)
+		}
+	}
+}

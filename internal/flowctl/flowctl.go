@@ -15,6 +15,12 @@
 // polls the kernel, builds a frame pool or sets its mode itself. They bump
 // Count.PacketsRecvd only after they are done with a packet, because
 // co-resident extractors read it as a progress meter.
+//
+// A blocked caller's idle test (Waiter.Idle) reads its own node only — the
+// receive ring, the credit ledger and the caller's Cond — and says how long
+// its verdict stands (Waiter.Stands): until the node acts, unless the Cond
+// reads the clock or other nodes. The kernel does not ask again before then,
+// so the own-node read bears on results, not just on speed.
 package flowctl
 
 // Manager tracks credits for one endpoint in a cluster of n nodes.

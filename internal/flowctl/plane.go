@@ -151,7 +151,10 @@ func (c *Plane) Return(p *sim.Proc, src int) {
 // Cond is the wait condition of a caller blocked on the network — a posted
 // receive, an outstanding put, a connection handshake. Done must be O(1) and
 // only read state of the caller's own node: IdlePoll evaluates it from the
-// kernel's dispatcher (see sim.Idler).
+// kernel's dispatcher (see sim.Idler). The own-node read bears on results,
+// not only on speed: a false Done is taken to stand until an event of the
+// caller's node runs (Waiter.Stands), and the dispatcher does not ask again
+// before one has.
 type Cond interface {
 	Done() bool
 }
@@ -176,6 +179,12 @@ type Waiter struct {
 	// condition, and clears the flag. Unset, the stretch ended as a plain
 	// Extract does, on the empty poll.
 	Paused bool
+	// Stands is how long a false Until.Done() stands: 0, until an event of
+	// the caller's node runs — Cond's contract; a virtual time t, that or
+	// until the clock reaches t, for a condition that also reads the clock;
+	// sim.OneTick for one that reads other nodes' state. The ring and the
+	// credit ledger Idle reads besides are the node's own.
+	Stands sim.Time
 	plane  *Plane
 }
 
@@ -183,13 +192,20 @@ type Waiter struct {
 // charge the next tick: no data or control packet to take, no withheld credit
 // batch to flush — a co-resident service's extractor may have left one since
 // the last poll — and the caller still waiting, which another service's
-// extractor can also end. The same test serves both ticks of a paced wait,
-// where it asks more than the caller would at the end of a poll (it pauses
-// without looking), and it counts a dirty entry TakeDirty would skip: it is
-// deliberately conservative, a needless wake only costs host time.
-func (w *Waiter) Idle() bool {
+// extractor can also end; and for how long that holds (Stands). The same
+// test serves both ticks of a paced wait, where it asks more than the caller
+// would at the end of a poll (it pauses without looking), and it counts a
+// dirty entry TakeDirty would skip: it is deliberately conservative, a
+// needless wake only costs host time.
+func (w *Waiter) Idle() sim.Time {
 	c := w.plane
-	return !w.Until.Done() && !c.nic.Pending() && !c.fc.Dirty()
+	switch {
+	case w.Until.Done() || c.nic.Pending() || c.fc.Dirty():
+		return sim.Busy
+	case w.Stands == 0:
+		return sim.Quiet
+	}
+	return w.Stands
 }
 
 // Describe names a polling wait for the hang report.

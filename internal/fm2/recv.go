@@ -257,7 +257,7 @@ func (e *Endpoint) startHandler(fn Handler, rs *RecvStream) {
 	}
 	w := &hworker{e: e, fn: fn, rs: rs}
 	e.numWorkers++
-	e.Host().K.SpawnDaemon(fmt.Sprintf("fm2.n%d.hw%d", e.Node(), e.numWorkers), w.loop)
+	e.Host().K.SpawnDaemon(fmt.Sprintf("fm2.n%d.hw%d", e.Node(), e.numWorkers), w.loop).ActsFor(e.Node())
 }
 
 func (w *hworker) loop(hp *sim.Proc) {

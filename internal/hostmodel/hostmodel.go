@@ -11,6 +11,8 @@
 package hostmodel
 
 import (
+	"fmt"
+
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
@@ -106,6 +108,31 @@ func Sparc() Profile {
 			Unexpected: 2 * sim.Microsecond,
 		},
 	}
+}
+
+// Validate checks the profile's time constants: none may be negative — a
+// charge that turns the clock back — and PollEmpty must be positive, or a
+// rank polling an empty ring would poll forever at one instant.
+func (p Profile) Validate() error {
+	if p.PollEmpty <= 0 {
+		return fmt.Errorf("hostmodel: profile %q: PollEmpty %v must be positive", p.Name, p.PollEmpty)
+	}
+	for _, c := range []struct {
+		name string
+		t    sim.Time
+	}{
+		{"MemcpySetup", p.MemcpySetup}, {"BusSetup", p.BusSetup},
+		{"SendSetup", p.SendSetup}, {"PerPacketSend", p.PerPacketSend},
+		{"PerPacketRecv", p.PerPacketRecv}, {"HandlerDispatch", p.HandlerDispatch},
+		{"NICSendPacket", p.NICSendPacket}, {"NICRecvPacket", p.NICRecvPacket},
+		{"Link.PropDelay", p.Link.PropDelay},
+		{"MPI.Send", p.MPI.Send}, {"MPI.Recv", p.MPI.Recv}, {"MPI.Unexpected", p.MPI.Unexpected},
+	} {
+		if c.t < 0 {
+			return fmt.Errorf("hostmodel: profile %q: negative %s %v", p.Name, c.name, c.t)
+		}
+	}
+	return nil
 }
 
 // PPro200 is the FM 2.x era machine: 200 MHz Pentium Pro on PCI with

@@ -81,11 +81,12 @@ func New(h *hostmodel.Host, ifc *netsim.Iface, cfg Config) *NIC {
 	return n
 }
 
-// Start spawns the send and receive firmware.
+// Start spawns the send and receive firmware, both acting for the NIC's
+// node: the receive loop fills the host ring its pollers read.
 func (n *NIC) Start() {
 	k := n.H.K
-	k.SpawnMachine(fmt.Sprintf("nic%d.send", n.H.ID), &n.send)
-	k.SpawnMachine(fmt.Sprintf("nic%d.recv", n.H.ID), &n.recv)
+	k.SpawnMachine(fmt.Sprintf("nic%d.send", n.H.ID), &n.send).ActsFor(n.H.ID)
+	k.SpawnMachine(fmt.Sprintf("nic%d.recv", n.H.ID), &n.recv).ActsFor(n.H.ID)
 }
 
 // The firmware loops are sim Machines: the LANai runs each to its next wait

@@ -306,7 +306,7 @@ func (s *Switch) Start() {
 	fwd := make([]forwarder, len(s.in))
 	for i := range fwd {
 		fwd[i] = forwarder{s: s, in: s.in[i]}
-		s.k.SpawnMachine(fmt.Sprintf("%s.fwd%d", s.name, i), &fwd[i])
+		s.k.SpawnMachine(fmt.Sprintf("%s.fwd%d", s.name, i), &fwd[i]).ActsFor(sim.Fabric)
 	}
 }
 

@@ -109,7 +109,7 @@ func (l *Link) crossLPs(mon *CutMonitor, srcLP, dstLP *sim.LP) {
 				dst.Send(p, pkt)
 			}
 		}
-	})
+	}).ActsFor(sim.Fabric)
 }
 
 // NewFatTreePar builds NewFatTree's fabric on the LPs of a parallel engine

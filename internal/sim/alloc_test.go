@@ -195,7 +195,12 @@ func TestPollCycleZeroAlloc(t *testing.T) {
 // pollUntil is idle until *done.
 type pollUntil struct{ done *bool }
 
-func (c pollUntil) Idle() bool { return !*c.done }
+func (c pollUntil) Idle() Time {
+	if *c.done {
+		return Busy
+	}
+	return Quiet
+}
 
 func (pollUntil) Describe() (string, int, []int) { return "poll", -1, nil }
 
@@ -232,5 +237,42 @@ func TestPollLanesZeroAlloc(t *testing.T) {
 	}
 	if allocs > alloctest.AllowStray {
 		t.Fatalf("%d waits over two poll lanes allocated %d times; must be 0", waits, allocs)
+	}
+}
+
+// TestDormantPollZeroAlloc pins dormancy: a poller acting for a node goes
+// dormant on its first idle verdict, its ticks are rotated in the lane, and
+// a Proc of its node ends the stretch — 1 000 such stretches of 100 ticks,
+// each setter spawned and tagged afresh, allocate the setters' Procs and
+// nothing else.
+func TestDormantPollZeroAlloc(t *testing.T) {
+	if RaceEnabled {
+		t.Skip("alloc pins don't hold under the race detector's instrumentation")
+	}
+	const stretches, ticks = 1000, 100
+	k := NewKernel()
+	var allocs uint64
+	done := false
+	set := func(p *Proc) { p.Delay(ticks * Microsecond); done = true }
+	poller := k.Spawn("poller", func(p *Proc) {
+		run := func() {
+			for i := 0; i < stretches; i++ {
+				done = false
+				k.Spawn("setter", set).ActsFor(7)
+				p.PollEvery(Microsecond, pollUntil{&done})
+			}
+		}
+		run() // warm-up: the lane, the free lists and the registry grown
+		allocs = alloctest.MinMallocs(run)
+	})
+	poller.ActsFor(7)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if c := k.Census(); c.Dormant < 2*stretches*(ticks-2) {
+		t.Fatalf("%d dormant ticks over %d stretches of %d; the poller did not go dormant", c.Dormant, 2*stretches, ticks)
+	}
+	if allocs > stretches+alloctest.AllowStray {
+		t.Fatalf("%d dormant stretches allocated %d times; must be 1 each (the setter)", stretches, allocs)
 	}
 }

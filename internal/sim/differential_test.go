@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -28,6 +29,15 @@ import (
 // Events(), Now(), Live() and NextEventTime() after every driver call; the
 // same first line of every error. The tests at the bottom are the matrix's
 // rows; each asserts the coverage it exists for, summed over its seeds.
+//
+// A row with tags has every Proc act for a node (ActsFor): each poller and
+// its producers for one of their own, tickers and the kicker for others,
+// Machines and daemons for the fabric. Its pollers then go dormant, and the
+// fused spelling is run twice more. Once as is: this package's tests have
+// every dormant rotation ask the Idler too (export_test.go), so the log is
+// the written-out one entry for entry. Once blind, as programs run, with no
+// Idle call at a dormant tick: the log must be the written-out one less the
+// evaluations that found their poller idle.
 
 const (
 	gridD = 200 * Nanosecond // the poll period most programs share
@@ -61,6 +71,7 @@ type row struct {
 	every    int      // percent of onGrid and crowd pollers in PollEvery; the rest PollCycle
 	script   int
 	panics   int
+	tags     bool // every Proc acts for a node, and pollers go dormant
 }
 
 // Coverage counters. Up to nShared they count what the program exercised and
@@ -78,7 +89,17 @@ const (
 	lFirst   = nShared      // driver calls that paused with a lane tick the earliest pending event
 	lWrapped = lFirst + 1   // ticks pushed onto a full lane whose ring had wrapped
 	lOpened  = lWrapped + 1 // + 0: programs that opened 3 lanes; + 1: 64 lanes
-	nCov     = lOpened + 2
+	dRotated = lOpened + 2  // dormant ticks re-armed without an Idle call (Census().Dormant)
+	dKicked  = dRotated + 1 // kicks that found their poller dormant
+	dPaused  = dKicked + 1  // driver calls that paused with a dormant tick queued
+	nCov     = dPaused + 1
+)
+
+// Spellings.
+const (
+	writtenOut = iota
+	fused      // dormant rotations ask the Idler (export_test.go)
+	blind      // fused, with no Idle call at a dormant tick
 )
 
 // run is a program running in one spelling.
@@ -88,6 +109,7 @@ type run struct {
 	log      []entry
 	states   []string // after every driver call
 	panicked string   // the Proc whose code panicked
+	idles    int      // entries that are evaluations finding their poller idle
 	cov      [nCov]int
 	pollers  []*poller
 	chans    []*Chan[int]
@@ -96,22 +118,32 @@ type run struct {
 
 // entry is a resumption or a condition evaluation, at (t, seq). what tells a
 // Proc's entries apart: a condition's inbox depth, -1-kind for a wait's end,
-// 100+pc for a Machine's Step, a count or a target elsewhere.
+// 100+pc for a Machine's Step, a count or a target elsewhere. idle marks an
+// evaluation that found its poller idle.
 type entry struct {
 	t    Time
 	seq  uint64
 	who  string
 	what int
+	idle bool
 }
 
-func (r *run) note(who string, what int) { r.log = append(r.log, entry{r.k.now, r.k.seq, who, what}) }
+func (r *run) note(who string, what int) {
+	r.log = append(r.log, entry{t: r.k.now, seq: r.k.seq, who: who, what: what})
+}
 
 func (r *run) state(what string, err error) {
 	t, ok := r.k.NextEventTime()
-	r.states = append(r.states, fmt.Sprintf("%s after %d entries: err=%s now=%v events=%d live=%d next=%v,%v",
-		what, len(r.log), firstLine(err), r.k.Now(), r.k.Events(), r.k.Live(), t, ok))
-	if _, l := r.k.next(); r.fused && l != nil {
+	r.states = append(r.states, fmt.Sprintf("%s after %d busy entries: err=%s now=%v events=%d live=%d next=%v,%v",
+		what, len(r.log)-r.idles, firstLine(err), r.k.Now(), r.k.Events(), r.k.Live(), t, ok))
+	if _, from := r.k.next(); r.fused && from >= 0 {
 		r.cov[lFirst]++
+	}
+	for _, c := range r.pollers {
+		if r.fused && c.p.dormant {
+			r.cov[dPaused]++
+			break
+		}
 	}
 }
 
@@ -160,13 +192,17 @@ func (c *poller) kind() int {
 	switch {
 	case c.every:
 		return 0
+	case c.r.fused && c.p.dormant:
+		return int(c.r.k.dormantTick(c.p).parity) // the Proc's own pollTick is stale
 	case c.r.fused:
 		return int(c.p.pollTick)
 	}
 	return c.pending
 }
 
-func (c *poller) Idle() bool {
+// Idle is the poller's condition: its inbox. The verdict stands until its
+// node acts (Quiet), until a time, or for one tick, by poller.
+func (c *poller) Idle() Time {
 	r, kind := c.r, c.kind()
 	if c.evals++; c.evals == c.panicAt {
 		r.cov[cPanic+kind]++
@@ -182,8 +218,19 @@ func (c *poller) Idle() bool {
 	if idle && r.fused {
 		r.grows(c.d[kind^1]) // the re-arm, with the other period
 	}
-	r.note(c.name, c.in.Len()+c.in.Senders())
-	return idle
+	r.log = append(r.log, entry{r.k.now, r.k.seq, c.name, c.in.Len() + c.in.Senders(), idle})
+	if idle {
+		r.idles++
+	}
+	switch {
+	case !idle:
+		return Busy
+	case c.i%3 == 0:
+		return Quiet
+	case c.i%3 == 1:
+		return r.k.now + 5*gridD/2
+	}
+	return OneTick
 }
 
 func (c *poller) Describe() (string, int, []int) { return "poll", -1, nil }
@@ -202,7 +249,7 @@ func (c *poller) wait(p *Proc) (kind int) {
 	default:
 		for c.pending = 0; ; c.pending ^= 1 {
 			p.Delay(c.d[c.pending])
-			if !c.Idle() {
+			if c.Idle() == Busy {
 				break
 			}
 		}
@@ -214,10 +261,21 @@ func (c *poller) wait(p *Proc) (kind int) {
 
 // newRun draws a program from seed — nothing in the simulation reads the
 // generator, so both spellings get the same one — and runs it.
-func newRun(seed int64, rw row, fused bool) *run {
+func newRun(seed int64, rw row, spelling int) *run {
+	if spelling == blind {
+		defer func(ask func(*Kernel, *tick)) { shadow = ask }(shadow)
+		shadow = nil
+	}
 	rng := rand.New(rand.NewSource(seed))
 	k := NewKernel()
+	fused := spelling != writtenOut
 	r := &run{k: k, fused: fused}
+	// actsFor tags p in a row with tags.
+	actsFor := func(p *Proc, node int) {
+		if rw.tags {
+			p.ActsFor(node)
+		}
+	}
 	halfGrid := func(n int) Time { return Time(1+rng.Intn(n)) * gridD / 2 }
 
 	fam := rw.families[int(seed)%len(rw.families)]
@@ -247,7 +305,7 @@ func newRun(seed int64, rw row, fused bool) *run {
 				gaps[n] = Time(1+rng.Intn(int(30*gridD/unit))) * unit
 			}
 			name := fmt.Sprintf("producer%d.%d", c.i, j)
-			k.Spawn(name, func(p *Proc) {
+			actsFor(k.Spawn(name, func(p *Proc) {
 				for n, g := range gaps {
 					for ; g > 0; g -= min(g, step) {
 						p.Delay(min(g, step))
@@ -259,7 +317,7 @@ func newRun(seed int64, rw row, fused bool) *run {
 					c.lastSend = p.Now()
 					c.in.Send(p, n)
 				}
-			})
+			}), c.i)
 		}
 		c.p = k.SpawnAt(start, c.name, func(p *Proc) {
 			for got, w := 0, 0; got < len(picks)*sends; w++ {
@@ -277,6 +335,7 @@ func newRun(seed int64, rw row, fused bool) *run {
 				p.Delay(work[w%len(work)])
 			}
 		})
+		actsFor(c.p, c.i)
 	}
 	switch fam {
 	case onGrid:
@@ -302,8 +361,8 @@ func newRun(seed int64, rw row, fused bool) *run {
 	}
 
 	// loop spawns a Proc that notes each turn of body until span.
-	loop := func(spawn func(string, func(*Proc)) *Proc, name string, body func(p *Proc)) {
-		spawn(name, func(p *Proc) {
+	loop := func(spawn func(string, func(*Proc)) *Proc, name string, body func(p *Proc)) *Proc {
+		return spawn(name, func(p *Proc) {
 			for p.Now() < span {
 				r.note(name, 0)
 				body(p)
@@ -311,7 +370,7 @@ func newRun(seed int64, rw row, fused bool) *run {
 		})
 	}
 	for i, d := range []Time{gridD, gridD / 2, 3 * gridD, 70, 130, Time(50 + rng.Intn(400))} {
-		loop(k.Spawn, fmt.Sprintf("ticker%d", i), func(p *Proc) { p.Delay(d) })
+		actsFor(loop(k.Spawn, fmt.Sprintf("ticker%d", i), func(p *Proc) { p.Delay(d) }), 100+i)
 	}
 	for i := 0; i < 16; i++ {
 		k.At(halfGrid(int(2*span/gridD)), func() { r.note("at", i) })
@@ -323,12 +382,15 @@ func newRun(seed int64, rw row, fused bool) *run {
 			kicks[i][0] = int(halfGrid(int(span/gridD) / len(kicks)))
 		}
 	}
-	k.Spawn("kicker", func(p *Proc) {
+	actsFor(k.Spawn("kicker", func(p *Proc) {
 		for _, kk := range kicks {
 			p.Delay(Time(kk[0]))
 			c := r.pollers[kk[1]]
 			if c.waiting {
 				r.cov[cStale]++
+			}
+			if c.waiting && fused && c.p.dormant {
+				r.cov[dKicked]++
 			}
 			r.note("kicker", c.i)
 			if c.i%2 == 0 {
@@ -337,7 +399,7 @@ func newRun(seed int64, rw row, fused bool) *run {
 				c.kick.TrySend(1)
 			}
 		}
-	})
+	}), 99)
 
 	r.chans = []*Chan[int]{NewChan[int](k, 0), NewChan[int](k, 1), NewChan[int](k, 3)}
 	r.ress = []*Resource{NewResource(k, "r0", 1), NewResource(k, "r1", 2)}
@@ -362,19 +424,19 @@ func newRun(seed int64, rw row, fused bool) *run {
 			m.panicAt = 1 + rng.Intn(100)
 		}
 		if fused {
-			k.SpawnMachine(m.name, m)
+			actsFor(k.SpawnMachine(m.name, m), Fabric)
 		} else {
-			onGoroutine(k, m.name, m)
+			actsFor(onGoroutine(k, m.name, m), Fabric)
 		}
 	}
 	for i, ch := range r.chans {
 		feed, drain := Time(30+rng.Intn(200)), Time(30+rng.Intn(200))
-		loop(k.SpawnDaemon, fmt.Sprintf("feed%d", i), func(p *Proc) { p.Delay(feed); ch.Send(p, i) })
-		loop(k.SpawnDaemon, fmt.Sprintf("drain%d", i), func(p *Proc) { p.Delay(drain); ch.Recv(p) })
+		actsFor(loop(k.SpawnDaemon, fmt.Sprintf("feed%d", i), func(p *Proc) { p.Delay(feed); ch.Send(p, i) }), Fabric)
+		actsFor(loop(k.SpawnDaemon, fmt.Sprintf("drain%d", i), func(p *Proc) { p.Delay(drain); ch.Recv(p) }), Fabric)
 	}
 	for i, res := range r.ress {
 		hold := Time(rng.Intn(3)) * 40
-		loop(k.SpawnDaemon, fmt.Sprintf("hold%d", i), func(p *Proc) { res.Use(p, hold); p.Delay(70) })
+		actsFor(loop(k.SpawnDaemon, fmt.Sprintf("hold%d", i), func(p *Proc) { res.Use(p, hold); p.Delay(70) }), Fabric)
 	}
 	if rw.panics == condPanic {
 		r.pollers[rng.Intn(len(r.pollers))].panicAt = 1 + rng.Intn(60)
@@ -407,6 +469,9 @@ func newRun(seed int64, rw row, fused bool) *run {
 	if n := len(k.lanes); fused && (n == 3 || n == 64) {
 		r.cov[lOpened+n/64]++
 	}
+	if fused {
+		r.cov[dRotated] = int(k.Census().Dormant)
+	}
 	return r
 }
 
@@ -420,8 +485,8 @@ func (r *run) midWait() {
 
 // onGoroutine drives m the way the blocking primitives drive their Start*
 // halves: on a goroutine daemon, a park after each Step.
-func onGoroutine(k *Kernel, name string, m Machine) {
-	k.SpawnDaemon(name, func(p *Proc) {
+func onGoroutine(k *Kernel, name string, m Machine) *Proc {
+	return k.SpawnDaemon(name, func(p *Proc) {
 		for {
 			m.Step(p)
 			p.Park()
@@ -508,26 +573,26 @@ func (m *scripted) Step(p *Proc) {
 	}
 }
 
-// matrix runs a row: each seed's program in both spellings, which must be one
-// simulation; then no floor — a coverage counter — may have stayed 0.
+// matrix runs a row: each seed's program in every spelling, which must be
+// one simulation; then no floor — a coverage counter — may have stayed 0.
 func matrix(t *testing.T, rw row, floors ...int) {
 	t.Helper()
 	var sum [nCov]int
 	for seed := int64(1); seed <= int64(rw.seeds); seed++ {
-		ref, got := newRun(seed, rw, false), newRun(seed, rw, true)
-		for i := range min(len(ref.log), len(got.log)) {
-			if ref.log[i] != got.log[i] {
-				t.Fatalf("seed %d: entry %d differs\n  written out: %v\n  fused:       %v", seed, i, ref.log[i], got.log[i])
+		ref, got := newRun(seed, rw, writtenOut), newRun(seed, rw, fused)
+		same(t, seed, "fused", ref, got, ref.log, got.log, nShared)
+		if rw.tags {
+			// Blind, no evaluation that found its poller idle is logged or
+			// counted, and the producers' cBehind reads the last evaluation.
+			b := newRun(seed, rw, blind)
+			idle := func(e entry) bool { return e.idle }
+			for _, c := range []*[nCov]int{&ref.cov, &b.cov} {
+				c[cEvals], c[cBehind], c[cBehind+1] = 0, 0, 0
 			}
-		}
-		if len(ref.log) != len(got.log) {
-			t.Fatalf("seed %d: %d entries written out, %d fused", seed, len(ref.log), len(got.log))
-		}
-		if a, b := strings.Join(ref.states, "\n"), strings.Join(got.states, "\n"); a != b {
-			t.Fatalf("seed %d: the driver calls differ\n  written out:\n%s\n  fused:\n%s", seed, a, b)
-		}
-		if [nShared]int(ref.cov[:nShared]) != [nShared]int(got.cov[:nShared]) {
-			t.Fatalf("seed %d: coverage differs\n  written out: %v\n  fused:       %v", seed, ref.cov, got.cov)
+			same(t, seed, "blind", ref, b, slices.DeleteFunc(slices.Clone(ref.log), idle), slices.DeleteFunc(b.log, idle), nShared)
+			if got.cov[dRotated] != b.cov[dRotated] {
+				t.Fatalf("seed %d: %d dormant rotations asking the Idler, %d blind", seed, got.cov[dRotated], b.cov[dRotated])
+			}
 		}
 		// A panic fails the run in its Proc's name; any other run but a halted
 		// one ends clean.
@@ -549,6 +614,33 @@ func matrix(t *testing.T, rw row, floors ...int) {
 	for _, i := range floors {
 		if sum[i] == 0 {
 			t.Fatalf("coverage counter %d is 0 over %d seeds: the generator no longer produces its case\n%v", i, rw.seeds, sum)
+		}
+	}
+}
+
+// same fails the test unless run got, in the spelling named, is ref's
+// simulation: the logs given entry for entry, the driver calls, the first
+// shared coverage counters, and a census that accounts for every event.
+func same(t *testing.T, seed int64, spelling string, ref, got *run, want, have []entry, shared int) {
+	t.Helper()
+	for i := range min(len(want), len(have)) {
+		if want[i] != have[i] {
+			t.Fatalf("seed %d: entry %d differs\n  written out: %v\n  %s: %v", seed, i, want[i], spelling, have[i])
+		}
+	}
+	if len(want) != len(have) {
+		t.Fatalf("seed %d: %d entries written out, %d %s", seed, len(want), len(have), spelling)
+	}
+	if a, b := strings.Join(ref.states, "\n"), strings.Join(got.states, "\n"); a != b {
+		t.Fatalf("seed %d: the driver calls differ\n  written out:\n%s\n  %s:\n%s", seed, a, spelling, b)
+	}
+	if !slices.Equal(ref.cov[:shared], got.cov[:shared]) {
+		t.Fatalf("seed %d: coverage differs\n  written out: %v\n  %s: %v", seed, ref.cov, spelling, got.cov)
+	}
+	for _, r := range []*run{ref, got} {
+		c := r.k.Census()
+		if n := c.Resumes + c.Steps + c.Fns + c.Idle + c.Dormant + c.Stale + c.Queued; n != r.k.Events() {
+			t.Fatalf("seed %d: census %+v sums to %d, Events() is %d", seed, c, n, r.k.Events())
 		}
 	}
 }
@@ -601,4 +693,18 @@ func TestPollEveryConditionPanicNamesProc(t *testing.T) {
 
 func TestPollCycleConditionPanicNamesProc(t *testing.T) {
 	matrix(t, row{seeds: 6, families: grid, panics: condPanic}, cPanic, cPanic+1)
+}
+
+// Dormancy: pollers whose verdict stands until their node acts, for a time
+// or for one tick, their producers on their node, everything else elsewhere.
+func TestDormantPollersMatchDelayLoops(t *testing.T) {
+	matrix(t, row{seeds: 12, families: []family{onGrid, three, crowd}, every: 50, tags: true}, dRotated, dKicked, cStale)
+}
+
+func TestDormantPollersPauseAndResume(t *testing.T) {
+	matrix(t, row{seeds: 8, families: []family{onGrid, sixtyFour}, every: 50, script: pauses, tags: true}, dRotated, dPaused)
+}
+
+func TestDormantPollersStopAndShutdownMidStretch(t *testing.T) {
+	matrix(t, row{seeds: 8, families: grid, every: 50, script: halt, tags: true}, dPaused, cMid, cMid+1)
 }

@@ -1,0 +1,125 @@
+package sim_test
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"repro"
+	"repro/internal/bench"
+	"repro/internal/scenario"
+	"repro/internal/sim"
+)
+
+// allreduce64 runs rounds of a 64-rank fat-tree MPI allreduce, each rank
+// acting for its node, and returns the kernel's census.
+func allreduce64(t *testing.T, rounds int) sim.Census {
+	t.Helper()
+	s, _ := allreduce(t, 64, rounds, fmnet.FM2())
+	return s.Kernel().Census()
+}
+
+// allreduce runs a barrier and rounds of allreduce on a fat tree of n ranks
+// and returns the session and the instant each rank finished.
+func allreduce(t *testing.T, n, rounds int, opts ...fmnet.Option) (*fmnet.Session, []sim.Time) {
+	t.Helper()
+	s, err := fmnet.New(append([]fmnet.Option{fmnet.Nodes(n), fmnet.Topology(fmnet.FatTree), fmnet.WithMPI()}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := make([]sim.Time, n)
+	s.SpawnRanks("rank", func(rank int, p *fmnet.Proc) {
+		c := s.MPI(rank)
+		in, out := make([]byte, 64), make([]byte, 64)
+		if err := c.Barrier(p); err != nil {
+			t.Error(err)
+		}
+		for i := 0; i < rounds; i++ {
+			if err := c.Allreduce(p, in, out, fmnet.OpSumU32); err != nil {
+				t.Error(err)
+			}
+		}
+		end[rank] = p.Now()
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return s, end
+}
+
+// Under the parallel engine an LP's pollers go dormant too, and every rank
+// ends where it does on one kernel: a window boundary is no activity, a
+// portal delivery a global event.
+func TestDormantPollersUnderParallelEngine(t *testing.T) {
+	opts := []fmnet.Option{fmnet.WithLinkSlots(64), fmnet.WithFullBisection()}
+	checked0, _, _ := sim.DormantChecks()
+	_, seq := allreduce(t, 32, 2, opts...)
+	par, end := allreduce(t, 32, 2, append(opts, fmnet.WithParallel(2))...)
+	if !par.Fabric().Certified() {
+		t.Fatal("the parallel run hit cross-partition back-pressure")
+	}
+	for r := range seq {
+		if seq[r] != end[r] {
+			t.Fatalf("rank %d ends at %v on one kernel, %v on two LPs", r, seq[r], end[r])
+		}
+	}
+	if c := par.Kernel().Census(); c.Dormant == 0 {
+		t.Fatalf("no dormant tick on the first LP: %+v", c)
+	}
+	if checked, disagreed, first := sim.DormantChecks(); disagreed != 0 || checked == checked0 {
+		t.Fatalf("%d of %d dormant rotations disagree with the Idler; the first: %s", disagreed, checked-checked0, first)
+	}
+}
+
+// Ranks waiting on a quiet node are dormant: at least 90 % of an allreduce's
+// idle ticks are rotated without an Idle call. A spawn site left untagged
+// (a rank, a handler worker, NIC firmware, a switch forwarder) counts every
+// event it runs as global and ends every dormancy, which fails here.
+func TestDormantTicksDominateAllreduce(t *testing.T) {
+	c := allreduce64(t, 4)
+	idle := c.Idle + c.Dormant
+	if idle == 0 || c.Dormant*10 < idle*9 {
+		t.Fatalf("%d of %d idle ticks dormant, want at least 90 %%: %+v", c.Dormant, idle, c)
+	}
+	t.Logf("census %+v", c)
+}
+
+// Every dormant rotation of these whole workloads asks the Idler as well
+// (export_test.go), and none finds the Proc busy: a verdict the dispatcher
+// reuses is one the Idler would still give. The reports are the committed
+// goldens byte for byte, so the extra Idle calls moved nothing.
+func TestDormantRotationsAgreeWithIdle(t *testing.T) {
+	checked0, _, _ := sim.DormantChecks()
+	allreduce64(t, 2)
+	var svc bytes.Buffer
+	if err := bench.WriteSvcReport(&svc); err != nil {
+		t.Fatal(err)
+	}
+	golden(t, filepath.Join("..", "..", "cmd", "fmbench", "testdata", "svc.golden"), svc.Bytes())
+	dir := filepath.Join("..", "..", "campaigns", "smoke")
+	c, err := scenario.RunCampaign(dir, scenario.DefaultSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden(t, filepath.Join(dir, scenario.GoldenName), c.Marshal())
+	checked, disagreed, first := sim.DormantChecks()
+	if disagreed != 0 {
+		t.Fatalf("%d of %d dormant rotations disagree with the Idler; the first: %s", disagreed, checked, first)
+	}
+	if checked == checked0 {
+		t.Fatal("no dormant rotation was checked")
+	}
+	t.Logf("%d dormant rotations checked", checked-checked0)
+}
+
+func golden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("output differs from %s\n--- got ---\n%s", path, got)
+	}
+}

@@ -126,7 +126,7 @@ func (e *Engine) startWorkers() {
 		lp := lp
 		go func() {
 			for w := range lp.cmd {
-				lp.err = lp.K.RunBefore(w)
+				lp.err = lp.K.runBefore(w)
 				e.wg.Done()
 			}
 		}()

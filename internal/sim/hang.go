@@ -89,14 +89,15 @@ func (k *Kernel) describe(p *Proc) (string, int, []int) {
 	case p.poll != nil:
 		return p.poll.Describe()
 	}
-	queues := [][]event{k.eq}
-	for _, l := range k.lanes {
-		queues = append(queues, l.ring) // a popped slot holds no Proc
+	for _, e := range k.eq {
+		if e.proc == p && e.gen == p.wakeGen {
+			return fmt.Sprintf("delay until %v", e.t), -1, nil
+		}
 	}
-	for _, q := range queues {
-		for _, e := range q {
-			if e.proc == p && e.gen == p.wakeGen {
-				return fmt.Sprintf("delay until %v", e.t), -1, nil
+	for _, l := range k.lanes {
+		for _, s := range l.ring { // a popped slot holds no Proc
+			if s.proc == p && s.gen == p.wakeGen {
+				return fmt.Sprintf("delay until %v", s.t), -1, nil
 			}
 		}
 	}

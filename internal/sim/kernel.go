@@ -37,16 +37,26 @@
 // and the lane heads, so events run in exactly the order one heap would pop
 // them, without sifting hundreds of re-armed ticks through it.
 //
+// A lane tick may be dormant. A Proc tagged with the node it acts for
+// (ActsFor), whose Idler says its verdict stands until that node acts, has
+// its ticks re-armed from the lane slot alone — no Idle call, no read of the
+// Proc, no coroutine — for as long as no event of its node and no global
+// event has run since the verdict (rotate). For that the dispatcher notes,
+// per domain, the seq at which an event of it last ran: one store per
+// dispatched event. Dormant ticks are rotated, not elided: each is the idle
+// path's re-arm at the same (t, seq), so the schedule and Events() are
+// untouched and Census counts them apart.
+//
 // The control token moves by coroutine switch (see Kernel). No channel
 // carries it and kernel.go starts no goroutine; building a simulation starts
 // none either, because a Proc gets its coroutine at its first wake.
 //
-// Every dispatcher shortcut — idle ticks, paced ticks, lanes, Machines, lazy
-// launch — is defined as the code it stands for, and differential_test.go
-// holds it to that code: one generator draws seeded programs, one
-// interpreter runs each fused and written out, and every resumption must
-// match at (t, seq). A new shortcut is a new spelling in that interpreter
-// plus a coverage floor, not a new harness.
+// Every dispatcher shortcut — idle ticks, paced ticks, lanes, dormant ticks,
+// Machines, lazy launch — is defined as the code it stands for, and
+// differential_test.go holds it to that code: one generator draws seeded
+// programs, one interpreter runs each fused and written out, and every
+// resumption must match at (t, seq). A new shortcut is a new spelling in
+// that interpreter plus a coverage floor, not a new harness.
 //
 // Every park site names what the Proc waits on (Wait). Signal, Chan and
 // Resource name themselves; a layer that parks for a reason of its own — a
@@ -157,34 +167,54 @@ func (h *eventHeap) pop() event {
 // shrunk: a drained lane keeps its backing array for the next idle stretch.
 type lane struct {
 	d    Time
-	ring []event
+	ring []tick
 	head int
 	n    int
+}
+
+// tick is a lane slot: a poll tick's wake and, while it is dormant, all that
+// re-arming it takes without its Proc (see rotate). 48 bytes, against the
+// heap's 40-byte event.
+type tick struct {
+	t    Time
+	seq  uint64
+	proc *Proc
+	gen  uint64
+	// reach is nonzero while the tick is dormant: the Idle verdict it carries
+	// stands for ticks before reach, until an event of dom or a global one
+	// runs. dom is the Proc's domain, back the lane of the cycle's other
+	// period and parity the pollTick of this tick, copied at arming.
+	reach  Time
+	dom    int32
+	back   uint16
+	parity uint8
 }
 
 // push appends a slot and returns it for the caller to fill in place: on the
 // 1024-rank allreduce, copying in an event built on the stack cost 28 % of
 // host time in that one store, against ~6 % for the whole re-arm in place.
-func (l *lane) push() *event {
+func (l *lane) push() *tick {
 	if l.n == len(l.ring) {
-		grown := make([]event, max(2*len(l.ring), 16))
+		grown := make([]tick, max(2*len(l.ring), 16))
 		for i := 0; i < l.n; i++ {
 			grown[i] = l.ring[(l.head+i)&(len(l.ring)-1)]
 		}
 		l.ring, l.head = grown, 0
 	}
-	e := &l.ring[(l.head+l.n)&(len(l.ring)-1)]
+	s := &l.ring[(l.head+l.n)&(len(l.ring)-1)]
 	l.n++
-	return e
+	return s
 }
 
-func (l *lane) pop() event {
-	e := l.ring[l.head]
-	l.ring[l.head].proc = nil // a tick holds no fn: the Proc is its only reference
+// pop removes the head slot, leaving it holding no Proc.
+func (l *lane) pop() {
+	l.ring[l.head].proc = nil
 	l.head = (l.head + 1) & (len(l.ring) - 1)
 	l.n--
-	return e
 }
+
+// top is the lane's head; the lane must not be empty.
+func (l *lane) top() *tick { return &l.ring[l.head] }
 
 // Kernel owns the virtual clock and the event queue.
 // The zero value is not usable; call NewKernel.
@@ -204,7 +234,10 @@ type Kernel struct {
 	eq      eventHeap
 	lanes   []lane // poll ticks, one FIFO per period, beside the heap
 	seq     uint64
-	handoff *Proc // set by a yielding coroutine: the Proc run resumes next, nil to end the run
+	act     []uint64  // per domain: seq when an event of the domain last ran (see ActsFor)
+	act0    [8]uint64 // act's first backing: a small cluster's kernel allocates none
+	census  Census    // dispatched events by kind
+	handoff *Proc     // set by a yielding coroutine: the Proc run resumes next, nil to end the run
 	procs   map[*Proc]struct{}
 	live    int
 	stopped bool
@@ -216,7 +249,9 @@ type Kernel struct {
 
 // NewKernel returns an empty simulation at virtual time zero.
 func NewKernel() *Kernel {
-	return &Kernel{procs: make(map[*Proc]struct{})}
+	k := &Kernel{procs: make(map[*Proc]struct{})}
+	k.act = k.act0[:domNode]
+	return k
 }
 
 // Now reports the current virtual time.
@@ -237,24 +272,37 @@ func (k *Kernel) ctx() string {
 // false when the queue is empty. The parallel engine reads this to compute
 // the lower bound on any future cross-LP message.
 func (k *Kernel) NextEventTime() (t Time, ok bool) {
-	if e, _ := k.next(); e != nil {
-		return e.t, true
-	}
-	return 0, false
+	t, from := k.next()
+	return t, from != noEvent
 }
 
-// next finds the least pending event across the heap top and the lane heads,
-// and the lane holding it (nil: the heap). It is nil when nothing is queued.
-func (k *Kernel) next() (top *event, from *lane) {
-	if len(k.eq) > 0 {
-		top = &k.eq[0]
+// noEvent and inHeap are what next reports in place of a lane index.
+const (
+	noEvent = -2
+	inHeap  = -1
+)
+
+// next finds the least pending event across the heap top and the lane
+// heads: its time and the index of the lane holding it — inHeap for the
+// heap, noEvent when nothing is queued.
+func (k *Kernel) next() (t Time, from int) {
+	var seq uint64
+	if from = noEvent; len(k.eq) > 0 {
+		t, seq, from = k.eq[0].t, k.eq[0].seq, inHeap
 	}
 	for i := range k.lanes {
-		if l := &k.lanes[i]; l.n > 0 && (top == nil || evLess(&l.ring[l.head], top)) {
-			top, from = &l.ring[l.head], l
+		if l := &k.lanes[i]; l.n > 0 {
+			if h := l.top(); from == noEvent || before(h.t, h.seq, t, seq) {
+				t, seq, from = h.t, h.seq, i
+			}
 		}
 	}
-	return top, from
+	return t, from
+}
+
+// before is the (t, seq) order every queue pops in.
+func before(t0 Time, s0 uint64, t1 Time, s1 uint64) bool {
+	return t0 < t1 || t0 == t1 && s0 < s1
 }
 
 // Live reports the number of live non-daemon Procs.
@@ -263,6 +311,28 @@ func (k *Kernel) Live() int { return k.live }
 // Events reports the cumulative count of events scheduled since creation —
 // the denominator of the wall-clock events/sec metric the perf suite tracks.
 func (k *Kernel) Events() uint64 { return k.seq }
+
+// Census splits Events() by what the dispatcher did with each event. Its
+// counts always sum to Events().
+type Census struct {
+	Resumes uint64 // a goroutine Proc resumed (from the heap or a lane)
+	Steps   uint64 // a Machine stepped
+	Fns     uint64 // a driver-context fn run (At)
+	Idle    uint64 // a poll tick re-armed on an Idle call
+	Dormant uint64 // a dormant poll tick re-armed without one (rotate)
+	Stale   uint64 // a wake dropped: its Proc had ended or been woken another way
+	Queued  uint64 // scheduled and not yet dispatched
+}
+
+// Census reports the kernel's dispatch census so far.
+func (k *Kernel) Census() Census {
+	c := k.census
+	c.Queued = uint64(len(k.eq))
+	for i := range k.lanes {
+		c.Queued += uint64(k.lanes[i].n)
+	}
+	return c
+}
 
 // Stop halts the simulation: Run returns ErrStopped after unwinding all
 // Procs. Safe to call from inside a Proc.
@@ -274,29 +344,45 @@ func (k *Kernel) push(e event) {
 	k.eq.push(e)
 }
 
-// tick arms p's next poll tick, d from now, in the lane for d — the one place
-// a tick is queued, so none ever enters the heap. It takes its seq at this
-// moment, exactly as the Delay it stands for would have.
-func (k *Kernel) tick(p *Proc, d Time) {
-	e := k.lane(d).push()
-	e.t, e.seq, e.proc, e.gen = k.now+d, k.seq, p, p.wakeGen // fn is nil in every slot
+// tick arms p's next poll tick, in the lane of period p.pollTick — the one
+// place a tick is queued, so none ever enters the heap. It takes its seq at
+// this moment, exactly as the Delay it stands for would have. With a reach
+// (an Idle verdict, see Idler) and a Proc that acts for a node, the tick is
+// armed dormant: the verdict rides along in the slot.
+func (k *Kernel) tick(p *Proc, reach Time) {
+	l := &k.lanes[p.pollLane[p.pollTick]]
+	s := l.push()
+	s.t, s.seq, s.proc, s.gen = k.now+l.d, k.seq, p, p.wakeGen
 	k.seq++
+	if reach <= 0 || p.dom < domNode {
+		s.reach = 0
+		return
+	}
+	s.reach, s.dom, s.back, s.parity = reach, p.dom, p.pollLane[p.pollTick^1], p.pollTick
+	p.dormant = true
 }
 
-// lane finds the lane for period d, or opens one. Real runs have a handful
-// of periods, so a scan is all the index they need.
-func (k *Kernel) lane(d Time) *lane {
+// lane finds the index of the lane for period d, or opens one. Real runs
+// have a handful of periods, so a scan is all the index they need.
+func (k *Kernel) lane(d Time) uint16 {
 	for i := range k.lanes {
 		if k.lanes[i].d == d {
-			return &k.lanes[i]
+			return uint16(i)
 		}
 	}
+	if len(k.lanes) == maxLanes {
+		panic(fmt.Sprintf("sim: more than %d distinct poll periods", maxLanes))
+	}
 	k.lanes = append(k.lanes, lane{d: d})
-	return &k.lanes[len(k.lanes)-1]
+	return uint16(len(k.lanes) - 1)
 }
 
+// maxLanes bounds the distinct poll periods of one kernel: a tick names its
+// lanes in 16 bits.
+const maxLanes = 1 << 16
+
 // At schedules fn to run in driver context at absolute virtual time t
-// (clamped to now if in the past).
+// (clamped to now if in the past). fn is a global event (see ActsFor).
 func (k *Kernel) At(t Time, fn func()) {
 	if t < k.now {
 		t = k.now
@@ -304,11 +390,12 @@ func (k *Kernel) At(t Time, fn func()) {
 	k.push(event{t: t, fn: fn})
 }
 
-// wakeAt schedules p to resume at absolute time t with its current wake
-// generation. Internal: synchronization primitives use this.
+// wakeAt schedules p to resume at absolute time t (callers pass t >= now)
+// with its current wake generation. Internal: synchronization primitives use
+// this.
 func (k *Kernel) wakeAt(t Time, p *Proc) {
-	if t < k.now {
-		t = k.now
+	if p.dormant {
+		k.act[p.dom] = k.seq // a kick: the dormant tick is over (wakeDormant)
 	}
 	k.push(event{t: t, proc: p, gen: p.wakeGen})
 }
@@ -340,11 +427,17 @@ func (k *Kernel) failProc(p *Proc, r any) {
 // goroutine that called Run with it: that goroutine exits, running its
 // deferred calls, and Run does not return. The kernel is left stopped with
 // its other Procs parked; Shutdown, from any goroutine, unwinds them.
-func (k *Kernel) Run() error { return k.run(0) }
+func (k *Kernel) Run() error {
+	k.driverActs()
+	return k.run(0)
+}
 
 // RunUntil drives the simulation but stops advancing the clock past t;
 // events at exactly t still execute.
-func (k *Kernel) RunUntil(t Time) error { return k.run(t) }
+func (k *Kernel) RunUntil(t Time) error {
+	k.driverActs()
+	return k.run(t)
+}
 
 // RunBefore drives the simulation through every event with timestamp
 // STRICTLY below limit, then pauses resumably with events at or past limit
@@ -354,6 +447,14 @@ func (k *Kernel) RunUntil(t Time) error { return k.run(t) }
 // cross-influence each other. Unlike RunUntil, the clock is left at the last
 // executed event, not pulled up to the bound.
 func (k *Kernel) RunBefore(limit Time) error {
+	k.driverActs()
+	return k.runBefore(limit)
+}
+
+// runBefore is RunBefore as the parallel engine calls it between windows,
+// where it only flushes portals into the heap: no state changed outside an
+// event, so the dormant ticks stand.
+func (k *Kernel) runBefore(limit Time) error {
 	if limit <= 0 {
 		panic("sim: RunBefore needs a positive bound")
 	}
@@ -361,6 +462,11 @@ func (k *Kernel) RunBefore(limit Time) error {
 	defer func() { k.strict = false }()
 	return k.run(limit)
 }
+
+// driverActs marks a return of the control token to the caller of Run: what
+// it changed between two runs, outside any event, is a global event's
+// doing, so no dormant tick outlives it.
+func (k *Kernel) driverActs() { k.act[domGlobal] = k.seq }
 
 func (k *Kernel) run(horizon Time) error {
 	k.horizon = horizon
@@ -392,16 +498,12 @@ func (k *Kernel) run(horizon Time) error {
 // holds the control token: Run's, or the coroutine of a Proc that is parking
 // or finishing.
 func (k *Kernel) dispatch() *Proc {
-	for {
-		var top *event
-		var l *lane
-		if !k.stopped {
-			top, l = k.next()
-		}
-		if top == nil {
+	for !k.stopped {
+		t, from := k.next()
+		if from == noEvent {
 			return nil
 		}
-		if t := top.t; k.horizon != 0 && (t > k.horizon || (k.strict && t >= k.horizon)) {
+		if k.past(t) {
 			// Past the horizon: the event stays queued (seq preserved) and
 			// the clock stops here. A strict horizon (RunBefore window)
 			// excludes its bound and leaves the clock at the last executed
@@ -411,44 +513,189 @@ func (k *Kernel) dispatch() *Proc {
 			}
 			return nil
 		}
-		k.now = top.t
-		var ev event
-		if l != nil {
-			ev = l.pop()
-		} else {
-			ev = k.eq.pop()
-		}
-		if ev.fn != nil {
+		k.now = t
+		var p *Proc
+		if from >= 0 {
+			if p = k.laneTick(from); p == nil {
+				continue
+			}
+		} else if ev := k.eq.pop(); ev.fn != nil {
+			k.act[domGlobal] = k.seq
+			k.census.Fns++
 			k.runFn(ev.fn)
 			continue
-		}
-		p := ev.proc
-		if p.done || ev.gen != p.wakeGen {
-			continue // stale wakeup (proc already woken another way)
-		}
-		if p.poll != nil && k.idle(p) {
-			// An idle tick of a Proc in PollCycle: re-arm its wake with the
-			// cycle's other period exactly as the Proc's own Delay would
-			// have — same time, the seq consumed at this same moment,
-			// wakeGen stepped as park does on resume — without switching
-			// to its coroutine.
-			p.wakeGen++
-			p.pollTick ^= 1
-			k.tick(p, p.pollEvery[p.pollTick])
+		} else if p = ev.proc; p.done || ev.gen != p.wakeGen {
+			k.census.Stale++ // stale wakeup (proc already woken another way)
 			continue
+		} else if p.dormant {
+			k.wakeDormant(p)
 		}
+		if p.poll != nil {
+			if reach := k.idle(p); reach != Busy {
+				// An idle tick of a Proc in PollCycle: re-arm its wake with the
+				// cycle's other period exactly as the Proc's own Delay would
+				// have — same time, the seq consumed at this same moment,
+				// wakeGen stepped as park does on resume — without switching
+				// to its coroutine. An Idler only reads: this is no activity.
+				p.wakeGen++
+				p.pollTick ^= 1
+				k.tick(p, reach)
+				k.census.Idle++
+				continue
+			}
+		}
+		k.act[p.dom] = k.seq
 		if p.mach != nil {
 			if _, first := p.mach.(procFunc); !first {
 				// A Machine has no coroutine to switch to: its wake is one
 				// call, with wakeGen stepped as park does on resume.
 				p.wakeGen++
+				k.census.Steps++
 				k.step(p)
 				continue
 			}
 		}
+		k.census.Resumes++
 		return p // a goroutine Proc; at its first wake, resume gives it its coroutine
 	}
+	return nil
 }
+
+// past reports whether an event at t lies beyond the run's horizon.
+func (k *Kernel) past(t Time) bool {
+	return k.horizon != 0 && (t > k.horizon || (k.strict && t >= k.horizon))
+}
+
+// laneTick takes the head tick of lane i, the least pending event, and
+// returns its Proc to wake, or nil. A dormant tick whose verdict still stands
+// is rotated instead (rotate); one whose verdict has lapsed first hands its
+// Proc the wake generation and period the rotations left it at.
+func (k *Kernel) laneTick(i int) *Proc {
+	l := &k.lanes[i]
+	s := l.top()
+	p := s.proc
+	if s.reach != 0 {
+		if k.quiet(s) {
+			k.rotate(i)
+			return nil
+		}
+		p.wakeGen, p.pollTick, p.dormant = s.gen, s.parity, false
+	}
+	gen := s.gen
+	l.pop()
+	if p.done || gen != p.wakeGen {
+		k.census.Stale++
+		return nil
+	}
+	return p
+}
+
+// quiet reports that dormant tick s may be rotated: its verdict reaches past
+// it, and no event of its Proc's domain or a global one has run since it
+// was armed (which took seq s.seq: anything that ran later found k.seq past
+// it).
+func (k *Kernel) quiet(s *tick) bool {
+	return s.t < s.reach && k.act[s.dom] <= s.seq && k.act[domGlobal] <= s.seq
+}
+
+// rotate re-arms the dormant head of lane i, which quiet admits and which is
+// the least pending event inside the horizon, and then each head after it
+// for as long as it too is all three. A rotation is the idle path of wake
+// for a Proc whose Idle verdict cannot have changed since it was given: the
+// same re-arm at the same (t, seq), with wakeGen and pollTick stepped in the
+// slot instead of on the Proc — no Idle call, no Proc read, no coroutine. The
+// bound is the least event outside the lane or the horizon, lowered whenever
+// a re-arm opens another lane's head.
+func (k *Kernel) rotate(i int) {
+	l := &k.lanes[i]
+	bt, bs := Quiet, uint64(0) // no event runs at Quiet
+	if len(k.eq) > 0 {
+		bt, bs = k.eq[0].t, k.eq[0].seq
+	}
+	for j := range k.lanes {
+		if o := &k.lanes[j]; j != i && o.n > 0 && before(o.top().t, o.top().seq, bt, bs) {
+			bt, bs = o.top().t, o.top().seq
+		}
+	}
+	if k.horizon != 0 {
+		hs := ^uint64(0) // RunUntil runs the events at its horizon
+		if k.strict {
+			hs = 0
+		}
+		if before(k.horizon, hs, bt, bs) {
+			bt, bs = k.horizon, hs
+		}
+	}
+	for {
+		s := l.top()
+		k.now = s.t
+		if shadow != nil {
+			shadow(k, s)
+		}
+		var n *tick
+		if j := int(s.back); j == i {
+			// Pop and push in one lane: the slot the push fills is the tail
+			// after the pop, and the head itself when the ring is full.
+			if n = &l.ring[(l.head+l.n)&(len(l.ring)-1)]; n != s {
+				*n = *s
+				s.proc = nil
+			}
+			l.head = (l.head + 1) & (len(l.ring) - 1)
+			n.t += l.d
+		} else {
+			tk := *s
+			l.pop()
+			dst := &k.lanes[j]
+			n = dst.push()
+			*n = tk
+			n.t, n.back = tk.t+dst.d, uint16(i)
+			if dst.n == 1 && before(n.t, k.seq, bt, bs) { // another lane's new head
+				bt, bs = n.t, k.seq
+			}
+		}
+		n.seq, n.gen, n.parity = k.seq, n.gen+1, n.parity^1
+		k.seq++
+		k.census.Dormant++
+		if l.n == 0 {
+			return
+		}
+		if h := l.top(); !before(h.t, h.seq, bt, bs) || !k.quiet(h) {
+			return
+		}
+	}
+}
+
+// wakeDormant hands a dormant Proc woken other than by its tick — a kick
+// through a Signal or Chan it registered with before it began to poll — the
+// wake generation and period its tick has reached, and leaves that tick an
+// ordinary one: stale now that the kick resumes the Proc, as in the loop the
+// wait stands for. The kick's wakeAt marked the Proc's domain active, so the
+// tick has not been rotated since: had it popped first, it would have left
+// dormancy and stepped the wake generation past the kick's.
+func (k *Kernel) wakeDormant(p *Proc) {
+	s := k.dormantTick(p)
+	p.wakeGen, p.pollTick, p.dormant = s.gen, s.parity, false
+	s.reach = 0
+}
+
+// dormantTick finds the tick of a dormant Proc: the one slot of its two
+// lanes that holds it with a reach.
+func (k *Kernel) dormantTick(p *Proc) *tick {
+	for _, i := range p.pollLane {
+		l := &k.lanes[i]
+		for n := 0; n < l.n; n++ {
+			if s := &l.ring[(l.head+n)&(len(l.ring)-1)]; s.proc == p && s.reach != 0 {
+				return s
+			}
+		}
+	}
+	panic(fmt.Sprintf("sim: proc %q is dormant with no dormant tick", p.name))
+}
+
+// shadow, when set, is called at every dormant rotation with the tick about
+// to be re-armed, before it is. This package's tests set it to ask the Idler
+// whether it agrees; nothing else does.
+var shadow func(k *Kernel, s *tick)
 
 // resume runs p on its coroutine until p passes the token on: it parks, with
 // handoff set to the next Proc, or it ends. A Proc at its first wake takes a
@@ -482,26 +729,43 @@ func (k *Kernel) runFn(fn func()) {
 
 // Idler is the wait condition of a Proc blocked in PollCycle. Idle reports
 // whether the Proc, resumed at the current instant, would find nothing to do
-// but start the cycle's next period. It is called in dispatcher context — on
-// whichever goroutine holds the control token, with the clock at the tick —
-// so it must only read, and only state the polling Proc itself could read at
-// that instant (under the parallel engine: state of its own LP). Answering
-// false when there was in fact nothing to do is always safe; it costs one
-// coroutine switch. As a Wait it names the poll for the hang report.
+// but start the cycle's next period, and for how long that verdict stands:
+//
+//   - Busy: it would find work; the Proc is resumed.
+//   - OneTick: it is idle at this tick; ask again at the next.
+//   - Quiet: it is idle until an event of the node the Proc acts for, or a
+//     global event, runs (see ActsFor).
+//   - a time t > 0: the same, or until the clock reaches t, whichever first.
+//
+// It is called in dispatcher context — on whichever goroutine holds the
+// control token, with the clock at the tick — so it must only read, and only
+// state the polling Proc itself could read at that instant (under the
+// parallel engine: state of its own LP). Answering Busy when there was in
+// fact nothing to do is always safe; it costs one coroutine switch. A
+// verdict that claims to stand longer than it does is a wrong schedule:
+// while it stands, the dispatcher re-arms the Proc's ticks without asking
+// (rotate). As a Wait it names the poll for the hang report.
 type Idler interface {
-	Idle() bool
+	Idle() Time
 	Wait
 }
 
+// The verdicts of an Idler besides a time (see Idler).
+const (
+	Busy    Time = 0
+	OneTick Time = -1
+	Quiet   Time = 1<<63 - 1
+)
+
 // idle evaluates p's wait condition at a poll tick. A panic in it is p's
 // failure, as it would have been had p evaluated the condition itself: the
-// run is failed in p's name and the tick reported not idle, so p is resumed
-// into a stopped kernel and unwinds.
-func (k *Kernel) idle(p *Proc) (idle bool) {
+// run is failed in p's name and the tick reported Busy, so p is resumed into
+// a stopped kernel and unwinds.
+func (k *Kernel) idle(p *Proc) (reach Time) {
 	defer func() {
 		if r := recover(); r != nil {
 			k.failProc(p, r)
-			idle = false
+			reach = Busy
 		}
 	}()
 	return p.poll.Idle()
@@ -574,11 +838,14 @@ type Proc struct {
 
 	// Set while the Proc is blocked in PollCycle: the dispatcher takes its
 	// idle ticks (see dispatch). pollTick indexes the period whose tick is
-	// pending; it sits with the flags so the second period is all Proc grows
-	// by.
-	pollTick  uint8
-	poll      Idler
-	pollEvery [2]Time
+	// pending and pollLane the lanes of the two periods. While the pending
+	// tick is dormant, the tick, not the Proc, holds the wake generation and
+	// pollTick (see rotate).
+	pollTick uint8
+	dormant  bool
+	dom      int32 // the domain the Proc acts for (ActsFor)
+	poll     Idler
+	pollLane [2]uint16
 
 	// Non-nil while the Proc has no coroutine: a Machine, whose Step the
 	// dispatcher calls at every wake (SpawnMachine), or — until its first wake
@@ -598,6 +865,44 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 
 // Now reports the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
+
+// Fabric is the node a Proc acts for when it acts for none: a switch
+// forwarder or a cut trunk's injector, which write links, switch queues and
+// the wire side of a NIC, never state an Idler reads (ActsFor).
+const Fabric = -1
+
+// Domains: what an event's Proc acts for. An untagged Proc and an At fn are
+// global; node n is domNode+n.
+const (
+	domGlobal = iota
+	domFabric
+	domNode
+)
+
+// ActsFor tags p with the node it acts for: node's host Procs, its handler
+// workers and its NIC firmware, or Fabric. Call it right after spawning p.
+//
+// The tag is a promise about writes: p changes no state that the Idler of a
+// Proc acting for another node reads. An untagged Proc makes none, and every
+// event it runs counts as global. The dispatcher records, per domain, when
+// an event of it last ran; a Proc that acts for a node and is idle in
+// PollCycle with a verdict that stands (Idler) goes dormant, and its ticks
+// are re-armed without asking until an event of its node or a global one
+// runs (rotate). An untagged poller never goes dormant: its node's events
+// would not end its dormancy.
+func (p *Proc) ActsFor(node int) {
+	d := domFabric
+	if node != Fabric {
+		if node < 0 {
+			panic(fmt.Sprintf("sim: proc %q cannot act for node %d", p.name, node))
+		}
+		d = domNode + node
+	}
+	if k := p.k; d >= len(k.act) {
+		k.act = append(k.act, make([]uint64, d+1-len(k.act))...)
+	}
+	p.dom = int32(d)
+}
 
 // Spawn creates a Proc that begins executing fn at the current virtual time
 // (after already-queued events at this instant).
@@ -633,7 +938,7 @@ func (k *Kernel) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 	p := &Proc{k: k, name: name, mach: procFunc(fn)}
 	k.procs[p] = struct{}{}
 	k.live++
-	k.wakeAt(t, p)
+	k.wakeAt(max(t, k.now), p)
 	return p
 }
 
@@ -793,8 +1098,13 @@ func (p *Proc) PollCycle(d0, d1 Time, c Idler) int {
 	if d0 < 0 || d1 < 0 { // a tick queued before now would turn the clock back
 		panic(fmt.Sprintf("sim: negative poll period (%d, %d) in proc %q", d0, d1, p.name))
 	}
-	p.poll, p.pollEvery, p.pollTick = c, [2]Time{d0, d1}, 0
-	p.k.tick(p, d0)
+	if d0 == 0 && d1 == 0 && c != nil { // every tick at one instant: the clock would never move
+		panic(fmt.Sprintf("sim: poll periods both zero in proc %q", p.name))
+	}
+	k := p.k
+	l0, l1 := k.lane(d0), k.lane(d1)
+	p.poll, p.pollLane, p.pollTick = c, [2]uint16{l0, l1}, 0
+	k.tick(p, Busy)
 	p.park()
 	p.poll = nil
 	return int(p.pollTick)

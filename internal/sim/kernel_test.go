@@ -472,9 +472,10 @@ func TestPollLaneGrowsWhileWrapped(t *testing.T) {
 	}
 	want := uint64(0)
 	pop := func() {
-		if e := l.pop(); e.seq != want || e.t != Time(want) {
+		if e := *l.top(); e.seq != want || e.t != Time(want) {
 			t.Fatalf("popped (%v, %d), want (%v, %d)", e.t, e.seq, Time(want), want)
 		}
+		l.pop()
 		want++
 	}
 	for i := 0; i < 5; i++ { // a fresh ring, its head moved off 0

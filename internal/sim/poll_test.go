@@ -50,9 +50,11 @@ type idleCount struct{ n, every int }
 
 func idleFor(ticks int) *idleCount { return &idleCount{every: ticks} }
 
-func (c *idleCount) Idle() bool {
-	c.n++
-	return c.n%c.every != 0
+func (c *idleCount) Idle() Time {
+	if c.n++; c.n%c.every == 0 {
+		return Busy
+	}
+	return OneTick
 }
 
 func (*idleCount) Describe() (string, int, []int) { return "poll", -1, nil }
@@ -125,4 +127,14 @@ func TestNextEventTimeSeesLaneTicks(t *testing.T) {
 		}
 	}
 	k.Shutdown()
+}
+
+// Both periods zero would queue every tick at one instant and never move the
+// clock: refused at the call, like a negative period.
+func TestPollCycleRejectsZeroPeriods(t *testing.T) {
+	k := NewKernel()
+	k.Spawn("p", func(p *Proc) { p.PollCycle(0, 0, idleFor(2)) })
+	if err := k.Run(); err == nil || !strings.Contains(err.Error(), `poll periods both zero in proc "p"`) {
+		t.Fatalf("want the zero periods refused, got %s", firstLine(err))
+	}
 }

@@ -252,6 +252,11 @@ func (w *nodeWait) Done() bool {
 	return false
 }
 
+// Global says that the wait for global completion reads every node's state
+// (xport.GlobalCond): another node's last reply can end it, so its verdict
+// stands for one tick only.
+func (w *nodeWait) Global() bool { return w.kind == forAll }
+
 // Pending and Do are the turn's work. A queued reply counts as pending even
 // while its client's window is shut: the flush must retry it every turn.
 func (w *nodeWait) Pending() bool  { return len(w.f.replyQ[w.node]) > 0 }

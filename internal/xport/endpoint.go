@@ -349,7 +349,8 @@ type Pace struct {
 type TurnWork interface {
 	// Pending reports whether Do would do, or try, anything. Like Cond.Done
 	// it is evaluated from the kernel's dispatcher: O(1), read-only, own
-	// node's state. True when unsure.
+	// node's state — a false Pending is taken to stand until the node acts,
+	// so that bears on results too. True when unsure.
 	Pending() bool
 	Do(p *sim.Proc)
 }
@@ -392,7 +393,7 @@ func (hs *HandlerSpace) await(p *sim.Proc, maxBytes int, until Cond, pace Pace) 
 		panic(fmt.Sprintf("xport: service %q on node %d entered Wait twice; a service is single-threaded",
 			hs.name, hs.Node()))
 	}
-	hs.until, hs.pace, hs.wait.Gap = until, pace, pace.Gap
+	hs.until, hs.pace, hs.wait.Gap, hs.wait.Stands = until, pace, pace.Gap, pace.stands(until)
 	met := until.Done()
 	for ; !met && !pace.expired(p.Now()); met = until.Done() {
 		hs.ep.extractFor(p, hs, maxBytes, &hs.wait)
@@ -412,6 +413,24 @@ func (hs *HandlerSpace) await(p *sim.Proc, maxBytes int, until Cond, pace Pace) 
 	}
 	hs.until = nil
 	return met
+}
+
+// stands is how long an idle verdict of a wait on until stands
+// (flowctl.Waiter.Stands): one tick if until reads other nodes; else until
+// the node acts, and with a Deadline at most until the first instant whose
+// tick waiting.Done ends — Deadline, or under Clamp the first at which a
+// whole Gap no longer fits before it.
+func (pc *Pace) stands(until Cond) sim.Time {
+	if g, ok := until.(GlobalCond); ok && g.Global() {
+		return sim.OneTick
+	}
+	switch {
+	case pc.Deadline == 0:
+		return 0
+	case pc.Clamp:
+		return max(pc.Deadline-pc.Gap+1, 1)
+	}
+	return pc.Deadline
 }
 
 // expired reports that the wait's deadline has been reached.

@@ -24,11 +24,14 @@
 // blocking wait is HandlerSpace.Wait, every self-paced one WaitPaced. The
 // kernel's dispatcher evaluates a wait's condition and turn work, so each
 // must be O(1), read-only, about its own node, and a pointer into state
-// allocated once: a closure there is a malloc per wait. Whatever an idle
-// pass of those loops would read, refresh or act on belongs in the idle test
-// (flowctl.Waiter.Idle and waiting.Done), or virtual times move. A receive
-// handler pulls its wire header with ReceiveHeader, and bounds every wire
-// length by the stream's Remaining() before the length sizes anything.
+// allocated once: a closure there is a malloc per wait. About its own node
+// bears on results: a verdict is taken to stand until the node acts, and
+// time enters only through the wait's Pace (a GlobalCond says otherwise).
+// Whatever an idle pass of those loops would read, refresh or act on belongs
+// in the idle test (flowctl.Waiter.Idle and waiting.Done), or virtual times
+// move. A receive handler pulls its wire header with ReceiveHeader, and
+// bounds every wire length by the stream's Remaining() before the length
+// sizes anything.
 //
 // One machine per generation: a generation's host profile, MPI costs, NIC
 // and engine configs are chosen in Gen.Machine and nowhere else. Every
@@ -109,6 +112,15 @@ type Transport interface {
 
 // Cond is a blocked caller's wait condition (see HandlerSpace.Wait).
 type Cond = flowctl.Cond
+
+// GlobalCond is a Cond that may read other nodes' state, breaking Cond's
+// contract: Global reports, at the start of a wait, whether this one does.
+// Its idle verdicts then stand for one tick only, and the kernel asks it at
+// every tick. svcload's wait for global completion is the one.
+type GlobalCond interface {
+	Cond
+	Global() bool
+}
 
 // CreditAccounting names the endpoint core's credit-ledger accessor, which
 // both bindings promote, for callers that hold only a Transport value and
