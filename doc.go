@@ -50,8 +50,8 @@
 // Each design rule is stated once, in the doc of the package it governs;
 // go doc ./internal/<pkg> prints it. The packages:
 //
-//   - internal/sim: the deterministic discrete-event kernel and the
-//     parallel engine.
+//   - internal/sim: the deterministic discrete-event kernel, the one FIFO
+//     (Queue) and the parallel engine.
 //   - internal/netsim: the Myrinet fabric, the topology zoo, the fault model,
 //     frame pools and buffer ownership.
 //   - internal/hostmodel: machine cost profiles (sparc, ppro200), MPI's
@@ -75,7 +75,8 @@
 //   - internal/scenario: chaos scenarios, the watchdog and campaigns.
 //   - internal/par: replica-parallel campaigns.
 //   - internal/alloctest: the measurement behind the zero-allocation pins.
-//   - internal/bufpool: recycled byte buffers.
+//   - internal/bufpool: recycling: free lists, byte pools, one Stats and one
+//     poison byte.
 //   - internal/cmam, internal/legacy: the CM-5 Active Messages and Ethernet
 //     overhead models of Figures 1 and 2.
 //

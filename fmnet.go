@@ -232,7 +232,8 @@ func WithGlobalArray(size int) Option { return func(c *config) { c.gaSize = size
 // WithRPC attaches the datacenter RPC service-workload layer: a shard
 // server and a load-generating client per node, co-resident with the other
 // services on the shared endpoint. A zero cfg uses the default cost model
-// (2us per request). Plan a workload on Session.RPC() before Run.
+// (2us per request); a negative ServiceTime is an error. Plan a workload on
+// Session.RPC() before Run.
 func WithRPC(cfg RPCConfig) Option {
 	return func(c *config) { c.rpc, c.rpcCfg = true, cfg }
 }
@@ -305,6 +306,9 @@ func New(opts ...Option) (*Session, error) {
 	}
 	if cfg.slots < 0 {
 		return nil, fmt.Errorf("fmnet: WithLinkSlots(%d): negative queue depth", cfg.slots)
+	}
+	if cfg.rpc && cfg.rpcCfg.ServiceTime < 0 {
+		return nil, fmt.Errorf("fmnet: WithRPC: negative ServiceTime %v", cfg.rpcCfg.ServiceTime)
 	}
 	if !cfg.mpi && !cfg.sockets && !cfg.shm && cfg.gaSize == 0 && !cfg.rpc && len(cfg.custom) == 0 {
 		return nil, errors.New("fmnet: no services requested; add WithMPI/WithSockets/WithShmem/WithGlobalArray/WithRPC/WithService")

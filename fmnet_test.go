@@ -241,6 +241,9 @@ func TestSessionErrors(t *testing.T) {
 	if _, err := fmnet.New(fmnet.WithMPI(), fmnet.WithParallel(-1)); err == nil {
 		t.Error("negative parallelism accepted")
 	}
+	if _, err := fmnet.New(fmnet.WithRPC(fmnet.RPCConfig{ServiceTime: -5})); err == nil {
+		t.Error("negative RPC service time accepted")
+	}
 }
 
 // TestSessionLargeFatTree: past 1024 nodes the fat tree grows hosts per edge

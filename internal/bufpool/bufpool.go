@@ -1,11 +1,19 @@
-// Package bufpool provides a tiny bounded free list for byte buffers: the
-// shared mechanism behind every non-frame staging pool in the tree (FM 1.x
-// assembly buffers, FM 2.x loopback staging, the xport staging adapter's
-// send buffers, socket segment buffers, protocol header scratch). Like the
-// rest of the simulator it runs single-threaded under the kernel, so there
-// is no locking; unlike sync.Pool it is deterministic, bounded, and
-// observable (high-water mark, allocation counters), which the perf suite
-// and the alloc-regression gates rely on.
+// Package bufpool is the tree's recycling: bounded LIFO free lists of
+// record pointers (FreeList: stream records, request handles, accounting
+// wrappers, Chan handoff slots) and of byte buffers (Pool: FM 1.x assembly
+// buffers, FM 2.x loopback staging, the xport staging adapter's send buffers,
+// socket segment buffers, protocol header scratch), and the one Stats type
+// and PoisonByte that netsim's frame pools share. Like the rest of the
+// simulator it runs single-threaded under the kernel, so there is no locking;
+// unlike sync.Pool it is deterministic, bounded, and observable (high-water
+// mark, allocation counters), which the perf suite and the alloc-regression
+// gates rely on. It imports nothing, so every package, sim included, may use
+// it. FIFOs are sim.Queue.
+//
+// A byte pool's poison mode is fixed when it is built (New): a layer passes
+// its engine's mode (PoisonFrames, Poisoned) at construction and never sets
+// it afterwards, and no code outside sim's Queue pops a FIFO by reslicing or
+// copying down. TestDesignRules holds both.
 package bufpool
 
 // Stats reports a pool's recycling behavior.
@@ -14,9 +22,9 @@ type Stats struct {
 	// (free list empty or every free buffer too small). In steady state
 	// Allocs stops growing.
 	Gets, Allocs int64
-	// Puts counts buffers returned; Dropped the subset discarded because
+	// Releases counts buffers returned; Dropped the subset discarded because
 	// the free list was at capacity.
-	Puts, Dropped int64
+	Releases, Dropped int64
 	// Free is the current free-list depth; HWM the deepest it has been.
 	Free, HWM int
 }
@@ -24,7 +32,9 @@ type Stats struct {
 // DefaultCap bounds the free list when New is given no explicit cap.
 const DefaultCap = 64
 
-// PoisonByte is the pattern poisoned pools write over returned buffers.
+// PoisonByte is the pattern poisoned pools — byte pools and netsim's frame
+// pools — write over returned buffers, so any alias illegally retained past
+// the return reads garbage instead of stale (plausible) data.
 const PoisonByte = 0xDB
 
 // Pool is a bounded LIFO free list of byte buffers.
@@ -35,12 +45,13 @@ type Pool struct {
 	stats  Stats
 }
 
-// New creates a pool retaining at most max buffers (0 means DefaultCap).
-func New(max int) *Pool {
+// New creates a pool retaining at most max buffers (0 means DefaultCap);
+// poison overwrites every returned buffer with PoisonByte.
+func New(max int, poison bool) *Pool {
 	if max <= 0 {
 		max = DefaultCap
 	}
-	return &Pool{max: max}
+	return &Pool{max: max, poison: poison}
 }
 
 // FreeList is a bounded LIFO free list of record pointers: the one shape
@@ -88,56 +99,6 @@ func (f *FreeList[T]) Put(x *T) {
 // Len reports the current free-list depth.
 func (f *FreeList[T]) Len() int { return len(f.free) }
 
-// Queue is a FIFO with bounded garbage: pops advance a head index, the
-// backing array rewinds when the queue drains, and the dead prefix is
-// compacted in place once it dominates — so even a queue that never fully
-// drains keeps its backing proportional to live depth, not total traffic.
-// Front returns a pointer so callers can consume an entry partially in
-// place (the pending-chunk / rx-segment pattern). The zero value is ready
-// to use. (internal/sim carries its own copy of this discipline to stay
-// dependency-free.)
-type Queue[T any] struct {
-	q    []T
-	head int
-}
-
-// queueCompactAt is the dead-prefix size beyond which half-dead backings
-// are compacted (amortized O(1) per pop).
-const queueCompactAt = 32
-
-// Len reports the number of live entries.
-func (q *Queue[T]) Len() int { return len(q.q) - q.head }
-
-// PushBack appends v.
-func (q *Queue[T]) PushBack(v T) { q.q = append(q.q, v) }
-
-// Front returns a pointer to the oldest entry (undefined when empty).
-func (q *Queue[T]) Front() *T { return &q.q[q.head] }
-
-// PopFront retires the oldest entry.
-func (q *Queue[T]) PopFront() {
-	var zero T
-	q.q[q.head] = zero // drop references for the GC
-	q.head++
-	switch {
-	case q.head == len(q.q):
-		q.q = q.q[:0]
-		q.head = 0
-	case q.head >= queueCompactAt && q.head*2 >= len(q.q):
-		n := copy(q.q, q.q[q.head:])
-		for i := n; i < len(q.q); i++ {
-			q.q[i] = zero
-		}
-		q.q = q.q[:n]
-		q.head = 0
-	}
-}
-
-// SetPoison switches poison-on-return debugging on or off: returned buffers
-// are overwritten with PoisonByte, so any alias illegally retained past the
-// return reads garbage instead of stale (plausible) data.
-func (p *Pool) SetPoison(on bool) { p.poison = on }
-
 // Stats returns a copy of the pool counters.
 func (p *Pool) Stats() Stats {
 	s := p.stats
@@ -174,7 +135,7 @@ func (p *Pool) Put(b []byte) {
 	if cap(b) == 0 {
 		return
 	}
-	p.stats.Puts++
+	p.stats.Releases++
 	if p.poison {
 		b = b[:cap(b)]
 		for i := range b {

@@ -8,7 +8,7 @@ import "testing"
 func TestPoolCapBounds(t *testing.T) {
 	const max, burst = 4, 10
 
-	p := New(max)
+	p := New(max, false)
 	bufs := make([][]byte, burst)
 	for i := range bufs {
 		bufs[i] = p.Get(32)
@@ -20,8 +20,8 @@ func TestPoolCapBounds(t *testing.T) {
 	if st.Free != max || st.HWM != max {
 		t.Fatalf("Pool: free=%d hwm=%d after returning %d buffers; want both at the cap %d", st.Free, st.HWM, burst, max)
 	}
-	if st.Puts != burst || st.Dropped != burst-max {
-		t.Fatalf("Pool: puts=%d dropped=%d; want %d and %d", st.Puts, st.Dropped, burst, burst-max)
+	if st.Releases != burst || st.Dropped != burst-max {
+		t.Fatalf("Pool: releases=%d dropped=%d; want %d and %d", st.Releases, st.Dropped, burst, burst-max)
 	}
 
 	f := NewFreeList[int](max)

@@ -143,15 +143,20 @@ func (pl *Platform) Events() uint64 {
 	return pl.K.Events()
 }
 
-// Validate checks cfg's structural constraints — the node count against the
-// wire format, the host profile's time constants (hostmodel owns those
-// rules), the fabric shape (netsim.Shape owns those), the fault plan, the
-// partitioning — without building anything. TryNew and New enforce the same
-// rules; public façades (fmnet) call Validate first so a bad configuration
-// surfaces as an error, not a panic or a run that never ends.
+// Validate checks cfg's structural constraints — the node count and the
+// packet MTU against the wire format, the host profile's constants
+// (hostmodel owns those rules), the fabric shape (netsim.Shape owns those),
+// the fault plan, the partitioning — without building anything. TryNew and
+// New enforce the same rules; public façades (fmnet) call Validate first so
+// a bad configuration surfaces as an error, not a panic or a run that never
+// ends.
 func (cfg Config) Validate() error {
 	if err := cfg.Profile.Validate(); err != nil {
 		return err
+	}
+	if cfg.Profile.PacketMTU <= flowctl.MaxHeader {
+		return fmt.Errorf("cluster: PacketMTU %d cannot hold a %d-byte FM header and one payload byte",
+			cfg.Profile.PacketMTU, flowctl.MaxHeader)
 	}
 	if cfg.Nodes > flowctl.MaxNodes {
 		return fmt.Errorf("cluster: %d nodes exceed %d: both FM headers and the credit frames carry the source node in a 16-bit field",

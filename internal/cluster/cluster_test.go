@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -243,19 +244,31 @@ func TestProfileLinkUsedByFabric(t *testing.T) {
 	}
 }
 
-// A profile whose PollEmpty is not positive, or with a negative time
-// constant, is an error from Validate and TryNew: a zero empty poll would
-// spin a waiting rank at one instant forever, a negative one panic mid-run.
+// A profile whose PollEmpty is not positive, with a negative time constant,
+// a rate that is not finite and positive, negative framing, no link slot or
+// a PacketMTU too short for a header and one payload byte, is an error from
+// Validate and TryNew: a zero empty poll would spin a waiting rank at one
+// instant forever; the rest panic at build or mid-run, or silently model a
+// free copy, bus or wire.
 func TestBadProfileIsAnError(t *testing.T) {
 	for name, c := range map[string]struct {
 		edit func(p *hostmodel.Profile)
 		want string
 	}{
-		"zero poll":      {func(p *hostmodel.Profile) { p.PollEmpty = 0 }, "PollEmpty 0ns must be positive"},
-		"negative poll":  {func(p *hostmodel.Profile) { p.PollEmpty = -1 }, "PollEmpty -1ns must be positive"},
-		"negative bus":   {func(p *hostmodel.Profile) { p.BusSetup = -1 }, "negative BusSetup"},
-		"negative link":  {func(p *hostmodel.Profile) { p.Link.PropDelay = -1 }, "negative Link.PropDelay"},
-		"negative match": {func(p *hostmodel.Profile) { p.MPI.Recv = -1 }, "negative MPI.Recv"},
+		"zero poll":       {func(p *hostmodel.Profile) { p.PollEmpty = 0 }, "PollEmpty 0ns must be positive"},
+		"negative poll":   {func(p *hostmodel.Profile) { p.PollEmpty = -1 }, "PollEmpty -1ns must be positive"},
+		"negative bus":    {func(p *hostmodel.Profile) { p.BusSetup = -1 }, "negative BusSetup"},
+		"negative link":   {func(p *hostmodel.Profile) { p.Link.PropDelay = -1 }, "negative Link.PropDelay"},
+		"negative match":  {func(p *hostmodel.Profile) { p.MPI.Recv = -1 }, "negative MPI.Recv"},
+		"tiny mtu":        {func(p *hostmodel.Profile) { p.PacketMTU = 8 }, "PacketMTU 8 cannot hold"},
+		"zero mtu":        {func(p *hostmodel.Profile) { p.PacketMTU = 0 }, "PacketMTU 0 cannot hold"},
+		"header-only mtu": {func(p *hostmodel.Profile) { p.PacketMTU = flowctl.MaxHeader }, "cannot hold a 16-byte FM header"},
+		"nan bus":         {func(p *hostmodel.Profile) { p.BusMBps = math.NaN() }, "BusMBps NaN must be finite and positive"},
+		"negative copy":   {func(p *hostmodel.Profile) { p.MemcpyMBps = -1 }, "MemcpyMBps -1 must be"},
+		"zero big copy":   {func(p *hostmodel.Profile) { p.MemcpyLargeMBps = 0 }, "MemcpyLargeMBps 0 must be"},
+		"infinite wire":   {func(p *hostmodel.Profile) { p.Link.BandwidthMBps = math.Inf(1) }, "Link.BandwidthMBps +Inf must be"},
+		"negative frame":  {func(p *hostmodel.Profile) { p.Link.FrameOverhead = -1 }, "negative Link.FrameOverhead"},
+		"no link slot":    {func(p *hostmodel.Profile) { p.Link.Slots = 0 }, "Link.Slots 0 must be at least 1"},
 	} {
 		cfg := DefaultConfig()
 		c.edit(&cfg.Profile)

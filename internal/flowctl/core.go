@@ -2,6 +2,7 @@ package flowctl
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"repro/internal/hostmodel"
 	"repro/internal/lanai"
@@ -90,6 +91,9 @@ type EndpointCore struct {
 // other LPs' goroutines, so both wire pools take their mutex mode. Pools an
 // engine adds stay lock-free — their buffers never leave the node's kernel.
 func NewEndpointCore(nic *lanai.NIC, nodes int, w Wire, poison, noFlowControl, shared bool) EndpointCore {
+	if w.Size > MaxHeader {
+		panic(fmt.Sprintf("flowctl: a %d-byte header is longer than MaxHeader", w.Size))
+	}
 	c := EndpointCore{
 		Credit: NewPlane(nic, nodes, w.Size, w.Total, noFlowControl),
 		h:      nic.H,

@@ -56,6 +56,11 @@ const MinWindow = 4
 // peers that never spent them.
 const MaxNodes = 1 << 16
 
+// MaxHeader is the longest data header of any FM generation (FM 2.x's 16
+// bytes; FM 1.x's is 12). A machine's PacketMTU must hold it and one payload
+// byte, so that one profile is valid under either engine.
+const MaxHeader = 16
+
 // RingSlotsFor reports the receive-ring depth needed so that every one of
 // the n-1 peers of an n-node cluster can hold a window of at least
 // min(window, MinWindow) packets without the ring overflowing.

@@ -99,8 +99,7 @@ func Attach(pl *cluster.Platform, cfg Config) []*Endpoint {
 			handlers: make(map[HandlerID]Handler),
 			asm:      make([]assembly, pl.Nodes()),
 		}
-		e.asmPool = bufpool.New(netsim.DefaultPoolCap) // the same bound as the core's frame pools
-		e.asmPool.SetPoison(cfg.PoisonFrames)
+		e.asmPool = bufpool.New(netsim.DefaultPoolCap, cfg.PoisonFrames) // the same bound as the core's frame pools
 		eps[i] = e
 	}
 	return eps

@@ -5,9 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/alloctest"
+	"repro/internal/bufpool"
 	"repro/internal/cluster"
 	"repro/internal/hostmodel"
-	"repro/internal/netsim"
 	"repro/internal/sim"
 )
 
@@ -101,9 +101,9 @@ func TestPoisonRetentionContract(t *testing.T) {
 		t.Fatalf("retained %d bytes, want 64", len(retained))
 	}
 	for i, b := range retained {
-		if b != netsim.PoisonByte {
+		if b != bufpool.PoisonByte {
 			t.Fatalf("retained[%d] = %#x, want poison %#x: frames must be unreadable after recycle",
-				i, b, netsim.PoisonByte)
+				i, b, bufpool.PoisonByte)
 		}
 	}
 }

@@ -116,8 +116,7 @@ func Attach(pl *cluster.Platform, cfg Config) []*Endpoint {
 		}
 		e.ssPool = bufpool.NewFreeList[SendStream](netsim.DefaultPoolCap)
 		e.rsPool = bufpool.NewFreeList[RecvStream](netsim.DefaultPoolCap)
-		e.loopPool = bufpool.New(netsim.DefaultPoolCap)
-		e.loopPool.SetPoison(cfg.PoisonFrames)
+		e.loopPool = bufpool.New(netsim.DefaultPoolCap, cfg.PoisonFrames)
 		eps[i] = e
 	}
 	return eps

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/alloctest"
+	"repro/internal/bufpool"
 	"repro/internal/cluster"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -142,9 +143,9 @@ func TestFramePoisonCatchesRetention(t *testing.T) {
 		t.Fatal("did not capture a frame alias")
 	}
 	for i, b := range retained {
-		if b != netsim.PoisonByte {
+		if b != bufpool.PoisonByte {
 			t.Fatalf("retained[%d] = %#x, want poison %#x: released frames must be unreadable",
-				i, b, netsim.PoisonByte)
+				i, b, bufpool.PoisonByte)
 		}
 	}
 }

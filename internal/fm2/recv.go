@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"repro/internal/bufpool"
 	"repro/internal/flowctl"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -40,7 +39,7 @@ type RecvStream struct {
 	handler HandlerID
 	msglen  int
 
-	pending      bufpool.Queue[pendingChunk] // delivered, unconsumed chunks (alias frames)
+	pending      sim.Queue[pendingChunk] // delivered, unconsumed chunks (alias frames)
 	pendingBytes int
 	consumed     int // bytes the handler has taken
 	delivered    int // bytes FM has delivered into the stream
@@ -101,10 +100,9 @@ func (s *RecvStream) Remaining() int { return s.msglen - s.consumed }
 
 // popChunk retires the oldest pending chunk, releasing its frame.
 func (s *RecvStream) popChunk() {
-	if c := s.pending.Front(); c.pkt != nil {
+	if c := s.pending.Pop(); c.pkt != nil {
 		c.pkt.Release()
 	}
-	s.pending.PopFront()
 }
 
 // Receive extracts up to len(buf) bytes of the message into buf, blocking
@@ -204,7 +202,7 @@ func (s *RecvStream) deliver(pkt *netsim.Packet, payload []byte, last bool) {
 		return
 	}
 	if len(payload) > 0 {
-		s.pending.PushBack(pendingChunk{payload, pkt})
+		*s.pending.Push() = pendingChunk{payload, pkt}
 		s.pendingBytes += len(payload)
 	} else if pkt != nil {
 		pkt.Release()

@@ -58,10 +58,7 @@ func Attach(sp *xport.HandlerSpace, region uint32, size, ranks int) (*Array, err
 		ranks:    ranks,
 		blockLen: blockLen,
 		local:    make([]byte, (hi-lo)*8),
-		bufs:     bufpool.New(0),
-	}
-	if node.Poisoned() {
-		a.bufs.SetPoison(true) // align with the engine's poison mode
+		bufs:     bufpool.New(0, node.Poisoned()), // the engine's poison mode
 	}
 	node.Register(region, a.local)
 	return a, nil

@@ -12,6 +12,7 @@ package hostmodel
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -110,9 +111,13 @@ func Sparc() Profile {
 	}
 }
 
-// Validate checks the profile's time constants: none may be negative — a
+// Validate checks the profile's constants: no time may be negative — a
 // charge that turns the clock back — and PollEmpty must be positive, or a
-// rank polling an empty ring would poll forever at one instant.
+// rank polling an empty ring would poll forever at one instant. Every rate
+// must be finite and positive (a zero, negative or NaN rate models a free
+// copy, bus or wire, or turns a delay negative mid-run), framing bytes may
+// not be negative and a link needs at least one slot. That a PacketMTU holds
+// an FM header is the engine's rule (cluster.Config.Validate).
 func (p Profile) Validate() error {
 	if p.PollEmpty <= 0 {
 		return fmt.Errorf("hostmodel: profile %q: PollEmpty %v must be positive", p.Name, p.PollEmpty)
@@ -131,6 +136,23 @@ func (p Profile) Validate() error {
 		if c.t < 0 {
 			return fmt.Errorf("hostmodel: profile %q: negative %s %v", p.Name, c.name, c.t)
 		}
+	}
+	for _, c := range []struct {
+		name string
+		r    float64
+	}{
+		{"MemcpyMBps", p.MemcpyMBps}, {"MemcpyLargeMBps", p.MemcpyLargeMBps},
+		{"BusMBps", p.BusMBps}, {"Link.BandwidthMBps", p.Link.BandwidthMBps},
+	} {
+		if !(c.r > 0) || math.IsInf(c.r, 1) {
+			return fmt.Errorf("hostmodel: profile %q: %s %v must be finite and positive", p.Name, c.name, c.r)
+		}
+	}
+	if p.Link.FrameOverhead < 0 {
+		return fmt.Errorf("hostmodel: profile %q: negative Link.FrameOverhead %d", p.Name, p.Link.FrameOverhead)
+	}
+	if p.Link.Slots < 1 {
+		return fmt.Errorf("hostmodel: profile %q: Link.Slots %d must be at least 1", p.Name, p.Link.Slots)
 	}
 	return nil
 }

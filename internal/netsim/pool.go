@@ -14,32 +14,29 @@
 //   - The fabric owns it in flight; links release frames they drop.
 //   - The receiver owns it from ring removal until Release. Handlers may
 //     read payload only through their stream; any alias retained past the
-//     handler's return is read-after-recycle, which PoisonOnRelease makes
-//     loudly visible by overwriting released frames with a poison pattern.
+//     handler's return is read-after-recycle, which the poison mode makes
+//     loudly visible by overwriting released frames with bufpool.PoisonByte.
+//
+// Frame pools and the upper layers' byte pools (bufpool.Pool) share one
+// counter type, PoolStats (bufpool.Stats), and one poison byte. A frame
+// pool's poison and shared modes are set once, by its endpoint core, before
+// traffic starts.
 package netsim
 
-import "sync"
+import (
+	"sync"
 
-// PoisonByte is the pattern PoisonOnRelease writes over released frames.
-const PoisonByte = 0xDB
+	"repro/internal/bufpool"
+)
 
 // DefaultPoolCap bounds a FramePool's free list when the caller passes no
 // explicit cap: deep enough to cover a full credit window plus both NIC
 // queues, small enough that a bursty sender cannot pin unbounded memory.
 const DefaultPoolCap = 256
 
-// PoolStats reports a pool's recycling behavior.
-type PoolStats struct {
-	// Gets counts frames handed out; Allocs counts the subset that had to be
-	// allocated fresh because the free list was empty. Gets-Allocs frames
-	// were recycled: in steady state Allocs stops growing.
-	Gets, Allocs int64
-	// Releases counts frames returned; Dropped counts the subset discarded
-	// because the free list was at capacity.
-	Releases, Dropped int64
-	// Free is the current free-list depth; HWM is the deepest it has been.
-	Free, HWM int
-}
+// PoolStats reports a pool's recycling behavior: Gets-Allocs frames were
+// recycled, and in steady state Allocs stops growing.
+type PoolStats = bufpool.Stats
 
 // FramePool recycles fixed-capacity framed packets (the Packet struct and
 // its payload backing array together). Pools are single-threaded under the
@@ -73,7 +70,8 @@ func NewFramePool(frameCap, max int) *FramePool {
 	return &FramePool{frameCap: frameCap, max: max}
 }
 
-// SetPoison switches poison-on-release debugging on or off.
+// SetPoison switches poison-on-release debugging on or off: released frames
+// are overwritten with bufpool.PoisonByte.
 func (fp *FramePool) SetPoison(on bool) { fp.poison = on }
 
 // SetShared switches the pool to cross-LP (mutex-guarded) mode. Call before
@@ -129,7 +127,7 @@ func (fp *FramePool) put(pkt *Packet) {
 	fp.stats.Releases++
 	if fp.poison {
 		for i := range pkt.backing {
-			pkt.backing[i] = PoisonByte
+			pkt.backing[i] = bufpool.PoisonByte
 		}
 	}
 	pkt.Payload = nil

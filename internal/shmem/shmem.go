@@ -71,10 +71,7 @@ func Attach(sp *xport.HandlerSpace) *Node {
 	n := &Node{
 		t:       sp,
 		regions: make(map[uint32][]byte),
-		hdrs:    bufpool.New(0),
-	}
-	if sp.Poisoned() {
-		n.hdrs.SetPoison(true) // align with the engine's poison mode
+		hdrs:    bufpool.New(0, sp.Poisoned()), // the engine's poison mode
 	}
 	sp.Register(shmemHandlerID, n.handler)
 	return n

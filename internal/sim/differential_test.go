@@ -321,9 +321,9 @@ func newRun(seed int64, rw row, spelling int) *run {
 		}
 		c.p = k.SpawnAt(start, c.name, func(p *Proc) {
 			for got, w := 0, 0; got < len(picks)*sends; w++ {
-				if c.i%2 == 0 && c.sig.q.len() == 0 {
-					c.sig.q.push(p)
-				} else if c.i%2 == 1 && c.kick.recvq.len() == 0 {
+				if c.i%2 == 0 && c.sig.q.Len() == 0 {
+					*c.sig.q.Push() = p
+				} else if c.i%2 == 1 && c.kick.recvq.Len() == 0 {
 					c.kick.StartRecv(p, &c.slot)
 				}
 				kind := c.wait(p)

@@ -37,6 +37,11 @@
 // and the lane heads, so events run in exactly the order one heap would pop
 // them, without sifting hundreds of re-armed ticks through it.
 //
+// One FIFO serves the lanes and every wait queue alike: Queue (fifo.go) is
+// a lane's ring, a Chan's buffer and its parked senders and receivers, and
+// the waiters of a Signal or a Resource — and, above sim, every layer's
+// queue. Rotation re-arms lane ticks in place on the Queue's own fields.
+//
 // A lane tick may be dormant. A Proc tagged with the node it acts for
 // (ActsFor), whose Idler says its verdict stands until that node acts, has
 // its ticks re-armed from the lane slot alone — no Idle call, no read of the
@@ -163,13 +168,10 @@ func (h *eventHeap) pop() event {
 // lane is the FIFO of poll ticks armed with one period d (Kernel.tick). Each
 // is queued at now+d with the next seq; now never goes back and seq only
 // grows, so the lane is already in (t, seq) order and its head is its least
-// event. It is a ring, a power of two long, grown by doubling and never
-// shrunk: a drained lane keeps its backing array for the next idle stretch.
+// event. A drained lane keeps its ring for the next idle stretch.
 type lane struct {
-	d    Time
-	ring []tick
-	head int
-	n    int
+	d Time
+	Queue[tick]
 }
 
 // tick is a lane slot: a poll tick's wake and, while it is dormant, all that
@@ -189,32 +191,6 @@ type tick struct {
 	back   uint16
 	parity uint8
 }
-
-// push appends a slot and returns it for the caller to fill in place: on the
-// 1024-rank allreduce, copying in an event built on the stack cost 28 % of
-// host time in that one store, against ~6 % for the whole re-arm in place.
-func (l *lane) push() *tick {
-	if l.n == len(l.ring) {
-		grown := make([]tick, max(2*len(l.ring), 16))
-		for i := 0; i < l.n; i++ {
-			grown[i] = l.ring[(l.head+i)&(len(l.ring)-1)]
-		}
-		l.ring, l.head = grown, 0
-	}
-	s := &l.ring[(l.head+l.n)&(len(l.ring)-1)]
-	l.n++
-	return s
-}
-
-// pop removes the head slot, leaving it holding no Proc.
-func (l *lane) pop() {
-	l.ring[l.head].proc = nil
-	l.head = (l.head + 1) & (len(l.ring) - 1)
-	l.n--
-}
-
-// top is the lane's head; the lane must not be empty.
-func (l *lane) top() *tick { return &l.ring[l.head] }
 
 // Kernel owns the virtual clock and the event queue.
 // The zero value is not usable; call NewKernel.
@@ -292,7 +268,7 @@ func (k *Kernel) next() (t Time, from int) {
 	}
 	for i := range k.lanes {
 		if l := &k.lanes[i]; l.n > 0 {
-			if h := l.top(); from == noEvent || before(h.t, h.seq, t, seq) {
+			if h := l.Front(); from == noEvent || before(h.t, h.seq, t, seq) {
 				t, seq, from = h.t, h.seq, i
 			}
 		}
@@ -351,7 +327,7 @@ func (k *Kernel) push(e event) {
 // armed dormant: the verdict rides along in the slot.
 func (k *Kernel) tick(p *Proc, reach Time) {
 	l := &k.lanes[p.pollLane[p.pollTick]]
-	s := l.push()
+	s := l.Push()
 	s.t, s.seq, s.proc, s.gen = k.now+l.d, k.seq, p, p.wakeGen
 	k.seq++
 	if reach <= 0 || p.dom < domNode {
@@ -572,7 +548,7 @@ func (k *Kernel) past(t Time) bool {
 // Proc the wake generation and period the rotations left it at.
 func (k *Kernel) laneTick(i int) *Proc {
 	l := &k.lanes[i]
-	s := l.top()
+	s := l.Front()
 	p := s.proc
 	if s.reach != 0 {
 		if k.quiet(s) {
@@ -582,7 +558,7 @@ func (k *Kernel) laneTick(i int) *Proc {
 		p.wakeGen, p.pollTick, p.dormant = s.gen, s.parity, false
 	}
 	gen := s.gen
-	l.pop()
+	l.Pop()
 	if p.done || gen != p.wakeGen {
 		k.census.Stale++
 		return nil
@@ -613,8 +589,8 @@ func (k *Kernel) rotate(i int) {
 		bt, bs = k.eq[0].t, k.eq[0].seq
 	}
 	for j := range k.lanes {
-		if o := &k.lanes[j]; j != i && o.n > 0 && before(o.top().t, o.top().seq, bt, bs) {
-			bt, bs = o.top().t, o.top().seq
+		if o := &k.lanes[j]; j != i && o.n > 0 && before(o.Front().t, o.Front().seq, bt, bs) {
+			bt, bs = o.Front().t, o.Front().seq
 		}
 	}
 	if k.horizon != 0 {
@@ -627,15 +603,16 @@ func (k *Kernel) rotate(i int) {
 		}
 	}
 	for {
-		s := l.top()
+		s := l.Front()
 		k.now = s.t
 		if shadow != nil {
 			shadow(k, s)
 		}
 		var n *tick
 		if j := int(s.back); j == i {
-			// Pop and push in one lane: the slot the push fills is the tail
-			// after the pop, and the head itself when the ring is full.
+			// Pop and push in one lane, in place on the ring: the slot the
+			// push fills is the tail after the pop, and the head itself when
+			// the ring is full. A vacated head holds no Proc, as after Pop.
 			if n = &l.ring[(l.head+l.n)&(len(l.ring)-1)]; n != s {
 				*n = *s
 				s.proc = nil
@@ -643,12 +620,11 @@ func (k *Kernel) rotate(i int) {
 			l.head = (l.head + 1) & (len(l.ring) - 1)
 			n.t += l.d
 		} else {
-			tk := *s
-			l.pop()
 			dst := &k.lanes[j]
-			n = dst.push()
-			*n = tk
-			n.t, n.back = tk.t+dst.d, uint16(i)
+			n = dst.Push()
+			*n = *s
+			l.Pop()
+			n.t, n.back = n.t+dst.d, uint16(i)
 			if dst.n == 1 && before(n.t, k.seq, bt, bs) { // another lane's new head
 				bt, bs = n.t, k.seq
 			}
@@ -659,7 +635,7 @@ func (k *Kernel) rotate(i int) {
 		if l.n == 0 {
 			return
 		}
-		if h := l.top(); !before(h.t, h.seq, bt, bs) || !k.quiet(h) {
+		if h := l.Front(); !before(h.t, h.seq, bt, bs) || !k.quiet(h) {
 			return
 		}
 	}

@@ -466,16 +466,16 @@ func TestPollLaneGrowsWhileWrapped(t *testing.T) {
 	var l lane
 	seq := uint64(0)
 	push := func() {
-		e := l.push()
+		e := l.Push()
 		e.t, e.seq = Time(seq), seq
 		seq++
 	}
 	want := uint64(0)
 	pop := func() {
-		if e := *l.top(); e.seq != want || e.t != Time(want) {
+		if e := *l.Front(); e.seq != want || e.t != Time(want) {
 			t.Fatalf("popped (%v, %d), want (%v, %d)", e.t, e.seq, Time(want), want)
 		}
-		l.pop()
+		l.Pop()
 		want++
 	}
 	for i := 0; i < 5; i++ { // a fresh ring, its head moved off 0

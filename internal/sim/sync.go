@@ -5,18 +5,16 @@ import "fmt"
 // Signal is a condition-variable-like wait queue in virtual time.
 // The zero value is ready to use.
 //
-// The wait queue is the same recycled-backing FIFO the channels use
-// (waitq), so park/wake cycles on hot signals — credit waits, handler
-// scheduling — allocate nothing in steady state and a signal with
-// permanent waiters cannot grow its backing with traffic.
+// The wait queue is a Queue, so park/wake cycles on hot signals — credit
+// waits, handler scheduling — allocate nothing in steady state.
 type Signal struct {
-	q waitq[*Proc]
+	q Queue[*Proc]
 }
 
 // Wait parks p until another Proc calls Signal or Broadcast. As with
 // sync.Cond, callers typically re-check their predicate in a loop.
 func (s *Signal) Wait(p *Proc) {
-	s.q.push(p)
+	*s.q.Push() = p
 	p.waitsOn(s)
 	p.park()
 }
@@ -26,17 +24,17 @@ func (s *Signal) Describe() (string, int, []int) { return "signal", -1, nil }
 
 // Signal wakes the longest-waiting Proc, if any.
 func (s *Signal) Signal() {
-	if s.q.len() == 0 {
+	if s.q.Len() == 0 {
 		return
 	}
-	w := s.q.pop()
+	w := s.q.Pop()
 	w.k.wakeNow(w)
 }
 
 // Broadcast wakes every waiting Proc in FIFO order.
 func (s *Signal) Broadcast() {
-	for s.q.len() > 0 {
-		w := s.q.pop()
+	for s.q.Len() > 0 {
+		w := s.q.Pop()
 		w.k.wakeNow(w)
 	}
 }
@@ -48,7 +46,7 @@ type Resource struct {
 	name  string
 	cap   int
 	inUse int
-	q     waitq[resWait]
+	q     Queue[resWait]
 	k     *Kernel
 }
 
@@ -79,11 +77,11 @@ func (r *Resource) StartAcquire(p *Proc, n int) bool {
 	if n <= 0 || n > r.cap {
 		panic(fmt.Sprintf("sim: resource %q: bad acquire %d of %d", r.name, n, r.cap))
 	}
-	if r.q.len() == 0 && r.inUse+n <= r.cap {
+	if r.q.Len() == 0 && r.inUse+n <= r.cap {
 		r.inUse += n
 		return true
 	}
-	r.q.push(resWait{p, n})
+	*r.q.Push() = resWait{p, n}
 	p.waitsOn(r)
 	return false
 }
@@ -99,8 +97,8 @@ func (r *Resource) Release(n int) {
 	if r.inUse < 0 {
 		panic(fmt.Sprintf("sim: resource %q: over-release", r.name))
 	}
-	for r.q.len() > 0 && r.inUse+r.q.peek().n <= r.cap {
-		w := r.q.pop()
+	for r.q.Len() > 0 && r.inUse+r.q.Front().n <= r.cap {
+		w := r.q.Pop()
 		r.inUse += w.n
 		r.k.wakeNow(w.p)
 	}

@@ -74,14 +74,10 @@ func New(sp *xport.HandlerSpace) *Stack {
 		listeners: make(map[int]*Listener),
 		conns:     make(map[uint32]*Conn),
 		nextID:    1,
-		hdrs:      bufpool.New(0),
-		segs:      bufpool.New(0),
-	}
-	if sp.Poisoned() {
-		// Align the layer's recycled buffers with the engine's poison mode
-		// so the no-retained-aliases guarantee covers socket segments too.
-		s.hdrs.SetPoison(true)
-		s.segs.SetPoison(true)
+		// The engine's poison mode, so the no-retained-aliases guarantee
+		// covers socket segments too.
+		hdrs: bufpool.New(0, sp.Poisoned()),
+		segs: bufpool.New(0, sp.Poisoned()),
 	}
 	sp.Register(sockHandlerID, s.handler)
 	return s
@@ -100,7 +96,7 @@ func (s *Stack) PoolStats() (hdrs, segs bufpool.Stats) {
 type Listener struct {
 	s       *Stack
 	port    int
-	backlog []*Conn
+	backlog sim.Queue[*Conn]
 }
 
 // Listen opens a listening port.
@@ -116,17 +112,16 @@ func (s *Stack) Listen(port int) (*Listener, error) {
 // Close stops listening; queued connections are reset.
 func (l *Listener) Close(p *sim.Proc) {
 	delete(l.s.listeners, l.port)
-	for _, c := range l.backlog {
+	for l.backlog.Len() > 0 {
+		c := l.backlog.Pop()
 		l.s.sendCtl(p, c.peerNode, kindRST, l.port, c.localID, c.peerID)
 	}
-	l.backlog = nil
 }
 
 // Accept blocks until an inbound connection is established.
 func (l *Listener) Accept(p *sim.Proc) (*Conn, error) {
 	l.s.t.Wait(p, 0, (*accepting)(l))
-	c := l.backlog[0]
-	l.backlog = l.backlog[1:]
+	c := l.backlog.Pop()
 	// Complete the handshake.
 	l.s.sendCtl(p, c.peerNode, kindSYNACK, l.port, c.localID, c.peerID)
 	c.state = stateOpen
@@ -153,7 +148,7 @@ type Conn struct {
 	port     int
 	state    connState
 
-	rxq      bufpool.Queue[rxSeg] // buffered segments (pool path)
+	rxq      sim.Queue[rxSeg] // buffered segments (pool path)
 	rxBytes  int
 	posted   []byte // outstanding Read buffer (receive posting)
 	postedN  int    // bytes landed in posted so far
@@ -244,7 +239,7 @@ type (
 	reading   Conn
 )
 
-func (a *accepting) Done() bool { return len(a.backlog) > 0 }
+func (a *accepting) Done() bool { return a.backlog.Len() > 0 }
 
 func (d *dialing) Done() bool { return d.state != stateConnecting }
 
@@ -264,12 +259,11 @@ type rxSeg struct {
 func (c *Conn) queued() int { return c.rxq.Len() }
 
 // pushSeg buffers one pooled segment body.
-func (c *Conn) pushSeg(buf []byte) { c.rxq.PushBack(rxSeg{buf: buf}) }
+func (c *Conn) pushSeg(buf []byte) { *c.rxq.Push() = rxSeg{buf: buf} }
 
 // popSeg retires the oldest segment, recycling its buffer.
 func (c *Conn) popSeg() {
-	c.s.segs.Put(c.rxq.Front().buf)
-	c.rxq.PopFront()
+	c.s.segs.Put(c.rxq.Pop().buf)
 }
 
 // drain copies buffered segments into buf (the pool path's second copy).
@@ -354,7 +348,7 @@ func (s *Stack) handler(p *sim.Proc, str xport.RecvStream) {
 			port: port, state: stateConnecting}
 		s.nextID++
 		s.conns[c.localID] = c
-		l.backlog = append(l.backlog, c)
+		*l.backlog.Push() = c
 	case kindSYNACK:
 		if c := s.conns[dstConn]; c != nil && c.state == stateConnecting {
 			c.peerID = srcConn

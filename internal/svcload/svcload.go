@@ -259,7 +259,7 @@ func (w *nodeWait) Global() bool { return w.kind == forAll }
 
 // Pending and Do are the turn's work. A queued reply counts as pending even
 // while its client's window is shut: the flush must retry it every turn.
-func (w *nodeWait) Pending() bool  { return len(w.f.replyQ[w.node]) > 0 }
+func (w *nodeWait) Pending() bool  { return w.f.replyQ[w.node].Len() > 0 }
 func (w *nodeWait) Do(p *sim.Proc) { w.f.flushReplies(p, w.node) }
 
 // nodeHdrs is one node's send-header scratch: a header built on the stack
@@ -285,7 +285,7 @@ type Fleet struct {
 	// Runtime state, shared by all node procs under the sequential kernel's
 	// deterministic schedule.
 	pending   []map[uint64]inflight
-	replyQ    [][]pendingReply
+	replyQ    []sim.Queue[pendingReply]
 	waits     []nodeWait
 	hdrs      []nodeHdrs
 	hists     []*Hist
@@ -315,7 +315,7 @@ func Attach(spaces []*xport.HandlerSpace, cfg ServiceConfig) *Fleet {
 		cfg:     cfg,
 		spaces:  spaces,
 		pending: make([]map[uint64]inflight, n),
-		replyQ:  make([][]pendingReply, n),
+		replyQ:  make([]sim.Queue[pendingReply], n),
 		waits:   make([]nodeWait, n),
 		hdrs:    make([]nodeHdrs, n),
 		hists:   make([]*Hist, n),
@@ -490,16 +490,12 @@ func (f *Fleet) await(p *sim.Proc, node int, deadline sim.Time, what waitFor) bo
 // window is full stays queued; the next turn retries after extraction has had
 // a chance to return credits.
 func (f *Fleet) flushReplies(p *sim.Proc, node int) {
-	for len(f.replyQ[node]) > 0 {
-		q := f.replyQ[node]
-		r := q[0]
-		if !f.creditReady(node, r.dst, respHeaderSize+r.respB) {
+	q := &f.replyQ[node]
+	for q.Len() > 0 {
+		if r := q.Front(); !f.creditReady(node, r.dst, respHeaderSize+r.respB) {
 			return
 		}
-		// Pop by copying down — the queue is a few entries — so the backing
-		// array keeps its capacity; reslicing from the front would give it
-		// away and make serveRequest's append reallocate about once per reply.
-		f.replyQ[node] = q[:copy(q, q[1:])]
+		r := q.Pop()
 		if d := f.cfg.ServiceTime; d > 0 {
 			p.Delay(d)
 		}
@@ -578,7 +574,7 @@ func (f *Fleet) serveRequest(p *sim.Proc, node int, s xport.RecvStream) {
 		return // malformed by construction we never send; drop
 	}
 	f.served[node]++
-	f.replyQ[node] = append(f.replyQ[node], pendingReply{dst: client, id: id, respB: respB})
+	*f.replyQ[node].Push() = pendingReply{dst: client, id: id, respB: respB}
 }
 
 // gatherResponse completes a request when its last sub-response lands. A

@@ -31,9 +31,8 @@ type fm1Transport struct {
 // OverFM1 exposes an FM 1.x endpoint as a Transport through the
 // staging-copy adapter.
 func OverFM1(ep *fm1.Endpoint) Transport {
-	t := &fm1Transport{Endpoint: ep, stage: bufpool.New(0)}
-	t.stage.SetPoison(ep.Poisoned()) // the staging copy is an aliasable recycled buffer too
-	return t
+	// The staging copy is an aliasable recycled buffer too.
+	return &fm1Transport{Endpoint: ep, stage: bufpool.New(0, ep.Poisoned())}
 }
 
 // ExtractWait services the network. FM 1.x has no receiver flow control:
