@@ -32,7 +32,7 @@ var designRules = []struct {
 	{
 		rule: "the endpoint core", home: "./internal/flowctl",
 		paths: []string{"internal/fm1/fm1.go", "internal/fm2/fm2.go", "internal/fm2/send.go", "internal/fm2/recv.go"},
-		bad:   regexp.MustCompile(`PollEvery\(|PollCycle\(|SetShared\(|NewFramePool\(|\.Poll\(\)`),
+		bad:   regexp.MustCompile(`PollEvery\(|PollCycle\(|NewFramePool\(|\.Poll\(\)`),
 	},
 	{
 		rule: "hardware loops as Machines", home: "./internal/sim",
@@ -85,6 +85,11 @@ var designRules = []struct {
 		rule: "a byte pool's poison mode is set when it is built", home: "./internal/bufpool",
 		paths: []string{"."}, except: []string{"internal/flowctl/core.go", "design_test.go"}, tests: true,
 		bad: regexp.MustCompile(`\.SetPoison\(`),
+	},
+	{
+		rule: "one kernel per simulation; replicas are par's", home: "./internal/sim",
+		paths: []string{"."}, except: []string{"internal/par", "internal/sim/kernel.go", "internal/bench/paper.go"},
+		bad: regexp.MustCompile(`^\s*(import\s+)?(\w+\s+)?"sync(/atomic)?"`),
 	},
 	{
 		rule: "the public surface", home: ".",

@@ -50,8 +50,8 @@
 // Each design rule is stated once, in the doc of the package it governs;
 // go doc ./internal/<pkg> prints it. The packages:
 //
-//   - internal/sim: the deterministic discrete-event kernel, the one FIFO
-//     (Queue) and the parallel engine.
+//   - internal/sim: the deterministic discrete-event kernel, one per
+//     simulation, and the one FIFO (Queue).
 //   - internal/netsim: the Myrinet fabric, the topology zoo, the fault model,
 //     frame pools and buffer ownership.
 //   - internal/hostmodel: machine cost profiles (sparc, ppro200), MPI's
@@ -73,7 +73,8 @@
 //   - internal/bench: the measurement harness, the paper's numbers and the
 //     trajectory gate.
 //   - internal/scenario: chaos scenarios, the watchdog and campaigns.
-//   - internal/par: replica-parallel campaigns.
+//   - internal/par: replica-parallel campaigns, the one place simulations
+//     run side by side.
 //   - internal/alloctest: the measurement behind the zero-allocation pins.
 //   - internal/bufpool: recycling: free lists, byte pools, one Stats and one
 //     poison byte.

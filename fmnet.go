@@ -192,7 +192,6 @@ type config struct {
 	faults   *netsim.FaultPlan
 	poison   bool
 	parallel int
-	slots    int
 	fullBis  bool
 }
 
@@ -252,21 +251,9 @@ func WithFaults(plan FaultPlan) Option {
 	return func(c *config) { p := plan; c.faults = &p }
 }
 
-// WithParallel splits the simulation across n logical processes, each on
-// its own OS thread, synchronized conservatively on trunk-link lookahead
-// (see the sim package's "Parallel engine" notes). Requires the FatTree
-// topology with n dividing the edge-switch count; n of 0 or 1 keeps the
-// default sequential kernel, and a negative n is an error. Virtual-time
-// results are bit-identical to sequential whenever Fabric().Certified()
-// reports true — which congestion-free runs always are.
+// Deprecated: every session runs on one kernel, so n is ignored (a negative
+// n is still an error). Kept for benchmark/allreduce.go.
 func WithParallel(n int) Option { return func(c *config) { c.parallel = n } }
-
-// WithLinkSlots sets every port queue's depth (default 2 — the paper's
-// shallow hard-back-pressure wires; 0 keeps it, a negative depth is an
-// error). Deeper queues absorb collective fan-in bursts; under WithParallel
-// that is what keeps runs certified exact, since a full queue at a
-// partition cut is the one effect the conservative engine cannot mirror.
-func WithLinkSlots(n int) Option { return func(c *config) { c.slots = n } }
 
 // WithFullBisection wires as many fat-tree spines as hosts per edge
 // (default is 2:1 oversubscribed uplinks). Only meaningful with FatTree.
@@ -304,14 +291,17 @@ func New(opts ...Option) (*Session, error) {
 	if cfg.gaSize < 0 {
 		return nil, fmt.Errorf("fmnet: WithGlobalArray(%d): negative element count", cfg.gaSize)
 	}
-	if cfg.slots < 0 {
-		return nil, fmt.Errorf("fmnet: WithLinkSlots(%d): negative queue depth", cfg.slots)
+	if cfg.parallel < 0 {
+		return nil, fmt.Errorf("fmnet: WithParallel(%d): negative LP count", cfg.parallel)
 	}
 	if cfg.rpc && cfg.rpcCfg.ServiceTime < 0 {
 		return nil, fmt.Errorf("fmnet: WithRPC: negative ServiceTime %v", cfg.rpcCfg.ServiceTime)
 	}
 	if !cfg.mpi && !cfg.sockets && !cfg.shm && cfg.gaSize == 0 && !cfg.rpc && len(cfg.custom) == 0 {
 		return nil, errors.New("fmnet: no services requested; add WithMPI/WithSockets/WithShmem/WithGlobalArray/WithRPC/WithService")
+	}
+	if n := countServices(cfg); n > xport.MaxServices {
+		return nil, fmt.Errorf("fmnet: %d services requested; an endpoint holds at most %d", n, xport.MaxServices)
 	}
 	seen := map[string]bool{mpifm.Service: true, sockfm.Service: true, shmem.Service: true,
 		garr.Service: true, svcload.Service: true}
@@ -324,11 +314,8 @@ func New(opts ...Option) (*Session, error) {
 
 	m := cfg.gen.Machine()
 	m.FM1.PoisonFrames, m.FM2.PoisonFrames = cfg.poison, cfg.poison
-	if cfg.slots > 0 {
-		m.Profile.Link.Slots = cfg.slots
-	}
 	ccfg := m.Config(cfg.nodes, cfg.topo)
-	ccfg.Faults, ccfg.Parallelism = cfg.faults, cfg.parallel
+	ccfg.Faults = cfg.faults
 	if cfg.fullBis {
 		ccfg.Uplinks = ccfg.HostsPerSwitch
 	}
@@ -377,8 +364,19 @@ func New(opts ...Option) (*Session, error) {
 	return s, nil
 }
 
-// Kernel exposes the deterministic simulation kernel (the first LP's
-// kernel under WithParallel; prefer SpawnOn/SpawnRanks for node work).
+// countServices is how many services New registers on every endpoint.
+func countServices(cfg config) int {
+	n := len(cfg.custom)
+	for _, on := range [...]bool{cfg.mpi, cfg.sockets, cfg.shm, cfg.gaSize > 0, cfg.rpc} {
+		if on {
+			n++
+		}
+	}
+	return n
+}
+
+// Kernel exposes the deterministic simulation kernel (prefer
+// SpawnOn/SpawnRanks for node work).
 func (s *Session) Kernel() *sim.Kernel { return s.k }
 
 // Nodes reports the cluster size.
@@ -387,17 +385,16 @@ func (s *Session) Nodes() int { return len(s.eps) }
 // Now reports current virtual time.
 func (s *Session) Now() Time { return s.k.Now() }
 
-// Spawn starts a simulated process at time zero (on the first LP's kernel
-// under WithParallel — use SpawnOn for processes that drive a node).
+// Spawn starts a simulated process at time zero, acting for no node (use
+// SpawnOn for processes that drive a node).
 func (s *Session) Spawn(name string, fn func(p *Proc)) { s.k.Spawn(name, fn) }
 
-// SpawnOn starts a simulated process that acts for a node, on the kernel
-// that owns it — the shared kernel on a sequential session, the owning LP's
-// under WithParallel. It may call that node's services and no other's, and
-// may change nothing another node's wait conditions read: those waits take
-// their verdicts to stand until their own node acts (sim.Proc.ActsFor).
+// SpawnOn starts a simulated process that acts for a node. It may call that
+// node's services and no other's, and may change nothing another node's
+// wait conditions read: those waits take their verdicts to stand until
+// their own node acts (sim.Proc.ActsFor).
 func (s *Session) SpawnOn(node int, name string, fn func(p *Proc)) {
-	s.pl.KernelOf(node).Spawn(name, fn).ActsFor(node)
+	s.k.Spawn(name, fn).ActsFor(node)
 }
 
 // SpawnRanks starts one process per node, each told its rank, each acting
@@ -408,9 +405,8 @@ func (s *Session) SpawnRanks(name string, fn func(rank int, p *Proc)) {
 	}
 }
 
-// Run drives the simulation until every process completes — the sequential
-// kernel or, under WithParallel, the partitioned engine.
-func (s *Session) Run() error { return s.pl.Run() }
+// Run drives the simulation until every process completes.
+func (s *Session) Run() error { return s.k.Run() }
 
 // Endpoint returns a node's shared fabric attachment (per-service stats,
 // raw extraction).

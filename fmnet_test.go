@@ -4,6 +4,8 @@ package fmnet_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"io"
 	"reflect"
 	"runtime"
@@ -235,14 +237,141 @@ func TestSessionErrors(t *testing.T) {
 	if _, err := fmnet.New(fmnet.WithGlobalArray(-5)); err == nil {
 		t.Error("negative global-array size accepted")
 	}
-	if _, err := fmnet.New(fmnet.WithMPI(), fmnet.WithLinkSlots(-3)); err == nil {
-		t.Error("negative link slots accepted")
-	}
 	if _, err := fmnet.New(fmnet.WithMPI(), fmnet.WithParallel(-1)); err == nil {
 		t.Error("negative parallelism accepted")
 	}
 	if _, err := fmnet.New(fmnet.WithRPC(fmnet.RPCConfig{ServiceTime: -5})); err == nil {
 		t.Error("negative RPC service time accepted")
+	}
+	// More services than an endpoint's handler-ID slabs hold.
+	opts := []fmnet.Option{fmnet.WithMPI()}
+	for i := 0; i < 2000; i++ {
+		opts = append(opts, fmnet.WithService(fmt.Sprintf("svc%d", i)))
+	}
+	if _, err := fmnet.New(opts...); err == nil || !strings.Contains(err.Error(), "at most") {
+		t.Errorf("2001 services: err = %v, want one naming the bound", err)
+	}
+}
+
+// TestWithParallelIsIgnored: WithParallel is a deprecated no-op. A session
+// with it runs exactly as one without it, on any topology, and the fabric
+// reports the one-kernel certificate.
+func TestWithParallelIsIgnored(t *testing.T) {
+	run := func(topo fmnet.Topo, opts ...fmnet.Option) (string, *fmnet.Session) {
+		t.Helper()
+		s, err := fmnet.New(append([]fmnet.Option{fmnet.Nodes(16), fmnet.Topology(topo), fmnet.WithMPI()}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ends := make([]fmnet.Time, s.Nodes())
+		s.SpawnRanks("rank", func(rank int, p *fmnet.Proc) {
+			in, out := make([]byte, 256), make([]byte, 256)
+			for i := 0; i < 3; i++ {
+				if err := s.MPI(rank).Allreduce(p, in, out, fmnet.OpSumU32); err != nil {
+					t.Error(err)
+				}
+			}
+			ends[rank] = p.Now()
+		})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("ends %v events %d census %+v", ends, s.Kernel().Events(), s.Kernel().Census()), s
+	}
+	for _, topo := range []fmnet.Topo{fmnet.SingleSwitch, fmnet.FatTree} {
+		want, _ := run(topo)
+		got, s := run(topo, fmnet.WithParallel(2))
+		if got != want {
+			t.Errorf("%v: with WithParallel(2)\n%s\nwithout\n%s", topo, got, want)
+		}
+		if !s.Fabric().Certified() || s.Fabric().CutStalls() != 0 {
+			t.Errorf("%v: certified %v, %d cut stalls", topo, s.Fabric().Certified(), s.Fabric().CutStalls())
+		}
+	}
+}
+
+// mpiTrace is one rank's observable outcome: the allreduce result, the
+// byte its ring neighbor passed it, and the virtual instant it finished.
+type mpiTrace struct {
+	Sum  uint32
+	Ring byte
+	End  fmnet.Time
+}
+
+// runMPIWorkload drives every rank of a 16-node fat-tree MPI session through
+// a barrier, an allreduce, a ring exchange and a closing barrier. It returns
+// the per-rank traces and the kernel's event count.
+func runMPIWorkload(t *testing.T, opts ...fmnet.Option) ([]mpiTrace, uint64) {
+	t.Helper()
+	const nodes = 16
+	s, err := fmnet.New(append([]fmnet.Option{
+		fmnet.Nodes(nodes), fmnet.Topology(fmnet.FatTree), fmnet.WithMPI(),
+		fmnet.WithFullBisection(),
+	}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces := make([]mpiTrace, nodes)
+	s.SpawnRanks("work", func(rank int, p *fmnet.Proc) {
+		c := s.MPI(rank)
+		if err := c.Barrier(p); err != nil {
+			t.Error(err)
+			return
+		}
+		var send, recv [4]byte
+		binary.LittleEndian.PutUint32(send[:], uint32(rank+1))
+		if err := c.Allreduce(p, send[:], recv[:], fmnet.OpSumU32); err != nil {
+			t.Error(err)
+			return
+		}
+		traces[rank].Sum = binary.LittleEndian.Uint32(recv[:])
+
+		buf := make([]byte, 1024)
+		req, err := c.Irecv(p, buf, (rank+nodes-1)%nodes, 7)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		msg := make([]byte, 1024)
+		msg[0] = byte(rank)
+		if err := c.Send(p, msg, (rank+1)%nodes, 7); err != nil {
+			t.Error(err)
+			return
+		}
+		c.Wait(p, req)
+		traces[rank].Ring = buf[0]
+
+		if err := c.Barrier(p); err != nil {
+			t.Error(err)
+			return
+		}
+		traces[rank].End = p.Now()
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return traces, s.Kernel().Events()
+}
+
+// TestParallelMatchesSequential: an MPI workload asked to run on 2 or 4 LPs
+// produces the per-rank results, end times and event count of the plain
+// run, since every session runs on one kernel.
+func TestParallelMatchesSequential(t *testing.T) {
+	seq, seqEvents := runMPIWorkload(t)
+	for r, tr := range seq {
+		if want := uint32(len(seq) * (len(seq) + 1) / 2); tr.Sum != want {
+			t.Fatalf("rank %d allreduce = %d, want %d", r, tr.Sum, want)
+		}
+		if want := byte((r + len(seq) - 1) % len(seq)); tr.Ring != want {
+			t.Fatalf("rank %d ring byte = %d, want %d", r, tr.Ring, want)
+		}
+	}
+	for _, parts := range []int{2, 4} {
+		par, parEvents := runMPIWorkload(t, fmnet.WithParallel(parts))
+		if !reflect.DeepEqual(seq, par) || seqEvents != parEvents {
+			t.Fatalf("WithParallel(%d) diverged:\n sequential: %+v (%d events)\n   parallel: %+v (%d events)",
+				parts, seq, seqEvents, par, parEvents)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package fmnet_test
 
 import (
-	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -85,38 +84,5 @@ func TestHangReportNamesEveryWait(t *testing.T) {
 	slices.Sort(want)
 	if got := k.HangReport().Lines; !slices.Equal(got, want) {
 		t.Errorf("hang report:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
-	}
-}
-
-// TestParallelDeadlockNamesTheCycleAcrossLPs: the FM 1.x credit ring on a
-// fat tree split over two LPs deadlocks as it does sequentially, and the
-// engine's ErrDeadlock is the same report over both LPs' Procs: the cycle
-// through all 16 nodes first, then every rank tagged with its LP.
-func TestParallelDeadlockNamesTheCycleAcrossLPs(t *testing.T) {
-	s, err := fmnet.New(fmnet.Nodes(16), fmnet.FM1(), fmnet.Topology(fmnet.FatTree), fmnet.WithService("t"), fmnet.WithParallel(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SpawnRanks("r", func(rank int, p *fmnet.Proc) {
-		sp := s.Space(rank, "t")
-		for i := 0; i < 20; i++ {
-			if err := fmnet.Send(p, sp, (rank+1)%16, 1, make([]byte, 4096)); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	})
-	err = s.Run()
-	if !errors.Is(err, sim.ErrDeadlock) {
-		t.Fatalf("Run: %v, want ErrDeadlock", err)
-	}
-	lines := strings.Split(err.Error(), "\n")
-	if want := "cycle n0 → n1 → n2 → n3 → n4 → n5 → n6 → n7 → n8 → n9 → n10 → n11 → n12 → n13 → n14 → n15 → n0"; len(lines) != 18 || lines[1] != want {
-		t.Fatalf("report:\n%s\nwant %d lines, the second %q", err, 18, want)
-	}
-	for _, l := range lines[2:] {
-		if !strings.HasPrefix(l, "[lp part") || !strings.Contains(l, ": credit (window of 4 spent") {
-			t.Errorf("line %q is not an LP-tagged credit wait", l)
-		}
 	}
 }

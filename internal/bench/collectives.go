@@ -104,7 +104,7 @@ func spawnCollective(pl *cluster.Platform, comms []*mpifm.Comm, op CollectiveOp,
 	stamps := make([]stamp, len(comms))
 	for r, c := range comms {
 		c.SetCollectiveAlgo(algo)
-		pl.KernelOf(r).Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
+		pl.K.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
 			sendbuf, recvbuf := collBuffers(op, len(comms), c.Rank(), size)
 			if err := c.Barrier(p); err != nil {
 				panic(err)

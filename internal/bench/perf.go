@@ -126,7 +126,7 @@ func PerfCollective(f Fabric, ranks, size int) PerfEntry {
 	wall, mallocs, bytes := hostCost(func() { run(pl, "perf allreduce ranks=%d on %s", ranks, f) })
 	e := PerfEntry{Name: "allreduce", Fabric: f.String(), Ranks: ranks, SizeB: size,
 		VirtualUS: span(stamps).Micros(), Digest: digest(stamps)}
-	return e.withCost(wall, pl.Events(), mallocs, bytes, int64(ranks))
+	return e.withCost(wall, pl.K.Events(), mallocs, bytes, int64(ranks))
 }
 
 // digest is FNV-1a over every rank's raw (start, end) stamps in rank order:

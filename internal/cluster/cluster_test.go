@@ -172,21 +172,6 @@ func TestNodeIDsFitTheHeaderField(t *testing.T) {
 	}
 }
 
-// TestTryNewRejectsParallelism: TryNew builds sequential platforms only; a
-// config asking for LPs must go through Assemble, not be silently run on one
-// kernel.
-func TestTryNewRejectsParallelism(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Nodes, cfg.Topology, cfg.Parallelism = 16, FatTree, 2
-	if _, err := TryNew(sim.NewKernel(), cfg); err == nil || !strings.Contains(err.Error(), "Assemble") {
-		t.Fatalf("TryNew with Parallelism 2: err = %v, want one naming Assemble", err)
-	}
-	pl, err := Assemble(cfg)
-	if err != nil || !pl.Parallel() {
-		t.Fatalf("Assemble with Parallelism 2: parallel=%v err=%v", pl != nil && pl.Parallel(), err)
-	}
-}
-
 // TestRingGrowsWithNodes pins the flow-control satellite at the platform
 // level: at 64 nodes the receive ring must have grown past the profile
 // default so the effective per-sender window holds the MinWindow floor.

@@ -86,11 +86,7 @@ type EndpointCore struct {
 // lists hold at most netsim.DefaultPoolCap frames each; poison overwrites
 // recycled frames with a poison pattern; noFlowControl is the flow-control
 // ablation.
-// shared says the platform is partitioned across the LPs of a parallel
-// engine: frames this endpoint allocates are then released by receivers on
-// other LPs' goroutines, so both wire pools take their mutex mode. Pools an
-// engine adds stay lock-free — their buffers never leave the node's kernel.
-func NewEndpointCore(nic *lanai.NIC, nodes int, w Wire, poison, noFlowControl, shared bool) EndpointCore {
+func NewEndpointCore(nic *lanai.NIC, nodes int, w Wire, poison, noFlowControl bool) EndpointCore {
 	if w.Size > MaxHeader {
 		panic(fmt.Sprintf("flowctl: a %d-byte header is longer than MaxHeader", w.Size))
 	}
@@ -102,10 +98,8 @@ func NewEndpointCore(nic *lanai.NIC, nodes int, w Wire, poison, noFlowControl, s
 		frames: netsim.NewFramePool(nic.H.P.PacketMTU, netsim.DefaultPoolCap),
 		poison: poison,
 	}
-	for _, fp := range [...]*netsim.FramePool{c.frames, c.Credit.pool} {
-		fp.SetPoison(poison)
-		fp.SetShared(shared)
-	}
+	c.frames.SetPoison(poison)
+	c.Credit.pool.SetPoison(poison)
 	return c
 }
 

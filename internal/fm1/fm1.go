@@ -94,7 +94,7 @@ func Attach(pl *cluster.Platform, cfg Config) []*Endpoint {
 	for i := range eps {
 		e := &Endpoint{
 			EndpointCore: flowctl.NewEndpointCore(pl.NICs[i], pl.Nodes(), wire,
-				cfg.PoisonFrames, cfg.DisableFlowControl, pl.Parallel()),
+				cfg.PoisonFrames, cfg.DisableFlowControl),
 			cfg:      cfg,
 			handlers: make(map[HandlerID]Handler),
 			asm:      make([]assembly, pl.Nodes()),

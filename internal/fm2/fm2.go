@@ -110,7 +110,7 @@ func Attach(pl *cluster.Platform, cfg Config) []*Endpoint {
 	for i := range eps {
 		e := &Endpoint{
 			EndpointCore: flowctl.NewEndpointCore(pl.NICs[i], pl.Nodes(), wire,
-				cfg.PoisonFrames, false, pl.Parallel()), // credits always on: the ablation is fm1's
+				cfg.PoisonFrames, false), // credits always on: the ablation is fm1's
 			handlers: make(map[HandlerID]Handler),
 			active:   make(map[uint32]*RecvStream),
 		}

@@ -32,9 +32,9 @@ import "fmt"
 // wirePair wires two nodes back to back, no switch: routes are empty.
 func wirePair(b *builder, _ Shape) {
 	b.n.desc = "direct pair"
-	n0, n1 := b.addIface(0), b.addIface(0)
-	n0.out = b.link("0->1", 0, 0, n1.In)
-	n1.out = b.link("1->0", 0, 0, n0.In)
+	n0, n1 := b.addIface(), b.addIface()
+	n0.out = b.link("0->1", n1.In)
+	n1.out = b.link("1->0", n0.In)
 }
 
 func routePair(_ *Shape, buf []uint8, _, _ int) []uint8 { return buf }
@@ -43,9 +43,9 @@ func routePair(_ *Shape, buf []uint8, _, _ int) []uint8 { return buf }
 // to dst is the single byte [dst].
 func wireSingle(b *builder, s Shape) {
 	b.n.desc = fmt.Sprintf("%d nodes on one crossbar", s.Nodes)
-	sw := b.addSwitch("sw0", s.ports, 0)
+	sw := b.addSwitch("sw0", s.ports)
 	for i := 0; i < s.Nodes; i++ {
-		b.attach(sw, i, 0, "sw")
+		b.attach(sw, i, "sw")
 	}
 }
 
@@ -58,17 +58,17 @@ func wireLine(b *builder, s Shape) {
 	sws := make([]*Switch, s.Nodes/h)
 	b.n.desc = fmt.Sprintf("line of %d switches x %d hosts", len(sws), h)
 	for i := range sws {
-		sws[i] = b.addSwitch(fmt.Sprintf("sw%d", i), s.ports, 0)
+		sws[i] = b.addSwitch(fmt.Sprintf("sw%d", i), s.ports)
 	}
 	for i, sw := range sws {
 		for l := 0; l < h; l++ {
-			b.attach(sw, l, 0, sw.name)
+			b.attach(sw, l, sw.name)
 		}
 		if i > 0 { // trunk to the left neighbor
-			sw.SetOut(h, b.link(fmt.Sprintf("sw%d->sw%d", i, i-1), 0, 0, sws[i-1].In(h+1)))
+			sw.SetOut(h, b.link(fmt.Sprintf("sw%d->sw%d", i, i-1), sws[i-1].In(h+1)))
 		}
 		if i < len(sws)-1 { // trunk to the right neighbor
-			sw.SetOut(h+1, b.link(fmt.Sprintf("sw%d->sw%d", i, i+1), 0, 0, sws[i+1].In(h)))
+			sw.SetOut(h+1, b.link(fmt.Sprintf("sw%d->sw%d", i, i+1), sws[i+1].In(h)))
 		}
 	}
 }
@@ -93,28 +93,23 @@ func routeLine(s *Shape, buf []uint8, src, dst int) []uint8 {
 //
 // Edge switch port map: 0..hosts-1 host ports, hosts+s = uplink to spine s.
 // Spine switch port map: port e = downlink to edge e.
-//
-// With one kernel per LP each switch lives where FatTreePartition puts it;
-// the only wires that can cross a cut are the trunks.
 func wireFatTree(b *builder, s Shape) {
-	fp := FatTreePartition{Edges: s.Nodes / s.Hosts, Hosts: s.Hosts, Spines: s.Spines, Parts: len(b.ks)}
-	b.n.desc = fmt.Sprintf("fat tree: %d edge switches x %d hosts, %d spines (%d nodes)", fp.Edges, fp.Hosts, fp.Spines, s.Nodes)
-	edges, spines := make([]*Switch, fp.Edges), make([]*Switch, fp.Spines)
+	hosts := s.Hosts
+	edges, spines := make([]*Switch, s.Nodes/hosts), make([]*Switch, s.Spines)
+	b.n.desc = fmt.Sprintf("fat tree: %d edge switches x %d hosts, %d spines (%d nodes)", len(edges), hosts, len(spines), s.Nodes)
 	for e := range edges {
-		edges[e] = b.addSwitch(fmt.Sprintf("edge%d", e), s.ports, fp.EdgeLP(e))
+		edges[e] = b.addSwitch(fmt.Sprintf("edge%d", e), s.ports)
 	}
 	for sp := range spines {
-		spines[sp] = b.addSwitch(fmt.Sprintf("spine%d", sp), s.spinePorts, fp.SpineLP(sp))
+		spines[sp] = b.addSwitch(fmt.Sprintf("spine%d", sp), s.spinePorts)
 	}
 	for e, edge := range edges {
-		lpE := fp.EdgeLP(e)
-		for l := 0; l < fp.Hosts; l++ {
-			b.attach(edge, l, lpE, edge.name)
+		for l := 0; l < hosts; l++ {
+			b.attach(edge, l, edge.name)
 		}
 		for sp, spine := range spines {
-			lpS := fp.SpineLP(sp)
-			edge.SetOut(fp.Hosts+sp, b.link(fmt.Sprintf("edge%d->spine%d", e, sp), lpE, lpS, spine.In(e)))
-			spine.SetOut(e, b.link(fmt.Sprintf("spine%d->edge%d", sp, e), lpS, lpE, edge.In(fp.Hosts+sp)))
+			edge.SetOut(hosts+sp, b.link(fmt.Sprintf("edge%d->spine%d", e, sp), spine.In(e)))
+			spine.SetOut(e, b.link(fmt.Sprintf("spine%d->edge%d", sp, e), edge.In(hosts+sp)))
 		}
 	}
 }
@@ -155,21 +150,21 @@ func wireTorus(b *builder, s Shape) {
 	b.n.desc = fmt.Sprintf("%dx%d torus x %d hosts (%d nodes), DOR + dateline VCs", rows, cols, hosts, s.Nodes)
 	sws := make([]*Switch, rows*cols)
 	for i := range sws {
-		sws[i] = b.addSwitch(fmt.Sprintf("t%d.%d", i/cols, i%cols), s.ports, 0)
+		sws[i] = b.addSwitch(fmt.Sprintf("t%d.%d", i/cols, i%cols), s.ports)
 	}
 	at := func(r, c int) *Switch { return sws[((r+rows)%rows)*cols+(c+cols)%cols] }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			me := at(r, c)
 			for l := 0; l < hosts; l++ {
-				b.attach(me, l, 0, me.name)
+				b.attach(me, l, me.name)
 			}
 			// Inter-switch links: one per (direction, VC). Degenerate
 			// dimensions (size 1) need no links — routes never move there.
 			ring := func(dir int, nb *Switch, name string) {
 				for v := 0; v < 2; v++ {
 					port := hosts + 2*dir + v
-					me.SetOut(port, b.link(fmt.Sprintf("%s%s.vc%d", me.name, name, v), 0, 0, nb.In(port)))
+					me.SetOut(port, b.link(fmt.Sprintf("%s%s.vc%d", me.name, name, v), nb.In(port)))
 				}
 			}
 			if cols > 1 {

@@ -319,8 +319,6 @@ func (n *Network) noteLost(pkt *Packet, cause LossCause) {
 	if n == nil {
 		return
 	}
-	n.lostMu.Lock()
-	defer n.lostMu.Unlock()
 	if n.lost == nil {
 		n.lost = make(map[lostKey]int64)
 	}
@@ -334,8 +332,6 @@ func (ifc *Iface) NoteLost(pkt *Packet, cause LossCause) { ifc.net.noteLost(pkt,
 // LostFrames returns every loss record, sorted by (src, dst, cause, ctrl) so
 // reports are deterministic.
 func (n *Network) LostFrames() []LostFrame {
-	n.lostMu.Lock()
-	defer n.lostMu.Unlock()
 	out := make([]LostFrame, 0, len(n.lost))
 	for k, c := range n.lost {
 		out = append(out, LostFrame{Src: k.src, Dst: k.dst, Ctrl: k.ctrl, Cause: k.cause.String(), Count: c})
@@ -361,8 +357,6 @@ func (n *Network) LostFrames() []LostFrame {
 // flow-control credit src holds against dst that can never be returned.
 // src or dst of -1 wildcards that side.
 func (n *Network) LeakedCredits(src, dst int) int64 {
-	n.lostMu.Lock()
-	defer n.lostMu.Unlock()
 	var total int64
 	for k, c := range n.lost {
 		if k.ctrl {

@@ -83,11 +83,6 @@ type LinkStats struct {
 // Link is a unidirectional wire from one element to the input queue of the
 // next. Send serializes the packet at link bandwidth and blocks (holding the
 // link — back-pressure) while the downstream queue is full.
-//
-// A link whose endpoints live in different LPs of a parallel engine is a
-// PORTAL link: instead of delivering into dst directly, Send posts the
-// packet across the LP boundary with the link's propagation delay as the
-// engine's lookahead (see Send for the exact timing argument).
 type Link struct {
 	name   string
 	cfg    LinkConfig
@@ -96,7 +91,6 @@ type Link struct {
 	net    *Network // owning fabric (loss registry); nil for standalone links
 	faults *linkFaults
 	stats  LinkStats
-	portal *sim.Portal[*Packet] // non-nil: cross-LP egress (parallel fabric)
 }
 
 // NewLink creates a link delivering into dst.
@@ -125,27 +119,16 @@ func (l *Link) Send(p *sim.Proc, pkt *Packet) {
 // has armed exactly one wake for p and is to be called again at that wake —
 // by Link.Send after a park on a goroutine Proc, by the Step of the sim
 // Machine (NIC firmware, switch forwarder) that embeds the Tx.
-//
-// A portal link reproduces an ordinary link's timing exactly across the LP
-// boundary: it charges all but the lookahead's worth of delay, evaluates
-// faults at the precise arrival instant tArr = now + la (the instant an
-// ordinary link evaluates them, and in the same per-link RNG draw order since
-// xmit serializes this link's frames), posts the packet for arrival at tArr,
-// then holds xmit through the remaining lookahead so the next frame's
-// serialization starts exactly when it would have sequentially (partition.go
-// has the one thing it cannot carry: reverse back-pressure).
 type Tx struct {
 	l    *Link
 	pkt  *Packet
-	la   sim.Time // 0 on an ordinary link: the frame lands on this clock
-	next uint8    // the tx* step to run at the next wake
+	next uint8 // the tx* step to run at the next wake
 }
 
 const (
 	txAcquire   = iota // wait for the wire
 	txSerialize        // charge serialization and propagation
 	txDeliver          // at the far end: faults, then the downstream queue
-	txHold             // a portal's wire stays busy through the lookahead
 	txRelease
 )
 
@@ -172,35 +155,19 @@ func (tx *Tx) Step(p *sim.Proc) (done bool) {
 			// Straggler link/NIC: serialization and propagation both degrade.
 			delay = sim.Time(float64(delay) * f.slow)
 		}
-		if l.portal != nil {
-			tx.la = l.portal.Lookahead()
-		}
 		tx.next = txDeliver
-		p.StartDelay(delay - tx.la)
+		p.StartDelay(delay)
 		return false
 	case txDeliver:
-		tArr := p.Now() + tx.la
 		l.stats.Packets++
 		l.stats.Bytes += int64(pkt.Size())
 		l.stats.WireBytes += int64(pkt.Size() + l.cfg.FrameOverhead)
-		tx.next = txHold
-		switch {
-		case !l.applyFaults(pkt, tArr):
-			pkt.Release() // a lost frame goes back to its sender's pool
-		case l.portal != nil:
-			l.portal.PostAt(tArr, pkt)
-		default:
-			// Holding xmit while the downstream queue is full propagates stalls
-			// upstream: Myrinet back-pressure.
-			if !l.dst.StartSend(p, pkt) {
-				return false
-			}
-		}
-		fallthrough
-	case txHold:
 		tx.next = txRelease
-		if tx.la > 0 {
-			p.StartDelay(tx.la) // the wire stays busy until the frame has (or would have) landed
+		if !l.applyFaults(pkt, p.Now()) {
+			pkt.Release() // a lost frame goes back to its sender's pool
+		} else if !l.dst.StartSend(p, pkt) {
+			// Holding xmit while the downstream queue is full propagates
+			// stalls upstream: Myrinet back-pressure.
 			return false
 		}
 		fallthrough
@@ -213,9 +180,7 @@ func (tx *Tx) Step(p *sim.Proc) (done bool) {
 // applyFaults evaluates the link's fault state for a frame arriving at
 // tArr. It reports false when the frame is lost on the wire (stats and the
 // loss registry updated); corruption mutates the frame in place and lets it
-// travel on. Send evaluates it at the frame's arrival instant on an ordinary
-// and on a portal link alike, so outage windows and RNG draws line up
-// regardless of partitioning.
+// travel on. Send evaluates it at the frame's arrival instant.
 func (l *Link) applyFaults(pkt *Packet, tArr sim.Time) bool {
 	f := l.faults
 	if f == nil {

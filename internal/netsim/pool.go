@@ -19,15 +19,11 @@
 //
 // Frame pools and the upper layers' byte pools (bufpool.Pool) share one
 // counter type, PoolStats (bufpool.Stats), and one poison byte. A frame
-// pool's poison and shared modes are set once, by its endpoint core, before
-// traffic starts.
+// pool's poison mode is set once, by its endpoint core, before traffic
+// starts.
 package netsim
 
-import (
-	"sync"
-
-	"repro/internal/bufpool"
-)
+import "repro/internal/bufpool"
 
 // DefaultPoolCap bounds a FramePool's free list when the caller passes no
 // explicit cap: deep enough to cover a full credit window plus both NIC
@@ -40,18 +36,11 @@ type PoolStats = bufpool.Stats
 
 // FramePool recycles fixed-capacity framed packets (the Packet struct and
 // its payload backing array together). Pools are single-threaded under the
-// simulation kernel like everything else: no locking by default. Under the
-// parallel engine a frame can be RELEASED from a different LP's goroutine
-// than the one Getting it (receivers return frames to the sender's pool),
-// so partitioned platforms switch pools to shared mode, which guards the
-// free list with a mutex; the sequential hot path keeps its lock-free form
-// behind one predictable branch.
+// simulation kernel like everything else: no locking.
 type FramePool struct {
 	frameCap int // backing-array size of every frame
 	max      int // free-list bound
 	poison   bool
-	shared   bool // cross-LP Get/put: guard the free list
-	mu       sync.Mutex
 	free     []*Packet
 	stats    PoolStats
 }
@@ -74,17 +63,8 @@ func NewFramePool(frameCap, max int) *FramePool {
 // are overwritten with bufpool.PoisonByte.
 func (fp *FramePool) SetPoison(on bool) { fp.poison = on }
 
-// SetShared switches the pool to cross-LP (mutex-guarded) mode. Call before
-// traffic starts; partitioned platforms set it on every endpoint pool whose
-// frames can be released from another partition.
-func (fp *FramePool) SetShared(on bool) { fp.shared = on }
-
 // Stats returns a copy of the pool counters.
 func (fp *FramePool) Stats() PoolStats {
-	if fp.shared {
-		fp.mu.Lock()
-		defer fp.mu.Unlock()
-	}
 	s := fp.stats
 	s.Free = len(fp.free)
 	return s
@@ -96,10 +76,6 @@ func (fp *FramePool) Stats() PoolStats {
 func (fp *FramePool) Get(n int) *Packet {
 	if n > fp.frameCap {
 		panic("netsim: frame request exceeds pool frame capacity")
-	}
-	if fp.shared {
-		fp.mu.Lock()
-		defer fp.mu.Unlock()
 	}
 	fp.stats.Gets++
 	var pkt *Packet
@@ -120,10 +96,6 @@ func (fp *FramePool) Get(n int) *Packet {
 
 // put returns a frame to the free list (Packet.Release is the public path).
 func (fp *FramePool) put(pkt *Packet) {
-	if fp.shared {
-		fp.mu.Lock()
-		defer fp.mu.Unlock()
-	}
 	fp.stats.Releases++
 	if fp.poison {
 		for i := range pkt.backing {

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/sim"
 )
@@ -13,7 +12,6 @@ import (
 type Iface struct {
 	ID  int
 	In  *sim.Chan[*Packet]
-	K   *sim.Kernel // the kernel the node lives on; Procs driving it spawn here
 	net *Network
 	out *Link
 	seq uint64
@@ -64,14 +62,7 @@ type Network struct {
 	links    []*Link
 	desc     string
 
-	// Per-flow lost-frame registry (see faults.go). Frames are lost on
-	// whatever link the fault fires on — under a partitioned fabric that can
-	// be any LP's goroutine — so the registry is mutex-guarded; the lock is
-	// uncontended and off the clean path (loss is rare by construction).
-	lostMu sync.Mutex
-	lost   map[lostKey]int64
-
-	cut CutMonitor // counts only on partitioned fabrics (see partition.go)
+	lost map[lostKey]int64 // per-flow lost-frame registry (see faults.go)
 }
 
 // Nodes reports the number of attached nodes.
@@ -91,6 +82,14 @@ func (n *Network) Route(src, dst int) []uint8 {
 
 // Links returns all links for stats inspection.
 func (n *Network) Links() []*Link { return n.links }
+
+// Deprecated: one kernel runs the whole fabric, so no link crosses a
+// partition: always 0. Kept for benchmark/allreduce.go.
+func (n *Network) CutStalls() int64 { return 0 }
+
+// Deprecated: one kernel runs the whole fabric: always true. Kept for
+// benchmark/allreduce.go.
+func (n *Network) Certified() bool { return true }
 
 // Describe reports the topology in human-readable form.
 func (n *Network) Describe() string { return n.desc }
@@ -272,50 +271,40 @@ func (s Shape) Resolve() (Shape, error) {
 // builder is a Network under construction. A topology's wire function
 // creates its switches, interfaces and links through it, in model order —
 // forwarder spawn order is the kernel's tie-break order, and fault plans and
-// campaign goldens key on link names in Links() order — while placement
-// (which kernel an element lives on, which links cross LPs) is decided here,
-// from the LP index the wire function hands each element (0 throughout an
-// unpartitioned fabric).
+// campaign goldens key on link names in Links() order.
 type builder struct {
 	n          *Network
-	ks         []*sim.Kernel // one for a sequential fabric, else one per LP
-	lps        []*sim.LP
 	cfg        LinkConfig
 	routeDelay sim.Time
 }
 
-func (b *builder) addSwitch(name string, ports, lp int) *Switch {
-	sw := NewSwitch(b.ks[lp], name, ports, b.routeDelay, b.cfg.Slots)
+func (b *builder) addSwitch(name string, ports int) *Switch {
+	sw := NewSwitch(b.n.K, name, ports, b.routeDelay, b.cfg.Slots)
 	b.n.switches = append(b.n.switches, sw)
 	return sw
 }
 
 // addIface creates the next node's interface; nodes are created in ID order.
-func (b *builder) addIface(lp int) *Iface {
-	ifc := &Iface{ID: len(b.n.ifaces), In: sim.NewChan[*Packet](b.ks[lp], b.cfg.Slots), K: b.ks[lp], net: b.n}
+func (b *builder) addIface() *Iface {
+	ifc := &Iface{ID: len(b.n.ifaces), In: sim.NewChan[*Packet](b.n.K, b.cfg.Slots), net: b.n}
 	b.n.ifaces = append(b.n.ifaces, ifc)
 	return ifc
 }
 
-// link creates the wire from an element on srcLP into dst, an input queue on
-// dstLP: a portal link when the two differ.
-func (b *builder) link(name string, srcLP, dstLP int, dst *sim.Chan[*Packet]) *Link {
-	l := NewLink(b.ks[srcLP], name, b.cfg, dst)
+// link creates the wire into dst.
+func (b *builder) link(name string, dst *sim.Chan[*Packet]) *Link {
+	l := NewLink(b.n.K, name, b.cfg, dst)
 	l.net = b.n
 	b.n.links = append(b.n.links, l)
-	if srcLP != dstLP {
-		l.crossLPs(&b.n.cut, b.lps[srcLP], b.lps[dstLP])
-	}
 	return l
 }
 
 // attach hangs the next node off port `port` of sw, with one link each way
-// named after label (how link names spell the switch). A node lives where
-// its switch lives.
-func (b *builder) attach(sw *Switch, port, lp int, label string) {
-	ifc := b.addIface(lp)
-	ifc.out = b.link(fmt.Sprintf("n%d->%s", ifc.ID, label), lp, lp, sw.In(port))
-	sw.SetOut(port, b.link(fmt.Sprintf("%s->n%d", label, ifc.ID), lp, lp, ifc.In))
+// named after label (how link names spell the switch).
+func (b *builder) attach(sw *Switch, port int, label string) {
+	ifc := b.addIface()
+	ifc.out = b.link(fmt.Sprintf("n%d->%s", ifc.ID, label), sw.In(port))
+	sw.SetOut(port, b.link(fmt.Sprintf("%s->n%d", label, ifc.ID), ifc.In))
 }
 
 // appendRoute appends the source route from src to dst (src != dst) to buf:
@@ -324,21 +313,15 @@ func (n *Network) appendRoute(buf []uint8, src, dst int) []uint8 {
 	return topologies[n.shape.Topology].route(&n.shape, buf, src, dst)
 }
 
-// Build assembles and starts the fabric on one kernel. It panics on a shape
-// Validate rejects.
+// Build assembles the fabric on one kernel and starts its switches in
+// creation order. It panics on a shape Validate rejects.
 func (s Shape) Build(k *sim.Kernel, cfg LinkConfig, routeDelay sim.Time) *Network {
-	return s.build([]*sim.Kernel{k}, nil, cfg, routeDelay)
-}
-
-// build wires the shape on the given kernels — one for a sequential fabric,
-// else one per LP of lps — and starts its switches in creation order.
-func (s Shape) build(ks []*sim.Kernel, lps []*sim.LP, cfg LinkConfig, routeDelay sim.Time) *Network {
 	s, err := s.Resolve()
 	if err != nil {
 		panic(err.Error())
 	}
-	n := &Network{K: ks[0], shape: s, ifaces: make([]*Iface, 0, s.Nodes), links: make([]*Link, 0, 2*s.Nodes)}
-	topologies[s.Topology].wire(&builder{n, ks, lps, cfg, routeDelay}, s)
+	n := &Network{K: k, shape: s, ifaces: make([]*Iface, 0, s.Nodes), links: make([]*Link, 0, 2*s.Nodes)}
+	topologies[s.Topology].wire(&builder{n, cfg, routeDelay}, s)
 	for _, sw := range n.switches {
 		sw.Start()
 	}

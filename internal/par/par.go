@@ -1,11 +1,11 @@
-// Package par is the replica-parallel counterpart to the sim package's
-// engine: a minimal OS-thread worker pool for running many *independent*
-// sequential simulations concurrently (the scenarios of a campaign:
-// scenario.RunCampaignN and the benchmark's chaos-campaign). Each replica builds its own kernel and runs
-// to completion, so results are bit-identical to a one-at-a-time loop by
-// construction — the pool only changes wall-clock time, never virtual
-// time. Contrast with sim.Engine, which splits ONE simulation across LPs
-// and must earn its determinism through lookahead.
+// Package par is the one place simulations run in parallel: a minimal
+// OS-thread worker pool for running many *independent* sequential
+// simulations concurrently (the scenarios of a campaign:
+// scenario.RunCampaignN and the benchmark's chaos-campaign). Each replica
+// builds its own kernel and runs to completion, so results are
+// bit-identical to a one-at-a-time loop by construction — the pool only
+// changes wall-clock time, never virtual time. One simulation never spans
+// threads: it runs on one sim.Kernel (see the sim package doc).
 package par
 
 import (

@@ -5,40 +5,39 @@ import (
 	"testing"
 )
 
-// Satellite coverage for the Chan internals the cross-LP injector path
-// leans on: ring-buffer wraparound under sustained TrySend/Recv cycling
-// (portal deliveries land via TrySend from driver context) and FIFO
-// admission when a deep queue of parked senders drains gradually — the
-// shape a saturated cut injector produces.
+// Coverage for the Chan internals a feed from driver context leans on:
+// ring-buffer wraparound under sustained TrySend/Recv cycling (deliveries
+// scheduled with At land via TrySend) and FIFO admission when a deep queue
+// of parked senders drains gradually — the shape a saturated injector
+// produces.
 
-// TestChanRingWraparoundCrossLP drives a bounded channel in the destination
-// LP of a portal through many full fill/drain cycles so the ring's head
-// wraps its backing array repeatedly, and checks strict FIFO end to end.
-func TestChanRingWraparoundCrossLP(t *testing.T) {
+// TestChanRingWraparoundFromDriverEvents feeds a bounded channel from
+// driver events scheduled one latency after each send, through many full
+// fill/drain cycles, so the ring's head wraps its backing array repeatedly,
+// and checks strict FIFO end to end.
+func TestChanRingWraparoundFromDriverEvents(t *testing.T) {
 	const (
 		capN   = 5 // odd-ish capacity: head lands on every residue
 		total  = 500
 		lat    = 100 * Nanosecond
 		period = 40 * Nanosecond
 	)
-	e := NewEngine()
-	src := e.AddLP("src")
-	dst := e.AddLP("dst")
-	ch := NewChan[int](dst.K, capN)
+	k := NewKernel()
+	ch := NewChan[int](k, capN)
 	dropped := 0
-	pt := NewPortal[int]("feed", src, dst, lat, func(_ Time, v int) {
+	deliver := func(v int) {
 		if !ch.TrySend(v) {
 			dropped++ // would mean the pacing math below is wrong
 		}
-	})
-	src.K.Spawn("sender", func(p *Proc) {
+	}
+	k.Spawn("sender", func(p *Proc) {
 		for i := 0; i < total; i++ {
-			pt.Post(p, i)
+			k.At(p.Now()+lat, func() { deliver(i) })
 			p.Delay(period)
 		}
 	})
 	var got []int
-	dst.K.Spawn("consumer", func(p *Proc) {
+	k.Spawn("consumer", func(p *Proc) {
 		// Alternate fast and slow consumption so occupancy sweeps the whole
 		// ring: bursts fill to capacity (wrap), drains empty it (rewind).
 		for len(got) < total {
@@ -48,11 +47,11 @@ func TestChanRingWraparoundCrossLP(t *testing.T) {
 			}
 		}
 	})
-	if err := e.Run(); err != nil {
+	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if dropped != 0 {
-		t.Fatalf("%d portal deliveries found the ring full", dropped)
+		t.Fatalf("%d deliveries found the ring full", dropped)
 	}
 	for i, v := range got {
 		if v != i {

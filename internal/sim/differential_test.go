@@ -26,7 +26,7 @@ import (
 // goroutine daemon), which runs only the heap and the goroutine park the
 // shortcuts are defined against. The two runs must be one simulation: every
 // resumption and condition evaluation at the same (t, seq); the same
-// Events(), Now(), Live() and NextEventTime() after every driver call; the
+// Events(), Now(), Live() and next event time after every driver call; the
 // same first line of every error. The tests at the bottom are the matrix's
 // rows; each asserts the coverage it exists for, summed over its seeds.
 //
@@ -57,7 +57,7 @@ const (
 // Driver scripts, and the panics a row draws.
 const (
 	drain  = iota // Run
-	pauses        // RunUntil and RunBefore on and off tick instants, then Run
+	pauses        // RunUntil on and off tick instants, then Run
 	halt          // the same, then Stop from a driver event or Shutdown
 
 	condPanic = 1 // a poller's condition panics
@@ -133,10 +133,10 @@ func (r *run) note(who string, what int) {
 }
 
 func (r *run) state(what string, err error) {
-	t, ok := r.k.NextEventTime()
+	t, from := r.k.next()
 	r.states = append(r.states, fmt.Sprintf("%s after %d busy entries: err=%s now=%v events=%d live=%d next=%v,%v",
-		what, len(r.log)-r.idles, firstLine(err), r.k.Now(), r.k.Events(), r.k.Live(), t, ok))
-	if _, from := r.k.next(); r.fused && from >= 0 {
+		what, len(r.log)-r.idles, firstLine(err), r.k.Now(), r.k.Events(), r.k.Live(), t, from != noEvent))
+	if r.fused && from >= 0 {
 		r.cov[lFirst]++
 	}
 	for _, c := range r.pollers {
@@ -448,11 +448,7 @@ func newRun(seed int64, rw row, spelling int) *run {
 		if at += Time(1 + rng.Intn(int(2*Microsecond))); rng.Intn(2) == 0 {
 			at = max(gridD, at/gridD*gridD) // on a tick instant (RunUntil(0) would be Run)
 		}
-		if rng.Intn(2) == 0 {
-			r.state(fmt.Sprintf("until %v", at), k.RunUntil(at))
-		} else {
-			r.state(fmt.Sprintf("before %v", at), k.RunBefore(at))
-		}
+		r.state(fmt.Sprintf("until %v", at), k.RunUntil(at))
 	}
 	switch at += halfGrid(40) + Time(rng.Intn(2))*37; {
 	case rw.script != halt:

@@ -16,19 +16,10 @@ import (
 // acting for its node, and returns the kernel's census.
 func allreduce64(t *testing.T, rounds int) sim.Census {
 	t.Helper()
-	s, _ := allreduce(t, 64, rounds, fmnet.FM2())
-	return s.Kernel().Census()
-}
-
-// allreduce runs a barrier and rounds of allreduce on a fat tree of n ranks
-// and returns the session and the instant each rank finished.
-func allreduce(t *testing.T, n, rounds int, opts ...fmnet.Option) (*fmnet.Session, []sim.Time) {
-	t.Helper()
-	s, err := fmnet.New(append([]fmnet.Option{fmnet.Nodes(n), fmnet.Topology(fmnet.FatTree), fmnet.WithMPI()}, opts...)...)
+	s, err := fmnet.New(fmnet.Nodes(64), fmnet.Topology(fmnet.FatTree), fmnet.WithMPI(), fmnet.FM2())
 	if err != nil {
 		t.Fatal(err)
 	}
-	end := make([]sim.Time, n)
 	s.SpawnRanks("rank", func(rank int, p *fmnet.Proc) {
 		c := s.MPI(rank)
 		in, out := make([]byte, 64), make([]byte, 64)
@@ -40,36 +31,11 @@ func allreduce(t *testing.T, n, rounds int, opts ...fmnet.Option) (*fmnet.Sessio
 				t.Error(err)
 			}
 		}
-		end[rank] = p.Now()
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return s, end
-}
-
-// Under the parallel engine an LP's pollers go dormant too, and every rank
-// ends where it does on one kernel: a window boundary is no activity, a
-// portal delivery a global event.
-func TestDormantPollersUnderParallelEngine(t *testing.T) {
-	opts := []fmnet.Option{fmnet.WithLinkSlots(64), fmnet.WithFullBisection()}
-	checked0, _, _ := sim.DormantChecks()
-	_, seq := allreduce(t, 32, 2, opts...)
-	par, end := allreduce(t, 32, 2, append(opts, fmnet.WithParallel(2))...)
-	if !par.Fabric().Certified() {
-		t.Fatal("the parallel run hit cross-partition back-pressure")
-	}
-	for r := range seq {
-		if seq[r] != end[r] {
-			t.Fatalf("rank %d ends at %v on one kernel, %v on two LPs", r, seq[r], end[r])
-		}
-	}
-	if c := par.Kernel().Census(); c.Dormant == 0 {
-		t.Fatalf("no dormant tick on the first LP: %+v", c)
-	}
-	if checked, disagreed, first := sim.DormantChecks(); disagreed != 0 || checked == checked0 {
-		t.Fatalf("%d of %d dormant rotations disagree with the Idler; the first: %s", disagreed, checked-checked0, first)
-	}
+	return s.Kernel().Census()
 }
 
 // Ranks waiting on a quiet node are dormant: at least 90 % of an allreduce's

@@ -23,7 +23,7 @@ func askIdler(k *Kernel, s *tick) {
 	dormancy.checked.Add(1)
 	if p.poll.Idle() == Busy && dormancy.disagreed.Add(1) == 1 {
 		dormancy.mu.Lock()
-		dormancy.first = fmt.Sprintf("%sproc %q dormant at %v, but its Idler says busy", k.ctx(), p.name, k.now)
+		dormancy.first = fmt.Sprintf("proc %q dormant at %v, but its Idler says busy", p.name, k.now)
 		dormancy.mu.Unlock()
 	}
 }

@@ -35,42 +35,36 @@ func (p *Proc) waitsOn(w Wait) {
 // Proc, and for each daemon whose wait points at a node (a handler parked
 // mid-message), naming the wait and the nodes it points at, sorted. A cycle
 // of the wait-for graph among nodes comes first; only live Procs draw its
-// edges, since a daemon's wait holds up its own message, not its node. The
-// lines of an LP kernel carry its label and local time.
+// edges, since a daemon's wait holds up its own message, not its node.
 type HangReport struct {
 	Lines []string `json:"lines"`
 }
 
 func (h *HangReport) String() string { return strings.Join(h.Lines, "\n") }
 
-// HangReport reports what every parked Proc of k waits on.
-func (k *Kernel) HangReport() *HangReport { return reportHang(k) }
-
-// reportHang builds the report over one kernel, or every LP's. A line is
-// built in one reused buffer, so it costs a watchdog run only its string.
-func reportHang(ks ...*Kernel) *HangReport {
+// HangReport reports what every parked Proc of k waits on. A line is built
+// in one reused buffer, so it costs a watchdog run only its string.
+func (k *Kernel) HangReport() *HangReport {
 	h := &HangReport{}
 	edges := map[int][]int{}
 	var b []byte
-	for _, k := range ks {
-		for p := range k.procs {
-			if p.done || p.daemon && p.wait == nil {
-				continue
-			}
-			what, node, on := k.describe(p)
-			if p.daemon && len(on) == 0 {
-				continue
-			}
-			b = append(append(b[:0], k.ctx()...), p.name...)
-			if node >= 0 {
-				b = strconv.AppendInt(append(b, "@n"...), int64(node), 10)
-				if !p.daemon {
-					edges[node] = append(edges[node], on...)
-				}
-			}
-			b = appendNodes(append(append(b, ": "...), what...), on, " → ", ", ")
-			h.Lines = append(h.Lines, string(b))
+	for p := range k.procs {
+		if p.done || p.daemon && p.wait == nil {
+			continue
 		}
+		what, node, on := k.describe(p)
+		if p.daemon && len(on) == 0 {
+			continue
+		}
+		b = append(b[:0], p.name...)
+		if node >= 0 {
+			b = strconv.AppendInt(append(b, "@n"...), int64(node), 10)
+			if !p.daemon {
+				edges[node] = append(edges[node], on...)
+			}
+		}
+		b = appendNodes(append(append(b, ": "...), what...), on, " → ", ", ")
+		h.Lines = append(h.Lines, string(b))
 	}
 	slices.Sort(h.Lines)
 	if c := cycle(edges); c != nil {

@@ -8,6 +8,13 @@
 // simulation state therefore needs no locking, and every run is bit-for-bit
 // reproducible.
 //
+// One kernel per simulation; replicas are par's. A simulation never spans
+// threads: every host, NIC, switch and link of a machine runs on one
+// Kernel, so no model code takes a lock and none imports sync. Many
+// independent simulations run side by side only as replicas, each on its
+// own Kernel, under internal/par; the one state their kernels share is the
+// process-wide coroutine free list, the only lock in this package.
+//
 // The dispatcher owns three things beyond popping the next event. The first
 // two run outside a Proc's own coroutine, on whichever one holds the control
 // token, because the dispatcher runs them itself. Neither is an exception to
@@ -219,8 +226,6 @@ type Kernel struct {
 	stopped bool
 	failure error
 	horizon Time // 0 = unbounded
-	strict  bool // horizon is exclusive (RunBefore window bound)
-	label   string
 }
 
 // NewKernel returns an empty simulation at virtual time zero.
@@ -232,25 +237,6 @@ func NewKernel() *Kernel {
 
 // Now reports the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
-
-// ctx is the diagnostic prefix: empty for a sequential kernel, and
-// "[lp <name> @ <t>] " for the kernel the parallel engine labels for an LP,
-// so a failure or hang line from a partitioned run names the owning LP and
-// its local virtual time.
-func (k *Kernel) ctx() string {
-	if k.label == "" {
-		return ""
-	}
-	return fmt.Sprintf("[lp %s @ %v] ", k.label, k.now)
-}
-
-// NextEventTime reports the timestamp of the earliest pending event. ok is
-// false when the queue is empty. The parallel engine reads this to compute
-// the lower bound on any future cross-LP message.
-func (k *Kernel) NextEventTime() (t Time, ok bool) {
-	t, from := k.next()
-	return t, from != noEvent
-}
 
 // noEvent and inHeap are what next reports in place of a lane index.
 const (
@@ -391,7 +377,7 @@ func (k *Kernel) fail(err error) {
 // failProc records a panic raised by p's code — its body, its Machine's Step,
 // its Idler — as p's failure, whichever goroutine it surfaced on.
 func (k *Kernel) failProc(p *Proc, r any) {
-	k.fail(fmt.Errorf("sim: %sproc %q panicked: %v\n%s", k.ctx(), p.name, r, debug.Stack()))
+	k.fail(fmt.Errorf("sim: proc %q panicked: %v\n%s", p.name, r, debug.Stack()))
 }
 
 // Run drives the simulation until the event queue is empty, Stop is called,
@@ -413,30 +399,6 @@ func (k *Kernel) Run() error {
 func (k *Kernel) RunUntil(t Time) error {
 	k.driverActs()
 	return k.run(t)
-}
-
-// RunBefore drives the simulation through every event with timestamp
-// STRICTLY below limit, then pauses resumably with events at or past limit
-// still queued. This is the parallel engine's window primitive: with Time an
-// integer nanosecond count, a conservative window [W0, W) must exclude its
-// upper bound or two LPs could both execute events at exactly W that
-// cross-influence each other. Unlike RunUntil, the clock is left at the last
-// executed event, not pulled up to the bound.
-func (k *Kernel) RunBefore(limit Time) error {
-	k.driverActs()
-	return k.runBefore(limit)
-}
-
-// runBefore is RunBefore as the parallel engine calls it between windows,
-// where it only flushes portals into the heap: no state changed outside an
-// event, so the dormant ticks stand.
-func (k *Kernel) runBefore(limit Time) error {
-	if limit <= 0 {
-		panic("sim: RunBefore needs a positive bound")
-	}
-	k.strict = true
-	defer func() { k.strict = false }()
-	return k.run(limit)
 }
 
 // driverActs marks a return of the control token to the caller of Run: what
@@ -481,12 +443,8 @@ func (k *Kernel) dispatch() *Proc {
 		}
 		if k.past(t) {
 			// Past the horizon: the event stays queued (seq preserved) and
-			// the clock stops here. A strict horizon (RunBefore window)
-			// excludes its bound and leaves the clock at the last executed
-			// event.
-			if !k.strict {
-				k.now = k.horizon
-			}
+			// the clock stops here.
+			k.now = k.horizon
 			return nil
 		}
 		k.now = t
@@ -539,7 +497,7 @@ func (k *Kernel) dispatch() *Proc {
 
 // past reports whether an event at t lies beyond the run's horizon.
 func (k *Kernel) past(t Time) bool {
-	return k.horizon != 0 && (t > k.horizon || (k.strict && t >= k.horizon))
+	return k.horizon != 0 && t > k.horizon
 }
 
 // laneTick takes the head tick of lane i, the least pending event, and
@@ -593,14 +551,8 @@ func (k *Kernel) rotate(i int) {
 			bt, bs = o.Front().t, o.Front().seq
 		}
 	}
-	if k.horizon != 0 {
-		hs := ^uint64(0) // RunUntil runs the events at its horizon
-		if k.strict {
-			hs = 0
-		}
-		if before(k.horizon, hs, bt, bs) {
-			bt, bs = k.horizon, hs
-		}
+	if k.horizon != 0 && before(k.horizon, ^uint64(0), bt, bs) {
+		bt, bs = k.horizon, ^uint64(0) // RunUntil runs the events at its horizon
 	}
 	for {
 		s := l.Front()
@@ -697,7 +649,7 @@ func (k *Kernel) resume(p *Proc) {
 func (k *Kernel) runFn(fn func()) {
 	defer func() {
 		if r := recover(); r != nil {
-			k.fail(fmt.Errorf("sim: %sdriver event panicked: %v\n%s", k.ctx(), r, debug.Stack()))
+			k.fail(fmt.Errorf("sim: driver event panicked: %v\n%s", r, debug.Stack()))
 		}
 	}()
 	fn()
@@ -715,12 +667,11 @@ func (k *Kernel) runFn(fn func()) {
 //
 // It is called in dispatcher context — on whichever goroutine holds the
 // control token, with the clock at the tick — so it must only read, and only
-// state the polling Proc itself could read at that instant (under the
-// parallel engine: state of its own LP). Answering Busy when there was in
-// fact nothing to do is always safe; it costs one coroutine switch. A
-// verdict that claims to stand longer than it does is a wrong schedule:
-// while it stands, the dispatcher re-arms the Proc's ticks without asking
-// (rotate). As a Wait it names the poll for the hang report.
+// state the polling Proc itself could read at that instant. Answering Busy
+// when there was in fact nothing to do is always safe; it costs one
+// coroutine switch. A verdict that claims to stand longer than it does is a
+// wrong schedule: while it stands, the dispatcher re-arms the Proc's ticks
+// without asking (rotate). As a Wait it names the poll for the hang report.
 type Idler interface {
 	Idle() Time
 	Wait
@@ -752,7 +703,7 @@ func (k *Kernel) idle(p *Proc) (reach Time) {
 // return, never block: it does what a goroutine Proc would do between two
 // parks, ends by arming exactly one wake (a Start* call that reported it
 // queued, or StartDelay), and keeps its place in its own fields. It may touch
-// whatever a Proc of its kernel may (under the parallel engine: its own LP).
+// whatever a Proc of its kernel may.
 type Machine interface {
 	Step(p *Proc)
 }

@@ -99,9 +99,8 @@ func TestPollCycleAlternatesPeriods(t *testing.T) {
 	}
 }
 
-// With a lane tick the earliest event, NextEventTime reports it, RunBefore
-// leaves it queued and RunUntil runs it.
-func TestNextEventTimeSeesLaneTicks(t *testing.T) {
+// With a lane tick the earliest event, next reports it and RunUntil runs it.
+func TestNextEventSeesLaneTicks(t *testing.T) {
 	k := NewKernel()
 	k.Spawn("spinner", func(p *Proc) { p.PollEvery(gridD, idleFor(1<<62)) })
 	k.At(10*gridD+50, func() {})
@@ -110,9 +109,8 @@ func TestNextEventTimeSeesLaneTicks(t *testing.T) {
 		now, next Time
 	}{
 		{func() error { return k.RunUntil(50) }, 50, gridD},
-		{func() error { return k.RunBefore(2 * gridD) }, gridD, 2 * gridD},
 		{func() error { return k.RunUntil(2 * gridD) }, 2 * gridD, 3 * gridD},
-		{func() error { return k.RunBefore(10*gridD + 51) }, 10*gridD + 50, 11 * gridD},
+		{func() error { return k.RunUntil(10*gridD + 50) }, 10*gridD + 50, 11 * gridD},
 		{func() error { return k.RunUntil(11*gridD + 1) }, 11*gridD + 1, 12 * gridD},
 	}
 	for _, s := range steps {
@@ -122,8 +120,8 @@ func TestNextEventTimeSeesLaneTicks(t *testing.T) {
 		if k.Now() != s.now {
 			t.Fatalf("clock at %v, want %v", k.Now(), s.now)
 		}
-		if got, ok := k.NextEventTime(); !ok || got != s.next {
-			t.Fatalf("at %v: next event at %v (%v), want %v", k.Now(), got, ok, s.next)
+		if got, from := k.next(); from == noEvent || got != s.next {
+			t.Fatalf("at %v: next event at %v (lane %d), want %v", k.Now(), got, from, s.next)
 		}
 	}
 	k.Shutdown()

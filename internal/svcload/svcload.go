@@ -34,9 +34,8 @@
 // sockets, and shmem rather than owning the NIC. The package builds no
 // machine: whoever assembled the endpoints (a session's fmnet.WithRPC, the
 // bench harness) attaches a Fleet to their spaces, plans it, and spawns one
-// RunNode Proc per node. The fleet drives the sequential kernel only:
-// clients, servers, and histograms share state under the single-threaded
-// event schedule.
+// RunNode Proc per node. Clients, servers, and histograms share state under
+// the kernel's single-threaded event schedule.
 package svcload
 
 import (
@@ -282,7 +281,7 @@ type Fleet struct {
 	wl    Workload
 	sched [][]req
 
-	// Runtime state, shared by all node procs under the sequential kernel's
+	// Runtime state, shared by all node procs under the kernel's
 	// deterministic schedule.
 	pending   []map[uint64]inflight
 	replyQ    []sim.Queue[pendingReply]

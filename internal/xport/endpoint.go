@@ -23,8 +23,8 @@ import (
 // handler IDs are service base + local ID; locals must stay below SpaceSize.
 const SpaceSize HandlerID = 64
 
-// maxServices bounds registration so slab bases stay inside HandlerID.
-const maxServices = int(^HandlerID(0)/SpaceSize) - 1
+// MaxServices bounds registration so slab bases stay inside HandlerID.
+const MaxServices = int(^HandlerID(0)/SpaceSize) - 1
 
 // ServiceStats counts one service's share of the endpoint's traffic.
 type ServiceStats struct {
@@ -85,8 +85,8 @@ func (e *Endpoint) Register(service string) *HandlerSpace {
 	if _, dup := e.byName[service]; dup {
 		panic(fmt.Sprintf("xport: duplicate service %q on node %d", service, e.Node()))
 	}
-	if len(e.services) >= maxServices {
-		panic(fmt.Sprintf("xport: too many services on node %d (max %d)", e.Node(), maxServices))
+	if len(e.services) >= MaxServices {
+		panic(fmt.Sprintf("xport: too many services on node %d (max %d)", e.Node(), MaxServices))
 	}
 	hs := &HandlerSpace{
 		ep:   e,
