@@ -22,7 +22,7 @@ var update = flag.Bool("update", false, "rewrite every golden from this build's 
 // job against the same files; here they only run under -update, so one
 // command regenerates them all:
 //
-//	go test ./cmd/fmbench -run TestGoldenReports -update
+//	go test ./cmd/fmbench -run 'TestGoldenReports|TestSvcCapture' -update
 var goldens = []struct {
 	file string
 	slow bool
@@ -204,7 +204,8 @@ func TestPerfReportNamesItsPR(t *testing.T) {
 
 // TestSvcCaptureReplaysIdentically: a trace captured through the real flag
 // path replays, through the real flag path, to the report its live run
-// printed.
+// printed; the report and the trace are pinned under testdata/ like the
+// goldens, and -update rewrites them.
 func TestSvcCaptureReplaysIdentically(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "trace.jsonl")
 	var live, replayed, errs bytes.Buffer
@@ -216,6 +217,30 @@ func TestSvcCaptureReplaysIdentically(t *testing.T) {
 	}
 	if live.Len() == 0 || !bytes.Equal(live.Bytes(), replayed.Bytes()) {
 		t.Errorf("replayed report differs from the live run's\nlive:\n%s\nreplayed:\n%s", live.String(), replayed.String())
+	}
+	captured, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pin := range []struct {
+		file string
+		got  []byte
+	}{
+		{"svccapture.golden", live.Bytes()},
+		{"svccapture.trace.jsonl", captured},
+	} {
+		path := filepath.Join("testdata", pin.file)
+		if *update {
+			if err := os.WriteFile(path, pin.got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if want, err := os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		} else if !bytes.Equal(pin.got, want) {
+			t.Errorf("fmbench -svccapture moved from %s; if the model changed on purpose, rerun with -update and say why.\ngot:\n%s", path, pin.got)
+		}
 	}
 }
 

@@ -107,7 +107,9 @@ type (
 	LostFrame = netsim.LostFrame
 	// LinkStats counts traffic and faults through one link.
 	LinkStats = netsim.LinkStats
-	// NICStats counts one NIC's activity, including CRC and ring drops.
+	// NICStats counts one NIC's activity, including CRC drops. Its
+	// RingDropped is always 0 (a full receive ring stalls the NIC, it never
+	// drops) and stays because scenario reports print it.
 	NICStats = lanai.Stats
 )
 
@@ -225,7 +227,8 @@ func WithShmem() Option { return func(c *config) { c.shm = true } }
 
 // WithGlobalArray attaches the Global Arrays service with one
 // block-distributed float64 array of the given global element count (0
-// attaches none; a negative count is an error).
+// attaches none; a negative count is an error, and so is one whose per-node
+// block is more than a shmem region addresses).
 func WithGlobalArray(size int) Option { return func(c *config) { c.gaSize = size } }
 
 // WithRPC attaches the datacenter RPC service-workload layer: a shard
@@ -417,7 +420,8 @@ func (s *Session) Endpoint(node int) *Endpoint { return s.eps[node] }
 // scenario's report. What a hung run waits on is Kernel().HangReport().
 func (s *Session) Fabric() *Fabric { return s.pl.Net }
 
-// NICStats reports a node's NIC counters (CRC drops, ring drops).
+// NICStats reports a node's NIC counters: CRC drops, and RingDropped, which
+// is always 0 because a full ring stalls the NIC (see lanai.Stats).
 func (s *Session) NICStats(node int) NICStats { return s.pl.NICs[node].Stats() }
 
 // RingDepth reports packets currently waiting in a node's receive ring.

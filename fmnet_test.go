@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -236,6 +237,33 @@ func TestSessionErrors(t *testing.T) {
 	// Options out of range are errors, not silently dropped.
 	if _, err := fmnet.New(fmnet.WithGlobalArray(-5)); err == nil {
 		t.Error("negative global-array size accepted")
+	}
+	// A block past what a shmem region addresses is an error before anything
+	// is allocated: not an out-of-memory abort, a makeslice panic, or an
+	// overflowed block size.
+	for _, size := range []int{1 << 40, 1 << 61, math.MaxInt} {
+		if _, err := fmnet.New(fmnet.Nodes(2), fmnet.WithGlobalArray(size)); err == nil || !strings.Contains(err.Error(), "region addresses at most") {
+			t.Errorf("WithGlobalArray(%d): err = %v, want one naming the region bound", size, err)
+		}
+	}
+	// shmem's header carries 32-bit offsets: one past them would wrap.
+	s, err := fmnet.New(fmnet.Nodes(2), fmnet.WithShmem())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		s.Shmem(i).Register(1, make([]byte, 8))
+	}
+	var putErr, getErr error
+	s.Spawn("far", func(p *fmnet.Proc) {
+		putErr = s.Shmem(0).Put(p, 1, 1, 1<<32, []byte{1})
+		getErr = s.Shmem(0).Get(p, 1, 1, 1<<32, make([]byte, 1))
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if putErr == nil || getErr == nil {
+		t.Errorf("shmem at offset 1<<32: Put err = %v, Get err = %v; want both refused", putErr, getErr)
 	}
 	if _, err := fmnet.New(fmnet.WithMPI(), fmnet.WithParallel(-1)); err == nil {
 		t.Error("negative parallelism accepted")

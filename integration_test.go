@@ -240,7 +240,7 @@ func TestPacketConservation(t *testing.T) {
 				}
 			}
 			for eps[i].Stats().MsgsRecvd < 3 {
-				eps[i].ExtractAll(p)
+				eps[i].Extract(p, 0)
 				p.Delay(2 * sim.Microsecond)
 			}
 		})
@@ -263,6 +263,5 @@ func TestPacketConservation(t *testing.T) {
 			t.Fatalf("link %s dropped/corrupted: %+v", l.Name(), s)
 		}
 	}
-	_ = netsim.DefaultMyrinet()
 	_ = want
 }

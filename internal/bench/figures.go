@@ -81,7 +81,7 @@ func WriteFigure2(w io.Writer) {
 // engine stage, in the paper's legend order.
 func Figure3a() (names []string, curves []Curve) {
 	linkOnly := xport.GenFM1.Machine()
-	linkOnly.NIC = lanai.Config{OnRingFull: lanai.RingStall, ChargeBus: false}
+	linkOnly.NIC = lanai.Config{DisableBus: true}
 	linkOnly.FM1 = fm1.Config{DisableFlowControl: true, DisableBufferMgmt: true}
 
 	withBus := xport.GenFM1.Machine()

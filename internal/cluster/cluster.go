@@ -48,12 +48,12 @@ type Config struct {
 	Topology    Topology
 	SwitchDelay sim.Time // per-hop routing delay for switched topologies
 
-	// Fabric shape for the multi-switch topologies: netsim.Shape's Hosts,
-	// Spines (the fat-tree spine count) and Rows x Cols (the torus switch
-	// grid). Zero values pick the defaults documented there.
-	HostsPerSwitch       int
-	Uplinks              int
-	TorusRows, TorusCols int
+	// Fabric shape for the multi-switch topologies: netsim.Shape's Hosts and
+	// Spines (the fat-tree spine count). Zero values pick the defaults
+	// documented there; a torus's switch grid is always factored from its
+	// switch count, as close to square as possible.
+	HostsPerSwitch int
+	Uplinks        int
 
 	// Faults, when non-nil, is a deterministic fault schedule applied to the
 	// assembled fabric (drops, corruption, flaps, outages, stragglers keyed
@@ -74,8 +74,7 @@ func (cfg *Config) AutoShape() {
 
 // shape maps cfg onto the netsim value that owns the shape rules.
 func (cfg *Config) shape() netsim.Shape {
-	return netsim.Shape{Topology: cfg.Topology, Nodes: cfg.Nodes, Hosts: cfg.HostsPerSwitch,
-		Spines: cfg.Uplinks, Rows: cfg.TorusRows, Cols: cfg.TorusCols}
+	return netsim.Shape{Topology: cfg.Topology, Nodes: cfg.Nodes, Hosts: cfg.HostsPerSwitch, Spines: cfg.Uplinks}
 }
 
 // DefaultConfig is a two-node PPro-era cluster on one switch.
@@ -89,7 +88,6 @@ func DefaultConfig() Config {
 	return Config{
 		Nodes:       2,
 		Profile:     hostmodel.PPro200(),
-		NIC:         lanai.DefaultConfig(),
 		Topology:    SingleSwitch,
 		SwitchDelay: 300 * sim.Nanosecond,
 	}

@@ -51,8 +51,7 @@ func TestTopologiesDeliver(t *testing.T) {
 			c := DefaultConfig()
 			c.Topology = Torus2D
 			c.Nodes = 24
-			c.HostsPerSwitch = 2
-			c.TorusRows = 3
+			c.HostsPerSwitch = 2 // 12 switches: a 3x4 grid
 			return c
 		}, 24},
 		// The scale-out ceiling: 256-node platforms on the multi-stage
@@ -68,7 +67,7 @@ func TestTopologiesDeliver(t *testing.T) {
 			last := tc.nodes - 1
 			var got []byte
 			k.Spawn("sender", func(p *sim.Proc) {
-				pl.NICs[0].HostSend(p, last, []byte("across"), false)
+				pl.NICs[0].HostSendPacket(p, &netsim.Packet{Payload: []byte("across")}, last, false)
 			})
 			k.Spawn("receiver", func(p *sim.Proc) {
 				for {
@@ -94,10 +93,9 @@ func TestBadConfigsPanic(t *testing.T) {
 		{Nodes: 1, Profile: hostmodel.PPro200()},
 		{Nodes: 3, Profile: hostmodel.PPro200(), Topology: DirectPair},
 		{Nodes: 5, Profile: hostmodel.PPro200(), Topology: Line},
-		{Nodes: 6, Profile: hostmodel.PPro200(), Topology: FatTree},                // 6 % 4 != 0
-		{Nodes: 4, Profile: hostmodel.PPro200(), Topology: FatTree},                // single edge switch
-		{Nodes: 10, Profile: hostmodel.PPro200(), Topology: Torus2D},               // 10 % 4 != 0
-		{Nodes: 16, Profile: hostmodel.PPro200(), Topology: Torus2D, TorusRows: 3}, // 4 switches, 3 rows
+		{Nodes: 6, Profile: hostmodel.PPro200(), Topology: FatTree},  // 6 % 4 != 0
+		{Nodes: 4, Profile: hostmodel.PPro200(), Topology: FatTree},  // single edge switch
+		{Nodes: 10, Profile: hostmodel.PPro200(), Topology: Torus2D}, // 10 % 4 != 0
 	}
 	for i, cfg := range cases {
 		func() {
@@ -208,7 +206,7 @@ func TestProfileLinkUsedByFabric(t *testing.T) {
 	pl := New(k, cfg)
 	var arrived sim.Time
 	k.Spawn("sender", func(p *sim.Proc) {
-		pl.NICs[0].HostSend(p, 1, make([]byte, 1000), false)
+		pl.NICs[0].HostSendPacket(p, &netsim.Packet{Payload: make([]byte, 1000)}, 1, false)
 	})
 	k.Spawn("receiver", func(p *sim.Proc) {
 		for {

@@ -28,7 +28,7 @@ func pproCluster(n int) (*sim.Kernel, *cluster.Platform, []*Endpoint) {
 func extractUntil(p *sim.Proc, e *Endpoint, want int) {
 	got := 0
 	for got < want {
-		got += e.ExtractAll(p)
+		got += e.Extract(p, 0)
 		if got < want {
 			p.Delay(sim.Microsecond)
 		}
@@ -449,7 +449,7 @@ func TestAPIErrors(t *testing.T) {
 			done = true
 		})
 		for !done {
-			eps[1].ExtractAll(p)
+			eps[1].Extract(p, 0)
 			p.Delay(sim.Microsecond)
 		}
 	})
@@ -468,7 +468,7 @@ func TestUnknownHandlerSwallowsWholeMessage(t *testing.T) {
 	})
 	k.Spawn("receiver", func(p *sim.Proc) {
 		for eps[1].Stats().PacketsRecvd < 3 {
-			eps[1].ExtractAll(p)
+			eps[1].Extract(p, 0)
 			p.Delay(sim.Microsecond)
 		}
 	})

@@ -52,7 +52,7 @@ func TestSendSteadyStateZeroAlloc(t *testing.T) {
 	})
 	k.Spawn("receiver", func(p *sim.Proc) {
 		for recvd < warm+alloctest.Windows*msgs {
-			eps[1].ExtractAll(p)
+			eps[1].Extract(p, 0)
 			if recvd < warm+alloctest.Windows*msgs {
 				p.Delay(sim.Microsecond)
 			}
@@ -126,7 +126,7 @@ func TestFramePoisonCatchesRetention(t *testing.T) {
 			panic(err)
 		}
 		for got < 1 {
-			eps[1].ExtractAll(p)
+			eps[1].Extract(p, 0)
 			p.Delay(sim.Microsecond)
 		}
 		// The frame that carried the message is back in eps[0]'s pool. Draw
@@ -205,7 +205,7 @@ func TestPoisonConformance(t *testing.T) {
 		})
 		k.Spawn("receiver", func(p *sim.Proc) {
 			for len(got) < 40 {
-				eps[1].ExtractAll(p)
+				eps[1].Extract(p, 0)
 				if len(got) < 40 {
 					p.Delay(sim.Microsecond)
 				}
@@ -257,12 +257,12 @@ func TestFrameLeakFreeQuiesce(t *testing.T) {
 		// the partial batch its idle poll flushes — drain the control queue
 		// so every in-flight credit frame releases.
 		p.Delay(2 * sim.Millisecond)
-		eps[0].ExtractAll(p)
+		eps[0].Extract(p, 0)
 	})
 	k.Spawn("receiver", func(p *sim.Proc) {
 		extractUntil(p, eps[1], msgs)
 		p.Delay(sim.Millisecond)
-		eps[1].ExtractAll(p)
+		eps[1].Extract(p, 0)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)

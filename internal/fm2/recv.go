@@ -304,9 +304,6 @@ func (e *Endpoint) ExtractWait(p *sim.Proc, maxBytes int, w *flowctl.Waiter) int
 	return completed
 }
 
-// ExtractAll services the network with no byte limit.
-func (e *Endpoint) ExtractAll(p *sim.Proc) int { return e.Extract(p, 0) }
-
 // processData demultiplexes one data frame into its stream and runs the
 // stream's handler until it yields; it returns 1 when the message completed.
 // Ownership of the frame passes to the stream's pending queue (released as

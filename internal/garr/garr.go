@@ -48,8 +48,11 @@ func Attach(sp *xport.HandlerSpace, region uint32, size, ranks int) (*Array, err
 	if size <= 0 || ranks <= 0 {
 		return nil, fmt.Errorf("garr: bad dimensions size=%d ranks=%d", size, ranks)
 	}
+	blockLen := size/ranks + min(size%ranks, 1) // size+ranks-1 could overflow
+	if blockLen > shmem.MaxRegion/8 {
+		return nil, fmt.Errorf("garr: a %d-element block per rank; a shmem region addresses at most %d elements", blockLen, shmem.MaxRegion/8)
+	}
 	node := shmem.Attach(sp)
-	blockLen := (size + ranks - 1) / ranks
 	lo, hi := bounds(node.Rank(), blockLen, size)
 	a := &Array{
 		node:     node,

@@ -255,6 +255,3 @@ func (h *Host) BusHold(n int) sim.Time {
 
 // Stats returns a copy of the host activity counters.
 func (h *Host) Stats() HostStats { return h.stats }
-
-// ResetStats zeroes the activity counters (benches call this after warmup).
-func (h *Host) ResetStats() { h.stats = HostStats{} }

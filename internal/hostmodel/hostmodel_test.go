@@ -75,10 +75,6 @@ func TestStatsAccumulateAndReset(t *testing.T) {
 	if st.Memcpys != 2 || st.MemcpyBytes != 300 || st.BusXfers != 1 || st.BusBytes != 300 {
 		t.Fatalf("stats %+v", st)
 	}
-	h.ResetStats()
-	if h.Stats() != (HostStats{}) {
-		t.Fatal("reset did not clear stats")
-	}
 }
 
 func TestProfilesAreDistinctEras(t *testing.T) {

@@ -13,36 +13,20 @@ import (
 	"repro/internal/sim"
 )
 
-// RingPolicy selects what the receive firmware does when the host receive
-// ring is full.
-type RingPolicy int
-
-const (
-	// RingStall blocks the NIC (and, through link back-pressure, the whole
-	// upstream path) until the host frees a slot. This is what the Myrinet
-	// wire does physically.
-	RingStall RingPolicy = iota
-	// RingDrop discards the packet, as a NIC must when it may not stall the
-	// wire, and counts it in NICStats.RingDropped. No figure or ablation
-	// runs it (the flow-control ablation is fm1's DisableFlowControl under
-	// RingStall); lanai's own tests and its pinned schedule digests do.
-	RingDrop
-)
-
-// Config adjusts the NIC for staged-engine experiments.
+// Config adjusts the NIC for staged-engine experiments. The zero value is the
+// full NIC as FM uses it.
 type Config struct {
-	OnRingFull RingPolicy
-	ChargeBus  bool // false only in the Figure 3a "link management only" stage
+	DisableBus bool // true only in the Figure 3a "link management only" stage
 }
-
-// DefaultConfig is the full NIC as FM uses it.
-func DefaultConfig() Config { return Config{OnRingFull: RingStall, ChargeBus: true} }
 
 // Stats counts NIC activity.
 type Stats struct {
-	Sent        int64
-	Received    int64
-	CtrlRecv    int64
+	Sent     int64
+	Received int64
+	CtrlRecv int64
+	// RingDropped is always 0: a full receive ring stalls the NIC, never
+	// drops. Scenario reports (ring_dropped), this package's pinned digest
+	// and the repository benchmark read it.
 	RingDropped int64
 	CRCDropped  int64 // frames discarded by the link-level CRC check
 }
@@ -65,9 +49,6 @@ type NIC struct {
 // New creates a NIC bound to a host and a fabric interface. Call Start to
 // launch the firmware.
 func New(h *hostmodel.Host, ifc *netsim.Iface, cfg Config) *NIC {
-	if cfg.OnRingFull != RingStall && cfg.OnRingFull != RingDrop {
-		panic(fmt.Sprintf("lanai: unknown ring policy %d", cfg.OnRingFull))
-	}
 	p := h.P
 	n := &NIC{
 		H:     h,
@@ -143,7 +124,7 @@ func (f *sendFirmware) Step(p *sim.Proc) {
 //		pkt := Ifc.In.Recv(); Delay(NICRecvPacket)
 //		if pkt.Corrupt { drop; continue }
 //		H.BusTransfer(len(pkt.Payload))
-//		if pkt.Ctrl { ctrlq.Send(pkt); CtrlRecv++ } else { ring.Send(pkt) or drop; Received++ }
+//		if pkt.Ctrl { ctrlq.Send(pkt); CtrlRecv++ } else { ring.Send(pkt); Received++ }
 //	}
 type recvFirmware struct {
 	n     *NIC
@@ -188,11 +169,11 @@ func (f *recvFirmware) Step(p *sim.Proc) {
 				n.Ifc.NoteLost(f.pkt, netsim.LossCRC)
 				f.pkt.Release()
 				f.next = recvRecv
-			case n.cfg.ChargeBus: // DMA into the ring: H.BusTransfer, in its steps
+			case n.cfg.DisableBus:
+				f.next = recvDeliver
+			default: // DMA into the ring: H.BusTransfer, in its steps
 				f.dma = n.H.Bus.StartUse(n.H.BusHold(len(f.pkt.Payload)))
 				f.next = recvDMA
-			default:
-				f.next = recvDeliver
 			}
 		case recvDMA:
 			if !f.dma.Step(p) {
@@ -210,18 +191,11 @@ func (f *recvFirmware) Step(p *sim.Proc) {
 				if !n.ctrlq.StartSend(p, pkt) {
 					return
 				}
-			case n.cfg.OnRingFull == RingStall:
+			default:
 				f.count = &n.stats.Received
 				if !n.ring.StartSend(p, pkt) { // waits while full: wire back-pressure
 					return
 				}
-			case n.ring.TrySend(pkt): // RingDrop (New admits no third policy), and there was room
-				f.count = &n.stats.Received
-			default:
-				n.stats.RingDropped++
-				n.Ifc.NoteLost(pkt, netsim.LossRingFull)
-				pkt.Release() // dropped frame goes straight back to its pool
-				f.next = recvRecv
 			}
 		case recvCount:
 			*f.count++
@@ -230,21 +204,14 @@ func (f *recvFirmware) Step(p *sim.Proc) {
 	}
 }
 
-// HostSend transfers a framed packet from the host into the NIC send queue,
-// charging PIO time on the I/O bus and blocking while the queue is full.
-// The caller must be the host application Proc. The frame is wrapped in a
-// fresh unpooled packet; protocol engines on the zero-allocation path use
-// HostSendPacket with pool-drawn frames instead.
-func (n *NIC) HostSend(p *sim.Proc, dst int, frame []byte, ctrl bool) {
-	n.HostSendPacket(p, &netsim.Packet{Payload: frame}, dst, ctrl)
-}
-
 // HostSendPacket transfers an already-framed packet (typically drawn from a
 // netsim.FramePool with header and payload written in place) into the NIC
-// send queue. Ownership of the frame passes to the NIC here: the receiving
-// endpoint releases it back to its pool after the last byte is consumed.
+// send queue, charging PIO time on the I/O bus and blocking while the queue
+// is full. The caller must be the host application Proc. Ownership of the
+// frame passes to the NIC here: the receiving endpoint releases it back to
+// its pool after the last byte is consumed.
 func (n *NIC) HostSendPacket(p *sim.Proc, pkt *netsim.Packet, dst int, ctrl bool) {
-	if n.cfg.ChargeBus {
+	if !n.cfg.DisableBus {
 		n.H.BusTransfer(p, len(pkt.Payload))
 	}
 	pkt.Dst = dst

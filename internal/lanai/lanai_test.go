@@ -23,10 +23,10 @@ func pair(cfg Config) (*sim.Kernel, []*NIC) {
 }
 
 func TestHostSendToPoll(t *testing.T) {
-	k, nics := pair(DefaultConfig())
+	k, nics := pair(Config{})
 	var got []byte
 	k.Spawn("sender", func(p *sim.Proc) {
-		nics[0].HostSend(p, 1, []byte("frame-bytes"), false)
+		nics[0].HostSendPacket(p, &netsim.Packet{Payload: []byte("frame-bytes")}, 1, false)
 	})
 	k.Spawn("receiver", func(p *sim.Proc) {
 		for {
@@ -51,12 +51,12 @@ func TestHostSendToPoll(t *testing.T) {
 func TestCtrlDemuxBypassesData(t *testing.T) {
 	// A control frame sent after a burst of data frames must be readable
 	// from the control queue before the data is drained.
-	k, nics := pair(DefaultConfig())
+	k, nics := pair(Config{})
 	k.Spawn("sender", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
-			nics[0].HostSend(p, 1, []byte{byte(i)}, false)
+			nics[0].HostSendPacket(p, &netsim.Packet{Payload: []byte{byte(i)}}, 1, false)
 		}
-		nics[0].HostSend(p, 1, []byte{0xCC}, true)
+		nics[0].HostSendPacket(p, &netsim.Packet{Payload: []byte{0xCC}}, 1, true)
 	})
 	k.Spawn("receiver", func(p *sim.Proc) {
 		pkt := nics[1].WaitCtrl(p)
@@ -79,29 +79,6 @@ func TestCtrlDemuxBypassesData(t *testing.T) {
 	}
 }
 
-func TestRingDropPolicyCountsDrops(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.OnRingFull = RingDrop
-	k, nics := pair(cfg)
-	total := nics[1].RingSlots() + 20
-	k.Spawn("sender", func(p *sim.Proc) {
-		for i := 0; i < total; i++ {
-			nics[0].HostSend(p, 1, []byte{1}, false)
-		}
-	})
-	// Receiver never drains.
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	st := nics[1].Stats()
-	if st.RingDropped == 0 {
-		t.Fatal("no drops despite overrun under RingDrop")
-	}
-	if st.Received != int64(nics[1].RingSlots()) {
-		t.Fatalf("received %d, want ring capacity %d", st.Received, nics[1].RingSlots())
-	}
-}
-
 func TestCRCCheckDropsCorruptedFrames(t *testing.T) {
 	// Every frame corrupted in flight must be discarded by the receiving
 	// NIC's CRC check — never landed in the ring — and registered as a lost
@@ -116,13 +93,13 @@ func TestCRCCheckDropsCorruptedFrames(t *testing.T) {
 	nics := make([]*NIC, 2)
 	for i := 0; i < 2; i++ {
 		h := hostmodel.NewHost(k, i, prof)
-		nics[i] = New(h, net.Iface(i), DefaultConfig())
+		nics[i] = New(h, net.Iface(i), Config{})
 		nics[i].Start()
 	}
 	const total = 10
 	k.Spawn("sender", func(p *sim.Proc) {
 		for i := 0; i < total; i++ {
-			nics[0].HostSend(p, 1, []byte{byte(i), 0xAA}, false)
+			nics[0].HostSendPacket(p, &netsim.Packet{Payload: []byte{byte(i), 0xAA}}, 1, false)
 		}
 	})
 	if err := k.Run(); err != nil {
@@ -145,12 +122,12 @@ func TestCRCCheckDropsCorruptedFrames(t *testing.T) {
 }
 
 func TestRingStallBackpressuresWire(t *testing.T) {
-	k, nics := pair(DefaultConfig()) // RingStall
+	k, nics := pair(Config{})
 	total := nics[1].RingSlots() + 20
 	sent := 0
 	k.Spawn("sender", func(p *sim.Proc) {
 		for i := 0; i < total; i++ {
-			nics[0].HostSend(p, 1, []byte{1}, false)
+			nics[0].HostSendPacket(p, &netsim.Packet{Payload: []byte{1}}, 1, false)
 			sent++
 		}
 	})
@@ -159,7 +136,7 @@ func TestRingStallBackpressuresWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	if nics[1].Stats().RingDropped != 0 {
-		t.Fatal("RingStall must never drop")
+		t.Fatal("a full ring must stall the NIC, never drop")
 	}
 	// The sender stalls once ring + queues + wire are full.
 	if sent >= total {
@@ -167,15 +144,16 @@ func TestRingStallBackpressuresWire(t *testing.T) {
 	}
 }
 
+// With DisableBus the NIC charges no I/O-bus time for PIO or DMA.
 func TestChargeBusOffSkipsBusTime(t *testing.T) {
-	fast := Config{OnRingFull: RingStall, ChargeBus: false}
-	slow := DefaultConfig()
+	fast := Config{DisableBus: true}
+	slow := Config{}
 	elapsed := func(cfg Config) sim.Time {
 		k, nics := pair(cfg)
 		var end sim.Time
 		k.Spawn("sender", func(p *sim.Proc) {
 			for i := 0; i < 20; i++ {
-				nics[0].HostSend(p, 1, make([]byte, 512), false)
+				nics[0].HostSendPacket(p, &netsim.Packet{Payload: make([]byte, 512)}, 1, false)
 			}
 		})
 		k.Spawn("receiver", func(p *sim.Proc) {
@@ -216,7 +194,7 @@ func TestFramePathZeroAlloc(t *testing.T) {
 	}
 	nics := make([]*NIC, 2)
 	for i := range nics {
-		nics[i] = New(hostmodel.NewHost(k, i, prof), net.Iface(i), DefaultConfig())
+		nics[i] = New(hostmodel.NewHost(k, i, prof), net.Iface(i), Config{})
 		nics[i].Start()
 	}
 	pool := netsim.NewFramePool(prof.PacketMTU, 0)

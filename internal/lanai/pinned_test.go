@@ -36,8 +36,8 @@ var pinnedFaults = netsim.FaultPlan{Seed: 23, Rules: []netsim.FaultRule{
 // pinnedRun drives seeded bursty all-to-all traffic, data and control, over a
 // fat tree with one-slot ports and four-slot rings. Hosts poll every 100 ns,
 // except nodes 5 and 9, whose rings stay undrained for the first 300 us — the
-// stall (or, under RingDrop, the overrun) the back-pressure path needs.
-func pinnedRun(t *testing.T, policy RingPolicy) string {
+// stall the back-pressure path needs.
+func pinnedRun(t *testing.T) string {
 	t.Helper()
 	prof := hostmodel.PPro200()
 	prof.Link.Slots = 1
@@ -57,9 +57,7 @@ func pinnedRun(t *testing.T, policy RingPolicy) string {
 	logs := make([][]string, n)
 	for i := range nics {
 		i := i
-		cfg := DefaultConfig()
-		cfg.OnRingFull = policy
-		nics[i] = New(hostmodel.NewHost(k, i, prof), net.Iface(i), cfg)
+		nics[i] = New(hostmodel.NewHost(k, i, prof), net.Iface(i), Config{})
 		nics[i].Start()
 
 		// Everything random is drawn before the run.
@@ -90,7 +88,7 @@ func pinnedRun(t *testing.T, policy RingPolicy) string {
 		k.Spawn(fmt.Sprintf("host%d.send", i), func(p *sim.Proc) {
 			p.Delay(sim.Time(i) * 700 * sim.Nanosecond)
 			for _, f := range frames {
-				nics[i].HostSend(p, f.dst, make([]byte, f.size), f.ctrl)
+				nics[i].HostSendPacket(p, &netsim.Packet{Payload: make([]byte, f.size)}, f.dst, f.ctrl)
 				if f.gap > 0 {
 					p.Delay(f.gap)
 				}
@@ -145,8 +143,8 @@ func pinnedRun(t *testing.T, policy RingPolicy) string {
 	if all.Sent != int64(n*60) || all.CRCDropped == 0 || wire.Dropped == 0 || wire.DownDropped == 0 {
 		t.Fatalf("scenario lost its coverage: NICs %+v, links %+v", all, wire)
 	}
-	if (policy == RingDrop) != (all.RingDropped > 0) {
-		t.Fatalf("policy %v with %d ring drops", policy, all.RingDropped)
+	if all.RingDropped != 0 {
+		t.Fatalf("%d ring drops: a full ring must stall", all.RingDropped)
 	}
 	t.Logf("%d arrivals, %d events; NICs %+v", arrivals, k.Events(), all)
 	return fmt.Sprintf("%x", h.Sum(nil)[:8])
@@ -154,15 +152,13 @@ func pinnedRun(t *testing.T, policy RingPolicy) string {
 
 func TestFirmwareAndForwardersKeepThePinnedSchedule(t *testing.T) {
 	for _, c := range []struct {
-		name   string
-		policy RingPolicy
-		want   string
+		name string
+		want string
 	}{
-		{"stall", RingStall, "fdb4f02d0ac92e69"},
-		{"drop", RingDrop, "22d9f704ffe9d757"},
+		{"stall", "fdb4f02d0ac92e69"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			if got := pinnedRun(t, c.policy); got != c.want {
+			if got := pinnedRun(t); got != c.want {
 				t.Fatalf("schedule digest %s, pinned %s", got, c.want)
 			}
 		})

@@ -12,7 +12,7 @@ import (
 
 func TestSelfAddressedPacketRejected(t *testing.T) {
 	k := sim.NewKernel()
-	net := Shape{Topology: SingleSwitch, Nodes: 4}.Build(k, DefaultMyrinet(), 0)
+	net := Shape{Topology: SingleSwitch, Nodes: 4}.Build(k, myrinet(), 0)
 	k.Spawn("self", func(p *sim.Proc) {
 		net.Iface(2).Send(p, &Packet{Dst: 2, Payload: []byte{1}})
 	})
@@ -27,7 +27,7 @@ func TestSelfAddressedPacketRejected(t *testing.T) {
 
 func TestOutOfRangeDstRejected(t *testing.T) {
 	k := sim.NewKernel()
-	net := Shape{Topology: SingleSwitch, Nodes: 4}.Build(k, DefaultMyrinet(), 0)
+	net := Shape{Topology: SingleSwitch, Nodes: 4}.Build(k, myrinet(), 0)
 	k.Spawn("bad", func(p *sim.Proc) {
 		net.Iface(0).Send(p, &Packet{Dst: 9, Payload: []byte{1}})
 	})
@@ -52,7 +52,7 @@ func TestForwarderRouteFaultsFailTheRun(t *testing.T) {
 	} {
 		k := sim.NewKernel()
 		sw := NewSwitch(k, "sw9", 3, 100*sim.Nanosecond, 1)
-		sw.SetOut(0, NewLink(k, "sw9->sink", DefaultMyrinet(), sim.NewChan[*Packet](k, 1)))
+		sw.SetOut(0, NewLink(k, "sw9->sink", myrinet(), sim.NewChan[*Packet](k, 1)))
 		sw.Start()
 		k.Spawn("upstream", func(p *sim.Proc) {
 			p.Delay(sim.Microsecond)
@@ -116,13 +116,13 @@ func allPairs(t *testing.T, k *sim.Kernel, net *Network) {
 
 func TestFatTreeAllPairs(t *testing.T) {
 	k := sim.NewKernel()
-	allPairs(t, k, NewFatTree(k, 4, 2, 2, DefaultMyrinet(), 100*sim.Nanosecond))
+	allPairs(t, k, NewFatTree(k, 4, 2, 2, myrinet(), 100*sim.Nanosecond))
 }
 
 func TestFatTreeRouteShape(t *testing.T) {
 	k := sim.NewKernel()
 	const edges, hosts, spines = 4, 4, 2
-	net := NewFatTree(k, edges, hosts, spines, DefaultMyrinet(), 0)
+	net := NewFatTree(k, edges, hosts, spines, myrinet(), 0)
 	// Same edge switch: single host-port byte.
 	if r := net.Route(0, 3); len(r) != 1 || r[0] != 3 {
 		t.Fatalf("intra-edge route %v, want [3]", r)
@@ -146,7 +146,7 @@ func TestFatTreeRouteShape(t *testing.T) {
 func TestFatTreeUplinkBalance(t *testing.T) {
 	k := sim.NewKernel()
 	const edges, hosts, spines = 4, 4, 4
-	net := NewFatTree(k, edges, hosts, spines, DefaultMyrinet(), 0)
+	net := NewFatTree(k, edges, hosts, spines, myrinet(), 0)
 	use := make([]int, spines)
 	for src := 0; src < hosts; src++ { // all hosts on edge 0
 		for dst := hosts; dst < edges*hosts; dst++ { // every off-edge dst
@@ -174,7 +174,7 @@ func TestFatTreeCutPatternSpreadsSpines(t *testing.T) {
 	k := sim.NewKernel()
 	const edges, hosts, spines = 8, 4, 2
 	n := edges * hosts
-	net := NewFatTree(k, edges, hosts, spines, DefaultMyrinet(), 0)
+	net := NewFatTree(k, edges, hosts, spines, myrinet(), 0)
 	use := make([]int, spines)
 	for src := 0; src < n/2; src++ {
 		use[int(net.Route(src, src+n/2)[0])-hosts]++
@@ -190,7 +190,27 @@ func TestFatTreeCutPatternSpreadsSpines(t *testing.T) {
 
 func TestTorusAllPairs(t *testing.T) {
 	k := sim.NewKernel()
-	allPairs(t, k, Shape{Topology: Torus2D, Nodes: 18, Hosts: 2, Rows: 3, Cols: 3}.Build(k, DefaultMyrinet(), 100*sim.Nanosecond))
+	allPairs(t, k, Shape{Topology: Torus2D, Nodes: 18, Hosts: 2, Rows: 3, Cols: 3}.Build(k, myrinet(), 100*sim.Nanosecond))
+}
+
+// A torus grid must hold the switch count exactly; whatever dimension is
+// zero is factored from it.
+func TestTorusGridMustHoldTheSwitches(t *testing.T) {
+	for _, c := range []struct {
+		s  Shape
+		ok bool
+	}{
+		{Shape{Topology: Torus2D, Nodes: 16, Rows: 3}, false}, // 4 switches, 3 rows
+		{Shape{Topology: Torus2D, Nodes: 16, Rows: 2, Cols: 3}, false},
+		{Shape{Topology: Torus2D, Nodes: 16, Rows: 2}, true},
+	} {
+		if err := c.s.Validate(); (err == nil) != c.ok {
+			t.Errorf("%+v: Validate() = %v, want ok=%v", c.s, err, c.ok)
+		}
+	}
+	if s, err := (Shape{Topology: Torus2D, Nodes: 24, Hosts: 2}).Resolve(); err != nil || s.Rows != 3 || s.Cols != 4 {
+		t.Errorf("24 nodes, 2 per switch: a %dx%d grid (%v), want 3x4", s.Rows, s.Cols, err)
+	}
 }
 
 // ringDist is the minimal hop count between two coordinates on a ring.
@@ -207,7 +227,7 @@ func ringDist(a, b, d int) int {
 func TestTorusRoutesMinimal(t *testing.T) {
 	k := sim.NewKernel()
 	const rows, cols, hosts = 4, 5, 2
-	net := Shape{Topology: Torus2D, Nodes: rows * cols * hosts, Hosts: hosts, Rows: rows, Cols: cols}.Build(k, DefaultMyrinet(), 0)
+	net := Shape{Topology: Torus2D, Nodes: rows * cols * hosts, Hosts: hosts, Rows: rows, Cols: cols}.Build(k, myrinet(), 0)
 	for a := 0; a < net.Nodes(); a++ {
 		for b := 0; b < net.Nodes(); b++ {
 			if a == b {
@@ -228,7 +248,7 @@ func TestTorusRoutesMinimal(t *testing.T) {
 func TestTorusWraparound(t *testing.T) {
 	k := sim.NewKernel()
 	const hosts = 1
-	net := Shape{Topology: Torus2D, Nodes: 4 * hosts, Hosts: hosts, Rows: 1, Cols: 4}.Build(k, DefaultMyrinet(), 0)
+	net := Shape{Topology: Torus2D, Nodes: 4 * hosts, Hosts: hosts, Rows: 1, Cols: 4}.Build(k, myrinet(), 0)
 	r := net.Route(0, 3)
 	if len(r) != 2 {
 		t.Fatalf("wrap route %v, want [westwrap, host]", r)
@@ -262,7 +282,7 @@ func TestTorusWraparound(t *testing.T) {
 func TestTorusDimensionOrder(t *testing.T) {
 	k := sim.NewKernel()
 	const hosts = 1
-	net := Shape{Topology: Torus2D, Nodes: 9 * hosts, Hosts: hosts, Rows: 3, Cols: 3}.Build(k, DefaultMyrinet(), 0)
+	net := Shape{Topology: Torus2D, Nodes: 9 * hosts, Hosts: hosts, Rows: 3, Cols: 3}.Build(k, myrinet(), 0)
 	r := net.Route(0, 8) // (0,0) -> (2,2): 1 X hop + 1 Y hop (both wraps)
 	if len(r) != 3 {
 		t.Fatalf("diagonal route %v, want 3", r)
@@ -278,7 +298,7 @@ func TestTorusDimensionOrder(t *testing.T) {
 func TestLineSingleHostLongChain(t *testing.T) {
 	k := sim.NewKernel()
 	const switches = 16
-	net := Shape{Topology: Line, Nodes: switches, Hosts: 1}.Build(k, DefaultMyrinet(), 50*sim.Nanosecond)
+	net := Shape{Topology: Line, Nodes: switches, Hosts: 1}.Build(k, myrinet(), 50*sim.Nanosecond)
 	if r := net.Route(0, switches-1); len(r) != switches {
 		t.Fatalf("end-to-end route has %d hops, want %d", len(r), switches)
 	}
@@ -328,21 +348,21 @@ func blastOne(t *testing.T, k *sim.Kernel, net *Network, pkts int) {
 }
 
 func TestLineTrunkSaturation(t *testing.T) {
-	cfg := DefaultMyrinet()
+	cfg := myrinet()
 	cfg.Slots = 1 // hardest back-pressure
 	k := sim.NewKernel()
 	blastOne(t, k, Shape{Topology: Line, Nodes: 8, Hosts: 2}.Build(k, cfg, 0), 30)
 }
 
 func TestFatTreeSaturation(t *testing.T) {
-	cfg := DefaultMyrinet()
+	cfg := myrinet()
 	cfg.Slots = 1
 	k := sim.NewKernel()
 	blastOne(t, k, NewFatTree(k, 4, 2, 2, cfg, 0), 30)
 }
 
 func TestTorusSaturation(t *testing.T) {
-	cfg := DefaultMyrinet()
+	cfg := myrinet()
 	cfg.Slots = 1
 	k := sim.NewKernel()
 	blastOne(t, k, Shape{Topology: Torus2D, Nodes: 9, Hosts: 1, Rows: 3, Cols: 3}.Build(k, cfg, 0), 30)
@@ -355,7 +375,7 @@ func TestTorusSaturation(t *testing.T) {
 // exactly the circular buffer dependency that deadlocks a torus. With the
 // dateline discipline the run must drain completely.
 func TestTorusRingSaturationNoDeadlock(t *testing.T) {
-	cfg := DefaultMyrinet()
+	cfg := myrinet()
 	cfg.Slots = 1
 	k := sim.NewKernel()
 	net := Shape{Topology: Torus2D, Nodes: 4, Hosts: 1, Rows: 1, Cols: 4}.Build(k, cfg, 0)

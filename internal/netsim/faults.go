@@ -274,8 +274,6 @@ const (
 	// LossCRC is a corrupted frame discarded by the receiving NIC's CRC
 	// check.
 	LossCRC
-	// LossRingFull is a frame a RingDrop-policy NIC discarded on overrun.
-	LossRingFull
 )
 
 // String names the cause for reports.
@@ -287,8 +285,6 @@ func (c LossCause) String() string {
 		return "link-down"
 	case LossCRC:
 		return "crc"
-	case LossRingFull:
-		return "ring-full"
 	}
 	return fmt.Sprintf("cause(%d)", uint8(c))
 }
@@ -325,8 +321,8 @@ func (n *Network) noteLost(pkt *Packet, cause LossCause) {
 	n.lost[lostKey{src: pkt.Src, dst: pkt.Dst, ctrl: pkt.Ctrl, cause: cause}]++
 }
 
-// NoteLost records a frame lost outside the fabric proper (NIC CRC check,
-// ring overrun) against this node's network.
+// NoteLost records a frame lost outside the fabric proper (the NIC's CRC
+// check) against this node's network.
 func (ifc *Iface) NoteLost(pkt *Packet, cause LossCause) { ifc.net.noteLost(pkt, cause) }
 
 // LostFrames returns every loss record, sorted by (src, dst, cause, ctrl) so

@@ -10,7 +10,7 @@ import (
 // faultyPair is a DirectPair with one fault rule on both of its links.
 func faultyPair(t *testing.T, k *sim.Kernel, seed int64, rule FaultRule) *Network {
 	t.Helper()
-	net := NewDirectPair(k, DefaultMyrinet())
+	net := NewDirectPair(k, myrinet())
 	if err := net.ApplyFaults(FaultPlan{Seed: seed, Rules: []FaultRule{rule}}); err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestCorruptionMarksFrame(t *testing.T) {
 
 func TestOutageWindowDropsAndRegisters(t *testing.T) {
 	k := sim.NewKernel()
-	net := NewDirectPair(k, DefaultMyrinet())
+	net := NewDirectPair(k, myrinet())
 	plan := FaultPlan{Seed: 1, Rules: []FaultRule{
 		{Links: "0->1", DownFrom: 10 * sim.Microsecond, DownUntil: 20 * sim.Microsecond},
 	}}
@@ -127,7 +127,7 @@ func TestOutageWindowDropsAndRegisters(t *testing.T) {
 
 func TestSwitchDeathNeverHeals(t *testing.T) {
 	k := sim.NewKernel()
-	net := NewDirectPair(k, DefaultMyrinet())
+	net := NewDirectPair(k, myrinet())
 	// DownUntil == 0 with DownFrom > 0: the link dies and stays dead.
 	plan := FaultPlan{Rules: []FaultRule{{Links: "0->1", DownFrom: 5 * sim.Microsecond}}}
 	if err := net.ApplyFaults(plan); err != nil {
@@ -242,7 +242,7 @@ func TestFaultPlanValidate(t *testing.T) {
 
 func TestApplyFaultsGlobTargeting(t *testing.T) {
 	k := sim.NewKernel()
-	net := Shape{Topology: SingleSwitch, Nodes: 4}.Build(k, DefaultMyrinet(), 0)
+	net := Shape{Topology: SingleSwitch, Nodes: 4}.Build(k, myrinet(), 0)
 	plan := FaultPlan{Seed: 3, Rules: []FaultRule{{Links: "n*->sw", DropProb: 0.5}}}
 	if err := net.ApplyFaults(plan); err != nil {
 		t.Fatal(err)

@@ -58,18 +58,6 @@ type LinkConfig struct {
 	FrameOverhead int      // framing bytes added to every packet on the wire
 }
 
-// DefaultMyrinet is the link configuration used by the machine profiles:
-// 1.28 Gb/s Myrinet (~160 MB/s), sub-microsecond propagation, shallow
-// per-port slack, 8 framing bytes (route + type + CRC).
-func DefaultMyrinet() LinkConfig {
-	return LinkConfig{
-		BandwidthMBps: 160,
-		PropDelay:     200 * sim.Nanosecond,
-		Slots:         2,
-		FrameOverhead: 8,
-	}
-}
-
 // LinkStats counts traffic through a link.
 type LinkStats struct {
 	Packets     int64
@@ -81,8 +69,8 @@ type LinkStats struct {
 }
 
 // Link is a unidirectional wire from one element to the input queue of the
-// next. Send serializes the packet at link bandwidth and blocks (holding the
-// link — back-pressure) while the downstream queue is full.
+// next. A frame's passage (Tx) serializes it at link bandwidth and blocks,
+// holding the link (back-pressure), while the downstream queue is full.
 type Link struct {
 	name   string
 	cfg    LinkConfig
@@ -106,18 +94,11 @@ func NewLink(k *sim.Kernel, name string, cfg LinkConfig, dst *sim.Chan[*Packet])
 	}
 }
 
-// Send transmits pkt. The calling Proc is charged serialization and
-// propagation time and stalls under back-pressure from downstream.
-func (l *Link) Send(p *sim.Proc, pkt *Packet) {
-	tx := Tx{l: l, pkt: pkt}
-	tx.drive(p)
-}
-
 // Tx is one frame's passage over one link as a resumable step sequence: the
 // one body of the link's send logic. Step takes the frame as far as it can
 // go at this instant and reports whether it is across; when it is not, Step
 // has armed exactly one wake for p and is to be called again at that wake —
-// by Link.Send after a park on a goroutine Proc, by the Step of the sim
+// by Iface.Send after a park on a goroutine Proc, by the Step of the sim
 // Machine (NIC firmware, switch forwarder) that embeds the Tx.
 type Tx struct {
 	l    *Link
@@ -131,13 +112,6 @@ const (
 	txDeliver          // at the far end: faults, then the downstream queue
 	txRelease
 )
-
-// drive is how a goroutine Proc sends: Step, with a park wherever it waits.
-func (tx *Tx) drive(p *sim.Proc) {
-	for !tx.Step(p) {
-		p.Park()
-	}
-}
 
 // Step advances the frame; see Tx.
 func (tx *Tx) Step(p *sim.Proc) (done bool) {

@@ -9,6 +9,13 @@ import (
 	"repro/internal/sim"
 )
 
+// myrinet is the PPro200 profile's link (hostmodel, which this package's
+// tests cannot import): 1.28 Gb/s Myrinet (~160 MB/s), sub-microsecond
+// propagation, shallow per-port slack, 8 framing bytes (route + type + CRC).
+func myrinet() LinkConfig {
+	return LinkConfig{BandwidthMBps: 160, PropDelay: 200 * sim.Nanosecond, Slots: 2, FrameOverhead: 8}
+}
+
 func collect(p *sim.Proc, in *sim.Chan[*Packet], n int, out *[]*Packet) {
 	for i := 0; i < n; i++ {
 		*out = append(*out, in.Recv(p))
@@ -17,7 +24,7 @@ func collect(p *sim.Proc, in *sim.Chan[*Packet], n int, out *[]*Packet) {
 
 func TestDirectPairDelivery(t *testing.T) {
 	k := sim.NewKernel()
-	net := NewDirectPair(k, DefaultMyrinet())
+	net := NewDirectPair(k, myrinet())
 	var got []*Packet
 	k.Spawn("sender", func(p *sim.Proc) {
 		for i := 0; i < 10; i++ {
@@ -116,7 +123,7 @@ func TestBackpressureStallsSender(t *testing.T) {
 func TestSingleSwitchAllPairs(t *testing.T) {
 	k := sim.NewKernel()
 	const n = 4
-	net := Shape{Topology: SingleSwitch, Nodes: n}.Build(k, DefaultMyrinet(), 300*sim.Nanosecond)
+	net := Shape{Topology: SingleSwitch, Nodes: n}.Build(k, myrinet(), 300*sim.Nanosecond)
 	type rx struct{ src, val int }
 	got := make([][]rx, n)
 	for i := 0; i < n; i++ {
@@ -153,7 +160,7 @@ func TestSingleSwitchAllPairs(t *testing.T) {
 
 func TestLineMultiHopRouting(t *testing.T) {
 	k := sim.NewKernel()
-	net := Shape{Topology: Line, Nodes: 6, Hosts: 2}.Build(k, DefaultMyrinet(), 300*sim.Nanosecond) // nodes 0..5
+	net := Shape{Topology: Line, Nodes: 6, Hosts: 2}.Build(k, myrinet(), 300*sim.Nanosecond) // nodes 0..5
 	var got []*Packet
 	k.Spawn("sender", func(p *sim.Proc) {
 		net.Iface(0).Send(p, &Packet{Dst: 5, Payload: []byte("far")})
@@ -176,7 +183,7 @@ func TestLineMultiHopRouting(t *testing.T) {
 
 func TestLineRouteLengths(t *testing.T) {
 	k := sim.NewKernel()
-	net := Shape{Topology: Line, Nodes: 8, Hosts: 2}.Build(k, DefaultMyrinet(), 0)
+	net := Shape{Topology: Line, Nodes: 8, Hosts: 2}.Build(k, myrinet(), 0)
 	// Route from node 0 (switch 0) to node 7 (switch 3): 3 trunk hops + host port.
 	r := net.Route(0, 7)
 	if len(r) != 4 {
@@ -252,7 +259,7 @@ func TestCorruptInjection(t *testing.T) {
 
 func TestLinkStatsAccounting(t *testing.T) {
 	k := sim.NewKernel()
-	cfg := DefaultMyrinet()
+	cfg := myrinet()
 	net := NewDirectPair(k, cfg)
 	k.Spawn("sender", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
@@ -287,7 +294,7 @@ func TestPropertyFabricFIFOPerPair(t *testing.T) {
 		}
 		k := sim.NewKernel()
 		const n = 3
-		net := Shape{Topology: SingleSwitch, Nodes: n}.Build(k, DefaultMyrinet(), 100*sim.Nanosecond)
+		net := Shape{Topology: SingleSwitch, Nodes: n}.Build(k, myrinet(), 100*sim.Nanosecond)
 		// Node 0 sends interleaved packets to 1 and 2 per plan bits.
 		counts := [n]int{}
 		for _, b := range plan {
@@ -331,7 +338,7 @@ func TestPropertyFabricFIFOPerPair(t *testing.T) {
 func TestTrunkContentionSlowsPairs(t *testing.T) {
 	// Two flows crossing the same trunk must each get about half the trunk.
 	k := sim.NewKernel()
-	cfg := DefaultMyrinet()
+	cfg := myrinet()
 	net := Shape{Topology: Line, Nodes: 4, Hosts: 2}.Build(k, cfg, 0) // nodes 0,1 on sw0; 2,3 on sw1
 	const pkts, size = 50, 1000
 	var done [2]sim.Time

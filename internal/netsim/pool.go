@@ -115,8 +115,8 @@ func (fp *FramePool) put(pkt *Packet) {
 }
 
 // Release returns the packet's frame to its owning pool. Packets built
-// outside any pool (tests, legacy paths) release as a no-op, so consumers
-// can release unconditionally.
+// outside any pool (tests) release as a no-op, so consumers can release
+// unconditionally.
 func (p *Packet) Release() {
 	if p.pool != nil {
 		p.pool.put(p)

@@ -76,7 +76,7 @@ func TestRoutesMatchParentTables(t *testing.T) {
 		t.Run(shapeName(c.s), func(t *testing.T) {
 			k := sim.NewKernel()
 			defer k.Shutdown()
-			net := c.s.Build(k, DefaultMyrinet(), 0)
+			net := c.s.Build(k, myrinet(), 0)
 			if got := routeDigest(net); got != c.routes {
 				t.Errorf("route digest %#016x, parent's tables gave %#016x", got, c.routes)
 			}
@@ -104,7 +104,7 @@ type place struct{ sw, node int }
 func newPortMap(t *testing.T, s Shape) portMap {
 	k := sim.NewKernel()
 	t.Cleanup(k.Shutdown)
-	m := portMap{net: s.Build(k, DefaultMyrinet(), 0)}
+	m := portMap{net: s.Build(k, myrinet(), 0)}
 	owner := map[*sim.Chan[*Packet]]place{}
 	for i, ifc := range m.net.ifaces {
 		owner[ifc.In] = place{-1, i}
@@ -225,7 +225,7 @@ func TestLargeFatTreeBuildIsLinear(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&m0)
 	k := sim.NewKernel()
-	net := NewFatTree(k, 256, 16, 8, DefaultMyrinet(), 0)
+	net := NewFatTree(k, 256, 16, 8, myrinet(), 0)
 	runtime.ReadMemStats(&m1)
 	defer k.Shutdown()
 	if net.Nodes() != 4096 {
@@ -252,7 +252,7 @@ func TestInjectZeroAlloc(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			const warm, pkts = 200, 1000
 			k := sim.NewKernel()
-			net := s.Build(k, DefaultMyrinet(), 100*sim.Nanosecond)
+			net := s.Build(k, myrinet(), 100*sim.Nanosecond)
 			pool := NewFramePool(64, 0)
 			for i := 1; i < net.Nodes(); i++ {
 				in := net.Iface(i).In

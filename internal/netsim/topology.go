@@ -27,7 +27,9 @@ type Iface struct {
 // NIC); a self-addressed packet reaching the wire is a protocol-layer bug.
 func (ifc *Iface) Send(p *sim.Proc, pkt *Packet) {
 	tx := ifc.StartSend(p.Now(), pkt)
-	tx.drive(p)
+	for !tx.Step(p) { // a park wherever the frame waits
+		p.Park()
+	}
 }
 
 // StartSend is Send's first half, for a caller that cannot block (the NIC's

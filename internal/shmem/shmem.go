@@ -30,6 +30,10 @@ const shmemHandlerID = 3
 // header: kind(1) pad(3) region(4) offset(4) length(4) reqID(4).
 const headerSize = 20
 
+// MaxRegion is the most bytes of a region Put and Get address: the header
+// carries offset and length as uint32, so offset+length must fit in 32 bits.
+const MaxRegion = 1<<32 - 1
+
 const (
 	kindPut = iota + 1
 	kindPutAck
@@ -116,6 +120,9 @@ func (n *Node) encode(kind int, region uint32, off, length int, req uint32) []by
 // Put writes data into (region, offset) on the target rank. It returns
 // once the message is handed off; call Quiet to wait for remote completion.
 func (n *Node) Put(p *sim.Proc, target int, region uint32, offset int, data []byte) error {
+	if offset < 0 || int64(offset)+int64(len(data)) > MaxRegion {
+		return fmt.Errorf("shmem: put of %d bytes at offset %d is past what a region addresses", len(data), offset)
+	}
 	hdr := n.encode(kindPut, region, offset, len(data), 0)
 	err := xport.SendGather(p, n.t, target, shmemHandlerID, hdr, data)
 	n.hdrs.Put(hdr)
@@ -145,6 +152,9 @@ func (g *got) Done() bool   { return !g.getting }
 func (n *Node) Get(p *sim.Proc, target int, region uint32, offset int, buf []byte) error {
 	if limit := n.t.MaxMessage() - headerSize; len(buf) > limit {
 		return fmt.Errorf("shmem: get of %d bytes exceeds what one response carries (%d)", len(buf), limit)
+	}
+	if offset < 0 || int64(offset)+int64(len(buf)) > MaxRegion {
+		return fmt.Errorf("shmem: get of %d bytes at offset %d is past what a region addresses", len(buf), offset)
 	}
 	n.getReq = n.nextReq
 	n.nextReq++

@@ -5,14 +5,14 @@ import (
 	"testing"
 )
 
-// Coverage for the Chan internals a feed from driver context leans on:
+// Coverage for the Chan internals a feed of one-shot events leans on:
 // ring-buffer wraparound under sustained TrySend/Recv cycling (deliveries
-// scheduled with At land via TrySend) and FIFO admission when a deep queue
-// of parked senders drains gradually — the shape a saturated injector
+// spawned with SpawnAt land via TrySend) and FIFO admission when a deep
+// queue of parked senders drains gradually — the shape a saturated injector
 // produces.
 
 // TestChanRingWraparoundFromDriverEvents feeds a bounded channel from
-// driver events scheduled one latency after each send, through many full
+// one-shot Procs spawned one latency after each send, through many full
 // fill/drain cycles, so the ring's head wraps its backing array repeatedly,
 // and checks strict FIFO end to end.
 func TestChanRingWraparoundFromDriverEvents(t *testing.T) {
@@ -32,7 +32,7 @@ func TestChanRingWraparoundFromDriverEvents(t *testing.T) {
 	}
 	k.Spawn("sender", func(p *Proc) {
 		for i := 0; i < total; i++ {
-			k.At(p.Now()+lat, func() { deliver(i) })
+			k.SpawnAt(p.Now()+lat, "deliver", func(*Proc) { deliver(i) })
 			p.Delay(period)
 		}
 	})

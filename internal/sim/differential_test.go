@@ -19,7 +19,7 @@ import (
 // (onGoroutine). A goroutine Proc gets its goroutine at its first wake.
 //
 // One generator draws a program from a seed — pollers on 1 to 64 periods fed
-// on, behind and off their grid and kicked early, tickers, At events, scripted
+// on, behind and off their grid and kicked early, tickers, one-shot Procs, scripted
 // Machines over Chans and Resources with the daemons they contend with, a
 // driver script, sometimes a panic — and runs it in two spellings: fused
 // (PollEvery, PollCycle, SpawnMachine) and written out (the Delay loops, the
@@ -58,7 +58,7 @@ const (
 const (
 	drain  = iota // Run
 	pauses        // RunUntil on and off tick instants, then Run
-	halt          // the same, then Stop from a driver event or Shutdown
+	halt          // the same, then Stop from a global Proc or Shutdown
 
 	condPanic = 1 // a poller's condition panics
 	stepPanic = 2 // in odd seeds, a Machine's Step panics
@@ -373,7 +373,7 @@ func newRun(seed int64, rw row, spelling int) *run {
 		actsFor(loop(k.Spawn, fmt.Sprintf("ticker%d", i), func(p *Proc) { p.Delay(d) }), 100+i)
 	}
 	for i := 0; i < 16; i++ {
-		k.At(halfGrid(int(2*span/gridD)), func() { r.note("at", i) })
+		k.SpawnAt(halfGrid(int(2*span/gridD)), "at", func(*Proc) { r.note("at", i) })
 	}
 	kicks := make([][2]int, 4*len(r.pollers)) // after the previous one, poller
 	for i := range kicks {
@@ -454,7 +454,7 @@ func newRun(seed int64, rw row, spelling int) *run {
 	case rw.script != halt:
 		r.state("run", k.Run())
 	case rng.Intn(2) == 0:
-		k.At(at, func() { r.midWait(); k.Stop() })
+		k.SpawnAt(at, "stopper", func(*Proc) { r.midWait(); k.Stop() })
 		r.state(fmt.Sprintf("stopped at %v", at), k.Run())
 	default:
 		r.state(fmt.Sprintf("until %v", at), k.RunUntil(at))
@@ -635,7 +635,7 @@ func same(t *testing.T, seed int64, spelling string, ref, got *run, want, have [
 	}
 	for _, r := range []*run{ref, got} {
 		c := r.k.Census()
-		if n := c.Resumes + c.Steps + c.Fns + c.Idle + c.Dormant + c.Stale + c.Queued; n != r.k.Events() {
+		if n := c.Resumes + c.Steps + c.Idle + c.Dormant + c.Stale + c.Queued; n != r.k.Events() {
 			t.Fatalf("seed %d: census %+v sums to %d, Events() is %d", seed, c, n, r.k.Events())
 		}
 	}

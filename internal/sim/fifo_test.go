@@ -96,7 +96,7 @@ func TestLaneRotationClearsVacatedSlots(t *testing.T) {
 			}
 		})
 	}
-	k.At(Microsecond, func() { done = true })
+	k.SpawnAt(Microsecond, "done", func(*Proc) { done = true })
 	if err := k.RunUntil(Microsecond - 1); err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,13 @@ func TestProcSize(t *testing.T) {
 	}
 }
 
+// A heap event is the wake of one Proc: time, seq, Proc and wake generation.
+func TestEventSize(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n != 32 {
+		t.Fatalf("heap event is %d bytes, want 32", n)
+	}
+}
+
 // cycle finds the cycle a wait-for graph holds, whichever edges lead into it
 // from nodes on no cycle, and nothing in a graph without one.
 func TestHangCycle(t *testing.T) {

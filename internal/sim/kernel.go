@@ -105,9 +105,8 @@ var ErrStopped = errors.New("sim: stopped")
 type event struct {
 	t    Time
 	seq  uint64 // tie-break: FIFO among equal timestamps
-	proc *Proc  // proc to wake (nil if fn event)
+	proc *Proc  // proc to wake
 	gen  uint64 // wake generation; stale events are dropped
-	fn   func() // executed in driver context (timers, monitors)
 }
 
 // eventHeap is a binary min-heap ordered by (time, seq). The sift
@@ -148,7 +147,7 @@ func (h *eventHeap) pop() event {
 	n := len(s) - 1
 	top := s[0]
 	last := s[n]
-	s[n] = event{} // drop proc/fn references so the GC can reclaim them
+	s[n] = event{} // drop the proc reference so the GC can reclaim it
 	s = s[:n]
 	*h = s
 	if n > 0 {
@@ -183,7 +182,7 @@ type lane struct {
 
 // tick is a lane slot: a poll tick's wake and, while it is dormant, all that
 // re-arming it takes without its Proc (see rotate). 48 bytes, against the
-// heap's 40-byte event.
+// heap's 32-byte event.
 type tick struct {
 	t    Time
 	seq  uint64
@@ -279,7 +278,6 @@ func (k *Kernel) Events() uint64 { return k.seq }
 type Census struct {
 	Resumes uint64 // a goroutine Proc resumed (from the heap or a lane)
 	Steps   uint64 // a Machine stepped
-	Fns     uint64 // a driver-context fn run (At)
 	Idle    uint64 // a poll tick re-armed on an Idle call
 	Dormant uint64 // a dormant poll tick re-armed without one (rotate)
 	Stale   uint64 // a wake dropped: its Proc had ended or been woken another way
@@ -299,12 +297,6 @@ func (k *Kernel) Census() Census {
 // Stop halts the simulation: Run returns ErrStopped after unwinding all
 // Procs. Safe to call from inside a Proc.
 func (k *Kernel) Stop() { k.stopped = true }
-
-func (k *Kernel) push(e event) {
-	e.seq = k.seq
-	k.seq++
-	k.eq.push(e)
-}
 
 // tick arms p's next poll tick, in the lane of period p.pollTick — the one
 // place a tick is queued, so none ever enters the heap. It takes its seq at
@@ -343,15 +335,6 @@ func (k *Kernel) lane(d Time) uint16 {
 // lanes in 16 bits.
 const maxLanes = 1 << 16
 
-// At schedules fn to run in driver context at absolute virtual time t
-// (clamped to now if in the past). fn is a global event (see ActsFor).
-func (k *Kernel) At(t Time, fn func()) {
-	if t < k.now {
-		t = k.now
-	}
-	k.push(event{t: t, fn: fn})
-}
-
 // wakeAt schedules p to resume at absolute time t (callers pass t >= now)
 // with its current wake generation. Internal: synchronization primitives use
 // this.
@@ -359,7 +342,8 @@ func (k *Kernel) wakeAt(t Time, p *Proc) {
 	if p.dormant {
 		k.act[p.dom] = k.seq // a kick: the dormant tick is over (wakeDormant)
 	}
-	k.push(event{t: t, proc: p, gen: p.wakeGen})
+	k.eq.push(event{t: t, seq: k.seq, proc: p, gen: p.wakeGen})
+	k.seq++
 }
 
 // wakeNow schedules p to resume at the current time (after any events
@@ -453,15 +437,10 @@ func (k *Kernel) dispatch() *Proc {
 			if p = k.laneTick(from); p == nil {
 				continue
 			}
-		} else if ev := k.eq.pop(); ev.fn != nil {
-			k.act[domGlobal] = k.seq
-			k.census.Fns++
-			k.runFn(ev.fn)
-			continue
-		} else if p = ev.proc; p.done || ev.gen != p.wakeGen {
+		} else if ev := k.eq.pop(); ev.proc.done || ev.gen != ev.proc.wakeGen {
 			k.census.Stale++ // stale wakeup (proc already woken another way)
 			continue
-		} else if p.dormant {
+		} else if p = ev.proc; p.dormant {
 			k.wakeDormant(p)
 		}
 		if p.poll != nil {
@@ -640,21 +619,6 @@ func (k *Kernel) resume(p *Proc) {
 	}
 }
 
-// runFn executes a driver-context event (At/After) with its own recovery:
-// the dispatcher runs on whichever goroutine holds the control token, so
-// without this a panicking timer/monitor fn would either escape Run or be
-// misattributed to the unrelated Proc that happened to be parking —
-// depending on event timing. Recovering here keeps the failure deterministic
-// and correctly labeled.
-func (k *Kernel) runFn(fn func()) {
-	defer func() {
-		if r := recover(); r != nil {
-			k.fail(fmt.Errorf("sim: driver event panicked: %v\n%s", r, debug.Stack()))
-		}
-	}()
-	fn()
-}
-
 // Idler is the wait condition of a Proc blocked in PollCycle. Idle reports
 // whether the Proc, resumed at the current instant, would find nothing to do
 // but start the cycle's next period, and for how long that verdict stands:
@@ -794,12 +758,12 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 func (p *Proc) Now() Time { return p.k.now }
 
 // Fabric is the node a Proc acts for when it acts for none: a switch
-// forwarder or a cut trunk's injector, which write links, switch queues and
-// the wire side of a NIC, never state an Idler reads (ActsFor).
+// forwarder, which writes links, switch queues and the wire side of a NIC,
+// never state an Idler reads (ActsFor).
 const Fabric = -1
 
-// Domains: what an event's Proc acts for. An untagged Proc and an At fn are
-// global; node n is domNode+n.
+// Domains: what an event's Proc acts for. An untagged Proc is global; node n
+// is domNode+n.
 const (
 	domGlobal = iota
 	domFabric

@@ -162,19 +162,6 @@ func TestStop(t *testing.T) {
 	}
 }
 
-func TestTimerCallback(t *testing.T) {
-	k := NewKernel()
-	var fired []Time
-	k.At(3*Microsecond, func() { fired = append(fired, k.Now()) })
-	k.At(7*Microsecond, func() { fired = append(fired, k.Now()) })
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(fired) != 2 || fired[0] != 3*Microsecond || fired[1] != 7*Microsecond {
-		t.Fatalf("fired = %v", fired)
-	}
-}
-
 func TestSignalWakesFIFO(t *testing.T) {
 	k := NewKernel()
 	var sig Signal

@@ -61,7 +61,7 @@ func TestMachineRetiredWithoutHandshake(t *testing.T) {
 		return k
 	}
 	k := build()
-	k.At(500, k.Stop)
+	k.SpawnAt(500, "stop", func(*Proc) { k.Stop() })
 	if err := k.Run(); !errors.Is(err, ErrStopped) {
 		t.Fatalf("stopped run: %v", err)
 	}

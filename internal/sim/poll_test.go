@@ -103,7 +103,7 @@ func TestPollCycleAlternatesPeriods(t *testing.T) {
 func TestNextEventSeesLaneTicks(t *testing.T) {
 	k := NewKernel()
 	k.Spawn("spinner", func(p *Proc) { p.PollEvery(gridD, idleFor(1<<62)) })
-	k.At(10*gridD+50, func() {})
+	k.SpawnAt(10*gridD+50, "mark", func(*Proc) {})
 	steps := []struct {
 		run       func() error
 		now, next Time

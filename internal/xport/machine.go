@@ -52,7 +52,7 @@ func (g Gen) Machine() Machine {
 	if g == GenFM1 {
 		p = hostmodel.Sparc()
 	}
-	return Machine{Gen: g, Profile: p, NIC: lanai.DefaultConfig()}
+	return Machine{Gen: g, Profile: p}
 }
 
 // Config is m at n nodes on topology t, with the fabric auto-shaped: the
