@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/alloctest"
@@ -25,7 +26,7 @@ func TestKernelEventLoopZeroAlloc(t *testing.T) {
 	k := NewKernel()
 	var allocs uint64
 	k.Spawn("ticker", func(p *Proc) {
-		for i := 0; i < 1000; i++ { // warm-up: heap growth, handoff slots
+		for i := 0; i < 1000; i++ { // warm-up: queue growth, handoff slots
 			p.Delay(Microsecond)
 		}
 		allocs = alloctest.MinMallocs(func() {
@@ -40,6 +41,39 @@ func TestKernelEventLoopZeroAlloc(t *testing.T) {
 	if allocs > alloctest.AllowStray {
 		t.Fatalf("kernel event loop allocated %d times over %d events; steady state must be 0/op",
 			allocs, steps)
+	}
+}
+
+// TestEventQueueZeroAlloc pins the event queue at depth: with 4 096 wakes
+// pending, each Machine re-arming as it pops, 200 µs of steady state — some
+// half a million pushes and pops, a spill for every new instant — allocate
+// nothing once the node arena has grown, and the arena holds no more nodes
+// than there are wakes pending.
+func TestEventQueueZeroAlloc(t *testing.T) {
+	if RaceEnabled {
+		t.Skip("alloc pins don't hold under the race detector's instrumentation")
+	}
+	const depth, delays = 4096, 200
+	k := NewKernel()
+	spawnChurners(k, depth)
+	var allocs uint64
+	k.Spawn("meter", func(p *Proc) {
+		p.Delay(20 * Microsecond) // warm-up: the arena grown
+		allocs = alloctest.MinMallocs(func() {
+			for range delays {
+				p.Delay(Microsecond)
+			}
+		})
+		k.Stop()
+	})
+	if err := k.Run(); !errors.Is(err, ErrStopped) {
+		t.Fatal(err)
+	}
+	if allocs > alloctest.AllowStray {
+		t.Fatalf("%d µs at %d pending wakes allocated %d times; steady state must be 0", delays, depth, allocs)
+	}
+	if n := len(k.eq.nodes); n > depth+2 { // the churners', the meter's, the sentinel
+		t.Fatalf("the arena grew to %d nodes for %d pending wakes; popped nodes must be reused", n, depth+1)
 	}
 }
 
@@ -62,7 +96,7 @@ func TestProcLifecycleZeroAlloc(t *testing.T) {
 				p.Delay(Nanosecond) // the child starts and parks; both resume at +1ns
 			}
 		}
-		lifetimes() // warm-up: free list, heap and registry grown
+		lifetimes() // warm-up: free list, queue and registry grown
 		allocs = alloctest.MinMallocs(lifetimes)
 	})
 	if err := k.Run(); err != nil {

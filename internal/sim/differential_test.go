@@ -14,7 +14,7 @@ import (
 //	for { Delay(d0); if !c.Idle() { return 0 }; Delay(d1); if !c.Idle() { return 1 } }
 //
 // with PollEvery its one-period case; the dispatcher takes the idle ticks and
-// queues them in one lane per period beside the heap. A Machine stepped by
+// queues them in one lane per period beside the event queue. A Machine stepped by
 // the dispatcher is its Steps run on a goroutine daemon that parks after each
 // (onGoroutine). A goroutine Proc gets its goroutine at its first wake.
 //
@@ -23,7 +23,7 @@ import (
 // Machines over Chans and Resources with the daemons they contend with, a
 // driver script, sometimes a panic — and runs it in two spellings: fused
 // (PollEvery, PollCycle, SpawnMachine) and written out (the Delay loops, the
-// goroutine daemon), which runs only the heap and the goroutine park the
+// goroutine daemon), which runs only the event queue and the goroutine park the
 // shortcuts are defined against. The two runs must be one simulation: every
 // resumption and condition evaluation at the same (t, seq); the same
 // Events(), Now(), Live() and next event time after every driver call; the

@@ -74,8 +74,8 @@ func (k *Kernel) HangReport() *HangReport {
 }
 
 // describe names p's wait: the one its park site named, the Idler of its
-// PollCycle, or its pending wake — in the heap, or in a lane for a PollCycle
-// with no Idler.
+// PollCycle, or its pending wake — in the event queue, or in a lane for a
+// PollCycle with no Idler.
 func (k *Kernel) describe(p *Proc) (string, int, []int) {
 	switch {
 	case p.wait != nil:
@@ -83,7 +83,7 @@ func (k *Kernel) describe(p *Proc) (string, int, []int) {
 	case p.poll != nil:
 		return p.poll.Describe()
 	}
-	for _, e := range k.eq {
+	for e := range k.eq.all {
 		if e.proc == p && e.gen == p.wakeGen {
 			return fmt.Sprintf("delay until %v", e.t), -1, nil
 		}

@@ -14,10 +14,11 @@ func TestProcSize(t *testing.T) {
 	}
 }
 
-// A heap event is the wake of one Proc: time, seq, Proc and wake generation.
+// A queued event is the wake of one Proc: time, seq, Proc and wake
+// generation.
 func TestEventSize(t *testing.T) {
 	if n := unsafe.Sizeof(event{}); n != 32 {
-		t.Fatalf("heap event is %d bytes, want 32", n)
+		t.Fatalf("queued event is %d bytes, want 32", n)
 	}
 }
 

@@ -37,12 +37,19 @@
 //     run user code that blocks (fm2's handler workers), and lanai.go and
 //     netsim.go call it nowhere.
 //
-// The third is where poll ticks wait: not in the event heap but in one FIFO
+// The third is where poll ticks wait: not in the event queue but in one FIFO
 // lane per period beside it. A tick of period d is queued at now+d with the
 // next seq, and since now never goes back and seq only grows, each lane is
-// already in (t, seq) order; the dispatcher takes the least of the heap top
-// and the lane heads, so events run in exactly the order one heap would pop
-// them, without sifting hundreds of re-armed ticks through it.
+// already in (t, seq) order; the dispatcher takes the least of the event
+// queue's least and the lane heads, so events run in exactly the order one
+// queue would pop them, without moving hundreds of re-armed ticks through it.
+//
+// The event queue is a monotone radix queue (eventQueue), not a heap, and it
+// rests on the same two facts: no event is queued before now, which never
+// goes back, and seq grows with every event queued. Events of equal time
+// therefore share a bucket in seq order, the queue pops the total (t, seq)
+// order any correct priority queue would, and the schedule does not depend
+// on how the queue is built.
 //
 // One FIFO serves the lanes and every wait queue alike: Queue (fifo.go) is
 // a lane's ring, a Chan's buffer and its parked senders and receivers, and
@@ -88,6 +95,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"math/bits"
 	"runtime/debug"
 	"sync"
 )
@@ -109,66 +117,161 @@ type event struct {
 	gen  uint64 // wake generation; stale events are dropped
 }
 
-// eventHeap is a binary min-heap ordered by (time, seq). The sift
-// operations are inlined on the slice rather than going through
-// container/heap, which would box every event into an interface{} — an
-// allocation per scheduled event on the kernel's hottest path. The backing
-// array is reused across push/pop cycles, and both sifts move a hole
-// instead of swapping whole event structs, halving the copies on the
-// simulator's single hottest loop. (t, seq) is a TOTAL order — seq is
-// unique — so any correct heap pops the identical sequence: these
-// micro-optimizations cannot perturb determinism.
-type eventHeap []event
-
-func evLess(a, b *event) bool {
-	if a.t != b.t {
-		return a.t < b.t
-	}
-	return a.seq < b.seq
+// eventQueue is a monotone radix queue (Ahuja, Mehlhorn, Orlin and Tarjan,
+// JACM 1990) that pops in (t, seq) order. It relies on two facts of the
+// kernel: no push is earlier than the time of the last event popped (last;
+// wakeAt holds pushes to now, and now never goes back), and seq grows with
+// push order. An event waits in bucket bits.Len64(t^last), a FIFO; full marks
+// the buckets that hold events, and each bucket knows its least event.
+// Bucket 0 holds the events at last, in seq order. When it is empty, pop
+// sets last to the least time of the lowest full bucket b, takes out b's
+// least event and moves the rest, in order, into the buckets below b, all
+// empty at that moment; an event in a bucket above b stays where it is,
+// since it differs from the old and the new last first at the same bit.
+//
+// So events of equal t always share a bucket, and every bucket stays in seq
+// order: a push has the greatest seq so far, and a bucket is refilled from
+// above only when it is empty. (t, seq) is a TOTAL order — seq is unique —
+// so this queue pops the identical sequence any correct priority queue
+// would, and the schedule cannot depend on how it is built. Nothing is
+// sifted: an event moves down at most 63 times, and on average one to five
+// times in the repo benchmark's workloads.
+//
+// The buckets are linked lists through one node arena with a free list, so
+// the arena grows the way a heap's slice would and a steady state of pushes
+// and pops allocates nothing. Node 0 is a sentinel: link 0 is none, and the
+// zero eventQueue is empty. The dispatcher asks for the least event at every
+// event it runs, lane ticks included, so the queue keeps it at hand.
+type eventQueue struct {
+	last  Time   // the time of the last event popped
+	full  uint64 // bit i: bucket i holds events
+	mt    Time   // the least pending (t, seq), while full is not 0
+	ms    uint64
+	free  int32 // the arena's free list
+	b     [64]bucket
+	nodes []qnode
 }
 
-func (h *eventHeap) push(e event) {
-	s := append(*h, event{})
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !evLess(&e, &s[parent]) {
-			break
-		}
-		s[i] = s[parent]
-		i = parent
-	}
-	s[i] = e
-	*h = s
+// bucket is one FIFO of the queue, and the node of its least event: the
+// first to arrive at its least time, or bucket 0's head.
+type bucket struct{ head, tail, least int32 }
+
+type qnode struct {
+	event
+	next int32
 }
 
-func (h *eventHeap) pop() event {
-	s := *h
-	n := len(s) - 1
-	top := s[0]
-	last := s[n]
-	s[n] = event{} // drop the proc reference so the GC can reclaim it
-	s = s[:n]
-	*h = s
-	if n > 0 {
-		i := 0
-		for {
-			c := 2*i + 1
-			if c >= n {
-				break
-			}
-			if r := c + 1; r < n && evLess(&s[r], &s[c]) {
-				c = r
-			}
-			if !evLess(&s[c], &last) {
-				break
-			}
-			s[i] = s[c]
-			i = c
-		}
-		s[i] = last
+// len counts the pending events (Census).
+func (q *eventQueue) len() (n int) {
+	for range q.all {
+		n++
 	}
-	return top
+	return n
+}
+
+// min reports the least pending (t, seq), or ok false when the queue is
+// empty.
+func (q *eventQueue) min() (t Time, seq uint64, ok bool) {
+	return q.mt, q.ms, q.full != 0
+}
+
+// push queues e, which must not be earlier than the last event popped.
+func (q *eventQueue) push(e event) {
+	i := q.free
+	if i != 0 {
+		q.free = q.nodes[i].next
+	} else {
+		if len(q.nodes) == 0 {
+			q.nodes = append(q.nodes, qnode{}) // the sentinel
+		}
+		i = int32(len(q.nodes))
+		q.nodes = append(q.nodes, qnode{})
+	}
+	if q.full == 0 || e.t < q.mt { // an equal t has a later seq
+		q.mt, q.ms = e.t, e.seq
+	}
+	nd := &q.nodes[i]
+	nd.event = e
+	q.link(i, nd)
+}
+
+// link appends node i, nd, to its bucket.
+func (q *eventQueue) link(i int32, nd *qnode) {
+	k := bits.Len64(uint64(nd.t^q.last)) & 63 // below 64 anyway: times are not negative
+	q.full |= 1 << k
+	b := &q.b[k]
+	if b.head == 0 {
+		b.head, b.least = i, i
+	} else if q.nodes[b.tail].next = i; nd.t < q.nodes[b.least].t { // an equal t has a later seq
+		b.least = i
+	}
+	b.tail = i
+}
+
+// pop takes the least pending event; the queue must not be empty. It is
+// the head of the lowest full bucket when that is bucket 0 or holds no
+// other event; otherwise spill finds it.
+func (q *eventQueue) pop() (*Proc, uint64) {
+	q.last = q.mt // as it was, when the least event is in bucket 0
+	k := uint(bits.TrailingZeros64(q.full)) & 63
+	b := &q.b[k]
+	i := b.head
+	if i == b.tail {
+		q.full &^= 1 << k
+		b.head = 0
+	} else if k == 0 {
+		b.head = q.nodes[i].next
+		b.least = b.head
+	} else {
+		i = q.spill(k)
+	}
+	nd := &q.nodes[i]
+	p, gen := nd.proc, nd.gen
+	nd.proc = nil // the GC may reclaim an ended Proc
+	nd.next, q.free = q.free, i
+	if q.full != 0 {
+		h := &q.nodes[q.b[bits.TrailingZeros64(q.full)&63].least]
+		q.mt, q.ms = h.t, h.seq
+	}
+	return p, gen
+}
+
+// spill empties bucket k, the lowest full one, whose least time is now
+// last: it takes out the least event and returns it, and moves the others,
+// in order, into the buckets below k, all empty until now.
+func (q *eventQueue) spill(k uint) int32 {
+	b := &q.b[k]
+	i, end, least := b.head, b.tail, b.least
+	q.full &^= 1 << k
+	b.head = 0
+	for {
+		nd := &q.nodes[i]
+		next := nd.next
+		if i != least {
+			q.link(i, nd)
+		}
+		if i == end {
+			return least
+		}
+		i = next
+	}
+}
+
+// all yields every pending event, bucket by bucket.
+func (q *eventQueue) all(yield func(*event) bool) {
+	for k := range q.b {
+		if q.full&(1<<k) == 0 {
+			continue
+		}
+		for i := q.b[k].head; ; i = q.nodes[i].next {
+			if !yield(&q.nodes[i].event) {
+				return
+			}
+			if i == q.b[k].tail {
+				break
+			}
+		}
+	}
 }
 
 // lane is the FIFO of poll ticks armed with one period d (Kernel.tick). Each
@@ -182,7 +285,7 @@ type lane struct {
 
 // tick is a lane slot: a poll tick's wake and, while it is dormant, all that
 // re-arming it takes without its Proc (see rotate). 48 bytes, against the
-// heap's 32-byte event.
+// event queue's 32-byte event.
 type tick struct {
 	t    Time
 	seq  uint64
@@ -213,8 +316,8 @@ type tick struct {
 // provide the happens-before edges.
 type Kernel struct {
 	now     Time
-	eq      eventHeap
-	lanes   []lane // poll ticks, one FIFO per period, beside the heap
+	eq      eventQueue
+	lanes   []lane // poll ticks, one FIFO per period, beside the queue
 	seq     uint64
 	act     []uint64  // per domain: seq when an event of the domain last ran (see ActsFor)
 	act0    [8]uint64 // act's first backing: a small cluster's kernel allocates none
@@ -237,19 +340,19 @@ func NewKernel() *Kernel {
 // Now reports the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 
-// noEvent and inHeap are what next reports in place of a lane index.
+// noEvent and inQueue are what next reports in place of a lane index.
 const (
 	noEvent = -2
-	inHeap  = -1
+	inQueue = -1
 )
 
-// next finds the least pending event across the heap top and the lane
-// heads: its time and the index of the lane holding it — inHeap for the
-// heap, noEvent when nothing is queued.
+// next finds the least pending event across the event queue and the lane
+// heads: its time and the index of the lane holding it — inQueue for the
+// event queue, noEvent when nothing is queued.
 func (k *Kernel) next() (t Time, from int) {
-	var seq uint64
-	if from = noEvent; len(k.eq) > 0 {
-		t, seq, from = k.eq[0].t, k.eq[0].seq, inHeap
+	t, seq, ok := k.eq.min()
+	if from = noEvent; ok {
+		from = inQueue
 	}
 	for i := range k.lanes {
 		if l := &k.lanes[i]; l.n > 0 {
@@ -276,7 +379,7 @@ func (k *Kernel) Events() uint64 { return k.seq }
 // Census splits Events() by what the dispatcher did with each event. Its
 // counts always sum to Events().
 type Census struct {
-	Resumes uint64 // a goroutine Proc resumed (from the heap or a lane)
+	Resumes uint64 // a goroutine Proc resumed (from the event queue or a lane)
 	Steps   uint64 // a Machine stepped
 	Idle    uint64 // a poll tick re-armed on an Idle call
 	Dormant uint64 // a dormant poll tick re-armed without one (rotate)
@@ -287,7 +390,7 @@ type Census struct {
 // Census reports the kernel's dispatch census so far.
 func (k *Kernel) Census() Census {
 	c := k.census
-	c.Queued = uint64(len(k.eq))
+	c.Queued = uint64(k.eq.len())
 	for i := range k.lanes {
 		c.Queued += uint64(k.lanes[i].n)
 	}
@@ -299,7 +402,7 @@ func (k *Kernel) Census() Census {
 func (k *Kernel) Stop() { k.stopped = true }
 
 // tick arms p's next poll tick, in the lane of period p.pollTick — the one
-// place a tick is queued, so none ever enters the heap. It takes its seq at
+// place a tick is queued, so none ever enters the event queue. It takes its seq at
 // this moment, exactly as the Delay it stands for would have. With a reach
 // (an Idle verdict, see Idler) and a Proc that acts for a node, the tick is
 // armed dormant: the verdict rides along in the slot.
@@ -335,10 +438,14 @@ func (k *Kernel) lane(d Time) uint16 {
 // lanes in 16 bits.
 const maxLanes = 1 << 16
 
-// wakeAt schedules p to resume at absolute time t (callers pass t >= now)
-// with its current wake generation. Internal: synchronization primitives use
-// this.
+// wakeAt schedules p to resume at absolute time t with its current wake
+// generation. Internal: synchronization primitives use this. A wake before
+// now would misorder the event queue, whose pushes are never earlier than
+// the last event it popped, so it is refused.
 func (k *Kernel) wakeAt(t Time, p *Proc) {
+	if t < k.now {
+		panic(fmt.Sprintf("sim: wake at %v before now %v in proc %q", t, k.now, p.name))
+	}
 	if p.dormant {
 		k.act[p.dom] = k.seq // a kick: the dormant tick is over (wakeDormant)
 	}
@@ -427,8 +534,9 @@ func (k *Kernel) dispatch() *Proc {
 		}
 		if k.past(t) {
 			// Past the horizon: the event stays queued (seq preserved) and
-			// the clock stops here.
-			k.now = k.horizon
+			// the clock stops here — or where it is, for a horizon already
+			// behind it: the clock never goes back.
+			k.now = max(k.now, k.horizon)
 			return nil
 		}
 		k.now = t
@@ -437,10 +545,10 @@ func (k *Kernel) dispatch() *Proc {
 			if p = k.laneTick(from); p == nil {
 				continue
 			}
-		} else if ev := k.eq.pop(); ev.proc.done || ev.gen != ev.proc.wakeGen {
+		} else if q, gen := k.eq.pop(); q.done || gen != q.wakeGen {
 			k.census.Stale++ // stale wakeup (proc already woken another way)
 			continue
-		} else if p = ev.proc; p.dormant {
+		} else if p = q; p.dormant {
 			k.wakeDormant(p)
 		}
 		if p.poll != nil {
@@ -521,9 +629,9 @@ func (k *Kernel) quiet(s *tick) bool {
 // a re-arm opens another lane's head.
 func (k *Kernel) rotate(i int) {
 	l := &k.lanes[i]
-	bt, bs := Quiet, uint64(0) // no event runs at Quiet
-	if len(k.eq) > 0 {
-		bt, bs = k.eq[0].t, k.eq[0].seq
+	bt, bs, ok := k.eq.min()
+	if !ok {
+		bt = Quiet // no event runs at Quiet
 	}
 	for j := range k.lanes {
 		if o := &k.lanes[j]; j != i && o.n > 0 && before(o.Front().t, o.Front().seq, bt, bs) {

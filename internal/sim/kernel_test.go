@@ -3,6 +3,8 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -116,6 +118,50 @@ func TestRunUntilHorizon(t *testing.T) {
 	}
 	if ticks != 100 {
 		t.Fatalf("ticks = %d, want 100 after resume", ticks)
+	}
+}
+
+// A RunUntil whose horizon is already behind the clock runs nothing and
+// leaves the clock where it is: time never goes back, so no later wake can
+// be queued before an event already popped.
+func TestRunUntilBehindTheClock(t *testing.T) {
+	k := NewKernel()
+	var woke []Time
+	k.Spawn("ticker", func(p *Proc) {
+		for range 3 {
+			p.Delay(Microsecond)
+			woke = append(woke, p.Now())
+		}
+	})
+	if err := k.RunUntil(1500 * Nanosecond); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.RunUntil(1200 * Nanosecond); err != nil || k.Now() != 1500*Nanosecond {
+		t.Fatalf("RunUntil(1.2us) at 1.5us: err %v, clock %v; want nil at 1.5us", err, k.Now())
+	}
+	k.Spawn("late", func(p *Proc) { woke = append(woke, p.Now()) })
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []Time{Microsecond, 1500, 2 * Microsecond, 3 * Microsecond}; !slices.Equal(woke, want) {
+		t.Fatalf("woke at %v, want %v", woke, want)
+	}
+}
+
+// A wake before now is refused, naming the Proc that asked for it: a Delay
+// whose end overflows Time is one.
+func TestWakeBeforeNowPanics(t *testing.T) {
+	k := NewKernel()
+	k.Spawn("overflow", func(p *Proc) {
+		p.Delay(Microsecond)
+		p.Delay(Quiet) // now + Quiet wraps below zero
+	})
+	err := k.Run()
+	if err == nil || !strings.Contains(err.Error(), `before now 1.000us in proc "overflow"`) {
+		t.Fatalf("err = %v, want the refused wake naming proc \"overflow\"", firstLine(err))
+	}
+	if k.Now() != Microsecond {
+		t.Fatalf("clock at %v, want 1us: the refused wake must not move it", k.Now())
 	}
 }
 
@@ -425,11 +471,10 @@ func TestTimeString(t *testing.T) {
 
 // BenchmarkKernelChurn locks in the allocation behavior of the event-queue
 // hot path: a long Delay chain pushes and pops one event per step. The
-// hand-rolled hole-sifting heap keeps this free of the per-event interface
-// boxing that container/heap would charge, the backing array is reused
-// throughout, and a parking Proc hands the token on by coroutine switch,
-// never through a channel and the Go scheduler. The exact steady-state pin —
-// 0 allocs per event — lives in TestKernelEventLoopZeroAlloc.
+// queue's node arena is reused throughout, and a parking Proc hands the
+// token on by coroutine switch, never through a channel and the Go
+// scheduler. The exact steady-state pin — 0 allocs per event — lives in
+// TestKernelEventLoopZeroAlloc.
 func BenchmarkKernelChurn(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -444,6 +489,55 @@ func BenchmarkKernelChurn(b *testing.B) {
 		if err := k.Run(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// churner is a Machine that re-arms itself after a drawn delay, a multiple
+// of 50 ns up to 3.15 us, zero included: with n of them a kernel's event
+// queue holds n wakes, with ties at one instant among them.
+type churner struct {
+	x uint64 // LCG state
+	*churn
+}
+
+// churn is what a kernel's churners share: the steps taken, and the step
+// at which the run stops (0: never).
+type churn struct{ steps, stop int }
+
+func (c *churner) Step(p *Proc) {
+	if c.steps++; c.steps == c.stop {
+		p.Kernel().Stop()
+	}
+	c.x = c.x*6364136223846793005 + 1442695040888963407
+	p.StartDelay(Time(c.x>>58) * 50)
+}
+
+// spawnChurners queues n churners on k.
+func spawnChurners(k *Kernel, n int) *churn {
+	c := new(churn)
+	for i := range n {
+		k.SpawnMachine("churn", &churner{uint64(i), c})
+	}
+	return c
+}
+
+// BenchmarkEventQueue is the dispatcher's cost per event at three queue
+// depths: each op pops the least wake, steps its Machine and pushes the
+// Machine's next wake, with no coroutine switch in the way.
+func BenchmarkEventQueue(b *testing.B) {
+	for _, depth := range []int{4, 256, 4096} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			k := NewKernel()
+			c := spawnChurners(k, depth)
+			if err := k.RunUntil(20 * Microsecond); err != nil { // warm-up: the arena grown
+				b.Fatal(err)
+			}
+			c.stop = c.steps + b.N
+			b.ResetTimer()
+			if err := k.Run(); !errors.Is(err, ErrStopped) {
+				b.Fatal(err)
+			}
+		})
 	}
 }
 
