@@ -80,11 +80,11 @@ var designRules = []struct {
 		allow: regexp.MustCompile(`pkt\.Route = pkt\.Route\[1:\]|UpperLayers = AllLayers\[1:\]`),
 	},
 	{
-		// netsim's frame pools keep SetPoison; their endpoint core is the one
-		// caller.
-		rule: "a byte pool's poison mode is set when it is built", home: "./internal/bufpool",
-		paths: []string{"."}, except: []string{"internal/flowctl/core.go", "design_test.go"}, tests: true,
-		bad: regexp.MustCompile(`\.SetPoison\(`),
+		// No switch, option or parameter turns poisoning on or off, and
+		// nothing but bufpool.Poison stores the poison byte.
+		rule: "every release is poisoned, by bufpool.Poison", home: "./internal/bufpool",
+		paths: []string{"."}, except: []string{"internal/bufpool", "design_test.go"}, tests: true,
+		bad: regexp.MustCompile(`WithPoison|PoisonFrames|SetPoison|Poisoned\(\)|\bpoison(, | bool)|bufpool\.New\([^,()]*,|\] *= *(bufpool\.)?PoisonByte`),
 	},
 	{
 		rule: "one kernel per simulation; replicas are par's", home: "./internal/sim",

@@ -76,8 +76,8 @@
 //   - internal/par: replica-parallel campaigns, the one place simulations
 //     run side by side.
 //   - internal/alloctest: the measurement behind the zero-allocation pins.
-//   - internal/bufpool: recycling: free lists, byte pools, one Stats and one
-//     poison byte.
+//   - internal/bufpool: recycling: free lists, byte pools, one Stats, and the
+//     one poison fill every release gets.
 //   - internal/cmam, internal/legacy: the CM-5 Active Messages and Ethernet
 //     overhead models of Figures 1 and 2.
 //

@@ -192,7 +192,6 @@ type config struct {
 	rpcCfg   svcload.ServiceConfig
 	custom   []string
 	faults   *netsim.FaultPlan
-	poison   bool
 	parallel int
 	fullBis  bool
 }
@@ -262,12 +261,6 @@ func WithParallel(n int) Option { return func(c *config) { c.parallel = n } }
 // (default is 2:1 oversubscribed uplinks). Only meaningful with FatTree.
 func WithFullBisection() Option { return func(c *config) { c.fullBis = true } }
 
-// WithPoison turns on poison-on-recycle debugging in the backing engine:
-// every recycled frame and staging buffer is overwritten on release, so any
-// read of lost or recycled payload becomes loudly visible. Wall-clock cost
-// only; virtual-time results are unchanged.
-func WithPoison() Option { return func(c *config) { c.poison = true } }
-
 // Session is an assembled simulation: a cluster, one shared endpoint per
 // node, and the co-resident services attached to each. All methods are for
 // use before Run (setup) or from spawned Procs (steady state).
@@ -316,7 +309,6 @@ func New(opts ...Option) (*Session, error) {
 	}
 
 	m := cfg.gen.Machine()
-	m.FM1.PoisonFrames, m.FM2.PoisonFrames = cfg.poison, cfg.poison
 	ccfg := m.Config(cfg.nodes, cfg.topo)
 	ccfg.Faults = cfg.faults
 	if cfg.fullBis {

@@ -37,7 +37,7 @@ func fmPair(m xport.Machine) (*cluster.Platform, []fmNode) {
 		}
 		return pl, nodes
 	}
-	for i, ep := range fm2.Attach(pl, m.FM2) {
+	for i, ep := range fm2.Attach(pl, fm2.Config{}) {
 		nodes[i] = fmNode{
 			send:    func(p *sim.Proc, dst int, msg []byte) error { return ep.Send(p, dst, 1, msg) },
 			extract: func(p *sim.Proc) { ep.Extract(p, 0) },

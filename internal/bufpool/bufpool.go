@@ -1,19 +1,22 @@
 // Package bufpool is the tree's recycling: bounded LIFO free lists of
 // record pointers (FreeList: stream records, request handles, accounting
-// wrappers, Chan handoff slots) and of byte buffers (Pool: FM 1.x assembly
-// buffers, FM 2.x loopback staging, the xport staging adapter's send buffers,
-// socket segment buffers, protocol header scratch), and the one Stats type
-// and PoisonByte that netsim's frame pools share. Like the rest of the
-// simulator it runs single-threaded under the kernel, so there is no locking;
-// unlike sync.Pool it is deterministic, bounded, and observable (high-water
-// mark, allocation counters), which the perf suite and the alloc-regression
-// gates rely on. It imports nothing, so every package, sim included, may use
-// it. FIFOs are sim.Queue.
+// wrappers, Chan handoff slots) and of memory (Recycler: the one free list,
+// bound and Stats bookkeeping behind Pool — FM 1.x assembly buffers, FM 2.x
+// loopback staging, the xport staging adapter's send buffers, socket segment
+// buffers, protocol header scratch — and behind netsim's frame pools). Like
+// the rest of the simulator it runs single-threaded under the kernel, so
+// there is no locking; unlike sync.Pool it is deterministic, bounded, and
+// observable (high-water mark, allocation counters), which the perf suite and
+// the alloc-regression gates rely on. It imports nothing, so every package,
+// sim included, may use it. FIFOs are sim.Queue.
 //
-// A byte pool's poison mode is fixed when it is built (New): a layer passes
-// its engine's mode (PoisonFrames, Poisoned) at construction and never sets
-// it afterwards, and no code outside sim's Queue pops a FIFO by reslicing or
-// copying down. TestDesignRules holds both.
+// Every release is poisoned, in every run: Recycler.Put overwrites the
+// memory it is handed with PoisonByte (Poison), and a record that carries
+// memory through a FreeList (xport's header scratch) is poisoned by its
+// owner before Put. An alias kept past the release reads garbage instead of
+// stale, plausible data. There is no switch, no code outside this package
+// writes PoisonByte itself, and no code outside sim's Queue pops a FIFO by
+// reslicing or copying down. TestDesignRules holds all three.
 package bufpool
 
 // Stats reports a pool's recycling behavior.
@@ -29,29 +32,84 @@ type Stats struct {
 	Free, HWM int
 }
 
-// DefaultCap bounds the free list when New is given no explicit cap.
+// DefaultCap bounds a free list given no explicit cap.
 const DefaultCap = 64
 
-// PoisonByte is the pattern poisoned pools — byte pools and netsim's frame
-// pools — write over returned buffers, so any alias illegally retained past
-// the return reads garbage instead of stale (plausible) data.
+// PoisonByte is the pattern every release is overwritten with, so any alias
+// illegally retained past the release reads garbage instead of stale
+// (plausible) data.
 const PoisonByte = 0xDB
 
-// Pool is a bounded LIFO free list of byte buffers.
-type Pool struct {
-	max    int
-	poison bool
-	free   [][]byte
-	stats  Stats
+// poisonBlock is PoisonByte repeated: Poison fills a buffer with one copy
+// per block.
+var poisonBlock = func() (b [4096]byte) {
+	for i := range b {
+		b[i] = PoisonByte
+	}
+	return b
+}()
+
+// Poison overwrites every byte of b with PoisonByte.
+func Poison(b []byte) {
+	for len(b) > 0 {
+		b = b[copy(b, poisonBlock[:]):]
+	}
 }
 
-// New creates a pool retaining at most max buffers (0 means DefaultCap);
-// poison overwrites every returned buffer with PoisonByte.
-func New(max int, poison bool) *Pool {
+// Recycler is the bounded LIFO free list behind Pool and netsim's frame
+// pools: the list, its bound, the Stats bookkeeping and the poisoning of
+// every release.
+type Recycler[T any] struct {
+	max   int
+	free  []T
+	stats Stats
+}
+
+// NewRecycler creates a free list retaining at most max items (<=0 means
+// DefaultCap).
+func NewRecycler[T any](max int) Recycler[T] {
 	if max <= 0 {
 		max = DefaultCap
 	}
-	return &Pool{max: max, poison: poison}
+	return Recycler[T]{max: max}
+}
+
+// Get pops the most recently released item and counts a Get. When the list
+// is empty ok is false and an Alloc is counted: the caller allocates.
+func (r *Recycler[T]) Get() (x T, ok bool) {
+	r.stats.Gets++
+	last := len(r.free) - 1
+	if last < 0 {
+		r.stats.Allocs++
+		return x, false
+	}
+	x = r.free[last]
+	var zero T
+	r.free[last] = zero
+	r.free = r.free[:last]
+	return x, true
+}
+
+// Put poisons mem, the memory x owns, and pushes x. Items beyond the bound
+// are dropped for the GC, so bursts cannot pin unbounded memory.
+func (r *Recycler[T]) Put(x T, mem []byte) {
+	r.stats.Releases++
+	Poison(mem)
+	if len(r.free) >= r.max {
+		r.stats.Dropped++
+		return
+	}
+	r.free = append(r.free, x)
+	if d := len(r.free); d > r.stats.HWM {
+		r.stats.HWM = d
+	}
+}
+
+// Stats returns a copy of the counters.
+func (r *Recycler[T]) Stats() Stats {
+	s := r.stats
+	s.Free = len(r.free)
+	return s
 }
 
 // FreeList is a bounded LIFO free list of record pointers: the one shape
@@ -99,29 +157,32 @@ func (f *FreeList[T]) Put(x *T) {
 // Len reports the current free-list depth.
 func (f *FreeList[T]) Len() int { return len(f.free) }
 
-// Stats returns a copy of the pool counters.
-func (p *Pool) Stats() Stats {
-	s := p.stats
-	s.Free = len(p.free)
-	return s
+// Pool is a bounded LIFO free list of byte buffers.
+type Pool struct {
+	r Recycler[[]byte]
 }
 
+// New creates a pool retaining at most max buffers (0 means DefaultCap).
+func New(max int) *Pool {
+	return &Pool{r: NewRecycler[[]byte](max)}
+}
+
+// Stats returns a copy of the pool counters.
+func (p *Pool) Stats() Stats { return p.r.Stats() }
+
 // Get returns a length-n buffer, reusing the most recently returned free
-// buffer whose capacity suffices. Contents are unspecified (callers
-// overwrite; poisoned pools guarantee stale data is never plausible).
+// buffer whose capacity suffices. Contents are unspecified: callers
+// overwrite, and a reused buffer reads PoisonByte, never stale data.
 func (p *Pool) Get(n int) []byte {
-	p.stats.Gets++
-	if last := len(p.free) - 1; last >= 0 {
-		b := p.free[last]
-		p.free[last] = nil
-		p.free = p.free[:last]
-		if cap(b) >= n {
-			return b[:n]
-		}
+	b, ok := p.r.Get()
+	if ok && cap(b) >= n {
+		return b[:n]
+	}
+	if ok {
 		// Too small for this request: let it go and allocate to fit. The
 		// LIFO discipline converges on the workload's steady-state sizes.
+		p.r.stats.Allocs++
 	}
-	p.stats.Allocs++
 	return make([]byte, n)
 }
 
@@ -129,25 +190,11 @@ func (p *Pool) Get(n int) []byte {
 // the shape append-style staging wants.
 func (p *Pool) GetEmpty(n int) []byte { return p.Get(n)[:0] }
 
-// Put returns a buffer to the free list. Buffers beyond the cap are dropped
-// for the GC, so bursts cannot pin unbounded memory.
+// Put poisons a buffer to its capacity and returns it to the free list.
 func (p *Pool) Put(b []byte) {
 	if cap(b) == 0 {
 		return
 	}
-	p.stats.Releases++
-	if p.poison {
-		b = b[:cap(b)]
-		for i := range b {
-			b[i] = PoisonByte
-		}
-	}
-	if len(p.free) >= p.max {
-		p.stats.Dropped++
-		return
-	}
-	p.free = append(p.free, b)
-	if d := len(p.free); d > p.stats.HWM {
-		p.stats.HWM = d
-	}
+	b = b[:cap(b)]
+	p.r.Put(b, b)
 }

@@ -1,6 +1,9 @@
 package bufpool
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // TestPoolCapBounds pins both free lists' bound: a burst returned past max
 // cannot grow what they retain beyond it, and the Pool counts the overflow
@@ -8,7 +11,7 @@ import "testing"
 func TestPoolCapBounds(t *testing.T) {
 	const max, burst = 4, 10
 
-	p := New(max, false)
+	p := New(max)
 	bufs := make([][]byte, burst)
 	for i := range bufs {
 		bufs[i] = p.Get(32)
@@ -38,5 +41,37 @@ func TestPoolCapBounds(t *testing.T) {
 	}
 	if f.Get() != nil || f.Len() != 0 {
 		t.Fatalf("FreeList: %d records left after draining %d", f.Len(), max)
+	}
+}
+
+// TestPoisonFillsEveryByte holds Poison to every byte at lengths around its
+// 4 KiB block: a fill that missed a tail would quietly weaken every pool.
+func TestPoisonFillsEveryByte(t *testing.T) {
+	for _, n := range []int{0, 1, 4095, 4096, 4097, 10000} {
+		b := make([]byte, n+1)
+		b[n] = 0x5C // a guard past the slice Poison is given
+		Poison(b[:n])
+		for i, v := range b[:n] {
+			if v != PoisonByte {
+				t.Fatalf("len %d: byte %d is %#x after Poison, want %#x", n, i, v, PoisonByte)
+			}
+		}
+		if b[n] != 0x5C {
+			t.Fatalf("len %d: Poison wrote past the slice", n)
+		}
+	}
+}
+
+// BenchmarkPoison measures the fill at a Sparc frame (140 B), a PPro frame
+// (552 B) and one block.
+func BenchmarkPoison(b *testing.B) {
+	for _, n := range []int{140, 552, 4096} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			buf := make([]byte, n)
+			b.SetBytes(int64(n))
+			for b.Loop() {
+				Poison(buf)
+			}
+		})
 	}
 }

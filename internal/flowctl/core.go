@@ -78,29 +78,23 @@ type EndpointCore struct {
 	nic    *lanai.NIC
 	wire   Wire
 	frames *netsim.FramePool // data frames (PacketMTU backing)
-	poison bool
 }
 
 // NewEndpointCore builds the core of the endpoint attached to nic in a cluster
 // of nodes nodes, speaking layout w. The data-frame and control-header free
-// lists hold at most netsim.DefaultPoolCap frames each; poison overwrites
-// recycled frames with a poison pattern; noFlowControl is the flow-control
-// ablation.
-func NewEndpointCore(nic *lanai.NIC, nodes int, w Wire, poison, noFlowControl bool) EndpointCore {
+// lists hold at most netsim.DefaultPoolCap frames each; noFlowControl is the
+// flow-control ablation.
+func NewEndpointCore(nic *lanai.NIC, nodes int, w Wire, noFlowControl bool) EndpointCore {
 	if w.Size > MaxHeader {
 		panic(fmt.Sprintf("flowctl: a %d-byte header is longer than MaxHeader", w.Size))
 	}
-	c := EndpointCore{
+	return EndpointCore{
 		Credit: NewPlane(nic, nodes, w.Size, w.Total, noFlowControl),
 		h:      nic.H,
 		nic:    nic,
 		wire:   w,
 		frames: netsim.NewFramePool(nic.H.P.PacketMTU, netsim.DefaultPoolCap),
-		poison: poison,
 	}
-	c.frames.SetPoison(poison)
-	c.Credit.pool.SetPoison(poison)
-	return c
 }
 
 // Core returns the core itself: the one accessor through which a layer
@@ -137,9 +131,6 @@ func (c *EndpointCore) MaxMessage() int { return c.wire.MaxMessage }
 func (c *EndpointCore) FramePoolStats() (data, ctrl netsim.PoolStats) {
 	return c.frames.Stats(), c.Credit.pool.Stats()
 }
-
-// Poisoned reports whether poison-on-recycle debugging is on.
-func (c *EndpointCore) Poisoned() bool { return c.poison }
 
 // Frame draws an empty data frame of full packet size. The engine writes
 // payload from byte Wire.Size on and hands the frame to Emit.

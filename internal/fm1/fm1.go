@@ -42,11 +42,6 @@ type Config struct {
 	// DisableBufferMgmt removes staging-copy charges for multi-packet
 	// reassembly (stages before the final engine in Figure 3).
 	DisableBufferMgmt bool
-	// PoisonFrames overwrites recycled frames and assembly buffers with a
-	// poison pattern, catching handlers that retain data past their call —
-	// the contract the real FM 1.x API imposes. Debug mode: wall-clock cost
-	// only.
-	PoisonFrames bool
 }
 
 // DefaultMaxMessage is the FM 1.x message size limit.
@@ -94,12 +89,12 @@ func Attach(pl *cluster.Platform, cfg Config) []*Endpoint {
 	for i := range eps {
 		e := &Endpoint{
 			EndpointCore: flowctl.NewEndpointCore(pl.NICs[i], pl.Nodes(), wire,
-				cfg.PoisonFrames, cfg.DisableFlowControl),
+				cfg.DisableFlowControl),
 			cfg:      cfg,
 			handlers: make(map[HandlerID]Handler),
 			asm:      make([]assembly, pl.Nodes()),
 		}
-		e.asmPool = bufpool.New(netsim.DefaultPoolCap, cfg.PoisonFrames) // the same bound as the core's frame pools
+		e.asmPool = bufpool.New(netsim.DefaultPoolCap) // the same bound as the core's frame pools
 		eps[i] = e
 	}
 	return eps

@@ -68,9 +68,9 @@ func TestSendSteadyStateZeroAlloc(t *testing.T) {
 // TestPoisonRetentionContract enforces the documented FM 1.x handler
 // contract — data is valid only for the duration of the call — with teeth:
 // an alias retained past the handler's return reads poison after the frame
-// recycles, never stale message bytes.
+// recycles, never stale message bytes. Every run poisons: no option is set.
 func TestPoisonRetentionContract(t *testing.T) {
-	k, eps := sparcPairCfg(Config{PoisonFrames: true})
+	k, eps := sparcPairCfg(Config{})
 	var retained []byte
 	got := 0
 	eps[1].Register(1, func(p *sim.Proc, src int, data []byte) {
@@ -108,50 +108,48 @@ func TestPoisonRetentionContract(t *testing.T) {
 	}
 }
 
-// TestPoisonConformance runs a mixed single/multi-packet workload with and
-// without poison-on-recycle and requires byte-identical deliveries: proof
-// that neither the engine nor a well-behaved handler reads recycled frames
-// or assembly buffers.
+// TestPoisonConformance runs a mixed single/multi-packet workload and
+// requires every delivery to be the bytes sent: since every release is
+// poisoned, proof that neither the engine nor a well-behaved handler reads
+// recycled frames or assembly buffers.
 func TestPoisonConformance(t *testing.T) {
-	run := func(cfg Config) [][]byte {
-		k, eps := sparcPairCfg(cfg)
-		var got [][]byte
-		eps[1].Register(1, func(p *sim.Proc, src int, data []byte) {
-			got = append(got, append([]byte(nil), data...))
-		})
-		k.Spawn("sender", func(p *sim.Proc) {
-			for i := 0; i < 30; i++ {
-				size := 1 + (i*97)%700 // straddles the single/multi packet split
-				buf := make([]byte, size)
-				for j := range buf {
-					buf[j] = byte(i*13 + j)
-				}
-				if err := eps[0].Send(p, 1, 1, buf); err != nil {
-					panic(err)
-				}
+	const msgs = 30
+	k, eps := sparcPairCfg(Config{})
+	var sent, got [][]byte
+	eps[1].Register(1, func(p *sim.Proc, src int, data []byte) {
+		got = append(got, append([]byte(nil), data...))
+	})
+	k.Spawn("sender", func(p *sim.Proc) {
+		for i := 0; i < msgs; i++ {
+			size := 1 + (i*97)%700 // straddles the single/multi packet split
+			buf := make([]byte, size)
+			for j := range buf {
+				buf[j] = byte(i*13 + j)
 			}
-		})
-		k.Spawn("receiver", func(p *sim.Proc) {
-			for len(got) < 30 {
-				eps[1].Extract(p)
-				if len(got) < 30 {
-					p.Delay(sim.Microsecond)
-				}
+			sent = append(sent, buf)
+			if err := eps[0].Send(p, 1, 1, buf); err != nil {
+				panic(err)
 			}
-		})
-		if err := k.Run(); err != nil {
-			t.Fatal(err)
 		}
-		return got
+	})
+	k.Spawn("receiver", func(p *sim.Proc) {
+		for len(got) < msgs {
+			eps[1].Extract(p)
+			if len(got) < msgs {
+				p.Delay(sim.Microsecond)
+			}
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
 	}
-	plain := run(Config{})
-	poisoned := run(Config{PoisonFrames: true})
-	if len(plain) != len(poisoned) {
-		t.Fatalf("message counts differ: %d vs %d", len(plain), len(poisoned))
+	if len(got) != msgs {
+		t.Fatalf("delivered %d of %d messages", len(got), msgs)
 	}
-	for i := range plain {
-		if !bytes.Equal(plain[i], poisoned[i]) {
-			t.Fatalf("message %d differs under poison-on-recycle", i)
+	for i := range sent {
+		if !bytes.Equal(got[i], sent[i]) {
+			t.Fatalf("message %d delivered %d bytes that differ from the %d sent: some path read a recycled buffer",
+				i, len(got[i]), len(sent[i]))
 		}
 	}
 }

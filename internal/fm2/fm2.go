@@ -46,14 +46,9 @@ type HandlerID uint16
 // packets arrive (paper §4.1, "transparent handler multithreading").
 type Handler func(p *sim.Proc, s *RecvStream)
 
-// Config adjusts the FM 2.x engine. The zero value is the full protocol.
-type Config struct {
-	// PoisonFrames overwrites every recycled buffer with a poison pattern,
-	// catching handlers (or engine paths) that illegally read payload after
-	// the frame returned to its pool. Debug mode: wall-clock cost only,
-	// virtual-time results are unchanged.
-	PoisonFrames bool
-}
+// Config adjusts the FM 2.x engine. It has no fields: the engine has one
+// configuration, the full protocol.
+type Config struct{}
 
 // DefaultMaxMessage is the FM 2.x message size limit.
 const DefaultMaxMessage = 4 << 20
@@ -105,18 +100,18 @@ type Endpoint struct {
 }
 
 // Attach creates endpoints for every node of the platform.
-func Attach(pl *cluster.Platform, cfg Config) []*Endpoint {
+func Attach(pl *cluster.Platform, _ Config) []*Endpoint {
 	eps := make([]*Endpoint, pl.Nodes())
 	for i := range eps {
 		e := &Endpoint{
 			EndpointCore: flowctl.NewEndpointCore(pl.NICs[i], pl.Nodes(), wire,
-				cfg.PoisonFrames, false), // credits always on: the ablation is fm1's
+				false), // credits always on: the ablation is fm1's
 			handlers: make(map[HandlerID]Handler),
 			active:   make(map[uint32]*RecvStream),
 		}
 		e.ssPool = bufpool.NewFreeList[SendStream](netsim.DefaultPoolCap)
 		e.rsPool = bufpool.NewFreeList[RecvStream](netsim.DefaultPoolCap)
-		e.loopPool = bufpool.New(netsim.DefaultPoolCap, cfg.PoisonFrames)
+		e.loopPool = bufpool.New(netsim.DefaultPoolCap)
 		eps[i] = e
 	}
 	return eps

@@ -108,11 +108,12 @@ func TestHandlerWorkerReuse(t *testing.T) {
 	}
 }
 
-// TestFramePoisonCatchesRetention proves the poison mode's teeth: any
+// TestFramePoisonCatchesRetention proves the release poisoning's teeth: any
 // payload alias illegally retained across a frame's release reads the
-// poison pattern, never stale (plausible-looking) message bytes.
+// poison pattern, never stale (plausible-looking) message bytes. Every run
+// poisons: no option is set.
 func TestFramePoisonCatchesRetention(t *testing.T) {
-	k, eps := pproPairCfg(Config{PoisonFrames: true})
+	k, eps := pproPairCfg(Config{})
 	got := 0
 	sink := make([]byte, 128)
 	eps[1].Register(1, func(p *sim.Proc, s *RecvStream) {
@@ -151,84 +152,84 @@ func TestFramePoisonCatchesRetention(t *testing.T) {
 }
 
 // TestPoisonConformance is the ownership proof: a mixed workload (multi-
-// packet streams, piecewise receives, early handler returns, loopback) run
-// with poison-on-recycle must deliver byte-identical results to the
-// un-poisoned run — demonstrating no handler or engine path reads any frame
-// after it returned to its pool. CI runs this under -race.
+// packet streams, piecewise receives, early handler returns, loopback) must
+// deliver exactly the bytes sent. Every release is poisoned, so a handler or
+// engine path that read a frame after it returned to its pool would deliver
+// poison. CI runs this under -race.
 func TestPoisonConformance(t *testing.T) {
-	run := func(cfg Config) ([][]byte, Stats) {
-		k, eps := pproPairCfg(cfg)
-		var got [][]byte
-		msgs := 0
-		eps[1].Register(1, func(p *sim.Proc, s *RecvStream) {
-			// Piecewise pulls so chunks are consumed across park/resume
-			// boundaries.
-			out := make([]byte, 0, s.Length())
-			var piece [97]byte
-			for s.Remaining() > 0 {
-				n := s.Receive(p, piece[:])
-				out = append(out, piece[:n]...)
+	const msgs = 40
+	k, eps := pproPairCfg(Config{})
+	var want, got, wantLoop, loop [][]byte
+	eps[1].Register(1, func(p *sim.Proc, s *RecvStream) {
+		// Piecewise pulls so chunks are consumed across park/resume
+		// boundaries.
+		out := make([]byte, 0, s.Length())
+		var piece [97]byte
+		for s.Remaining() > 0 {
+			n := s.Receive(p, piece[:])
+			out = append(out, piece[:n]...)
+		}
+		got = append(got, out)
+	})
+	eps[1].Register(2, func(p *sim.Proc, s *RecvStream) {
+		// Early return: consume only 8 bytes, discard the rest — the
+		// engine must recycle the unread frames safely.
+		var head [8]byte
+		n := s.Receive(p, head[:])
+		got = append(got, append([]byte(nil), head[:n]...))
+	})
+	eps[0].Register(9, func(p *sim.Proc, s *RecvStream) {
+		b := make([]byte, s.Length())
+		s.Receive(p, b)
+		loop = append(loop, b)
+	})
+	k.Spawn("sender", func(p *sim.Proc) {
+		for i := 0; i < msgs; i++ {
+			size := 1 + (i*331)%3000
+			buf := make([]byte, size)
+			for j := range buf {
+				buf[j] = byte(i*7 + j)
 			}
-			got = append(got, out)
-		})
-		eps[1].Register(2, func(p *sim.Proc, s *RecvStream) {
-			// Early return: consume only 8 bytes, discard the rest — the
-			// engine must recycle the unread frames safely.
-			var head [8]byte
-			s.Receive(p, head[:])
-			got = append(got, append([]byte(nil), head[:]...))
-		})
-		k.Spawn("sender", func(p *sim.Proc) {
-			for i := 0; i < 40; i++ {
-				size := 1 + (i*331)%3000
-				buf := make([]byte, size)
-				for j := range buf {
-					buf[j] = byte(i*7 + j)
-				}
-				h := HandlerID(1 + i%2)
-				if err := eps[0].Send(p, 1, h, buf); err != nil {
+			h := HandlerID(1 + i%2)
+			if h == 2 {
+				want = append(want, buf[:min(8, size)])
+			} else {
+				want = append(want, buf)
+			}
+			if err := eps[0].Send(p, 1, h, buf); err != nil {
+				panic(err)
+			}
+			if i%5 == 0 { // loopback self-send interleaved
+				wantLoop = append(wantLoop, buf)
+				if err := eps[0].Send(p, 0, 9, buf); err != nil {
 					panic(err)
 				}
-				msgs++
-				if i%5 == 0 { // loopback self-send interleaved
-					if err := eps[0].Send(p, 0, 9, buf); err != nil {
-						panic(err)
-					}
-				}
 			}
-		})
-		var loop [][]byte
-		eps[0].Register(9, func(p *sim.Proc, s *RecvStream) {
-			b := make([]byte, s.Length())
-			s.Receive(p, b)
-			loop = append(loop, b)
-		})
-		k.Spawn("receiver", func(p *sim.Proc) {
-			for len(got) < 40 {
-				eps[1].Extract(p, 0)
-				if len(got) < 40 {
-					p.Delay(sim.Microsecond)
-				}
-			}
-		})
-		if err := k.Run(); err != nil {
-			t.Fatal(err)
 		}
-		got = append(got, loop...)
-		return got, eps[1].Stats()
+	})
+	k.Spawn("receiver", func(p *sim.Proc) {
+		for len(got) < msgs {
+			eps[1].Extract(p, 0)
+			if len(got) < msgs {
+				p.Delay(sim.Microsecond)
+			}
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
 	}
-	plain, pstats := run(Config{})
-	poisoned, qstats := run(Config{PoisonFrames: true})
-	if len(plain) != len(poisoned) {
-		t.Fatalf("message counts differ: %d vs %d", len(plain), len(poisoned))
+	if len(got) != len(want) || len(loop) != len(wantLoop) {
+		t.Fatalf("delivered %d of %d messages and %d of %d loopbacks", len(got), len(want), len(loop), len(wantLoop))
 	}
-	for i := range plain {
-		if !bytes.Equal(plain[i], poisoned[i]) {
-			t.Fatalf("message %d differs under poison-on-recycle: some path read a recycled frame", i)
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("message %d delivered bytes that differ from those sent: some path read a recycled frame", i)
 		}
 	}
-	if pstats != qstats {
-		t.Fatalf("stats differ under poison: %+v vs %+v", pstats, qstats)
+	for i := range wantLoop {
+		if !bytes.Equal(loop[i], wantLoop[i]) {
+			t.Fatalf("loopback %d delivered bytes that differ from those sent: some path read a recycled buffer", i)
+		}
 	}
 }
 

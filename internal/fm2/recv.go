@@ -30,8 +30,8 @@ type pendingChunk struct {
 // handed to its handler. The handler pulls bytes with Receive; FM delivers
 // packet payloads into the stream as Extract processes them. Stream records
 // are recycled when the message retires, so handlers must not retain them
-// (nor any payload alias) past their return — the poison mode catches
-// violations.
+// (nor any payload alias) past their return — every release is poisoned,
+// so a violation reads garbage.
 type RecvStream struct {
 	e       *Endpoint
 	src     int

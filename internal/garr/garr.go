@@ -61,7 +61,7 @@ func Attach(sp *xport.HandlerSpace, region uint32, size, ranks int) (*Array, err
 		ranks:    ranks,
 		blockLen: blockLen,
 		local:    make([]byte, (hi-lo)*8),
-		bufs:     bufpool.New(0, node.Poisoned()), // the engine's poison mode
+		bufs:     bufpool.New(0),
 	}
 	node.Register(region, a.local)
 	return a, nil

@@ -31,7 +31,7 @@ func Attach(spaces []*xport.HandlerSpace, ov Overheads, opt Options) []*Comm {
 	comms := make([]*Comm, len(spaces))
 	for i, sp := range spaces {
 		c := &Comm{rank: i, size: len(spaces), host: sp.Host(), t: sp, opt: opt, ov: ov,
-			tmpPool: bufpool.New(0, sp.Poisoned())} // collective scratch takes the engine's poison mode
+			tmpPool: bufpool.New(0)}
 		sp.Register(mpiHandlerID, c.handler)
 		comms[i] = c
 	}

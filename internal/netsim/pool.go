@@ -8,19 +8,18 @@
 // performs no per-packet allocation — mirroring the paper's argument that
 // careful buffer management, not raw silicon, is what makes messaging fast.
 //
-// Ownership rules (enforced by the poison mode, tested under -race):
+// Ownership rules (checked in every run, tested under -race):
 //
 //   - The sender owns a frame from Get until it hands the packet to the NIC.
 //   - The fabric owns it in flight; links release frames they drop.
 //   - The receiver owns it from ring removal until Release. Handlers may
 //     read payload only through their stream; any alias retained past the
-//     handler's return is read-after-recycle, which the poison mode makes
-//     loudly visible by overwriting released frames with bufpool.PoisonByte.
+//     handler's return is read-after-recycle, which every release makes
+//     loudly visible by overwriting the frame with bufpool.PoisonByte.
 //
-// Frame pools and the upper layers' byte pools (bufpool.Pool) share one
-// counter type, PoolStats (bufpool.Stats), and one poison byte. A frame
-// pool's poison mode is set once, by its endpoint core, before traffic
-// starts.
+// Frame pools and the upper layers' byte pools (bufpool.Pool) run one free
+// list, bufpool.Recycler: one bound, one counter type, PoolStats
+// (bufpool.Stats), and one poison fill.
 package netsim
 
 import "repro/internal/bufpool"
@@ -39,10 +38,7 @@ type PoolStats = bufpool.Stats
 // simulation kernel like everything else: no locking.
 type FramePool struct {
 	frameCap int // backing-array size of every frame
-	max      int // free-list bound
-	poison   bool
-	free     []*Packet
-	stats    PoolStats
+	free     bufpool.Recycler[*Packet]
 }
 
 // NewFramePool creates a pool of frames with frameCap-byte backing arrays.
@@ -56,19 +52,11 @@ func NewFramePool(frameCap, max int) *FramePool {
 	if max <= 0 {
 		max = DefaultPoolCap
 	}
-	return &FramePool{frameCap: frameCap, max: max}
+	return &FramePool{frameCap: frameCap, free: bufpool.NewRecycler[*Packet](max)}
 }
-
-// SetPoison switches poison-on-release debugging on or off: released frames
-// are overwritten with bufpool.PoisonByte.
-func (fp *FramePool) SetPoison(on bool) { fp.poison = on }
 
 // Stats returns a copy of the pool counters.
-func (fp *FramePool) Stats() PoolStats {
-	s := fp.stats
-	s.Free = len(fp.free)
-	return s
-}
+func (fp *FramePool) Stats() PoolStats { return fp.free.Stats() }
 
 // Get returns a packet whose Payload has length n (at most the pool's frame
 // capacity), drawing from the free list when possible. The caller owns the
@@ -77,14 +65,8 @@ func (fp *FramePool) Get(n int) *Packet {
 	if n > fp.frameCap {
 		panic("netsim: frame request exceeds pool frame capacity")
 	}
-	fp.stats.Gets++
-	var pkt *Packet
-	if last := len(fp.free) - 1; last >= 0 {
-		pkt = fp.free[last]
-		fp.free[last] = nil
-		fp.free = fp.free[:last]
-	} else {
-		fp.stats.Allocs++
+	pkt, ok := fp.free.Get()
+	if !ok {
 		pkt = &Packet{pool: fp, backing: make([]byte, fp.frameCap)}
 	}
 	pkt.Payload = pkt.backing[:n]
@@ -94,24 +76,12 @@ func (fp *FramePool) Get(n int) *Packet {
 	return pkt
 }
 
-// put returns a frame to the free list (Packet.Release is the public path).
+// put poisons a frame and returns it to the free list (Packet.Release is the
+// public path).
 func (fp *FramePool) put(pkt *Packet) {
-	fp.stats.Releases++
-	if fp.poison {
-		for i := range pkt.backing {
-			pkt.backing[i] = bufpool.PoisonByte
-		}
-	}
 	pkt.Payload = nil
 	pkt.Route = nil
-	if len(fp.free) >= fp.max {
-		fp.stats.Dropped++
-		return
-	}
-	fp.free = append(fp.free, pkt)
-	if d := len(fp.free); d > fp.stats.HWM {
-		fp.stats.HWM = d
-	}
+	fp.free.Put(pkt, pkt.backing)
 }
 
 // Release returns the packet's frame to its owning pool. Packets built

@@ -101,9 +101,6 @@ func start(spec Spec, seed int64) (*runner, error) {
 	if plan := spec.faultPlan(seed); plan != nil {
 		opts = append(opts, fmnet.WithFaults(*plan))
 	}
-	if spec.Poison {
-		opts = append(opts, fmnet.WithPoison())
-	}
 	s, err := fmnet.New(opts...)
 	if err != nil {
 		return nil, fmt.Errorf("build: %v", err)

@@ -130,7 +130,7 @@ type Spec struct {
 	Nodes    int    `json:"nodes"`
 	Topology string `json:"topology,omitempty"` // single|pair|line|fattree|torus (default single)
 	FM       int    `json:"fm,omitempty"`       // 1 or 2 (default 2)
-	Poison   bool   `json:"poison,omitempty"`   // poison-on-recycle debug mode
+	Poison   bool   `json:"poison,omitempty"`   // decoded, no effect: every run poisons recycled memory
 
 	Traffic Traffic `json:"traffic"`
 	Faults  []Fault `json:"faults,omitempty"`

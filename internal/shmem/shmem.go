@@ -75,7 +75,7 @@ func Attach(sp *xport.HandlerSpace) *Node {
 	n := &Node{
 		t:       sp,
 		regions: make(map[uint32][]byte),
-		hdrs:    bufpool.New(0, sp.Poisoned()), // the engine's poison mode
+		hdrs:    bufpool.New(0),
 	}
 	sp.Register(shmemHandlerID, n.handler)
 	return n
@@ -86,10 +86,6 @@ func (n *Node) Rank() int { return n.t.Node() }
 
 // Stats returns a copy of the counters.
 func (n *Node) Stats() Stats { return n.stats }
-
-// Poisoned reports whether the underlying engine's poison-on-recycle debug
-// mode is on (layers stacked on shmem align their own pools with it).
-func (n *Node) Poisoned() bool { return n.t.Poisoned() }
 
 // Register exposes a memory region under an ID. All nodes must register a
 // region before peers address it (symmetric allocation, as in SHMEM).

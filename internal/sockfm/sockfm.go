@@ -74,10 +74,8 @@ func New(sp *xport.HandlerSpace) *Stack {
 		listeners: make(map[int]*Listener),
 		conns:     make(map[uint32]*Conn),
 		nextID:    1,
-		// The engine's poison mode, so the no-retained-aliases guarantee
-		// covers socket segments too.
-		hdrs: bufpool.New(0, sp.Poisoned()),
-		segs: bufpool.New(0, sp.Poisoned()),
+		hdrs:      bufpool.New(0),
+		segs:      bufpool.New(0),
 	}
 	sp.Register(sockHandlerID, s.handler)
 	return s

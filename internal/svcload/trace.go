@@ -156,6 +156,14 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Write echoes the mode, and an invalid byte comes back as a three-byte
+	// replacement character: an unknown mode could write a header line
+	// longer than ReadTrace takes.
+	switch Mode(meta.Mode) {
+	case ModeOpen, ModeClosed, ModeIncast:
+	default:
+		return nil, fmt.Errorf("svcload: trace header: unknown mode %q", meta.Mode)
+	}
 	if meta.ServiceNS < 0 || meta.DrainNS < 0 {
 		return nil, fmt.Errorf("svcload: trace header: negative time field")
 	}
@@ -211,11 +219,6 @@ func (f *Fleet) PlanTrace(t *Trace) error {
 		Mode:  Mode(t.Meta.Mode),
 		Seed:  t.Meta.Seed,
 		Drain: sim.Time(t.Meta.DrainNS),
-	}
-	switch wl.Mode {
-	case ModeOpen, ModeClosed, ModeIncast:
-	default:
-		return fmt.Errorf("svcload: trace mode %q unknown", t.Meta.Mode)
 	}
 	for c, rs := range t.sched {
 		if wl.Requests < len(rs) {

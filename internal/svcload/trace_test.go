@@ -93,6 +93,7 @@ func TestReadTraceRejectsMalformed(t *testing.T) {
 		// A node count that would size the schedule past any memory.
 		"too many nodes":   `{"format":"fmnet-svctrace/1","fm":"fm2","nodes":1099511627776,"mode":"open"}` + "\n",
 		"unknown fm":       `{"format":"fmnet-svctrace/1","fm":"fm3","nodes":4,"mode":"open","service_ns":2000}` + "\n",
+		"unknown mode":     `{"format":"fmnet-svctrace/1","fm":"fm2","nodes":4,"mode":"\xff","service_ns":2000}` + "\n",
 		"negative service": `{"format":"fmnet-svctrace/1","fm":"fm2","nodes":4,"mode":"open","service_ns":-1}` + "\n",
 		"negative drain":   `{"format":"fmnet-svctrace/1","fm":"fm2","nodes":4,"mode":"open","service_ns":2000,"drain_ns":-1}` + "\n",
 		// Replica j of key k is node (k+j) mod n: k+1 must not wrap negative.
@@ -139,4 +140,34 @@ func TestTraceEmptyRejected(t *testing.T) {
 	if _, _, f := buildFleet(t, machine{nodes: 4}); f.PlanTrace(tr) == nil {
 		t.Error("request-free trace accepted")
 	}
+}
+
+// FuzzTrace feeds arbitrary bytes to ReadTrace: it must refuse them or
+// accept them without panicking, and an accepted trace must be stable under
+// Write, so Write(ReadTrace(x)) reads back as the same trace and writes the
+// same bytes. The seed corpus (testdata/fuzz/FuzzTrace) has the head of
+// fmbench's captured trace and one input per ReadTrace error branch: a bad
+// header, a client out of range, a seq gap, a key overflow and a t_ns past
+// the replay horizon.
+func FuzzTrace(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		tr, err := ReadTrace(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var once, twice bytes.Buffer
+		if err := tr.Write(&once); err != nil {
+			t.Fatalf("Write of an accepted trace: %v", err)
+		}
+		back, err := ReadTrace(bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatalf("ReadTrace refuses what Write wrote: %v\n%s", err, once.Bytes())
+		}
+		if err := back.Write(&twice); err != nil {
+			t.Fatalf("Write of a re-read trace: %v", err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("Write is not stable under ReadTrace:\n%s\nthen\n%s", once.Bytes(), twice.Bytes())
+		}
+	})
 }

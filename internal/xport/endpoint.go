@@ -274,16 +274,12 @@ func (hs *HandlerSpace) getCounted(s RecvStream) *countedStream {
 	return cs
 }
 
-// putCounted recycles a wrapper once its handler has returned. Under the
-// engine's poison mode the header scratch is overwritten, so a handler that
-// kept its ReceiveHeader slice reads garbage, not a plausible header.
+// putCounted recycles a wrapper once its handler has returned. The header
+// scratch is poisoned, so a handler that kept its ReceiveHeader slice reads
+// garbage, not a plausible header.
 func (hs *HandlerSpace) putCounted(cs *countedStream) {
 	cs.s = nil
-	if hs.Poisoned() {
-		for i := range cs.hdr {
-			cs.hdr[i] = bufpool.PoisonByte
-		}
-	}
+	bufpool.Poison(cs.hdr[:])
 	hs.csPool.Put(cs)
 }
 
@@ -489,12 +485,6 @@ func (w *waiting) Done() bool {
 
 // Packets reports the shared endpoint's cumulative extracted-packet count.
 func (hs *HandlerSpace) Packets() int64 { return hs.ep.packets() }
-
-// Poisoned reports whether the engine's poison-on-recycle debug mode is on.
-// Layers that keep their own recycled buffers (segment bodies, header
-// scratch, staging) align their pools with it, so the poison guarantee
-// covers every recycled-aliasing surface, not just frames.
-func (hs *HandlerSpace) Poisoned() bool { return hs.ep.core.Poisoned() }
 
 // consume bills n consumed payload bytes to the service.
 func (hs *HandlerSpace) consume(n int) {

@@ -32,7 +32,7 @@ type fm1Transport struct {
 // staging-copy adapter.
 func OverFM1(ep *fm1.Endpoint) Transport {
 	// The staging copy is an aliasable recycled buffer too.
-	return &fm1Transport{Endpoint: ep, stage: bufpool.New(0, ep.Poisoned())}
+	return &fm1Transport{Endpoint: ep, stage: bufpool.New(0)}
 }
 
 // ExtractWait services the network. FM 1.x has no receiver flow control:

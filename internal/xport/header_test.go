@@ -17,13 +17,11 @@ import (
 // two FM 2.x handler workers of one service pull their headers and park
 // mid-payload at once; each must find its header intact when its blocking
 // Receive returns. A handler that keeps the slice past its return reads the
-// poison its wrapper was recycled with.
+// poison its wrapper was recycled with, in every run: no option is set.
 func TestHeaderScratchBelongsToOneHandlerRun(t *testing.T) {
 	k := sim.NewKernel()
 	pl := platform(k, 3)
-	m := fm2Machine
-	m.FM2.PoisonFrames = true
-	eps := xport.AttachEndpoints(pl, m)
+	eps := xport.AttachEndpoints(pl, fm2Machine)
 	sp := xport.Spaces(eps, "svc")
 	const hdrLen, payload = xport.MaxHeader, 3000 // several packets at the 552 B MTU
 	var retained [][]byte

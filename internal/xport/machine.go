@@ -33,15 +33,14 @@ func (g Gen) String() string {
 }
 
 // Machine is the whole machine a platform is built as: the FM generation,
-// the host cost table (MPI's costs included), the NIC firmware and both
-// engines' configs. Only the engine of Gen is attached; the other config
-// rides along unused.
+// the host cost table (MPI's costs included), the NIC firmware and FM 1.x's
+// stage switches (FM 2.x has one configuration). Only the engine of Gen is
+// attached; FM1 rides along unused on GenFM2.
 type Machine struct {
 	Gen     Gen
 	Profile hostmodel.Profile
 	NIC     lanai.Config
 	FM1     fm1.Config
-	FM2     fm2.Config
 }
 
 // Machine is the machine generation g ran on, with its full engine: FM 1.x
@@ -76,7 +75,7 @@ func AttachEndpoints(pl *cluster.Platform, m Machine) []*Endpoint {
 			eps[i] = NewEndpoint(OverFM1(ep))
 		}
 	case GenFM2:
-		for i, ep := range fm2.Attach(pl, m.FM2) {
+		for i, ep := range fm2.Attach(pl, fm2.Config{}) {
 			eps[i] = NewEndpoint(OverFM2(ep))
 		}
 	default:

@@ -87,7 +87,7 @@ type SendStream interface {
 // Transport is one node's attachment to the messaging substrate: an FM
 // engine seen through the streaming contract. It names only what the two
 // bindings do differently. What both answer the same way — node, host, MTU,
-// message limit, extracted-packet count, poison mode, credit ledger, frame
+// message limit, extracted-packet count, credit ledger, frame
 // anomaly counters — is the endpoint core both engines embed, and Core is
 // the one accessor to it.
 type Transport interface {
