@@ -67,10 +67,10 @@ var figures = []func(io.Writer){
 // figures, headline, ablation, collectives, matrix, topo, mixed.
 func registry(fs *flag.FlagSet) []report {
 	var (
-		fig, topoRanks, perfRanks, perfBig int
-		scenPath, campDir                  string
-		svcCapture, svcReplay, jsonPath    string
-		campSeed                           int64
+		fig, topoRanks, perfRanks       int
+		scenPath, campDir               string
+		svcCapture, svcReplay, jsonPath string
+		campSeed                        int64
 	)
 	on := func(name, usage string) *flag.Flag { fs.Bool(name, false, usage); return fs.Lookup(name) }
 	num := func(p *int, name, usage string) *flag.Flag { fs.IntVar(p, name, 0, usage); return fs.Lookup(name) }
@@ -128,11 +128,10 @@ func registry(fs *flag.FlagSet) []report {
 			}},
 		{sel: on("perf", "run the engine wall-clock suite (allreduce scale ladder: events/sec, allocs/rank at 64-1024 ranks)"),
 			mods: []*flag.Flag{
-				ranks(&perfRanks, "perfranks", "cap the perf suite's rank counts (0 = full sweep incl. 1024)"),
-				ranks(&perfBig, "perfbig", "perf suite: add one fat-tree allreduce row at this rank count (e.g. 4096)"),
+				ranks(&perfRanks, "perfranks", "cap the perf suite's rank counts (0 = full sweep incl. 1024; a cap above 1024, e.g. 4096, adds one fat-tree row at it)"),
 				str(&jsonPath, "json", "perf suite: machine-readable output path; BENCH_PR<n>.json records n as the report's pr (empty = don't write)"),
 			},
-			write: func(c cli) int { return writePerf(c, perfRanks, perfBig, jsonPath) }},
+			write: func(c cli) int { return writePerf(c, perfRanks, jsonPath) }},
 		{sel: on("svc", "run the service-workload suite (RPC tail latency over both FM generations)"),
 			write: func(c cli) int {
 				if err := bench.WriteSvcReport(c.w); err != nil {
@@ -160,14 +159,8 @@ func writeFigures(c cli) int {
 	return 0
 }
 
-func writePerf(c cli, ranks, big int, jsonPath string) int {
-	cfg := bench.DefaultPerfConfig()
-	if ranks > 0 {
-		cfg.CollectiveRanks = capRanks(cfg.CollectiveRanks, ranks)
-		cfg.TorusRanks = capRanks(cfg.TorusRanks, ranks)
-	}
-	cfg.BigRanks = big
-	if err := bench.WritePerfReport(c.w, cfg, jsonPath); err != nil {
+func writePerf(c cli, ranks int, jsonPath string) int {
+	if err := bench.WritePerfReport(c.w, perfConfig(ranks), jsonPath); err != nil {
 		return failf(c.stderr, 1, "perf report: %v", err)
 	}
 	return 0
@@ -253,6 +246,21 @@ func fabricConfig(topoRanks int) bench.FabricReportConfig {
 		cap := max(topoRanks&^1, 8)
 		cfg.BisectNodes = min(cfg.BisectNodes, cap)
 		cfg.MatrixNodes = min(cfg.MatrixNodes, cap)
+	}
+	return cfg
+}
+
+// perfConfig is the -perf ladder capped at perfRanks (0 = the full ladder).
+// A cap above the ladder's top adds it as one more fat-tree row.
+func perfConfig(perfRanks int) bench.PerfConfig {
+	cfg := bench.DefaultPerfConfig()
+	if perfRanks > 0 {
+		ft := cfg.CollectiveRanks
+		cfg.CollectiveRanks = capRanks(ft, perfRanks)
+		cfg.TorusRanks = capRanks(cfg.TorusRanks, perfRanks)
+		if perfRanks > ft[len(ft)-1] {
+			cfg.CollectiveRanks = append(cfg.CollectiveRanks, perfRanks)
+		}
 	}
 	return cfg
 }

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -28,6 +29,8 @@ var goldens = []struct {
 	slow bool
 	args []string
 }{
+	{file: "fig1.golden", args: []string{"-fig", "1"}},
+	{file: "fig2.golden", args: []string{"-fig", "2"}},
 	{file: "summary.golden", args: []string{"-tables", "-headline", "-ablation", "-mixed"}},
 	{file: "svc.golden", args: []string{"-svc"}},
 	{file: "campaigns/smoke/golden.json", args: []string{"-campaign", "../../campaigns/smoke"}},
@@ -72,7 +75,6 @@ func TestGoldenReports(t *testing.T) {
 // each names the slow golden (cmp'd by CI's bench-smoke) or the test that
 // holds its output instead.
 var heldElsewhere = map[string]string{
-	"fig":         "all.golden", // the same six writers, in order
 	"collectives": "all.golden",
 	"matrix":      "all.golden",
 	"topo":        "topo16.golden",
@@ -202,6 +204,25 @@ func TestPerfReportNamesItsPR(t *testing.T) {
 	t.Errorf("%s has no %s %s %d-rank row", committed[len(committed)-1], live.Name, live.Fabric, live.Ranks)
 }
 
+// TestPerfRanksCapsTheLadder: -perfranks caps both fabrics' rows, and a cap
+// above the ladder's top adds one fat-tree row at it, after the others.
+func TestPerfRanksCapsTheLadder(t *testing.T) {
+	for _, c := range []struct {
+		cap       int
+		ft, torus []int
+	}{
+		{0, []int{64, 256, 512, 1024}, []int{256, 512}},
+		{256, []int{64, 256}, []int{256}},
+		{1024, []int{64, 256, 512, 1024}, []int{256, 512}},
+		{4096, []int{64, 256, 512, 1024, 4096}, []int{256, 512}},
+	} {
+		cfg := perfConfig(c.cap)
+		if !slices.Equal(cfg.CollectiveRanks, c.ft) || !slices.Equal(cfg.TorusRanks, c.torus) {
+			t.Errorf("-perfranks %d: fat tree %v, torus %v; want %v, %v", c.cap, cfg.CollectiveRanks, cfg.TorusRanks, c.ft, c.torus)
+		}
+	}
+}
+
 // TestSvcCaptureReplaysIdentically: a trace captured through the real flag
 // path replays, through the real flag path, to the report its live run
 // printed; the report and the trace are pinned under testdata/ like the
@@ -277,7 +298,6 @@ func TestUsageErrors(t *testing.T) {
 		// A modifier without the report it modifies used to be ignored.
 		{"-tables", "-toporanks", "16"},
 		{"-tables", "-perfranks", "64"},
-		{"-tables", "-perfbig", "4096"},
 		{"-tables", "-json", filepath.Join(tmp, "BENCH_PR1.json")},
 		{"-tables", "-campaignseed", "7"},
 		// A rank count a cluster cannot have used to panic mid-report or run
@@ -286,8 +306,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-topo", "-toporanks", "-5"},
 		{"-perf", "-perfranks", "1"},
 		{"-perf", "-perfranks", "-3"},
-		{"-perf", "-perfbig", "1"},
-		{"-perf", "-perfbig", "70000"},
+		{"-perf", "-perfranks", "70000"},
 		{"-all", "-toporanks", "1"},
 	} {
 		var out, errs bytes.Buffer

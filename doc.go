@@ -70,7 +70,8 @@
 //   - internal/svcload: RPC service workloads and their virtual-time tails.
 //   - internal/trafficgen: §2.1 message-size mixes and seeded samplers.
 //   - internal/cluster: machine assembly, and where a machine may be built.
-//   - internal/bench: the measurement harness, the paper's numbers and the
+//   - internal/bench: the measurement harness, the paper's numbers, the
+//     Ethernet and CM-5 Active Messages models of Figures 1 and 2, and the
 //     trajectory gate.
 //   - internal/scenario: chaos scenarios, the watchdog and campaigns.
 //   - internal/par: replica-parallel campaigns, the one place simulations
@@ -78,8 +79,6 @@
 //   - internal/alloctest: the measurement behind the zero-allocation pins.
 //   - internal/bufpool: recycling: free lists, byte pools, one Stats, and the
 //     one poison fill every release gets.
-//   - internal/cmam, internal/legacy: the CM-5 Active Messages and Ethernet
-//     overhead models of Figures 1 and 2.
 //
 // cmd/fmbench prints every figure and report; README.md says how to run
 // each one.

@@ -3,6 +3,12 @@
 // drivers, N1/2 (half-power message size) computation, and table rendering
 // in the shape of the paper's figures.
 //
+// Two figures are not measured. The paper motivates FM with two
+// closed-form models of §2, and each is a table beside its writer in
+// figures.go: Figure 1's kernel protocol stack at 125 us per packet on 100
+// Mbit and 1 Gbit Ethernet, and Figure 2's CM-5 Active Messages cycles,
+// base cost against the three guarantees.
+//
 // A measurement is a world, a traffic shape and a clock, each written once.
 // world.go builds the world from an xport.Machine (platform, endpoints,
 // mpiWorld): every driver takes the Machine it measures, a generation's

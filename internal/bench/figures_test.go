@@ -1,10 +1,9 @@
 package bench
 
 import (
+	"math"
 	"strings"
 	"testing"
-
-	"repro/internal/cmam"
 )
 
 // These tests assert the reproduced shape of every figure: who wins, by
@@ -33,21 +32,133 @@ func TestFigure1Shape(t *testing.T) {
 	}
 }
 
+func TestPaperQuotedUDPBound(t *testing.T) {
+	// §2.2: with ~125 us per packet, typical packet sizes (< 256 bytes)
+	// sustain no more than ~2 MB/s.
+	if bw := ethernetMBps(256, 100); bw > 2.1 {
+		t.Errorf("256B bandwidth %.2f MB/s, paper bound ~2", bw)
+	}
+}
+
+func TestFasterLinkBarelyHelpsShortMessages(t *testing.T) {
+	// A 10x faster link must yield far less than 10x delivered bandwidth;
+	// at the shortest sizes the curves nearly coincide (Figure 1).
+	bounds := map[int]float64{8: 1.01, 64: 1.05, 256: 1.2, 1024: 1.6}
+	for n, maxGain := range bounds {
+		b100, b1g := ethernetMBps(n, 100), ethernetMBps(n, 1000)
+		if b1g < b100 {
+			t.Errorf("1G slower than 100M at %dB", n)
+		}
+		if gain := b1g / b100; gain > maxGain {
+			t.Errorf("at %dB the 10x link gives %.2fx bandwidth, want <= %.2fx", n, gain, maxGain)
+		}
+	}
+}
+
+func TestBandwidthMonotonicInSize(t *testing.T) {
+	for _, l := range ethernets {
+		prev := 0.0
+		for n := 8; n <= ethernetMTU; n *= 2 {
+			bw := ethernetMBps(n, l.mbps)
+			if bw <= prev {
+				t.Errorf("%s: bandwidth not increasing at %dB: %.3f <= %.3f", l.name, n, bw, prev)
+			}
+			prev = bw
+		}
+	}
+}
+
+// TestMsgTimeComponents: one full packet on 100 Mbit is 125 us of overhead
+// and 120 us of wire; a byte more pays a second packet's 125 us.
+func TestMsgTimeComponents(t *testing.T) {
+	for _, c := range []struct {
+		n  int
+		us float64
+	}{{ethernetMTU, 245}, {ethernetMTU + 1, 370.08}} {
+		if got, want := ethernetMBps(c.n, 100), float64(c.n)/c.us; math.Abs(got/want-1) > 1e-9 {
+			t.Errorf("%d B on 100 Mbit: %.4f MB/s, want %.4f (%.2f us)", c.n, got, want, c.us)
+		}
+	}
+}
+
+// TestHalfPowerPoint: N1/2 = 125 us × link rate, about 1562 B on 100 Mbit
+// and 15 625 B on 1 Gbit, lies above the 1500-byte MTU — the whole problem —
+// so no message size reaches half the link.
+func TestHalfPowerPoint(t *testing.T) {
+	for _, l := range ethernets {
+		half := stackPerPacket.Seconds() * l.mbps / 8 * 1e6 // bytes the link moves in one packet's overhead
+		if want := 15.625 * l.mbps; math.Abs(half-want) > 1 {
+			t.Errorf("%s: N1/2 %.1f B, want %.1f", l.name, half, want)
+		}
+		if half <= ethernetMTU {
+			t.Errorf("%s: N1/2 %.0f B within the %d-byte MTU", l.name, half, ethernetMTU)
+		}
+		for n := 8; n <= 1<<16; n *= 2 {
+			if bw := ethernetMBps(n, l.mbps); bw >= l.mbps/16 {
+				t.Errorf("%s at %dB: %.2f MB/s reaches half the link", l.name, n, bw)
+			}
+		}
+	}
+}
+
 func TestFigure2Shape(t *testing.T) {
-	m := Measure()
-	fin, ind := m.Fin, m.Ind
+	fin, ind := cm5Finite, cm5Indefinite
 	// Indefinite sequences cost strictly more, dominated by buffer mgmt.
-	if ind.TotalCycles(cmam.Total) <= fin.TotalCycles(cmam.Total) {
+	if ind.total(2) <= fin.total(2) {
 		t.Error("indefinite should cost more than finite")
 	}
 	for _, b := range []struct {
 		name string
-		tot  int
-		buf  int
-	}{{"fin", fin.TotalCycles(cmam.Total), fin.Cycles[1][2]}, {"ind", ind.TotalCycles(cmam.Total), ind.Cycles[1][2]}} {
-		if b.buf*2 < b.tot/3 {
-			t.Errorf("%s: buffer mgmt %d of %d should be the dominant guarantee", b.name, b.buf, b.tot)
+		c    cm5Cycles
+	}{{"fin", fin}, {"ind", ind}} {
+		if buf, tot := b.c.at(1, 2), b.c.total(2); buf*2 < tot/3 {
+			t.Errorf("%s: buffer mgmt %d of %d should be the dominant guarantee", b.name, buf, tot)
 		}
+	}
+}
+
+// TestPaperCaseReproducesQuotedCycles: §2.3, "in one case (16-word
+// messages, 4-word packet size, multi-packet delivery) 216 out of a total
+// 397 cycles are spent for buffer management (148 cycles), in-order
+// delivery (21 cycles) and fault tolerance (47 cycles)".
+func TestPaperCaseReproducesQuotedCycles(t *testing.T) {
+	c := cm5Finite
+	for f, want := range []int{181, 148, 21, 47} {
+		if got := c.at(f, 2); got != want {
+			t.Errorf("%s: %d cycles, want %d", cm5Features[f], got, want)
+		}
+	}
+	if got := c.total(2); got != 397 {
+		t.Errorf("total cycles %d, want 397", got)
+	}
+	if got := c.total(2) - c.at(0, 2); got != 216 {
+		t.Errorf("guarantee cycles %d, want 216", got)
+	}
+}
+
+func TestSidesSumToTotal(t *testing.T) {
+	for _, b := range []struct {
+		name string
+		c    cm5Cycles
+	}{{"fin", cm5Finite}, {"ind", cm5Indefinite}} {
+		for f, name := range cm5Features {
+			if b.c.at(f, 0)+b.c.at(f, 1) != b.c.at(f, 2) {
+				t.Errorf("%s/%s: sides do not sum to total", b.name, name)
+			}
+		}
+		if b.c.total(0)+b.c.total(1) != b.c.total(2) {
+			t.Errorf("%s: side totals inconsistent", b.name)
+		}
+	}
+}
+
+func TestIndefiniteCostsMore(t *testing.T) {
+	fin, ind := cm5Finite, cm5Indefinite
+	if ind.total(2) <= fin.total(2) {
+		t.Error("indefinite sequence should cost more than finite")
+	}
+	if ind.at(1, 2) <= fin.at(1, 2) {
+		t.Error("indefinite buffer management should cost more")
 	}
 }
 

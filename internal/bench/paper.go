@@ -12,7 +12,6 @@ import (
 	"strconv"
 	"sync"
 
-	"repro/internal/cmam"
 	"repro/internal/xport"
 )
 
@@ -44,11 +43,11 @@ type Claim struct {
 // Claims is the table, in figure order.
 var Claims = []Claim{
 	{System: "CM-5 AM", Label: "finite total", Source: "§2.3, Figure 2, 16-word messages in 4-word packets",
-		Bound: Near, Value: 397, Unit: " cycles", Read: func(m *Measured) float64 { return float64(m.Fin.TotalCycles(cmam.Total)) }},
+		Bound: Near, Value: 397, Unit: " cycles", Read: func(*Measured) float64 { return float64(cm5Finite.total(2)) }},
 	{System: "CM-5 AM", Label: "finite guarantees", Source: "§2.3, Figure 2, share of total cycles",
-		Bound: Between, Low: 50, Value: 70, Unit: "%", Read: func(m *Measured) float64 { return 100 * m.Fin.GuaranteeShare(cmam.Total) }},
+		Bound: Between, Low: 50, Value: 70, Unit: "%", Read: func(*Measured) float64 { return 100 * cm5Finite.guaranteeShare() }},
 	{System: "CM-5 AM", Label: "indefinite guarantees", Source: "§2.3, Figure 2, share of total cycles",
-		Bound: Between, Low: 50, Value: 70, Unit: "%", Read: func(m *Measured) float64 { return 100 * m.Ind.GuaranteeShare(cmam.Total) }},
+		Bound: Between, Low: 50, Value: 70, Unit: "%", Read: func(*Measured) float64 { return 100 * cm5Indefinite.guaranteeShare() }},
 
 	{System: "FM 1.x", Label: "peak", Source: "§3, Figure 3b, 16-512 B",
 		Bound: Near, Value: 17.6, Unit: " MB/s", Read: func(m *Measured) float64 { return m.Fig3b().Peak() }},
@@ -125,12 +124,11 @@ func (c Claim) Sim(v float64) string { return num(v) + c.Unit }
 func num(v float64) string { return strconv.FormatFloat(v, 'g', 4, 64) }
 
 // Measured is the one pass over the paper's measured evaluation: the four
-// bandwidth curves on StdSizes, the four one-way 16 B latencies (us), and
-// Figure 2's CM-5 breakdowns.
+// bandwidth curves on StdSizes and the four one-way 16 B latencies (us).
+// Figure 2's CM-5 rows read its closed-form table (figures.go) instead.
 type Measured struct {
 	FM1, FM2, MPI1, MPI2             Curve
 	FM1Lat, FM2Lat, MPI1Lat, MPI2Lat float64
-	Fin, Ind                         cmam.Breakdown
 }
 
 // Measure returns the pass. It runs on first use, and every later caller in
@@ -147,8 +145,6 @@ var measured = sync.OnceValue(func() *Measured {
 		FM2Lat:  FMLatency(xport.GenFM2.Machine(), 16, 50).Micros(),
 		MPI1Lat: MPILatency(xport.GenFM1.Machine(), 16, 50).Micros(),
 		MPI2Lat: MPILatency(xport.GenFM2.Machine(), 16, 50).Micros(),
-		Fin:     cmam.Model(cmam.PaperCase()),
-		Ind:     cmam.Model(cmam.Config{MsgWords: 16, PacketWords: 4, Seq: cmam.Indefinite}),
 	}
 })
 
@@ -160,7 +156,8 @@ func (m *Measured) MPI1Eff() Curve { return Efficiency(m.MPI1, m.FM1) }
 func (m *Measured) MPI2Eff() Curve { return Efficiency(m.MPI2, m.FM2) }
 
 // writeClaims prints a figure's annotation line: each of its system's rows
-// as label, simulated value and paper value.
+// as label, simulated value and paper value. m is nil for a system whose
+// rows read no measurement (Figure 2's CM-5 table).
 func writeClaims(w io.Writer, m *Measured, system string) {
 	fmt.Fprintf(w, "  %s:", system)
 	sep := " "

@@ -74,10 +74,6 @@ type PerfConfig struct {
 	CollectiveRanks []int
 	TorusRanks      []int
 	Size            int // bytes per rank contribution
-
-	// BigRanks adds one extra fat-tree allreduce row at this rank count
-	// (the CP-PACS-scale point; 0 = none).
-	BigRanks int
 }
 
 // DefaultPerfConfig runs the full suite, including the 1024-rank point.
@@ -174,11 +170,7 @@ func bestOf(measure func() PerfEntry) PerfEntry {
 // RunPerfSuite executes the whole suite.
 func RunPerfSuite(cfg PerfConfig) []PerfEntry {
 	var entries []PerfEntry
-	ftRanks := cfg.CollectiveRanks
-	if cfg.BigRanks > 0 {
-		ftRanks = append(append([]int(nil), ftRanks...), cfg.BigRanks)
-	}
-	for _, n := range ftRanks {
+	for _, n := range cfg.CollectiveRanks {
 		entries = append(entries, bestOf(func() PerfEntry { return PerfCollective(FabFatTree, n, cfg.Size) }))
 	}
 	for _, n := range cfg.TorusRanks {

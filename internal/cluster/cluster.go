@@ -14,7 +14,8 @@
 // upper layer imports this package, and no third file calls Assemble.
 //
 // Config maps onto a netsim.Shape, which owns every fabric-shape rule;
-// Validate adds the 65 536-node bound of the headers' 16-bit node field.
+// Validate adds the bounds of the headers' 16-bit fields: 65 536 nodes, and
+// a PacketMTU whose payload fits the fragment length under either header.
 package cluster
 
 import (
@@ -120,6 +121,10 @@ func (cfg Config) Validate() error {
 	if cfg.Profile.PacketMTU <= flowctl.MaxHeader {
 		return fmt.Errorf("cluster: PacketMTU %d cannot hold a %d-byte FM header and one payload byte",
 			cfg.Profile.PacketMTU, flowctl.MaxHeader)
+	}
+	if cfg.Profile.PacketMTU > flowctl.MaxPacketMTU {
+		return fmt.Errorf("cluster: PacketMTU %d exceeds %d: FM 1.x's 12-byte header would leave a payload its 16-bit fragment-length field cannot carry",
+			cfg.Profile.PacketMTU, flowctl.MaxPacketMTU)
 	}
 	if cfg.Nodes > flowctl.MaxNodes {
 		return fmt.Errorf("cluster: %d nodes exceed %d: both FM headers and the credit frames carry the source node in a 16-bit field",

@@ -228,11 +228,13 @@ func TestProfileLinkUsedByFabric(t *testing.T) {
 }
 
 // A profile whose PollEmpty is not positive, with a negative time constant,
-// a rate that is not finite and positive, negative framing, no link slot or
-// a PacketMTU too short for a header and one payload byte, is an error from
-// Validate and TryNew: a zero empty poll would spin a waiting rank at one
-// instant forever; the rest panic at build or mid-run, or silently model a
-// free copy, bus or wire.
+// a rate that is not finite and at least 1 kB/s, framing that is negative
+// or over 65 535 bytes, no link slot, a negative NIC send queue, or a
+// PacketMTU too short for a header and one payload byte or too long for
+// the fragment-length field, is an error from Validate and TryNew: a zero empty poll would spin a waiting
+// rank at one instant forever; the rest panic at build or mid-run (a
+// crawling rate or a huge frame wraps the clock), lose data, or silently
+// model a free copy, bus or wire.
 func TestBadProfileIsAnError(t *testing.T) {
 	for name, c := range map[string]struct {
 		edit func(p *hostmodel.Profile)
@@ -246,12 +248,21 @@ func TestBadProfileIsAnError(t *testing.T) {
 		"tiny mtu":        {func(p *hostmodel.Profile) { p.PacketMTU = 8 }, "PacketMTU 8 cannot hold"},
 		"zero mtu":        {func(p *hostmodel.Profile) { p.PacketMTU = 0 }, "PacketMTU 0 cannot hold"},
 		"header-only mtu": {func(p *hostmodel.Profile) { p.PacketMTU = flowctl.MaxHeader }, "cannot hold a 16-byte FM header"},
-		"nan bus":         {func(p *hostmodel.Profile) { p.BusMBps = math.NaN() }, "BusMBps NaN must be finite and positive"},
-		"negative copy":   {func(p *hostmodel.Profile) { p.MemcpyMBps = -1 }, "MemcpyMBps -1 must be"},
-		"zero big copy":   {func(p *hostmodel.Profile) { p.MemcpyLargeMBps = 0 }, "MemcpyLargeMBps 0 must be"},
-		"infinite wire":   {func(p *hostmodel.Profile) { p.Link.BandwidthMBps = math.Inf(1) }, "Link.BandwidthMBps +Inf must be"},
-		"negative frame":  {func(p *hostmodel.Profile) { p.Link.FrameOverhead = -1 }, "negative Link.FrameOverhead"},
-		"no link slot":    {func(p *hostmodel.Profile) { p.Link.Slots = 0 }, "Link.Slots 0 must be at least 1"},
+		// With PacketMTU 70 000, FM 1.x delivered a 69 000-byte message as
+		// 3 464 bytes and FM 2.x parked its handler forever on the bytes the
+		// 16-bit fragment length lost. FuzzMachine's seeds run the largest
+		// MTU accepted, flowctl.MaxPacketMTU.
+		"wrapping mtu":   {func(p *hostmodel.Profile) { p.PacketMTU = 70000 }, "PacketMTU 70000 exceeds 65547"},
+		"one byte over":  {func(p *hostmodel.Profile) { p.PacketMTU = flowctl.MaxPacketMTU + 1 }, "16-bit fragment-length field"},
+		"nan bus":        {func(p *hostmodel.Profile) { p.BusMBps = math.NaN() }, "BusMBps NaN must be finite and positive"},
+		"negative copy":  {func(p *hostmodel.Profile) { p.MemcpyMBps = -1 }, "MemcpyMBps -1 must be"},
+		"zero big copy":  {func(p *hostmodel.Profile) { p.MemcpyLargeMBps = 0 }, "MemcpyLargeMBps 0 must be"},
+		"infinite wire":  {func(p *hostmodel.Profile) { p.Link.BandwidthMBps = math.Inf(1) }, "Link.BandwidthMBps +Inf must be"},
+		"negative frame": {func(p *hostmodel.Profile) { p.Link.FrameOverhead = -1 }, "negative Link.FrameOverhead"},
+		"huge frame":     {func(p *hostmodel.Profile) { p.Link.FrameOverhead = 1 << 62 }, "Link.FrameOverhead 4611686018427387904 exceeds 65535"},
+		"crawling wire":  {func(p *hostmodel.Profile) { p.Link.BandwidthMBps = 1e-300 }, "Link.BandwidthMBps 1e-300 MB/s is below 0.001"},
+		"no link slot":   {func(p *hostmodel.Profile) { p.Link.Slots = 0 }, "Link.Slots 0 must be at least 1"},
+		"negative sendq": {func(p *hostmodel.Profile) { p.SendQSlots = -1 }, "negative SendQSlots -1"},
 	} {
 		cfg := DefaultConfig()
 		c.edit(&cfg.Profile)

@@ -123,6 +123,12 @@ func (c *EndpointCore) FlowControl() *Manager { return c.Credit.fc }
 // MTU reports the per-packet payload capacity.
 func (c *EndpointCore) MTU() int { return c.h.P.PacketMTU - c.wire.Size }
 
+// Packets reports how many data packets an n-byte message takes: ⌈n/MTU⌉,
+// and one for an empty message. Both FM generations emit exactly this many
+// and spend one credit on each, so a caller that sees Packets(n) credits
+// toward a peer can send the message without stalling on flow control.
+func (c *EndpointCore) Packets(n int) int { return max(1, (n+c.MTU()-1)/c.MTU()) }
+
 // MaxMessage reports the message size limit.
 func (c *EndpointCore) MaxMessage() int { return c.wire.MaxMessage }
 

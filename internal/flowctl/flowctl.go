@@ -61,6 +61,13 @@ const MaxNodes = 1 << 16
 // byte, so that one profile is valid under either engine.
 const MaxHeader = 16
 
+// MaxPacketMTU is the longest packet whose payload fits the 16-bit
+// fragment-length field under either FM generation's header. FM 1.x's
+// 12-byte header, the shorter, leaves the most payload: 65 535 bytes. One
+// byte more and a fragment's length wraps: FM 1.x delivers a truncated
+// message, and FM 2.x waits forever for the bytes the wrap lost.
+const MaxPacketMTU = 12 + 1<<16 - 1
+
 // RingSlotsFor reports the receive-ring depth needed so that every one of
 // the n-1 peers of an n-node cluster can hold a window of at least
 // min(window, MinWindow) packets without the ring overflowing.

@@ -111,13 +111,26 @@ func Sparc() Profile {
 	}
 }
 
+// minMBps and maxFrameOverhead bound a profile's rates from below (1 kB/s)
+// and its framing from above (more than the largest payload a packet
+// carries). Far past either, one transfer's time wraps the int64
+// nanoseconds of the virtual clock, and the delay it charges turns
+// negative mid-run.
+const (
+	minMBps          = 1e-3
+	maxFrameOverhead = 1<<16 - 1
+)
+
 // Validate checks the profile's constants: no time may be negative — a
 // charge that turns the clock back — and PollEmpty must be positive, or a
 // rank polling an empty ring would poll forever at one instant. Every rate
 // must be finite and positive (a zero, negative or NaN rate models a free
-// copy, bus or wire, or turns a delay negative mid-run), framing bytes may
-// not be negative and a link needs at least one slot. That a PacketMTU holds
-// an FM header is the engine's rule (cluster.Config.Validate).
+// copy, bus or wire, or turns a delay negative mid-run) and at least
+// minMBps, framing bytes may be neither negative nor more than
+// maxFrameOverhead, a link needs at least one slot, and a NIC send queue
+// may be unbuffered but not negative (it panicked at build). That a
+// PacketMTU holds an FM header is the engine's rule
+// (cluster.Config.Validate).
 func (p Profile) Validate() error {
 	if p.PollEmpty <= 0 {
 		return fmt.Errorf("hostmodel: profile %q: PollEmpty %v must be positive", p.Name, p.PollEmpty)
@@ -147,12 +160,21 @@ func (p Profile) Validate() error {
 		if !(c.r > 0) || math.IsInf(c.r, 1) {
 			return fmt.Errorf("hostmodel: profile %q: %s %v must be finite and positive", p.Name, c.name, c.r)
 		}
+		if c.r < minMBps {
+			return fmt.Errorf("hostmodel: profile %q: %s %v MB/s is below %v", p.Name, c.name, c.r, minMBps)
+		}
 	}
 	if p.Link.FrameOverhead < 0 {
 		return fmt.Errorf("hostmodel: profile %q: negative Link.FrameOverhead %d", p.Name, p.Link.FrameOverhead)
 	}
+	if p.Link.FrameOverhead > maxFrameOverhead {
+		return fmt.Errorf("hostmodel: profile %q: Link.FrameOverhead %d exceeds %d", p.Name, p.Link.FrameOverhead, maxFrameOverhead)
+	}
 	if p.Link.Slots < 1 {
 		return fmt.Errorf("hostmodel: profile %q: Link.Slots %d must be at least 1", p.Name, p.Link.Slots)
+	}
+	if p.SendQSlots < 0 {
+		return fmt.Errorf("hostmodel: profile %q: negative SendQSlots %d", p.Name, p.SendQSlots)
 	}
 	return nil
 }

@@ -433,7 +433,7 @@ func (f *Fleet) install(wl Workload, sched [][]req) error {
 		return fmt.Errorf("svcload: %d-byte payload plus header exceeds transport limit %d", maxBody, sp.MaxMessage())
 	}
 	maxMsg := reqHeaderSize + maxBody
-	if need, window := (maxMsg+sp.MTU()-1)/sp.MTU(), sp.Core().FlowControl().Window(); need > window {
+	if need, window := sp.Core().Packets(maxMsg), sp.Core().FlowControl().Window(); need > window {
 		return fmt.Errorf("svcload: %d-byte message needs %d packets, credit window is %d",
 			maxMsg, need, window)
 	}
@@ -451,20 +451,14 @@ func (f *Fleet) Planned() int64 { return f.planned }
 func reqID(node, seq int) uint64 { return uint64(node)<<32 | uint64(uint32(seq)) }
 
 // creditReady reports whether node can open a size-byte message toward dst
-// without blocking on flow control. Loopback never consumes credits. Both
-// FM generations spend exactly one credit per MTU-sized packet, so the
-// check is exact — a send issued after creditReady returns true cannot
-// stall inside acquireCredit.
+// without blocking on flow control (flowctl.EndpointCore.Packets). Loopback
+// never consumes credits.
 func (f *Fleet) creditReady(node, dst, size int) bool {
 	if dst == node {
 		return true
 	}
-	sp := f.spaces[node]
-	need := (size + sp.MTU() - 1) / sp.MTU()
-	if need < 1 {
-		need = 1
-	}
-	return sp.Core().FlowControl().Available(dst) >= need
+	c := f.spaces[node].Core()
+	return c.FlowControl().Available(dst) >= c.Packets(size)
 }
 
 // await is the one wait of a node's event loop, bounded and paced: until the

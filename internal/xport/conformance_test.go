@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"io"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -285,6 +286,38 @@ func TestLoopbackAcrossBindings(t *testing.T) {
 			}
 			if !bytes.Equal(got, want) {
 				t.Fatal("loopback bytes corrupted")
+			}
+		})
+	}
+}
+
+// TestPacketsCountsWhatEitherEngineSends: flowctl.EndpointCore.Packets(n)
+// is the number of data packets each generation sends for an n-byte
+// message, at the edges of one packet.
+func TestPacketsCountsWhatEitherEngineSends(t *testing.T) {
+	for _, bc := range bindingCases {
+		t.Run(bc.name, func(t *testing.T) {
+			var got []int
+			for i := range 4 {
+				k := sim.NewKernel()
+				src := bc.attach(cluster.New(k, bc.gen.Machine().Config(2, cluster.SingleSwitch)))[0].Transport()
+				core := src.Core()
+				n := []int{0, 1, core.MTU(), core.MTU() + 1}[i]
+				k.Spawn("sender", func(p *sim.Proc) {
+					if err := xport.Send(p, src, 1, 4, make([]byte, n)); err != nil {
+						t.Error(err)
+					}
+				})
+				if err := k.Run(); err != nil {
+					t.Fatal(err)
+				}
+				if sent := core.Stats().PacketsSent; sent != int64(core.Packets(n)) {
+					t.Errorf("%d bytes: sent %d packets, Packets says %d", n, sent, core.Packets(n))
+				}
+				got = append(got, core.Packets(n))
+			}
+			if !slices.Equal(got, []int{1, 1, 1, 2}) {
+				t.Errorf("Packets(0, 1, MTU, MTU+1) = %v, want [1 1 1 2]", got)
 			}
 		})
 	}
