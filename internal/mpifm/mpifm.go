@@ -361,30 +361,25 @@ func (c *Comm) complete(req *Request, src, tag, n int) {
 	c.stats.Recvd++
 }
 
-// Barrier synchronizes all ranks (central-coordinator algorithm over
-// pt2pt, as early MPICH implementations used).
+// Barrier synchronizes all ranks with a dissemination barrier (Hensgen,
+// Finkel and Manber, "Two algorithms for barrier synchronization", IJPP
+// 1988): in round k = 0 … ⌈log₂ N⌉−1 each rank sends a 1-byte token to
+// rank+2ᵏ and receives one from rank−2ᵏ (mod N). A rank leaves after the
+// last round, by which time every rank's entry has reached it, so a barrier
+// costs ⌈log₂ N⌉ one-way token trips and each rank sends ⌈log₂ N⌉ messages.
+// Every round uses the barrier's one reserved tag: a round's source differs
+// from every other round's.
 func (c *Comm) Barrier(p *sim.Proc) error {
 	c.barrierSeq++
 	tag := 1<<20 + c.barrierSeq // reserved tag space
 	c.barrierOne[0] = 1
-	one := c.barrierOne[:]
-	scratch := c.barrierToken[:]
-	if c.rank == 0 {
-		for i := 1; i < c.size; i++ {
-			if _, err := c.Recv(p, scratch, AnySource, tag); err != nil {
-				return err
-			}
+	for d := 1; d < c.size; d <<= 1 {
+		if err := c.Send(p, c.barrierOne[:], (c.rank+d)%c.size, tag); err != nil {
+			return err
 		}
-		for i := 1; i < c.size; i++ {
-			if err := c.Send(p, one, i, tag); err != nil {
-				return err
-			}
+		if _, err := c.Recv(p, c.barrierToken[:], (c.rank-d+c.size)%c.size, tag); err != nil {
+			return err
 		}
-		return nil
 	}
-	if err := c.Send(p, one, 0, tag); err != nil {
-		return err
-	}
-	_, err := c.Recv(p, scratch, 0, tag)
-	return err
+	return nil
 }

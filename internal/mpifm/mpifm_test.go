@@ -289,39 +289,6 @@ func TestIrecvWaitall(t *testing.T) {
 	})
 }
 
-func TestBarrier(t *testing.T) {
-	bothWorlds(t, 4, func(t *testing.T, k *sim.Kernel, comms []*Comm) {
-		var after [4]sim.Time
-		var before [4]sim.Time
-		for r := 0; r < 4; r++ {
-			r := r
-			k.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
-				p.Delay(sim.Time(r*100) * sim.Microsecond) // skewed arrival
-				before[r] = p.Now()
-				if err := comms[r].Barrier(p); err != nil {
-					t.Error(err)
-				}
-				after[r] = p.Now()
-			})
-		}
-		if err := k.Run(); err != nil {
-			t.Fatal(err)
-		}
-		// No rank may leave the barrier before the last rank entered.
-		var lastEnter sim.Time
-		for _, b := range before {
-			if b > lastEnter {
-				lastEnter = b
-			}
-		}
-		for r, a := range after {
-			if a < lastEnter {
-				t.Errorf("rank %d left barrier at %v before last entry %v", r, a, lastEnter)
-			}
-		}
-	})
-}
-
 func TestSendErrors(t *testing.T) {
 	k, comms := fm2World(2)
 	k.Spawn("rank0", func(p *sim.Proc) {
