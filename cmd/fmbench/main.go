@@ -6,11 +6,11 @@
 // `fmbench -h` lists the flags (the registry below is where they come from)
 // and README's "Running things" the usual command lines.
 //
-// Everything but -perf prints virtual time, a pure function of the model,
-// and is held byte for byte to a committed golden (main_test.go's goldens;
-// -update rewrites them when the model moves on purpose). -perf is the one
-// wall-clock report, and it asks one question — how far the rank axis goes;
-// what a run costs on the host otherwise is ./benchmark's.
+// Every report prints on stdout what the model computes, a pure function of
+// it, held byte for byte to a committed golden (main_test.go's goldens;
+// -update rewrites them when the model moves on purpose). -perf, the
+// allreduce scale ladder, also prints what each row cost the host, on
+// stderr; what a run costs on the host otherwise is ./benchmark's.
 //
 // A report is one row of registry, the table the flags are registered from,
 // and one row of the goldens table or of heldElsewhere. A command line that
@@ -67,10 +67,9 @@ var figures = []func(io.Writer){
 // figures, headline, ablation, collectives, matrix, topo, mixed.
 func registry(fs *flag.FlagSet) []report {
 	var (
-		fig, topoRanks, perfRanks       int
-		scenPath, campDir               string
-		svcCapture, svcReplay, jsonPath string
-		campSeed                        int64
+		fig, topoRanks, perfRanks                int
+		scenPath, campDir, svcCapture, svcReplay string
+		campSeed                                 int64
 	)
 	on := func(name, usage string) *flag.Flag { fs.Bool(name, false, usage); return fs.Lookup(name) }
 	num := func(p *int, name, usage string) *flag.Flag { fs.IntVar(p, name, 0, usage); return fs.Lookup(name) }
@@ -126,12 +125,9 @@ func registry(fs *flag.FlagSet) []report {
 				bench.WriteMixedReport(c.w, xport.GenFM2.Machine(), bench.DefaultMixedConfig())
 				return 0
 			}},
-		{sel: on("perf", "run the engine wall-clock suite (allreduce scale ladder: events/sec, allocs/rank at 64-1024 ranks)"),
-			mods: []*flag.Flag{
-				ranks(&perfRanks, "perfranks", "cap the perf suite's rank counts (0 = full sweep incl. 1024; a cap above 1024, e.g. 4096, adds one fat-tree row at it)"),
-				str(&jsonPath, "json", "perf suite: machine-readable output path; BENCH_PR<n>.json records n as the report's pr (empty = don't write)"),
-			},
-			write: func(c cli) int { return writePerf(c, perfRanks, jsonPath) }},
+		{sel: on("perf", "run the allreduce scale ladder at 64-1024 ranks (virtual time, events, digest; host cost on stderr)"),
+			mods:  []*flag.Flag{ranks(&perfRanks, "perfranks", "cap the perf suite's rank counts (0 = full sweep incl. 1024; a cap above 1024, e.g. 4096, adds one fat-tree row at it)")},
+			write: func(c cli) int { bench.WritePerfReport(c.w, c.stderr, perfConfig(perfRanks)); return 0 }},
 		{sel: on("svc", "run the service-workload suite (RPC tail latency over both FM generations)"),
 			write: func(c cli) int {
 				if err := bench.WriteSvcReport(c.w); err != nil {
@@ -155,13 +151,6 @@ func writeFigures(c cli) int {
 	for _, f := range figures {
 		f(c.w)
 		fmt.Fprintln(c.w)
-	}
-	return 0
-}
-
-func writePerf(c cli, ranks int, jsonPath string) int {
-	if err := bench.WritePerfReport(c.w, perfConfig(ranks), jsonPath); err != nil {
-		return failf(c.stderr, 1, "perf report: %v", err)
 	}
 	return 0
 }

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/scenario"
 )
 
@@ -33,10 +32,12 @@ var goldens = []struct {
 	{file: "fig2.golden", args: []string{"-fig", "2"}},
 	{file: "summary.golden", args: []string{"-tables", "-headline", "-ablation", "-mixed"}},
 	{file: "svc.golden", args: []string{"-svc"}},
+	{file: "perf64.golden", args: []string{"-perf", "-perfranks", "64"}},
 	{file: "campaigns/smoke/golden.json", args: []string{"-campaign", "../../campaigns/smoke"}},
 	{file: "campaigns/svc/golden.json", args: []string{"-campaign", "../../campaigns/svc"}},
 	{file: "all.golden", slow: true, args: []string{"-all"}},
 	{file: "topo16.golden", slow: true, args: []string{"-topo", "-toporanks", "16"}},
+	{file: "perf4096.golden", slow: true, args: []string{"-perf", "-perfranks", "4096"}},
 }
 
 func TestGoldenReports(t *testing.T) {
@@ -78,7 +79,6 @@ var heldElsewhere = map[string]string{
 	"collectives": "all.golden",
 	"matrix":      "all.golden",
 	"topo":        "topo16.golden",
-	"perf":        "TestPerfReportNamesItsPR", // wall clock: no golden can hold it
 	"svccapture":  "TestSvcCaptureReplaysIdentically",
 	"svcreplay":   "TestSvcCaptureReplaysIdentically",
 	"scenario":    "TestScenarioFlagPrintsTheCampaignEntry",
@@ -160,48 +160,6 @@ fmbench: campaign failed: 1 of 2 scenarios
 	if errs.String() != want {
 		t.Errorf("stderr:\n%s\nwant:\n%s", errs.String(), want)
 	}
-}
-
-// TestPerfReportNamesItsPR: the trajectory file's name is the only place a
-// PR number lives — the report reads it from BENCH_PR<n>.json — a report
-// written through the real flag path gates cleanly against itself, and its
-// 64-rank fat-tree row computes what the newest committed report says.
-func TestPerfReportNamesItsPR(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_PR42.json")
-	var out, errs bytes.Buffer
-	if status := run([]string{"-perf", "-perfranks", "64", "-json", path}, &out, &errs); status != 0 {
-		t.Fatalf("exit %d: %s", status, errs.String())
-	}
-	rep, err := bench.LoadPerfReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.PR != 42 {
-		t.Errorf("report pr = %d, want 42 from the file name", rep.PR)
-	}
-	if err := bench.GateTrajectory(path, path); err != nil {
-		t.Errorf("report does not gate against itself: %v", err)
-	}
-	committed, err := bench.CommittedReports(filepath.Join("..", ".."))
-	if err != nil || len(committed) == 0 {
-		t.Fatalf("no committed BENCH_PR*.json (%v)", err)
-	}
-	newest, err := bench.LoadPerfReport(committed[len(committed)-1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := rep.Entries[0]
-	for _, e := range newest.Entries {
-		if e.Name == live.Name && e.Fabric == live.Fabric && e.Ranks == live.Ranks && e.SizeB == live.SizeB {
-			if e.VirtualUS != live.VirtualUS || e.Digest != "" && e.Digest != live.Digest {
-				t.Errorf("%s %s %d ranks: live run computed %v us, digest %s; %s holds %v us, digest %q",
-					live.Name, live.Fabric, live.Ranks, live.VirtualUS, live.Digest,
-					committed[len(committed)-1], e.VirtualUS, e.Digest)
-			}
-			return
-		}
-	}
-	t.Errorf("%s has no %s %s %d-rank row", committed[len(committed)-1], live.Name, live.Fabric, live.Ranks)
 }
 
 // TestPerfRanksCapsTheLadder: -perfranks caps both fabrics' rows, and a cap
@@ -298,7 +256,6 @@ func TestUsageErrors(t *testing.T) {
 		// A modifier without the report it modifies used to be ignored.
 		{"-tables", "-toporanks", "16"},
 		{"-tables", "-perfranks", "64"},
-		{"-tables", "-json", filepath.Join(tmp, "BENCH_PR1.json")},
 		{"-tables", "-campaignseed", "7"},
 		// A rank count a cluster cannot have used to panic mid-report or run
 		// the whole default sweep.

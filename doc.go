@@ -72,7 +72,7 @@
 //   - internal/cluster: machine assembly, and where a machine may be built.
 //   - internal/bench: the measurement harness, the paper's numbers, the
 //     Ethernet and CM-5 Active Messages models of Figures 1 and 2, and the
-//     trajectory gate.
+//     allreduce scale ladder.
 //   - internal/scenario: chaos scenarios, the watchdog and campaigns.
 //   - internal/par: replica-parallel campaigns, the one place simulations
 //     run side by side.

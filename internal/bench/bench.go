@@ -18,7 +18,9 @@
 // bare window and every upper layer (xportFlow, mpiFlow, sockFlow, shmemFlow,
 // garrFlow) supply two procs each. spawnCollective is the one timed
 // collective, under CollectiveTimeOn and PerfCollective. span is the virtual
-// clock, hostCost the host one. A new measurement is a caller of one of
+// clock, hostCost the host one. A writer prints only what the model computes,
+// except that WritePerfReport also prints each row's hostCost, to a second
+// writer (perf.go). A new measurement is a caller of one of
 // these, not a copy, and a variant is a table row: AllCollectives,
 // AllLayers (the bare xport window first), mixedWorkloads, svcWorkloads.
 package bench

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -35,7 +36,7 @@ func TestPaperClaims(t *testing.T) {
 
 // TestREADMENumbersHoldToTheirSources: README's numbers table prints the four
 // headline rows from Measure, their paper column from Claims, and the
-// allreduce rows from the newest committed trajectory report, which its
+// allreduce rows' virtual time from fmbench's perf4096 golden, which its
 // introduction names. Each row is checked at the precision README prints, so
 // a number that moves fails here instead of leaving README stale.
 func TestREADMENumbersHoldToTheirSources(t *testing.T) {
@@ -43,24 +44,27 @@ func TestREADMENumbersHoldToTheirSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths, err := CommittedReports(filepath.Join("..", ".."))
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("committed reports: %v %v", paths, err)
-	}
-	rep, err := LoadPerfReport(paths[len(paths)-1])
+	const ladder = "cmd/fmbench/testdata/perf4096.golden"
+	golden, err := os.ReadFile(filepath.Join("..", "..", ladder))
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := func(fabric string, ranks int) PerfEntry {
-		for _, e := range rep.Entries {
-			if e.Name == "allreduce" && e.Fabric == fabric && e.Ranks == ranks {
-				return e
+	// virtualUS reads a row's virtual_us: bench, fabric, ranks, virtual_us,
+	// events, digest.
+	virtualUS := func(fabric string, ranks int) float64 {
+		for _, line := range strings.Split(string(golden), "\n") {
+			f := strings.Fields(line)
+			if len(f) == 6 && f[0] == "allreduce" && f[1] == fabric && f[2] == strconv.Itoa(ranks) {
+				v, err := strconv.ParseFloat(f[3], 64)
+				if err != nil {
+					t.Fatalf("%s: %v", ladder, err)
+				}
+				return v
 			}
 		}
-		t.Fatalf("%s has no allreduce row for %d ranks on %s", paths[len(paths)-1], ranks, fabric)
-		return PerfEntry{}
+		t.Fatalf("%s has no allreduce row for %d ranks on %s", ladder, ranks, fabric)
+		return 0
 	}
-	f64, f256, f1024, f4096 := row("fattree", 64), row("fattree", 256), row("fattree", 1024), row("fattree", 4096)
 	// paper renders the paper column: each label's claim as README prints
 	// it, — where the paper states none.
 	paper := func(system string, labels ...string) string {
@@ -87,7 +91,7 @@ func TestREADMENumbersHoldToTheirSources(t *testing.T) {
 	}
 	m := Measure()
 	want := []string{
-		"`" + filepath.Base(paths[len(paths)-1]) + "`",
+		"`" + ladder + "`",
 		fmt.Sprintf("| FM 1.x peak bandwidth, N1/2, latency | %.2f MB/s, %d B, %.2f µs | %s |",
 			m.Fig3b().Peak(), m.Fig3b().NHalf(), m.FM1Lat, paper("FM 1.x", "peak", "N1/2", "latency")),
 		fmt.Sprintf("| MPI over FM 1.x peak, latency | %.2f MB/s, %.2f µs | %s |",
@@ -97,11 +101,8 @@ func TestREADMENumbersHoldToTheirSources(t *testing.T) {
 		fmt.Sprintf("| MPI-FM 2.0 peak, N1/2, latency | %.2f MB/s, %d B, %.2f µs | %s |",
 			m.MPI2.Peak(), m.MPI2.NHalf(), m.MPI2Lat, paper("MPI-FM 2.x", "peak", "N1/2", "latency")),
 		fmt.Sprintf("| allreduce, fat tree, 64 / 256 / 1024 / 4096 ranks: virtual µs | %.1f / %.1f / %.1f / %.1f |",
-			f64.VirtualUS, f256.VirtualUS, f1024.VirtualUS, f4096.VirtualUS),
-		fmt.Sprintf("| the same rows: wall ms, events/s | %.1f / %.1f / %.1f / %.1f ms; %.1f M events/s at 1024 |",
-			f64.WallMS, f256.WallMS, f1024.WallMS, f4096.WallMS, f1024.EventsPerSec/1e6),
-		fmt.Sprintf("| allreduce, torus, 256 / 512 ranks: virtual µs | %.1f / %.1f |", row("torus", 256).VirtualUS, row("torus", 512).VirtualUS),
-		fmt.Sprintf("| allocations per rank-op, 64 → 4096 ranks | %.1f → %.1f |", f64.AllocsPerOp, f4096.AllocsPerOp),
+			virtualUS("fattree", 64), virtualUS("fattree", 256), virtualUS("fattree", 1024), virtualUS("fattree", 4096)),
+		fmt.Sprintf("| allreduce, torus, 256 / 512 ranks: virtual µs | %.1f / %.1f |", virtualUS("torus", 256), virtualUS("torus", 512)),
 	}
 	for _, w := range want {
 		if !strings.Contains(string(readme), w) {

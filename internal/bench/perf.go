@@ -1,14 +1,10 @@
 package bench
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
-	"os"
-	"path/filepath"
 	"runtime"
 	"time"
 
@@ -16,54 +12,35 @@ import (
 	"repro/internal/xport"
 )
 
-// The wall-clock engine suite: where every other bench in this package
-// measures VIRTUAL time (the model's answer), this one measures the
-// SIMULATOR — events per wall-clock second, allocations per rank, and how
-// far the rank axis can be pushed before wall-clock cost explodes. It is the
-// allreduce scale ladder and nothing else: the paper's CP-PACS-class
-// machines ran O(1000) nodes, so the fabric suites must be runnable at
-// 512-1024 ranks, and that cost is a trajectory of numbers (BENCH_*.json),
-// not a one-off claim. The kernel floor, the two-node steady state and the
-// RPC fleet are measured by benchmark/ (kernel-churn, pt2pt-sweep,
-// rpc-open), with repetitions.
+// The allreduce scale ladder: one timed FM 2.x allreduce round at 64 to
+// 4096 ranks, on the fat tree and the torus. The paper's CP-PACS-class
+// machines ran O(1000) nodes, so the fabric suites must run at 512-1024
+// ranks and past them. The report has two halves. What the simulation
+// computes (virtual_us, events, digest) goes to stdout, a pure function of
+// the model that cmd/fmbench's perf64 and perf4096 goldens hold byte for
+// byte, like every other report. What the run cost the host (wall time,
+// events per second, allocations and bytes per rank) goes to stderr, keyed
+// by the same (bench, fabric, ranks): it confirms, it does not gate.
+// TestPerfAllocsPerRank holds three rows' allocations per rank; the kernel
+// floor, the two-node steady state and the RPC fleet are measured by
+// benchmark/ (kernel-churn, pt2pt-sweep, rpc-open), with repetitions.
 
-// PerfEntry is one measurement of the engine itself.
+// PerfEntry is one row of the ladder: what the model computed, and what
+// computing it cost the host.
 type PerfEntry struct {
-	Name   string `json:"name"`
-	Fabric string `json:"fabric,omitempty"`
-	Ranks  int    `json:"ranks,omitempty"`
-	SizeB  int    `json:"size_b,omitempty"`
-	Ops    int64  `json:"ops,omitempty"` // unit of AllocsPerOp: ranks
+	Name   string
+	Fabric string
+	Ranks  int
 
-	VirtualUS    float64 `json:"virtual_us,omitempty"` // modeled result, determinism-pinned
-	Digest       string  `json:"digest,omitempty"`     // FNV-1a of every rank's (start, end), determinism-pinned
-	WallMS       float64 `json:"wall_ms"`
-	Events       int64   `json:"events"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	AllocsPerOp  float64 `json:"allocs_per_op"`
-	BytesPerOp   float64 `json:"bytes_per_op"`
+	VirtualUS float64 // the model's answer
+	Events    int64   // dispatcher events
+	Digest    string  // FNV-1a of every rank's (start, end)
+
+	WallMS       float64
+	EventsPerSec float64
+	AllocsPerOp  float64 // per rank
+	BytesPerOp   float64 // per rank
 }
-
-// PerfReport is the machine-readable perf trajectory written to
-// BENCH_PR<n>.json.
-type PerfReport struct {
-	Schema    string `json:"schema"`
-	PR        int    `json:"pr"`
-	GoVersion string `json:"go_version"`
-	GOOS      string `json:"goos"`
-	GOARCH    string `json:"goarch"`
-	NumCPU    int    `json:"num_cpu"`
-	// GOMAXPROCS at report time: the parallelism bound the wall-clock
-	// numbers were measured under.
-	GOMAXPROCS int         `json:"gomaxprocs"`
-	Entries    []PerfEntry `json:"entries"`
-	// Rebaseline, written by hand, lets the rows it names move what the
-	// model computes (see GateTrajectory).
-	Rebaseline *Rebaseline `json:"rebaseline,omitempty"`
-}
-
-// PerfSchema identifies the report layout for downstream tooling.
-const PerfSchema = "fmnet-perf/1"
 
 // PerfConfig shapes the suite.
 type PerfConfig struct {
@@ -99,19 +76,6 @@ func hostCost(fn func()) (wall time.Duration, mallocs, bytes uint64) {
 	return time.Since(t0), m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
 }
 
-// withCost fills the simulator-cost columns every row shares from one run's
-// wall time, event count and allocation deltas; ops is the unit the per-op
-// columns are quoted in.
-func (e PerfEntry) withCost(wall time.Duration, events, mallocs, bytes uint64, ops int64) PerfEntry {
-	e.Ops = ops
-	e.WallMS = wall.Seconds() * 1e3
-	e.Events = int64(events)
-	e.EventsPerSec = float64(events) / wall.Seconds()
-	e.AllocsPerOp = float64(mallocs) / float64(ops)
-	e.BytesPerOp = float64(bytes) / float64(ops)
-	return e
-}
-
 // PerfCollective measures one allreduce round at scale on fabric f: virtual
 // time (the model's answer, bit-stable across engine changes) alongside the
 // simulator's wall-clock cost to produce it, per participating rank.
@@ -120,9 +84,11 @@ func PerfCollective(f Fabric, ranks, size int) PerfEntry {
 	size = collSize(size)
 	stamps := spawnCollective(pl, comms, CollAllreduce, mpifm.AlgoAuto, size, 1)
 	wall, mallocs, bytes := hostCost(func() { run(pl, "perf allreduce ranks=%d on %s", ranks, f) })
-	e := PerfEntry{Name: "allreduce", Fabric: f.String(), Ranks: ranks, SizeB: size,
-		VirtualUS: span(stamps).Micros(), Digest: digest(stamps)}
-	return e.withCost(wall, pl.K.Events(), mallocs, bytes, int64(ranks))
+	events := pl.K.Events()
+	return PerfEntry{Name: "allreduce", Fabric: f.String(), Ranks: ranks,
+		VirtualUS: span(stamps).Micros(), Events: int64(events), Digest: digest(stamps),
+		WallMS: wall.Seconds() * 1e3, EventsPerSec: float64(events) / wall.Seconds(),
+		AllocsPerOp: float64(mallocs) / float64(ranks), BytesPerOp: float64(bytes) / float64(ranks)}
 }
 
 // digest is FNV-1a over every rank's raw (start, end) stamps in rank order:
@@ -155,8 +121,8 @@ func bestOf(measure func() PerfEntry) PerfEntry {
 	for i := 1; i < perfSessions; i++ {
 		e := measure()
 		if e.Events != best.Events || e.VirtualUS != best.VirtualUS || e.Digest != best.Digest {
-			panic(fmt.Sprintf("bench: perf %s: session %d ran %d events to %v us (digest %s), session 1 ran %d to %v us (digest %s)",
-				gateKey(e), i+1, e.Events, e.VirtualUS, e.Digest, best.Events, best.VirtualUS, best.Digest))
+			panic(fmt.Sprintf("bench: perf %s %s %d ranks: session %d ran %d events to %v us (digest %s), session 1 ran %d to %v us (digest %s)",
+				e.Name, e.Fabric, e.Ranks, i+1, e.Events, e.VirtualUS, e.Digest, best.Events, best.VirtualUS, best.Digest))
 		}
 		if e.WallMS < best.WallMS {
 			best.WallMS, best.EventsPerSec = e.WallMS, e.EventsPerSec
@@ -167,61 +133,24 @@ func bestOf(measure func() PerfEntry) PerfEntry {
 	return best
 }
 
-// RunPerfSuite executes the whole suite.
-func RunPerfSuite(cfg PerfConfig) []PerfEntry {
-	var entries []PerfEntry
+// WritePerfReport runs the ladder, one row per rank count, fat tree first:
+// what the model computed on w, and what it cost the host on stderr, each
+// row printed as soon as it is measured.
+func WritePerfReport(w, stderr io.Writer, cfg PerfConfig) {
+	fmt.Fprintf(w, "Allreduce scale ladder, %d B per rank (the model: virtual time, events, digest):\n", cfg.Size)
+	fmt.Fprintf(w, "  %-10s %-8s %6s  %12s  %10s  %16s\n", "bench", "fabric", "ranks", "virtual_us", "events", "digest")
+	fmt.Fprintf(stderr, "Allreduce scale ladder, host cost (best of %d sessions):\n", perfSessions)
+	fmt.Fprintf(stderr, "  %-10s %-8s %6s  %10s  %12s  %10s  %10s\n", "bench", "fabric", "ranks", "wall_ms", "events/sec", "allocs/op", "bytes/op")
+	row := func(f Fabric, ranks int) {
+		e := bestOf(func() PerfEntry { return PerfCollective(f, ranks, cfg.Size) })
+		fmt.Fprintf(w, "  %-10s %-8s %6d  %12.3f  %10d  %16s\n", e.Name, e.Fabric, e.Ranks, e.VirtualUS, e.Events, e.Digest)
+		fmt.Fprintf(stderr, "  %-10s %-8s %6d  %10.1f  %12.0f  %10.2f  %10.1f\n",
+			e.Name, e.Fabric, e.Ranks, e.WallMS, e.EventsPerSec, e.AllocsPerOp, e.BytesPerOp)
+	}
 	for _, n := range cfg.CollectiveRanks {
-		entries = append(entries, bestOf(func() PerfEntry { return PerfCollective(FabFatTree, n, cfg.Size) }))
+		row(FabFatTree, n)
 	}
 	for _, n := range cfg.TorusRanks {
-		entries = append(entries, bestOf(func() PerfEntry { return PerfCollective(FabTorus, n, cfg.Size) }))
+		row(FabTorus, n)
 	}
-	return entries
-}
-
-// WritePerfReport renders the suite as a table and, when jsonPath is
-// non-empty, writes the machine-readable trajectory file; its pr field is
-// the <n> of a BENCH_PR<n>.json file name (0 for any other name).
-func WritePerfReport(w io.Writer, cfg PerfConfig, jsonPath string) error {
-	fmt.Fprintf(w, "Engine wall-clock suite (simulator cost, not modeled time):\n")
-	fmt.Fprintf(w, "  %-22s %-8s %6s  %12s  %10s  %12s  %10s  %10s\n",
-		"bench", "fabric", "ranks", "virtual_us", "wall_ms", "events/sec", "allocs/op", "bytes/op")
-	entries := RunPerfSuite(cfg)
-	for _, e := range entries {
-		fmt.Fprintf(w, "  %-22s %-8s %6d  %12.1f  %10.1f  %12.0f  %10.2f  %10.1f\n",
-			e.Name, e.Fabric, e.Ranks, e.VirtualUS, e.WallMS, e.EventsPerSec, e.AllocsPerOp, e.BytesPerOp)
-	}
-	if jsonPath == "" {
-		return nil
-	}
-	rep := PerfReport{
-		Schema:     PerfSchema,
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Entries:    entries,
-	}
-	_, _ = fmt.Sscanf(filepath.Base(jsonPath), "BENCH_PR%d.json", &rep.PR) // any other name leaves pr 0
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, rep); err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, buf.Bytes(), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "  wrote %s\n", jsonPath)
-	return nil
-}
-
-// WriteJSON renders a report the way this repo commits them: two-space
-// indent, trailing newline.
-func WriteJSON(w io.Writer, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(append(data, '\n'))
-	return err
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 
@@ -123,4 +124,15 @@ func svcRun(m xport.Machine, n int, f Fabric, cfg svcload.ServiceConfig,
 		return svcload.Result{}, err
 	}
 	return fl.Result(), nil
+}
+
+// WriteJSON renders a capture or replay report the way svccapture.golden
+// commits it: two-space indent, trailing newline.
+func WriteJSON(w io.Writer, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(data, '\n'))
+	return err
 }

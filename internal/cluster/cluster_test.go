@@ -263,6 +263,9 @@ func TestBadProfileIsAnError(t *testing.T) {
 		"crawling wire":  {func(p *hostmodel.Profile) { p.Link.BandwidthMBps = 1e-300 }, "Link.BandwidthMBps 1e-300 MB/s is below 0.001"},
 		"no link slot":   {func(p *hostmodel.Profile) { p.Link.Slots = 0 }, "Link.Slots 0 must be at least 1"},
 		"negative sendq": {func(p *hostmodel.Profile) { p.SendQSlots = -1 }, "negative SendQSlots -1"},
+		// TryNew grows the ring only up to RingSlotsFor, which is negative
+		// for a window below 1: the NIC's ring channel panicked.
+		"negative ring": {func(p *hostmodel.Profile) { p.RingSlots, p.CreditWindow = -31, -34 }, "negative RingSlots -31"},
 	} {
 		cfg := DefaultConfig()
 		c.edit(&cfg.Profile)

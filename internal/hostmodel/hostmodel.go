@@ -127,9 +127,9 @@ const (
 // must be finite and positive (a zero, negative or NaN rate models a free
 // copy, bus or wire, or turns a delay negative mid-run) and at least
 // minMBps, framing bytes may be neither negative nor more than
-// maxFrameOverhead, a link needs at least one slot, and a NIC send queue
-// may be unbuffered but not negative (it panicked at build). That a
-// PacketMTU holds an FM header is the engine's rule
+// maxFrameOverhead, a link needs at least one slot, and a host receive ring
+// and a NIC send queue may be unbuffered but not negative (each panicked at
+// build). That a PacketMTU holds an FM header is the engine's rule
 // (cluster.Config.Validate).
 func (p Profile) Validate() error {
 	if p.PollEmpty <= 0 {
@@ -172,6 +172,9 @@ func (p Profile) Validate() error {
 	}
 	if p.Link.Slots < 1 {
 		return fmt.Errorf("hostmodel: profile %q: Link.Slots %d must be at least 1", p.Name, p.Link.Slots)
+	}
+	if p.RingSlots < 0 {
+		return fmt.Errorf("hostmodel: profile %q: negative RingSlots %d", p.Name, p.RingSlots)
 	}
 	if p.SendQSlots < 0 {
 		return fmt.Errorf("hostmodel: profile %q: negative SendQSlots %d", p.Name, p.SendQSlots)
