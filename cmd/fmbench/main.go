@@ -13,10 +13,11 @@
 // stderr; what a run costs on the host otherwise is ./benchmark's.
 //
 // A report is one row of registry, the table the flags are registered from,
-// and one row of the goldens table or of heldElsewhere. A command line that
-// gives a modifier without its report, a run of its own with anything else,
-// or a rank count no cluster has is refused before anything runs: exit 2,
-// the reason on stderr, nothing on stdout.
+// and one row of the goldens table or of heldElsewhere; each flag selects one
+// report. A command line that asks for a run of its own with anything else,
+// or gives a report a value it cannot take (a figure the paper lacks, a rank
+// count no cluster has), is refused before anything runs: exit 2, the reason
+// on stderr, nothing on stdout.
 package main
 
 import (
@@ -25,7 +26,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"repro/internal/bench"
@@ -44,7 +44,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // main_test.go's golden table, which TestEveryReportIsPinned insists on.
 type report struct {
 	sel   *flag.Flag      // the flag that selects it; nil for a section only -all prints
-	mods  []*flag.Flag    // flags that do nothing without the report: a usage error alone
+	valid func() error    // nil, or whether the flag's value is one the report can take
 	inAll bool            // part of -all, in table order
 	alone bool            // a run of its own (one JSON document, one verdict): a usage error with any other
 	write func(c cli) int // prints it; returns the exit status
@@ -67,43 +67,33 @@ var figures = []func(io.Writer){
 // figures, headline, ablation, collectives, matrix, topo, mixed.
 func registry(fs *flag.FlagSet) []report {
 	var (
-		fig, topoRanks, perfRanks                int
+		fig, perfRanks                           int
 		scenPath, campDir, svcCapture, svcReplay string
-		campSeed                                 int64
 	)
 	on := func(name, usage string) *flag.Flag { fs.Bool(name, false, usage); return fs.Lookup(name) }
 	num := func(p *int, name, usage string) *flag.Flag { fs.IntVar(p, name, 0, usage); return fs.Lookup(name) }
-	ranks := func(p *int, name, usage string) *flag.Flag {
-		fs.Var((*rankCount)(p), name, usage)
-		return fs.Lookup(name)
-	}
 	str := func(p *string, name, usage string) *flag.Flag {
 		fs.StringVar(p, name, "", usage)
 		return fs.Lookup(name)
 	}
-	const seedName = "campaignseed"
-	fs.Int64Var(&campSeed, seedName, scenario.DefaultSeed, "campaign seed (also scopes -scenario)")
-	seed := []*flag.Flag{fs.Lookup(seedName)} // one flag, two rows
 	return []report{
 		{sel: str(&scenPath, "scenario", "run one chaos scenario file; report JSON to stdout"),
-			mods: seed, alone: true,
-			write: func(c cli) int { return runScenario(c, scenPath, campSeed) }},
-		{sel: str(&campDir, "campaign", "run every scenario in a directory under one campaign seed"),
-			mods: seed, alone: true,
-			write: func(c cli) int { return runCampaign(c, campDir, campSeed) }},
+			alone: true, write: func(c cli) int { return runScenario(c, scenPath) }},
+		{sel: str(&campDir, "campaign", "run every scenario in a directory under the default campaign seed"),
+			alone: true, write: func(c cli) int { return runCampaign(c, campDir) }},
 		{sel: str(&svcCapture, "svccapture", "run the canonical capture workload and write its request trace here"),
 			alone: true, write: func(c cli) int { return runSvcTrace(c, svcCapture, "") }},
 		{sel: str(&svcReplay, "svcreplay", "replay a captured request trace; report JSON to stdout"),
 			alone: true, write: func(c cli) int { return runSvcTrace(c, "", svcReplay) }},
 
 		{sel: num(&fig, "fig", "run one figure (1-6)"),
-			write: func(c cli) int {
+			valid: func() error {
 				if fig < 1 || fig > len(figures) {
-					return failf(c.stderr, 2, "no figure %d", fig)
+					return fmt.Errorf("no figure %d", fig)
 				}
-				figures[fig-1](c.w)
-				return 0
-			}},
+				return nil
+			},
+			write: func(c cli) int { figures[fig-1](c.w); return 0 }},
 		{sel: on("tables", "print Tables 1 and 2"), inAll: true, write: writeTables},
 		{inAll: true, write: writeFigures},
 		{sel: on("headline", "print the headline paper-vs-measured summary"), inAll: true,
@@ -115,8 +105,7 @@ func registry(fs *flag.FlagSet) []report {
 		{sel: on("matrix", "run the upper-layer x binding layering-efficiency matrix"), inAll: true,
 			write: func(c cli) int { bench.WriteLayeringMatrix(c.w, []int{256, 2048, 16384}, 300); return 0 }},
 		{sel: on("topo", "run the fabric-zoo contention and scaling report"), inAll: true,
-			mods:  []*flag.Flag{ranks(&topoRanks, "toporanks", "cap the fabric sweep's rank counts (0 = default sweep)")},
-			write: func(c cli) int { bench.WriteFabricReport(c.w, fabricConfig(topoRanks)); return 0 }},
+			write: func(c cli) int { bench.WriteFabricReport(c.w, bench.DefaultFabricReportConfig()); return 0 }},
 		{sel: on("mixed", "run the mixed-workload co-residency suite (shared endpoints)"), inAll: true,
 			write: func(c cli) int {
 				if c.all {
@@ -125,8 +114,13 @@ func registry(fs *flag.FlagSet) []report {
 				bench.WriteMixedReport(c.w, xport.GenFM2.Machine(), bench.DefaultMixedConfig())
 				return 0
 			}},
-		{sel: on("perf", "run the allreduce scale ladder at 64-1024 ranks (virtual time, events, digest; host cost on stderr)"),
-			mods:  []*flag.Flag{ranks(&perfRanks, "perfranks", "cap the perf suite's rank counts (0 = full sweep incl. 1024; a cap above 1024, e.g. 4096, adds one fat-tree row at it)")},
+		{sel: num(&perfRanks, "perf", "run the allreduce scale ladder up to N ranks (virtual time, events, digest; host cost on stderr): 1024 is the full ladder at 64-1024, and N above it, e.g. 4096, adds one fat-tree row at N"),
+			valid: func() error {
+				if perfRanks < 2 || perfRanks > flowctl.MaxNodes {
+					return fmt.Errorf("-perf %d: a rank count is 2..%d", perfRanks, flowctl.MaxNodes)
+				}
+				return nil
+			},
 			write: func(c cli) int { bench.WritePerfReport(c.w, c.stderr, perfConfig(perfRanks)); return 0 }},
 		{sel: on("svc", "run the service-workload suite (RPC tail latency over both FM generations)"),
 			write: func(c cli) int {
@@ -174,7 +168,7 @@ func run(args []string, w, stderr io.Writer) int {
 	// What the command line selects, and the flags that did the selecting.
 	var selected []report
 	var asked []string
-	lone, modified := false, map[*flag.Flag]bool{}
+	lone := false
 	if *all {
 		asked = append(asked, "-all")
 	}
@@ -182,26 +176,18 @@ func run(args []string, w, stderr io.Writer) int {
 		picked := r.sel != nil && given(r.sel)
 		if picked {
 			asked, lone = append(asked, "-"+r.sel.Name), lone || r.alone
+			if r.valid != nil {
+				if err := r.valid(); err != nil {
+					return failf(stderr, 2, "%v", err)
+				}
+			}
 		}
 		if picked || *all && r.inAll {
 			selected = append(selected, r)
-			for _, m := range r.mods {
-				modified[m] = true
-			}
 		}
 	}
 	if lone && len(asked) > 1 {
 		return failf(stderr, 2, "%s are separate runs: give one", strings.Join(asked, " and "))
-	}
-	for _, r := range reports {
-		for _, m := range r.mods {
-			if given(m) && !modified[m] {
-				return failf(stderr, 2, "-%s modifies -%s: it does nothing alone", m.Name, r.sel.Name)
-			}
-			if n, ok := m.Value.(*rankCount); ok && !n.valid() {
-				return failf(stderr, 2, "-%s %d: a rank count is 0 (the default) or 2..%d", m.Name, *n, flowctl.MaxNodes)
-			}
-		}
 	}
 	if len(selected) == 0 {
 		fs.Usage()
@@ -215,41 +201,15 @@ func run(args []string, w, stderr io.Writer) int {
 	return 0
 }
 
-// rankCount is a rank-count flag. A cluster has at least two nodes and at
-// most what the wire format's node field addresses; 0 keeps the default.
-type rankCount int
-
-func (n *rankCount) String() string     { return strconv.Itoa(int(*n)) }
-func (n *rankCount) Set(s string) error { v, err := strconv.Atoi(s); *n = rankCount(v); return err }
-func (n rankCount) valid() bool         { return n == 0 || n >= 2 && n <= flowctl.MaxNodes }
-
-// fabricConfig is the -topo configuration with its rank counts capped
-// (0 = the default sweep).
-func fabricConfig(topoRanks int) bench.FabricReportConfig {
-	cfg := bench.DefaultFabricReportConfig()
-	if topoRanks > 0 {
-		cfg.Ranks = capRanks(cfg.Ranks, topoRanks)
-		// Cap the bisection and matrix platforms too — they dominate
-		// the report's cost. Node counts must stay even for the cut
-		// pattern; floor at 8 so every fabric still multi-stages.
-		cap := max(topoRanks&^1, 8)
-		cfg.BisectNodes = min(cfg.BisectNodes, cap)
-		cfg.MatrixNodes = min(cfg.MatrixNodes, cap)
-	}
-	return cfg
-}
-
-// perfConfig is the -perf ladder capped at perfRanks (0 = the full ladder).
-// A cap above the ladder's top adds it as one more fat-tree row.
-func perfConfig(perfRanks int) bench.PerfConfig {
+// perfConfig is the -perf ladder capped at ranks. A cap above the ladder's
+// top adds it as one more fat-tree row.
+func perfConfig(ranks int) bench.PerfConfig {
 	cfg := bench.DefaultPerfConfig()
-	if perfRanks > 0 {
-		ft := cfg.CollectiveRanks
-		cfg.CollectiveRanks = capRanks(ft, perfRanks)
-		cfg.TorusRanks = capRanks(cfg.TorusRanks, perfRanks)
-		if perfRanks > ft[len(ft)-1] {
-			cfg.CollectiveRanks = append(cfg.CollectiveRanks, perfRanks)
-		}
+	ft := cfg.CollectiveRanks
+	cfg.CollectiveRanks = capRanks(ft, ranks)
+	cfg.TorusRanks = capRanks(cfg.TorusRanks, ranks)
+	if ranks > ft[len(ft)-1] {
+		cfg.CollectiveRanks = append(cfg.CollectiveRanks, ranks)
 	}
 	return cfg
 }
@@ -288,13 +248,13 @@ func runSvcTrace(c cli, capturePath, replayPath string) int {
 	return 0
 }
 
-// runScenario and runCampaign drive the chaos layer: one scenario file, or
-// a whole campaign directory sharded one replica per CPU (the report's bytes
-// are the same at any worker count). The exit status is the CI contract —
-// nonzero on any failed assertion, crash, or diagnosed hang that wasn't
-// asserted for.
-func runScenario(c cli, path string, seed int64) int {
-	rep, err := scenario.RunFile(path, seed)
+// runScenario and runCampaign drive the chaos layer at
+// scenario.DefaultSeed: one scenario file, or a whole campaign directory
+// sharded one replica per CPU (the report's bytes are the same at any worker
+// count). The exit status is the CI contract — nonzero on any failed
+// assertion, crash, or diagnosed hang that wasn't asserted for.
+func runScenario(c cli, path string) int {
+	rep, err := scenario.RunFile(path, scenario.DefaultSeed)
 	if err != nil {
 		return failf(c.stderr, 2, "%v", err)
 	}
@@ -305,8 +265,8 @@ func runScenario(c cli, path string, seed int64) int {
 	return 0
 }
 
-func runCampaign(c cli, dir string, seed int64) int {
-	res, err := scenario.RunCampaignN(dir, seed, 0)
+func runCampaign(c cli, dir string) int {
+	res, err := scenario.RunCampaignN(dir, scenario.DefaultSeed, 0)
 	if err != nil {
 		return failf(c.stderr, 2, "%v", err)
 	}

@@ -32,12 +32,11 @@ var goldens = []struct {
 	{file: "fig2.golden", args: []string{"-fig", "2"}},
 	{file: "summary.golden", args: []string{"-tables", "-headline", "-ablation", "-mixed"}},
 	{file: "svc.golden", args: []string{"-svc"}},
-	{file: "perf64.golden", args: []string{"-perf", "-perfranks", "64"}},
+	{file: "perf64.golden", args: []string{"-perf", "64"}},
 	{file: "campaigns/smoke/golden.json", args: []string{"-campaign", "../../campaigns/smoke"}},
 	{file: "campaigns/svc/golden.json", args: []string{"-campaign", "../../campaigns/svc"}},
 	{file: "all.golden", slow: true, args: []string{"-all"}},
-	{file: "topo16.golden", slow: true, args: []string{"-topo", "-toporanks", "16"}},
-	{file: "perf4096.golden", slow: true, args: []string{"-perf", "-perfranks", "4096"}},
+	{file: "perf4096.golden", slow: true, args: []string{"-perf", "4096"}},
 }
 
 func TestGoldenReports(t *testing.T) {
@@ -78,7 +77,7 @@ func TestGoldenReports(t *testing.T) {
 var heldElsewhere = map[string]string{
 	"collectives": "all.golden",
 	"matrix":      "all.golden",
-	"topo":        "topo16.golden",
+	"topo":        "all.golden",
 	"svccapture":  "TestSvcCaptureReplaysIdentically",
 	"svcreplay":   "TestSvcCaptureReplaysIdentically",
 	"scenario":    "TestScenarioFlagPrintsTheCampaignEntry",
@@ -162,21 +161,22 @@ fmbench: campaign failed: 1 of 2 scenarios
 	}
 }
 
-// TestPerfRanksCapsTheLadder: -perfranks caps both fabrics' rows, and a cap
-// above the ladder's top adds one fat-tree row at it, after the others.
+// TestPerfRanksCapsTheLadder: -perf N caps both fabrics' rows at N ranks
+// (1024 is the full ladder), and a cap above the ladder's top adds one
+// fat-tree row at it, after the others.
 func TestPerfRanksCapsTheLadder(t *testing.T) {
 	for _, c := range []struct {
 		cap       int
 		ft, torus []int
 	}{
-		{0, []int{64, 256, 512, 1024}, []int{256, 512}},
+		{64, []int{64}, []int{64}},
 		{256, []int{64, 256}, []int{256}},
 		{1024, []int{64, 256, 512, 1024}, []int{256, 512}},
 		{4096, []int{64, 256, 512, 1024, 4096}, []int{256, 512}},
 	} {
 		cfg := perfConfig(c.cap)
 		if !slices.Equal(cfg.CollectiveRanks, c.ft) || !slices.Equal(cfg.TorusRanks, c.torus) {
-			t.Errorf("-perfranks %d: fat tree %v, torus %v; want %v, %v", c.cap, cfg.CollectiveRanks, cfg.TorusRanks, c.ft, c.torus)
+			t.Errorf("-perf %d: fat tree %v, torus %v; want %v, %v", c.cap, cfg.CollectiveRanks, cfg.TorusRanks, c.ft, c.torus)
 		}
 	}
 }
@@ -245,26 +245,24 @@ func TestSvcReplayRefusesBadTrace(t *testing.T) {
 	}
 }
 
-// TestUsageErrors: a command line that asks for two runs, a modifier of a
-// report it does not ask for, or a rank count no cluster has, is refused
-// before anything runs — exit 2, the reason on stderr, nothing on stdout.
+// TestUsageErrors: a command line that asks for two runs, a figure the paper
+// lacks, or a rank count no cluster has, is refused before anything runs —
+// exit 2, the reason on stderr, nothing on stdout, whatever else it asks for
+// and in whatever order the registry lists it.
 func TestUsageErrors(t *testing.T) {
 	tmp := t.TempDir()
 	for _, args := range [][]string{
 		{"-scenario", "../../campaigns/smoke/05-baseline-clean.json", "-campaign", "../../campaigns/smoke"},
 		{"-svccapture", filepath.Join(tmp, "a.jsonl"), "-svcreplay", filepath.Join(tmp, "b.jsonl")},
-		// A modifier without the report it modifies used to be ignored.
-		{"-tables", "-toporanks", "16"},
-		{"-tables", "-perfranks", "64"},
-		{"-tables", "-campaignseed", "7"},
+		{"-fig", "7"},
+		{"-fig", "-1", "-tables"},
 		// A rank count a cluster cannot have used to panic mid-report or run
 		// the whole default sweep.
-		{"-topo", "-toporanks", "1"},
-		{"-topo", "-toporanks", "-5"},
-		{"-perf", "-perfranks", "1"},
-		{"-perf", "-perfranks", "-3"},
-		{"-perf", "-perfranks", "70000"},
-		{"-all", "-toporanks", "1"},
+		{"-perf", "1"},
+		{"-perf", "-3"},
+		{"-perf", "70000"},
+		{"-tables", "-perf", "1"},
+		{"-all", "-perf", "70000"},
 	} {
 		var out, errs bytes.Buffer
 		if status := run(args, &out, &errs); status != 2 || out.Len() != 0 || !strings.Contains(errs.String(), "fmbench: ") {

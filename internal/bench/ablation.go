@@ -25,7 +25,7 @@ func MPI2AblationBandwidth(opt mpifm.Options, size, msgs int) float64 {
 // host-side cost receiver flow control exists to avoid (§4.2).
 func MPI2AblationOverrun(opt mpifm.Options, size, msgs int, lag sim.Time) (float64, mpifm.Stats) {
 	pl, comms := mpiWorld(xport.GenFM2.Machine(), 2, FabSingle, opt)
-	mbps := mpiStream(pl, comms, size, msgs, lag)
+	mbps := flowBandwidth(pl, "mpi stream", [][2]int{{0, 1}}, mpiFlow(comms, size, msgs, lag), int64(size)*int64(msgs))
 	return mbps, comms[1].Stats()
 }
 

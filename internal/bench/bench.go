@@ -13,16 +13,22 @@
 // world.go builds the world from an xport.Machine (platform, endpoints,
 // mpiWorld): every driver takes the Machine it measures, a generation's
 // Gen.Machine() or one with fields varied, as the staged engines of Figure
-// 3a and the ablation sweeps do. Raw FM runs through FMStream, FMBandwidth
-// and FMLatency over the fmNode adapter (send, extract, deliver). Above raw FM, flowBandwidth is the one flow skeleton: the
-// bare window and every upper layer (xportFlow, mpiFlow, sockFlow, shmemFlow,
-// garrFlow) supply two procs each. spawnCollective is the one timed
-// collective, under CollectiveTimeOn and PerfCollective. span is the virtual
-// clock, hostCost the host one. A writer prints only what the model computes,
-// except that WritePerfReport also prints each row's hostCost, to a second
-// writer (perf.go). A new measurement is a caller of one of
-// these, not a copy, and a variant is a table row: AllCollectives,
-// AllLayers (the bare xport window first), mixedWorkloads, svcWorkloads.
+// 3a and the ablation sweeps do. There is one driver per traffic shape.
+// flowBandwidth is the one stream: one flow per (src, dst) pair, two procs
+// each. Its raw stream, streamFlow, runs over the fmNode adapter (send,
+// extract, deliver), built for native FM 1.x, native FM 2.x or the bare
+// xport window; FMStream, FMBandwidth and the window's row LayerXport are
+// streamFlow, so the raw curve a layer's is divided by (Figures 4b and 6b,
+// the matrix) comes from the same driver. Every upper layer (mpiFlow,
+// sockFlow, shmemFlow, garrFlow) supplies its own two procs, and the mixed
+// suite's socket streams are sockFlow's. pingPong is the one latency
+// driver, under FMLatency and MPILatency. spawnCollective is the one timed
+// collective, under CollectiveTimeOn and PerfCollective. span is the
+// virtual clock, hostCost the host one. A writer prints only what the model
+// computes, except that WritePerfReport also prints each row's hostCost, to
+// a second writer (perf.go). A new measurement is a caller of one of these,
+// not a copy, and a variant is a table row: AllCollectives, AllLayers (the
+// bare xport window first), mixedWorkloads, svcWorkloads.
 package bench
 
 import (

@@ -39,9 +39,6 @@ const (
 // AllFabrics lists the zoo in report order.
 var AllFabrics = []Fabric{FabSingle, FabLine, FabFatTree, FabTorus}
 
-// matrixHandlerID is the handler slot the bare-window baseline claims.
-const matrixHandlerID = 9
-
 // cutPairs is the fabric's natural bisection traffic pattern: rank i
 // streams to rank i+n/2. On one crossbar every flow has a private path; on
 // the multi-stage fabrics every flow crosses the cut, so the trunks (one
@@ -69,54 +66,28 @@ type flowProc struct {
 	body func(p *sim.Proc)
 }
 
-// flowBandwidth is the flow skeleton every bandwidth driver above raw FM
-// runs on: one flow per (src, dst) pair, all at once, each moving
-// size*msgs bytes through the two procs its layer contributes (spawned in
-// the order given); the result is aggregate MB/s, total bytes over the span
-// from the first flow's start to the last flow's completion.
-func flowBandwidth(pl *cluster.Platform, what string, pairs [][2]int, procs func(flow) [2]flowProc, size, msgs int) float64 {
+// spawnFlows spawns the two procs of one flow per (src, dst) pair, all at
+// once, in pair order and each pair's procs in the order its layer gives
+// them; it returns the flows' stamps, which the procs fill as they run.
+func spawnFlows(k *sim.Kernel, name string, pairs [][2]int, procs func(flow) [2]flowProc) []stamp {
 	stamps := make([]stamp, len(pairs))
 	for fi, pr := range pairs {
 		for _, pc := range procs(flow{pr[0], pr[1], &stamps[fi]}) {
-			pl.K.Spawn(fmt.Sprintf("flow%d.%s", fi, pc.role), pc.body).ActsFor(pc.node)
+			k.Spawn(fmt.Sprintf("%s%d.%s", name, fi, pc.role), pc.body).ActsFor(pc.node)
 		}
 	}
-	run(pl, "%d %s flows", len(pairs), what)
-	return sim.MBps(int64(size)*int64(msgs)*int64(len(pairs)), span(stamps))
+	return stamps
 }
 
-// xportFlow streams through a bare service window (no upper layer).
-func xportFlow(eps []*xport.Endpoint, size, msgs int) func(flow) [2]flowProc {
-	sp := xport.Spaces(eps, "xport")
-	return func(fl flow) [2]flowProc {
-		recvd := 0
-		buf := make([]byte, size)
-		sp[fl.dst].Register(matrixHandlerID, func(p *sim.Proc, s xport.RecvStream) {
-			for s.Remaining() > 0 {
-				s.Receive(p, buf[:min(len(buf), s.Remaining())])
-			}
-			recvd++
-			if recvd == msgs {
-				fl.end = p.Now()
-			}
-		})
-		return [2]flowProc{{"send", fl.src, func(p *sim.Proc) {
-			fl.start = p.Now()
-			msg := make([]byte, size)
-			for i := 0; i < msgs; i++ {
-				if err := xport.Send(p, sp[fl.src], fl.dst, matrixHandlerID, msg); err != nil {
-					panic(err)
-				}
-			}
-		}}, {"recv", fl.dst, func(p *sim.Proc) {
-			for recvd < msgs {
-				sp[fl.dst].Extract(p, 0)
-				if recvd < msgs {
-					p.Delay(500 * sim.Nanosecond)
-				}
-			}
-		}}}
-	}
+// flowBandwidth is the flow skeleton every bandwidth driver runs on: the
+// flows of spawnFlows, each moving bytes through the two procs its layer
+// contributes (streamFlow for raw FM and the bare window); the result is
+// aggregate MB/s, total bytes over the span from the first flow's start to
+// the last flow's completion.
+func flowBandwidth(pl *cluster.Platform, what string, pairs [][2]int, procs func(flow) [2]flowProc, bytes int64) float64 {
+	stamps := spawnFlows(pl.K, "flow", pairs, procs)
+	run(pl, "%d %s flows", len(pairs), what)
+	return sim.MBps(bytes*int64(len(pairs)), span(stamps))
 }
 
 // layerFlows runs the skeleton through layer l on fabric f: every pair
@@ -124,7 +95,7 @@ func xportFlow(eps []*xport.Endpoint, size, msgs int) func(flow) [2]flowProc {
 func layerFlows(l Layer, m xport.Machine, f Fabric, n int, pairs [][2]int, size, msgs int) float64 {
 	size = l.elem * max(size/l.elem, 1)
 	pl, eps := endpoints(m, n, f)
-	return flowBandwidth(pl, fmt.Sprintf("%s/%s on %s", l, m.Gen, f), pairs, l.flows(eps, size, msgs), size, msgs)
+	return flowBandwidth(pl, fmt.Sprintf("%s/%s on %s", l, m.Gen, f), pairs, l.flows(eps, size, msgs), int64(size)*int64(msgs))
 }
 
 // LayerBisection is the cut experiment through one layer: all n/2 cut

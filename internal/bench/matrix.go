@@ -12,8 +12,9 @@ import (
 // generalized over every (upper layer × FM binding) pair. Because all four
 // upper layers bind only to a HandlerSpace, one driver per layer covers both
 // generations — the bare-window baseline itself runs through the same
-// interface, so the whole 8-cell matrix plus its two baselines is one code
-// path per row (the flow drivers in fabric.go, at two nodes and one flow).
+// interface, and the whole matrix, its two raw-FM baselines included, runs
+// on the flow skeleton at two nodes and one flow: the window row and the
+// baselines are one driver, streamFlow, over the window or native FM.
 
 // AllGens lists the matrix columns in generation order. FM 1.x runs through
 // the xport staging-copy adapter on the Sparc-era machine (the Figure 4
@@ -39,8 +40,10 @@ func (l *layer) String() string { return l.name }
 
 // The bare window, then the four upper layers in the paper's §4.2 order.
 var (
-	LayerXport = &layer{"xport", 1, xportFlow}
-	LayerMPI   = &layer{"mpi", 1, func(eps []*xport.Endpoint, size, msgs int) func(flow) [2]flowProc {
+	LayerXport = &layer{"xport", 1, func(eps []*xport.Endpoint, size, msgs int) func(flow) [2]flowProc {
+		return streamFlow(windowNodes(eps), uniform(size, msgs))
+	}}
+	LayerMPI = &layer{"mpi", 1, func(eps []*xport.Endpoint, size, msgs int) func(flow) [2]flowProc {
 		return mpiFlow(attachMPI(eps, mpifm.Options{}), size, msgs, 0)
 	}}
 	LayerSock  = &layer{"sock", 1, sockFlow}
@@ -59,9 +62,10 @@ var (
 // layer over one binding: the two-node, one-flow case of LayerBisection.
 // size is the per-message payload in bytes (rounded to the element width for
 // garr). Through the bare window over FM 2.x the wrapper is free, so it
-// matches FMBandwidth; over FM 1.x the gap to FMBandwidth prices the
-// staging adapter itself — the assembly and delivery copies the 1.x
-// interface forces on any streaming client, isolated from every upper layer.
+// equals FMBandwidth, the same streamFlow on native FM 2.x; over FM 1.x the
+// gap to FMBandwidth prices the staging adapter itself — the assembly and
+// delivery copies the 1.x interface forces on any streaming client,
+// isolated from every upper layer.
 func LayerBandwidth(l Layer, m xport.Machine, size, msgs int) float64 {
 	return LayerBisection(l, m, FabSingle, 2, size, msgs)
 }

@@ -66,7 +66,8 @@ type mixedWorkload struct {
 	// goodput.
 	bytes func(cfg MixedConfig) int64
 	// start registers the service on every endpoint and spawns the
-	// workload's procs; those t counts call t.done as they finish.
+	// workload's procs; those t counts call t.done as they finish, and
+	// flows it spawns stamp t.flows.
 	start func(k *sim.Kernel, eps []*xport.Endpoint, cfg MixedConfig, t *tally)
 }
 
@@ -84,11 +85,12 @@ var mixedWorkloads = []mixedWorkload{
 	}, startMixedGA},
 }
 
-// tally is one workload's result in a run: its participants counted down,
-// the instant the last one finished, and the payload bytes its service
-// consumed across all nodes.
+// tally is one workload's result in a run: its participants counted down
+// (or its flows, stamped), the instant the last one finished, and the
+// payload bytes its service consumed across all nodes.
 type tally struct {
 	left  int
+	flows []stamp
 	end   sim.Time
 	bytes int64
 }
@@ -116,50 +118,10 @@ func startMixedMPI(k *sim.Kernel, eps []*xport.Endpoint, cfg MixedConfig, t *tal
 	}
 }
 
+// startMixedSock runs sockFlow's two procs over the cut pairs; its tally
+// ends when the last flow's server has read its last byte.
 func startMixedSock(k *sim.Kernel, eps []*xport.Endpoint, cfg MixedConfig, t *tally) {
-	stacks := make([]*sockfm.Stack, len(eps))
-	for i, ep := range eps {
-		stacks[i] = sockfm.New(ep.Register(sockfm.Service))
-	}
-	pairs := cutPairs(len(eps))
-	total := cfg.SockSize * cfg.SockMsgs
-	t.left = len(pairs)
-	for _, pr := range pairs {
-		src, dst := pr[0], pr[1]
-		k.Spawn(fmt.Sprintf("mixed.sockServer%d", dst), func(p *sim.Proc) {
-			l, err := stacks[dst].Listen(80)
-			if err != nil {
-				panic(err)
-			}
-			conn, err := l.Accept(p)
-			if err != nil {
-				panic(err)
-			}
-			buf := make([]byte, 32*1024)
-			got := 0
-			for got < total {
-				m, err := conn.Read(p, buf)
-				if err != nil {
-					panic(err)
-				}
-				got += m
-			}
-			t.done(p)
-		}).ActsFor(dst)
-		k.Spawn(fmt.Sprintf("mixed.sockClient%d", src), func(p *sim.Proc) {
-			conn, err := stacks[src].Dial(p, dst, 80)
-			if err != nil {
-				panic(err)
-			}
-			msg := make([]byte, cfg.SockSize)
-			for i := 0; i < cfg.SockMsgs; i++ {
-				if _, err := conn.Write(p, msg); err != nil {
-					panic(err)
-				}
-			}
-			conn.Close(p)
-		}).ActsFor(src)
-	}
+	t.flows = spawnFlows(k, "mixed.sock", cutPairs(len(eps)), sockFlow(eps, cfg.SockSize, cfg.SockMsgs))
 }
 
 func startMixedGA(k *sim.Kernel, eps []*xport.Endpoint, cfg MixedConfig, t *tally) {
@@ -208,6 +170,9 @@ func runMixed(m xport.Machine, f Fabric, cfg MixedConfig, sel []mixedWorkload) [
 	}
 	run(pl, "mixed run on %s/%s", m.Gen, f)
 	for i, wl := range sel {
+		for _, fl := range tallies[i].flows {
+			tallies[i].end = max(tallies[i].end, fl.end)
+		}
 		for _, ep := range eps {
 			tallies[i].bytes += ep.ServiceStats(wl.service).Bytes
 		}

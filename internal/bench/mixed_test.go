@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -50,7 +51,7 @@ func TestMixedDeterminism(t *testing.T) {
 	r1 := runMixed(xport.GenFM2.Machine(), FabSingle, cfg, mixedWorkloads)
 	r2 := runMixed(xport.GenFM2.Machine(), FabSingle, cfg, mixedWorkloads)
 	for i, wl := range mixedWorkloads {
-		if r1[i].end <= 0 || r1[i] != r2[i] {
+		if r1[i].end <= 0 || !reflect.DeepEqual(r1[i], r2[i]) {
 			t.Errorf("%s: %+v, then %+v", wl.service, r1[i], r2[i])
 		}
 	}

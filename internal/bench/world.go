@@ -12,8 +12,8 @@ import (
 // A measurement is a world, a traffic shape and a clock. This file is the
 // world — the one way a driver of this package gets an assembled machine —
 // and the virtual clock every driver reads its result
-// from. The traffic shapes are the raw-FM stream and ping-pong
-// (fmdrivers.go), the flow skeleton (fabric.go) and the timed collective
+// from. The traffic shapes are the flow skeleton (fabric.go) with its raw
+// stream, the ping-pong (fmdrivers.go) and the timed collective
 // (collectives.go); the host-side clock is in perf.go.
 
 // platform assembles machine m at n nodes on fabric f.

@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 
 	fmnet "repro"
@@ -292,22 +293,29 @@ func ScenarioSeed(campaignSeed int64, name string) int64 {
 	return campaignSeed ^ int64(h.Sum64())
 }
 
-// LoadSpec reads and validates one scenario file. Unknown fields are
-// rejected: a typoed assertion silently not checked is worse than an error.
+// LoadSpec reads and validates one scenario file.
 func LoadSpec(path string) (Spec, error) {
-	var s Spec
 	f, err := os.Open(path)
 	if err != nil {
-		return s, err
+		return Spec{}, err
 	}
 	defer f.Close()
-	dec := json.NewDecoder(f)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
+	s, err := decodeSpec(f)
+	if err != nil {
 		return s, fmt.Errorf("scenario %s: %v", path, err)
 	}
 	if err := s.Validate(); err != nil {
 		return s, fmt.Errorf("%s: %v", path, err)
 	}
 	return s, nil
+}
+
+// decodeSpec reads one spec, unvalidated. Unknown fields are rejected: a
+// typoed assertion silently not checked is worse than an error.
+func decodeSpec(r io.Reader) (Spec, error) {
+	var s Spec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&s)
+	return s, err
 }

@@ -510,3 +510,44 @@ func TestLoadSpecRejectsUnknownFields(t *testing.T) {
 		t.Fatal("typoed assertion field accepted silently")
 	}
 }
+
+// FuzzSpec: a scenario file is outside input. Whatever bytes it holds are
+// refused by the decoder or Validate, or run: a valid spec of at most 16
+// nodes, under a watchdog capped at 5 ms of virtual time, ends complete,
+// watchdog or error — never panic — at a virtual time that is not negative.
+// The committed campaigns' scenarios seed it.
+func FuzzSpec(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "campaigns", "*", "*.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range paths {
+		if filepath.Base(path) == GoldenName {
+			continue
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		s, err := decodeSpec(bytes.NewReader(in))
+		if err != nil || s.Validate() != nil || s.Nodes > 16 {
+			return
+		}
+		const capMS = 5
+		if s.WatchdogMS == 0 || s.WatchdogMS > capMS {
+			s.WatchdogMS = capMS
+		}
+		rep := Run(s, DefaultSeed)
+		switch rep.Outcome {
+		case OutcomeComplete, OutcomeWatchdog, OutcomeError:
+		default:
+			t.Fatalf("outcome %q: %v\n%s", rep.Outcome, rep.Failures, in)
+		}
+		if rep.VirtualNS < 0 {
+			t.Fatalf("virtual_ns %d\n%s", rep.VirtualNS, in)
+		}
+	})
+}
