@@ -87,6 +87,13 @@ var designRules = []struct {
 		bad: regexp.MustCompile(`WithPoison|PoisonFrames|SetPoison|Poisoned\(\)|\bpoison(, | bool)|bufpool\.New\([^,()]*,|\] *= *(bufpool\.)?PoisonByte`),
 	},
 	{
+		// A partial engine is a Profile.Stage; no NIC or engine config,
+		// field or parameter switches a stage off.
+		rule: "the engines take no configuration", home: "./internal/hostmodel",
+		paths: []string{"."}, except: []string{"design_test.go"}, tests: true,
+		bad: regexp.MustCompile(`DisableBus|DisableFlowControl|DisableBufferMgmt|lanai\.Config|noFlowControl`),
+	},
+	{
 		rule: "one kernel per simulation; replicas are par's", home: "./internal/sim",
 		paths: []string{"."}, except: []string{"internal/par", "internal/sim/kernel.go", "internal/bench/paper.go"},
 		bad: regexp.MustCompile(`^\s*(import\s+)?(\w+\s+)?"sync(/atomic)?"`),

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fm1"
 	"repro/internal/fm2"
+	"repro/internal/hostmodel"
 	"repro/internal/mpifm"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -65,8 +66,9 @@ func TestFMAssumesReliableWire(t *testing.T) {
 	k := sim.NewKernel()
 	cfg := cluster.DefaultConfig()
 	cfg.Faults = &netsim.FaultPlan{Seed: 99, Rules: []netsim.FaultRule{{DropProb: 0.2}}}
+	cfg.Profile.Stage = hostmodel.StageBus // no credits: a lost frame cannot stall the sender
 	pl := cluster.New(k, cfg)
-	eps := fm1.Attach(pl, fm1.Config{DisableFlowControl: true})
+	eps := fm1.Attach(pl, fm1.Config{})
 	recvd := 0
 	eps[1].Register(1, func(p *sim.Proc, src int, data []byte) { recvd++ })
 	const sent = 100

@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/fm1"
-	"repro/internal/lanai"
+	"repro/internal/hostmodel"
 	"repro/internal/sim"
 	"repro/internal/xport"
 )
@@ -152,17 +151,9 @@ func WriteFigure2(w io.Writer) {
 // Figure3a computes the staged FM 1.x overhead breakdown curves, one per
 // engine stage, in the paper's legend order.
 func Figure3a() (names []string, curves []Curve) {
-	linkOnly := xport.GenFM1.Machine()
-	linkOnly.NIC = lanai.Config{DisableBus: true}
-	linkOnly.FM1 = fm1.Config{DisableFlowControl: true, DisableBufferMgmt: true}
-
-	withBus := xport.GenFM1.Machine()
-	withBus.FM1 = fm1.Config{DisableFlowControl: true, DisableBufferMgmt: true}
-
-	withFlow := xport.GenFM1.Machine()
-	withFlow.FM1 = fm1.Config{DisableBufferMgmt: true}
-
-	for _, m := range []xport.Machine{linkOnly, withBus, withFlow} {
+	for _, s := range []hostmodel.Stage{hostmodel.StageLink, hostmodel.StageBus, hostmodel.StageFlowControl} {
+		m := xport.GenFM1.Machine()
+		m.Profile.Stage = s
 		curves = append(curves, FMCurve(m, ShortSizes))
 	}
 	return []string{"Link Mgmt", "I/O bus Mgmt", "Flow Control"}, curves

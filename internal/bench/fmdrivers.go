@@ -82,7 +82,7 @@ func fmPair(m xport.Machine) (*cluster.Platform, []fmNode) {
 	pl := platform(m, 2, FabSingle)
 	var nodes []fmNode
 	if m.Gen == xport.GenFM1 {
-		for _, ep := range fm1.Attach(pl, m.FM1) {
+		for _, ep := range fm1.Attach(pl, fm1.Config{}) {
 			nodes = append(nodes, fm1Node(ep))
 		}
 	} else {

@@ -45,7 +45,6 @@ const (
 type Config struct {
 	Nodes       int
 	Profile     hostmodel.Profile
-	NIC         lanai.Config
 	Topology    Topology
 	SwitchDelay sim.Time // per-hop routing delay for switched topologies
 
@@ -174,7 +173,7 @@ func TryNew(k *sim.Kernel, cfg Config) (*Platform, error) {
 	pl := &Platform{K: k, Cfg: cfg, Net: net}
 	for i := 0; i < cfg.Nodes; i++ {
 		h := hostmodel.NewHost(k, i, cfg.Profile)
-		nic := lanai.New(h, net.Iface(i), cfg.NIC)
+		nic := lanai.New(h, net.Iface(i))
 		nic.Start()
 		pl.Hosts = append(pl.Hosts, h)
 		pl.NICs = append(pl.NICs, nic)

@@ -266,6 +266,7 @@ func TestBadProfileIsAnError(t *testing.T) {
 		// TryNew grows the ring only up to RingSlotsFor, which is negative
 		// for a window below 1: the NIC's ring channel panicked.
 		"negative ring": {func(p *hostmodel.Profile) { p.RingSlots, p.CreditWindow = -31, -34 }, "negative RingSlots -31"},
+		"unknown stage": {func(p *hostmodel.Profile) { p.Stage = hostmodel.StageLink + 1 }, "unknown Stage 4"},
 	} {
 		cfg := DefaultConfig()
 		c.edit(&cfg.Profile)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/hostmodel"
 	"repro/internal/sim"
 	"repro/internal/xport"
 )
@@ -18,13 +19,14 @@ type delivered struct{ got []byte }
 func (d *delivered) Done() bool { return d.got != nil }
 
 // FuzzMachine feeds a host profile's rates, PacketMTU, link slots, framing,
-// credit window, receive-ring and send-queue depths to Config.Validate. A
-// configuration it accepts must build, and carry an n-byte message between
-// two nodes, on both FM generations, to its handler intact in positive
-// virtual time: Validate is the whole of what a machine needs, so nothing it
-// lets through may panic, hang, or lose or corrupt a byte. The seed corpus
-// (testdata/fuzz) holds both generations' profiles and an input for each
-// validation gap found by hand or by the fuzzer; tier-1 replays it.
+// credit window, receive-ring and send-queue depths and engine Stage to
+// Config.Validate. A configuration it accepts must build, and carry an
+// n-byte message between two nodes, on both FM generations, to its handler
+// intact in positive virtual time: Validate is the whole of what a machine
+// needs, so nothing it lets through may panic, hang, or lose or corrupt a
+// byte. The seed corpus (testdata/fuzz) holds both generations' profiles,
+// Figure 3a's most partial engine and an input for each validation gap found
+// by hand or by the fuzzer; tier-1 replays it.
 //
 // A waiting receiver polls every PollEmpty, so a run's wall time grows with
 // its virtual time. A machine that needs more than a virtual second to move
@@ -32,7 +34,7 @@ func (d *delivered) Done() bool { return d.got != nil }
 // bus, wire, bus), plus 50 us a packet, is validated but not run; a run
 // still short of delivery after runHorizon has hung.
 func FuzzMachine(f *testing.F) {
-	f.Fuzz(func(t *testing.T, memcpy, memcpyLarge, bus, link float64, mtu, slots, framing, window, ring, sendq, n int) {
+	f.Fuzz(func(t *testing.T, memcpy, memcpyLarge, bus, link float64, mtu, slots, framing, window, ring, sendq int, stage uint8, n int) {
 		n = int(uint(n) % (1 << 17)) // a message of up to 128 KiB: big enough to wrap a 16-bit length
 		msg := make([]byte, n)
 		for i := range msg {
@@ -43,7 +45,7 @@ func FuzzMachine(f *testing.F) {
 			p := &m.Profile
 			p.MemcpyMBps, p.MemcpyLargeMBps, p.BusMBps, p.Link.BandwidthMBps = memcpy, memcpyLarge, bus, link
 			p.PacketMTU, p.Link.Slots, p.Link.FrameOverhead, p.CreditWindow = mtu, slots, framing, window
-			p.RingSlots, p.SendQSlots = ring, sendq
+			p.RingSlots, p.SendQSlots, p.Stage = ring, sendq, hostmodel.Stage(stage)
 			cfg := m.Config(2, cluster.SingleSwitch)
 			if cfg.Validate() != nil {
 				return

@@ -82,14 +82,13 @@ type EndpointCore struct {
 
 // NewEndpointCore builds the core of the endpoint attached to nic in a cluster
 // of nodes nodes, speaking layout w. The data-frame and control-header free
-// lists hold at most netsim.DefaultPoolCap frames each; noFlowControl is the
-// flow-control ablation.
-func NewEndpointCore(nic *lanai.NIC, nodes int, w Wire, noFlowControl bool) EndpointCore {
+// lists hold at most netsim.DefaultPoolCap frames each.
+func NewEndpointCore(nic *lanai.NIC, nodes int, w Wire) EndpointCore {
 	if w.Size > MaxHeader {
 		panic(fmt.Sprintf("flowctl: a %d-byte header is longer than MaxHeader", w.Size))
 	}
 	return EndpointCore{
-		Credit: NewPlane(nic, nodes, w.Size, w.Total, noFlowControl),
+		Credit: NewPlane(nic, nodes, w.Size, w.Total),
 		h:      nic.H,
 		nic:    nic,
 		wire:   w,

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/hostmodel"
 	"repro/internal/lanai"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -21,9 +22,9 @@ type Plane struct {
 	nic      *lanai.NIC
 	pool     *netsim.FramePool // control headers
 	node     int
-	hdrSize  int // control-frame length
-	countOff int // offset of the 32-bit credit count
-	disabled bool
+	hdrSize  int  // control-frame length
+	countOff int  // offset of the 32-bit credit count
+	disabled bool // the host's Stage runs no flow control
 
 	// malformed counts control frames discarded instead of trusted.
 	malformed int64
@@ -40,9 +41,9 @@ type Plane struct {
 // NewPlane builds the control plane of the endpoint attached to nic in a
 // cluster of nodes nodes. Control frames are hdrSize bytes with the credit
 // count at countOff; the control-header free list holds at most
-// netsim.DefaultPoolCap of them. disabled is the flow-control ablation:
-// Acquire, Return and Flush become no-ops.
-func NewPlane(nic *lanai.NIC, nodes, hdrSize, countOff int, disabled bool) Plane {
+// netsim.DefaultPoolCap of them. From hostmodel.StageBus on, Acquire,
+// Return and Flush are no-ops.
+func NewPlane(nic *lanai.NIC, nodes, hdrSize, countOff int) Plane {
 	h := nic.H
 	return Plane{
 		fc:       New(nodes, h.ID, h.P.CreditWindow, h.P.RingSlots),
@@ -51,7 +52,7 @@ func NewPlane(nic *lanai.NIC, nodes, hdrSize, countOff int, disabled bool) Plane
 		node:     h.ID,
 		hdrSize:  hdrSize,
 		countOff: countOff,
-		disabled: disabled,
+		disabled: h.P.Stage >= hostmodel.StageBus,
 	}
 }
 

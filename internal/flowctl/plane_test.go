@@ -28,7 +28,7 @@ func planes(hdr, off int) (*sim.Kernel, *cluster.Platform, []flowctl.Plane) {
 	pl := cluster.New(k, cfg)
 	cps := make([]flowctl.Plane, cfg.Nodes)
 	for i := range cps {
-		cps[i] = flowctl.NewPlane(pl.NICs[i], cfg.Nodes, hdr, off, false)
+		cps[i] = flowctl.NewPlane(pl.NICs[i], cfg.Nodes, hdr, off)
 	}
 	return k, pl, cps
 }

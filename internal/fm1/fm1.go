@@ -22,6 +22,7 @@ import (
 	"repro/internal/bufpool"
 	"repro/internal/cluster"
 	"repro/internal/flowctl"
+	"repro/internal/hostmodel"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
@@ -34,15 +35,8 @@ type HandlerID uint16
 // The Proc is the extracting Proc: handler time is charged to the host CPU.
 type Handler func(p *sim.Proc, src int, data []byte)
 
-// Config selects which FM 1.x engine stages are active. The zero value is
-// the full protocol; benches for Figure 3a turn stages off.
-type Config struct {
-	// DisableFlowControl removes credit accounting (stage "link/bus only").
-	DisableFlowControl bool
-	// DisableBufferMgmt removes staging-copy charges for multi-packet
-	// reassembly (stages before the final engine in Figure 3).
-	DisableBufferMgmt bool
-}
+// Config has no fields: which engine stages run is the host profile's Stage.
+type Config struct{}
 
 // DefaultMaxMessage is the FM 1.x message size limit.
 const DefaultMaxMessage = 1 << 20
@@ -68,7 +62,6 @@ type Stats = flowctl.Stats
 // and reassembly into a staging area.
 type Endpoint struct {
 	flowctl.EndpointCore
-	cfg      Config
 	handlers map[HandlerID]Handler
 	asm      []assembly // per-source reassembly state
 	// Multi-packet reassembly draws staging buffers from a bounded free
@@ -84,15 +77,13 @@ type assembly struct {
 }
 
 // Attach creates endpoints for every node of the platform.
-func Attach(pl *cluster.Platform, cfg Config) []*Endpoint {
+func Attach(pl *cluster.Platform, _ Config) []*Endpoint {
 	eps := make([]*Endpoint, pl.Nodes())
 	for i := range eps {
 		e := &Endpoint{
-			EndpointCore: flowctl.NewEndpointCore(pl.NICs[i], pl.Nodes(), wire,
-				cfg.DisableFlowControl),
-			cfg:      cfg,
-			handlers: make(map[HandlerID]Handler),
-			asm:      make([]assembly, pl.Nodes()),
+			EndpointCore: flowctl.NewEndpointCore(pl.NICs[i], pl.Nodes(), wire),
+			handlers:     make(map[HandlerID]Handler),
+			asm:          make([]assembly, pl.Nodes()),
 		}
 		e.asmPool = bufpool.New(netsim.DefaultPoolCap) // the same bound as the core's frame pools
 		eps[i] = e
@@ -249,8 +240,8 @@ func (e *Endpoint) processData(p *sim.Proc, pkt *netsim.Packet) bool {
 			e.asm[src] = assembly{}
 		}
 	}
-	if !e.cfg.DisableBufferMgmt {
-		e.Host().Memcpy(p, len(payload)) // staging copy, charged
+	if h := e.Host(); h.P.Stage == hostmodel.StageFull {
+		h.Memcpy(p, len(payload)) // staging copy, charged: buffer management
 	}
 	pkt.Release() // payload is staged; the frame can recycle
 	if poisoned || !d.Last {

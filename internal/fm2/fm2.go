@@ -46,8 +46,7 @@ type HandlerID uint16
 // packets arrive (paper §4.1, "transparent handler multithreading").
 type Handler func(p *sim.Proc, s *RecvStream)
 
-// Config adjusts the FM 2.x engine. It has no fields: the engine has one
-// configuration, the full protocol.
+// Config has no fields: which engine stages run is the host profile's Stage.
 type Config struct{}
 
 // DefaultMaxMessage is the FM 2.x message size limit.
@@ -104,10 +103,9 @@ func Attach(pl *cluster.Platform, _ Config) []*Endpoint {
 	eps := make([]*Endpoint, pl.Nodes())
 	for i := range eps {
 		e := &Endpoint{
-			EndpointCore: flowctl.NewEndpointCore(pl.NICs[i], pl.Nodes(), wire,
-				false), // credits always on: the ablation is fm1's
-			handlers: make(map[HandlerID]Handler),
-			active:   make(map[uint32]*RecvStream),
+			EndpointCore: flowctl.NewEndpointCore(pl.NICs[i], pl.Nodes(), wire),
+			handlers:     make(map[HandlerID]Handler),
+			active:       make(map[uint32]*RecvStream),
 		}
 		e.ssPool = bufpool.NewFreeList[SendStream](netsim.DefaultPoolCap)
 		e.rsPool = bufpool.NewFreeList[RecvStream](netsim.DefaultPoolCap)

@@ -8,6 +8,8 @@
 // and reproduce the paper's near-fourfold jump in absolute bandwidth. A
 // Profile also carries the MPI layer's own three per-message costs (MPI), so
 // Sparc and PPro200 are the one table of every timing constant of a machine.
+// The engines take no configuration: a Profile's Stage is the one way to run
+// a partial engine, and lanai, flowctl and fm1 read it from their Host.
 package hostmodel
 
 import (
@@ -55,10 +57,22 @@ type Profile struct {
 	RingSlots    int // host receive-ring depth, in packets
 	SendQSlots   int // NIC send-queue depth, in packets
 	CreditWindow int // per-sender flow-control window, in packets
+	Stage        Stage
 
 	// The MPI layer's own costs on this machine's MPI build.
 	MPI MPICosts
 }
+
+// Stage is how much of the FM engine a machine runs, in the order Figure 3a
+// builds it up. Only Figure 3a runs a partial engine.
+type Stage uint8
+
+const (
+	StageFull        Stage = iota // the whole engine
+	StageFlowControl              // no buffer management (FM 1.x's staging copy)
+	StageBus                      // also no flow control (credits)
+	StageLink                     // also no I/O bus (the NIC's PIO and DMA are free)
+)
 
 // MPICosts is the per-message cost of the MPI layer itself, distinct from
 // data movement: argument checking, matching, request bookkeeping.
@@ -129,8 +143,8 @@ const (
 // minMBps, framing bytes may be neither negative nor more than
 // maxFrameOverhead, a link needs at least one slot, and a host receive ring
 // and a NIC send queue may be unbuffered but not negative (each panicked at
-// build). That a PacketMTU holds an FM header is the engine's rule
-// (cluster.Config.Validate).
+// build), and Stage is one of the four. That a PacketMTU holds an FM header
+// is the engine's rule (cluster.Config.Validate).
 func (p Profile) Validate() error {
 	if p.PollEmpty <= 0 {
 		return fmt.Errorf("hostmodel: profile %q: PollEmpty %v must be positive", p.Name, p.PollEmpty)
@@ -178,6 +192,9 @@ func (p Profile) Validate() error {
 	}
 	if p.SendQSlots < 0 {
 		return fmt.Errorf("hostmodel: profile %q: negative SendQSlots %d", p.Name, p.SendQSlots)
+	}
+	if p.Stage > StageLink {
+		return fmt.Errorf("hostmodel: profile %q: unknown Stage %d", p.Name, p.Stage)
 	}
 	return nil
 }

@@ -13,12 +13,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Config adjusts the NIC for staged-engine experiments. The zero value is the
-// full NIC as FM uses it.
-type Config struct {
-	DisableBus bool // true only in the Figure 3a "link management only" stage
-}
-
 // Stats counts NIC activity.
 type Stats struct {
 	Sent     int64
@@ -35,7 +29,6 @@ type Stats struct {
 type NIC struct {
 	H   *hostmodel.Host
 	Ifc *netsim.Iface
-	cfg Config
 
 	send  sendFirmware
 	recv  recvFirmware
@@ -48,12 +41,11 @@ type NIC struct {
 
 // New creates a NIC bound to a host and a fabric interface. Call Start to
 // launch the firmware.
-func New(h *hostmodel.Host, ifc *netsim.Iface, cfg Config) *NIC {
+func New(h *hostmodel.Host, ifc *netsim.Iface) *NIC {
 	p := h.P
 	n := &NIC{
 		H:     h,
 		Ifc:   ifc,
-		cfg:   cfg,
 		sendq: sim.NewChan[*netsim.Packet](h.K, p.SendQSlots),
 		ring:  sim.NewChan[*netsim.Packet](h.K, p.RingSlots),
 		ctrlq: sim.NewChan[*netsim.Packet](h.K, p.RingSlots),
@@ -169,7 +161,7 @@ func (f *recvFirmware) Step(p *sim.Proc) {
 				n.Ifc.NoteLost(f.pkt, netsim.LossCRC)
 				f.pkt.Release()
 				f.next = recvRecv
-			case n.cfg.DisableBus:
+			case n.H.P.Stage == hostmodel.StageLink:
 				f.next = recvDeliver
 			default: // DMA into the ring: H.BusTransfer, in its steps
 				f.dma = n.H.Bus.StartUse(n.H.BusHold(len(f.pkt.Payload)))
@@ -211,7 +203,7 @@ func (f *recvFirmware) Step(p *sim.Proc) {
 // frame passes to the NIC here: the receiving endpoint releases it back to
 // its pool after the last byte is consumed.
 func (n *NIC) HostSendPacket(p *sim.Proc, pkt *netsim.Packet, dst int, ctrl bool) {
-	if !n.cfg.DisableBus {
+	if n.H.P.Stage != hostmodel.StageLink {
 		n.H.BusTransfer(p, len(pkt.Payload))
 	}
 	pkt.Dst = dst

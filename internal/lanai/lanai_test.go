@@ -9,21 +9,22 @@ import (
 	"repro/internal/sim"
 )
 
-func pair(cfg Config) (*sim.Kernel, []*NIC) {
+func pair(stage hostmodel.Stage) (*sim.Kernel, []*NIC) {
 	k := sim.NewKernel()
 	prof := hostmodel.PPro200()
+	prof.Stage = stage
 	net := netsim.NewDirectPair(k, prof.Link)
 	nics := make([]*NIC, 2)
 	for i := 0; i < 2; i++ {
 		h := hostmodel.NewHost(k, i, prof)
-		nics[i] = New(h, net.Iface(i), cfg)
+		nics[i] = New(h, net.Iface(i))
 		nics[i].Start()
 	}
 	return k, nics
 }
 
 func TestHostSendToPoll(t *testing.T) {
-	k, nics := pair(Config{})
+	k, nics := pair(hostmodel.StageFull)
 	var got []byte
 	k.Spawn("sender", func(p *sim.Proc) {
 		nics[0].HostSendPacket(p, &netsim.Packet{Payload: []byte("frame-bytes")}, 1, false)
@@ -51,7 +52,7 @@ func TestHostSendToPoll(t *testing.T) {
 func TestCtrlDemuxBypassesData(t *testing.T) {
 	// A control frame sent after a burst of data frames must be readable
 	// from the control queue before the data is drained.
-	k, nics := pair(Config{})
+	k, nics := pair(hostmodel.StageFull)
 	k.Spawn("sender", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
 			nics[0].HostSendPacket(p, &netsim.Packet{Payload: []byte{byte(i)}}, 1, false)
@@ -93,7 +94,7 @@ func TestCRCCheckDropsCorruptedFrames(t *testing.T) {
 	nics := make([]*NIC, 2)
 	for i := 0; i < 2; i++ {
 		h := hostmodel.NewHost(k, i, prof)
-		nics[i] = New(h, net.Iface(i), Config{})
+		nics[i] = New(h, net.Iface(i))
 		nics[i].Start()
 	}
 	const total = 10
@@ -122,7 +123,7 @@ func TestCRCCheckDropsCorruptedFrames(t *testing.T) {
 }
 
 func TestRingStallBackpressuresWire(t *testing.T) {
-	k, nics := pair(Config{})
+	k, nics := pair(hostmodel.StageFull)
 	total := nics[1].RingSlots() + 20
 	sent := 0
 	k.Spawn("sender", func(p *sim.Proc) {
@@ -144,12 +145,10 @@ func TestRingStallBackpressuresWire(t *testing.T) {
 	}
 }
 
-// With DisableBus the NIC charges no I/O-bus time for PIO or DMA.
+// At StageLink the NIC charges no I/O-bus time for PIO or DMA.
 func TestChargeBusOffSkipsBusTime(t *testing.T) {
-	fast := Config{DisableBus: true}
-	slow := Config{}
-	elapsed := func(cfg Config) sim.Time {
-		k, nics := pair(cfg)
+	elapsed := func(stage hostmodel.Stage) sim.Time {
+		k, nics := pair(stage)
 		var end sim.Time
 		k.Spawn("sender", func(p *sim.Proc) {
 			for i := 0; i < 20; i++ {
@@ -171,7 +170,7 @@ func TestChargeBusOffSkipsBusTime(t *testing.T) {
 		}
 		return end
 	}
-	if ef, es := elapsed(fast), elapsed(slow); ef >= es {
+	if ef, es := elapsed(hostmodel.StageLink), elapsed(hostmodel.StageFull); ef >= es {
 		t.Fatalf("bus-free engine (%v) should beat bus-charged (%v)", ef, es)
 	}
 }
@@ -194,7 +193,7 @@ func TestFramePathZeroAlloc(t *testing.T) {
 	}
 	nics := make([]*NIC, 2)
 	for i := range nics {
-		nics[i] = New(hostmodel.NewHost(k, i, prof), net.Iface(i), Config{})
+		nics[i] = New(hostmodel.NewHost(k, i, prof), net.Iface(i))
 		nics[i].Start()
 	}
 	pool := netsim.NewFramePool(prof.PacketMTU, 0)

@@ -57,7 +57,7 @@ func pinnedRun(t *testing.T) string {
 	logs := make([][]string, n)
 	for i := range nics {
 		i := i
-		nics[i] = New(hostmodel.NewHost(k, i, prof), net.Iface(i), Config{})
+		nics[i] = New(hostmodel.NewHost(k, i, prof), net.Iface(i))
 		nics[i].Start()
 
 		// Everything random is drawn before the run.

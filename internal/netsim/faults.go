@@ -93,7 +93,7 @@ type FaultRule struct {
 	DownFrom, DownUntil sim.Time
 
 	// SlowFactor > 1 multiplies the link's serialization and propagation
-	// time: a straggler NIC or a degraded cable.
+	// time: a straggler NIC or a degraded cable. At most maxSlowFactor.
 	SlowFactor float64
 }
 
@@ -117,6 +117,11 @@ const DefaultFaultHorizon = sim.Second
 // hundred times the flappiest committed scenario's (~120 windows per link).
 const MaxFlapWindows = 1 << 16
 
+// maxSlowFactor bounds SlowFactor, which scales a frame's int64 ns on the
+// wire (1e18 wrapped it negative): a 128 KiB frame at 1 kB/s, the slowest a
+// host profile allows, then takes 1.3e14 ns. Committed stragglers are 4×.
+const maxSlowFactor = 1000
+
 // FaultPlan is a deterministic, seeded fault schedule for a whole fabric.
 type FaultPlan struct {
 	// Seed is the campaign seed every per-link stream is derived from.
@@ -139,10 +144,10 @@ func (fp *FaultPlan) Validate() error {
 				return fmt.Errorf("netsim: fault rule %d: bad link glob %q: %v", i, r.Links, err)
 			}
 		}
-		if r.DropProb < 0 || r.DropProb > 1 {
+		if !(r.DropProb >= 0 && r.DropProb <= 1) { // NaN too
 			return fmt.Errorf("netsim: fault rule %d: drop probability %v outside [0,1]", i, r.DropProb)
 		}
-		if r.CorruptProb < 0 || r.CorruptProb > 1 {
+		if !(r.CorruptProb >= 0 && r.CorruptProb <= 1) {
 			return fmt.Errorf("netsim: fault rule %d: corrupt probability %v outside [0,1]", i, r.CorruptProb)
 		}
 		if (r.FlapMeanUp > 0) != (r.FlapMeanDown > 0) {
@@ -161,11 +166,8 @@ func (fp *FaultPlan) Validate() error {
 		if r.DownUntil > 0 && r.DownUntil <= r.DownFrom {
 			return fmt.Errorf("netsim: fault rule %d: outage window [%d,%d) is empty", i, r.DownFrom, r.DownUntil)
 		}
-		if r.SlowFactor < 0 {
-			return fmt.Errorf("netsim: fault rule %d: negative slow factor", i)
-		}
-		if r.SlowFactor > 0 && r.SlowFactor < 1 {
-			return fmt.Errorf("netsim: fault rule %d: slow factor %v would speed the link up", i, r.SlowFactor)
+		if s := r.SlowFactor; !(s == 0 || s >= 1 && s <= maxSlowFactor) { // below 1 speeds the link up
+			return fmt.Errorf("netsim: fault rule %d: slow factor %v is neither 0 nor in [1, %d]", i, s, maxSlowFactor)
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -224,6 +225,13 @@ func TestFaultPlanValidate(t *testing.T) {
 		{Horizon: -1},
 		// A flap every 2 ns up to 1 ms: half a million windows per link.
 		{Horizon: sim.Millisecond, Rules: []FaultRule{{FlapMeanUp: 1, FlapMeanDown: 1}}},
+		// A link 1e18 times slow wrapped a frame's delay negative mid-run.
+		{Rules: []FaultRule{{SlowFactor: 1e18}}},
+		{Rules: []FaultRule{{SlowFactor: math.Inf(1)}}},
+		{Rules: []FaultRule{{SlowFactor: math.NaN()}}},
+		// A NaN probability was accepted and silently injected nothing.
+		{Rules: []FaultRule{{DropProb: math.NaN()}}},
+		{Rules: []FaultRule{{CorruptProb: math.NaN()}}},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

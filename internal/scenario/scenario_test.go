@@ -332,6 +332,9 @@ func TestSpecValidateRejectsGarbage(t *testing.T) {
 		{Name: "x", Nodes: 4, Traffic: Traffic{Pattern: "rpc", Messages: 1, Size: 1, RateRPS: 1, Keyspace: 20_000_000_000}},
 		// A flap every 2 ns used to precompute 25 million windows per link.
 		{Name: "x", Nodes: 4, Traffic: Traffic{Pattern: "ring", Messages: 1, Size: 1}, Faults: []Fault{{Links: "*", FlapUpMS: 0.000001, FlapDownMS: 0.000001}}},
+		// 2e8 requests per client used to plan an 8 GB schedule and die out
+		// of memory; only Validate is asked here, so nothing is planned.
+		{Name: "big-rpc", Nodes: 2, Traffic: Traffic{Pattern: "rpc", Messages: 200_000_000, Size: 64, RPCMode: "closed"}},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {

@@ -148,6 +148,11 @@ func (wl Workload) Validate(n int) error { return wl.withDefaults().validate(n) 
 // or fewer.
 const maxKeyspace = 1 << 16
 
+// maxSchedule bounds nodes × Requests, the 40-byte records Plan allocates
+// before the run: 40 MiB, where 2e8 requests per client asked for 8 GB and
+// died out of memory. The largest committed schedule is 32 × 115.
+const maxSchedule = 1 << 20
+
 // validate checks the workload against a fleet of n nodes.
 func (wl Workload) validate(n int) error {
 	switch wl.Mode {
@@ -157,6 +162,9 @@ func (wl Workload) validate(n int) error {
 	}
 	if wl.Requests <= 0 {
 		return fmt.Errorf("svcload: requests must be > 0")
+	}
+	if total := int64(n) * int64(wl.Requests); total > maxSchedule {
+		return fmt.Errorf("svcload: a schedule of %d requests exceeds %d", total, maxSchedule)
 	}
 	if wl.Mode != ModeClosed && wl.RateRPS <= 0 {
 		return fmt.Errorf("svcload: %s mode needs rate_rps > 0", wl.Mode)
@@ -425,6 +433,9 @@ func (f *Fleet) install(wl Workload, sched [][]req) error {
 				maxBody = r.RespB
 			}
 		}
+	}
+	if planned > maxSchedule { // a replayed trace, which validate never saw
+		return fmt.Errorf("svcload: a schedule of %d requests exceeds %d", planned, maxSchedule)
 	}
 	sp := f.spaces[0]
 	// Compared before the header is added: a replayed size near MaxInt

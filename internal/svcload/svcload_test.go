@@ -215,6 +215,12 @@ func TestWorkloadValidation(t *testing.T) {
 			t.Errorf("schedule %d past the horizon accepted, want error", i)
 		}
 	}
+	// A schedule too large to allocate (2e8 requests per client used to ask
+	// for 8 GB and die out of memory) is refused by Validate; it is never
+	// planned here.
+	if err := (Workload{Mode: ModeClosed, Requests: 200_000_000, Fanout: 1}).Validate(2); err == nil {
+		t.Error("a 4e8-request schedule validated, want error")
+	}
 	if err := openWorkload(1).Validate(4); err != nil {
 		t.Errorf("good workload rejected: %v", err)
 	}

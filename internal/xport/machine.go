@@ -7,7 +7,6 @@ import (
 	"repro/internal/fm1"
 	"repro/internal/fm2"
 	"repro/internal/hostmodel"
-	"repro/internal/lanai"
 )
 
 // Gen names a Fast Messages generation.
@@ -32,15 +31,12 @@ func (g Gen) String() string {
 	return fmt.Sprintf("gen(%d)", int(g))
 }
 
-// Machine is the whole machine a platform is built as: the FM generation,
-// the host cost table (MPI's costs included), the NIC firmware and FM 1.x's
-// stage switches (FM 2.x has one configuration). Only the engine of Gen is
-// attached; FM1 rides along unused on GenFM2.
+// Machine is the whole machine a platform is built as: the FM generation
+// and the host cost table (MPI's costs included), whose Stage names how much
+// of the engine runs. Only the engine of Gen is attached.
 type Machine struct {
 	Gen     Gen
 	Profile hostmodel.Profile
-	NIC     lanai.Config
-	FM1     fm1.Config
 }
 
 // Machine is the machine generation g ran on, with its full engine: FM 1.x
@@ -59,7 +55,7 @@ func (g Gen) Machine() Machine {
 // start from.
 func (m Machine) Config(n int, t cluster.Topology) cluster.Config {
 	cfg := cluster.DefaultConfig()
-	cfg.Nodes, cfg.Topology, cfg.Profile, cfg.NIC = n, t, m.Profile, m.NIC
+	cfg.Nodes, cfg.Topology, cfg.Profile = n, t, m.Profile
 	cfg.AutoShape()
 	return cfg
 }
@@ -71,7 +67,7 @@ func AttachEndpoints(pl *cluster.Platform, m Machine) []*Endpoint {
 	eps := make([]*Endpoint, pl.Nodes())
 	switch m.Gen {
 	case GenFM1:
-		for i, ep := range fm1.Attach(pl, m.FM1) {
+		for i, ep := range fm1.Attach(pl, fm1.Config{}) {
 			eps[i] = NewEndpoint(OverFM1(ep))
 		}
 	case GenFM2:

@@ -33,8 +33,9 @@
 // bounds every wire length by the stream's Remaining() before the length
 // sizes anything.
 //
-// One machine per generation: a generation's host profile, MPI costs, NIC
-// and engine configs are chosen in Gen.Machine and nowhere else. Every
+// One machine per generation: a generation's host profile, MPI costs and
+// engine stage (the profile's Stage) are chosen in Gen.Machine and nowhere
+// else. Every
 // builder, harness driver and test helper at or above this package starts
 // from a Machine and varies its fields; none names hostmodel's Sparc or
 // PPro200 profiles or mpifm's overhead constructors (those two serve the
