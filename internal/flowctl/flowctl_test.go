@@ -70,14 +70,30 @@ func TestConsumeExhausts(t *testing.T) {
 	}
 }
 
+// TestRefillOverflowPanics holds Refill's guard at its edge: whatever is
+// outstanding, returning all of it brings the credits back to exactly the
+// window, and one credit more panics.
 func TestRefillOverflowPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("over-refill did not panic")
+	for _, window := range []int{1, MinWindow, 16} {
+		for out := 0; out <= window; out++ {
+			m := New(2, 0, window, 64)
+			for range out {
+				m.Consume(1)
+			}
+			m.Refill(1, out)
+			if m.Available(1) != window {
+				t.Fatalf("window %d: %d returned of %d outstanding left %d credits", window, out, out, m.Available(1))
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("window %d, %d outstanding: refilling one past the window did not panic", window, out)
+					}
+				}()
+				m.Refill(1, 1)
+			}()
 		}
-	}()
-	m := New(2, 0, 4, 64)
-	m.Refill(1, 5)
+	}
 }
 
 func TestNoteFreedBatchesAtHalfWindow(t *testing.T) {

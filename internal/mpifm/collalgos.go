@@ -130,9 +130,10 @@ func (c *Comm) reduceToThenBcast(p *sim.Proc, sendbuf, recvbuf []byte, op Reduce
 
 // allreduceRecDbl: recursive doubling over the largest power-of-two rank
 // set; leftover ranks fold their contribution into a partner first and
-// receive the final result after. Within each doubling round the pair
-// orders its blocking halves by rank, so the lower rank's send always meets
-// an extracting partner.
+// receive the final result after. Within each doubling round both partners
+// send first when their credits cover the buffer (the credit rule), so a
+// round costs one trip; otherwise the pair orders its blocking halves by
+// rank, so the lower rank's send always meets an extracting partner.
 func (c *Comm) allreduceRecDbl(p *sim.Proc, sendbuf, recvbuf []byte, op ReduceOp, tag int) error {
 	size, r := c.size, c.rank
 	pof2 := 1
@@ -184,8 +185,10 @@ func ringBlock(b, size, n, elemSize int) (lo, hi int) {
 // allreduceRing: reduce-scatter around the ring (after size-1 steps rank r
 // fully owns block r+1), then a ring allgather of the reduced blocks.
 // Moves 2*(P-1)/P of the buffer per rank — the bandwidth-optimal pattern —
-// in 1/P-size blocks. Even ranks send first, odd ranks receive first, so
-// the ring always contains an extracting rank.
+// in 1/P-size blocks. A rank whose credits toward its right neighbour cover
+// the block sends first (the credit rule); otherwise even ranks send first
+// and odd ranks receive first, so the ring always contains an extracting
+// rank.
 func (c *Comm) allreduceRing(p *sim.Proc, sendbuf, recvbuf []byte, op ReduceOp, tag int) error {
 	size, r := c.size, c.rank
 	n := len(sendbuf)
@@ -217,7 +220,8 @@ func (c *Comm) allreduceRing(p *sim.Proc, sendbuf, recvbuf []byte, op ReduceOp, 
 
 // allgatherRecDbl: recursive doubling for power-of-two rank counts. At the
 // mask step each rank holds mask consecutive chunks starting at
-// rank &^ (mask-1) and swaps that run with its partner's.
+// rank &^ (mask-1) and swaps that run with its partner's: both partners send
+// first while the credits cover the run, the lower rank alone above that.
 func (c *Comm) allgatherRecDbl(p *sim.Proc, recvbuf []byte, chunk, tag int) error {
 	r := c.rank
 	for mask := 1; mask < c.size; mask <<= 1 {
@@ -235,8 +239,8 @@ func (c *Comm) allgatherRecDbl(p *sim.Proc, recvbuf []byte, chunk, tag int) erro
 }
 
 // allgatherRing: pass chunks around the ring for size-1 steps; step s sends
-// the chunk received in step s-1 (step 0 sends our own). Parity ordering as
-// in allreduceRing.
+// the chunk received in step s-1 (step 0 sends our own). The credit rule,
+// and parity ordering above it, as in allreduceRing.
 func (c *Comm) allgatherRing(p *sim.Proc, recvbuf []byte, chunk, tag int) error {
 	size, r := c.size, c.rank
 	right := (r + 1) % size

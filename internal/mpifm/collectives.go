@@ -18,6 +18,15 @@
 // take the unexpected pool), so one extracting rank unblocks its sender, and
 // the chain unwinds.
 //
+// The credit rule. An exchange leg (sendrecv) skips that order and sends
+// first when the credits it holds toward its destination already cover every
+// packet of the message, or the destination is itself. Such a send cannot
+// stall, so it never joins a chain of blocked senders, and below the credit
+// window both partners of an exchange send at once: a round costs one trip,
+// as MPICH's Sendrecv does over FM's eager send (Thakur, Rabenseifner and
+// Gropp, "Optimization of Collective Communication Operations in MPICH",
+// IJHPCA 2005). A send the credits do not cover keeps the order above.
+//
 // Like MPI, collectives must be called by every rank of the communicator in
 // the same order; matching is isolated from point-to-point traffic by a
 // reserved tag region.
@@ -196,17 +205,20 @@ func (c *Comm) combine(p *sim.Proc, op ReduceOp, inout, in []byte) {
 }
 
 // sendrecv runs one combined send+receive leg of a collective. The receive
-// is posted before anything blocks so arriving data takes the direct path;
-// sendFirst chooses which blocking half runs first. Algorithms pick
-// sendFirst so that every cycle of communicating ranks contains at least one
-// rank that receives (extracts) first, which keeps large transfers
-// deadlock-free under finite credit windows. The receive runs on a recycled
-// record, as Recv's does; a failed send withdraws it (putReq).
+// is posted before anything blocks so arriving data takes the direct path.
+// The send goes first when it cannot stall (creditsCover), so both partners
+// of an exchange send at once and a round costs one trip, as MPICH's
+// Sendrecv does over FM's eager send. Otherwise sendFirst chooses which
+// blocking half runs first: algorithms pick it so that every cycle of
+// communicating ranks contains at least one rank that receives (extracts)
+// first, which keeps transfers above the credit window deadlock-free. The
+// receive runs on a recycled record, as Recv's does; a failed send
+// withdraws it (putReq).
 func (c *Comm) sendrecv(p *sim.Proc, sendBuf []byte, dst int, recvBuf []byte, src, tag int, sendFirst bool) error {
 	req := c.getReq()
 	c.post(p, req, recvBuf, src, tag)
 	defer c.putReq(req)
-	if sendFirst {
+	if sendFirst || c.creditsCover(dst, len(sendBuf)) {
 		if err := c.Send(p, sendBuf, dst, tag); err != nil {
 			return err
 		}
@@ -215,6 +227,20 @@ func (c *Comm) sendrecv(p *sim.Proc, sendBuf []byte, dst int, recvBuf []byte, sr
 	}
 	c.Wait(p, req)
 	return c.Send(p, sendBuf, dst, tag)
+}
+
+// creditsCover reports whether an n-byte payload to dst can be sent without
+// stalling on flow control: it is a loopback self-send, or the credits in
+// hand toward dst already cover every packet of the message
+// (flowctl.EndpointCore.Packets). Such a send never waits on dst's
+// extraction, so it may skip the parity order without closing a cycle of
+// blocked senders.
+func (c *Comm) creditsCover(dst, n int) bool {
+	if dst == c.rank {
+		return true
+	}
+	core := c.t.Core()
+	return core.Packets(HeaderSize+n) <= core.FlowControl().Available(dst)
 }
 
 // Bcast broadcasts buf from root to every rank. On non-root ranks buf is
@@ -388,8 +414,10 @@ func (c *Comm) Alltoall(p *sim.Proc, sendbuf, recvbuf []byte) error {
 	r := c.rank
 	c.localCopy(p, recvbuf[r*chunk:(r+1)*chunk], sendbuf[r*chunk:(r+1)*chunk])
 	// Shift algorithm: in step s, send to rank+s and receive from rank-s.
-	// The rank whose destination wraps past zero receives first, so every
-	// cycle of the shift permutation contains an extracting rank.
+	// A step whose chunk the credits toward rank+s cover sends first (the
+	// credit rule); otherwise the rank whose destination wraps past zero
+	// receives first, so every cycle of the shift permutation contains an
+	// extracting rank.
 	for s := 1; s < c.size; s++ {
 		dst := (r + s) % c.size
 		src := (r - s + c.size) % c.size

@@ -12,8 +12,11 @@ import (
 	"repro/internal/sim"
 )
 
-// allreduce64 runs rounds of a 64-rank fat-tree MPI allreduce, each rank
-// acting for its node, and returns the kernel's census.
+// allreduce64 runs rounds of a 64-rank fat-tree MPI allreduce of 4 KiB per
+// rank, each rank acting for its node, and returns the kernel's census. 4 KiB
+// is 8 FM 2.x packets, twice the 4-packet credit window a 64-node ring
+// allows, so every recursive-doubling exchange keeps its parity order and
+// one rank of each pair waits out its partner's send.
 func allreduce64(t *testing.T, rounds int) sim.Census {
 	t.Helper()
 	s, err := fmnet.New(fmnet.Nodes(64), fmnet.Topology(fmnet.FatTree), fmnet.WithMPI(), fmnet.FM2())
@@ -22,7 +25,7 @@ func allreduce64(t *testing.T, rounds int) sim.Census {
 	}
 	s.SpawnRanks("rank", func(rank int, p *fmnet.Proc) {
 		c := s.MPI(rank)
-		in, out := make([]byte, 64), make([]byte, 64)
+		in, out := make([]byte, 4096), make([]byte, 4096)
 		if err := c.Barrier(p); err != nil {
 			t.Error(err)
 		}
@@ -44,8 +47,15 @@ func allreduce64(t *testing.T, rounds int) sim.Census {
 // event it runs as global and ends every dormancy, which fails here. The
 // ticks are the allreduce rounds': the dissemination barrier before them
 // idles ⌈log₂ 64⌉ short trips per rank, 7 760 dormant ticks of the run's
-// 161 680, where a central barrier's ranks idled while rank 0 worked
+// 491 378, where a central barrier's ranks idled while rank 0 worked
 // through 63 tokens alone (119 720 of 335 373).
+//
+// The allreduce is above the credit window because a message the credits
+// cover is sent at once by both partners (mpifm's sendrecv): at 64 B per
+// rank a round is one trip, the ranks wait less, and 49 152 of 62 656 idle
+// ticks are dormant (78.4 %), too close to an untagged handler worker's
+// 71.1 % to tell them apart. At 4 KiB it is 491 378 of 515 216 (95.4 %),
+// and one untagged spawn site brings it to at most 45.4 %.
 func TestDormantTicksDominateAllreduce(t *testing.T) {
 	c := allreduce64(t, 4)
 	idle := c.Idle + c.Dormant
