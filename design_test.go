@@ -99,8 +99,13 @@ var designRules = []struct {
 		bad: regexp.MustCompile(`^\s*(import\s+)?(\w+\s+)?"sync(/atomic)?"`),
 	},
 	{
+		rule: "the fleet holds no generated schedule", home: "./internal/svcload",
+		paths: []string{"internal/svcload/svcload.go"},
+		bad:   regexp.MustCompile(`make\(\[\]req|\[\]\[\]req`),
+	},
+	{
 		rule: "the public surface", home: ".",
-		paths: []string{"examples"}, tests: true,
+		paths: []string{"example_test.go"}, tests: true,
 		bad: regexp.MustCompile(`repro/internal`),
 	},
 }

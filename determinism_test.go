@@ -47,8 +47,6 @@ func TestDeterminismCollectives(t *testing.T) {
 		Ops:   []bench.CollectiveOp{bench.CollAllreduce, bench.CollAlltoall},
 		Ranks: []int{2, 4, 8},
 		Size:  512,
-		Iters: 2,
-		Algo:  mpifm.AlgoAuto,
 	}
 	render := func() []byte {
 		var buf bytes.Buffer
@@ -60,8 +58,8 @@ func TestDeterminismCollectives(t *testing.T) {
 	if !bytes.Equal(out1, out2) {
 		t.Errorf("collective scaling output differs between runs:\n%s\n--- vs ---\n%s", out1, out2)
 	}
-	t1 := bench.CollectiveTime(xport.GenFM2.Machine(), bench.CollAllreduce, mpifm.AlgoRing, 8, 1024, 1)
-	t2 := bench.CollectiveTime(xport.GenFM2.Machine(), bench.CollAllreduce, mpifm.AlgoRing, 8, 1024, 1)
+	t1 := bench.CollectiveTime(xport.GenFM2.Machine(), bench.CollAllreduce, mpifm.AlgoRing, 8, 1024)
+	t2 := bench.CollectiveTime(xport.GenFM2.Machine(), bench.CollAllreduce, mpifm.AlgoRing, 8, 1024)
 	if t1 != t2 {
 		t.Errorf("ring allreduce time differs between runs: %v vs %v", t1, t2)
 	}

@@ -3,7 +3,8 @@
 // HPDC-7, 1998), exposed through a public session façade.
 //
 // The root package is the only public surface: programs, the examples
-// included, never import internal/ (TestDesignRules holds examples/ to it).
+// included, never import internal/ (TestDesignRules holds example_test.go to
+// it, and each example's Output block pins what it prints).
 // fmnet.New assembles a simulated cluster with ONE shared Fast Messages
 // endpoint per node and attaches the requested co-resident services:
 //

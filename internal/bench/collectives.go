@@ -96,11 +96,11 @@ func collSize(size int) int {
 }
 
 // spawnCollective is the one timed-collective body, on whatever world it is
-// handed: every rank aligns on a barrier, stamps, runs iters rounds of op
-// (size bytes per rank, already collSize'd), and stamps again. The caller
-// runs the world and reads span(stamps).
+// handed: every rank aligns on a barrier, stamps, runs op once (size bytes
+// per rank, already collSize'd), and stamps again. The caller runs the world
+// and reads span(stamps).
 func spawnCollective(pl *cluster.Platform, comms []*mpifm.Comm, op CollectiveOp, algo mpifm.CollectiveAlgo,
-	size, iters int) []stamp {
+	size int) []stamp {
 	stamps := make([]stamp, len(comms))
 	for r, c := range comms {
 		c.SetCollectiveAlgo(algo)
@@ -110,10 +110,8 @@ func spawnCollective(pl *cluster.Platform, comms []*mpifm.Comm, op CollectiveOp,
 				panic(err)
 			}
 			stamps[r].start = p.Now()
-			for it := 0; it < iters; it++ {
-				if err := op.run(p, c, sendbuf, recvbuf); err != nil {
-					panic(err)
-				}
+			if err := op.run(p, c, sendbuf, recvbuf); err != nil {
+				panic(err)
 			}
 			stamps[r].end = p.Now()
 		}).ActsFor(r)
@@ -122,34 +120,29 @@ func spawnCollective(pl *cluster.Platform, comms []*mpifm.Comm, op CollectiveOp,
 }
 
 // CollectiveTimeOn measures the virtual time of one collective on fabric f:
-// ranks align on a barrier, run iters rounds, and the reported time is from
-// the earliest post-barrier instant to the last rank's completion, divided
-// by iters. size is bytes contributed per rank (see collSize).
-func CollectiveTimeOn(m xport.Machine, f Fabric, op CollectiveOp, algo mpifm.CollectiveAlgo,
-	ranks, size, iters int) sim.Time {
-	if iters < 1 {
-		iters = 1
-	}
+// ranks align on a barrier, run op once, and the reported time is from the
+// earliest post-barrier instant to the last rank's completion. size is bytes
+// contributed per rank (see collSize).
+func CollectiveTimeOn(m xport.Machine, f Fabric, op CollectiveOp, algo mpifm.CollectiveAlgo, ranks, size int) sim.Time {
 	size = collSize(size)
 	pl, comms := mpiWorld(m, ranks, f, mpifm.Options{})
-	stamps := spawnCollective(pl, comms, op, algo, size, iters)
+	stamps := spawnCollective(pl, comms, op, algo, size)
 	run(pl, "%s ranks=%d size=%d algo=%s on %s", op, ranks, size, algo, f)
-	return span(stamps) / sim.Time(iters)
+	return span(stamps)
 }
 
 // CollectiveTime is CollectiveTimeOn one crossbar, as the paper's clusters
 // were wired.
-func CollectiveTime(m xport.Machine, op CollectiveOp, algo mpifm.CollectiveAlgo, ranks, size, iters int) sim.Time {
-	return CollectiveTimeOn(m, FabSingle, op, algo, ranks, size, iters)
+func CollectiveTime(m xport.Machine, op CollectiveOp, algo mpifm.CollectiveAlgo, ranks, size int) sim.Time {
+	return CollectiveTimeOn(m, FabSingle, op, algo, ranks, size)
 }
 
-// CollectiveScalingConfig parameterizes the scaling figure.
+// CollectiveScalingConfig parameterizes the scaling figure. Every point is
+// one operation under mpifm.AlgoAuto.
 type CollectiveScalingConfig struct {
 	Ops   []CollectiveOp
 	Ranks []int
 	Size  int // bytes per rank contribution
-	Iters int
-	Algo  mpifm.CollectiveAlgo
 }
 
 // DefaultCollectiveScalingConfig sweeps all seven collectives from 2 to 64
@@ -159,8 +152,6 @@ func DefaultCollectiveScalingConfig() CollectiveScalingConfig {
 		Ops:   AllCollectives,
 		Ranks: []int{2, 4, 8, 16, 32, 64},
 		Size:  1024,
-		Iters: 1,
-		Algo:  mpifm.AlgoAuto,
 	}
 }
 
@@ -178,8 +169,8 @@ func CollectiveScalingOn(f Fabric, op CollectiveOp, cfg CollectiveScalingConfig)
 	for _, n := range cfg.Ranks {
 		pts = append(pts, ScalingPoint{
 			Ranks: n,
-			FM1us: CollectiveTimeOn(xport.GenFM1.Machine(), f, op, cfg.Algo, n, cfg.Size, cfg.Iters).Micros(),
-			FM2us: CollectiveTimeOn(xport.GenFM2.Machine(), f, op, cfg.Algo, n, cfg.Size, cfg.Iters).Micros(),
+			FM1us: CollectiveTimeOn(xport.GenFM1.Machine(), f, op, mpifm.AlgoAuto, n, cfg.Size).Micros(),
+			FM2us: CollectiveTimeOn(xport.GenFM2.Machine(), f, op, mpifm.AlgoAuto, n, cfg.Size).Micros(),
 		})
 	}
 	return pts
@@ -195,8 +186,7 @@ func CollectiveScaling(op CollectiveOp, cfg CollectiveScalingConfig) []ScalingPo
 // in cfg: the collectives counterpart of the Figure 4/6 story, with the
 // FM2/FM1 ratio showing how the interface gap compounds across patterns.
 func WriteCollectiveScaling(w io.Writer, cfg CollectiveScalingConfig) {
-	fmt.Fprintf(w, "Collective scaling: time per operation (us), %d B per rank, algo=%s\n",
-		cfg.Size, cfg.Algo)
+	fmt.Fprintf(w, "Collective scaling: time per operation (us), %d B per rank, algo=auto\n", cfg.Size)
 	for _, op := range cfg.Ops {
 		pts := CollectiveScaling(op, cfg)
 		fmt.Fprintf(w, "  %s\n", op)
@@ -224,8 +214,8 @@ func WriteCollectiveSizeSweep(w io.Writer, ranks int, sizes []int) {
 	for _, s := range sizes {
 		fmt.Fprintf(w, "  %8d", s)
 		for _, op := range ops {
-			t1 := CollectiveTime(xport.GenFM1.Machine(), op, mpifm.AlgoAuto, ranks, s, 1)
-			t2 := CollectiveTime(xport.GenFM2.Machine(), op, mpifm.AlgoAuto, ranks, s, 1)
+			t1 := CollectiveTime(xport.GenFM1.Machine(), op, mpifm.AlgoAuto, ranks, s)
+			t2 := CollectiveTime(xport.GenFM2.Machine(), op, mpifm.AlgoAuto, ranks, s)
 			fmt.Fprintf(w, "  %12.2f  %12.2f", t1.Micros(), t2.Micros())
 		}
 		fmt.Fprintln(w)
@@ -257,8 +247,8 @@ func WriteCollectiveAlgos(w io.Writer, ranks, size int) {
 			if v.op == CollAllgather && a == mpifm.AlgoRecursiveDoubling && !pow2 {
 				continue // would silently fall back to ring; don't mislabel it
 			}
-			t1 := CollectiveTime(xport.GenFM1.Machine(), v.op, a, ranks, size, 1)
-			t2 := CollectiveTime(xport.GenFM2.Machine(), v.op, a, ranks, size, 1)
+			t1 := CollectiveTime(xport.GenFM1.Machine(), v.op, a, ranks, size)
+			t2 := CollectiveTime(xport.GenFM2.Machine(), v.op, a, ranks, size)
 			fmt.Fprintf(w, "  %-10s  %-10s  %12.2f  %12.2f\n", v.op, a, t1.Micros(), t2.Micros())
 		}
 	}

@@ -369,7 +369,7 @@ func WriteFabricReport(w io.Writer, cfg FabricReportConfig) {
 	fmt.Fprintln(w)
 
 	fmt.Fprintf(w, "Collective scaling across fabrics (%d B per rank, time per op in us, algo=auto):\n", cfg.Size)
-	scfg := CollectiveScalingConfig{Ranks: cfg.Ranks, Size: cfg.Size, Iters: 1, Algo: mpifm.AlgoAuto}
+	scfg := CollectiveScalingConfig{Ranks: cfg.Ranks, Size: cfg.Size}
 	for _, op := range cfg.Ops {
 		fmt.Fprintf(w, "  %s\n", op)
 		fmt.Fprintf(w, "    %6s", "ranks")

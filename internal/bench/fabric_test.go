@@ -54,17 +54,17 @@ func TestCollectivesRunOnEveryFabric(t *testing.T) {
 	for _, f := range AllFabrics {
 		f := f
 		t.Run(f.String(), func(t *testing.T) {
-			t1 := CollectiveTimeOn(xport.GenFM2.Machine(), f, CollAllreduce, mpifm.AlgoAuto, 8, 256, 1)
+			t1 := CollectiveTimeOn(xport.GenFM2.Machine(), f, CollAllreduce, mpifm.AlgoAuto, 8, 256)
 			if t1 <= 0 {
 				t.Fatalf("allreduce on %s took %v", f, t1)
 			}
-			if t2 := CollectiveTimeOn(xport.GenFM2.Machine(), f, CollAllreduce, mpifm.AlgoAuto, 8, 256, 1); t2 != t1 {
+			if t2 := CollectiveTimeOn(xport.GenFM2.Machine(), f, CollAllreduce, mpifm.AlgoAuto, 8, 256); t2 != t1 {
 				t.Fatalf("nondeterministic on %s: %v vs %v", f, t1, t2)
 			}
 			if testing.Short() {
 				return
 			}
-			if t1 := CollectiveTimeOn(xport.GenFM1.Machine(), f, CollAlltoall, mpifm.AlgoAuto, 8, 256, 1); t1 <= 0 {
+			if t1 := CollectiveTimeOn(xport.GenFM1.Machine(), f, CollAlltoall, mpifm.AlgoAuto, 8, 256); t1 <= 0 {
 				t.Fatalf("fm1 alltoall on %s took %v", f, t1)
 			}
 		})

@@ -82,7 +82,7 @@ func hostCost(fn func()) (wall time.Duration, mallocs, bytes uint64) {
 func PerfCollective(f Fabric, ranks, size int) PerfEntry {
 	pl, comms := mpiWorld(xport.GenFM2.Machine(), ranks, f, mpifm.Options{})
 	size = collSize(size)
-	stamps := spawnCollective(pl, comms, CollAllreduce, mpifm.AlgoAuto, size, 1)
+	stamps := spawnCollective(pl, comms, CollAllreduce, mpifm.AlgoAuto, size)
 	wall, mallocs, bytes := hostCost(func() { run(pl, "perf allreduce ranks=%d on %s", ranks, f) })
 	events := pl.K.Events()
 	return PerfEntry{Name: "allreduce", Fabric: f.String(), Ranks: ranks,

@@ -78,7 +78,11 @@ func SvcCapture(w io.Writer) (svcload.Result, error) {
 		if err := f.Plan(svcWorkloads[0]); err != nil {
 			return err
 		}
-		return f.Capture(xport.GenFM2, true).Write(w)
+		t, err := f.Capture(xport.GenFM2, true)
+		if err != nil {
+			return err
+		}
+		return t.Write(w)
 	})
 }
 

@@ -15,7 +15,7 @@ import (
 // fragment flags, [2:4] source node — and the generations differ in where the
 // rest sits: FM 1.x is 12 bytes {4, 6, 8}, FM 2.x 16 bytes {6, 8, 10} with its
 // message ID at 4, which only fm2 writes and reads. Header bytes past the
-// total-length field are reserved and sent as zero.
+// total-length field are reserved: nothing writes or reads them.
 type Wire struct {
 	Size    int // header bytes; a control frame is exactly this long
 	Handler int // offset of the 16-bit handler ID
@@ -165,9 +165,6 @@ func (c *EndpointCore) Emit(p *sim.Proc, dst int, pkt *netsim.Packet, first, las
 	binary.LittleEndian.PutUint16(frame[w.Handler:], handler)
 	binary.LittleEndian.PutUint16(frame[w.FragLen:], uint16(n))
 	binary.LittleEndian.PutUint32(frame[w.Total:], uint32(total))
-	for i := w.Total + 4; i < w.Size; i++ {
-		frame[i] = 0
-	}
 	c.nic.HostSendPacket(p, pkt, dst, false)
 	c.Count.PacketsSent++
 }

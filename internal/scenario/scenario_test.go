@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -332,9 +333,6 @@ func TestSpecValidateRejectsGarbage(t *testing.T) {
 		{Name: "x", Nodes: 4, Traffic: Traffic{Pattern: "rpc", Messages: 1, Size: 1, RateRPS: 1, Keyspace: 20_000_000_000}},
 		// A flap every 2 ns used to precompute 25 million windows per link.
 		{Name: "x", Nodes: 4, Traffic: Traffic{Pattern: "ring", Messages: 1, Size: 1}, Faults: []Fault{{Links: "*", FlapUpMS: 0.000001, FlapDownMS: 0.000001}}},
-		// 2e8 requests per client used to plan an 8 GB schedule and die out
-		// of memory; only Validate is asked here, so nothing is planned.
-		{Name: "big-rpc", Nodes: 2, Traffic: Traffic{Pattern: "rpc", Messages: 200_000_000, Size: 64, RPCMode: "closed"}},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -344,6 +342,31 @@ func TestSpecValidateRejectsGarbage(t *testing.T) {
 	good := cleanRing(2)
 	if err := good.Validate(); err != nil {
 		t.Fatalf("good spec rejected: %v", err)
+	}
+}
+
+// TestBigRPCRunsInBoundedMemory: 2e8 requests per client used to plan an
+// 8 GB schedule and die out of memory. A client draws each request as it
+// sends it, so the spec validates, and under FuzzSpec's 5 ms watchdog its
+// run costs what a small one does, not what it plans.
+func TestBigRPCRunsInBoundedMemory(t *testing.T) {
+	spec := Spec{Name: "big-rpc", Nodes: 2, WatchdogMS: 5,
+		Traffic: Traffic{Pattern: "rpc", Messages: 200_000_000, Size: 64, RPCMode: "closed"}}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep := Run(spec, DefaultSeed)
+	runtime.ReadMemStats(&after)
+	if rep.Outcome != OutcomeWatchdog || rep.RPC == nil || rep.RPC.Planned != 400_000_000 || rep.RPC.Completed == 0 {
+		t.Fatalf("outcome %q, rpc %+v: want a watchdog cut into 4e8 planned requests: %v", rep.Outcome, rep.RPC, rep.Failures)
+	}
+	const limit = 8 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Fatalf("a 5 ms run allocated %d bytes, want at most %d", got, limit)
+	} else {
+		t.Logf("a 5 ms run of %d requests allocated %d bytes", rep.RPC.Completed, got)
 	}
 }
 

@@ -27,7 +27,11 @@
 // sub-streams for arrivals and keys, all timing is virtual, and latency
 // histograms are integer log-buckets (Hist), so a run's report is
 // bit-identical across repetitions, and a captured trace (see trace.go)
-// replays to the exact same report.
+// replays to the exact same report. The fleet holds no schedule: a
+// generated client keeps its two samplers and its last arrival, and draws
+// each request as it sends it, so a fleet's memory is what is live, not
+// what is planned. Only a replayed trace holds its records, and the replay
+// horizon binds traces only: Capture and ReadTrace refuse an instant past it.
 //
 // Like every other service in this codebase, the RPC layer binds to a
 // HandlerSpace on the node's shared endpoint — it co-resides with MPI,
@@ -148,11 +152,6 @@ func (wl Workload) Validate(n int) error { return wl.withDefaults().validate(n) 
 // or fewer.
 const maxKeyspace = 1 << 16
 
-// maxSchedule bounds nodes × Requests, the 40-byte records Plan allocates
-// before the run: 40 MiB, where 2e8 requests per client asked for 8 GB and
-// died out of memory. The largest committed schedule is 32 × 115.
-const maxSchedule = 1 << 20
-
 // validate checks the workload against a fleet of n nodes.
 func (wl Workload) validate(n int) error {
 	switch wl.Mode {
@@ -163,11 +162,11 @@ func (wl Workload) validate(n int) error {
 	if wl.Requests <= 0 {
 		return fmt.Errorf("svcload: requests must be > 0")
 	}
-	if total := int64(n) * int64(wl.Requests); total > maxSchedule {
-		return fmt.Errorf("svcload: a schedule of %d requests exceeds %d", total, maxSchedule)
-	}
-	if wl.Mode != ModeClosed && wl.RateRPS <= 0 {
-		return fmt.Errorf("svcload: %s mode needs rate_rps > 0", wl.Mode)
+	// The mean gap between arrivals, ns, is positive (NaN and an infinite
+	// rate fail) and at most the replay horizon: a slower rate is a typo,
+	// and at 1e-300 rps an arrival's conversion to int64 overflowed to near 0.
+	if gap := 1e9 / wl.RateRPS; wl.Mode != ModeClosed && !(gap > 0 && gap <= float64(replayHorizon)) {
+		return fmt.Errorf("svcload: %s mode needs a finite rate_rps of at least one request per %v", wl.Mode, replayHorizon)
 	}
 	if wl.Fanout < 1 || wl.Fanout > n {
 		return fmt.Errorf("svcload: fanout %d outside [1, %d]", wl.Fanout, n)
@@ -187,8 +186,7 @@ func (wl Workload) validate(n int) error {
 	return nil
 }
 
-// req is one planned request: the schedule entry generation and trace
-// replay share.
+// req is one request: what a client draws, or a replayed trace's record.
 type req struct {
 	T     sim.Time // scheduled arrival; 0 = closed-loop (issue on previous completion)
 	Key   int
@@ -286,8 +284,9 @@ type Fleet struct {
 	cfg    ServiceConfig
 	spaces []*xport.HandlerSpace
 
-	wl    Workload
-	sched [][]req
+	wl      Workload
+	clients []client // a generated workload's draw state, one per node
+	trace   *Trace   // a replayed workload's records; nil when generated
 
 	// Runtime state, shared by all node procs under the kernel's
 	// deterministic schedule.
@@ -297,7 +296,7 @@ type Fleet struct {
 	hdrs      []nodeHdrs
 	hists     []*Hist
 	served    []int64
-	clients   int // clients that finished issuing
+	finished  int // clients that finished issuing
 	planned   int64
 	issued    int64
 	subSent   int64
@@ -354,89 +353,62 @@ func seedFor(seed int64, kind string, client int) int64 {
 	return seed ^ int64(h.Sum64())
 }
 
-// Plan generates the request schedule for a workload. It must be called
-// (or PlanTrace) before any RunNode proc starts.
+// client is one generated client's draw state: its two samplers and its
+// last arrival. Request seq is drawn when the client sends it, in seq order.
+type client struct {
+	arr  *trafficgen.ExpSampler  // open: inter-arrival gaps
+	keys *trafficgen.ZipfSampler // open and closed: key popularity
+	t    float64                 // open: the last arrival drawn, ns
+}
+
+// newClients seeds the draw state of wl's n clients.
+func newClients(wl Workload, n int) []client {
+	cs := make([]client, n)
+	for c := range cs {
+		if wl.Mode == ModeOpen {
+			cs[c].arr = trafficgen.NewExp(seedFor(wl.Seed, "arrival", c), 1e9/wl.RateRPS)
+		}
+		if wl.Mode != ModeIncast { // incast: every client, key 0
+			cs[c].keys = trafficgen.NewZipf(seedFor(wl.Seed, "key", c), wl.Keyspace, wl.ZipfS)
+		}
+	}
+	return cs
+}
+
+// draw returns the client's request seq of wl, the one after its last.
+func (cl *client) draw(wl *Workload, seq int) req {
+	r := req{Fan: wl.Fanout, ReqB: wl.ReqBytes, RespB: wl.RespBytes}
+	switch wl.Mode {
+	case ModeOpen:
+		cl.t += cl.arr.Next()
+		r.T = sim.Time(int64(cl.t)) + 1 // floor at >= 1ns: T=0 means closed-loop
+		r.Key = cl.keys.Next()
+	case ModeClosed:
+		r.Key = cl.keys.Next()
+	case ModeIncast:
+		// Every client, same key, same epoch instants: the storm.
+		r.T = sim.Time(seq+1) * max(sim.Time(int64(1e9/wl.RateRPS)), 1)
+	}
+	return r
+}
+
+// Plan arms the fleet with a generated workload. It draws nothing: each
+// client draws a request when it sends it. Plan (or PlanTrace) must be
+// called before any RunNode proc starts.
 func (f *Fleet) Plan(wl Workload) error {
 	wl = wl.withDefaults()
 	n := len(f.spaces)
 	if err := wl.validate(n); err != nil {
 		return err
 	}
-	sched := make([][]req, n)
-	for c := 0; c < n; c++ {
-		rs := make([]req, wl.Requests)
-		base := req{Fan: wl.Fanout, ReqB: wl.ReqBytes, RespB: wl.RespBytes}
-		switch wl.Mode {
-		case ModeOpen:
-			arr := trafficgen.NewExp(seedFor(wl.Seed, "arrival", c), 1e9/wl.RateRPS)
-			keys := trafficgen.NewZipf(seedFor(wl.Seed, "key", c), wl.Keyspace, wl.ZipfS)
-			t := 0.0
-			for i := range rs {
-				t += arr.Next()
-				rs[i] = base
-				rs[i].T = sim.Time(int64(t)) + 1 // floor at >= 1ns: T=0 means closed-loop
-				rs[i].Key = keys.Next()
-			}
-			if err := pastHorizon(t + 1); err != nil { // the last arrival, with its floor
-				return err
-			}
-		case ModeClosed:
-			keys := trafficgen.NewZipf(seedFor(wl.Seed, "key", c), wl.Keyspace, wl.ZipfS)
-			for i := range rs {
-				rs[i] = base
-				rs[i].Key = keys.Next()
-			}
-		case ModeIncast:
-			// Every client, same key, same epoch instants: the storm.
-			if err := pastHorizon(float64(wl.Requests) * 1e9 / wl.RateRPS); err != nil {
-				return err
-			}
-			gap := sim.Time(int64(1e9 / wl.RateRPS))
-			if gap < 1 {
-				gap = 1
-			}
-			for i := range rs {
-				rs[i] = base
-				rs[i].T = sim.Time(i+1) * gap
-			}
-		}
-		sched[c] = rs
-	}
-	return f.install(wl, sched)
+	return f.install(wl, newClients(wl, n), nil, int64(n)*int64(wl.Requests), max(wl.ReqBytes, wl.RespBytes))
 }
 
-// pastHorizon refuses a generated schedule whose last arrival, at t ns, lies
-// past replayHorizon: its capture would not replay, and a rate that slow is a
-// typo (at 1e-300 rps the conversion of t to int64 overflowed and put every
-// arrival near zero). NaN is refused too.
-func pastHorizon(t float64) error {
-	if t <= float64(replayHorizon) {
-		return nil
-	}
-	return fmt.Errorf("svcload: the schedule's last arrival, at %.3g ns, is past the %v a trace can replay", t, replayHorizon)
-}
-
-// install arms the fleet with a schedule (generated or replayed). It
-// rejects message sizes the transport could never move without wedging the
-// credit gate: a single message may not need more packets than the whole
-// flow-control window.
-func (f *Fleet) install(wl Workload, sched [][]req) error {
-	planned := int64(0)
-	maxBody := 0
-	for _, rs := range sched {
-		planned += int64(len(rs))
-		for _, r := range rs {
-			if r.ReqB > maxBody {
-				maxBody = r.ReqB
-			}
-			if r.RespB > maxBody {
-				maxBody = r.RespB
-			}
-		}
-	}
-	if planned > maxSchedule { // a replayed trace, which validate never saw
-		return fmt.Errorf("svcload: a schedule of %d requests exceeds %d", planned, maxSchedule)
-	}
+// install arms the fleet with its clients' draw state or a replayed trace,
+// planned requests in all. It rejects message sizes the transport could
+// never move without wedging the credit gate: a single message may not need
+// more packets than the whole flow-control window.
+func (f *Fleet) install(wl Workload, clients []client, tr *Trace, planned int64, maxBody int) error {
 	sp := f.spaces[0]
 	// Compared before the header is added: a replayed size near MaxInt
 	// would wrap the sum negative and slip past.
@@ -448,11 +420,27 @@ func (f *Fleet) install(wl Workload, sched [][]req) error {
 		return fmt.Errorf("svcload: %d-byte message needs %d packets, credit window is %d",
 			maxMsg, need, window)
 	}
-	f.wl = wl
-	f.sched = sched
+	f.wl, f.clients, f.trace = wl, clients, tr
 	f.planned = planned
 	f.body = make([]byte, maxBody)
 	return nil
+}
+
+// requests is client c's request count.
+func (f *Fleet) requests(c int) int {
+	if f.trace != nil {
+		return len(f.trace.sched[c])
+	}
+	return f.wl.Requests
+}
+
+// request is client c's request seq: a replayed record, or drawn now.
+// RunNode asks for each seq once, in order.
+func (f *Fleet) request(c, seq int) req {
+	if f.trace != nil {
+		return f.trace.sched[c][seq]
+	}
+	return f.clients[c].draw(&f.wl, seq)
 }
 
 // Planned reports the scheduled request total.
@@ -609,7 +597,7 @@ func (f *Fleet) gatherResponse(p *sim.Proc, node int, s xport.RecvStream) {
 // allDone reports global completion: every client has issued its schedule
 // and no request is outstanding anywhere (abandoned ones excluded).
 func (f *Fleet) allDone() bool {
-	return f.clients == len(f.spaces) &&
+	return f.finished == len(f.spaces) &&
 		f.completed+f.abandoned+f.failed == f.issued
 }
 
@@ -617,11 +605,12 @@ func (f *Fleet) allDone() bool {
 // the node's progress engine (its Extract calls are what run the co-located
 // shard server). Spawn one per node, then run the kernel.
 func (f *Fleet) RunNode(p *sim.Proc, node int) {
-	if f.sched == nil {
+	if f.clients == nil && f.trace == nil {
 		panic("svcload: RunNode before Plan/PlanTrace")
 	}
 	var lastArrival sim.Time
-	for seq, rq := range f.sched[node] {
+	for seq, n := 0, f.requests(node); seq < n; seq++ {
+		rq := f.request(node, seq)
 		if rq.T > 0 {
 			// Open-loop: serve the shard until the scheduled arrival, and
 			// not a nanosecond longer.
@@ -644,7 +633,7 @@ func (f *Fleet) RunNode(p *sim.Proc, node int) {
 			}
 		}
 	}
-	f.clients++
+	f.finished++
 	if f.wl.Drain > 0 {
 		deadline := lastArrival + f.wl.Drain
 		if deadline < p.Now() {
@@ -653,13 +642,8 @@ func (f *Fleet) RunNode(p *sim.Proc, node int) {
 		f.await(p, node, deadline, waitFor{kind: forAll})
 		// Abandon what the window didn't gather: under loss these are the
 		// requests whose sub-responses died with a dropped frame.
-		for seq := range f.sched[node] {
-			id := reqID(node, seq)
-			if _, waiting := f.pending[node][id]; waiting {
-				delete(f.pending[node], id)
-				f.abandoned++
-			}
-		}
+		f.abandoned += int64(len(f.pending[node]))
+		clear(f.pending[node])
 	} else {
 		f.await(p, node, 0, waitFor{kind: forAll})
 	}

@@ -2,7 +2,9 @@ package svcload
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/cluster"
@@ -195,6 +197,13 @@ func TestWorkloadValidation(t *testing.T) {
 		{Requests: 1, RateRPS: 1, Fanout: 1, ReqBytes: -4},
 		{Requests: 1, RateRPS: 1, Fanout: 1, Drain: -sim.Microsecond},
 		{Requests: 1, RateRPS: 1, Fanout: 1, Keyspace: 20_000_000_000}, // used to ask for 160 GB
+		// Rates under one request per replay horizon: one request per
+		// 1e300 s used to complete, its arrival converted to near 0.
+		{Requests: 1, RateRPS: 1e-300, Fanout: 1},
+		{Mode: ModeIncast, Requests: 1, RateRPS: 1e-300, Fanout: 1},
+		{Requests: 1, RateRPS: 0.999, Fanout: 1},
+		{Mode: ModeIncast, Requests: 1, RateRPS: math.NaN(), Fanout: 1},
+		{Requests: 1, RateRPS: math.Inf(1), Fanout: 1}, // no gap to draw
 	}
 	for i, wl := range bad {
 		if wl.Validate(4) == nil {
@@ -203,23 +212,6 @@ func TestWorkloadValidation(t *testing.T) {
 		if _, _, f := buildFleet(t, machine{nodes: 4}); f.Plan(wl) == nil {
 			t.Errorf("workload %d accepted, want error", i)
 		}
-	}
-	// Schedules past the replay horizon, which only Plan generates: one
-	// request per 1e300 s used to complete, its arrival converted to near 0.
-	for i, wl := range []Workload{
-		{Requests: 1, RateRPS: 1e-300, Fanout: 1},
-		{Mode: ModeIncast, Requests: 1, RateRPS: 1e-300, Fanout: 1},
-		{Mode: ModeIncast, Requests: 2, RateRPS: 1, Fanout: 1},
-	} {
-		if _, _, f := buildFleet(t, machine{nodes: 4}); f.Plan(wl) == nil {
-			t.Errorf("schedule %d past the horizon accepted, want error", i)
-		}
-	}
-	// A schedule too large to allocate (2e8 requests per client used to ask
-	// for 8 GB and die out of memory) is refused by Validate; it is never
-	// planned here.
-	if err := (Workload{Mode: ModeClosed, Requests: 200_000_000, Fanout: 1}).Validate(2); err == nil {
-		t.Error("a 4e8-request schedule validated, want error")
 	}
 	if err := openWorkload(1).Validate(4); err != nil {
 		t.Errorf("good workload rejected: %v", err)
@@ -253,5 +245,39 @@ func TestEndpointAccountingSeesRPC(t *testing.T) {
 		res.Served*int64(respHeaderSize+wl.RespBytes)
 	if sentBytes != wantBytes {
 		t.Fatalf("service sent-byte accounting %d, want %d", sentBytes, wantBytes)
+	}
+}
+
+// TestPlanHoldsNoSchedule pins what Plan allocates: each client's samplers,
+// not its requests. 32 clients of 32 768 requests each used to be a 40 MiB
+// schedule of 40-byte records; drawn as they are sent, they cost the
+// samplers' state, about 240 KiB closed and 410 KiB open. A workload of
+// 2 × 2e8 requests, which used to ask for 8 GB, validates and plans the same.
+func TestPlanHoldsNoSchedule(t *testing.T) {
+	const limit = 1 << 20
+	for _, c := range []struct {
+		nodes int
+		wl    Workload
+	}{
+		{32, Workload{Mode: ModeClosed, Requests: 32_768, Seed: 1}},
+		{32, Workload{Mode: ModeOpen, Requests: 32_768, RateRPS: 5_000, Seed: 1}},
+		{2, Workload{Mode: ModeClosed, Requests: 200_000_000, Seed: 1}},
+	} {
+		_, _, f := buildFleet(t, machine{nodes: c.nodes, fatTree: c.nodes > 16})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := f.Plan(c.wl)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%d × %d %s: %v", c.nodes, c.wl.Requests, c.wl.Mode, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+			t.Errorf("%d × %d %s: Plan allocated %d bytes, want at most %d", c.nodes, c.wl.Requests, c.wl.Mode, got, limit)
+		} else {
+			t.Logf("%d × %d %s: Plan allocated %d bytes", c.nodes, c.wl.Requests, c.wl.Mode, got)
+		}
+		if got, want := f.Planned(), int64(c.nodes)*int64(c.wl.Requests); got != want {
+			t.Errorf("%d × %d %s: planned %d, want %d", c.nodes, c.wl.Requests, c.wl.Mode, got, want)
+		}
 	}
 }

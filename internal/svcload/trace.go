@@ -43,7 +43,10 @@ type TraceMeta struct {
 // far-future instant is a replay that runs for hours of host time; and
 // RunNode adds the drain window to the last arrival, which must not
 // overflow. One virtual second is over ten times the longest schedule
-// anything here generates (the lowest rpc-open rung spans under 60 ms).
+// anything here captures (the lowest rpc-open rung spans under 60 ms). It is
+// a limit of the format: ReadTrace and Capture refuse an instant past it,
+// and a generated workload, which is drawn as it runs, is bound only by
+// Validate's slowest rate, one request per horizon.
 const replayHorizon = sim.Second
 
 // traceRec is one scheduled request. t_ns == 0 marks a closed-loop entry
@@ -79,17 +82,13 @@ func parseGen(name string) (xport.Gen, error) {
 	return 0, fmt.Errorf("svcload: trace header: unknown FM generation %q", name)
 }
 
-// Capture snapshots the fleet's planned schedule as a trace. The returned
-// trace is independent of the fleet (safe to run the fleet afterwards).
-func (f *Fleet) Capture(gen xport.Gen, fatTree bool) *Trace {
-	if f.sched == nil {
-		panic("svcload: Capture before Plan/PlanTrace")
-	}
-	sched := make([][]req, len(f.sched))
-	for c, rs := range f.sched {
-		sched[c] = append([]req(nil), rs...)
-	}
-	return &Trace{
+// Capture snapshots the fleet's planned schedule as a trace. A generated
+// workload is re-drawn from fresh streams, the same numbers its clients draw
+// as they run, so the fleet may be captured before, during or after its run.
+// A schedule with an arrival past the replay horizon is refused: its trace
+// would not read back.
+func (f *Fleet) Capture(gen xport.Gen, fatTree bool) (*Trace, error) {
+	t := &Trace{
 		Meta: TraceMeta{
 			Format:    TraceFormat,
 			Gen:       gen.String(),
@@ -101,9 +100,28 @@ func (f *Fleet) Capture(gen xport.Gen, fatTree bool) *Trace {
 			ServiceNS: int64(f.cfg.ServiceTime),
 			DrainNS:   int64(f.wl.Drain),
 		},
-		gen:   gen,
-		sched: sched,
+		gen: gen,
 	}
+	switch {
+	case f.trace != nil: // records are never written after ReadTrace
+		t.sched = f.trace.sched
+	case f.clients != nil:
+		t.sched = make([][]req, len(f.spaces))
+		for c, cl := range newClients(f.wl, len(f.spaces)) {
+			rs := make([]req, f.wl.Requests)
+			for seq := range rs {
+				rs[seq] = cl.draw(&f.wl, seq)
+				if rs[seq].T > replayHorizon {
+					return nil, fmt.Errorf("svcload: client %d request %d arrives at %v, past the replay horizon %v",
+						c, seq, rs[seq].T, replayHorizon)
+				}
+			}
+			t.sched[c] = rs
+		}
+	default:
+		panic("svcload: Capture before Plan/PlanTrace")
+	}
+	return t, nil
 }
 
 // Write serializes the trace as JSONL: meta line, then records in
@@ -220,18 +238,19 @@ func (f *Fleet) PlanTrace(t *Trace) error {
 		Seed:  t.Meta.Seed,
 		Drain: sim.Time(t.Meta.DrainNS),
 	}
+	planned, maxBody := int64(0), 0
 	for c, rs := range t.sched {
-		if wl.Requests < len(rs) {
-			wl.Requests = len(rs)
-		}
+		wl.Requests = max(wl.Requests, len(rs))
+		planned += int64(len(rs))
 		for seq, r := range rs {
 			if r.Fan > n {
 				return fmt.Errorf("svcload: trace client %d seq %d: fanout %d exceeds %d nodes", c, seq, r.Fan, n)
 			}
+			maxBody = max(maxBody, r.ReqB, r.RespB)
 		}
 	}
 	if wl.Requests == 0 {
 		return fmt.Errorf("svcload: trace has no requests")
 	}
-	return f.install(wl, t.sched)
+	return f.install(wl, nil, t, planned, maxBody)
 }

@@ -20,7 +20,9 @@ func TestCaptureReplayIdentity(t *testing.T) {
 		if err := f.Plan(openWorkload(1998)); err != nil {
 			t.Fatal(err)
 		}
-		if err := f.Capture(gen, true).Write(&buf); err != nil {
+		if tr, err := f.Capture(gen, true); err != nil {
+			t.Fatal(err)
+		} else if err := tr.Write(&buf); err != nil {
 			t.Fatal(err)
 		}
 		orig := runFleet(t, pl, f)
@@ -61,7 +63,9 @@ func TestTraceFileShape(t *testing.T) {
 	if err := f.Plan(wl); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Capture(xport.GenFM2, false).Write(&buf); err != nil {
+	if tr, err := f.Capture(xport.GenFM2, false); err != nil {
+		t.Fatal(err)
+	} else if err := tr.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	runFleet(t, pl, f)
@@ -75,6 +79,25 @@ func TestTraceFileShape(t *testing.T) {
 	for _, l := range lines[1:] {
 		if !strings.Contains(l, `"t_ns"`) || !strings.Contains(l, `"fanout"`) {
 			t.Fatalf("record missing fields: %s", l)
+		}
+	}
+}
+
+// TestCaptureRefusesPastTheHorizon: the replay horizon is a limit of the
+// trace format, not of a run. A generated schedule that outlasts it plans
+// and runs, and Capture, which would write a trace ReadTrace refuses, names
+// the horizon instead.
+func TestCaptureRefusesPastTheHorizon(t *testing.T) {
+	for _, wl := range []Workload{
+		{Mode: ModeIncast, Requests: 2, RateRPS: 1, Fanout: 1},
+		{Mode: ModeOpen, Requests: 20, RateRPS: 1, Fanout: 1, Seed: 1},
+	} {
+		_, _, f := buildFleet(t, machine{nodes: 4})
+		if err := f.Plan(wl); err != nil {
+			t.Fatalf("%s: plan: %v", wl.Mode, err)
+		}
+		if _, err := f.Capture(xport.GenFM2, false); err == nil || !strings.Contains(err.Error(), "horizon") {
+			t.Errorf("%s: capture past the horizon: %v, want an error naming the horizon", wl.Mode, err)
 		}
 	}
 }
@@ -145,7 +168,9 @@ func TestTraceEmptyRejected(t *testing.T) {
 // FuzzTrace feeds arbitrary bytes to ReadTrace: it must refuse them or
 // accept them without panicking, and an accepted trace must be stable under
 // Write, so Write(ReadTrace(x)) reads back as the same trace and writes the
-// same bytes. The seed corpus (testdata/fuzz/FuzzTrace) has the head of
+// same bytes. A trace of at most 8 nodes is then planned on a fleet of its
+// machine; if PlanTrace takes it, the fleet plans every record and captures
+// them back unchanged, line for line. The seed corpus (testdata/fuzz/FuzzTrace) has the head of
 // fmbench's captured trace and one input per ReadTrace error branch: a bad
 // header, a client out of range, a seq gap, a key overflow and a t_ns past
 // the replay horizon.
@@ -168,6 +193,30 @@ func FuzzTrace(f *testing.F) {
 		}
 		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
 			t.Fatalf("Write is not stable under ReadTrace:\n%s\nthen\n%s", once.Bytes(), twice.Bytes())
+		}
+		if tr.Meta.Nodes > 8 {
+			return
+		}
+		_, _, fl := buildFleet(t, machine{gen: tr.Gen(), nodes: tr.Meta.Nodes, fatTree: tr.Meta.FatTree})
+		if fl.PlanTrace(tr) != nil {
+			return
+		}
+		// The record lines: past the meta line, and up to the empty one
+		// after the final newline.
+		records := bytes.Split(once.Bytes(), []byte("\n"))[1:]
+		if got, want := fl.Planned(), int64(len(records)-1); got != want {
+			t.Fatalf("planned %d of %d records", got, want)
+		}
+		back, err = fl.Capture(tr.Gen(), tr.Meta.FatTree)
+		if err != nil {
+			t.Fatalf("Capture of a planned trace: %v", err)
+		}
+		var captured bytes.Buffer
+		if err := back.Write(&captured); err != nil {
+			t.Fatalf("Write of a captured trace: %v", err)
+		}
+		if got := bytes.Split(captured.Bytes(), []byte("\n"))[1:]; !reflect.DeepEqual(got, records) {
+			t.Fatalf("capture of a planned trace changed its records:\n%s\nthen\n%s", once.Bytes(), captured.Bytes())
 		}
 	})
 }

@@ -373,7 +373,7 @@ type TurnWork interface {
 //
 // A loop that tests its condition between the poll and the pause (`Extract;
 // if !done { Delay }`, as the benchmark drivers, internal/bench and
-// examples/quickstart do) is a different schedule, not this wait, and keeps
+// Example_quickstart do) is a different schedule, not this wait, and keeps
 // calling Extract.
 func (hs *HandlerSpace) WaitPaced(p *sim.Proc, maxBytes int, until Cond, pace Pace) bool {
 	if pace.Gap <= 0 {
