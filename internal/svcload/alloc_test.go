@@ -1,6 +1,8 @@
 package svcload
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/alloctest"
@@ -98,5 +100,37 @@ func TestRequestAllocsPinned(t *testing.T) {
 		} else {
 			t.Logf("%s: %.3f mallocs per request", c.name, got)
 		}
+	}
+}
+
+// TestReadTraceAllocs pins what replaying a trace costs in mallocs: a record
+// is decoded in place, so what remains is the header, the scanner's buffer
+// and each client's schedule growing by append. 32 clients of 115 records,
+// rpc-open's shape, measured 0.073 mallocs per record (4.07 while each
+// record went through encoding/json).
+func TestReadTraceAllocs(t *testing.T) {
+	if sim.RaceEnabled {
+		t.Skip("alloc pins don't hold under the race detector's instrumentation")
+	}
+	const clients, requests = 32, 115
+	var b bytes.Buffer
+	fmt.Fprintf(&b, `{"format":%q,"fm":"fm2","nodes":%d,"fat_tree":true,"mode":"open","seed":1,"requests":%d,"service_ns":2000}`+"\n",
+		TraceFormat, clients, requests)
+	for c := 0; c < clients; c++ {
+		for seq := 0; seq < requests; seq++ {
+			fmt.Fprintf(&b, `{"t_ns":%d,"client":%d,"seq":%d,"key":%d,"fanout":2,"req_b":64,"resp_b":512}`+"\n",
+				1000*(seq+1)+c, c, seq, (seq*7+c)%1024)
+		}
+	}
+	in := b.Bytes()
+	got := float64(alloctest.MinMallocs(func() {
+		if _, err := ReadTrace(bytes.NewReader(in)); err != nil {
+			t.Fatal(err)
+		}
+	})) / (clients * requests)
+	if got >= 0.1 {
+		t.Errorf("ReadTrace took %.3f mallocs per record, want fewer than 0.1", got)
+	} else {
+		t.Logf("%.3f mallocs per record", got)
 	}
 }

@@ -146,10 +146,10 @@ func (wl Workload) withDefaults() Workload {
 // n nodes, as Plan does, for callers that validate before building one.
 func (wl Workload) Validate(n int) error { return wl.withDefaults().validate(n) }
 
-// maxKeyspace bounds Keyspace: every client's key sampler holds a cumulative
-// weight of 8 bytes per key, so at the bound a client's table is 512 KiB,
-// where 2e10 keys asked for 160 GB. Every committed workload uses 256 keys
-// or fewer.
+// maxKeyspace bounds Keyspace: the fleet's key table, which every client's
+// sampler shares, holds a cumulative weight of 8 bytes per key, so at the
+// bound it is 512 KiB, where 2e10 keys asked for 160 GB. Every committed
+// workload uses 256 keys or fewer.
 const maxKeyspace = 1 << 16
 
 // validate checks the workload against a fleet of n nodes.
@@ -361,15 +361,20 @@ type client struct {
 	t    float64                 // open: the last arrival drawn, ns
 }
 
-// newClients seeds the draw state of wl's n clients.
+// newClients seeds the draw state of wl's n clients. Their key samplers
+// share one table, each with its own stream.
 func newClients(wl Workload, n int) []client {
 	cs := make([]client, n)
+	var keys *trafficgen.ZipfTable
+	if wl.Mode != ModeIncast { // incast: every client, key 0
+		keys = trafficgen.NewZipfTable(wl.Keyspace, wl.ZipfS)
+	}
 	for c := range cs {
 		if wl.Mode == ModeOpen {
 			cs[c].arr = trafficgen.NewExp(seedFor(wl.Seed, "arrival", c), 1e9/wl.RateRPS)
 		}
-		if wl.Mode != ModeIncast { // incast: every client, key 0
-			cs[c].keys = trafficgen.NewZipf(seedFor(wl.Seed, "key", c), wl.Keyspace, wl.ZipfS)
+		if keys != nil {
+			cs[c].keys = keys.Sampler(seedFor(wl.Seed, "key", c))
 		}
 	}
 	return cs

@@ -251,8 +251,10 @@ func TestEndpointAccountingSeesRPC(t *testing.T) {
 // TestPlanHoldsNoSchedule pins what Plan allocates: each client's samplers,
 // not its requests. 32 clients of 32 768 requests each used to be a 40 MiB
 // schedule of 40-byte records; drawn as they are sent, they cost the
-// samplers' state, about 240 KiB closed and 410 KiB open. A workload of
+// samplers' state, about 175 KiB closed and 345 KiB open. A workload of
 // 2 × 2e8 requests, which used to ask for 8 GB, validates and plans the same.
+// The clients share one key table: at the largest keyspace, 32 tables of
+// their own were 16 MiB, and the shared one is 512 KiB.
 func TestPlanHoldsNoSchedule(t *testing.T) {
 	const limit = 1 << 20
 	for _, c := range []struct {
@@ -261,6 +263,7 @@ func TestPlanHoldsNoSchedule(t *testing.T) {
 	}{
 		{32, Workload{Mode: ModeClosed, Requests: 32_768, Seed: 1}},
 		{32, Workload{Mode: ModeOpen, Requests: 32_768, RateRPS: 5_000, Seed: 1}},
+		{32, Workload{Mode: ModeClosed, Requests: 32_768, Keyspace: maxKeyspace, Seed: 1}},
 		{2, Workload{Mode: ModeClosed, Requests: 200_000_000, Seed: 1}},
 	} {
 		_, _, f := buildFleet(t, machine{nodes: c.nodes, fatTree: c.nodes > 16})

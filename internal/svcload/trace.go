@@ -2,10 +2,13 @@ package svcload
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 
 	"repro/internal/flowctl"
 	"repro/internal/sim"
@@ -18,6 +21,15 @@ import (
 // payload size, with all remaining behavior deterministic under the
 // virtual-time kernel — replaying a trace reproduces the original run's
 // report byte for byte.
+//
+// A record line has a fixed grammar, a subset of JSON: one flat object
+// whose members are t_ns, client, seq, key, fanout, req_b and resp_b, each
+// at most once and in any order, each a JSON integer (an optional '-', no
+// leading zeros) that fits in int64, with JSON whitespace between tokens.
+// An absent member is 0. An unknown, duplicate, escaped or case-variant
+// key, null, a string, a fraction or exponent, a nested value or trailing
+// bytes make the line, and the trace, invalid. Write puts the members in
+// the order above and omits req_b and resp_b when 0.
 const TraceFormat = "fmnet-svctrace/1"
 
 // TraceMeta is the trace header: everything needed to rebuild the run the
@@ -51,6 +63,8 @@ const replayHorizon = sim.Second
 
 // traceRec is one scheduled request. t_ns == 0 marks a closed-loop entry
 // (issued on the previous completion rather than at an absolute instant).
+// decode and append are the record's codec; the tags let the tests hold
+// both against encoding/json.
 type traceRec struct {
 	TNS    int64 `json:"t_ns"`
 	Client int   `json:"client"`
@@ -59,6 +73,126 @@ type traceRec struct {
 	Fan    int   `json:"fanout"`
 	ReqB   int   `json:"req_b,omitempty"`
 	RespB  int   `json:"resp_b,omitempty"`
+}
+
+// recordKeys are a record's members, in traceRec's field order.
+var recordKeys = [...]string{"t_ns", "client", "seq", "key", "fanout", "req_b", "resp_b"}
+
+// decode parses one record line of TraceFormat's grammar in place, without
+// reflection; only a refusal allocates, for its error.
+func (r *traceRec) decode(line []byte) error {
+	var v [len(recordKeys)]int64
+	var seen uint8
+	i := skipSpace(line, 0)
+	if i == len(line) || line[i] != '{' {
+		return errors.New("record is not an object")
+	}
+	// An empty object, or members separated by commas.
+	for i = skipSpace(line, i+1); seen != 0 || i == len(line) || line[i] != '}'; {
+		if i == len(line) || line[i] != '"' {
+			return fmt.Errorf("byte %d: want a key", i)
+		}
+		end := bytes.IndexByte(line[i+1:], '"')
+		if end < 0 {
+			return fmt.Errorf("byte %d: unterminated key", i)
+		}
+		name := line[i+1 : i+1+end]
+		k := 0
+		for k < len(recordKeys) && string(name) != recordKeys[k] {
+			k++
+		}
+		if k == len(recordKeys) {
+			return fmt.Errorf("unknown key %q", name)
+		}
+		if seen&(1<<k) != 0 {
+			return fmt.Errorf("duplicate key %q", name)
+		}
+		seen |= 1 << k
+		i = skipSpace(line, i+2+end)
+		if i == len(line) || line[i] != ':' {
+			return fmt.Errorf("byte %d: want ':' after %q", i, name)
+		}
+		at := skipSpace(line, i+1)
+		var ok bool
+		if v[k], i, ok = parseInt(line, at); !ok {
+			return fmt.Errorf("byte %d: %q wants an integer that fits in int64", at, name)
+		}
+		if i = skipSpace(line, i); i == len(line) || line[i] != ',' {
+			break
+		}
+		i = skipSpace(line, i+1)
+	}
+	if i == len(line) || line[i] != '}' {
+		return fmt.Errorf("byte %d: want ',' or '}'", i)
+	}
+	if i = skipSpace(line, i+1); i != len(line) {
+		return fmt.Errorf("byte %d: trailing bytes after the record", i)
+	}
+	*r = traceRec{TNS: v[0], Client: int(v[1]), Seq: int(v[2]), Key: int(v[3]),
+		Fan: int(v[4]), ReqB: int(v[5]), RespB: int(v[6])}
+	return nil
+}
+
+// skipSpace returns the index of the first byte at or after i that is not
+// JSON whitespace.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// parseInt reads the JSON integer at b[i:], returning its value, the index
+// past it, and whether it was one that fits in int64.
+func parseInt(b []byte, i int) (int64, int, bool) {
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	start := i
+	var u uint64 // the magnitude, at most 1<<63
+	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+		if u > (1<<63)/10 {
+			return 0, i, false
+		}
+		if u = u*10 + uint64(b[i]-'0'); u > 1<<63 {
+			return 0, i, false
+		}
+	}
+	switch {
+	case i == start, b[start] == '0' && i-start > 1:
+		return 0, i, false
+	case neg:
+		return -int64(u), i, true // -(1<<63) wraps to itself
+	case u > math.MaxInt64:
+		return 0, i, false
+	}
+	return int64(u), i, true
+}
+
+// append writes the record as one line, members in recordKeys' order and
+// req_b and resp_b omitted when 0: what decode reads back, and the bytes
+// encoding/json writes for traceRec.
+func (r *traceRec) append(b []byte) []byte {
+	b = append(b, `{"t_ns":`...)
+	b = strconv.AppendInt(b, r.TNS, 10)
+	b = append(b, `,"client":`...)
+	b = strconv.AppendInt(b, int64(r.Client), 10)
+	b = append(b, `,"seq":`...)
+	b = strconv.AppendInt(b, int64(r.Seq), 10)
+	b = append(b, `,"key":`...)
+	b = strconv.AppendInt(b, int64(r.Key), 10)
+	b = append(b, `,"fanout":`...)
+	b = strconv.AppendInt(b, int64(r.Fan), 10)
+	if r.ReqB != 0 {
+		b = append(b, `,"req_b":`...)
+		b = strconv.AppendInt(b, int64(r.ReqB), 10)
+	}
+	if r.RespB != 0 {
+		b = append(b, `,"resp_b":`...)
+		b = strconv.AppendInt(b, int64(r.RespB), 10)
+	}
+	return append(b, "}\n"...)
 }
 
 // Trace is a captured request schedule plus the header describing the run
@@ -126,11 +260,11 @@ func (f *Fleet) Capture(gen xport.Gen, fatTree bool) (*Trace, error) {
 
 // Write serializes the trace as JSONL: meta line, then records in
 // (client, seq) order — a fixed order, so identical schedules produce
-// identical files.
+// identical files. Each record is appended straight into the writer's
+// buffer.
 func (t *Trace) Write(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(t.Meta); err != nil {
+	if err := json.NewEncoder(bw).Encode(t.Meta); err != nil {
 		return err
 	}
 	for c, rs := range t.sched {
@@ -139,7 +273,7 @@ func (t *Trace) Write(w io.Writer) error {
 				TNS: int64(r.T), Client: c, Seq: seq,
 				Key: r.Key, Fan: r.Fan, ReqB: r.ReqB, RespB: r.RespB,
 			}
-			if err := enc.Encode(rec); err != nil {
+			if _, err := bw.Write(rec.append(bw.AvailableBuffer())); err != nil {
 				return err
 			}
 		}
@@ -190,14 +324,13 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	}
 	sched := make([][]req, meta.Nodes)
 	line := 1
-	var rec traceRec // one record for every row: Unmarshal's target escapes
+	var rec traceRec
 	for sc.Scan() {
 		line++
 		if len(sc.Bytes()) == 0 {
 			continue
 		}
-		rec = traceRec{}
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+		if err := rec.decode(sc.Bytes()); err != nil {
 			return nil, fmt.Errorf("svcload: trace line %d: %w", line, err)
 		}
 		if rec.Client < 0 || rec.Client >= meta.Nodes {

@@ -2,6 +2,7 @@ package svcload
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -127,6 +128,22 @@ func TestReadTraceRejectsMalformed(t *testing.T) {
 		"far-future arrival":   meta + "\n" + `{"t_ns":9223372036854775807,"client":0,"seq":0,"key":0,"fanout":1}` + "\n",
 		"arrival past horizon": meta + "\n" + `{"t_ns":1000000001,"client":0,"seq":0,"key":0,"fanout":1}` + "\n",
 		"far-future drain":     `{"format":"fmnet-svctrace/1","fm":"fm2","nodes":4,"mode":"open","service_ns":2000,"drain_ns":9223372036854775807}` + "\n",
+		// A record is TraceFormat's fixed grammar, not any JSON that
+		// encoding/json would fit into it.
+		"unknown key":      meta + "\n" + `{"t_ns":5,"client":0,"seq":0,"key":0,"fanout":1,"prio":3}` + "\n",
+		"duplicate key":    meta + "\n" + `{"t_ns":5,"client":0,"seq":0,"seq":0,"key":0,"fanout":1}` + "\n",
+		"escaped key":      meta + "\n" + `{"t_ns":5,"client":0,"seq":0,"key":0,"fan\u006fut":1}` + "\n",
+		"case-variant key": meta + "\n" + `{"T_NS":5,"client":0,"seq":0,"key":0,"fanout":1}` + "\n",
+		"null value":       meta + "\n" + `{"t_ns":5,"client":0,"seq":0,"key":null,"fanout":1}` + "\n",
+		"string value":     meta + "\n" + `{"t_ns":"5","client":0,"seq":0,"key":0,"fanout":1}` + "\n",
+		"float value":      meta + "\n" + `{"t_ns":5.0,"client":0,"seq":0,"key":0,"fanout":1}` + "\n",
+		"exponent value":   meta + "\n" + `{"t_ns":5e0,"client":0,"seq":0,"key":0,"fanout":1}` + "\n",
+		"leading zero":     meta + "\n" + `{"t_ns":05,"client":0,"seq":0,"key":0,"fanout":1}` + "\n",
+		"int64 overflow":   meta + "\n" + `{"t_ns":5,"client":0,"seq":0,"key":9223372036854775808,"fanout":1}` + "\n",
+		"nested value":     meta + "\n" + `{"t_ns":5,"client":0,"seq":0,"key":0,"fanout":1,"x":{"y":[1]}}` + "\n",
+		"trailing bytes":   meta + "\n" + `{"t_ns":5,"client":0,"seq":0,"key":0,"fanout":1} 7` + "\n",
+		"not an object":    meta + "\n" + `null` + "\n",
+		"unterminated":     meta + "\n" + `{"t_ns":5,"client":0,"seq":0,"key":0,"fanout":1` + "\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadTrace(strings.NewReader(in)); err == nil {
@@ -165,17 +182,49 @@ func TestTraceEmptyRejected(t *testing.T) {
 	}
 }
 
-// FuzzTrace feeds arbitrary bytes to ReadTrace: it must refuse them or
-// accept them without panicking, and an accepted trace must be stable under
-// Write, so Write(ReadTrace(x)) reads back as the same trace and writes the
-// same bytes. A trace of at most 8 nodes is then planned on a fleet of its
-// machine; if PlanTrace takes it, the fleet plans every record and captures
-// them back unchanged, line for line. The seed corpus (testdata/fuzz/FuzzTrace) has the head of
-// fmbench's captured trace and one input per ReadTrace error branch: a bad
-// header, a client out of range, a seq gap, a key overflow and a t_ns past
-// the replay horizon.
+// TestTraceRecordGrammar: what a record line may vary — member order,
+// whitespace, absent members, -0 and the int64 extremes — decodes to the
+// record encoding/json reads from the same line.
+func TestTraceRecordGrammar(t *testing.T) {
+	for _, line := range []string{
+		`{"t_ns":10130,"client":0,"seq":0,"key":0,"fanout":2,"req_b":64,"resp_b":256}`,
+		` { "fanout" : 2 ,"resp_b":7,  "t_ns":5 ,"seq":3,"client":1,"key":9,"req_b":4 } `,
+		"\t{\"t_ns\":-0,\"key\":-9223372036854775808,\r\n\"fanout\":9223372036854775807}\r",
+		`{}`,
+	} {
+		var got, want traceRec
+		if err := got.decode([]byte(line)); err != nil {
+			t.Errorf("%q: %v", line, err)
+		} else if err := json.Unmarshal([]byte(line), &want); err != nil || got != want {
+			t.Errorf("%q: decoded %+v, encoding/json reads %+v (%v)", line, got, want, err)
+		}
+	}
+}
+
+// FuzzTrace feeds arbitrary bytes to the record decoder and to ReadTrace.
+// Every line the decoder accepts, encoding/json must accept too and read as
+// the same record: the grammar is a subset of JSON's. ReadTrace must refuse
+// the input or accept it without panicking, and an accepted trace must be
+// stable under Write, so Write(ReadTrace(x)) reads back as the same trace
+// and writes the same bytes. A trace of at most 8 nodes is then planned on a
+// fleet of its machine; if PlanTrace takes it, the fleet plans every record
+// and captures them back unchanged, line for line. The seed corpus
+// (testdata/fuzz/FuzzTrace) has the head of fmbench's captured trace, one
+// input per ReadTrace error branch (a bad header, a client out of range, a
+// seq gap, a key overflow and a t_ns past the replay horizon), and one per
+// class of record the grammar refuses: an unknown, duplicate, escaped or
+// case-variant key, null, a string, a float, a nested value, trailing bytes.
 func FuzzTrace(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
+		for _, line := range bytes.Split(in, []byte("\n")) {
+			var got, want traceRec
+			if got.decode(line) != nil {
+				continue
+			}
+			if err := json.Unmarshal(line, &want); err != nil || got != want {
+				t.Fatalf("%q: decoded %+v, encoding/json reads %+v (%v)", line, got, want, err)
+			}
+		}
 		tr, err := ReadTrace(bytes.NewReader(in))
 		if err != nil {
 			return

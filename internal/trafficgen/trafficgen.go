@@ -136,20 +136,18 @@ func All() []Dist {
 	return []Dist{GusellaEthernet(), KayPasqualeTCP(), KayPasqualeUDP(), SUNYCampus()}
 }
 
-// ZipfSampler draws keys from a Zipf(s) popularity distribution over
-// [0, n): key k has probability proportional to 1/(k+1)^s, so key 0 is the
-// hottest. Unlike math/rand's Zipf it accepts any s >= 0 (s = 0 is uniform,
-// datacenter key skews live around s ~ 0.9-1.3) and samples by CDF
-// inversion over a precomputed table, so draws are exact and deterministic
-// for a fixed seed regardless of runtime internals.
-type ZipfSampler struct {
+// ZipfTable is the Zipf(s) popularity distribution over [0, n): key k has
+// probability proportional to 1/(k+1)^s, so key 0 is the hottest. Unlike
+// math/rand's Zipf it accepts any s >= 0 (s = 0 is uniform, datacenter key
+// skews live around s ~ 0.9-1.3). It holds the cumulative weights, 8 bytes
+// per key, and is read-only once built, so any number of samplers share one.
+type ZipfTable struct {
 	cdf []float64
-	rng *rand.Rand
 }
 
-// NewZipf builds a seeded Zipf(s) sampler over n keys. Panics on n < 1 or
+// NewZipfTable builds the Zipf(s) table over n keys. Panics on n < 1 or
 // s < 0: a silent fallback would skew every downstream tail-latency number.
-func NewZipf(seed int64, n int, s float64) *ZipfSampler {
+func NewZipfTable(n int, s float64) *ZipfTable {
 	if n < 1 {
 		panic("trafficgen: zipf needs at least one key")
 	}
@@ -166,7 +164,26 @@ func NewZipf(seed int64, n int, s float64) *ZipfSampler {
 		cdf[k] /= sum
 	}
 	cdf[n-1] = 1 // guard against accumulated rounding
-	return &ZipfSampler{cdf: cdf, rng: rand.New(rand.NewSource(seed))}
+	return &ZipfTable{cdf: cdf}
+}
+
+// Sampler returns a seeded sampler over the table. It samples by CDF
+// inversion, so draws are exact and deterministic for a fixed seed
+// regardless of runtime internals.
+func (t *ZipfTable) Sampler(seed int64) *ZipfSampler {
+	return &ZipfSampler{cdf: t.cdf, rng: rand.New(rand.NewSource(seed))}
+}
+
+// ZipfSampler draws keys from a ZipfTable with its own random stream.
+type ZipfSampler struct {
+	cdf []float64 // the table's, shared
+	rng *rand.Rand
+}
+
+// NewZipf builds a seeded Zipf(s) sampler over n keys on a table of its
+// own. Panics on n < 1 or s < 0, as NewZipfTable does.
+func NewZipf(seed int64, n int, s float64) *ZipfSampler {
+	return NewZipfTable(n, s).Sampler(seed)
 }
 
 // pow is math.Pow with the two exponents the hot path actually sees
