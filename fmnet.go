@@ -99,7 +99,8 @@ type (
 	Topo = cluster.Topology
 	// Fabric is the assembled network, exposed for fault and loss inspection.
 	Fabric = netsim.Network
-	// FaultPlan is a deterministic, seeded fault schedule for the fabric.
+	// FaultPlan is a deterministic, seeded fault model for the fabric: a
+	// seed and rules, whose flaps last as long as the run.
 	FaultPlan = netsim.FaultPlan
 	// FaultRule layers fault behavior onto links matched by name glob.
 	FaultRule = netsim.FaultRule

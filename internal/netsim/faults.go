@@ -15,6 +15,10 @@
 //   - two links under one rule produce UNCORRELATED schedules: "10% loss on
 //     every uplink" must not mean "the same packets lost on every uplink".
 //
+// A plan holds no schedule. A link's outage sources are a fixed window or a
+// flap, and a flap draws its next window from its own stream only when the
+// link's frames pass the current one, so it lasts as long as the run.
+//
 // Corruption models the Myrinet link CRC (paper §3.1): a corrupted frame is
 // marked (Packet.Corrupt), carried to the receiving NIC, and dropped there
 // with a CRCDropped stat — it never reaches the protocol engines, exactly as
@@ -41,10 +45,51 @@ func linkSeed(base int64, name string) int64 {
 	return base ^ int64(h.Sum64())
 }
 
-// downWindow is one interval during which a link is dead. until is exclusive;
-// math.MaxInt64 means "never heals" (switch death).
-type downWindow struct {
+// outage is one source of a link's outage windows, and its current window
+// [from, until): until is exclusive, and math.MaxInt64 means "never heals"
+// (switch death). A fixed window (DownFrom/DownUntil) has no next one; a
+// flap draws its next window from its own stream once the link's time passes
+// the current one, so a flap lasts as long as the run and holds one window.
+type outage struct {
 	from, until sim.Time
+	up, down    sim.Time   // a flap's mean intervals
+	rng         *rand.Rand // a flap's stream; nil for a fixed window
+}
+
+// newFlap starts a flap's stream, seeded from (seed, "flap:"+link name), and
+// draws its first window: an up interval from time zero, then a down one.
+func newFlap(seed int64, name string, up, down sim.Time) outage {
+	o := outage{up: up, down: down, rng: rand.New(rand.NewSource(linkSeed(seed, "flap:"+name)))}
+	o.next()
+	return o
+}
+
+// next moves the source past its current window: a flap draws an up interval
+// and then a down one of at least 1 ns; a spent fixed window opens no more.
+func (o *outage) next() {
+	if o.rng == nil {
+		o.from, o.until = math.MaxInt64, math.MaxInt64
+		return
+	}
+	o.from = addSat(o.until, expSat(o.rng, o.up))
+	o.until = addSat(o.from, max(expSat(o.rng, o.down), 1))
+}
+
+// expSat draws an exponential interval of the given mean, saturating at
+// math.MaxInt64 where the float product would wrap the conversion.
+func expSat(rng *rand.Rand, mean sim.Time) sim.Time {
+	if d := rng.ExpFloat64() * float64(mean); d < math.MaxInt64 {
+		return sim.Time(d)
+	}
+	return math.MaxInt64
+}
+
+// addSat adds two non-negative times, saturating at math.MaxInt64.
+func addSat(a, b sim.Time) sim.Time {
+	if a > math.MaxInt64-b {
+		return math.MaxInt64
+	}
+	return a + b
 }
 
 // linkFaults is the per-link fault state. The clean path never allocates one:
@@ -55,18 +100,23 @@ type linkFaults struct {
 	slow    float64 // >1 scales serialization+propagation (straggler NIC/link)
 	seed    int64
 	rng     *rand.Rand // lazy: seeded from (seed, link name) on first use
-	down    []downWindow
-	downIdx int // monotone cursor: virtual time never runs backwards
+	down    []outage
 }
 
-// inDown reports whether the link is inside an outage window at time now.
-// Windows are sorted and merged, and per-link send times are monotone, so a
-// single advancing cursor suffices.
+// inDown reports whether any of the link's outage sources is down at time
+// now. A link's frame arrival times are monotone, so each source only ever
+// moves forward past the windows now has left behind.
 func (f *linkFaults) inDown(now sim.Time) bool {
-	for f.downIdx < len(f.down) && f.down[f.downIdx].until <= now {
-		f.downIdx++
+	for i := range f.down {
+		o := &f.down[i]
+		for o.until <= now && o.until < math.MaxInt64 {
+			o.next()
+		}
+		if o.from <= now {
+			return true
+		}
 	}
-	return f.downIdx < len(f.down) && f.down[f.downIdx].from <= now
+	return false
 }
 
 // FaultRule layers fault behavior onto every link whose name matches Links.
@@ -84,7 +134,8 @@ type FaultRule struct {
 
 	// FlapMeanUp/FlapMeanDown enable link flapping: alternating up/down
 	// intervals with exponentially distributed durations of these means,
-	// scheduled from time zero to the plan horizon. Both must be set.
+	// from time zero for as long as the run lasts. Both must be set, and
+	// their sum, the mean cycle, must be at least MinFlapCycle.
 	FlapMeanUp, FlapMeanDown sim.Time
 
 	// DownFrom/DownUntil schedule one outage window [from, until). Until == 0
@@ -106,28 +157,24 @@ func (r *FaultRule) match(name string) bool {
 	return ok
 }
 
-// DefaultFaultHorizon bounds flap-schedule generation when the plan does not
-// set one: one virtual second, far past any scenario deadline in use.
-const DefaultFaultHorizon = sim.Second
-
-// MaxFlapWindows bounds the outage windows one flap rule may schedule per
-// link: ApplyFaults precomputes them up to the plan horizon, 16 bytes each,
-// so a mean cycle of a few nanoseconds ran a campaign out of memory before it
-// modelled anything. At the bound a link's schedule is 1 MiB, over five
-// hundred times the flappiest committed scenario's (~120 windows per link).
-const MaxFlapWindows = 1 << 16
+// MinFlapCycle is the shortest mean flap cycle (FlapMeanUp+FlapMeanDown) a
+// rule may ask for. A link draws its next outage window only once its frames
+// pass the current one, so at the floor a flap costs at most about one draw
+// per microsecond of link time, fewer than the poll ticks of that stretch.
+// The flappiest committed scenario cycles every 700 µs.
+const MinFlapCycle = sim.Microsecond
 
 // maxSlowFactor bounds SlowFactor, which scales a frame's int64 ns on the
 // wire (1e18 wrapped it negative): a 128 KiB frame at 1 kB/s, the slowest a
 // host profile allows, then takes 1.3e14 ns. Committed stragglers are 4×.
 const maxSlowFactor = 1000
 
-// FaultPlan is a deterministic, seeded fault schedule for a whole fabric.
+// FaultPlan is the deterministic, seeded fault model of a whole fabric: a
+// seed and rules, and no schedule. Each link draws its own from the seed as
+// its frames reach it, for as long as the run lasts.
 type FaultPlan struct {
 	// Seed is the campaign seed every per-link stream is derived from.
 	Seed int64
-	// Horizon bounds flap-schedule generation (0 = DefaultFaultHorizon).
-	Horizon sim.Time
 	// Rules apply in order; later rules override fields of earlier ones on
 	// links both match.
 	Rules []FaultRule
@@ -135,9 +182,6 @@ type FaultPlan struct {
 
 // Validate checks the plan's rules without touching any network.
 func (fp *FaultPlan) Validate() error {
-	if fp.Horizon < 0 {
-		return fmt.Errorf("netsim: fault plan horizon %d is negative", fp.Horizon)
-	}
 	for i, r := range fp.Rules {
 		if r.Links != "" {
 			if _, err := path.Match(r.Links, "probe"); err != nil {
@@ -156,9 +200,8 @@ func (fp *FaultPlan) Validate() error {
 		if r.FlapMeanUp < 0 || r.FlapMeanDown < 0 {
 			return fmt.Errorf("netsim: fault rule %d: negative flap interval", i)
 		}
-		if cyc := r.FlapMeanUp + r.FlapMeanDown; cyc > 0 && fp.horizon()/cyc > MaxFlapWindows {
-			return fmt.Errorf("netsim: fault rule %d: a flap every %v up to %v is ~%d outage windows per link, over the %d bound",
-				i, cyc, fp.horizon(), fp.horizon()/cyc, MaxFlapWindows)
+		if r.FlapMeanUp > 0 && r.FlapMeanDown < MinFlapCycle && r.FlapMeanUp < MinFlapCycle-r.FlapMeanDown { // the sum may wrap
+			return fmt.Errorf("netsim: fault rule %d: a flap every %v is under the %v floor", i, r.FlapMeanUp+r.FlapMeanDown, MinFlapCycle)
 		}
 		if r.DownFrom < 0 || r.DownUntil < 0 {
 			return fmt.Errorf("netsim: fault rule %d: negative outage bound", i)
@@ -173,52 +216,6 @@ func (fp *FaultPlan) Validate() error {
 	return nil
 }
 
-// horizon is the time flap schedules run to.
-func (fp *FaultPlan) horizon() sim.Time {
-	if fp.Horizon == 0 {
-		return DefaultFaultHorizon
-	}
-	return fp.Horizon
-}
-
-// flapWindows generates a link's outage windows from its own RNG stream:
-// alternating exponential up/down intervals from time zero to the horizon.
-func flapWindows(seed int64, name string, up, down, horizon sim.Time) []downWindow {
-	rng := rand.New(rand.NewSource(linkSeed(seed, "flap:"+name)))
-	var wins []downWindow
-	t := sim.Time(rng.ExpFloat64() * float64(up))
-	for t < horizon {
-		d := sim.Time(rng.ExpFloat64() * float64(down))
-		if d < 1 {
-			d = 1
-		}
-		wins = append(wins, downWindow{from: t, until: t + d})
-		t += d + sim.Time(rng.ExpFloat64()*float64(up))
-	}
-	return wins
-}
-
-// mergeWindows sorts outage windows and coalesces overlaps so the per-send
-// cursor scan stays a single monotone pass.
-func mergeWindows(wins []downWindow) []downWindow {
-	if len(wins) <= 1 {
-		return wins
-	}
-	sort.Slice(wins, func(i, j int) bool { return wins[i].from < wins[j].from })
-	out := wins[:1]
-	for _, w := range wins[1:] {
-		last := &out[len(out)-1]
-		if w.from <= last.until {
-			if w.until > last.until {
-				last.until = w.until
-			}
-			continue
-		}
-		out = append(out, w)
-	}
-	return out
-}
-
 // ApplyFaults layers a fault plan onto the assembled fabric. Call once,
 // before the simulation runs; links the plan never matches keep their
 // zero-cost clean path (a nil fault state).
@@ -226,7 +223,6 @@ func (n *Network) ApplyFaults(plan FaultPlan) error {
 	if err := plan.Validate(); err != nil {
 		return err
 	}
-	horizon := plan.horizon()
 	for _, l := range n.links {
 		for ri := range plan.Rules {
 			r := &plan.Rules[ri]
@@ -251,14 +247,11 @@ func (n *Network) ApplyFaults(plan FaultPlan) error {
 				if until == 0 {
 					until = math.MaxInt64
 				}
-				f.down = append(f.down, downWindow{from: r.DownFrom, until: until})
+				f.down = append(f.down, outage{from: r.DownFrom, until: until})
 			}
 			if r.FlapMeanUp > 0 {
-				f.down = append(f.down, flapWindows(plan.Seed, l.name, r.FlapMeanUp, r.FlapMeanDown, horizon)...)
+				f.down = append(f.down, newFlap(plan.Seed, l.name, r.FlapMeanUp, r.FlapMeanDown))
 			}
-		}
-		if f := l.faults; f != nil {
-			f.down = mergeWindows(f.down)
 		}
 	}
 	return nil

@@ -9,10 +9,6 @@ import (
 	"repro/internal/sim"
 )
 
-// fuzzHorizon caps a fuzzed plan's horizon: flap schedules are precomputed
-// up to it, and the all-to-all pattern is done well before it.
-const fuzzHorizon = 5 * sim.Millisecond
-
 // framesPerPair is the all-to-all pattern: every node sends this many frames
 // to every other node.
 const framesPerPair = 4
@@ -63,7 +59,7 @@ func campaignFaults(f *testing.F) [][]FaultRule {
 	return plans
 }
 
-// FuzzFaultPlan feeds a seed, a horizon and one or two rules over every
+// FuzzFaultPlan feeds a seed and one or two rules over every
 // FaultRule field to FaultPlan.Validate. A plan it refuses ApplyFaults must
 // refuse too. A plan it accepts must apply to a 4-node SingleSwitch fabric
 // and carry a fixed all-to-all frame pattern to completion, with every frame
@@ -78,21 +74,18 @@ func FuzzFaultPlan(f *testing.F) {
 		if len(rules) > 1 {
 			r1 = rules[1]
 		}
-		f.Add(int64(1998), int64(0), len(rules) > 1,
+		f.Add(int64(1998), len(rules) > 1,
 			r0.Links, r0.DropProb, r0.CorruptProb, int64(r0.FlapMeanUp), int64(r0.FlapMeanDown), int64(r0.DownFrom), int64(r0.DownUntil), r0.SlowFactor,
 			r1.Links, r1.DropProb, r1.CorruptProb, int64(r1.FlapMeanUp), int64(r1.FlapMeanDown), int64(r1.DownFrom), int64(r1.DownUntil), r1.SlowFactor)
 	}
-	f.Fuzz(func(t *testing.T, seed, horizon int64, two bool,
+	f.Fuzz(func(t *testing.T, seed int64, two bool,
 		links0 string, drop0, corrupt0 float64, up0, down0, from0, until0 int64, slow0 float64,
 		links1 string, drop1, corrupt1 float64, up1, down1, from1, until1 int64, slow1 float64) {
-		plan := FaultPlan{Seed: seed, Horizon: sim.Time(horizon) % (fuzzHorizon + 1), Rules: []FaultRule{{
+		plan := FaultPlan{Seed: seed, Rules: []FaultRule{{
 			Links: links0, DropProb: drop0, CorruptProb: corrupt0,
 			FlapMeanUp: sim.Time(up0), FlapMeanDown: sim.Time(down0),
 			DownFrom: sim.Time(from0), DownUntil: sim.Time(until0), SlowFactor: slow0,
 		}}}
-		if plan.Horizon == 0 {
-			plan.Horizon = fuzzHorizon // not DefaultFaultHorizon's second
-		}
 		if two {
 			plan.Rules = append(plan.Rules, FaultRule{
 				Links: links1, DropProb: drop1, CorruptProb: corrupt1,

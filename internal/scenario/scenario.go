@@ -268,7 +268,7 @@ func (s *Spec) faultPlan(seed int64) *fmnet.FaultPlan {
 	if len(s.Faults) == 0 {
 		return nil
 	}
-	plan := &fmnet.FaultPlan{Seed: seed, Horizon: s.watchdog()}
+	plan := &fmnet.FaultPlan{Seed: seed}
 	for _, f := range s.Faults {
 		plan.Rules = append(plan.Rules, fmnet.FaultRule{
 			Links:        f.Links,
