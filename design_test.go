@@ -81,8 +81,8 @@ var designRules = []struct {
 	},
 	{
 		// No switch, option or parameter turns poisoning on or off, and
-		// nothing but bufpool.Poison stores the poison byte.
-		rule: "every release is poisoned, by bufpool.Poison", home: "./internal/bufpool",
+		// nothing but Recycler.Put's fill stores the poison byte.
+		rule: "every release is poisoned, by Recycler.Put", home: "./internal/bufpool",
 		paths: []string{"."}, except: []string{"internal/bufpool", "design_test.go"}, tests: true,
 		bad: regexp.MustCompile(`WithPoison|PoisonFrames|SetPoison|Poisoned\(\)|\bpoison(, | bool)|bufpool\.New\([^,()]*,|\] *= *(bufpool\.)?PoisonByte`),
 	},

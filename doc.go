@@ -78,8 +78,9 @@
 //   - internal/par: replica-parallel campaigns, the one place simulations
 //     run side by side.
 //   - internal/alloctest: the measurement behind the zero-allocation pins.
-//   - internal/bufpool: recycling: free lists, byte pools, one Stats, and the
-//     one poison fill every release gets.
+//   - internal/bufpool: recycling: one bounded free list, Recycler, behind
+//     records, byte pools and frame pools, with one Stats and the one poison
+//     fill every release gets.
 //
 // cmd/fmbench prints every figure and report; README.md says how to run
 // each one.

@@ -1,31 +1,31 @@
-// Package bufpool is the tree's recycling: bounded LIFO free lists of
-// record pointers (FreeList: stream records, request handles, accounting
-// wrappers, Chan handoff slots) and of memory (Recycler: the one free list,
-// bound and Stats bookkeeping behind Pool — FM 1.x assembly buffers, FM 2.x
-// loopback staging, the xport staging adapter's send buffers, socket segment
-// buffers, protocol header scratch — and behind netsim's frame pools). Like
-// the rest of the simulator it runs single-threaded under the kernel, so
-// there is no locking; unlike sync.Pool it is deterministic, bounded, and
-// observable (high-water mark, allocation counters), which the perf suite and
-// the alloc-regression gates rely on. It imports nothing, so every package,
-// sim included, may use it. FIFOs are sim.Queue.
+// Package bufpool is the tree's recycling: one bounded LIFO free list,
+// Recycler, with one Stats, behind every recycled thing — records (stream
+// records, request handles, accounting wrappers, Chan handoff slots), byte
+// buffers through Pool (FM 1.x assembly buffers, FM 2.x loopback staging,
+// the xport staging adapter's send buffers, socket segment buffers, protocol
+// header scratch) and netsim's frame pools. Like the rest of the simulator
+// it runs single-threaded under the kernel, so there is no locking; unlike
+// sync.Pool it is deterministic, bounded, and observable (high-water mark,
+// allocation counters), which the perf suite and the alloc-regression gates
+// rely on. It imports nothing, so every package, sim included, may use it.
+// FIFOs are sim.Queue.
 //
 // Every release is poisoned, in every run: Recycler.Put overwrites the
-// memory it is handed with PoisonByte (Poison), and a record that carries
-// memory through a FreeList (xport's header scratch) is poisoned by its
-// owner before Put. An alias kept past the release reads garbage instead of
-// stale, plausible data. There is no switch, no code outside this package
-// writes PoisonByte itself, and no code outside sim's Queue pops a FIFO by
-// reslicing or copying down. TestDesignRules holds all three.
+// memory it is handed with PoisonByte, whether that is a byte buffer, a
+// frame or a record's own scratch (xport's header). An alias kept past the
+// release reads garbage instead of stale, plausible data. There is no
+// switch, no code outside this package writes PoisonByte itself, and no code
+// outside sim's Queue pops a FIFO by reslicing or copying down.
+// TestDesignRules holds all three.
 package bufpool
 
 // Stats reports a pool's recycling behavior.
 type Stats struct {
-	// Gets counts buffers handed out; Allocs the subset allocated fresh
-	// (free list empty or every free buffer too small). In steady state
+	// Gets counts items handed out; Allocs the subset allocated fresh
+	// (free list empty, or a free buffer too small). In steady state
 	// Allocs stops growing.
 	Gets, Allocs int64
-	// Releases counts buffers returned; Dropped the subset discarded because
+	// Releases counts items returned; Dropped the subset discarded because
 	// the free list was at capacity.
 	Releases, Dropped int64
 	// Free is the current free-list depth; HWM the deepest it has been.
@@ -40,7 +40,7 @@ const DefaultCap = 64
 // (plausible) data.
 const PoisonByte = 0xDB
 
-// poisonBlock is PoisonByte repeated: Poison fills a buffer with one copy
+// poisonBlock is PoisonByte repeated: poison fills a buffer with one copy
 // per block.
 var poisonBlock = func() (b [4096]byte) {
 	for i := range b {
@@ -49,16 +49,16 @@ var poisonBlock = func() (b [4096]byte) {
 	return b
 }()
 
-// Poison overwrites every byte of b with PoisonByte.
-func Poison(b []byte) {
+// poison overwrites every byte of b with PoisonByte.
+func poison(b []byte) {
 	for len(b) > 0 {
 		b = b[copy(b, poisonBlock[:]):]
 	}
 }
 
-// Recycler is the bounded LIFO free list behind Pool and netsim's frame
-// pools: the list, its bound, the Stats bookkeeping and the poisoning of
-// every release.
+// Recycler is the bounded LIFO free list: the list, its bound, the Stats
+// bookkeeping and the poisoning of every release. The zero value retains up
+// to DefaultCap items.
 type Recycler[T any] struct {
 	max   int
 	free  []T
@@ -68,9 +68,6 @@ type Recycler[T any] struct {
 // NewRecycler creates a free list retaining at most max items (<=0 means
 // DefaultCap).
 func NewRecycler[T any](max int) Recycler[T] {
-	if max <= 0 {
-		max = DefaultCap
-	}
 	return Recycler[T]{max: max}
 }
 
@@ -94,8 +91,12 @@ func (r *Recycler[T]) Get() (x T, ok bool) {
 // are dropped for the GC, so bursts cannot pin unbounded memory.
 func (r *Recycler[T]) Put(x T, mem []byte) {
 	r.stats.Releases++
-	Poison(mem)
-	if len(r.free) >= r.max {
+	poison(mem)
+	max := r.max
+	if max <= 0 {
+		max = DefaultCap
+	}
+	if len(r.free) >= max {
 		r.stats.Dropped++
 		return
 	}
@@ -111,51 +112,6 @@ func (r *Recycler[T]) Stats() Stats {
 	s.Free = len(r.free)
 	return s
 }
-
-// FreeList is a bounded LIFO free list of record pointers: the one shape
-// behind every recycled hot-path record in the tree (send/receive stream
-// records, request handles, accounting wrappers). Like Pool it is
-// single-threaded under the kernel and deterministic. The zero value
-// retains up to DefaultCap records.
-type FreeList[T any] struct {
-	max  int
-	free []*T
-}
-
-// NewFreeList creates a free list retaining at most max records (<=0 means
-// DefaultCap).
-func NewFreeList[T any](max int) FreeList[T] {
-	return FreeList[T]{max: max}
-}
-
-// Get pops the most recently returned record, or returns nil when the list
-// is empty (the caller then constructs a fresh one). Callers reset reused
-// records' fields themselves — the list knows nothing about T.
-func (f *FreeList[T]) Get() *T {
-	n := len(f.free) - 1
-	if n < 0 {
-		return nil
-	}
-	x := f.free[n]
-	f.free[n] = nil
-	f.free = f.free[:n]
-	return x
-}
-
-// Put returns a record; records beyond the bound are dropped for the GC.
-func (f *FreeList[T]) Put(x *T) {
-	max := f.max
-	if max <= 0 {
-		max = DefaultCap
-	}
-	if len(f.free) >= max {
-		return
-	}
-	f.free = append(f.free, x)
-}
-
-// Len reports the current free-list depth.
-func (f *FreeList[T]) Len() int { return len(f.free) }
 
 // Pool is a bounded LIFO free list of byte buffers.
 type Pool struct {

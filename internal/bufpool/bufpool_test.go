@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// TestPoolCapBounds pins both free lists' bound: a burst returned past max
-// cannot grow what they retain beyond it, and the Pool counts the overflow
-// as dropped.
+// TestPoolCapBounds pins the free list's bound: a burst returned past max
+// cannot grow what it retains beyond it, and the overflow counts as dropped,
+// at an explicit cap (Pool) and at the zero Recycler's DefaultCap.
 func TestPoolCapBounds(t *testing.T) {
 	const max, burst = 4, 10
 
@@ -27,37 +27,41 @@ func TestPoolCapBounds(t *testing.T) {
 		t.Fatalf("Pool: releases=%d dropped=%d; want %d and %d", st.Releases, st.Dropped, burst, burst-max)
 	}
 
-	f := NewFreeList[int](max)
-	for i := 0; i < burst; i++ {
-		f.Put(new(int))
+	// The zero Recycler, as every record free list declares it, keeps
+	// DefaultCap records and counts the rest dropped.
+	var r Recycler[*int]
+	for i := 0; i < DefaultCap+burst; i++ {
+		r.Put(new(int), nil)
 	}
-	if f.Len() != max {
-		t.Fatalf("FreeList: holds %d records after %d puts; want the cap %d", f.Len(), burst, max)
+	st = r.Stats()
+	if st.Free != DefaultCap || st.Releases != DefaultCap+burst || st.Dropped != burst {
+		t.Fatalf("zero Recycler: free=%d releases=%d dropped=%d after %d puts; want %d, %d and %d",
+			st.Free, st.Releases, st.Dropped, DefaultCap+burst, DefaultCap, DefaultCap+burst, burst)
 	}
-	for i := 0; i < max; i++ {
-		if f.Get() == nil {
-			t.Fatalf("FreeList: Get %d found it empty", i)
+	for i := 0; i < DefaultCap; i++ {
+		if x, ok := r.Get(); !ok || x == nil {
+			t.Fatalf("zero Recycler: Get %d found it empty", i)
 		}
 	}
-	if f.Get() != nil || f.Len() != 0 {
-		t.Fatalf("FreeList: %d records left after draining %d", f.Len(), max)
+	if x, ok := r.Get(); ok || x != nil {
+		t.Fatalf("zero Recycler: a record left after draining %d", DefaultCap)
 	}
 }
 
-// TestPoisonFillsEveryByte holds Poison to every byte at lengths around its
+// TestPoisonFillsEveryByte holds poison to every byte at lengths around its
 // 4 KiB block: a fill that missed a tail would quietly weaken every pool.
 func TestPoisonFillsEveryByte(t *testing.T) {
 	for _, n := range []int{0, 1, 4095, 4096, 4097, 10000} {
 		b := make([]byte, n+1)
-		b[n] = 0x5C // a guard past the slice Poison is given
-		Poison(b[:n])
+		b[n] = 0x5C // a guard past the slice poison is given
+		poison(b[:n])
 		for i, v := range b[:n] {
 			if v != PoisonByte {
-				t.Fatalf("len %d: byte %d is %#x after Poison, want %#x", n, i, v, PoisonByte)
+				t.Fatalf("len %d: byte %d is %#x after poison, want %#x", n, i, v, PoisonByte)
 			}
 		}
 		if b[n] != 0x5C {
-			t.Fatalf("len %d: Poison wrote past the slice", n)
+			t.Fatalf("len %d: poison wrote past the slice", n)
 		}
 	}
 }
@@ -70,7 +74,7 @@ func BenchmarkPoison(b *testing.B) {
 			buf := make([]byte, n)
 			b.SetBytes(int64(n))
 			for b.Loop() {
-				Poison(buf)
+				poison(buf)
 			}
 		})
 	}

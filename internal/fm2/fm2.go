@@ -87,13 +87,14 @@ type Endpoint struct {
 
 	// The zero-allocation steady state: every hot-path object recirculates
 	// through a bounded per-endpoint free list, like the core's frames.
-	ssPool   bufpool.FreeList[SendStream] // recycled send-stream records
-	rsPool   bufpool.FreeList[RecvStream] // recycled receive-stream records
-	loopPool *bufpool.Pool                // loopback staging buffers
+	ssPool   bufpool.Recycler[*SendStream] // recycled send-stream records
+	rsPool   bufpool.Recycler[*RecvStream] // recycled receive-stream records
+	loopPool *bufpool.Pool                 // loopback staging buffers
 
 	// Handler worker Procs: one coroutine services one message handler at a
 	// time and parks for reassignment instead of dying, so steady-state
-	// receive traffic spawns no goroutines.
+	// receive traffic spawns no goroutines. The idle list is unbounded, not
+	// a bufpool.Recycler: a worker dropped at a bound would stay parked.
 	idleWorkers []*hworker
 	numWorkers  int
 }
@@ -107,8 +108,8 @@ func Attach(pl *cluster.Platform, _ Config) []*Endpoint {
 			handlers:     make(map[HandlerID]Handler),
 			active:       make(map[uint32]*RecvStream),
 		}
-		e.ssPool = bufpool.NewFreeList[SendStream](netsim.DefaultPoolCap)
-		e.rsPool = bufpool.NewFreeList[RecvStream](netsim.DefaultPoolCap)
+		e.ssPool = bufpool.NewRecycler[*SendStream](netsim.DefaultPoolCap)
+		e.rsPool = bufpool.NewRecycler[*RecvStream](netsim.DefaultPoolCap)
 		e.loopPool = bufpool.New(netsim.DefaultPoolCap)
 		eps[i] = e
 	}

@@ -63,8 +63,8 @@ type RecvStream struct {
 
 // getRecvStream draws a recycled stream record with the given identity.
 func (e *Endpoint) getRecvStream(src int, msgid uint16, h HandlerID, msglen int, st streamState) *RecvStream {
-	rs := e.rsPool.Get()
-	if rs == nil {
+	rs, ok := e.rsPool.Get()
+	if !ok {
 		rs = &RecvStream{e: e}
 	}
 	rs.src = src
@@ -85,7 +85,7 @@ func (e *Endpoint) getRecvStream(src int, msgid uint16, h HandlerID, msglen int,
 // (retirement requires the handler done and the queue drained) and both
 // signals have no waiters; the backing arrays are kept for reuse.
 func (e *Endpoint) putRecvStream(rs *RecvStream) {
-	e.rsPool.Put(rs)
+	e.rsPool.Put(rs, nil)
 }
 
 // Src reports the sending node.

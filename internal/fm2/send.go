@@ -35,7 +35,7 @@ type SendStream struct {
 // getSendStream draws a recycled stream record, or allocates the pool's
 // first few.
 func (e *Endpoint) getSendStream() *SendStream {
-	if s := e.ssPool.Get(); s != nil {
+	if s, ok := e.ssPool.Get(); ok {
 		return s
 	}
 	return &SendStream{e: e}
@@ -46,7 +46,7 @@ func (e *Endpoint) getSendStream() *SendStream {
 func (e *Endpoint) putSendStream(s *SendStream) {
 	s.frame = nil
 	s.loop = nil
-	e.ssPool.Put(s)
+	e.ssPool.Put(s, nil)
 }
 
 // BeginMessage opens a message of exactly `size` payload bytes toward dst.

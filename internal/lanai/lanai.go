@@ -98,7 +98,7 @@ func (f *sendFirmware) Step(p *sim.Proc) {
 			p.StartDelay(n.H.P.NICSendPacket)
 			return
 		case sendInject:
-			f.tx = n.Ifc.StartSend(p.Now(), f.pkt)
+			f.tx = n.Ifc.StartSend(f.pkt)
 			f.next = sendWire
 		case sendWire:
 			if !f.tx.Step(p) { // serialization + fabric back-pressure

@@ -124,7 +124,7 @@ type Comm struct {
 	// reqPool recycles Request records for the blocking Recv path and the
 	// collective legs, where the request provably dies before the call
 	// returns. Irecv requests are caller-held and stay heap-allocated.
-	reqPool bufpool.FreeList[Request]
+	reqPool bufpool.Recycler[*Request]
 	// gatherReqs is Gather's list of pre-posted receives, kept for its
 	// backing array.
 	gatherReqs []*Request
@@ -138,7 +138,7 @@ type Comm struct {
 // getReq draws a recycled Request for an operation that completes within
 // one call.
 func (c *Comm) getReq() *Request {
-	if r := c.reqPool.Get(); r != nil {
+	if r, ok := c.reqPool.Get(); ok {
 		return r
 	}
 	return &Request{c: c}
@@ -160,7 +160,7 @@ func (c *Comm) putReq(r *Request) {
 	r.buf = nil
 	r.done = false
 	r.st = Status{}
-	c.reqPool.Put(r)
+	c.reqPool.Put(r, nil)
 }
 
 // Rank reports this process's rank.

@@ -16,8 +16,9 @@
 //     every uplink" must not mean "the same packets lost on every uplink".
 //
 // A plan holds no schedule. A link's outage sources are a fixed window or a
-// flap, and a flap draws its next window from its own stream only when the
-// link's frames pass the current one, so it lasts as long as the run.
+// flap, and a flap draws its next window from its own stream (each flap rule
+// on a link has one) only when the link's frames pass the current one, so it
+// lasts as long as the run.
 //
 // Corruption models the Myrinet link CRC (paper §3.1): a corrupted frame is
 // marked (Packet.Corrupt), carried to the receiving NIC, and dropped there
@@ -32,6 +33,7 @@ import (
 	"math/rand"
 	"path"
 	"sort"
+	"strconv"
 
 	"repro/internal/sim"
 )
@@ -56,10 +58,20 @@ type outage struct {
 	rng         *rand.Rand // a flap's stream; nil for a fixed window
 }
 
-// newFlap starts a flap's stream, seeded from (seed, "flap:"+link name), and
-// draws its first window: an up interval from time zero, then a down one.
-func newFlap(seed int64, name string, up, down sim.Time) outage {
-	o := outage{up: up, down: down, rng: rand.New(rand.NewSource(linkSeed(seed, "flap:"+name)))}
+// flapStream names the stream of the k-th flap (from 0) on a link:
+// "flap:"+link for the first, with "#k" appended for each further one, so
+// two flaps on one link draw independent windows.
+func flapStream(link string, k int) string {
+	if k == 0 {
+		return "flap:" + link
+	}
+	return "flap:" + link + "#" + strconv.Itoa(k)
+}
+
+// newFlap starts a flap's stream, seeded from (seed, stream), and draws its
+// first window: an up interval from time zero, then a down one.
+func newFlap(seed int64, stream string, up, down sim.Time) outage {
+	o := outage{up: up, down: down, rng: rand.New(rand.NewSource(linkSeed(seed, stream)))}
 	o.next()
 	return o
 }
@@ -224,6 +236,7 @@ func (n *Network) ApplyFaults(plan FaultPlan) error {
 		return err
 	}
 	for _, l := range n.links {
+		flaps := 0
 		for ri := range plan.Rules {
 			r := &plan.Rules[ri]
 			if !r.match(l.name) {
@@ -250,7 +263,8 @@ func (n *Network) ApplyFaults(plan FaultPlan) error {
 				f.down = append(f.down, outage{from: r.DownFrom, until: until})
 			}
 			if r.FlapMeanUp > 0 {
-				f.down = append(f.down, newFlap(plan.Seed, l.name, r.FlapMeanUp, r.FlapMeanDown))
+				f.down = append(f.down, newFlap(plan.Seed, flapStream(l.name, flaps), r.FlapMeanUp, r.FlapMeanDown))
+				flaps++
 			}
 		}
 	}

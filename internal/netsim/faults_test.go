@@ -189,10 +189,10 @@ func TestSlowFactorStretchesLink(t *testing.T) {
 type window struct{ from, until sim.Time }
 
 // eagerFlapWindows is the flap schedule as ApplyFaults once precomputed it
-// ahead of the run: the same loop over the link's "flap:" stream, cut at n
-// windows instead of at a horizon. The lazily drawn windows must equal it.
-func eagerFlapWindows(seed int64, name string, up, down sim.Time, n int) []window {
-	rng := rand.New(rand.NewSource(linkSeed(seed, "flap:"+name)))
+// ahead of the run: the same loop over a flap's stream, cut at n windows
+// instead of at a horizon. The lazily drawn windows must equal it.
+func eagerFlapWindows(seed int64, stream string, up, down sim.Time, n int) []window {
+	rng := rand.New(rand.NewSource(linkSeed(seed, stream)))
 	var wins []window
 	t := sim.Time(rng.ExpFloat64() * float64(up))
 	for len(wins) < n {
@@ -206,9 +206,9 @@ func eagerFlapWindows(seed int64, name string, up, down sim.Time, n int) []windo
 	return wins
 }
 
-// lazyFlapWindows is the first n windows a link's flap source draws.
-func lazyFlapWindows(seed int64, name string, up, down sim.Time, n int) []window {
-	o := newFlap(seed, name, up, down)
+// lazyFlapWindows is the first n windows a flap source draws from stream.
+func lazyFlapWindows(seed int64, stream string, up, down sim.Time, n int) []window {
+	o := newFlap(seed, stream, up, down)
 	wins := make([]window, n)
 	for i := range wins {
 		wins[i] = window{o.from, o.until}
@@ -232,8 +232,8 @@ func TestLazyFlapMatchesEagerSchedule(t *testing.T) {
 		{-7, "sw3->sw4", sim.Millisecond, 700 * sim.Microsecond},
 		{1, "0->1", 999, 1}, // most down draws are under 1 ns and clamp to it
 	} {
-		got := lazyFlapWindows(tc.seed, tc.link, tc.up, tc.down, n)
-		if want := eagerFlapWindows(tc.seed, tc.link, tc.up, tc.down, n); !reflect.DeepEqual(got, want) {
+		got := lazyFlapWindows(tc.seed, flapStream(tc.link, 0), tc.up, tc.down, n)
+		if want := eagerFlapWindows(tc.seed, flapStream(tc.link, 0), tc.up, tc.down, n); !reflect.DeepEqual(got, want) {
 			for i := range got {
 				if got[i] != want[i] {
 					t.Fatalf("seed %d %s: window %d is %+v, the precomputed schedule has %+v", tc.seed, tc.link, i, got[i], want[i])
@@ -246,10 +246,29 @@ func TestLazyFlapMatchesEagerSchedule(t *testing.T) {
 			}
 		}
 	}
-	a := lazyFlapWindows(42, "n0->sw", 10*sim.Microsecond, 2*sim.Microsecond, 100)
-	if b := lazyFlapWindows(42, "n1->sw", 10*sim.Microsecond, 2*sim.Microsecond, 100); reflect.DeepEqual(a, b) {
+	a := lazyFlapWindows(42, flapStream("n0->sw", 0), 10*sim.Microsecond, 2*sim.Microsecond, 100)
+	if b := lazyFlapWindows(42, flapStream("n1->sw", 0), 10*sim.Microsecond, 2*sim.Microsecond, 100); reflect.DeepEqual(a, b) {
 		t.Fatal("two links share one flap schedule")
 	}
+}
+
+// Each flap on a link draws from its own stream: two identical flap rules
+// on one link give two different schedules, not one schedule twice.
+func TestFlapsOnOneLinkDrawTheirOwnWindows(t *testing.T) {
+	rule := FaultRule{Links: "0->1", FlapMeanUp: 20 * sim.Microsecond, FlapMeanDown: 10 * sim.Microsecond}
+	f := faultyPair(t, sim.NewKernel(), 11, rule, rule).Iface(0).out.faults
+	if len(f.down) != 2 {
+		t.Fatalf("two flap rules on one link made %d outage sources, want 2", len(f.down))
+	}
+	a, b := &f.down[0], &f.down[1]
+	for i := 0; i < 100; i++ {
+		if a.from != b.from || a.until != b.until {
+			return
+		}
+		a.next()
+		b.next()
+	}
+	t.Fatal("two identical flap rules on one link drew the same 100 windows")
 }
 
 // Two outage sources on one link, a fixed window and a flap or two flaps,
@@ -271,9 +290,11 @@ func TestOverlappingOutageSources(t *testing.T) {
 		{"flap+flap", []FaultRule{flap(up, down), flap(3*up, down/2)}},
 	} {
 		var ref []window
+		flaps := 0
 		for _, r := range tc.rules {
 			if r.FlapMeanUp > 0 {
-				ref = append(ref, eagerFlapWindows(seed, link, r.FlapMeanUp, r.FlapMeanDown, 1000)...)
+				ref = append(ref, eagerFlapWindows(seed, flapStream(link, flaps), r.FlapMeanUp, r.FlapMeanDown, 1000)...)
+				flaps++
 			} else {
 				ref = append(ref, window{r.DownFrom, r.DownUntil})
 			}
@@ -372,7 +393,7 @@ func TestFlapDrawsSaturate(t *testing.T) {
 		up := 10 * sim.Microsecond
 		l := faultyPair(t, sim.NewKernel(), seed, FaultRule{Links: "0->1", FlapMeanUp: up, FlapMeanDown: 9e18}).Iface(0).out
 		// The first outage opens after the stream's first (up) draw.
-		t0 := sim.Time(rand.New(rand.NewSource(linkSeed(seed, "flap:0->1"))).ExpFloat64() * float64(up))
+		t0 := sim.Time(rand.New(rand.NewSource(linkSeed(seed, flapStream("0->1", 0)))).ExpFloat64() * float64(up))
 		if t0 > 0 && lost(l, t0-1) {
 			t.Fatalf("seed %d: a frame lost at %v, before the first outage opens at %v", seed, t0-1, t0)
 		}
@@ -390,7 +411,7 @@ func TestFlapDrawsSaturate(t *testing.T) {
 			}
 		}
 		prev := sim.Time(0)
-		for i, w := range lazyFlapWindows(seed, "0->1", rule.FlapMeanUp, rule.FlapMeanDown, 4) {
+		for i, w := range lazyFlapWindows(seed, flapStream("0->1", 0), rule.FlapMeanUp, rule.FlapMeanDown, 4) {
 			if w.from < prev || w.until < w.from {
 				t.Fatalf("seed %d: window %d %+v runs back from %v", seed, i, w, prev)
 			}

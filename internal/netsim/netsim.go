@@ -31,10 +31,9 @@ type Packet struct {
 	Route    []uint8 // remaining hops
 	hops     [routeInline]uint8
 	Payload  []byte
-	Ctrl     bool     // control packet: receiving NICs demux it to a dedicated queue
-	Corrupt  bool     // failed the link CRC in flight; receiving NICs drop it
-	Inject   sim.Time // time the packet entered the fabric
-	Seq      uint64   // injection sequence number (diagnostics)
+	Ctrl     bool   // control packet: receiving NICs demux it to a dedicated queue
+	Corrupt  bool   // failed the link CRC in flight; receiving NICs drop it
+	Seq      uint64 // injection sequence number (diagnostics)
 
 	// Frame recycling (see pool.go): pool owns the backing array Payload
 	// aliases; the consumer calls Release when the last byte is consumed.

@@ -26,17 +26,17 @@ type Iface struct {
 // (the transports model self-sends as host memcpys that never touch the
 // NIC); a self-addressed packet reaching the wire is a protocol-layer bug.
 func (ifc *Iface) Send(p *sim.Proc, pkt *Packet) {
-	tx := ifc.StartSend(p.Now(), pkt)
+	tx := ifc.StartSend(pkt)
 	for !tx.Step(p) { // a park wherever the frame waits
 		p.Park()
 	}
 }
 
 // StartSend is Send's first half, for a caller that cannot block (the NIC's
-// send firmware): it stamps pkt with its source route, injection time and
-// sequence number and returns its passage over the egress link, not yet
+// send firmware): it stamps pkt with its source route and sequence number
+// and returns its passage over the egress link, not yet
 // begun, for the caller to Step.
-func (ifc *Iface) StartSend(now sim.Time, pkt *Packet) Tx {
+func (ifc *Iface) StartSend(pkt *Packet) Tx {
 	if pkt.Dst == ifc.ID {
 		panic(fmt.Sprintf("netsim: node %d injected a self-addressed packet: loopback must stay in the host, never enter the fabric", ifc.ID))
 	}
@@ -45,7 +45,6 @@ func (ifc *Iface) StartSend(now sim.Time, pkt *Packet) Tx {
 	}
 	pkt.Src = ifc.ID
 	pkt.Route = ifc.net.appendRoute(pkt.hops[:0], ifc.ID, pkt.Dst)
-	pkt.Inject = now
 	pkt.Seq = ifc.seq
 	ifc.seq++
 	return Tx{l: ifc.out, pkt: pkt}

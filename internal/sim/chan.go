@@ -22,7 +22,7 @@ type Chan[T any] struct {
 	// slots recycles the handoff slots parked receivers read from: a
 	// stack-local slot would escape to the heap, costing one allocation per
 	// blocking Recv — once per packet on every NIC queue.
-	slots bufpool.FreeList[T]
+	slots bufpool.Recycler[*T]
 }
 
 type chanSend[T any] struct {
@@ -95,8 +95,8 @@ func (c *Chan[T]) Recv(p *Proc) T {
 	if v, ok := c.TryRecv(); ok {
 		return v // a channel that never runs dry never draws a slot
 	}
-	slot := c.slots.Get()
-	if slot == nil {
+	slot, ok := c.slots.Get()
+	if !ok {
 		slot = new(T)
 	}
 	if !c.StartRecv(p, slot) {
@@ -105,7 +105,7 @@ func (c *Chan[T]) Recv(p *Proc) T {
 	v := *slot
 	var zero T
 	*slot = zero
-	c.slots.Put(slot)
+	c.slots.Put(slot, nil)
 	return v
 }
 

@@ -953,7 +953,9 @@ func (procFunc) Step(p *Proc) { panic("sim: a Proc not yet started has no Step")
 // mallocs against the 2 of a goroutine and a channel, so an ended Proc's
 // coroutine goes back to coroutines, the free list every kernel of the
 // process takes from. The list holds at most the peak number of goroutine
-// Procs that were live at once; a coroutine is never stopped.
+// Procs that were live at once; a coroutine is never stopped, so the list
+// is unbounded, not a bufpool.Recycler: one dropped at a bound would stay
+// parked.
 type coroutine struct {
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool

@@ -147,11 +147,10 @@ type Conn struct {
 	state    connState
 
 	rxq      sim.Queue[rxSeg] // buffered segments (pool path)
-	rxBytes  int
-	posted   []byte // outstanding Read buffer (receive posting)
-	postedN  int    // bytes landed in posted so far
-	landing  bool   // a handler is mid-Receive into posted
-	rxClosed bool   // FIN seen
+	posted   []byte           // outstanding Read buffer (receive posting)
+	postedN  int              // bytes landed in posted so far
+	landing  bool             // a handler is mid-Receive into posted
+	rxClosed bool             // FIN seen
 
 	// Stats for the zero-copy story.
 	DirectBytes int64 // landed straight into posted Read buffers
@@ -275,7 +274,6 @@ func (c *Conn) drain(p *sim.Proc, buf []byte) int {
 			c.popSeg()
 		}
 		n += m
-		c.rxBytes -= m
 	}
 	if n > 0 {
 		c.s.t.Host().Memcpy(p, n)
@@ -296,7 +294,6 @@ func (c *Conn) Close(p *sim.Proc) error {
 	for c.queued() > 0 {
 		c.popSeg()
 	}
-	c.rxBytes = 0
 	delete(c.s.conns, c.localID)
 	return nil
 }
@@ -389,7 +386,6 @@ func (s *Stack) handler(p *sim.Proc, str xport.RecvStream) {
 			seg := s.segs.Get(n)
 			str.Receive(p, seg)
 			c.pushSeg(seg)
-			c.rxBytes += n
 			c.PooledBytes += int64(n)
 		}
 	default:

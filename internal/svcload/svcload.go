@@ -43,6 +43,7 @@
 package svcload
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -528,13 +529,7 @@ func (f *Fleet) issue(p *sim.Proc, node, seq int, rq req) {
 		// when the gate was reached: a client wedged behind a leaked window
 		// then abandons its whole backlog in one sweep instead of waiting a
 		// fresh drain window per request.
-		var giveup sim.Time
-		if f.wl.Drain > 0 {
-			giveup = rq.T + f.wl.Drain
-			if rq.T == 0 {
-				giveup = p.Now() + f.wl.Drain
-			}
-		}
+		giveup := f.giveUp(cmp.Or(rq.T, p.Now()))
 		if !f.await(p, node, giveup, waitFor{kind: forCredit, dst: dst, size: reqHeaderSize + rq.ReqB}) {
 			// The window toward dst has leaked shut: frames destroyed
 			// by fault injection never return their credits. Abandon
@@ -628,30 +623,29 @@ func (f *Fleet) RunNode(p *sim.Proc, node int) {
 			// drain window configured the wait is bounded — a lost
 			// sub-response must not stall the chain forever.
 			id := reqID(node, seq)
-			var giveup sim.Time
-			if f.wl.Drain > 0 {
-				giveup = p.Now() + f.wl.Drain
-			}
-			if !f.await(p, node, giveup, waitFor{kind: forGather, id: id}) {
+			if !f.await(p, node, f.giveUp(p.Now()), waitFor{kind: forGather, id: id}) {
 				delete(f.pending[node], id)
 				f.abandoned++
 			}
 		}
 	}
 	f.finished++
-	if f.wl.Drain > 0 {
-		deadline := lastArrival + f.wl.Drain
-		if deadline < p.Now() {
-			deadline = p.Now()
-		}
-		f.await(p, node, deadline, waitFor{kind: forAll})
-		// Abandon what the window didn't gather: under loss these are the
-		// requests whose sub-responses died with a dropped frame.
-		f.abandoned += int64(len(f.pending[node]))
-		clear(f.pending[node])
-	} else {
-		f.await(p, node, 0, waitFor{kind: forAll})
+	f.await(p, node, f.giveUp(lastArrival), waitFor{kind: forAll})
+	// Abandon what the drain window didn't gather: under loss these are the
+	// requests whose sub-responses died with a dropped frame. Without a
+	// window the wait ended with nothing outstanding anywhere.
+	f.abandoned += int64(len(f.pending[node]))
+	clear(f.pending[node])
+}
+
+// giveUp is the deadline of a wait anchored at t: t plus the drain window,
+// or 0 (never) without one. A deadline at or before now ends the wait at
+// once.
+func (f *Fleet) giveUp(t sim.Time) sim.Time {
+	if f.wl.Drain == 0 {
+		return 0
 	}
+	return t + f.wl.Drain
 }
 
 // Hist returns the merged service-level latency histogram.

@@ -214,14 +214,14 @@ type HandlerSpace struct {
 	name    string
 	base    HandlerID
 	stats   ServiceStats
-	snap    []int64                         // extractFor scratch (a service is single-threaded)
-	sharing bool                            // extractFor is in its fair-share loop; meter and seen are live
-	meter   int64                           // ep.packets() before extractFor's current transport call
-	seen    int64                           // ep.consumed when extractFor took its current snapshot
-	until   Cond                            // what the service is blocked on in Wait or WaitPaced, else nil
-	pace    Pace                            // how that wait paces itself (zero in Wait)
-	wait    flowctl.Waiter                  // carries (*waiting)(hs) down to the engine's idle poll
-	csPool  bufpool.FreeList[countedStream] // recycled per-message accounting wrappers
+	snap    []int64                          // extractFor scratch (a service is single-threaded)
+	sharing bool                             // extractFor is in its fair-share loop; meter and seen are live
+	meter   int64                            // ep.packets() before extractFor's current transport call
+	seen    int64                            // ep.consumed when extractFor took its current snapshot
+	until   Cond                             // what the service is blocked on in Wait or WaitPaced, else nil
+	pace    Pace                             // how that wait paces itself (zero in Wait)
+	wait    flowctl.Waiter                   // carries (*waiting)(hs) down to the engine's idle poll
+	csPool  bufpool.Recycler[*countedStream] // recycled per-message accounting wrappers
 }
 
 // Stats returns a copy of this service's share counters.
@@ -266,21 +266,20 @@ func (hs *HandlerSpace) Register(id HandlerID, fn Handler) {
 // The free list is bounded at bufpool.DefaultCap: one wrapper per
 // concurrently-running handler is live at a time, so a handful suffice.
 func (hs *HandlerSpace) getCounted(s RecvStream) *countedStream {
-	cs := hs.csPool.Get()
-	if cs == nil {
+	cs, ok := hs.csPool.Get()
+	if !ok {
 		cs = &countedStream{hs: hs}
 	}
 	cs.s = s
 	return cs
 }
 
-// putCounted recycles a wrapper once its handler has returned. The header
-// scratch is poisoned, so a handler that kept its ReceiveHeader slice reads
+// putCounted recycles a wrapper once its handler has returned. Put poisons
+// the header scratch, so a handler that kept its ReceiveHeader slice reads
 // garbage, not a plausible header.
 func (hs *HandlerSpace) putCounted(cs *countedStream) {
 	cs.s = nil
-	bufpool.Poison(cs.hdr[:])
-	hs.csPool.Put(cs)
+	hs.csPool.Put(cs, cs.hdr[:])
 }
 
 // BeginMessage opens a message toward dst under the service-local handler

@@ -24,8 +24,8 @@ type fm1Transport struct {
 	*fm1.Endpoint // Core is the engine's own, promoted
 
 	stage     *bufpool.Pool // send-side assembly buffers
-	ssPool    bufpool.FreeList[fm1SendStream]
-	stagedRcv bufpool.FreeList[stagedStream]
+	ssPool    bufpool.Recycler[*fm1SendStream]
+	stagedRcv bufpool.Recycler[*stagedStream]
 }
 
 // OverFM1 exposes an FM 1.x endpoint as a Transport through the
@@ -46,14 +46,14 @@ func (t *fm1Transport) Register(id HandlerID, fn Handler) {
 	t.Endpoint.Register(fm1.HandlerID(id), func(p *sim.Proc, src int, data []byte) {
 		// Stream records recycle: FM 1.x data (and therefore the stream
 		// view of it) is valid only for the duration of the handler call.
-		s := t.stagedRcv.Get()
-		if s == nil {
+		s, ok := t.stagedRcv.Get()
+		if !ok {
 			s = &stagedStream{t: t}
 		}
 		s.src, s.data, s.msglen = src, data, len(data)
 		fn(p, s)
 		s.data = nil
-		t.stagedRcv.Put(s)
+		t.stagedRcv.Put(s, nil)
 	})
 }
 
@@ -61,8 +61,8 @@ func (t *fm1Transport) BeginMessage(p *sim.Proc, dst, size int, h HandlerID) (Se
 	if size < 0 || size > t.MaxMessage() {
 		return nil, fmt.Errorf("xport/fm1: message size %d out of range [0,%d]", size, t.MaxMessage())
 	}
-	s := t.ssPool.Get()
-	if s == nil {
+	s, ok := t.ssPool.Get()
+	if !ok {
 		s = &fm1SendStream{t: t}
 	}
 	s.dst, s.handler, s.total, s.closed = dst, h, size, false
@@ -113,7 +113,7 @@ func (s *fm1SendStream) EndMessage(p *sim.Proc) error {
 	t := s.t
 	t.stage.Put(s.buf)
 	s.buf = nil
-	t.ssPool.Put(s)
+	t.ssPool.Put(s, nil)
 	return err
 }
 
