@@ -18,15 +18,19 @@ var update = flag.Bool("update", false, "rewrite every golden from this build's 
 // goldens are the CLI's contract: every report here is a pure function of
 // the model, so stdout is compared byte for byte with a committed file — one
 // under testdata/, or, named from the repository root, the golden committed
-// beside the campaign it pins. The slow ones are cmp'd by CI's bench-smoke
-// job against the same files; here they only run under -update, so one
+// beside the campaign it pins. A section row's stdout must occur exactly once
+// in its file instead: -collectives and -matrix are sections of all.golden,
+// checked here with no second copy of their numbers. The slow rows are cmp'd
+// by CI's bench-smoke job against the same files, and CI's -all | cmp is the
+// only check of -topo; here the slow rows only run under -update, so one
 // command regenerates them all:
 //
 //	go test ./cmd/fmbench -run 'TestGoldenReports|TestSvcCapture' -update
 var goldens = []struct {
-	file string
-	slow bool
-	args []string
+	file    string
+	slow    bool
+	section bool
+	args    []string
 }{
 	{file: "fig1.golden", args: []string{"-fig", "1"}},
 	{file: "fig2.golden", args: []string{"-fig", "2"}},
@@ -35,15 +39,26 @@ var goldens = []struct {
 	{file: "perf64.golden", args: []string{"-perf", "64"}},
 	{file: "campaigns/smoke/golden.json", args: []string{"-campaign", "../../campaigns/smoke"}},
 	{file: "campaigns/svc/golden.json", args: []string{"-campaign", "../../campaigns/svc"}},
+	{file: "all.golden", section: true, args: []string{"-collectives"}},
+	{file: "all.golden", section: true, args: []string{"-matrix"}},
 	{file: "all.golden", slow: true, args: []string{"-all"}},
 	{file: "perf4096.golden", slow: true, args: []string{"-perf", "4096"}},
 }
 
 func TestGoldenReports(t *testing.T) {
 	for _, g := range goldens {
-		t.Run(g.file, func(t *testing.T) {
-			if g.slow && !*update {
+		name := g.file
+		if g.section {
+			name = strings.Join(g.args, " ") + " in " + g.file
+		}
+		t.Run(name, func(t *testing.T) {
+			switch {
+			case g.slow && !*update:
 				t.Skip("slow report: CI's bench-smoke job compares it; -update regenerates it")
+			case g.section && *update:
+				t.Skip("a section of a golden the -update of its whole report rewrites")
+			case g.section:
+				t.Parallel()
 			}
 			var out, errs bytes.Buffer
 			if status := run(g.args, &out, &errs); status != 0 {
@@ -63,7 +78,11 @@ func TestGoldenReports(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(out.Bytes(), want) {
+			switch {
+			case g.section && bytes.Count(want, out.Bytes()) != 1:
+				t.Errorf("fmbench %s occurs %d times in %s, want once; if the model changed on purpose, rerun with -update and say why.\ngot:\n%s",
+					strings.Join(g.args, " "), bytes.Count(want, out.Bytes()), path, out.String())
+			case !g.section && !bytes.Equal(out.Bytes(), want):
 				t.Errorf("fmbench %s moved from %s; if the model changed on purpose, rerun with -update and say why.\ngot:\n%s",
 					strings.Join(g.args, " "), path, out.String())
 			}
@@ -75,12 +94,10 @@ func TestGoldenReports(t *testing.T) {
 // each names the slow golden (cmp'd by CI's bench-smoke) or the test that
 // holds its output instead.
 var heldElsewhere = map[string]string{
-	"collectives": "all.golden",
-	"matrix":      "all.golden",
-	"topo":        "all.golden",
-	"svccapture":  "TestSvcCaptureReplaysIdentically",
-	"svcreplay":   "TestSvcCaptureReplaysIdentically",
-	"scenario":    "TestScenarioFlagPrintsTheCampaignEntry",
+	"topo":       "all.golden",
+	"svccapture": "TestSvcCaptureReplaysIdentically",
+	"svcreplay":  "TestSvcCaptureReplaysIdentically",
+	"scenario":   "TestScenarioFlagPrintsTheCampaignEntry",
 }
 
 // TestEveryReportIsPinned ranges over the CLI's registry, so a report cannot
@@ -90,11 +107,12 @@ var heldElsewhere = map[string]string{
 func TestEveryReportIsPinned(t *testing.T) {
 	quick, slow := map[string]bool{}, map[string]bool{}
 	for _, g := range goldens {
-		slow[g.file] = g.slow
+		if g.slow {
+			slow[g.file] = true
+			continue
+		}
 		for _, a := range g.args {
-			if !g.slow {
-				quick[strings.TrimPrefix(a, "-")] = true
-			}
+			quick[strings.TrimPrefix(a, "-")] = true
 		}
 	}
 	for _, r := range registry(flag.NewFlagSet("fmbench", flag.ContinueOnError)) {

@@ -82,6 +82,16 @@
 //     records, byte pools and frame pools, with one Stats and the one poison
 //     fill every release gets.
 //
+// The surface is what is used (TestSurfaceIsUsed): an exported func, method,
+// type, const, var or untagged struct field declared in non-test internal/
+// code is named, outside its declaration, by a non-test file (benchmark/
+// included) or example_test.go, and every untagged field there is read
+// somewhere, tests included; an assignment, increment or literal key is not
+// a read. The check is by name. Its one exception list, surfaceExceptions in
+// design_test.go, gives each entry a reason starting "hook:" (a test in
+// another package reads it) or "paper:" (the paper's own API), and a stale
+// entry fails too.
+//
 // cmd/fmbench prints every figure and report; README.md says how to run
 // each one.
 package fmnet

@@ -157,7 +157,7 @@ var (
 
 // Send transmits buf as a single-piece message through a service space.
 func Send(p *Proc, sp *HandlerSpace, dst int, h HandlerID, buf []byte) error {
-	return xport.Send(p, sp, dst, h, buf)
+	return xport.SendGather(p, sp, dst, h, buf)
 }
 
 // SendGather transmits the concatenation of pieces as one message — the

@@ -62,8 +62,8 @@ func TestHangReportNamesEveryWait(t *testing.T) {
 		{"signal", func(p *sim.Proc) { sig.Wait(p) }, "signal: signal"},
 		{"holder", func(p *sim.Proc) { bus.Use(p, sim.Second) }, "holder: delay until 1.000s"},
 		{"resource", func(p *sim.Proc) { p.Delay(1); bus.Acquire(p, 1) }, `resource: resource "bus" (1 of 1 in use)`},
-		{"poll", func(p *sim.Proc) { p.PollEvery(sim.Microsecond, never{}) }, "poll: poll forever"},
-		{"tick", func(p *sim.Proc) { p.PollEvery(sim.Second, nil) }, "tick: delay until 1.000s"},
+		{"poll", func(p *sim.Proc) { p.PollCycle(sim.Microsecond, sim.Microsecond, never{}) }, "poll: poll forever"},
+		{"tick", func(p *sim.Proc) { p.PollCycle(sim.Second, sim.Second, nil) }, "tick: delay until 1.000s"},
 	}
 	for _, c := range sites {
 		k.Spawn(c.name, c.park)

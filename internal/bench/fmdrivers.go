@@ -52,7 +52,9 @@ const matrixHandlerID = 9
 // the window baseline claims, over whichever generation its endpoint binds.
 func windowNode(sp *xport.HandlerSpace) fmNode {
 	return fmNode{
-		send:    func(p *sim.Proc, dst int, msg []byte) error { return xport.Send(p, sp, dst, matrixHandlerID, msg) },
+		send: func(p *sim.Proc, dst int, msg []byte) error {
+			return xport.SendGather(p, sp, dst, matrixHandlerID, msg)
+		},
 		extract: func(p *sim.Proc) { sp.Extract(p, 0) },
 		deliver: func(buf []byte, done func(p *sim.Proc)) {
 			sp.Register(matrixHandlerID, func(p *sim.Proc, s xport.RecvStream) { drain(p, s, buf); done(p) })

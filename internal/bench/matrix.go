@@ -51,12 +51,8 @@ var (
 	LayerGarr  = &layer{"garr", 8, garrFlow}
 )
 
-// AllLayers is the table; UpperLayers, the matrix rows, is all of it above
-// the bare window.
-var (
-	AllLayers   = []Layer{LayerXport, LayerMPI, LayerSock, LayerShmem, LayerGarr}
-	UpperLayers = AllLayers[1:]
-)
+// AllLayers is the table.
+var AllLayers = []Layer{LayerXport, LayerMPI, LayerSock, LayerShmem, LayerGarr}
 
 // LayerBandwidth measures streaming bandwidth node0 -> node1 through one
 // layer over one binding: the two-node, one-flow case of LayerBisection.

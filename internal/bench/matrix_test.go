@@ -34,7 +34,7 @@ func TestLayeringMatrixAllCells(t *testing.T) {
 		}
 		pct[c.Layer][c.Binding] = c.Pct
 	}
-	for _, l := range UpperLayers {
+	for _, l := range AllLayers[1:] { // the layers above the bare window
 		if pct[l][xport.GenFM2] <= pct[l][xport.GenFM1] {
 			t.Errorf("%s: fm2 efficiency %.0f%% <= fm1 efficiency %.0f%%; the 2.x interface must win",
 				l, pct[l][xport.GenFM2], pct[l][xport.GenFM1])

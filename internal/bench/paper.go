@@ -91,8 +91,8 @@ var Claims = []Claim{
 			"eff@16B 56 %, so raising this per-message term alone cannot meet both rows"},
 }
 
-// Holds reports whether a simulated value is within the claim's bound.
-func (c Claim) Holds(v float64) bool {
+// holds reports whether a simulated value is within the claim's bound.
+func (c Claim) holds(v float64) bool {
 	switch c.Bound {
 	case Near:
 		return math.Abs(v/c.Value-1) <= 0.10

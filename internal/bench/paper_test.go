@@ -18,7 +18,7 @@ func TestPaperClaims(t *testing.T) {
 	for _, c := range Claims {
 		v := c.Read(m)
 		name := c.System + " " + c.Label
-		in := c.Holds(v)
+		in := c.holds(v)
 		verdict := "ok"
 		switch {
 		case c.Deviation == "" && !in:

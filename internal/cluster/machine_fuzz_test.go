@@ -68,7 +68,7 @@ func FuzzMachine(f *testing.F) {
 				d.got = buf
 			})
 			pl.K.Spawn("sender", func(p *sim.Proc) {
-				if err := xport.Send(p, sp[0], 1, 0, msg); err != nil {
+				if err := xport.SendGather(p, sp[0], 1, 0, msg); err != nil {
 					t.Errorf("%s: send %d B: %v", g, n, err)
 				}
 			})

@@ -91,8 +91,8 @@ func Attach(pl *cluster.Platform, _ Config) []*Endpoint {
 	return eps
 }
 
-// AsmPoolStats reports the reassembly-buffer free list's counters.
-func (e *Endpoint) AsmPoolStats() bufpool.Stats { return e.asmPool.Stats() }
+// asmPoolStats reports the reassembly-buffer free list's counters.
+func (e *Endpoint) asmPoolStats() bufpool.Stats { return e.asmPool.Stats() }
 
 // Register installs a handler under id. Handlers must be registered before
 // any peer sends to them.

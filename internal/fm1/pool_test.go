@@ -60,7 +60,7 @@ func TestSendSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatalf("fm1 steady-state send path allocated %d times over %d messages; must be 0/op",
 			allocs, msgs)
 	}
-	if s := eps[1].AsmPoolStats(); s.Gets == 0 || s.Allocs > 4 {
+	if s := eps[1].asmPoolStats(); s.Gets == 0 || s.Allocs > 4 {
 		t.Fatalf("reassembly pool not recycling: %+v", s)
 	}
 }

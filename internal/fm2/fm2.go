@@ -116,14 +116,14 @@ func Attach(pl *cluster.Platform, _ Config) []*Endpoint {
 	return eps
 }
 
-// ActiveStreams reports messages currently in flight on the receive side —
+// activeStreams reports messages currently in flight on the receive side —
 // zero at quiesce is the handler-lifecycle invariant tests check.
-func (e *Endpoint) ActiveStreams() int { return len(e.active) }
+func (e *Endpoint) activeStreams() int { return len(e.active) }
 
-// HandlerWorkers reports how many handler coroutines this endpoint has ever
+// handlerWorkers reports how many handler coroutines this endpoint has ever
 // spawned: bounded by the peak number of concurrently-open receive streams,
 // not by message count.
-func (e *Endpoint) HandlerWorkers() int { return e.numWorkers }
+func (e *Endpoint) handlerWorkers() int { return e.numWorkers }
 
 // Register installs a handler under id.
 func (e *Endpoint) Register(id HandlerID, fn Handler) {

@@ -81,7 +81,7 @@ func TestStreamRoundtrip(t *testing.T) {
 	if len(got) != 1 || !bytes.Equal(got[0], msg) {
 		t.Fatalf("got %q", got)
 	}
-	if eps[1].ActiveStreams() != 0 {
+	if eps[1].activeStreams() != 0 {
 		t.Fatal("stream not retired")
 	}
 }
@@ -248,7 +248,7 @@ func TestInterleavedSendersDemuxedToThreads(t *testing.T) {
 			}
 		}
 	}
-	if eps[0].ActiveStreams() != 0 {
+	if eps[0].activeStreams() != 0 {
 		t.Fatal("streams not retired")
 	}
 }
@@ -349,7 +349,7 @@ func TestHandlerEarlyReturnDiscardsRest(t *testing.T) {
 	if st.DiscardedBytes != size-16 {
 		t.Fatalf("discarded %d, want %d", st.DiscardedBytes, size-16)
 	}
-	if eps[1].ActiveStreams() != 0 {
+	if eps[1].activeStreams() != 0 {
 		t.Fatal("stream not retired after early return")
 	}
 }
@@ -482,7 +482,7 @@ func TestUnknownHandlerSwallowsWholeMessage(t *testing.T) {
 	if st.MsgsRecvd != 0 {
 		t.Fatalf("MsgsRecvd = %d, want 0", st.MsgsRecvd)
 	}
-	if eps[1].ActiveStreams() != 0 {
+	if eps[1].activeStreams() != 0 {
 		t.Fatal("drop stream not retired")
 	}
 }
@@ -751,8 +751,8 @@ func TestLoopbackSelfSend(t *testing.T) {
 	if st.PacketsSent != 0 || st.PacketsRecvd != 0 {
 		t.Errorf("loopback touched the NIC: %+v", st)
 	}
-	if eps[0].ActiveStreams() != 0 {
-		t.Errorf("loopback stream leaked: %d active", eps[0].ActiveStreams())
+	if eps[0].activeStreams() != 0 {
+		t.Errorf("loopback stream leaked: %d active", eps[0].activeStreams())
 	}
 }
 

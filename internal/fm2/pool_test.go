@@ -73,7 +73,7 @@ func TestSendSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatal("frame pool never allocated — measurement is not exercising the pool")
 	}
 	t.Logf("frame pool: %+v  ctrl pool: %+v  workers(recv)=%d",
-		data, ctrl, eps[1].HandlerWorkers())
+		data, ctrl, eps[1].handlerWorkers())
 }
 
 // TestHandlerWorkerReuse pins the no-goroutine-churn property: thousands of
@@ -103,7 +103,7 @@ func TestHandlerWorkerReuse(t *testing.T) {
 	if recvd != msgs {
 		t.Fatalf("received %d of %d", recvd, msgs)
 	}
-	if w := eps[1].HandlerWorkers(); w > 2 {
+	if w := eps[1].handlerWorkers(); w > 2 {
 		t.Fatalf("sequential traffic spawned %d handler workers; reuse should need 1", w)
 	}
 }
@@ -278,7 +278,7 @@ func TestFrameLeakFreeQuiesce(t *testing.T) {
 			}
 		}
 	}
-	if eps[1].ActiveStreams() != 0 {
+	if eps[1].activeStreams() != 0 {
 		t.Error("active streams at quiesce")
 	}
 }

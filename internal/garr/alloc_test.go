@@ -9,9 +9,9 @@ import (
 )
 
 // TestPutGetZeroAlloc pins the global-array path to zero mallocs over both
-// bindings: after warm-up, a window of Puts, Gets and Accs of the remote
-// block — span splitting, marshalling, Acc's staging, the shmem traffic under
-// them and the owner's handlers — allocates nothing.
+// bindings: after warm-up, a window of Puts and Gets of the remote block —
+// span splitting, marshalling, the shmem traffic under them and the owner's
+// handlers — allocates nothing.
 func TestPutGetZeroAlloc(t *testing.T) {
 	if sim.RaceEnabled {
 		t.Skip("alloc pins don't hold under the race detector's instrumentation")
@@ -32,9 +32,6 @@ func TestPutGetZeroAlloc(t *testing.T) {
 						if err := as[0].Get(p, elems, got); err != nil {
 							panic(err)
 						}
-						if err := as[0].Acc(p, elems, vals); err != nil {
-							panic(err)
-						}
 					}
 				}
 				run(warm)
@@ -51,7 +48,7 @@ func TestPutGetZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 			if allocs > alloctest.AllowStray {
-				t.Fatalf("%d Put+Get+Acc rounds allocated %d times; steady state must be 0/op", ops, allocs)
+				t.Fatalf("%d Put+Get rounds allocated %d times; steady state must be 0/op", ops, allocs)
 			}
 		})
 	}

@@ -1,7 +1,7 @@
 // Package garr implements a Global Arrays-style distributed array over the
 // shmem layer (paper §4.2 lists Global Arrays among the global-address-
 // space interfaces implemented on FM 2.x). A 1-D float64 array is block-
-// distributed across ranks; Put/Get/Acc address global index ranges and
+// distributed across ranks; Put/Get address global index ranges and
 // are translated into one-sided shmem operations on the owning ranks.
 package garr
 
@@ -32,10 +32,8 @@ type Array struct {
 	local    []byte
 	bufs     *bufpool.Pool // per-span marshalling buffers
 	// Per-call scratch, kept for its backing array. An Array is driven by
-	// one Proc; Put and Get are done with their spans before they return,
-	// and Acc's staging is touched by neither.
+	// one Proc; Put and Get are done with their spans before they return.
 	spanBuf []span
-	accBuf  []float64
 }
 
 // Attach binds a global array of size elements across the given number of
@@ -188,23 +186,6 @@ func (a *Array) Get(p *sim.Proc, lo int, out []float64) error {
 		v += s.n
 	}
 	return nil
-}
-
-// Acc adds vals into global indices [lo, lo+len(vals)) (get-modify-put; not
-// atomic across concurrent updaters, as in early GA implementations the
-// caller serializes access per region).
-func (a *Array) Acc(p *sim.Proc, lo int, vals []float64) error {
-	if cap(a.accBuf) < len(vals) {
-		a.accBuf = make([]float64, len(vals))
-	}
-	cur := a.accBuf[:len(vals)]
-	if err := a.Get(p, lo, cur); err != nil {
-		return err
-	}
-	for i := range cur {
-		cur[i] += vals[i]
-	}
-	return a.Put(p, lo, cur)
 }
 
 // Progress services the network on behalf of passive ranks.

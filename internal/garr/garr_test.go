@@ -83,39 +83,6 @@ func TestPutGetAcrossRanks(t *testing.T) {
 	}
 }
 
-func TestAccAccumulates(t *testing.T) {
-	k, as := arrays(t, 2, 8)
-	done := false
-	k.Spawn("rank0", func(p *sim.Proc) {
-		ones := []float64{1, 1, 1, 1, 1, 1, 1, 1}
-		if err := as[0].Put(p, 0, ones); err != nil {
-			t.Error(err)
-		}
-		if err := as[0].Acc(p, 0, ones); err != nil {
-			t.Error(err)
-		}
-		out := make([]float64, 8)
-		if err := as[0].Get(p, 0, out); err != nil {
-			t.Error(err)
-		}
-		for i, v := range out {
-			if v != 2 {
-				t.Errorf("idx %d = %v, want 2", i, v)
-			}
-		}
-		done = true
-	})
-	k.Spawn("serve1", func(p *sim.Proc) {
-		for !done {
-			as[1].Progress(p)
-			p.Delay(sim.Microsecond)
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRangeValidation(t *testing.T) {
 	k, as := arrays(t, 2, 8)
 	k.Spawn("rank0", func(p *sim.Proc) {

@@ -50,7 +50,7 @@ func (c *Comm) send(p *sim.Proc, dst int, hdr, payload []byte) error {
 		copy(msg, hdr)
 		copy(msg[len(hdr):], payload)
 		c.host.Memcpy(p, len(msg))
-		return xport.Send(p, c.t, dst, mpiHandlerID, msg)
+		return xport.SendGather(p, c.t, dst, mpiHandlerID, msg)
 	}
 	return xport.SendGather(p, c.t, dst, mpiHandlerID, hdr, payload)
 }

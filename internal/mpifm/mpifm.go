@@ -1,8 +1,8 @@
 // Package mpifm implements the MPI-FM point-to-point layer of the paper: an
-// MPI subset (blocking and nonblocking sends/receives with source/tag
-// matching, unexpected-message queueing, barrier) plus collectives, layered
-// over the unified streaming transport contract (internal/xport) with one
-// code path for every binding:
+// MPI subset (blocking sends and receives and nonblocking receives with
+// source/tag matching, unexpected-message queueing, barrier) plus
+// collectives, layered over the unified streaming transport contract
+// (internal/xport) with one code path for every binding:
 //
 //   - Over FM 1.x (xport.GenFM1): the original MPI-FM. The staging
 //     adapter charges the assembly copy on send (header + payload into one
@@ -54,7 +54,7 @@ type Status struct {
 	Len    int
 }
 
-// Request is a nonblocking operation handle.
+// Request is a nonblocking receive's handle.
 type Request struct {
 	c    *Comm
 	buf  []byte
@@ -218,15 +218,6 @@ func (c *Comm) Send(p *sim.Proc, buf []byte, dst, tag int) error {
 	}
 	c.stats.Sent++
 	return nil
-}
-
-// Isend starts a send; with the eager protocol it completes immediately
-// after local hand-off, matching MPI semantics for small messages.
-func (c *Comm) Isend(p *sim.Proc, buf []byte, dst, tag int) (*Request, error) {
-	if err := c.Send(p, buf, dst, tag); err != nil {
-		return nil, err
-	}
-	return &Request{c: c, done: true, st: Status{Source: c.rank, Tag: tag, Len: len(buf)}}, nil
 }
 
 // Irecv posts a receive for (src, tag) into buf and returns its Request.

@@ -240,27 +240,9 @@ func TestIrecvWaitall(t *testing.T) {
 	bothWorlds(t, 2, func(t *testing.T, k *sim.Kernel, comms []*Comm) {
 		const n = 8
 		k.Spawn("rank0", func(p *sim.Proc) {
-			// Odd messages go by Isend, so Waitall covers send requests too.
-			var sends []*Request
 			for i := 0; i < n; i++ {
-				msg := []byte{byte(i), 0, 0, 0}
-				if i%2 == 0 {
-					if err := comms[0].Send(p, msg, 1, i+1); err != nil {
-						t.Error(err)
-					}
-					continue
-				}
-				r, err := comms[0].Isend(p, msg, 1, i+1)
-				if err != nil {
+				if err := comms[0].Send(p, []byte{byte(i), 0, 0, 0}, 1, i+1); err != nil {
 					t.Error(err)
-					return
-				}
-				sends = append(sends, r)
-			}
-			comms[0].Waitall(p, sends)
-			for i, r := range sends {
-				if st := comms[0].Wait(p, r); st.Source != 0 || st.Tag != 2*i+2 || st.Len != 4 {
-					t.Errorf("isend %d completed with status %+v", i, st)
 				}
 			}
 		})
@@ -473,7 +455,7 @@ func TestSelfSend(t *testing.T) {
 // (negative, or longer than what follows) is discarded before the length
 // sizes a slice or a buffer — on the posted path and on the unexpected one —
 // and the genuine message behind it is the one the receive gets. The forged
-// messages go through xport.Send on the MPI layer's own HandlerSpace.
+// messages go through xport.SendGather on the MPI layer's own HandlerSpace.
 func TestForgedHeaderLengths(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -490,7 +472,7 @@ func TestForgedHeaderLengths(t *testing.T) {
 				k.Spawn("rank0", func(p *sim.Proc) {
 					forged := append(comms[0].encodeHeader(7, 0), "evil"...)
 					binary.LittleEndian.PutUint32(forged[12:], uint32(tc.n))
-					if err := xport.Send(p, comms[0].t, 1, mpiHandlerID, forged); err != nil {
+					if err := xport.SendGather(p, comms[0].t, 1, mpiHandlerID, forged); err != nil {
 						t.Error(err)
 					}
 					for _, tag := range []int{7, 9} {

@@ -48,7 +48,7 @@ func dropPattern(t *testing.T) (fwd, rev []int, st0, st1 LinkStats) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return fwd, rev, net.Iface(0).EgressStats(), net.Iface(1).EgressStats()
+	return fwd, rev, net.Iface(0).egressStats(), net.Iface(1).egressStats()
 }
 
 // The ISSUE-6 pin: two links under one fault rule must draw uncorrelated
@@ -112,7 +112,7 @@ func TestOutageWindowDropsAndRegisters(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	st := net.Iface(0).EgressStats()
+	st := net.Iface(0).egressStats()
 	if st.DownDropped == 0 {
 		t.Fatal("no frames dropped inside the outage window")
 	}
@@ -152,7 +152,7 @@ func TestSwitchDeathNeverHeals(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	st := net.Iface(0).EgressStats()
+	st := net.Iface(0).egressStats()
 	if st.DownDropped == 0 || got == 0 {
 		t.Fatalf("want some deliveries then permanent death; got %d delivered, %d dropped", got, st.DownDropped)
 	}

@@ -220,7 +220,7 @@ func TestDropInjection(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	st := net.Iface(0).EgressStats()
+	st := net.Iface(0).egressStats()
 	if st.Dropped == 0 {
 		t.Fatal("no drops with DropProb=0.5")
 	}
@@ -271,7 +271,7 @@ func TestLinkStatsAccounting(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	st := net.Iface(0).EgressStats()
+	st := net.Iface(0).egressStats()
 	if st.Packets != 5 || st.Bytes != 500 {
 		t.Fatalf("stats %+v", st)
 	}

@@ -50,8 +50,8 @@ func (ifc *Iface) StartSend(pkt *Packet) Tx {
 	return Tx{l: ifc.out, pkt: pkt}
 }
 
-// EgressStats reports this node's injection-link counters.
-func (ifc *Iface) EgressStats() LinkStats { return ifc.out.Stats() }
+// egressStats reports this node's injection-link counters.
+func (ifc *Iface) egressStats() LinkStats { return ifc.out.Stats() }
 
 // Network is an assembled fabric. It stores no routes: a source route is a
 // pure function of (src, dst) and the resolved shape, computed at injection.

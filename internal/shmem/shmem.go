@@ -43,9 +43,6 @@ const (
 
 // Stats counts one-sided operations.
 type Stats struct {
-	Puts, Gets     int64
-	PutBytes       int64
-	GetBytes       int64
 	RemotePuts     int64 // puts landed into local regions
 	RemoteGetReqs  int64
 	DirectPutBytes int64 // put payload scattered straight into the region
@@ -126,8 +123,6 @@ func (n *Node) Put(p *sim.Proc, target int, region uint32, offset int, data []by
 		return err
 	}
 	n.pending++
-	n.stats.Puts++
-	n.stats.PutBytes += int64(len(data))
 	return nil
 }
 
@@ -156,15 +151,13 @@ func (n *Node) Get(p *sim.Proc, target int, region uint32, offset int, buf []byt
 	n.nextReq++
 	n.getBuf, n.getting = buf, true
 	hdr := n.encode(kindGetReq, region, offset, len(buf), n.getReq)
-	err := xport.Send(p, n.t, target, shmemHandlerID, hdr)
+	err := xport.SendGather(p, n.t, target, shmemHandlerID, hdr)
 	n.hdrs.Put(hdr)
 	if err != nil {
 		n.getBuf, n.getting = nil, false
 		return err
 	}
 	n.t.Wait(p, 0, (*got)(n))
-	n.stats.Gets++
-	n.stats.GetBytes += int64(len(buf))
 	return nil
 }
 
@@ -202,7 +195,7 @@ func (n *Node) handler(p *sim.Proc, s xport.RecvStream) {
 		n.stats.RemotePuts++
 		n.stats.DirectPutBytes += int64(length)
 		ack := n.encode(kindPutAck, region, off, length, 0)
-		err := xport.Send(p, n.t, s.Src(), shmemHandlerID, ack)
+		err := xport.SendGather(p, n.t, s.Src(), shmemHandlerID, ack)
 		n.hdrs.Put(ack)
 		if err != nil {
 			panic(fmt.Sprintf("shmem: put ack failed: %v", err))

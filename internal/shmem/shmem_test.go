@@ -199,7 +199,7 @@ func TestBidirectionalPuts(t *testing.T) {
 // message carries, a get response longer than the buffer waiting for it, and
 // a get request no response could answer are discarded before the length
 // sizes a slice or an allocation; the genuine Get running meanwhile still
-// completes. The forged messages go through xport.Send on the shmem layer's
+// completes. The forged messages go through xport.SendGather on the shmem layer's
 // own HandlerSpace.
 func TestForgedHeaderLengths(t *testing.T) {
 	for _, tc := range []struct {
@@ -221,7 +221,7 @@ func TestForgedHeaderLengths(t *testing.T) {
 			k.Spawn("forger", func(p *sim.Proc) {
 				// Request ID 0 is the one the victim's first Get waits on.
 				forged := append(ns[0].encode(tc.kind, 1, 0, tc.length(ns[0]), 0), "evil"...)
-				if err := xport.Send(p, ns[0].t, 1, shmemHandlerID, forged); err != nil {
+				if err := xport.SendGather(p, ns[0].t, 1, shmemHandlerID, forged); err != nil {
 					t.Error(err)
 				}
 				serve(p, ns[0], func() bool { return done })

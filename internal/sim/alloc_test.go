@@ -64,7 +64,7 @@ func TestEventQueueZeroAlloc(t *testing.T) {
 				p.Delay(Microsecond)
 			}
 		})
-		k.Stop()
+		k.stop()
 	})
 	if err := k.Run(); !errors.Is(err, ErrStopped) {
 		t.Fatal(err)
@@ -193,8 +193,8 @@ func TestPollEveryZeroAlloc(t *testing.T) {
 	var allocs uint64
 	k.Spawn("poller", func(p *Proc) {
 		c := idleFor(ticks)
-		p.PollEvery(Microsecond, c) // warm-up
-		allocs = alloctest.MinMallocs(func() { p.PollEvery(Microsecond, c) })
+		p.PollCycle(Microsecond, Microsecond, c) // warm-up
+		allocs = alloctest.MinMallocs(func() { p.PollCycle(Microsecond, Microsecond, c) })
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -251,7 +251,7 @@ func TestPollLanesZeroAlloc(t *testing.T) {
 	k := NewKernel()
 	var allocs uint64
 	done := false
-	k.Spawn("background", func(p *Proc) { p.PollEvery(3*Microsecond, pollUntil{&done}) })
+	k.Spawn("background", func(p *Proc) { p.PollCycle(3*Microsecond, 3*Microsecond, pollUntil{&done}) })
 	k.Spawn("poller", func(p *Proc) {
 		c := idleFor(10)
 		stretches := func() {
@@ -293,7 +293,7 @@ func TestDormantPollZeroAlloc(t *testing.T) {
 			for i := 0; i < stretches; i++ {
 				done = false
 				k.Spawn("setter", set).ActsFor(7)
-				p.PollEvery(Microsecond, pollUntil{&done})
+				p.PollCycle(Microsecond, Microsecond, pollUntil{&done})
 			}
 		}
 		run() // warm-up: the lane, the free lists and the registry grown

@@ -52,8 +52,8 @@ func (c *Chan[T]) Cap() int { return c.cap }
 // Ready reports whether TryRecv would succeed.
 func (c *Chan[T]) Ready() bool { return c.buf.Len() > 0 || c.sendq.Len() > 0 }
 
-// Senders reports the number of parked senders (back-pressure depth).
-func (c *Chan[T]) Senders() int { return c.sendq.Len() }
+// senders reports the number of parked senders (back-pressure depth).
+func (c *Chan[T]) senders() int { return c.sendq.Len() }
 
 // Send delivers v, parking p while the channel is full.
 func (c *Chan[T]) Send(p *Proc, v T) {

@@ -124,8 +124,8 @@ func TestParkedSendersAdmitInOrder(t *testing.T) {
 	var got []int
 	k.Spawn("drain", func(p *Proc) {
 		p.Delay(Time(senders)) // let every sender park first
-		if ch.Senders() != senders-2 {
-			panic(fmt.Sprintf("expected %d parked senders, have %d", senders-2, ch.Senders()))
+		if ch.senders() != senders-2 {
+			panic(fmt.Sprintf("expected %d parked senders, have %d", senders-2, ch.senders()))
 		}
 		for len(got) < senders {
 			got = append(got, ch.Recv(p))

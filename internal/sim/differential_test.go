@@ -13,16 +13,16 @@ import (
 //
 //	for { Delay(d0); if !c.Idle() { return 0 }; Delay(d1); if !c.Idle() { return 1 } }
 //
-// with PollEvery its one-period case; the dispatcher takes the idle ticks and
-// queues them in one lane per period beside the event queue. A Machine stepped by
-// the dispatcher is its Steps run on a goroutine daemon that parks after each
-// (onGoroutine). A goroutine Proc gets its goroutine at its first wake.
+// with PollCycle(d, d, c) its one-period case; the dispatcher takes the idle
+// ticks and queues them in one lane per period beside the event queue. A Machine
+// stepped by the dispatcher is its Steps run on a goroutine daemon that parks
+// after each (onGoroutine). A goroutine Proc gets its goroutine at its first wake.
 //
 // One generator draws a program from a seed — pollers on 1 to 64 periods fed
 // on, behind and off their grid and kicked early, tickers, one-shot Procs, scripted
 // Machines over Chans and Resources with the daemons they contend with, a
 // driver script, sometimes a panic — and runs it in two spellings: fused
-// (PollEvery, PollCycle, SpawnMachine) and written out (the Delay loops, the
+// (PollCycle, SpawnMachine) and written out (the Delay loops, the
 // goroutine daemon), which runs only the event queue and the goroutine park the
 // shortcuts are defined against. The two runs must be one simulation: every
 // resumption and condition evaluation at the same (t, seq); the same
@@ -58,7 +58,7 @@ const (
 const (
 	drain  = iota // Run
 	pauses        // RunUntil on and off tick instants, then Run
-	halt          // the same, then Stop from a global Proc or Shutdown
+	halt          // the same, then stop from a global Proc or Shutdown
 
 	condPanic = 1 // a poller's condition panics
 	stepPanic = 2 // in odd seeds, a Machine's Step panics
@@ -68,7 +68,7 @@ const (
 type row struct {
 	seeds    int
 	families []family // cycled through by seed
-	every    int      // percent of onGrid and crowd pollers in PollEvery; the rest PollCycle
+	every    int      // percent of onGrid and crowd pollers polling one period; the rest two
 	script   int
 	panics   int
 	tags     bool // every Proc acts for a node, and pollers go dormant
@@ -165,8 +165,8 @@ func firstLine(err error) string {
 	return s
 }
 
-// poller waits for its inbox in PollCycle(d[0], d[1]) — PollEvery(d[0]) when
-// every — and takes what is there, then pauses. Kicks wake it early through a
+// poller waits for its inbox in PollCycle(d[0], d[1]) — PollCycle(d[0], d[0])
+// when every — and takes what is there, then pauses. Kicks wake it early through a
 // Signal (even i) or a rendezvous Chan (odd i).
 type poller struct {
 	r                    *run
@@ -218,7 +218,7 @@ func (c *poller) Idle() Time {
 	if idle && r.fused {
 		r.grows(c.d[kind^1]) // the re-arm, with the other period
 	}
-	r.log = append(r.log, entry{r.k.now, r.k.seq, c.name, c.in.Len() + c.in.Senders(), idle})
+	r.log = append(r.log, entry{r.k.now, r.k.seq, c.name, c.in.Len() + c.in.senders(), idle})
 	if idle {
 		r.idles++
 	}
@@ -242,7 +242,7 @@ func (c *poller) wait(p *Proc) (kind int) {
 	switch {
 	case c.r.fused && c.every:
 		c.r.grows(c.d[0])
-		p.PollEvery(c.d[0], c)
+		p.PollCycle(c.d[0], c.d[0], c)
 	case c.r.fused:
 		c.r.grows(c.d[0])
 		kind = p.PollCycle(c.d[0], c.d[1], c)
@@ -454,7 +454,7 @@ func newRun(seed int64, rw row, spelling int) *run {
 	case rw.script != halt:
 		r.state("run", k.Run())
 	case rng.Intn(2) == 0:
-		k.SpawnAt(at, "stopper", func(*Proc) { r.midWait(); k.Stop() })
+		k.SpawnAt(at, "stopper", func(*Proc) { r.midWait(); k.stop() })
 		r.state(fmt.Sprintf("stopped at %v", at), k.Run())
 	default:
 		r.state(fmt.Sprintf("until %v", at), k.RunUntil(at))

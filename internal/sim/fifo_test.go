@@ -92,7 +92,7 @@ func TestLaneRotationClearsVacatedSlots(t *testing.T) {
 			if i%3 == 0 {
 				p.PollCycle(10*Nanosecond, 7*Nanosecond, quietIdler{&done})
 			} else {
-				p.PollEvery(10*Nanosecond, quietIdler{&done})
+				p.PollCycle(10*Nanosecond, 10*Nanosecond, quietIdler{&done})
 			}
 		})
 	}

@@ -21,9 +21,9 @@
 // the guarantee — the token is still held by exactly one goroutine — they
 // just spare an event its coroutine switch:
 //
-//   - The Idler of a Proc blocked in PollCycle (PollEvery is its one-period
-//     case): an idle tick, an empty poll or the pause a self-paced poller
-//     takes after one, is re-armed by the dispatcher. An Idler only reads.
+//   - The Idler of a Proc blocked in PollCycle: an idle tick, an empty poll
+//     or the pause a self-paced poller takes after one, is re-armed by the
+//     dispatcher. An Idler only reads.
 //
 //   - A Machine (SpawnMachine): a Proc with no coroutine at all, written as
 //     a run-to-completion Step that arms one wake — StartDelay, StartRecv,
@@ -107,7 +107,7 @@ type procKilled struct{}
 // ever wake them.
 var ErrDeadlock = errors.New("sim: deadlock: live processes with empty event queue")
 
-// ErrStopped is returned by Run when the simulation was halted by Stop.
+// ErrStopped is returned by Run when the simulation was halted by stop.
 var ErrStopped = errors.New("sim: stopped")
 
 type event struct {
@@ -397,9 +397,9 @@ func (k *Kernel) Census() Census {
 	return c
 }
 
-// Stop halts the simulation: Run returns ErrStopped after unwinding all
+// stop halts the simulation: Run returns ErrStopped after unwinding all
 // Procs. Safe to call from inside a Proc.
-func (k *Kernel) Stop() { k.stopped = true }
+func (k *Kernel) stop() { k.stopped = true }
 
 // tick arms p's next poll tick, in the lane of period p.pollTick — the one
 // place a tick is queued, so none ever enters the event queue. It takes its seq at
@@ -471,9 +471,9 @@ func (k *Kernel) failProc(p *Proc, r any) {
 	k.fail(fmt.Errorf("sim: proc %q panicked: %v\n%s", p.name, r, debug.Stack()))
 }
 
-// Run drives the simulation until the event queue is empty, Stop is called,
+// Run drives the simulation until the event queue is empty, stop is called,
 // or a Proc panics. It returns nil on a clean drain with no live Procs,
-// ErrDeadlock if live Procs remain unwakeable, ErrStopped after Stop, or the
+// ErrDeadlock if live Procs remain unwakeable, ErrStopped after stop, or the
 // wrapped panic of a failed Proc.
 //
 // A Proc's function that calls runtime.Goexit (as t.FailNow does) takes the
@@ -1110,8 +1110,3 @@ func (p *Proc) PollCycle(d0, d1 Time, c Idler) int {
 	p.poll = nil
 	return int(p.pollTick)
 }
-
-// PollEvery is the one-period polling wait, PollCycle(d, d, c):
-//
-//	for { p.Delay(d); if !c.Idle() { return } }
-func (p *Proc) PollEvery(d Time, c Idler) { p.PollCycle(d, d, c) }

@@ -195,7 +195,7 @@ func TestStop(t *testing.T) {
 			p.Delay(Microsecond)
 			steps++
 			if steps == 5 {
-				k.Stop()
+				k.stop()
 			}
 		}
 	})
@@ -433,8 +433,8 @@ func TestResourcePropertyCapacity(t *testing.T) {
 			n := int(rq)%cp + 1
 			k.SpawnAt(Time(i)*Nanosecond, fmt.Sprintf("u%d", i), func(p *Proc) {
 				r.Acquire(p, n)
-				if r.InUse() > cp {
-					t.Errorf("over capacity: %d > %d", r.InUse(), cp)
+				if r.inUse > cp {
+					t.Errorf("over capacity: %d > %d", r.inUse, cp)
 				}
 				p.Delay(Time(rq) * Nanosecond)
 				r.Release(n)
@@ -506,7 +506,7 @@ type churn struct{ steps, stop int }
 
 func (c *churner) Step(p *Proc) {
 	if c.steps++; c.steps == c.stop {
-		p.Kernel().Stop()
+		p.Kernel().stop()
 	}
 	c.x = c.x*6364136223846793005 + 1442695040888963407
 	p.StartDelay(Time(c.x>>58) * 50)

@@ -61,7 +61,7 @@ func TestMachineRetiredWithoutHandshake(t *testing.T) {
 		return k
 	}
 	k := build()
-	k.SpawnAt(500, "stop", func(*Proc) { k.Stop() })
+	k.SpawnAt(500, "stop", func(*Proc) { k.stop() })
 	if err := k.Run(); !errors.Is(err, ErrStopped) {
 		t.Fatalf("stopped run: %v", err)
 	}
@@ -112,7 +112,7 @@ func TestProcGetsItsGoroutineAtFirstWake(t *testing.T) {
 	}
 
 	k, started = build()
-	k.Stop()
+	k.stop()
 	if err := k.Run(); !errors.Is(err, ErrStopped) || *started != 0 || k.Live() != 0 || len(k.procs) != 0 {
 		t.Fatalf("stopped before it ran: err=%v, %d Procs started, %d live, %d registered", err, *started, k.Live(), len(k.procs))
 	}

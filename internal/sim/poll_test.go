@@ -9,12 +9,12 @@ import (
 // Pins of the polling waits' contracts beside the differential matrix
 // (differential_test.go): fixed cases whose exact numbers are the point.
 
-// PollEvery with no condition is Delay.
+// A one-period poll with no condition is Delay.
 func TestPollEveryNilIsDelay(t *testing.T) {
 	k := NewKernel()
 	var at Time
 	k.Spawn("p", func(p *Proc) {
-		p.PollEvery(gridD, nil)
+		p.PollCycle(gridD, gridD, nil)
 		at = p.Now()
 	})
 	if err := k.Run(); err != nil {
@@ -29,7 +29,7 @@ func TestPollEveryNilIsDelay(t *testing.T) {
 // horizon with the poller still live, like the Delay loop it stands for.
 func TestPollEveryForeverIdleHitsHorizon(t *testing.T) {
 	k := NewKernel()
-	k.Spawn("spinner", func(p *Proc) { p.PollEvery(gridD, idleFor(1<<62)) })
+	k.Spawn("spinner", func(p *Proc) { p.PollCycle(gridD, gridD, idleFor(1<<62)) })
 	if err := k.RunUntil(Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestPollCycleAlternatesPeriods(t *testing.T) {
 // With a lane tick the earliest event, next reports it and RunUntil runs it.
 func TestNextEventSeesLaneTicks(t *testing.T) {
 	k := NewKernel()
-	k.Spawn("spinner", func(p *Proc) { p.PollEvery(gridD, idleFor(1<<62)) })
+	k.Spawn("spinner", func(p *Proc) { p.PollCycle(gridD, gridD, idleFor(1<<62)) })
 	k.SpawnAt(10*gridD+50, "mark", func(*Proc) {})
 	steps := []struct {
 		run       func() error

@@ -143,6 +143,3 @@ func (h *Hold) Step(p *Proc) bool {
 	h.r.Release(1)
 	return true
 }
-
-// InUse reports currently-held units.
-func (r *Resource) InUse() int { return r.inUse }

@@ -316,7 +316,7 @@ func (s *Stack) encode(kind, port int, srcConn, dstConn uint32) []byte {
 
 func (s *Stack) sendCtl(p *sim.Proc, node, kind, port int, srcConn, dstConn uint32) {
 	hdr := s.encode(kind, port, srcConn, dstConn)
-	err := xport.Send(p, s.t, node, sockHandlerID, hdr)
+	err := xport.SendGather(p, s.t, node, sockHandlerID, hdr)
 	s.hdrs.Put(hdr)
 	if err != nil {
 		panic(fmt.Sprintf("sockfm: control send failed: %v", err))

@@ -73,8 +73,8 @@ func (d Dist) Mean() float64 {
 	return m
 }
 
-// FracBelow reports the probability of sizes <= n (bucket-resolution).
-func (d Dist) FracBelow(n int) float64 {
+// fracBelow reports the probability of sizes <= n (bucket-resolution).
+func (d Dist) fracBelow(n int) float64 {
 	f, prev := 0.0, 0.0
 	for _, b := range d.buckets {
 		p := b.cum - prev
@@ -217,8 +217,8 @@ func (z *ZipfSampler) Next() int {
 // Keys reports the keyspace size.
 func (z *ZipfSampler) Keys() int { return len(z.cdf) }
 
-// Prob reports key k's analytic probability.
-func (z *ZipfSampler) Prob(k int) float64 {
+// prob reports key k's analytic probability.
+func (z *ZipfSampler) prob(k int) float64 {
 	if k == 0 {
 		return z.cdf[0]
 	}

@@ -7,20 +7,20 @@ import (
 
 func TestCitedFractions(t *testing.T) {
 	// Kay & Pasquale: over 99% of TCP packets under 200 bytes.
-	if f := KayPasqualeTCP().FracBelow(199); f < 0.99 {
+	if f := KayPasqualeTCP().fracBelow(199); f < 0.99 {
 		t.Errorf("TCP frac below 200 = %.3f, want >= 0.99", f)
 	}
 	// 86% of UDP under 200 bytes.
-	if f := KayPasqualeUDP().FracBelow(199); f < 0.84 || f > 0.88 {
+	if f := KayPasqualeUDP().fracBelow(199); f < 0.84 || f > 0.88 {
 		t.Errorf("UDP frac below 200 = %.3f, want ~0.86", f)
 	}
 	// Gusella: majority below 576 bytes; 60% of those at <= 50 bytes.
 	g := GusellaEthernet()
-	below576 := g.FracBelow(576)
+	below576 := g.fracBelow(576)
 	if below576 < 0.85 {
 		t.Errorf("gusella frac below 576 = %.3f, want majority", below576)
 	}
-	if r := g.FracBelow(50) / below576; r < 0.55 || r > 0.65 {
+	if r := g.fracBelow(50) / below576; r < 0.55 || r > 0.65 {
 		t.Errorf("gusella <=50B share of sub-576 = %.2f, want ~0.60", r)
 	}
 }
@@ -43,7 +43,7 @@ func TestSamplerMatchesCDF(t *testing.T) {
 			}
 		}
 		got := float64(below200) / n
-		want := d.FracBelow(199)
+		want := d.fracBelow(199)
 		if got < want-0.03 || got > want+0.03 {
 			t.Errorf("%s: sampled frac<200 %.3f vs analytic %.3f", d.Name, got, want)
 		}
@@ -117,7 +117,7 @@ func TestZipfSkew(t *testing.T) {
 		t.Errorf("hot-key share did not grow with s: s=0.9 %.4f, s=1.4 %.4f", s09, s14)
 	}
 	z := NewZipf(7, n, 1.4)
-	if want := z.Prob(0); s14 < want-0.03 || s14 > want+0.03 {
+	if want := z.prob(0); s14 < want-0.03 || s14 > want+0.03 {
 		t.Errorf("s=1.4 sampled hot share %.4f vs analytic %.4f", s14, want)
 	}
 }
@@ -126,7 +126,7 @@ func TestZipfSupportAndProb(t *testing.T) {
 	z := NewZipf(3, 17, 0.8)
 	sum := 0.0
 	for k := 0; k < z.Keys(); k++ {
-		sum += z.Prob(k)
+		sum += z.prob(k)
 	}
 	if sum < 0.999 || sum > 1.001 {
 		t.Errorf("probabilities sum to %.4f", sum)

@@ -304,7 +304,7 @@ func TestPacketsCountsWhatEitherEngineSends(t *testing.T) {
 				core := src.Core()
 				n := []int{0, 1, core.MTU(), core.MTU() + 1}[i]
 				k.Spawn("sender", func(p *sim.Proc) {
-					if err := xport.Send(p, src, 1, 4, make([]byte, n)); err != nil {
+					if err := xport.SendGather(p, src, 1, 4, make([]byte, n)); err != nil {
 						t.Error(err)
 					}
 				})
@@ -399,7 +399,7 @@ func TestForgedDataFramesAcrossBindings(t *testing.T) {
 					}
 				}
 				want := pattern(300, 5)
-				if err := xport.Send(p, spaces[1], 0, 1, want); err != nil {
+				if err := xport.SendGather(p, spaces[1], 0, 1, want); err != nil {
 					t.Error(err)
 				}
 				p.Delay(100 * sim.Microsecond)

@@ -55,10 +55,10 @@ func TestServiceNamespacing(t *testing.T) {
 		s.Receive(p, gotB)
 	})
 	k.Spawn("send", func(p *sim.Proc) {
-		if err := xport.Send(p, spaces[0].a, 1, id, []byte("for alpha")); err != nil {
+		if err := xport.SendGather(p, spaces[0].a, 1, id, []byte("for alpha")); err != nil {
 			t.Error(err)
 		}
-		if err := xport.Send(p, spaces[0].b, 1, id, []byte("for beta")); err != nil {
+		if err := xport.SendGather(p, spaces[0].b, 1, id, []byte("for beta")); err != nil {
 			t.Error(err)
 		}
 	})
@@ -184,12 +184,12 @@ func TestFairBudgetedExtract(t *testing.T) {
 	k.Spawn("send", func(p *sim.Proc) {
 		msg := bytes.Repeat([]byte{0x11}, bulkSize)
 		for i := 0; i < bulkMsgs; i++ {
-			if err := xport.Send(p, spaces[0].bulk, 1, 1, msg); err != nil {
+			if err := xport.SendGather(p, spaces[0].bulk, 1, 1, msg); err != nil {
 				t.Error(err)
 			}
 		}
 		// The trickle message lands behind ~96KB of bulk traffic.
-		if err := xport.Send(p, spaces[0].trickle, 1, 1, []byte("paced")); err != nil {
+		if err := xport.SendGather(p, spaces[0].trickle, 1, 1, []byte("paced")); err != nil {
 			t.Error(err)
 		}
 	})
@@ -252,14 +252,14 @@ func TestSharedCreditWait(t *testing.T) {
 	msg := bytes.Repeat([]byte{0x3C}, size)
 	k.Spawn("svcA", func(p *sim.Proc) {
 		for i := 0; i < msgs; i++ {
-			if err := xport.Send(p, spaces[0].a, 1, 1, msg); err != nil {
+			if err := xport.SendGather(p, spaces[0].a, 1, 1, msg); err != nil {
 				t.Error(err)
 			}
 		}
 	})
 	k.Spawn("svcB", func(p *sim.Proc) {
 		for i := 0; i < msgs; i++ {
-			if err := xport.Send(p, spaces[0].b, 2, 1, msg); err != nil {
+			if err := xport.SendGather(p, spaces[0].b, 2, 1, msg); err != nil {
 				t.Error(err)
 			}
 		}
@@ -526,7 +526,7 @@ func TestTwoExtractorsReassemble(t *testing.T) {
 		k.Spawn("sender", func(p *sim.Proc) {
 			msg := make([]byte, a[0].MTU()+16)
 			for i := 0; i < msgs; i++ {
-				if err := xport.Send(p, a[0], 1, coRecvID, msg); err != nil {
+				if err := xport.SendGather(p, a[0], 1, coRecvID, msg); err != nil {
 					t.Error(err)
 				}
 			}

@@ -42,7 +42,7 @@ func TestHeaderScratchBelongsToOneHandlerRun(t *testing.T) {
 	for src := 0; src < 2; src++ {
 		msg := bytes.Repeat([]byte{byte(0x10 + src)}, hdrLen+payload)
 		k.Spawn("sender", func(p *sim.Proc) {
-			if err := xport.Send(p, sp[src], 2, 1, msg); err != nil {
+			if err := xport.SendGather(p, sp[src], 2, 1, msg); err != nil {
 				t.Error(err)
 			}
 		})
@@ -138,7 +138,7 @@ func TestReceiveHeaderBounds(t *testing.T) {
 			h    xport.HandlerID
 			body string
 		}{{1, "longer header"}, {1, "abc"}, {2, "x"}} {
-			if err := xport.Send(p, sp[0], 1, m.h, []byte(m.body)); err != nil {
+			if err := xport.SendGather(p, sp[0], 1, m.h, []byte(m.body)); err != nil {
 				t.Error(err)
 			}
 		}

@@ -57,7 +57,7 @@ func (e *echo) Do(p *sim.Proc) {
 			return
 		}
 		e.q = e.q[:copy(e.q, e.q[1:])]
-		if err := xport.Send(p, e.sp, 0, coReplyID, e.msg[:n]); err != nil {
+		if err := xport.SendGather(p, e.sp, 0, coReplyID, e.msg[:n]); err != nil {
 			panic(err)
 		}
 		e.sent++
@@ -179,12 +179,12 @@ func coResidentRun(t *testing.T, bc bindingCase, seed int64, budget, window int,
 	k.Spawn("sender", func(p *sim.Proc) {
 		msg := make([]byte, 3*mtu)
 		for i, sc := range script {
-			if err := xport.Send(p, a[0], 1, coRecvID, msg[:sc.aSize]); err != nil {
+			if err := xport.SendGather(p, a[0], 1, coRecvID, msg[:sc.aSize]); err != nil {
 				t.Error(err)
 			}
 			fmt.Fprintf(&log, "sent %d at %v\n", i, p.Now())
 			if sc.bSize > 0 {
-				if err := xport.Send(p, b[0], 1, coRecvID, msg[:sc.bSize]); err != nil {
+				if err := xport.SendGather(p, b[0], 1, coRecvID, msg[:sc.bSize]); err != nil {
 					t.Error(err)
 				}
 			}

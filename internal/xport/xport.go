@@ -130,19 +130,6 @@ type CreditAccounting interface {
 	FlowControl() *flowctl.Manager
 }
 
-// Send transmits buf as a single-piece message over t: the convenience path
-// for callers that do not need gather.
-func Send(p *sim.Proc, t Transport, dst int, h HandlerID, buf []byte) error {
-	s, err := t.BeginMessage(p, dst, len(buf), h)
-	if err != nil {
-		return err
-	}
-	if err := s.SendPiece(p, buf); err != nil {
-		return err
-	}
-	return s.EndMessage(p)
-}
-
 // SendGather transmits the concatenation of pieces as one message over t —
 // the header+payload pattern of every protocol layer.
 func SendGather(p *sim.Proc, t Transport, dst int, h HandlerID, pieces ...[]byte) error {
