@@ -54,7 +54,7 @@ var (
 // AllLayers is the table.
 var AllLayers = []Layer{LayerXport, LayerMPI, LayerSock, LayerShmem, LayerGarr}
 
-// LayerBandwidth measures streaming bandwidth node0 -> node1 through one
+// layerBandwidth measures streaming bandwidth node0 -> node1 through one
 // layer over one binding: the two-node, one-flow case of LayerBisection.
 // size is the per-message payload in bytes (rounded to the element width for
 // garr). Through the bare window over FM 2.x the wrapper is free, so it
@@ -62,7 +62,7 @@ var AllLayers = []Layer{LayerXport, LayerMPI, LayerSock, LayerShmem, LayerGarr}
 // gap to FMBandwidth prices the staging adapter itself — the assembly and
 // delivery copies the 1.x interface forces on any streaming client,
 // isolated from every upper layer.
-func LayerBandwidth(l Layer, m xport.Machine, size, msgs int) float64 {
+func layerBandwidth(l Layer, m xport.Machine, size, msgs int) float64 {
 	return LayerBisection(l, m, FabSingle, 2, size, msgs)
 }
 
@@ -88,7 +88,7 @@ func LayeringMatrix(size, msgs int) []MatrixCell {
 	var cells []MatrixCell
 	for _, l := range AllLayers {
 		for _, b := range AllGens {
-			mbps := LayerBandwidth(l, b.Machine(), size, msgs)
+			mbps := layerBandwidth(l, b.Machine(), size, msgs)
 			cells = append(cells, MatrixCell{
 				Layer: l, Binding: b, MBps: mbps, RawMBps: raw[b],
 				Pct: 100 * mbps / raw[b],

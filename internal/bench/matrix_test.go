@@ -67,7 +67,7 @@ func TestLayeringMatrixRendered(t *testing.T) {
 func TestRawXportMatchesNativeFM2(t *testing.T) {
 	for _, size := range StdSizes {
 		msgs := MsgsFor(size)
-		raw := LayerBandwidth(LayerXport, xport.GenFM2.Machine(), size, msgs)
+		raw := layerBandwidth(LayerXport, xport.GenFM2.Machine(), size, msgs)
 		native := FMBandwidth(xport.GenFM2.Machine(), size, msgs)
 		if raw != native {
 			t.Errorf("%d B: xport raw %.6f MB/s vs native fm2 %.6f MB/s: the wrapper must be free", size, raw, native)

@@ -6,10 +6,10 @@ import (
 	"repro/internal/xport"
 )
 
-// MPICurve sweeps streaming MPI bandwidth rank0 -> rank1 over sizes, the
-// measurement behind Figures 4a and 6a: LayerBandwidth through LayerMPI.
-func MPICurve(m xport.Machine, sizes []int) Curve {
-	return sweep(sizes, func(s int) float64 { return LayerBandwidth(LayerMPI, m, s, MsgsFor(s)) })
+// mpiCurve sweeps streaming MPI bandwidth rank0 -> rank1 over sizes, the
+// measurement behind Figures 4a and 6a: layerBandwidth through LayerMPI.
+func mpiCurve(m xport.Machine, sizes []int) Curve {
+	return sweep(sizes, func(s int) float64 { return layerBandwidth(LayerMPI, m, s, MsgsFor(s)) })
 }
 
 // MPILatency measures one-way latency by MPI ping-pong: each side's

@@ -139,8 +139,8 @@ var measured = sync.OnceValue(func() *Measured {
 	return &Measured{
 		FM1:     FMCurve(xport.GenFM1.Machine(), StdSizes),
 		FM2:     FMCurve(xport.GenFM2.Machine(), StdSizes),
-		MPI1:    MPICurve(xport.GenFM1.Machine(), StdSizes),
-		MPI2:    MPICurve(xport.GenFM2.Machine(), StdSizes),
+		MPI1:    mpiCurve(xport.GenFM1.Machine(), StdSizes),
+		MPI2:    mpiCurve(xport.GenFM2.Machine(), StdSizes),
 		FM1Lat:  FMLatency(xport.GenFM1.Machine(), 16, 50).Micros(),
 		FM2Lat:  FMLatency(xport.GenFM2.Machine(), 16, 50).Micros(),
 		MPI1Lat: MPILatency(xport.GenFM1.Machine(), 16, 50).Micros(),

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/mpifm"
 	"repro/internal/xport"
 )
@@ -19,7 +20,8 @@ import (
 // computes (virtual_us, events, digest) goes to stdout, a pure function of
 // the model that cmd/fmbench's perf64 and perf4096 goldens hold byte for
 // byte, like every other report. What the run cost the host (wall time,
-// events per second, allocations and bytes per rank) goes to stderr, keyed
+// events per second, allocations and bytes per rank, and the live heap the
+// session holds per rank once it is built) goes to stderr, keyed
 // by the same (bench, fabric, ranks): it confirms, it does not gate.
 // TestPerfAllocsPerRank holds three rows' allocations per rank; the kernel
 // floor, the two-node steady state and the RPC fleet are measured by
@@ -40,6 +42,7 @@ type PerfEntry struct {
 	EventsPerSec float64
 	AllocsPerOp  float64 // per rank
 	BytesPerOp   float64 // per rank
+	HeapKiB      float64 // the session's live heap after build, KiB per rank
 }
 
 // PerfConfig shapes the suite.
@@ -76,11 +79,26 @@ func hostCost(fn func()) (wall time.Duration, mallocs, bytes uint64) {
 	return time.Since(t0), m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
 }
 
+// liveHeap reports the live heap build leaves behind: the HeapAlloc delta
+// across it, read after a collection on each side. What build made must stay
+// reachable past the call (the caller keeps it).
+func liveHeap(build func()) uint64 {
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	build()
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	return m1.HeapAlloc - m0.HeapAlloc
+}
+
 // PerfCollective measures one allreduce round at scale on fabric f: virtual
 // time (the model's answer, bit-stable across engine changes) alongside the
 // simulator's wall-clock cost to produce it, per participating rank.
 func PerfCollective(f Fabric, ranks, size int) PerfEntry {
-	pl, comms := mpiWorld(xport.GenFM2.Machine(), ranks, f, mpifm.Options{})
+	var pl *cluster.Platform
+	var comms []*mpifm.Comm
+	heap := liveHeap(func() { pl, comms = mpiWorld(xport.GenFM2.Machine(), ranks, f, mpifm.Options{}) })
 	size = collSize(size)
 	stamps := spawnCollective(pl, comms, CollAllreduce, mpifm.AlgoAuto, size)
 	wall, mallocs, bytes := hostCost(func() { run(pl, "perf allreduce ranks=%d on %s", ranks, f) })
@@ -88,7 +106,8 @@ func PerfCollective(f Fabric, ranks, size int) PerfEntry {
 	return PerfEntry{Name: "allreduce", Fabric: f.String(), Ranks: ranks,
 		VirtualUS: span(stamps).Micros(), Events: int64(events), Digest: digest(stamps),
 		WallMS: wall.Seconds() * 1e3, EventsPerSec: float64(events) / wall.Seconds(),
-		AllocsPerOp: float64(mallocs) / float64(ranks), BytesPerOp: float64(bytes) / float64(ranks)}
+		AllocsPerOp: float64(mallocs) / float64(ranks), BytesPerOp: float64(bytes) / float64(ranks),
+		HeapKiB: float64(heap) / 1024 / float64(ranks)}
 }
 
 // digest is FNV-1a over every rank's raw (start, end) stamps in rank order:
@@ -107,7 +126,7 @@ func digest(stamps []stamp) string {
 
 // perfSessions is how many fresh sessions each row is measured in. A row's
 // host fields are the best of them — least wall_ms (events/sec is that
-// session's), least allocs/op and bytes/op — so a cost only a process's
+// session's), least allocs/op, bytes/op and heap — so a cost only a process's
 // first session pays, such as creating the coroutines later sessions reuse,
 // is not charged to whichever row runs first.
 const perfSessions = 2
@@ -129,6 +148,7 @@ func bestOf(measure func() PerfEntry) PerfEntry {
 		}
 		best.AllocsPerOp = min(best.AllocsPerOp, e.AllocsPerOp)
 		best.BytesPerOp = min(best.BytesPerOp, e.BytesPerOp)
+		best.HeapKiB = min(best.HeapKiB, e.HeapKiB)
 	}
 	return best
 }
@@ -140,12 +160,12 @@ func WritePerfReport(w, stderr io.Writer, cfg PerfConfig) {
 	fmt.Fprintf(w, "Allreduce scale ladder, %d B per rank (the model: virtual time, events, digest):\n", cfg.Size)
 	fmt.Fprintf(w, "  %-10s %-8s %6s  %12s  %10s  %16s\n", "bench", "fabric", "ranks", "virtual_us", "events", "digest")
 	fmt.Fprintf(stderr, "Allreduce scale ladder, host cost (best of %d sessions):\n", perfSessions)
-	fmt.Fprintf(stderr, "  %-10s %-8s %6s  %10s  %12s  %10s  %10s\n", "bench", "fabric", "ranks", "wall_ms", "events/sec", "allocs/op", "bytes/op")
+	fmt.Fprintf(stderr, "  %-10s %-8s %6s  %10s  %12s  %10s  %10s  %13s\n", "bench", "fabric", "ranks", "wall_ms", "events/sec", "allocs/op", "bytes/op", "heap_kib/rank")
 	row := func(f Fabric, ranks int) {
 		e := bestOf(func() PerfEntry { return PerfCollective(f, ranks, cfg.Size) })
 		fmt.Fprintf(w, "  %-10s %-8s %6d  %12.3f  %10d  %16s\n", e.Name, e.Fabric, e.Ranks, e.VirtualUS, e.Events, e.Digest)
-		fmt.Fprintf(stderr, "  %-10s %-8s %6d  %10.1f  %12.0f  %10.2f  %10.1f\n",
-			e.Name, e.Fabric, e.Ranks, e.WallMS, e.EventsPerSec, e.AllocsPerOp, e.BytesPerOp)
+		fmt.Fprintf(stderr, "  %-10s %-8s %6d  %10.1f  %12.0f  %10.2f  %10.1f  %13.1f\n",
+			e.Name, e.Fabric, e.Ranks, e.WallMS, e.EventsPerSec, e.AllocsPerOp, e.BytesPerOp, e.HeapKiB)
 	}
 	for _, n := range cfg.CollectiveRanks {
 		row(FabFatTree, n)

@@ -2,10 +2,14 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
+	"repro/internal/mpifm"
 	"repro/internal/sim"
+	"repro/internal/xport"
 )
 
 // TestBestOfSessions: a perf row's host fields are the best over its fresh
@@ -22,9 +26,10 @@ func TestBestOfSessions(t *testing.T) {
 	cold := PerfEntry{Name: "allreduce", Fabric: "fattree", Ranks: 64, Events: 277055, VirtualUS: 848.947,
 		Digest: "0123456789abcdef", WallMS: 10, EventsPerSec: 2.77e7, AllocsPerOp: 99.6, BytesPerOp: 300}
 	warm := cold
-	warm.WallMS, warm.EventsPerSec, warm.AllocsPerOp, warm.BytesPerOp = 8, 3.46e7, 78.2, 310
+	cold.HeapKiB = 5.5
+	warm.WallMS, warm.EventsPerSec, warm.AllocsPerOp, warm.BytesPerOp, warm.HeapKiB = 8, 3.46e7, 78.2, 310, 5.75
 	want := warm
-	want.BytesPerOp = cold.BytesPerOp
+	want.BytesPerOp, want.HeapKiB = cold.BytesPerOp, cold.HeapKiB
 	if got := bestOf(sessions(cold, warm)); got != want {
 		t.Fatalf("best of a cold and a warm session = %+v; want %+v", got, want)
 	}
@@ -69,6 +74,37 @@ func TestPerfAllocsPerRank(t *testing.T) {
 		if e.AllocsPerOp > slack*c.base {
 			t.Errorf("allreduce on %s at %d ranks: %.2f allocs per rank, above %.2f (%.2f × %.2f)",
 				c.f, c.ranks, e.AllocsPerOp, slack*c.base, slack, c.base)
+		}
+	}
+}
+
+// sessionHeapKiB builds an n-rank MPI world of machine m on fabric f, as a
+// perf row does, and reports the live heap it holds in KiB per rank. Nothing
+// runs.
+func sessionHeapKiB(m xport.Machine, ranks int, f Fabric) float64 {
+	var pl *cluster.Platform
+	var comms []*mpifm.Comm // the platform does not reach the endpoints
+	heap := liveHeap(func() { pl, comms = mpiWorld(m, ranks, f, mpifm.Options{}) })
+	runtime.KeepAlive(comms)
+	pl.K.Shutdown()
+	return float64(heap) / 1024 / float64(ranks)
+}
+
+// TestHeapPerRankIsFlat holds the session heap a rank costs to what it talks
+// to: an allreduce rank has ⌈log₂ N⌉ partners, so the live heap per rank of a
+// freshly built fat-tree MPI world may grow by at most a quarter from 256 to
+// 4096 ranks, on either FM generation. Dense per-peer rows — a credit ledger
+// or an FM 1.x reassembly table of length N on every node — grew it 7 to 8
+// times. Nothing runs: the worlds are only built.
+func TestHeapPerRankIsFlat(t *testing.T) {
+	const small, large, slack = 256, 4096, 1.25
+	for _, g := range []xport.Gen{xport.GenFM2, xport.GenFM1} {
+		at256 := sessionHeapKiB(g.Machine(), small, FabFatTree)
+		at4096 := sessionHeapKiB(g.Machine(), large, FabFatTree)
+		t.Logf("%s: %.1f KiB per rank at %d ranks, %.1f at %d", g, at256, small, at4096, large)
+		if at4096 > slack*at256 {
+			t.Errorf("%s: %.1f KiB per rank at %d ranks, above %.2f × the %.1f at %d: per-rank state grows with N",
+				g, at4096, large, slack, at256, small)
 		}
 	}
 }

@@ -4,10 +4,13 @@
 // overflow; the receiver returns credits in batches as Extract frees ring
 // slots. This is the "flow control and buffer management are all Myrinet
 // needs for reliable, in-order delivery" design of paper §3.1. Manager is the
-// ledger; Plane is the protocol around it (control frames, blocking for
-// credits, return and idle flush); EndpointCore is the endpoint around that
-// (host and NIC, frame pool, counters, header layout, the per-packet send and
-// extract steps), which both FM engines embed one copy of.
+// ledger, kept sparse: a node holds an entry (Peers) only for the peers it has
+// sent to or extracted from, so an allreduce rank pays for its ⌈log₂ N⌉
+// partners, not for N. Plane is the protocol around it (control frames,
+// blocking for credits, return and idle flush); EndpointCore is the endpoint
+// around that (host and NIC, frame pool, counters, header layout, the
+// per-packet send and extract steps), which both FM engines embed one copy
+// of.
 //
 // An engine-level change — a per-packet charge, a header field, a trace
 // hook, a pool mode, a validation rule — goes into EndpointCore, once. The
@@ -23,20 +26,33 @@
 // so the own-node read bears on results, not just on speed.
 package flowctl
 
-// Manager tracks credits for one endpoint in a cluster of n nodes.
+import "math"
+
+// Manager tracks credits for one endpoint in a cluster of n nodes. The
+// ledger is sparse: a peer has an entry from the first credit spent toward it
+// or the first ring slot its packets freed, and a peer never talked to holds
+// the whole window and owes nothing, so a node costs what it talks to, not n.
 type Manager struct {
 	window int
-	avail  []int // credits we hold toward each destination
-	freed  []int // ring slots freed per source, not yet returned
-	// dirty lists sources with freed > 0 (unordered; isDirty is the
+	nodes  int
+	peers  Peers[peer]
+	// dirty lists sources with freed > 0 (unordered; peer.dirty is the
 	// membership flag) so idle-poll flushing costs O(pending), not O(n) —
 	// at thousands of nodes a per-poll peer scan would dominate the
 	// event loop.
-	dirty   []int
-	isDirty []bool
+	dirty []int
 	// Counters for tests and benches.
 	CreditsSent  int64
 	CreditsRecvd int64
+}
+
+// peer is the ledger's entry for one peer. Credits are stored as consumed,
+// not available, so that the zero value is the idle state: the whole window
+// in hand, nothing freed, nothing pending.
+type peer struct {
+	consumed int32 // credits spent toward the peer and not yet refilled: window − available
+	freed    int32 // ring slots freed for the peer's packets, not yet returned
+	dirty    bool  // on Manager.dirty
 }
 
 // MinWindow is the smallest per-destination window at which credit-return
@@ -89,21 +105,16 @@ func RingSlotsFor(n, window int) int {
 // ringSlots/(n-1) (floor 1) — ring safety beats throughput. Callers sizing
 // real platforms should grow ringSlots with n (cluster.New does) so the
 // clamped window never falls below MinWindow; Window reports the effective
-// value after clamping.
+// value after clamping. A window is at most math.MaxInt32 packets, far past
+// any ring a run could fill.
 func New(n, self, window, ringSlots int) *Manager {
 	if n > 1 && window*(n-1) > ringSlots {
 		window = ringSlots / (n - 1)
 	}
-	if window < 1 {
-		window = 1
-	}
-	m := &Manager{window: window, avail: make([]int, n), freed: make([]int, n),
-		isDirty: make([]bool, n)}
-	for i := range m.avail {
-		if i != self {
-			m.avail[i] = window
-		}
-	}
+	window = min(max(window, 1), math.MaxInt32)
+	m := &Manager{window: window, nodes: n}
+	// A node holds no credits toward itself: its one entry from the start.
+	m.peers.At(self).consumed = int32(window)
 	return m
 }
 
@@ -112,43 +123,67 @@ func (m *Manager) Window() int { return m.window }
 
 // Nodes reports the cluster size the manager was built for — the bound
 // engines use to validate source fields before indexing credit state.
-func (m *Manager) Nodes() int { return len(m.avail) }
+func (m *Manager) Nodes() int { return m.nodes }
+
+// entry returns node's entry, adding it if node has none; find returns it
+// without adding, and the idle entry for a node that has none.
+func (m *Manager) entry(node int) *peer {
+	m.check(node)
+	return m.peers.At(node)
+}
+
+func (m *Manager) find(node int) peer {
+	m.check(node)
+	if e := m.peers.Find(node); e != nil {
+		return *e
+	}
+	return peer{}
+}
+
+func (m *Manager) check(node int) {
+	if uint(node) >= uint(m.nodes) {
+		panic("flowctl: node out of range")
+	}
+}
 
 // Available reports current credits toward dst.
-func (m *Manager) Available(dst int) int { return m.avail[dst] }
+func (m *Manager) Available(dst int) int { return m.window - int(m.find(dst).consumed) }
 
 // Consume takes one credit toward dst; it reports false when none remain
 // (the caller must then service control traffic and retry).
 func (m *Manager) Consume(dst int) bool {
-	if m.avail[dst] <= 0 {
+	e := m.entry(dst)
+	if int(e.consumed) >= m.window {
 		return false
 	}
-	m.avail[dst]--
+	e.consumed++
 	return true
 }
 
 // Refill adds n returned credits toward dst (a credit packet arrived).
 func (m *Manager) Refill(dst, n int) {
-	m.avail[dst] += n
+	e := m.entry(dst)
 	m.CreditsRecvd += int64(n)
-	if m.avail[dst] > m.window {
+	if int(e.consumed) < n {
 		panic("flowctl: credit overflow — receiver returned more slots than the window")
 	}
+	e.consumed -= int32(n)
 }
 
 // NoteFreed records that one ring slot holding a packet from src was freed
 // by Extract. It reports (count, true) when a credit-return packet should
 // be sent now — at half-window granularity, amortizing return traffic.
 func (m *Manager) NoteFreed(src int) (int, bool) {
-	m.freed[src]++
-	if m.freed[src] >= (m.window+1)/2 {
-		n := m.freed[src]
-		m.freed[src] = 0
+	e := m.entry(src)
+	e.freed++
+	if int(e.freed) >= (m.window+1)/2 {
+		n := int(e.freed)
+		e.freed = 0
 		m.CreditsSent += int64(n)
 		return n, true
 	}
-	if !m.isDirty[src] {
-		m.isDirty[src] = true
+	if !e.dirty {
+		e.dirty = true
 		m.dirty = append(m.dirty, src)
 	}
 	return 0, false
@@ -171,10 +206,11 @@ func (m *Manager) TakeDirty() (src, n int, ok bool) {
 		s := m.dirty[lo]
 		m.dirty[lo] = m.dirty[len(m.dirty)-1]
 		m.dirty = m.dirty[:len(m.dirty)-1]
-		m.isDirty[s] = false
-		if m.freed[s] > 0 {
-			c := m.freed[s]
-			m.freed[s] = 0
+		e := m.peers.Find(s)
+		e.dirty = false
+		if e.freed > 0 {
+			c := int(e.freed)
+			e.freed = 0
 			m.CreditsSent += int64(c)
 			return s, c, true
 		}
@@ -188,4 +224,4 @@ func (m *Manager) Dirty() bool { return len(m.dirty) > 0 }
 
 // Outstanding reports packets in flight toward dst (window minus credits) —
 // the invariant checked by flow-control tests.
-func (m *Manager) Outstanding(dst int) int { return m.window - m.avail[dst] }
+func (m *Manager) Outstanding(dst int) int { return int(m.find(dst).consumed) }

@@ -63,7 +63,7 @@ type Stats = flowctl.Stats
 type Endpoint struct {
 	flowctl.EndpointCore
 	handlers map[HandlerID]Handler
-	asm      []assembly // per-source reassembly state
+	asm      flowctl.Peers[assembly] // per-source reassembly state
 	// Multi-packet reassembly draws staging buffers from a bounded free
 	// list, so the steady state allocates nothing.
 	asmPool *bufpool.Pool
@@ -83,7 +83,6 @@ func Attach(pl *cluster.Platform, _ Config) []*Endpoint {
 		e := &Endpoint{
 			EndpointCore: flowctl.NewEndpointCore(pl.NICs[i], pl.Nodes(), wire),
 			handlers:     make(map[HandlerID]Handler),
-			asm:          make([]assembly, pl.Nodes()),
 		}
 		e.asmPool = bufpool.New(netsim.DefaultPoolCap) // the same bound as the core's frame pools
 		eps[i] = e
@@ -200,19 +199,19 @@ func (e *Endpoint) processData(p *sim.Proc, pkt *netsim.Packet) bool {
 	// before the handler can run — the copy FM 2.x streams eliminate. The
 	// staging buffer itself comes from a bounded free list.
 	if d.First {
-		if prev := &e.asm[src]; prev.active {
+		prev := e.asm.At(src)
+		if prev.active {
 			// A new message opened while the previous one's tail never
 			// arrived: its closing fragment was lost in flight. Discard the
 			// stale staging buffer — without this the pool buffer leaks and
 			// the two messages' bytes would be spliced together.
 			e.Count.Orphaned++
 			e.asmPool.Put(prev.buf)
-			*prev = assembly{}
 		}
-		e.asm[src] = assembly{buf: e.asmPool.GetEmpty(d.Total), want: d.Total, handler: h, active: true}
+		*prev = assembly{buf: e.asmPool.GetEmpty(d.Total), want: d.Total, handler: h, active: true}
 	}
-	a := &e.asm[src]
-	if !a.active {
+	a := e.asm.Find(src)
+	if a == nil || !a.active {
 		// Continuation with no assembly open: the message's first fragment
 		// was lost in flight. Unrecoverable — discard, return the credit.
 		e.Count.Orphaned++
@@ -232,12 +231,12 @@ func (e *Endpoint) processData(p *sim.Proc, pkt *netsim.Packet) bool {
 		// Either way the reassembly is poisoned; drop it whole.
 		e.Count.Orphaned++
 		e.asmPool.Put(a.buf)
-		e.asm[src] = assembly{}
+		*a = assembly{}
 	} else {
 		a.buf = append(a.buf, payload...)
 		if d.Last {
 			buf = a.buf
-			e.asm[src] = assembly{}
+			*a = assembly{}
 		}
 	}
 	if h := e.Host(); h.P.Stage == hostmodel.StageFull {

@@ -51,8 +51,8 @@ func TestForwarderRouteFaultsFailTheRun(t *testing.T) {
 		{1, []uint8{7}, `sim: proc "sw9.fwd1" panicked: netsim: bad route byte 7 at switch sw9`},
 	} {
 		k := sim.NewKernel()
-		sw := NewSwitch(k, "sw9", 3, 100*sim.Nanosecond, 1)
-		sw.SetOut(0, NewLink(k, "sw9->sink", myrinet(), sim.NewChan[*Packet](k, 1)))
+		sw := newSwitch(k, "sw9", 3, 100*sim.Nanosecond, 1)
+		sw.SetOut(0, newLink(k, "sw9->sink", myrinet(), sim.NewChan[*Packet](k, 1)))
 		sw.Start()
 		k.Spawn("upstream", func(p *sim.Proc) {
 			p.Delay(sim.Microsecond)

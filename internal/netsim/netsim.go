@@ -80,8 +80,8 @@ type Link struct {
 	stats  LinkStats
 }
 
-// NewLink creates a link delivering into dst.
-func NewLink(k *sim.Kernel, name string, cfg LinkConfig, dst *sim.Chan[*Packet]) *Link {
+// newLink creates a link delivering into dst.
+func newLink(k *sim.Kernel, name string, cfg LinkConfig, dst *sim.Chan[*Packet]) *Link {
 	if cfg.Slots < 1 {
 		cfg.Slots = 1
 	}
@@ -219,9 +219,9 @@ type Switch struct {
 // from a wider crossbar, exactly as on the real hardware.
 const MaxSwitchPorts = 256
 
-// NewSwitch creates a switch with the given number of ports. Output links
+// newSwitch creates a switch with the given number of ports. Output links
 // must be attached with SetOut before Start.
-func NewSwitch(k *sim.Kernel, name string, ports int, routeDelay sim.Time, slots int) *Switch {
+func newSwitch(k *sim.Kernel, name string, ports int, routeDelay sim.Time, slots int) *Switch {
 	if ports > MaxSwitchPorts {
 		panic(fmt.Sprintf("netsim: switch %s wants %d ports; route bytes address at most %d — use a multi-stage fabric",
 			name, ports, MaxSwitchPorts))

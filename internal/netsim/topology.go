@@ -280,7 +280,7 @@ type builder struct {
 }
 
 func (b *builder) addSwitch(name string, ports int) *Switch {
-	sw := NewSwitch(b.n.K, name, ports, b.routeDelay, b.cfg.Slots)
+	sw := newSwitch(b.n.K, name, ports, b.routeDelay, b.cfg.Slots)
 	b.n.switches = append(b.n.switches, sw)
 	return sw
 }
@@ -294,7 +294,7 @@ func (b *builder) addIface() *Iface {
 
 // link creates the wire into dst.
 func (b *builder) link(name string, dst *sim.Chan[*Packet]) *Link {
-	l := NewLink(b.n.K, name, b.cfg, dst)
+	l := newLink(b.n.K, name, b.cfg, dst)
 	l.net = b.n
 	b.n.links = append(b.n.links, l)
 	return l

@@ -42,7 +42,7 @@ func (c *Campaign) Marshal() []byte {
 
 // RunFile loads one scenario file and runs it under the campaign seed.
 func RunFile(path string, campaignSeed int64) (Report, error) {
-	spec, err := LoadSpec(path)
+	spec, err := loadSpec(path)
 	if err != nil {
 		return Report{}, err
 	}
@@ -74,7 +74,7 @@ func RunCampaignN(dir string, seed int64, workers int) (*Campaign, error) {
 		if e.IsDir() || !strings.HasSuffix(name, ".json") || name == GoldenName {
 			continue
 		}
-		spec, err := LoadSpec(filepath.Join(dir, name))
+		spec, err := loadSpec(filepath.Join(dir, name))
 		if err != nil {
 			return nil, err
 		}

@@ -293,8 +293,8 @@ func ScenarioSeed(campaignSeed int64, name string) int64 {
 	return campaignSeed ^ int64(h.Sum64())
 }
 
-// LoadSpec reads and validates one scenario file.
-func LoadSpec(path string) (Spec, error) {
+// loadSpec reads and validates one scenario file.
+func loadSpec(path string) (Spec, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return Spec{}, err

@@ -532,7 +532,7 @@ func TestLoadSpecRejectsUnknownFields(t *testing.T) {
 	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSpec(path); err == nil {
+	if _, err := loadSpec(path); err == nil {
 		t.Fatal("typoed assertion field accepted silently")
 	}
 }

@@ -32,8 +32,8 @@ const (
 	histBuckets = 2*histSub + (62-histSubBits)*histSub
 )
 
-// NewHist returns an empty histogram.
-func NewHist() *Hist { return &Hist{min: -1} }
+// newHist returns an empty histogram.
+func newHist() *Hist { return &Hist{min: -1} }
 
 // histIndex maps a value to its bucket.
 func histIndex(v int64) int {

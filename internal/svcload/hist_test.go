@@ -28,7 +28,7 @@ func exactQuantile(sorted []int64, q float64) int64 {
 // hist <= exact * (1 + 2/histSub) + 1 (log-bucket relative error).
 func checkQuantiles(t *testing.T, name string, samples []int64) {
 	t.Helper()
-	h := NewHist()
+	h := newHist()
 	for _, v := range samples {
 		h.Record(v)
 	}
@@ -87,7 +87,7 @@ func TestHistQuantilesAcrossDistributions(t *testing.T) {
 }
 
 func TestHistSmallValuesExact(t *testing.T) {
-	h := NewHist()
+	h := newHist()
 	for v := int64(0); v < 2*histSub; v++ {
 		h.Record(v)
 	}
@@ -101,18 +101,18 @@ func TestHistSmallValuesExact(t *testing.T) {
 
 func TestHistMergeEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	whole := NewHist()
-	parts := []*Hist{NewHist(), NewHist(), NewHist()}
+	whole := newHist()
+	parts := []*Hist{newHist(), newHist(), newHist()}
 	for i := 0; i < 9999; i++ {
 		v := int64(rng.ExpFloat64() * 123_456)
 		whole.Record(v)
 		parts[i%3].Record(v)
 	}
-	merged := NewHist()
+	merged := newHist()
 	for _, p := range parts {
 		merged.Merge(p)
 	}
-	merged.Merge(NewHist()) // empty merge is a no-op
+	merged.Merge(newHist()) // empty merge is a no-op
 	if merged.Count() != whole.Count() || merged.Mean() != whole.Mean() ||
 		merged.Min() != whole.Min() || merged.Max() != whole.Max() {
 		t.Fatal("merged summary stats differ from single-histogram recording")

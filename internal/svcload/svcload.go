@@ -332,7 +332,7 @@ func Attach(spaces []*xport.HandlerSpace, cfg ServiceConfig) *Fleet {
 		node := node
 		f.pending[node] = make(map[uint64]inflight)
 		f.waits[node] = nodeWait{f: f, node: node}
-		f.hists[node] = NewHist()
+		f.hists[node] = newHist()
 		spaces[node].Register(reqHandler, func(p *sim.Proc, s xport.RecvStream) {
 			f.serveRequest(p, node, s)
 		})
@@ -650,7 +650,7 @@ func (f *Fleet) giveUp(t sim.Time) sim.Time {
 
 // Hist returns the merged service-level latency histogram.
 func (f *Fleet) Hist() *Hist {
-	m := NewHist()
+	m := newHist()
 	for _, h := range f.hists {
 		m.Merge(h)
 	}
