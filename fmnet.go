@@ -26,6 +26,7 @@ package fmnet
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"repro/internal/cluster"
 	"repro/internal/garr"
@@ -396,10 +397,26 @@ func (s *Session) SpawnOn(node int, name string, fn func(p *Proc)) {
 // SpawnRanks starts one process per node, each told its rank, each acting
 // for its node as SpawnOn's do.
 func (s *Session) SpawnRanks(name string, fn func(rank int, p *Proc)) {
-	for r := 0; r < s.Nodes(); r++ {
-		s.SpawnOn(r, fmt.Sprintf("%s.%d", name, r), func(p *Proc) { fn(r, p) })
+	ranks := make([]rankProc, s.Nodes())
+	for r := range ranks {
+		ranks[r] = rankProc{name: name, rank: r, fn: fn}
+		p := s.k.Spawn("", ranks[r].run)
+		p.NameBy(&ranks[r])
+		p.ActsFor(r)
 	}
 }
+
+// rankProc is one of SpawnRanks' processes: its rank, its body and its name,
+// "name.rank", spelled only when something reads it.
+type rankProc struct {
+	name string
+	rank int
+	fn   func(rank int, p *Proc)
+}
+
+func (r *rankProc) run(p *Proc) { r.fn(r.rank, p) }
+
+func (r *rankProc) String() string { return r.name + "." + strconv.Itoa(r.rank) }
 
 // Run drives the simulation until every process completes.
 func (s *Session) Run() error { return s.k.Run() }

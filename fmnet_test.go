@@ -14,6 +14,8 @@ import (
 	"testing"
 
 	fmnet "repro"
+	"repro/internal/alloctest"
+	"repro/internal/sim"
 )
 
 // TestSessionMPI: the smallest public program — an MPI ring over a shared
@@ -414,6 +416,30 @@ func TestSessionLargeFatTree(t *testing.T) {
 	defer s.Kernel().Shutdown()
 	if s.Nodes() != 2048 || s.MPI(2047) == nil {
 		t.Fatalf("session has %d nodes", s.Nodes())
+	}
+}
+
+// TestSessionBuildAllocs holds what a short-lived session costs to stand up:
+// fmnet.New with FM 2.x and MPI on a 256-node fat tree, within 1.1 × the
+// mallocs per node it took once the fabric, its names and its NICs were laid
+// out by the slice (22.3 per node; 55.4 when each port's link, resource,
+// queue, forwarder and name was a malloc of its own).
+func TestSessionBuildAllocs(t *testing.T) {
+	if sim.RaceEnabled {
+		t.Skip("alloc pins don't hold under the race detector's instrumentation")
+	}
+	const nodes, base, slack = 256, 22.3, 1.1
+	mallocs := alloctest.MinMallocs(func() {
+		s, err := fmnet.New(fmnet.Nodes(nodes), fmnet.Topology(fmnet.FatTree), fmnet.FM2(), fmnet.WithMPI())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Kernel().Shutdown()
+	})
+	per := float64(mallocs) / nodes
+	t.Logf("fmnet.New at %d nodes: %d mallocs, %.1f per node", nodes, mallocs, per)
+	if per > slack*base {
+		t.Errorf("fmnet.New at %d nodes: %.1f mallocs per node, above %.1f (%.1f × %.1f)", nodes, per, slack*base, slack, base)
 	}
 }
 

@@ -22,7 +22,9 @@ import (
 // byte, like every other report. What the run cost the host (wall time,
 // events per second, allocations and bytes per rank, and the live heap the
 // session holds per rank once it is built) goes to stderr, keyed
-// by the same (bench, fabric, ranks): it confirms, it does not gate.
+// by the same (bench, fabric, ranks): it confirms, it does not gate. The run
+// and the build are counted apart: allocs/op is the run's, build_allocs/rank
+// what standing the session up took.
 // TestPerfAllocsPerRank holds three rows' allocations per rank; the kernel
 // floor, the two-node steady state and the RPC fleet are measured by
 // benchmark/ (kernel-churn, pt2pt-sweep, rpc-open), with repetitions.
@@ -40,9 +42,10 @@ type PerfEntry struct {
 
 	WallMS       float64
 	EventsPerSec float64
-	AllocsPerOp  float64 // per rank
-	BytesPerOp   float64 // per rank
+	AllocsPerOp  float64 // per rank, the run's
+	BytesPerOp   float64 // per rank, the run's
 	HeapKiB      float64 // the session's live heap after build, KiB per rank
+	BuildAllocs  float64 // mallocs building the session took, per rank
 }
 
 // PerfConfig shapes the suite.
@@ -79,17 +82,17 @@ func hostCost(fn func()) (wall time.Duration, mallocs, bytes uint64) {
 	return time.Since(t0), m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
 }
 
-// liveHeap reports the live heap build leaves behind: the HeapAlloc delta
-// across it, read after a collection on each side. What build made must stay
-// reachable past the call (the caller keeps it).
-func liveHeap(build func()) uint64 {
+// liveHeap reports the live heap build leaves behind, the HeapAlloc delta
+// across it read after a collection on each side, and the mallocs it took.
+// What build made must stay reachable past the call (the caller keeps it).
+func liveHeap(build func()) (heap, mallocs uint64) {
 	var m0, m1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&m0)
 	build()
 	runtime.GC()
 	runtime.ReadMemStats(&m1)
-	return m1.HeapAlloc - m0.HeapAlloc
+	return m1.HeapAlloc - m0.HeapAlloc, m1.Mallocs - m0.Mallocs
 }
 
 // PerfCollective measures one allreduce round at scale on fabric f: virtual
@@ -98,7 +101,7 @@ func liveHeap(build func()) uint64 {
 func PerfCollective(f Fabric, ranks, size int) PerfEntry {
 	var pl *cluster.Platform
 	var comms []*mpifm.Comm
-	heap := liveHeap(func() { pl, comms = mpiWorld(xport.GenFM2.Machine(), ranks, f, mpifm.Options{}) })
+	heap, built := liveHeap(func() { pl, comms = mpiWorld(xport.GenFM2.Machine(), ranks, f, mpifm.Options{}) })
 	size = collSize(size)
 	stamps := spawnCollective(pl, comms, CollAllreduce, mpifm.AlgoAuto, size)
 	wall, mallocs, bytes := hostCost(func() { run(pl, "perf allreduce ranks=%d on %s", ranks, f) })
@@ -107,7 +110,7 @@ func PerfCollective(f Fabric, ranks, size int) PerfEntry {
 		VirtualUS: span(stamps).Micros(), Events: int64(events), Digest: digest(stamps),
 		WallMS: wall.Seconds() * 1e3, EventsPerSec: float64(events) / wall.Seconds(),
 		AllocsPerOp: float64(mallocs) / float64(ranks), BytesPerOp: float64(bytes) / float64(ranks),
-		HeapKiB: float64(heap) / 1024 / float64(ranks)}
+		HeapKiB: float64(heap) / 1024 / float64(ranks), BuildAllocs: float64(built) / float64(ranks)}
 }
 
 // digest is FNV-1a over every rank's raw (start, end) stamps in rank order:
@@ -149,6 +152,7 @@ func bestOf(measure func() PerfEntry) PerfEntry {
 		best.AllocsPerOp = min(best.AllocsPerOp, e.AllocsPerOp)
 		best.BytesPerOp = min(best.BytesPerOp, e.BytesPerOp)
 		best.HeapKiB = min(best.HeapKiB, e.HeapKiB)
+		best.BuildAllocs = min(best.BuildAllocs, e.BuildAllocs)
 	}
 	return best
 }
@@ -160,12 +164,12 @@ func WritePerfReport(w, stderr io.Writer, cfg PerfConfig) {
 	fmt.Fprintf(w, "Allreduce scale ladder, %d B per rank (the model: virtual time, events, digest):\n", cfg.Size)
 	fmt.Fprintf(w, "  %-10s %-8s %6s  %12s  %10s  %16s\n", "bench", "fabric", "ranks", "virtual_us", "events", "digest")
 	fmt.Fprintf(stderr, "Allreduce scale ladder, host cost (best of %d sessions):\n", perfSessions)
-	fmt.Fprintf(stderr, "  %-10s %-8s %6s  %10s  %12s  %10s  %10s  %13s\n", "bench", "fabric", "ranks", "wall_ms", "events/sec", "allocs/op", "bytes/op", "heap_kib/rank")
+	fmt.Fprintf(stderr, "  %-10s %-8s %6s  %10s  %12s  %10s  %10s  %13s  %18s\n", "bench", "fabric", "ranks", "wall_ms", "events/sec", "allocs/op", "bytes/op", "heap_kib/rank", "build_allocs/rank")
 	row := func(f Fabric, ranks int) {
 		e := bestOf(func() PerfEntry { return PerfCollective(f, ranks, cfg.Size) })
 		fmt.Fprintf(w, "  %-10s %-8s %6d  %12.3f  %10d  %16s\n", e.Name, e.Fabric, e.Ranks, e.VirtualUS, e.Events, e.Digest)
-		fmt.Fprintf(stderr, "  %-10s %-8s %6d  %10.1f  %12.0f  %10.2f  %10.1f  %13.1f\n",
-			e.Name, e.Fabric, e.Ranks, e.WallMS, e.EventsPerSec, e.AllocsPerOp, e.BytesPerOp, e.HeapKiB)
+		fmt.Fprintf(stderr, "  %-10s %-8s %6d  %10.1f  %12.0f  %10.2f  %10.1f  %13.1f  %18.2f\n",
+			e.Name, e.Fabric, e.Ranks, e.WallMS, e.EventsPerSec, e.AllocsPerOp, e.BytesPerOp, e.HeapKiB, e.BuildAllocs)
 	}
 	for _, n := range cfg.CollectiveRanks {
 		row(FabFatTree, n)

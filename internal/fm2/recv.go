@@ -3,6 +3,7 @@ package fm2
 import (
 	"encoding/binary"
 	"fmt"
+	"strconv"
 
 	"repro/internal/flowctl"
 	"repro/internal/netsim"
@@ -237,9 +238,15 @@ func key(src int, msgid uint16) uint32 { return uint32(src)<<16 | uint32(msgid) 
 // goroutine, Proc, and closure the spawn would have allocated.
 type hworker struct {
 	e   *Endpoint
+	id  int // the endpoint's count of workers when this one was made
 	sig sim.Signal
 	fn  Handler
 	rs  *RecvStream
+}
+
+// String names the worker's Proc: "fm2.n3.hw1".
+func (w *hworker) String() string {
+	return "fm2.n" + strconv.Itoa(w.e.Node()) + ".hw" + strconv.Itoa(w.id)
 }
 
 // startHandler schedules fn(rs) on a handler worker, reusing an idle one
@@ -253,9 +260,11 @@ func (e *Endpoint) startHandler(fn Handler, rs *RecvStream) {
 		w.sig.Signal()
 		return
 	}
-	w := &hworker{e: e, fn: fn, rs: rs}
 	e.numWorkers++
-	e.Host().K.SpawnDaemon(fmt.Sprintf("fm2.n%d.hw%d", e.Node(), e.numWorkers), w.loop).ActsFor(e.Node())
+	w := &hworker{e: e, id: e.numWorkers, fn: fn, rs: rs}
+	p := e.Host().K.SpawnDaemon("", w.loop)
+	p.NameBy(w)
+	p.ActsFor(e.Node())
 }
 
 func (w *hworker) loop(hp *sim.Proc) {

@@ -6,7 +6,7 @@
 package lanai
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/hostmodel"
 	"repro/internal/netsim"
@@ -32,34 +32,34 @@ type NIC struct {
 
 	send  sendFirmware
 	recv  recvFirmware
-	sendq *sim.Chan[*netsim.Packet] // NIC SRAM send queue (host -> firmware)
-	ring  *sim.Chan[*netsim.Packet] // pinned-host-memory receive ring (firmware -> host)
-	ctrlq *sim.Chan[*netsim.Packet] // demuxed control packets (credits)
+	sendq sim.Chan[*netsim.Packet] // NIC SRAM send queue (host -> firmware)
+	ring  sim.Chan[*netsim.Packet] // pinned-host-memory receive ring (firmware -> host)
+	ctrlq sim.Chan[*netsim.Packet] // demuxed control packets (credits)
 
 	stats Stats
 }
 
 // New creates a NIC bound to a host and a fabric interface. Call Start to
-// launch the firmware.
+// launch the firmware. Its queues and its firmware's Procs are its own
+// fields: a NIC is one allocation.
 func New(h *hostmodel.Host, ifc *netsim.Iface) *NIC {
 	p := h.P
-	n := &NIC{
-		H:     h,
-		Ifc:   ifc,
-		sendq: sim.NewChan[*netsim.Packet](h.K, p.SendQSlots),
-		ring:  sim.NewChan[*netsim.Packet](h.K, p.RingSlots),
-		ctrlq: sim.NewChan[*netsim.Packet](h.K, p.RingSlots),
-	}
+	n := &NIC{H: h, Ifc: ifc}
+	n.sendq.Init(h.K, p.SendQSlots)
+	n.ring.Init(h.K, p.RingSlots)
+	n.ctrlq.Init(h.K, p.RingSlots)
 	n.send.n, n.recv.n = n, n
 	return n
 }
 
-// Start spawns the send and receive firmware, both acting for the NIC's
+// Start starts the send and receive firmware, both acting for the NIC's
 // node: the receive loop fills the host ring its pollers read.
 func (n *NIC) Start() {
-	k := n.H.K
-	k.SpawnMachine(fmt.Sprintf("nic%d.send", n.H.ID), &n.send).ActsFor(n.H.ID)
-	k.SpawnMachine(fmt.Sprintf("nic%d.recv", n.H.ID), &n.recv).ActsFor(n.H.ID)
+	k, id := n.H.K, n.H.ID
+	k.StartMachine(&n.send.proc, &n.send, &n.send)
+	n.send.proc.ActsFor(id)
+	k.StartMachine(&n.recv.proc, &n.recv, &n.recv)
+	n.recv.proc.ActsFor(id)
 }
 
 // The firmware loops are sim Machines: the LANai runs each to its next wait
@@ -71,6 +71,7 @@ func (n *NIC) Start() {
 //
 //	for { pkt := sendq.Recv(); Delay(NICSendPacket); Ifc.Send(pkt); Sent++ }
 type sendFirmware struct {
+	proc sim.Proc
 	n    *NIC
 	pkt  *netsim.Packet // the slot sendq.StartRecv fills
 	tx   netsim.Tx
@@ -83,6 +84,9 @@ const (
 	sendInject
 	sendWire
 )
+
+// String names the firmware's Proc: "nic3.send".
+func (f *sendFirmware) String() string { return "nic" + strconv.Itoa(f.n.H.ID) + ".send" }
 
 func (f *sendFirmware) Step(p *sim.Proc) {
 	n := f.n
@@ -119,6 +123,7 @@ func (f *sendFirmware) Step(p *sim.Proc) {
 //		if pkt.Ctrl { ctrlq.Send(pkt); CtrlRecv++ } else { ring.Send(pkt); Received++ }
 //	}
 type recvFirmware struct {
+	proc  sim.Proc
 	n     *NIC
 	pkt   *netsim.Packet // the slot Ifc.In.StartRecv fills
 	dma   sim.Hold       // the bus hold of the DMA under way
@@ -134,6 +139,9 @@ const (
 	recvDeliver
 	recvCount
 )
+
+// String names the firmware's Proc: "nic3.recv".
+func (f *recvFirmware) String() string { return "nic" + strconv.Itoa(f.n.H.ID) + ".recv" }
 
 func (f *recvFirmware) Step(p *sim.Proc) {
 	n := f.n

@@ -1,6 +1,7 @@
 package lanai
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/alloctest"
@@ -21,6 +22,23 @@ func pair(stage hostmodel.Stage) (*sim.Kernel, []*NIC) {
 		nics[i].Start()
 	}
 	return k, nics
+}
+
+// TestFirmwareProcNames: the firmware Procs are named as they were when the
+// names were formatted at Start, now spelled when read.
+func TestFirmwareProcNames(t *testing.T) {
+	k, nics := pair(hostmodel.StageFull)
+	defer k.Shutdown()
+	for i, n := range nics {
+		for _, c := range []struct{ got, want string }{
+			{n.send.proc.Name(), fmt.Sprintf("nic%d.send", i)},
+			{n.recv.proc.Name(), fmt.Sprintf("nic%d.recv", i)},
+		} {
+			if c.got != c.want {
+				t.Errorf("firmware Proc %q, was %q", c.got, c.want)
+			}
+		}
+	}
 }
 
 func TestHostSendToPoll(t *testing.T) {

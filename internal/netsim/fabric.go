@@ -27,14 +27,17 @@
 //     acyclic across dimensions.
 package netsim
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // wirePair wires two nodes back to back, no switch: routes are empty.
 func wirePair(b *builder, _ Shape) {
 	b.n.desc = "direct pair"
 	n0, n1 := b.addIface(), b.addIface()
-	n0.out = b.link("0->1", n1.In)
-	n1.out = b.link("1->0", n0.In)
+	n0.out = b.link(nil, nil, 0, n1.In)
+	n1.out = b.link(nil, nil, 1, n0.In)
 }
 
 func routePair(_ *Shape, buf []uint8, _, _ int) []uint8 { return buf }
@@ -43,9 +46,9 @@ func routePair(_ *Shape, buf []uint8, _, _ int) []uint8 { return buf }
 // to dst is the single byte [dst].
 func wireSingle(b *builder, s Shape) {
 	b.n.desc = fmt.Sprintf("%d nodes on one crossbar", s.Nodes)
-	sw := b.addSwitch("sw0", s.ports)
+	sw := b.addSwitch("sw", 0, s.ports)
 	for i := 0; i < s.Nodes; i++ {
-		b.attach(sw, i, "sw")
+		b.attach(sw, i)
 	}
 }
 
@@ -58,17 +61,17 @@ func wireLine(b *builder, s Shape) {
 	sws := make([]*Switch, s.Nodes/h)
 	b.n.desc = fmt.Sprintf("line of %d switches x %d hosts", len(sws), h)
 	for i := range sws {
-		sws[i] = b.addSwitch(fmt.Sprintf("sw%d", i), s.ports)
+		sws[i] = b.addSwitch("sw", i, s.ports)
 	}
 	for i, sw := range sws {
 		for l := 0; l < h; l++ {
-			b.attach(sw, l, sw.name)
+			b.attach(sw, l)
 		}
 		if i > 0 { // trunk to the left neighbor
-			sw.SetOut(h, b.link(fmt.Sprintf("sw%d->sw%d", i, i-1), sws[i-1].In(h+1)))
+			sw.SetOut(h, b.link(sw, sws[i-1], 0, sws[i-1].In(h+1)))
 		}
 		if i < len(sws)-1 { // trunk to the right neighbor
-			sw.SetOut(h+1, b.link(fmt.Sprintf("sw%d->sw%d", i, i+1), sws[i+1].In(h)))
+			sw.SetOut(h+1, b.link(sw, sws[i+1], 0, sws[i+1].In(h)))
 		}
 	}
 }
@@ -98,18 +101,18 @@ func wireFatTree(b *builder, s Shape) {
 	edges, spines := make([]*Switch, s.Nodes/hosts), make([]*Switch, s.Spines)
 	b.n.desc = fmt.Sprintf("fat tree: %d edge switches x %d hosts, %d spines (%d nodes)", len(edges), hosts, len(spines), s.Nodes)
 	for e := range edges {
-		edges[e] = b.addSwitch(fmt.Sprintf("edge%d", e), s.ports)
+		edges[e] = b.addSwitch("edge", e, s.ports)
 	}
 	for sp := range spines {
-		spines[sp] = b.addSwitch(fmt.Sprintf("spine%d", sp), s.spinePorts)
+		spines[sp] = b.addSwitch("spine", sp, s.spinePorts)
 	}
 	for e, edge := range edges {
 		for l := 0; l < hosts; l++ {
-			b.attach(edge, l, edge.name)
+			b.attach(edge, l)
 		}
 		for sp, spine := range spines {
-			edge.SetOut(hosts+sp, b.link(fmt.Sprintf("edge%d->spine%d", e, sp), spine.In(e)))
-			spine.SetOut(e, b.link(fmt.Sprintf("spine%d->edge%d", sp, e), edge.In(hosts+sp)))
+			edge.SetOut(hosts+sp, b.link(edge, spine, 0, spine.In(e)))
+			spine.SetOut(e, b.link(spine, edge, 0, edge.In(hosts+sp)))
 		}
 	}
 }
@@ -143,6 +146,9 @@ const (
 	torusYMinus = 3 // north: row-1
 )
 
+// torusDirs spells each direction in a trunk's name: "t0.1+x.vc0".
+var torusDirs = [...]string{torusXPlus: "+x", torusXMinus: "-x", torusYPlus: "+y", torusYMinus: "-y"}
+
 // wireTorus wires a Rows x Cols torus of switches with Hosts hosts each.
 // Node IDs are (row*cols+col)*hosts + local.
 func wireTorus(b *builder, s Shape) {
@@ -150,30 +156,30 @@ func wireTorus(b *builder, s Shape) {
 	b.n.desc = fmt.Sprintf("%dx%d torus x %d hosts (%d nodes), DOR + dateline VCs", rows, cols, hosts, s.Nodes)
 	sws := make([]*Switch, rows*cols)
 	for i := range sws {
-		sws[i] = b.addSwitch(fmt.Sprintf("t%d.%d", i/cols, i%cols), s.ports)
+		sws[i] = b.addSwitch("t", i, s.ports)
 	}
 	at := func(r, c int) *Switch { return sws[((r+rows)%rows)*cols+(c+cols)%cols] }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			me := at(r, c)
 			for l := 0; l < hosts; l++ {
-				b.attach(me, l, me.name)
+				b.attach(me, l)
 			}
 			// Inter-switch links: one per (direction, VC). Degenerate
 			// dimensions (size 1) need no links — routes never move there.
-			ring := func(dir int, nb *Switch, name string) {
+			ring := func(dir int, nb *Switch) {
 				for v := 0; v < 2; v++ {
 					port := hosts + 2*dir + v
-					me.SetOut(port, b.link(fmt.Sprintf("%s%s.vc%d", me.name, name, v), nb.In(port)))
+					me.SetOut(port, b.link(me, nb, port, nb.In(port)))
 				}
 			}
 			if cols > 1 {
-				ring(torusXPlus, at(r, c+1), "+x")
-				ring(torusXMinus, at(r, c-1), "-x")
+				ring(torusXPlus, at(r, c+1))
+				ring(torusXMinus, at(r, c-1))
 			}
 			if rows > 1 {
-				ring(torusYPlus, at(r+1, c), "+y")
-				ring(torusYMinus, at(r-1, c), "-y")
+				ring(torusYPlus, at(r+1, c))
+				ring(torusYMinus, at(r-1, c))
 			}
 		}
 	}
@@ -219,4 +225,54 @@ func appendRingHops(route []uint8, hosts, from, to, d, dirPlus, dirMinus int) []
 		x = (x + step + d) % d
 	}
 	return route
+}
+
+// Names. A switch, a link and a forwarder are named by what they already
+// hold — prefix and index, their ends, their port — and spelled only when
+// something reads the name: a fault rule's glob, a link's fault stream seed,
+// a panic, a hang report. The spellings are fixed: fault plans and campaign
+// goldens key on them.
+
+// appendName appends the switch's name: prefix and index ("sw0", "edge3",
+// "spine1"), or on a torus "t" and the switch's row and column ("t1.2").
+func (s *Switch) appendName(b []byte) []byte {
+	b = append(b, s.prefix...)
+	if s.net.shape.Topology == Torus2D {
+		cols := s.net.shape.Cols
+		b = strconv.AppendInt(b, int64(s.idx/cols), 10)
+		return strconv.AppendInt(append(b, '.'), int64(s.idx%cols), 10)
+	}
+	return strconv.AppendInt(b, int64(s.idx), 10)
+}
+
+// appendLabel appends the switch as a host link's name spells it: its name,
+// but the one crossbar of a SingleSwitch fabric is plain "sw".
+func (s *Switch) appendLabel(b []byte) []byte {
+	if s.net.shape.Topology == SingleSwitch {
+		return append(b, s.prefix...)
+	}
+	return s.appendName(b)
+}
+
+// appendName appends the link's name: "0->1" on a direct pair, "n3->edge0"
+// and "edge0->n3" between a node and its switch, "edge0->spine1" between
+// switches, and on a torus the sending switch, the ring direction and the VC
+// ("t0.1+x.vc0").
+func (l *Link) appendName(b []byte) []byte {
+	node := int64(l.node)
+	switch {
+	case l.from == nil && l.to == nil:
+		b = strconv.AppendInt(b, node, 10)
+		return strconv.AppendInt(append(b, "->"...), 1-node, 10)
+	case l.from == nil:
+		b = strconv.AppendInt(append(b, 'n'), node, 10)
+		return l.to.appendLabel(append(b, "->"...))
+	case l.to == nil:
+		return strconv.AppendInt(append(l.from.appendLabel(b), "->n"...), node, 10)
+	case l.net.shape.Topology == Torus2D:
+		d := l.node - l.net.shape.Hosts // 2*direction + VC
+		b = append(l.from.appendName(b), torusDirs[d/2]...)
+		return strconv.AppendInt(append(b, ".vc"...), int64(d%2), 10)
+	}
+	return l.to.appendName(append(l.from.appendName(b), "->"...))
 }

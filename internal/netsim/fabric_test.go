@@ -39,21 +39,20 @@ func TestOutOfRangeDstRejected(t *testing.T) {
 // TestForwarderRouteFaultsFailTheRun: a packet whose source route runs out at
 // a switch, or names a port the switch has no link on, is a routing bug; the
 // forwarder's panic must come out of Run in the forwarder's name — port
-// included — not vanish with, or wedge, the dispatcher it runs on.
+// included — not vanish with, or wedge, the dispatcher it runs on. The
+// switch is a one-switch line's, whose two trunk ports have no links.
 func TestForwarderRouteFaultsFailTheRun(t *testing.T) {
 	for _, c := range []struct {
 		port  int
 		route []uint8
 		want  string
 	}{
-		{0, nil, `sim: proc "sw9.fwd0" panicked: netsim: packet from 3 to 4 exhausted its route at switch sw9`},
-		{2, []uint8{1}, `sim: proc "sw9.fwd2" panicked: netsim: bad route byte 1 at switch sw9`},
-		{1, []uint8{7}, `sim: proc "sw9.fwd1" panicked: netsim: bad route byte 7 at switch sw9`},
+		{0, nil, `sim: proc "sw0.fwd0" panicked: netsim: packet from 3 to 4 exhausted its route at switch sw0`},
+		{2, []uint8{3}, `sim: proc "sw0.fwd2" panicked: netsim: bad route byte 3 at switch sw0`},
+		{1, []uint8{7}, `sim: proc "sw0.fwd1" panicked: netsim: bad route byte 7 at switch sw0`},
 	} {
 		k := sim.NewKernel()
-		sw := newSwitch(k, "sw9", 3, 100*sim.Nanosecond, 1)
-		sw.SetOut(0, newLink(k, "sw9->sink", myrinet(), sim.NewChan[*Packet](k, 1)))
-		sw.Start()
+		sw := &Shape{Topology: Line, Nodes: 2, Hosts: 2}.Build(k, myrinet(), 100*sim.Nanosecond).switches[0]
 		k.Spawn("upstream", func(p *sim.Proc) {
 			p.Delay(sim.Microsecond)
 			sw.In(c.port).Send(p, &Packet{Src: 3, Dst: 4, Route: c.route, Payload: []byte{1}})
@@ -396,5 +395,152 @@ func TestTorusRingSaturationNoDeadlock(t *testing.T) {
 	}
 	if err := k.Run(); err != nil {
 		t.Fatalf("ring saturation deadlocked despite dateline VCs: %v", err)
+	}
+}
+
+// --- names ---------------------------------------------------------------
+
+// oldSpelling lists a fabric's switch and link names in creation order as
+// the wire functions spelled them with fmt.Sprintf, before names were spelled
+// on demand from what each record holds.
+func oldSpelling(s Shape) (switches, links []string) {
+	s, _ = s.Resolve()
+	h := s.Hosts
+	host := func(node int, label string) {
+		links = append(links, fmt.Sprintf("n%d->%s", node, label), fmt.Sprintf("%s->n%d", label, node))
+	}
+	switch s.Topology {
+	case DirectPair:
+		links = []string{"0->1", "1->0"}
+	case SingleSwitch:
+		switches = []string{"sw0"}
+		for i := 0; i < s.Nodes; i++ {
+			host(i, "sw")
+		}
+	case Line:
+		n := s.Nodes / h
+		for i := 0; i < n; i++ {
+			switches = append(switches, fmt.Sprintf("sw%d", i))
+		}
+		for i := 0; i < n; i++ {
+			for l := 0; l < h; l++ {
+				host(i*h+l, switches[i])
+			}
+			if i > 0 {
+				links = append(links, fmt.Sprintf("sw%d->sw%d", i, i-1))
+			}
+			if i < n-1 {
+				links = append(links, fmt.Sprintf("sw%d->sw%d", i, i+1))
+			}
+		}
+	case FatTree:
+		edges := s.Nodes / h
+		for e := 0; e < edges; e++ {
+			switches = append(switches, fmt.Sprintf("edge%d", e))
+		}
+		for sp := 0; sp < s.Spines; sp++ {
+			switches = append(switches, fmt.Sprintf("spine%d", sp))
+		}
+		for e := 0; e < edges; e++ {
+			for l := 0; l < h; l++ {
+				host(e*h+l, switches[e])
+			}
+			for sp := 0; sp < s.Spines; sp++ {
+				links = append(links, fmt.Sprintf("edge%d->spine%d", e, sp), fmt.Sprintf("spine%d->edge%d", sp, e))
+			}
+		}
+	case Torus2D:
+		for i := 0; i < s.Rows*s.Cols; i++ {
+			switches = append(switches, fmt.Sprintf("t%d.%d", i/s.Cols, i%s.Cols))
+		}
+		for i, me := range switches {
+			for l := 0; l < h; l++ {
+				host(i*h+l, me)
+			}
+			var dirs []string
+			if s.Cols > 1 {
+				dirs = append(dirs, "+x", "-x")
+			}
+			if s.Rows > 1 {
+				dirs = append(dirs, "+y", "-y")
+			}
+			for _, d := range dirs {
+				for v := 0; v < 2; v++ {
+					links = append(links, fmt.Sprintf("%s%s.vc%d", me, d, v))
+				}
+			}
+		}
+	}
+	return switches, links
+}
+
+// TestNamesAreTheOldSpelling: every link, its transmit Resource, every
+// switch and every forwarder Proc of a small fabric of each topology is named
+// byte for byte as the old eager fmt.Sprintf spelled it, though building the
+// fabric formats none of them.
+func TestNamesAreTheOldSpelling(t *testing.T) {
+	for _, s := range []Shape{
+		{Topology: DirectPair, Nodes: 2},
+		{Topology: SingleSwitch, Nodes: 4},
+		{Topology: Line, Nodes: 6, Hosts: 2},
+		{Topology: FatTree, Nodes: 12, Hosts: 3, Spines: 2},
+		{Topology: Torus2D, Nodes: 12, Hosts: 2, Rows: 2, Cols: 3},
+		{Topology: Torus2D, Nodes: 4, Hosts: 1, Rows: 1, Cols: 4},
+	} {
+		t.Run(shapeName(s), func(t *testing.T) {
+			k := sim.NewKernel()
+			defer k.Shutdown()
+			net := s.Build(k, myrinet(), 0)
+			switches, links := oldSpelling(s)
+			if len(net.Links()) != len(links) || len(net.switches) != len(switches) {
+				t.Fatalf("built %d links and %d switches, the old wiring %d and %d",
+					len(net.Links()), len(net.switches), len(links), len(switches))
+			}
+			for i, l := range net.Links() {
+				if got := l.Name(); got != links[i] {
+					t.Errorf("link %d is %q, was %q", i, got, links[i])
+				}
+				want := fmt.Sprintf("resource %q (0 of 1 in use)", "link:"+links[i])
+				if got, _, _ := l.xmit.Describe(); got != want {
+					t.Errorf("link %d's wire describes itself as %s, was %s", i, got, want)
+				}
+			}
+			for i := range net.switches {
+				sw := &net.switches[i]
+				if got := sw.String(); got != switches[i] {
+					t.Errorf("switch %d is %q, was %q", i, got, switches[i])
+				}
+				for port := range sw.fwd {
+					if got, want := sw.fwd[port].proc.Name(), fmt.Sprintf("%s.fwd%d", switches[i], port); got != want {
+						t.Errorf("forwarder Proc %q, was %q", got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestBuildRefusesTooFewSlots: a link's slots are the depth of the queue it
+// delivers into, and a queue holds at least one frame. Build refuses fewer,
+// as the host profile does, through every constructor; it used to clamp the
+// link's own copy to one and build its queues unbuffered.
+func TestBuildRefusesTooFewSlots(t *testing.T) {
+	for _, slots := range []int{0, -1} {
+		cfg := myrinet()
+		cfg.Slots = slots
+		for name, build := range map[string]func(k *sim.Kernel){
+			"Build":         func(k *sim.Kernel) { Shape{Topology: Line, Nodes: 4, Hosts: 2}.Build(k, cfg, 0) },
+			"NewFatTree":    func(k *sim.Kernel) { NewFatTree(k, 2, 2, 2, cfg, 0) },
+			"NewDirectPair": func(k *sim.Kernel) { NewDirectPair(k, cfg) },
+		} {
+			func() {
+				defer func() {
+					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "LinkConfig.Slots") {
+						t.Errorf("%s with %d slots: got %v, want a panic naming LinkConfig.Slots", name, slots, r)
+					}
+				}()
+				build(sim.NewKernel())
+			}()
+		}
 	}
 }

@@ -109,9 +109,9 @@ func addSat(a, b sim.Time) sim.Time {
 type linkFaults struct {
 	drop    float64
 	corrupt float64
-	slow    float64 // >1 scales serialization+propagation (straggler NIC/link)
-	seed    int64
-	rng     *rand.Rand // lazy: seeded from (seed, link name) on first use
+	slow    float64    // >1 scales serialization+propagation (straggler NIC/link)
+	seed    int64      // the drop and corrupt stream's: linkSeed(plan seed, link name)
+	rng     *rand.Rand // lazy: seeded from seed on first use
 	down    []outage
 }
 
@@ -160,12 +160,13 @@ type FaultRule struct {
 	SlowFactor float64
 }
 
-// match reports whether the rule applies to a link name.
-func (r *FaultRule) match(name string) bool {
+// match reports whether the rule applies to the link name spells; a rule
+// for every link never asks for it.
+func (r *FaultRule) match(name func() string) bool {
 	if r.Links == "" || r.Links == "*" {
 		return true
 	}
-	ok, _ := path.Match(r.Links, name)
+	ok, _ := path.Match(r.Links, name())
 	return ok
 }
 
@@ -237,13 +238,20 @@ func (n *Network) ApplyFaults(plan FaultPlan) error {
 	}
 	for _, l := range n.links {
 		flaps := 0
+		name := "" // the link's name, spelled when a rule first reads it
+		spell := func() string {
+			if name == "" {
+				name = l.Name()
+			}
+			return name
+		}
 		for ri := range plan.Rules {
 			r := &plan.Rules[ri]
-			if !r.match(l.name) {
+			if !r.match(spell) {
 				continue
 			}
 			if l.faults == nil {
-				l.faults = &linkFaults{seed: plan.Seed}
+				l.faults = new(linkFaults)
 			}
 			f := l.faults
 			if r.DropProb > 0 {
@@ -263,9 +271,12 @@ func (n *Network) ApplyFaults(plan FaultPlan) error {
 				f.down = append(f.down, outage{from: r.DownFrom, until: until})
 			}
 			if r.FlapMeanUp > 0 {
-				f.down = append(f.down, newFlap(plan.Seed, flapStream(l.name, flaps), r.FlapMeanUp, r.FlapMeanDown))
+				f.down = append(f.down, newFlap(plan.Seed, flapStream(spell(), flaps), r.FlapMeanUp, r.FlapMeanDown))
 				flaps++
 			}
+		}
+		if f := l.faults; f != nil && (f.drop > 0 || f.corrupt > 0) {
+			f.seed = linkSeed(plan.Seed, spell())
 		}
 	}
 	return nil

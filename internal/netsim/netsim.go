@@ -12,6 +12,7 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/sim"
 )
@@ -53,7 +54,7 @@ func (p *Packet) Size() int { return len(p.Payload) }
 type LinkConfig struct {
 	BandwidthMBps float64  // serialization rate
 	PropDelay     sim.Time // wire propagation delay
-	Slots         int      // downstream input-queue depth (>=1); small = hard back-pressure
+	Slots         int      // downstream input-queue depth (>=1, Build refuses less); small = hard back-pressure
 	FrameOverhead int      // framing bytes added to every packet on the wire
 }
 
@@ -71,27 +72,24 @@ type LinkStats struct {
 // next. A frame's passage (Tx) serializes it at link bandwidth and blocks,
 // holding the link (back-pressure), while the downstream queue is full.
 type Link struct {
-	name   string
+	xmit   sim.Resource // the wire, one frame at a time; named "link:" + Name
 	cfg    LinkConfig
-	xmit   *sim.Resource
 	dst    *sim.Chan[*Packet]
-	net    *Network // owning fabric (loss registry); nil for standalone links
+	net    *Network // owning fabric: its shape and loss registry
 	faults *linkFaults
 	stats  LinkStats
+
+	// What Name spells the link from (fabric.go): the switch at each end,
+	// nil for a node, and the node at its host end — on a torus trunk, the
+	// output port, which names the ring direction and VC.
+	from, to *Switch
+	node     int
 }
 
-// newLink creates a link delivering into dst.
-func newLink(k *sim.Kernel, name string, cfg LinkConfig, dst *sim.Chan[*Packet]) *Link {
-	if cfg.Slots < 1 {
-		cfg.Slots = 1
-	}
-	return &Link{
-		name: name,
-		cfg:  cfg,
-		xmit: sim.NewResource(k, "link:"+name, 1),
-		dst:  dst,
-	}
-}
+// wireName is a link's transmit Resource as its name spells it.
+type wireName Link
+
+func (w *wireName) String() string { return "link:" + (*Link)(w).Name() }
 
 // Tx is one frame's passage over one link as a resumable step sequence: the
 // one body of the link's send logic. Step takes the frame as far as it can
@@ -168,11 +166,11 @@ func (l *Link) applyFaults(pkt *Packet, tArr sim.Time) bool {
 		return false
 	}
 	if f.drop > 0 || f.corrupt > 0 {
-		// The fault RNG is built lazily on first use and seeded from
-		// (seed, link name), so links sharing one config draw
-		// uncorrelated sequences while the run stays deterministic.
+		// The fault RNG is built lazily on first use, from the link's own
+		// seed (ApplyFaults), so links sharing one config draw uncorrelated
+		// sequences while the run stays deterministic.
 		if f.rng == nil {
-			f.rng = rand.New(rand.NewSource(linkSeed(f.seed, l.name)))
+			f.rng = rand.New(rand.NewSource(f.seed))
 		}
 		if f.drop > 0 && f.rng.Float64() < f.drop {
 			l.stats.Dropped++
@@ -196,18 +194,25 @@ func (l *Link) applyFaults(pkt *Packet, tArr sim.Time) bool {
 // Stats returns a copy of the link counters.
 func (l *Link) Stats() LinkStats { return l.stats }
 
-// Name reports the link's debug name.
-func (l *Link) Name() string { return l.name }
+// Name reports the link's name, as fault rules match it ("n3->edge0",
+// "edge0->spine1", "t0.1+x.vc0"), spelled from its ends when read.
+func (l *Link) Name() string {
+	var buf [48]byte
+	return string(l.appendName(buf[:0]))
+}
 
 // Switch is a crossbar with source routing: the head byte of each packet's
 // route selects the output port and is consumed. One forwarder per input
 // port moves packets; output contention is resolved by the output
-// link's FIFO transmit resource.
+// link's FIFO transmit resource. Its input queues, output table and
+// forwarders are carved from the fabric's slabs (builder).
 type Switch struct {
-	k          *sim.Kernel
-	name       string
-	in         []*sim.Chan[*Packet]
+	net        *Network
+	prefix     string // the name before the index: "sw", "edge", "spine", or a torus's "t" (fabric.go)
+	idx        int
+	in         []sim.Chan[*Packet]
 	out        []*Link
+	fwd        []forwarder
 	routeDelay sim.Time
 }
 
@@ -216,35 +221,30 @@ type Switch struct {
 // ports would silently truncate port numbers and misroute traffic (credit
 // accounting then corrupts in ways that surface far from the cause). Scale
 // past this bound comes from multi-stage fabrics — fat tree, torus — never
-// from a wider crossbar, exactly as on the real hardware.
+// from a wider crossbar, exactly as on the real hardware. Shape.Resolve
+// refuses a shape that would need a wider one.
 const MaxSwitchPorts = 256
 
-// newSwitch creates a switch with the given number of ports. Output links
-// must be attached with SetOut before Start.
-func newSwitch(k *sim.Kernel, name string, ports int, routeDelay sim.Time, slots int) *Switch {
-	if ports > MaxSwitchPorts {
-		panic(fmt.Sprintf("netsim: switch %s wants %d ports; route bytes address at most %d — use a multi-stage fabric",
-			name, ports, MaxSwitchPorts))
-	}
-	s := &Switch{k: k, name: name, out: make([]*Link, ports), routeDelay: routeDelay}
-	for i := 0; i < ports; i++ {
-		s.in = append(s.in, sim.NewChan[*Packet](k, slots))
-	}
-	return s
-}
-
 // In returns the input queue for port i (the place upstream links deliver).
-func (s *Switch) In(i int) *sim.Chan[*Packet] { return s.in[i] }
+func (s *Switch) In(i int) *sim.Chan[*Packet] { return &s.in[i] }
 
 // SetOut attaches the output link for port i.
 func (s *Switch) SetOut(i int, l *Link) { s.out[i] = l }
 
-// Start spawns the per-port forwarders.
+// String spells the switch's name ("edge0", "t1.2"), for its forwarders'
+// Procs and for panics, which format it only when they fire.
+func (s *Switch) String() string {
+	var buf [24]byte
+	return string(s.appendName(buf[:0]))
+}
+
+// Start starts the per-port forwarders, in port order.
 func (s *Switch) Start() {
-	fwd := make([]forwarder, len(s.in))
-	for i := range fwd {
-		fwd[i] = forwarder{s: s, in: s.in[i]}
-		s.k.SpawnMachine(fmt.Sprintf("%s.fwd%d", s.name, i), &fwd[i]).ActsFor(sim.Fabric)
+	for i := range s.fwd {
+		f := &s.fwd[i]
+		*f = forwarder{s: s, port: i}
+		s.net.K.StartMachine(&f.proc, f, f)
+		f.proc.ActsFor(sim.Fabric)
 	}
 }
 
@@ -252,12 +252,16 @@ func (s *Switch) Start() {
 // out[port].Send`, forever, as a sim Machine — no goroutine per port, and
 // none switched to per packet.
 type forwarder struct {
+	proc sim.Proc // the forwarder's own, laid out with it (Switch.Start)
 	s    *Switch
-	in   *sim.Chan[*Packet]
-	pkt  *Packet // the slot in.StartRecv fills
+	port int
+	pkt  *Packet // the slot the input queue's StartRecv fills
 	tx   Tx
 	next uint8 // the fwd* step to run at the next wake
 }
+
+// String names the forwarder's Proc: "edge0.fwd3".
+func (f *forwarder) String() string { return f.s.String() + ".fwd" + strconv.Itoa(f.port) }
 
 const (
 	fwdRecv = iota
@@ -270,19 +274,19 @@ func (f *forwarder) Step(p *sim.Proc) {
 		switch f.next {
 		case fwdRecv:
 			f.next = fwdRoute
-			if !f.in.StartRecv(p, &f.pkt) {
+			if !f.s.in[f.port].StartRecv(p, &f.pkt) {
 				return
 			}
 		case fwdRoute:
 			s, pkt := f.s, f.pkt
 			if len(pkt.Route) == 0 {
 				panic(fmt.Sprintf("netsim: packet from %d to %d exhausted its route at switch %s",
-					pkt.Src, pkt.Dst, s.name))
+					pkt.Src, pkt.Dst, s))
 			}
 			port := pkt.Route[0]
 			pkt.Route = pkt.Route[1:]
 			if int(port) >= len(s.out) || s.out[port] == nil {
-				panic(fmt.Sprintf("netsim: bad route byte %d at switch %s", port, s.name))
+				panic(fmt.Sprintf("netsim: bad route byte %d at switch %s", port, s))
 			}
 			f.tx = Tx{l: s.out[port], pkt: pkt}
 			f.next = fwdSend

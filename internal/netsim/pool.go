@@ -20,6 +20,15 @@
 // Frame pools and the upper layers' byte pools (bufpool.Pool) run one free
 // list, bufpool.Recycler: one bound, one counter type, PoolStats
 // (bufpool.Stats), and one poison fill.
+//
+// A pool makes fresh frames by the slab, each slab as many frames as the
+// pool has made so far (at least one), so a pool that made n frames took
+// O(log n) mallocs for them, two per slab, and at most half of the frames it
+// carved are not yet handed out: a slab is sized from what the pool has
+// already needed, never ahead of it. Stats count frames, not slabs: a frame's
+// first hand-out is one Alloc. A frame dropped at the free list's bound is
+// not freed on its own: it stays pinned by its slab until every frame of
+// that slab is unreachable.
 package netsim
 
 import "repro/internal/bufpool"
@@ -36,15 +45,23 @@ type PoolStats = bufpool.Stats
 // FramePool recycles fixed-capacity framed packets (the Packet struct and
 // its payload backing array together). Pools are single-threaded under the
 // simulation kernel like everything else: no locking.
+//
+// Fresh frames are carved from slabs (see the package doc); each frame's
+// backing is capped at the frame capacity, so an append past it reallocates
+// instead of running into the next frame.
 type FramePool struct {
 	frameCap int // backing-array size of every frame
 	free     bufpool.Recycler[*Packet]
+	made     int      // frames carved so far
+	slab     []Packet // the current slab's frames not yet handed out
+	mem      []byte   // and their backing
 }
 
 // NewFramePool creates a pool of frames with frameCap-byte backing arrays.
 // max bounds the free list (0 means DefaultPoolCap); frames released beyond
-// the bound are dropped for the GC, so a burst can grow the working set but
-// cannot pin it forever.
+// the bound are dropped for the GC, which frees them with the last frame of
+// their slab, so a burst can grow the working set but the free list does not
+// hold it.
 func NewFramePool(frameCap, max int) *FramePool {
 	if frameCap <= 0 {
 		panic("netsim: frame pool needs a positive frame capacity")
@@ -67,12 +84,28 @@ func (fp *FramePool) Get(n int) *Packet {
 	}
 	pkt, ok := fp.free.Get()
 	if !ok {
-		pkt = &Packet{pool: fp, backing: make([]byte, fp.frameCap)}
+		pkt = fp.carve()
 	}
 	pkt.Payload = pkt.backing[:n]
 	pkt.Route = nil
 	pkt.Ctrl = false
 	pkt.Corrupt = false
+	return pkt
+}
+
+// carve hands out the next fresh frame of the current slab. A spent slab is
+// followed by one of as many frames as the pool has made so far, and at
+// least one.
+func (fp *FramePool) carve() *Packet {
+	c := fp.frameCap
+	if len(fp.slab) == 0 {
+		n := max(fp.made, 1)
+		fp.slab, fp.mem = make([]Packet, n), make([]byte, n*c)
+	}
+	pkt := &fp.slab[0]
+	pkt.pool, pkt.backing = fp, fp.mem[:c:c]
+	fp.slab, fp.mem = fp.slab[1:], fp.mem[c:]
+	fp.made++
 	return pkt
 }
 

@@ -11,7 +11,7 @@ import (
 // computes the source route when a packet is injected.
 type Iface struct {
 	ID  int
-	In  *sim.Chan[*Packet]
+	In  *sim.Chan[*Packet] // carved from the fabric's queue slab (builder)
 	net *Network
 	out *Link
 	seq uint64
@@ -58,9 +58,9 @@ func (ifc *Iface) egressStats() LinkStats { return ifc.out.Stats() }
 type Network struct {
 	K        *sim.Kernel
 	shape    Shape
-	ifaces   []*Iface
-	switches []*Switch // in creation order, which is Start order
-	links    []*Link
+	ifaces   []Iface
+	switches []Switch // in creation order, which is Start order
+	links    []*Link  // into one slab of Links, in creation order
 	desc     string
 
 	lost map[lostKey]int64 // per-flow lost-frame registry (see faults.go)
@@ -70,7 +70,7 @@ type Network struct {
 func (n *Network) Nodes() int { return len(n.ifaces) }
 
 // Iface returns node i's interface.
-func (n *Network) Iface(i int) *Iface { return n.ifaces[i] }
+func (n *Network) Iface(i int) *Iface { return &n.ifaces[i] }
 
 // Route returns the source route from src to dst as a fresh slice (nil for
 // src == dst): the diagnostic view of what Iface.Send writes into a packet.
@@ -269,43 +269,102 @@ func (s Shape) Resolve() (Shape, error) {
 	return s, nil
 }
 
+// parts counts the records Build lays out for the resolved shape: switches,
+// switch ports (an input queue and a forwarder each) and links.
+func (s *Shape) parts() (switches, ports, links int) {
+	links = 2 * s.Nodes // a node's links to and from its switch
+	sw := 0
+	if s.Hosts > 0 {
+		sw = s.Nodes / s.Hosts
+	}
+	switch s.Topology {
+	case DirectPair:
+		return 0, 0, s.Nodes // one link out of each node
+	case SingleSwitch:
+		return 1, s.ports, links
+	case Line:
+		return sw, sw * s.ports, links + 2*(sw-1)
+	case FatTree:
+		return sw + s.Spines, sw*s.ports + s.Spines*s.spinePorts, links + 2*sw*s.Spines
+	case Torus2D:
+		rings := 0 // links out of each switch: a pair of VCs per ring direction
+		if s.Cols > 1 {
+			rings += 4
+		}
+		if s.Rows > 1 {
+			rings += 4
+		}
+		return sw, sw * s.ports, links + sw*rings
+	}
+	panic("netsim: parts of an unresolved shape")
+}
+
 // builder is a Network under construction. A topology's wire function
 // creates its switches, interfaces and links through it, in model order —
 // forwarder spawn order is the kernel's tie-break order, and fault plans and
 // campaign goldens key on link names in Links() order.
+//
+// Build sizes one slab per kind of record from the resolved shape (parts),
+// and every record is carved from its slab, so a fabric costs a handful of
+// mallocs, not a few per port; a slab that runs short or is left over is a
+// counting bug and panics.
 type builder struct {
 	n          *Network
 	cfg        LinkConfig
 	routeDelay sim.Time
+
+	queues []sim.Chan[*Packet] // switch input queues and node input queues
+	outs   []*Link             // switch output tables
+	fwds   []forwarder
+	links  []Link
 }
 
-func (b *builder) addSwitch(name string, ports int) *Switch {
-	sw := newSwitch(b.n.K, name, ports, b.routeDelay, b.cfg.Slots)
-	b.n.switches = append(b.n.switches, sw)
+// carve takes the next n records off the front of slab. The three-index
+// slice keeps one record's piece from growing into the next one's.
+func carve[T any](slab *[]T, n int) []T {
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
+}
+
+// addSwitch lays out the next switch, named prefix and idx (Switch.name).
+func (b *builder) addSwitch(prefix string, idx, ports int) *Switch {
+	n := b.n
+	n.switches = n.switches[:len(n.switches)+1]
+	sw := &n.switches[len(n.switches)-1]
+	*sw = Switch{net: n, prefix: prefix, idx: idx, routeDelay: b.routeDelay,
+		in: carve(&b.queues, ports), out: carve(&b.outs, ports), fwd: carve(&b.fwds, ports)}
+	for i := range sw.in {
+		sw.in[i].Init(n.K, b.cfg.Slots)
+	}
 	return sw
 }
 
-// addIface creates the next node's interface; nodes are created in ID order.
+// addIface lays out the next node's interface; nodes are created in ID order.
 func (b *builder) addIface() *Iface {
-	ifc := &Iface{ID: len(b.n.ifaces), In: sim.NewChan[*Packet](b.n.K, b.cfg.Slots), net: b.n}
-	b.n.ifaces = append(b.n.ifaces, ifc)
+	n := b.n
+	id := len(n.ifaces)
+	n.ifaces = n.ifaces[:id+1]
+	ifc := &n.ifaces[id]
+	*ifc = Iface{ID: id, In: &carve(&b.queues, 1)[0], net: n}
+	ifc.In.Init(n.K, b.cfg.Slots)
 	return ifc
 }
 
-// link creates the wire into dst.
-func (b *builder) link(name string, dst *sim.Chan[*Packet]) *Link {
-	l := newLink(b.n.K, name, b.cfg, dst)
-	l.net = b.n
+// link lays out the wire into dst, named by its ends (Link.Name).
+func (b *builder) link(from, to *Switch, node int, dst *sim.Chan[*Packet]) *Link {
+	l := &carve(&b.links, 1)[0]
+	*l = Link{cfg: b.cfg, dst: dst, net: b.n, from: from, to: to, node: node}
+	l.xmit.Init(b.n.K, (*wireName)(l), 1)
 	b.n.links = append(b.n.links, l)
 	return l
 }
 
-// attach hangs the next node off port `port` of sw, with one link each way
-// named after label (how link names spell the switch).
-func (b *builder) attach(sw *Switch, port int, label string) {
+// attach hangs the next node off port `port` of sw, with one link each way.
+func (b *builder) attach(sw *Switch, port int) {
 	ifc := b.addIface()
-	ifc.out = b.link(fmt.Sprintf("n%d->%s", ifc.ID, label), sw.In(port))
-	sw.SetOut(port, b.link(fmt.Sprintf("%s->n%d", label, ifc.ID), ifc.In))
+	ifc.out = b.link(nil, sw, ifc.ID, sw.In(port))
+	sw.SetOut(port, b.link(sw, nil, ifc.ID, ifc.In))
 }
 
 // appendRoute appends the source route from src to dst (src != dst) to buf:
@@ -315,16 +374,29 @@ func (n *Network) appendRoute(buf []uint8, src, dst int) []uint8 {
 }
 
 // Build assembles the fabric on one kernel and starts its switches in
-// creation order. It panics on a shape Validate rejects.
+// creation order. It panics on a shape Validate rejects, and on a LinkConfig
+// with fewer than one slot, which hostmodel.Profile.Validate refuses too: a
+// port queue holds at least one frame.
 func (s Shape) Build(k *sim.Kernel, cfg LinkConfig, routeDelay sim.Time) *Network {
 	s, err := s.Resolve()
 	if err != nil {
 		panic(err.Error())
 	}
-	n := &Network{K: k, shape: s, ifaces: make([]*Iface, 0, s.Nodes), links: make([]*Link, 0, 2*s.Nodes)}
-	topologies[s.Topology].wire(&builder{n, cfg, routeDelay}, s)
-	for _, sw := range n.switches {
-		sw.Start()
+	if cfg.Slots < 1 {
+		panic(fmt.Sprintf("netsim: LinkConfig.Slots %d must be at least 1", cfg.Slots))
+	}
+	switches, ports, links := s.parts()
+	n := &Network{K: k, shape: s, ifaces: make([]Iface, 0, s.Nodes), switches: make([]Switch, 0, switches),
+		links: make([]*Link, 0, links)}
+	b := &builder{n: n, cfg: cfg, routeDelay: routeDelay,
+		queues: make([]sim.Chan[*Packet], ports+s.Nodes), outs: make([]*Link, ports),
+		fwds: make([]forwarder, ports), links: make([]Link, links)}
+	topologies[s.Topology].wire(b, s)
+	if len(n.ifaces) != s.Nodes || len(n.switches) != switches || len(b.queues)+len(b.outs)+len(b.fwds)+len(b.links) != 0 {
+		panic(fmt.Sprintf("netsim: %v laid out records parts did not count", s.Topology))
+	}
+	for i := range n.switches {
+		n.switches[i].Start()
 	}
 	return n
 }

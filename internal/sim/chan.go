@@ -37,10 +37,19 @@ type chanRecv[T any] struct {
 
 // NewChan creates a channel with the given buffer capacity (>= 0).
 func NewChan[T any](k *Kernel, capacity int) *Chan[T] {
+	c := new(Chan[T])
+	c.Init(k, capacity)
+	return c
+}
+
+// Init is NewChan in place: c is a zero Chan the caller laid out, so a
+// builder that needs a Chan per port allocates them by the slice. c must
+// stay put.
+func (c *Chan[T]) Init(k *Kernel, capacity int) {
 	if capacity < 0 {
 		panic("sim: negative channel capacity")
 	}
-	return &Chan[T]{k: k, cap: capacity}
+	*c = Chan[T]{k: k, cap: capacity}
 }
 
 // Len reports the number of buffered items.

@@ -22,7 +22,7 @@ import (
 // on, behind and off their grid and kicked early, tickers, one-shot Procs, scripted
 // Machines over Chans and Resources with the daemons they contend with, a
 // driver script, sometimes a panic — and runs it in two spellings: fused
-// (PollCycle, SpawnMachine) and written out (the Delay loops, the
+// (PollCycle, StartMachine) and written out (the Delay loops, the
 // goroutine daemon), which runs only the event queue and the goroutine park the
 // shortcuts are defined against. The two runs must be one simulation: every
 // resumption and condition evaluation at the same (t, seq); the same
@@ -424,7 +424,7 @@ func newRun(seed int64, rw row, spelling int) *run {
 			m.panicAt = 1 + rng.Intn(100)
 		}
 		if fused {
-			actsFor(k.SpawnMachine(m.name, m), Fabric)
+			actsFor(k.spawnMachine(m.name, m), Fabric)
 		} else {
 			actsFor(onGoroutine(k, m.name, m), Fabric)
 		}

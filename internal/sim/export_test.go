@@ -23,7 +23,7 @@ func askIdler(k *Kernel, s *tick) {
 	dormancy.checked.Add(1)
 	if p.poll.Idle() == Busy && dormancy.disagreed.Add(1) == 1 {
 		dormancy.mu.Lock()
-		dormancy.first = fmt.Sprintf("proc %q dormant at %v, but its Idler says busy", p.name, k.now)
+		dormancy.first = fmt.Sprintf("proc %q dormant at %v, but its Idler says busy", p.Name(), k.now)
 		dormancy.mu.Unlock()
 	}
 }
@@ -34,4 +34,12 @@ func DormantChecks() (checked, disagreed uint64, first string) {
 	dormancy.mu.Lock()
 	defer dormancy.mu.Unlock()
 	return dormancy.checked.Load(), dormancy.disagreed.Load(), dormancy.first
+}
+
+// spawnMachine starts m on a Proc of its own named name: StartMachine for a
+// test that lays out no Procs.
+func (k *Kernel) spawnMachine(name string, m Machine) *Proc {
+	p := newProc(name)
+	k.StartMachine(p, p.name, m)
+	return p
 }

@@ -56,7 +56,7 @@ func (k *Kernel) HangReport() *HangReport {
 		if p.daemon && len(on) == 0 {
 			continue
 		}
-		b = append(b[:0], p.name...)
+		b = append(b[:0], p.Name()...)
 		if node >= 0 {
 			b = strconv.AppendInt(append(b, "@n"...), int64(node), 10)
 			if !p.daemon {

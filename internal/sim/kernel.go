@@ -25,7 +25,7 @@
 //     or the pause a self-paced poller takes after one, is re-armed by the
 //     dispatcher. An Idler only reads.
 //
-//   - A Machine (SpawnMachine): a Proc with no coroutine at all, written as
+//   - A Machine (StartMachine): a Proc with no coroutine at all, written as
 //     a run-to-completion Step that arms one wake — StartDelay, StartRecv,
 //     StartSend, StartAcquire, the halves of Delay, Chan.Recv, Chan.Send and
 //     Resource.Acquire that come before their park — and returns where a
@@ -84,6 +84,13 @@
 // its pending wake. HangReport, the one hang report (ErrDeadlock renders it, a
 // watchdog reads it), is built from these names and nothing else, so a new
 // blocking primitive or park site names its wait too.
+//
+// A Proc and a Resource hold their own names as a fmt.Stringer, spelled only
+// when something reads them (the hang report, a panic). Spawn and
+// NewResource take a string and allocate it beside the record; a layer that
+// lays its records out by the slice starts them in place (StartMachine,
+// Resource.Init, Chan.Init) and names each by what it already holds, so a
+// fabric of thousands of ports costs a few slabs and formats no name.
 //
 // The kernel is the substitute for real hardware concurrency in this
 // reproduction: host CPUs, NIC firmware, DMA engines, and wires are all Procs
@@ -829,8 +836,8 @@ func (k *Kernel) unwindAll() {
 // may only use the Start* halves.
 type Proc struct {
 	k       *Kernel
-	name    string
-	co      *coroutine // from the first wake until the Proc ends
+	name    fmt.Stringer // spells the Proc's name when something reads it
+	co      *coroutine   // from the first wake until the Proc ends
 	wakeGen uint64
 	done    bool
 	daemon  bool
@@ -847,7 +854,7 @@ type Proc struct {
 	pollLane [2]uint16
 
 	// Non-nil while the Proc has no coroutine: a Machine, whose Step the
-	// dispatcher calls at every wake (SpawnMachine), or — until its first wake
+	// dispatcher calls at every wake (StartMachine), or — until its first wake
 	// — the procFunc a goroutine Proc will run (SpawnAt, coroutine.loop).
 	mach Machine
 
@@ -857,7 +864,35 @@ type Proc struct {
 }
 
 // Name reports the Proc's debug name.
-func (p *Proc) Name() string { return p.name }
+func (p *Proc) Name() string {
+	if p.name == nil {
+		return ""
+	}
+	return p.name.String()
+}
+
+// NameBy names p by n instead of the name it was spawned with: n spells it
+// only when something reads it (a hang report, a panic), so a layer that
+// spawns a Proc per node or per worker formats none of their names on a
+// clean run. Call it right after spawning p.
+func (p *Proc) NameBy(n fmt.Stringer) { p.name = n }
+
+// spawned is a Proc spawned by name, allocated with its name beside it: a
+// Proc holds its name as a Stringer, and a string would take an allocation of
+// its own to be one.
+type spawned struct {
+	Proc
+	name string
+}
+
+func (s *spawned) String() string { return s.name }
+
+// newProc allocates a Proc named name.
+func newProc(name string) *Proc {
+	s := &spawned{name: name}
+	s.Proc.name = s
+	return &s.Proc
+}
 
 // Kernel returns the owning kernel.
 func (p *Proc) Kernel() *Kernel { return p.k }
@@ -919,14 +954,15 @@ func (k *Kernel) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// SpawnMachine creates a daemon Proc without a goroutine: the dispatcher
+// StartMachine starts a daemon Proc without a goroutine in place: p is a
+// zero Proc the caller laid out beside m (a switch's forwarders and their
+// Procs are one slab), name spells its name when read, and the dispatcher
 // calls m.Step(p) at each of its wakes, the first queued here exactly where
-// SpawnDaemon queues its Proc's start.
-func (k *Kernel) SpawnMachine(name string, m Machine) *Proc {
-	p := &Proc{k: k, name: name, daemon: true, mach: m}
+// SpawnDaemon queues its Proc's start. p must stay put.
+func (k *Kernel) StartMachine(p *Proc, name fmt.Stringer, m Machine) {
+	*p = Proc{k: k, name: name, daemon: true, mach: m}
 	k.procs[p] = struct{}{}
 	k.wakeAt(k.now, p)
-	return p
 }
 
 // SpawnAt creates a Proc that begins executing fn at absolute time t. It
@@ -934,7 +970,8 @@ func (k *Kernel) SpawnMachine(name string, m Machine) *Proc {
 // allocation and an event, and a Proc unwound before it ever starts costs no
 // coroutine at all.
 func (k *Kernel) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, mach: procFunc(fn)}
+	p := newProc(name)
+	p.k, p.mach = k, procFunc(fn)
 	k.procs[p] = struct{}{}
 	k.live++
 	k.wakeAt(max(t, k.now), p)

@@ -516,7 +516,7 @@ func (c *churner) Step(p *Proc) {
 func spawnChurners(k *Kernel, n int) *churn {
 	c := new(churn)
 	for i := range n {
-		k.SpawnMachine("churn", &churner{uint64(i), c})
+		k.spawnMachine("churn", &churner{uint64(i), c})
 	}
 	return c
 }

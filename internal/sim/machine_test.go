@@ -37,7 +37,7 @@ func TestMachinePanicFailsRunNamingProc(t *testing.T) {
 	} {
 		k := NewKernel()
 		k.Spawn("bystander", func(p *Proc) { p.Delay(Microsecond) })
-		k.SpawnMachine("fw", &failing{how: block})
+		k.spawnMachine("fw", &failing{how: block})
 		if got, at := firstLine(k.Run()), k.Now(); !strings.HasPrefix(got, `sim: proc "fw" panicked: sim: proc "fw" is a Machine`) || at != 200 {
 			t.Fatalf("%s from a Step: run ended %q at %v", name, got, at)
 		}
@@ -52,7 +52,7 @@ func TestMachineRetiredWithoutHandshake(t *testing.T) {
 		k := NewKernel()
 		r := &run{k: k, chans: []*Chan[int]{NewChan[int](k, 0)}, ress: []*Resource{NewResource(k, "r", 1)}}
 		for _, op := range []scriptOp{{kind: opDelay, d: 300}, {kind: opRecv}, {kind: opUse}} {
-			k.SpawnMachine("m", &scripted{r: r, name: "m", ops: []scriptOp{op}})
+			k.spawnMachine("m", &scripted{r: r, name: "m", ops: []scriptOp{op}})
 		}
 		k.Spawn("holder", func(p *Proc) {
 			r.ress[0].Acquire(p, 1)

@@ -43,7 +43,7 @@ func (s *Signal) Broadcast() {
 // strictly FIFO granting: a small request queued behind a large one does not
 // jump the queue, matching the in-order service of the buses being modeled.
 type Resource struct {
-	name  string
+	name  fmt.Stringer // spells the resource's name when something reads it
 	cap   int
 	inUse int
 	q     Queue[resWait]
@@ -57,10 +57,27 @@ type resWait struct {
 
 // NewResource creates a resource with the given capacity (units).
 func NewResource(k *Kernel, name string, capacity int) *Resource {
+	r := &namedResource{name: name}
+	r.Init(k, r, capacity)
+	return &r.Resource
+}
+
+// namedResource is a Resource made by NewResource, with its name beside it.
+type namedResource struct {
+	Resource
+	name string
+}
+
+func (r *namedResource) String() string { return r.name }
+
+// Init is NewResource in place: r is a zero Resource the caller laid out (a
+// field of the record it serves, as a link's wire is), and name spells its
+// name when something reads it (a hang report, a panic). r must stay put.
+func (r *Resource) Init(k *Kernel, name fmt.Stringer, capacity int) {
 	if capacity <= 0 {
 		panic("sim: resource capacity must be positive")
 	}
-	return &Resource{name: name, cap: capacity, k: k}
+	*r = Resource{name: name, cap: capacity, k: k}
 }
 
 // Acquire obtains n units, parking p until they are available.
