@@ -38,6 +38,16 @@ var designRules = []struct {
 		bad:   regexp.MustCompile(`PollCycle\(|NewFramePool\(|\.Poll\(\)`),
 	},
 	{
+		rule: "one handler table", home: "./internal/flowctl",
+		paths: []string{"."}, except: []string{"internal/flowctl", "design_test.go"}, tests: true,
+		bad: regexp.MustCompile(`type HandlerID uint16`),
+	},
+	{
+		rule: "one handler table", home: "./internal/flowctl",
+		paths: []string{"internal/fm1", "internal/fm2", "internal/xport"},
+		bad:   regexp.MustCompile(`map\[(\w+\.)?(HandlerID|uint16|string)\]`),
+	},
+	{
 		rule: "hardware loops as Machines", home: "./internal/sim",
 		paths: []string{"internal/lanai/lanai.go", "internal/netsim/netsim.go"},
 		bad:   regexp.MustCompile(`SpawnDaemon\(`),

@@ -27,7 +27,9 @@
 // a private NIC binding per library (§4.2). Every service binds to a
 // HandlerSpace, its window onto the node's one endpoint, so co-resident
 // services cannot collide on handler IDs, share one credit window per peer,
-// and split the receive budget fairly:
+// and split the receive budget fairly. A handler is one entry in its
+// engine's table, keyed by its wire id, and is registered once: the binding
+// makes its one closure, and a message names its handler by that id:
 //
 //	 mpifm   sockfm   shmem   garr(-> own shmem)   svcload
 //	    |       |       |       |                    |
@@ -37,12 +39,13 @@
 //	                |
 //	         xport.Endpoint          (ONE per node)
 //	                |
-//	         xport.Transport
+//	         xport.Transport     (the engine binding: one closure per handler)
 //	           /          \
 //	    OverFM1 adapter   OverFM2 (native)
 //	    (staging copies)   (zero-copy streaming)
 //	          |                  |
 //	      internal/fm1      internal/fm2
+//	   (one handler table each: flowctl.Peers keyed by flowctl.HandlerID)
 //	           \                /
 //	        flowctl.EndpointCore (what FM 2.x kept from FM 1.x)
 //	                |
@@ -59,7 +62,7 @@
 //     per-message costs included.
 //   - internal/lanai: the NIC, its firmware and the receive ring.
 //   - internal/flowctl: what FM 2.x kept from FM 1.x, the endpoint core both
-//     engines embed.
+//     engines embed, and the one handler id type and table.
 //   - internal/fm1: Fast Messages 1.x (Table 1).
 //   - internal/fm2: Fast Messages 2.x (Table 2).
 //   - internal/xport: the streaming transport contract, the shared endpoint,

@@ -42,7 +42,7 @@ func TestHangReportNamesEveryWait(t *testing.T) {
 			sig.Wait(p)
 			return
 		}
-		for size := 3 * sp.MTU(); ; size = sp.MTU() {
+		for size := 3 * sp.Core().MTU(); ; size = sp.Core().MTU() {
 			if err := fmnet.Send(p, sp, 1, 1, make([]byte, size)); err != nil {
 				t.Error(err)
 				return

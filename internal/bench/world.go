@@ -38,7 +38,7 @@ func endpoints(m xport.Machine, n int, f Fabric) (*cluster.Platform, []*xport.En
 // machine's profile).
 func attachMPI(eps []*xport.Endpoint, opt mpifm.Options) []*mpifm.Comm {
 	sp := xport.Spaces(eps, mpifm.Service)
-	return mpifm.Attach(sp, sp[0].Host().P.MPI, opt)
+	return mpifm.Attach(sp, sp[0].Core().Host().P.MPI, opt)
 }
 
 // mpiWorld is endpoints plus an n-rank MPI world on them.

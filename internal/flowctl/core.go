@@ -141,13 +141,18 @@ func (c *EndpointCore) FramePoolStats() (data, ctrl netsim.PoolStats) {
 // payload from byte Wire.Size on and hands the frame to Emit.
 func (c *EndpointCore) Frame() *netsim.Packet { return c.frames.Get(c.h.P.PacketMTU) }
 
+// HandlerID names a registered message handler, carried in every data
+// header. It is the one handler id type: fm1, fm2 and xport key their one
+// handler table (a Peers) by it.
+type HandlerID uint16
+
 // Emit sends one data packet toward dst: pkt is a frame from Frame carrying
 // n payload bytes of a total-byte message for handler. It charges the
 // per-packet send cost, takes a credit (blocking, in virtual time, while the
 // window toward dst is shut), writes the header in place in front of the
 // payload and hands the frame to the NIC, which owns it from here; the
 // receiving endpoint releases it back to this endpoint's pool.
-func (c *EndpointCore) Emit(p *sim.Proc, dst int, pkt *netsim.Packet, first, last bool, handler uint16, n, total int) {
+func (c *EndpointCore) Emit(p *sim.Proc, dst int, pkt *netsim.Packet, first, last bool, handler HandlerID, n, total int) {
 	p.Delay(c.h.P.PerPacketSend)
 	c.Credit.Acquire(p, dst)
 	w := &c.wire
@@ -162,7 +167,7 @@ func (c *EndpointCore) Emit(p *sim.Proc, dst int, pkt *netsim.Packet, first, las
 		frame[1] |= flagLast
 	}
 	binary.LittleEndian.PutUint16(frame[2:], uint16(c.h.ID))
-	binary.LittleEndian.PutUint16(frame[w.Handler:], handler)
+	binary.LittleEndian.PutUint16(frame[w.Handler:], uint16(handler))
 	binary.LittleEndian.PutUint16(frame[w.FragLen:], uint16(n))
 	binary.LittleEndian.PutUint32(frame[w.Total:], uint32(total))
 	c.nic.HostSendPacket(p, pkt, dst, false)
@@ -199,7 +204,7 @@ func (c *EndpointCore) Next(p *sim.Proc, w *Waiter, first bool) *netsim.Packet {
 type Data struct {
 	First, Last bool
 	Src         int
-	Handler     uint16
+	Handler     HandlerID
 	Total       int // the message's declared length
 	Payload     []byte
 }
@@ -226,7 +231,7 @@ func (c *EndpointCore) Open(pkt *netsim.Packet) (d Data, ok bool) {
 				First:   frame[1]&flagFirst != 0,
 				Last:    frame[1]&flagLast != 0,
 				Src:     src,
-				Handler: binary.LittleEndian.Uint16(frame[w.Handler:]),
+				Handler: HandlerID(binary.LittleEndian.Uint16(frame[w.Handler:])),
 				Total:   int(total),
 				Payload: frame[w.Size : w.Size+n],
 			}, true

@@ -19,6 +19,12 @@
 // Count.PacketsRecvd only after they are done with a packet, because
 // co-resident extractors read it as a progress meter.
 //
+// One handler table: HandlerID is the only handler id type, and each engine
+// keeps its handlers in one Peers keyed by it — no map, and no slice indexed
+// by wire id, which xport's slabs (SpaceSize apart) would leave sparse. xport
+// registers each handler there once and keeps no map by handler id or
+// service name.
+//
 // A blocked caller's idle test (Waiter.Idle) reads its own node only — the
 // receive ring, the credit ledger and the caller's Cond — and says how long
 // its verdict stands (Waiter.Stands): until the node acts, unless the Cond

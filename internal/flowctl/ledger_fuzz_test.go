@@ -164,6 +164,8 @@ func FuzzLedger(f *testing.F) {
 		many = ops(many, op(opConsume, 5*p+1, 0), op(opFreed, 7*p+3, 0))
 	}
 	f.Add(uint16(256), uint16(0), uint8(16), uint16(0xffff), ops(many, repeat(50, op(opTake, 0, 0))))
+	// An idle flush of a partial batch of 3: the whole batch, not one less.
+	f.Add(uint16(2), uint16(0), uint8(16), uint16(64), ops(repeat(3, op(opFreed, 1, 0)), op(opTake, 0, 0)))
 
 	f.Fuzz(func(t *testing.T, nodes, self uint16, window uint8, ring uint16, script []byte) {
 		n := int(nodes) % 301

@@ -27,9 +27,6 @@ import (
 	"repro/internal/sim"
 )
 
-// HandlerID names a registered message handler, carried in every packet.
-type HandlerID uint16
-
 // Handler processes a received message. data is valid only for the duration
 // of the call (it aliases FM buffers), matching the real API's contract.
 // The Proc is the extracting Proc: handler time is charged to the host CPU.
@@ -62,7 +59,7 @@ type Stats = flowctl.Stats
 // and reassembly into a staging area.
 type Endpoint struct {
 	flowctl.EndpointCore
-	handlers map[HandlerID]Handler
+	handlers flowctl.Peers[Handler]  // keyed by handler id
 	asm      flowctl.Peers[assembly] // per-source reassembly state
 	// Multi-packet reassembly draws staging buffers from a bounded free
 	// list, so the steady state allocates nothing.
@@ -72,7 +69,7 @@ type Endpoint struct {
 type assembly struct {
 	buf     []byte
 	want    int
-	handler HandlerID
+	handler flowctl.HandlerID
 	active  bool
 }
 
@@ -82,7 +79,6 @@ func Attach(pl *cluster.Platform, _ Config) []*Endpoint {
 	for i := range eps {
 		e := &Endpoint{
 			EndpointCore: flowctl.NewEndpointCore(pl.NICs[i], pl.Nodes(), wire),
-			handlers:     make(map[HandlerID]Handler),
 		}
 		e.asmPool = bufpool.New(netsim.DefaultPoolCap) // the same bound as the core's frame pools
 		eps[i] = e
@@ -95,16 +91,16 @@ func (e *Endpoint) asmPoolStats() bufpool.Stats { return e.asmPool.Stats() }
 
 // Register installs a handler under id. Handlers must be registered before
 // any peer sends to them.
-func (e *Endpoint) Register(id HandlerID, fn Handler) {
-	if _, dup := e.handlers[id]; dup {
+func (e *Endpoint) Register(id flowctl.HandlerID, fn Handler) {
+	if e.handlers.Find(int(id)) != nil {
 		panic(fmt.Sprintf("fm1: duplicate handler %d", id))
 	}
-	e.handlers[id] = fn
+	*e.handlers.At(int(id)) = fn
 }
 
 // Send4 transmits a four-word message — the FM_send_4 fast path for the
 // short messages that dominate real traffic (paper §2.1).
-func (e *Endpoint) Send4(p *sim.Proc, dst int, h HandlerID, w0, w1, w2, w3 uint32) error {
+func (e *Endpoint) Send4(p *sim.Proc, dst int, h flowctl.HandlerID, w0, w1, w2, w3 uint32) error {
 	var buf [16]byte
 	binary.LittleEndian.PutUint32(buf[0:], w0)
 	binary.LittleEndian.PutUint32(buf[4:], w1)
@@ -119,7 +115,7 @@ func (e *Endpoint) Send4(p *sim.Proc, dst int, h HandlerID, w0, w1, w2, w3 uint3
 // sender run ahead by a full credit window. dst == Node() is a loopback
 // self-send: the handler is dispatched directly on the sending Proc as a
 // host memcpy path, with no NIC or flow-control involvement.
-func (e *Endpoint) Send(p *sim.Proc, dst int, h HandlerID, buf []byte) error {
+func (e *Endpoint) Send(p *sim.Proc, dst int, h flowctl.HandlerID, buf []byte) error {
 	if len(buf) > DefaultMaxMessage {
 		return fmt.Errorf("fm1: message of %d bytes exceeds limit %d", len(buf), DefaultMaxMessage)
 	}
@@ -141,7 +137,7 @@ func (e *Endpoint) Send(p *sim.Proc, dst int, h HandlerID, buf []byte) error {
 		// The fragment is copied straight into a pooled frame.
 		pkt := e.Frame()
 		copy(pkt.Payload[wire.Size:], buf[off:off+n])
-		e.Emit(p, dst, pkt, off == 0, off+n == total, uint16(h), n, total)
+		e.Emit(p, dst, pkt, off == 0, off+n == total, h, n, total)
 		off += n
 		if off >= total {
 			break
@@ -185,7 +181,7 @@ func (e *Endpoint) processData(p *sim.Proc, pkt *netsim.Packet) bool {
 	if !ok {
 		return false
 	}
-	src, h, payload := d.Src, HandlerID(d.Handler), d.Payload
+	src, h, payload := d.Src, d.Handler, d.Payload
 	defer e.Credit.Return(p, src)
 
 	if d.First && d.Last {
@@ -257,14 +253,14 @@ func (e *Endpoint) processData(p *sim.Proc, pkt *netsim.Packet) bool {
 	return done
 }
 
-func (e *Endpoint) dispatch(p *sim.Proc, src int, h HandlerID, data []byte) bool {
-	fn, ok := e.handlers[h]
-	if !ok {
+func (e *Endpoint) dispatch(p *sim.Proc, src int, h flowctl.HandlerID, data []byte) bool {
+	fn := e.handlers.Find(int(h))
+	if fn == nil {
 		e.Count.UnknownHandler++
 		return false
 	}
 	p.Delay(e.Host().P.HandlerDispatch)
-	fn(p, src, data)
+	(*fn)(p, src, data)
 	e.Count.MsgsRecvd++
 	e.Count.BytesRecvd += int64(len(data))
 	return true

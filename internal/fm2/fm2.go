@@ -38,9 +38,6 @@ import (
 	"repro/internal/sim"
 )
 
-// HandlerID names a registered message handler, carried in packet headers.
-type HandlerID uint16
-
 // Handler processes one incoming message on its own logical thread. It
 // reads the message through s.Receive, which may deschedule it until more
 // packets arrive (paper §4.1, "transparent handler multithreading").
@@ -81,7 +78,7 @@ type Stats = flowctl.Stats
 // byte budget on Extract.
 type Endpoint struct {
 	flowctl.EndpointCore
-	handlers map[HandlerID]Handler
+	handlers flowctl.Peers[Handler] // keyed by handler id
 	active   map[uint32]*RecvStream
 	msgSeq   uint16
 
@@ -105,7 +102,6 @@ func Attach(pl *cluster.Platform, _ Config) []*Endpoint {
 	for i := range eps {
 		e := &Endpoint{
 			EndpointCore: flowctl.NewEndpointCore(pl.NICs[i], pl.Nodes(), wire),
-			handlers:     make(map[HandlerID]Handler),
 			active:       make(map[uint32]*RecvStream),
 		}
 		e.ssPool = bufpool.NewRecycler[*SendStream](netsim.DefaultPoolCap)
@@ -126,9 +122,9 @@ func (e *Endpoint) activeStreams() int { return len(e.active) }
 func (e *Endpoint) handlerWorkers() int { return e.numWorkers }
 
 // Register installs a handler under id.
-func (e *Endpoint) Register(id HandlerID, fn Handler) {
-	if _, dup := e.handlers[id]; dup {
+func (e *Endpoint) Register(id flowctl.HandlerID, fn Handler) {
+	if e.handlers.Find(int(id)) != nil {
 		panic(fmt.Sprintf("fm2: duplicate handler %d", id))
 	}
-	e.handlers[id] = fn
+	*e.handlers.At(int(id)) = fn
 }

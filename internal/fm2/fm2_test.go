@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/cluster"
+	"repro/internal/flowctl"
 	"repro/internal/sim"
 )
 
@@ -37,7 +38,7 @@ func extractUntil(p *sim.Proc, e *Endpoint, want int) {
 
 // sendGather transmits the concatenation of pieces as one message, one
 // SendPiece per piece: the header+payload pattern of protocol layers over FM.
-func sendGather(p *sim.Proc, e *Endpoint, dst int, h HandlerID, pieces ...[]byte) error {
+func sendGather(p *sim.Proc, e *Endpoint, dst int, h flowctl.HandlerID, pieces ...[]byte) error {
 	total := 0
 	for _, pc := range pieces {
 		total += len(pc)

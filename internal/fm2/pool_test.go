@@ -8,6 +8,7 @@ import (
 	"repro/internal/alloctest"
 	"repro/internal/bufpool"
 	"repro/internal/cluster"
+	"repro/internal/flowctl"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
@@ -190,7 +191,7 @@ func TestPoisonConformance(t *testing.T) {
 			for j := range buf {
 				buf[j] = byte(i*7 + j)
 			}
-			h := HandlerID(1 + i%2)
+			h := flowctl.HandlerID(1 + i%2)
 			if h == 2 {
 				want = append(want, buf[:min(8, size)])
 			} else {

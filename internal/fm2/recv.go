@@ -34,11 +34,10 @@ type pendingChunk struct {
 // (nor any payload alias) past their return — every release is poisoned,
 // so a violation reads garbage.
 type RecvStream struct {
-	e       *Endpoint
-	src     int
-	msgid   uint16
-	handler HandlerID
-	msglen  int
+	e      *Endpoint
+	src    int
+	msgid  uint16
+	msglen int
 
 	pending      sim.Queue[pendingChunk] // delivered, unconsumed chunks (alias frames)
 	pendingBytes int
@@ -63,14 +62,13 @@ type RecvStream struct {
 }
 
 // getRecvStream draws a recycled stream record with the given identity.
-func (e *Endpoint) getRecvStream(src int, msgid uint16, h HandlerID, msglen int, st streamState) *RecvStream {
+func (e *Endpoint) getRecvStream(src int, msgid uint16, msglen int, st streamState) *RecvStream {
 	rs, ok := e.rsPool.Get()
 	if !ok {
 		rs = &RecvStream{e: e}
 	}
 	rs.src = src
 	rs.msgid = msgid
-	rs.handler = h
 	rs.msglen = msglen
 	rs.consumed = 0
 	rs.delivered = 0
@@ -322,7 +320,7 @@ func (e *Endpoint) processData(p *sim.Proc, pkt *netsim.Packet) int {
 	if !ok {
 		return 0
 	}
-	src, h, total, payload, last := d.Src, HandlerID(d.Handler), d.Total, d.Payload, d.Last
+	src, h, total, payload, last := d.Src, d.Handler, d.Total, d.Payload, d.Last
 	msgid := binary.LittleEndian.Uint16(pkt.Payload[msgIDOff:])
 	defer e.Credit.Return(p, src)
 
@@ -340,17 +338,19 @@ func (e *Endpoint) processData(p *sim.Proc, pkt *netsim.Packet) int {
 			pkt.Release()
 			return 0
 		}
-		if fn, ok = e.handlers[h]; !ok {
+		reg := e.handlers.Find(int(h))
+		if reg == nil {
 			// Unknown handler: swallow the whole message via a pre-done
 			// stream so continuation packets have somewhere to drain.
 			e.Count.UnknownHandler++
-			rs = e.getRecvStream(src, msgid, h, total, stateDone)
+			rs = e.getRecvStream(src, msgid, total, stateDone)
 			rs.drop = true
 			e.active[k] = rs
 			rs.deliver(pkt, payload, last)
 			return e.retireIfComplete(rs, k)
 		}
-		rs = e.getRecvStream(src, msgid, h, total, stateRunning)
+		fn = *reg
+		rs = e.getRecvStream(src, msgid, total, stateRunning)
 		e.active[k] = rs
 	}
 	// A first frame delivers its payload BEFORE the dispatch delay: with
@@ -401,17 +401,17 @@ func (e *Endpoint) retireIfComplete(rs *RecvStream, k uint32) int {
 // NIC: the receive half of the loopback path. The sending Proc plays the
 // extractor's role, running the handler's logical thread to completion —
 // every byte is already present, so the handler never parks for data.
-func (e *Endpoint) deliverLoopback(p *sim.Proc, h HandlerID, msgid uint16, data []byte) {
-	fn, ok := e.handlers[h]
-	if !ok {
+func (e *Endpoint) deliverLoopback(p *sim.Proc, h flowctl.HandlerID, msgid uint16, data []byte) {
+	reg := e.handlers.Find(int(h))
+	if reg == nil {
 		e.Count.UnknownHandler++
 		e.Count.DiscardedBytes += int64(len(data))
 		return
 	}
-	rs := e.getRecvStream(e.Node(), msgid, h, len(data), stateRunning)
+	rs := e.getRecvStream(e.Node(), msgid, len(data), stateRunning)
 	rs.deliver(nil, data, true)
 	p.Delay(e.Host().P.HandlerDispatch)
-	e.startHandler(fn, rs)
+	e.startHandler(*reg, rs)
 	e.runStream(p, rs)
 	e.Count.MsgsRecvd++
 	e.Count.BytesRecvd += int64(rs.delivered)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/flowctl"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
@@ -21,7 +22,7 @@ import (
 type SendStream struct {
 	e       *Endpoint
 	dst     int
-	handler HandlerID
+	handler flowctl.HandlerID
 	msgid   uint16
 	total   int            // declared message size
 	sent    int            // payload bytes accepted so far
@@ -56,7 +57,7 @@ func (e *Endpoint) putSendStream(s *SendStream) {
 //
 // The returned stream is owned by the endpoint and is recycled when
 // EndMessage returns: callers must not retain it past that point.
-func (e *Endpoint) BeginMessage(p *sim.Proc, dst, size int, h HandlerID) (*SendStream, error) {
+func (e *Endpoint) BeginMessage(p *sim.Proc, dst, size int, h flowctl.HandlerID) (*SendStream, error) {
 	if size < 0 || size > DefaultMaxMessage {
 		return nil, fmt.Errorf("fm2: message size %d out of range [0,%d]", size, DefaultMaxMessage)
 	}
@@ -153,7 +154,7 @@ func (s *SendStream) EndMessage(p *sim.Proc) error {
 func (s *SendStream) flush(p *sim.Proc, last bool) {
 	e := s.e
 	binary.LittleEndian.PutUint16(s.frame.Payload[msgIDOff:], s.msgid)
-	e.Emit(p, s.dst, s.frame, s.first, last, uint16(s.handler), s.fill, s.total)
+	e.Emit(p, s.dst, s.frame, s.first, last, s.handler, s.fill, s.total)
 	s.first = false
 	s.fill = 0
 	if last {
@@ -165,7 +166,7 @@ func (s *SendStream) flush(p *sim.Proc, last bool) {
 
 // Send transmits buf as a single-piece message: the convenience path for
 // callers that do not need gather.
-func (e *Endpoint) Send(p *sim.Proc, dst int, h HandlerID, buf []byte) error {
+func (e *Endpoint) Send(p *sim.Proc, dst int, h flowctl.HandlerID, buf []byte) error {
 	s, err := e.BeginMessage(p, dst, len(buf), h)
 	if err != nil {
 		return err

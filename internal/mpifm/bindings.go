@@ -30,7 +30,7 @@ type Options struct {
 func Attach(spaces []*xport.HandlerSpace, ov Overheads, opt Options) []*Comm {
 	comms := make([]*Comm, len(spaces))
 	for i, sp := range spaces {
-		c := &Comm{rank: i, size: len(spaces), host: sp.Host(), t: sp, opt: opt, ov: ov,
+		c := &Comm{rank: i, size: len(spaces), host: sp.Core().Host(), t: sp, opt: opt, ov: ov,
 			tmpPool: bufpool.New(0)}
 		sp.Register(mpiHandlerID, c.handler)
 		comms[i] = c
@@ -94,4 +94,4 @@ func (c *Comm) handler(p *sim.Proc, s xport.RecvStream) {
 }
 
 // maxPayload reports the largest payload a single message may carry.
-func (c *Comm) maxPayload() int { return c.t.MaxMessage() - HeaderSize }
+func (c *Comm) maxPayload() int { return c.t.Core().MaxMessage() - HeaderSize }

@@ -44,7 +44,7 @@ func exchange(t *testing.T, c *Comm, p *sim.Proc, recv recvFn) {
 	}
 	// Half a packet to three and a half: within the smallest credit window,
 	// so the shift cannot deadlock FM 1.x, whose sends never extract.
-	mtu := c.t.MTU()
+	mtu := c.t.Core().MTU()
 	out := make([]byte, 4*mtu)
 	in := make([]byte, 4*mtu)
 	one := []byte{1}

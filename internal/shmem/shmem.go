@@ -79,7 +79,7 @@ func Attach(sp *xport.HandlerSpace) *Node {
 }
 
 // Rank reports the node ID.
-func (n *Node) Rank() int { return n.t.Node() }
+func (n *Node) Rank() int { return n.t.Core().Node() }
 
 // Stats returns a copy of the counters.
 func (n *Node) Stats() Stats { return n.stats }
@@ -141,7 +141,7 @@ func (g *got) Done() bool   { return !g.getting }
 
 // Get reads length bytes from (region, offset) on the target rank into buf.
 func (n *Node) Get(p *sim.Proc, target int, region uint32, offset int, buf []byte) error {
-	if limit := n.t.MaxMessage() - headerSize; len(buf) > limit {
+	if limit := n.t.Core().MaxMessage() - headerSize; len(buf) > limit {
 		return fmt.Errorf("shmem: get of %d bytes exceeds what one response carries (%d)", len(buf), limit)
 	}
 	if offset < 0 || int64(offset)+int64(len(buf)) > MaxRegion {
@@ -170,7 +170,7 @@ func (n *Node) Progress(p *sim.Proc) { n.t.Extract(p, 0) }
 // requests costs the target no memory per request. Senders only read it.
 func (n *Node) zeroes(length int) []byte {
 	if n.zeros == nil {
-		n.zeros = make([]byte, n.t.MaxMessage()-headerSize)
+		n.zeros = make([]byte, n.t.Core().MaxMessage()-headerSize)
 	}
 	return n.zeros[:length]
 }
@@ -203,7 +203,7 @@ func (n *Node) handler(p *sim.Proc, s xport.RecvStream) {
 	case kindPutAck:
 		n.pending--
 	case kindGetReq:
-		if length > n.t.MaxMessage()-headerSize {
+		if length > n.t.Core().MaxMessage()-headerSize {
 			return // no response can carry it, so no Get asked for it
 		}
 		mem, ok := n.regions[region]

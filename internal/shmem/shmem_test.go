@@ -210,7 +210,7 @@ func TestForgedHeaderLengths(t *testing.T) {
 		{"put longer than the message", kindPut, func(*Node) int { return 64 }},
 		{"get response longer than the message", kindGetResp, func(*Node) int { return 8 }},
 		{"get response longer than the buffer", kindGetResp, func(*Node) int { return 1 << 20 }},
-		{"get request no response can carry", kindGetReq, func(n *Node) int { return n.t.MaxMessage() - headerSize + 1 }},
+		{"get request no response can carry", kindGetReq, func(n *Node) int { return n.t.Core().MaxMessage() - headerSize + 1 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			k, ns := nodes(2)
@@ -258,7 +258,7 @@ func TestForgedHeaderLengths(t *testing.T) {
 func TestGetLargerThanAResponse(t *testing.T) {
 	k, ns := nodes(2)
 	k.Spawn("origin", func(p *sim.Proc) {
-		if err := ns[0].Get(p, 1, 1, 0, make([]byte, ns[0].t.MaxMessage())); err == nil {
+		if err := ns[0].Get(p, 1, 1, 0, make([]byte, ns[0].t.Core().MaxMessage())); err == nil {
 			t.Error("oversize get accepted")
 		}
 	})

@@ -82,7 +82,7 @@ func New(sp *xport.HandlerSpace) *Stack {
 }
 
 // Node reports the stack's node ID.
-func (s *Stack) Node() int { return s.t.Node() }
+func (s *Stack) Node() int { return s.t.Core().Node() }
 
 // PoolStats reports the recycling counters (incl. high-water marks) of the
 // stack's header-scratch and segment-body pools.
@@ -276,7 +276,7 @@ func (c *Conn) drain(p *sim.Proc, buf []byte) int {
 		n += m
 	}
 	if n > 0 {
-		c.s.t.Host().Memcpy(p, n)
+		c.s.t.Core().Host().Memcpy(p, n)
 	}
 	return n
 }

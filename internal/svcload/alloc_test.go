@@ -12,7 +12,9 @@ import (
 
 // mallocsPerRequest is the steady-state malloc cost of one request of wl: the
 // difference between a long and a short run of the same workload — set-up,
-// schedule and histograms cancel — over the difference in requests.
+// schedule and histograms cancel — over the difference in requests. A stray
+// malloc in the short run can make the difference negative, which reads as
+// zero cost, not as a wrapped uint64.
 func mallocsPerRequest(t *testing.T, nodes int, wl Workload) float64 {
 	t.Helper()
 	run := func(requests int) uint64 {
@@ -24,7 +26,7 @@ func mallocsPerRequest(t *testing.T, nodes int, wl Workload) float64 {
 		})
 	}
 	const short, long = 50, 350
-	return float64(run(long)-run(short)) / float64(nodes*(long-short))
+	return (float64(run(long)) - float64(run(short))) / float64(nodes*(long-short))
 }
 
 // TestWarmWindowZeroAlloc pins a running fleet's steady state to zero

@@ -418,8 +418,8 @@ func (f *Fleet) install(wl Workload, clients []client, tr *Trace, planned int64,
 	sp := f.spaces[0]
 	// Compared before the header is added: a replayed size near MaxInt
 	// would wrap the sum negative and slip past.
-	if maxBody > sp.MaxMessage()-reqHeaderSize {
-		return fmt.Errorf("svcload: %d-byte payload plus header exceeds transport limit %d", maxBody, sp.MaxMessage())
+	if maxBody > sp.Core().MaxMessage()-reqHeaderSize {
+		return fmt.Errorf("svcload: %d-byte payload plus header exceeds transport limit %d", maxBody, sp.Core().MaxMessage())
 	}
 	maxMsg := reqHeaderSize + maxBody
 	if need, window := sp.Core().Packets(maxMsg), sp.Core().FlowControl().Window(); need > window {

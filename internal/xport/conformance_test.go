@@ -1,5 +1,5 @@
 // Cross-binding conformance matrix: every upper layer, run over every FM
-// generation through xport.Transport, must deliver identical bytes — and
+// generation through its xport binding, must deliver identical bytes — and
 // each (layer, binding) cell must be deterministic in virtual time. This is
 // the correctness half of the paper's layering claim: the binding changes
 // the cost of a layer, never its semantics.
@@ -62,7 +62,7 @@ var scenarios = []scenario{
 
 func mpiScenario(t *testing.T, k *sim.Kernel, eps []*xport.Endpoint) func() []byte {
 	sp := xport.Spaces(eps, mpifm.Service)
-	comms := mpifm.Attach(sp, sp[0].Host().P.MPI, mpifm.Options{})
+	comms := mpifm.Attach(sp, sp[0].Core().Host().P.MPI, mpifm.Options{})
 	sizes := []int{1, 100, 613, 2048, 5000}
 	var rank0Got, rank1Got bytes.Buffer
 	k.Spawn("rank0", func(p *sim.Proc) {
@@ -268,7 +268,7 @@ func TestLoopbackAcrossBindings(t *testing.T) {
 		t.Run(bc.name, func(t *testing.T) {
 			k := sim.NewKernel()
 			pl := cluster.New(k, cluster.DefaultConfig())
-			self := bc.attach(pl)[0].Transport()
+			self := bc.attach(pl)[0].Register("self")
 			var got []byte
 			self.Register(4, func(p *sim.Proc, s xport.RecvStream) {
 				buf := make([]byte, s.Length())
@@ -300,7 +300,7 @@ func TestPacketsCountsWhatEitherEngineSends(t *testing.T) {
 			var got []int
 			for i := range 4 {
 				k := sim.NewKernel()
-				src := bc.attach(cluster.New(k, bc.gen.Machine().Config(2, cluster.SingleSwitch)))[0].Transport()
+				src := bc.attach(cluster.New(k, bc.gen.Machine().Config(2, cluster.SingleSwitch)))[0].Register("src")
 				core := src.Core()
 				n := []int{0, 1, core.MTU(), core.MTU() + 1}[i]
 				k.Spawn("sender", func(p *sim.Proc) {
@@ -414,6 +414,87 @@ func TestForgedDataFramesAcrossBindings(t *testing.T) {
 			if err := k.Run(); err != nil {
 				t.Fatal(err)
 			}
+		})
+	}
+}
+
+// TestHandlerTableAcrossSlabs: a node's handlers are one engine table keyed
+// by wire id, on either binding. Four services' handlers, 16 ids in four
+// slabs SpaceSize apart, grow the table past its first 8 slots; one message
+// to each id runs its handler exactly once with its bytes, a message to an
+// id no service registered in the grown table counts one UnknownHandler and
+// is discarded whole, and a duplicate registered after the growth panics.
+func TestHandlerTableAcrossSlabs(t *testing.T) {
+	locals := []xport.HandlerID{0, 1, 9, xport.SpaceSize - 1}
+	const unknown = 7 // in no service's set above
+	for _, bc := range bindingCases {
+		t.Run(bc.name, func(t *testing.T) {
+			k := sim.NewKernel()
+			pl := cluster.New(k, bc.gen.Machine().Config(2, cluster.SingleSwitch))
+			eps := bc.attach(pl)
+			var services [][]*xport.HandlerSpace
+			for _, name := range []string{"s0", "s1", "s2", "s3"} {
+				services = append(services, xport.Spaces(eps, name))
+			}
+			msg := func(svc, i int) []byte { j := svc*len(locals) + i; return pattern(1+400*j, byte(j)) }
+			runs := make([][]int, len(services))
+			for svc, sp := range services {
+				runs[svc] = make([]int, len(locals))
+				for i, id := range locals {
+					sp[1].Register(id, func(p *sim.Proc, s xport.RecvStream) {
+						runs[svc][i]++
+						buf := make([]byte, s.Length())
+						if want := msg(svc, i); s.Receive(p, buf) != len(want) || !bytes.Equal(buf, want) {
+							t.Errorf("s%d handler %d: got %d bytes, want %d of its pattern", svc, id, len(buf), len(want))
+						}
+					})
+				}
+			}
+			lost := 3 * services[0][1].Core().MTU()
+			sent := 0
+			k.Spawn("sender", func(p *sim.Proc) {
+				if err := xport.SendGather(p, services[2][0], 1, unknown, make([]byte, lost)); err != nil {
+					t.Error(err)
+				}
+				for svc, sp := range services {
+					for i, id := range locals {
+						m := msg(svc, i)
+						if err := xport.SendGather(p, sp[0], 1, id, m); err != nil {
+							t.Error(err)
+						}
+						sent += len(m)
+					}
+				}
+			})
+			k.Spawn("receiver", func(p *sim.Proc) { // a lost message fails below, not hangs
+				for services[0][1].Core().Stats().MsgsRecvd < int64(len(services)*len(locals)) && p.Now() < 10*sim.Millisecond {
+					eps[1].Extract(p, 0)
+					p.Delay(sim.Microsecond)
+				}
+			})
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			got := 0
+			for svc, sp := range services {
+				for i, n := range runs[svc] {
+					if n != 1 {
+						t.Errorf("s%d handler %d ran %d times, want once", svc, locals[i], n)
+					}
+				}
+				got += int(sp[1].Stats().Bytes)
+			}
+			st := services[0][1].Core().Stats()
+			if st.UnknownHandler != 1 || got != sent || st.BytesRecvd != int64(sent) {
+				t.Errorf("unknown id: UnknownHandler = %d, services consumed %d B and the engine received %d B, want 1, %d, %d",
+					st.UnknownHandler, got, st.BytesRecvd, sent, sent)
+			}
+			defer func() {
+				if recover() == nil {
+					t.Error("a duplicate registered in the grown table did not panic")
+				}
+			}()
+			services[3][1].Register(locals[2], func(*sim.Proc, xport.RecvStream) {})
 		})
 	}
 }

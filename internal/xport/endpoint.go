@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/bufpool"
 	"repro/internal/flowctl"
-	"repro/internal/hostmodel"
 	"repro/internal/sim"
 )
 
@@ -39,7 +38,8 @@ type ServiceStats struct {
 
 // Endpoint is one node's shared attachment to the messaging substrate:
 // exactly one underlying Transport (FM 1.x or 2.x), multiplexed across
-// registered services. Services must be registered in the same order on
+// registered services (a few, at most MaxServices, found by a scan).
+// Services must be registered in the same order on
 // every node of a job — slab bases are positional, like symmetric SHMEM
 // allocation — which endpoint-aware assembly (fmnet, bench) guarantees by
 // construction.
@@ -47,7 +47,6 @@ type Endpoint struct {
 	t        Transport
 	core     *flowctl.EndpointCore // t.Core(), held so the hot paths skip the interface call
 	services []*HandlerSpace
-	byName   map[string]*HandlerSpace
 	consumed int64 // sum of every service's stats.Bytes
 }
 
@@ -55,7 +54,7 @@ type Endpoint struct {
 // transport's handler table must not be used directly once wrapped: all
 // registration goes through HandlerSpaces.
 func NewEndpoint(t Transport) *Endpoint {
-	return &Endpoint{t: t, core: t.Core(), byName: make(map[string]*HandlerSpace)}
+	return &Endpoint{t: t, core: t.Core()}
 }
 
 // Node reports the endpoint's node ID.
@@ -82,7 +81,7 @@ func (e *Endpoint) Services() []string {
 // HandlerSpace. The space's handler-ID slab is positional: the i-th
 // registered service owns wire IDs [i*SpaceSize, (i+1)*SpaceSize).
 func (e *Endpoint) Register(service string) *HandlerSpace {
-	if _, dup := e.byName[service]; dup {
+	if e.Space(service) != nil {
 		panic(fmt.Sprintf("xport: duplicate service %q on node %d", service, e.Node()))
 	}
 	if len(e.services) >= MaxServices {
@@ -95,16 +94,22 @@ func (e *Endpoint) Register(service string) *HandlerSpace {
 	}
 	hs.wait.Until = (*waiting)(hs)
 	e.services = append(e.services, hs)
-	e.byName[service] = hs
 	return hs
 }
 
 // Space returns the HandlerSpace of a registered service, or nil.
-func (e *Endpoint) Space(service string) *HandlerSpace { return e.byName[service] }
+func (e *Endpoint) Space(service string) *HandlerSpace {
+	for _, hs := range e.services {
+		if hs.name == service {
+			return hs
+		}
+	}
+	return nil
+}
 
 // ServiceStats returns a copy of one service's counters (zero if absent).
 func (e *Endpoint) ServiceStats(service string) ServiceStats {
-	if hs := e.byName[service]; hs != nil {
+	if hs := e.Space(service); hs != nil {
 		return hs.stats
 	}
 	return ServiceStats{}
@@ -204,11 +209,11 @@ func (e *Endpoint) extractFor(p *sim.Proc, caller *HandlerSpace, maxBytes int, w
 	return completed
 }
 
-// HandlerSpace is one service's window onto a shared Endpoint. It satisfies
-// Transport, so every upper layer binds to a space exactly as it would to a
-// private transport — but handler IDs are namespaced into the service's
-// slab, sends share the node's credit windows, and Extract is budget-fair
-// across co-resident services.
+// HandlerSpace is one service's window onto a shared Endpoint, and the only
+// thing an upper layer binds to: it sends, extracts and waits as a private
+// attachment would, but handler IDs are namespaced into the service's slab,
+// sends share the node's credit windows, and Extract is budget-fair across
+// co-resident services. Core is its one accessor to the engine below.
 type HandlerSpace struct {
 	ep      *Endpoint
 	name    string
@@ -227,57 +232,36 @@ type HandlerSpace struct {
 // Stats returns a copy of this service's share counters.
 func (hs *HandlerSpace) Stats() ServiceStats { return hs.stats }
 
-// Core exposes the engine's endpoint core: counters (Stats: Malformed,
-// Orphaned, ...), credit ledger (FlowControl), frame-pool stats.
+// Core exposes the engine's endpoint core: node, host, MTU, message limit,
+// counters (Stats: Malformed, Orphaned, ...), credit ledger (FlowControl),
+// frame-pool stats.
 func (hs *HandlerSpace) Core() *flowctl.EndpointCore { return hs.ep.core }
 
-// Node reports the endpoint's node ID.
-func (hs *HandlerSpace) Node() int { return hs.ep.core.Node() }
-
-// Host exposes the host model for cost charging.
-func (hs *HandlerSpace) Host() *hostmodel.Host { return hs.ep.core.Host() }
-
-// MTU reports the per-packet payload capacity.
-func (hs *HandlerSpace) MTU() int { return hs.ep.core.MTU() }
-
-// MaxMessage reports the largest message the transport carries.
-func (hs *HandlerSpace) MaxMessage() int { return hs.ep.core.MaxMessage() }
-
 // Register installs a handler under the service-local id. The wire ID is
-// base+id; ids at or above SpaceSize panic, as does a duplicate.
-//
-// The counted-stream wrapper each message is served through recycles when
-// the handler returns (handlers must not retain streams), so per-message
-// accounting allocates nothing in steady state.
+// base+id; ids at or above SpaceSize panic, as does a duplicate. The
+// engine's table holds the binding's one closure, which calls run.
 func (hs *HandlerSpace) Register(id HandlerID, fn Handler) {
 	if id >= SpaceSize {
 		panic(fmt.Sprintf("xport: handler id %d outside service %q slab (max %d)",
 			id, hs.name, SpaceSize-1))
 	}
-	hs.ep.t.Register(hs.base+id, func(p *sim.Proc, s RecvStream) {
-		hs.stats.Msgs++
-		cs := hs.getCounted(s)
-		fn(p, cs)
-		hs.putCounted(cs)
-	})
+	hs.ep.t.Register(hs.base+id, hs, fn)
 }
 
-// getCounted draws a recycled counted-stream wrapper for one handler run.
-// The free list is bounded at bufpool.DefaultCap: one wrapper per
-// concurrently-running handler is live at a time, so a handful suffice.
-func (hs *HandlerSpace) getCounted(s RecvStream) *countedStream {
+// run serves one message to fn, a handler of this service: it counts the
+// message and bills the bytes fn consumes through a counted-stream wrapper.
+// The wrappers recycle (one is live per running handler, so the free list's
+// DefaultCap bound suffices) and Put poisons the header scratch, so a
+// handler that kept its ReceiveHeader slice reads garbage, not a plausible
+// header; per-message accounting allocates nothing in steady state.
+func (hs *HandlerSpace) run(p *sim.Proc, fn Handler, s RecvStream) {
+	hs.stats.Msgs++
 	cs, ok := hs.csPool.Get()
 	if !ok {
 		cs = &countedStream{hs: hs}
 	}
 	cs.s = s
-	return cs
-}
-
-// putCounted recycles a wrapper once its handler has returned. Put poisons
-// the header scratch, so a handler that kept its ReceiveHeader slice reads
-// garbage, not a plausible header.
-func (hs *HandlerSpace) putCounted(cs *countedStream) {
+	fn(p, cs)
 	cs.s = nil
 	hs.csPool.Put(cs, cs.hdr[:])
 }
@@ -301,11 +285,6 @@ func (hs *HandlerSpace) BeginMessage(p *sim.Proc, dst, size int, h HandlerID) (S
 // Endpoint.extractFor for the budget-fairness contract.
 func (hs *HandlerSpace) Extract(p *sim.Proc, maxBytes int) int {
 	return hs.ep.extractFor(p, hs, maxBytes, nil)
-}
-
-// ExtractWait is Extract with the wait of a caller blocked on w.Until.
-func (hs *HandlerSpace) ExtractWait(p *sim.Proc, maxBytes int, w *flowctl.Waiter) int {
-	return hs.ep.extractFor(p, hs, maxBytes, w)
 }
 
 // Wait blocks the service in virtual time until until.Done(), extracting
@@ -376,7 +355,7 @@ type TurnWork interface {
 // calling Extract.
 func (hs *HandlerSpace) WaitPaced(p *sim.Proc, maxBytes int, until Cond, pace Pace) bool {
 	if pace.Gap <= 0 {
-		panic(fmt.Sprintf("xport: service %q on node %d: WaitPaced needs a positive gap", hs.name, hs.Node()))
+		panic(fmt.Sprintf("xport: service %q on node %d: WaitPaced needs a positive gap", hs.name, hs.ep.Node()))
 	}
 	return hs.await(p, maxBytes, until, pace)
 }
@@ -386,7 +365,7 @@ func (hs *HandlerSpace) WaitPaced(p *sim.Proc, maxBytes int, until Cond, pace Pa
 func (hs *HandlerSpace) await(p *sim.Proc, maxBytes int, until Cond, pace Pace) bool {
 	if hs.until != nil {
 		panic(fmt.Sprintf("xport: service %q on node %d entered Wait twice; a service is single-threaded",
-			hs.name, hs.Node()))
+			hs.name, hs.ep.Node()))
 	}
 	hs.until, hs.pace, hs.wait.Gap, hs.wait.Stands = until, pace, pace.Gap, pace.stands(until)
 	met := until.Done()

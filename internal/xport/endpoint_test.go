@@ -524,7 +524,7 @@ func TestTwoExtractorsReassemble(t *testing.T) {
 			got++
 		})
 		k.Spawn("sender", func(p *sim.Proc) {
-			msg := make([]byte, a[0].MTU()+16)
+			msg := make([]byte, a[0].Core().MTU()+16)
 			for i := 0; i < msgs; i++ {
 				if err := xport.SendGather(p, a[0], 1, coRecvID, msg); err != nil {
 					t.Error(err)

@@ -42,8 +42,9 @@ func (t *fm1Transport) ExtractWait(p *sim.Proc, maxBytes int, w *flowctl.Waiter)
 	return t.Endpoint.ExtractWait(p, w)
 }
 
-func (t *fm1Transport) Register(id HandlerID, fn Handler) {
-	t.Endpoint.Register(fm1.HandlerID(id), func(p *sim.Proc, src int, data []byte) {
+// Register presents each staged message to fn as a stream.
+func (t *fm1Transport) Register(id HandlerID, hs *HandlerSpace, fn Handler) {
+	t.Endpoint.Register(id, func(p *sim.Proc, src int, data []byte) {
 		// Stream records recycle: FM 1.x data (and therefore the stream
 		// view of it) is valid only for the duration of the handler call.
 		s, ok := t.stagedRcv.Get()
@@ -51,7 +52,7 @@ func (t *fm1Transport) Register(id HandlerID, fn Handler) {
 			s = &stagedStream{t: t}
 		}
 		s.src, s.data, s.msglen = src, data, len(data)
-		fn(p, s)
+		hs.run(p, fn, s)
 		s.data = nil
 		t.stagedRcv.Put(s, nil)
 	})
@@ -107,7 +108,7 @@ func (s *fm1SendStream) EndMessage(p *sim.Proc) error {
 	s.t.Host().Memcpy(p, len(s.buf))
 	// fm1.Endpoint handles dst == self as a loopback dispatch, with the
 	// same stats and unknown-handler-discard semantics as remote delivery.
-	err := s.t.Send(p, s.dst, fm1.HandlerID(s.handler), s.buf)
+	err := s.t.Send(p, s.dst, s.handler, s.buf)
 	// Send has copied every byte into NIC frames (or dispatched the
 	// loopback), so the staging buffer and stream record recycle here.
 	t := s.t

@@ -52,7 +52,7 @@ func (e *echo) Pending() bool { return len(e.q) > 0 }
 func (e *echo) Do(p *sim.Proc) {
 	for len(e.q) > 0 {
 		n := e.q[0]
-		if e.fc.Available(0) < (n+e.sp.MTU()-1)/e.sp.MTU() {
+		if e.fc.Available(0) < (n+e.sp.Core().MTU()-1)/e.sp.Core().MTU() {
 			e.blocked++
 			return
 		}
@@ -122,7 +122,7 @@ func coResidentRun(t *testing.T, bc bindingCase, seed int64, budget, window int,
 
 	// Everything random is drawn here, so both variants get the same script.
 	rng := rand.New(rand.NewSource(seed))
-	mtu := a[0].MTU()
+	mtu := a[0].Core().MTU()
 	type step struct {
 		aSize, bSize int // bSize 0: no message for B this step
 		extract      bool

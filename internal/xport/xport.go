@@ -9,12 +9,15 @@
 //	BeginMessage / SendPiece / EndMessage   on the send side
 //	handler-driven Receive pull + Extract   on the receive side
 //
-// FM 2.x satisfies the contract natively (OverFM2 bridges the handler
-// signature and nothing else).
-// FM 1.x satisfies it through a staging-copy adapter (OverFM1) whose
-// explicit assembly and delivery copies are the interface tax the paper's
-// Figure 4 measures — running any layer over both bindings prices the API
-// difference with no layer-specific glue.
+// A layer holds that contract as a HandlerSpace, its window onto the node's
+// one Endpoint. Transport, beneath the Endpoint, is what an engine binding
+// keeps, and the binding alone knows the engine's handler and stream types.
+// Each handler is one entry in its engine's table (flowctl's rule), and the
+// binding makes its one closure: OverFM2 bridges the handler signature and
+// nothing else; OverFM1 stages the message, and its explicit assembly and
+// delivery copies are the interface tax the paper's Figure 4 measures —
+// running any layer over both bindings prices the API difference with no
+// layer-specific glue.
 //
 // Like the FM libraries themselves, a Transport is single-threaded: exactly
 // one Proc per node drives BeginMessage/Extract; handlers run only inside
@@ -49,8 +52,9 @@ import (
 	"repro/internal/sim"
 )
 
-// HandlerID names a registered message handler, carried in message headers.
-type HandlerID uint16
+// HandlerID names a registered message handler, carried in message headers:
+// the engines' own id type, named here for the layers above.
+type HandlerID = flowctl.HandlerID
 
 // Handler processes one incoming message, pulling its bytes through
 // RecvStream.Receive. Over FM 2.x it runs on its own logical thread and may
@@ -85,8 +89,8 @@ type SendStream interface {
 	EndMessage(p *sim.Proc) error
 }
 
-// Transport is one node's attachment to the messaging substrate: an FM
-// engine seen through the streaming contract. It names only what the two
+// Transport is the contract an FM engine binding keeps beneath the node's
+// Endpoint; layers hold a HandlerSpace instead. It names only what the two
 // bindings do differently. What both answer the same way — node, host, MTU,
 // message limit, extracted-packet count, credit ledger, frame
 // anomaly counters — is the endpoint core both engines embed, and Core is
@@ -94,8 +98,10 @@ type SendStream interface {
 type Transport interface {
 	// Core is the engine's endpoint core.
 	Core() *flowctl.EndpointCore
-	// Register installs a handler under id. Panics on duplicates.
-	Register(id HandlerID, fn Handler)
+	// Register installs fn, a handler of hs, in the engine's table under the
+	// wire id, as the one closure that runs each message as hs.run(p, fn, s).
+	// Panics on duplicates.
+	Register(id HandlerID, hs *HandlerSpace, fn Handler)
 	// BeginMessage opens a message of exactly size payload bytes toward
 	// dst. dst == Node() is a loopback self-send: a host memcpy that never
 	// touches the NIC.
@@ -130,14 +136,14 @@ type CreditAccounting interface {
 	FlowControl() *flowctl.Manager
 }
 
-// SendGather transmits the concatenation of pieces as one message over t —
+// SendGather transmits the concatenation of pieces as one message from hs —
 // the header+payload pattern of every protocol layer.
-func SendGather(p *sim.Proc, t Transport, dst int, h HandlerID, pieces ...[]byte) error {
+func SendGather(p *sim.Proc, hs *HandlerSpace, dst int, h HandlerID, pieces ...[]byte) error {
 	total := 0
 	for _, pc := range pieces {
 		total += len(pc)
 	}
-	s, err := t.BeginMessage(p, dst, total, h)
+	s, err := hs.BeginMessage(p, dst, total, h)
 	if err != nil {
 		return err
 	}
